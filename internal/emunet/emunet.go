@@ -31,8 +31,13 @@ import (
 
 // Frame is one link-layer transmission as seen by a receiver.
 type Frame struct {
-	Src     mnet.Addr
-	Dst     mnet.Addr // mnet.Broadcast for broadcast frames
+	Src mnet.Addr
+	Dst mnet.Addr // mnet.Broadcast for broadcast frames
+	// Payload is the medium's private copy of the transmitted bytes, made
+	// once per transmission and aliased by every receiver of a broadcast
+	// (and by whatever Decoded returns). It is read-only for everybody —
+	// receivers, taps, decoders; whoever needs different bytes copies first,
+	// as fault injection does.
 	Payload []byte
 	Device  string
 	// RSSI is the emulated received signal strength in dBm.
@@ -47,6 +52,36 @@ type Frame struct {
 	// radios carry no such field — so the frame-rx trace span on the
 	// receiving node can be stitched to the frame-tx span on the sender.
 	Corr string
+
+	// shared is the per-transmission decode slot (see Decoded): set on the
+	// byte-identical frames of one broadcast fan-out, nil everywhere else.
+	shared *decodeSlot
+}
+
+// decodeSlot memoises one decode of a transmission's payload for all the
+// receivers that were handed the very same bytes. It is payload-agnostic:
+// the medium never looks inside.
+type decodeSlot struct {
+	once sync.Once
+	val  any
+	err  error
+}
+
+// Decoded returns decode(f.Payload), computed once per transmission: the
+// receivers of one broadcast share the buffer, so the first of them to ask
+// runs decode and the rest — possibly on other goroutines, in which case
+// they wait for it — get the same value and the same error. All callers
+// must pass the same pure function, and the result is as read-only as the
+// payload it may alias. Frames that are not byte-identical to their
+// siblings — unicast, corrupted or duplicated by fault injection, built by
+// hand — carry no slot and decode privately.
+func (f Frame) Decoded(decode func(payload []byte) (any, error)) (any, error) {
+	s := f.shared
+	if s == nil {
+		return decode(f.Payload)
+	}
+	s.once.Do(func() { s.val, s.err = decode(f.Payload) })
+	return s.val, s.err
 }
 
 // Quality describes one directed link.
@@ -443,16 +478,34 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		}
 	}
 
-	type target struct {
-		nic *NIC
-		q   Quality
+	// targets are the receivers that survive the loss process, in adjacency
+	// order (sorted by destination), which fixes the delivery order under
+	// equal delays. Loss draws (n.rng) and fault draws (the injector's own
+	// generator) are independent sequences, so every loss can be drawn here,
+	// before any fault, and the survivor count is known up front.
+	var targets []neighborLink
+	lost := func(nl neighborLink) bool {
+		if nl.q.Loss <= 0 || n.rng.Float64() >= nl.q.Loss {
+			return false
+		}
+		n.statsLocked(nl.to).DroppedLoss++
+		if n.obs != nil {
+			n.obs.droppedLoss.Inc()
+			if n.obs.tracer != nil {
+				n.obs.tracer.Record(now, trace.Span{
+					Node: src.String(), Kind: trace.KindFrameDrop,
+					Event: "loss", To: nl.to.String(), Corr: corr, Bytes: len(payload),
+				})
+			}
+		}
+		return true
 	}
-	var targets []target
 	if dst.IsBroadcast() {
-		// The adjacency index is sorted by destination, which fixes the
-		// delivery order under equal delays.
+		targets = make([]neighborLink, 0, len(n.adj[src]))
 		for _, nl := range n.adj[src] {
-			targets = append(targets, target{nl.nic, nl.q})
+			if !lost(nl) {
+				targets = append(targets, nl)
+			}
 		}
 	} else {
 		q, ok := n.links[linkKey{src, dst}]
@@ -474,64 +527,58 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 			}
 			return
 		}
-		targets = append(targets, target{nic, q})
+		if nl := (neighborLink{to: dst, nic: nic, q: q}); !lost(nl) {
+			targets = append(targets, nl)
+		}
 	}
 
 	// Copy the payload once; receivers must not alias the sender's buffer.
+	// Two or more receivers of the same bytes also share one decode of them.
 	buf := append([]byte(nil), payload...)
+	var shared *decodeSlot
+	if len(targets) >= 2 {
+		shared = &decodeSlot{}
+	}
 	type pending struct {
 		nic   *NIC
 		frame Frame
 		delay time.Duration
 	}
-	var due []pending
-	for _, d := range targets {
-		if d.q.Loss > 0 && n.rng.Float64() < d.q.Loss {
-			n.statsLocked(d.nic.addr).DroppedLoss++
-			if n.obs != nil {
-				n.obs.droppedLoss.Inc()
-				if n.obs.tracer != nil {
-					n.obs.tracer.Record(now, trace.Span{
-						Node: src.String(), Kind: trace.KindFrameDrop,
-						Event: "loss", To: d.nic.addr.String(), Corr: corr, Bytes: len(buf),
-					})
-				}
-			}
-			continue
+	var due []pending // legacy path only: its timers are armed after unlock
+	if n.eng == nil {
+		due = make([]pending, 0, len(targets))
+	}
+	schedule := func(nic *NIC, frame Frame, delay time.Duration) {
+		if n.obs != nil && n.obs.linkDelay != nil {
+			n.obs.linkDelay.Observe(delay)
 		}
-		frame := Frame{Src: src, Dst: dst, Payload: buf, Device: device, RSSI: d.q.SignalDBm, Corr: corr}
+		if n.eng == nil {
+			due = append(due, pending{nic, frame, delay})
+			return
+		}
+		dl := n.eng.newDeliveryLocked()
+		dl.nic = nic
+		dl.frame = frame
+		n.eng.scheduleLocked(dl, now.Add(delay))
+	}
+	for _, d := range targets {
+		frame := Frame{Src: src, Dst: dst, Payload: buf, Device: device, RSSI: d.q.SignalDBm, Corr: corr, shared: shared}
 		delay := d.q.Delay
 		if n.inj != nil {
-			extras := n.inj.injectLocked(n, n.statsLocked(d.nic.addr), d.nic.addr, &frame, &delay)
-			for _, e := range extras {
-				due = append(due, pending{d.nic, e.frame, e.delay})
+			for _, e := range n.inj.injectLocked(n, n.statsLocked(d.to), d.to, &frame, &delay) {
+				schedule(d.nic, e.frame, e.delay)
 			}
 		}
-		due = append(due, pending{d.nic, frame, delay})
-	}
-	if n.obs != nil && n.obs.linkDelay != nil {
-		for _, d := range due {
-			n.obs.linkDelay.Observe(d.delay)
-		}
-	}
-	if n.eng != nil {
-		for _, d := range due {
-			dl := n.eng.newDeliveryLocked()
-			dl.nic = d.nic
-			dl.frame = d.frame
-			n.eng.scheduleLocked(dl, now.Add(d.delay))
-		}
+		schedule(d.nic, frame, delay)
 	}
 	n.mu.Unlock()
 
 	if txTap != nil {
 		txTap(Frame{Src: src, Dst: dst, Payload: payload, Device: device, Corr: corr})
 	}
-	if n.eng == nil {
-		for _, d := range due {
-			d := d
-			n.clock.AfterFunc(d.delay, func() { d.nic.deliver(d.frame) })
-		}
+	for _, d := range due {
+		d := d
+		n.clock.AfterFunc(d.delay, func() { d.nic.deliver(d.frame) })
 	}
 }
 

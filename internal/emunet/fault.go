@@ -213,8 +213,10 @@ func (inj *Injector) injectLocked(n *Network, st *Stats, to mnet.Addr, f *Frame,
 		inj.corruptFrameLocked(n, st, to, f)
 	}
 	if inj.dupP > 0 && inj.rng.Float64() < inj.dupP {
+		// A duplicate is its own copy of the bytes, so it decodes privately.
 		dup := *f
 		dup.Payload = append([]byte(nil), f.Payload...)
+		dup.shared = nil
 		extras = append(extras, extraDelivery{dup, *delay * 2})
 		st.Duplicated++
 		inj.logf(n, "duplicate %v->%v (%dB)", f.Src, to, len(f.Payload))
@@ -251,7 +253,10 @@ func (inj *Injector) corruptFrameLocked(n *Network, st *Stats, to mnet.Addr, f *
 		pos := inj.rng.Intn(len(buf))
 		buf[pos] ^= byte(1 + inj.rng.Intn(255))
 	}
+	// The mangled copy is no longer byte-identical to its siblings: detach it
+	// from their decode slot so it neither poisons nor reuses their result.
 	f.Payload = buf
+	f.shared = nil
 	f.Corrupted = true
 	st.Corrupted++
 	inj.logf(n, "corrupt %v->%v flip %d/%dB", f.Src, to, flips, len(buf))

@@ -1,6 +1,7 @@
 package emunet
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -233,5 +234,98 @@ func TestReattachRejectsOccupiedAddress(t *testing.T) {
 	}
 	if err := nic.Send(addrs[1], []byte("x")); err != nil {
 		t.Fatalf("send after reattach: %v", err)
+	}
+}
+
+// TestDecodeSlotFollowsByteIdentity pins where one transmission's receivers
+// share a decode and where they must not: the slot goes with the medium's
+// one buffer, so every frame holding a slot aliases the same bytes, while a
+// corrupted copy and a duplicate — each a buffer of its own — hold none.
+// Decoded then runs the decode function once per slot plus once per
+// slot-less delivery, on both engines, and hands its result (and error) to
+// every holder.
+func TestDecodeSlotFollowsByteIdentity(t *testing.T) {
+	for _, cfg := range []EngineConfig{{}, {Legacy: true}} {
+		t.Run(fmt.Sprintf("legacy=%v", cfg.Legacy), func(t *testing.T) {
+			clk := vclock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+			net := NewWithConfig(clk, 1, cfg)
+			addrs := Addrs(6)
+			if err := BuildClique(net, addrs, DefaultQuality()); err != nil {
+				t.Fatal(err)
+			}
+			decodes := 0
+			decode := func(p []byte) (any, error) {
+				decodes++
+				if p[0]%2 == 1 {
+					return nil, ErrNotFound // any error will do: it must be shared too
+				}
+				return &p[0], nil
+			}
+			bufOf := map[*decodeSlot]*byte{}
+			slotless, deliveries := 0, 0
+			for _, a := range addrs {
+				nic, _ := net.NIC(a)
+				nic.SetReceiver(func(f Frame) {
+					deliveries++
+					v, err := f.Decoded(decode)
+					if wantErr := f.Payload[0]%2 == 1; (err != nil) != wantErr {
+						t.Fatalf("Decoded error %v on payload % x", err, f.Payload)
+					}
+					if f.shared == nil {
+						slotless++
+						if err == nil && v.(*byte) != &f.Payload[0] {
+							t.Fatal("slot-less frame was not decoded from its own bytes")
+						}
+						return
+					}
+					if f.Corrupted {
+						t.Fatal("corrupted frame still holds its siblings' slot")
+					}
+					if first, ok := bufOf[f.shared]; ok && first != &f.Payload[0] {
+						t.Fatal("two frames share a slot but not a buffer")
+					}
+					bufOf[f.shared] = &f.Payload[0]
+					if err == nil && v.(*byte) != &f.Payload[0] {
+						t.Fatal("shared result was decoded from other bytes")
+					}
+				})
+			}
+			src, _ := net.NIC(addrs[0])
+			for i := 0; i < 20; i++ { // unicast: one receiver, never a slot
+				if err := src.Send(addrs[1], []byte{byte(i), 9}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clk.Advance(20 * time.Millisecond)
+			if slotless != 20 || decodes != 20 {
+				t.Fatalf("20 unicasts: %d slot-less deliveries, %d decodes", slotless, decodes)
+			}
+
+			NewFaultPlan(5).
+				CorruptFrames(0, time.Hour, 0.3).
+				DuplicateFrames(0, time.Hour, 0.3).
+				ReorderFrames(0, time.Hour, 0.3, 3*time.Millisecond).
+				Apply(net)
+			for i := 0; i < 200; i++ {
+				if err := src.Send(mnet.Broadcast, []byte{byte(i), 1, 2, 3}); err != nil {
+					t.Fatal(err)
+				}
+				clk.Advance(20 * time.Millisecond)
+			}
+			st := net.Stats()
+			if st.Corrupted == 0 || st.Duplicated == 0 || len(bufOf) == 0 {
+				t.Fatalf("fixture too tame: %+v, %d slots", st, len(bufOf))
+			}
+			// Every broadcast here has five surviving receivers, so the only
+			// slot-less deliveries are the mangled and the duplicated ones.
+			if want := 20 + int(st.Corrupted+st.Duplicated); slotless != want {
+				t.Fatalf("%d slot-less deliveries, want %d (20 unicasts + %d corrupted + %d duplicated)",
+					slotless, want, st.Corrupted, st.Duplicated)
+			}
+			if want := len(bufOf) + slotless; decodes != want {
+				t.Fatalf("%d decodes for %d deliveries, want %d (one per slot + one per slot-less delivery)",
+					decodes, deliveries, want)
+			}
+		})
 	}
 }

@@ -69,7 +69,11 @@ const (
 type Event struct {
 	Type Type
 
-	// Msg is the PacketBB message for *_IN/*_OUT events.
+	// Msg is the PacketBB message for *_IN/*_OUT events. It is read-only
+	// for every handler and interposer: a received message points into a
+	// packet decoded once per transmission and shared by all the nodes that
+	// heard it (and by every handler on each of them). Nobody may write
+	// through it — to forward or rewrite a message, Clone it first.
 	Msg *packetbb.Message
 	// Src is the link-level sender for *_IN events.
 	Src mnet.Addr

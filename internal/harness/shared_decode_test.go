@@ -1,0 +1,135 @@
+package harness
+
+import (
+	"bytes"
+	"testing"
+	"time"
+
+	"manetkit/internal/emunet"
+	"manetkit/internal/mnet"
+	"manetkit/internal/olsr"
+	"manetkit/internal/packetbb"
+	"manetkit/internal/system"
+	"manetkit/internal/testbed"
+)
+
+// TestSharedPacketsAreNeverMutated is the canary for the read-only rule on
+// event.Event.Msg. Every node that hears a broadcast is handed the same
+// decoded packet, so one handler or interposer writing through ev.Msg — a
+// HopLimit-- without a Clone — would corrupt what every other receiver
+// sees. Each protocol family (and the two OLSR interposer variants) runs on
+// a small grid with multi-hop traffic and a mid-run link cut; a tap asks for
+// the shared packet of every control delivery before the receivers see it,
+// and once the run is over every such packet must still re-encode to
+// exactly the bytes that were sent.
+func TestSharedPacketsAreNeverMutated(t *testing.T) {
+	const cols, rows = 4, 3
+	variants := []struct {
+		name, family string
+		extra        func(t *testing.T, c *testbed.Cluster, node *testbed.Node)
+		wantForward  packetbb.MsgType // a type that must be seen with HopCount > 0
+	}{
+		{name: "olsr", family: "olsr", wantForward: packetbb.MsgTC},
+		{name: "dymo", family: "dymo", wantForward: packetbb.MsgRREQ},
+		{name: "aodv", family: "aodv", wantForward: packetbb.MsgRREQ},
+		{name: "zrp", family: "zrp", wantForward: packetbb.MsgRREQ},
+		{name: "olsr+fisheye", wantForward: packetbb.MsgTC,
+			extra: func(t *testing.T, c *testbed.Cluster, node *testbed.Node) {
+				if _, err := DeployOLSR(c, node); err != nil {
+					t.Fatal(err)
+				}
+				fish := olsr.NewFisheye("", nil)
+				if err := node.Mgr.Deploy(fish); err != nil {
+					t.Fatal(err)
+				}
+				if err := fish.Start(); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		{name: "olsr+poweraware", wantForward: packetbb.MsgTC,
+			extra: func(t *testing.T, c *testbed.Cluster, node *testbed.Node) {
+				d, err := DeployOLSR(c, node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := d.OLSR.EnablePowerAware(); err != nil {
+					t.Fatal(err)
+				}
+			}},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			c, err := testbed.New(cols*rows, testbed.Options{
+				Seed:            3,
+				BatteryTemplate: system.NewBattery(1, 0.001, 0.0001, testbed.Epoch),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for _, node := range c.Nodes {
+				if v.extra != nil {
+					v.extra(t, c, node)
+				} else if _, err := DeployFamily(c, node, v.family); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Grid(cols); err != nil {
+				t.Fatal(err)
+			}
+
+			// The tap runs before the receiver upcall, so the packet it is
+			// handed is the one the System CFs raise their events from.
+			sent := map[*packetbb.Packet][]byte{}
+			deliveries, forwarded := 0, 0
+			c.Net.SetTap(func(f emunet.Frame, _ mnet.Addr) {
+				pkt, err := system.DecodeControl(f)
+				if err != nil {
+					return // data frame
+				}
+				deliveries++
+				if _, ok := sent[pkt]; ok {
+					return
+				}
+				sent[pkt] = append([]byte(nil), f.Payload[1:]...)
+				for i := range pkt.Messages {
+					if m := &pkt.Messages[i]; m.Type == v.wantForward && m.HopCount > 0 {
+						forwarded++
+					}
+				}
+			})
+
+			addrs := c.Addrs()
+			far := len(addrs) - 1
+			for step := 0; step < 40; step++ {
+				if step == 20 { // break a link under the flows: RERR paths
+					c.Net.CutLink(addrs[1], addrs[2])
+					c.Net.CutLink(addrs[5], addrs[6])
+				}
+				_ = c.Nodes[0].Sys.Filter().SendData(addrs[far], []byte("canary"))
+				_ = c.Nodes[far].Sys.Filter().SendData(addrs[0], []byte("canary"))
+				_ = c.Nodes[cols-1].Sys.Filter().SendData(addrs[far-cols+1], []byte("canary"))
+				c.Run(time.Second)
+			}
+			c.Net.SetTap(nil)
+
+			if len(sent) == 0 || deliveries <= len(sent) {
+				t.Fatalf("%d deliveries of %d packets: nothing was shared", deliveries, len(sent))
+			}
+			if forwarded == 0 {
+				t.Fatalf("no forwarded %v seen: the run never exercised a forwarding handler", v.wantForward)
+			}
+			for pkt, wire := range sent {
+				got, err := packetbb.EncodePacket(pkt)
+				if err != nil {
+					t.Fatalf("shared packet no longer encodes: %v", err)
+				}
+				if !bytes.Equal(got, wire) {
+					t.Fatalf("a handler wrote through a shared packet (%v from %v):\nsent: % x\nnow:  % x",
+						pkt.Messages[0].Type, pkt.Messages[0].Originator, wire, got)
+				}
+			}
+			t.Logf("%d deliveries shared %d decoded packets (%d forwarded %v)", deliveries, len(sent), forwarded, v.wantForward)
+		})
+	}
+}

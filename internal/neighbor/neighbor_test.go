@@ -19,6 +19,9 @@ func TestTableObserveTransitions(t *testing.T) {
 	nb := addr("10.0.0.2")
 	now := testbed.Epoch
 
+	if st, ok := tb.StatusOf(nb); ok {
+		t.Fatalf("StatusOf an unknown neighbour = %v, true", st)
+	}
 	if prev := tb.Observe(nb, false, 3, nil, now); prev != 0 {
 		t.Fatalf("first Observe prev = %v", prev)
 	}
@@ -26,12 +29,18 @@ func TestTableObserveTransitions(t *testing.T) {
 	if !ok || info.Status != StatusHeard {
 		t.Fatalf("after asym hello: %+v", info)
 	}
+	if st, ok := tb.StatusOf(nb); !ok || st != StatusHeard {
+		t.Fatalf("StatusOf after asym hello = %v, %v", st, ok)
+	}
 	if prev := tb.Observe(nb, true, 5, []mnet.Addr{addr("10.0.0.3")}, now); prev != StatusHeard {
 		t.Fatalf("second Observe prev = %v", prev)
 	}
 	info, _ = tb.Get(nb)
 	if info.Status != StatusSymmetric || info.Willingness != 5 || len(info.TwoHop) != 1 {
 		t.Fatalf("after sym hello: %+v", info)
+	}
+	if st, _ := tb.StatusOf(nb); st != StatusSymmetric {
+		t.Fatalf("StatusOf after sym hello = %v", st)
 	}
 	// A hello no longer listing us demotes to heard.
 	tb.Observe(nb, false, 5, nil, now)

@@ -146,6 +146,19 @@ func (t *Table) Get(nb mnet.Addr) (Info, bool) {
 	return t.snapshotLocked(e), true
 }
 
+// StatusOf returns just nb's link status — the per-message check ("is the
+// previous hop a symmetric neighbour?") that has no use for the copy of the
+// 2-hop list Get makes. ok is false when nb is not tracked.
+func (t *Table) StatusOf(nb mnet.Addr) (Status, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.entries[nb]
+	if !ok {
+		return 0, false
+	}
+	return e.Status, true
+}
+
 // Neighbors returns all non-lost neighbours, sorted by address.
 func (t *Table) Neighbors() []Info {
 	return t.filter(func(e *Info) bool { return e.Status != StatusLost })

@@ -212,7 +212,7 @@ func (o *OLSR) onTC(ctx *core.Context, ev *event.Event) error {
 	}
 	// Per RFC 3626 §9.5: discard TCs whose previous hop is not a symmetric
 	// neighbour.
-	if nb, ok := o.m.State().Links.Get(ev.Src); !ok || nb.Status != neighbor.StatusSymmetric {
+	if st, ok := o.m.State().Links.StatusOf(ev.Src); !ok || st != neighbor.StatusSymmetric {
 		return nil
 	}
 	o.mTCRx.Inc()

@@ -36,12 +36,18 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 	if n < 0 || d.remaining() < n {
 		return nil, ErrTruncated
 	}
-	v := d.buf[d.off : d.off+n]
+	// Capacity is clipped so an append on a decoded value cannot grow into
+	// the bytes that follow it in the input.
+	v := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return v, nil
 }
 
-// DecodePacket parses a wire-form packet.
+// DecodePacket parses a wire-form packet. The result aliases buf: TLV values
+// and prefix lengths are sub-slices of it, not copies, so buf must stay
+// unmodified for as long as the packet (or any message taken from it) is in
+// use. The decoder itself never writes to buf. A caller that wants to change
+// a decoded message calls Clone first, which shares nothing with buf.
 func DecodePacket(buf []byte) (*Packet, error) {
 	d := &decoder{buf: buf}
 	flags, err := d.u8()
@@ -64,21 +70,21 @@ func DecodePacket(buf []byte) (*Packet, error) {
 		}
 	}
 	for d.remaining() > 0 {
-		m, err := decodeMessage(d)
-		if err != nil {
-			return nil, fmt.Errorf("message %d: %w", len(p.Messages), err)
+		i := len(p.Messages)
+		p.Messages = append(p.Messages, Message{})
+		if err := decodeMessage(d, &p.Messages[i]); err != nil {
+			return nil, fmt.Errorf("message %d: %w", i, err)
 		}
-		p.Messages = append(p.Messages, *m)
 	}
 	return p, nil
 }
 
 // DecodeMessage parses a single wire-form message; it requires the buffer to
-// contain exactly one message.
+// contain exactly one message. Like DecodePacket, the result aliases buf.
 func DecodeMessage(buf []byte) (*Message, error) {
 	d := &decoder{buf: buf}
-	m, err := decodeMessage(d)
-	if err != nil {
+	m := &Message{}
+	if err := decodeMessage(d, m); err != nil {
 		return nil, err
 	}
 	if d.remaining() != 0 {
@@ -87,71 +93,72 @@ func DecodeMessage(buf []byte) (*Message, error) {
 	return m, nil
 }
 
-func decodeMessage(d *decoder) (*Message, error) {
+// decodeMessage reads one message from d into the zero Message m.
+func decodeMessage(d *decoder, m *Message) error {
 	typ, err := d.u8()
 	if err != nil {
-		return nil, fmt.Errorf("type: %w", err)
+		return fmt.Errorf("type: %w", err)
 	}
 	flags, err := d.u8()
 	if err != nil {
-		return nil, fmt.Errorf("flags: %w", err)
+		return fmt.Errorf("flags: %w", err)
 	}
 	if flags&^(msgFlagHasOrig|msgFlagHasHopLimit|msgFlagHasHopCount|msgFlagHasSeq) != 0 {
-		return nil, fmt.Errorf("%w: unknown message flags %#x", ErrMalformed, flags)
+		return fmt.Errorf("%w: unknown message flags %#x", ErrMalformed, flags)
 	}
 	size, err := d.u16()
 	if err != nil {
-		return nil, fmt.Errorf("size: %w", err)
+		return fmt.Errorf("size: %w", err)
 	}
 	// The size field counts the whole message including the 4 header bytes
 	// already consumed.
 	if int(size) < 4 {
-		return nil, fmt.Errorf("%w: message size %d", ErrMalformed, size)
+		return fmt.Errorf("%w: message size %d", ErrMalformed, size)
 	}
 	body, err := d.bytes(int(size) - 4)
 	if err != nil {
-		return nil, fmt.Errorf("body (%d bytes): %w", size-4, err)
+		return fmt.Errorf("body (%d bytes): %w", size-4, err)
 	}
 	md := &decoder{buf: body}
 
-	m := &Message{Type: MsgType(typ)}
+	m.Type = MsgType(typ)
 	if flags&msgFlagHasOrig != 0 {
 		m.HasOriginator = true
 		ob, err := md.bytes(mnet.AddrLen)
 		if err != nil {
-			return nil, fmt.Errorf("originator: %w", err)
+			return fmt.Errorf("originator: %w", err)
 		}
 		copy(m.Originator[:], ob)
 	}
 	if flags&msgFlagHasHopLimit != 0 {
 		m.HasHopLimit = true
 		if m.HopLimit, err = md.u8(); err != nil {
-			return nil, fmt.Errorf("hop limit: %w", err)
+			return fmt.Errorf("hop limit: %w", err)
 		}
 	}
 	if flags&msgFlagHasHopCount != 0 {
 		m.HasHopCount = true
 		if m.HopCount, err = md.u8(); err != nil {
-			return nil, fmt.Errorf("hop count: %w", err)
+			return fmt.Errorf("hop count: %w", err)
 		}
 	}
 	if flags&msgFlagHasSeq != 0 {
 		m.HasSeqNum = true
 		if m.SeqNum, err = md.u16(); err != nil {
-			return nil, fmt.Errorf("seqnum: %w", err)
+			return fmt.Errorf("seqnum: %w", err)
 		}
 	}
 	if m.TLVs, _, err = decodeTLVBlock(md, false); err != nil {
-		return nil, fmt.Errorf("message TLVs: %w", err)
+		return fmt.Errorf("message TLVs: %w", err)
 	}
 	for md.remaining() > 0 {
-		b, err := decodeAddrBlock(md)
-		if err != nil {
-			return nil, fmt.Errorf("address block %d: %w", len(m.AddrBlocks), err)
+		i := len(m.AddrBlocks)
+		m.AddrBlocks = append(m.AddrBlocks, AddrBlock{})
+		if err := decodeAddrBlock(md, &m.AddrBlocks[i]); err != nil {
+			return fmt.Errorf("address block %d: %w", i, err)
 		}
-		m.AddrBlocks = append(m.AddrBlocks, *b)
 	}
-	return m, nil
+	return nil
 }
 
 // decodeTLVBlock reads one TLV block. With indexed=false it returns message
@@ -216,7 +223,9 @@ func decodeTLVBlock(d *decoder, indexed bool) ([]TLV, []AddrTLV, error) {
 			if err != nil {
 				return nil, nil, fmt.Errorf("TLV value (%d bytes): %w", vlen, err)
 			}
-			value = append([]byte(nil), raw...)
+			if vlen > 0 {
+				value = raw // aliases the input, see DecodePacket
+			}
 		} else if flags&tlvFlagWideLen != 0 {
 			return nil, nil, fmt.Errorf("%w: wide-length flag without value", ErrMalformed)
 		}
@@ -229,42 +238,43 @@ func decodeTLVBlock(d *decoder, indexed bool) ([]TLV, []AddrTLV, error) {
 	return tlvs, atlvs, nil
 }
 
-func decodeAddrBlock(d *decoder) (*AddrBlock, error) {
+// decodeAddrBlock reads one address block from d into the zero AddrBlock b.
+func decodeAddrBlock(d *decoder, b *AddrBlock) error {
 	num, err := d.u8()
 	if err != nil {
-		return nil, fmt.Errorf("address count: %w", err)
+		return fmt.Errorf("address count: %w", err)
 	}
 	if num == 0 {
-		return nil, fmt.Errorf("%w: empty address block", ErrMalformed)
+		return fmt.Errorf("%w: empty address block", ErrMalformed)
 	}
 	flags, err := d.u8()
 	if err != nil {
-		return nil, fmt.Errorf("flags: %w", err)
+		return fmt.Errorf("flags: %w", err)
 	}
 	if flags&^(abFlagHasHead|abFlagHasPrefixes) != 0 {
-		return nil, fmt.Errorf("%w: unknown address block flags %#x", ErrMalformed, flags)
+		return fmt.Errorf("%w: unknown address block flags %#x", ErrMalformed, flags)
 	}
 	headLen := 0
 	var head []byte
 	if flags&abFlagHasHead != 0 {
 		hl, err := d.u8()
 		if err != nil {
-			return nil, fmt.Errorf("head length: %w", err)
+			return fmt.Errorf("head length: %w", err)
 		}
 		if int(hl) == 0 || int(hl) >= mnet.AddrLen {
-			return nil, fmt.Errorf("%w: head length %d", ErrMalformed, hl)
+			return fmt.Errorf("%w: head length %d", ErrMalformed, hl)
 		}
 		headLen = int(hl)
 		if head, err = d.bytes(headLen); err != nil {
-			return nil, fmt.Errorf("head bytes: %w", err)
+			return fmt.Errorf("head bytes: %w", err)
 		}
 	}
-	b := &AddrBlock{Addrs: make([]mnet.Addr, num)}
+	b.Addrs = make([]mnet.Addr, num)
 	tail := mnet.AddrLen - headLen
 	for i := range b.Addrs {
 		tb, err := d.bytes(tail)
 		if err != nil {
-			return nil, fmt.Errorf("address %d: %w", i, err)
+			return fmt.Errorf("address %d: %w", i, err)
 		}
 		copy(b.Addrs[i][:headLen], head)
 		copy(b.Addrs[i][headLen:], tb)
@@ -272,24 +282,24 @@ func decodeAddrBlock(d *decoder) (*AddrBlock, error) {
 	if flags&abFlagHasPrefixes != 0 {
 		pb, err := d.bytes(int(num))
 		if err != nil {
-			return nil, fmt.Errorf("prefix lengths: %w", err)
+			return fmt.Errorf("prefix lengths: %w", err)
 		}
-		b.PrefixLens = append([]uint8(nil), pb...)
-		for _, p := range b.PrefixLens {
+		b.PrefixLens = pb
+		for _, p := range pb {
 			if int(p) > 8*mnet.AddrLen {
-				return nil, fmt.Errorf("%w: prefix length %d", ErrMalformed, p)
+				return fmt.Errorf("%w: prefix length %d", ErrMalformed, p)
 			}
 		}
 	}
 	_, atlvs, err := decodeTLVBlock(d, true)
 	if err != nil {
-		return nil, fmt.Errorf("address TLVs: %w", err)
+		return fmt.Errorf("address TLVs: %w", err)
 	}
 	for _, tlv := range atlvs {
 		if int(tlv.IndexStop) >= int(num) {
-			return nil, fmt.Errorf("%w: TLV index %d over %d addresses", ErrMalformed, tlv.IndexStop, num)
+			return fmt.Errorf("%w: TLV index %d over %d addresses", ErrMalformed, tlv.IndexStop, num)
 		}
 	}
 	b.TLVs = atlvs
-	return b, nil
+	return nil
 }

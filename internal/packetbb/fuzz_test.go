@@ -74,17 +74,21 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 }
 
 // FuzzDecodePacket asserts the decoder never panics on arbitrary input,
-// and that accepted inputs reach an encode/decode fixed point: the
-// re-encoding of a decoded packet decodes to an identical re-encoding.
+// that accepted inputs reach an encode/decode fixed point: the
+// re-encoding of a decoded packet decodes to an identical re-encoding, and
+// that the sharing contract holds (the input is never written, a Clone
+// shares nothing with it).
 func FuzzDecodePacket(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		pristine := append([]byte(nil), data...)
 		pkt, err := DecodePacket(data)
 		if err != nil {
 			return // rejected input: the only requirement is no panic
 		}
+		checkSharingContract(t, data, pristine, pkt.Messages, func() ([]byte, error) { return EncodePacket(pkt) })
 		enc, err := EncodePacket(pkt)
 		if err != nil {
 			t.Fatalf("decoded packet failed to re-encode: %v\n% x", err, data)
@@ -120,10 +124,12 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	f.Add(enc)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		pristine := append([]byte(nil), data...)
 		msg, err := DecodeMessage(data)
 		if err != nil {
 			return
 		}
+		checkSharingContract(t, data, pristine, []Message{*msg}, func() ([]byte, error) { return EncodeMessage(msg) })
 		enc, err := EncodeMessage(msg)
 		if err != nil {
 			t.Fatalf("decoded message failed to re-encode: %v\n% x", err, data)

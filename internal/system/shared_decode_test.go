@@ -1,0 +1,281 @@
+package system
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"manetkit/internal/core"
+	"manetkit/internal/emunet"
+	"manetkit/internal/event"
+	"manetkit/internal/mnet"
+	"manetkit/internal/packetbb"
+	"manetkit/internal/vclock"
+)
+
+// star links nodes[0] to every other node.
+func star(t *testing.T, net *emunet.Network, nodes []*node) {
+	t.Helper()
+	for _, n := range nodes[1:] {
+		if err := net.SetLink(nodes[0].addr, n.addr, emunet.DefaultQuality()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// helloConsumer deploys a HELLO_IN handler on n that hands every received
+// event to got.
+func helloConsumer(t *testing.T, n *node, got func(*event.Event)) *core.Protocol {
+	t.Helper()
+	p := core.NewProtocol("consumer")
+	p.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.HelloIn}}})
+	err := p.AddHandler(core.NewHandler("h", event.HelloIn, func(_ *core.Context, ev *event.Event) error {
+		got(ev)
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.mgr.Deploy(p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func helloWire(t *testing.T, from mnet.Addr, seq uint16) []byte {
+	t.Helper()
+	wire, err := packetbb.EncodePacket(&packetbb.Packet{SeqNum: seq, HasSeqNum: true, Messages: []packetbb.Message{{
+		Type: packetbb.MsgHello, Originator: from, SeqNum: seq,
+		TLVs: []packetbb.TLV{{Type: packetbb.TLVValidityTime, Value: packetbb.U32(6000)}},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append([]byte{wireControl}, wire...)
+}
+
+// TestBroadcastDecodedOncePerTransmission: every receiver of one broadcast is
+// handed the same *packetbb.Message, each still counts its own CtrlReceived,
+// and a second transmission of the same bytes gets a decode of its own.
+func TestBroadcastDecodedOncePerTransmission(t *testing.T) {
+	net, clk, nodes := newTestNet(t, 6)
+	star(t, net, nodes)
+	var got []*packetbb.Message // single-threaded model on a virtual clock: no lock needed
+	for _, n := range nodes[1:] {
+		helloConsumer(t, n, func(ev *event.Event) { got = append(got, ev.Msg) })
+	}
+	frame := helloWire(t, nodes[0].addr, 7)
+	for i := 0; i < 2; i++ {
+		if err := nodes[0].sys.NIC().Send(mnet.Broadcast, frame); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(10 * time.Millisecond)
+	}
+	rx := len(nodes) - 1
+	if len(got) != 2*rx {
+		t.Fatalf("%d events delivered, want %d", len(got), 2*rx)
+	}
+	for i, m := range got {
+		if first := got[i/rx*rx]; m != first {
+			t.Fatalf("receiver %d of transmission %d got its own decode (%p, first receiver %p)", i%rx, i/rx, m, first)
+		}
+	}
+	if got[0] == got[rx] {
+		t.Fatal("two transmissions shared one decode")
+	}
+	for _, n := range nodes[1:] {
+		if st := n.sys.Stats(); st.CtrlReceived != 2 || st.DecodeErrors != 0 {
+			t.Fatalf("%v: stats %+v, want 2 received", n.addr, st)
+		}
+	}
+}
+
+// TestSharedDecodeErrorCountedPerReceiver: a transmission that does not
+// decode is rejected once, and every receiver counts the error.
+func TestSharedDecodeErrorCountedPerReceiver(t *testing.T) {
+	net, clk, nodes := newTestNet(t, 4)
+	star(t, net, nodes)
+	frame := helloWire(t, nodes[0].addr, 1)
+	if err := nodes[0].sys.NIC().Send(mnet.Broadcast, frame[:len(frame)-3]); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10 * time.Millisecond)
+	for _, n := range nodes[1:] {
+		if st := n.sys.Stats(); st.DecodeErrors != 1 || st.CtrlReceived != 0 {
+			t.Fatalf("%v: stats %+v, want 1 decode error", n.addr, st)
+		}
+	}
+}
+
+// TestFaultInjectionDetachesSharedDecode floods a star with broadcasts while
+// the medium corrupts and duplicates deliveries, and compares every receiver
+// with a reference that decodes each delivery privately from a copy of its
+// own bytes: same DecodeErrors, same CtrlReceived, and the same messages in
+// the same order. A mangled copy that reused its siblings' decode would
+// deliver the clean message (and miss its decode error); one that poisoned
+// the slot would deliver garbage to the clean siblings.
+func TestFaultInjectionDetachesSharedDecode(t *testing.T) {
+	net, clk, nodes := newTestNet(t, 7)
+	star(t, net, nodes)
+	emunet.NewFaultPlan(11).
+		CorruptFrames(0, time.Hour, 0.3).
+		DuplicateFrames(0, time.Hour, 0.3).
+		Apply(net)
+
+	type outcome struct {
+		errs, ok uint64
+		msgs     [][]byte // re-encoded messages, in delivery order
+	}
+	encode := func(m *packetbb.Message) []byte {
+		b, err := packetbb.EncodeMessage(m)
+		if err != nil {
+			t.Fatalf("re-encoding a delivered message: %v", err)
+		}
+		return b
+	}
+	want := map[mnet.Addr]*outcome{}
+	got := map[mnet.Addr]*outcome{}
+	for _, n := range nodes[1:] {
+		want[n.addr], got[n.addr] = &outcome{}, &outcome{}
+		o := got[n.addr]
+		helloConsumer(t, n, func(ev *event.Event) { o.msgs = append(o.msgs, encode(ev.Msg)) })
+	}
+	var corrupted, shared int
+	seen := map[*packetbb.Packet]bool{}
+	net.SetTap(func(f emunet.Frame, rcv mnet.Addr) {
+		if f.Corrupted {
+			corrupted++
+		}
+		o := want[rcv]
+		if len(f.Payload) == 0 || (f.Payload[0] != wireControl && f.Payload[0] != wireData) {
+			o.errs++
+			return
+		}
+		if f.Payload[0] == wireData { // a discriminator flipped into the data path
+			if _, err := decodeData(f.Payload); err != nil {
+				o.errs++
+			}
+			return
+		}
+		pkt, err := packetbb.DecodePacket(append([]byte(nil), f.Payload[1:]...))
+		if err != nil {
+			o.errs++
+			return
+		}
+		o.ok++
+		for i := range pkt.Messages {
+			if inEventType(pkt.Messages[i].Type) == event.HelloIn {
+				o.msgs = append(o.msgs, encode(&pkt.Messages[i]))
+			}
+		}
+		if p, err := DecodeControl(f); err == nil {
+			if seen[p] {
+				shared++
+				if f.Corrupted {
+					t.Errorf("corrupted delivery to %v shares its siblings' decode", rcv)
+				}
+			}
+			seen[p] = true
+		}
+	})
+
+	for seq := uint16(1); seq <= 300; seq++ {
+		if err := nodes[0].sys.NIC().Send(mnet.Broadcast, helloWire(t, nodes[0].addr, seq)); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(10 * time.Millisecond)
+	}
+	if st := net.Stats(); st.Corrupted == 0 || st.Duplicated == 0 || corrupted == 0 || shared == 0 {
+		t.Fatalf("fixture too tame: medium %+v, %d corrupted and %d shared deliveries seen", st, corrupted, shared)
+	}
+	var errs uint64
+	for _, n := range nodes[1:] {
+		w, g := want[n.addr], got[n.addr]
+		st := n.sys.Stats()
+		if st.DecodeErrors != w.errs || st.CtrlReceived != w.ok {
+			t.Errorf("%v: DecodeErrors/CtrlReceived = %d/%d, decode-per-receiver reference %d/%d",
+				n.addr, st.DecodeErrors, st.CtrlReceived, w.errs, w.ok)
+		}
+		if len(g.msgs) != len(w.msgs) {
+			t.Errorf("%v: %d messages delivered, reference %d", n.addr, len(g.msgs), len(w.msgs))
+			continue
+		}
+		for i := range g.msgs {
+			if !bytes.Equal(g.msgs[i], w.msgs[i]) {
+				t.Errorf("%v: message %d is % x, its own bytes say % x", n.addr, i, g.msgs[i], w.msgs[i])
+				break
+			}
+		}
+		errs += st.DecodeErrors
+	}
+	if errs == 0 {
+		t.Fatal("no corrupted delivery failed to decode: the comparison proved nothing")
+	}
+}
+
+// TestSharedDecodeConcurrentReceivers runs the arrangement in which the
+// receivers of one broadcast really are concurrent — the legacy engine on a
+// real clock fires one timer goroutine per delivery, and each node's
+// consumer runs on its own dedicated-queue goroutine — so that under -race
+// the slot's locking and the read-only rule are both exercised: every
+// handler reads all of the shared message while its siblings do the same.
+func TestSharedDecodeConcurrentReceivers(t *testing.T) {
+	const receivers, broadcasts = 24, 40
+	net := emunet.NewWithConfig(vclock.Real(), 1, emunet.EngineConfig{Legacy: true})
+	nodes := attachNodes(t, net, vclock.Real(), receivers+1)
+	addrs := emunet.Addrs(receivers + 1)
+	q := emunet.DefaultQuality()
+	q.Delay = 100 * time.Microsecond
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		byseq = map[uint16]map[*packetbb.Message]int{}
+	)
+	wg.Add(receivers * broadcasts)
+	for _, n := range nodes[1:] {
+		if err := net.SetLink(addrs[0], n.addr, q); err != nil {
+			t.Fatal(err)
+		}
+		p := helloConsumer(t, n, func(ev *event.Event) {
+			defer wg.Done()
+			if _, err := packetbb.EncodeMessage(ev.Msg); err != nil { // reads every field
+				t.Errorf("shared message does not re-encode: %v", err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if byseq[ev.Msg.SeqNum] == nil {
+				byseq[ev.Msg.SeqNum] = map[*packetbb.Message]int{}
+			}
+			byseq[ev.Msg.SeqNum][ev.Msg]++
+		})
+		if err := n.mgr.EnableDedicatedThread(p.Name()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seq := uint16(1); seq <= broadcasts; seq++ {
+		if err := nodes[0].sys.NIC().Send(mnet.Broadcast, helloWire(t, addrs[0], seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("deliveries still outstanding after 30s")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for seq, ptrs := range byseq {
+		if len(ptrs) != 1 {
+			t.Errorf("broadcast %d was decoded %d times: %v", seq, len(ptrs), fmt.Sprint(ptrs))
+		}
+	}
+	for _, n := range nodes[1:] {
+		if st := n.sys.Stats(); st.CtrlReceived != broadcasts || st.DecodeErrors != 0 {
+			t.Errorf("%v: stats %+v, want %d received", n.addr, st, broadcasts)
+		}
+	}
+}

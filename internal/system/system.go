@@ -289,7 +289,9 @@ func (s *System) receive(f emunet.Frame) {
 	}
 	switch f.Payload[0] {
 	case wireControl:
-		pkt, err := packetbb.DecodePacket(f.Payload[1:])
+		// One decode per transmission: the receivers of a broadcast share
+		// the packet, so events point into it and handlers only read it.
+		pkt, err := DecodeControl(f)
 		if err != nil {
 			s.bumpDecodeErr()
 			return
@@ -298,10 +300,10 @@ func (s *System) receive(f emunet.Frame) {
 		s.stats.CtrlReceived++
 		s.mu.Unlock()
 		for i := range pkt.Messages {
-			msg := pkt.Messages[i]
+			msg := &pkt.Messages[i]
 			_ = s.proto.Emit(&event.Event{
 				Type:   inEventType(msg.Type),
-				Msg:    &msg,
+				Msg:    msg,
 				Src:    f.Src,
 				Dst:    f.Dst,
 				Device: f.Device,

@@ -27,6 +27,12 @@ func newTestNet(t *testing.T, n int) (*emunet.Network, *vclock.Virtual, []*node)
 	t.Helper()
 	clk := vclock.NewVirtual(epoch)
 	net := emunet.New(clk, 1)
+	return net, clk, attachNodes(t, net, clk, n)
+}
+
+// attachNodes attaches n nodes to net, each with a started System CF.
+func attachNodes(t *testing.T, net *emunet.Network, clk vclock.Clock, n int) []*node {
+	t.Helper()
 	addrs := emunet.Addrs(n)
 	nodes := make([]*node, n)
 	for i, a := range addrs {
@@ -51,7 +57,7 @@ func newTestNet(t *testing.T, n int) (*emunet.Network, *vclock.Virtual, []*node)
 		}
 		nodes[i] = &node{addr: a, mgr: mgr, sys: sys}
 	}
-	return net, clk, nodes
+	return nodes
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -1,5 +1,12 @@
 package system
 
+import (
+	"errors"
+
+	"manetkit/internal/emunet"
+	"manetkit/internal/packetbb"
+)
+
 // Wire-class predicates for raw frame payloads, used by measurement taps
 // (the evaluation campaign's overhead accounting) that must classify
 // traffic without decoding it. The discriminator byte is the first payload
@@ -24,4 +31,26 @@ func ControlBody(payload []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return payload[1:], true
+}
+
+var errNotControl = errors.New("system: not a control frame")
+
+// DecodeControl returns the PacketBB packet a control frame carries. A
+// transmission is decoded once (emunet.Frame.Decoded): every node that
+// heard the frame, and every tap that asks here, gets the same packet and
+// the same error. The packet is therefore read-only — Clone a message before
+// changing it.
+func DecodeControl(f emunet.Frame) (*packetbb.Packet, error) {
+	if !IsControlFrame(f.Payload) {
+		return nil, errNotControl
+	}
+	v, err := f.Decoded(decodeControlBody)
+	if err != nil {
+		return nil, err
+	}
+	return v.(*packetbb.Packet), nil
+}
+
+func decodeControlBody(payload []byte) (any, error) {
+	return packetbb.DecodePacket(payload[1:])
 }
