@@ -731,7 +731,7 @@ func impureCall(fn *types.Func) (string, bool) {
 	}
 	if pkgIs(pkg, "vclock") {
 		switch fn.Name() {
-		case "AfterFunc", "AfterFuncAt", "NewPeriodic":
+		case "AfterFunc", "NewPeriodic":
 			return shortFuncName(fn) + " (schedules a timer)", true
 		}
 	}

@@ -1,0 +1,177 @@
+package emunet
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"manetkit/internal/vclock"
+)
+
+// anchorOrder runs the scenario armLocked's comment is about and returns
+// what fired, in order. Link 0→1 has delay d, link 1→2 has none, and node 1
+// forwards what it hears, so the second delivery falls due at the very
+// instant of the first. Around the sends, timers are queued on the clock
+// for the same instants:
+//
+//	round k: timer "a" queued, frame sent (anchor armed), timer "b" queued
+//
+// The anchor must fire after "a" (queued before it was armed) and before
+// "b"; the cascade's re-arm happens inside the epoch, when "b" is already
+// queued at that instant, so the second delivery comes after "b". Rounds
+// two and three re-arm an anchor that has fired before — the Reset path.
+func anchorOrder(t *testing.T, cfg EngineConfig) []string {
+	t.Helper()
+	clk := vclock.NewVirtual(epoch)
+	n := NewWithConfig(clk, 1, cfg)
+	addrs := Addrs(3)
+	nics := []*NIC{attach(t, n, addrs[0]), attach(t, n, addrs[1]), attach(t, n, addrs[2])}
+	const d = 2 * time.Millisecond
+	if err := n.SetDirectedLink(addrs[0], addrs[1], Quality{Delay: d}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SetDirectedLink(addrs[1], addrs[2], Quality{Delay: 0}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	nics[1].SetReceiver(func(f Frame) {
+		got = append(got, "rx1")
+		_ = nics[1].SendWithFeedback(addrs[2], f.Payload, func(ok bool) { got = append(got, "ack2") })
+	})
+	nics[2].SetReceiver(func(Frame) { got = append(got, "rx2") })
+	for round := 0; round < 3; round++ {
+		clk.AfterFunc(d, func() { got = append(got, "a") })
+		if err := nics[0].SendWithFeedback(addrs[1], []byte("x"), func(ok bool) { got = append(got, "ack1") }); err != nil {
+			t.Fatal(err)
+		}
+		clk.AfterFunc(d, func() { got = append(got, "b") })
+		clk.Advance(d)
+		got = append(got, "|")
+	}
+	return got
+}
+
+func TestRearmedAnchorFiresAfterQueuedTimers(t *testing.T) {
+	round := []string{"a", "rx1", "ack1", "b", "rx2", "ack2", "|"}
+	var want []string
+	for i := 0; i < 3; i++ {
+		want = append(want, round...)
+	}
+	// The legacy path is the reference: one timer per delivery, registered
+	// where the anchor's fresh sequence must put it.
+	for _, cfg := range []EngineConfig{{Legacy: true}, {}, {ShardSize: 1, ParallelThreshold: 1}} {
+		if got := anchorOrder(t, cfg); !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: fired %v, want %v", cfg, got, want)
+		}
+	}
+}
+
+// TestAnchorDeadlineBehindClock: a deadline the clock has already passed
+// must fire at the current instant behind the timers queued there, not
+// ahead of them with a deadline in the past.
+func TestAnchorDeadlineBehindClock(t *testing.T) {
+	n, clk := newNet(t)
+	var got []string
+	clk.AfterFunc(0, func() { got = append(got, "queued") })
+	d := n.eng.newDeliveryLocked()
+	d.cb = func(bool) { got = append(got, "late") }
+	n.mu.Lock()
+	n.eng.scheduleLocked(d, clk.Now().Add(-time.Second))
+	n.mu.Unlock()
+	clk.Advance(0)
+	if want := []string{"queued", "late"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if !clk.Now().Equal(epoch) {
+		t.Fatalf("clock moved to %v", clk.Now())
+	}
+}
+
+// TestAnchorRearmsUnderRealClock drives the one-timer anchor with the wall
+// clock: an earlier deadline pulls a pending anchor forward, a drained
+// engine re-arms the timer that already fired, and (when, seq) order holds
+// throughout. Ordering against other wall-clock timers is not defined, so
+// only the engine's own order is checked here.
+func TestAnchorRearmsUnderRealClock(t *testing.T) {
+	n := New(vclock.Real(), 1)
+	addrs := Addrs(3)
+	src := attach(t, n, addrs[0])
+	slow, fast := attach(t, n, addrs[1]), attach(t, n, addrs[2])
+	if err := n.SetDirectedLink(addrs[0], addrs[1], Quality{Delay: 40 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.SetDirectedLink(addrs[0], addrs[2], Quality{Delay: 5 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	rx := make(chan string, 8) // one slot per frame the test sends
+	slow.SetReceiver(func(Frame) { rx <- "slow" })
+	fast.SetReceiver(func(Frame) { rx <- "fast" })
+	next := func() string {
+		t.Helper()
+		select {
+		case who := <-rx:
+			return who
+		case <-time.After(5 * time.Second):
+			t.Fatal("frame never delivered: the anchor was not re-armed")
+			return ""
+		}
+	}
+	for round := 0; round < 3; round++ {
+		start := time.Now()
+		if err := src.Send(addrs[1], []byte("s")); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Send(addrs[2], []byte("f")); err != nil { // earlier deadline: anchor pulled forward
+			t.Fatal(err)
+		}
+		if who := next(); who != "fast" {
+			t.Fatalf("round %d: %s link delivered first", round, who)
+		}
+		if who := next(); who != "slow" {
+			t.Fatalf("round %d: second delivery from %s link", round, who)
+		}
+		if el := time.Since(start); el < 40*time.Millisecond {
+			t.Fatalf("round %d: slow frame delivered after %v, before its 40ms deadline", round, el)
+		}
+	}
+}
+
+// TestWarmEngineAllocs pins the engine's share of the rx path: a warm
+// engine carries a unicast frame with MAC feedback from send to a no-op
+// receiver — schedule, arm, epoch, group, commit, re-arm — for the price of
+// the medium's copy of the payload and nothing else. With no payload to
+// copy the whole cycle, re-arm included, allocates nothing.
+func TestWarmEngineAllocs(t *testing.T) {
+	n, clk := newNet(t)
+	addrs := Addrs(2)
+	a, b := attach(t, n, addrs[0]), attach(t, n, addrs[1])
+	if err := n.SetLink(addrs[0], addrs[1], DefaultQuality()); err != nil {
+		t.Fatal(err)
+	}
+	rx, acks := 0, 0
+	b.SetReceiver(func(Frame) { rx++ })
+	ack := func(bool) { acks++ }
+	cycle := func(payload []byte) func() {
+		return func() {
+			if err := a.SendWithFeedback(addrs[1], payload, ack); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(DefaultQuality().Delay)
+		}
+	}
+	payload := make([]byte, 82)
+	cycle(payload)() // warm: anchor, free list, batch and group scratch, shard buckets
+	if got := testing.AllocsPerRun(200, cycle(payload)); got > 1 {
+		t.Errorf("send + epoch allocates %.1f objects, want <= 1 (the frame copy)", got)
+	}
+	if got := testing.AllocsPerRun(200, cycle(nil)); got != 0 {
+		t.Errorf("send + epoch + re-arm without a payload allocates %.1f objects, want 0", got)
+	}
+	if rx != 1+201+201 || acks != rx {
+		t.Fatalf("delivered %d frames and %d acks, want %d of each", rx, acks, 1+201+201)
+	}
+	st, _ := n.EngineStats()
+	if st.Epochs != uint64(rx) {
+		t.Fatalf("%d epochs for %d frames", st.Epochs, rx)
+	}
+}

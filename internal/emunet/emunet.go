@@ -446,8 +446,8 @@ func (n *Network) SetTap(fn func(f Frame, receiver mnet.Addr)) {
 // delivered). The receiver-side SetTap sees only completed deliveries; the
 // pair is what lets the evaluation campaign compute control overhead per
 // transmission, the convention of the protocol-comparison literature. The
-// frame's payload is the sender's live buffer: fn must treat it as
-// read-only and must not retain it. Pass nil to remove.
+// frame's payload is the medium's copy of the bytes, the one the receivers
+// get: fn may keep it and must not write to it. Pass nil to remove.
 func (n *Network) SetTxTap(fn func(Frame)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -523,7 +523,7 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 			}
 			n.mu.Unlock()
 			if txTap != nil {
-				txTap(Frame{Src: src, Dst: dst, Payload: payload, Device: device, Corr: corr})
+				txTap(Frame{Src: src, Dst: dst, Payload: append([]byte(nil), payload...), Device: device, Corr: corr})
 			}
 			return
 		}
@@ -532,7 +532,8 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		}
 	}
 
-	// Copy the payload once; receivers must not alias the sender's buffer.
+	// Copy the payload once; receivers and the tap must not alias the
+	// sender's buffer, which is the sender's again when this call returns.
 	// Two or more receivers of the same bytes also share one decode of them.
 	buf := append([]byte(nil), payload...)
 	var shared *decodeSlot
@@ -574,7 +575,7 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 	n.mu.Unlock()
 
 	if txTap != nil {
-		txTap(Frame{Src: src, Dst: dst, Payload: payload, Device: device, Corr: corr})
+		txTap(Frame{Src: src, Dst: dst, Payload: buf, Device: device, Corr: corr})
 	}
 	for _, d := range due {
 		d := d
@@ -640,10 +641,7 @@ func (c *NIC) SendWithFeedback(dst mnet.Addr, payload []byte, cb func(delivered 
 // attached to the frame and its trace spans.
 func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string, cb func(delivered bool)) error {
 	if dst.IsBroadcast() {
-		if err := c.SendTagged(dst, payload, corr); err != nil {
-			return err
-		}
-		return nil
+		return c.SendTagged(dst, payload, corr) //mk:allow hotalloc broadcast gets no feedback and is not the unicast forwarding path
 	}
 	c.mu.Lock()
 	if c.detached {
@@ -694,53 +692,52 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 			Event: reason, To: dst.String(), Corr: corr, Bytes: len(payload),
 		})
 	}
-	var frame Frame
-	delay := q.Delay
-	if linked && attached && !lost {
-		// The frame keeps the sender's buffer unaliased, and corruption
-		// (only — duplication and reordering are suppressed by the 802.11
-		// ACK exchange this path models) may still mangle it in flight.
-		frame = Frame{Src: c.addr, Dst: dst, Payload: append([]byte(nil), payload...),
-			Device: c.device, RSSI: q.SignalDBm, Corr: corr}
+	// The medium's private copy: the receiver must not alias the sender's
+	// buffer, and neither may the tap, so payload never outlives this call.
+	delivered := linked && attached && !lost
+	var buf []byte
+	if delivered || txTap != nil {
+		buf = append([]byte(nil), payload...) //mk:allow hotalloc the medium's one copy of the frame, which outlives the send
+	}
+	frame := Frame{Src: c.addr, Dst: dst, Payload: buf, Device: c.device, RSSI: q.SignalDBm, Corr: corr}
+	when := now.Add(q.Delay + 2*time.Millisecond) // MAC retry window before a failure is reported
+	if delivered {
+		when = now.Add(q.Delay)
+		// Corruption (only — duplication and reordering are suppressed by
+		// the 802.11 ACK exchange this path models) may still mangle the
+		// frame in flight; the tap sees it as offered.
 		if n.inj != nil {
-			n.inj.corruptOnlyLocked(n, n.statsLocked(dst), dst, &frame)
+			n.inj.corruptOnlyLocked(n, n.statsLocked(dst), dst, &frame) //mk:allow hotalloc fault injection only
 		}
 		if n.obs != nil && n.obs.linkDelay != nil {
-			n.obs.linkDelay.Observe(delay)
+			n.obs.linkDelay.Observe(q.Delay)
 		}
 	}
 	if n.eng != nil {
 		dl := n.eng.newDeliveryLocked()
 		dl.cb = cb
-		if !linked || !attached || lost {
-			// MAC retry window before the failure is reported.
-			n.eng.scheduleLocked(dl, now.Add(q.Delay+2*time.Millisecond))
-		} else {
+		if delivered {
 			dl.nic = nic
 			dl.frame = frame
 			dl.ok = true
-			n.eng.scheduleLocked(dl, now.Add(delay))
 		}
-		n.mu.Unlock()
-		if txTap != nil {
-			txTap(Frame{Src: c.addr, Dst: dst, Payload: payload, Device: c.device, Corr: corr})
-		}
-		return nil
+		n.eng.scheduleLocked(dl, when)
 	}
 	n.mu.Unlock()
 
 	if txTap != nil {
-		txTap(Frame{Src: c.addr, Dst: dst, Payload: payload, Device: c.device, Corr: corr})
+		txTap(Frame{Src: c.addr, Dst: dst, Payload: buf, Device: c.device, Corr: corr})
 	}
-	if !linked || !attached || lost {
-		// MAC retry window before the failure is reported.
-		n.clock.AfterFunc(q.Delay+2*time.Millisecond, func() { cb(false) })
-		return nil
+	if n.eng == nil {
+		fr := frame // captured by value, so frame itself stays on the stack
+		//mk:allow hotalloc the legacy engine is a timer and a closure per frame by design
+		n.clock.AfterFunc(when.Sub(now), func() {
+			if delivered {
+				nic.deliver(fr)
+			}
+			cb(delivered)
+		})
 	}
-	n.clock.AfterFunc(delay, func() {
-		nic.deliver(frame)
-		cb(true)
-	})
 	return nil
 }
 

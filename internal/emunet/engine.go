@@ -27,15 +27,17 @@
 // merge imposes (epoch, seq) as the total order.
 //
 // Same-instant cascades (a merge-phase upcall sending over a zero-delay
-// link) re-arm the anchor with a fresh timer at the same instant, which the
-// virtual clock orders after every timer already queued there — exactly
-// where the legacy path's per-delivery timers would have landed.
+// link) re-arm the anchor at the same instant with a fresh registration
+// sequence, which the virtual clock orders after every timer already queued
+// there — exactly where the legacy path's per-delivery timers would have
+// landed.
 package emunet
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,6 +192,8 @@ type shardGroup struct {
 	stats Stats // prep-phase delta, folded under the network mutex after the barrier
 }
 
+func byShard(a, b shardGroup) int { return cmp.Compare(a.shard, b.shard) }
+
 func newEngine(n *Network, cfg EngineConfig) *engine {
 	return &engine{net: n, cfg: cfg.withDefaults(), shardStats: make(map[uint32]*Stats)}
 }
@@ -211,7 +215,7 @@ func (e *engine) statsForLocked(a mnet.Addr) *Stats {
 func (e *engine) bucketLocked(id uint32) *Stats {
 	st := e.shardStats[id]
 	if st == nil {
-		st = &Stats{}
+		st = &Stats{} //mk:allow hotalloc first touch of a shard
 		e.shardStats[id] = st
 	}
 	return st
@@ -252,7 +256,7 @@ func (e *engine) newDeliveryLocked() *delivery {
 		*d = delivery{}
 		return d
 	}
-	return &delivery{}
+	return &delivery{} //mk:allow hotalloc free list empty: more frames in flight than ever before
 }
 
 // scheduleLocked enqueues a delivery at the absolute instant when,
@@ -269,35 +273,39 @@ func (e *engine) scheduleLocked(d *delivery, when time.Time) {
 	}
 }
 
-// armLocked (re)arms the anchor at the absolute deadline when. The old
-// anchor, if any, is stopped rather than reset so the replacement picks up
-// a fresh registration sequence — the virtual clock then orders it among
-// equal-deadline protocol timers exactly where a newly scheduled
-// per-delivery timer would have landed. Caller holds the network mutex;
-// the lock order network→clock is safe because vclock invokes callbacks
-// with its own lock released.
+// armLocked (re)arms the anchor at the absolute deadline when. The engine
+// keeps one timer for its lifetime, bound to e.run once, and resets it:
+// Reset takes a fresh registration sequence, so the virtual clock orders
+// the anchor among equal-deadline protocol timers exactly where a newly
+// scheduled per-delivery timer would have landed. The delay is clamped at
+// zero because a deadline behind the clock must fire at the current
+// instant, after the timers already queued there, not ahead of them.
+// Caller holds the network mutex; the lock order network→clock is safe
+// because vclock invokes callbacks with its own lock released.
+//
+//mk:hotpath
 func (e *engine) armLocked(when time.Time) {
-	if e.anchor != nil {
-		e.anchor.Stop()
-	}
 	e.anchorAt = when
-	if v, ok := e.net.clock.(*vclock.Virtual); ok {
-		e.anchor = v.AfterFuncAt(when, e.run)
+	d := when.Sub(e.net.clock.Now())
+	if d < 0 {
+		d = 0
+	}
+	if e.anchor == nil {
+		e.anchor = e.net.clock.AfterFunc(d, e.run) //mk:allow hotalloc once per engine: the anchor and its bound callback
 		return
 	}
-	e.anchor = e.net.clock.AfterFunc(when.Sub(e.net.clock.Now()), e.run)
+	e.anchor.Reset(d)
 }
 
 // rearmLocked re-establishes the anchor invariant after an epoch. A
-// same-instant follow-on (zero-delay link) gets a fresh timer at the
-// current instant, which the clock fires after every timer already queued
-// there — matching the legacy path, where such a delivery's timer was also
-// registered behind them.
+// same-instant follow-on (zero-delay link) re-arms at the current instant,
+// which the clock fires after every timer already queued there — matching
+// the legacy path, where such a delivery's timer was also registered
+// behind them.
 func (e *engine) rearmLocked() {
 	if e.q.len() == 0 {
 		if e.anchor != nil {
 			e.anchor.Stop()
-			e.anchor = nil
 		}
 		e.anchorAt = time.Time{}
 		return
@@ -306,6 +314,8 @@ func (e *engine) rearmLocked() {
 }
 
 // run is the anchor callback: pop the epoch due now, execute it, re-arm.
+//
+//mk:hotpath
 func (e *engine) run() {
 	n := e.net
 	n.mu.Lock()
@@ -313,7 +323,7 @@ func (e *engine) run() {
 	e.anchorAt = time.Time{}
 	batch := e.batch[:0]
 	for e.q.len() > 0 && !e.q.min().when.After(now) {
-		batch = append(batch, e.q.pop())
+		batch = append(batch, e.q.pop()) //mk:allow hotalloc scratch growth, amortised to zero
 	}
 	if len(batch) == 0 {
 		e.batch = batch
@@ -326,7 +336,7 @@ func (e *engine) run() {
 	epochObs := n.epochObs
 	n.mu.Unlock()
 
-	groups := e.prepPhase(batch, obs)
+	groups := e.prepPhase(batch, obs) //mk:allow hotalloc the worker fan-out engages only at ParallelThreshold events an epoch
 
 	// Fold the per-group rx deltas into the shard counters before any
 	// upcall can observe Stats.
@@ -366,7 +376,7 @@ func (e *engine) run() {
 
 	n.mu.Lock()
 	for i, d := range batch {
-		e.free = append(e.free, d)
+		e.free = append(e.free, d) //mk:allow hotalloc scratch growth, amortised to zero
 		batch[i] = nil
 	}
 	e.batch = batch[:0]
@@ -385,7 +395,7 @@ func (e *engine) run() {
 		e.engStats.MaxEpochShards = es.Shards
 	}
 	if obs != nil && obs.reg != nil {
-		e.refreshShardGaugesLocked(obs.reg, groups)
+		e.refreshShardGaugesLocked(obs.reg, groups) //mk:allow hotalloc only with a metrics registry attached, and then only on a shard's first epoch
 	}
 	n.mu.Unlock()
 
@@ -480,8 +490,11 @@ func (e *engine) prepPhase(batch []*delivery, obs *netObs) []shardGroup {
 
 // groupByShard partitions a batch by receiver shard, preserving (when,
 // seq) order inside each group, groups sorted by shard ID. Epochs touch a
-// handful of shards, so a linear scan beats a map and allocates nothing
-// once the scratch is warm.
+// handful of shards, so a linear scan beats a map; a group slot keeps the
+// capacity of whatever items slice last sat in it, so a warm engine
+// allocates nothing here.
+//
+//mk:hotpath
 func (e *engine) groupByShard(batch []*delivery) []shardGroup {
 	groups := e.groups[:0]
 	for _, d := range batch {
@@ -498,11 +511,16 @@ func (e *engine) groupByShard(batch []*delivery) []shardGroup {
 		}
 		if gi < 0 {
 			gi = len(groups)
-			groups = append(groups, shardGroup{shard: sid})
+			if gi == cap(groups) {
+				groups = append(groups, shardGroup{}) //mk:allow hotalloc scratch growth, amortised to zero
+			} else {
+				groups = groups[:gi+1]
+			}
+			groups[gi] = shardGroup{shard: sid, items: groups[gi].items[:0]}
 		}
-		groups[gi].items = append(groups[gi].items, d)
+		groups[gi].items = append(groups[gi].items, d) //mk:allow hotalloc scratch growth, amortised to zero
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].shard < groups[j].shard })
+	slices.SortFunc(groups, byShard)
 	e.groups = groups
 	return groups
 }
@@ -597,7 +615,7 @@ func (h *deliveryHeap) less(i, j int) bool {
 }
 
 func (h *deliveryHeap) push(d *delivery) {
-	h.items = append(h.items, d)
+	h.items = append(h.items, d) //mk:allow hotalloc queue growth, amortised to zero
 	i := len(h.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -22,6 +22,12 @@ import (
 // the shared packet of every control delivery before the receivers see it,
 // and once the run is over every such packet must still re-encode to
 // exactly the bytes that were sent.
+//
+// Data frames are under the same rule: the forwarder decodes a view of the
+// received frame and OnDeliver is handed a view of it, so the tap keeps
+// every data frame, the sinks keep every payload, and all of them must
+// still read as they did when first seen — a TTL rewritten in place, or a
+// sink's append running into the frame, would show here.
 func TestSharedPacketsAreNeverMutated(t *testing.T) {
 	const cols, rows = 4, 3
 	variants := []struct {
@@ -82,10 +88,15 @@ func TestSharedPacketsAreNeverMutated(t *testing.T) {
 			// handed is the one the System CFs raise their events from.
 			sent := map[*packetbb.Packet][]byte{}
 			deliveries, forwarded := 0, 0
+			type view struct{ live, seen []byte }
+			var dataFrames, payloads []view
 			c.Net.SetTap(func(f emunet.Frame, _ mnet.Addr) {
 				pkt, err := system.DecodeControl(f)
 				if err != nil {
-					return // data frame
+					if system.IsDataFrame(f.Payload) {
+						dataFrames = append(dataFrames, view{f.Payload, bytes.Clone(f.Payload)})
+					}
+					return
 				}
 				deliveries++
 				if _, ok := sent[pkt]; ok {
@@ -101,6 +112,14 @@ func TestSharedPacketsAreNeverMutated(t *testing.T) {
 
 			addrs := c.Addrs()
 			far := len(addrs) - 1
+			for _, sink := range []int{0, far, far - cols + 1} {
+				c.Nodes[sink].Sys.Filter().OnDeliver(func(_ mnet.Addr, p []byte) {
+					if cap(p) != len(p) {
+						t.Errorf("OnDeliver payload has %d bytes of the frame behind it", cap(p)-len(p))
+					}
+					payloads = append(payloads, view{p, bytes.Clone(p)})
+				})
+			}
 			for step := 0; step < 40; step++ {
 				if step == 20 { // break a link under the flows: RERR paths
 					c.Net.CutLink(addrs[1], addrs[2])
@@ -129,7 +148,20 @@ func TestSharedPacketsAreNeverMutated(t *testing.T) {
 						pkt.Messages[0].Type, pkt.Messages[0].Originator, wire, got)
 				}
 			}
-			t.Logf("%d deliveries shared %d decoded packets (%d forwarded %v)", deliveries, len(sent), forwarded, v.wantForward)
+			relayed := uint64(0)
+			for _, node := range c.Nodes {
+				relayed += node.Sys.Stats().DataForwarded
+			}
+			if relayed == 0 || len(payloads) == 0 || len(dataFrames) <= len(payloads) {
+				t.Fatalf("%d data frames, %d relayed, %d delivered: the data path was not exercised", len(dataFrames), relayed, len(payloads))
+			}
+			for _, v := range append(dataFrames, payloads...) {
+				if !bytes.Equal(v.live, v.seen) {
+					t.Fatalf("a data frame was written to after delivery:\nseen: % x\nnow:  % x", v.seen, v.live)
+				}
+			}
+			t.Logf("%d deliveries shared %d decoded packets (%d forwarded %v); %d data frames, %d relayed, %d delivered",
+				deliveries, len(sent), forwarded, v.wantForward, len(dataFrames), relayed, len(payloads))
 		})
 	}
 }

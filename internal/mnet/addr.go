@@ -8,6 +8,7 @@
 package mnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strconv"
@@ -88,6 +89,10 @@ func MustParseAddr(s string) Addr {
 // the big-endian value). Used to keep route and neighbour tables in a
 // deterministic iteration order.
 func (a Addr) Less(b Addr) bool { return a.Uint32() < b.Uint32() }
+
+// Compare orders addresses as Less does, in the form slices.SortFunc takes:
+// slices.SortFunc(addrs, mnet.Addr.Compare).
+func (a Addr) Compare(b Addr) int { return cmp.Compare(a.Uint32(), b.Uint32()) }
 
 // Prefix is an address prefix: a base address plus a prefix length in bits.
 // A host route has Bits == 32.

@@ -101,6 +101,9 @@ func TestAddrLess(t *testing.T) {
 	if !a.Less(b) || b.Less(a) || a.Less(a) {
 		t.Errorf("Less ordering broken for %v, %v", a, b)
 	}
+	if a.Compare(b) != -1 || b.Compare(a) != 1 || a.Compare(a) != 0 {
+		t.Errorf("Compare disagrees with Less for %v, %v", a, b)
+	}
 }
 
 func TestPrefixContains(t *testing.T) {

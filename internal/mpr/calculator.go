@@ -1,7 +1,7 @@
 package mpr
 
 import (
-	"sort"
+	"slices"
 
 	"manetkit/internal/kernel"
 	"manetkit/internal/mnet"
@@ -146,6 +146,6 @@ func greedySelect(self mnet.Addr, links *neighbor.Table, score func(neighbor.Inf
 	for a := range selected {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, mnet.Addr.Compare)
 	return out
 }

@@ -11,7 +11,7 @@
 package mpr
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -110,7 +110,7 @@ func (s *State) sortedSet(m *map[mnet.Addr]bool) []mnet.Addr {
 		out = append(out, a)
 	}
 	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, mnet.Addr.Compare)
 	return out
 }
 

@@ -7,7 +7,7 @@
 package neighbor
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -117,7 +117,7 @@ func (t *Table) Expire(deadline time.Time) []mnet.Addr {
 		}
 	}
 	t.mu.Unlock()
-	sort.Slice(lost, func(i, j int) bool { return lost[i].Less(lost[j]) })
+	slices.SortFunc(lost, mnet.Addr.Compare)
 	return lost
 }
 
@@ -203,10 +203,8 @@ func (t *Table) TwoHopSet(self mnet.Addr) map[mnet.Addr][]mnet.Addr {
 			out[th] = append(out[th], a)
 		}
 	}
-	for th := range out {
-		vias := out[th]
-		sort.Slice(vias, func(i, j int) bool { return vias[i].Less(vias[j]) })
-		out[th] = vias
+	for _, vias := range out {
+		slices.SortFunc(vias, mnet.Addr.Compare)
 	}
 	return out
 }
@@ -220,7 +218,7 @@ func (t *Table) filter(keep func(*Info) bool) []Info {
 		}
 	}
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Less(out[j].Addr) })
+	slices.SortFunc(out, func(a, b Info) int { return a.Addr.Compare(b.Addr) })
 	return out
 }
 

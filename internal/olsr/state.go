@@ -8,6 +8,7 @@
 package olsr
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -43,10 +44,7 @@ func (ot *origTopo) ensureSorted() {
 	ot.stale = false
 }
 
-func sortAddrs(a []mnet.Addr) {
-	//mk:allow hotalloc sort.Slice closure; callers run this only on cold rebuild edges
-	sort.Slice(a, func(i, j int) bool { return a[i].Less(a[j]) })
-}
+func sortAddrs(a []mnet.Addr) { slices.SortFunc(a, mnet.Addr.Compare) }
 
 // hnaAssoc pairs a learned gateway prefix with its association entry for
 // the sorted install pass.

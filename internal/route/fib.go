@@ -7,6 +7,9 @@ import (
 	"manetkit/internal/mnet"
 )
 
+// hostBits is the prefix length of a host route.
+const hostBits = 8 * mnet.AddrLen
+
 // FIBRoute is one forwarding entry in the simulated kernel table.
 type FIBRoute struct {
 	Dst     mnet.Prefix
@@ -22,6 +25,7 @@ type FIBRoute struct {
 type FIB struct {
 	mu     sync.Mutex
 	routes map[mnet.Prefix]FIBRoute
+	wide   int    // routes that are not host routes (HNA prefixes)
 	ops    uint64 // mutations applied (Set + successful Del)
 }
 
@@ -34,6 +38,9 @@ func NewFIB() *FIB {
 func (f *FIB) Set(r FIBRoute) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if _, ok := f.routes[r.Dst]; !ok && r.Dst.Bits != hostBits {
+		f.wide++
+	}
 	f.routes[r.Dst] = r
 	f.ops++
 }
@@ -46,6 +53,9 @@ func (f *FIB) Del(dst mnet.Prefix) bool {
 	delete(f.routes, dst)
 	if ok {
 		f.ops++
+		if dst.Bits != hostBits {
+			f.wide--
+		}
 	}
 	return ok
 }
@@ -59,10 +69,15 @@ func (f *FIB) Ops() uint64 {
 	return f.ops
 }
 
-// Lookup performs longest-prefix-match forwarding resolution.
+// Lookup performs longest-prefix-match forwarding resolution. A host route
+// is the longest match there can be, so it is tried first, and the table is
+// scanned only while it holds a shorter prefix that could match instead.
 func (f *FIB) Lookup(dst mnet.Addr) (FIBRoute, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if r, ok := f.routes[mnet.HostPrefix(dst)]; ok || f.wide == 0 {
+		return r, ok
+	}
 	var best FIBRoute
 	bestBits := -1
 	for _, r := range f.routes {
@@ -108,6 +123,9 @@ func (f *FIB) FlushProto(proto string) int {
 		if r.Proto == proto {
 			delete(f.routes, dst)
 			n++
+			if dst.Bits != hostBits {
+				f.wide--
+			}
 		}
 	}
 	return n

@@ -2,6 +2,7 @@ package route
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -497,5 +498,66 @@ func TestReplaceProtoSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state ReplaceProto allocates %.1f times per call", allocs)
+	}
+}
+
+// lookupByScan is the longest-prefix match Lookup used to be: a scan of the
+// whole table. It is the reference the host-route fast path must agree with.
+func lookupByScan(routes []FIBRoute, dst mnet.Addr) (FIBRoute, bool) {
+	var best FIBRoute
+	bestBits := -1
+	for _, r := range routes {
+		if r.Dst.Contains(dst) && r.Dst.Bits > bestBits {
+			best, bestBits = r, r.Dst.Bits
+		}
+	}
+	return best, bestBits >= 0
+}
+
+// TestFIBLookupMatchesScan drives random Set/Del/FlushProto sequences over
+// overlapping prefixes (host routes, /24s, /16s, a default route) and checks
+// every look-up against the scan, so the wide-prefix count can never drift
+// from the table.
+func TestFIBLookupMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		f := NewFIB()
+		host := func() mnet.Addr { // 16 hosts in each of 4 /24s of 2 /16s
+			return mnet.AddrFrom(0x0a000000 | uint32(rng.Intn(2))<<16 | uint32(rng.Intn(2))<<8 | uint32(rng.Intn(16)))
+		}
+		prefix := func() mnet.Prefix {
+			a := host()
+			bits := []int{32, 32, 32, 24, 16, 0}[rng.Intn(6)]
+			if bits < 32 { // canonical base address, so equal prefixes are one key
+				a = mnet.AddrFrom(a.Uint32() &^ (^uint32(0) >> uint(bits)))
+			}
+			return mnet.Prefix{Addr: a, Bits: bits}
+		}
+		protos := []string{"olsr", "dymo", "hna"}
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				f.Set(FIBRoute{Dst: prefix(), NextHop: host(), Metric: step, Proto: protos[rng.Intn(len(protos))]})
+			case op < 9:
+				f.Del(prefix())
+			default:
+				f.FlushProto(protos[rng.Intn(len(protos))])
+			}
+			table := f.List()
+			for i := 0; i < 8; i++ {
+				dst := host()
+				got, ok := f.Lookup(dst)
+				want, wantOK := lookupByScan(table, dst)
+				if ok != wantOK || got != want {
+					t.Fatalf("seed %d step %d: Lookup(%v) = %+v, %v; scan says %+v, %v\ntable: %+v", seed, step, dst, got, ok, want, wantOK, table)
+				}
+			}
+		}
+		f.FlushProto("olsr")
+		f.FlushProto("dymo")
+		f.FlushProto("hna")
+		if f.Len() != 0 || f.wide != 0 {
+			t.Fatalf("seed %d: empty table counts %d wide prefixes (len %d)", seed, f.wide, f.Len())
+		}
 	}
 }

@@ -1,7 +1,10 @@
 package system
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,6 +17,14 @@ import (
 // [wireData][src 4][dst 4][ttl 1][id 8][payload...].
 const dataHeaderLen = 1 + 2*mnet.AddrLen + 1 + 8
 
+// wireStackLen is the longest data frame transmit encodes on its stack (the
+// medium copies what it sends); a longer one spills to the heap.
+const wireStackLen = 256
+
+// dataPacket is a decoded data packet. Payload aliases whatever it was
+// decoded from or handed in as — a received frame (read-only, like every
+// emunet.Frame.Payload) or SendData's argument — so it is valid for the
+// call that carries it; only hold keeps a packet, and hold copies.
 type dataPacket struct {
 	Src     mnet.Addr
 	Dst     mnet.Addr
@@ -22,30 +33,27 @@ type dataPacket struct {
 	Payload []byte
 }
 
-func encodeData(p *dataPacket) []byte {
-	buf := make([]byte, 0, dataHeaderLen+len(p.Payload))
+// appendData appends p's wire form to buf.
+//
+//mk:allow hotalloc appends into the caller's buffer; transmit hands it a stack array
+func appendData(buf []byte, p dataPacket) []byte {
 	buf = append(buf, wireData)
 	buf = append(buf, p.Src[:]...)
 	buf = append(buf, p.Dst[:]...)
 	buf = append(buf, p.TTL)
-	buf = append(buf,
-		byte(p.ID>>56), byte(p.ID>>48), byte(p.ID>>40), byte(p.ID>>32),
-		byte(p.ID>>24), byte(p.ID>>16), byte(p.ID>>8), byte(p.ID))
+	buf = binary.BigEndian.AppendUint64(buf, p.ID)
 	return append(buf, p.Payload...)
 }
 
-func decodeData(b []byte) (*dataPacket, error) {
+var errMalformedData = errors.New("system: malformed data packet")
+
+func decodeData(b []byte) (dataPacket, error) {
 	if len(b) < dataHeaderLen || b[0] != wireData {
-		return nil, fmt.Errorf("system: malformed data packet (%d bytes)", len(b))
+		return dataPacket{}, errMalformedData
 	}
-	p := &dataPacket{}
+	p := dataPacket{TTL: b[9], ID: binary.BigEndian.Uint64(b[10:]), Payload: b[dataHeaderLen:len(b):len(b)]}
 	copy(p.Src[:], b[1:5])
 	copy(p.Dst[:], b[5:9])
-	p.TTL = b[9]
-	for i := 0; i < 8; i++ {
-		p.ID = p.ID<<8 | uint64(b[10+i])
-	}
-	p.Payload = append([]byte(nil), b[dataHeaderLen:]...)
 	return p, nil
 }
 
@@ -63,7 +71,7 @@ type netlink struct {
 
 	mu        sync.Mutex
 	nextID    uint64
-	buffered  map[mnet.Addr][]*dataPacket
+	buffered  map[mnet.Addr][]dataPacket
 	onDeliver func(src mnet.Addr, payload []byte)
 }
 
@@ -73,12 +81,13 @@ func newNetlink(s *System, ttl uint8, bufCap int, timeout time.Duration) *netlin
 		ttl:      ttl,
 		cap:      bufCap,
 		timeout:  timeout,
-		buffered: make(map[mnet.Addr][]*dataPacket),
+		buffered: make(map[mnet.Addr][]dataPacket),
 	}
 }
 
 // OnDeliver installs the local-delivery upcall for data packets addressed
-// to this node.
+// to this node. payload is a view of the received frame: fn may keep it and
+// must not write to it.
 func (n *Netlink) OnDeliver(fn func(src mnet.Addr, payload []byte)) {
 	nl := (*netlink)(n)
 	nl.mu.Lock()
@@ -89,14 +98,17 @@ func (n *Netlink) OnDeliver(fn func(src mnet.Addr, payload []byte)) {
 // SendData originates a data packet towards dst. With a route in the FIB it
 // is forwarded immediately (refreshing the route's lifetime via
 // ROUTE_UPDATE); without one it is held and NO_ROUTE is raised so a
-// reactive protocol can start discovery.
+// reactive protocol can start discovery. payload is the caller's again when
+// SendData returns.
 func (n *Netlink) SendData(dst mnet.Addr, payload []byte) error {
 	nl := (*netlink)(n)
 	nl.mu.Lock()
 	nl.nextID++
-	pkt := &dataPacket{Src: nl.s.nic.Addr(), Dst: dst, TTL: nl.ttl, ID: nl.nextID}
+	pkt := dataPacket{Src: nl.s.nic.Addr(), Dst: dst, TTL: nl.ttl, ID: nl.nextID, Payload: payload}
 	nl.mu.Unlock()
-	pkt.Payload = append([]byte(nil), payload...)
+	if dst == pkt.Src {
+		pkt.Payload = append([]byte(nil), payload...) // OnDeliver may keep what it is given
+	}
 	return nl.route(pkt, true)
 }
 
@@ -111,19 +123,31 @@ func (n *Netlink) BufferedCount(dst mnet.Addr) int {
 // corr derives the data packet's correlation ID — source plus the
 // source-assigned packet ID, the identity every hop sees unchanged. Empty
 // when tracing is disabled so the fast path stays allocation-free.
-func (nl *netlink) corr(pkt *dataPacket) string {
+func (nl *netlink) corr(pkt dataPacket) string {
 	if !nl.s.proto.Tracing() {
 		return ""
 	}
-	return fmt.Sprintf("DATA:%s:%d", pkt.Src, pkt.ID)
+	return fmt.Sprintf("DATA:%s:%d", pkt.Src, pkt.ID) //mk:allow hotalloc corr-ID derivation is tracer-gated; the measured path runs with tracing disabled
+}
+
+// raise emits one of the filter's routing triggers. Event and payload are
+// one object: handlers may keep either, so it cannot live on the stack.
+func (nl *netlink) raise(t event.Type, rp event.RoutePayload, corr string) error {
+	ev := &struct { //mk:allow hotalloc the event outlives the call: handlers and context subscribers may keep it
+		event.Event
+		rp event.RoutePayload
+	}{Event: event.Event{Type: t, Corr: corr}, rp: rp}
+	ev.Route = &ev.rp
+	return nl.s.proto.Emit(&ev.Event)
 }
 
 // route forwards or buffers one packet. originated marks locally-created
 // packets (eligible for buffering + NO_ROUTE).
-func (nl *netlink) route(pkt *dataPacket, originated bool) error {
+//
+//mk:hotpath
+func (nl *netlink) route(pkt dataPacket, originated bool) error {
 	s := nl.s
-	me := s.nic.Addr()
-	if pkt.Dst == me {
+	if pkt.Dst == s.nic.Addr() {
 		nl.deliverLocal(pkt)
 		return nil
 	}
@@ -132,31 +156,29 @@ func (nl *netlink) route(pkt *dataPacket, originated bool) error {
 		if !originated {
 			// Intermediate node with a broken path: tell the protocol to
 			// notify the source (§5.2 SEND_ROUTE_ERR).
-			s.bumpData(func(st *Stats) { st.DataDropped++ })
-			return s.proto.Emit(&event.Event{
-				Type:  event.SendRouteErr,
-				Route: &event.RoutePayload{Dst: pkt.Dst, Src: pkt.Src},
-				Corr:  nl.corr(pkt),
-			})
+			s.bump(&s.stats.DataDropped)
+			return nl.raise(event.SendRouteErr, event.RoutePayload{Dst: pkt.Dst, Src: pkt.Src}, nl.corr(pkt))
 		}
-		return nl.hold(pkt)
+		return nl.hold(pkt) //mk:allow hotalloc no route: the packet is kept and discovery starts, neither is steady-state forwarding
 	}
 	return nl.transmit(pkt, r.NextHop, originated)
 }
 
 // transmit sends the packet one hop with MAC feedback; a failed hop raises
 // LINK_BREAK.
-func (nl *netlink) transmit(pkt *dataPacket, nextHop mnet.Addr, originated bool) error {
+//
+//mk:hotpath
+func (nl *netlink) transmit(pkt dataPacket, nextHop mnet.Addr, originated bool) error {
 	s := nl.s
 	if originated {
-		s.bumpData(func(st *Stats) { st.DataSent++ })
+		s.bump(&s.stats.DataSent)
 	} else {
 		if pkt.TTL <= 1 {
-			s.bumpData(func(st *Stats) { st.DataDropped++ })
+			s.bump(&s.stats.DataDropped)
 			return nil
 		}
 		pkt.TTL--
-		s.bumpData(func(st *Stats) { st.DataForwarded++ })
+		s.bump(&s.stats.DataForwarded)
 	}
 	s.mu.Lock()
 	battery := s.battery
@@ -164,53 +186,43 @@ func (nl *netlink) transmit(pkt *dataPacket, nextHop mnet.Addr, originated bool)
 	if battery != nil {
 		battery.SpendFrame()
 	}
-	dst, src := pkt.Dst, pkt.Src
+	rp := event.RoutePayload{Dst: pkt.Dst, Src: pkt.Src, NextHop: nextHop}
 	corr := nl.corr(pkt)
-	err := s.nic.SendWithFeedbackTagged(nextHop, encodeData(pkt), corr, func(delivered bool) {
-		if delivered {
-			return
+	var wire [wireStackLen]byte
+	//mk:allow hotalloc the feedback closure outlives the call: the medium invokes it when the frame is delivered or lost
+	feedback := func(delivered bool) {
+		if !delivered {
+			_ = nl.raise(event.LinkBreak, rp, corr)
 		}
-		_ = s.proto.Emit(&event.Event{
-			Type:  event.LinkBreak,
-			Route: &event.RoutePayload{Dst: dst, Src: src, NextHop: nextHop},
-			Corr:  corr,
-		})
-	})
-	if err != nil {
+	}
+	if err := s.nic.SendWithFeedbackTagged(nextHop, appendData(wire[:0], pkt), corr, feedback); err != nil {
 		return err
 	}
-	return s.proto.Emit(&event.Event{
-		Type:  event.RouteUpdate,
-		Route: &event.RoutePayload{Dst: dst, Src: src, NextHop: nextHop},
-		Corr:  corr,
-	})
+	return nl.raise(event.RouteUpdate, rp, corr)
 }
 
-// hold buffers a route-less packet and raises NO_ROUTE.
-func (nl *netlink) hold(pkt *dataPacket) error {
+// hold buffers a route-less packet, which from here on owns its payload,
+// and raises NO_ROUTE.
+func (nl *netlink) hold(pkt dataPacket) error {
 	s := nl.s
 	nl.mu.Lock()
 	q := nl.buffered[pkt.Dst]
 	if len(q) >= nl.cap {
 		nl.mu.Unlock()
-		s.bumpData(func(st *Stats) { st.DataDropped++ })
+		s.bump(&s.stats.DataDropped)
 		return nil
 	}
+	pkt.Payload = append([]byte(nil), pkt.Payload...)
 	nl.buffered[pkt.Dst] = append(q, pkt)
 	nl.mu.Unlock()
-	s.bumpData(func(st *Stats) { st.DataBuffered++ })
+	s.bump(&s.stats.DataBuffered)
 
 	// Expire the held packet if discovery never completes.
 	if clk := s.proto.Clock(); clk != nil {
 		id, dst := pkt.ID, pkt.Dst
 		clk.AfterFunc(nl.timeout, func() { nl.expire(dst, id) })
 	}
-
-	return s.proto.Emit(&event.Event{
-		Type:  event.NoRoute,
-		Route: &event.RoutePayload{Dst: pkt.Dst, Src: pkt.Src, PacketID: pkt.ID},
-		Corr:  nl.corr(pkt),
-	})
+	return nl.raise(event.NoRoute, event.RoutePayload{Dst: pkt.Dst, Src: pkt.Src, PacketID: pkt.ID}, nl.corr(pkt))
 }
 
 func (nl *netlink) expire(dst mnet.Addr, id uint64) {
@@ -218,9 +230,13 @@ func (nl *netlink) expire(dst mnet.Addr, id uint64) {
 	q := nl.buffered[dst]
 	for i, p := range q {
 		if p.ID == id {
-			nl.buffered[dst] = append(q[:i], q[i+1:]...)
+			if q = slices.Delete(q, i, i+1); len(q) == 0 {
+				delete(nl.buffered, dst) // or the map keeps a key per destination ever probed
+			} else {
+				nl.buffered[dst] = q
+			}
 			nl.mu.Unlock()
-			nl.s.bumpData(func(st *Stats) { st.DataDropped++ })
+			nl.s.bump(&nl.s.stats.DataDropped)
 			return
 		}
 	}
@@ -239,17 +255,19 @@ func (nl *netlink) reinject(dst mnet.Addr) {
 }
 
 // receiveData handles an incoming data frame: local delivery or forwarding.
+//
+//mk:hotpath
 func (nl *netlink) receiveData(f emunet.Frame) {
 	pkt, err := decodeData(f.Payload)
 	if err != nil {
-		nl.s.bumpDecodeErr()
+		nl.s.bump(&nl.s.stats.DecodeErrors)
 		return
 	}
 	_ = nl.route(pkt, false)
 }
 
-func (nl *netlink) deliverLocal(pkt *dataPacket) {
-	nl.s.bumpData(func(st *Stats) { st.DataDelivered++ })
+func (nl *netlink) deliverLocal(pkt dataPacket) {
+	nl.s.bump(&nl.s.stats.DataDelivered)
 	nl.mu.Lock()
 	fn := nl.onDeliver
 	nl.mu.Unlock()
@@ -258,8 +276,9 @@ func (nl *netlink) deliverLocal(pkt *dataPacket) {
 	}
 }
 
-func (s *System) bumpData(fn func(*Stats)) {
+// bump increments one of s.stats' counters under the lock that guards them.
+func (s *System) bump(counter *uint64) {
 	s.mu.Lock()
-	fn(&s.stats)
+	*counter++
 	s.mu.Unlock()
 }

@@ -284,7 +284,7 @@ func (s *System) receive(f emunet.Frame) {
 	s.mu.Unlock()
 
 	if len(f.Payload) == 0 {
-		s.bumpDecodeErr()
+		s.bump(&s.stats.DecodeErrors)
 		return
 	}
 	switch f.Payload[0] {
@@ -293,7 +293,7 @@ func (s *System) receive(f emunet.Frame) {
 		// the packet, so events point into it and handlers only read it.
 		pkt, err := DecodeControl(f)
 		if err != nil {
-			s.bumpDecodeErr()
+			s.bump(&s.stats.DecodeErrors)
 			return
 		}
 		s.mu.Lock()
@@ -312,14 +312,8 @@ func (s *System) receive(f emunet.Frame) {
 	case wireData:
 		s.filter.receiveData(f)
 	default:
-		s.bumpDecodeErr()
+		s.bump(&s.stats.DecodeErrors)
 	}
-}
-
-func (s *System) bumpDecodeErr() {
-	s.mu.Lock()
-	s.stats.DecodeErrors++
-	s.mu.Unlock()
 }
 
 func (s *System) rssiSnapshot() map[mnet.Addr]float64 {

@@ -416,24 +416,30 @@ func TestQualityFromRSSIBounds(t *testing.T) {
 }
 
 func TestDataCodecRoundTrip(t *testing.T) {
-	p := &dataPacket{
+	p := dataPacket{
 		Src:     mnet.MustParseAddr("10.0.0.1"),
 		Dst:     mnet.MustParseAddr("10.0.0.2"),
 		TTL:     7,
 		ID:      0xdeadbeefcafe,
 		Payload: []byte("payload"),
 	}
-	got, err := decodeData(encodeData(p))
+	wire := appendData(nil, p)
+	got, err := decodeData(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Src != p.Src || got.Dst != p.Dst || got.TTL != p.TTL || got.ID != p.ID || string(got.Payload) != "payload" {
 		t.Fatalf("round trip = %+v", got)
 	}
+	// The payload is a view of the wire bytes, clipped so that an append
+	// cannot run into whatever follows them.
+	if &got.Payload[0] != &wire[dataHeaderLen] || cap(got.Payload) != len(got.Payload) {
+		t.Fatalf("payload is not a capacity-clipped view of the frame (len %d cap %d)", len(got.Payload), cap(got.Payload))
+	}
 	if _, err := decodeData([]byte{wireData, 1, 2}); err == nil {
 		t.Fatal("short data packet accepted")
 	}
-	if _, err := decodeData(encodeData(p)[1:]); err == nil {
+	if _, err := decodeData(wire[1:]); err == nil {
 		t.Fatal("missing discriminator accepted")
 	}
 }

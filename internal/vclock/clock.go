@@ -96,27 +96,6 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	return vt
 }
 
-// AfterFuncAt schedules f to run when the clock reaches the absolute
-// instant t (a deadline at or before the current instant fires at the
-// current instant on the next Advance/Step). It is the anchor primitive of
-// the emunet event core: the engine keeps its own delivery queue and arms
-// exactly one vclock timer at the queue's earliest deadline, so the clock's
-// heap holds protocol timers plus a single anchor instead of one timer per
-// in-flight frame. Equal-deadline ties break by registration order, exactly
-// as with AfterFunc.
-func (v *Virtual) AfterFuncAt(t time.Time, f func()) Timer {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	when := t
-	if when.Before(v.now) {
-		when = v.now
-	}
-	vt := &vtimer{clock: v, fn: f, when: when, seq: v.seq, index: -1}
-	v.seq++
-	heap.Push(&v.timers, vt)
-	return vt
-}
-
 // Pending returns the number of armed timers.
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
