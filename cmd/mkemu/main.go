@@ -36,7 +36,8 @@
 //
 // Streaming telemetry: with -http, the run is also exported live on
 // /stream/metrics, /stream/spans, /stream/health, /stream/journal and
-// /stream/engine as NDJSON (or SSE with Accept: text/event-stream) —
+// /stream/engine (one event per epoch: epoch, events, commit_lag_ns,
+// queue_depth) as NDJSON (or SSE with Accept: text/event-stream) —
 // `curl -N` watches the deployment reconfigure as it happens. -record
 // writes the whole run's flight-recorder dump for post-mortem; -replay
 // summarises and fingerprints a dump without running anything:

@@ -16,15 +16,13 @@
 //     complement of the det(0) runtime alloc gate);
 //   - ctxleak: pooled handler Contexts escaping the delivery that owns them;
 //   - atomicstats: mixed atomic/plain access to the same struct field;
-//   - epochpurity: impure work reachable from the engine's parallel
-//     epoch-prep phase (//mk:parallelprep — the DESIGN.md §8 replay argument);
 //   - blockingpub: blocking operations reachable from the telemetry
 //     publish/fan-out path (//mk:nonblocking — the backpressure contract);
 //   - maporder: map iteration order reaching deterministic outputs
 //     (telemetry events, trace spans, NDJSON, fingerprints) unsorted.
 //
 // The suite is interprocedural: factbuild.go computes per-function summaries
-// ("may emit", "may allocate", "may block", "may violate epoch purity",
+// ("may emit", "may allocate", "may block", "may sink into ordered output",
 // "returns map-order-tainted data"), closes them over the package call graph,
 // and mkvet serializes them through the vet.cfg VetxOutput/PackageVetx
 // plumbing so lockemit, hotalloc and the reachability analyzers see through
@@ -194,9 +192,6 @@ func NewInfo() *types.Info {
 const (
 	allowPrefix   = "mk:allow"
 	hotpathMarker = "mk:hotpath"
-	// parallelPrepMarker names a function that runs on the engine's parallel
-	// epoch-prep workers; epochpurity checks everything reachable from it.
-	parallelPrepMarker = "mk:parallelprep"
 	// nonblockingMarker names a publish/fan-out entry point that must never
 	// block; blockingpub checks everything reachable from it.
 	nonblockingMarker = "mk:nonblocking"
@@ -267,14 +262,20 @@ func indexDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
-				if !strings.HasPrefix(text, allowPrefix) {
+				pos := fset.Position(c.Pos())
+				if word, _, _ := strings.Cut(text, " "); strings.HasPrefix(word, "mk:") &&
+					word != allowPrefix && word != hotpathMarker && word != nonblockingMarker {
+					ix.malformed = append(ix.malformed, Diagnostic{
+						Pos:      pos,
+						Analyzer: "mkdirective",
+						Message:  fmt.Sprintf("unknown directive //%s: the directives are //mk:allow, //mk:hotpath and //mk:nonblocking", word),
+					})
 					continue
 				}
 				names, reason, ok := parseAllow(text)
 				if !ok {
 					continue
 				}
-				pos := fset.Position(c.Pos())
 				if len(names) == 0 || reason == "" {
 					ix.malformed = append(ix.malformed, Diagnostic{
 						Pos:      pos,
@@ -331,11 +332,6 @@ func docAllowNames(doc *ast.CommentGroup) []string {
 // isHotpath reports whether fn's doc comment carries //mk:hotpath.
 func isHotpath(fn *ast.FuncDecl) bool {
 	return fn.Doc != nil && docHasDirective(fn.Doc, hotpathMarker)
-}
-
-// isParallelPrep reports whether fn's doc comment carries //mk:parallelprep.
-func isParallelPrep(fn *ast.FuncDecl) bool {
-	return fn.Doc != nil && docHasDirective(fn.Doc, parallelPrepMarker)
 }
 
 // isNonblocking reports whether fn's doc comment carries //mk:nonblocking.

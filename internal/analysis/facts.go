@@ -13,7 +13,9 @@ import (
 // VetxOutput file as an opaque blob keyed by the tool fingerprint, so bumping
 // this version string is enough to invalidate stale fact files from older
 // mkvet builds (decoding tolerates unknown versions by returning an empty
-// set — analysis then degrades to intra-procedural, never to a crash).
+// set — analysis then degrades to intra-procedural, never to a crash). A
+// field dropping out of FuncFact needs no bump: files written with it still
+// decode, the extra key ignored ("impure" went with the analyzer that read it).
 const FactsHeader = "mkvet-facts-v2"
 
 // FuncFact is one function's interprocedural summary: for each invariant
@@ -32,10 +34,6 @@ type FuncFact struct {
 	// Block: the function may (transitively) block — channel operations
 	// outside select-with-default, non-telemetry lock acquisition, I/O.
 	Block []string `json:"block,omitempty"`
-	// Impure: the function may (transitively) violate parallel epoch-prep
-	// purity — mutate shared engine state, draw randomness, schedule
-	// timers, record trace spans, or emit.
-	Impure []string `json:"impure,omitempty"`
 	// Sink: the function may (transitively) feed data into an
 	// order-sensitive deterministic output (telemetry publish, trace
 	// record, NDJSON/hash/writer encoders).
@@ -47,11 +45,11 @@ type FuncFact struct {
 
 func (f FuncFact) empty() bool {
 	return f.Emit == nil && f.Alloc == nil && f.Block == nil &&
-		f.Impure == nil && f.Sink == nil && !f.MapOrdered
+		f.Sink == nil && !f.MapOrdered
 }
 
 // FactSet maps a function's full name (types.Func.FullName, e.g.
-// "manetkit/internal/emunet.prep" or "(*manetkit/internal/core.Manager).Deploy")
+// "manetkit/internal/emunet.Addrs" or "(*manetkit/internal/core.Manager).Deploy")
 // to its summary. A set serialized by one package is cumulative: it carries
 // the package's own functions plus every fact imported from its
 // dependencies, so a consumer only ever needs the fact files of its direct

@@ -7,7 +7,6 @@ func All() []*Analyzer {
 		Blockingpub,
 		Ctxleak,
 		Determinism,
-		Epochpurity,
 		Hotalloc,
 		Lockemit,
 		Maporder,

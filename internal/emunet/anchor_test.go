@@ -2,6 +2,7 @@ package emunet
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,10 +21,10 @@ import (
 // "b"; the cascade's re-arm happens inside the epoch, when "b" is already
 // queued at that instant, so the second delivery comes after "b". Rounds
 // two and three re-arm an anchor that has fired before — the Reset path.
-func anchorOrder(t *testing.T, cfg EngineConfig) []string {
+func anchorOrder(t *testing.T, mk medium) []string {
 	t.Helper()
 	clk := vclock.NewVirtual(epoch)
-	n := NewWithConfig(clk, 1, cfg)
+	n := mk(clk, 1)
 	addrs := Addrs(3)
 	nics := []*NIC{attach(t, n, addrs[0]), attach(t, n, addrs[1]), attach(t, n, addrs[2])}
 	const d = 2 * time.Millisecond
@@ -57,11 +58,11 @@ func TestRearmedAnchorFiresAfterQueuedTimers(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		want = append(want, round...)
 	}
-	// The legacy path is the reference: one timer per delivery, registered
-	// where the anchor's fresh sequence must put it.
-	for _, cfg := range []EngineConfig{{Legacy: true}, {}, {ShardSize: 1, ParallelThreshold: 1}} {
-		if got := anchorOrder(t, cfg); !reflect.DeepEqual(got, want) {
-			t.Errorf("%+v: fired %v, want %v", cfg, got, want)
+	// The reference path first: one timer per delivery, registered where the
+	// anchor's fresh sequence must put it.
+	for i, mk := range []medium{NewReference, New} {
+		if got := anchorOrder(t, mk); !reflect.DeepEqual(got, want) {
+			t.Errorf("medium %d: fired %v, want %v", i, got, want)
 		}
 	}
 }
@@ -138,7 +139,7 @@ func TestAnchorRearmsUnderRealClock(t *testing.T) {
 
 // TestWarmEngineAllocs pins the engine's share of the rx path: a warm
 // engine carries a unicast frame with MAC feedback from send to a no-op
-// receiver — schedule, arm, epoch, group, commit, re-arm — for the price of
+// receiver — schedule, arm, epoch, deliver, re-arm — for the price of
 // the medium's copy of the payload and nothing else. With no payload to
 // copy the whole cycle, re-arm included, allocates nothing.
 func TestWarmEngineAllocs(t *testing.T) {
@@ -160,7 +161,7 @@ func TestWarmEngineAllocs(t *testing.T) {
 		}
 	}
 	payload := make([]byte, 82)
-	cycle(payload)() // warm: anchor, free list, batch and group scratch, shard buckets
+	cycle(payload)() // warm: anchor, free list, batch scratch
 	if got := testing.AllocsPerRun(200, cycle(payload)); got > 1 {
 		t.Errorf("send + epoch allocates %.1f objects, want <= 1 (the frame copy)", got)
 	}
@@ -173,5 +174,99 @@ func TestWarmEngineAllocs(t *testing.T) {
 	st, _ := n.EngineStats()
 	if st.Epochs != uint64(rx) {
 		t.Fatalf("%d epochs for %d frames", st.Epochs, rx)
+	}
+}
+
+// TestOneEpochInFlightUnderRealClock: under the wall clock a receiver upcall
+// that outlasts the next deadline must not let a second epoch start beside
+// the first — the two would share the batch and the free list. The slow
+// receiver forwards each frame over a link whose delay is a fraction of the
+// time the upcall then sleeps, so the anchor it arms fires on another
+// goroutine while the epoch is still delivering; further frames fall due
+// meanwhile. Every frame must be delivered exactly once, in (when, seq)
+// order, and never while another upcall is running. Meaningful under -race.
+func TestOneEpochInFlightUnderRealClock(t *testing.T) {
+	n := New(vclock.Real(), 1)
+	addrs := Addrs(3)
+	src, slow, sink := attach(t, n, addrs[0]), attach(t, n, addrs[1]), attach(t, n, addrs[2])
+	for _, l := range []struct {
+		from, to int
+		delay    time.Duration
+	}{{0, 1, 2 * time.Millisecond}, {1, 2, 200 * time.Microsecond}} {
+		if err := n.SetDirectedLink(addrs[l.from], addrs[l.to], Quality{Delay: l.delay}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const frames = 40
+	type rx struct {
+		who string
+		id  int
+	}
+	var (
+		mu       sync.Mutex
+		inUpcall int
+		got      []rx
+		done     = make(chan struct{})
+	)
+	enter := func(who string, f Frame) {
+		mu.Lock()
+		defer mu.Unlock()
+		if inUpcall++; inUpcall > 1 {
+			t.Errorf("%s %d delivered while another upcall was running: two epochs in flight", who, f.Payload[0])
+		}
+		got = append(got, rx{who, int(f.Payload[0])})
+	}
+	leave := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		inUpcall--
+		if len(got) == 2*frames {
+			close(done)
+		}
+	}
+	slow.SetReceiver(func(f Frame) {
+		enter("slow", f)
+		defer leave()
+		if err := slow.Send(addrs[2], f.Payload); err != nil { // arms the anchor 200µs out…
+			t.Error(err)
+		}
+		time.Sleep(time.Millisecond) // …and outlasts it
+	})
+	sink.SetReceiver(func(f Frame) {
+		enter("sink", f)
+		leave()
+	})
+	for i := 0; i < frames; i++ { // all due at about the same instant: long epochs
+		if err := src.Send(addrs[1], []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("%d of %d deliveries after 30s: a frame was lost or the anchor never re-armed", len(got), 2*frames)
+	}
+	time.Sleep(5 * time.Millisecond) // a duplicate delivery would land here
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 2*frames {
+		t.Fatalf("%d deliveries, want %d (each frame exactly once per hop)", len(got), 2*frames)
+	}
+	// (when, seq) order: per receiver, frames arrive in the order they were
+	// sent, and a frame reaches the sink only after the slow node forwarded it.
+	next := map[string]int{}
+	for _, r := range got {
+		if r.id != next[r.who] {
+			t.Fatalf("%s got frame %d, want %d: out of (when, seq) order in %v", r.who, r.id, next[r.who], got)
+		}
+		next[r.who]++
+		if r.who == "sink" && r.id >= next["slow"] {
+			t.Fatalf("sink got frame %d before the slow node forwarded it: %v", r.id, got)
+		}
+	}
+	if st := n.Stats(); st.RxFrames != 2*frames || st.TxFrames != 2*frames {
+		t.Fatalf("stats %+v, want %d tx and rx", st, 2*frames)
 	}
 }

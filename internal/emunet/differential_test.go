@@ -2,7 +2,6 @@ package emunet
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 	"time"
 
@@ -11,35 +10,26 @@ import (
 	"manetkit/internal/vclock"
 )
 
-// The differential suite pits the legacy timer-per-delivery path against
-// the discrete-event core on identical seeds and asserts the two are
-// observably indistinguishable: same frame-level span stream, same receive
-// upcall sequence, same Stats, same fault firing log. This is the contract
-// that lets every golden gate in the repo keep its committed values across
-// the engine swap.
+// The differential suite pits the reference timer-per-delivery path
+// (NewReference) against the discrete-event core (New) on identical seeds
+// and asserts the two are observably indistinguishable: same frame-level
+// span stream, same receive upcall sequence, same Stats, same fault firing
+// log, same MAC feedback verdicts. This is the contract that lets every
+// golden gate in the repo keep its committed values whatever is done to the
+// engine.
 
-// engineConfigs enumerates the medium variants the differential tests
-// compare. Shard size 2 forces shard-boundary traffic on 4-node runs;
-// threshold 1 forces the parallel prep path even for tiny epochs.
-func engineConfigs() map[string]EngineConfig {
-	return map[string]EngineConfig{
-		"legacy":        {Legacy: true},
-		"event":         {},
-		"event-shard2":  {ShardSize: 2, ParallelThreshold: 1},
-		"event-serial":  {Workers: 1},
-		"event-1worker": {ShardSize: 2, ParallelThreshold: 1, Workers: 1},
-	}
-}
+// medium is one of the two constructors under comparison.
+type medium func(vclock.Clock, int64) *Network
 
 // chaosObservables runs the seed-7 chaos scenario (the TestGoldenFrameTrace
 // workload: lossy line, partition+crash+corrupt+duplicate+reorder plan,
-// scripted beacons and unicasts) on the given engine and returns everything
+// scripted beacons and unicasts) on the given medium and returns everything
 // a protocol or test could observe.
-func chaosObservables(t *testing.T, seed int64, cfg EngineConfig) (Stats, []string, []string, []trace.Span, string) {
+func chaosObservables(t *testing.T, seed int64, mk medium) (Stats, []string, []string, []trace.Span, string) {
 	t.Helper()
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := NewWithConfig(clk, seed, cfg)
+	net := mk(clk, seed)
 	tr := trace.New(epoch, 0)
 	net.SetTracer(tr)
 	addrs := Addrs(4)
@@ -86,65 +76,39 @@ func chaosObservables(t *testing.T, seed int64, cfg EngineConfig) (Stats, []stri
 	return net.Stats(), inj.Log(), rxLog, tr.Spans(), tr.Fingerprint()
 }
 
-// diffSpans reports the first span where two streams diverge.
-func diffSpans(t *testing.T, name string, want, got []trace.Span) {
+// diffSeq reports the first position where two logs (or span streams)
+// diverge.
+func diffSeq[T comparable](t *testing.T, name, what string, want, got []T) {
 	t.Helper()
-	n := len(want)
-	if len(got) < n {
-		n = len(got)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(len(want), len(got)); i++ {
 		if want[i] != got[i] {
-			t.Errorf("%s: span %d diverged:\n legacy %+v\n %s %+v", name, i, want[i], name, got[i])
+			t.Errorf("%s: %s %d diverged:\n reference %+v\n core      %+v", name, what, i, want[i], got[i])
 			return
 		}
 	}
 	if len(want) != len(got) {
-		t.Errorf("%s: span count %d, legacy %d; first extra span %+v",
-			name, len(got), len(want), longer(want, got)[n])
+		t.Errorf("%s: %d %ss, reference %d", name, len(got), what, len(want))
 	}
 }
 
-func longer(a, b []trace.Span) []trace.Span {
-	if len(a) > len(b) {
-		return a
-	}
-	return b
-}
-
-// TestDifferentialChaos asserts that every event-core variant reproduces
-// the legacy path's observable behaviour bit-for-bit on the chaos workload,
+// TestDifferentialChaos asserts that the event core reproduces the
+// reference path's observable behaviour bit-for-bit on the chaos workload,
 // across several seeds.
 func TestDifferentialChaos(t *testing.T) {
 	for _, seed := range []int64{7, 8, 41} {
-		refStats, refLog, refRx, refSpans, refFP := chaosObservables(t, seed, EngineConfig{Legacy: true})
-		for name, cfg := range engineConfigs() {
-			if cfg.Legacy {
-				continue
-			}
-			//mk:allow maporder test-table range: each case rebuilds its network and fingerprints it independently, cross-case order is immaterial
-			stats, log, rx, spans, fp := chaosObservables(t, seed, cfg)
-			if stats != refStats {
-				t.Errorf("seed %d %s: Stats diverged:\n legacy %+v\n %s %+v", seed, name, refStats, name, stats)
-			}
-			if !reflect.DeepEqual(log, refLog) {
-				t.Errorf("seed %d %s: fault firing logs diverged:\n legacy %q\n %s %q", seed, name, refLog, name, log)
-			}
-			if !reflect.DeepEqual(rx, refRx) {
-				for i := range rx {
-					if i >= len(refRx) || rx[i] != refRx[i] {
-						t.Errorf("seed %d %s: receive %d diverged:\n legacy %q\n %s %q",
-							seed, name, i, refRx[min(i, len(refRx)-1)], name, rx[i])
-						break
-					}
-				}
-				if len(rx) != len(refRx) {
-					t.Errorf("seed %d %s: %d receives, legacy %d", seed, name, len(rx), len(refRx))
-				}
-			}
-			if fp != refFP {
-				diffSpans(t, fmt.Sprintf("seed %d %s", seed, name), refSpans, spans)
-			}
+		name := fmt.Sprintf("seed %d", seed)
+		refStats, refLog, refRx, refSpans, refFP := chaosObservables(t, seed, NewReference)
+		stats, log, rx, spans, fp := chaosObservables(t, seed, New)
+		if len(refRx) == 0 || len(refLog) == 0 {
+			t.Fatalf("%s: reference run is empty (%d receives, %d faults)", name, len(refRx), len(refLog))
+		}
+		if stats != refStats {
+			t.Errorf("%s: Stats diverged:\n reference %+v\n core      %+v", name, refStats, stats)
+		}
+		diffSeq(t, name, "fault", refLog, log)
+		diffSeq(t, name, "receive", refRx, rx)
+		if fp != refFP {
+			diffSeq(t, name, "span", refSpans, spans)
 		}
 	}
 }
@@ -153,10 +117,10 @@ func TestDifferentialChaos(t *testing.T) {
 // path: delivery verdicts and their order must match across engines, for
 // linked, lossy, missing-link and mid-flight-crash cases.
 func TestDifferentialFeedback(t *testing.T) {
-	run := func(cfg EngineConfig) []string {
+	run := func(mk medium, seed int64) []string {
 		epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 		clk := vclock.NewVirtual(epoch)
-		net := NewWithConfig(clk, 5, cfg)
+		net := mk(clk, seed)
 		addrs := Addrs(3)
 		for _, a := range addrs {
 			if _, err := net.Attach(a); err != nil {
@@ -196,18 +160,12 @@ func TestDifferentialFeedback(t *testing.T) {
 		return verdicts
 	}
 
-	ref := run(EngineConfig{Legacy: true})
-	if len(ref) == 0 {
-		t.Fatal("no feedback verdicts")
-	}
-	for name, cfg := range engineConfigs() {
-		if cfg.Legacy {
-			continue
+	for _, seed := range []int64{5, 6, 43} {
+		ref := run(NewReference, seed)
+		if len(ref) == 0 {
+			t.Fatal("no feedback verdicts")
 		}
-		got := run(cfg)
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("%s: feedback verdicts diverged:\n legacy %q\n %s %q", name, ref, name, got)
-		}
+		diffSeq(t, fmt.Sprintf("seed %d", seed), "verdict", ref, run(New, seed))
 	}
 }
 
@@ -215,10 +173,10 @@ func TestDifferentialFeedback(t *testing.T) {
 // detach with in-flight frames, reattach, asymmetric links, link cuts under
 // traffic, scenario playback — and compares receive sequences.
 func TestDifferentialTopologyEdges(t *testing.T) {
-	run := func(cfg EngineConfig) ([]string, Stats) {
+	run := func(mk medium) ([]string, Stats) {
 		epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 		clk := vclock.NewVirtual(epoch)
-		net := NewWithConfig(clk, 11, cfg)
+		net := mk(clk, 11)
 		addrs := Addrs(5)
 		if err := BuildGrid(net, addrs, 5, DefaultQuality()); err != nil {
 			t.Fatalf("BuildGrid: %v", err)
@@ -260,28 +218,13 @@ func TestDifferentialTopologyEdges(t *testing.T) {
 		return rxLog, net.Stats()
 	}
 
-	refRx, refStats := run(EngineConfig{Legacy: true})
+	refRx, refStats := run(NewReference)
 	if len(refRx) == 0 {
 		t.Fatal("no deliveries in reference run")
 	}
-	for name, cfg := range engineConfigs() {
-		if cfg.Legacy {
-			continue
-		}
-		rx, stats := run(cfg)
-		if stats != refStats {
-			t.Errorf("%s: Stats diverged:\n legacy %+v\n %s %+v", name, refStats, name, stats)
-		}
-		if !reflect.DeepEqual(rx, refRx) {
-			for i := range rx {
-				if i >= len(refRx) || rx[i] != refRx[i] {
-					t.Errorf("%s: receive %d diverged (legacy has %d, got %d)", name, i, len(refRx), len(rx))
-					break
-				}
-			}
-			if len(rx) != len(refRx) {
-				t.Errorf("%s: %d receives, legacy %d", name, len(rx), len(refRx))
-			}
-		}
+	rx, stats := run(New)
+	if stats != refStats {
+		t.Errorf("Stats diverged:\n reference %+v\n core      %+v", refStats, stats)
 	}
+	diffSeq(t, "grid", "receive", refRx, rx)
 }

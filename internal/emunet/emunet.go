@@ -9,11 +9,9 @@
 // strength. Mobility scenarios are scripted timeline mutations of the
 // matrix, like MobiEmu scenario playback.
 //
-// Frame delivery runs on the sharded discrete-event engine (engine.go) by
-// default, which scales the medium to thousands of nodes; NewWithConfig
-// selects the original timer-per-delivery path for differential testing.
-// All timing goes through vclock.Clock, so a whole scenario is
-// deterministic under a virtual clock on either engine.
+// Frame delivery runs on the discrete-event engine (engine.go), which
+// scales the medium to thousands of nodes. All timing goes through
+// vclock.Clock, so a whole scenario is deterministic under a virtual clock.
 package emunet
 
 import (
@@ -126,7 +124,7 @@ type linkKey struct{ from, to mnet.Addr }
 // neighborLink is one entry of the adjacency index: a directed link with
 // its receiving NIC resolved, kept sorted by destination address. Broadcast
 // fan-out iterates a sender's entries directly — the deterministic receiver
-// order the legacy path got by scanning and sorting the whole O(E) link
+// order the first medium got by scanning and sorting the whole O(E) link
 // matrix on every send.
 type neighborLink struct {
 	to  mnet.Addr
@@ -143,8 +141,8 @@ type Network struct {
 	nodes map[mnet.Addr]*NIC
 	links map[linkKey]Quality
 	adj   map[mnet.Addr][]neighborLink
-	stats Stats                  // legacy engine's global counters
-	eng   *engine                // nil on the legacy path
+	stats Stats
+	eng   *engine                // nil on the reference path (NewReference)
 	tap   func(Frame, mnet.Addr) // (frame, receiver); nil when unset
 	txTap func(Frame)            // transmission-side tap; nil when unset
 	inj   *Injector              // nil until a FaultPlan is applied
@@ -152,32 +150,35 @@ type Network struct {
 
 	// epochObs, when set, receives one EpochStats per committed engine
 	// epoch, on the clock goroutine, outside the network mutex. Unused on
-	// the legacy path (which has no epochs).
+	// the reference path (which has no epochs).
 	epochObs func(EpochStats)
 }
 
-// New creates an empty medium on the given clock, running the sharded
-// discrete-event engine with default tuning. seed drives the loss process,
-// making lossy runs reproducible.
+// New creates an empty medium on the given clock, running the discrete-
+// event engine. seed drives the loss process, making lossy runs
+// reproducible.
 func New(clock vclock.Clock, seed int64) *Network {
-	return NewWithConfig(clock, seed, EngineConfig{})
+	n := newNetwork(clock, seed)
+	n.eng = &engine{net: n}
+	return n
 }
 
-// NewWithConfig is New with explicit engine selection and tuning — the
-// constructor differential tests use to pit the legacy timer-per-delivery
-// path against the event core on identical seeds.
-func NewWithConfig(clock vclock.Clock, seed int64, cfg EngineConfig) *Network {
-	n := &Network{
+// NewReference creates a medium on the original timer-per-delivery path: one
+// vclock timer and one closure per frame in flight, no engine. It is the
+// oracle the differential tests hold the event core to on identical seeds,
+// and is for tests only — it is quadratic where New is not.
+func NewReference(clock vclock.Clock, seed int64) *Network {
+	return newNetwork(clock, seed)
+}
+
+func newNetwork(clock vclock.Clock, seed int64) *Network {
+	return &Network{
 		clock: clock,
 		rng:   rand.New(rand.NewSource(seed)),
 		nodes: make(map[mnet.Addr]*NIC),
 		links: make(map[linkKey]Quality),
 		adj:   make(map[mnet.Addr][]neighborLink),
 	}
-	if !cfg.Legacy {
-		n.eng = newEngine(n, cfg)
-	}
-	return n
 }
 
 // Clock returns the clock the medium schedules deliveries on.
@@ -330,7 +331,7 @@ func (n *Network) LinkQuality(from, to mnet.Addr) (Quality, bool) {
 
 // Neighbors lists the nodes from can reach in one hop, sorted. It reads the
 // adjacency index; the links matrix is the ground truth it must agree with
-// (the shard property test checks exactly that).
+// (the adjacency property test checks exactly that).
 func (n *Network) Neighbors(from mnet.Addr) []mnet.Addr {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -365,36 +366,17 @@ func (n *Network) NIC(addr mnet.Addr) (*NIC, bool) {
 	return nic, ok
 }
 
-// Stats returns a snapshot of medium counters. On the event core this is
-// the sum over spatial shards; on the legacy path, the global struct.
+// Stats returns a snapshot of medium counters.
 func (n *Network) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.eng != nil {
-		return n.eng.totalsLocked()
-	}
 	return n.stats
-}
-
-// ShardStats returns a copy of the per-shard medium counters, keyed by
-// spatial shard ID (address / ShardSize). Each counter is attributed to
-// exactly one shard — transmission-side events to the sender's, per-target
-// events to the receiver's — so summing the values reproduces Stats even
-// across shard-boundary links. The legacy engine has no shards and returns
-// nil.
-func (n *Network) ShardStats() map[uint32]Stats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.eng == nil {
-		return nil
-	}
-	return n.eng.snapshotLocked()
 }
 
 // SetEpochObserver installs fn to receive one EpochStats per committed
 // engine epoch — the streaming bus's engine feed. fn runs on the clock
-// goroutine, after the epoch's commit phase, outside the network mutex;
-// it is a no-op on the legacy engine. Pass nil to remove.
+// goroutine, after the epoch's deliveries, outside the network mutex; it
+// never fires on the reference path. Pass nil to remove.
 func (n *Network) SetEpochObserver(fn func(EpochStats)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -402,14 +384,14 @@ func (n *Network) SetEpochObserver(fn func(EpochStats)) {
 }
 
 // EngineStats returns the event core's cumulative epoch telemetry. ok is
-// false on the legacy engine, which has no epochs.
+// false on the reference path, which has no epochs.
 func (n *Network) EngineStats() (EngineStats, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.eng == nil {
 		return EngineStats{}, false
 	}
-	return n.eng.engStats, true
+	return n.eng.stats, true
 }
 
 // ResetStats zeroes the medium counters (between experiment phases).
@@ -417,19 +399,6 @@ func (n *Network) ResetStats() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats = Stats{}
-	if n.eng != nil {
-		n.eng.shardStats = make(map[uint32]*Stats)
-	}
-}
-
-// statsLocked returns the counter bucket that events at addr are charged
-// to: addr's spatial shard on the event core, the global struct on the
-// legacy path. Caller holds n.mu.
-func (n *Network) statsLocked(addr mnet.Addr) *Stats {
-	if n.eng != nil {
-		return n.eng.statsForLocked(addr)
-	}
-	return &n.stats
 }
 
 // SetTap installs a packet-capture hook (the libpcap analogue): fn observes
@@ -465,9 +434,8 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 	n.mu.Lock()
 	now := n.clock.Now()
 	txTap := n.txTap
-	txStats := n.statsLocked(src)
-	txStats.TxFrames++
-	txStats.TxBytes += uint64(len(payload))
+	n.stats.TxFrames++
+	n.stats.TxBytes += uint64(len(payload))
 	if n.obs != nil {
 		n.obs.txFrames.Inc()
 		if n.obs.tracer != nil {
@@ -488,7 +456,7 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		if nl.q.Loss <= 0 || n.rng.Float64() >= nl.q.Loss {
 			return false
 		}
-		n.statsLocked(nl.to).DroppedLoss++
+		n.stats.DroppedLoss++
 		if n.obs != nil {
 			n.obs.droppedLoss.Inc()
 			if n.obs.tracer != nil {
@@ -511,7 +479,7 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		q, ok := n.links[linkKey{src, dst}]
 		nic, attached := n.nodes[dst]
 		if !ok || !attached {
-			n.statsLocked(dst).DroppedNoLink++
+			n.stats.DroppedNoLink++
 			if n.obs != nil {
 				n.obs.droppedNoLink.Inc()
 				if n.obs.tracer != nil {
@@ -545,7 +513,7 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		frame Frame
 		delay time.Duration
 	}
-	var due []pending // legacy path only: its timers are armed after unlock
+	var due []pending // reference path only: its timers are armed after unlock
 	if n.eng == nil {
 		due = make([]pending, 0, len(targets))
 	}
@@ -566,7 +534,7 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		frame := Frame{Src: src, Dst: dst, Payload: buf, Device: device, RSSI: d.q.SignalDBm, Corr: corr, shared: shared}
 		delay := d.q.Delay
 		if n.inj != nil {
-			for _, e := range n.inj.injectLocked(n, n.statsLocked(d.to), d.to, &frame, &delay) {
+			for _, e := range n.inj.injectLocked(n, d.to, &frame, &delay) {
 				schedule(d.nic, e.frame, e.delay)
 			}
 		}
@@ -579,7 +547,7 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 	}
 	for _, d := range due {
 		d := d
-		n.clock.AfterFunc(d.delay, func() { d.nic.deliver(d.frame) })
+		n.clock.AfterFunc(d.delay, func() { d.nic.deliver(d.frame, n.clock.Now()) })
 	}
 }
 
@@ -655,9 +623,8 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	n.mu.Lock()
 	now := n.clock.Now()
 	txTap := n.txTap
-	txStats := n.statsLocked(c.addr)
-	txStats.TxFrames++
-	txStats.TxBytes += uint64(len(payload))
+	n.stats.TxFrames++
+	n.stats.TxBytes += uint64(len(payload))
 	if n.obs != nil {
 		n.obs.txFrames.Inc()
 		if n.obs.tracer != nil {
@@ -671,12 +638,12 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	nic, attached := n.nodes[dst]
 	lost := false
 	if !linked || !attached {
-		n.statsLocked(dst).DroppedNoLink++
+		n.stats.DroppedNoLink++
 		if n.obs != nil {
 			n.obs.droppedNoLink.Inc()
 		}
 	} else if q.Loss > 0 && n.rng.Float64() < q.Loss {
-		n.statsLocked(dst).DroppedLoss++
+		n.stats.DroppedLoss++
 		if n.obs != nil {
 			n.obs.droppedLoss.Inc()
 		}
@@ -707,7 +674,7 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 		// the 802.11 ACK exchange this path models) may still mangle the
 		// frame in flight; the tap sees it as offered.
 		if n.inj != nil {
-			n.inj.corruptOnlyLocked(n, n.statsLocked(dst), dst, &frame) //mk:allow hotalloc fault injection only
+			n.inj.corruptOnlyLocked(n, dst, &frame) //mk:allow hotalloc fault injection only
 		}
 		if n.obs != nil && n.obs.linkDelay != nil {
 			n.obs.linkDelay.Observe(q.Delay)
@@ -733,7 +700,7 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 		//mk:allow hotalloc the legacy engine is a timer and a closure per frame by design
 		n.clock.AfterFunc(when.Sub(now), func() {
 			if delivered {
-				nic.deliver(fr)
+				nic.deliver(fr, n.clock.Now())
 			}
 			cb(delivered)
 		})
@@ -741,12 +708,16 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	return nil
 }
 
-// deliver hands a frame to the receiver callback and accounts for it — the
-// legacy path's delivery tail. The event core splits the same work into
-// prep/commit halves (engine.go).
+// deliver is one delivery, start to finish: account for the frame, record
+// its span at now, show it to the capture tap and hand it to the receiver.
+// Both paths end here — an epoch calls it for each frame of its batch, the
+// reference path from each frame's own timer. A frame whose receiver
+// detached in flight is dropped silently (its MAC feedback, which the
+// caller delivers, still reports success: the ACK left the receiver before
+// it crashed).
 //
 //mk:hotpath
-func (c *NIC) deliver(f Frame) {
+func (c *NIC) deliver(f Frame, now time.Time) {
 	c.mu.Lock()
 	if c.detached {
 		c.mu.Unlock()
@@ -766,7 +737,7 @@ func (c *NIC) deliver(f Frame) {
 			n.obs.corrupted.Inc()
 		}
 		if n.obs.tracer != nil {
-			n.obs.tracer.Record(n.clock.Now(), trace.Span{
+			n.obs.tracer.Record(now, trace.Span{
 				Node: c.addr.String(), Kind: trace.KindFrameRx,
 				From: f.Src.String(), Corr: f.Corr, Bytes: len(f.Payload),
 			})

@@ -411,7 +411,65 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("NIC counters = %d/%d", tx, rx)
 	}
 	n.ResetStats()
-	if st := n.Stats(); st.TxFrames != 0 {
+	if st := n.Stats(); st != (Stats{}) {
 		t.Fatalf("ResetStats left %+v", st)
+	}
+	// Traffic after a reset accumulates from zero.
+	na.Send(addrs[1], []byte("post"))
+	clk.RunUntilIdle(-1)
+	if st := n.Stats(); st != (Stats{TxFrames: 1, RxFrames: 1, TxBytes: 4, RxBytes: 4}) {
+		t.Fatalf("post-reset Stats = %+v, want exactly one tx/rx", st)
+	}
+}
+
+// TestStatsConservation: every target of every transmission is counted
+// exactly once, whatever became of it. A lossy A→D unicast stream either
+// arrives or is lost; a unicast to an address with no link is a no-link
+// drop; a broadcast counts one transmission and one outcome per neighbour;
+// a duplicate is one extra delivery. Nothing is counted twice and nothing
+// goes missing.
+func TestStatsConservation(t *testing.T) {
+	n, clk := newNet(t)
+	addrs := Addrs(4)
+	a, b, c, d := addrs[0], addrs[1], addrs[2], addrs[3]
+	na := attach(t, n, a)
+	attach(t, n, b)
+	attach(t, n, c)
+	attach(t, n, d)
+	lossy := DefaultQuality()
+	lossy.Loss = 0.4
+	for _, to := range []mnet.Addr{c, d} {
+		if err := n.SetDirectedLink(a, to, lossy); err != nil {
+			t.Fatalf("SetDirectedLink: %v", err)
+		}
+	}
+	NewFaultPlan(9).DuplicateFrames(0, time.Hour, 0.3).Apply(n)
+
+	const sends = 50
+	for k := 0; k < sends; k++ {
+		clk.AfterFunc(time.Duration(k)*10*time.Millisecond, func() {
+			_ = na.Send(d, []byte("x"))              // one target: arrives or is lost
+			_ = na.Send(b, []byte("y"))              // no link a→b: a no-link drop
+			_ = na.Send(mnet.Broadcast, []byte("z")) // two targets, c and d
+		})
+	}
+	clk.Advance(2 * time.Second)
+
+	st := n.Stats()
+	if st.TxFrames != 3*sends || st.TxBytes != 3*sends {
+		t.Errorf("tx %d frames / %d bytes, want %d of each (one per Send)", st.TxFrames, st.TxBytes, 3*sends)
+	}
+	if st.DroppedNoLink != sends {
+		t.Errorf("no-link drops %d, want %d", st.DroppedNoLink, sends)
+	}
+	if got, want := st.RxFrames+st.DroppedLoss, uint64(3*sends)+st.Duplicated; got != want {
+		t.Errorf("rx(%d)+loss(%d) = %d, want %d linked targets + %d duplicates = %d (each exactly once)",
+			st.RxFrames, st.DroppedLoss, got, 3*sends, st.Duplicated, want)
+	}
+	if st.RxFrames == 0 || st.DroppedLoss == 0 || st.Duplicated == 0 {
+		t.Errorf("lossy links under duplication should deliver, drop and duplicate: %+v", st)
+	}
+	if st.RxBytes != st.RxFrames {
+		t.Errorf("rx bytes %d for %d one-byte frames", st.RxBytes, st.RxFrames)
 	}
 }

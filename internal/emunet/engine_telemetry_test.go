@@ -1,145 +1,289 @@
-package emunet
+package emunet_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"manetkit/internal/emunet"
 	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
+	"manetkit/internal/telemetry"
+	"manetkit/internal/trace"
 	"manetkit/internal/vclock"
 )
 
-// TestEpochObserverAndShardGauges drives a 12-node clique through one
-// broadcast storm and checks the per-epoch telemetry against the engine's
-// own cumulative counters, the metrics registry and the shard buckets.
-func TestEpochObserverAndShardGauges(t *testing.T) {
+// cliqueStorm drives a 12-node clique through one broadcast storm — every
+// node broadcasts at the same instant, so all 132 deliveries fall due
+// together and land in one epoch — with the engine feeding a bus, and
+// returns the bus's NDJSON dump, the network and its registry.
+func cliqueStorm(t *testing.T) ([]byte, *emunet.Network, *metrics.Registry) {
+	t.Helper()
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := NewWithConfig(clk, 7, EngineConfig{ShardSize: 4, ParallelThreshold: 2})
+	net := emunet.New(clk, 7)
 	reg := metrics.NewRegistry()
 	net.SetMetrics(reg)
+	bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: 1 << 10})
+	telemetry.AttachEngine(bus, net)
 
-	var epochs []EpochStats
-	net.SetEpochObserver(func(es EpochStats) { epochs = append(epochs, es) })
-
-	nodes := Addrs(12)
-	if err := BuildClique(net, nodes, DefaultQuality()); err != nil {
+	nodes := emunet.Addrs(12)
+	if err := emunet.BuildClique(net, nodes, emunet.DefaultQuality()); err != nil {
 		t.Fatalf("BuildClique: %v", err)
 	}
-	// Every node broadcasts at the same instant: all deliveries share one
-	// arrival time, so they land in one epoch spanning every shard.
 	for _, a := range nodes {
-		a := a
 		clk.AfterFunc(time.Millisecond, func() {
 			nic, _ := net.NIC(a)
 			_ = nic.Send(mnet.Broadcast, []byte("hello"))
 		})
 	}
 	clk.Advance(50 * time.Millisecond)
+	var dump bytes.Buffer
+	if err := bus.WriteNDJSON(&dump); err != nil {
+		t.Fatalf("WriteNDJSON: %v", err)
+	}
+	bus.Close()
+	return dump.Bytes(), net, reg
+}
 
-	if len(epochs) == 0 {
+// TestEpochObserverAndEngineCounters checks the per-epoch telemetry against
+// the engine's own cumulative counters and the metrics registry, and pins
+// the engine stream's schema: an epoch event carries exactly epoch, events,
+// commit_lag_ns and queue_depth.
+func TestEpochObserverAndEngineCounters(t *testing.T) {
+	dump, net, reg := cliqueStorm(t)
+	events, err := telemetry.ReadEvents(bytes.NewReader(dump))
+	if err != nil {
+		t.Fatalf("ReadEvents: %v", err)
+	}
+	if len(events) == 0 {
 		t.Fatal("no epochs observed")
 	}
-	var sum, parallel uint64
-	var maxEvents, maxShards int
-	for i, es := range epochs {
-		if es.Epoch != uint64(i+1) {
-			t.Fatalf("epoch %d has ordinal %d, want %d", i, es.Epoch, i+1)
+	var sum uint64
+	maxEvents := 0
+	var last emunet.EpochStats
+	for i, ev := range events {
+		if ev.Stream != telemetry.StreamEngine || ev.Kind != "epoch" {
+			t.Fatalf("event %d is %s/%s, want engine/epoch", i, ev.Stream, ev.Kind)
 		}
-		if es.CommitLag != 0 {
-			t.Errorf("epoch %d commit lag %s: must be 0 on the virtual clock", i, es.CommitLag)
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(ev.Data, &fields); err != nil {
+			t.Fatalf("epoch event payload: %v", err)
 		}
-		if wantPar := es.Events >= 2 && es.Shards > 1; es.Parallel != wantPar {
-			t.Errorf("epoch %d: Parallel=%v but events=%d shards=%d (eligibility rule broken)",
-				i, es.Parallel, es.Events, es.Shards)
+		var keys []string
+		for k := range fields {
+			keys = append(keys, k)
 		}
-		if es.MaxShardEvents > es.Events || es.MaxShardEvents <= 0 {
-			t.Errorf("epoch %d: max shard events %d of %d", i, es.MaxShardEvents, es.Events)
+		sort.Strings(keys)
+		if got := strings.Join(keys, ","); got != "commit_lag_ns,epoch,events,queue_depth" {
+			t.Fatalf("epoch event fields %q, want commit_lag_ns,epoch,events,queue_depth", got)
 		}
-		sum += uint64(es.Events)
-		if es.Parallel {
-			parallel++
+		if err := json.Unmarshal(ev.Data, &last); err != nil {
+			t.Fatalf("epoch event payload: %v", err)
 		}
-		if es.Events > maxEvents {
-			maxEvents = es.Events
+		if last.Epoch != uint64(i+1) {
+			t.Fatalf("epoch %d has ordinal %d, want %d", i, last.Epoch, i+1)
 		}
-		if es.Shards > maxShards {
-			maxShards = es.Shards
+		if last.CommitLag != 0 {
+			t.Errorf("epoch %d commit lag %s: must be 0 on the virtual clock", i, last.CommitLag)
 		}
+		sum += uint64(last.Events)
+		maxEvents = max(maxEvents, last.Events)
 	}
-	if epochs[len(epochs)-1].QueueDepth != 0 {
-		t.Errorf("final epoch left queue depth %d", epochs[len(epochs)-1].QueueDepth)
+	if last.QueueDepth != 0 {
+		t.Errorf("final epoch left queue depth %d", last.QueueDepth)
 	}
-	// The storm epoch: 12 broadcasts × 11 receivers at one instant.
-	if maxEvents != 132 || maxShards < 2 {
-		t.Errorf("storm epoch: %d events over %d shards, want 132 over >=2", maxEvents, maxShards)
+	if maxEvents != 132 { // 12 broadcasts × 11 receivers at one instant
+		t.Errorf("storm epoch: %d events, want 132", maxEvents)
 	}
 
 	eng, ok := net.EngineStats()
 	if !ok {
 		t.Fatal("EngineStats: not the event core")
 	}
-	want := EngineStats{
-		Epochs: uint64(len(epochs)), ParallelEpochs: parallel, Events: sum,
-		MaxEpochEvents: maxEvents, MaxEpochShards: maxShards,
-	}
+	want := emunet.EngineStats{Epochs: uint64(len(events)), Events: sum, MaxEpochEvents: maxEvents}
 	if eng != want {
 		t.Fatalf("EngineStats %+v, want %+v (from observed epochs)", eng, want)
 	}
+	if sum != net.Stats().RxFrames {
+		t.Errorf("epoch events sum %d != Stats.RxFrames %d on a run with no feedback events", sum, net.Stats().RxFrames)
+	}
 
 	snap := reg.Snapshot()
-	if got := snap.Counters["net_engine_epochs"]; got != uint64(len(epochs)) {
-		t.Errorf("net_engine_epochs = %d, want %d", got, len(epochs))
+	if got := snap.Counters["net_engine_epochs"]; got != eng.Epochs {
+		t.Errorf("net_engine_epochs = %d, want %d", got, eng.Epochs)
 	}
 	if got := snap.Counters["net_engine_epoch_events"]; got != sum {
 		t.Errorf("net_engine_epoch_events = %d, want %d", got, sum)
 	}
-	if got := snap.Counters["net_engine_epochs_parallel"]; got != parallel {
-		t.Errorf("net_engine_epochs_parallel = %d, want %d", got, parallel)
-	}
-
-	shards := net.ShardStats()
-	if got := snap.Gauges["net_engine_shards"]; got != int64(len(shards)) {
-		t.Errorf("net_engine_shards = %d, want %d", got, len(shards))
-	}
-	var totalRx uint64
-	for id, st := range shards {
-		totalRx += st.RxFrames
-		if g := snap.Gauges[fmt.Sprintf("net_shard_rx_frames:%d", id)]; g != int64(st.RxFrames) {
-			t.Errorf("net_shard_rx_frames:%d = %d, want %d", id, g, st.RxFrames)
-		}
-		if g := snap.Gauges[fmt.Sprintf("net_shard_tx_frames:%d", id)]; g != int64(st.TxFrames) {
-			t.Errorf("net_shard_tx_frames:%d = %d, want %d", id, g, st.TxFrames)
-		}
-	}
-	if totalRx != net.Stats().RxFrames {
-		t.Errorf("shard rx sum %d != Stats.RxFrames %d", totalRx, net.Stats().RxFrames)
+	if len(snap.Gauges) != 0 {
+		t.Errorf("the medium registers no gauges, got %v", snap.Gauges)
 	}
 }
 
-// TestEpochObserverLegacyEngine: the legacy matrix engine has no epochs;
-// the observer must simply never fire and EngineStats must say so.
+// TestEpochObserverLegacyEngine: the reference path has no epochs; the
+// observer must simply never fire and EngineStats must say so.
 func TestEpochObserverLegacyEngine(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := NewWithConfig(clk, 7, EngineConfig{Legacy: true})
+	net := emunet.NewReference(clk, 7)
 	fired := false
-	net.SetEpochObserver(func(EpochStats) { fired = true })
-	nodes := Addrs(2)
-	if err := BuildLine(net, nodes, DefaultQuality()); err != nil {
+	net.SetEpochObserver(func(emunet.EpochStats) { fired = true })
+	nodes := emunet.Addrs(2)
+	if err := emunet.BuildLine(net, nodes, emunet.DefaultQuality()); err != nil {
 		t.Fatal(err)
 	}
 	nic, _ := net.NIC(nodes[0])
 	_ = nic.Send(nodes[1], []byte("x"))
 	clk.Advance(10 * time.Millisecond)
 	if fired {
-		t.Fatal("epoch observer fired on the legacy engine")
+		t.Fatal("epoch observer fired on the reference path")
 	}
 	if _, ok := net.EngineStats(); ok {
-		t.Fatal("EngineStats ok on the legacy engine")
+		t.Fatal("EngineStats ok on the reference path")
 	}
 	if net.Stats().RxFrames != 1 {
-		t.Fatalf("legacy delivery broken: %+v", net.Stats())
+		t.Fatalf("reference delivery broken: %+v", net.Stats())
+	}
+}
+
+// The telemetry bus under real load: a thousand-node emulation (the same
+// scenario shape as the replay-scale gate, rebuilt over the exported API
+// because this external package is what may import telemetry) streams
+// spans and engine epochs to live subscribers. The gates:
+//
+//   - a deliberately tiny spans subscriber loses events but never stalls
+//     the emulation, and its accounting is exact to the event;
+//   - the engine subscriber with ample buffer sees every epoch, and the
+//     decoded epochs reproduce the engine's own cumulative counters;
+//   - the flight recorder's dump is byte-identical across GOMAXPROCS 1
+//     and all CPUs — the streaming layer inherits the event core's
+//     replay determinism.
+
+// thousandNodeBusRun drives the 1000-node grid with a bus attached and
+// one subscriber per busy stream. Returns the recorder dump fingerprint
+// and the network's engine stats.
+func thousandNodeBusRun(t *testing.T) (string, emunet.EngineStats) {
+	t.Helper()
+	const n, cols = 1000, 32
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	clk := vclock.NewVirtual(epoch)
+	net := emunet.New(clk, 1701)
+	tr := trace.New(epoch, 0)
+	net.SetTracer(tr)
+
+	bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: 1 << 17})
+	telemetry.AttachTracer(bus, tr)
+	telemetry.AttachEngine(bus, net)
+	engineSub := bus.Subscribe(1<<16, telemetry.StreamEngine) // ample: loses nothing
+	spansSub := bus.Subscribe(64, telemetry.StreamSpans)      // tiny: must drop, not stall
+	idleSub := bus.Subscribe(8, telemetry.StreamHealth)       // nothing flows here
+
+	nodes := emunet.Addrs(n)
+	q := emunet.DefaultQuality()
+	q.Loss = 0.05
+	if err := emunet.BuildGrid(net, nodes, cols, q); err != nil {
+		t.Fatalf("BuildGrid: %v", err)
+	}
+	for i, a := range nodes {
+		a := a
+		echoed := false
+		nic, _ := net.NIC(a)
+		back := nodes[(i+n-1)%n]
+		nic.SetReceiver(func(f emunet.Frame) {
+			if f.Dst == a && !echoed && len(f.Payload) > 0 && f.Payload[0] == 'p' {
+				echoed = true
+				_ = nic.Send(back, []byte("echo"))
+			}
+		})
+	}
+	emunet.NewFaultPlan(93).
+		Partition(80*time.Millisecond, 200*time.Millisecond, nodes[:n/2], nodes[n/2:]).
+		CorruptFrames(0, 300*time.Millisecond, 0.1).
+		DuplicateFrames(0, 300*time.Millisecond, 0.1).
+		Apply(net)
+	for i, a := range nodes {
+		a := a
+		peer := nodes[(i+cols+1)%n]
+		for k := 0; k < 3; k++ {
+			k := k
+			clk.AfterFunc(time.Duration(10+k*90)*time.Millisecond, func() {
+				nic, ok := net.NIC(a)
+				if !ok {
+					return
+				}
+				_ = nic.Send(mnet.Broadcast, []byte(fmt.Sprintf("b%d", k)))
+				_ = nic.Send(peer, []byte("ping"))
+			})
+		}
+	}
+	clk.Advance(400 * time.Millisecond)
+	fp := bus.Fingerprint()
+	bus.Close()
+
+	// Exact accounting, stream by stream.
+	spanTotal := uint64(tr.Len()) + tr.Dropped()
+	if st := spansSub.Stats(); st.Published != spanTotal {
+		t.Errorf("spans published %d, want every recorded span (%d)", st.Published, spanTotal)
+	} else if st.Published != st.Delivered+st.Dropped {
+		t.Errorf("spans accounting broken: %+v", st)
+	} else if st.Dropped == 0 {
+		t.Errorf("spans subscriber with buffer 64 dropped nothing over %d spans", st.Published)
+	}
+
+	var drained []telemetry.Event
+	for ev := range engineSub.C() {
+		drained = append(drained, ev)
+	}
+	eng, ok := net.EngineStats()
+	if !ok {
+		t.Fatal("EngineStats: not the event core")
+	}
+	if st := engineSub.Stats(); st.Dropped != 0 || st.Delivered != uint64(len(drained)) {
+		t.Errorf("engine subscriber stats %+v over %d drained", st, len(drained))
+	}
+	if uint64(len(drained)) != eng.Epochs {
+		t.Errorf("engine stream delivered %d epochs, engine committed %d", len(drained), eng.Epochs)
+	}
+	var sum uint64
+	for _, ev := range drained {
+		var es emunet.EpochStats
+		if err := json.Unmarshal(ev.Data, &es); err != nil {
+			t.Fatalf("epoch event payload: %v", err)
+		}
+		sum += uint64(es.Events)
+	}
+	if sum != eng.Events {
+		t.Errorf("epoch events sum %d != engine total %d", sum, eng.Events)
+	}
+	if st := idleSub.Stats(); st.Published != 0 {
+		t.Errorf("health subscriber saw %d events on a run with no monitor", st.Published)
+	}
+	return fp, eng
+}
+
+func TestThousandNodeTelemetryAcrossGOMAXPROCS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("thousand-node telemetry run; skipped in -short")
+	}
+	prev := runtime.GOMAXPROCS(1)
+	serialFP, serialEng := thousandNodeBusRun(t)
+	runtime.GOMAXPROCS(prev)
+	parallelFP, parallelEng := thousandNodeBusRun(t)
+	if serialEng.Events == 0 {
+		t.Fatalf("empty run: %+v", serialEng)
+	}
+	if serialFP != parallelFP {
+		t.Errorf("flight-recorder fingerprint diverged across GOMAXPROCS 1 vs %d: %s vs %s",
+			runtime.GOMAXPROCS(0), serialFP, parallelFP)
+	}
+	if serialEng != parallelEng {
+		t.Errorf("EngineStats diverged across GOMAXPROCS:\n serial   %+v\n parallel %+v",
+			serialEng, parallelEng)
 	}
 }

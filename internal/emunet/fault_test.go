@@ -242,13 +242,16 @@ func TestReattachRejectsOccupiedAddress(t *testing.T) {
 // one buffer, so every frame holding a slot aliases the same bytes, while a
 // corrupted copy and a duplicate — each a buffer of its own — hold none.
 // Decoded then runs the decode function once per slot plus once per
-// slot-less delivery, on both engines, and hands its result (and error) to
+// slot-less delivery, on both paths, and hands its result (and error) to
 // every holder.
 func TestDecodeSlotFollowsByteIdentity(t *testing.T) {
-	for _, cfg := range []EngineConfig{{}, {Legacy: true}} {
-		t.Run(fmt.Sprintf("legacy=%v", cfg.Legacy), func(t *testing.T) {
+	for _, tc := range []struct {
+		legacy bool
+		mk     medium
+	}{{false, New}, {true, NewReference}} {
+		t.Run(fmt.Sprintf("legacy=%v", tc.legacy), func(t *testing.T) {
 			clk := vclock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-			net := NewWithConfig(clk, 1, cfg)
+			net := tc.mk(clk, 1)
 			addrs := Addrs(6)
 			if err := BuildClique(net, addrs, DefaultQuality()); err != nil {
 				t.Fatal(err)

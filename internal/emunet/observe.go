@@ -21,13 +21,9 @@ type netObs struct {
 
 	linkDelay *metrics.Histogram // per-delivery scheduled link delay
 
-	// Event-core epoch counters. engEpochsParallel counts parallel-
-	// *eligible* epochs (batch over the threshold with more than one shard
-	// group); whether the fan-out actually engaged additionally depends on
-	// GOMAXPROCS, which must never leak into deterministic telemetry.
-	engEpochs         *metrics.Counter
-	engEpochsParallel *metrics.Counter
-	engEpochEvents    *metrics.Counter
+	// Event-core epoch counters.
+	engEpochs      *metrics.Counter
+	engEpochEvents *metrics.Counter
 }
 
 func newNetObs(reg *metrics.Registry, tr *trace.Tracer) *netObs {
@@ -44,9 +40,8 @@ func newNetObs(reg *metrics.Registry, tr *trace.Tracer) *netObs {
 		corrupted:     reg.Counter("net_rx_corrupted"),
 		linkDelay:     reg.Histogram("net_link_delay"),
 
-		engEpochs:         reg.Counter("net_engine_epochs"),
-		engEpochsParallel: reg.Counter("net_engine_epochs_parallel"),
-		engEpochEvents:    reg.Counter("net_engine_epoch_events"),
+		engEpochs:      reg.Counter("net_engine_epochs"),
+		engEpochEvents: reg.Counter("net_engine_epoch_events"),
 	}
 }
 

@@ -11,19 +11,18 @@ import (
 	"manetkit/internal/vclock"
 )
 
-// TestEngineRaceStress hammers the sharded event core from the outside
-// while its epoch workers run: one goroutine drives the virtual clock (and
-// with it the parallel prep phase), while others churn the topology, fire
-// scripted traffic, apply fault schedules and read every observer surface.
-// Run under -race in CI it proves the shard workers never share mutable
-// state with the admin or observer paths. Determinism is NOT asserted here
+// TestEngineRaceStress hammers the event core from the outside while its
+// epochs run: one goroutine drives the virtual clock, while others churn
+// the topology, fire scripted traffic, apply fault schedules and read every
+// observer surface. Run under -race in CI it proves an epoch delivering its
+// batch outside the network mutex never shares unguarded state with the
+// admin or observer paths. Determinism is NOT asserted here
 // — concurrent admin ops interleave with the clock arbitrarily — only
 // memory safety and liveness; the replay tests cover determinism.
 func TestEngineRaceStress(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	// Tiny shards + threshold 1 force the parallel path on every epoch.
-	net := NewWithConfig(clk, 3, EngineConfig{ShardSize: 2, ParallelThreshold: 1})
+	net := New(clk, 3)
 	const n = 24
 	addrs := Addrs(n)
 	if err := BuildGrid(net, addrs, 6, DefaultQuality()); err != nil {
@@ -63,8 +62,8 @@ func TestEngineRaceStress(t *testing.T) {
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 
-	// Clock driver: the only goroutine advancing virtual time; each Advance
-	// runs epochs whose prep phase fans out across shard workers.
+	// Clock driver: the only goroutine advancing virtual time, and so the one
+	// every epoch runs on.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -117,15 +116,15 @@ func TestEngineRaceStress(t *testing.T) {
 			default:
 			}
 			_ = net.Stats()
-			_ = net.ShardStats()
+			_, _ = net.EngineStats()
 			_ = net.Neighbors(addrs[rng.Intn(n)])
 			_ = net.Nodes()
 			_, _ = net.LinkQuality(addrs[rng.Intn(n)], addrs[rng.Intn(n)])
 		}
 	}()
 
-	// Tap churn: install and remove packet taps mid-run — the commit phase
-	// snapshots them per delivery.
+	// Tap churn: install and remove packet taps mid-run — each delivery
+	// snapshots them.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

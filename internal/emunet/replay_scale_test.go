@@ -11,24 +11,25 @@ import (
 	"manetkit/internal/vclock"
 )
 
-// The headline determinism claim of the sharded event core: a thousand-node
-// emulation replays byte-identically whatever parallelism the host offers.
-// Worker goroutines only do order-insensitive prep; everything observable
-// commits in global (virtual time, schedule seq) order — so the full span
-// trace, not just aggregate counters, must fingerprint identically with the
-// scheduler pinned to one CPU and with all of them.
+// The headline determinism claim of the event core: a thousand-node
+// emulation replays byte-identically whatever the host offers. Everything
+// observable happens in (virtual time, schedule seq) order on the clock
+// goroutine — so the full span trace, not just aggregate counters, must
+// fingerprint identically with the scheduler pinned to one CPU and with all
+// of them. This is the emunet layer's one GOMAXPROCS replay; harness, eval
+// and telemetry each keep their own.
 
 // thousandNodeTrace drives a 1000-node grid: every node beacons, a strided
-// unicast mesh forces shard-boundary traffic, receivers echo the first ping
+// unicast mesh crosses the grid, receivers echo the first ping
 // (send-from-receive re-entrancy inside epochs), and a fault plan partitions
 // half the grid with corruption and duplication live. Returns the trace
 // fingerprint, the span count and the final Stats.
-func thousandNodeTrace(t *testing.T, cfg EngineConfig) (string, int, Stats) {
+func thousandNodeTrace(t *testing.T) (string, int, Stats) {
 	t.Helper()
 	const n, cols = 1000, 32
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := NewWithConfig(clk, 1701, cfg)
+	net := New(clk, 1701)
 	tr := trace.New(epoch, 0)
 	net.SetTracer(tr)
 	nodes := Addrs(n)
@@ -73,33 +74,24 @@ func thousandNodeTrace(t *testing.T, cfg EngineConfig) (string, int, Stats) {
 	return tr.Fingerprint(), len(tr.Spans()), net.Stats()
 }
 
-// TestThousandNodeReplayAcrossGOMAXPROCS is the satellite gate: GOMAXPROCS=1
-// versus all CPUs, same seed ⇒ byte-identical trace fingerprint and Stats at
-// 1000 nodes, for the default engine and an aggressively sharded variant.
+// TestThousandNodeReplayAcrossGOMAXPROCS: GOMAXPROCS=1 versus all CPUs, same
+// seed ⇒ byte-identical trace fingerprint and Stats at 1000 nodes.
 func TestThousandNodeReplayAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("thousand-node replay; skipped in -short")
 	}
-	for name, cfg := range map[string]EngineConfig{
-		"default": {},
-		"shard64": {ShardSize: 64, ParallelThreshold: 1},
-	} {
-		prev := runtime.GOMAXPROCS(1)
-		//mk:allow maporder test-table range: each case fingerprints its own run, cross-case order is immaterial
-		serialFP, serialSpans, serialStats := thousandNodeTrace(t, cfg)
-		runtime.GOMAXPROCS(prev)
-		//mk:allow maporder test-table range: each case fingerprints its own run, cross-case order is immaterial
-		parallelFP, parallelSpans, parallelStats := thousandNodeTrace(t, cfg)
-		if serialSpans == 0 || serialStats.RxFrames == 0 {
-			t.Fatalf("%s: trace is empty (%d spans, stats %+v)", name, serialSpans, serialStats)
-		}
-		if parallelFP != serialFP {
-			t.Errorf("%s: trace fingerprint diverged across GOMAXPROCS 1 vs %d: %s (%d spans) vs %s (%d spans)",
-				name, runtime.GOMAXPROCS(0), serialFP, serialSpans, parallelFP, parallelSpans)
-		}
-		if parallelStats != serialStats {
-			t.Errorf("%s: Stats diverged across GOMAXPROCS:\n serial   %+v\n parallel %+v",
-				name, serialStats, parallelStats)
-		}
+	prev := runtime.GOMAXPROCS(1)
+	serialFP, serialSpans, serialStats := thousandNodeTrace(t)
+	runtime.GOMAXPROCS(prev)
+	parallelFP, parallelSpans, parallelStats := thousandNodeTrace(t)
+	if serialSpans == 0 || serialStats.RxFrames == 0 {
+		t.Fatalf("trace is empty (%d spans, stats %+v)", serialSpans, serialStats)
+	}
+	if parallelFP != serialFP {
+		t.Errorf("trace fingerprint diverged across GOMAXPROCS 1 vs %d: %s (%d spans) vs %s (%d spans)",
+			runtime.GOMAXPROCS(0), serialFP, serialSpans, parallelFP, parallelSpans)
+	}
+	if parallelStats != serialStats {
+		t.Errorf("Stats diverged across GOMAXPROCS:\n serial   %+v\n parallel %+v", serialStats, parallelStats)
 	}
 }

@@ -43,10 +43,11 @@ func TestCampaignByteDeterminism(t *testing.T) {
 }
 
 // TestCampaignDeterminismAcrossGOMAXPROCS re-runs the campaign with the
-// scheduler pinned to one CPU and compares against the parallel run. The
-// sharded event core fans epoch prep across worker goroutines, so this is
+// scheduler pinned to one CPU and compares against the run on all of them:
 // the gate that campaign metrics — delivery ratios, latency percentiles,
-// violation strings — cannot depend on how many workers the host gave us.
+// violation strings — cannot depend on how many CPUs the host gave us
+// (dedicated-thread protocols and the telemetry bus run goroutines of their
+// own, whatever the medium does).
 func TestCampaignDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	encode := func() []byte {
 		t.Helper()

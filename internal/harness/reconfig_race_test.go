@@ -12,19 +12,18 @@ import (
 	"manetkit/internal/testbed"
 )
 
-// TestShardWorkersVsReconfigure pits the event core's epoch workers against
-// MANETKit's headline operation — reconfiguring protocol graphs on live
-// nodes. One goroutine drives the cluster clock (OLSR hello/TC traffic keeps
-// epochs full and the tiny shard size forces the parallel prep path on each
-// one) while others Deploy/Undeploy an interposing protocol, flip its tuple
-// (triggering declarative rewires) and apply fault schedules. Run under
-// -race in CI; the assertion is memory safety, not determinism.
+// TestShardWorkersVsReconfigure pits what still runs concurrently in an
+// emulation — the receiver upcalls an epoch makes on the clock goroutine —
+// against MANETKit's headline operation, reconfiguring protocol graphs on
+// live nodes. (The name dates from the engine's parallel prep phase; the
+// epoch workers are gone, the race is not.) One goroutine drives the cluster
+// clock (OLSR hello/TC traffic keeps epochs full) while others
+// Deploy/Undeploy an interposing protocol, flip its tuple (triggering
+// declarative rewires) and apply fault schedules. Run under -race in CI; the
+// assertion is memory safety, not determinism.
 func TestShardWorkersVsReconfigure(t *testing.T) {
 	const n = 16
-	c, err := testbed.New(n, testbed.Options{
-		Seed:   5,
-		Engine: emunet.EngineConfig{ShardSize: 2, ParallelThreshold: 1},
-	})
+	c, err := testbed.New(n, testbed.Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +106,7 @@ func TestShardWorkersVsReconfigure(t *testing.T) {
 			default:
 			}
 			_ = c.Net.Stats()
-			_ = c.Net.ShardStats()
+			_, _ = c.Net.EngineStats()
 			_ = c.Snapshot()
 		}
 	}()

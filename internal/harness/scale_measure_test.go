@@ -40,7 +40,7 @@ func TestMeasureScaleSmoke(t *testing.T) {
 // TestMeasureScaleReplay is satellite coverage for the campaign-metric level
 // of the determinism story: the full harness measurement — protocols, medium,
 // probes, route liveness — must produce identical deterministic digests when
-// the host parallelism changes underneath the event core's shard workers.
+// the host parallelism changes underneath it.
 func TestMeasureScaleReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale replay is seconds-long; skipped in -short")

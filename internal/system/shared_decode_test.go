@@ -216,14 +216,14 @@ func TestFaultInjectionDetachesSharedDecode(t *testing.T) {
 }
 
 // TestSharedDecodeConcurrentReceivers runs the arrangement in which the
-// receivers of one broadcast really are concurrent — the legacy engine on a
+// receivers of one broadcast really are concurrent — the reference medium on a
 // real clock fires one timer goroutine per delivery, and each node's
 // consumer runs on its own dedicated-queue goroutine — so that under -race
 // the slot's locking and the read-only rule are both exercised: every
 // handler reads all of the shared message while its siblings do the same.
 func TestSharedDecodeConcurrentReceivers(t *testing.T) {
 	const receivers, broadcasts = 24, 40
-	net := emunet.NewWithConfig(vclock.Real(), 1, emunet.EngineConfig{Legacy: true})
+	net := emunet.NewReference(vclock.Real(), 1)
 	nodes := attachNodes(t, net, vclock.Real(), receivers+1)
 	addrs := emunet.Addrs(receivers + 1)
 	q := emunet.DefaultQuality()

@@ -1,7 +1,7 @@
 // Package telemetry is MANETKit's streaming observability bus: the sensor
 // plane the closed-loop policy engine and the multi-tenant mkemu server
 // stand on. Five event streams — metrics deltas, trace spans, health state
-// transitions, rewire-journal entries and per-shard engine epochs — flow
+// transitions, rewire-journal entries and engine epochs — flow
 // through one Bus, which fans them out to subscribers and (optionally)
 // into a bounded ring-buffer flight recorder for post-mortem replay.
 //
@@ -43,7 +43,7 @@ const (
 	StreamSpans   = "spans"   // trace spans, live as they are recorded
 	StreamHealth  = "health"  // health state transitions (inspect.Monitor)
 	StreamJournal = "journal" // rewire-journal entries (inspect.Journal)
-	StreamEngine  = "engine"  // per-epoch shard telemetry (emunet engine)
+	StreamEngine  = "engine"  // one event per engine epoch: ordinal, events, commit lag, queue depth
 )
 
 // Streams lists the stream names in a stable order.

@@ -53,8 +53,9 @@ func AttachHealth(b *Bus, m *inspect.Monitor) {
 }
 
 // AttachEngine streams one event per committed engine epoch onto the bus
-// (StreamEngine) — events per epoch, shard occupancy, parallel
-// eligibility, commit lag and residual queue depth.
+// (StreamEngine): its ordinal, how many deliveries it made, commit lag and
+// residual queue depth (emunet.EpochStats; the shard and parallel-
+// eligibility fields went with the sharded engine).
 func AttachEngine(b *Bus, n *emunet.Network) {
 	n.SetEpochObserver(func(es emunet.EpochStats) {
 		if !b.Active() {

@@ -56,9 +56,6 @@ type Options struct {
 	// re-derivation (deploy, undeploy, model switch, retuple) is recorded
 	// as a timestamped snapshot diff.
 	Journal *inspect.Journal
-	// Engine selects and tunes the medium's delivery engine (zero value:
-	// the sharded event core with default tuning).
-	Engine emunet.EngineConfig
 }
 
 // Cluster is a set of co-emulated MANETKit nodes on one virtual clock.
@@ -82,7 +79,7 @@ func New(n int, opts Options) (*Cluster, error) {
 		opts.LinkQuality = emunet.DefaultQuality()
 	}
 	clk := vclock.NewVirtual(Epoch)
-	net := emunet.NewWithConfig(clk, opts.Seed, opts.Engine)
+	net := emunet.New(clk, opts.Seed)
 	if opts.Metrics != nil {
 		net.SetMetrics(opts.Metrics)
 	}
