@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"manetkit/internal/emunet"
+	"manetkit/internal/mnet"
+	"manetkit/internal/packetbb"
 	"manetkit/internal/vclock"
 )
 
@@ -155,5 +157,50 @@ func TestMonoDYMORoutesExpire(t *testing.T) {
 func TestSerialOlder(t *testing.T) {
 	if !serialOlder(1, 2) || serialOlder(2, 1) || serialOlder(3, 3) || !serialOlder(65000, 10) {
 		t.Fatal("serialOlder broken")
+	}
+}
+
+// TestMonoOLSRForgetsANSNWithItsTuples mirrors the kit's
+// TestANSNMemoryExpiresWithRecord: the ANSN remembered for an originator
+// dies with the validity of the last TC accepted from it, so a restarted
+// originator (ANSN back at 0) is heard again after one hold time.
+func TestMonoOLSRForgetsANSNWithItsTuples(t *testing.T) {
+	clk, _, nics := lineNet(t, 2)
+	a := NewOLSR(nics[0], clk, OLSRConfig{})
+	b := NewOLSR(nics[1], clk, OLSRConfig{})
+	a.Start()
+	b.Start()
+	defer a.Stop()
+	defer b.Stop()
+	clk.Advance(10 * time.Second) // b becomes a symmetric neighbour of a
+	from := nics[1].Addr()
+	orig, d1, d2 := mnet.AddrFrom(0x0a000063), mnet.AddrFrom(0x0a000064), mnet.AddrFrom(0x0a000065)
+	tc := func(ansn uint16, seq uint16, dst mnet.Addr) *packetbb.Message {
+		return &packetbb.Message{
+			Type: packetbb.MsgTC, Originator: orig, HopLimit: 1, SeqNum: seq,
+			TLVs:       []packetbb.TLV{{Type: packetbb.TLVANSN, Value: packetbb.U16(ansn)}},
+			AddrBlocks: []packetbb.AddrBlock{{Addrs: []mnet.Addr{dst}}},
+		}
+	}
+	has := func(dst mnet.Addr) bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		_, ok := a.topo[[2]mnet.Addr{orig, dst}]
+		return ok
+	}
+	a.HandleTC(tc(17, 1, d1), from)
+	if !has(d1) {
+		t.Fatal("first TC not recorded")
+	}
+	hold := 3 * a.cfg.TCInterval
+	clk.Advance(hold - time.Second)
+	a.HandleTC(tc(0, 2, d2), from)
+	if has(d2) {
+		t.Fatal("ANSN 0 accepted while the ANSN-17 tuples are still valid")
+	}
+	clk.Advance(2 * time.Second) // the sweep runs every second
+	a.HandleTC(tc(0, 3, d2), from)
+	if !has(d2) {
+		t.Fatal("ANSN 0 rejected after the ANSN-17 tuples timed out")
 	}
 }

@@ -51,6 +51,14 @@ type olsrNeighbor struct {
 	twoHop    []mnet.Addr
 }
 
+// seenANSN is the freshest ANSN heard from an originator. Like the topology
+// tuples it stands for (RFC 3626 §9.5 keeps T_seq in the tuple), it is
+// forgotten once the validity of the last accepted TC has passed.
+type seenANSN struct {
+	ansn  uint16
+	until time.Time
+}
+
 // OLSR is the monolithic OLSR node: one struct, one lock, inline handlers.
 type OLSR struct {
 	nic   *emunet.NIC
@@ -62,7 +70,7 @@ type OLSR struct {
 	selected  map[mnet.Addr]bool
 	selectors map[mnet.Addr]bool
 	topo      map[[2]mnet.Addr]time.Time
-	ansnSeen  map[mnet.Addr]uint16
+	ansnSeen  map[mnet.Addr]seenANSN
 	routes    map[mnet.Addr]Hop
 	dupes     map[[2]uint32]time.Time // {origU32, seq}
 	ansn      uint16
@@ -86,7 +94,7 @@ func NewOLSR(nic *emunet.NIC, clock vclock.Clock, cfg OLSRConfig) *OLSR {
 		selected:  make(map[mnet.Addr]bool),
 		selectors: make(map[mnet.Addr]bool),
 		topo:      make(map[[2]mnet.Addr]time.Time),
-		ansnSeen:  make(map[mnet.Addr]uint16),
+		ansnSeen:  make(map[mnet.Addr]seenANSN),
 		routes:    make(map[mnet.Addr]Hop),
 		dupes:     make(map[[2]uint32]time.Time),
 	}
@@ -274,19 +282,20 @@ func (o *OLSR) HandleTC(msg *packetbb.Message, from mnet.Addr) {
 		o.mu.Unlock()
 		return
 	}
-	if prev, ok := o.ansnSeen[msg.Originator]; ok && serialOlder(ansn, prev) {
+	prev, known := o.ansnSeen[msg.Originator]
+	if known && serialOlder(ansn, prev.ansn) {
 		o.mu.Unlock()
 		return
 	}
-	if prev, ok := o.ansnSeen[msg.Originator]; !ok || serialOlder(prev, ansn) {
+	if !known || serialOlder(prev.ansn, ansn) {
 		for e := range o.topo {
 			if e[0] == msg.Originator {
 				delete(o.topo, e)
 			}
 		}
 	}
-	o.ansnSeen[msg.Originator] = ansn
 	expiry := now.Add(3 * o.cfg.TCInterval)
+	o.ansnSeen[msg.Originator] = seenANSN{ansn: ansn, until: expiry}
 	for bi := range msg.AddrBlocks {
 		for _, a := range msg.AddrBlocks[bi].Addrs {
 			if a != msg.Originator {
@@ -349,6 +358,11 @@ func (o *OLSR) sweep() {
 	for e, exp := range o.topo {
 		if !exp.After(now) {
 			delete(o.topo, e)
+		}
+	}
+	for a, seen := range o.ansnSeen {
+		if !seen.until.After(now) {
+			delete(o.ansnSeen, a)
 		}
 	}
 	for k, t := range o.dupes {

@@ -169,13 +169,18 @@ func (t *Table) Symmetric() []Info {
 	return t.filter(func(e *Info) bool { return e.Status == StatusSymmetric })
 }
 
-// SymmetricAddrs returns just the addresses of symmetric neighbours.
+// SymmetricAddrs returns just the addresses of symmetric neighbours,
+// sorted — without the copy of each neighbour's 2-hop list Symmetric makes.
 func (t *Table) SymmetricAddrs() []mnet.Addr {
-	syms := t.Symmetric()
-	out := make([]mnet.Addr, len(syms))
-	for i, s := range syms {
-		out[i] = s.Addr
+	t.mu.Lock()
+	out := make([]mnet.Addr, 0, len(t.entries))
+	for a, e := range t.entries {
+		if e.Status == StatusSymmetric {
+			out = append(out, a)
+		}
 	}
+	t.mu.Unlock()
+	slices.SortFunc(out, mnet.Addr.Compare)
 	return out
 }
 
@@ -184,12 +189,6 @@ func (t *Table) SymmetricAddrs() []mnet.Addr {
 func (t *Table) TwoHopSet(self mnet.Addr) map[mnet.Addr][]mnet.Addr {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	oneHop := make(map[mnet.Addr]bool, len(t.entries))
-	for a, e := range t.entries {
-		if e.Status != StatusLost {
-			oneHop[a] = true
-		}
-	}
 	// two-hop destination -> the symmetric neighbours that reach it.
 	out := make(map[mnet.Addr][]mnet.Addr)
 	for a, e := range t.entries {
@@ -197,8 +196,11 @@ func (t *Table) TwoHopSet(self mnet.Addr) map[mnet.Addr][]mnet.Addr {
 			continue
 		}
 		for _, th := range e.TwoHop {
-			if th == self || oneHop[th] {
+			if th == self {
 				continue
+			}
+			if nb, ok := t.entries[th]; ok && nb.Status != StatusLost {
+				continue // a 1-hop neighbour already
 			}
 			out[th] = append(out[th], a)
 		}

@@ -2,7 +2,10 @@ package olsr
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -60,43 +63,77 @@ func referenceRoutes(s *State, self mnet.Addr, oneHop []mnet.Addr, twoHop map[mn
 }
 
 // modelTopo is a naive flat tuple set mirroring the semantics the
-// per-originator index must preserve: ANSN gating, fresher-ANSN flush,
-// per-tuple expiry.
+// slot-indexed records must preserve: ANSN gating, fresher-ANSN flush,
+// per-tuple expiry, and an ANSN memory that dies with the validity of the
+// last TC accepted from its originator.
 type modelTopo struct {
 	tuples map[[2]mnet.Addr]time.Time
-	ansn   map[mnet.Addr]uint16
+	ansn   map[mnet.Addr]modelANSN
+}
+
+type modelANSN struct {
+	ansn  uint16
+	until time.Time
 }
 
 func newModelTopo() *modelTopo {
-	return &modelTopo{tuples: make(map[[2]mnet.Addr]time.Time), ansn: make(map[mnet.Addr]uint16)}
+	return &modelTopo{tuples: make(map[[2]mnet.Addr]time.Time), ansn: make(map[mnet.Addr]modelANSN)}
 }
 
-func (m *modelTopo) recordTC(orig mnet.Addr, ansn uint16, advertised []mnet.Addr, expiry time.Time) {
-	if prev, ok := m.ansn[orig]; ok && seqOlder(ansn, prev) {
-		return
+func (m *modelTopo) recordTC(orig mnet.Addr, ansn uint16, advertised []mnet.Addr, expiry time.Time) (changed bool) {
+	prev, known := m.ansn[orig]
+	if known && seqOlder(ansn, prev.ansn) {
+		return false
 	}
-	if prev, ok := m.ansn[orig]; !ok || seqOlder(prev, ansn) {
+	if !known || seqOlder(prev.ansn, ansn) {
 		for e := range m.tuples {
 			if e[0] == orig {
 				delete(m.tuples, e)
+				changed = true
 			}
 		}
 	}
-	m.ansn[orig] = ansn
+	if expiry.After(prev.until) {
+		prev.until = expiry
+	}
+	m.ansn[orig] = modelANSN{ansn: ansn, until: prev.until}
 	for _, d := range advertised {
 		if d == orig {
 			continue
 		}
+		if _, ok := m.tuples[[2]mnet.Addr{orig, d}]; !ok {
+			changed = true
+		}
 		m.tuples[[2]mnet.Addr{orig, d}] = expiry
 	}
+	return changed
 }
 
-func (m *modelTopo) purge(now time.Time) {
+func (m *modelTopo) purge(now time.Time) (changed bool) {
 	for e, exp := range m.tuples {
 		if !exp.After(now) {
 			delete(m.tuples, e)
+			changed = true
 		}
 	}
+	for o, a := range m.ansn {
+		if !a.until.After(now) {
+			delete(m.ansn, o)
+		}
+	}
+	return changed
+}
+
+// advertisedBy returns what orig currently advertises in the model, sorted.
+func (m *modelTopo) advertisedBy(orig mnet.Addr) []mnet.Addr {
+	var out []mnet.Addr
+	for e := range m.tuples {
+		if e[0] == orig {
+			out = append(out, e[1])
+		}
+	}
+	sortAddrs(out)
+	return out
 }
 
 func (m *modelTopo) edges(now time.Time) [][2]mnet.Addr {
@@ -121,17 +158,25 @@ func nodeAddr(i int) mnet.Addr {
 
 // TestComputeRoutesMatchesReference drives the indexed BFS and the fixpoint
 // oracle over randomized topology histories — stale-ANSN interleavings,
-// self-loop advertisements, expiry purges, disconnected components — and
-// requires the per-originator index to match a naive flat tuple model and
-// the installed route table to match the oracle exactly.
+// ANSN steps across the serial-number boundaries (0x7fff, 0x8000,
+// 0xffff→0), self-loop advertisements, several address blocks in one TC
+// (unsorted, with repeats), expiry-only refreshes, expiry purges down to
+// nothing followed by a return, index compaction between steps,
+// disconnected components — and requires the slot-indexed records to match
+// a naive flat tuple model and the installed route table to match the
+// oracle exactly.
 func TestComputeRoutesMatchesReference(t *testing.T) {
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 80; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		clk := vclock.NewVirtual(testbed.Epoch)
 		s := NewState(route.NewTable(clk))
 		model := newModelTopo()
 		n := 4 + rng.Intn(12)
 		self := nodeAddr(0)
+		// Where this trial's ANSNs start: mid-range, or just short of the
+		// half-range and wrap boundaries so small steps cross them.
+		ansnBase := []uint16{0, 0x7ffc, 0xfffc}[trial%3]
+		lastANSN := make(map[mnet.Addr]uint16)
 
 		randomCompute := func() {
 			// Random neighbourhood inputs: a sorted symmetric set (never
@@ -179,32 +224,71 @@ func TestComputeRoutesMatchesReference(t *testing.T) {
 				}
 			}
 		}
+		record := func(op int, orig mnet.Addr, ansn uint16, adv []mnet.Addr, expiry time.Time) {
+			lastANSN[orig] = ansn
+			sent := slices.Clone(adv)
+			got, want := s.RecordTC(orig, ansn, adv, expiry), model.recordTC(orig, ansn, adv, expiry)
+			if got != want {
+				t.Fatalf("trial %d op %d: RecordTC(%v, %d, %v) changed = %v, model %v", trial, op, orig, ansn, adv, got, want)
+			}
+			if !slices.Equal(adv, sent) {
+				t.Fatalf("trial %d op %d: RecordTC wrote through its advertised argument: %v, was %v", trial, op, adv, sent)
+			}
+		}
+		purge := func() {
+			now := clk.Now()
+			if got, want := s.PurgeTopo(now), model.purge(now); got != want {
+				t.Fatalf("trial %d: PurgeTopo changed = %v, model %v", trial, got, want)
+			}
+		}
 
-		ops := 10 + rng.Intn(40)
+		ops := 10 + rng.Intn(60)
 		for op := 0; op < ops; op++ {
-			switch rng.Intn(12) {
+			switch rng.Intn(18) {
 			case 0:
-				now := clk.Now()
-				if s.PurgeTopo(now) != (func() bool { before := len(model.tuples); model.purge(now); return len(model.tuples) != before })() {
-					t.Fatalf("trial %d: PurgeTopo changed-report diverges from model", trial)
-				}
+				purge()
 			case 1:
 				clk.Advance(time.Duration(1+rng.Intn(3)) * time.Second)
 			case 2:
 				randomCompute() // interleaved: exercises diff-install removal
+			case 3:
+				// Every tuple and every ANSN memory times out; whoever
+				// returns afterwards starts from nothing.
+				clk.Advance(6 * time.Second)
+				purge()
+				if e := s.Edges(clk.Now()); len(e) != 0 {
+					t.Fatalf("trial %d op %d: %d edges survive a purge past every expiry", trial, op, len(e))
+				}
+			case 4:
+				s.compactIndex() // slot numbers move, nothing observable may
+			case 5:
+				// Expiry-only refresh: same ANSN, same set, later expiry.
+				orig := nodeAddr(rng.Intn(n))
+				if a, ok := model.ansn[orig]; ok {
+					record(op, orig, a.ansn, model.advertisedBy(orig), clk.Now().Add(6*time.Second))
+				}
+			case 6:
+				// A step of about half the number space from the last ANSN
+				// sent: 0x7fff is the largest step still fresher, 0x8000 is
+				// neither older nor fresher, 0x8001 is older.
+				orig := nodeAddr(rng.Intn(n))
+				step := []uint16{0x7fff, 0x8000, 0x8001}[rng.Intn(3)]
+				record(op, orig, lastANSN[orig]+step, []mnet.Addr{nodeAddr(rng.Intn(n))}, clk.Now().Add(3*time.Second))
 			default:
 				orig := nodeAddr(rng.Intn(n))
-				ansn := uint16(rng.Intn(8)) // small range forces stale interleavings
-				adv := make([]mnet.Addr, 0, 6)
+				ansn := ansnBase + uint16(rng.Intn(8)) // small range forces stale interleavings
+				adv := make([]mnet.Addr, 0, 10)
 				if rng.Intn(4) == 0 {
 					adv = append(adv, orig) // self-loop: must be ignored
 				}
-				for k := rng.Intn(5); k > 0; k-- {
-					adv = append(adv, nodeAddr(rng.Intn(n)))
+				// One to three address blocks, concatenated as onTC does:
+				// unsorted across blocks, and an address may repeat.
+				for blocks := 1 + rng.Intn(3); blocks > 0; blocks-- {
+					for k := rng.Intn(4); k > 0; k-- {
+						adv = append(adv, nodeAddr(rng.Intn(n)))
+					}
 				}
-				expiry := clk.Now().Add(time.Duration(1+rng.Intn(5)) * time.Second)
-				s.RecordTC(orig, ansn, adv, expiry)
-				model.recordTC(orig, ansn, adv, expiry)
+				record(op, orig, ansn, adv, clk.Now().Add(time.Duration(1+rng.Intn(5))*time.Second))
 			}
 			gotE, wantE := s.Edges(clk.Now()), model.edges(clk.Now())
 			if len(gotE) != len(wantE) {
@@ -266,17 +350,21 @@ func TestComputeRoutesInstallsHNA(t *testing.T) {
 	}
 }
 
+// ringNeighbours is what node i of a 4-regular ring of n advertises.
+func ringNeighbours(i, n int) []mnet.Addr {
+	return []mnet.Addr{
+		nodeAddr((i + 1) % n),
+		nodeAddr((i + 2) % n),
+		nodeAddr((i - 1 + n) % n),
+		nodeAddr((i - 2 + n) % n),
+	}
+}
+
 // buildRing records a 4-regular ring topology of n originators (4n tuples)
 // so benchmark sizes scale by edge count while staying fully connected.
 func buildRing(s *State, n int, expiry time.Time) {
 	for i := 0; i < n; i++ {
-		adv := []mnet.Addr{
-			nodeAddr((i + 1) % n),
-			nodeAddr((i + 2) % n),
-			nodeAddr((i - 1 + n) % n),
-			nodeAddr((i - 2 + n) % n),
-		}
-		s.RecordTC(nodeAddr(i), 1, adv, expiry)
+		s.RecordTC(nodeAddr(i), 1, ringNeighbours(i, n), expiry)
 	}
 }
 
@@ -325,5 +413,188 @@ func BenchmarkComputeRoutes(b *testing.B) {
 				s.ComputeRoutes(self, oneHop, twoHop, now, time.Hour, "olsr")
 			}
 		})
+	}
+}
+
+// coldStart learns a 4-regular ring of n originators one TC at a time with a
+// recompute after each — what a node does while the first TC floods reach
+// it, and the case where the working set must not be rebuilt per tuple.
+func coldStart(s *State, n int, now time.Time) {
+	self := nodeAddr(0)
+	oneHop := []mnet.Addr{nodeAddr(1), nodeAddr(n - 1)}
+	expiry := now.Add(time.Hour)
+	for i := 0; i < n; i++ {
+		s.RecordTC(nodeAddr(i), 1, ringNeighbours(i, n), expiry)
+		s.ComputeRoutes(self, oneHop, nil, now, time.Hour, "olsr")
+	}
+}
+
+// TestRecomputeWhileTopologyGrows pins the working set's growth: 200
+// recomputes on a warm 1000-tuple topology, each after one new tuple
+// between nodes already known, allocate next to nothing — the per-slot
+// arrays do not move and the frontier buffers are sized by addresses, not
+// tuples. (Sized by tuples and re-made at exact size, the same run
+// allocated 15 MB.)
+func TestRecomputeWhileTopologyGrows(t *testing.T) {
+	s, clk := newState()
+	n := 250
+	expiry := clk.Now().Add(time.Hour)
+	buildRing(s, n, expiry)
+	self := nodeAddr(0)
+	oneHop := []mnet.Addr{nodeAddr(1), nodeAddr(n - 1)}
+	now := clk.Now()
+	s.ComputeRoutes(self, oneHop, nil, now, time.Hour, "olsr")
+	s.ComputeRoutes(self, oneHop, nil, now, time.Hour, "olsr")
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 200; i++ {
+		// Same ANSN, one more destination: a chord across the far side of
+		// the ring, so no route changes and the install stays quiet.
+		if !s.RecordTC(nodeAddr(100+i%50), 1, []mnet.Addr{nodeAddr(110 + i/50 + i%50)}, expiry) {
+			t.Fatalf("step %d: the new tuple was not new", i)
+		}
+		s.ComputeRoutes(self, oneHop, nil, now, time.Hour, "olsr")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 128<<10 {
+		t.Fatalf("200 recomputes with one new tuple each allocated %d KiB, want <= 128", got>>10)
+	}
+}
+
+// BenchmarkComputeRoutesGrowing times a whole cold start: one op learns the
+// ring TC by TC, recomputing after each.
+func BenchmarkComputeRoutesGrowing(b *testing.B) {
+	for _, edges := range []int{100, 500, 1000} {
+		b.Run(fmt.Sprintf("edges=%d", edges), func(b *testing.B) {
+			clk := vclock.NewVirtual(testbed.Epoch)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				coldStart(NewState(route.NewTable(clk)), edges/4, clk.Now())
+			}
+		})
+	}
+}
+
+// forgedStorm runs ten hold times of a TC storm — 10 000 originators that
+// each send one TC advertising an address of their own and never return —
+// against a node that also hears a steady 20-node ring, sweeping once a
+// second as the protocol does. It returns a hash of the routes after every
+// sweep, the
+// index size after every hold time, and the live heap after hold times 4
+// and 10.
+func forgedStorm(t *testing.T, compact bool) (routes []uint64, indexLen []int, heap [2]uint64) {
+	const (
+		hold    = 15 * time.Second
+		ringN   = 20
+		perSec  = 10000 / (10 * 15)
+		forged0 = 0x0b000000
+	)
+	s, clk := newState()
+	self := nodeAddr(0)
+	oneHop := []mnet.Addr{nodeAddr(1), nodeAddr(ringN - 1)}
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	forged := uint32(forged0)
+	for sec := 1; sec <= 10*int(hold/time.Second); sec++ {
+		now := clk.Now()
+		buildRing(s, ringN, now.Add(hold)) // expiry-only refresh after the first
+		// A ring node relays the storm's newest originators, so the BFS
+		// walks forged records too.
+		relayed := []mnet.Addr{nodeAddr(4), nodeAddr(6)}
+		for k := 0; k < perSec+1; k++ {
+			orig := mnet.AddrFrom(forged)
+			s.RecordTC(orig, uint16(forged), []mnet.Addr{mnet.AddrFrom(forged + 0x01000000)}, now.Add(hold))
+			relayed = append(relayed, orig)
+			forged++
+		}
+		s.RecordTC(nodeAddr(5), uint16(1+sec), relayed, now.Add(hold))
+
+		clk.Advance(time.Second)
+		s.PurgeTopo(clk.Now())
+		if compact {
+			s.compactIndex()
+		}
+		s.ComputeRoutes(self, oneHop, nil, clk.Now(), hold, "olsr")
+		h := fnv.New64a()
+		fmt.Fprint(h, s.Routes.Entries())
+		routes = append(routes, h.Sum64())
+		if sec%int(hold/time.Second) == 0 {
+			indexLen = append(indexLen, len(s.addrs))
+			switch sec / int(hold/time.Second) {
+			case 4:
+				heap[0] = liveHeap()
+			case 10:
+				heap[1] = liveHeap()
+			}
+		}
+	}
+	if forged-forged0 < 10000 {
+		t.Fatalf("storm sent only %d forged originators", forged-forged0)
+	}
+	runtime.KeepAlive(s)
+	return routes, indexLen, heap
+}
+
+// TestForgedOriginatorStormPlateaus pins the bound on the address index:
+// under a storm of originators that never return, the index and the heap
+// behind it level off at about what one hold time keeps alive, and the
+// routes are those of a twin that never compacts (and grows without limit).
+func TestForgedOriginatorStormPlateaus(t *testing.T) {
+	routes, indexLen, heap := forgedStorm(t, true)
+	twinRoutes, twinLen, _ := forgedStorm(t, false)
+	for i := range routes {
+		if routes[i] != twinRoutes[i] {
+			t.Fatalf("sweep %d: routes differ from the uncompacted twin", i)
+		}
+	}
+	// One hold time keeps ~1000 originators and as many destinations alive;
+	// compaction runs when half the slots are dead.
+	for i, n := range indexLen {
+		if n > 2*2*1100 {
+			t.Fatalf("after hold time %d the index holds %d slots; it should plateau near 2x the ~2000 live addresses (all: %v)", i+1, n, indexLen)
+		}
+	}
+	if last := twinLen[len(twinLen)-1]; last < 20000 {
+		t.Fatalf("the uncompacted twin holds only %d slots: the storm is not exercising the bound", last)
+	}
+	if heap[1] > heap[0]+heap[0]/4+(256<<10) {
+		t.Fatalf("live heap grew from %d KiB after 4 hold times to %d KiB after 10", heap[0]>>10, heap[1]>>10)
+	}
+	t.Logf("index slots per hold time: %v (twin %v); live heap %d -> %d KiB", indexLen, twinLen, heap[0]>>10, heap[1]>>10)
+}
+
+// TestANSNMemoryExpiresWithRecord: an originator's ANSN is remembered only
+// as long as the topology record it arrived in (RFC 3626 §9.5 keeps T_seq
+// in the tuple). A node whose OLSR restarts — ANSN back at 0 — is heard
+// again once its old tuples have timed out, not ignored until its counter
+// passes the value the neighbours remember.
+func TestANSNMemoryExpiresWithRecord(t *testing.T) {
+	s, clk := newState()
+	orig, d1, d2 := addr("10.0.0.2"), addr("10.0.0.3"), addr("10.0.0.4")
+	hold := 15 * time.Second
+	if !s.RecordTC(orig, 17, []mnet.Addr{d1}, clk.Now().Add(hold)) {
+		t.Fatal("first TC reported unchanged")
+	}
+	// Inside the hold time the restarted counter is still a stale ANSN,
+	// whether or not a sweep has run.
+	clk.Advance(hold - time.Second)
+	s.PurgeTopo(clk.Now())
+	if s.RecordTC(orig, 0, []mnet.Addr{d2}, clk.Now().Add(hold)) {
+		t.Fatal("ANSN 0 accepted while the ANSN-17 record is still valid")
+	}
+	clk.Advance(2 * time.Second)
+	if !s.PurgeTopo(clk.Now()) {
+		t.Fatal("expired tuple not purged")
+	}
+	if !s.RecordTC(orig, 0, []mnet.Addr{d2}, clk.Now().Add(hold)) {
+		t.Fatal("ANSN 0 rejected after the ANSN-17 record timed out")
+	}
+	if e := s.Edges(clk.Now()); len(e) != 1 || e[0] != [2]mnet.Addr{orig, d2} {
+		t.Fatalf("edges = %v, want the restarted originator's tuple", e)
 	}
 }

@@ -222,9 +222,16 @@ func (o *OLSR) onTC(ctx *core.Context, ev *event.Event) error {
 			ansn = v
 		}
 	}
+	// The message is shared by every receiver of the transmission: hand
+	// RecordTC its address block in place (it only reads), and concatenate
+	// only when a TC carries several.
 	var advertised []mnet.Addr
-	for bi := range msg.AddrBlocks {
-		advertised = append(advertised, msg.AddrBlocks[bi].Addrs...)
+	if len(msg.AddrBlocks) == 1 {
+		advertised = msg.AddrBlocks[0].Addrs
+	} else {
+		for bi := range msg.AddrBlocks {
+			advertised = append(advertised, msg.AddrBlocks[bi].Addrs...)
+		}
 	}
 	now := ctx.Clock().Now()
 	changed := o.state.RecordTC(msg.Originator, ansn, advertised, now.Add(o.cfg.TopologyHold))
@@ -271,6 +278,7 @@ func (o *OLSR) onMPRChange(ctx *core.Context, ev *event.Event) error {
 
 func (o *OLSR) sweep(ctx *core.Context) {
 	o.state.PurgeTopo(ctx.Clock().Now())
+	o.state.compactIndex()
 	// Recompute unconditionally: this refreshes route lifetimes from the
 	// still-live topology (RecordTC reports "unchanged" for pure expiry
 	// refreshes, so changes alone would let routes age out). The sweep

@@ -392,3 +392,58 @@ func TestHysteresisDampsFlapping(t *testing.T) {
 		t.Fatalf("passed = %v", passed)
 	}
 }
+
+// TestRestartedOriginatorIsHeardAfterHoldTime drives the ANSN memory
+// through the deployed CF: the TC handler reads a TC's address blocks (one
+// in place, several concatenated), and the topo-sweep source is what lets a
+// restarted originator's ANSN 0 through once TopologyHold has passed.
+func TestRestartedOriginatorIsHeardAfterHoldTime(t *testing.T) {
+	c, nodes := deployOLSR(t, 2, Config{TCInterval: 5 * time.Second})
+	if err := c.Line(); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(10 * time.Second) // node 1 becomes a symmetric neighbour of node 0
+	o := nodes[0].olsr
+	orig, d1, d2, d3 := addr("10.9.0.1"), addr("10.9.0.2"), addr("10.9.0.3"), addr("10.9.0.4")
+	seq := uint16(0)
+	processTC := func(ansn uint16, blocks ...[]mnet.Addr) {
+		t.Helper()
+		seq++
+		msg := &packetbb.Message{
+			Type: packetbb.MsgTC, Originator: orig, HopLimit: 1, SeqNum: seq,
+			TLVs: []packetbb.TLV{{Type: packetbb.TLVANSN, Value: packetbb.U16(ansn)}},
+		}
+		for _, b := range blocks {
+			msg.AddrBlocks = append(msg.AddrBlocks, packetbb.AddrBlock{Addrs: b})
+		}
+		ev := &event.Event{Type: event.TCIn, Msg: msg, Src: c.Addrs()[1]}
+		var err error
+		if lockErr := o.Protocol().RunLocked(func(ctx *core.Context) { err = o.ProcessTC(ctx, ev) }); lockErr != nil || err != nil {
+			t.Fatalf("ProcessTC: %v / %v", lockErr, err)
+		}
+	}
+	advertised := func() []mnet.Addr {
+		var out []mnet.Addr
+		for _, e := range o.State().Edges(c.Clock.Now()) {
+			if e[0] == orig {
+				out = append(out, e[1])
+			}
+		}
+		return out
+	}
+
+	processTC(17, []mnet.Addr{d2}, []mnet.Addr{d1}) // two blocks, unsorted across them
+	if got := advertised(); len(got) != 2 || got[0] != d1 || got[1] != d2 {
+		t.Fatalf("after a two-block TC the originator advertises %v, want [%v %v]", got, d1, d2)
+	}
+	c.Run(o.cfg.TopologyHold - time.Second)
+	processTC(0, []mnet.Addr{d3})
+	if got := advertised(); len(got) != 2 {
+		t.Fatalf("ANSN 0 inside the hold time changed the advertised set to %v", got)
+	}
+	c.Run(2 * time.Second) // past TopologyHold; the sweep runs every second
+	processTC(0, []mnet.Addr{d3})
+	if got := advertised(); len(got) != 1 || got[0] != d3 {
+		t.Fatalf("after the hold time the restarted originator advertises %v, want [%v]", got, d3)
+	}
+}

@@ -17,31 +17,25 @@ import (
 	"manetkit/internal/route"
 )
 
-// origTopo is one originator's slice of the topology set: the destinations
-// this last hop advertises, keyed by expiry, plus a lazily rebuilt sorted
-// view that gives the shortest-path BFS a deterministic, allocation-free
-// iteration order.
-type origTopo struct {
-	dests  map[mnet.Addr]time.Time
-	sorted []mnet.Addr
-	stale  bool // sorted needs rebuilding from dests
+// topoEdge is one topology tuple (originator → dst): the destination, its
+// slot in the State's address index, and the tuple's expiry.
+type topoEdge struct {
+	dst  mnet.Addr
+	slot int32
+	exp  time.Time
 }
 
-// ensureSorted rebuilds the sorted destination list after the key set
-// changed. Steady state (expiry-only refreshes) never marks the list stale,
-// so recomputes between topology changes pay nothing here.
-//
-//mk:allow hotalloc rebuild runs only after the destination set changed; steady-state recomputes see stale=false
-func (ot *origTopo) ensureSorted() {
-	if !ot.stale {
-		return
-	}
-	ot.sorted = ot.sorted[:0]
-	for d := range ot.dests {
-		ot.sorted = append(ot.sorted, d)
-	}
-	sortAddrs(ot.sorted)
-	ot.stale = false
+// origTopo is one originator's slice of the topology set, reached by the
+// originator's slot: the ANSN its tuples were advertised under (RFC 3626's
+// T_seq) and the destinations this last hop advertises, sorted by address
+// so the shortest-path BFS walks them in a deterministic order. The record —
+// and with it the ANSN memory — dies when its validity passes, like the
+// tuples it stands for.
+type origTopo struct {
+	known bool      // a TC from this originator is on record
+	ansn  uint16    // freshest ANSN seen; meaningful while known
+	until time.Time // validity: the latest expiry any accepted TC carried
+	edges []topoEdge
 }
 
 func sortAddrs(a []mnet.Addr) { slices.SortFunc(a, mnet.Addr.Compare) }
@@ -53,18 +47,16 @@ type hnaAssoc struct {
 	e hnaEntry
 }
 
-// spScratch is the reusable shortest-path working set. Addresses map to
-// dense slots that stay stable across recomputes; per-slot arrays are
-// generation-stamped so "visited this round" is one compare instead of a
-// map clear. All slices are grown only in ensure/slotOf, so the BFS itself
+// spScratch is the reusable shortest-path working set, indexed by the
+// State's address slots. Per-slot arrays are generation-stamped so "visited
+// this round" is one compare instead of a map clear. The per-slot arrays
+// grow only in slotOf and the buffers only in ensure, so the BFS itself
 // runs allocation-free once the network has been seen.
 type spScratch struct {
-	slot  map[mnet.Addr]int32 // addr → dense slot, monotonic
-	addrs []mnet.Addr         // slot → addr
-	dist  []int32             // slot → hop count this generation
-	nhop  []mnet.Addr         // slot → canonical next hop this generation
-	gen   []uint32            // slot → generation stamp
-	cur   uint32              // current generation
+	dist []int32     // slot → hop count this generation
+	nhop []mnet.Addr // slot → canonical next hop this generation
+	gen  []uint32    // slot → generation stamp
+	cur  uint32      // current generation
 
 	order   []int32 // slots in visit order (frontier by frontier)
 	front   []int32
@@ -75,44 +67,22 @@ type spScratch struct {
 }
 
 // ensure grows the frontier and install buffers to hold at most bound
-// visited nodes plus hnaN gateway prefixes.
+// visited nodes plus hnaN gateway prefixes. bound counts distinct addresses
+// (every visited node owns a slot), and growth is geometric, so a cold
+// start that learns the network one tuple at a time reallocates O(log n)
+// times rather than once per recompute.
 //
 //mk:allow hotalloc scratch growth is amortized: buffers are reused and grow only when the network outgrows every previous recompute
 func (sc *spScratch) ensure(bound, hnaN int) {
-	if sc.slot == nil {
-		sc.slot = make(map[mnet.Addr]int32)
+	if len(sc.order) < bound {
+		n := max(bound, 2*len(sc.order))
+		sc.order = make([]int32, n)
+		sc.front = make([]int32, n)
+		sc.next = make([]int32, n)
 	}
-	if cap(sc.order) < bound {
-		sc.order = make([]int32, bound)
-		sc.front = make([]int32, bound)
-		sc.next = make([]int32, bound)
-	} else {
-		sc.order = sc.order[:cap(sc.order)]
-		sc.front = sc.front[:cap(sc.front)]
-		sc.next = sc.next[:cap(sc.next)]
+	if len(sc.desired) < bound+hnaN {
+		sc.desired = make([]route.ProtoRoute, max(bound+hnaN, 2*len(sc.desired)))
 	}
-	if cap(sc.desired) < bound+hnaN {
-		sc.desired = make([]route.ProtoRoute, bound+hnaN)
-	} else {
-		sc.desired = sc.desired[:cap(sc.desired)]
-	}
-}
-
-// slotOf returns a's dense slot, creating one on first sight. New slots are
-// the only allocating path of the BFS and appear once per distinct address.
-//
-//mk:allow hotalloc new-slot appends happen once per distinct address; the steady-state BFS never grows
-func (sc *spScratch) slotOf(a mnet.Addr) int32 {
-	if s, ok := sc.slot[a]; ok {
-		return s
-	}
-	s := int32(len(sc.addrs))
-	sc.slot[a] = s
-	sc.addrs = append(sc.addrs, a)
-	sc.dist = append(sc.dist, 0)
-	sc.nhop = append(sc.nhop, mnet.Addr{})
-	sc.gen = append(sc.gen, 0)
-	return s
 }
 
 // resetGen invalidates every generation stamp after the uint32 counter
@@ -125,15 +95,17 @@ func (sc *spScratch) resetGen() {
 }
 
 // State is the OLSR CF's S element: the topology set learned from TC
-// messages (indexed per originator), per-originator ANSN bookkeeping,
-// learned residual power, and the protocol's routing table.
+// messages, learned residual power, and the protocol's routing table. One
+// dense address index (slot ↔ addrs) serves both the topology set, whose
+// per-originator records hang off it, and the shortest-path pass, whose
+// per-node arrays are indexed by it.
 type State struct {
 	Routes *route.Table
 
 	mu      sync.Mutex
-	topo    map[mnet.Addr]*origTopo // advertised destinations per last hop
-	tuples  int                     // live+expired tuple count across topo
-	ansn    map[mnet.Addr]uint16    // freshest ANSN per originator
+	slot    map[mnet.Addr]int32 // addr → dense slot
+	addrs   []mnet.Addr         // slot → addr
+	topo    []origTopo          // slot → that originator's record
 	power   map[mnet.Addr]float64
 	ourANSN uint16
 	msgSeq  uint16
@@ -153,11 +125,31 @@ type State struct {
 func NewState(routes *route.Table) *State {
 	return &State{
 		Routes:   routes,
-		topo:     make(map[mnet.Addr]*origTopo),
-		ansn:     make(map[mnet.Addr]uint16),
+		slot:     make(map[mnet.Addr]int32),
 		power:    make(map[mnet.Addr]float64),
 		ownPower: 1.0,
 	}
+}
+
+// slotOf returns a's dense slot, creating one on first sight: RecordTC
+// assigns an originator's and a destination's slot when it first records
+// them, ComputeRoutes a neighbour's. compactIndex reclaims slots nothing
+// refers to any more. Called with s.mu held.
+//
+//mk:allow hotalloc new-slot appends happen once per distinct address; the steady-state BFS never grows
+func (s *State) slotOf(a mnet.Addr) int32 {
+	if sl, ok := s.slot[a]; ok {
+		return sl
+	}
+	sl := int32(len(s.addrs))
+	s.slot[a] = sl
+	s.addrs = append(s.addrs, a)
+	s.topo = append(s.topo, origTopo{})
+	sc := &s.scratch
+	sc.dist = append(sc.dist, 0)
+	sc.nhop = append(sc.nhop, mnet.Addr{})
+	sc.gen = append(sc.gen, 0)
+	return sl
 }
 
 // SetOwnPower records the node's own residual battery fraction.
@@ -199,40 +191,44 @@ func (s *State) BumpANSN() {
 // RecordTC folds a TC message into the topology set: tuples (orig → dest)
 // for each advertised address, expiring at expiry. Stale ANSNs are
 // rejected; a fresher ANSN first flushes the originator's old tuples —
-// O(degree) on the per-originator index, where the flat tuple set forced a
-// full O(E) scan per fresher TC. It reports whether the topology changed.
+// O(degree) on the per-originator record. advertised is only read (it may
+// be a received message's shared address block). It reports whether the
+// topology changed.
 func (s *State) RecordTC(orig mnet.Addr, ansn uint16, advertised []mnet.Addr, expiry time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prev, known := s.ansn[orig]
-	if known && seqOlder(ansn, prev) {
+	us := s.slotOf(orig)
+	// Work on a copy of the record: slotOf below may move s.topo.
+	rec := s.topo[us]
+	if rec.known && seqOlder(ansn, rec.ansn) {
 		return false
 	}
-	ot := s.topo[orig]
 	changed := false
-	if (!known || seqOlder(prev, ansn)) && ot != nil && len(ot.dests) > 0 {
-		s.tuples -= len(ot.dests)
-		clear(ot.dests)
-		ot.sorted = ot.sorted[:0]
-		ot.stale = false
+	if rec.known && seqOlder(rec.ansn, ansn) && len(rec.edges) > 0 {
+		rec.edges = rec.edges[:0]
 		changed = true
 	}
-	s.ansn[orig] = ansn
+	rec.known, rec.ansn = true, ansn
+	if expiry.After(rec.until) {
+		rec.until = expiry
+	}
+	if cap(rec.edges) == 0 {
+		// A first TC's edges in one allocation, not append's doublings.
+		rec.edges = make([]topoEdge, 0, len(advertised))
+	}
 	for _, d := range advertised {
 		if d == orig {
 			continue
 		}
-		if ot == nil {
-			ot = &origTopo{dests: make(map[mnet.Addr]time.Time, len(advertised))}
-			s.topo[orig] = ot
+		i, found := slices.BinarySearchFunc(rec.edges, d, func(e topoEdge, d mnet.Addr) int { return e.dst.Compare(d) })
+		if found {
+			rec.edges[i].exp = expiry
+			continue
 		}
-		if _, ok := ot.dests[d]; !ok {
-			changed = true
-			s.tuples++
-			ot.stale = true
-		}
-		ot.dests[d] = expiry
+		rec.edges = slices.Insert(rec.edges, i, topoEdge{dst: d, slot: s.slotOf(d), exp: expiry})
+		changed = true
 	}
+	s.topo[us] = rec
 	return changed
 }
 
@@ -242,25 +238,94 @@ func seqOlder(a, b uint16) bool {
 	return a != b && ((a < b && b-a < 0x8000) || (a > b && a-b > 0x8000))
 }
 
-// PurgeTopo drops expired tuples; it reports whether anything was removed.
+// PurgeTopo drops expired tuples, compacting each originator's edges in
+// place, and forgets an originator (ANSN included) once its record's
+// validity has passed. It reports whether any tuple was removed.
 func (s *State) PurgeTopo(now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	changed := false
-	for orig, ot := range s.topo {
-		for d, exp := range ot.dests {
-			if !exp.After(now) {
-				delete(ot.dests, d)
-				s.tuples--
-				ot.stale = true
-				changed = true
-			}
+	for us := range s.topo {
+		rec := &s.topo[us]
+		if !rec.known {
+			continue
 		}
-		if len(ot.dests) == 0 {
-			delete(s.topo, orig)
+		if !rec.until.After(now) {
+			// No tuple outlives the record's validity: all are expired.
+			changed = changed || len(rec.edges) > 0
+			*rec = origTopo{}
+			continue
 		}
+		n := len(rec.edges)
+		rec.edges = slices.DeleteFunc(rec.edges, func(e topoEdge) bool { return !e.exp.After(now) })
+		changed = changed || len(rec.edges) < n
 	}
 	return changed
+}
+
+// compactIndex bounds the address index. A slot is live while it has a
+// topology record, is the destination of some record's tuple, or was
+// reached by the latest shortest-path pass (which covers the current 1- and
+// 2-hop neighbours). When fewer than half the slots are live, the index is
+// rebuilt from the live ones and every tuple's slot renumbered, so a TC
+// storm from addresses that never return cannot grow the per-slot arrays
+// without limit. Nothing observable depends on slot numbers — the BFS
+// visits tuples in address order — so replay is unchanged.
+func (s *State) compactIndex() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sc := &s.scratch
+	live := make([]bool, len(s.addrs))
+	for us := range s.topo {
+		if s.topo[us].known || (sc.cur != 0 && sc.gen[us] == sc.cur) {
+			live[us] = true
+		}
+		for _, e := range s.topo[us].edges {
+			live[e.slot] = true
+		}
+	}
+	n := 0
+	for _, l := range live {
+		if l {
+			n++
+		}
+	}
+	if 2*n >= len(live) {
+		return
+	}
+	// Live slots keep their order; remap[old] is a live slot's new number.
+	remap := make([]int32, len(live))
+	for old, next := 0, int32(0); old < len(live); old++ {
+		if live[old] {
+			remap[old] = next
+			next++
+		}
+	}
+	s.addrs = keepLive(s.addrs, live, n)
+	s.topo = keepLive(s.topo, live, n)
+	sc.dist = keepLive(sc.dist, live, n)
+	sc.nhop = keepLive(sc.nhop, live, n)
+	sc.gen = keepLive(sc.gen, live, n)
+	s.slot = make(map[mnet.Addr]int32, n)
+	for us, a := range s.addrs {
+		s.slot[a] = int32(us)
+		edges := s.topo[us].edges
+		for i := range edges {
+			edges[i].slot = remap[edges[i].slot]
+		}
+	}
+}
+
+// keepLive returns a fresh slice of the n live elements of xs in their old
+// order, so the dead slots' memory is released with the old backing array.
+func keepLive[T any](xs []T, live []bool, n int) []T {
+	out := make([]T, 0, n)
+	for old, x := range xs {
+		if live[old] {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // Edges returns the live topology tuples at time now, sorted.
@@ -268,17 +333,17 @@ func (s *State) Edges(now time.Time) [][2]mnet.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	origins := make([]mnet.Addr, 0, len(s.topo))
-	for o := range s.topo {
-		origins = append(origins, o)
+	for us := range s.topo {
+		if len(s.topo[us].edges) > 0 {
+			origins = append(origins, s.addrs[us])
+		}
 	}
 	sortAddrs(origins)
-	out := make([][2]mnet.Addr, 0, s.tuples)
+	var out [][2]mnet.Addr
 	for _, o := range origins {
-		ot := s.topo[o]
-		ot.ensureSorted()
-		for _, d := range ot.sorted {
-			if ot.dests[d].After(now) {
-				out = append(out, [2]mnet.Addr{o, d})
+		for _, e := range s.topo[s.slot[o]].edges {
+			if e.exp.After(now) {
+				out = append(out, [2]mnet.Addr{o, e.dst})
 			}
 		}
 	}
@@ -358,7 +423,8 @@ func (s *State) sortedTwoHopKeys(twoHop map[mnet.Addr][]mnet.Addr) []mnet.Addr {
 // the calculation runs as a layered frontier expansion over the
 // per-originator index: seed the 1-hop neighbourhood at metric 1 and the
 // strict 2-hop set at metric 2 (via its minimum sorted via), then expand
-// level by level through each last hop's sorted destination list. Within a
+// level by level through each last hop's sorted edge list, reading a
+// destination's slot and expiry straight from the edge. Within a
 // level, equal-cost discoveries min-merge the next hop, so every
 // destination ends at the canonical (lexicographically smallest) next hop
 // over all shortest paths — a deterministic function of the topology alone,
@@ -376,8 +442,8 @@ func (s *State) sortedTwoHopKeys(twoHop map[mnet.Addr][]mnet.Addr) []mnet.Addr {
 func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mnet.Addr][]mnet.Addr, now time.Time, holdTime time.Duration, proto string) int {
 	s.mu.Lock()
 	sc := &s.scratch
-	bound := len(oneHop) + len(twoHop) + s.tuples
-	sc.ensure(bound, len(s.hna))
+	// Every visited node owns a slot, and only the seeds can add slots.
+	sc.ensure(len(s.addrs)+len(oneHop)+len(twoHop), len(s.hna))
 	sc.cur++
 	if sc.cur == 0 {
 		sc.resetGen()
@@ -386,7 +452,7 @@ func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mne
 
 	norder, nfront, nnext := 0, 0, 0
 	for _, nb := range oneHop {
-		ns := sc.slotOf(nb)
+		ns := s.slotOf(nb)
 		if sc.gen[ns] == cur {
 			continue
 		}
@@ -403,7 +469,7 @@ func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mne
 		if len(vias) == 0 {
 			continue
 		}
-		ds := sc.slotOf(dst)
+		ds := s.slotOf(dst)
 		if sc.gen[ds] == cur {
 			continue // already a 1-hop neighbour
 		}
@@ -429,17 +495,14 @@ func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mne
 	for ; nfront > 0; d++ {
 		for fi := 0; fi < nfront; fi++ {
 			us := front[fi]
-			ot := s.topo[sc.addrs[us]]
-			if ot == nil {
-				continue
-			}
-			ot.ensureSorted()
 			unh := sc.nhop[us]
-			for _, dst := range ot.sorted {
-				if dst == self || !ot.dests[dst].After(now) {
+			edges := s.topo[us].edges
+			for i := range edges {
+				e := &edges[i]
+				if e.dst == self || !e.exp.After(now) {
 					continue
 				}
-				ds := sc.slotOf(dst)
+				ds := e.slot
 				if sc.gen[ds] != cur {
 					sc.gen[ds] = cur
 					sc.dist[ds] = d + 1
@@ -462,7 +525,7 @@ func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mne
 	for i := 0; i < norder; i++ {
 		slot := sc.order[i]
 		sc.desired[nd] = route.ProtoRoute{
-			Dst:     mnet.HostPrefix(sc.addrs[slot]),
+			Dst:     mnet.HostPrefix(s.addrs[slot]),
 			NextHop: sc.nhop[slot],
 			Metric:  int(sc.dist[slot]),
 			Expires: exp,
@@ -472,7 +535,7 @@ func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mne
 	// Gateway prefixes route like their gateway, one hop beyond it; skip
 	// associations whose gateway is unreachable this round.
 	for _, a := range s.collectLiveHNA(now) {
-		gs, ok := sc.slot[a.e.gateway]
+		gs, ok := s.slot[a.e.gateway]
 		if !ok || sc.gen[gs] != cur {
 			continue
 		}
