@@ -6,6 +6,7 @@
 //	mkbench -ablation concurrency
 //	mkbench -ablation variants # fisheye + power-aware (§5.1)
 //	mkbench -ablation dymo     # optimised flooding + multipath (§5.2)
+//	mkbench -ablation reconfig # one node's OLSR<->DYMO switch (§4.5)
 //	mkbench -all
 //
 // With -json the measurements are also written as a machine-readable
@@ -29,7 +30,7 @@ import (
 
 func main() {
 	table := flag.Int("table", 0, "paper table to regenerate (1 or 2)")
-	ablation := flag.String("ablation", "", "ablation to run: concurrency, variants, dymo, hybrid, dispatch, scale")
+	ablation := flag.String("ablation", "", "ablation to run: concurrency, variants, dymo, hybrid, dispatch, reconfig, scale")
 	all := flag.Bool("all", false, "run everything (except the scale ablation, which has its own CI job)")
 	iters := flag.Int("iters", 2000, "iterations for per-message timing")
 	jsonOut := flag.String("json", "", "also write the measurements to this file as JSON")
@@ -73,6 +74,9 @@ func main() {
 	}
 	if *all || *ablation == "dispatch" {
 		run("Event dispatch path (§6.1)", dispatch)
+	}
+	if *all || *ablation == "reconfig" {
+		run("Protocol switch (§4.5)", reconfig)
 	}
 	// The scale ablation is not part of -all: the 5k-node cells take long
 	// enough that CI runs them as a dedicated job.

@@ -113,6 +113,10 @@ func TestAgainstCommittedBaseline(t *testing.T) {
 				name string
 				fn   func(*BenchReport) error
 			}{"dispatch", dispatch},
+			struct {
+				name string
+				fn   func(*BenchReport) error
+			}{"reconfig", reconfig},
 		)
 	}
 	for _, c := range collectors {

@@ -87,24 +87,81 @@ func BenchmarkEmitPerMessage(b *testing.B) {
 	m.WaitIdle()
 }
 
-// BenchmarkRewire measures topology re-derivation for a 6-unit deployment.
+// The tuples the bundled units declare (internal/system, mpr, olsr, neighbor,
+// dymo), so BenchmarkRewire derives the chains a real stack has.
+var (
+	systemTuple = event.Tuple{
+		Required: []event.Requirement{{Type: event.MsgOut}, {Type: event.RouteFound}},
+		Provided: []event.Type{
+			event.HelloIn, event.TCIn, event.HNAIn, event.REIn, event.RerrIn,
+			event.NoRoute, event.RouteUpdate, event.SendRouteErr, event.LinkBreak,
+			event.PowerStatus, event.LinkInfo, event.SysStatus,
+		},
+	}
+	mprTuple = event.Tuple{
+		Required: []event.Requirement{{Type: event.HelloIn}, {Type: event.PowerStatus}},
+		Provided: []event.Type{event.HelloOut, event.NhoodChange, event.MPRChange},
+	}
+	olsrTuple = event.Tuple{
+		Required: []event.Requirement{{Type: event.TCIn}, {Type: event.NhoodChange}, {Type: event.MPRChange}},
+		Provided: []event.Type{event.TCOut},
+	}
+	ndTuple = event.Tuple{
+		Required: []event.Requirement{{Type: event.HelloIn}, {Type: event.LinkBreak}},
+		Provided: []event.Type{event.HelloOut, event.NhoodChange},
+	}
+	dymoTuple = event.Tuple{
+		Required: []event.Requirement{
+			{Type: event.REIn}, {Type: event.RerrIn}, {Type: event.MsgIn}, {Type: event.NhoodChange},
+			{Type: event.NoRoute, Exclusive: true}, {Type: event.RouteUpdate},
+			{Type: event.SendRouteErr}, {Type: event.LinkBreak},
+		},
+		Provided: []event.Type{event.REOut, event.RerrOut, event.RouteFound},
+	}
+)
+
+// BenchmarkRewire measures topology re-derivation: a Rewire that finds
+// nothing changed, and one per SetTuple as the last unit withdraws its
+// declaration and restores it (every chain it is part of re-derived).
 func BenchmarkRewire(b *testing.B) {
-	m := benchManager(b, SingleThreaded)
 	types := []event.Type{event.HelloIn, event.TCIn, event.REIn, event.TCOut, event.HelloOut}
-	for i, name := range []string{"a", "b", "c", "d", "e", "f"} {
-		p := NewProtocol(name)
-		p.SetTuple(event.Tuple{
+	var synthetic []event.Tuple
+	for i := 0; i < 6; i++ {
+		synthetic = append(synthetic, event.Tuple{
 			Required: []event.Requirement{{Type: types[i%len(types)]}},
 			Provided: []event.Type{types[(i+2)%len(types)]},
 		})
-		if err := m.Deploy(p); err != nil {
-			b.Fatal(err)
-		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Rewire()
+	for _, dep := range []struct {
+		name   string
+		tuples []event.Tuple
+	}{
+		{"synthetic6", synthetic},
+		{"system+mpr+olsr", []event.Tuple{systemTuple, mprTuple, olsrTuple}},
+		{"system+nd+dymo", []event.Tuple{systemTuple, ndTuple, dymoTuple}},
+	} {
+		m := benchManager(b, SingleThreaded)
+		var last *Protocol
+		for i, tp := range dep.tuples {
+			last = NewProtocol(string(rune('a' + i)))
+			last.SetTuple(tp)
+			if err := m.Deploy(last); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(dep.name+"/unchanged", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Rewire()
+			}
+		})
+		b.Run(dep.name+"/retuple", func(b *testing.B) {
+			flip := [2]event.Tuple{{}, dep.tuples[len(dep.tuples)-1]}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				last.SetTuple(flip[i%2])
+			}
+		})
 	}
 }
 

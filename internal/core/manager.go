@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,30 +92,23 @@ type managerCounters struct {
 	rewires   atomic.Uint64
 }
 
-// terminal is one end-of-chain requirer.
-type terminal struct {
-	name      string
-	exclusive bool
-}
-
-// chain is the derived delivery path for one concrete event type:
-// providers feed the interposer sequence, which feeds the terminals.
-type chain struct {
-	providers   map[string]bool
-	interposers []string
-	terminals   []terminal
-}
-
 // unitRec tracks one deployed unit. Records are created once per deployment
 // and shared by reference with every published dispatch plan, so flipping a
 // unit to or from the thread-per-ManetProtocol model is visible to the
 // current plan without a rebuild.
 type unitRec struct {
+	name string
 	unit Unit
 	// dedicated is non-nil when the unit runs the thread-per-ManetProtocol
 	// model: its own goroutine draining a FIFO queue. Atomic because the
 	// lock-free delivery path reads it concurrently with Enable/Disable.
 	dedicated atomic.Pointer[dedicatedRunner]
+
+	// tuple is the manager's own copy of the declaration last read from the
+	// unit; roles[i] is the unit's part in the chain of Manager.types[i],
+	// resolved from it. Both are guarded by Manager.mu.
+	tuple event.Tuple
+	roles []role
 }
 
 // Manager is the MANETKit CF plus its Framework Manager (Fig 2): the
@@ -133,18 +126,35 @@ type Manager struct {
 	// mu guards reconfiguration state only: the unit table, the derived
 	// chains, bindings, pollers and lifecycle flags. The steady-state emit
 	// path never takes it — it routes via the published plan below.
-	mu       sync.Mutex
-	units    map[string]*unitRec
-	order    []string // deployment order: interposer chains follow it
-	chains   map[event.Type]*chain
-	bindings map[kernel.BindingInfo]*kernel.Binding
-	pollers  []*vclock.Periodic
-	closed   bool
-	sealed   bool
+	mu    sync.Mutex
+	units map[string]*unitRec
+	order []*unitRec // deployment order: interposer chains follow it
 
-	// plan is the compiled event topology, rebuilt by every rewire and
-	// swapped atomically (RCU): emit loads it once and routes over
-	// immutable data.
+	// types lists every event type a unit has provided here; its index is
+	// shared by unitRec.roles, chains (nil while nobody provides the type) and
+	// dirty (some unit's role in the type changed since its chain was
+	// derived). ontVer is the ontology revision the roles are resolved against.
+	types   []event.Type
+	typeIdx map[event.Type]int
+	chains  []*chain
+	dirty   []bool
+	ontVer  uint64
+
+	// The reflective mirror: per link, linkRefs counts the chains that hold
+	// it and bindings has the kernel binding standing for it; unbound are the
+	// links whose Bind failed, retried by every rewire. touched is scratch.
+	linkRefs map[kernel.BindingInfo]int
+	bindings map[kernel.BindingInfo]*kernel.Binding
+	unbound  []kernel.BindingInfo
+	touched  []kernel.BindingInfo
+
+	pollers []*vclock.Periodic
+	closed  bool
+	sealed  bool
+
+	// plan is the compiled event topology, republished by every rewire that
+	// re-derived a chain and swapped atomically (RCU): emit loads it once and
+	// routes over immutable data.
 	plan atomic.Pointer[dispatchPlan]
 	// model is the global concurrency model, read once per emission.
 	model atomic.Uint32
@@ -220,7 +230,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		clk:      cfg.Clock,
 		ont:      cfg.Ontology,
 		units:    make(map[string]*unitRec),
-		chains:   make(map[event.Type]*chain),
+		typeIdx:  make(map[event.Type]int),
+		linkRefs: make(map[kernel.BindingInfo]int),
 		bindings: make(map[kernel.BindingInfo]*kernel.Binding),
 		poolSize: cfg.PoolSize,
 		qBound:   cfg.QueueBound,
@@ -306,10 +317,10 @@ func (m *Manager) Deploy(u Unit) error {
 	}
 	u.Attach(env)
 
-	rec := &unitRec{unit: u}
+	rec := &unitRec{name: u.Name(), unit: u}
 	m.mu.Lock()
-	m.units[u.Name()] = rec
-	m.order = append(m.order, u.Name())
+	m.units[rec.name] = rec
+	m.order = append(m.order, rec)
 	dedic := false
 	if p, ok := u.(*Protocol); ok && p.wantsDedicated() {
 		dedic = true
@@ -333,12 +344,8 @@ func (m *Manager) Undeploy(name string) error {
 		return fmt.Errorf("%w: unit %q", kernel.ErrNoComponent, name)
 	}
 	delete(m.units, name)
-	for i, n := range m.order {
-		if n == name {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
+	m.order = slices.DeleteFunc(m.order, func(r *unitRec) bool { return r == rec })
+	m.retireLocked(rec)
 	m.mu.Unlock()
 
 	if d := rec.dedicated.Swap(nil); d != nil {
@@ -364,7 +371,11 @@ func (m *Manager) Unit(name string) (Unit, bool) {
 func (m *Manager) Units() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]string(nil), m.order...)
+	names := make([]string, len(m.order))
+	for i, rec := range m.order {
+		names[i] = rec.name
+	}
+	return names
 }
 
 // EnableDedicatedThread switches the named unit to the
@@ -452,44 +463,28 @@ func (m *Manager) rewireLocked() {
 			rewireStart = m.clk.Now()
 		}
 	}
-	chains := make(map[event.Type]*chain)
-
-	// Collect the concrete provided types.
-	for _, name := range m.order {
-		u := m.units[name].unit
-		for _, t := range u.Tuple().Provided {
-			if chains[t] == nil {
-				chains[t] = &chain{providers: make(map[string]bool)}
+	m.resolveLocked()
+	m.touched = m.touched[:0]
+	replan := false
+	for i, d := range m.dirty {
+		if !d {
+			continue
+		}
+		m.dirty[i], replan = false, true
+		old := m.chains[i]
+		m.chains[i] = m.deriveLocked(i, old)
+		m.countLinksLocked(old, -1)
+		m.countLinksLocked(m.chains[i], +1)
+	}
+	if replan {
+		plan := &dispatchPlan{byType: make(map[event.Type]*typePlan, len(m.types))}
+		for i, ch := range m.chains {
+			if ch != nil {
+				plan.byType[m.types[i]] = ch.plan
 			}
 		}
+		m.plan.Store(plan)
 	}
-	for t, ch := range chains {
-		for _, name := range m.order {
-			tp := m.units[name].unit.Tuple()
-			provides := tp.Provides(t)
-			requires := tp.Requires(m.ont, t)
-			switch {
-			case provides && requires:
-				// Interposed in the t path; ordered by deployment, which
-				// also precludes loops (§4.2 footnote 2).
-				ch.interposers = append(ch.interposers, name)
-				ch.providers[name] = true
-			case provides:
-				ch.providers[name] = true
-			case requires:
-				excl := false
-				for _, r := range tp.Required {
-					if r.Exclusive && m.ont.Matches(t, r.Type) {
-						excl = true
-						break
-					}
-				}
-				ch.terminals = append(ch.terminals, terminal{name: name, exclusive: excl})
-			}
-		}
-	}
-	m.chains = chains
-	m.plan.Store(m.buildPlanLocked())
 	m.syncBindingsLocked()
 	if m.obs != nil {
 		if m.obs.rewireLat != nil {
@@ -497,86 +492,90 @@ func (m *Manager) rewireLocked() {
 		}
 		if m.obs.tracer != nil {
 			m.obs.tracer.Record(m.clk.Now(), trace.Span{
-				Node: m.obs.nodeStr, Kind: trace.KindRebind, QDepth: len(m.chains),
+				Node: m.obs.nodeStr, Kind: trace.KindRebind, QDepth: len(m.plan.Load().byType),
 			})
 		}
 	}
 }
 
-// syncBindingsLocked mirrors the derived chains into kernel bindings on the
-// MANETKit CF so that the architecture meta-model shows the real topology.
-func (m *Manager) syncBindingsLocked() {
-	if m.sealed {
+// resolveLocked reads each deployed unit's tuple once and brings its roles up
+// to date: from scratch when the tuple or the ontology's hierarchy changed,
+// otherwise only for the types provided for the first time since. Every type
+// a role was lost or gained in ends up dirty.
+func (m *Manager) resolveLocked() {
+	ver := m.ont.Version()
+	for _, rec := range m.order {
+		tp := rec.unit.Tuple()
+		if ver != m.ontVer || !slices.Equal(tp.Required, rec.tuple.Required) || !slices.Equal(tp.Provided, rec.tuple.Provided) {
+			rec.tuple = event.Tuple{Required: slices.Clone(tp.Required), Provided: slices.Clone(tp.Provided)}
+			m.retireLocked(rec)
+			for _, t := range tp.Provided {
+				if _, ok := m.typeIdx[t]; !ok {
+					m.typeIdx[t] = len(m.types)
+					m.types = append(m.types, t)
+					m.chains = append(m.chains, nil)
+					m.dirty = append(m.dirty, false)
+				}
+			}
+		}
+	}
+	m.ontVer = ver
+	for _, rec := range m.order {
+		for i := len(rec.roles); i < len(m.types); i++ {
+			r := roleIn(m.ont, rec.tuple, m.types[i])
+			rec.roles = append(rec.roles, r)
+			m.dirty[i] = m.dirty[i] || r != 0
+		}
+	}
+}
+
+// retireLocked forgets rec's resolved roles — it left the deployment, or its
+// declaration changed — and marks every type it had a part in dirty.
+func (m *Manager) retireLocked(rec *unitRec) {
+	for i, r := range rec.roles {
+		m.dirty[i] = m.dirty[i] || r != 0
+	}
+	rec.roles = rec.roles[:0]
+}
+
+// countLinksLocked adds by to the reference count of each of ch's links and
+// notes them as touched by this rewire; a sealed manager keeps no mirror.
+func (m *Manager) countLinksLocked(ch *chain, by int) {
+	if ch == nil || m.sealed {
 		return
 	}
-	want := make(map[kernel.BindingInfo]bool)
-	types := make([]event.Type, 0, len(m.chains))
-	for t := range m.chains {
-		types = append(types, t)
+	for _, l := range ch.links {
+		m.linkRefs[l] += by
 	}
-	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-	for _, t := range types {
-		ch := m.chains[t]
-		recept := "REvents"
-		iface := "IEventSink"
-		heads := make([]string, 0, len(ch.providers))
-		for p := range ch.providers {
-			if len(ch.interposers) > 0 && p == ch.interposers[len(ch.interposers)-1] {
-				continue // last interposer binds forward, handled below
-			}
-			isInterposer := false
-			for _, i := range ch.interposers {
-				if i == p {
-					isInterposer = true
-					break
-				}
-			}
-			if !isInterposer {
-				heads = append(heads, p)
-			}
-		}
-		sort.Strings(heads)
-		link := func(from, to string) {
-			if from == to {
-				return
-			}
-			want[kernel.BindingInfo{From: from, Receptacle: recept, To: to, Interface: iface}] = true
-		}
-		if len(ch.interposers) > 0 {
-			for _, p := range heads {
-				link(p, ch.interposers[0])
-			}
-			for i := 0; i+1 < len(ch.interposers); i++ {
-				link(ch.interposers[i], ch.interposers[i+1])
-			}
-			last := ch.interposers[len(ch.interposers)-1]
-			for _, term := range ch.terminals {
-				link(last, term.name)
-			}
-		} else {
-			for _, p := range heads {
-				for _, term := range ch.terminals {
-					link(p, term.name)
-				}
-			}
-		}
-	}
-	// Drop stale bindings, add missing ones.
-	for info, b := range m.bindings {
-		if !want[info] {
-			_ = m.cf.Unbind(b)
-			delete(m.bindings, info)
-		}
-	}
-	for info := range want {
-		if _, ok := m.bindings[info]; ok {
+	m.touched = append(m.touched, ch.links...)
+}
+
+// syncBindingsLocked mirrors the re-derived chains into kernel bindings on
+// the MANETKit CF so that the architecture meta-model shows the real
+// topology: of the links this rewire touched (and those an earlier Bind
+// refused), those no chain holds any more are unbound, then the rest bound.
+func (m *Manager) syncBindingsLocked() {
+	touched := append(m.touched, m.unbound...)
+	m.unbound = m.unbound[:0]
+	for _, l := range touched {
+		if m.linkRefs[l] > 0 {
 			continue
 		}
-		b, err := m.cf.Bind(info.From, info.Receptacle, info.To, info.Interface)
-		if err != nil {
-			continue // reflective mirror is best-effort
+		if b := m.bindings[l]; b != nil {
+			_ = m.cf.Unbind(b)
+			delete(m.bindings, l)
 		}
-		m.bindings[info] = b
+		delete(m.linkRefs, l)
+	}
+	for _, l := range touched {
+		if m.linkRefs[l] == 0 || m.bindings[l] != nil {
+			continue
+		}
+		if b, err := m.cf.Bind(l.From, l.Receptacle, l.To, l.Interface); err == nil {
+			m.bindings[l] = b
+		} else if !slices.Contains(m.unbound, l) {
+			m.unbound = append(m.unbound, l) // the mirror is best-effort
+		}
 	}
 }
 
@@ -872,13 +871,15 @@ func (m *Manager) Stats() ManagerStats {
 func (m *Manager) Chain(t event.Type) (interposers, terminals []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ch, ok := m.chains[t]
-	if !ok {
+	i, ok := m.typeIdx[t]
+	if !ok || m.chains[i] == nil {
 		return nil, nil
 	}
-	interposers = append(interposers, ch.interposers...)
-	for _, term := range ch.terminals {
-		terminals = append(terminals, term.name)
+	for _, rec := range m.chains[i].interposers {
+		interposers = append(interposers, rec.name)
+	}
+	for _, rec := range m.chains[i].terminals {
+		terminals = append(terminals, rec.name)
 	}
 	return interposers, terminals
 }
@@ -942,7 +943,7 @@ func (m *Manager) AddRule(r kernel.IntegrityRule) error { return m.cf.AddRule(r)
 func (m *Manager) Seal() {
 	m.mu.Lock()
 	m.sealed = true
-	m.bindings = nil
+	m.linkRefs, m.bindings, m.unbound = nil, nil, nil
 	recs := make([]*unitRec, 0, len(m.units))
 	for _, rec := range m.units {
 		recs = append(recs, rec)
@@ -961,11 +962,7 @@ func (m *Manager) Seal() {
 // reconfiguration spanning multiple protocols.
 func (m *Manager) Quiesce() func() {
 	m.mu.Lock()
-	names := append([]string(nil), m.order...)
-	recs := make([]*unitRec, 0, len(names))
-	for _, n := range names {
-		recs = append(recs, m.units[n])
-	}
+	recs := slices.Clone(m.order)
 	m.mu.Unlock()
 	var resumes []func()
 	for _, rec := range recs {

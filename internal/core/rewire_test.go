@@ -1,0 +1,227 @@
+package core
+
+import (
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"manetkit/internal/event"
+	"manetkit/internal/kernel"
+)
+
+// A Rewire that finds every tuple as it left it derives nothing: the
+// published plan and its typePlans stay, no kernel binding is touched, and
+// nothing is allocated.
+func TestRewireWithoutChangeAllocs(t *testing.T) {
+	m, _ := newMgr(t, SingleThreaded)
+	for _, r := range []*recorder{
+		newRecorder(t, "system", event.Tuple{
+			Required: []event.Requirement{{Type: event.MsgOut}},
+			Provided: []event.Type{event.HelloIn, event.TCIn},
+		}),
+		newRecorder(t, "mpr", event.Tuple{
+			Required: []event.Requirement{{Type: event.HelloIn}},
+			Provided: []event.Type{event.HelloOut, event.NhoodChange},
+		}),
+		newRecorder(t, "olsr", event.Tuple{
+			Required: []event.Requirement{{Type: event.TCIn}, {Type: event.NhoodChange}},
+			Provided: []event.Type{event.TCOut},
+		}),
+	} {
+		if err := m.Deploy(r.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An integrity rule sees every Insert, Remove, Bind and Unbind.
+	kernelOps := 0
+	if err := m.AddRule(kernel.IntegrityRule{Name: "count", Check: func(kernel.Arch) error { kernelOps++; return nil }}); err != nil {
+		t.Fatal(err)
+	}
+	kernelOps = 0
+	plan := m.plan.Load()
+	rewires := m.Stats().Rewires
+
+	if allocs := testing.AllocsPerRun(10, m.Rewire); allocs != 0 {
+		t.Errorf("a Rewire that changes nothing allocates %.0f objects", allocs)
+	}
+	if m.plan.Load() != plan {
+		t.Error("a Rewire that changes nothing published a new plan")
+	}
+	if kernelOps != 0 {
+		t.Errorf("a Rewire that changes nothing issued %d kernel operations", kernelOps)
+	}
+	if got := m.Stats().Rewires - rewires; got != 11 {
+		t.Errorf("11 Rewire calls counted as %d", got)
+	}
+
+	// A change to one chain leaves the other chains' typePlans in the new plan.
+	if err := m.Undeploy("olsr"); err != nil {
+		t.Fatal(err)
+	}
+	next := m.plan.Load()
+	if next == plan || next.byType[event.TCOut] != nil {
+		t.Fatal("Undeploy did not republish")
+	}
+	if next.byType[event.HelloIn] != plan.byType[event.HelloIn] {
+		t.Error("HELLO_IN's chain did not change, its typePlan did")
+	}
+	if next.byType[event.TCIn] == plan.byType[event.TCIn] {
+		t.Error("TC_IN lost its terminal and kept its typePlan")
+	}
+}
+
+// Four goroutines emit while units are deployed, re-tupled and undeployed.
+// Successive plans share the typePlans of untouched chains, and a reader may
+// hold any of them while the next is compiled; under -race this pins that
+// nothing reachable from a published plan is written, and the ledger below
+// that every delivery went to a unit some published plan named for that type.
+func TestEmitAgainstSharedTypePlans(t *testing.T) {
+	m, _ := newMgr(t, SingleThreaded)
+	types := []event.Type{event.HelloIn, event.TCIn}
+	src := NewProtocol("src")
+	src.SetTuple(event.Tuple{Provided: types})
+	if err := m.Deploy(src); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	legal := map[string]map[event.Type]bool{} // unit -> types a published plan routed to it
+	got := map[string]map[event.Type]bool{}   // unit -> types it handled
+	mark := func(set map[string]map[event.Type]bool, name string, typ event.Type) {
+		if set[name] == nil {
+			set[name] = map[event.Type]bool{}
+		}
+		set[name][typ] = true
+	}
+	// Reconfiguration below is one goroutine, so every published plan is
+	// still current when its hook runs.
+	m.SetRewireHook(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for typ, tp := range m.plan.Load().byType {
+			for _, rec := range tp.def {
+				mark(legal, rec.unit.Name(), typ)
+			}
+			for _, targets := range tp.perFrom {
+				for _, rec := range targets {
+					mark(legal, rec.unit.Name(), typ)
+				}
+			}
+		}
+	})
+
+	tuples := []event.Tuple{
+		{Required: []event.Requirement{{Type: event.HelloIn}}},
+		{Required: []event.Requirement{{Type: event.TCIn, Exclusive: true}}},
+		{Required: []event.Requirement{{Type: event.HelloIn}}, Provided: []event.Type{event.HelloIn}},
+		{Required: []event.Requirement{{Type: event.MsgIn}}},
+		{},
+	}
+	// The receivers are redeployed as the same objects, so a delivery queued
+	// behind a reconfiguration still finds its target attached most of the time.
+	units := map[string]*Protocol{}
+	for _, name := range []string{"r0", "r1", "r2"} {
+		p := NewProtocol(name)
+		if err := p.AddHandler(NewHandler("h", event.Any, func(_ *Context, ev *event.Event) error {
+			mu.Lock()
+			mark(got, name, ev.Type)
+			mu.Unlock()
+			return nil
+		})); err != nil {
+			t.Fatal(err)
+		}
+		units[name] = p
+	}
+	var emitting atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		emitting.Add(1)
+		go func() {
+			defer wg.Done()
+			defer emitting.Add(-1)
+			for i := 0; i < 5000; i++ {
+				_ = src.Emit(&event.Event{Type: types[i%len(types)]})
+				runtime.Gosched() // interleave with the reconfiguration on any number of processors
+			}
+		}()
+	}
+	for i := 0; i < 600 || emitting.Load() > 0; i++ {
+		name := []string{"r0", "r1", "r2"}[i%3]
+		p := units[name]
+		switch {
+		case !p.Deployed():
+			p.SetTuple(tuples[i%len(tuples)])
+			if err := m.Deploy(p); err != nil {
+				t.Fatal(err)
+			}
+		case i%7 < 5:
+			p.SetTuple(tuples[(i/3)%len(tuples)])
+		default:
+			if err := m.Undeploy(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.Gosched()
+	}
+	wg.Wait()
+	m.WaitIdle()
+	if st := m.Stats(); st.Delivered == 0 {
+		t.Fatalf("nothing was delivered: %+v", st)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for name, typs := range got {
+		for typ := range typs {
+			if !legal[name][typ] {
+				t.Errorf("%s handled %s, which no published plan routed to it", name, typ)
+			}
+		}
+	}
+	if len(got) == 0 {
+		t.Fatalf("no delivery was handled: %+v", m.Stats())
+	}
+}
+
+// The mirror is best-effort: a link whose Bind an integrity rule refuses is
+// tried again by every rewire until it takes.
+func TestRefusedBindIsRetried(t *testing.T) {
+	m, _ := newMgr(t, SingleThreaded)
+	allowed := false
+	if err := m.AddRule(kernel.IntegrityRule{Name: "gate", Check: func(a kernel.Arch) error {
+		if len(a.Bindings) > 0 && !allowed {
+			return errors.New("not yet")
+		}
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	prov := newRecorder(t, "provider", event.Tuple{Provided: []event.Type{event.TCOut}})
+	req := newRecorder(t, "requirer", event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}})
+	for _, r := range []*recorder{prov, req} {
+		if err := m.Deploy(r.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.CF().Arch().Bindings; len(got) != 0 {
+		t.Fatalf("refused binding present: %v", got)
+	}
+	emitFrom(t, m, "provider", &event.Event{Type: event.TCOut})
+	if got := req.events(); len(got) != 1 {
+		t.Fatalf("routing must not depend on the mirror: requirer saw %v", got)
+	}
+	allowed = true
+	m.Rewire()
+	if got := m.CF().Arch().Bindings; len(got) != 1 || got[0].From != "provider" || got[0].To != "requirer" {
+		t.Fatalf("bindings after the rule relented = %v", got)
+	}
+	if err := m.Undeploy("requirer"); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.CF().Arch().Bindings; len(got) != 0 {
+		t.Fatalf("bindings after the requirer left = %v", got)
+	}
+}

@@ -134,10 +134,10 @@ func TestEmitReconfigureStress(t *testing.T) {
 }
 
 // TestVanishedInterposerCountsDrop pins the fix for the silent-loss bug:
-// when a compiled route points at an interposer whose unit record has
-// vanished (the Undeploy/Rewire race window), the event must be counted as
-// dropped and traced, not lost without a ledger entry. The state is built
-// white-box because every public mutation immediately replans.
+// when a type's compiled route is empty (its next stage vanished in the
+// Undeploy/Rewire race window), the event must be counted as dropped and
+// traced, not lost without a ledger entry. The plan is built white-box
+// because every public mutation immediately replans.
 func TestVanishedInterposerCountsDrop(t *testing.T) {
 	tr := trace.New(epoch, 1<<8)
 	m, err := NewManager(Config{
@@ -150,15 +150,7 @@ func TestVanishedInterposerCountsDrop(t *testing.T) {
 	}
 	defer m.Close()
 
-	m.mu.Lock()
-	m.chains = map[event.Type]*chain{
-		event.TCOut: {
-			providers:   map[string]bool{"provider": true},
-			interposers: []string{"ghost"},
-		},
-	}
-	m.plan.Store(m.buildPlanLocked())
-	m.mu.Unlock()
+	m.plan.Store(&dispatchPlan{byType: map[event.Type]*typePlan{event.TCOut: {}}})
 
 	m.emit("provider", &event.Event{Type: event.TCOut})
 

@@ -104,12 +104,16 @@ func (cf *CF) archLocked() Arch {
 	return Arch{Components: cf.inner.Components(), Bindings: cf.inner.Bindings()}
 }
 
-// checkLocked validates the current architecture against all rules.
-func (cf *CF) checkLocked(op string) error {
+// checkLocked validates the current architecture against all rules; op
+// describes the mutation, for the error of the rule that rejects it.
+func (cf *CF) checkLocked(op func() string) error {
+	if len(cf.rules) == 0 {
+		return nil
+	}
 	a := cf.archLocked()
 	for _, r := range cf.rules {
 		if err := r.Check(a); err != nil {
-			return fmt.Errorf("%w: %s rejected by rule %q: %v", ErrIntegrity, op, r.Name, err)
+			return fmt.Errorf("%w: %s rejected by rule %q: %v", ErrIntegrity, op(), r.Name, err)
 		}
 	}
 	return nil
@@ -123,7 +127,7 @@ func (cf *CF) Insert(c Component) error {
 	if err := cf.inner.Register(c); err != nil {
 		return err
 	}
-	if err := cf.checkLocked(fmt.Sprintf("insert %q", c.Name())); err != nil {
+	if err := cf.checkLocked(func() string { return fmt.Sprintf("insert %q", c.Name()) }); err != nil {
 		// Roll back; Unload of a just-registered unbound component
 		// cannot fail.
 		if uerr := cf.inner.Unload(c.Name()); uerr != nil {
@@ -146,7 +150,7 @@ func (cf *CF) Remove(name string) error {
 	if err := cf.inner.Unload(name); err != nil {
 		return err
 	}
-	if err := cf.checkLocked(fmt.Sprintf("remove %q", name)); err != nil {
+	if err := cf.checkLocked(func() string { return fmt.Sprintf("remove %q", name) }); err != nil {
 		if rerr := cf.inner.Register(c); rerr != nil {
 			return fmt.Errorf("%v (rollback failed: %w)", err, rerr)
 		}
@@ -164,7 +168,7 @@ func (cf *CF) Bind(from, receptacle, to, iface string) (*Binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cf.checkLocked(fmt.Sprintf("bind %s.%s -> %s.%s", from, receptacle, to, iface)); err != nil {
+	if err := cf.checkLocked(func() string { return fmt.Sprintf("bind %s.%s -> %s.%s", from, receptacle, to, iface) }); err != nil {
 		if uerr := cf.inner.Unbind(b); uerr != nil {
 			return nil, fmt.Errorf("%v (rollback failed: %w)", err, uerr)
 		}
@@ -180,7 +184,7 @@ func (cf *CF) Unbind(b *Binding) error {
 	if err := cf.inner.Unbind(b); err != nil {
 		return err
 	}
-	if err := cf.checkLocked(fmt.Sprintf("unbind %v", b.Info())); err != nil {
+	if err := cf.checkLocked(func() string { return fmt.Sprintf("unbind %v", b.Info()) }); err != nil {
 		if _, rerr := cf.inner.Bind(b.From, b.Receptacle, b.To, b.Interface); rerr != nil {
 			return fmt.Errorf("%v (rollback failed: %w)", err, rerr)
 		}
@@ -249,7 +253,7 @@ func (cf *CF) Replace(name string, replacement Component) error {
 			return fmt.Errorf("replace %q: rebind %v: %w", name, b.Info(), err)
 		}
 	}
-	if err := cf.checkLocked(fmt.Sprintf("replace %q with %q", name, newName)); err != nil {
+	if err := cf.checkLocked(func() string { return fmt.Sprintf("replace %q with %q", name, newName) }); err != nil {
 		return err
 	}
 	// Restore the old component's suitability for reuse: nothing to do —
@@ -271,7 +275,7 @@ func (cf *CF) Reconfigure(fn func(tx *Tx) error) error {
 	if err := fn(&Tx{cf: cf}); err != nil {
 		return err
 	}
-	return cf.checkLocked("reconfigure transaction")
+	return cf.checkLocked(func() string { return "reconfigure transaction" })
 }
 
 // quiesceLocked drives every Quiescable plug-in to a safe state; the

@@ -243,3 +243,72 @@ func TestRuleHelpers(t *testing.T) {
 		t.Fatal("required rule passed without instance")
 	}
 }
+
+// A CF built without rules — the MANETKit CF — takes no architecture snapshot
+// per operation, but a rule added later is evaluated at every mutation from
+// then on and its rejection reads as it always has.
+func TestRulesAddedLaterStillVetoWithTheSameText(t *testing.T) {
+	cf := NewCF("manetkit")
+	for _, n := range []string{"aodv", "a", "b"} {
+		if err := cf.Insert(newTestComp(n, "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reactive := RuleSingleton("reactive routing protocol", func(c string) bool { return c == "aodv" || c == "dymo" })
+	noBA := IntegrityRule{Name: "no b->a", Check: func(a Arch) error {
+		for _, l := range a.Bindings {
+			if l.From == "b" && l.To == "a" {
+				return errors.New("b must not call a")
+			}
+		}
+		return nil
+	}}
+	keepAB := IntegrityRule{Name: "keep a->b", Check: func(a Arch) error {
+		if len(a.Bindings) == 0 {
+			return errors.New("a->b is gone")
+		}
+		return nil
+	}}
+	ab, err := cf.Bind("a", "RGreet", "b", "IGreet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []IntegrityRule{reactive, noBA, keepAB} {
+		if err := cf.AddRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, bindErr := cf.Bind("b", "RGreet", "a", "IGreet")
+	for _, tc := range []struct {
+		got  error
+		want string
+	}{
+		{cf.Insert(newTestComp("dymo", "")),
+			`kernel: integrity rule violated: insert "dymo" rejected by rule "reactive routing protocol": more than one reactive routing protocol component`},
+		{bindErr,
+			`kernel: integrity rule violated: bind b.RGreet -> a.IGreet rejected by rule "no b->a": b must not call a`},
+		{cf.Unbind(ab),
+			`kernel: integrity rule violated: unbind {a RGreet b IGreet} rejected by rule "keep a->b": a->b is gone`},
+	} {
+		if !errors.Is(tc.got, ErrIntegrity) || tc.got.Error() != tc.want {
+			t.Errorf("got  %v\nwant %s", tc.got, tc.want)
+		}
+	}
+	if a := cf.Arch(); len(a.Components) != 3 || len(a.Bindings) != 1 {
+		t.Fatalf("vetoed mutations were not rolled back: %+v", a)
+	}
+	// Without a rule, a successful mutation builds neither the snapshot nor
+	// the description of itself.
+	bare := NewCF("bare")
+	c := newTestComp("c", "")
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := bare.Insert(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := bare.Remove("c"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Insert+Remove on a CF without rules allocate %.0f objects", allocs)
+	}
+}

@@ -338,3 +338,34 @@ func TestPeriodicValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestPeriodicJitterSequencePinned pins the jittered delay sequence to the
+// values it has always had for two seeds — every seeded run's timer order
+// (and so every golden and digest) hangs off it — and that a periodic
+// without jitter, which never draws, carries no generator.
+func TestPeriodicJitterSequencePinned(t *testing.T) {
+	for seed, want := range map[int64][8]time.Duration{
+		7: {2167556863, 1892602869, 1896555026, 2164624869, 2079294217, 1858462379, 1941685879, 1937072820},
+		// A Source's seed: node 10.0.0.1 xor len("hello-source")<<16.
+		0x0a000001 ^ 12<<16: {1931911188, 1827844305, 2177050522, 1832404627, 2070618723, 1919546877, 2090868831, 2016760042},
+	} {
+		v := NewVirtual(epoch)
+		var gaps []time.Duration
+		prev := epoch
+		p := NewPeriodic(v, 2*time.Second, 0.1, seed, func() {
+			gaps = append(gaps, v.Now().Sub(prev))
+			prev = v.Now()
+		})
+		v.Advance(20 * time.Second)
+		p.Stop()
+		if len(gaps) < 8 || [8]time.Duration(gaps[:8]) != want {
+			t.Errorf("seed %d: delays %v, want %v", seed, gaps, want)
+		}
+	}
+	v := NewVirtual(epoch)
+	p := NewPeriodic(v, time.Second, 0, 99, func() {})
+	defer p.Stop()
+	if p.rng != nil {
+		t.Error("a periodic with jitter 0 seeded a generator")
+	}
+}

@@ -17,7 +17,7 @@ type Periodic struct {
 	fn       func()
 
 	mu      sync.Mutex
-	rng     *rand.Rand
+	rng     *rand.Rand // nil at jitter 0: such a timer never draws
 	timer   Timer
 	stopped bool
 }
@@ -37,7 +37,9 @@ func NewPeriodic(c Clock, interval time.Duration, jitter float64, seed int64, fn
 		interval: interval,
 		jitter:   jitter,
 		fn:       fn,
-		rng:      rand.New(rand.NewSource(seed)),
+	}
+	if jitter > 0 {
+		p.rng = rand.New(rand.NewSource(seed))
 	}
 	p.mu.Lock()
 	p.timer = c.AfterFunc(p.nextDelayLocked(), p.fire)

@@ -24,6 +24,7 @@
 package manetkit
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -321,6 +322,9 @@ type Stack struct {
 	nd      *neighbor.Detector
 	fisheye *core.Protocol
 	policy  *policy.Engine
+	// dymoOnMPR: the deployed DYMO floods through mpr (and senses its
+	// neighbours with it) instead of a private Neighbour Detection CF.
+	dymoOnMPR bool
 }
 
 // NewStack attaches a node at addr to the network and boots its framework
@@ -386,12 +390,55 @@ func (s *Stack) Manager() *Manager { return s.mgr }
 // System exposes the System CF.
 func (s *Stack) System() *System { return s.sys }
 
-// Deploy installs a custom protocol unit and starts it.
+// Deploy installs a custom protocol unit and starts it. A unit whose start
+// hook fails is undeployed again: a failed Deploy leaves nothing behind.
 func (s *Stack) Deploy(p *Protocol) error {
 	if err := s.mgr.Deploy(p); err != nil {
 		return err
 	}
-	return p.Start()
+	if err := p.Start(); err != nil {
+		return errors.Join(err, s.mgr.Undeploy(p.Name()))
+	}
+	return nil
+}
+
+// ensureMPR returns the stack's MPR CF, deploying one if there is none. undo
+// removes it again if this call deployed it, for a caller that fails later.
+func (s *Stack) ensureMPR(hello time.Duration) (relay *mpr.MPR, undo func(), err error) {
+	if s.mpr != nil {
+		return s.mpr, func() {}, nil
+	}
+	relay = mpr.New("", mpr.Config{HelloInterval: hello})
+	if err := s.Deploy(relay.Protocol()); err != nil {
+		return nil, nil, err
+	}
+	s.mpr = relay
+	return relay, func() { _ = s.UndeployMPR() }, nil
+}
+
+// ensureND is ensureMPR for the Neighbour Detection CF.
+func (s *Stack) ensureND(hello time.Duration) (undo func(), err error) {
+	if s.nd != nil {
+		return func() {}, nil
+	}
+	nd := neighbor.New("", neighbor.Config{HelloInterval: hello, LinkLayerFeedback: true})
+	if err := s.Deploy(nd.Protocol()); err != nil {
+		return nil, err
+	}
+	s.nd = nd
+	return func() { _ = s.undeployND() }, nil
+}
+
+// undeployND removes the Neighbour Detection CF, if one is deployed.
+func (s *Stack) undeployND() error {
+	if s.nd == nil {
+		return nil
+	}
+	if err := s.mgr.Undeploy(s.nd.Protocol().Name()); err != nil {
+		return err
+	}
+	s.nd = nil
+	return nil
 }
 
 // Undeploy stops and removes a protocol unit by name.
@@ -422,16 +469,9 @@ func (s *Stack) DeployOLSR(cfg OLSRConfig) (*OLSR, error) {
 	if s.olsr != nil {
 		return s.olsr, nil
 	}
-	relay := s.mpr
-	if relay == nil {
-		relay = mpr.New("", mpr.Config{HelloInterval: cfg.HelloInterval})
-		if err := s.mgr.Deploy(relay.Protocol()); err != nil {
-			return nil, err
-		}
-		if err := relay.Protocol().Start(); err != nil {
-			return nil, err
-		}
-		s.mpr = relay
+	relay, undo, err := s.ensureMPR(cfg.HelloInterval)
+	if err != nil {
+		return nil, err
 	}
 	o := olsr.New("", relay, olsr.Config{
 		TCInterval: cfg.TCInterval,
@@ -439,10 +479,8 @@ func (s *Stack) DeployOLSR(cfg OLSRConfig) (*OLSR, error) {
 		FIB:        s.sys.FIB(),
 		Device:     s.sys.NIC().Device(),
 	})
-	if err := s.mgr.Deploy(o.Protocol()); err != nil {
-		return nil, err
-	}
-	if err := o.Protocol().Start(); err != nil {
+	if err := s.Deploy(o.Protocol()); err != nil {
+		undo()
 		return nil, err
 	}
 	s.olsr = o
@@ -471,6 +509,9 @@ func (s *Stack) UndeployMPR() error {
 	if s.olsr != nil {
 		return fmt.Errorf("manetkit: OLSR still stacked on MPR")
 	}
+	if s.dymoOnMPR {
+		return fmt.Errorf("manetkit: DYMO still floods through MPR")
+	}
 	if err := s.mgr.Undeploy(s.mpr.Protocol().Name()); err != nil {
 		return err
 	}
@@ -496,28 +537,20 @@ func (s *Stack) DeployDYMO(cfg DYMOConfig) (*DYMO, error) {
 		FIB:           s.sys.FIB(),
 		Device:        s.sys.NIC().Device(),
 	})
+	undo := func() {}
 	if s.mpr != nil {
 		d.SetFlooder(s.mpr.Flooder())
-	} else if s.nd == nil {
-		nd := neighbor.New("", neighbor.Config{
-			HelloInterval:     cfg.HelloInterval,
-			LinkLayerFeedback: true,
-		})
-		if err := s.mgr.Deploy(nd.Protocol()); err != nil {
+	} else {
+		var err error
+		if undo, err = s.ensureND(cfg.HelloInterval); err != nil {
 			return nil, err
 		}
-		if err := nd.Protocol().Start(); err != nil {
-			return nil, err
-		}
-		s.nd = nd
 	}
-	if err := s.mgr.Deploy(d.Protocol()); err != nil {
+	if err := s.Deploy(d.Protocol()); err != nil {
+		undo()
 		return nil, err
 	}
-	if err := d.Protocol().Start(); err != nil {
-		return nil, err
-	}
-	s.dymo = d
+	s.dymo, s.dymoOnMPR = d, s.mpr != nil
 	return d, nil
 }
 
@@ -530,14 +563,8 @@ func (s *Stack) UndeployDYMO() error {
 		return err
 	}
 	s.sys.FIB().FlushProto(s.dymo.Protocol().Name())
-	s.dymo = nil
-	if s.nd != nil {
-		if err := s.mgr.Undeploy(s.nd.Protocol().Name()); err != nil {
-			return err
-		}
-		s.nd = nil
-	}
-	return nil
+	s.dymo, s.dymoOnMPR = nil, false
+	return s.undeployND()
 }
 
 // AODVConfig parameterises an AODV deployment.
@@ -554,18 +581,9 @@ func (s *Stack) DeployAODV(cfg AODVConfig) (*AODV, error) {
 	if s.aodv != nil {
 		return s.aodv, nil
 	}
-	if s.nd == nil {
-		nd := neighbor.New("", neighbor.Config{
-			HelloInterval:     cfg.HelloInterval,
-			LinkLayerFeedback: true,
-		})
-		if err := s.mgr.Deploy(nd.Protocol()); err != nil {
-			return nil, err
-		}
-		if err := nd.Protocol().Start(); err != nil {
-			return nil, err
-		}
-		s.nd = nd
+	undo, err := s.ensureND(cfg.HelloInterval)
+	if err != nil {
+		return nil, err
 	}
 	a := aodv.New("", s.nd, aodv.Config{
 		RouteLifetime:   cfg.RouteLifetime,
@@ -574,10 +592,8 @@ func (s *Stack) DeployAODV(cfg AODVConfig) (*AODV, error) {
 		FIB:             s.sys.FIB(),
 		Device:          s.sys.NIC().Device(),
 	})
-	if err := s.mgr.Deploy(a.Protocol()); err != nil {
-		return nil, err
-	}
-	if err := a.Protocol().Start(); err != nil {
+	if err := s.Deploy(a.Protocol()); err != nil {
+		undo()
 		return nil, err
 	}
 	s.aodv = a
@@ -614,16 +630,9 @@ func (s *Stack) DeployZRP(cfg ZRPConfig) (*ZRP, error) {
 	if s.zrp != nil {
 		return s.zrp, nil
 	}
-	relay := s.mpr
-	if relay == nil {
-		relay = mpr.New("", mpr.Config{HelloInterval: cfg.HelloInterval})
-		if err := s.mgr.Deploy(relay.Protocol()); err != nil {
-			return nil, err
-		}
-		if err := relay.Protocol().Start(); err != nil {
-			return nil, err
-		}
-		s.mpr = relay
+	relay, undo, err := s.ensureMPR(cfg.HelloInterval)
+	if err != nil {
+		return nil, err
 	}
 	z := zrp.New("", relay, zrp.Config{
 		RouteLifetime: cfg.RouteLifetime,
@@ -631,10 +640,8 @@ func (s *Stack) DeployZRP(cfg ZRPConfig) (*ZRP, error) {
 		FIB:           s.sys.FIB(),
 		Device:        s.sys.NIC().Device(),
 	})
-	if err := s.mgr.Deploy(z.Protocol()); err != nil {
-		return nil, err
-	}
-	if err := z.Protocol().Start(); err != nil {
+	if err := s.Deploy(z.Protocol()); err != nil {
+		undo()
 		return nil, err
 	}
 	s.zrp = z
@@ -687,10 +694,7 @@ func (s *Stack) EnableFisheye(pattern []uint8) error {
 		return nil
 	}
 	fish := olsr.NewFisheye("", pattern)
-	if err := s.mgr.Deploy(fish); err != nil {
-		return err
-	}
-	if err := fish.Start(); err != nil {
+	if err := s.Deploy(fish); err != nil {
 		return err
 	}
 	s.fisheye = fish
