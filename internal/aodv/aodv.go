@@ -28,6 +28,7 @@ import (
 	"manetkit/internal/mnet"
 	"manetkit/internal/neighbor"
 	"manetkit/internal/packetbb"
+	"manetkit/internal/reactive"
 	"manetkit/internal/route"
 	"manetkit/internal/vclock"
 )
@@ -104,19 +105,6 @@ func (c *Config) fill() {
 	}
 }
 
-// pending tracks one discovery with its expanding-ring state.
-type pending struct {
-	tries   int
-	ttl     uint8
-	timer   vclock.Timer
-	started time.Time // virtual-clock discovery start, for the latency histogram
-}
-
-type dupKey struct {
-	orig mnet.Addr
-	seq  uint16
-}
-
 // Stats counts AODV activity.
 type Stats struct {
 	Discoveries      uint64
@@ -136,9 +124,9 @@ type State struct {
 	Routes *route.Table
 
 	mu         sync.Mutex
-	seq        uint16
-	pending    map[mnet.Addr]*pending
-	dupes      map[dupKey]time.Time
+	seq        reactive.Seq
+	pending    reactive.Discoveries // with each attempt's ring TTL
+	dupes      reactive.DupSet
 	precursors map[mnet.Addr]map[mnet.Addr]bool // dst -> upstream users
 	stats      Stats
 }
@@ -147,8 +135,8 @@ type State struct {
 func NewState(routes *route.Table) *State {
 	return &State{
 		Routes:     routes,
-		pending:    make(map[mnet.Addr]*pending),
-		dupes:      make(map[dupKey]time.Time),
+		pending:    make(reactive.Discoveries),
+		dupes:      make(reactive.DupSet),
 		precursors: make(map[mnet.Addr]map[mnet.Addr]bool),
 	}
 }
@@ -157,11 +145,7 @@ func NewState(routes *route.Table) *State {
 func (s *State) NextSeq() uint16 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
-	if s.seq == 0 {
-		s.seq = 1
-	}
-	return s.seq
+	return s.seq.Next()
 }
 
 // Stats returns a snapshot of the protocol counters.
@@ -177,12 +161,11 @@ func (s *State) bump(fn func(*Stats)) {
 	s.mu.Unlock()
 }
 
-func (s *State) seenDup(k dupKey, now time.Time) bool {
+// duplicate records (orig, seq) and reports whether it was already known.
+func (s *State) duplicate(orig mnet.Addr, seq uint16, now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, dup := s.dupes[k]
-	s.dupes[k] = now
-	return dup
+	return s.dupes.Seen(reactive.Key{Orig: orig, Seq: seq}, now)
 }
 
 // addPrecursor records that upstream uses this node to reach dst.
@@ -284,12 +267,7 @@ func New(name string, detector *neighbor.Detector, cfg Config) *AODV {
 	})
 	a.proto.OnStop(func(ctx *core.Context) error {
 		a.state.mu.Lock()
-		for _, p := range a.state.pending {
-			if p.timer != nil {
-				p.timer.Stop()
-			}
-		}
-		a.state.pending = make(map[mnet.Addr]*pending)
+		a.state.pending.StopAll()
 		a.state.mu.Unlock()
 		a.state.Routes.Clear()
 		return nil
@@ -371,13 +349,12 @@ func (a *AODV) onNoRoute(ctx *core.Context, ev *event.Event) error {
 	}
 	dst := ev.Route.Dst
 	a.state.mu.Lock()
-	_, already := a.state.pending[dst]
-	if !already {
-		a.state.pending[dst] = &pending{ttl: a.cfg.TTLStart, started: ctx.Clock().Now()}
+	started := a.state.pending.Start(dst, ctx.Clock().Now())
+	if started {
 		a.state.stats.Discoveries++
 	}
 	a.state.mu.Unlock()
-	if already {
+	if !started {
 		return nil
 	}
 	a.mDiscoveries.Inc()
@@ -407,8 +384,7 @@ func (a *AODV) sendRREQ(ctx *core.Context, dst mnet.Addr, attempt int, ttl uint8
 	if a.cfg.DestinationOnly {
 		msg.TLVs = append(msg.TLVs, packetbb.TLV{Type: tlvDestOnly})
 	}
-	now := ctx.Clock().Now()
-	a.state.seenDup(dupKey{orig: ctx.Node(), seq: seq}, now)
+	a.state.duplicate(ctx.Node(), seq, ctx.Clock().Now())
 	a.mRREQTx.Inc()
 	ctx.Emit(&event.Event{Type: event.REOut, Msg: msg, Dst: mnet.Broadcast})
 
@@ -416,13 +392,7 @@ func (a *AODV) sendRREQ(ctx *core.Context, dst mnet.Addr, attempt int, ttl uint8
 		_ = a.proto.RunLocked(func(ctx *core.Context) { a.retry(ctx, dst, attempt) })
 	})
 	a.state.mu.Lock()
-	if p, ok := a.state.pending[dst]; ok {
-		p.tries = attempt
-		p.ttl = ttl
-		p.timer = timer
-	} else {
-		timer.Stop()
-	}
+	a.state.pending.Arm(dst, attempt, ttl, timer)
 	a.state.mu.Unlock()
 }
 
@@ -430,18 +400,18 @@ func (a *AODV) sendRREQ(ctx *core.Context, dst mnet.Addr, attempt int, ttl uint8
 // full-diameter attempts.
 func (a *AODV) retry(ctx *core.Context, dst mnet.Addr, attempt int) {
 	a.state.mu.Lock()
-	p, ok := a.state.pending[dst]
-	if !ok || p.tries != attempt {
+	ttl, ok := a.state.pending.Due(dst, attempt)
+	if !ok {
 		a.state.mu.Unlock()
 		return
 	}
-	nextTTL := p.ttl + a.cfg.TTLIncrement
-	expanding := p.ttl < a.cfg.TTLThreshold
+	nextTTL := ttl + a.cfg.TTLIncrement
+	expanding := ttl < a.cfg.TTLThreshold
 	if !expanding {
 		nextTTL = a.cfg.NetDiameter
 	}
 	if !expanding && attempt >= a.cfg.RREQTries {
-		delete(a.state.pending, dst)
+		a.state.pending.GiveUp(dst)
 		a.state.stats.GiveUps++
 		a.state.mu.Unlock()
 		a.mGiveUps.Inc()
@@ -469,7 +439,7 @@ func (a *AODV) learnRoute(ctx *core.Context, node, prevHop mnet.Addr, metric int
 	now := ctx.Clock().Now()
 	if cur, ok := a.state.Routes.Get(dst); ok && cur.Valid {
 		if best, has := cur.Best(now); has {
-			newer := seqNewer(seq, cur.SeqNum)
+			newer := packetbb.SeqNewer(seq, cur.SeqNum)
 			if !newer && !(seq == cur.SeqNum && metric < best.Metric) {
 				return false
 			}
@@ -488,17 +458,11 @@ func (a *AODV) learnRoute(ctx *core.Context, node, prevHop mnet.Addr, metric int
 
 func (a *AODV) completeDiscovery(ctx *core.Context, dst mnet.Addr) {
 	a.state.mu.Lock()
-	p, ok := a.state.pending[dst]
-	if ok {
-		if p.timer != nil {
-			p.timer.Stop()
-		}
-		delete(a.state.pending, dst)
-	}
+	started, ok := a.state.pending.Complete(dst)
 	a.state.mu.Unlock()
 	if ok {
-		if !p.started.IsZero() {
-			a.mDiscoveryLat.Observe(ctx.Clock().Now().Sub(p.started))
+		if !started.IsZero() {
+			a.mDiscoveryLat.Observe(ctx.Clock().Now().Sub(started))
 		}
 		ctx.Emit(&event.Event{Type: event.RouteFound, Route: &event.RoutePayload{Dst: dst}})
 	}
@@ -535,7 +499,7 @@ func (a *AODV) onRREQ(ctx *core.Context, ev *event.Event) error {
 	// precursor of the forward direction.
 	a.learnRoute(ctx, msg.Originator, ev.Src, metric, origSeq)
 
-	if a.state.seenDup(dupKey{orig: msg.Originator, seq: msg.SeqNum}, now) {
+	if a.state.duplicate(msg.Originator, msg.SeqNum, now) {
 		return nil
 	}
 	targetSeq := uint16(0)
@@ -554,7 +518,7 @@ func (a *AODV) onRREQ(ctx *core.Context, ev *event.Event) error {
 	// target at least as fresh as the originator demands (RFC 3561 §6.6).
 	if !destOnly {
 		if e, ok := a.state.Routes.Get(mnet.HostPrefix(target)); ok && e.Valid {
-			if best, has := e.Best(now); has && (targetSeq == 0 || !seqNewer(targetSeq, e.SeqNum)) {
+			if best, has := e.Best(now); has && (targetSeq == 0 || !packetbb.SeqNewer(targetSeq, e.SeqNum)) {
 				a.state.addPrecursor(target, ev.Src)
 				a.state.bump(func(st *Stats) { st.GratuitousRREPs++ })
 				a.sendRREP(ctx, msg.Originator, target, e.SeqNum, uint8(best.Metric), ev.Src, true)
@@ -683,7 +647,7 @@ func (a *AODV) onRERR(ctx *core.Context, ev *event.Event) error {
 	if msg == nil || msg.Originator == ctx.Node() || len(msg.AddrBlocks) == 0 {
 		return nil
 	}
-	if a.state.seenDup(dupKey{orig: msg.Originator, seq: msg.SeqNum}, ctx.Clock().Now()) {
+	if a.state.duplicate(msg.Originator, msg.SeqNum, ctx.Clock().Now()) {
 		return nil
 	}
 	for _, dead := range msg.AddrBlocks[0].Addrs {
@@ -703,8 +667,13 @@ func (a *AODV) onRERR(ctx *core.Context, ev *event.Event) error {
 			continue
 		}
 		a.state.Routes.Invalidate(p)
-		// Propagate to our own precursors for this destination.
-		for _, up := range a.state.takePrecursors(dead) {
+		// Propagate to our own precursors for this destination while the
+		// hop limit allows another hop.
+		precursors := a.state.takePrecursors(dead)
+		if msg.HopLimit <= 1 {
+			continue
+		}
+		for _, up := range precursors {
 			fwd := msg.Clone()
 			fwd.HopLimit--
 			ctx.Emit(&event.Event{Type: event.RerrOut, Msg: fwd, Dst: up})
@@ -715,17 +684,7 @@ func (a *AODV) onRERR(ctx *core.Context, ev *event.Event) error {
 
 func (a *AODV) sweep(ctx *core.Context) {
 	a.state.Routes.PurgeExpired()
-	now := ctx.Clock().Now()
 	a.state.mu.Lock()
-	for k, t := range a.state.dupes {
-		if now.Sub(t) > 30*time.Second {
-			delete(a.state.dupes, k)
-		}
-	}
+	a.state.dupes.Sweep(ctx.Clock().Now(), reactive.DupHold, nil)
 	a.state.mu.Unlock()
-}
-
-// seqNewer reports a > b under 16-bit serial arithmetic.
-func seqNewer(a, b uint16) bool {
-	return a != b && ((a > b && a-b < 0x8000) || (a < b && b-a > 0x8000))
 }

@@ -1,6 +1,7 @@
 package aodv
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,9 @@ import (
 	"manetkit/internal/event"
 	"manetkit/internal/mnet"
 	"manetkit/internal/neighbor"
+	"manetkit/internal/packetbb"
+	"manetkit/internal/route"
+	"manetkit/internal/system"
 	"manetkit/internal/testbed"
 )
 
@@ -243,9 +247,71 @@ func TestGiveUpUnreachable(t *testing.T) {
 	}
 }
 
+// TestRERRRelayRespectsHopLimit: node 1 reaches an off-cluster destination
+// through an off-cluster next hop and has node 0 as that route's precursor.
+// A RERR from the next hop always invalidates the route; node 1 relays it to
+// node 0 one hop lower only while the hop limit allows another hop.
+// TestSeqNewerWraparound: AODV's destination-sequence freshness rule is
+// packetbb.SeqNewer, which compares across the 16-bit wrap.
 func TestSeqNewerWraparound(t *testing.T) {
-	if !seqNewer(2, 1) || seqNewer(1, 2) || seqNewer(3, 3) || !seqNewer(1, 65000) {
+	if !packetbb.SeqNewer(2, 1) || packetbb.SeqNewer(1, 2) || packetbb.SeqNewer(3, 3) || !packetbb.SeqNewer(1, 65000) {
 		t.Fatal("seqNewer broken")
+	}
+}
+
+func TestRERRRelayRespectsHopLimit(t *testing.T) {
+	for _, tc := range []struct {
+		in    uint8
+		relay []uint8 // hop limits of the RERRs node 1 transmits
+	}{
+		{in: 1, relay: nil},
+		{in: 2, relay: []uint8{1}},
+	} {
+		c, nodes := deployAODV(t, 2, Config{RouteLifetime: time.Minute})
+		up, b := c.Addrs()[0], nodes[1].aodv
+		next, dst := mnet.MustParseAddr("10.9.0.1"), mnet.MustParseAddr("10.9.0.2")
+		b.Routes().Upsert(route.Entry{
+			Dst:    mnet.HostPrefix(dst),
+			Paths:  []route.Path{{NextHop: next, Metric: 2, Expires: c.Clock.Now().Add(time.Minute)}},
+			SeqNum: 1,
+			Valid:  true,
+			Proto:  b.Protocol().Name(),
+		})
+		b.State().addPrecursor(dst, up)
+
+		var relayed []uint8
+		c.Net.SetTxTap(func(f emunet.Frame) {
+			if f.Src != c.Addrs()[1] || !system.IsControlFrame(f.Payload) {
+				return
+			}
+			pkt, err := system.DecodeControl(f)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, m := range pkt.Messages {
+				if m.Type == packetbb.MsgRERR {
+					relayed = append(relayed, m.HopLimit)
+				}
+			}
+		})
+		rerr := &packetbb.Message{
+			Type: packetbb.MsgRERR, Originator: next, SeqNum: 7, HopLimit: tc.in,
+			AddrBlocks: []packetbb.AddrBlock{{Addrs: []mnet.Addr{dst}}},
+		}
+		if err := b.Protocol().RunLocked(func(ctx *core.Context) {
+			_ = b.onRERR(ctx, &event.Event{Type: event.RerrIn, Msg: rerr, Src: next})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(100 * time.Millisecond)
+
+		if _, _, err := b.Routes().Lookup(dst); err == nil {
+			t.Errorf("hop limit %d: route survived the RERR", tc.in)
+		}
+		if !slices.Equal(relayed, tc.relay) {
+			t.Errorf("hop limit %d: relayed RERR hop limits = %v, want %v", tc.in, relayed, tc.relay)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
 	"manetkit/internal/packetbb"
+	"manetkit/internal/reactive"
 	"manetkit/internal/route"
 	"manetkit/internal/vclock"
 )
@@ -69,20 +70,6 @@ func (c *Config) fill() {
 	}
 }
 
-// pendingREQ tracks one in-progress route discovery.
-type pendingREQ struct {
-	dst     mnet.Addr
-	tries   int
-	timer   vclock.Timer
-	started time.Time // virtual-clock discovery start, for the latency histogram
-}
-
-// dupKey identifies an RE message for duplicate suppression.
-type dupKey struct {
-	orig mnet.Addr
-	seq  uint16
-}
-
 // Stats counts DYMO activity (used by the evaluation harness).
 type Stats struct {
 	Discoveries  uint64 // route discoveries initiated
@@ -100,11 +87,11 @@ type State struct {
 	Routes *route.Table
 
 	mu         sync.Mutex
-	seq        uint16
-	pending    map[mnet.Addr]*pendingREQ
-	dupes      map[dupKey]time.Time
-	repliedVia map[dupKey]map[mnet.Addr]bool // multipath: prev-hops already replied to
-	replySeq   map[dupKey]uint16             // seq used for replies to one discovery
+	seq        reactive.Seq
+	pending    reactive.Discoveries
+	dupes      reactive.DupSet
+	repliedVia map[reactive.Key]map[mnet.Addr]bool // multipath: prev-hops already replied to
+	replySeq   map[reactive.Key]uint16             // seq used for replies to one discovery
 	stats      Stats
 
 	// multipath is set by the variant: duplicate RREQs are mined for
@@ -117,10 +104,10 @@ type State struct {
 func NewState(routes *route.Table) *State {
 	return &State{
 		Routes:     routes,
-		pending:    make(map[mnet.Addr]*pendingREQ),
-		dupes:      make(map[dupKey]time.Time),
-		repliedVia: make(map[dupKey]map[mnet.Addr]bool),
-		replySeq:   make(map[dupKey]uint16),
+		pending:    make(reactive.Discoveries),
+		dupes:      make(reactive.DupSet),
+		repliedVia: make(map[reactive.Key]map[mnet.Addr]bool),
+		replySeq:   make(map[reactive.Key]uint16),
 		maxPaths:   2,
 	}
 }
@@ -129,18 +116,14 @@ func NewState(routes *route.Table) *State {
 func (s *State) NextSeq() uint16 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
-	if s.seq == 0 {
-		s.seq = 1
-	}
-	return s.seq
+	return s.seq.Next()
 }
 
 // Seq returns the current sequence number.
 func (s *State) Seq() uint16 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.seq
+	return uint16(s.seq)
 }
 
 // Stats returns a snapshot of the protocol counters.
@@ -156,13 +139,11 @@ func (s *State) bump(fn func(*Stats)) {
 	s.mu.Unlock()
 }
 
-// seenDup records (orig, seq) and reports whether it was already known.
-func (s *State) seenDup(k dupKey, now time.Time) bool {
+// duplicate records k and reports whether it was already known.
+func (s *State) duplicate(k reactive.Key, now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, dup := s.dupes[k]
-	s.dupes[k] = now
-	return dup
+	return s.dupes.Seen(k, now)
 }
 
 // Multipath reports whether the multipath variant is active.
@@ -176,15 +157,10 @@ func (s *State) Multipath() bool {
 // overwrite an existing entry when its seq is newer, or equal-seq with a
 // strictly better metric.
 func freshEnough(entrySeq uint16, entryMetric int, seq uint16, metric int) bool {
-	if seqNewer(seq, entrySeq) {
+	if packetbb.SeqNewer(seq, entrySeq) {
 		return true
 	}
 	return seq == entrySeq && metric < entryMetric
-}
-
-// seqNewer reports a > b under 16-bit serial arithmetic.
-func seqNewer(a, b uint16) bool {
-	return a != b && ((a > b && a-b < 0x8000) || (a < b && b-a > 0x8000))
 }
 
 // DYMO is the DYMO ManetProtocol CF.
@@ -273,12 +249,7 @@ func New(name string, cfg Config) *DYMO {
 	})
 	d.proto.OnStop(func(ctx *core.Context) error {
 		d.state.mu.Lock()
-		for _, p := range d.state.pending {
-			if p.timer != nil {
-				p.timer.Stop()
-			}
-		}
-		d.state.pending = make(map[mnet.Addr]*pendingREQ)
+		d.state.pending.StopAll()
 		d.state.mu.Unlock()
 		d.state.Routes.Clear()
 		return nil
@@ -317,13 +288,12 @@ func (d *DYMO) onNoRoute(ctx *core.Context, ev *event.Event) error {
 	}
 	dst := ev.Route.Dst
 	d.state.mu.Lock()
-	_, already := d.state.pending[dst]
-	if !already {
-		d.state.pending[dst] = &pendingREQ{dst: dst, started: ctx.Clock().Now()}
+	started := d.state.pending.Start(dst, ctx.Clock().Now())
+	if started {
 		d.state.stats.Discoveries++
 	}
 	d.state.mu.Unlock()
-	if already {
+	if !started {
 		return nil
 	}
 	d.mDiscoveries.Inc()
@@ -347,7 +317,7 @@ func (d *DYMO) sendRREQ(ctx *core.Context, dst mnet.Addr, attempt int) {
 		}},
 	}
 	now := ctx.Clock().Now()
-	d.state.seenDup(dupKey{orig: ctx.Node(), seq: seq}, now)
+	d.state.duplicate(reactive.Key{Orig: ctx.Node(), Seq: seq}, now)
 	if f := d.currentFlooder(); f != nil {
 		f.Seen(ctx.Node(), seq, now)
 	}
@@ -359,24 +329,18 @@ func (d *DYMO) sendRREQ(ctx *core.Context, dst mnet.Addr, attempt int) {
 		_ = d.proto.RunLocked(func(ctx *core.Context) { d.retry(ctx, dst, attempt) })
 	})
 	d.state.mu.Lock()
-	if p, ok := d.state.pending[dst]; ok {
-		p.tries = attempt
-		p.timer = timer
-	} else {
-		timer.Stop() // discovery completed in the meantime
-	}
+	d.state.pending.Arm(dst, attempt, d.cfg.HopLimit, timer)
 	d.state.mu.Unlock()
 }
 
 func (d *DYMO) retry(ctx *core.Context, dst mnet.Addr, attempt int) {
 	d.state.mu.Lock()
-	p, ok := d.state.pending[dst]
-	if !ok || p.tries != attempt {
+	if _, ok := d.state.pending.Due(dst, attempt); !ok {
 		d.state.mu.Unlock()
 		return
 	}
 	if attempt >= d.cfg.RREQTries {
-		delete(d.state.pending, dst)
+		d.state.pending.GiveUp(dst)
 		d.state.stats.GiveUps++
 		d.state.mu.Unlock()
 		d.mGiveUps.Inc()
@@ -442,17 +406,11 @@ func curBest(e route.Entry, now time.Time) (route.Path, bool) {
 // raises ROUTE_FOUND so the packet filter re-injects held traffic.
 func (d *DYMO) completeDiscovery(ctx *core.Context, dst mnet.Addr) {
 	d.state.mu.Lock()
-	p, ok := d.state.pending[dst]
-	if ok {
-		if p.timer != nil {
-			p.timer.Stop()
-		}
-		delete(d.state.pending, dst)
-	}
+	started, ok := d.state.pending.Complete(dst)
 	d.state.mu.Unlock()
 	if ok {
-		if !p.started.IsZero() {
-			d.mDiscoveryLat.Observe(ctx.Clock().Now().Sub(p.started))
+		if !started.IsZero() {
+			d.mDiscoveryLat.Observe(ctx.Clock().Now().Sub(started))
 		}
 		ctx.Emit(&event.Event{Type: event.RouteFound, Route: &event.RoutePayload{Dst: dst}})
 	}
@@ -484,14 +442,11 @@ func (d *DYMO) onRREQ(ctx *core.Context, ev *event.Event) error {
 	d.learnRoute(ctx, msg.Originator, ev.Src, metric, msg.SeqNum)
 	d.learnAccumulated(ctx, msg, ev.Src)
 
-	k := dupKey{orig: msg.Originator, seq: msg.SeqNum}
-	dup := d.state.seenDup(k, now)
+	k := reactive.Key{Orig: msg.Originator, Seq: msg.SeqNum}
+	dup := d.state.duplicate(k, now)
 
 	if target == ctx.Node() {
 		return d.replyToRREQ(ctx, ev, k, dup)
-	}
-	if dup && !d.state.Multipath() {
-		return nil
 	}
 	if dup {
 		// Multipath intermediate nodes still suppress duplicate
@@ -519,7 +474,7 @@ func (d *DYMO) onRREQ(ctx *core.Context, ev *event.Event) error {
 // replyToRREQ generates the RREP at the target. The base protocol replies
 // only to the first copy; the multipath variant's replacement RE handler
 // replies to up to maxPaths distinct previous hops (link-disjoint paths).
-func (d *DYMO) replyToRREQ(ctx *core.Context, ev *event.Event, k dupKey, dup bool) error {
+func (d *DYMO) replyToRREQ(ctx *core.Context, ev *event.Event, k reactive.Key, dup bool) error {
 	msg := ev.Msg
 	d.state.mu.Lock()
 	replied := d.state.repliedVia[k]
@@ -533,24 +488,19 @@ func (d *DYMO) replyToRREQ(ctx *core.Context, ev *event.Event, k dupKey, dup boo
 	} else if d.state.multipath && !replied[ev.Src] && len(replied) < d.state.maxPaths {
 		canReply = true
 	}
+	// All replies to one discovery carry the same sequence number so the
+	// originator retains them as equal-freshness alternative paths.
+	seq, ok := d.state.replySeq[k]
 	if canReply {
 		replied[ev.Src] = true
+		if !ok {
+			seq = d.state.seq.Next()
+			d.state.replySeq[k] = seq
+		}
 	}
 	d.state.mu.Unlock()
 	if !canReply {
 		return nil
-	}
-
-	// All replies to one discovery carry the same sequence number so the
-	// originator retains them as equal-freshness alternative paths.
-	d.state.mu.Lock()
-	seq, ok := d.state.replySeq[k]
-	d.state.mu.Unlock()
-	if !ok {
-		seq = d.state.NextSeq()
-		d.state.mu.Lock()
-		d.state.replySeq[k] = seq
-		d.state.mu.Unlock()
 	}
 
 	rrep := &packetbb.Message{
@@ -719,7 +669,7 @@ func (d *DYMO) onRERR(ctx *core.Context, ev *event.Event) error {
 	if msg == nil || msg.Originator == ctx.Node() || len(msg.AddrBlocks) == 0 {
 		return nil
 	}
-	if d.state.seenDup(dupKey{orig: msg.Originator, seq: msg.SeqNum}, ctx.Clock().Now()) {
+	if d.state.duplicate(reactive.Key{Orig: msg.Originator, Seq: msg.SeqNum}, ctx.Clock().Now()) {
 		return nil
 	}
 	var stillDead []mnet.Addr
@@ -765,14 +715,10 @@ func (d *DYMO) onUnsupported(ctx *core.Context, ev *event.Event) error {
 
 func (d *DYMO) sweep(ctx *core.Context) {
 	d.state.Routes.PurgeExpired()
-	now := ctx.Clock().Now()
 	d.state.mu.Lock()
-	for k, t := range d.state.dupes {
-		if now.Sub(t) > 30*time.Second {
-			delete(d.state.dupes, k)
-			delete(d.state.repliedVia, k)
-			delete(d.state.replySeq, k)
-		}
-	}
+	d.state.dupes.Sweep(ctx.Clock().Now(), reactive.DupHold, func(k reactive.Key) {
+		delete(d.state.repliedVia, k)
+		delete(d.state.replySeq, k)
+	})
 	d.state.mu.Unlock()
 }

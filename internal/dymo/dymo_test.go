@@ -11,26 +11,10 @@ import (
 	"manetkit/internal/mnet"
 	"manetkit/internal/mpr"
 	"manetkit/internal/neighbor"
+	"manetkit/internal/packetbb"
+	"manetkit/internal/reactive"
 	"manetkit/internal/testbed"
 )
-
-func TestSeqNewer(t *testing.T) {
-	tests := []struct {
-		a, b uint16
-		want bool
-	}{
-		{2, 1, true},
-		{1, 2, false},
-		{5, 5, false},
-		{0, 65535, true},  // wraparound
-		{65535, 0, false}, // wraparound
-	}
-	for _, tt := range tests {
-		if got := seqNewer(tt.a, tt.b); got != tt.want {
-			t.Errorf("seqNewer(%d,%d) = %v, want %v", tt.a, tt.b, got, tt.want)
-		}
-	}
-}
 
 func TestFreshEnough(t *testing.T) {
 	tests := []struct {
@@ -407,4 +391,118 @@ func TestCompositionMatchesFig6(t *testing.T) {
 		t.Fatalf("NO_ROUTE terminals = %v", terms)
 	}
 	_ = c
+}
+
+// TestSeqNewer: DYMO's route-freshness rule is packetbb.SeqNewer, which
+// compares across the 16-bit wrap.
+func TestSeqNewer(t *testing.T) {
+	tests := []struct {
+		a, b uint16
+		want bool
+	}{
+		{2, 1, true},
+		{1, 2, false},
+		{5, 5, false},
+		{0, 65535, true},  // wraparound
+		{65535, 0, false}, // wraparound
+	}
+	for _, tt := range tests {
+		if got := packetbb.SeqNewer(tt.a, tt.b); got != tt.want {
+			t.Errorf("seqNewer(%d,%d) = %v, want %v", tt.a, tt.b, got, tt.want)
+		}
+	}
+}
+
+// sweepPeriod is the default route-sweep period, which also sweeps the
+// duplicate set.
+func sweepPeriod() time.Duration {
+	var cfg Config
+	cfg.fill()
+	return cfg.RouteLifetime / 2
+}
+
+// injectRREQ hands d an RREQ for target from orig, as received from prev.
+func injectRREQ(t *testing.T, d *DYMO, orig, target, prev mnet.Addr, seq uint16, hopLimit uint8) {
+	t.Helper()
+	msg := &packetbb.Message{
+		Type: packetbb.MsgRREQ, Originator: orig, SeqNum: seq, HopLimit: hopLimit,
+		AddrBlocks: []packetbb.AddrBlock{{Addrs: []mnet.Addr{target}}},
+	}
+	if err := d.Protocol().RunLocked(func(ctx *core.Context) {
+		_ = d.onRE(ctx, &event.Event{Type: event.REIn, Msg: msg, Src: prev})
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMultipathReplyStateSweptWithDupes: the multipath target's per-discovery
+// reply state lives exactly as long as the discovery's duplicate-set entry.
+func TestMultipathReplyStateSweptWithDupes(t *testing.T) {
+	c, nodes := deployDYMO(t, 1, Config{})
+	d := nodes[0].dymo
+	if err := d.EnableMultipath(2); err != nil {
+		t.Fatal(err)
+	}
+	orig := mnet.MustParseAddr("10.9.0.1")
+	for _, prev := range []mnet.Addr{mnet.MustParseAddr("10.9.0.2"), mnet.MustParseAddr("10.9.0.3")} {
+		injectRREQ(t, d, orig, c.Addrs()[0], prev, 5, 10)
+	}
+	k := reactive.Key{Orig: orig, Seq: 5}
+	held := func() (dup, replied, seq bool) {
+		st := d.State()
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		_, seq = st.replySeq[k]
+		_, dup = st.dupes[k]
+		return dup, len(st.repliedVia[k]) == 2, seq
+	}
+	if dup, replied, seq := held(); !dup || !replied || !seq {
+		t.Fatalf("after two copies: dup %v, replied to both %v, reply seq %v", dup, replied, seq)
+	}
+	c.Run(reactive.DupHold)
+	if dup, replied, seq := held(); !dup || !replied || !seq {
+		t.Fatalf("at the hold time: dup %v, replied to both %v, reply seq %v", dup, replied, seq)
+	}
+	c.Run(sweepPeriod() + time.Millisecond)
+	st := d.State()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.dupes) != 0 || len(st.repliedVia) != 0 || len(st.replySeq) != 0 {
+		t.Fatalf("after the sweep: %d dupes, %d repliedVia, %d replySeq",
+			len(st.dupes), len(st.repliedVia), len(st.replySeq))
+	}
+}
+
+// TestForgedRREQStormDupSetPlateaus floods one node with RREQs from a new
+// forged originator every tick for five hold times. The duplicate set holds
+// each entry for DupHold and is swept every sweep period, so it plateaus at
+// rate × (DupHold + sweep period) entries — the bound reactive.DupHold
+// documents — instead of growing with the storm.
+func TestForgedRREQStormDupSetPlateaus(t *testing.T) {
+	c, nodes := deployDYMO(t, 1, Config{})
+	d := nodes[0].dymo
+	const tick = 50 * time.Millisecond
+	period := sweepPeriod()
+	bound := int((reactive.DupHold + period) / tick)
+	// Stay off the sweep grid so no entry sits exactly on a boundary.
+	c.Run(tick / 2)
+	target := mnet.MustParseAddr("10.8.0.1")
+	peak, last := 0, 0
+	for i := 0; time.Duration(i)*tick < 5*reactive.DupHold; i++ {
+		orig := mnet.AddrFrom(0x0a100000 + uint32(i))
+		injectRREQ(t, d, orig, target, orig, 1, 1)
+		c.Run(tick)
+		st := d.State()
+		st.mu.Lock()
+		last = len(st.dupes)
+		st.mu.Unlock()
+		peak = max(peak, last)
+	}
+	t.Logf("duplicate set: peak %d, final %d, bound %d", peak, last, bound)
+	if peak > bound {
+		t.Fatalf("duplicate set peaked at %d entries, bound %d", peak, bound)
+	}
+	if floor := int(reactive.DupHold / tick); last < floor {
+		t.Fatalf("duplicate set holds %d entries at the end, want at least %d (one hold time)", last, floor)
+	}
 }

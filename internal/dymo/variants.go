@@ -8,6 +8,15 @@ import (
 	"manetkit/internal/core"
 	"manetkit/internal/event"
 	"manetkit/internal/mnet"
+	"manetkit/internal/reactive"
+)
+
+// The gossip flooder keeps no sweep timer: a sighting that grows its
+// duplicate set past gossipSweepAt entries drops those idle longer than
+// gossipHold.
+const (
+	gossipSweepAt = 4096
+	gossipHold    = time.Minute
 )
 
 // GossipFlooder is the probabilistic-flooding alternative the paper's
@@ -19,7 +28,7 @@ type GossipFlooder struct {
 
 	mu   sync.Mutex
 	rng  *rand.Rand
-	seen map[dupKey]time.Time
+	seen reactive.DupSet
 }
 
 var _ Flooder = (*GossipFlooder)(nil)
@@ -33,29 +42,20 @@ func NewGossipFlooder(p float64, seed int64) *GossipFlooder {
 	if p > 1 {
 		p = 1
 	}
-	return &GossipFlooder{
-		p:    p,
-		rng:  rand.New(rand.NewSource(seed)),
-		seen: make(map[dupKey]time.Time),
-	}
+	return &GossipFlooder{p: p, rng: rand.New(rand.NewSource(seed)), seen: make(reactive.DupSet)}
 }
 
 // ShouldForward implements Flooder: dedup, then a biased coin.
 func (g *GossipFlooder) ShouldForward(orig mnet.Addr, seq uint16, prevHop mnet.Addr, now time.Time) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	k := dupKey{orig: orig, seq: seq}
+	k := reactive.Key{Orig: orig, Seq: seq}
 	if _, dup := g.seen[k]; dup {
 		return false
 	}
 	g.seen[k] = now
-	// Opportunistic cleanup of stale entries.
-	if len(g.seen) > 4096 {
-		for key, t := range g.seen {
-			if now.Sub(t) > time.Minute {
-				delete(g.seen, key)
-			}
-		}
+	if len(g.seen) > gossipSweepAt {
+		g.seen.Sweep(now, gossipHold, nil)
 	}
 	return g.rng.Float64() < g.p
 }
@@ -64,7 +64,7 @@ func (g *GossipFlooder) ShouldForward(orig mnet.Addr, seq uint16, prevHop mnet.A
 func (g *GossipFlooder) Seen(orig mnet.Addr, seq uint16, now time.Time) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.seen[dupKey{orig: orig, seq: seq}] = now
+	g.seen.Seen(reactive.Key{Orig: orig, Seq: seq}, now)
 }
 
 // EnableMultipath applies the multipath DYMO variant (§5.2, after Galvez &

@@ -22,6 +22,7 @@ import (
 	"manetkit/internal/mnet"
 	"manetkit/internal/neighbor"
 	"manetkit/internal/packetbb"
+	"manetkit/internal/reactive"
 )
 
 // UnitName is the MPR CF's default unit name.
@@ -47,8 +48,6 @@ type Config struct {
 	// it is updated dynamically from POWER_STATUS context events, the
 	// paper's battery-driven willingness metric (§5.1).
 	Willingness uint8
-	// DupHold is how long flooding duplicates are remembered (default 30s).
-	DupHold time.Duration
 }
 
 func (c *Config) fill() {
@@ -64,9 +63,6 @@ func (c *Config) fill() {
 	if c.Willingness == 0 {
 		c.Willingness = 3
 	}
-	if c.DupHold <= 0 {
-		c.DupHold = 30 * time.Second
-	}
 }
 
 // State is the MPR CF's S element: link set, 2-hop set, relay selections in
@@ -78,12 +74,7 @@ type State struct {
 	selected    map[mnet.Addr]bool // neighbours we chose as relays
 	selectors   map[mnet.Addr]bool // neighbours that chose us
 	willingness uint8
-	dupes       map[dupeKey]time.Time
-}
-
-type dupeKey struct {
-	orig mnet.Addr
-	seq  uint16
+	dupes       reactive.DupSet
 }
 
 // NewState returns an empty MPR state.
@@ -93,7 +84,7 @@ func NewState() *State {
 		selected:    make(map[mnet.Addr]bool),
 		selectors:   make(map[mnet.Addr]bool),
 		willingness: 3,
-		dupes:       make(map[dupeKey]time.Time),
+		dupes:       make(reactive.DupSet),
 	}
 }
 
@@ -380,13 +371,8 @@ func (m *MPR) sweep(ctx *core.Context) {
 		})
 	}
 	m.state.Links.Drop(now.Add(-3 * hold))
-	// Expire flooding duplicates.
 	m.state.mu.Lock()
-	for k, t := range m.state.dupes {
-		if now.Sub(t) > m.cfg.DupHold {
-			delete(m.state.dupes, k)
-		}
-	}
+	m.state.dupes.Sweep(now, reactive.DupHold, nil)
 	m.state.mu.Unlock()
 	if len(lost) > 0 {
 		m.recompute(ctx, false)
@@ -437,9 +423,7 @@ type Flooder struct{ m *MPR }
 func (f *Flooder) ShouldForward(orig mnet.Addr, seq uint16, prevHop mnet.Addr, now time.Time) bool {
 	st := f.m.state
 	st.mu.Lock()
-	key := dupeKey{orig: orig, seq: seq}
-	_, dup := st.dupes[key]
-	st.dupes[key] = now
+	dup := st.dupes.Seen(reactive.Key{Orig: orig, Seq: seq}, now)
 	isSelector := st.selectors[prevHop]
 	st.mu.Unlock()
 	return !dup && isSelector
@@ -450,6 +434,6 @@ func (f *Flooder) ShouldForward(orig mnet.Addr, seq uint16, prevHop mnet.Addr, n
 func (f *Flooder) Seen(orig mnet.Addr, seq uint16, now time.Time) {
 	st := f.m.state
 	st.mu.Lock()
-	st.dupes[dupeKey{orig: orig, seq: seq}] = now
+	st.dupes.Seen(reactive.Key{Orig: orig, Seq: seq}, now)
 	st.mu.Unlock()
 }

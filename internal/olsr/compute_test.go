@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"manetkit/internal/mnet"
+	"manetkit/internal/packetbb"
 	"manetkit/internal/route"
 	"manetkit/internal/testbed"
 	"manetkit/internal/vclock"
@@ -82,10 +83,10 @@ func newModelTopo() *modelTopo {
 
 func (m *modelTopo) recordTC(orig mnet.Addr, ansn uint16, advertised []mnet.Addr, expiry time.Time) (changed bool) {
 	prev, known := m.ansn[orig]
-	if known && seqOlder(ansn, prev.ansn) {
+	if known && packetbb.SeqNewer(prev.ansn, ansn) {
 		return false
 	}
-	if !known || seqOlder(prev.ansn, ansn) {
+	if !known || packetbb.SeqNewer(ansn, prev.ansn) {
 		for e := range m.tuples {
 			if e[0] == orig {
 				delete(m.tuples, e)

@@ -22,6 +22,8 @@ func newState() (*State, *vclock.Virtual) {
 	return NewState(route.NewTable(clk)), clk
 }
 
+// TestSeqOlder: an ANSN a is older than b exactly when packetbb.SeqNewer(b, a),
+// across the 16-bit wrap.
 func TestSeqOlder(t *testing.T) {
 	tests := []struct {
 		a, b uint16
@@ -34,7 +36,7 @@ func TestSeqOlder(t *testing.T) {
 		{0, 65535, false}, // wraparound
 	}
 	for _, tt := range tests {
-		if got := seqOlder(tt.a, tt.b); got != tt.want {
+		if got := packetbb.SeqNewer(tt.b, tt.a); got != tt.want {
 			t.Errorf("seqOlder(%d,%d) = %v, want %v", tt.a, tt.b, got, tt.want)
 		}
 	}

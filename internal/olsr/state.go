@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"manetkit/internal/mnet"
+	"manetkit/internal/packetbb"
 	"manetkit/internal/route"
 )
 
@@ -200,11 +201,11 @@ func (s *State) RecordTC(orig mnet.Addr, ansn uint16, advertised []mnet.Addr, ex
 	us := s.slotOf(orig)
 	// Work on a copy of the record: slotOf below may move s.topo.
 	rec := s.topo[us]
-	if rec.known && seqOlder(ansn, rec.ansn) {
+	if rec.known && packetbb.SeqNewer(rec.ansn, ansn) {
 		return false
 	}
 	changed := false
-	if rec.known && seqOlder(rec.ansn, ansn) && len(rec.edges) > 0 {
+	if rec.known && packetbb.SeqNewer(ansn, rec.ansn) && len(rec.edges) > 0 {
 		rec.edges = rec.edges[:0]
 		changed = true
 	}
@@ -230,12 +231,6 @@ func (s *State) RecordTC(orig mnet.Addr, ansn uint16, advertised []mnet.Addr, ex
 	}
 	s.topo[us] = rec
 	return changed
-}
-
-// seqOlder reports whether a is older than b under 16-bit serial-number
-// arithmetic (RFC 1982).
-func seqOlder(a, b uint16) bool {
-	return a != b && ((a < b && b-a < 0x8000) || (a > b && a-b > 0x8000))
 }
 
 // PurgeTopo drops expired tuples, compacting each originator's edges in

@@ -125,6 +125,12 @@ type Message struct {
 	AddrBlocks []AddrBlock
 }
 
+// SeqNewer reports whether the 16-bit sequence number a (a message SeqNum,
+// an ANSN) is newer than b under serial-number arithmetic (RFC 1982): the
+// forward distance from b to a is in [1, 0x7fff]. Numbers exactly 0x8000
+// apart are incomparable: neither is newer.
+func SeqNewer(a, b uint16) bool { return int16(a-b) > 0 }
+
 // Packet is the top-level wire unit: an optional packet sequence number,
 // packet TLVs, and one or more messages. Multiple co-deployed protocols can
 // place messages in the same packet.

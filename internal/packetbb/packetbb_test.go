@@ -401,6 +401,33 @@ func TestMsgTypeString(t *testing.T) {
 	}
 }
 
+func TestSeqNewer(t *testing.T) {
+	tests := []struct {
+		a, b uint16
+		want bool
+	}{
+		{2, 1, true},
+		{1, 2, false},
+		{5, 5, false},
+		{0, 0xffff, true}, // 0xffff→0 wraps forward
+		{0xffff, 0, false},
+		{1, 65000, true},
+		{0x7fff, 0, true}, // the longest forward distance
+		{0, 0x7fff, false},
+		{0x8000, 0, false}, // 0x8000 apart: incomparable both ways
+		{0, 0x8000, false},
+		{0x8001, 1, false},
+		{1, 0x8001, false},
+		{0x8001, 0, false}, // 0x8001 forward is 0x7fff backward
+		{0, 0x8001, true},
+	}
+	for _, tt := range tests {
+		if got := SeqNewer(tt.a, tt.b); got != tt.want {
+			t.Errorf("SeqNewer(%#x, %#x) = %v, want %v", tt.a, tt.b, got, tt.want)
+		}
+	}
+}
+
 func BenchmarkEncodeHello(b *testing.B) {
 	m := sampleHello()
 	b.ReportAllocs()

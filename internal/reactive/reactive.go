@@ -1,0 +1,130 @@
+// Package reactive is the discovery state the reactive protocols (AODV,
+// DYMO, ZRP) and the MPR and gossip flooders share: a hold-time duplicate
+// set, a pending-discovery table and a 16-bit sequence counter. Like
+// route.Table it is a plain library inside a protocol's State, not a CF: it
+// holds no lock, goroutine or timer of its own, so callers keep their
+// State's mutex, arm their retry timers themselves and keep the retry policy.
+package reactive
+
+import (
+	"time"
+
+	"manetkit/internal/mnet"
+	"manetkit/internal/vclock"
+)
+
+// DupHold is how long a duplicate-set entry outlives its latest sighting.
+// A set swept every P therefore holds at most rate × (DupHold + P) entries
+// under a steady flood of distinct messages.
+const DupHold = 30 * time.Second
+
+// Key identifies a flooded message: its originator and sequence number.
+type Key struct {
+	Orig mnet.Addr
+	Seq  uint16
+}
+
+// DupSet maps each recently seen message to its latest sighting. Make it
+// with make; len gives the number of entries held.
+type DupSet map[Key]time.Time
+
+// Seen records k as seen at now and reports whether it was already present.
+func (s DupSet) Seen(k Key, now time.Time) bool {
+	_, dup := s[k]
+	s[k] = now
+	return dup
+}
+
+// Sweep drops every entry last seen more than hold before now, passing each
+// dropped key to dropped when it is non-nil.
+func (s DupSet) Sweep(now time.Time, hold time.Duration, dropped func(Key)) {
+	for k, t := range s {
+		if now.Sub(t) > hold {
+			delete(s, k)
+			if dropped != nil {
+				dropped(k)
+			}
+		}
+	}
+}
+
+// discovery is one pending route discovery.
+type discovery struct {
+	tries   int          // attempts sent so far
+	ttl     uint8        // hop limit of the latest attempt
+	timer   vclock.Timer // the latest attempt's retry timer
+	started time.Time
+}
+
+// Discoveries is the pending-discovery table, keyed by destination. Make it
+// with make.
+type Discoveries map[mnet.Addr]*discovery
+
+// Start opens a discovery for dst at now, or returns false if one is pending.
+func (t Discoveries) Start(dst mnet.Addr, now time.Time) bool {
+	if _, ok := t[dst]; ok {
+		return false
+	}
+	t[dst] = &discovery{started: now}
+	return true
+}
+
+// Arm records that attempt went out with hop limit ttl and that timer
+// retries it. If the discovery has ended meanwhile, it stops timer instead.
+func (t Discoveries) Arm(dst mnet.Addr, attempt int, ttl uint8, timer vclock.Timer) {
+	if d, ok := t[dst]; ok {
+		d.tries, d.ttl, d.timer = attempt, ttl, timer
+	} else {
+		timer.Stop()
+	}
+}
+
+// Due reports whether attempt is still dst's latest one, with the hop limit
+// it went out with; a stale retry timer gets false.
+func (t Discoveries) Due(dst mnet.Addr, attempt int) (ttl uint8, ok bool) {
+	d, ok := t[dst]
+	if !ok || d.tries != attempt {
+		return 0, false
+	}
+	return d.ttl, true
+}
+
+// GiveUp abandons dst's discovery.
+func (t Discoveries) GiveUp(dst mnet.Addr) { delete(t, dst) }
+
+// Complete ends dst's discovery, stopping its retry timer, and returns when
+// it started; ok is false if none was pending.
+func (t Discoveries) Complete(dst mnet.Addr) (started time.Time, ok bool) {
+	d, ok := t[dst]
+	if !ok {
+		return time.Time{}, false
+	}
+	if d.timer != nil {
+		d.timer.Stop()
+	}
+	delete(t, dst)
+	return d.started, true
+}
+
+// StopAll abandons every pending discovery and stops its timer.
+func (t Discoveries) StopAll() {
+	for dst, d := range t {
+		if d.timer != nil {
+			d.timer.Stop()
+		}
+		delete(t, dst)
+	}
+}
+
+// Seq is a node's 16-bit sequence number. It never issues 0, which the
+// protocols' messages read as "unknown".
+type Seq uint16
+
+// Next advances the counter, skipping 0, and returns the new value.
+func (s *Seq) Next() uint16 {
+	*s++
+	if *s == 0 {
+		*s = 1
+	}
+	return uint16(*s)
+}

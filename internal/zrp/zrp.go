@@ -28,6 +28,7 @@ import (
 	"manetkit/internal/mpr"
 	"manetkit/internal/neighbor"
 	"manetkit/internal/packetbb"
+	"manetkit/internal/reactive"
 	"manetkit/internal/route"
 	"manetkit/internal/vclock"
 )
@@ -82,16 +83,6 @@ func (c *Config) fill() {
 	}
 }
 
-type dupKey struct {
-	orig mnet.Addr
-	seq  uint16
-}
-
-type pending struct {
-	tries int
-	timer vclock.Timer
-}
-
 // Stats counts ZRP activity.
 type Stats struct {
 	IntrazoneHits   uint64 // NO_ROUTE satisfied proactively
@@ -108,9 +99,9 @@ type State struct {
 	Routes *route.Table
 
 	mu      sync.Mutex
-	seq     uint16
-	pending map[mnet.Addr]*pending
-	dupes   map[dupKey]time.Time
+	seq     reactive.Seq
+	pending reactive.Discoveries
+	dupes   reactive.DupSet
 	stats   Stats
 }
 
@@ -118,8 +109,8 @@ type State struct {
 func NewState(routes *route.Table) *State {
 	return &State{
 		Routes:  routes,
-		pending: make(map[mnet.Addr]*pending),
-		dupes:   make(map[dupKey]time.Time),
+		pending: make(reactive.Discoveries),
+		dupes:   make(reactive.DupSet),
 	}
 }
 
@@ -127,11 +118,7 @@ func NewState(routes *route.Table) *State {
 func (s *State) NextSeq() uint16 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
-	if s.seq == 0 {
-		s.seq = 1
-	}
-	return s.seq
+	return s.seq.Next()
 }
 
 // Stats returns a snapshot of the protocol counters.
@@ -147,12 +134,11 @@ func (s *State) bump(fn func(*Stats)) {
 	s.mu.Unlock()
 }
 
-func (s *State) seenDup(k dupKey, now time.Time) bool {
+// duplicate records (orig, seq) and reports whether it was already known.
+func (s *State) duplicate(orig mnet.Addr, seq uint16, now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, dup := s.dupes[k]
-	s.dupes[k] = now
-	return dup
+	return s.dupes.Seen(reactive.Key{Orig: orig, Seq: seq}, now)
 }
 
 // ZRP is the hybrid zone-routing CF.
@@ -233,12 +219,7 @@ func New(name string, relay *mpr.MPR, cfg Config) *ZRP {
 	})
 	z.proto.OnStop(func(ctx *core.Context) error {
 		z.state.mu.Lock()
-		for _, p := range z.state.pending {
-			if p.timer != nil {
-				p.timer.Stop()
-			}
-		}
-		z.state.pending = make(map[mnet.Addr]*pending)
+		z.state.pending.StopAll()
 		z.state.mu.Unlock()
 		z.state.Routes.Clear()
 		return nil
@@ -336,13 +317,12 @@ func (z *ZRP) onNoRoute(ctx *core.Context, ev *event.Event) error {
 		return nil
 	}
 	z.state.mu.Lock()
-	_, already := z.state.pending[dst]
-	if !already {
-		z.state.pending[dst] = &pending{}
+	started := z.state.pending.Start(dst, ctx.Clock().Now())
+	if started {
 		z.state.stats.Discoveries++
 	}
 	z.state.mu.Unlock()
-	if !already {
+	if started {
 		z.mDiscoveries.Inc()
 		z.sendRREQ(ctx, dst, 1)
 	}
@@ -358,31 +338,25 @@ func (z *ZRP) sendRREQ(ctx *core.Context, dst mnet.Addr, attempt int) {
 		HopLimit:   z.cfg.HopLimit,
 		AddrBlocks: []packetbb.AddrBlock{{Addrs: []mnet.Addr{dst}}},
 	}
-	z.state.seenDup(dupKey{orig: ctx.Node(), seq: seq}, ctx.Clock().Now())
+	z.state.duplicate(ctx.Node(), seq, ctx.Clock().Now())
 	ctx.Emit(&event.Event{Type: event.REOut, Msg: msg, Dst: mnet.Broadcast})
 
 	timer := ctx.Clock().AfterFunc(z.cfg.RREQWait<<(attempt-1), func() {
 		_ = z.proto.RunLocked(func(ctx *core.Context) { z.retry(ctx, dst, attempt) })
 	})
 	z.state.mu.Lock()
-	if p, ok := z.state.pending[dst]; ok {
-		p.tries = attempt
-		p.timer = timer
-	} else {
-		timer.Stop()
-	}
+	z.state.pending.Arm(dst, attempt, z.cfg.HopLimit, timer)
 	z.state.mu.Unlock()
 }
 
 func (z *ZRP) retry(ctx *core.Context, dst mnet.Addr, attempt int) {
 	z.state.mu.Lock()
-	p, ok := z.state.pending[dst]
-	if !ok || p.tries != attempt {
+	if _, ok := z.state.pending.Due(dst, attempt); !ok {
 		z.state.mu.Unlock()
 		return
 	}
 	if attempt >= z.cfg.RREQTries {
-		delete(z.state.pending, dst)
+		z.state.pending.GiveUp(dst)
 		z.state.stats.GiveUps++
 		z.state.mu.Unlock()
 		return
@@ -419,13 +393,7 @@ func (z *ZRP) learn(ctx *core.Context, node, via mnet.Addr, metric int) {
 
 func (z *ZRP) completeDiscovery(ctx *core.Context, dst mnet.Addr) {
 	z.state.mu.Lock()
-	p, ok := z.state.pending[dst]
-	if ok {
-		if p.timer != nil {
-			p.timer.Stop()
-		}
-		delete(z.state.pending, dst)
-	}
+	_, ok := z.state.pending.Complete(dst)
 	z.state.mu.Unlock()
 	if ok {
 		ctx.Emit(&event.Event{Type: event.RouteFound, Route: &event.RoutePayload{Dst: dst}})
@@ -453,7 +421,7 @@ func (z *ZRP) onRREQ(ctx *core.Context, ev *event.Event) error {
 	now := ctx.Clock().Now()
 	z.learn(ctx, msg.Originator, ev.Src, int(msg.HopCount)+1)
 
-	if z.state.seenDup(dupKey{orig: msg.Originator, seq: msg.SeqNum}, now) {
+	if z.state.duplicate(msg.Originator, msg.SeqNum, now) {
 		return nil
 	}
 	// The hybrid answer: the target itself, or any node whose zone covers
@@ -539,12 +507,7 @@ func (z *ZRP) onLinkBreak(ctx *core.Context, ev *event.Event) error {
 
 func (z *ZRP) sweep(ctx *core.Context) {
 	z.state.Routes.PurgeExpired()
-	now := ctx.Clock().Now()
 	z.state.mu.Lock()
-	for k, t := range z.state.dupes {
-		if now.Sub(t) > 30*time.Second {
-			delete(z.state.dupes, k)
-		}
-	}
+	z.state.dupes.Sweep(ctx.Clock().Now(), reactive.DupHold, nil)
 	z.state.mu.Unlock()
 }
