@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"manetkit/internal/mnet"
 	"manetkit/internal/vclock"
 )
 
@@ -77,7 +78,7 @@ func TestAnchorDeadlineBehindClock(t *testing.T) {
 	d := n.eng.newDeliveryLocked()
 	d.cb = func(bool) { got = append(got, "late") }
 	n.mu.Lock()
-	n.eng.scheduleLocked(d, clk.Now().Add(-time.Second))
+	n.eng.scheduleLocked(d, n.eng.key(clk.Now().Add(-time.Second)))
 	n.mu.Unlock()
 	clk.Advance(0)
 	if want := []string{"queued", "late"}; !reflect.DeepEqual(got, want) {
@@ -141,7 +142,8 @@ func TestAnchorRearmsUnderRealClock(t *testing.T) {
 // engine carries a unicast frame with MAC feedback from send to a no-op
 // receiver — schedule, arm, epoch, deliver, re-arm — for the price of
 // the medium's copy of the payload and nothing else. With no payload to
-// copy the whole cycle, re-arm included, allocates nothing.
+// copy the whole cycle, re-arm included, allocates nothing. A broadcast
+// adds only the decode slot its receivers share.
 func TestWarmEngineAllocs(t *testing.T) {
 	n, clk := newNet(t)
 	addrs := Addrs(2)
@@ -174,6 +176,33 @@ func TestWarmEngineAllocs(t *testing.T) {
 	st, _ := n.EngineStats()
 	if st.Epochs != uint64(rx) {
 		t.Fatalf("%d epochs for %d frames", st.Epochs, rx)
+	}
+
+	// A warm broadcast costs the frame copy, plus the decode slot its
+	// receivers share once there are two of them: the receiver list is
+	// the network's scratch, not a slice per send.
+	broadcast := func() {
+		if err := a.Send(mnet.Broadcast, payload); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(DefaultQuality().Delay)
+	}
+	broadcast()
+	if got := testing.AllocsPerRun(200, broadcast); got > 1 {
+		t.Errorf("broadcast to one receiver allocates %.1f objects, want <= 1 (the frame copy)", got)
+	}
+	c := attach(t, n, mnet.MustParseAddr("10.0.0.99"))
+	if err := n.SetLink(addrs[0], c.Addr(), DefaultQuality()); err != nil {
+		t.Fatal(err)
+	}
+	crx := 0
+	c.SetReceiver(func(Frame) { crx++ })
+	broadcast()
+	if got := testing.AllocsPerRun(200, broadcast); got > 2 {
+		t.Errorf("broadcast to two receivers allocates %.1f objects, want <= 2 (frame copy, decode slot)", got)
+	}
+	if crx != 1+201 {
+		t.Fatalf("second receiver got %d broadcasts, want %d", crx, 1+201)
 	}
 }
 

@@ -148,6 +148,11 @@ type Network struct {
 	inj   *Injector              // nil until a FaultPlan is applied
 	obs   *netObs                // nil when observability is disabled
 
+	// targets is send's scratch list of receivers, reused across sends: it
+	// is only touched under mu, and nothing send calls while holding mu
+	// sends again.
+	targets []neighborLink
+
 	// epochObs, when set, receives one EpochStats per committed engine
 	// epoch, on the clock goroutine, outside the network mutex. Unused on
 	// the reference path (which has no epochs).
@@ -159,7 +164,7 @@ type Network struct {
 // reproducible.
 func New(clock vclock.Clock, seed int64) *Network {
 	n := newNetwork(clock, seed)
-	n.eng = &engine{net: n}
+	n.eng = &engine{net: n, base: clock.Now()}
 	return n
 }
 
@@ -451,7 +456,7 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 	// equal delays. Loss draws (n.rng) and fault draws (the injector's own
 	// generator) are independent sequences, so every loss can be drawn here,
 	// before any fault, and the survivor count is known up front.
-	var targets []neighborLink
+	targets := n.targets[:0]
 	lost := func(nl neighborLink) bool {
 		if nl.q.Loss <= 0 || n.rng.Float64() >= nl.q.Loss {
 			return false
@@ -469,7 +474,6 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		return true
 	}
 	if dst.IsBroadcast() {
-		targets = make([]neighborLink, 0, len(n.adj[src]))
 		for _, nl := range n.adj[src] {
 			if !lost(nl) {
 				targets = append(targets, nl)
@@ -514,8 +518,11 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		delay time.Duration
 	}
 	var due []pending // reference path only: its timers are armed after unlock
+	var nowAt int64   // engine path only: now as a deadline key
 	if n.eng == nil {
 		due = make([]pending, 0, len(targets))
+	} else {
+		nowAt = n.eng.key(now)
 	}
 	schedule := func(nic *NIC, frame Frame, delay time.Duration) {
 		if n.obs != nil && n.obs.linkDelay != nil {
@@ -528,7 +535,7 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		dl := n.eng.newDeliveryLocked()
 		dl.nic = nic
 		dl.frame = frame
-		n.eng.scheduleLocked(dl, now.Add(delay))
+		n.eng.scheduleLocked(dl, nowAt+int64(delay))
 	}
 	for _, d := range targets {
 		frame := Frame{Src: src, Dst: dst, Payload: buf, Device: device, RSSI: d.q.SignalDBm, Corr: corr, shared: shared}
@@ -540,6 +547,8 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		}
 		schedule(d.nic, frame, delay)
 	}
+	clear(targets) // drop the NIC pointers, keep the capacity
+	n.targets = targets[:0]
 	n.mu.Unlock()
 
 	if txTap != nil {
@@ -667,9 +676,9 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 		buf = append([]byte(nil), payload...) //mk:allow hotalloc the medium's one copy of the frame, which outlives the send
 	}
 	frame := Frame{Src: c.addr, Dst: dst, Payload: buf, Device: c.device, RSSI: q.SignalDBm, Corr: corr}
-	when := now.Add(q.Delay + 2*time.Millisecond) // MAC retry window before a failure is reported
+	delay := q.Delay + 2*time.Millisecond // MAC retry window before a failure is reported
 	if delivered {
-		when = now.Add(q.Delay)
+		delay = q.Delay
 		// Corruption (only — duplication and reordering are suppressed by
 		// the 802.11 ACK exchange this path models) may still mangle the
 		// frame in flight; the tap sees it as offered.
@@ -688,7 +697,7 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 			dl.frame = frame
 			dl.ok = true
 		}
-		n.eng.scheduleLocked(dl, when)
+		n.eng.scheduleLocked(dl, n.eng.key(now)+int64(delay))
 	}
 	n.mu.Unlock()
 
@@ -698,7 +707,7 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	if n.eng == nil {
 		fr := frame // captured by value, so frame itself stays on the stack
 		//mk:allow hotalloc the legacy engine is a timer and a closure per frame by design
-		n.clock.AfterFunc(when.Sub(now), func() {
+		n.clock.AfterFunc(delay, func() {
 			if delivered {
 				nic.deliver(fr, n.clock.Now())
 			}

@@ -66,8 +66,8 @@ type EngineStats struct {
 // delivery is one scheduled event: a frame arriving at a NIC, or a MAC
 // feedback verdict falling due (nic == nil).
 type delivery struct {
-	when time.Time
-	seq  uint64
+	at  int64 // deadline key: nanoseconds past engine.base
+	seq uint64
 
 	nic   *NIC
 	frame Frame
@@ -81,10 +81,15 @@ type delivery struct {
 type engine struct {
 	net *Network
 
+	// base is the instant deadline keys count from, fixed when the engine
+	// is made. Keys are taken with Sub, which reads the monotonic clock
+	// under vclock.Real, so they order exactly as the deadlines do.
+	base     time.Time
 	q        deliveryHeap
 	seq      uint64
 	anchor   vclock.Timer
-	anchorAt time.Time // zero when no anchor is armed
+	anchorAt int64 // key of the anchor's deadline while anchored
+	anchored bool
 
 	// running is set while an epoch is delivering its batch outside the
 	// mutex. Under a real clock a send from inside a long upcall arms the
@@ -110,21 +115,24 @@ func (e *engine) newDeliveryLocked() *delivery {
 	return &delivery{} //mk:allow hotalloc free list empty: more frames in flight than ever before
 }
 
-// scheduleLocked enqueues a delivery at the absolute instant when,
-// assigning its sequence, and keeps the anchor invariant: whenever the
-// queue is non-empty, one vclock timer is armed at its earliest deadline.
-// Caller holds the network mutex.
-func (e *engine) scheduleLocked(d *delivery, when time.Time) {
-	d.when = when
+// key maps an absolute instant to the engine's deadline key.
+func (e *engine) key(t time.Time) int64 { return int64(t.Sub(e.base)) }
+
+// scheduleLocked enqueues a delivery at deadline key at, assigning its
+// sequence, and keeps the anchor invariant: whenever the queue is
+// non-empty, one vclock timer is armed at its earliest deadline. Caller
+// holds the network mutex.
+func (e *engine) scheduleLocked(d *delivery, at int64) {
+	d.at = at
 	d.seq = e.seq
 	e.seq++
 	e.q.push(d)
-	if e.anchorAt.IsZero() || when.Before(e.anchorAt) {
-		e.armLocked(when)
+	if !e.anchored || at < e.anchorAt {
+		e.armLocked(at)
 	}
 }
 
-// armLocked (re)arms the anchor at the absolute deadline when. The engine
+// armLocked (re)arms the anchor at deadline key at. The engine
 // keeps one timer for its lifetime, bound to e.run once, and resets it:
 // Reset takes a fresh registration sequence, so the virtual clock orders
 // the anchor among equal-deadline protocol timers exactly where a newly
@@ -135,9 +143,9 @@ func (e *engine) scheduleLocked(d *delivery, when time.Time) {
 // because vclock invokes callbacks with its own lock released.
 //
 //mk:hotpath
-func (e *engine) armLocked(when time.Time) {
-	e.anchorAt = when
-	d := when.Sub(e.net.clock.Now())
+func (e *engine) armLocked(at int64) {
+	e.anchorAt, e.anchored = at, true
+	d := time.Duration(at - e.key(e.net.clock.Now()))
 	if d < 0 {
 		d = 0
 	}
@@ -158,10 +166,10 @@ func (e *engine) rearmLocked() {
 		if e.anchor != nil {
 			e.anchor.Stop()
 		}
-		e.anchorAt = time.Time{}
+		e.anchored = false
 		return
 	}
-	e.armLocked(e.q.min().when)
+	e.armLocked(e.q.min().at)
 }
 
 // run is the anchor callback: pop the epoch due now, deliver it in (when,
@@ -178,14 +186,15 @@ func (e *engine) rearmLocked() {
 func (e *engine) run() {
 	n := e.net
 	n.mu.Lock()
-	e.anchorAt = time.Time{}
+	e.anchored = false
 	if e.running {
 		n.mu.Unlock()
 		return
 	}
 	now := n.clock.Now()
+	nowAt := e.key(now)
 	batch := e.batch[:0]
-	for e.q.len() > 0 && !e.q.min().when.After(now) {
+	for e.q.len() > 0 && e.q.min().at <= nowAt {
 		batch = append(batch, e.q.pop()) //mk:allow hotalloc scratch growth, amortised to zero
 	}
 	e.batch = batch
@@ -208,7 +217,7 @@ func (e *engine) run() {
 		}
 	}
 
-	es := EpochStats{Now: now, Events: len(batch), CommitLag: now.Sub(batch[0].when)}
+	es := EpochStats{Now: now, Events: len(batch), CommitLag: time.Duration(nowAt - batch[0].at)}
 	n.mu.Lock()
 	for i, d := range batch {
 		e.free = append(e.free, d) //mk:allow hotalloc scratch growth, amortised to zero
@@ -235,9 +244,9 @@ func (e *engine) run() {
 	}
 }
 
-// deliveryHeap is a binary min-heap of deliveries ordered by (when, seq),
+// deliveryHeap is a binary min-heap of deliveries ordered by (at, seq),
 // hand-rolled rather than container/heap to keep pushes and pops free of
-// interface conversions on the hot path.
+// interface conversions on the hot path; the keys are plain integers.
 type deliveryHeap struct {
 	items []*delivery
 }
@@ -247,10 +256,7 @@ func (h *deliveryHeap) min() *delivery { return h.items[0] }
 
 func (h *deliveryHeap) less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
-	if !a.when.Equal(b.when) {
-		return a.when.Before(b.when)
-	}
-	return a.seq < b.seq
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 func (h *deliveryHeap) push(d *delivery) {

@@ -8,8 +8,9 @@
 package vclock
 
 import (
-	"container/heap"
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -58,11 +59,18 @@ func (rt realTimer) Reset(d time.Duration) bool { return rt.t.Reset(d) }
 // drives the clock, in strict deadline order (ties broken by scheduling
 // order), which gives byte-for-byte reproducible simulations.
 //
+// Internally time is an int64 count of nanoseconds since the start instant;
+// deadlines are the same count, saturating at the int64 range, so a timer
+// armed with the largest Duration never fires early and one armed with a
+// negative delay sorts ahead of the timers already due now.
+//
 // Virtual is safe for concurrent use: callbacks are invoked without the
 // internal lock held and may freely schedule or cancel timers.
 type Virtual struct {
+	start time.Time
+	now   atomic.Int64 // written under mu, read lock-free by Now
+
 	mu        sync.Mutex
-	now       time.Time
 	timers    timerHeap
 	seq       uint64
 	advancing bool
@@ -72,14 +80,12 @@ var _ Clock = (*Virtual)(nil)
 
 // NewVirtual returns a virtual clock whose current time is start.
 func NewVirtual(start time.Time) *Virtual {
-	return &Virtual{now: start}
+	return &Virtual{start: start}
 }
 
 // Now returns the current virtual time.
 func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
+	return v.start.Add(time.Duration(v.now.Load()))
 }
 
 // Since returns the virtual time elapsed since t.
@@ -90,9 +96,9 @@ func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	vt := &vtimer{clock: v, fn: f, when: v.now.Add(d), seq: v.seq, index: -1}
+	vt := &vtimer{clock: v, fn: f, when: addSat(v.now.Load(), d), seq: v.seq}
 	v.seq++
-	heap.Push(&v.timers, vt)
+	v.timers.push(vt)
 	return vt
 }
 
@@ -100,17 +106,17 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.timers.Len()
+	return len(v.timers)
 }
 
 // NextDeadline reports the deadline of the earliest pending timer.
 func (v *Virtual) NextDeadline() (time.Time, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.timers.Len() == 0 {
+	if len(v.timers) == 0 {
 		return time.Time{}, false
 	}
-	return v.timers[0].when, true
+	return v.start.Add(time.Duration(v.timers[0].when)), true
 }
 
 // Advance moves the clock forward by d, firing every timer whose deadline
@@ -119,12 +125,10 @@ func (v *Virtual) NextDeadline() (time.Time, bool) {
 func (v *Virtual) Advance(d time.Duration) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	target := v.now.Add(d)
-	fired := v.runLocked(func() bool {
-		return v.timers.Len() > 0 && !v.timers[0].when.After(target)
-	}, -1)
-	if target.After(v.now) {
-		v.now = target
+	target := addSat(v.now.Load(), d)
+	fired := v.runLocked(target, -1)
+	if target > v.now.Load() {
+		v.now.Store(target)
 	}
 	return fired
 }
@@ -134,7 +138,7 @@ func (v *Virtual) Advance(d time.Duration) int {
 func (v *Virtual) Step() bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.runLocked(func() bool { return v.timers.Len() > 0 }, 1) == 1
+	return v.runLocked(math.MaxInt64, 1) == 1
 }
 
 // RunUntilIdle fires timers in deadline order until none remain or maxEvents
@@ -143,23 +147,22 @@ func (v *Virtual) Step() bool {
 func (v *Virtual) RunUntilIdle(maxEvents int) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.runLocked(func() bool { return v.timers.Len() > 0 }, maxEvents)
+	return v.runLocked(math.MaxInt64, maxEvents)
 }
 
 // RunUntil advances the clock to t, firing all timers due on the way.
 func (v *Virtual) RunUntil(t time.Time) int {
-	v.mu.Lock()
-	d := t.Sub(v.now)
-	v.mu.Unlock()
+	d := t.Sub(v.Now())
 	if d < 0 {
 		return 0
 	}
 	return v.Advance(d)
 }
 
-// runLocked pops and fires timers while cond holds, up to max callbacks
-// (max < 0 is unbounded). Caller holds v.mu; callbacks run unlocked.
-func (v *Virtual) runLocked(cond func() bool, max int) int {
+// runLocked pops and fires timers due at or before until, up to max
+// callbacks (max < 0 is unbounded). Caller holds v.mu; callbacks run
+// unlocked.
+func (v *Virtual) runLocked(until int64, max int) int {
 	if v.advancing {
 		panic("vclock: re-entrant Advance/Step from timer callback")
 	}
@@ -167,13 +170,12 @@ func (v *Virtual) runLocked(cond func() bool, max int) int {
 	defer func() { v.advancing = false }()
 
 	fired := 0
-	for cond() && (max < 0 || fired < max) {
-		vt := heap.Pop(&v.timers).(*vtimer)
-		if vt.when.After(v.now) {
-			v.now = vt.when
+	for len(v.timers) > 0 && v.timers[0].when <= until && (max < 0 || fired < max) {
+		vt := v.timers.remove(0)
+		if vt.when > v.now.Load() {
+			v.now.Store(vt.when)
 		}
 		fn := vt.fn
-		vt.fired = true
 		v.mu.Unlock()
 		func() {
 			// Reacquire even if the callback panics, so the deferred
@@ -186,14 +188,25 @@ func (v *Virtual) runLocked(cond func() bool, max int) int {
 	return fired
 }
 
+// addSat returns now+d, saturating at the int64 range instead of wrapping.
+func addSat(now int64, d time.Duration) int64 {
+	sum := now + int64(d)
+	if (sum > now) != (d > 0) { // only an overflow breaks the agreement
+		if d > 0 {
+			return math.MaxInt64
+		}
+		return math.MinInt64
+	}
+	return sum
+}
+
 // vtimer is a timer registered with a Virtual clock.
 type vtimer struct {
 	clock *Virtual
 	fn    func()
-	when  time.Time
+	when  int64 // deadline, nanoseconds since the clock's start
 	seq   uint64
 	index int // heap index, -1 when not queued
-	fired bool
 }
 
 var _ Timer = (*vtimer)(nil)
@@ -204,55 +217,103 @@ func (t *vtimer) Stop() bool {
 	if t.index < 0 {
 		return false
 	}
-	heap.Remove(&t.clock.timers, t.index)
+	t.clock.timers.remove(t.index)
 	return true
 }
 
+// Reset re-stamps the deadline and the registration sequence exactly as a
+// fresh AfterFunc would, then restores the heap with one sift where the
+// timer sits, or queues it if it had fired or was stopped.
 func (t *vtimer) Reset(d time.Duration) bool {
-	t.clock.mu.Lock()
-	defer t.clock.mu.Unlock()
-	wasPending := t.index >= 0
-	if wasPending {
-		heap.Remove(&t.clock.timers, t.index)
+	v := t.clock
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	t.when = addSat(v.now.Load(), d)
+	t.seq = v.seq
+	v.seq++
+	if t.index >= 0 {
+		v.timers.fix(t.index)
+		return true
 	}
-	t.when = t.clock.now.Add(d)
-	t.seq = t.clock.seq
-	t.clock.seq++
-	t.fired = false
-	heap.Push(&t.clock.timers, t)
-	return wasPending
+	v.timers.push(t)
+	return false
 }
 
-// timerHeap orders timers by (deadline, registration sequence).
+// timerHeap is a binary min-heap of timers ordered by (deadline,
+// registration sequence). Every timer records its own index, so Stop and
+// Reset work in place.
 type timerHeap []*vtimer
 
-func (h timerHeap) Len() int { return len(h) }
-
-func (h timerHeap) Less(i, j int) bool {
-	if !h[i].when.Equal(h[j].when) {
-		return h[i].when.Before(h[j].when)
-	}
-	return h[i].seq < h[j].seq
+func (h timerHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.when < b.when || a.when == b.when && a.seq < b.seq
 }
 
-func (h timerHeap) Swap(i, j int) {
+func (h timerHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
 
-func (h *timerHeap) Push(x any) {
-	t := x.(*vtimer)
+func (h *timerHeap) push(t *vtimer) {
 	t.index = len(*h)
 	*h = append(*h, t)
+	h.up(t.index)
 }
 
-func (h *timerHeap) Pop() any {
+// remove takes the timer at index i out of the heap and returns it.
+func (h *timerHeap) remove(i int) *vtimer {
 	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
+	last := len(old) - 1
+	t := old[i]
+	if i != last {
+		old.swap(i, last)
+	}
+	old[last] = nil
+	*h = old[:last]
+	if i != last {
+		h.fix(i)
+	}
 	t.index = -1
-	*h = old[:n-1]
 	return t
+}
+
+// fix restores the heap order after the timer at index i changed its key.
+func (h timerHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
+}
+
+func (h timerHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts the timer at i0 towards the leaves and reports whether it
+// moved.
+func (h timerHeap) down(i0 int) bool {
+	i := i0
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			break
+		}
+		j := l
+		if r := l + 1; r < len(h) && h.less(r, l) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }

@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -367,5 +368,124 @@ func TestPeriodicJitterSequencePinned(t *testing.T) {
 	defer p.Stop()
 	if p.rng != nil {
 		t.Error("a periodic with jitter 0 seeded a generator")
+	}
+}
+
+// TestPeriodicSetIntervalFromCallback: a periodic retuned from inside its
+// own callback keeps one firing chain. The callback's SetInterval re-queues
+// the timer that just fired; re-arming after the callback must move that
+// timer, not add a second one beside it.
+func TestPeriodicSetIntervalFromCallback(t *testing.T) {
+	v := NewVirtual(epoch)
+	n := 0
+	var p *Periodic
+	p = NewPeriodic(v, 10*time.Millisecond, 0, 1, func() {
+		n++
+		if n == 1 {
+			p.SetInterval(20 * time.Millisecond)
+		}
+	})
+	defer p.Stop()
+	v.Advance(10 * time.Millisecond) // first firing retunes
+	if got := v.Pending(); got != 1 {
+		t.Fatalf("Pending() = %d after the retuning firing, want 1", got)
+	}
+	n = 0
+	v.Advance(200 * time.Millisecond)
+	if n != 10 {
+		t.Fatalf("fired %d times in 200ms at a 20ms interval, want 10", n)
+	}
+	if got := v.Pending(); got != 1 {
+		t.Fatalf("Pending() = %d, want 1", got)
+	}
+}
+
+// TestVirtualNowConcurrentWithAdvance reads Now from several goroutines
+// while Advance fires timers: every reader sees time move forward only and
+// stay inside the advanced window. Meaningful under -race.
+func TestVirtualNowConcurrentWithAdvance(t *testing.T) {
+	v := NewVirtual(epoch)
+	fired := 0
+	for i := 0; i < 100; i++ {
+		v.AfterFunc(time.Duration(i)*7*time.Millisecond, func() { fired++ })
+	}
+	end := epoch.Add(time.Second)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prev := epoch
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				now := v.Now()
+				if now.Before(prev) || now.After(end) {
+					t.Errorf("Now() = %v after %v, outside [%v, %v]", now, prev, epoch, end)
+					return
+				}
+				prev = now
+			}
+		}()
+	}
+	for i := 0; i < 1000; i++ {
+		v.Advance(time.Millisecond)
+	}
+	close(done)
+	wg.Wait()
+	if fired != 100 || !v.Now().Equal(end) {
+		t.Fatalf("fired %d timers, Now() = %v; want 100 and %v", fired, v.Now(), end)
+	}
+}
+
+// TestVirtualResetAllocs pins the in-place re-arm: resetting a pending
+// timer among hundreds re-sorts it without allocating, and so does
+// re-queueing a stopped one once the heap has had room for it.
+func TestVirtualResetAllocs(t *testing.T) {
+	v := NewVirtual(epoch)
+	for i := 0; i < 447; i++ {
+		v.AfterFunc(time.Duration(i)*time.Millisecond, func() {})
+	}
+	tm := v.AfterFunc(time.Second, func() {})
+	d := time.Duration(0)
+	if got := testing.AllocsPerRun(1000, func() {
+		d = (d + 7919*time.Microsecond) % (500 * time.Millisecond)
+		tm.Reset(d)
+	}); got != 0 {
+		t.Errorf("Reset of a pending timer allocates %.1f objects, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		tm.Stop()
+		tm.Reset(d)
+	}); got != 0 {
+		t.Errorf("Stop + Reset allocates %.1f objects, want 0", got)
+	}
+	if v.Pending() != 448 {
+		t.Fatalf("Pending() = %d, want 448", v.Pending())
+	}
+}
+
+// BenchmarkVirtualReset re-arms one timer among 448 pending ones — the
+// standing dymo_cbr workload's peak clock population — to deadlines spread
+// across theirs, the way the medium's anchor moves.
+func BenchmarkVirtualReset(b *testing.B) {
+	v := NewVirtual(epoch)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 447; i++ {
+		v.AfterFunc(time.Duration(rng.Int63n(int64(time.Second))), func() {})
+	}
+	tm := v.AfterFunc(time.Second, func() {})
+	delays := make([]time.Duration, 1024)
+	for i := range delays {
+		delays[i] = time.Duration(rng.Int63n(int64(time.Second)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tm.Reset(delays[i&1023])
 	}
 }

@@ -88,12 +88,15 @@ func (p *Periodic) fire() {
 
 	p.fn()
 
+	// Re-arm the one timer this Periodic owns for life. A SetInterval made
+	// from inside fn has already re-queued it; this Reset supersedes that
+	// deadline rather than starting a second firing chain beside it.
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.stopped {
 		return
 	}
-	p.timer = p.clock.AfterFunc(p.nextDelayLocked(), p.fire)
+	p.timer.Reset(p.nextDelayLocked())
 }
 
 func (p *Periodic) nextDelayLocked() time.Duration {
