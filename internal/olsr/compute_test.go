@@ -370,11 +370,13 @@ func buildRing(s *State, n int, expiry time.Time) {
 }
 
 // TestComputeRoutesSteadyStateAllocs pins the acceptance criterion: a
-// steady-state recompute at 1000 topology edges performs at most 2
-// allocations (measured: 0 — scratch buffers and the diff install are
-// warm after the first two passes).
+// steady-state recompute at 1000 topology edges allocates nothing, touches
+// no FIB entry, and hands ApplyProto empty lists — the scratch buffers and
+// the installed record are warm after the first pass.
 func TestComputeRoutesSteadyStateAllocs(t *testing.T) {
 	s, clk := newState()
+	fib := route.NewFIB()
+	s.Routes.SyncFIB(fib, "wlan0")
 	n := 250 // 4n = 1000 topology tuples
 	buildRing(s, n, clk.Now().Add(time.Hour))
 	self := nodeAddr(0)
@@ -386,11 +388,71 @@ func TestComputeRoutesSteadyStateAllocs(t *testing.T) {
 	now := clk.Now()
 	s.ComputeRoutes(self, oneHop, twoHop, now, time.Hour, "olsr")
 	s.ComputeRoutes(self, oneHop, twoHop, now, time.Hour, "olsr")
+	ops := fib.Ops()
 	allocs := testing.AllocsPerRun(20, func() {
 		s.ComputeRoutes(self, oneHop, twoHop, now, time.Hour, "olsr")
 	})
-	if allocs > 2 {
-		t.Fatalf("steady-state ComputeRoutes at 1000 edges allocates %.1f times per run, want <= 2", allocs)
+	if allocs != 0 {
+		t.Fatalf("steady-state ComputeRoutes at 1000 edges allocates %.1f times per run, want 0", allocs)
+	}
+	if got := fib.Ops(); got != ops {
+		t.Fatalf("21 steady-state recomputes made %d FIB ops, want 0", got-ops)
+	}
+	set, del, reached := s.routeDelta(self, oneHop, twoHop, now)
+	if len(set) != 0 || len(del) != 0 || reached != n-1 {
+		t.Fatalf("steady-state pass: %d routes to set, %d to delete, %d reached; want 0, 0, %d", len(set), len(del), reached, n-1)
+	}
+}
+
+// TestOLSRRouteHasNoLifetime: as in RFC 3626 §10, an installed OLSR host
+// route carries no expiry. It stays usable however long no pass runs, and
+// goes when a pass no longer reaches its destination.
+func TestOLSRRouteHasNoLifetime(t *testing.T) {
+	s, clk := newState()
+	self, nb, far := addr("10.0.0.1"), addr("10.0.0.2"), addr("10.0.0.3")
+	s.RecordTC(nb, 1, []mnet.Addr{far}, clk.Now().Add(15*time.Second))
+	s.ComputeRoutes(self, []mnet.Addr{nb}, nil, clk.Now(), 15*time.Second, "olsr")
+	for _, dst := range []mnet.Addr{nb, far} {
+		e, ok := s.Routes.Get(mnet.HostPrefix(dst))
+		if !ok || len(e.Paths) != 1 || !e.Paths[0].Expires.IsZero() {
+			t.Fatalf("route to %v = %+v (ok=%v), want one path with a zero Expires", dst, e, ok)
+		}
+	}
+	clk.Advance(time.Hour)
+	if _, p, err := s.Routes.Lookup(far); err != nil || p.NextHop != nb {
+		t.Fatalf("an hour without a pass: Lookup(%v) = %+v, %v; want the route via %v", far, p, err, nb)
+	}
+	s.PurgeTopo(clk.Now())
+	s.ComputeRoutes(self, []mnet.Addr{nb}, nil, clk.Now(), 15*time.Second, "olsr")
+	if _, _, err := s.Routes.Lookup(far); err == nil {
+		t.Fatalf("the route to %v survived the pass after its tuple expired", far)
+	}
+	if _, _, err := s.Routes.Lookup(nb); err != nil {
+		t.Fatalf("the neighbour's route went: %v", err)
+	}
+}
+
+// TestSweepWithoutCompactionAllocs: a periodic sweep — purge, index
+// compaction check, recompute — that finds nothing to compact allocates
+// nothing.
+func TestSweepWithoutCompactionAllocs(t *testing.T) {
+	s, clk := newState()
+	n := 250
+	buildRing(s, n, clk.Now().Add(time.Hour))
+	self := nodeAddr(0)
+	oneHop := []mnet.Addr{nodeAddr(1), nodeAddr(n - 1)}
+	sweep := func() {
+		s.PurgeTopo(clk.Now())
+		s.compactIndex()
+		s.ComputeRoutes(self, oneHop, nil, clk.Now(), time.Hour, "olsr")
+	}
+	sweep()
+	slots := len(s.addrs)
+	if allocs := testing.AllocsPerRun(20, sweep); allocs != 0 {
+		t.Fatalf("a sweep that does not compact allocates %.1f times, want 0", allocs)
+	}
+	if len(s.addrs) != slots {
+		t.Fatalf("the index went from %d to %d slots: the sweep compacted", slots, len(s.addrs))
 	}
 }
 

@@ -51,12 +51,7 @@ func (o *OLSR) AttachedNetworks() []mnet.Prefix {
 	for p := range o.state.attached {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr.Less(out[j].Addr)
-		}
-		return out[i].Bits < out[j].Bits
-	})
+	sort.Slice(out, func(i, j int) bool { return prefixLess(out[i], out[j]) })
 	return out
 }
 

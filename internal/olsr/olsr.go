@@ -29,8 +29,6 @@ type Config struct {
 	Jitter float64
 	// TopologyHold is the topology tuple validity (default 3×TCInterval).
 	TopologyHold time.Duration
-	// RouteHold is the computed-route validity (default TopologyHold).
-	RouteHold time.Duration
 	// RecomputeInterval is the quantum at which triggered route recomputes
 	// are drained (default TCInterval/50). Topology and neighbourhood
 	// changes mark the route set dirty; one vclock timer per node drains
@@ -57,9 +55,6 @@ func (c *Config) fill() {
 	}
 	if c.TopologyHold <= 0 {
 		c.TopologyHold = 3 * c.TCInterval
-	}
-	if c.RouteHold <= 0 {
-		c.RouteHold = c.TopologyHold
 	}
 	if c.RecomputeInterval <= 0 {
 		c.RecomputeInterval = c.TCInterval / 50
@@ -151,7 +146,7 @@ func New(name string, relay *mpr.MPR, cfg Config) *OLSR {
 			o.drainTimer = nil
 		}
 		o.dirty = false
-		o.state.Routes.Clear()
+		o.state.ClearRoutes()
 		return nil
 	})
 	return o
@@ -279,14 +274,14 @@ func (o *OLSR) onMPRChange(ctx *core.Context, ev *event.Event) error {
 func (o *OLSR) sweep(ctx *core.Context) {
 	o.state.PurgeTopo(ctx.Clock().Now())
 	o.state.compactIndex()
-	// Recompute unconditionally: this refreshes route lifetimes from the
-	// still-live topology (RecordTC reports "unchanged" for pure expiry
-	// refreshes, so changes alone would let routes age out). The sweep
-	// already runs on a periodic source, so it drains inline rather than
-	// going through the quantized timer.
+	// Recompute unconditionally: some neighbourhood changes reach the
+	// routes only through this pass, not through an event that marks the
+	// set dirty. The sweep already runs on a periodic source, so it drains
+	// inline rather than going through the quantized timer. The pass also
+	// drops expired gateway associations, so no installed route is past
+	// its lifetime afterwards.
 	o.dirty = true
 	o.drainLocked(ctx)
-	o.state.Routes.PurgeExpired()
 }
 
 // markDirty notes that the route set may be stale and arms at most one
@@ -332,7 +327,7 @@ func (o *OLSR) recompute(ctx *core.Context) {
 		links.SymmetricAddrs(),
 		links.TwoHopSet(ctx.Node()),
 		ctx.Clock().Now(),
-		o.cfg.RouteHold,
+		0,
 		o.proto.Name(),
 	)
 }

@@ -19,11 +19,12 @@ import (
 )
 
 // topoEdge is one topology tuple (originator → dst): the destination, its
-// slot in the State's address index, and the tuple's expiry.
+// slot in the State's address index, and the tuple's expiry as nanoseconds
+// past the State's time base — 16 bytes, so the BFS compares integers.
 type topoEdge struct {
 	dst  mnet.Addr
 	slot int32
-	exp  time.Time
+	exp  int64
 }
 
 // origTopo is one originator's slice of the topology set, reached by the
@@ -48,23 +49,43 @@ type hnaAssoc struct {
 	e hnaEntry
 }
 
+// spSlot is one address slot's shortest-path state. dist, nhop and gen are
+// the current pass's, generation-stamped so "visited this round" is one
+// compare instead of a clear. instDist and instNhop record the host route
+// the routing table holds for the slot, which is what lets a pass hand the
+// table only what it changed. instDist is 0 when there is none and
+// reinstall when a gateway route overwrote it; only slots the last pass
+// reached have one.
+type spSlot struct {
+	dist     int32     // hop count this generation
+	gen      uint32    // generation stamp
+	nhop     mnet.Addr // canonical next hop this generation
+	instDist int32     // metric of the installed host route
+	instNhop mnet.Addr // next hop of the installed host route
+}
+
+// reinstall marks a slot's host route as overwritten in the table: the next
+// pass that reaches the slot sets it again, one that does not removes it.
+const reinstall = -1
+
 // spScratch is the reusable shortest-path working set, indexed by the
-// State's address slots. Per-slot arrays are generation-stamped so "visited
-// this round" is one compare instead of a map clear. The per-slot arrays
-// grow only in slotOf and the buffers only in ensure, so the BFS itself
-// runs allocation-free once the network has been seen.
+// State's address slots. The per-slot records grow only in slotOf and the
+// buffers only in ensure, so the BFS and the install diff run
+// allocation-free once the network has been seen.
 type spScratch struct {
-	dist []int32     // slot → hop count this generation
-	nhop []mnet.Addr // slot → canonical next hop this generation
-	gen  []uint32    // slot → generation stamp
-	cur  uint32      // current generation
+	slots []spSlot // slot → pass and installed-route state
+	cur   uint32   // current generation
 
 	order   []int32 // slots in visit order (frontier by frontier)
 	front   []int32
 	next    []int32
 	twoKeys []mnet.Addr
-	desired []route.ProtoRoute
+	set     []route.ProtoRoute // new or changed routes, in visit order
+	del     []mnet.Prefix      // installed destinations this pass lost
 	hnaLive []hnaAssoc
+	hnaInst []mnet.Prefix // gateway prefixes the previous pass installed, sorted
+	hnaNext []mnet.Prefix
+	live    []bool // compactIndex's liveness marks
 }
 
 // ensure grows the frontier and install buffers to hold at most bound
@@ -81,16 +102,18 @@ func (sc *spScratch) ensure(bound, hnaN int) {
 		sc.front = make([]int32, n)
 		sc.next = make([]int32, n)
 	}
-	if len(sc.desired) < bound+hnaN {
-		sc.desired = make([]route.ProtoRoute, max(bound+hnaN, 2*len(sc.desired)))
+	if len(sc.set) < bound+hnaN {
+		n := max(bound+hnaN, 2*len(sc.set))
+		sc.set = make([]route.ProtoRoute, n)
+		sc.del = make([]mnet.Prefix, n)
 	}
 }
 
 // resetGen invalidates every generation stamp after the uint32 counter
 // wraps (once per ~4 billion recomputes).
 func (sc *spScratch) resetGen() {
-	for i := range sc.gen {
-		sc.gen[i] = 0
+	for i := range sc.slots {
+		sc.slots[i].gen = 0
 	}
 	sc.cur = 1
 }
@@ -111,6 +134,12 @@ type State struct {
 	ourANSN uint16
 	msgSeq  uint16
 	scratch spScratch
+
+	// base anchors topoEdge.exp, which is the expiry minus base (taken with
+	// Sub, so a clock's monotonic reading is kept). The first RecordTC
+	// fixes it.
+	base    time.Time
+	baseSet bool
 
 	// Power-aware variant state.
 	powerAware bool
@@ -146,12 +175,12 @@ func (s *State) slotOf(a mnet.Addr) int32 {
 	s.slot[a] = sl
 	s.addrs = append(s.addrs, a)
 	s.topo = append(s.topo, origTopo{})
-	sc := &s.scratch
-	sc.dist = append(sc.dist, 0)
-	sc.nhop = append(sc.nhop, mnet.Addr{})
-	sc.gen = append(sc.gen, 0)
+	s.scratch.slots = append(s.scratch.slots, spSlot{})
 	return sl
 }
+
+// since converts t to the int64 form topoEdge.exp is kept in.
+func (s *State) since(t time.Time) int64 { return int64(t.Sub(s.base)) }
 
 // SetOwnPower records the node's own residual battery fraction.
 func (s *State) SetOwnPower(frac float64) {
@@ -198,6 +227,10 @@ func (s *State) BumpANSN() {
 func (s *State) RecordTC(orig mnet.Addr, ansn uint16, advertised []mnet.Addr, expiry time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !s.baseSet {
+		s.base, s.baseSet = expiry, true
+	}
+	exp := s.since(expiry)
 	us := s.slotOf(orig)
 	// Work on a copy of the record: slotOf below may move s.topo.
 	rec := s.topo[us]
@@ -223,10 +256,10 @@ func (s *State) RecordTC(orig mnet.Addr, ansn uint16, advertised []mnet.Addr, ex
 		}
 		i, found := slices.BinarySearchFunc(rec.edges, d, func(e topoEdge, d mnet.Addr) int { return e.dst.Compare(d) })
 		if found {
-			rec.edges[i].exp = expiry
+			rec.edges[i].exp = exp
 			continue
 		}
-		rec.edges = slices.Insert(rec.edges, i, topoEdge{dst: d, slot: s.slotOf(d), exp: expiry})
+		rec.edges = slices.Insert(rec.edges, i, topoEdge{dst: d, slot: s.slotOf(d), exp: exp})
 		changed = true
 	}
 	s.topo[us] = rec
@@ -240,6 +273,7 @@ func (s *State) PurgeTopo(now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	changed := false
+	nowK := s.since(now)
 	for us := range s.topo {
 		rec := &s.topo[us]
 		if !rec.known {
@@ -252,7 +286,7 @@ func (s *State) PurgeTopo(now time.Time) bool {
 			continue
 		}
 		n := len(rec.edges)
-		rec.edges = slices.DeleteFunc(rec.edges, func(e topoEdge) bool { return !e.exp.After(now) })
+		rec.edges = slices.DeleteFunc(rec.edges, func(e topoEdge) bool { return e.exp <= nowK })
 		changed = changed || len(rec.edges) < n
 	}
 	return changed
@@ -261,18 +295,22 @@ func (s *State) PurgeTopo(now time.Time) bool {
 // compactIndex bounds the address index. A slot is live while it has a
 // topology record, is the destination of some record's tuple, or was
 // reached by the latest shortest-path pass (which covers the current 1- and
-// 2-hop neighbours). When fewer than half the slots are live, the index is
-// rebuilt from the live ones and every tuple's slot renumbered, so a TC
-// storm from addresses that never return cannot grow the per-slot arrays
-// without limit. Nothing observable depends on slot numbers — the BFS
-// visits tuples in address order — so replay is unchanged.
+// 2-hop neighbours and every slot with an installed route). When fewer than
+// half the slots are live, the index is rebuilt from the live ones and
+// every tuple's slot renumbered, so a TC storm from addresses that never
+// return cannot grow the per-slot arrays without limit. Nothing observable
+// depends on slot numbers — the BFS visits tuples in address order — so
+// replay is unchanged. The installed routes move with their slots. A sweep
+// that does not compact allocates nothing.
 func (s *State) compactIndex() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sc := &s.scratch
-	live := make([]bool, len(s.addrs))
+	live := slices.Grow(sc.live[:0], len(s.addrs))[:len(s.addrs)]
+	clear(live)
+	sc.live = live
 	for us := range s.topo {
-		if s.topo[us].known || (sc.cur != 0 && sc.gen[us] == sc.cur) {
+		if s.topo[us].known || (sc.cur != 0 && sc.slots[us].gen == sc.cur) {
 			live[us] = true
 		}
 		for _, e := range s.topo[us].edges {
@@ -298,9 +336,7 @@ func (s *State) compactIndex() {
 	}
 	s.addrs = keepLive(s.addrs, live, n)
 	s.topo = keepLive(s.topo, live, n)
-	sc.dist = keepLive(sc.dist, live, n)
-	sc.nhop = keepLive(sc.nhop, live, n)
-	sc.gen = keepLive(sc.gen, live, n)
+	sc.slots = keepLive(sc.slots, live, n)
 	s.slot = make(map[mnet.Addr]int32, n)
 	for us, a := range s.addrs {
 		s.slot[a] = int32(us)
@@ -334,10 +370,11 @@ func (s *State) Edges(now time.Time) [][2]mnet.Addr {
 		}
 	}
 	sortAddrs(origins)
+	nowK := s.since(now)
 	var out [][2]mnet.Addr
 	for _, o := range origins {
 		for _, e := range s.topo[s.slot[o]].edges {
-			if e.exp.After(now) {
+			if e.exp > nowK {
 				out = append(out, [2]mnet.Addr{o, e.dst})
 			}
 		}
@@ -364,16 +401,23 @@ func (s *State) Power(n mnet.Addr) float64 {
 	return 1.0
 }
 
-// collectLiveHNA gathers the live gateway associations in sorted prefix
-// order, expiring stale ones in passing. Called with s.mu held; uses the
-// scratch buffer so repeat recomputes reuse one backing array.
+// hnaRoutes appends to set the gateway routes this pass installs — every
+// live association whose gateway the pass reached, one hop beyond it, in
+// sorted prefix order and with the association's expiry — and to del the
+// prefixes the previous pass installed that are not among them. Expired
+// associations are dropped in passing. A gateway route for a host prefix
+// overwrites that host's route in the table, so a reached host's record
+// becomes reinstall and the next pass sets it again, as a full install
+// would. Called with s.mu held, after the host diff; set and del have room
+// for every live association and every prefix of the previous pass.
 //
 //mk:allow hotalloc HNA scratch reuses one backing array; gateway sets are small and the sort closure rides that cold edge
-func (s *State) collectLiveHNA(now time.Time) []hnaAssoc {
-	if len(s.hna) == 0 {
-		return nil
+func (s *State) hnaRoutes(now time.Time, set []route.ProtoRoute, del []mnet.Prefix) ([]route.ProtoRoute, []mnet.Prefix) {
+	sc := &s.scratch
+	if len(s.hna) == 0 && len(sc.hnaInst) == 0 {
+		return set, del
 	}
-	live := s.scratch.hnaLive[:0]
+	live := sc.hnaLive[:0]
 	for p, e := range s.hna {
 		if e.expires.After(now) {
 			live = append(live, hnaAssoc{p, e})
@@ -381,14 +425,55 @@ func (s *State) collectLiveHNA(now time.Time) []hnaAssoc {
 			delete(s.hna, p)
 		}
 	}
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].p.Addr != live[j].p.Addr {
-			return live[i].p.Addr.Less(live[j].p.Addr)
+	sort.Slice(live, func(i, j int) bool { return prefixLess(live[i].p, live[j].p) })
+	sc.hnaLive = live
+	inst := sc.hnaNext[:0]
+	for _, a := range live {
+		gs, ok := s.slot[a.e.gateway]
+		if !ok || sc.slots[gs].gen != sc.cur {
+			continue // gateway unreachable this round
 		}
-		return live[i].p.Bits < live[j].p.Bits
-	})
-	s.scratch.hnaLive = live
-	return live
+		g := &sc.slots[gs]
+		set = append(set, route.ProtoRoute{Dst: a.p, NextHop: g.nhop, Metric: int(g.dist) + 1, Expires: a.e.expires})
+		inst = append(inst, a.p)
+		if hs, ok := s.slot[a.p.Addr]; ok && a.p.Bits == 8*mnet.AddrLen && sc.slots[hs].gen == sc.cur {
+			sc.slots[hs].instDist = reinstall
+		}
+	}
+	// Both lists are sorted: one merge finds the vanished prefixes.
+	j := 0
+	for _, p := range sc.hnaInst {
+		for j < len(inst) && prefixLess(inst[j], p) {
+			j++
+		}
+		if j == len(inst) || inst[j] != p {
+			del = append(del, p)
+		}
+	}
+	sc.hnaInst, sc.hnaNext = inst, sc.hnaInst[:0]
+	return set, del
+}
+
+// prefixLess orders prefixes by (address, length), the routing table's order.
+func prefixLess(a, b mnet.Prefix) bool {
+	if a.Addr != b.Addr {
+		return a.Addr.Less(b.Addr)
+	}
+	return a.Bits < b.Bits
+}
+
+// ClearRoutes empties the routing table and forgets what the shortest-path
+// passes installed, so the next pass installs every route afresh (protocol
+// stop).
+func (s *State) ClearRoutes() {
+	s.mu.Lock()
+	sc := &s.scratch
+	for i := range sc.slots {
+		sc.slots[i].instDist = 0
+	}
+	sc.hnaInst = sc.hnaInst[:0]
+	s.mu.Unlock()
+	s.Routes.Clear()
 }
 
 // sortedTwoHopKeys materialises the 2-hop destination set in sorted order
@@ -426,19 +511,37 @@ func (s *State) sortedTwoHopKeys(twoHop map[mnet.Addr][]mnet.Addr) []mnet.Addr {
 // independent of arrival order. Learned HNA prefixes resolve against the
 // freshly visited gateway and install in the same batch.
 //
-// The result diff-installs into the routing table via ReplaceProto: only
-// changed entries fire callbacks or touch the FIB, vanished ones are
-// removed by mark generation, and a steady-state recompute is byte-free.
-// Scratch buffers make the whole pass allocation-free once the network has
-// been seen. Calls are serialized by the protocol's critical section; the
-// method is not reentrant. Returns the number of reachable destinations.
+// The install is a diff against what the previous pass installed: the
+// table's ApplyProto gets the host routes whose (metric, next hop) is new
+// or changed, in visit order, then the live gateway routes, and as
+// removals the installed hosts this pass did not reach and the vanished
+// gateway prefixes. Host routes carry no lifetime (RFC 3626 §10): they stay
+// until a pass removes them. A pass that changes nothing hands the table
+// two empty lists. Scratch buffers make the whole pass allocation-free once
+// the network has been seen. Calls are serialized by the protocol's
+// critical section; the method is not reentrant. holdTime is unused and
+// kept for the signature's callers. Returns the number of reachable
+// destinations.
 //
 //mk:hotpath
 func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mnet.Addr][]mnet.Addr, now time.Time, holdTime time.Duration, proto string) int {
+	set, del, n := s.routeDelta(self, oneHop, twoHop, now)
+	s.Routes.ApplyProto(proto, set, del)
+	return n
+}
+
+// routeDelta is ComputeRoutes' shortest-path pass: it records the pass's
+// routes as installed and returns what the table must change to hold them
+// (scratch slices, valid until the next pass) and the number of reachable
+// destinations.
+//
+//mk:hotpath
+func (s *State) routeDelta(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mnet.Addr][]mnet.Addr, now time.Time) (set []route.ProtoRoute, del []mnet.Prefix, reached int) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	sc := &s.scratch
 	// Every visited node owns a slot, and only the seeds can add slots.
-	sc.ensure(len(s.addrs)+len(oneHop)+len(twoHop), len(s.hna))
+	sc.ensure(len(s.addrs)+len(oneHop)+len(twoHop), len(s.hna)+len(sc.hnaInst))
 	sc.cur++
 	if sc.cur == 0 {
 		sc.resetGen()
@@ -448,12 +551,11 @@ func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mne
 	norder, nfront, nnext := 0, 0, 0
 	for _, nb := range oneHop {
 		ns := s.slotOf(nb)
-		if sc.gen[ns] == cur {
+		sl := &sc.slots[ns]
+		if sl.gen == cur {
 			continue
 		}
-		sc.gen[ns] = cur
-		sc.dist[ns] = 1
-		sc.nhop[ns] = nb
+		sl.gen, sl.dist, sl.nhop = cur, 1, nb
 		sc.order[norder] = ns
 		norder++
 		sc.front[nfront] = ns
@@ -465,12 +567,11 @@ func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mne
 			continue
 		}
 		ds := s.slotOf(dst)
-		if sc.gen[ds] == cur {
+		sl := &sc.slots[ds]
+		if sl.gen == cur {
 			continue // already a 1-hop neighbour
 		}
-		sc.gen[ds] = cur
-		sc.dist[ds] = 2
-		sc.nhop[ds] = vias[0]
+		sl.gen, sl.dist, sl.nhop = cur, 2, vias[0]
 		sc.order[norder] = ds
 		norder++
 		sc.next[nnext] = ds
@@ -487,27 +588,27 @@ func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mne
 		nfront, nnext = nnext, 0
 		d = 2
 	}
+	nowK := s.since(now)
+	slots := sc.slots
 	for ; nfront > 0; d++ {
 		for fi := 0; fi < nfront; fi++ {
 			us := front[fi]
-			unh := sc.nhop[us]
+			unh := slots[us].nhop
 			edges := s.topo[us].edges
 			for i := range edges {
 				e := &edges[i]
-				if e.dst == self || !e.exp.After(now) {
+				if e.dst == self || e.exp <= nowK {
 					continue
 				}
-				ds := e.slot
-				if sc.gen[ds] != cur {
-					sc.gen[ds] = cur
-					sc.dist[ds] = d + 1
-					sc.nhop[ds] = unh
-					sc.order[norder] = ds
+				sl := &slots[e.slot]
+				if sl.gen != cur {
+					sl.gen, sl.dist, sl.nhop = cur, d+1, unh
+					sc.order[norder] = e.slot
 					norder++
-					next[nnext] = ds
+					next[nnext] = e.slot
 					nnext++
-				} else if sc.dist[ds] == d+1 && unh.Less(sc.nhop[ds]) {
-					sc.nhop[ds] = unh
+				} else if sl.dist == d+1 && unh.Less(sl.nhop) {
+					sl.nhop = unh
 				}
 			}
 		}
@@ -515,35 +616,28 @@ func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mne
 		nfront, nnext = nnext, 0
 	}
 
-	exp := now.Add(holdTime)
-	nd := 0
-	for i := 0; i < norder; i++ {
-		slot := sc.order[i]
-		sc.desired[nd] = route.ProtoRoute{
-			Dst:     mnet.HostPrefix(s.addrs[slot]),
-			NextHop: sc.nhop[slot],
-			Metric:  int(sc.dist[slot]),
-			Expires: exp,
-		}
-		nd++
-	}
-	// Gateway prefixes route like their gateway, one hop beyond it; skip
-	// associations whose gateway is unreachable this round.
-	for _, a := range s.collectLiveHNA(now) {
-		gs, ok := s.slot[a.e.gateway]
-		if !ok || sc.gen[gs] != cur {
+	nset := 0
+	for _, slot := range sc.order[:norder] {
+		sl := &slots[slot]
+		if sl.instDist == sl.dist && sl.instNhop == sl.nhop {
 			continue
 		}
-		sc.desired[nd] = route.ProtoRoute{
-			Dst:     a.p,
-			NextHop: sc.nhop[gs],
-			Metric:  int(sc.dist[gs]) + 1,
-			Expires: a.e.expires,
-		}
-		nd++
+		sl.instDist, sl.instNhop = sl.dist, sl.nhop
+		sc.set[nset] = route.ProtoRoute{Dst: mnet.HostPrefix(s.addrs[slot]), NextHop: sl.nhop, Metric: int(sl.dist)}
+		nset++
 	}
-	s.mu.Unlock()
-
-	s.Routes.ReplaceProto(proto, sc.desired[:nd])
-	return norder
+	// Only the last pass's slots have a route installed; those this pass
+	// did not reach lose it.
+	ndel := 0
+	for slot := range slots {
+		sl := &slots[slot]
+		if sl.instDist == 0 || sl.gen == cur {
+			continue
+		}
+		sl.instDist = 0
+		sc.del[ndel] = mnet.HostPrefix(s.addrs[slot])
+		ndel++
+	}
+	set, del = s.hnaRoutes(now, sc.set[:nset], sc.del[:ndel])
+	return set, del, norder
 }

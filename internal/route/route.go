@@ -424,9 +424,9 @@ func (t *Table) Clear() {
 }
 
 // ProtoRoute is one desired route in the batch diff-install API
-// (ReplaceProto / RefreshProto): a flat single-path value — no per-entry
-// slice — so protocols can assemble whole desired route sets in reusable
-// scratch buffers without allocating.
+// (ReplaceProto / ApplyProto / RefreshProto): a flat single-path value — no
+// per-entry slice — so protocols can assemble whole desired route sets in
+// reusable scratch buffers without allocating.
 type ProtoRoute struct {
 	Dst     mnet.Prefix
 	NextHop mnet.Addr
@@ -442,7 +442,7 @@ type ReplaceStats struct {
 	Updated   int // entries whose path, metric or validity actually changed
 	Refreshed int // identical but for lifetime: expiry advanced in place, silently
 	Kept      int // RefreshProto only: an existing better-or-equal route was kept
-	Removed   int // ReplaceProto only: proto-owned entries absent from desired
+	Removed   int // ReplaceProto/ApplyProto: proto-owned entries absent from desired
 }
 
 // changeRec is a deferred change notification, collected under the table
@@ -465,7 +465,22 @@ type changeRec struct {
 //
 //mk:hotpath
 func (t *Table) ReplaceProto(proto string, desired []ProtoRoute) ReplaceStats {
-	return t.installBatch(proto, desired, true)
+	return t.installBatch(proto, desired, nil, installReplace)
+}
+
+// ApplyProto is ReplaceProto for a caller that knows what changed: set
+// holds only the routes that are new or differ from what proto last
+// installed, and del the destinations proto no longer wants. set runs
+// through ReplaceProto's per-entry loop; del replaces its scan for unmarked
+// entries, is sorted in place the same way, and skips any destination set
+// just wrote or proto does not own. Given the same table, set and del that
+// are the changed and vanished part of a desired set, ApplyProto issues
+// exactly the FIB operations and change notifications ReplaceProto would,
+// in the same order.
+//
+//mk:hotpath
+func (t *Table) ApplyProto(proto string, set []ProtoRoute, del []mnet.Prefix) ReplaceStats {
+	return t.installBatch(proto, set, del, installApply)
 }
 
 // RefreshProto is the non-authoritative variant of ReplaceProto used by
@@ -477,12 +492,22 @@ func (t *Table) ReplaceProto(proto string, desired []ProtoRoute) ReplaceStats {
 //
 //mk:hotpath
 func (t *Table) RefreshProto(proto string, desired []ProtoRoute) ReplaceStats {
-	return t.installBatch(proto, desired, false)
+	return t.installBatch(proto, desired, nil, installRefresh)
 }
 
+// installMode selects where a batch install's removals come from.
+type installMode uint8
+
+const (
+	installRefresh installMode = iota // keep-better, nothing removed
+	installReplace                    // remove proto's entries the batch did not mark
+	installApply                      // remove the caller's list
+)
+
 //mk:hotpath
-func (t *Table) installBatch(proto string, desired []ProtoRoute, replace bool) ReplaceStats {
+func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Prefix, mode installMode) ReplaceStats {
 	var stats ReplaceStats
+	replace := mode != installRefresh
 	now := t.clock.Now()
 	t.mu.Lock()
 	t.markGen++
@@ -558,8 +583,9 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, replace bool) R
 			changes = append(changes, changeRec{kind, snapshotEntry(e)})
 		}
 	}
-	if replace {
-		removed := t.removed[:0]
+	removed := del
+	if mode == installReplace {
+		removed = t.removed[:0]
 		for dst, e := range t.entries {
 			if e.Proto == proto && e.mark != gen {
 				//mk:allow hotalloc vanished destination — topology shrink, cold
@@ -567,19 +593,22 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, replace bool) R
 			}
 		}
 		t.removed = removed[:0]
-		if len(removed) > 0 {
-			sortPrefixes(removed)
-			for _, dst := range removed {
-				e := t.entries[dst]
-				delete(t.entries, dst)
-				if t.fib != nil {
-					t.fib.Del(dst)
-				}
-				stats.Removed++
-				if fn != nil {
-					//mk:allow hotalloc change notification rides the cold topology-shrink edge
-					changes = append(changes, changeRec{Removed, snapshotEntry(e)})
-				}
+	}
+	if len(removed) > 0 {
+		sortPrefixes(removed)
+		for _, dst := range removed {
+			e, ok := t.entries[dst]
+			if !ok || e.Proto != proto || e.mark == gen {
+				continue
+			}
+			delete(t.entries, dst)
+			if t.fib != nil {
+				t.fib.Del(dst)
+			}
+			stats.Removed++
+			if fn != nil {
+				//mk:allow hotalloc change notification rides the cold topology-shrink edge
+				changes = append(changes, changeRec{Removed, snapshotEntry(e)})
 			}
 		}
 	}

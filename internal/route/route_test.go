@@ -2,7 +2,9 @@ package route
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -417,6 +419,44 @@ func TestReplaceProtoRevalidatesInvalid(t *testing.T) {
 	}
 	if e, _ := tb.Get(host("10.0.0.2")); !e.Valid {
 		t.Fatal("entry still invalid")
+	}
+}
+
+// ApplyProto takes its removals from the caller, sorted like ReplaceProto's
+// scan, and skips a destination the same batch just set or another
+// protocol owns; the FIB and the change stream match what ReplaceProto
+// does with the full desired set.
+func TestApplyProtoMatchesReplaceProto(t *testing.T) {
+	type rig struct {
+		tb   *Table
+		fib  *FIB
+		logs []string
+	}
+	mk := func() *rig {
+		tb, _ := newTable()
+		r := &rig{tb: tb, fib: NewFIB()}
+		tb.SyncFIB(r.fib, "mk0")
+		tb.Upsert(Entry{Dst: host("10.0.0.9"), Paths: []Path{{NextHop: addr("10.0.0.8"), Metric: 4}}, Valid: true, Proto: "dymo"})
+		tb.OnChange(func(k ChangeKind, e Entry) { r.logs = append(r.logs, fmt.Sprint(k, e.Dst, e.Paths)) })
+		return r
+	}
+	full, diff := mk(), mk()
+	first := []ProtoRoute{pr("10.0.0.2", "10.0.0.2", 1, time.Time{}), pr("10.0.0.3", "10.0.0.2", 2, time.Time{}), pr("10.0.0.4", "10.0.0.2", 3, time.Time{})}
+	full.tb.ReplaceProto("olsr", first)
+	diff.tb.ApplyProto("olsr", first, nil)
+	// 10.0.0.3 goes, 10.0.0.4 is re-set in the same batch that lists it
+	// for removal, 10.0.0.9 belongs to dymo, 10.0.0.7 was never there.
+	second := []ProtoRoute{pr("10.0.0.2", "10.0.0.2", 1, time.Time{}), pr("10.0.0.4", "10.0.0.5", 2, time.Time{})}
+	full.tb.ReplaceProto("olsr", second)
+	st := diff.tb.ApplyProto("olsr", second[1:], []mnet.Prefix{host("10.0.0.9"), host("10.0.0.4"), host("10.0.0.7"), host("10.0.0.3"), host("10.0.0.3")})
+	if st.Removed != 1 || st.Updated != 1 {
+		t.Fatalf("ApplyProto stats = %+v, want 1 updated, 1 removed", st)
+	}
+	if !slices.Equal(full.logs, diff.logs) {
+		t.Fatalf("change notifications differ:\nReplaceProto %v\nApplyProto   %v", full.logs, diff.logs)
+	}
+	if !slices.Equal(full.fib.List(), diff.fib.List()) || full.fib.Ops() != diff.fib.Ops() {
+		t.Fatalf("FIBs differ: %v (%d ops) vs %v (%d ops)", full.fib.List(), full.fib.Ops(), diff.fib.List(), diff.fib.Ops())
 	}
 }
 

@@ -512,6 +512,9 @@ func (s *Stack) UndeployMPR() error {
 	if s.dymoOnMPR {
 		return fmt.Errorf("manetkit: DYMO still floods through MPR")
 	}
+	if s.zrp != nil {
+		return fmt.Errorf("manetkit: ZRP still stacked on MPR")
+	}
 	if err := s.mgr.Undeploy(s.mpr.Protocol().Name()); err != nil {
 		return err
 	}

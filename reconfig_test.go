@@ -57,6 +57,51 @@ func TestUndeployMPRRefusedWhileDYMOFloodsThroughIt(t *testing.T) {
 	}
 }
 
+// ZRP senses its zone and bordercasts through the MPR CF it is stacked on,
+// so the MPR CF must outlive it too.
+func TestUndeployMPRRefusedWhileZRPStacksOnIt(t *testing.T) {
+	clk, _, stacks := lineStacks(t, 4)
+	for _, s := range stacks {
+		if _, err := s.DeployZRP(ZRPConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(8 * time.Second)
+	for _, s := range stacks {
+		if err := s.UndeployMPR(); err == nil || !strings.Contains(err.Error(), "ZRP") {
+			t.Fatalf("UndeployMPR under ZRP: err = %v, want one naming ZRP", err)
+		}
+		if s.MPRUnit() == nil {
+			t.Fatal("the refused UndeployMPR dropped the MPR CF")
+		}
+	}
+	// ZRP still routes: in-zone by its proactive table, beyond by discovery.
+	clk.Advance(8 * time.Second)
+	delivered := 0
+	stacks[3].OnDeliver(func(Addr, []byte) { delivered++ })
+	stacks[2].OnDeliver(func(Addr, []byte) { delivered++ })
+	for _, dst := range []*Stack{stacks[2], stacks[3]} {
+		if err := stacks[0].SendData(dst.Addr(), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(2 * time.Second)
+	if delivered != 2 {
+		t.Fatalf("ZRP delivered %d of 2 packets after the refused UndeployMPR", delivered)
+	}
+	for _, s := range stacks {
+		if err := s.UndeployZRP(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UndeployMPR(); err != nil {
+			t.Fatalf("UndeployMPR with nothing left on it: %v", err)
+		}
+		if got := s.Manager().Units(); !slices.Equal(got, []string{"system"}) {
+			t.Fatalf("units left = %v", got)
+		}
+	}
+}
+
 // A start hook that fails must not leave the unit (or the helper CF deployed
 // for it) in the Manager with the Stack believing nothing is there.
 func TestFailedStartLeavesNothingDeployed(t *testing.T) {
