@@ -136,7 +136,6 @@ func NewState(routes *route.Table) *State {
 	return &State{
 		Routes:     routes,
 		pending:    make(reactive.Discoveries),
-		dupes:      make(reactive.DupSet),
 		precursors: make(map[mnet.Addr]map[mnet.Addr]bool),
 	}
 }

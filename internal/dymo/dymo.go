@@ -105,7 +105,6 @@ func NewState(routes *route.Table) *State {
 	return &State{
 		Routes:     routes,
 		pending:    make(reactive.Discoveries),
-		dupes:      make(reactive.DupSet),
 		repliedVia: make(map[reactive.Key]map[mnet.Addr]bool),
 		replySeq:   make(map[reactive.Key]uint16),
 		maxPaths:   2,

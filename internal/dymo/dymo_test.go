@@ -453,8 +453,7 @@ func TestMultipathReplyStateSweptWithDupes(t *testing.T) {
 		st.mu.Lock()
 		defer st.mu.Unlock()
 		_, seq = st.replySeq[k]
-		_, dup = st.dupes[k]
-		return dup, len(st.repliedVia[k]) == 2, seq
+		return st.dupes.Has(k), len(st.repliedVia[k]) == 2, seq
 	}
 	if dup, replied, seq := held(); !dup || !replied || !seq {
 		t.Fatalf("after two copies: dup %v, replied to both %v, reply seq %v", dup, replied, seq)
@@ -467,9 +466,9 @@ func TestMultipathReplyStateSweptWithDupes(t *testing.T) {
 	st := d.State()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.dupes) != 0 || len(st.repliedVia) != 0 || len(st.replySeq) != 0 {
+	if st.dupes.Len() != 0 || len(st.repliedVia) != 0 || len(st.replySeq) != 0 {
 		t.Fatalf("after the sweep: %d dupes, %d repliedVia, %d replySeq",
-			len(st.dupes), len(st.repliedVia), len(st.replySeq))
+			st.dupes.Len(), len(st.repliedVia), len(st.replySeq))
 	}
 }
 
@@ -494,7 +493,7 @@ func TestForgedRREQStormDupSetPlateaus(t *testing.T) {
 		c.Run(tick)
 		st := d.State()
 		st.mu.Lock()
-		last = len(st.dupes)
+		last = st.dupes.Len()
 		st.mu.Unlock()
 		peak = max(peak, last)
 	}

@@ -42,7 +42,7 @@ func NewGossipFlooder(p float64, seed int64) *GossipFlooder {
 	if p > 1 {
 		p = 1
 	}
-	return &GossipFlooder{p: p, rng: rand.New(rand.NewSource(seed)), seen: make(reactive.DupSet)}
+	return &GossipFlooder{p: p, rng: rand.New(rand.NewSource(seed))}
 }
 
 // ShouldForward implements Flooder: dedup, then a biased coin.
@@ -50,11 +50,11 @@ func (g *GossipFlooder) ShouldForward(orig mnet.Addr, seq uint16, prevHop mnet.A
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	k := reactive.Key{Orig: orig, Seq: seq}
-	if _, dup := g.seen[k]; dup {
+	if g.seen.Has(k) {
 		return false
 	}
-	g.seen[k] = now
-	if len(g.seen) > gossipSweepAt {
+	g.seen.Seen(k, now)
+	if g.seen.Len() > gossipSweepAt {
 		g.seen.Sweep(now, gossipHold, nil)
 	}
 	return g.rng.Float64() < g.p

@@ -84,7 +84,6 @@ func NewState() *State {
 		selected:    make(map[mnet.Addr]bool),
 		selectors:   make(map[mnet.Addr]bool),
 		willingness: 3,
-		dupes:       make(reactive.DupSet),
 	}
 }
 

@@ -2,6 +2,7 @@ package mpr
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,6 +12,7 @@ import (
 	"manetkit/internal/event"
 	"manetkit/internal/mnet"
 	"manetkit/internal/neighbor"
+	"manetkit/internal/reactive"
 	"manetkit/internal/testbed"
 )
 
@@ -263,6 +265,60 @@ func TestFlooderDedupAndSelectorGate(t *testing.T) {
 	f.Seen(orig, 3, now)
 	if f.ShouldForward(orig, 3, prev, now) {
 		t.Fatal("own flood forwarded back")
+	}
+}
+
+// TestFloodDupSetPlateaus floods one node's Flooder with TCs from a new
+// forged originator every tick while the expiry sweep runs every
+// HelloInterval/2. The duplicate set holds each entry for reactive.DupHold,
+// so it plateaus at rate × (DupHold + sweep period) entries, and the live
+// heap stops growing with it. A Go map reclaims deleted slots only when it
+// rehashes, so under this churn the table doubles once within the first few
+// hold times; the heap is compared over the second half of a sixteen-hold
+// storm, after that. A set that kept every entry would grow by at least
+// 16 B × 4 800 entries ≈ 75 KiB there; the limit leaves room for one more
+// doubling and for what the package's other tests leave behind.
+func TestFloodDupSetPlateaus(t *testing.T) {
+	c, ms := deployMPRs(t, 1)
+	m := ms[0]
+	f := m.Flooder()
+	const tick, holds = 50 * time.Millisecond, 16
+	period := m.cfg.HelloInterval / 2
+	bound := int((reactive.DupHold + period) / tick)
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var s runtime.MemStats
+		runtime.ReadMemStats(&s)
+		return int64(s.HeapAlloc)
+	}
+	// Stay off the sweep grid so no entry sits exactly on a boundary.
+	c.Run(tick / 2)
+	var half int64
+	peak, last := 0, 0
+	for i := 0; time.Duration(i)*tick < holds*reactive.DupHold; i++ {
+		if time.Duration(i)*tick == holds/2*reactive.DupHold {
+			half = liveHeap()
+		}
+		orig := mnet.AddrFrom(0x0a100000 + uint32(i))
+		f.ShouldForward(orig, uint16(i), orig, c.Clock.Now())
+		c.Run(tick)
+		st := m.State()
+		st.mu.Lock()
+		last = st.dupes.Len()
+		st.mu.Unlock()
+		peak = max(peak, last)
+	}
+	growth := liveHeap() - half
+	t.Logf("duplicate set: peak %d, final %d, bound %d; live heap grew %d B over the second half", peak, last, bound, growth)
+	if peak > bound {
+		t.Fatalf("duplicate set peaked at %d entries, bound %d", peak, bound)
+	}
+	if floor := int(reactive.DupHold / tick); last < floor {
+		t.Fatalf("duplicate set holds %d entries at the end, want at least %d (one hold time)", last, floor)
+	}
+	if growth > 32<<10 {
+		t.Fatalf("live heap grew %d B over the second half of a steady storm", growth)
 	}
 }
 

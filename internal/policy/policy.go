@@ -11,6 +11,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -159,9 +160,16 @@ func (e *Engine) observe(ev *event.Event) {
 	case event.LinkInfo:
 		if ev.Link != nil {
 			e.linkQ[ev.Link.Neighbor] = ev.Link.Quality
+			// Float addition is order-sensitive: sum in address order so a
+			// seed replays to the same bits.
+			nbs := make([]mnet.Addr, 0, len(e.linkQ))
+			for nb := range e.linkQ {
+				nbs = append(nbs, nb)
+			}
+			slices.SortFunc(nbs, mnet.Addr.Compare)
 			total := 0.0
-			for _, q := range e.linkQ {
-				total += q
+			for _, nb := range nbs {
+				total += e.linkQ[nb]
 			}
 			e.metrics.MeanLinkQuality = total / float64(len(e.linkQ))
 		}

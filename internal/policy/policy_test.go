@@ -2,6 +2,7 @@ package policy
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -62,6 +63,26 @@ func TestMetricsTracking(t *testing.T) {
 	src.Emit(&event.Event{Type: event.NhoodChange, Nhood: &event.NhoodPayload{Kind: event.NeighborLost, Neighbor: nb}})
 	if m := e.Metrics(); m.Neighbors != 0 {
 		t.Fatalf("neighbour count after loss = %d", m.Neighbors)
+	}
+}
+
+// TestMeanLinkQualityIsOrderFree: the mean over six neighbours comes out to
+// the same bits in every fresh engine, whatever order its map iterates in.
+func TestMeanLinkQualityIsOrderFree(t *testing.T) {
+	qualities := []float64{0.1, 0.7, 0.3, 1e-9, 0.9, 0.11}
+	var want uint64
+	for i := 0; i < 20; i++ {
+		e, _, src, _ := newEngine(t)
+		for j, q := range qualities {
+			nb := mnet.AddrFrom(0x0a000002 + uint32(j))
+			src.Emit(&event.Event{Type: event.LinkInfo, Link: &event.LinkPayload{Neighbor: nb, Quality: q}})
+		}
+		got := math.Float64bits(e.Metrics().MeanLinkQuality)
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("engine %d: MeanLinkQuality bits %#x, engine 0 %#x", i, got, want)
+		}
 	}
 }
 

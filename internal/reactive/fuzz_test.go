@@ -20,13 +20,19 @@ type modelDiscovery struct {
 
 // FuzzReactiveState drives random Seen / Sweep / Start / Arm / Due /
 // Complete / GiveUp / StopAll sequences against naive models — a map of
-// sighting times, a map of discoveries and a list of the timers that should
-// still be armed — and checks SeqNewer and Seq.Next on random numbers.
+// sighting times (the representation DupSet packs), a map of discoveries
+// and a list of the timers that should still be armed — and checks SeqNewer
+// and Seq.Next on random numbers.
 func FuzzReactiveState(f *testing.F) {
 	f.Add([]byte{0, 0x11, 0, 0x11, 2, 50, 1, 40, 0, 0x11}, uint16(0), uint16(0x8000))
 	f.Add([]byte{3, 1, 4, 0x12, 5, 0x11, 5, 0x12, 4, 0x23, 6, 1, 4, 0x31}, uint16(0xffff), uint16(0))
 	f.Add([]byte{3, 1, 3, 2, 4, 0x11, 4, 0x12, 6, 5, 7, 0, 3, 1, 5, 0}, uint16(0x7fff), uint16(0))
 	f.Add([]byte{0, 1, 2, 255, 0, 2, 2, 45, 1, 120, 0, 1, 1, 2}, uint16(1), uint16(0x8001))
+	// An entry exactly hold old survives a sweep; one nanosecond later it
+	// does not.
+	f.Add([]byte{0, 0x11, 2, 10, 1, 4, 10, 1, 1, 4, 0, 0x11}, uint16(2), uint16(3))
+	// A sweep before any Seen, then a set whose base the first Seen fixes.
+	f.Add([]byte{1, 0, 1, 4, 0, 0x11, 2, 5, 1, 1, 0, 0x11, 0, 0x21}, uint16(5), uint16(4))
 
 	f.Fuzz(func(t *testing.T, ops []byte, a, b uint16) {
 		naive := a != b && ((a > b && a-b < 0x8000) || (a < b && b-a > 0x8000))
@@ -46,7 +52,7 @@ func FuzzReactiveState(f *testing.F) {
 		}
 
 		var (
-			dups    = make(DupSet)
+			dups    DupSet
 			seen    = make(map[Key]time.Time)
 			disc    = make(Discoveries)
 			pending = make(map[mnet.Addr]*modelDiscovery)
@@ -87,7 +93,11 @@ func FuzzReactiveState(f *testing.F) {
 					}
 				}
 			case 2:
-				now = now.Add(time.Duration(arg) * 100 * time.Millisecond)
+				step := 100 * time.Millisecond
+				if op&8 != 0 { // nanosecond steps reach a hold's exact edge
+					step = time.Nanosecond
+				}
+				now = now.Add(time.Duration(arg) * step)
 			case 3:
 				_, busy := pending[dst]
 				if got := disc.Start(dst, now); got == busy {
@@ -133,8 +143,11 @@ func FuzzReactiveState(f *testing.F) {
 				}
 				clear(pending)
 			}
-			if len(dups) != len(seen) {
-				t.Fatalf("len = %d, model holds %d", len(dups), len(seen))
+			if dups.Len() != len(seen) {
+				t.Fatalf("Len = %d, model holds %d", dups.Len(), len(seen))
+			}
+			if _, want := seen[k]; dups.Has(k) != want {
+				t.Fatalf("Has(%v) = %v, model %v", k, !want, want)
 			}
 			armed := 0
 			for _, l := range live {

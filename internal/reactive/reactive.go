@@ -24,25 +24,54 @@ type Key struct {
 	Seq  uint16
 }
 
-// DupSet maps each recently seen message to its latest sighting. Make it
-// with make; len gives the number of entries held.
-type DupSet map[Key]time.Time
+// pack folds k into the set's 8-byte map key: Orig above Seq.
+func (k Key) pack() uint64 { return uint64(k.Orig.Uint32())<<16 | uint64(k.Seq) }
+
+func unpack(p uint64) Key { return Key{Orig: mnet.AddrFrom(uint32(p >> 16)), Seq: uint16(p)} }
+
+// DupSet holds each recently seen message's latest sighting. The zero value
+// is an empty set. A sighting is kept as nanoseconds past base, the first
+// Seen's time, taken with Sub so a clock's monotonic reading is kept; each
+// map slot is 16 bytes and holds no pointer, so the collector skips the
+// table's contents.
+type DupSet struct {
+	seen map[uint64]int64
+	base time.Time
+}
 
 // Seen records k as seen at now and reports whether it was already present.
-func (s DupSet) Seen(k Key, now time.Time) bool {
-	_, dup := s[k]
-	s[k] = now
+func (s *DupSet) Seen(k Key, now time.Time) bool {
+	if s.seen == nil {
+		s.seen = make(map[uint64]int64)
+		s.base = now
+	}
+	p := k.pack()
+	_, dup := s.seen[p]
+	s.seen[p] = int64(now.Sub(s.base))
 	return dup
 }
 
+// Has reports whether k is held, without recording a sighting.
+func (s *DupSet) Has(k Key) bool {
+	_, ok := s.seen[k.pack()]
+	return ok
+}
+
+// Len returns the number of entries held.
+func (s *DupSet) Len() int { return len(s.seen) }
+
 // Sweep drops every entry last seen more than hold before now, passing each
 // dropped key to dropped when it is non-nil.
-func (s DupSet) Sweep(now time.Time, hold time.Duration, dropped func(Key)) {
-	for k, t := range s {
-		if now.Sub(t) > hold {
-			delete(s, k)
+func (s *DupSet) Sweep(now time.Time, hold time.Duration, dropped func(Key)) {
+	if len(s.seen) == 0 {
+		return
+	}
+	at := int64(now.Sub(s.base))
+	for p, t := range s.seen {
+		if at-t > int64(hold) {
+			delete(s.seen, p)
 			if dropped != nil {
-				dropped(k)
+				dropped(unpack(p))
 			}
 		}
 	}

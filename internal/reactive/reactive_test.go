@@ -11,21 +11,40 @@ import (
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func TestDupSetSeen(t *testing.T) {
-	s := make(DupSet)
+	var s DupSet
 	k := Key{Orig: mnet.AddrFrom(0x0a000001), Seq: 7}
-	if s.Seen(k, epoch) {
+	if s.Has(k) || s.Seen(k, epoch) {
 		t.Fatal("empty set knows the key")
 	}
 	if !s.Seen(k, epoch.Add(20*time.Second)) {
 		t.Fatal("second sighting not reported as a duplicate")
 	}
-	if s.Seen(Key{Orig: k.Orig, Seq: 8}, epoch) || len(s) != 2 {
-		t.Fatalf("another seq is another key: len %d", len(s))
+	if s.Seen(Key{Orig: k.Orig, Seq: 8}, epoch) || s.Len() != 2 {
+		t.Fatalf("another seq is another key: len %d", s.Len())
 	}
 	// The second sighting restarted k's hold; seq 8's has run out.
 	s.Sweep(epoch.Add(40*time.Second), DupHold, nil)
-	if _, kept := s[k]; !kept || len(s) != 1 {
-		t.Fatalf("sweep kept %d entries, k present %v", len(s), kept)
+	if kept := s.Has(k); !kept || s.Len() != 1 {
+		t.Fatalf("sweep kept %d entries, k present %v", s.Len(), kept)
+	}
+}
+
+// TestDupSetKeyRoundTrip: a dropped entry reports the key it was seen
+// under, at the edges of both fields.
+func TestDupSetKeyRoundTrip(t *testing.T) {
+	for _, k := range []Key{
+		{},
+		{Orig: mnet.AddrFrom(0xffffffff), Seq: 0xffff},
+		{Orig: mnet.AddrFrom(0x80000001), Seq: 0x8000},
+		{Orig: mnet.AddrFrom(0x0a000001), Seq: 1},
+	} {
+		var s DupSet
+		s.Seen(k, epoch)
+		var dropped []Key
+		s.Sweep(epoch.Add(time.Second), 0, func(d Key) { dropped = append(dropped, d) })
+		if len(dropped) != 1 || dropped[0] != k {
+			t.Fatalf("Seen(%v) then Sweep dropped %v", k, dropped)
+		}
 	}
 }
 
@@ -39,12 +58,12 @@ func TestDupSetSweepHold(t *testing.T) {
 		{"exactly the hold", DupHold, true},
 		{"just past the hold", DupHold + time.Nanosecond, false},
 	} {
-		s := make(DupSet)
+		var s DupSet
 		k := Key{Orig: mnet.AddrFrom(0x0a000001), Seq: 1}
 		s.Seen(k, epoch)
 		var dropped []Key
 		s.Sweep(epoch.Add(tc.age), DupHold, func(d Key) { dropped = append(dropped, d) })
-		if _, kept := s[k]; kept != tc.kept {
+		if kept := s.Has(k); kept != tc.kept {
 			t.Errorf("%s: kept = %v, want %v", tc.name, kept, tc.kept)
 		}
 		if want := !tc.kept; (len(dropped) == 1 && dropped[0] == k) != want {

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -19,29 +20,60 @@ type FIBRoute struct {
 	Proto   string
 }
 
+// fibEntry is a FIBRoute as the table stores it: 16 bytes, no pointer. The
+// destination is the map key, and dev and proto index the FIB's names.
+type fibEntry struct {
+	nextHop    mnet.Addr
+	dev, proto uint16
+	metric     int
+}
+
 // FIB simulates the kernel forwarding table. The System CF State element
 // exposes it to protocols ("operations to manipulate the kernel routing
 // table", §4.3), and the packet filter consults it to forward data packets.
 type FIB struct {
-	mu     sync.Mutex
-	routes map[mnet.Prefix]FIBRoute
-	wide   int    // routes that are not host routes (HNA prefixes)
-	ops    uint64 // mutations applied (Set + successful Del)
+	mu    sync.Mutex
+	host  map[mnet.Addr]fibEntry   // host routes, keyed by destination
+	wide  map[mnet.Prefix]fibEntry // every other prefix length (HNA prefixes)
+	names []string                 // interned Device and Proto strings
+	ops   uint64                   // mutations applied (Set + successful Del)
 }
 
 // NewFIB returns an empty forwarding table.
 func NewFIB() *FIB {
-	return &FIB{routes: make(map[mnet.Prefix]FIBRoute)}
+	return &FIB{host: make(map[mnet.Addr]fibEntry), wide: make(map[mnet.Prefix]fibEntry)}
+}
+
+// intern returns name's index in f.names, adding it on first sight. Called
+// with f.mu held.
+//
+//mk:allow hotalloc appends once per distinct device or protocol name; a replaced route finds its names already held
+func (f *FIB) intern(name string) uint16 {
+	if i := slices.Index(f.names, name); i >= 0 {
+		return uint16(i)
+	}
+	if len(f.names) > 0xffff {
+		panic("route: FIB holds more than 65536 distinct device and protocol names")
+	}
+	f.names = append(f.names, name)
+	return uint16(len(f.names) - 1)
+}
+
+// route rebuilds the FIBRoute e stores for dst. Called with f.mu held.
+func (f *FIB) route(dst mnet.Prefix, e fibEntry) FIBRoute {
+	return FIBRoute{Dst: dst, NextHop: e.nextHop, Metric: e.metric, Device: f.names[e.dev], Proto: f.names[e.proto]}
 }
 
 // Set installs or replaces the route for r.Dst.
 func (f *FIB) Set(r FIBRoute) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.routes[r.Dst]; !ok && r.Dst.Bits != hostBits {
-		f.wide++
+	e := fibEntry{nextHop: r.NextHop, dev: f.intern(r.Device), proto: f.intern(r.Proto), metric: r.Metric}
+	if r.Dst.Bits == hostBits {
+		f.host[r.Dst.Addr] = e
+	} else {
+		f.wide[r.Dst] = e
 	}
-	f.routes[r.Dst] = r
 	f.ops++
 }
 
@@ -49,13 +81,16 @@ func (f *FIB) Set(r FIBRoute) {
 func (f *FIB) Del(dst mnet.Prefix) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_, ok := f.routes[dst]
-	delete(f.routes, dst)
+	var ok bool
+	if dst.Bits == hostBits {
+		_, ok = f.host[dst.Addr]
+		delete(f.host, dst.Addr)
+	} else {
+		_, ok = f.wide[dst]
+		delete(f.wide, dst)
+	}
 	if ok {
 		f.ops++
-		if dst.Bits != hostBits {
-			f.wide--
-		}
 	}
 	return ok
 }
@@ -70,32 +105,38 @@ func (f *FIB) Ops() uint64 {
 }
 
 // Lookup performs longest-prefix-match forwarding resolution. A host route
-// is the longest match there can be, so it is tried first, and the table is
-// scanned only while it holds a shorter prefix that could match instead.
+// is the longest match there can be, so it is tried first; only on a miss
+// are the shorter prefixes scanned. Among equally long matches the lowest
+// base address wins.
 func (f *FIB) Lookup(dst mnet.Addr) (FIBRoute, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if r, ok := f.routes[mnet.HostPrefix(dst)]; ok || f.wide == 0 {
-		return r, ok
+	if e, ok := f.host[dst]; ok {
+		return f.route(mnet.HostPrefix(dst), e), true
 	}
-	var best FIBRoute
-	bestBits := -1
-	for _, r := range f.routes {
-		if r.Dst.Contains(dst) && r.Dst.Bits > bestBits {
-			best = r
-			bestBits = r.Dst.Bits
+	best := mnet.Prefix{Bits: -1}
+	var bestE fibEntry
+	for p, e := range f.wide {
+		if p.Contains(dst) && (p.Bits > best.Bits || p.Bits == best.Bits && p.Addr.Less(best.Addr)) {
+			best, bestE = p, e
 		}
 	}
-	return best, bestBits >= 0
+	if best.Bits < 0 {
+		return FIBRoute{}, false
+	}
+	return f.route(best, bestE), true
 }
 
 // List returns all forwarding entries sorted by destination.
 func (f *FIB) List() []FIBRoute {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FIBRoute, 0, len(f.routes))
-	for _, r := range f.routes {
-		out = append(out, r)
+	out := make([]FIBRoute, 0, len(f.host)+len(f.wide))
+	for a, e := range f.host {
+		out = append(out, f.route(mnet.HostPrefix(a), e))
+	}
+	for p, e := range f.wide {
+		out = append(out, f.route(p, e))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Dst.Addr != out[j].Dst.Addr {
@@ -110,7 +151,7 @@ func (f *FIB) List() []FIBRoute {
 func (f *FIB) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.routes)
+	return len(f.host) + len(f.wide)
 }
 
 // FlushProto removes every route owned by the named protocol — used when a
@@ -118,14 +159,21 @@ func (f *FIB) Len() int {
 func (f *FIB) FlushProto(proto string) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	idx := slices.Index(f.names, proto)
+	if idx < 0 {
+		return 0
+	}
 	n := 0
-	for dst, r := range f.routes {
-		if r.Proto == proto {
-			delete(f.routes, dst)
+	for a, e := range f.host {
+		if int(e.proto) == idx {
+			delete(f.host, a)
 			n++
-			if dst.Bits != hostBits {
-				f.wide--
-			}
+		}
+	}
+	for p, e := range f.wide {
+		if int(e.proto) == idx {
+			delete(f.wide, p)
+			n++
 		}
 	}
 	return n

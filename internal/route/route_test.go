@@ -542,12 +542,14 @@ func TestReplaceProtoSteadyStateAllocs(t *testing.T) {
 }
 
 // lookupByScan is the longest-prefix match Lookup used to be: a scan of the
-// whole table. It is the reference the host-route fast path must agree with.
+// whole table, here with Lookup's tie-break (the lowest base address among
+// equally long matches). It is the reference the host-route fast path must
+// agree with.
 func lookupByScan(routes []FIBRoute, dst mnet.Addr) (FIBRoute, bool) {
 	var best FIBRoute
 	bestBits := -1
 	for _, r := range routes {
-		if r.Dst.Contains(dst) && r.Dst.Bits > bestBits {
+		if r.Dst.Contains(dst) && (r.Dst.Bits > bestBits || r.Dst.Bits == bestBits && r.Dst.Addr.Less(best.Dst.Addr)) {
 			best, bestBits = r, r.Dst.Bits
 		}
 	}
@@ -596,8 +598,8 @@ func TestFIBLookupMatchesScan(t *testing.T) {
 		f.FlushProto("olsr")
 		f.FlushProto("dymo")
 		f.FlushProto("hna")
-		if f.Len() != 0 || f.wide != 0 {
-			t.Fatalf("seed %d: empty table counts %d wide prefixes (len %d)", seed, f.wide, f.Len())
+		if f.Len() != 0 || len(f.wide) != 0 {
+			t.Fatalf("seed %d: empty table holds %d wide prefixes (len %d)", seed, len(f.wide), f.Len())
 		}
 	}
 }

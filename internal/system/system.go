@@ -19,6 +19,7 @@ package system
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -206,10 +207,10 @@ func New(cfg Config) (*System, error) {
 	}
 	err = s.proto.AddSource(core.NewSource("link-sensor", cfg.SensorInterval, 0,
 		func(ctx *core.Context) {
-			for nb, rssi := range s.rssiSnapshot() {
+			for _, r := range s.rssiSnapshot() {
 				ctx.Emit(&event.Event{
 					Type: event.LinkInfo,
-					Link: &event.LinkPayload{Neighbor: nb, SignalDBm: rssi, Quality: qualityFromRSSI(rssi)},
+					Link: &event.LinkPayload{Neighbor: r.nb, SignalDBm: r.rssi, Quality: qualityFromRSSI(r.rssi)},
 				})
 			}
 		}))
@@ -316,13 +317,22 @@ func (s *System) receive(f emunet.Frame) {
 	}
 }
 
-func (s *System) rssiSnapshot() map[mnet.Addr]float64 {
+// rssiReading is one neighbour's latest received signal strength.
+type rssiReading struct {
+	nb   mnet.Addr
+	rssi float64
+}
+
+// rssiSnapshot returns every neighbour's latest reading sorted by address,
+// so the link sensor reports them in the same order on every run.
+func (s *System) rssiSnapshot() []rssiReading {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[mnet.Addr]float64, len(s.lastRSSI))
-	for k, v := range s.lastRSSI {
-		out[k] = v
+	out := make([]rssiReading, 0, len(s.lastRSSI))
+	for nb, rssi := range s.lastRSSI {
+		out = append(out, rssiReading{nb, rssi})
 	}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b rssiReading) int { return a.nb.Compare(b.nb) })
 	return out
 }
 

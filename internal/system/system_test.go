@@ -1,6 +1,7 @@
 package system
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -402,6 +403,46 @@ func TestLinkSensorReportsRSSI(t *testing.T) {
 	}
 	if li.Quality <= 0 || li.Quality >= 1 {
 		t.Fatalf("quality %f not in (0,1)", li.Quality)
+	}
+}
+
+// TestLinkSensorReportsInAddressOrder: a node that hears five neighbours
+// reports them in address order on every sensor tick, so a context consumer
+// (the policy engine's float sums) sees the same sequence on every run.
+func TestLinkSensorReportsInAddressOrder(t *testing.T) {
+	const neighbours, ticks = 5, 10
+	net, clk, nodes := newTestNet(t, 1+neighbours)
+	hub := nodes[0]
+	var mu sync.Mutex
+	heard := make(map[time.Time][]mnet.Addr) // sensor tick -> neighbours in report order
+	hub.mgr.SubscribeContext(event.LinkInfo, func(ev *event.Event) {
+		mu.Lock()
+		heard[clk.Now()] = append(heard[clk.Now()], ev.Link.Neighbor)
+		mu.Unlock()
+	})
+	for i, nb := range nodes[1:] {
+		net.SetLink(hub.addr, nb.addr, emunet.Quality{Delay: time.Millisecond, SignalDBm: -60 - float64(i)})
+		beacon := core.NewProtocol("beacon")
+		beacon.SetTuple(event.Tuple{Provided: []event.Type{event.HelloOut}})
+		if err := nb.mgr.Deploy(beacon); err != nil {
+			t.Fatal(err)
+		}
+		beacon.Emit(&event.Event{
+			Type: event.HelloOut,
+			Msg:  &packetbb.Message{Type: packetbb.MsgHello, Originator: nb.addr},
+			Dst:  mnet.Broadcast,
+		})
+	}
+	clk.Advance(ticks*time.Second + 100*time.Millisecond) // sensor interval is 1s
+	mu.Lock()
+	defer mu.Unlock()
+	if len(heard) != ticks {
+		t.Fatalf("LINK_INFO on %d ticks, want %d", len(heard), ticks)
+	}
+	for at, order := range heard {
+		if len(order) != neighbours || !slices.IsSortedFunc(order, mnet.Addr.Compare) {
+			t.Fatalf("tick %v reported %v, want all %d neighbours in address order", at.Sub(epoch), order, neighbours)
+		}
 	}
 }
 

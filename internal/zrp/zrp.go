@@ -110,7 +110,6 @@ func NewState(routes *route.Table) *State {
 	return &State{
 		Routes:  routes,
 		pending: make(reactive.Discoveries),
-		dupes:   make(reactive.DupSet),
 	}
 }
 
