@@ -41,14 +41,14 @@ func benchTC(orig mnet.Addr, i int) *packetbb.Message {
 }
 
 func BenchmarkTable1TimeToProcessOLSRKit(b *testing.B) {
-	c, nodes, err := harness.OLSRCluster(1)
+	c, nodes, err := harness.FamilyCluster(1, "olsr")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
 	peer := mnet.AddrFrom(0x0a0000fe)
-	nodes[0].MPR.State().Links.Observe(peer, true, 3, nil, c.Clock.Now())
-	unit := nodes[0].OLSR.Protocol()
+	nodes[0].Set.MPR().State().Links.Observe(peer, true, 3, nil, c.Clock.Now())
+	unit := nodes[0].Set.OLSR().Protocol()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -102,14 +102,14 @@ func benchRREQ(orig, target mnet.Addr, i int) *packetbb.Message {
 }
 
 func BenchmarkTable1TimeToProcessDYMOKit(b *testing.B) {
-	c, nodes, err := harness.DYMOCluster(1)
+	c, nodes, err := harness.FamilyCluster(1, "dymo")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
 	orig := mnet.AddrFrom(0x0a0000fe)
 	target := mnet.AddrFrom(0x0a0000fd)
-	unit := nodes[0].DYMO.Protocol()
+	unit := nodes[0].Set.DYMO().Protocol()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

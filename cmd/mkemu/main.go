@@ -69,7 +69,7 @@ var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 func main() {
 	nodes := flag.Int("nodes", 5, "number of nodes")
 	topology := flag.String("topology", "line", "line, grid, clique or random")
-	proto := flag.String("proto", "dymo", "olsr, dymo, aodv, zrp or both (olsr+dymo)")
+	proto := flag.String("proto", "dymo", "olsr, dymo, aodv, zrp, or families joined by + (both = olsr+dymo)")
 	duration := flag.Duration("duration", 30*time.Second, "simulated run time")
 	traffic := flag.Int("traffic", 5, "data packets from node 1 to node N")
 	fisheye := flag.Bool("fisheye", false, "enable the fisheye OLSR variant")
@@ -327,35 +327,13 @@ func run(nodes int, topology, proto string, duration time.Duration, traffic int,
 		return err
 	}
 
+	specs := composition(proto, fisheye, nodes)
 	for _, s := range stacks {
-		if proto == "olsr" || proto == "both" {
-			if _, err := s.DeployOLSR(manetkit.OLSRConfig{}); err != nil {
-				return err
-			}
-			if fisheye {
-				if err := s.EnableFisheye(nil); err != nil {
-					return err
-				}
-			}
+		if err := s.Compose(specs...); err != nil {
+			return err
 		}
-		if proto == "dymo" || proto == "both" {
-			d, err := s.DeployDYMO(manetkit.DYMOConfig{HopLimit: uint8(nodes + 2)})
-			if err != nil {
-				return err
-			}
-			if multipath {
-				if err := d.EnableMultipath(2); err != nil {
-					return err
-				}
-			}
-		}
-		if proto == "aodv" {
-			if _, err := s.DeployAODV(manetkit.AODVConfig{PiggybackRoutes: true}); err != nil {
-				return err
-			}
-		}
-		if proto == "zrp" {
-			if _, err := s.DeployZRP(manetkit.ZRPConfig{}); err != nil {
+		if d := s.DYMOUnit(); d != nil && multipath {
+			if err := d.EnableMultipath(2); err != nil {
 				return err
 			}
 		}
@@ -385,22 +363,7 @@ func run(nodes int, topology, proto string, duration time.Duration, traffic int,
 		clk.AfterFunc(5*time.Second, healthTick)
 	}
 	if serveHTTP {
-		// Live introspection endpoints next to /debug/vars and /debug/pprof.
-		// Every underlying accessor is mutex-guarded, so serving while the
-		// emulation advances is safe (the virtual clock keeps running).
-		http.HandleFunc("/graph", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprint(w, manetkit.CaptureArch(stacks...).DOT())
-		})
-		http.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprint(w, monitor.Check(clk.Now()).String())
-		})
-		http.HandleFunc("/paths", func(w http.ResponseWriter, r *http.Request) {
-			if tracer == nil {
-				http.Error(w, "tracing disabled: run mkemu with -trace or -paths", http.StatusNotFound)
-				return
-			}
-			fmt.Fprint(w, manetkit.RenderPacketPaths(manetkit.CorrelatePaths(tracer.Spans()), 50))
-		})
+		serveIntrospection(http.DefaultServeMux, stacks, monitor, clk, tracer)
 	}
 
 	if mobility {
@@ -498,6 +461,50 @@ func run(nodes int, topology, proto string, duration time.Duration, traffic int,
 		printPaths(tracer)
 	}
 	return nil
+}
+
+// composition is what -proto and -fisheye ask every node to run: families
+// joined by "+" ("both" is olsr+dymo), fisheye riding on OLSR. DYMO's hop
+// limit spans the network; AODV piggybacks routes on its beacons.
+func composition(proto string, fisheye bool, nodes int) []manetkit.FamilySpec {
+	if proto == "both" {
+		proto = "olsr+dymo"
+	}
+	var specs []manetkit.FamilySpec
+	for _, family := range strings.Split(proto, "+") {
+		sp := manetkit.FamilySpec{Family: family}
+		switch family {
+		case "dymo":
+			sp.HopLimit = uint8(nodes + 2)
+		case "aodv":
+			sp.PiggybackRoutes = true
+		}
+		specs = append(specs, sp)
+		if family == "olsr" && fisheye {
+			specs = append(specs, manetkit.FamilySpec{Family: "fisheye"})
+		}
+	}
+	return specs
+}
+
+// serveIntrospection registers the live /graph, /health and /paths
+// endpoints on mux. Every accessor behind them is mutex-guarded, so they
+// serve while the emulation advances.
+func serveIntrospection(mux *http.ServeMux, stacks []*manetkit.Stack, monitor *manetkit.HealthMonitor,
+	clk *manetkit.VirtualClock, tracer *manetkit.Tracer) {
+	mux.HandleFunc("/graph", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, manetkit.CaptureArch(stacks...).DOT())
+	})
+	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, monitor.Check(clk.Now()).String())
+	})
+	mux.HandleFunc("/paths", func(w http.ResponseWriter, r *http.Request) {
+		if tracer == nil {
+			http.Error(w, "tracing disabled: run mkemu with -trace or -paths", http.StatusNotFound)
+			return
+		}
+		fmt.Fprint(w, manetkit.RenderPacketPaths(manetkit.CorrelatePaths(tracer.Spans()), 50))
+	})
 }
 
 func max(a, b int) int {

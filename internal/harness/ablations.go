@@ -5,13 +5,13 @@ import (
 	"sync"
 	"time"
 
+	"manetkit/internal/compose"
 	"manetkit/internal/core"
 	"manetkit/internal/dymo"
 	"manetkit/internal/emunet"
 	"manetkit/internal/event"
 	"manetkit/internal/mnet"
 	"manetkit/internal/mpr"
-	"manetkit/internal/olsr"
 	"manetkit/internal/packetbb"
 	"manetkit/internal/testbed"
 	"manetkit/internal/vclock"
@@ -94,7 +94,7 @@ type FisheyeResult struct {
 // TC-bearing transmissions with and without the fisheye variant.
 func MeasureFisheye(nodes, cols int, duration time.Duration) (FisheyeResult, error) {
 	run := func(withFisheye bool) (uint64, error) {
-		c, kits, err := OLSRCluster(nodes)
+		c, kits, err := FamilyCluster(nodes, "olsr")
 		if err != nil {
 			return 0, err
 		}
@@ -103,17 +103,12 @@ func MeasureFisheye(nodes, cols int, duration time.Duration) (FisheyeResult, err
 			return 0, err
 		}
 		if withFisheye {
-			for _, node := range c.Nodes {
-				fish := olsr.NewFisheye("", nil)
-				if err := node.Mgr.Deploy(fish); err != nil {
-					return 0, err
-				}
-				if err := fish.Start(); err != nil {
+			for _, k := range kits {
+				if err := k.Set.Compose(compose.Spec{Family: compose.Fisheye}); err != nil {
 					return 0, err
 				}
 			}
 		}
-		_ = kits
 		c.Run(30 * time.Second) // converge
 		// The tap fires once per delivery; counting distinct
 		// (sender, originator, seq, hopcount) tuples yields the number of
@@ -183,7 +178,7 @@ const (
 // network under each flooding regime and compares RREQ re-broadcasts.
 func MeasureDYMOFlooding(nodes int) (FloodingResult, error) {
 	run := func(mode floodMode) (uint64, error) {
-		c, kits, err := DYMOCluster(nodes)
+		c, kits, err := FamilyCluster(nodes, "dymo")
 		if err != nil {
 			return 0, err
 		}
@@ -198,11 +193,11 @@ func MeasureDYMOFlooding(nodes int) (FloodingResult, error) {
 				if err := relay.Protocol().Start(); err != nil {
 					return 0, err
 				}
-				kits[i].DYMO.SetFlooder(relay.Flooder())
+				kits[i].Set.DYMO().SetFlooder(relay.Flooder())
 			}
 		case floodGossip:
 			for i := range c.Nodes {
-				kits[i].DYMO.SetFlooder(dymo.NewGossipFlooder(0.65, int64(i+1)))
+				kits[i].Set.DYMO().SetFlooder(dymo.NewGossipFlooder(0.65, int64(i+1)))
 			}
 		}
 		if err := c.Clique(); err != nil {
@@ -215,9 +210,9 @@ func MeasureDYMOFlooding(nodes int) (FloodingResult, error) {
 		c.Run(2 * time.Second)
 		var forwards uint64
 		for _, k := range kits {
-			forwards += k.DYMO.State().Stats().RREQForwards
+			forwards += k.Set.DYMO().State().Stats().RREQForwards
 		}
-		if _, _, err := kits[0].DYMO.Routes().Lookup(c.Addrs()[nodes-1]); err != nil {
+		if _, _, err := kits[0].Set.DYMO().Routes().Lookup(c.Addrs()[nodes-1]); err != nil {
 			return 0, fmt.Errorf("harness: discovery failed (mode=%d): %w", mode, err)
 		}
 		return forwards, nil
@@ -251,7 +246,7 @@ type MultipathResult struct {
 // each variant needed.
 func MeasureMultipath() (MultipathResult, error) {
 	run := func(multipath bool) (uint64, error) {
-		c, kits, err := DYMOCluster(4)
+		c, kits, err := FamilyCluster(4, "dymo")
 		if err != nil {
 			return 0, err
 		}
@@ -264,7 +259,7 @@ func MeasureMultipath() (MultipathResult, error) {
 		}
 		if multipath {
 			for _, k := range kits {
-				if err := k.DYMO.EnableMultipath(2); err != nil {
+				if err := k.Set.DYMO().EnableMultipath(2); err != nil {
 					return 0, err
 				}
 			}
@@ -279,7 +274,7 @@ func MeasureMultipath() (MultipathResult, error) {
 		send() // triggers LINK_BREAK; multipath fails over, base re-discovers
 		send()
 		send()
-		return kits[0].DYMO.State().Stats().Discoveries, nil
+		return kits[0].Set.DYMO().State().Stats().Discoveries, nil
 	}
 	base, err := run(false)
 	if err != nil {
@@ -308,7 +303,7 @@ func MeasurePowerAware() (PowerAwareResult, error) {
 		// 2-hop targets {3,4}; the charged nodes 2 and 5 cover one each.
 		// Coverage-greedy selection prefers the drained hub; power-aware
 		// selection pays the extra relay to spare it.
-		c, kits, err := OLSRCluster(6)
+		c, kits, err := FamilyCluster(6, "olsr")
 		if err != nil {
 			return false, err
 		}
@@ -321,7 +316,7 @@ func MeasurePowerAware() (PowerAwareResult, error) {
 		}
 		if powerAware {
 			for _, k := range kits {
-				if err := k.OLSR.EnablePowerAware(); err != nil {
+				if err := k.Set.OLSR().EnablePowerAware(); err != nil {
 					return false, err
 				}
 			}
@@ -348,7 +343,7 @@ func MeasurePowerAware() (PowerAwareResult, error) {
 			}
 		}
 		c.Run(20 * time.Second)
-		for _, sel := range kits[0].MPR.State().Selected() {
+		for _, sel := range kits[0].Set.MPR().State().Selected() {
 			if sel == a[1] {
 				return true, nil
 			}

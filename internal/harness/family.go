@@ -7,13 +7,17 @@ package harness
 // the neighbour table (to snapshot them for the invariant suite). The
 // chaos scenarios and the evaluation campaign (internal/eval) both deploy
 // through here, so a protocol family behaves identically under fault
-// injection and under the metric sweeps.
+// injection and under the metric sweeps. It composes through
+// internal/compose, as manetkit.Stack does, so a family here is also the
+// composition a library user gets.
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
+	"manetkit/internal/compose"
 	"manetkit/internal/core"
 	"manetkit/internal/invariant"
 	"manetkit/internal/neighbor"
@@ -28,6 +32,8 @@ func Families() []string { return []string{"olsr", "dymo", "aodv", "zrp"} }
 // needed to crash it, flush its state and snapshot it.
 type FamilyNode struct {
 	Node *testbed.Node
+	// Set is the node's composition, with typed handles on its units.
+	Set *compose.Set
 	// Units are the routing units in start order.
 	Units []*core.Protocol
 	// RIBs are the composition's routing tables keyed by protocol name.
@@ -36,47 +42,35 @@ type FamilyNode struct {
 	Links *neighbor.Table
 }
 
-// DeployFamily installs the requested composition on a node and returns
-// the crash/snapshot handles.
+// DeployFamily composes the requested family on a node with the protocols'
+// default parameters and returns the crash/snapshot handles. Families
+// joined by "+" are co-deployed in order over shared helper CFs
+// ("olsr+dymo": DYMO floods through OLSR's MPR CF); a variant joins the
+// same way ("olsr+fisheye").
 func DeployFamily(c *testbed.Cluster, node *testbed.Node, family string) (*FamilyNode, error) {
-	fn := &FamilyNode{Node: node, RIBs: map[string]*route.Table{}}
-	switch family {
-	case "olsr":
-		d, err := DeployOLSR(c, node)
-		if err != nil {
-			return nil, err
+	set := compose.New(node.Mgr, node.Sys)
+	for _, f := range strings.Split(family, "+") {
+		if err := set.Compose(compose.Spec{Family: f}); err != nil {
+			return nil, fmt.Errorf("harness: %w", err)
 		}
-		fn.Units = []*core.Protocol{d.MPR.Protocol(), d.OLSR.Protocol()}
-		fn.RIBs["olsr"] = d.OLSR.Routes()
-		fn.Links = d.MPR.State().Links
-	case "dymo":
-		d, err := DeployDYMO(c, node)
-		if err != nil {
-			return nil, err
-		}
-		fn.Units = []*core.Protocol{d.ND.Protocol(), d.DYMO.Protocol()}
-		fn.RIBs["dymo"] = d.DYMO.Routes()
-		fn.Links = d.ND.Table()
-	case "aodv":
-		d, err := DeployAODV(c, node)
-		if err != nil {
-			return nil, err
-		}
-		fn.Units = []*core.Protocol{d.ND.Protocol(), d.AODV.Protocol()}
-		fn.RIBs["aodv"] = d.AODV.Routes()
-		fn.Links = d.ND.Table()
-	case "zrp":
-		d, err := DeployZRP(c, node)
-		if err != nil {
-			return nil, err
-		}
-		fn.Units = []*core.Protocol{d.MPR.Protocol(), d.ZRP.Protocol()}
-		fn.RIBs["zrp"] = d.ZRP.Routes()
-		fn.Links = d.MPR.State().Links
-	default:
-		return nil, fmt.Errorf("harness: unknown protocol family %q", family)
 	}
-	return fn, nil
+	return &FamilyNode{Node: node, Set: set, Units: set.Units(), RIBs: set.RIBs(), Links: set.Links()}, nil
+}
+
+// FamilyCluster composes family on every node of a fresh n-node cluster.
+func FamilyCluster(n int, family string) (*testbed.Cluster, []*FamilyNode, error) {
+	c, err := testbed.New(n, testbed.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	nodes := make([]*FamilyNode, n)
+	for i, node := range c.Nodes {
+		if nodes[i], err = DeployFamily(c, node, family); err != nil {
+			c.Close()
+			return nil, nil, err
+		}
+	}
+	return c, nodes, nil
 }
 
 // Crash stops the node's routing units (reverse start order) — the node

@@ -7,176 +7,25 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
-	"manetkit/internal/aodv"
-	"manetkit/internal/core"
-	"manetkit/internal/dymo"
 	"manetkit/internal/emunet"
 	"manetkit/internal/mnet"
 	"manetkit/internal/mono"
-	"manetkit/internal/mpr"
-	"manetkit/internal/neighbor"
-	"manetkit/internal/olsr"
 	"manetkit/internal/testbed"
 	"manetkit/internal/vclock"
-	"manetkit/internal/zrp"
 )
 
 // Protocol intervals used across all experiments — identical for the
 // MANETKit and monolithic implementations, as the paper requires
 // ("identical HELLO and Topology Change intervals, and route hold times").
+// They equal the MANETKit protocols' own defaults, which is what
+// DeployFamily composes; the monolithic twins are handed them explicitly.
 const (
 	HelloInterval = 2 * time.Second
 	TCInterval    = 5 * time.Second
 	RouteLifetime = 5 * time.Second
 )
-
-// OLSRNode is one node of the MANETKit OLSR composition.
-type OLSRNode struct {
-	Node *testbed.Node
-	MPR  *mpr.MPR
-	OLSR *olsr.OLSR
-}
-
-// DeployOLSR installs the Fig 5 composition (MPR + OLSR) on a testbed node.
-func DeployOLSR(c *testbed.Cluster, node *testbed.Node) (*OLSRNode, error) {
-	relay := mpr.New("", mpr.Config{HelloInterval: HelloInterval})
-	o := olsr.New("", relay, olsr.Config{
-		TCInterval: TCInterval,
-		Clock:      c.Clock,
-		FIB:        node.FIB(),
-		Device:     node.Sys.NIC().Device(),
-	})
-	for _, u := range []*core.Protocol{relay.Protocol(), o.Protocol()} {
-		if err := node.Mgr.Deploy(u); err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-		if err := u.Start(); err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-	}
-	return &OLSRNode{Node: node, MPR: relay, OLSR: o}, nil
-}
-
-// DYMONode is one node of the MANETKit DYMO composition.
-type DYMONode struct {
-	Node *testbed.Node
-	ND   *neighbor.Detector
-	DYMO *dymo.DYMO
-}
-
-// DeployDYMO installs the Fig 6 composition (Neighbour Detection + DYMO)
-// on a testbed node.
-func DeployDYMO(c *testbed.Cluster, node *testbed.Node) (*DYMONode, error) {
-	nd := neighbor.New("", neighbor.Config{HelloInterval: HelloInterval, LinkLayerFeedback: true})
-	d := dymo.New("", dymo.Config{
-		RouteLifetime: RouteLifetime,
-		Clock:         c.Clock,
-		FIB:           node.FIB(),
-		Device:        node.Sys.NIC().Device(),
-	})
-	for _, u := range []*core.Protocol{nd.Protocol(), d.Protocol()} {
-		if err := node.Mgr.Deploy(u); err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-		if err := u.Start(); err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-	}
-	return &DYMONode{Node: node, ND: nd, DYMO: d}, nil
-}
-
-// AODVNode is one node of the MANETKit AODV composition.
-type AODVNode struct {
-	Node *testbed.Node
-	ND   *neighbor.Detector
-	AODV *aodv.AODV
-}
-
-// DeployAODV installs the on-demand composition (Neighbour Detection +
-// AODV) on a testbed node.
-func DeployAODV(c *testbed.Cluster, node *testbed.Node) (*AODVNode, error) {
-	nd := neighbor.New("", neighbor.Config{HelloInterval: HelloInterval, LinkLayerFeedback: true})
-	a := aodv.New("", nd, aodv.Config{
-		RouteLifetime: RouteLifetime,
-		Clock:         c.Clock,
-		FIB:           node.FIB(),
-		Device:        node.Sys.NIC().Device(),
-	})
-	for _, u := range []*core.Protocol{nd.Protocol(), a.Protocol()} {
-		if err := node.Mgr.Deploy(u); err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-		if err := u.Start(); err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-	}
-	return &AODVNode{Node: node, ND: nd, AODV: a}, nil
-}
-
-// ZRPNode is one node of the MANETKit zone-routing composition.
-type ZRPNode struct {
-	Node *testbed.Node
-	MPR  *mpr.MPR
-	ZRP  *zrp.ZRP
-}
-
-// DeployZRP installs the hybrid composition (MPR + ZRP) on a testbed node.
-func DeployZRP(c *testbed.Cluster, node *testbed.Node) (*ZRPNode, error) {
-	relay := mpr.New("", mpr.Config{HelloInterval: HelloInterval})
-	z := zrp.New("", relay, zrp.Config{
-		RouteLifetime: RouteLifetime,
-		Clock:         c.Clock,
-		FIB:           node.FIB(),
-		Device:        node.Sys.NIC().Device(),
-	})
-	for _, u := range []*core.Protocol{relay.Protocol(), z.Protocol()} {
-		if err := node.Mgr.Deploy(u); err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-		if err := u.Start(); err != nil {
-			return nil, fmt.Errorf("harness: %w", err)
-		}
-	}
-	return &ZRPNode{Node: node, MPR: relay, ZRP: z}, nil
-}
-
-// OLSRCluster deploys the MANETKit OLSR composition on every node of a
-// fresh n-node cluster.
-func OLSRCluster(n int) (*testbed.Cluster, []*OLSRNode, error) {
-	c, err := testbed.New(n, testbed.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	nodes := make([]*OLSRNode, n)
-	for i, node := range c.Nodes {
-		nodes[i], err = DeployOLSR(c, node)
-		if err != nil {
-			c.Close()
-			return nil, nil, err
-		}
-	}
-	return c, nodes, nil
-}
-
-// DYMOCluster deploys the MANETKit DYMO composition on every node.
-func DYMOCluster(n int) (*testbed.Cluster, []*DYMONode, error) {
-	c, err := testbed.New(n, testbed.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	nodes := make([]*DYMONode, n)
-	for i, node := range c.Nodes {
-		nodes[i], err = DeployDYMO(c, node)
-		if err != nil {
-			c.Close()
-			return nil, nil, err
-		}
-	}
-	return c, nodes, nil
-}
 
 // MonoCluster is an emulated network of monolithic protocol instances.
 type MonoCluster struct {

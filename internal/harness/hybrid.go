@@ -5,11 +5,8 @@ import (
 	"sync"
 	"time"
 
-	"manetkit/internal/core"
 	"manetkit/internal/mnet"
-	"manetkit/internal/mpr"
 	"manetkit/internal/testbed"
-	"manetkit/internal/zrp"
 )
 
 // HybridResult compares the zone-routing hybrid against pure reactive
@@ -35,7 +32,7 @@ func MeasureHybrid(n int) (HybridResult, error) {
 
 	// Reactive baseline.
 	{
-		c, kits, err := DYMOCluster(n)
+		c, kits, err := FamilyCluster(n, "dymo")
 		if err != nil {
 			return r, err
 		}
@@ -53,34 +50,18 @@ func MeasureHybrid(n int) (HybridResult, error) {
 		}
 		r.ReactiveDelay = delay
 		for _, k := range kits {
-			r.ReactiveForwards += k.DYMO.State().Stats().RREQForwards
+			r.ReactiveForwards += k.Set.DYMO().State().Stats().RREQForwards
 		}
 		c.Close()
 	}
 
 	// Hybrid.
 	{
-		c, err := testbed.New(n, testbed.Options{})
+		c, kits, err := FamilyCluster(n, "zrp")
 		if err != nil {
 			return r, err
 		}
 		defer c.Close()
-		zrps := make([]*zrp.ZRP, n)
-		for i, node := range c.Nodes {
-			relay := mpr.New("", mpr.Config{HelloInterval: HelloInterval})
-			z := zrp.New("", relay, zrp.Config{
-				Clock: c.Clock, FIB: node.FIB(), Device: node.Sys.NIC().Device(),
-			})
-			for _, u := range []*core.Protocol{relay.Protocol(), z.Protocol()} {
-				if err := node.Mgr.Deploy(u); err != nil {
-					return r, err
-				}
-				if err := u.Start(); err != nil {
-					return r, err
-				}
-			}
-			zrps[i] = z
-		}
 		if err := c.Line(); err != nil {
 			return r, err
 		}
@@ -91,7 +72,7 @@ func MeasureHybrid(n int) (HybridResult, error) {
 			return r, err
 		}
 		c.Run(time.Second)
-		r.NearDiscoveries = zrps[0].State().Stats().Discoveries
+		r.NearDiscoveries = kits[0].Set.ZRP().State().Stats().Discoveries
 
 		delay, err := timedDelivery(c, c.Nodes[n-1], func() error {
 			return c.Nodes[0].Sys.Filter().SendData(c.Addrs()[n-1], []byte("x"))
@@ -100,8 +81,8 @@ func MeasureHybrid(n int) (HybridResult, error) {
 			return r, err
 		}
 		r.HybridDelay = delay
-		for _, z := range zrps {
-			st := z.State().Stats()
+		for _, k := range kits {
+			st := k.Set.ZRP().State().Stats()
 			r.HybridForwards += st.RREQForwards
 			r.ZoneAnswers += st.ZoneAnswers
 		}

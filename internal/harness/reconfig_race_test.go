@@ -29,7 +29,7 @@ func TestShardWorkersVsReconfigure(t *testing.T) {
 	}
 	defer c.Close()
 	for _, node := range c.Nodes {
-		if _, err := DeployOLSR(c, node); err != nil {
+		if _, err := DeployFamily(c, node, "olsr"); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -98,25 +98,14 @@ func MeasureScale(spec ScaleSpec) (ScaleResult, error) {
 	}
 	defer c.Close()
 
-	var olsrs []*OLSRNode
-	var aodvs []*AODVNode
-	switch spec.Protocol {
-	case "olsr":
-		olsrs = make([]*OLSRNode, spec.Nodes)
-		for i, node := range c.Nodes {
-			if olsrs[i], err = DeployOLSR(c, node); err != nil {
-				return ScaleResult{}, err
-			}
-		}
-	case "aodv":
-		aodvs = make([]*AODVNode, spec.Nodes)
-		for i, node := range c.Nodes {
-			if aodvs[i], err = DeployAODV(c, node); err != nil {
-				return ScaleResult{}, err
-			}
-		}
-	default:
+	if spec.Protocol != "olsr" && spec.Protocol != "aodv" {
 		return ScaleResult{}, fmt.Errorf("harness: unknown scale protocol %q", spec.Protocol)
+	}
+	fams := make([]*FamilyNode, spec.Nodes)
+	for i, node := range c.Nodes {
+		if fams[i], err = DeployFamily(c, node, spec.Protocol); err != nil {
+			return ScaleResult{}, err
+		}
 	}
 	if err := c.Grid(spec.Cols); err != nil {
 		return ScaleResult{}, err
@@ -181,10 +170,10 @@ func MeasureScale(spec ScaleSpec) (ScaleResult, error) {
 	}
 	switch spec.Protocol {
 	case "olsr":
-		res.Routes = olsrs[spec.Nodes/2].OLSR.Routes().ValidCount()
+		res.Routes = fams[spec.Nodes/2].RIBs["olsr"].ValidCount()
 	case "aodv":
 		for _, p := range probes {
-			if _, _, err := aodvs[p.src].AODV.Routes().Lookup(addrs[p.dst]); err == nil {
+			if _, _, err := fams[p.src].RIBs["aodv"].Lookup(addrs[p.dst]); err == nil {
 				res.Routes++
 			}
 		}

@@ -12,7 +12,7 @@ func TestScaleOLSRRandom30(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test")
 	}
-	c, kits, err := OLSRCluster(30)
+	c, kits, err := FamilyCluster(30, "olsr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestScaleOLSRRandom30(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if _, _, err := k.OLSR.Routes().Lookup(dst); err != nil {
+			if _, _, err := k.Set.OLSR().Routes().Lookup(dst); err != nil {
 				missing++
 			}
 		}
@@ -41,8 +41,8 @@ func TestScaleOLSRRandom30(t *testing.T) {
 	// (selector, relay) edges is well below the symmetric link count.
 	selections, links := 0, 0
 	for _, k := range kits {
-		selections += len(k.MPR.State().Selected())
-		links += len(k.MPR.State().Links.SymmetricAddrs())
+		selections += len(k.Set.MPR().State().Selected())
+		links += len(k.Set.MPR().State().Links.SymmetricAddrs())
 	}
 	if selections == 0 || selections >= links {
 		t.Fatalf("MPR selection did not thin the graph: %d selections over %d links", selections, links)
@@ -56,7 +56,7 @@ func TestScaleDYMODiscoveries30(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test")
 	}
-	c, kits, err := DYMOCluster(30)
+	c, kits, err := FamilyCluster(30, "dymo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestScaleDYMODiscoveries30(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Run(3 * time.Second)
-		_, p, err := kits[src].DYMO.Routes().Lookup(addrs[dst])
+		_, p, err := kits[src].Set.DYMO().Routes().Lookup(addrs[dst])
 		if err != nil {
 			t.Fatalf("discovery %d->%d failed: %v", src, dst, err)
 		}
@@ -90,7 +90,7 @@ func TestScaleMixedProtocolsPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test")
 	}
-	c, kits, err := OLSRCluster(12)
+	c, kits, err := FamilyCluster(12, "olsr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestScaleMixedProtocolsPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(40 * time.Second)
-	if got := kits[0].OLSR.Routes().ValidCount(); got != 11 {
+	if got := kits[0].Set.OLSR().Routes().ValidCount(); got != 11 {
 		t.Fatalf("pre-partition routes = %d", got)
 	}
 	// Sever the middle column pair boundaries: cut all links between
@@ -109,7 +109,7 @@ func TestScaleMixedProtocolsPartition(t *testing.T) {
 		c.Net.CutLink(addrs[row*4+1], addrs[row*4+2])
 	}
 	c.Run(40 * time.Second)
-	left := kits[0].OLSR.Routes().ValidCount()
+	left := kits[0].Set.OLSR().Routes().ValidCount()
 	if left >= 11 {
 		t.Fatalf("partition not observed: %d routes", left)
 	}
@@ -121,7 +121,7 @@ func TestScaleMixedProtocolsPartition(t *testing.T) {
 		}
 	}
 	c.Run(40 * time.Second)
-	if got := kits[0].OLSR.Routes().ValidCount(); got != 11 {
+	if got := kits[0].Set.OLSR().Routes().ValidCount(); got != 11 {
 		t.Fatalf("post-heal routes = %d", got)
 	}
 }

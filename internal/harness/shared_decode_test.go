@@ -7,7 +7,6 @@ import (
 
 	"manetkit/internal/emunet"
 	"manetkit/internal/mnet"
-	"manetkit/internal/olsr"
 	"manetkit/internal/packetbb"
 	"manetkit/internal/system"
 	"manetkit/internal/testbed"
@@ -39,26 +38,14 @@ func TestSharedPacketsAreNeverMutated(t *testing.T) {
 		{name: "dymo", family: "dymo", wantForward: packetbb.MsgRREQ},
 		{name: "aodv", family: "aodv", wantForward: packetbb.MsgRREQ},
 		{name: "zrp", family: "zrp", wantForward: packetbb.MsgRREQ},
-		{name: "olsr+fisheye", wantForward: packetbb.MsgTC,
-			extra: func(t *testing.T, c *testbed.Cluster, node *testbed.Node) {
-				if _, err := DeployOLSR(c, node); err != nil {
-					t.Fatal(err)
-				}
-				fish := olsr.NewFisheye("", nil)
-				if err := node.Mgr.Deploy(fish); err != nil {
-					t.Fatal(err)
-				}
-				if err := fish.Start(); err != nil {
-					t.Fatal(err)
-				}
-			}},
+		{name: "olsr+fisheye", family: "olsr+fisheye", wantForward: packetbb.MsgTC},
 		{name: "olsr+poweraware", wantForward: packetbb.MsgTC,
 			extra: func(t *testing.T, c *testbed.Cluster, node *testbed.Node) {
-				d, err := DeployOLSR(c, node)
+				d, err := DeployFamily(c, node, "olsr")
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := d.OLSR.EnablePowerAware(); err != nil {
+				if err := d.Set.OLSR().EnablePowerAware(); err != nil {
 					t.Fatal(err)
 				}
 			}},

@@ -93,7 +93,7 @@ func tcWorkload(orig mnet.Addr, i int) *packetbb.Message {
 // TimeToProcessOLSRKit measures the MANETKit OLSR composition's per-TC
 // processing time (receipt at the unit to handler completion), Table 1.
 func TimeToProcessOLSRKit(iters int) (time.Duration, error) {
-	c, nodes, err := OLSRCluster(1)
+	c, nodes, err := FamilyCluster(1, "olsr")
 	if err != nil {
 		return 0, err
 	}
@@ -101,9 +101,9 @@ func TimeToProcessOLSRKit(iters int) (time.Duration, error) {
 	self := c.Nodes[0]
 	peer := mnet.AddrFrom(0x0a0000fe)
 	// Prime the link state: the TC sender must be a symmetric neighbour.
-	nodes[0].MPR.State().Links.Observe(peer, true, 3, nil, c.Clock.Now())
+	nodes[0].Set.MPR().State().Links.Observe(peer, true, 3, nil, c.Clock.Now())
 
-	unit := nodes[0].OLSR.Protocol()
+	unit := nodes[0].Set.OLSR().Protocol()
 	start := time.Now() //mk:allow determinism wall-clock microbenchmark, reports real elapsed time
 	for i := 0; i < iters; i++ {
 		ev := &event.Event{Type: event.TCIn, Msg: tcWorkload(peer, i), Src: peer, Time: c.Clock.Now()}
@@ -164,14 +164,14 @@ func rreqWorkload(orig, target mnet.Addr, i int) *packetbb.Message {
 // TimeToProcessDYMOKit measures the MANETKit DYMO composition's per-RREQ
 // processing time (the node acts as an intermediate forwarder).
 func TimeToProcessDYMOKit(iters int) (time.Duration, error) {
-	c, nodes, err := DYMOCluster(1)
+	c, nodes, err := FamilyCluster(1, "dymo")
 	if err != nil {
 		return 0, err
 	}
 	defer c.Close()
 	orig := mnet.AddrFrom(0x0a0000fe)
 	target := mnet.AddrFrom(0x0a0000fd)
-	unit := nodes[0].DYMO.Protocol()
+	unit := nodes[0].Set.DYMO().Protocol()
 	start := time.Now() //mk:allow determinism wall-clock microbenchmark, reports real elapsed time
 	for i := 0; i < iters; i++ {
 		ev := &event.Event{Type: event.REIn, Msg: rreqWorkload(orig, target, i), Src: orig, Time: c.Clock.Now()}
@@ -229,7 +229,7 @@ func RouteEstablishmentOLSRKit() (time.Duration, error) {
 }
 
 func routeEstablishmentOLSRKitOnce(joinOffset time.Duration) (time.Duration, error) {
-	c, _, err := OLSRCluster(4)
+	c, _, err := FamilyCluster(4, "olsr")
 	if err != nil {
 		return 0, err
 	}
@@ -247,15 +247,15 @@ func routeEstablishmentOLSRKitOnce(joinOffset time.Duration) (time.Duration, err
 	if err := c.Net.SetLink(c.Addrs()[3], newcomer.Addr, linkQuality()); err != nil {
 		return 0, err
 	}
-	on, err := DeployOLSR(c, newcomer)
+	on, err := DeployFamily(c, newcomer, "olsr")
 	if err != nil {
 		return 0, err
 	}
 	start := c.Clock.Now()
 	deadline := start.Add(5 * time.Minute)
-	for on.OLSR.Routes().ValidCount() < 4 {
+	for on.RIBs["olsr"].ValidCount() < 4 {
 		if !c.Clock.Step() || c.Clock.Now().After(deadline) {
-			return 0, fmt.Errorf("harness: OLSR newcomer never converged (%d routes)", on.OLSR.Routes().ValidCount())
+			return 0, fmt.Errorf("harness: OLSR newcomer never converged (%d routes)", on.RIBs["olsr"].ValidCount())
 		}
 	}
 	return c.Clock.Now().Sub(start), nil
@@ -311,7 +311,7 @@ func routeEstablishmentOLSRMonoOnce(joinOffset time.Duration) (time.Duration, er
 // 5-node line: data send at one end to the other, NO_ROUTE through
 // ROUTE_FOUND.
 func RouteEstablishmentDYMOKit() (time.Duration, error) {
-	c, nodes, err := DYMOCluster(5)
+	c, nodes, err := FamilyCluster(5, "dymo")
 	if err != nil {
 		return 0, err
 	}

@@ -37,13 +37,13 @@ func TestMonitorHealthyCluster(t *testing.T) {
 	}
 	mon := inspect.NewMonitor(testbed.Epoch, reg, inspect.MonitorConfig{})
 	for _, node := range c.Nodes {
-		d, err := harness.DeployAODV(c, node)
+		d, err := harness.DeployFamily(c, node, "aodv")
 		if err != nil {
-			t.Fatalf("DeployAODV: %v", err)
+			t.Fatalf("DeployFamily: %v", err)
 		}
 		mon.Watch(inspect.Target{
 			Mgr:    node.Mgr,
-			Tables: map[string]*route.Table{"aodv": d.AODV.Routes()},
+			Tables: d.RIBs,
 		})
 	}
 	c.Run(13 * time.Second)

@@ -48,8 +48,8 @@ func serialSwitch(t *testing.T) switchRun {
 		journal.Watch(node.Mgr)
 	}
 	for _, node := range c.Nodes {
-		if _, err := harness.DeployOLSR(c, node); err != nil {
-			t.Fatalf("DeployOLSR: %v", err)
+		if _, err := harness.DeployFamily(c, node, "olsr"); err != nil {
+			t.Fatalf("DeployFamily: %v", err)
 		}
 	}
 	c.Run(10 * time.Second)
@@ -61,8 +61,8 @@ func serialSwitch(t *testing.T) switchRun {
 				t.Fatalf("Undeploy %s: %v", unit, err)
 			}
 		}
-		if _, err := harness.DeployDYMO(c, node); err != nil {
-			t.Fatalf("DeployDYMO: %v", err)
+		if _, err := harness.DeployFamily(c, node, "dymo"); err != nil {
+			t.Fatalf("DeployFamily: %v", err)
 		}
 	}
 	c.Run(10 * time.Second)

@@ -36,8 +36,8 @@ func TestGoldenAODVPathReconstruction(t *testing.T) {
 		t.Fatalf("Line: %v", err)
 	}
 	for _, node := range c.Nodes {
-		if _, err := harness.DeployAODV(c, node); err != nil {
-			t.Fatalf("DeployAODV: %v", err)
+		if _, err := harness.DeployFamily(c, node, "aodv"); err != nil {
+			t.Fatalf("DeployFamily: %v", err)
 		}
 	}
 	c.Run(13 * time.Second)
@@ -157,8 +157,8 @@ func TestCorrelateDeterministic(t *testing.T) {
 			t.Fatalf("Line: %v", err)
 		}
 		for _, node := range c.Nodes {
-			if _, err := harness.DeployAODV(c, node); err != nil {
-				t.Fatalf("DeployAODV: %v", err)
+			if _, err := harness.DeployFamily(c, node, "aodv"); err != nil {
+				t.Fatalf("DeployFamily: %v", err)
 			}
 		}
 		c.Run(13 * time.Second)

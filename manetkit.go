@@ -24,11 +24,11 @@
 package manetkit
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"manetkit/internal/aodv"
+	"manetkit/internal/compose"
 	"manetkit/internal/coord"
 	"manetkit/internal/core"
 	"manetkit/internal/dymo"
@@ -307,24 +307,18 @@ type DYMOConfig struct {
 	HopLimit      uint8         // control-message propagation cap, default 10
 }
 
+// FamilySpec names one protocol family (olsr, dymo, aodv, zrp) or variant
+// (fisheye) for Stack.Compose, with its parameters; a zero field takes the
+// protocol's default.
+type FamilySpec = compose.Spec
+
 // Stack is one node's MANETKit deployment: Framework Manager + System CF,
 // into which routing protocols are deployed and reconfigured at runtime.
 type Stack struct {
-	mgr *core.Manager
-	sys *system.System
-	net *emunet.Network
-
-	olsr    *olsr.OLSR
-	mpr     *mpr.MPR
-	dymo    *dymo.DYMO
-	aodv    *aodv.AODV
-	zrp     *zrp.ZRP
-	nd      *neighbor.Detector
-	fisheye *core.Protocol
-	policy  *policy.Engine
-	// dymoOnMPR: the deployed DYMO floods through mpr (and senses its
-	// neighbours with it) instead of a private Neighbour Detection CF.
-	dymoOnMPR bool
+	mgr    *core.Manager
+	sys    *system.System
+	comp   *compose.Set
+	policy *policy.Engine
 }
 
 // NewStack attaches a node at addr to the network and boots its framework
@@ -361,7 +355,7 @@ func NewStack(net *Network, addr Addr, opts StackOptions) (*Stack, error) {
 	if opts.Journal != nil {
 		opts.Journal.Watch(mgr)
 	}
-	return &Stack{mgr: mgr, sys: sys, net: net}, nil
+	return &Stack{mgr: mgr, sys: sys, comp: compose.New(mgr, sys)}, nil
 }
 
 // NewStacks builds one stack per address.
@@ -392,183 +386,56 @@ func (s *Stack) System() *System { return s.sys }
 
 // Deploy installs a custom protocol unit and starts it. A unit whose start
 // hook fails is undeployed again: a failed Deploy leaves nothing behind.
-func (s *Stack) Deploy(p *Protocol) error {
-	if err := s.mgr.Deploy(p); err != nil {
-		return err
-	}
-	if err := p.Start(); err != nil {
-		return errors.Join(err, s.mgr.Undeploy(p.Name()))
-	}
-	return nil
-}
-
-// ensureMPR returns the stack's MPR CF, deploying one if there is none. undo
-// removes it again if this call deployed it, for a caller that fails later.
-func (s *Stack) ensureMPR(hello time.Duration) (relay *mpr.MPR, undo func(), err error) {
-	if s.mpr != nil {
-		return s.mpr, func() {}, nil
-	}
-	relay = mpr.New("", mpr.Config{HelloInterval: hello})
-	if err := s.Deploy(relay.Protocol()); err != nil {
-		return nil, nil, err
-	}
-	s.mpr = relay
-	return relay, func() { _ = s.UndeployMPR() }, nil
-}
-
-// ensureND is ensureMPR for the Neighbour Detection CF.
-func (s *Stack) ensureND(hello time.Duration) (undo func(), err error) {
-	if s.nd != nil {
-		return func() {}, nil
-	}
-	nd := neighbor.New("", neighbor.Config{HelloInterval: hello, LinkLayerFeedback: true})
-	if err := s.Deploy(nd.Protocol()); err != nil {
-		return nil, err
-	}
-	s.nd = nd
-	return func() { _ = s.undeployND() }, nil
-}
-
-// undeployND removes the Neighbour Detection CF, if one is deployed.
-func (s *Stack) undeployND() error {
-	if s.nd == nil {
-		return nil
-	}
-	if err := s.mgr.Undeploy(s.nd.Protocol().Name()); err != nil {
-		return err
-	}
-	s.nd = nil
-	return nil
-}
+func (s *Stack) Deploy(p *Protocol) error { return compose.Deploy(s.mgr, p) }
 
 // Undeploy stops and removes a protocol unit by name.
 func (s *Stack) Undeploy(name string) error { return s.mgr.Undeploy(name) }
 
+// Compose deploys protocol families and variants in order, each family
+// after the helper CF it declares (MPR for OLSR and ZRP, Neighbour Detection
+// for AODV, and for DYMO the MPR CF when one is deployed, else Neighbour
+// Detection). Helpers are shared and counted: the last family holding one
+// takes it along when it is undeployed. The Deploy* methods are Compose
+// with one spec.
+func (s *Stack) Compose(specs ...FamilySpec) error { return s.comp.Compose(specs...) }
+
 // RouteTables returns the RIBs of the stack's deployed routing protocols,
 // keyed by unit name — the route-staleness targets for a HealthMonitor.
-func (s *Stack) RouteTables() map[string]*RouteTable {
-	out := map[string]*RouteTable{}
-	if s.olsr != nil {
-		out[olsr.UnitName] = s.olsr.Routes()
-	}
-	if s.dymo != nil {
-		out[dymo.UnitName] = s.dymo.Routes()
-	}
-	if s.aodv != nil {
-		out[aodv.UnitName] = s.aodv.Routes()
-	}
-	if s.zrp != nil {
-		out[zrp.UnitName] = s.zrp.Routes()
-	}
-	return out
-}
+func (s *Stack) RouteTables() map[string]*RouteTable { return s.comp.RIBs() }
 
 // DeployOLSR installs the proactive composition (MPR CF + OLSR CF). The
 // deployment is idempotent per stack.
 func (s *Stack) DeployOLSR(cfg OLSRConfig) (*OLSR, error) {
-	if s.olsr != nil {
-		return s.olsr, nil
-	}
-	relay, undo, err := s.ensureMPR(cfg.HelloInterval)
-	if err != nil {
-		return nil, err
-	}
-	o := olsr.New("", relay, olsr.Config{
-		TCInterval: cfg.TCInterval,
-		Clock:      s.net.Clock(),
-		FIB:        s.sys.FIB(),
-		Device:     s.sys.NIC().Device(),
-	})
-	if err := s.Deploy(o.Protocol()); err != nil {
-		undo()
-		return nil, err
-	}
-	s.olsr = o
-	return o, nil
+	err := s.comp.Compose(compose.Spec{Family: olsr.UnitName,
+		HelloInterval: cfg.HelloInterval, TCInterval: cfg.TCInterval})
+	return s.comp.OLSR(), err
 }
 
-// UndeployOLSR removes the OLSR CF (the MPR CF stays, in case another
-// protocol shares it; remove it with UndeployMPR).
-func (s *Stack) UndeployOLSR() error {
-	if s.olsr == nil {
-		return nil
-	}
-	if err := s.mgr.Undeploy(s.olsr.Protocol().Name()); err != nil {
-		return err
-	}
-	s.sys.FIB().FlushProto(s.olsr.Protocol().Name())
-	s.olsr = nil
-	return nil
-}
+// UndeployOLSR removes the OLSR CF and the fisheye variant riding on it,
+// and the MPR CF unless another protocol (DYMO, ZRP) still shares it.
+func (s *Stack) UndeployOLSR() error { return s.comp.Decompose(olsr.UnitName) }
 
-// UndeployMPR removes the MPR CF (only valid once nothing stacks on it).
-func (s *Stack) UndeployMPR() error {
-	if s.mpr == nil {
-		return nil
-	}
-	if s.olsr != nil {
-		return fmt.Errorf("manetkit: OLSR still stacked on MPR")
-	}
-	if s.dymoOnMPR {
-		return fmt.Errorf("manetkit: DYMO still floods through MPR")
-	}
-	if s.zrp != nil {
-		return fmt.Errorf("manetkit: ZRP still stacked on MPR")
-	}
-	if err := s.mgr.Undeploy(s.mpr.Protocol().Name()); err != nil {
-		return err
-	}
-	s.mpr = nil
-	return nil
-}
+// UndeployMPR removes the MPR CF. The MPR CF leaves with the last protocol
+// stacked on it, so this is a no-op once that has happened, and refused,
+// naming the protocol, while one is still there.
+func (s *Stack) UndeployMPR() error { return s.comp.Decompose(mpr.UnitName) }
 
 // MPRUnit returns the deployed MPR CF, if any.
-func (s *Stack) MPRUnit() *MPR { return s.mpr }
+func (s *Stack) MPRUnit() *MPR { return s.comp.MPR() }
 
 // DeployDYMO installs the reactive composition (Neighbour Detection CF +
 // DYMO CF). If an MPR CF is already deployed (e.g. OLSR is co-deployed),
 // DYMO shares it for optimised flooding instead of a private detector —
 // the paper's leaner co-deployment (§5.2).
 func (s *Stack) DeployDYMO(cfg DYMOConfig) (*DYMO, error) {
-	if s.dymo != nil {
-		return s.dymo, nil
-	}
-	d := dymo.New("", dymo.Config{
-		RouteLifetime: cfg.RouteLifetime,
-		HopLimit:      cfg.HopLimit,
-		Clock:         s.net.Clock(),
-		FIB:           s.sys.FIB(),
-		Device:        s.sys.NIC().Device(),
-	})
-	undo := func() {}
-	if s.mpr != nil {
-		d.SetFlooder(s.mpr.Flooder())
-	} else {
-		var err error
-		if undo, err = s.ensureND(cfg.HelloInterval); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.Deploy(d.Protocol()); err != nil {
-		undo()
-		return nil, err
-	}
-	s.dymo, s.dymoOnMPR = d, s.mpr != nil
-	return d, nil
+	err := s.comp.Compose(compose.Spec{Family: dymo.UnitName, HelloInterval: cfg.HelloInterval,
+		RouteLifetime: cfg.RouteLifetime, HopLimit: cfg.HopLimit})
+	return s.comp.DYMO(), err
 }
 
-// UndeployDYMO removes the DYMO CF and its private Neighbour Detection CF.
-func (s *Stack) UndeployDYMO() error {
-	if s.dymo == nil {
-		return nil
-	}
-	if err := s.mgr.Undeploy(s.dymo.Protocol().Name()); err != nil {
-		return err
-	}
-	s.sys.FIB().FlushProto(s.dymo.Protocol().Name())
-	s.dymo, s.dymoOnMPR = nil, false
-	return s.undeployND()
-}
+// UndeployDYMO removes the DYMO CF and the helper CF it held, unless
+// another protocol still shares that helper.
+func (s *Stack) UndeployDYMO() error { return s.comp.Decompose(dymo.UnitName) }
 
 // AODVConfig parameterises an AODV deployment.
 type AODVConfig struct {
@@ -581,44 +448,17 @@ type AODVConfig struct {
 // AODV CF). AODV and DYMO are alternatives; install the single-reactive
 // integrity rule (RestrictToOneReactive) to have the framework police it.
 func (s *Stack) DeployAODV(cfg AODVConfig) (*AODV, error) {
-	if s.aodv != nil {
-		return s.aodv, nil
-	}
-	undo, err := s.ensureND(cfg.HelloInterval)
-	if err != nil {
-		return nil, err
-	}
-	a := aodv.New("", s.nd, aodv.Config{
-		RouteLifetime:   cfg.RouteLifetime,
-		PiggybackRoutes: cfg.PiggybackRoutes,
-		Clock:           s.net.Clock(),
-		FIB:             s.sys.FIB(),
-		Device:          s.sys.NIC().Device(),
-	})
-	if err := s.Deploy(a.Protocol()); err != nil {
-		undo()
-		return nil, err
-	}
-	s.aodv = a
-	return a, nil
+	err := s.comp.Compose(compose.Spec{Family: aodv.UnitName, HelloInterval: cfg.HelloInterval,
+		RouteLifetime: cfg.RouteLifetime, PiggybackRoutes: cfg.PiggybackRoutes})
+	return s.comp.AODV(), err
 }
 
-// UndeployAODV removes the AODV CF (the Neighbour Detection CF stays for
-// other users; it goes with UndeployDYMO-style cleanup on Close).
-func (s *Stack) UndeployAODV() error {
-	if s.aodv == nil {
-		return nil
-	}
-	if err := s.mgr.Undeploy(s.aodv.Protocol().Name()); err != nil {
-		return err
-	}
-	s.sys.FIB().FlushProto(s.aodv.Protocol().Name())
-	s.aodv = nil
-	return nil
-}
+// UndeployAODV removes the AODV CF and the Neighbour Detection CF, unless
+// a DYMO still shares it.
+func (s *Stack) UndeployAODV() error { return s.comp.Decompose(aodv.UnitName) }
 
 // AODVUnit returns the deployed AODV CF, if any.
-func (s *Stack) AODVUnit() *AODV { return s.aodv }
+func (s *Stack) AODVUnit() *AODV { return s.comp.AODV() }
 
 // ZRPConfig parameterises a ZRP deployment.
 type ZRPConfig struct {
@@ -630,42 +470,17 @@ type ZRPConfig struct {
 // CF): proactive routing within the radius-2 zone, reactive discovery
 // beyond it, with in-zone nodes answering on out-of-zone targets' behalf.
 func (s *Stack) DeployZRP(cfg ZRPConfig) (*ZRP, error) {
-	if s.zrp != nil {
-		return s.zrp, nil
-	}
-	relay, undo, err := s.ensureMPR(cfg.HelloInterval)
-	if err != nil {
-		return nil, err
-	}
-	z := zrp.New("", relay, zrp.Config{
-		RouteLifetime: cfg.RouteLifetime,
-		Clock:         s.net.Clock(),
-		FIB:           s.sys.FIB(),
-		Device:        s.sys.NIC().Device(),
-	})
-	if err := s.Deploy(z.Protocol()); err != nil {
-		undo()
-		return nil, err
-	}
-	s.zrp = z
-	return z, nil
+	err := s.comp.Compose(compose.Spec{Family: zrp.UnitName,
+		HelloInterval: cfg.HelloInterval, RouteLifetime: cfg.RouteLifetime})
+	return s.comp.ZRP(), err
 }
 
-// UndeployZRP removes the ZRP CF (the shared MPR CF stays).
-func (s *Stack) UndeployZRP() error {
-	if s.zrp == nil {
-		return nil
-	}
-	if err := s.mgr.Undeploy(s.zrp.Protocol().Name()); err != nil {
-		return err
-	}
-	s.sys.FIB().FlushProto(s.zrp.Protocol().Name())
-	s.zrp = nil
-	return nil
-}
+// UndeployZRP removes the ZRP CF and the MPR CF, unless another protocol
+// still shares it.
+func (s *Stack) UndeployZRP() error { return s.comp.Decompose(zrp.UnitName) }
 
 // ZRPUnit returns the deployed ZRP CF, if any.
-func (s *Stack) ZRPUnit() *ZRP { return s.zrp }
+func (s *Stack) ZRPUnit() *ZRP { return s.comp.ZRP() }
 
 // RestrictToOneReactive installs the paper's example integrity rule: at
 // most one reactive routing protocol (AODV or DYMO) in this deployment
@@ -685,37 +500,21 @@ func (s *Stack) Policy() *PolicyEngine {
 }
 
 // OLSRUnit returns the deployed OLSR CF, if any.
-func (s *Stack) OLSRUnit() *OLSR { return s.olsr }
+func (s *Stack) OLSRUnit() *OLSR { return s.comp.OLSR() }
 
 // DYMOUnit returns the deployed DYMO CF, if any.
-func (s *Stack) DYMOUnit() *DYMO { return s.dymo }
+func (s *Stack) DYMOUnit() *DYMO { return s.comp.DYMO() }
 
 // EnableFisheye deploys the fisheye interposer into the TC_OUT path
-// (OLSR's scalability variant). Pass nil for the default TTL pattern.
+// (OLSR's scalability variant); it needs OLSR deployed and leaves with it.
+// Pass nil for the default TTL pattern.
 func (s *Stack) EnableFisheye(pattern []uint8) error {
-	if s.fisheye != nil {
-		return nil
-	}
-	fish := olsr.NewFisheye("", pattern)
-	if err := s.Deploy(fish); err != nil {
-		return err
-	}
-	s.fisheye = fish
-	return nil
+	return s.comp.Compose(compose.Spec{Family: compose.Fisheye, Pattern: pattern})
 }
 
 // DisableFisheye removes the interposer; the TC_OUT path heals
 // automatically.
-func (s *Stack) DisableFisheye() error {
-	if s.fisheye == nil {
-		return nil
-	}
-	if err := s.mgr.Undeploy(s.fisheye.Name()); err != nil {
-		return err
-	}
-	s.fisheye = nil
-	return nil
-}
+func (s *Stack) DisableFisheye() error { return s.comp.Decompose(compose.Fisheye) }
 
 // SendData originates an application data packet; a reactive protocol
 // (DYMO) discovers the route on demand, a proactive one (OLSR) should

@@ -176,3 +176,60 @@ func TestFailedStartLeavesNothingDeployed(t *testing.T) {
 		})
 	}
 }
+
+// A helper CF leaves with the last protocol that holds it and not before,
+// and a variant leaves with the family it rides on.
+func TestNothingOutlivesWhatHoldsIt(t *testing.T) {
+	cases := []struct {
+		name    string
+		steps   func(*Stack) error
+		left    []string
+		deliver bool // the protocol left still routes across the line
+	}{
+		{name: "UndeployDYMO beside AODV keeps the ND CF AODV reads",
+			steps: func(s *Stack) error {
+				_, errA := s.DeployAODV(AODVConfig{})
+				_, errD := s.DeployDYMO(DYMOConfig{})
+				return errors.Join(errA, errD, s.UndeployDYMO())
+			},
+			left: []string{"system", "neighbor-detection", "aodv"}, deliver: true},
+		{name: "UndeployAODV removes the ND CF it alone held",
+			steps: func(s *Stack) error {
+				_, err := s.DeployAODV(AODVConfig{})
+				return errors.Join(err, s.UndeployAODV())
+			},
+			left: []string{"system"}},
+		{name: "UndeployOLSR takes the fisheye interposer along",
+			steps: func(s *Stack) error {
+				_, err := s.DeployOLSR(OLSRConfig{})
+				return errors.Join(err, s.EnableFisheye(nil), s.UndeployOLSR(), s.UndeployMPR())
+			},
+			left: []string{"system"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clk, _, stacks := lineStacks(t, 3)
+			for _, s := range stacks {
+				if err := tc.steps(s); err != nil {
+					t.Fatal(err)
+				}
+				if got := s.Manager().Units(); !slices.Equal(got, tc.left) {
+					t.Fatalf("units left = %v, want %v", got, tc.left)
+				}
+			}
+			if !tc.deliver {
+				return
+			}
+			clk.Advance(5 * time.Second)
+			delivered := false
+			stacks[2].OnDeliver(func(Addr, []byte) { delivered = true })
+			if err := stacks[0].SendData(stacks[2].Addr(), []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(3 * time.Second)
+			if !delivered {
+				t.Fatal("nothing delivered across the line")
+			}
+		})
+	}
+}
