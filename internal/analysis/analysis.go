@@ -12,21 +12,21 @@
 //     vclock facade (they break golden traces and chaos fingerprints);
 //   - lockemit: emitting or reconfiguring while holding a framework lock
 //     (the deadlock/stall class the RCU dispatch plan exists to avoid);
-//   - hotalloc: allocation sites inside //mk:hotpath functions (the static
-//     complement of the det(0) runtime alloc gate);
 //   - ctxleak: pooled handler Contexts escaping the delivery that owns them;
 //   - atomicstats: mixed atomic/plain access to the same struct field;
-//   - blockingpub: blocking operations reachable from the telemetry
-//     publish/fan-out path (//mk:nonblocking — the backpressure contract);
 //   - maporder: map iteration order reaching deterministic outputs
 //     (telemetry events, trace spans, NDJSON, fingerprints) unsorted.
 //
+// Properties a test can pin exactly are left to tests: the allocation-free
+// dispatch path is held by testing.AllocsPerRun pins, and the non-blocking
+// telemetry publish by a deadline in the bus's drop-accounting test.
+//
 // The suite is interprocedural: factbuild.go computes per-function summaries
-// ("may emit", "may allocate", "may block", "may sink into ordered output",
-// "returns map-order-tainted data"), closes them over the package call graph,
-// and mkvet serializes them through the vet.cfg VetxOutput/PackageVetx
-// plumbing so lockemit, hotalloc and the reachability analyzers see through
-// helpers in other packages and report the offending call chain.
+// ("may emit", "may sink into ordered output", "returns map-order-tainted
+// data"), closes them over the package call graph, and mkvet serializes them
+// through the vet.cfg VetxOutput/PackageVetx plumbing so lockemit and
+// maporder see through helpers in other packages and report the offending
+// call chain.
 //
 // Analyzers run over standard go/ast + go/types input, so they work both
 // under `go vet -vettool=mkvet` (export-data type checking, see cmd/mkvet)
@@ -37,8 +37,9 @@
 //	//mk:allow <analyzer>[,<analyzer>...] <reason>
 //
 // placed on the offending line, on the line above it, or in the enclosing
-// function's doc comment. A reason is required: a bare //mk:allow is itself
-// reported.
+// function's doc comment. A reason is required, and every name must be an
+// analyzer of the suite: a bare //mk:allow, an unknown name or any other
+// //mk: directive is itself reported.
 package analysis
 
 import (
@@ -106,8 +107,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
 // Run executes the analyzers over one typed package and returns the surviving
-// diagnostics sorted by position. Directive scanning (//mk:allow, //mk:hotpath)
-// is shared across analyzers. No imported facts: transitive analysis covers
+// diagnostics sorted by position. Directive scanning (//mk:allow) is shared
+// across analyzers. No imported facts: transitive analysis covers
 // the package's own call graph only.
 func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
 	diags, _, err := RunWithFacts(fset, files, pkg, info, analyzers, nil)
@@ -189,13 +190,8 @@ func NewInfo() *types.Info {
 
 // --- directives -------------------------------------------------------------
 
-const (
-	allowPrefix   = "mk:allow"
-	hotpathMarker = "mk:hotpath"
-	// nonblockingMarker names a publish/fan-out entry point that must never
-	// block; blockingpub checks everything reachable from it.
-	nonblockingMarker = "mk:nonblocking"
-)
+// allowPrefix is the suite's one directive.
+const allowPrefix = "mk:allow"
 
 // directiveIndex maps (file, line) to the analyzer names allowed there, plus
 // the span of each function whose doc comment carries a directive.
@@ -257,19 +253,17 @@ func parseAllow(text string) (names []string, reason string, ok bool) {
 
 func indexDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 	ix := &directiveIndex{fset: fset, allowed: map[string]map[int][]string{}}
+	report := func(pos token.Position, format string, args ...any) {
+		ix.malformed = append(ix.malformed, Diagnostic{Pos: pos, Analyzer: "mkdirective", Message: fmt.Sprintf(format, args...)})
+	}
 	for _, f := range files {
 		fileName := fset.Position(f.Pos()).Filename
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
 				pos := fset.Position(c.Pos())
-				if word, _, _ := strings.Cut(text, " "); strings.HasPrefix(word, "mk:") &&
-					word != allowPrefix && word != hotpathMarker && word != nonblockingMarker {
-					ix.malformed = append(ix.malformed, Diagnostic{
-						Pos:      pos,
-						Analyzer: "mkdirective",
-						Message:  fmt.Sprintf("unknown directive //%s: the directives are //mk:allow, //mk:hotpath and //mk:nonblocking", word),
-					})
+				if word, _, _ := strings.Cut(text, " "); strings.HasPrefix(word, "mk:") && word != allowPrefix {
+					report(pos, "unknown directive //%s: the one directive is //mk:allow", word)
 					continue
 				}
 				names, reason, ok := parseAllow(text)
@@ -277,12 +271,13 @@ func indexDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 					continue
 				}
 				if len(names) == 0 || reason == "" {
-					ix.malformed = append(ix.malformed, Diagnostic{
-						Pos:      pos,
-						Analyzer: "mkdirective",
-						Message:  "malformed //mk:allow: need analyzer name(s) and a justification, e.g. //mk:allow determinism wall-clock benchmark",
-					})
+					report(pos, "malformed //mk:allow: need analyzer name(s) and a justification, e.g. //mk:allow determinism wall-clock benchmark")
 					continue
+				}
+				for _, name := range names {
+					if ByName(name) == nil {
+						report(pos, "//mk:allow names %q, which is not an analyzer of the suite (%s): it suppresses nothing", name, analyzerNames())
+					}
 				}
 				if ix.allowed[fileName] == nil {
 					ix.allowed[fileName] = map[int][]string{}
@@ -293,29 +288,20 @@ func indexDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 		// Doc-comment directives cover the whole declaration.
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if ok && fd.Doc != nil && docHasDirective(fd.Doc, allowPrefix) {
-				names := docAllowNames(fd.Doc)
-				if len(names) > 0 {
-					ix.funcAllows = append(ix.funcAllows, spanAllow{
-						file:  fileName,
-						start: fset.Position(fd.Pos()).Line,
-						end:   fset.Position(fd.End()).Line,
-						names: names,
-					})
-				}
+			if !ok || fd.Doc == nil {
+				continue
+			}
+			if names := docAllowNames(fd.Doc); len(names) > 0 {
+				ix.funcAllows = append(ix.funcAllows, spanAllow{
+					file:  fileName,
+					start: fset.Position(fd.Pos()).Line,
+					end:   fset.Position(fd.End()).Line,
+					names: names,
+				})
 			}
 		}
 	}
 	return ix
-}
-
-func docHasDirective(doc *ast.CommentGroup, prefix string) bool {
-	for _, c := range doc.List {
-		if strings.HasPrefix(strings.TrimPrefix(c.Text, "//"), prefix) {
-			return true
-		}
-	}
-	return false
 }
 
 func docAllowNames(doc *ast.CommentGroup) []string {
@@ -327,16 +313,6 @@ func docAllowNames(doc *ast.CommentGroup) []string {
 		}
 	}
 	return names
-}
-
-// isHotpath reports whether fn's doc comment carries //mk:hotpath.
-func isHotpath(fn *ast.FuncDecl) bool {
-	return fn.Doc != nil && docHasDirective(fn.Doc, hotpathMarker)
-}
-
-// isNonblocking reports whether fn's doc comment carries //mk:nonblocking.
-func isNonblocking(fn *ast.FuncDecl) bool {
-	return fn.Doc != nil && docHasDirective(fn.Doc, nonblockingMarker)
 }
 
 // --- shared type helpers ----------------------------------------------------

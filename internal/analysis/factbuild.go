@@ -9,11 +9,11 @@ import (
 
 // This file builds the interprocedural layer the transitive analyzers stand
 // on: a module-local call graph plus per-function summaries ("may emit",
-// "may allocate", "may block", "may sink into ordered output", "returns
-// map-order-tainted data"). Summaries are computed
-// per package — seeded from the fact files of imported packages, closed over
-// the package's own call graph by a monotone fixpoint — and exported through
-// mkvet's VetxOutput so `go vet -vettool` propagates them across packages.
+// "may sink into ordered output", "returns map-order-tainted data").
+// Summaries are computed per package — seeded from the fact files of
+// imported packages, closed over the package's own call graph by a monotone
+// fixpoint — and exported through mkvet's VetxOutput so `go vet -vettool`
+// propagates them across packages.
 //
 // A summary records an example call path down to the primitive operation, so
 // a diagnostic at a call site can show the whole offending chain:
@@ -22,32 +22,26 @@ import (
 //
 // Suppression composes with propagation: a primitive site covered by an
 // //mk:allow for the analyzer that owns the invariant class does not seed a
-// fact, so a justified cold-path allocation deep in a helper never taints
-// its callers.
+// fact, so an audited emit deep in a helper never taints its callers.
 
 // primKind classifies a primitive operation that seeds a fact.
 type primKind int
 
 const (
 	primEmit primKind = iota
-	primAlloc
-	primBlock
 	primSink
 )
 
 // primAnalyzer names the analyzer whose //mk:allow suppresses facts of each
 // kind at their primitive site.
 var primAnalyzer = map[primKind]string{
-	primEmit:  "lockemit",
-	primAlloc: "hotalloc",
-	primBlock: "blockingpub",
-	primSink:  "maporder",
+	primEmit: "lockemit",
+	primSink: "maporder",
 }
 
 // primEvent is one primitive operation observed in a function body.
 type primEvent struct {
 	kind primKind
-	pos  token.Pos
 	desc string
 }
 
@@ -97,7 +91,6 @@ type Facts struct {
 	imported *FactSet
 	local    map[string]FuncFact
 	nodes    map[*ast.FuncDecl]*funcNode
-	byFn     map[*types.Func]*funcNode
 	fset     *token.FileSet
 	idx      *directiveIndex
 }
@@ -184,7 +177,6 @@ func buildFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 		imported: imported,
 		local:    map[string]FuncFact{},
 		nodes:    map[*ast.FuncDecl]*funcNode{},
-		byFn:     map[*types.Func]*funcNode{},
 		fset:     fset,
 		idx:      idx,
 	}
@@ -206,9 +198,8 @@ func buildFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 				sortCleared:   map[types.Object]bool{},
 			}
 			c := &collector{fset: fset, info: info, idx: idx, node: node}
-			c.walk(fd.Body, false)
+			c.walk(fd.Body)
 			fx.nodes[fd] = node
-			fx.byFn[fn] = node
 		}
 	}
 	fx.fixpoint()
@@ -224,14 +215,6 @@ func seedFact(node *funcNode) FuncFact {
 		case primEmit:
 			if f.Emit == nil {
 				f.Emit = []string{ev.desc}
-			}
-		case primAlloc:
-			if f.Alloc == nil {
-				f.Alloc = []string{ev.desc}
-			}
-		case primBlock:
-			if f.Block == nil {
-				f.Block = []string{ev.desc}
 			}
 		case primSink:
 			if f.Sink == nil {
@@ -282,14 +265,6 @@ func (fx *Facts) fixpoint() {
 					cur.Emit = append([]string{step}, cf.Emit...)
 					changed = true
 				}
-				if cur.Alloc == nil && cf.Alloc != nil && !edgeAllowed(primAlloc, call.pos) {
-					cur.Alloc = append([]string{step}, cf.Alloc...)
-					changed = true
-				}
-				if cur.Block == nil && cf.Block != nil && !edgeAllowed(primBlock, call.pos) {
-					cur.Block = append([]string{step}, cf.Block...)
-					changed = true
-				}
 				if cur.Sink == nil && cf.Sink != nil && !edgeAllowed(primSink, call.pos) {
 					cur.Sink = append([]string{step}, cf.Sink...)
 					changed = true
@@ -330,7 +305,7 @@ func (fx *Facts) fixpoint() {
 // call sites and maporder bookkeeping. Function literals are attributed to
 // the enclosing declaration (they usually run synchronously: sort closures,
 // range callbacks); `go` statement literals are not — their bodies run on
-// another goroutine, and the `go` itself is already recorded.
+// another goroutine.
 type collector struct {
 	fset *token.FileSet
 	info *types.Info
@@ -344,97 +319,31 @@ func (c *collector) add(kind primKind, pos token.Pos, desc string) {
 	if c.idx != nil && c.idx.allows(primAnalyzer[kind], c.fset.Position(pos)) {
 		return
 	}
-	c.node.events = append(c.node.events, primEvent{kind: kind, pos: pos, desc: desc})
+	c.node.events = append(c.node.events, primEvent{kind: kind, desc: desc})
 }
 
-// walk visits n; commExempt marks select-with-default comm statements whose
-// channel operation is non-blocking by construction.
-func (c *collector) walk(n ast.Node, commExempt bool) {
+// walk visits n and everything below it.
+func (c *collector) walk(n ast.Node) {
 	if n == nil {
 		return
 	}
 	switch s := n.(type) {
 	case *ast.GoStmt:
-		c.add(primAlloc, s.Pos(), "go statement")
 		// Arguments evaluate in this goroutine; the function body does not.
 		for _, a := range s.Call.Args {
 			if _, ok := ast.Unparen(a).(*ast.FuncLit); !ok {
-				c.walk(a, false)
+				c.walk(a)
 			}
 		}
 		return
-	case *ast.FuncLit:
-		c.add(primAlloc, s.Pos(), "closure")
-		c.walk(s.Body, false)
-		return
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, clause := range s.Body.List {
-			if cc, ok := clause.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			c.add(primBlock, s.Pos(), "select without default")
-		}
-		for _, clause := range s.Body.List {
-			cc, ok := clause.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			if cc.Comm != nil {
-				c.walk(cc.Comm, hasDefault)
-			}
-			for _, stmt := range cc.Body {
-				c.walk(stmt, false)
-			}
-		}
-		return
-	case *ast.SendStmt:
-		if !commExempt {
-			c.add(primBlock, s.Pos(), "channel send outside select-with-default")
-		}
-		c.walk(s.Chan, false)
-		c.walk(s.Value, false)
-		return
-	case *ast.UnaryExpr:
-		if s.Op == token.ARROW && !commExempt {
-			c.add(primBlock, s.Pos(), "channel receive")
-		}
-		if s.Op == token.AND {
-			if _, ok := ast.Unparen(s.X).(*ast.CompositeLit); ok {
-				c.add(primAlloc, s.Pos(), "&composite literal")
-			}
-		}
-		c.walk(s.X, false)
-		return
-	case *ast.CompositeLit:
-		t := c.info.TypeOf(s)
-		under := t
-		if nd := namedOf(t); nd != nil {
-			under = nd.Underlying()
-		}
-		switch under.(type) {
-		case *types.Slice:
-			c.add(primAlloc, s.Pos(), "slice literal")
-		case *types.Map:
-			c.add(primAlloc, s.Pos(), "map literal")
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := c.info.Uses[s.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && recvNamed(fn) == nil {
-			c.add(primAlloc, s.Pos(), "fmt."+fn.Name())
-		}
 	case *ast.RangeStmt:
-		c.walk(s.X, false)
+		c.walk(s.X)
 		if t := c.info.TypeOf(s.X); t != nil {
-			switch t.Underlying().(type) {
-			case *types.Map:
+			if _, ok := t.Underlying().(*types.Map); ok {
 				c.node.mapRanges = append(c.node.mapRanges, posSpan{start: s.Body.Pos(), end: s.Body.End()})
-			case *types.Chan:
-				c.add(primBlock, s.Pos(), "range over channel")
 			}
 		}
-		c.walk(s.Body, false)
+		c.walk(s.Body)
 		return
 	case *ast.AssignStmt:
 		c.collectAssign(s)
@@ -456,7 +365,7 @@ func (c *collector) walk(n ast.Node, commExempt bool) {
 	}
 	// Generic traversal for everything not fully handled above.
 	for _, child := range childNodes(n) {
-		c.walk(child, false)
+		c.walk(child)
 	}
 }
 
@@ -514,28 +423,6 @@ func (n *funcNode) inMapRange(pos token.Pos) bool {
 // collectCall records the resolved call site and classifies the callee
 // against every primitive surface.
 func (c *collector) collectCall(call *ast.CallExpr) {
-	// Builtins with allocation semantics.
-	if fun, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := c.info.Uses[fun].(*types.Builtin); ok {
-			switch b.Name() {
-			case "make", "new":
-				c.add(primAlloc, call.Pos(), b.Name())
-			case "append":
-				c.add(primAlloc, call.Pos(), "append")
-			}
-			return
-		}
-	}
-	// string <-> []byte/[]rune conversions.
-	if len(call.Args) == 1 {
-		if tv, ok := c.info.Types[call.Fun]; ok && tv.IsType() {
-			to := tv.Type
-			from := c.info.TypeOf(call.Args[0])
-			if from != nil && ((isString(to) && isByteOrRuneSlice(from)) || (isByteOrRuneSlice(to) && isString(from))) {
-				c.add(primAlloc, call.Pos(), "string conversion")
-			}
-		}
-	}
 	fn := funcOf(c.info, call)
 	if fn == nil {
 		return
@@ -544,9 +431,6 @@ func (c *collector) collectCall(call *ast.CallExpr) {
 
 	if desc, ok := emitEntry(fn); ok {
 		c.add(primEmit, call.Pos(), desc)
-	}
-	if desc, ok := blockingCall(c.info, call, fn); ok {
-		c.add(primBlock, call.Pos(), desc)
 	}
 	if desc, ok := sinkCall(fn); ok {
 		c.add(primSink, call.Pos(), desc)
@@ -585,82 +469,6 @@ func emitEntry(fn *types.Func) (string, bool) {
 		return shortFuncName(fn), true
 	}
 	return "", false
-}
-
-// blockingCall reports whether the call can block the calling goroutine:
-// lock acquisition outside package telemetry's own types, WaitGroup/Cond
-// waits, sleeps, and I/O entry points.
-func blockingCall(info *types.Info, call *ast.CallExpr, fn *types.Func) (string, bool) {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return "", false
-	}
-	recv := recvNamed(fn)
-	switch pkg.Path() {
-	case "sync":
-		if recv == nil {
-			return "", false
-		}
-		switch recv.Obj().Name() {
-		case "Mutex", "RWMutex":
-			if fn.Name() == "Lock" || fn.Name() == "RLock" {
-				if telemetryOwnedLock(info, call) {
-					return "", false
-				}
-				return fmt.Sprintf("acquires %s (sync.%s)", lockExprString(call), recv.Obj().Name()), true
-			}
-		case "WaitGroup":
-			if fn.Name() == "Wait" {
-				return "sync.WaitGroup.Wait", true
-			}
-		case "Cond":
-			if fn.Name() == "Wait" {
-				return "sync.Cond.Wait", true
-			}
-		}
-		return "", false
-	case "time":
-		if recv == nil && fn.Name() == "Sleep" {
-			return "time.Sleep", true
-		}
-		return "", false
-	case "os", "net", "io":
-		return shortFuncName(fn) + " (I/O)", true
-	}
-	if recv != nil && recv.Obj().Pkg() != nil {
-		switch recv.Obj().Pkg().Path() {
-		case "os", "net":
-			return shortFuncName(fn) + " (I/O)", true
-		}
-	}
-	return "", false
-}
-
-// telemetryOwnedLock reports whether a Lock call's mutex is a field of a
-// package-telemetry type — the bus's own short critical sections, which the
-// non-blocking-publish contract explicitly permits.
-func telemetryOwnedLock(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fieldSel, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	ownerType := info.TypeOf(fieldSel.X)
-	if ownerType == nil {
-		return false
-	}
-	n := namedOf(ownerType)
-	return n != nil && pkgIs(n.Obj().Pkg(), "telemetry")
-}
-
-func lockExprString(call *ast.CallExpr) string {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		return types.ExprString(sel.X)
-	}
-	return "lock"
 }
 
 // sinkCall reports callees that feed order-sensitive deterministic outputs:

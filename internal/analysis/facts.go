@@ -15,25 +15,20 @@ import (
 // mkvet builds (decoding tolerates unknown versions by returning an empty
 // set — analysis then degrades to intra-procedural, never to a crash). A
 // field dropping out of FuncFact needs no bump: files written with it still
-// decode, the extra key ignored ("impure" went with the analyzer that read it).
+// decode, the extra key ignored ("impure", "alloc" and "block" went with the
+// analyzers that read them).
 const FactsHeader = "mkvet-facts-v2"
 
 // FuncFact is one function's interprocedural summary: for each invariant
 // class, the call path from this function down to the primitive operation
 // that establishes the fact (empty = the function is clean for that class).
-// Paths are display strings — "emunet.grow" or "make(map) in olsr.rebuild" —
-// ordered from the first callee to the primitive, so a diagnostic at a call
-// site can print the whole offending chain without re-walking other packages.
+// Paths are display strings — "olsr.notify" or "(core.Env).Emit" — ordered
+// from the first callee to the primitive, so a diagnostic at a call site can
+// print the whole offending chain without re-walking other packages.
 type FuncFact struct {
 	// Emit: the function may (transitively) call an Emit/reconfigure entry
 	// point (the lockemit banned surface).
 	Emit []string `json:"emit,omitempty"`
-	// Alloc: the function may (transitively) execute allocating syntax
-	// (the hotalloc primitive set).
-	Alloc []string `json:"alloc,omitempty"`
-	// Block: the function may (transitively) block — channel operations
-	// outside select-with-default, non-telemetry lock acquisition, I/O.
-	Block []string `json:"block,omitempty"`
 	// Sink: the function may (transitively) feed data into an
 	// order-sensitive deterministic output (telemetry publish, trace
 	// record, NDJSON/hash/writer encoders).
@@ -44,8 +39,7 @@ type FuncFact struct {
 }
 
 func (f FuncFact) empty() bool {
-	return f.Emit == nil && f.Alloc == nil && f.Block == nil &&
-		f.Sink == nil && !f.MapOrdered
+	return f.Emit == nil && f.Sink == nil && !f.MapOrdered
 }
 
 // FactSet maps a function's full name (types.Func.FullName, e.g.

@@ -1,13 +1,13 @@
 package analysis
 
+import "strings"
+
 // All returns the full mkvet analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Atomicstats,
-		Blockingpub,
 		Ctxleak,
 		Determinism,
-		Hotalloc,
 		Lockemit,
 		Maporder,
 	}
@@ -21,4 +21,13 @@ func ByName(name string) *Analyzer {
 		}
 	}
 	return nil
+}
+
+// analyzerNames lists the suite's names, comma-separated, for diagnostics.
+func analyzerNames() string {
+	var names []string
+	for _, a := range All() {
+		names = append(names, a.Name)
+	}
+	return strings.Join(names, ", ")
 }

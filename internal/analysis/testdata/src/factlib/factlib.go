@@ -1,9 +1,13 @@
 // Package factlib holds helpers whose summaries must travel to importers —
 // the library half of the cross-package fact fixture. No diagnostics fire
-// here (nothing is locked or hot); the facts matter to package factuser.
+// here (nothing is locked, no map is ranged); the facts matter to package
+// factuser.
 package factlib
 
-import "core"
+import (
+	"core"
+	"io"
+)
 
 // Notify re-emits through the deployment Env; its summary records the
 // reachable emit entry point.
@@ -11,8 +15,7 @@ func Notify(e *core.Env, ev *core.Event) {
 	e.Emit("notify", ev)
 }
 
-// Grow allocates a scratch buffer; hot callers inherit the Alloc fact.
-func Grow(buf []byte, n int) []byte {
-	extra := make([]byte, n)
-	return append(buf, extra...)
+// Write forwards into the writer; importers inherit the Sink fact.
+func Write(w io.Writer, s string) {
+	io.WriteString(w, s)
 }

@@ -6,6 +6,7 @@ package factuser
 import (
 	"core"
 	"factlib"
+	"io"
 )
 
 func notifyWhileLocked(p *core.Protocol, e *core.Env, ev *core.Event) {
@@ -19,13 +20,14 @@ func notifyUnlocked(e *core.Env, ev *core.Event) {
 	factlib.Notify(e, ev) // no lock held: ok
 }
 
-//mk:hotpath
-func hotGrow(buf []byte) []byte {
-	return factlib.Grow(buf, 16) // want "call to factlib.Grow in //mk:hotpath hotGrow reaches make \\(call chain: factlib.Grow -> make\\)"
+func writeEachUnsorted(w io.Writer, m map[string]int) {
+	for k := range m {
+		factlib.Write(w, k) // want "call to factlib.Write inside range over map reaches io.WriteString \\(call chain: factlib.Write -> io.WriteString\\)"
+	}
 }
 
-func coldGrow(buf []byte) []byte {
-	return factlib.Grow(buf, 16) // unmarked: ok
+func writeOne(w io.Writer, k string) {
+	factlib.Write(w, k) // no map range: ok
 }
 
 // reNotify audits the emit edge: the allow stops factlib.Notify's Emit fact

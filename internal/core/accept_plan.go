@@ -66,13 +66,11 @@ func (p *Protocol) rebuildAcceptPlanLocked() *acceptPlan {
 }
 
 // ctxFor returns the plan's pooled Context when it belongs to env, avoiding a
-// per-call allocation on timer and lifecycle paths.
-//
-//mk:hotpath
+// per-call allocation on timer and lifecycle paths. The fallback is only
+// reached mid-rewire, when the plan is stale.
 func (p *Protocol) ctxFor(env *Env) *Context {
 	if plan := p.plan.Load(); plan != nil && plan.env == env {
 		return plan.ctx
 	}
-	//mk:allow hotalloc cold fallback: only reached mid-rewire when the plan is stale
 	return &Context{proto: p, env: env}
 }

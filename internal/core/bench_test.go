@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"manetkit/internal/event"
 	"manetkit/internal/mnet"
@@ -22,7 +23,7 @@ func benchManager(b *testing.B, model Model) *Manager {
 	return m
 }
 
-func deployPair(b *testing.B, m *Manager) *Protocol {
+func deployPair(b testing.TB, m *Manager) *Protocol {
 	b.Helper()
 	src := NewProtocol("src")
 	src.SetTuple(event.Tuple{Provided: []event.Type{event.HelloIn}})
@@ -35,6 +36,128 @@ func deployPair(b *testing.B, m *Manager) *Protocol {
 		}
 	}
 	return src
+}
+
+// deployInterposer adds a unit that requires and re-provides HELLO_IN,
+// forwarding every event it is handed.
+func deployInterposer(b testing.TB, m *Manager) {
+	b.Helper()
+	inter := NewProtocol("inter")
+	inter.SetTuple(event.Tuple{
+		Required: []event.Requirement{{Type: event.HelloIn}},
+		Provided: []event.Type{event.HelloIn},
+	})
+	inter.AddHandler(NewHandler("fwd", event.HelloIn, func(ctx *Context, ev *event.Event) error {
+		ctx.Emit(ev)
+		return nil
+	}))
+	if err := m.Deploy(inter); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// TestDispatchAllocs pins SingleThreaded dispatch at zero allocations per
+// event on every route through the manager: a direct delivery, one through
+// an interposer, a type no unit requires (dropped), a delivery a stale plan
+// makes to a detached unit (dropped through ErrNotDeployed), a delivery the
+// context concentrator also hands a subscriber, and a timer source's tick.
+// The TicketMutex every delivery takes, with the ticket wait the PerMessage
+// and PerN shepherds go through, is pinned on its own, uncontended.
+func TestDispatchAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		drops bool
+		setup func(t *testing.T, m *Manager, clk *vclock.Virtual) func()
+	}{
+		{"direct", false, func(t *testing.T, m *Manager, _ *vclock.Virtual) func() {
+			src := deployPair(t, m)
+			ev := &event.Event{Type: event.HelloIn}
+			return func() { _ = src.Emit(ev) }
+		}},
+		{"interposed", false, func(t *testing.T, m *Manager, _ *vclock.Virtual) func() {
+			src := deployPair(t, m)
+			deployInterposer(t, m)
+			ev := &event.Event{Type: event.HelloIn}
+			return func() { _ = src.Emit(ev) }
+		}},
+		{"no chain", true, func(t *testing.T, m *Manager, _ *vclock.Virtual) func() {
+			src := NewProtocol("src")
+			src.SetTuple(event.Tuple{Provided: []event.Type{event.HelloIn}})
+			if err := m.Deploy(src); err != nil {
+				t.Fatal(err)
+			}
+			ev := &event.Event{Type: event.HelloIn}
+			return func() { _ = src.Emit(ev) }
+		}},
+		{"stale unit", true, func(t *testing.T, m *Manager, _ *vclock.Virtual) func() {
+			src := deployPair(t, m)
+			stale := m.plan.Load()
+			if err := m.Undeploy("sink"); err != nil {
+				t.Fatal(err)
+			}
+			m.plan.Store(stale) // a concurrent emitter may still hold it
+			ev := &event.Event{Type: event.HelloIn}
+			return func() { _ = src.Emit(ev) }
+		}},
+		{"context subscriber", false, func(t *testing.T, m *Manager, _ *vclock.Virtual) func() {
+			src := NewProtocol("src")
+			src.SetTuple(event.Tuple{Provided: []event.Type{event.NhoodChange}})
+			sink := NewProtocol("sink")
+			sink.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.NhoodChange}}})
+			sink.AddHandler(NewHandler("h", event.NhoodChange, func(*Context, *event.Event) error { return nil }))
+			for _, p := range []*Protocol{src, sink} {
+				if err := m.Deploy(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			seen := 0
+			m.SubscribeContext(event.Context, func(*event.Event) { seen++ })
+			ev := &event.Event{Type: event.NhoodChange}
+			return func() {
+				before := seen
+				_ = src.Emit(ev)
+				if seen != before+1 {
+					t.Fatal("the context subscriber missed the event")
+				}
+			}
+		}},
+		{"source tick", false, func(t *testing.T, m *Manager, clk *vclock.Virtual) func() {
+			src := deployPair(t, m)
+			ev := &event.Event{Type: event.HelloIn}
+			src.AddSource(NewSource("gen", time.Millisecond, 0, func(ctx *Context) { ctx.Emit(ev) }))
+			if err := src.Start(); err != nil {
+				t.Fatal(err)
+			}
+			return func() {
+				before := m.Stats().Delivered
+				clk.Advance(time.Millisecond)
+				if m.Stats().Delivered != before+1 {
+					t.Fatal("the source did not fire")
+				}
+			}
+		}},
+		{"ticket mutex", false, func(_ *testing.T, m *Manager, _ *vclock.Virtual) func() {
+			var tm TicketMutex
+			return func() {
+				m.waitTicket(&tm, tm.Ticket())
+				tm.Unlock()
+				tm.Lock()
+				tm.Unlock()
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, clk := newMgr(t, SingleThreaded)
+			op := tc.setup(t, m, clk)
+			op() // warm
+			if n := testing.AllocsPerRun(100, op); n != 0 {
+				t.Errorf("%s dispatch allocates %.0f objects per event, want 0", tc.name, n)
+			}
+			if st := m.Stats(); (st.Dropped > 0) != tc.drops {
+				t.Errorf("stats %+v: the case did not take its route (drops: %v)", st, tc.drops)
+			}
+		})
+	}
 }
 
 // BenchmarkEmitDirect measures the provider->requirer path.
@@ -53,18 +176,7 @@ func BenchmarkEmitDirect(b *testing.B) {
 func BenchmarkEmitThroughInterposer(b *testing.B) {
 	m := benchManager(b, SingleThreaded)
 	src := deployPair(b, m)
-	inter := NewProtocol("inter")
-	inter.SetTuple(event.Tuple{
-		Required: []event.Requirement{{Type: event.HelloIn}},
-		Provided: []event.Type{event.HelloIn},
-	})
-	inter.AddHandler(NewHandler("fwd", event.HelloIn, func(ctx *Context, ev *event.Event) error {
-		ctx.Emit(ev)
-		return nil
-	}))
-	if err := m.Deploy(inter); err != nil {
-		b.Fatal(err)
-	}
+	deployInterposer(b, m)
 	ev := &event.Event{Type: event.HelloIn}
 	b.ReportAllocs()
 	b.ResetTimer()

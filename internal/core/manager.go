@@ -583,8 +583,6 @@ func (m *Manager) syncBindingsLocked() {
 // its type, then to the terminals (broadcast or exclusive). Routing reads
 // only the published plan — no manager lock, no allocation: target lists
 // were compiled at the last rewire.
-//
-//mk:hotpath
 func (m *Manager) emit(from string, ev *event.Event) {
 	if m.obs != nil {
 		m.obs.emitted.Inc()
@@ -616,8 +614,6 @@ func (m *Manager) emit(from string, ev *event.Event) {
 }
 
 // dropEvent accounts one undeliverable event.
-//
-//mk:hotpath
 func (m *Manager) dropEvent(from string, ev *event.Event) {
 	m.stats.dropped.Add(1)
 	if m.obs != nil {
@@ -636,8 +632,6 @@ func (m *Manager) dropEvent(from string, ev *event.Event) {
 // referenced it reports ErrNotDeployed; that loss is accounted as a drop
 // (with a drop span naming the vanished target) rather than vanishing
 // silently.
-//
-//mk:hotpath
 func (m *Manager) runAccept(u Unit, ev *event.Event) {
 	sec := u.Section()
 	sec.Lock()
@@ -649,8 +643,6 @@ func (m *Manager) runAccept(u Unit, ev *event.Event) {
 // accountAcceptErr records the delivery-to-detached-unit loss; any other
 // Accept error is the unit's own business (protocols count handler errors
 // themselves).
-//
-//mk:hotpath
 func (m *Manager) accountAcceptErr(u Unit, ev *event.Event, err error) {
 	if err == nil || !errors.Is(err, ErrNotDeployed) {
 		return
@@ -671,8 +663,6 @@ func (m *Manager) accountAcceptErr(u Unit, ev *event.Event, err error) {
 // All targets are enqueued/ticketed before any processing starts, so the
 // per-unit FIFO order is the emission order even when handlers emit
 // further events mid-delivery.
-//
-//mk:hotpath
 func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event, model Model) {
 	if model == SingleThreaded {
 		m.deliverSingleThreaded(from, targets, ev)
@@ -686,8 +676,6 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 // deliverSingleThreaded enqueues every target on the drain queue, then (as
 // the outermost frame) drains it with m.dmu dropped around each Accept, so
 // handler re-emits nest onto the same queue instead of recursing.
-//
-//mk:hotpath
 func (m *Manager) deliverSingleThreaded(from string, targets []*unitRec, ev *event.Event) {
 	m.dmu.Lock()
 	for _, rec := range targets {
@@ -780,7 +768,6 @@ func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Mode
 			m.obs.tickets.Inc()
 		}
 		m.inflight.Add(1)
-		//mk:allow hotalloc PerMessage spawns one shepherd goroutine per delivery by design; the det(0) gate covers SingleThreaded dispatch
 		go func() {
 			defer m.inflight.Done()
 			m.waitTicket(sec, ticket)
@@ -791,7 +778,6 @@ func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Mode
 	case PerN:
 		workers := m.workers.Load()
 		if workers == nil {
-			//mk:allow hotalloc lazy PerN pool construction on the first delivery after a model switch — cold reconfiguration edge
 			_ = m.SetModel(PerN)
 			workers = m.workers.Load()
 		}
@@ -800,7 +786,6 @@ func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Mode
 			m.obs.tickets.Inc()
 		}
 		m.inflight.Add(1)
-		//mk:allow hotalloc PerN submits one closure per delivery by design; the det(0) gate covers SingleThreaded dispatch
 		err := workers.Submit(func() {
 			defer m.inflight.Done()
 			m.waitTicket(sec, ticket)
@@ -819,15 +804,12 @@ func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Mode
 		// defensively route through the drain queue rather than risking a
 		// re-entrant section acquisition.
 		m.stats.delivered.Add(^uint64(0)) // deliverBatch will re-count
-		//mk:allow hotalloc defensive fallback for an unknown model; unreachable under normal routing
 		m.deliverBatch(from, []*unitRec{rec}, ev, SingleThreaded)
 	}
 }
 
 // waitTicket blocks until the shepherd's ticket is served, recording the
 // wait in the ticket-acquisition histogram when metrics are enabled.
-//
-//mk:hotpath
 func (m *Manager) waitTicket(sec *TicketMutex, ticket uint64) {
 	if m.obs != nil && m.obs.ticketWait != nil {
 		start := m.clk.Now()
@@ -915,7 +897,7 @@ func (m *Manager) AddContextPoller(interval time.Duration, poll func() *event.Ev
 	m.mu.Unlock()
 }
 
-//mk:hotpath
+// dispatchContextEvent feeds ev to the context concentrator's subscribers.
 func (m *Manager) dispatchContextEvent(ev *event.Event) {
 	p := m.subs.Load()
 	if p == nil {

@@ -680,8 +680,6 @@ func (p *Protocol) RunLocked(fn func(*Context)) error {
 // when calling Accept, so handler execution is atomic. The steady-state path
 // reads only the published plan: no p.mu, no handler-slice copy, no
 // per-handler ontology walk, no Context allocation.
-//
-//mk:hotpath
 func (p *Protocol) Accept(ev *event.Event) error {
 	plan := p.plan.Load()
 	if plan == nil {
@@ -690,7 +688,6 @@ func (p *Protocol) Accept(ev *event.Event) error {
 	if plan.ontVersion != plan.ont.Version() {
 		// RegisterType re-shaped the hierarchy since compilation; the
 		// matched-handler tables may be stale. Rare, so recompile here.
-		//mk:allow hotalloc lazy plan recompile after an ontology reshape — reconfiguration-class work, not steady-state dispatch
 		if plan = p.rebuildAcceptPlan(); plan == nil {
 			return ErrNotDeployed
 		}
@@ -717,8 +714,6 @@ func (p *Protocol) Accept(ev *event.Event) error {
 // runHandler invokes one matched handler with the plan's pooled context and
 // settles the per-event counters: Handled is counted when the handler
 // returns, immediately followed by Errors on failure.
-//
-//mk:hotpath
 func (p *Protocol) runHandler(plan *acceptPlan, h Handler, ev *event.Event, errs []error) []error {
 	obs := plan.obs
 	if obs != nil && obs.tracer != nil {
@@ -740,7 +735,6 @@ func (p *Protocol) runHandler(plan *acceptPlan, h Handler, ev *event.Event, errs
 	p.stats.handled.Add(1)
 	if err != nil {
 		p.stats.errors.Add(1)
-		//mk:allow hotalloc error path is cold; the success path allocates nothing
 		errs = append(errs, fmt.Errorf("handler %q: %w", h.Name(), err))
 	}
 	return errs

@@ -32,26 +32,21 @@ type TicketMutex struct {
 }
 
 // Ticket reserves the next place in line without blocking.
-//
-//mk:hotpath
 func (t *TicketMutex) Ticket() uint64 {
 	return t.next.Add(1) - 1
 }
 
 // Wait blocks until the given ticket is served, entering the critical
-// section.
-//
-//mk:hotpath
+// section. Only the contended park path below the fast-path check
+// allocates.
 func (t *TicketMutex) Wait(ticket uint64) {
 	if t.serving.Load() == ticket {
 		return
 	}
 	t.mu.Lock()
 	if t.waiters == nil {
-		//mk:allow hotalloc contended park path; the uncontended fast path above is allocation-free
 		t.waiters = make(map[uint64]chan struct{})
 	}
-	//mk:allow hotalloc contended park path; the uncontended fast path above is allocation-free
 	ch := make(chan struct{})
 	t.waiters[ticket] = ch
 	t.parked.Store(true)
@@ -70,15 +65,11 @@ func (t *TicketMutex) Wait(ticket uint64) {
 
 // Lock draws a ticket and waits for it — plain mutex behaviour with FIFO
 // fairness.
-//
-//mk:hotpath
 func (t *TicketMutex) Lock() {
 	t.Wait(t.Ticket())
 }
 
 // Unlock leaves the critical section, admitting the next ticket holder.
-//
-//mk:hotpath
 func (t *TicketMutex) Unlock() {
 	s := t.serving.Add(1)
 	if !t.parked.Load() {

@@ -83,14 +83,11 @@ func (e *Env) Tracer() *trace.Tracer { return e.tracer }
 // received messages), the ID is derived here from the message identity so
 // every span downstream carries it; the tracer gate keeps the disabled
 // path allocation-free.
-//
-//mk:hotpath
 func (e *Env) Emit(from string, ev *event.Event) {
 	if ev.Time.IsZero() {
 		ev.Time = e.Clock.Now()
 	}
 	if e.tracer != nil && ev.Corr == "" && ev.Msg != nil {
-		//mk:allow hotalloc corr-ID derivation is tracer-gated; the det(0) config runs with tracing disabled
 		ev.Corr = ev.Msg.CorrID()
 	}
 	e.emit(from, ev)

@@ -618,7 +618,7 @@ func (c *NIC) SendWithFeedback(dst mnet.Addr, payload []byte, cb func(delivered 
 // attached to the frame and its trace spans.
 func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string, cb func(delivered bool)) error {
 	if dst.IsBroadcast() {
-		return c.SendTagged(dst, payload, corr) //mk:allow hotalloc broadcast gets no feedback and is not the unicast forwarding path
+		return c.SendTagged(dst, payload, corr)
 	}
 	c.mu.Lock()
 	if c.detached {
@@ -673,7 +673,7 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	delivered := linked && attached && !lost
 	var buf []byte
 	if delivered || txTap != nil {
-		buf = append([]byte(nil), payload...) //mk:allow hotalloc the medium's one copy of the frame, which outlives the send
+		buf = append([]byte(nil), payload...) // the medium's one copy: the frame outlives the send
 	}
 	frame := Frame{Src: c.addr, Dst: dst, Payload: buf, Device: c.device, RSSI: q.SignalDBm, Corr: corr}
 	delay := q.Delay + 2*time.Millisecond // MAC retry window before a failure is reported
@@ -683,7 +683,7 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 		// the 802.11 ACK exchange this path models) may still mangle the
 		// frame in flight; the tap sees it as offered.
 		if n.inj != nil {
-			n.inj.corruptOnlyLocked(n, dst, &frame) //mk:allow hotalloc fault injection only
+			n.inj.corruptOnlyLocked(n, dst, &frame)
 		}
 		if n.obs != nil && n.obs.linkDelay != nil {
 			n.obs.linkDelay.Observe(q.Delay)
@@ -706,7 +706,6 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	}
 	if n.eng == nil {
 		fr := frame // captured by value, so frame itself stays on the stack
-		//mk:allow hotalloc the legacy engine is a timer and a closure per frame by design
 		n.clock.AfterFunc(delay, func() {
 			if delivered {
 				nic.deliver(fr, n.clock.Now())
@@ -724,8 +723,6 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 // detached in flight is dropped silently (its MAC feedback, which the
 // caller delivers, still reports success: the ACK left the receiver before
 // it crashed).
-//
-//mk:hotpath
 func (c *NIC) deliver(f Frame, now time.Time) {
 	c.mu.Lock()
 	if c.detached {

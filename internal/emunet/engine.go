@@ -112,7 +112,7 @@ func (e *engine) newDeliveryLocked() *delivery {
 		*d = delivery{}
 		return d
 	}
-	return &delivery{} //mk:allow hotalloc free list empty: more frames in flight than ever before
+	return &delivery{}
 }
 
 // key maps an absolute instant to the engine's deadline key.
@@ -141,8 +141,6 @@ func (e *engine) scheduleLocked(d *delivery, at int64) {
 // instant, after the timers already queued there, not ahead of them.
 // Caller holds the network mutex; the lock order network→clock is safe
 // because vclock invokes callbacks with its own lock released.
-//
-//mk:hotpath
 func (e *engine) armLocked(at int64) {
 	e.anchorAt, e.anchored = at, true
 	d := time.Duration(at - e.key(e.net.clock.Now()))
@@ -150,7 +148,7 @@ func (e *engine) armLocked(at int64) {
 		d = 0
 	}
 	if e.anchor == nil {
-		e.anchor = e.net.clock.AfterFunc(d, e.run) //mk:allow hotalloc once per engine: the anchor and its bound callback
+		e.anchor = e.net.clock.AfterFunc(d, e.run)
 		return
 	}
 	e.anchor.Reset(d)
@@ -181,8 +179,6 @@ func (e *engine) rearmLocked() {
 // clock only: the virtual clock fires timers one at a time) is absorbed;
 // whatever fell due meanwhile sits in the queue behind the running batch in
 // (when, seq) order, and the running epoch's re-arm takes it.
-//
-//mk:hotpath
 func (e *engine) run() {
 	n := e.net
 	n.mu.Lock()
@@ -195,7 +191,7 @@ func (e *engine) run() {
 	nowAt := e.key(now)
 	batch := e.batch[:0]
 	for e.q.len() > 0 && e.q.min().at <= nowAt {
-		batch = append(batch, e.q.pop()) //mk:allow hotalloc scratch growth, amortised to zero
+		batch = append(batch, e.q.pop())
 	}
 	e.batch = batch
 	if len(batch) == 0 {
@@ -220,7 +216,7 @@ func (e *engine) run() {
 	es := EpochStats{Now: now, Events: len(batch), CommitLag: time.Duration(nowAt - batch[0].at)}
 	n.mu.Lock()
 	for i, d := range batch {
-		e.free = append(e.free, d) //mk:allow hotalloc scratch growth, amortised to zero
+		e.free = append(e.free, d)
 		batch[i] = nil
 	}
 	e.running = false
@@ -260,7 +256,7 @@ func (h *deliveryHeap) less(i, j int) bool {
 }
 
 func (h *deliveryHeap) push(d *delivery) {
-	h.items = append(h.items, d) //mk:allow hotalloc queue growth, amortised to zero
+	h.items = append(h.items, d)
 	i := len(h.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2

@@ -243,8 +243,6 @@ type ontSnapshot struct {
 }
 
 // matches reports the subtype relation using the precomputed bitsets.
-//
-//mk:hotpath
 func (s *ontSnapshot) matches(t, pattern TypeID) bool {
 	row := s.anc[t]
 	return row[pattern>>6]&(1<<(uint(pattern)&63)) != 0
@@ -403,8 +401,6 @@ func (o *Ontology) Types() []Type {
 // Matches reports whether concrete type t satisfies a requirement for
 // pattern: t == pattern, or pattern is an ancestor of t. The test is
 // lock-free: one snapshot load, two map probes, one bitset probe.
-//
-//mk:hotpath
 func (o *Ontology) Matches(t, pattern Type) bool {
 	if t == pattern || pattern == Any {
 		return true

@@ -33,6 +33,10 @@ func TestOntologyHierarchy(t *testing.T) {
 		if got := o.Matches(tt.t, tt.pattern); got != tt.want {
 			t.Errorf("Matches(%s, %s) = %v, want %v", tt.t, tt.pattern, got, tt.want)
 		}
+		// Dispatch tests the relation per handler per event: it must not allocate.
+		if n := testing.AllocsPerRun(100, func() { o.Matches(tt.t, tt.pattern) }); n != 0 {
+			t.Errorf("Matches(%s, %s) allocates %.0f objects, want 0", tt.t, tt.pattern, n)
+		}
 	}
 }
 

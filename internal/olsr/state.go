@@ -93,8 +93,6 @@ type spScratch struct {
 // (every visited node owns a slot), and growth is geometric, so a cold
 // start that learns the network one tuple at a time reallocates O(log n)
 // times rather than once per recompute.
-//
-//mk:allow hotalloc scratch growth is amortized: buffers are reused and grow only when the network outgrows every previous recompute
 func (sc *spScratch) ensure(bound, hnaN int) {
 	if len(sc.order) < bound {
 		n := max(bound, 2*len(sc.order))
@@ -165,8 +163,6 @@ func NewState(routes *route.Table) *State {
 // assigns an originator's and a destination's slot when it first records
 // them, ComputeRoutes a neighbour's. compactIndex reclaims slots nothing
 // refers to any more. Called with s.mu held.
-//
-//mk:allow hotalloc new-slot appends happen once per distinct address; the steady-state BFS never grows
 func (s *State) slotOf(a mnet.Addr) int32 {
 	if sl, ok := s.slot[a]; ok {
 		return sl
@@ -410,8 +406,6 @@ func (s *State) Power(n mnet.Addr) float64 {
 // becomes reinstall and the next pass sets it again, as a full install
 // would. Called with s.mu held, after the host diff; set and del have room
 // for every live association and every prefix of the previous pass.
-//
-//mk:allow hotalloc HNA scratch reuses one backing array; gateway sets are small and the sort closure rides that cold edge
 func (s *State) hnaRoutes(now time.Time, set []route.ProtoRoute, del []mnet.Prefix) ([]route.ProtoRoute, []mnet.Prefix) {
 	sc := &s.scratch
 	if len(s.hna) == 0 && len(sc.hnaInst) == 0 {
@@ -480,8 +474,6 @@ func (s *State) ClearRoutes() {
 // into the reusable scratch key buffer. Called with s.mu held. Insertion
 // sort rather than sort.Slice: the set is degree-bounded and this runs on
 // every recompute, where sort.Slice's closure would allocate.
-//
-//mk:allow hotalloc key buffer is scratch-backed and grows amortized
 func (s *State) sortedTwoHopKeys(twoHop map[mnet.Addr][]mnet.Addr) []mnet.Addr {
 	keys := s.scratch.twoKeys[:0]
 	for dst := range twoHop {
@@ -522,8 +514,6 @@ func (s *State) sortedTwoHopKeys(twoHop map[mnet.Addr][]mnet.Addr) []mnet.Addr {
 // critical section; the method is not reentrant. holdTime is unused and
 // kept for the signature's callers. Returns the number of reachable
 // destinations.
-//
-//mk:hotpath
 func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mnet.Addr][]mnet.Addr, now time.Time, holdTime time.Duration, proto string) int {
 	set, del, n := s.routeDelta(self, oneHop, twoHop, now)
 	s.Routes.ApplyProto(proto, set, del)
@@ -534,8 +524,6 @@ func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mne
 // routes as installed and returns what the table must change to hold them
 // (scratch slices, valid until the next pass) and the number of reachable
 // destinations.
-//
-//mk:hotpath
 func (s *State) routeDelta(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mnet.Addr][]mnet.Addr, now time.Time) (set []route.ProtoRoute, del []mnet.Prefix, reached int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -45,9 +45,7 @@ func NewFIB() *FIB {
 }
 
 // intern returns name's index in f.names, adding it on first sight. Called
-// with f.mu held.
-//
-//mk:allow hotalloc appends once per distinct device or protocol name; a replaced route finds its names already held
+// with f.mu held. A replaced route finds its names already held.
 func (f *FIB) intern(name string) uint16 {
 	if i := slices.Index(f.names, name); i >= 0 {
 		return uint16(i)

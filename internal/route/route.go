@@ -462,8 +462,6 @@ type changeRec struct {
 // alters nothing is completely silent and allocation-free.
 //
 // Desired entries are single-path; multipath accumulation stays on AddPath.
-//
-//mk:hotpath
 func (t *Table) ReplaceProto(proto string, desired []ProtoRoute) ReplaceStats {
 	return t.installBatch(proto, desired, nil, installReplace)
 }
@@ -477,8 +475,6 @@ func (t *Table) ReplaceProto(proto string, desired []ProtoRoute) ReplaceStats {
 // are the changed and vanished part of a desired set, ApplyProto issues
 // exactly the FIB operations and change notifications ReplaceProto would,
 // in the same order.
-//
-//mk:hotpath
 func (t *Table) ApplyProto(proto string, set []ProtoRoute, del []mnet.Prefix) ReplaceStats {
 	return t.installBatch(proto, set, del, installApply)
 }
@@ -489,8 +485,6 @@ func (t *Table) ApplyProto(proto string, set []ProtoRoute, del []mnet.Prefix) Re
 // existing valid one when it is strictly better (lower metric) — otherwise
 // the existing route is kept and its path lifetimes are extended to at
 // least the desired expiry.
-//
-//mk:hotpath
 func (t *Table) RefreshProto(proto string, desired []ProtoRoute) ReplaceStats {
 	return t.installBatch(proto, desired, nil, installRefresh)
 }
@@ -504,7 +498,6 @@ const (
 	installApply                      // remove the caller's list
 )
 
-//mk:hotpath
 func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Prefix, mode installMode) ReplaceStats {
 	var stats ReplaceStats
 	replace := mode != installRefresh
@@ -518,10 +511,8 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 		d := &desired[i]
 		e, ok := t.entries[d.Dst]
 		if !ok {
-			//mk:allow hotalloc new destination appeared — topology change, cold
 			e = &Entry{
-				Dst: d.Dst,
-				//mk:allow hotalloc first path of a new destination, same cold edge
+				Dst:   d.Dst,
 				Paths: []Path{{NextHop: d.NextHop, Metric: d.Metric, Expires: d.Expires}},
 				Valid: true,
 				Proto: proto,
@@ -531,7 +522,6 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 			t.mirrorLocked(e)
 			stats.Added++
 			if fn != nil {
-				//mk:allow hotalloc change notification rides the cold topology-change edge
 				changes = append(changes, changeRec{Added, snapshotEntry(e)})
 			}
 			continue
@@ -573,13 +563,11 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 			e.Paths = e.Paths[:1]
 			e.Paths[0] = Path{NextHop: d.NextHop, Metric: d.Metric, Expires: d.Expires}
 		} else {
-			//mk:allow hotalloc route change is the cold edge; steady-state recomputes never reach it
 			e.Paths = []Path{{NextHop: d.NextHop, Metric: d.Metric, Expires: d.Expires}}
 		}
 		t.mirrorLocked(e)
 		stats.Updated++
 		if fn != nil {
-			//mk:allow hotalloc change notification rides the cold route-change edge
 			changes = append(changes, changeRec{kind, snapshotEntry(e)})
 		}
 	}
@@ -588,7 +576,6 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 		removed = t.removed[:0]
 		for dst, e := range t.entries {
 			if e.Proto == proto && e.mark != gen {
-				//mk:allow hotalloc vanished destination — topology shrink, cold
 				removed = append(removed, dst)
 			}
 		}
@@ -607,7 +594,6 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 			}
 			stats.Removed++
 			if fn != nil {
-				//mk:allow hotalloc change notification rides the cold topology-shrink edge
 				changes = append(changes, changeRec{Removed, snapshotEntry(e)})
 			}
 		}
@@ -623,7 +609,6 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 // holds t.mu.
 func snapshotEntry(e *Entry) Entry {
 	snap := *e
-	//mk:allow hotalloc change-notification deep copy; rides the cold change edge only
 	snap.Paths = append([]Path(nil), e.Paths...)
 	return snap
 }
@@ -631,7 +616,6 @@ func snapshotEntry(e *Entry) Entry {
 // sortPrefixes orders prefixes by (address, length) — the table's canonical
 // order, keeping removal notifications deterministic.
 func sortPrefixes(ps []mnet.Prefix) {
-	//mk:allow hotalloc sort.Slice closure on the topology-shrink edge; steady-state recomputes remove nothing
 	sort.Slice(ps, func(i, j int) bool {
 		if ps[i].Addr != ps[j].Addr {
 			return ps[i].Addr.Less(ps[j].Addr)

@@ -524,20 +524,31 @@ func TestRefreshProtoKeepsBetterAndNeverRemoves(t *testing.T) {
 	}
 }
 
+// TestReplaceProtoSteadyStateAllocs: installing a desired set the table
+// already holds allocates nothing, through each of the three install entry
+// points.
 func TestReplaceProtoSteadyStateAllocs(t *testing.T) {
-	tb, clk := newTable()
-	desired := make([]ProtoRoute, 0, 256)
-	for i := 0; i < 256; i++ {
-		a := mnet.AddrFrom(0x0a000100 + uint32(i))
-		desired = append(desired, ProtoRoute{Dst: mnet.HostPrefix(a), NextHop: mnet.AddrFrom(0x0a000001), Metric: 2, Expires: clk.Now().Add(time.Minute)})
-	}
-	tb.ReplaceProto("olsr", desired)
-	tb.ReplaceProto("olsr", desired) // warm the removal scratch
-	allocs := testing.AllocsPerRun(100, func() {
-		tb.ReplaceProto("olsr", desired)
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state ReplaceProto allocates %.1f times per call", allocs)
+	for _, tc := range []struct {
+		name    string
+		install func(tb *Table, desired []ProtoRoute)
+	}{
+		{"Replace", func(tb *Table, desired []ProtoRoute) { tb.ReplaceProto("olsr", desired) }},
+		{"Apply", func(tb *Table, desired []ProtoRoute) { tb.ApplyProto("olsr", desired, nil) }},
+		{"Refresh", func(tb *Table, desired []ProtoRoute) { tb.RefreshProto("olsr", desired) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb, clk := newTable()
+			desired := make([]ProtoRoute, 0, 256)
+			for i := 0; i < 256; i++ {
+				a := mnet.AddrFrom(0x0a000100 + uint32(i))
+				desired = append(desired, ProtoRoute{Dst: mnet.HostPrefix(a), NextHop: mnet.AddrFrom(0x0a000001), Metric: 2, Expires: clk.Now().Add(time.Minute)})
+			}
+			tc.install(tb, desired)
+			tc.install(tb, desired) // warm the removal scratch
+			if allocs := testing.AllocsPerRun(100, func() { tc.install(tb, desired) }); allocs != 0 {
+				t.Fatalf("steady-state %sProto allocates %.1f times per call", tc.name, allocs)
+			}
+		})
 	}
 }
 

@@ -26,7 +26,8 @@ func staticLine(net *emunet.Network, nodes []*node) {
 // epoch and anchor re-arm — allocates only what outlives the call: the
 // medium's copy of the frame, the event object and the feedback closure.
 // The hop is isolated as (0→2 over the relay) − (1→2 direct): both
-// originate once and deliver once, only the first forwards.
+// originate once and deliver once, only the first forwards. The counts are
+// pinned exactly, so one more escaping object anywhere on the path fails.
 func TestForwardedHopAllocs(t *testing.T) {
 	net, clk, nodes := newTestNet(t, 3)
 	staticLine(net, nodes)
@@ -52,8 +53,8 @@ func TestForwardedHopAllocs(t *testing.T) {
 	}
 	hop := viaRelay - direct
 	t.Logf("allocs: via relay %.1f, direct %.1f, one forwarded hop %.1f", viaRelay, direct, hop)
-	if hop > 5 {
-		t.Fatalf("one forwarded hop allocates %.1f objects, want <= 5", hop)
+	if viaRelay != 6 || direct != 3 {
+		t.Fatalf("allocs: via relay %.1f, direct %.1f (one forwarded hop %.1f); want 6, 3 and 3", viaRelay, direct, hop)
 	}
 }
 

@@ -33,9 +33,7 @@ type dataPacket struct {
 	Payload []byte
 }
 
-// appendData appends p's wire form to buf.
-//
-//mk:allow hotalloc appends into the caller's buffer; transmit hands it a stack array
+// appendData appends p's wire form to buf; transmit hands it a stack array.
 func appendData(buf []byte, p dataPacket) []byte {
 	buf = append(buf, wireData)
 	buf = append(buf, p.Src[:]...)
@@ -127,13 +125,13 @@ func (nl *netlink) corr(pkt dataPacket) string {
 	if !nl.s.proto.Tracing() {
 		return ""
 	}
-	return fmt.Sprintf("DATA:%s:%d", pkt.Src, pkt.ID) //mk:allow hotalloc corr-ID derivation is tracer-gated; the measured path runs with tracing disabled
+	return fmt.Sprintf("DATA:%s:%d", pkt.Src, pkt.ID)
 }
 
 // raise emits one of the filter's routing triggers. Event and payload are
 // one object: handlers may keep either, so it cannot live on the stack.
 func (nl *netlink) raise(t event.Type, rp event.RoutePayload, corr string) error {
-	ev := &struct { //mk:allow hotalloc the event outlives the call: handlers and context subscribers may keep it
+	ev := &struct {
 		event.Event
 		rp event.RoutePayload
 	}{Event: event.Event{Type: t, Corr: corr}, rp: rp}
@@ -143,8 +141,6 @@ func (nl *netlink) raise(t event.Type, rp event.RoutePayload, corr string) error
 
 // route forwards or buffers one packet. originated marks locally-created
 // packets (eligible for buffering + NO_ROUTE).
-//
-//mk:hotpath
 func (nl *netlink) route(pkt dataPacket, originated bool) error {
 	s := nl.s
 	if pkt.Dst == s.nic.Addr() {
@@ -159,15 +155,13 @@ func (nl *netlink) route(pkt dataPacket, originated bool) error {
 			s.bump(&s.stats.DataDropped)
 			return nl.raise(event.SendRouteErr, event.RoutePayload{Dst: pkt.Dst, Src: pkt.Src}, nl.corr(pkt))
 		}
-		return nl.hold(pkt) //mk:allow hotalloc no route: the packet is kept and discovery starts, neither is steady-state forwarding
+		return nl.hold(pkt)
 	}
 	return nl.transmit(pkt, r.NextHop, originated)
 }
 
 // transmit sends the packet one hop with MAC feedback; a failed hop raises
 // LINK_BREAK.
-//
-//mk:hotpath
 func (nl *netlink) transmit(pkt dataPacket, nextHop mnet.Addr, originated bool) error {
 	s := nl.s
 	if originated {
@@ -189,7 +183,6 @@ func (nl *netlink) transmit(pkt dataPacket, nextHop mnet.Addr, originated bool) 
 	rp := event.RoutePayload{Dst: pkt.Dst, Src: pkt.Src, NextHop: nextHop}
 	corr := nl.corr(pkt)
 	var wire [wireStackLen]byte
-	//mk:allow hotalloc the feedback closure outlives the call: the medium invokes it when the frame is delivered or lost
 	feedback := func(delivered bool) {
 		if !delivered {
 			_ = nl.raise(event.LinkBreak, rp, corr)
@@ -255,8 +248,6 @@ func (nl *netlink) reinject(dst mnet.Addr) {
 }
 
 // receiveData handles an incoming data frame: local delivery or forwarding.
-//
-//mk:hotpath
 func (nl *netlink) receiveData(f emunet.Frame) {
 	pkt, err := decodeData(f.Payload)
 	if err != nil {

@@ -131,11 +131,10 @@ func (b *Bus) Epoch() time.Time { return b.epoch }
 func (b *Bus) Active() bool { return b != nil && b.active.Load() }
 
 // Publish encodes payload and fans it out, stamping now as an offset from
-// the bus epoch. It never blocks: full subscribers drop the event. The
-// blockingpub analyzer proves that statically for everything reachable
-// from here.
-//
-//mk:nonblocking
+// the bus epoch. It never blocks: full subscribers drop the event.
+// TestDropAccountingExactness pins that at run time — a publisher facing
+// a full subscriber must finish within its deadline, with published ==
+// delivered + dropped.
 func (b *Bus) Publish(now time.Time, stream, kind, node string, payload any) {
 	if !b.Active() {
 		return
@@ -146,8 +145,6 @@ func (b *Bus) Publish(now time.Time, stream, kind, node string, payload any) {
 // PublishAt is Publish for sources that already carry an epoch offset
 // (trace spans, journal entries, health transitions), avoiding a second
 // clock read and guaranteeing the bus timestamp equals the source's.
-//
-//mk:nonblocking
 func (b *Bus) PublishAt(t time.Duration, stream, kind, node string, payload any) {
 	if !b.Active() {
 		return

@@ -74,12 +74,22 @@ func TestPublishSubscribeFiltering(t *testing.T) {
 // TestDropAccountingExactness pins the backpressure contract: a full
 // subscriber loses events, never stalls the publisher, and
 // published == delivered + dropped exactly, with delivered equal to what
-// the consumer actually reads.
+// the consumer actually reads. The publisher runs against a deadline, so a
+// publish that blocks on the full subscriber fails here within seconds.
 func TestDropAccountingExactness(t *testing.T) {
 	b := New(Config{Epoch: testEpoch})
 	sub := b.Subscribe(4, StreamEngine)
 	const total = 100
-	publishN(b, StreamEngine, total)
+	published := make(chan struct{})
+	go func() {
+		publishN(b, StreamEngine, total)
+		close(published)
+	}()
+	select {
+	case <-published:
+	case <-time.After(5 * time.Second):
+		t.Fatal("publishing to a full subscriber blocked: the publisher must drop, not wait")
+	}
 	b.Close()
 
 	got := drain(sub)
