@@ -528,11 +528,8 @@ func (a *AODV) onRREQ(ctx *core.Context, ev *event.Event) error {
 	if msg.HopLimit <= 1 {
 		return nil
 	}
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
 	a.state.bump(func(st *Stats) { st.RREQForwards++ })
-	ctx.Emit(&event.Event{Type: event.REOut, Msg: fwd, Dst: mnet.Broadcast})
+	ctx.Emit(event.Relay(event.REOut, msg, mnet.Broadcast))
 	return nil
 }
 
@@ -572,10 +569,7 @@ func (a *AODV) onRREP(ctx *core.Context, ev *event.Event) error {
 	a.state.addPrecursor(msg.Originator, p.NextHop)
 	a.state.addPrecursor(reqOrig, ev.Src)
 
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
-	ctx.Emit(&event.Event{Type: event.REOut, Msg: fwd, Dst: p.NextHop})
+	ctx.Emit(event.Relay(event.REOut, msg, p.NextHop))
 	return nil
 }
 

@@ -459,15 +459,32 @@ func (d *DYMO) onRREQ(ctx *core.Context, ev *event.Event) error {
 	if f := d.currentFlooder(); f != nil && !f.ShouldForward(msg.Originator, msg.SeqNum, ev.Src, now) {
 		return nil
 	}
+	d.state.bump(func(st *Stats) { st.RREQForwards++ })
+	ctx.Emit(d.forward(ctx, msg, mnet.Broadcast))
+	return nil
+}
+
+// forward builds the event that relays a routing element one hop on to
+// dst. Only path accumulation rewrites the body — it adds this node to the
+// accumulation block — so only it pays for a Clone; every other forward
+// shares the received body (event.Relay).
+func (d *DYMO) forward(ctx *core.Context, msg *packetbb.Message, dst mnet.Addr) *event.Event {
+	if !d.cfg.AccumulatePaths {
+		return event.Relay(event.REOut, msg, dst)
+	}
 	fwd := msg.Clone()
 	fwd.HopLimit--
 	fwd.HopCount++
-	if d.cfg.AccumulatePaths {
-		appendAccumulated(fwd, ctx.Node(), fwd.HopCount)
+	for len(fwd.AddrBlocks) < 2 {
+		fwd.AddrBlocks = append(fwd.AddrBlocks, packetbb.AddrBlock{})
 	}
-	d.state.bump(func(st *Stats) { st.RREQForwards++ })
-	ctx.Emit(&event.Event{Type: event.REOut, Msg: fwd, Dst: mnet.Broadcast})
-	return nil
+	blk := &fwd.AddrBlocks[1]
+	idx := uint8(len(blk.Addrs))
+	blk.Addrs = append(blk.Addrs, ctx.Node())
+	blk.TLVs = append(blk.TLVs, packetbb.AddrTLV{
+		Type: packetbb.ATLVHopCount, IndexStart: idx, IndexStop: idx, Value: packetbb.U8(fwd.HopCount),
+	})
+	return &event.Event{Type: event.REOut, Msg: fwd, Dst: dst}
 }
 
 // replyToRREQ generates the RREP at the target. The base protocol replies
@@ -542,13 +559,7 @@ func (d *DYMO) onRREP(ctx *core.Context, ev *event.Event) error {
 	if msg.HopLimit <= 1 {
 		return nil
 	}
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
-	if d.cfg.AccumulatePaths {
-		appendAccumulated(fwd, ctx.Node(), fwd.HopCount)
-	}
-	ctx.Emit(&event.Event{Type: event.REOut, Msg: fwd, Dst: p.NextHop})
+	ctx.Emit(d.forward(ctx, msg, p.NextHop))
 	return nil
 }
 
@@ -572,23 +583,6 @@ func (d *DYMO) learnAccumulated(ctx *core.Context, msg *packetbb.Message, prevHo
 		}
 		d.learnRoute(ctx, a, prevHop, hops, 0)
 	}
-}
-
-// appendAccumulated adds the forwarding node to the path-accumulation
-// block.
-func appendAccumulated(msg *packetbb.Message, self mnet.Addr, hopCount uint8) {
-	for len(msg.AddrBlocks) < 2 {
-		msg.AddrBlocks = append(msg.AddrBlocks, packetbb.AddrBlock{})
-	}
-	blk := &msg.AddrBlocks[1]
-	idx := uint8(len(blk.Addrs))
-	blk.Addrs = append(blk.Addrs, self)
-	blk.TLVs = append(blk.TLVs, packetbb.AddrTLV{
-		Type:       packetbb.ATLVHopCount,
-		IndexStart: idx,
-		IndexStop:  idx,
-		Value:      packetbb.U8(hopCount),
-	})
 }
 
 // onRouteUpdate extends the lifetime of an actively used route.

@@ -72,8 +72,10 @@ type Event struct {
 	// Msg is the PacketBB message for *_IN/*_OUT events. It is read-only
 	// for every handler and interposer: a received message points into a
 	// packet decoded once per transmission and shared by all the nodes that
-	// heard it (and by every handler on each of them). Nobody may write
-	// through it — to forward or rewrite a message, Clone it first.
+	// heard it (and by every handler on each of them), and a relayed one
+	// (Relay) shares that packet's body. Nobody may write through it. A
+	// forward that changes only the hop fields uses Relay; one that rewrites
+	// anything else works on a Clone.
 	Msg *packetbb.Message
 	// Src is the link-level sender for *_IN events.
 	Src mnet.Addr
@@ -97,6 +99,18 @@ type Event struct {
 	Link  *LinkPayload
 	Route *RoutePayload
 	Sys   *SysPayload
+}
+
+// Relay builds the event forwarding msg to dst with only its hop fields
+// changed (packetbb.Message.Relay), in one allocation with the relayed
+// header; the body stays the received packet's.
+func Relay(t Type, msg *packetbb.Message, dst mnet.Addr) *Event {
+	ev := &struct {
+		Event
+		msg packetbb.Message
+	}{Event: Event{Type: t, Dst: dst}, msg: msg.Relay()}
+	ev.Msg = &ev.msg
+	return &ev.Event
 }
 
 // ChangeKind classifies a neighbourhood change.

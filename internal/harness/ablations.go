@@ -13,6 +13,7 @@ import (
 	"manetkit/internal/mnet"
 	"manetkit/internal/mpr"
 	"manetkit/internal/packetbb"
+	"manetkit/internal/system"
 	"manetkit/internal/testbed"
 	"manetkit/internal/vclock"
 )
@@ -117,10 +118,7 @@ func MeasureFisheye(nodes, cols int, duration time.Duration) (FisheyeResult, err
 		var mu sync.Mutex
 		seen := make(map[string]bool)
 		c.Net.SetTap(func(f emunet.Frame, rcv mnet.Addr) {
-			if len(f.Payload) == 0 || f.Payload[0] != 0x01 {
-				return
-			}
-			pkt, err := packetbb.DecodePacket(f.Payload[1:])
+			pkt, err := system.DecodeControl(f)
 			if err != nil {
 				return
 			}

@@ -5,8 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"manetkit/internal/core"
+	"manetkit/internal/dymo"
 	"manetkit/internal/emunet"
 	"manetkit/internal/mnet"
+	"manetkit/internal/neighbor"
 	"manetkit/internal/packetbb"
 	"manetkit/internal/system"
 	"manetkit/internal/testbed"
@@ -47,6 +50,35 @@ func TestSharedPacketsAreNeverMutated(t *testing.T) {
 				}
 				if err := d.Set.OLSR().EnablePowerAware(); err != nil {
 					t.Fatal(err)
+				}
+			}},
+		// Every node relays HNA floods; the last one is a gateway.
+		{name: "olsr+hna", wantForward: packetbb.MsgHNA,
+			extra: func(t *testing.T, c *testbed.Cluster, node *testbed.Node) {
+				d, err := DeployFamily(c, node, "olsr")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Set.OLSR().EnableHNA(0); err != nil {
+					t.Fatal(err)
+				}
+				if node == c.Nodes[len(c.Nodes)-1] {
+					d.Set.OLSR().AdvertiseNetwork(mnet.Prefix{Addr: mnet.MustParseAddr("192.168.0.0"), Bits: 16})
+				}
+			}},
+		// Path accumulation rewrites what it forwards: the one DYMO forward
+		// that clones rather than relays.
+		{name: "dymo+accumulate", wantForward: packetbb.MsgRREQ,
+			extra: func(t *testing.T, c *testbed.Cluster, node *testbed.Node) {
+				nd := neighbor.New("", neighbor.Config{HelloInterval: HelloInterval, LinkLayerFeedback: true})
+				d := dymo.New("", dymo.Config{AccumulatePaths: true, Clock: c.Clock, FIB: node.FIB(), Device: node.Sys.NIC().Device()})
+				for _, u := range []*core.Protocol{nd.Protocol(), d.Protocol()} {
+					if err := node.Mgr.Deploy(u); err != nil {
+						t.Fatal(err)
+					}
+					if err := u.Start(); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}},
 	}

@@ -7,11 +7,8 @@ import (
 	"manetkit/internal/emunet"
 	"manetkit/internal/mnet"
 	"manetkit/internal/packetbb"
+	"manetkit/internal/system"
 )
-
-// wireControl is the System CF's control-frame marker byte (the first
-// payload byte of every PacketBB-carrying frame on the emulated medium).
-const wireControl byte = 0x01
 
 // seqKind distinguishes the sequence-number spaces the watcher tracks.
 type seqKind uint8
@@ -28,46 +25,42 @@ type seqKey struct {
 }
 
 // SeqWatcher is the live monotonic-sequence-number invariant: installed as
-// the medium tap (Network.SetTap(w.Observe)), it decodes every delivered
-// control frame and checks that each originator's sequence numbers — the
-// message-header SeqNum and the DYMO/AODV originator sequence number TLV —
-// never move backwards.
+// the medium tap (Network.SetTap(w.Observe)), it reads every delivered
+// control frame through the transmission's shared decode
+// (system.DecodeControl) and checks that each originator's sequence
+// numbers — the message-header SeqNum and the DYMO/AODV originator sequence
+// number TLV — never move backwards.
 //
 // Only first-hop transmissions (frame source == message originator) are
 // checked: forwarded copies legitimately carry old numbers. Corrupted
 // frames (Frame.Corrupted, the FCS-would-have-failed marker) are ignored,
-// as are frames that fail to decode. A small tolerance absorbs reorder
-// jitter; wraparound near 0xffff is allowed. Call Forget when a node
-// legitimately reboots with state loss.
+// as are frames that fail to decode. A step back of up to seqTolerance
+// absorbs reorder jitter; wraparound near 0xffff is allowed. Call Forget
+// when a node legitimately reboots with state loss.
 type SeqWatcher struct {
-	mu        sync.Mutex
-	tolerance uint16
-	last      map[seqKey]uint16
-	frames    uint64
-	violas    []Violation
+	mu     sync.Mutex
+	last   map[seqKey]uint16
+	frames uint64
+	violas []Violation
 }
 
-// NewSeqWatcher returns a watcher with the default reorder tolerance (16).
-func NewSeqWatcher() *SeqWatcher {
-	return &SeqWatcher{tolerance: 16, last: make(map[seqKey]uint16)}
-}
-
-// SetTolerance adjusts how far a sequence number may step back (reorder
+// seqTolerance is how far a sequence number may step back (reorder
 // allowance) before it counts as a violation.
-func (w *SeqWatcher) SetTolerance(t uint16) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.tolerance = t
+const seqTolerance = 16
+
+// NewSeqWatcher returns a watcher.
+func NewSeqWatcher() *SeqWatcher {
+	return &SeqWatcher{last: make(map[seqKey]uint16)}
 }
 
 // Observe is the medium-tap entry point: Network.SetTap(w.Observe).
 func (w *SeqWatcher) Observe(f emunet.Frame, receiver mnet.Addr) {
-	if f.Corrupted || len(f.Payload) < 2 || f.Payload[0] != wireControl {
+	if f.Corrupted {
 		return
 	}
-	pkt, err := packetbb.DecodePacket(f.Payload[1:])
+	pkt, err := system.DecodeControl(f)
 	if err != nil {
-		return // mangled in flight; the decoder-robustness fuzzers own this
+		return // a data frame, or mangled in flight: the decoder-robustness fuzzers own that
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -115,7 +108,7 @@ func (w *SeqWatcher) observeLocked(k seqKey, cur uint16, what string) {
 	case delta < 0x8000:
 		w.last[k] = cur // moved forward (possibly wrapping)
 	default:
-		if back := last - cur; back > w.tolerance {
+		if back := last - cur; back > seqTolerance {
 			w.violas = append(w.violas, Violation{
 				Checker: "monotonic-seq",
 				Node:    k.orig,

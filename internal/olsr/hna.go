@@ -159,10 +159,7 @@ func (o *OLSR) onHNA(ctx *core.Context, ev *event.Event) error {
 	o.markDirty(ctx)
 
 	if msg.HopLimit > 1 && o.m.Flooder().ShouldForward(msg.Originator, msg.SeqNum, ev.Src, now) {
-		fwd := msg.Clone()
-		fwd.HopLimit--
-		fwd.HopCount++
-		ctx.Emit(&event.Event{Type: event.HNAOut, Msg: fwd, Dst: mnet.Broadcast})
+		ctx.Emit(event.Relay(event.HNAOut, msg, mnet.Broadcast))
 	}
 	return nil
 }

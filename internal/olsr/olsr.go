@@ -242,11 +242,8 @@ func (o *OLSR) onTC(ctx *core.Context, ev *event.Event) error {
 	}
 	// MPR-optimised flood forwarding.
 	if msg.HopLimit > 1 && o.m.Flooder().ShouldForward(msg.Originator, msg.SeqNum, ev.Src, now) {
-		fwd := msg.Clone()
-		fwd.HopLimit--
-		fwd.HopCount++
 		o.mTCFwd.Inc()
-		ctx.Emit(&event.Event{Type: event.TCOut, Msg: fwd, Dst: mnet.Broadcast})
+		ctx.Emit(event.Relay(event.TCOut, msg, mnet.Broadcast))
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"manetkit/internal/mpr"
 	"manetkit/internal/packetbb"
 	"manetkit/internal/route"
+	"manetkit/internal/system"
 	"manetkit/internal/testbed"
 	"manetkit/internal/vclock"
 )
@@ -392,6 +393,61 @@ func TestHysteresisDampsFlapping(t *testing.T) {
 	mgr.WaitIdle()
 	if len(passed) != 2 || passed[0] != event.NeighborLost || passed[1] != event.NeighborAppeared {
 		t.Fatalf("passed = %v", passed)
+	}
+}
+
+// TestProcessTCRelayAllocs pins a relayed TC at one allocation: the event
+// and its relayed header (event.Relay), over the received body. The middle
+// of a three-node line is its neighbours' MPR, so it relays every fresh TC
+// heard from one of them. Its System CF is swapped for a sink that counts
+// TC_OUTs, so the relay's transmission (pinned in the system package) stays
+// out of the count.
+func TestProcessTCRelayAllocs(t *testing.T) {
+	c, nodes := deployOLSR(t, 3, Config{TCInterval: 5 * time.Second})
+	if err := c.Line(); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(20 * time.Second)
+	mid := nodes[1]
+	if err := mid.node.Mgr.Undeploy(system.UnitName); err != nil {
+		t.Fatal(err)
+	}
+	relayed := 0
+	sink := core.NewProtocol("sink")
+	sink.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}})
+	if err := sink.AddHandler(core.NewHandler("count", event.TCOut, func(*core.Context, *event.Event) error {
+		relayed++
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if err := mid.node.Mgr.Deploy(sink); err != nil {
+		t.Fatal(err)
+	}
+	o := mid.olsr
+	orig := addr("10.9.0.1")
+	msg := &packetbb.Message{
+		Type: packetbb.MsgTC, Originator: orig, HopLimit: 255,
+		TLVs:       []packetbb.TLV{{Type: packetbb.TLVANSN, Value: packetbb.U16(1)}},
+		AddrBlocks: []packetbb.AddrBlock{{Addrs: []mnet.Addr{addr("10.9.0.2"), addr("10.9.0.3")}}},
+	}
+	ev := &event.Event{Type: event.TCIn, Msg: msg, Src: c.Addrs()[0]}
+	relay := func() {
+		msg.SeqNum++ // a fresh TC each time, or the flooder drops it as a duplicate
+		var err error
+		if lockErr := o.Protocol().RunLocked(func(ctx *core.Context) { err = o.ProcessTC(ctx, ev) }); lockErr != nil || err != nil {
+			t.Fatalf("ProcessTC: %v / %v", lockErr, err)
+		}
+	}
+	for i := 0; i < 500; i++ { // learn the topology, grow the duplicate set
+		relay()
+	}
+	relayed = 0
+	if got := testing.AllocsPerRun(100, relay); got != 1 {
+		t.Fatalf("ProcessTC of a relayed TC = %.1f allocs, want 1 (the relay event)", got)
+	}
+	if relayed != 101 {
+		t.Fatalf("%d of 101 TCs relayed", relayed)
 	}
 }
 

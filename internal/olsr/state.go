@@ -185,13 +185,6 @@ func (s *State) SetOwnPower(frac float64) {
 	s.ownPower = frac
 }
 
-// OwnPower returns the node's own residual battery fraction.
-func (s *State) OwnPower() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ownPower
-}
-
 // NextMsgSeq returns a fresh TC message sequence number.
 func (s *State) NextMsgSeq() uint16 {
 	s.mu.Lock()

@@ -43,13 +43,58 @@ func (d *decoder) bytes(n int) ([]byte, error) {
 	return v, nil
 }
 
+// block reads a u16 length and then that many bytes.
+func (d *decoder) block() ([]byte, error) {
+	n, err := d.u16()
+	if err != nil {
+		return nil, err
+	}
+	return d.bytes(int(n))
+}
+
+// decoded is the one object DecodePacket allocates for a typical packet (a
+// whole TC; a HELLO but for its address TLVs). Keep it in one small size
+// class: it is zeroed on every decode, and a 1 KiB arena cost more than it saved.
+type decoded struct {
+	pkt    Packet
+	msgs   [1]Message
+	tlvs   [2]TLV
+	blocks [1]AddrBlock
+	addrs  [8]mnet.Addr
+}
+
+// arena hands out one decoded object's room, in order; see carve.
+type arena struct {
+	room                          *decoded
+	nMsgs, nTLVs, nBlocks, nAddrs int // elements handed out so far
+}
+
+// carve returns n zeroed elements (nil for none): the next n of room while
+// they last, else a slice of their own. Either way the capacity is exactly
+// n, so an append on one decoded slice copies instead of running on.
+func carve[T any](room []T, used *int, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if *used+n > len(room) {
+		return make([]T, n)
+	}
+	s := room[*used : *used+n : *used+n]
+	*used += n
+	return s
+}
+
 // DecodePacket parses a wire-form packet. The result aliases buf: TLV values
 // and prefix lengths are sub-slices of it, not copies, so buf must stay
 // unmodified for as long as the packet (or any message taken from it) is in
 // use. The decoder itself never writes to buf. A caller that wants to change
-// a decoded message calls Clone first, which shares nothing with buf.
+// a decoded message calls Clone first, which shares nothing with buf; one
+// that forwards it with new hop fields calls Relay.
+//
+// Every slice is sized exactly, from element counts read off the input
+// first. A TC is one allocation; a HELLO adds its address TLVs.
 func DecodePacket(buf []byte) (*Packet, error) {
-	d := &decoder{buf: buf}
+	d := decoder{buf: buf}
 	flags, err := d.u8()
 	if err != nil {
 		return nil, fmt.Errorf("packet header: %w", err)
@@ -57,7 +102,8 @@ func DecodePacket(buf []byte) (*Packet, error) {
 	if flags&^(pktFlagHasSeq|pktFlagHasTLVs) != 0 {
 		return nil, fmt.Errorf("%w: unknown packet flags %#x", ErrMalformed, flags)
 	}
-	p := &Packet{}
+	a := arena{room: new(decoded)}
+	p := &a.room.pkt
 	if flags&pktFlagHasSeq != 0 {
 		p.HasSeqNum = true
 		if p.SeqNum, err = d.u16(); err != nil {
@@ -65,14 +111,21 @@ func DecodePacket(buf []byte) (*Packet, error) {
 		}
 	}
 	if flags&pktFlagHasTLVs != 0 {
-		if p.TLVs, _, err = decodeTLVBlock(d, false); err != nil {
+		if p.TLVs, err = decodeTLVs(&d, &a); err != nil {
 			return nil, fmt.Errorf("packet TLVs: %w", err)
 		}
 	}
-	for d.remaining() > 0 {
-		i := len(p.Messages)
-		p.Messages = append(p.Messages, Message{})
-		if err := decodeMessage(d, &p.Messages[i]); err != nil {
+	// Step over the messages once to count them, then decode them into
+	// exactly that many; address blocks are sized the same way.
+	n := 0
+	for cd := d; cd.remaining() > 0; n++ {
+		if err := decodeMessage(&cd, nil, nil); err != nil {
+			return nil, fmt.Errorf("message %d: %w", n, err)
+		}
+	}
+	p.Messages = carve(a.room.msgs[:], &a.nMsgs, n)
+	for i := range p.Messages {
+		if err := decodeMessage(&d, &p.Messages[i], &a); err != nil {
 			return nil, fmt.Errorf("message %d: %w", i, err)
 		}
 	}
@@ -82,9 +135,10 @@ func DecodePacket(buf []byte) (*Packet, error) {
 // DecodeMessage parses a single wire-form message; it requires the buffer to
 // contain exactly one message. Like DecodePacket, the result aliases buf.
 func DecodeMessage(buf []byte) (*Message, error) {
-	d := &decoder{buf: buf}
-	m := &Message{}
-	if err := decodeMessage(d, m); err != nil {
+	d := decoder{buf: buf}
+	a := arena{room: new(decoded)}
+	m := &a.room.msgs[0]
+	if err := decodeMessage(&d, m, &a); err != nil {
 		return nil, err
 	}
 	if d.remaining() != 0 {
@@ -93,8 +147,9 @@ func DecodeMessage(buf []byte) (*Message, error) {
 	return m, nil
 }
 
-// decodeMessage reads one message from d into the zero Message m.
-func decodeMessage(d *decoder, m *Message) error {
+// decodeMessage reads one message from d into the zero Message m. With m
+// nil it only steps over the message.
+func decodeMessage(d *decoder, m *Message, a *arena) error {
 	typ, err := d.u8()
 	if err != nil {
 		return fmt.Errorf("type: %w", err)
@@ -119,7 +174,10 @@ func decodeMessage(d *decoder, m *Message) error {
 	if err != nil {
 		return fmt.Errorf("body (%d bytes): %w", size-4, err)
 	}
-	md := &decoder{buf: body}
+	if m == nil {
+		return nil
+	}
+	md := decoder{buf: body}
 
 	m.Type = MsgType(typ)
 	if flags&msgFlagHasOrig != 0 {
@@ -148,98 +206,114 @@ func decodeMessage(d *decoder, m *Message) error {
 			return fmt.Errorf("seqnum: %w", err)
 		}
 	}
-	if m.TLVs, _, err = decodeTLVBlock(md, false); err != nil {
+	if m.TLVs, err = decodeTLVs(&md, a); err != nil {
 		return fmt.Errorf("message TLVs: %w", err)
 	}
-	for md.remaining() > 0 {
-		i := len(m.AddrBlocks)
-		m.AddrBlocks = append(m.AddrBlocks, AddrBlock{})
-		if err := decodeAddrBlock(md, &m.AddrBlocks[i]); err != nil {
+	n := 0
+	for cd := md; cd.remaining() > 0; n++ {
+		if err := decodeAddrBlock(&cd, nil, nil); err != nil {
+			return fmt.Errorf("address block %d: %w", n, err)
+		}
+	}
+	m.AddrBlocks = carve(a.room.blocks[:], &a.nBlocks, n)
+	for i := range m.AddrBlocks {
+		if err := decodeAddrBlock(&md, &m.AddrBlocks[i], a); err != nil {
 			return fmt.Errorf("address block %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// decodeTLVBlock reads one TLV block. With indexed=false it returns message
-// TLVs (rejecting indexed entries); with indexed=true the reverse.
-func decodeTLVBlock(d *decoder, indexed bool) ([]TLV, []AddrTLV, error) {
-	blockLen, err := d.u16()
+// tlvBlock reads one TLV block from d and counts its entries, validating
+// each: address TLVs (indexed) carry an index range, others must not. The
+// returned cursor is at the block's first entry.
+func tlvBlock(d *decoder, indexed bool) (decoder, int, error) {
+	block, err := d.block()
 	if err != nil {
-		return nil, nil, fmt.Errorf("block length: %w", err)
+		return decoder{}, 0, fmt.Errorf("TLV block: %w", err)
 	}
-	block, err := d.bytes(int(blockLen))
+	n := 0
+	for bd := (decoder{buf: block}); bd.remaining() > 0; n++ {
+		if _, err := nextTLV(&bd, indexed); err != nil {
+			return decoder{}, 0, err
+		}
+	}
+	return decoder{buf: block}, n, nil
+}
+
+// decodeTLVs reads a packet's or a message's TLV block.
+func decodeTLVs(d *decoder, a *arena) ([]TLV, error) {
+	bd, n, err := tlvBlock(d, false)
 	if err != nil {
-		return nil, nil, fmt.Errorf("block body: %w", err)
+		return nil, err
 	}
-	bd := &decoder{buf: block}
-	var tlvs []TLV
-	var atlvs []AddrTLV
-	for bd.remaining() > 0 {
-		typ, err := bd.u8()
+	tlvs := carve(a.room.tlvs[:], &a.nTLVs, n)
+	for i := range tlvs {
+		t, _ := nextTLV(&bd, false) // tlvBlock has validated every entry
+		tlvs[i] = TLV{Type: t.Type, Value: t.Value}
+	}
+	return tlvs, nil
+}
+
+// nextTLV reads one TLV entry; a message TLV comes back with a zero index
+// range.
+func nextTLV(bd *decoder, indexed bool) (AddrTLV, error) {
+	var t AddrTLV
+	var err error
+	if t.Type, err = bd.u8(); err != nil {
+		return t, err
+	}
+	flags, err := bd.u8()
+	if err != nil {
+		return t, ErrTruncated
+	}
+	if flags&^(tlvFlagHasValue|tlvFlagHasIndex|tlvFlagWideLen) != 0 {
+		return t, fmt.Errorf("%w: unknown TLV flags %#x", ErrMalformed, flags)
+	}
+	hasIndex := flags&tlvFlagHasIndex != 0
+	if hasIndex != indexed {
+		return t, fmt.Errorf("%w: TLV indexing mismatch (indexed=%v)", ErrMalformed, hasIndex)
+	}
+	if hasIndex {
+		idx, err := bd.bytes(2)
 		if err != nil {
-			return nil, nil, err
+			return t, err
 		}
-		flags, err := bd.u8()
-		if err != nil {
-			return nil, nil, ErrTruncated
-		}
-		if flags&^(tlvFlagHasValue|tlvFlagHasIndex|tlvFlagWideLen) != 0 {
-			return nil, nil, fmt.Errorf("%w: unknown TLV flags %#x", ErrMalformed, flags)
-		}
-		hasIndex := flags&tlvFlagHasIndex != 0
-		if hasIndex != indexed {
-			return nil, nil, fmt.Errorf("%w: TLV indexing mismatch (indexed=%v)", ErrMalformed, hasIndex)
-		}
-		var idxStart, idxStop uint8
-		if hasIndex {
-			if idxStart, err = bd.u8(); err != nil {
-				return nil, nil, ErrTruncated
-			}
-			if idxStop, err = bd.u8(); err != nil {
-				return nil, nil, ErrTruncated
-			}
-			if idxStart > idxStop {
-				return nil, nil, fmt.Errorf("%w: TLV index range [%d,%d]", ErrMalformed, idxStart, idxStop)
-			}
-		}
-		var value []byte
-		if flags&tlvFlagHasValue != 0 {
-			var vlen int
-			if flags&tlvFlagWideLen != 0 {
-				wl, err := bd.u16()
-				if err != nil {
-					return nil, nil, ErrTruncated
-				}
-				vlen = int(wl)
-			} else {
-				bl, err := bd.u8()
-				if err != nil {
-					return nil, nil, ErrTruncated
-				}
-				vlen = int(bl)
-			}
-			raw, err := bd.bytes(vlen)
-			if err != nil {
-				return nil, nil, fmt.Errorf("TLV value (%d bytes): %w", vlen, err)
-			}
-			if vlen > 0 {
-				value = raw // aliases the input, see DecodePacket
-			}
-		} else if flags&tlvFlagWideLen != 0 {
-			return nil, nil, fmt.Errorf("%w: wide-length flag without value", ErrMalformed)
-		}
-		if hasIndex {
-			atlvs = append(atlvs, AddrTLV{Type: typ, IndexStart: idxStart, IndexStop: idxStop, Value: value})
-		} else {
-			tlvs = append(tlvs, TLV{Type: typ, Value: value})
+		if t.IndexStart, t.IndexStop = idx[0], idx[1]; t.IndexStart > t.IndexStop {
+			return t, fmt.Errorf("%w: TLV index range [%d,%d]", ErrMalformed, t.IndexStart, t.IndexStop)
 		}
 	}
-	return tlvs, atlvs, nil
+	if flags&tlvFlagHasValue == 0 {
+		if flags&tlvFlagWideLen != 0 {
+			return t, fmt.Errorf("%w: wide-length flag without value", ErrMalformed)
+		}
+		return t, nil
+	}
+	var vlen uint16
+	if flags&tlvFlagWideLen != 0 {
+		vlen, err = bd.u16()
+	} else {
+		var b byte
+		b, err = bd.u8()
+		vlen = uint16(b)
+	}
+	if err != nil {
+		return t, ErrTruncated
+	}
+	raw, err := bd.bytes(int(vlen))
+	if err != nil {
+		return t, fmt.Errorf("TLV value (%d bytes): %w", vlen, err)
+	}
+	if vlen > 0 {
+		t.Value = raw // aliases the input, see DecodePacket
+	}
+	return t, nil
 }
 
 // decodeAddrBlock reads one address block from d into the zero AddrBlock b.
-func decodeAddrBlock(d *decoder, b *AddrBlock) error {
+// With b nil it only steps over the block, which is how decodeMessage counts
+// a message's blocks; the block's contents are checked when it is decoded.
+func decodeAddrBlock(d *decoder, b *AddrBlock, a *arena) error {
 	num, err := d.u8()
 	if err != nil {
 		return fmt.Errorf("address count: %w", err)
@@ -254,7 +328,6 @@ func decodeAddrBlock(d *decoder, b *AddrBlock) error {
 	if flags&^(abFlagHasHead|abFlagHasPrefixes) != 0 {
 		return fmt.Errorf("%w: unknown address block flags %#x", ErrMalformed, flags)
 	}
-	headLen := 0
 	var head []byte
 	if flags&abFlagHasHead != 0 {
 		hl, err := d.u8()
@@ -264,42 +337,52 @@ func decodeAddrBlock(d *decoder, b *AddrBlock) error {
 		if int(hl) == 0 || int(hl) >= mnet.AddrLen {
 			return fmt.Errorf("%w: head length %d", ErrMalformed, hl)
 		}
-		headLen = int(hl)
-		if head, err = d.bytes(headLen); err != nil {
+		if head, err = d.bytes(int(hl)); err != nil {
 			return fmt.Errorf("head bytes: %w", err)
 		}
 	}
-	b.Addrs = make([]mnet.Addr, num)
-	tail := mnet.AddrLen - headLen
-	for i := range b.Addrs {
-		tb, err := d.bytes(tail)
-		if err != nil {
-			return fmt.Errorf("address %d: %w", i, err)
-		}
-		copy(b.Addrs[i][:headLen], head)
-		copy(b.Addrs[i][headLen:], tb)
+	tail := mnet.AddrLen - len(head)
+	tails, err := d.bytes(int(num) * tail)
+	if err != nil {
+		return fmt.Errorf("addresses: %w", err)
 	}
+	var prefixes []byte
 	if flags&abFlagHasPrefixes != 0 {
-		pb, err := d.bytes(int(num))
-		if err != nil {
+		if prefixes, err = d.bytes(int(num)); err != nil {
 			return fmt.Errorf("prefix lengths: %w", err)
 		}
-		b.PrefixLens = pb
-		for _, p := range pb {
-			if int(p) > 8*mnet.AddrLen {
-				return fmt.Errorf("%w: prefix length %d", ErrMalformed, p)
-			}
+	}
+	if b == nil {
+		if _, err := d.block(); err != nil {
+			return fmt.Errorf("address TLVs: %w", err)
+		}
+		return nil
+	}
+	for _, p := range prefixes {
+		if int(p) > 8*mnet.AddrLen {
+			return fmt.Errorf("%w: prefix length %d", ErrMalformed, p)
 		}
 	}
-	_, atlvs, err := decodeTLVBlock(d, true)
+	b.PrefixLens = prefixes
+	b.Addrs = carve(a.room.addrs[:], &a.nAddrs, int(num))
+	var addr mnet.Addr
+	copy(addr[:], head)
+	for i := range b.Addrs {
+		copy(addr[len(head):], tails[i*tail:])
+		b.Addrs[i] = addr
+	}
+	bd, n, err := tlvBlock(d, true)
 	if err != nil {
 		return fmt.Errorf("address TLVs: %w", err)
 	}
-	for _, tlv := range atlvs {
-		if int(tlv.IndexStop) >= int(num) {
-			return fmt.Errorf("%w: TLV index %d over %d addresses", ErrMalformed, tlv.IndexStop, num)
+	if n > 0 {
+		b.TLVs = make([]AddrTLV, n)
+	}
+	for i := range b.TLVs {
+		b.TLVs[i], _ = nextTLV(&bd, true) // tlvBlock has validated every entry
+		if int(b.TLVs[i].IndexStop) >= int(num) {
+			return fmt.Errorf("%w: TLV index %d over %d addresses", ErrMalformed, b.TLVs[i].IndexStop, num)
 		}
 	}
-	b.TLVs = atlvs
 	return nil
 }

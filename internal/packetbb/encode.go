@@ -26,10 +26,27 @@ const (
 
 	maxTLVValue = 65535
 	maxMsgSize  = 65535
+
+	// encodeCap is EncodePacket's and EncodeMessage's first buffer: larger than
+	// a typical control packet, small enough for the caller's stack.
+	encodeCap = 128
 )
 
 // EncodePacket serialises a packet to its wire form.
 func EncodePacket(p *Packet) ([]byte, error) {
+	return AppendPacket(make([]byte, 0, encodeCap), p)
+}
+
+// EncodeMessage serialises a single message. Header fields that are zero are
+// omitted from the wire unless the corresponding Has flag is set.
+func EncodeMessage(m *Message) ([]byte, error) {
+	return appendMessage(make([]byte, 0, encodeCap), m)
+}
+
+// AppendPacket appends the packet's wire form to buf and returns the
+// extended buffer. It leaves buf's existing bytes alone, so a caller can put
+// its own header in front and encode into an array on its stack.
+func AppendPacket(buf []byte, p *Packet) ([]byte, error) {
 	flags := byte(0)
 	if p.HasSeqNum {
 		flags |= pktFlagHasSeq
@@ -37,31 +54,26 @@ func EncodePacket(p *Packet) ([]byte, error) {
 	if len(p.TLVs) > 0 {
 		flags |= pktFlagHasTLVs
 	}
-	buf := make([]byte, 0, 64)
 	buf = append(buf, flags)
 	if p.HasSeqNum {
 		buf = append(buf, byte(p.SeqNum>>8), byte(p.SeqNum))
 	}
+	var err error
 	if len(p.TLVs) > 0 {
-		var err error
-		buf, err = appendTLVBlock(buf, p.TLVs, nil)
-		if err != nil {
+		if buf, err = appendTLVBlock(buf, p.TLVs, nil); err != nil {
 			return nil, fmt.Errorf("packet TLVs: %w", err)
 		}
 	}
 	for i := range p.Messages {
-		mb, err := EncodeMessage(&p.Messages[i])
-		if err != nil {
+		if buf, err = appendMessage(buf, &p.Messages[i]); err != nil {
 			return nil, fmt.Errorf("message %d: %w", i, err)
 		}
-		buf = append(buf, mb...)
 	}
 	return buf, nil
 }
 
-// EncodeMessage serialises a single message. Header fields that are zero are
-// omitted from the wire unless the corresponding Has flag is set.
-func EncodeMessage(m *Message) ([]byte, error) {
+// appendMessage appends one message's wire form to buf.
+func appendMessage(buf []byte, m *Message) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
@@ -85,7 +97,7 @@ func EncodeMessage(m *Message) ([]byte, error) {
 	}
 
 	// Header: type, flags, u16 total size (patched at the end).
-	buf := make([]byte, 0, 64)
+	start := len(buf)
 	buf = append(buf, byte(m.Type), flags, 0, 0)
 	if hasOrig {
 		buf = append(buf, m.Originator[:]...)
@@ -101,21 +113,20 @@ func EncodeMessage(m *Message) ([]byte, error) {
 	}
 
 	var err error
-	buf, err = appendTLVBlock(buf, m.TLVs, nil)
-	if err != nil {
+	if buf, err = appendTLVBlock(buf, m.TLVs, nil); err != nil {
 		return nil, fmt.Errorf("message TLVs: %w", err)
 	}
 	for i := range m.AddrBlocks {
-		buf, err = appendAddrBlock(buf, &m.AddrBlocks[i])
-		if err != nil {
+		if buf, err = appendAddrBlock(buf, &m.AddrBlocks[i]); err != nil {
 			return nil, fmt.Errorf("address block %d: %w", i, err)
 		}
 	}
-	if len(buf) > maxMsgSize {
-		return nil, fmt.Errorf("%w: message of %d bytes", ErrTooLarge, len(buf))
+	size := len(buf) - start
+	if size > maxMsgSize {
+		return nil, fmt.Errorf("%w: message of %d bytes", ErrTooLarge, size)
 	}
-	buf[2] = byte(len(buf) >> 8)
-	buf[3] = byte(len(buf))
+	buf[start+2] = byte(size >> 8)
+	buf[start+3] = byte(size)
 	return buf, nil
 }
 
@@ -126,17 +137,14 @@ func appendTLVBlock(buf []byte, msgTLVs []TLV, addrTLVs []AddrTLV) ([]byte, erro
 	lenAt := len(buf)
 	buf = append(buf, 0, 0)
 	start := len(buf)
+	var err error
 	for _, tlv := range msgTLVs {
-		var err error
-		buf, err = appendTLV(buf, tlv.Type, false, 0, 0, tlv.Value)
-		if err != nil {
+		if buf, err = appendTLV(buf, tlv.Type, false, 0, 0, tlv.Value); err != nil {
 			return nil, err
 		}
 	}
 	for _, tlv := range addrTLVs {
-		var err error
-		buf, err = appendTLV(buf, tlv.Type, true, tlv.IndexStart, tlv.IndexStop, tlv.Value)
-		if err != nil {
+		if buf, err = appendTLV(buf, tlv.Type, true, tlv.IndexStart, tlv.IndexStop, tlv.Value); err != nil {
 			return nil, err
 		}
 	}

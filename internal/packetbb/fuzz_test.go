@@ -2,6 +2,7 @@ package packetbb
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"manetkit/internal/mnet"
@@ -73,11 +74,15 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 	return out
 }
 
-// FuzzDecodePacket asserts the decoder never panics on arbitrary input,
-// that accepted inputs reach an encode/decode fixed point: the
-// re-encoding of a decoded packet decodes to an identical re-encoding, and
-// that the sharing contract holds (the input is never written, a Clone
-// shares nothing with it).
+// FuzzDecodePacket asserts the decoder never panics on arbitrary input, and
+// for every input it accepts:
+//   - the sharing contract holds (the input is never written, a Clone
+//     shares nothing with it);
+//   - the packet re-encodes, and that encoding decodes to an equal packet;
+//   - each message's Relay encodes exactly like a Clone with its hop
+//     fields stepped;
+//   - AppendPacket onto a non-empty prefix keeps the prefix and adds
+//     exactly EncodePacket's bytes.
 func FuzzDecodePacket(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -97,12 +102,20 @@ func FuzzDecodePacket(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding failed to decode: %v\n% x", err, enc)
 		}
-		enc2, err := EncodePacket(pkt2)
-		if err != nil {
-			t.Fatalf("second re-encode: %v", err)
+		if !reflect.DeepEqual(pkt, pkt2) {
+			t.Fatalf("re-encoding decodes to a different packet:\nfirst:  %+v\nsecond: %+v", pkt, pkt2)
 		}
-		if !bytes.Equal(enc, enc2) {
-			t.Fatalf("encode/decode not a fixed point:\nfirst:  % x\nsecond: % x", enc, enc2)
+		for i := range pkt.Messages {
+			relayedLikeClone(t, &pkt.Messages[i])
+		}
+		prefix := []byte{0xde, 0xad, 0xbe}
+		buf := append(make([]byte, 0, len(prefix)+3), prefix...)
+		got, err := AppendPacket(buf, pkt)
+		if err != nil {
+			t.Fatalf("AppendPacket: %v", err)
+		}
+		if want := append(bytes.Clone(prefix), enc...); !bytes.Equal(got, want) {
+			t.Fatalf("AppendPacket onto a prefix:\ngot:  % x\nwant: % x", got, want)
 		}
 	})
 }

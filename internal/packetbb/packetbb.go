@@ -15,6 +15,7 @@ package packetbb
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"manetkit/internal/mnet"
 )
@@ -178,44 +179,41 @@ func (b *AddrBlock) AddrTLVFor(typ uint8, i int) (AddrTLV, bool) {
 	return AddrTLV{}, false
 }
 
-// Clone returns a deep copy of the message, so a handler can mutate its copy
-// (e.g. a fisheye interposer rewriting hop limits) without aliasing.
-func (m *Message) Clone() *Message {
-	c := *m
-	c.TLVs = cloneTLVs(m.TLVs)
-	if m.AddrBlocks == nil {
-		return &c
-	}
-	c.AddrBlocks = make([]AddrBlock, len(m.AddrBlocks))
-	for i, b := range m.AddrBlocks {
-		nb := AddrBlock{
-			Addrs:      append([]mnet.Addr(nil), b.Addrs...),
-			PrefixLens: append([]uint8(nil), b.PrefixLens...),
-		}
-		if b.TLVs != nil {
-			nb.TLVs = make([]AddrTLV, len(b.TLVs))
-			for j, tlv := range b.TLVs {
-				nt := tlv
-				nt.Value = append([]byte(nil), tlv.Value...)
-				nb.TLVs[j] = nt
-			}
-		}
-		c.AddrBlocks[i] = nb
-	}
-	return &c
+// Relay returns the copy of m a relay forwards: m's header with one hop
+// less to go and one more taken, the only fields a relay changes (RFC 3626
+// §3.4.1), over m's body. TLVs and address blocks are m's own, with their
+// capacity clipped, so appending to either copies rather than writing into
+// m. Anything that writes an element in place writes m — and a received m
+// is every receiver's — so a forward that rewrites the body clones instead.
+func (m *Message) Relay() Message {
+	r := *m
+	r.HopLimit--
+	r.HopCount++
+	r.TLVs = slices.Clip(m.TLVs)
+	r.AddrBlocks = slices.Clip(m.AddrBlocks)
+	return r
 }
 
-func cloneTLVs(in []TLV) []TLV {
-	if in == nil {
-		return nil
+// Clone returns a deep copy of the message, for a forward that rewrites
+// more than the hop fields (a fisheye interposer capping hop limits, a path
+// accumulating its relays) and so must not alias what it was handed.
+func (m *Message) Clone() *Message {
+	c := *m
+	c.TLVs = slices.Clone(m.TLVs)
+	for i := range c.TLVs {
+		c.TLVs[i].Value = slices.Clone(c.TLVs[i].Value)
 	}
-	out := make([]TLV, len(in))
-	for i, tlv := range in {
-		nt := tlv
-		nt.Value = append([]byte(nil), tlv.Value...)
-		out[i] = nt
+	c.AddrBlocks = slices.Clone(m.AddrBlocks)
+	for i := range c.AddrBlocks {
+		b := &c.AddrBlocks[i]
+		b.Addrs = slices.Clone(b.Addrs)
+		b.PrefixLens = slices.Clone(b.PrefixLens)
+		b.TLVs = slices.Clone(b.TLVs)
+		for j := range b.TLVs {
+			b.TLVs[j].Value = slices.Clone(b.TLVs[j].Value)
+		}
 	}
-	return out
+	return &c
 }
 
 // Validate checks structural invariants that Encode relies on.

@@ -248,21 +248,24 @@ func (s *System) Stats() Stats {
 	return s.stats
 }
 
-// sendControl encodes the event's message into a PacketBB packet and
-// transmits it.
+// sendControl encodes the event's message into a PacketBB packet, behind the
+// control discriminator in an array on the stack (the medium copies what it
+// sends), and transmits it. A message that does not encode is neither sent
+// nor counted, and takes no packet sequence number.
 func (s *System) sendControl(ev *event.Event) error {
 	if ev.Msg == nil {
 		return fmt.Errorf("system: %s event without message", ev.Type)
 	}
+	var wire [wireStackLen]byte
 	s.mu.Lock()
-	s.seq++
-	seq := s.seq
-	s.stats.CtrlSent++
+	pkt := packetbb.Packet{SeqNum: s.seq + 1, HasSeqNum: true, Messages: []packetbb.Message{*ev.Msg}}
+	frame, err := packetbb.AppendPacket(append(wire[:0], wireControl), &pkt)
+	if err == nil {
+		s.seq++
+		s.stats.CtrlSent++
+	}
 	battery := s.battery
 	s.mu.Unlock()
-
-	pkt := &packetbb.Packet{SeqNum: seq, HasSeqNum: true, Messages: []packetbb.Message{*ev.Msg}}
-	wire, err := packetbb.EncodePacket(pkt)
 	if err != nil {
 		return fmt.Errorf("system: encoding %s: %w", ev.Type, err)
 	}
@@ -273,7 +276,7 @@ func (s *System) sendControl(ev *event.Event) error {
 	if battery != nil {
 		battery.SpendFrame()
 	}
-	return s.nic.SendTagged(dst, append([]byte{wireControl}, wire...), ev.Corr)
+	return s.nic.SendTagged(dst, frame, ev.Corr)
 }
 
 // receive is the NIC upcall: it decodes frames and pushes the resulting

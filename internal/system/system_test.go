@@ -1,6 +1,7 @@
 package system
 
 import (
+	"errors"
 	"slices"
 	"sync"
 	"testing"
@@ -109,6 +110,59 @@ func TestControlMessageEndToEnd(t *testing.T) {
 	}
 	if nodes[0].sys.Stats().CtrlSent != 1 || nodes[1].sys.Stats().CtrlReceived != 1 {
 		t.Fatalf("stats = %+v / %+v", nodes[0].sys.Stats(), nodes[1].sys.Stats())
+	}
+}
+
+// TestFailedEncodeIsNotCounted: a MSG_OUT whose message does not encode (an
+// address block of 256 addresses) fails back to the dispatcher, reaches no
+// NIC, and is not counted as sent.
+func TestFailedEncodeIsNotCounted(t *testing.T) {
+	_, _, nodes := newTestNet(t, 1)
+	msg := &packetbb.Message{Type: packetbb.MsgTC, AddrBlocks: []packetbb.AddrBlock{{Addrs: make([]mnet.Addr, 256)}}}
+	err := nodes[0].sys.Protocol().Accept(&event.Event{Type: event.MsgOut, Msg: msg, Dst: mnet.Broadcast})
+	if !errors.Is(err, packetbb.ErrTooLarge) {
+		t.Fatalf("MSG_OUT with 256 addresses: err = %v, want ErrTooLarge", err)
+	}
+	if st := nodes[0].sys.Stats(); st.CtrlSent != 0 {
+		t.Fatalf("CtrlSent = %d after a failed encode, want 0", st.CtrlSent)
+	}
+	if tx, _ := nodes[0].sys.NIC().Counters(); tx != 0 {
+		t.Fatalf("NIC sent %d frames after a failed encode, want 0", tx)
+	}
+}
+
+// TestSendControlAllocs pins a control transmission: the TC is encoded on
+// the stack behind its discriminator, so sending it to two receivers costs
+// the medium's copy of the frame and the decode slot the receivers share,
+// and nothing else.
+func TestSendControlAllocs(t *testing.T) {
+	net, clk, nodes := newTestNet(t, 1)
+	for _, a := range []string{"10.0.9.1", "10.0.9.2"} {
+		nic, err := net.Attach(mnet.MustParseAddr(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.SetLink(nodes[0].addr, nic.Addr(), emunet.DefaultQuality()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tc := &packetbb.Message{
+		Type: packetbb.MsgTC, Originator: nodes[0].addr, HopLimit: 255, SeqNum: 1,
+		TLVs:       []packetbb.TLV{{Type: packetbb.TLVANSN, Value: packetbb.U16(1)}},
+		AddrBlocks: []packetbb.AddrBlock{{Addrs: []mnet.Addr{mnet.MustParseAddr("10.0.9.1"), mnet.MustParseAddr("10.0.9.2")}}},
+	}
+	send := func() {
+		if err := nodes[0].sys.sendControl(&event.Event{Type: event.TCOut, Msg: tc, Dst: mnet.Broadcast}); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(emunet.DefaultQuality().Delay)
+	}
+	send() // warm the engine
+	if got := testing.AllocsPerRun(200, send); got != 2 {
+		t.Fatalf("sendControl(TC) to two receivers = %.1f allocs, want 2 (frame copy, decode slot)", got)
+	}
+	if st := nodes[0].sys.Stats(); st.CtrlSent != 1+201 {
+		t.Fatalf("CtrlSent = %d, want %d", st.CtrlSent, 1+201)
 	}
 }
 

@@ -38,8 +38,9 @@ var errNotControl = errors.New("system: not a control frame")
 // DecodeControl returns the PacketBB packet a control frame carries. A
 // transmission is decoded once (emunet.Frame.Decoded): every node that
 // heard the frame, and every tap that asks here, gets the same packet and
-// the same error. The packet is therefore read-only — Clone a message before
-// changing it.
+// the same error. The packet is therefore read-only: a forward that changes
+// only a message's hop fields relays it (event.Relay), sharing its body, and
+// one that rewrites anything else works on a Clone.
 func DecodeControl(f emunet.Frame) (*packetbb.Packet, error) {
 	if !IsControlFrame(f.Payload) {
 		return nil, errNotControl

@@ -440,11 +440,8 @@ func (z *ZRP) onRREQ(ctx *core.Context, ev *event.Event) error {
 	if msg.HopLimit <= 1 {
 		return nil
 	}
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
 	z.state.bump(func(st *Stats) { st.RREQForwards++ })
-	ctx.Emit(&event.Event{Type: event.REOut, Msg: fwd, Dst: mnet.Broadcast})
+	ctx.Emit(event.Relay(event.REOut, msg, mnet.Broadcast))
 	return nil
 }
 
@@ -481,10 +478,7 @@ func (z *ZRP) onRREP(ctx *core.Context, ev *event.Event) error {
 	if err != nil || msg.HopLimit <= 1 {
 		return nil
 	}
-	fwd := msg.Clone()
-	fwd.HopLimit--
-	fwd.HopCount++
-	ctx.Emit(&event.Event{Type: event.REOut, Msg: fwd, Dst: p.NextHop})
+	ctx.Emit(event.Relay(event.REOut, msg, p.NextHop))
 	return nil
 }
 
