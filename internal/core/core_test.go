@@ -77,7 +77,7 @@ func TestAutoBindingFromTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reflective view shows the derived binding.
-	arch := m.CF().Arch()
+	arch := m.Arch()
 	found := false
 	for _, b := range arch.Bindings {
 		if b.From == "provider" && b.To == "requirer" {

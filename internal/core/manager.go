@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -124,8 +125,8 @@ type Manager struct {
 	ont  *event.Ontology
 
 	// mu guards reconfiguration state only: the unit table, the derived
-	// chains, bindings, pollers and lifecycle flags. The steady-state emit
-	// path never takes it — it routes via the published plan below.
+	// chains, pollers and lifecycle flags. The steady-state emit path never
+	// takes it — it routes via the published plan below.
 	mu    sync.Mutex
 	units map[string]*unitRec
 	order []*unitRec // deployment order: interposer chains follow it
@@ -140,17 +141,8 @@ type Manager struct {
 	dirty   []bool
 	ontVer  uint64
 
-	// The reflective mirror: per link, linkRefs counts the chains that hold
-	// it and bindings has the kernel binding standing for it; unbound are the
-	// links whose Bind failed, retried by every rewire. touched is scratch.
-	linkRefs map[kernel.BindingInfo]int
-	bindings map[kernel.BindingInfo]*kernel.Binding
-	unbound  []kernel.BindingInfo
-	touched  []kernel.BindingInfo
-
 	pollers []*vclock.Periodic
 	closed  bool
-	sealed  bool
 
 	// plan is the compiled event topology, republished by every rewire that
 	// re-derived a chain and swapped atomically (RCU): emit loads it once and
@@ -231,8 +223,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		ont:      cfg.Ontology,
 		units:    make(map[string]*unitRec),
 		typeIdx:  make(map[event.Type]int),
-		linkRefs: make(map[kernel.BindingInfo]int),
-		bindings: make(map[kernel.BindingInfo]*kernel.Binding),
 		poolSize: cfg.PoolSize,
 		qBound:   cfg.QueueBound,
 		obs:      newManagerObs(cfg.Node, cfg.Metrics, cfg.Tracer),
@@ -251,9 +241,26 @@ func (m *Manager) Clock() vclock.Clock { return m.clk }
 // Ontology returns the deployment's event ontology.
 func (m *Manager) Ontology() *event.Ontology { return m.ont }
 
-// CF exposes the MANETKit CF's architecture meta-model: the deployed units
-// and the event bindings derived from their tuples.
-func (m *Manager) CF() *kernel.CF { return m.cf }
+// Arch is the MANETKit CF's architecture meta-model: the kernel CF's
+// components (the deployed units) and the receptacle-to-interface links the
+// current chains stand for, derived at each call, de-duplicated and sorted.
+// The chains are the only record of the event topology, so what reflection
+// shows is what dispatch routes.
+func (m *Manager) Arch() kernel.Arch {
+	a := m.cf.Arch()
+	m.mu.Lock()
+	for _, ch := range m.chains {
+		if ch != nil {
+			a.Bindings = ch.linkSet(a.Bindings)
+		}
+	}
+	m.mu.Unlock()
+	slices.SortFunc(a.Bindings, func(x, y kernel.BindingInfo) int {
+		return cmp.Or(cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
+	})
+	a.Bindings = slices.Compact(a.Bindings)
+	return a
+}
 
 // SetModel switches the global concurrency model. Deliveries already in
 // flight complete under the old model; FIFO order per unit is preserved
@@ -335,14 +342,20 @@ func (m *Manager) Deploy(u Unit) error {
 	return nil
 }
 
-// Undeploy stops and removes the named unit and re-derives the topology.
+// Undeploy stops and removes the named unit and re-derives the topology. The
+// MANETKit CF's integrity rules are checked first: a vetoed removal returns
+// their error with the unit still deployed and still receiving events.
 func (m *Manager) Undeploy(name string) error {
-	m.mu.Lock()
-	rec, ok := m.units[name]
-	if !ok {
-		m.mu.Unlock()
+	if _, ok := m.Unit(name); !ok {
 		return fmt.Errorf("%w: unit %q", kernel.ErrNoComponent, name)
 	}
+	if err := m.cf.Remove(name); err != nil {
+		return err
+	}
+	// The record is still here: only an Undeploy whose Remove succeeded
+	// deletes it, and Deploy refuses the name while it is recorded.
+	m.mu.Lock()
+	rec := m.units[name]
 	delete(m.units, name)
 	m.order = slices.DeleteFunc(m.order, func(r *unitRec) bool { return r == rec })
 	m.retireLocked(rec)
@@ -353,7 +366,7 @@ func (m *Manager) Undeploy(name string) error {
 	}
 	rec.unit.Detach()
 	m.Rewire()
-	return m.cf.Remove(name)
+	return nil
 }
 
 // Unit implements unit lookup for direct calls.
@@ -421,8 +434,8 @@ func (m *Manager) DisableDedicatedThread(name string) error {
 }
 
 // Rewire re-derives the per-event-type delivery chains from the deployed
-// units' tuples and updates the MANETKit CF's reflective bindings to match
-// — the automatic, declarative reconfiguration of §4.2/§4.5.
+// units' tuples and publishes them — the automatic, declarative
+// reconfiguration of §4.2/§4.5.
 func (m *Manager) Rewire() {
 	m.mu.Lock()
 	m.rewireLocked()
@@ -436,7 +449,7 @@ func (m *Manager) Rewire() {
 // SetRewireHook installs fn to run after every topology re-derivation
 // triggered through Rewire (Deploy, Undeploy and tuple changes all funnel
 // through it) and after SetModel. fn runs outside the manager's internal
-// lock, so it may call the reflective accessors (Units, Unit, Model, CF,
+// lock, so it may call the reflective accessors (Units, Unit, Model, Arch,
 // DedicatedThread) — the inspect package uses this to journal every
 // reconfiguration as a snapshot diff. Passing nil removes the hook.
 func (m *Manager) SetRewireHook(fn func()) {
@@ -464,17 +477,13 @@ func (m *Manager) rewireLocked() {
 		}
 	}
 	m.resolveLocked()
-	m.touched = m.touched[:0]
 	replan := false
 	for i, d := range m.dirty {
 		if !d {
 			continue
 		}
 		m.dirty[i], replan = false, true
-		old := m.chains[i]
-		m.chains[i] = m.deriveLocked(i, old)
-		m.countLinksLocked(old, -1)
-		m.countLinksLocked(m.chains[i], +1)
+		m.chains[i] = m.deriveLocked(i, m.chains[i])
 	}
 	if replan {
 		plan := &dispatchPlan{byType: make(map[event.Type]*typePlan, len(m.types))}
@@ -485,7 +494,6 @@ func (m *Manager) rewireLocked() {
 		}
 		m.plan.Store(plan)
 	}
-	m.syncBindingsLocked()
 	if m.obs != nil {
 		if m.obs.rewireLat != nil {
 			m.obs.rewireLat.Observe(m.clk.Now().Sub(rewireStart))
@@ -536,47 +544,6 @@ func (m *Manager) retireLocked(rec *unitRec) {
 		m.dirty[i] = m.dirty[i] || r != 0
 	}
 	rec.roles = rec.roles[:0]
-}
-
-// countLinksLocked adds by to the reference count of each of ch's links and
-// notes them as touched by this rewire; a sealed manager keeps no mirror.
-func (m *Manager) countLinksLocked(ch *chain, by int) {
-	if ch == nil || m.sealed {
-		return
-	}
-	for _, l := range ch.links {
-		m.linkRefs[l] += by
-	}
-	m.touched = append(m.touched, ch.links...)
-}
-
-// syncBindingsLocked mirrors the re-derived chains into kernel bindings on
-// the MANETKit CF so that the architecture meta-model shows the real
-// topology: of the links this rewire touched (and those an earlier Bind
-// refused), those no chain holds any more are unbound, then the rest bound.
-func (m *Manager) syncBindingsLocked() {
-	touched := append(m.touched, m.unbound...)
-	m.unbound = m.unbound[:0]
-	for _, l := range touched {
-		if m.linkRefs[l] > 0 {
-			continue
-		}
-		if b := m.bindings[l]; b != nil {
-			_ = m.cf.Unbind(b)
-			delete(m.bindings, l)
-		}
-		delete(m.linkRefs, l)
-	}
-	for _, l := range touched {
-		if m.linkRefs[l] == 0 || m.bindings[l] != nil {
-			continue
-		}
-		if b, err := m.cf.Bind(l.From, l.Receptacle, l.To, l.Interface); err == nil {
-			m.bindings[l] = b
-		} else if !slices.Contains(m.unbound, l) {
-			m.unbound = append(m.unbound, l) // the mirror is best-effort
-		}
-	}
 }
 
 // emit routes ev from the named unit: through the remaining interposers for
@@ -912,20 +879,20 @@ func (m *Manager) dispatchContextEvent(ev *event.Event) {
 
 // AddRule registers an integrity rule on the MANETKit CF — e.g. the
 // paper's example of ensuring only one reactive routing protocol instance
-// exists in a deployment (§4.2). Deployments violating the rule are
-// rejected and rolled back.
+// exists in a deployment (§4.2). Rules see the deployed units: a Deploy or
+// Undeploy violating one is rejected with nothing changed. Bindings are
+// derived from tuples, not inserted, so a rule forbids a composition by
+// forbidding its units, as aodv.RuleSingleReactive does.
 func (m *Manager) AddRule(r kernel.IntegrityRule) error { return m.cf.AddRule(r) }
 
 // Seal unloads the deployment's reconfiguration machinery once the desired
 // configuration is reached (§6.2 footnote: "it is possible to unload the
 // OpenCom kernel to free up memory"): the MANETKit CF's kernel metadata,
-// the reflective binding mirror, integrity rules, and every deployed
-// protocol's inner CF metadata. Event routing keeps working; further
-// Deploy/Rewire calls become no-ops or fail.
+// integrity rules, and every deployed protocol's inner CF metadata. Event
+// routing and the bindings Arch derives keep working; further Deploy/Rewire
+// calls become no-ops or fail.
 func (m *Manager) Seal() {
 	m.mu.Lock()
-	m.sealed = true
-	m.linkRefs, m.bindings, m.unbound = nil, nil, nil
 	recs := make([]*unitRec, 0, len(m.units))
 	for _, rec := range m.units {
 		recs = append(recs, rec)

@@ -52,9 +52,8 @@ type chain struct {
 	interposers []*unitRec // provide and require the type; deployment order
 	terminals   []*unitRec // require it only; deployment order
 	exclusive   []*unitRec // the terminals that consume the event; same order
+	heads       []*unitRec // provide it only; read by reflection, not routing
 	plan        *typePlan
-	// links is the chain's share of the reflective binding mirror.
-	links []kernel.BindingInfo
 }
 
 // typePlan is the compiled route for one concrete event type. Routing depends
@@ -81,8 +80,6 @@ var emptyPlan = &dispatchPlan{byType: map[event.Type]*typePlan{}}
 // the pure providers changed) the compiled route is prev's.
 func (m *Manager) deriveLocked(i int, prev *chain) *chain {
 	ch := &chain{}
-	var buf [4]*unitRec
-	heads := buf[:0]
 	for _, rec := range m.order {
 		switch r := rec.roles[i]; {
 		case r&provides != 0 && r&requires != 0:
@@ -90,7 +87,7 @@ func (m *Manager) deriveLocked(i int, prev *chain) *chain {
 			// precludes loops (§4.2 footnote 2).
 			ch.interposers = append(ch.interposers, rec)
 		case r&provides != 0:
-			heads = append(heads, rec)
+			ch.heads = append(ch.heads, rec)
 		case r&requires != 0:
 			ch.terminals = append(ch.terminals, rec)
 			if r&exclusive != 0 {
@@ -98,7 +95,7 @@ func (m *Manager) deriveLocked(i int, prev *chain) *chain {
 			}
 		}
 	}
-	if len(heads)+len(ch.interposers) == 0 {
+	if len(ch.heads)+len(ch.interposers) == 0 {
 		return nil
 	}
 	if prev != nil && slices.Equal(prev.interposers, ch.interposers) &&
@@ -106,9 +103,6 @@ func (m *Manager) deriveLocked(i int, prev *chain) *chain {
 		ch.plan = prev.plan
 	} else {
 		ch.plan = ch.compile()
-	}
-	if !m.sealed {
-		ch.links = ch.linkSet(heads)
 	}
 	return ch
 }
@@ -147,10 +141,11 @@ func (ch *chain) route(from *unitRec) []*unitRec {
 	return ch.terminals
 }
 
-// linkSet lists the links that mirror the chain in the MANETKit CF: heads to
-// the first interposer, interposer to interposer, the last stage to each terminal.
-func (ch *chain) linkSet(heads []*unitRec) []kernel.BindingInfo {
-	links := make([]kernel.BindingInfo, 0, len(heads)+len(ch.interposers)+len(ch.terminals))
+// linkSet appends the links the chain stands for in the MANETKit CF's
+// architecture meta-model: heads to the first interposer, interposer to
+// interposer, the last stage to each terminal.
+func (ch *chain) linkSet(links []kernel.BindingInfo) []kernel.BindingInfo {
+	heads := ch.heads
 	link := func(from, to *unitRec) {
 		links = append(links, kernel.BindingInfo{From: from.name, Receptacle: "REvents", To: to.name, Interface: "IEventSink"})
 	}

@@ -181,10 +181,10 @@ func TestRewireIdempotentProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := fmt.Sprint(mgr.CF().Arch())
+		before := fmt.Sprint(mgr.Arch())
 		mgr.Rewire()
 		mgr.Rewire()
-		return fmt.Sprint(mgr.CF().Arch()) == before
+		return fmt.Sprint(mgr.Arch()) == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

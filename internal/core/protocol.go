@@ -235,15 +235,6 @@ var (
 // ErrNotDeployed is returned by lifecycle calls on an unattached protocol.
 var ErrNotDeployed = errors.New("core: protocol not deployed")
 
-// protocolSink adapts a Protocol to event.Sink with a comparable identity,
-// as required for kernel binding bookkeeping.
-type protocolSink struct{ p *Protocol }
-
-var _ event.Sink = (*protocolSink)(nil)
-
-// Deliver implements event.Sink.
-func (s *protocolSink) Deliver(ev *event.Event) error { return s.p.Accept(ev) }
-
 // NewProtocol creates an empty ManetProtocol CF with the standard integrity
 // rules.
 func NewProtocol(name string) *Protocol {
@@ -259,9 +250,7 @@ func NewProtocol(name string) *Protocol {
 	if err := p.cf.Insert(control); err != nil {
 		panic(fmt.Sprintf("core: inserting control element: %v", err))
 	}
-	p.cf.Provide("IEventSink", &protocolSink{p: p})
 	p.cf.Provide("IControl", p)
-	p.cf.DefineMultiReceptacle("REvents", nil, nil)
 	return p
 }
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +15,7 @@ import (
 )
 
 // A Rewire that finds every tuple as it left it derives nothing: the
-// published plan and its typePlans stay, no kernel binding is touched, and
+// published plan and its typePlans stay, no kernel operation is issued, and
 // nothing is allocated.
 func TestRewireWithoutChangeAllocs(t *testing.T) {
 	m, _ := newMgr(t, SingleThreaded)
@@ -100,7 +103,8 @@ func TestEmitAgainstSharedTypePlans(t *testing.T) {
 	m.SetRewireHook(func() {
 		mu.Lock()
 		defer mu.Unlock()
-		for typ, tp := range m.plan.Load().byType {
+		plan := m.plan.Load()
+		for typ, tp := range plan.byType {
 			for _, rec := range tp.def {
 				mark(legal, rec.unit.Name(), typ)
 			}
@@ -108,6 +112,25 @@ func TestEmitAgainstSharedTypePlans(t *testing.T) {
 				for _, rec := range targets {
 					mark(legal, rec.unit.Name(), typ)
 				}
+			}
+		}
+		// Reflection reads the same chains: every link joins a unit that
+		// provides some type to a member of that type's published route.
+		for _, l := range m.Arch().Bindings {
+			from, ok := m.Unit(l.From)
+			if !ok {
+				t.Errorf("link %v leaves an undeployed unit", l)
+				continue
+			}
+			joined := false
+			for typ, tp := range plan.byType {
+				if _, member := tp.perFrom[l.To]; member && from.Tuple().Provides(typ) {
+					joined = true
+					break
+				}
+			}
+			if !joined {
+				t.Errorf("link %v joins no pair the published plan routes between", l)
 			}
 		}
 	})
@@ -186,42 +209,43 @@ func TestEmitAgainstSharedTypePlans(t *testing.T) {
 	}
 }
 
-// The mirror is best-effort: a link whose Bind an integrity rule refuses is
-// tried again by every rewire until it takes.
-func TestRefusedBindIsRetried(t *testing.T) {
+// An Undeploy an integrity rule vetoes changes nothing: the unit stays
+// deployed and keeps receiving its events, and once the rule is satisfied the
+// same Undeploy goes through.
+func TestVetoedUndeployChangesNothing(t *testing.T) {
 	m, _ := newMgr(t, SingleThreaded)
-	allowed := false
-	if err := m.AddRule(kernel.IntegrityRule{Name: "gate", Check: func(a kernel.Arch) error {
-		if len(a.Bindings) > 0 && !allowed {
-			return errors.New("not yet")
-		}
-		return nil
-	}}); err != nil {
-		t.Fatal(err)
-	}
 	prov := newRecorder(t, "provider", event.Tuple{Provided: []event.Type{event.TCOut}})
-	req := newRecorder(t, "requirer", event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}})
-	for _, r := range []*recorder{prov, req} {
+	sink := newRecorder(t, "sink-1", event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}})
+	for _, r := range []*recorder{prov, sink} {
 		if err := m.Deploy(r.p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := m.CF().Arch().Bindings; len(got) != 0 {
-		t.Fatalf("refused binding present: %v", got)
-	}
-	emitFrom(t, m, "provider", &event.Event{Type: event.TCOut})
-	if got := req.events(); len(got) != 1 {
-		t.Fatalf("routing must not depend on the mirror: requirer saw %v", got)
-	}
-	allowed = true
-	m.Rewire()
-	if got := m.CF().Arch().Bindings; len(got) != 1 || got[0].From != "provider" || got[0].To != "requirer" {
-		t.Fatalf("bindings after the rule relented = %v", got)
-	}
-	if err := m.Undeploy("requirer"); err != nil {
+	if err := m.AddRule(kernel.RuleRequired("sink", func(c string) bool { return strings.HasPrefix(c, "sink") })); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.CF().Arch().Bindings; len(got) != 0 {
-		t.Fatalf("bindings after the requirer left = %v", got)
+	bound := m.Arch()
+	if err := m.Undeploy("sink-1"); !errors.Is(err, kernel.ErrIntegrity) {
+		t.Fatalf("vetoed Undeploy = %v, want ErrIntegrity", err)
+	}
+	if got := m.Units(); !slices.Equal(got, []string{"provider", "sink-1"}) {
+		t.Fatalf("units after a vetoed Undeploy = %v", got)
+	}
+	if got := m.Arch(); fmt.Sprint(got) != fmt.Sprint(bound) {
+		t.Fatalf("architecture after a vetoed Undeploy = %v, before %v", got, bound)
+	}
+	emitFrom(t, m, "provider", &event.Event{Type: event.TCOut})
+	if got := sink.events(); len(got) != 1 {
+		t.Fatalf("sink after a vetoed Undeploy saw %v", got)
+	}
+
+	if err := m.Deploy(newRecorder(t, "sink-2", event.Tuple{}).p); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Undeploy("sink-1"); err != nil {
+		t.Fatalf("Undeploy with the rule satisfied = %v", err)
+	}
+	if err := m.Deploy(sink.p); err != nil {
+		t.Fatalf("redeploying the undeployed unit = %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"manetkit/internal/event"
@@ -14,24 +15,28 @@ func TestManagerSealKeepsRoutingWorking(t *testing.T) {
 	sink := newRecorder(t, "sink", event.Tuple{Required: []event.Requirement{{Type: event.HelloIn}}})
 	m.Deploy(src.p)
 	m.Deploy(sink.p)
-	if len(m.CF().Arch().Bindings) == 0 {
+	bound := m.Arch().Bindings
+	if len(bound) == 0 {
 		t.Fatal("setup: no reflective bindings")
 	}
 	m.Seal()
-	// Reflective metadata is unloaded...
-	if got := m.CF().Arch().Bindings; len(got) != 0 {
-		t.Fatalf("bindings survived Seal: %v", got)
-	}
-	// ...but event routing keeps working.
+	// Kernel metadata is unloaded, but event routing keeps working and the
+	// bindings, derived from the chains that route, are still shown.
 	emitFrom(t, m, "src", &event.Event{Type: event.HelloIn})
 	if len(sink.events()) != 1 {
 		t.Fatal("event routing broken by Seal")
+	}
+	if got := m.Arch().Bindings; !slices.Equal(got, bound) {
+		t.Fatalf("bindings after Seal = %v, before %v", got, bound)
 	}
 	// Rewire becomes a metadata no-op rather than an error.
 	m.Rewire()
 	emitFrom(t, m, "src", &event.Event{Type: event.HelloIn})
 	if len(sink.events()) != 2 {
 		t.Fatal("routing broken after post-seal Rewire")
+	}
+	if got := m.Arch().Bindings; !slices.Equal(got, bound) {
+		t.Fatalf("bindings after post-seal Rewire = %v, before %v", got, bound)
 	}
 	// Protocol CFs are sealed too: structural mutation is refused.
 	err := sink.p.CF().Insert(kernel.NewBase("late"))

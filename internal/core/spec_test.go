@@ -257,7 +257,7 @@ func TestManagerMatchesBindingSpec(t *testing.T) {
 				t.Fatalf("%s: plan routes %d types, spec %d", where, n, len(want))
 			}
 			got := map[kernel.BindingInfo]bool{}
-			bound := m.CF().Arch().Bindings
+			bound := m.Arch().Bindings
 			for _, l := range bound {
 				got[l] = true
 			}

@@ -192,7 +192,7 @@ func MeasureTable2() (Table2, error) {
 		}
 		// "Once a desired configuration has been achieved it is possible
 		// to unload the OpenCom kernel to free up memory" — Seal drops the
-		// kernel metadata, the binding mirror and the integrity rules.
+		// kernel metadata and the integrity rules.
 		dep.mgr.Seal()
 		return dep
 	})

@@ -1,6 +1,6 @@
 // Package inspect is MANETKit's runtime-introspection layer: it turns the
-// reflective architecture meta-model (§4.2, the kernel CF metadata the
-// Framework Manager keeps in sync with its derived event topology) into
+// reflective architecture meta-model (§4.2, the deployed units and the
+// bindings the Framework Manager derives from their event tuples) into
 // artifacts an operator can diff, render and correlate without reading
 // source code.
 //
@@ -50,8 +50,8 @@ type UnitSnapshot struct {
 }
 
 // BindingSnapshot is one receptacle-to-interface binding from the MANETKit
-// CF's architecture meta-model — the reflective mirror of the derived
-// event-delivery topology.
+// CF's architecture meta-model — one link of the derived event-delivery
+// topology.
 type BindingSnapshot struct {
 	From       string `json:"from"`
 	Receptacle string `json:"receptacle"`
@@ -106,12 +106,11 @@ func CaptureNode(m *core.Manager) NodeSnapshot {
 		}
 		ns.Units = append(ns.Units, us)
 	}
-	for _, b := range m.CF().Arch().Bindings {
+	for _, b := range m.Arch().Bindings {
 		ns.Bindings = append(ns.Bindings, BindingSnapshot{
 			From: b.From, Receptacle: b.Receptacle, To: b.To, Interface: b.Interface,
 		})
 	}
-	sortBindings(ns.Bindings)
 	return ns
 }
 

@@ -29,13 +29,6 @@ type Config struct {
 	Jitter float64
 	// TopologyHold is the topology tuple validity (default 3×TCInterval).
 	TopologyHold time.Duration
-	// RecomputeInterval is the quantum at which triggered route recomputes
-	// are drained (default TCInterval/50). Topology and neighbourhood
-	// changes mark the route set dirty; one vclock timer per node drains
-	// the flag at the next quantization boundary, so a TC flood burst costs
-	// one shortest-path run instead of one per message, with staleness
-	// bounded by this interval.
-	RecomputeInterval time.Duration
 	// FIB, when non-nil, receives the protocol's routes (the kernel table).
 	FIB *route.FIB
 	// Device names the FIB device for installed routes.
@@ -55,9 +48,6 @@ func (c *Config) fill() {
 	}
 	if c.TopologyHold <= 0 {
 		c.TopologyHold = 3 * c.TCInterval
-	}
-	if c.RecomputeInterval <= 0 {
-		c.RecomputeInterval = c.TCInterval / 50
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.Real()
@@ -282,10 +272,12 @@ func (o *OLSR) sweep(ctx *core.Context) {
 }
 
 // markDirty notes that the route set may be stale and arms at most one
-// vclock timer to drain the recompute at the next RecomputeInterval
-// boundary. Quantizing the deadline (rather than "now + interval") makes
-// the drain instant a deterministic function of virtual time, so replays
-// are byte-identical regardless of which trigger fired first. Called only
+// vclock timer to drain the recompute at the next boundary of the
+// TCInterval/50 quantum, so a TC flood burst costs one shortest-path run
+// instead of one per message, with staleness bounded by the quantum.
+// Quantizing the deadline (rather than "now + interval") makes the drain
+// instant a deterministic function of virtual time, so replays are
+// byte-identical regardless of which trigger fired first. Called only
 // inside the protocol's critical section, which is what makes the flag and
 // timer handle safe without a lock of their own.
 func (o *OLSR) markDirty(ctx *core.Context) {
@@ -295,7 +287,8 @@ func (o *OLSR) markDirty(ctx *core.Context) {
 	}
 	clk := ctx.Clock()
 	now := clk.Now()
-	fire := now.Truncate(o.cfg.RecomputeInterval).Add(o.cfg.RecomputeInterval)
+	q := o.cfg.TCInterval / 50
+	fire := now.Truncate(q).Add(q)
 	o.drainTimer = clk.AfterFunc(fire.Sub(now), func() {
 		// The timer callback runs outside the critical section; re-enter it
 		// to drain. A stopped deployment reports ErrNotDeployed — the

@@ -255,7 +255,7 @@ func TestOLSRCompositionMatchesFig5(t *testing.T) {
 		}
 	}
 	// Manager bindings: MPR provides NHOOD_CHANGE/MPR_CHANGE required by OLSR.
-	arch := on.node.Mgr.CF().Arch()
+	arch := on.node.Mgr.Arch()
 	var mprToOLSR bool
 	for _, b := range arch.Bindings {
 		if b.From == "mpr" && b.To == "olsr" {
