@@ -59,6 +59,16 @@ func (r *BenchReport) result(name string) *BenchResult {
 	return nil
 }
 
+// gated reports whether the experiment holds a value Compare checks.
+func (r BenchResult) gated() bool {
+	for _, v := range r.Values {
+		if v.Deterministic {
+			return true
+		}
+	}
+	return false
+}
+
 // WriteJSON emits the report with stable formatting.
 func (r *BenchReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -90,14 +100,19 @@ func loadBaseline(path string) (*BenchReport, error) {
 
 // Compare checks current against baseline: every deterministic baseline
 // value must exist in current and agree within the fractional tolerance
-// band. Experiments absent from current are skipped (the run may cover a
-// subset); non-deterministic values are never compared. The returned
-// strings describe each regression; empty means the band held.
-func Compare(baseline, current *BenchReport, tol float64) []string {
+// band. A complete run (-all) must produce every baseline experiment that
+// holds a deterministic value; otherwise the run may cover a subset
+// (-table, -ablation) and experiments absent from it are skipped.
+// Non-deterministic values are never compared. The returned strings
+// describe each regression; empty means the band held.
+func Compare(baseline, current *BenchReport, tol float64, complete bool) []string {
 	var regressions []string
 	for _, base := range baseline.Results {
 		cur := current.result(base.Name)
 		if cur == nil {
+			if complete && base.gated() {
+				regressions = append(regressions, fmt.Sprintf("%s: missing from current report", base.Name))
+			}
 			continue
 		}
 		keys := make([]string, 0, len(base.Values))

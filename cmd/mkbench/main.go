@@ -30,14 +30,12 @@ import (
 
 func main() {
 	table := flag.Int("table", 0, "paper table to regenerate (1 or 2)")
-	ablation := flag.String("ablation", "", "ablation to run: concurrency, variants, dymo, hybrid, dispatch, reconfig, scale")
+	ablation := flag.String("ablation", "", "ablation to run: concurrency, variants, dymo, hybrid, reconfig, scale")
 	all := flag.Bool("all", false, "run everything (except the scale ablation, which has its own CI job)")
-	iters := flag.Int("iters", 2000, "iterations for per-message timing")
 	jsonOut := flag.String("json", "", "also write the measurements to this file as JSON")
 	check := flag.String("check", "", "compare this run against a baseline JSON report")
 	tolerance := flag.Float64("tolerance", 0.01, "fractional tolerance band for -check")
 	minNodesPerSec := flag.Float64("minNodesPerSec", 0, "scale ablation: fail if any cell emulates fewer node·s per wall second")
-	minNodesPerSecOLSR := flag.Float64("minNodesPerSecOLSR", 0, "scale ablation: per-protocol floor for the olsr cells, overriding -minNodesPerSec (olsr route recompute used to be the protocol the global floor had to accommodate)")
 	maxAllocsPerRx := flag.Float64("maxAllocsPerRx", 0, "scale ablation: fail if any cell exceeds this many heap allocations per delivered frame")
 	flag.Parse()
 
@@ -55,7 +53,7 @@ func main() {
 		fmt.Println()
 	}
 	if *all || *table == 1 {
-		run("Table 1", func(r *BenchReport) error { return table1(r, *iters) })
+		run("Table 1", table1)
 	}
 	if *all || *table == 2 {
 		run("Table 2", table2)
@@ -72,9 +70,6 @@ func main() {
 	if *all || *ablation == "hybrid" {
 		run("Hybridisation (§7 extension)", hybrid)
 	}
-	if *all || *ablation == "dispatch" {
-		run("Event dispatch path (§6.1)", dispatch)
-	}
 	if *all || *ablation == "reconfig" {
 		run("Protocol switch (§4.5)", reconfig)
 	}
@@ -82,7 +77,7 @@ func main() {
 	// enough that CI runs them as a dedicated job.
 	if *ablation == "scale" {
 		run("Scale (event core)", func(r *BenchReport) error {
-			return scale(r, *minNodesPerSec, *minNodesPerSecOLSR, *maxAllocsPerRx)
+			return scale(r, *minNodesPerSec, *maxAllocsPerRx)
 		})
 	}
 
@@ -106,7 +101,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mkbench: %v\n", err)
 			os.Exit(1)
 		}
-		regressions := Compare(baseline, report, *tolerance)
+		regressions := Compare(baseline, report, *tolerance, *all)
 		for _, r := range regressions {
 			fmt.Fprintf(os.Stderr, "REGRESSION: %s\n", r)
 		}
@@ -122,17 +117,10 @@ func main() {
 // route liveness are deterministic (virtual clock + seeds) and gated by the
 // committed BENCH_scale.json baseline; throughput and allocation rate are
 // host measurements gated by the absolute -minNodesPerSec / -maxAllocsPerRx
-// floors instead of relative comparison. The olsr cells take their own
-// floor when -minNodesPerSecOLSR is set: the incremental route recompute
-// holds olsr to a much higher throughput than the global floor, and a
-// per-protocol gate keeps a regression there from hiding under it.
-func scale(rep *BenchReport, minNodesPerSec, minNodesPerSecOLSR, maxAllocsPerRx float64) error {
+// floors, which apply to every cell, instead of relative comparison.
+func scale(rep *BenchReport, minNodesPerSec, maxAllocsPerRx float64) error {
 	var gateErrs []string
 	for _, proto := range []string{"olsr", "aodv"} {
-		floor := minNodesPerSec
-		if proto == "olsr" && minNodesPerSecOLSR > 0 {
-			floor = minNodesPerSecOLSR
-		}
 		for _, n := range []int{100, 1000, 5000} {
 			r, err := harness.MeasureScale(harness.ScaleSpec{Protocol: proto, Nodes: n})
 			if err != nil {
@@ -147,9 +135,9 @@ func scale(rep *BenchReport, minNodesPerSec, minNodesPerSecOLSR, maxAllocsPerRx 
 				"node_sec_per_sec": wall(r.NodeSecPerSec, "node·s/s"),
 				"allocs_per_rx":    wall(r.AllocsPerRx, "allocs/frame"),
 			})
-			if floor > 0 && r.NodeSecPerSec < floor {
+			if minNodesPerSec > 0 && r.NodeSecPerSec < minNodesPerSec {
 				gateErrs = append(gateErrs, fmt.Sprintf(
-					"scale_%s_%d: %.0f node·s/s below floor %.0f", proto, n, r.NodeSecPerSec, floor))
+					"scale_%s_%d: %.0f node·s/s below floor %.0f", proto, n, r.NodeSecPerSec, minNodesPerSec))
 			}
 			if maxAllocsPerRx > 0 && r.AllocsPerRx > maxAllocsPerRx {
 				gateErrs = append(gateErrs, fmt.Sprintf(
@@ -188,37 +176,20 @@ func hybrid(rep *BenchReport) error {
 	return nil
 }
 
-func dispatch(rep *BenchReport) error {
-	d, err := harness.MeasureDispatch()
-	if err != nil {
-		return err
-	}
-	d.Print()
-	// ns/op is host-dependent (trend only); allocs/op is a property of the
-	// code — the RCU dispatch plans keep the steady-state path at exactly
-	// zero, and the baseline gate holds it there.
-	rep.add("dispatch", map[string]BenchValue{
-		"direct_ns_per_op":     wall(d.DirectNs, "ns"),
-		"direct_allocs_per_op": det(d.DirectAllocs, "allocs"),
-		"chain_ns_per_op":      wall(d.ChainNs, "ns"),
-		"chain_allocs_per_op":  det(d.ChainAllocs, "allocs"),
-	})
-	return nil
-}
-
-func table1(rep *BenchReport, iters int) error {
-	t, err := harness.MeasureTable1(iters)
+func table1(rep *BenchReport) error {
+	t, err := harness.MeasureTable1()
 	if err != nil {
 		return err
 	}
 	t.Print()
-	// Message-processing times are wall clock; route establishment runs
-	// on the virtual clock and is deterministic.
+	// Message-processing times are host time per message, handler only
+	// (the published row 1 is the standing benchmark's rx_table1); route
+	// establishment runs on the virtual clock and is deterministic.
 	rep.add("table1", map[string]BenchValue{
-		"proc_olsr_mono":  wall(ms(t.ProcOLSRMono), "ms"),
-		"proc_olsr_kit":   wall(ms(t.ProcOLSRKit), "ms"),
-		"proc_dymo_mono":  wall(ms(t.ProcDYMOMono), "ms"),
-		"proc_dymo_kit":   wall(ms(t.ProcDYMOKit), "ms"),
+		"proc_olsr_mono":  wall(float64(t.ProcOLSRMono), "ns"),
+		"proc_olsr_kit":   wall(float64(t.ProcOLSRKit), "ns"),
+		"proc_dymo_mono":  wall(float64(t.ProcDYMOMono), "ns"),
+		"proc_dymo_kit":   wall(float64(t.ProcDYMOKit), "ns"),
 		"route_olsr_mono": det(ms(t.RouteOLSRMono), "ms"),
 		"route_olsr_kit":  det(ms(t.RouteOLSRKit), "ms"),
 		"route_dymo_mono": det(ms(t.RouteDYMOMono), "ms"),

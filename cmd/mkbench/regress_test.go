@@ -33,7 +33,7 @@ func TestCompareTolerance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := Compare(base, tc.current, tc.tol)
+			got := Compare(base, tc.current, tc.tol, true)
 			if len(got) != tc.want {
 				t.Fatalf("Compare() = %v, want %d regressions", got, tc.want)
 			}
@@ -45,14 +45,21 @@ func TestCompareMissingValue(t *testing.T) {
 	base := syntheticReport(100, 5)
 	current := &BenchReport{Schema: benchSchema}
 	current.add("exp", map[string]BenchValue{"timing": wall(5, "ms")})
-	got := Compare(base, current, 0.01)
+	got := Compare(base, current, 0.01, false)
 	if len(got) != 1 || !strings.Contains(got[0], "missing") {
 		t.Fatalf("Compare() = %v, want one missing-value regression", got)
 	}
-	// A whole experiment absent from current is a subset run, not a
-	// regression.
-	if got := Compare(base, &BenchReport{Schema: benchSchema}, 0.01); len(got) != 0 {
+	// A whole experiment absent from a subset run (-table, -ablation) is
+	// not a regression.
+	if got := Compare(base, &BenchReport{Schema: benchSchema}, 0.01, false); len(got) != 0 {
 		t.Fatalf("Compare() on subset run = %v, want none", got)
+	}
+	// A complete run (-all) must produce every experiment the baseline
+	// gates; one holding only host measurements gates nothing.
+	base.add("walls", map[string]BenchValue{"timing": wall(5, "ms")})
+	got = Compare(base, &BenchReport{Schema: benchSchema}, 0.01, true)
+	if len(got) != 1 || got[0] != "exp: missing from current report" {
+		t.Fatalf("Compare() on complete run = %v, want exp reported missing", got)
 	}
 }
 
@@ -69,10 +76,10 @@ func TestBenchReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadBenchReport: %v", err)
 	}
-	if regs := Compare(rep, parsed, 0); len(regs) != 0 {
+	if regs := Compare(rep, parsed, 0, true); len(regs) != 0 {
 		t.Fatalf("round trip changed values: %v", regs)
 	}
-	if regs := Compare(parsed, rep, 0); len(regs) != 0 {
+	if regs := Compare(parsed, rep, 0, true); len(regs) != 0 {
 		t.Fatalf("round trip changed values (reverse): %v", regs)
 	}
 }
@@ -85,7 +92,9 @@ func TestBadSchemaRejected(t *testing.T) {
 
 // TestAgainstCommittedBaseline re-measures the deterministic experiments
 // and checks them against testdata/baseline.json — the CI benchmark
-// regression gate. Short mode runs the two fastest experiment families.
+// regression gate. Short mode runs the two fastest experiment families;
+// the full run covers every experiment the baseline gates, so one that
+// vanished from mkbench fails it.
 func TestAgainstCommittedBaseline(t *testing.T) {
 	baseline, err := loadBaseline("testdata/baseline.json")
 	if err != nil {
@@ -108,11 +117,7 @@ func TestAgainstCommittedBaseline(t *testing.T) {
 			struct {
 				name string
 				fn   func(*BenchReport) error
-			}{"table1", func(r *BenchReport) error { return table1(r, 50) }},
-			struct {
-				name string
-				fn   func(*BenchReport) error
-			}{"dispatch", dispatch},
+			}{"table1", table1},
 			struct {
 				name string
 				fn   func(*BenchReport) error
@@ -124,7 +129,7 @@ func TestAgainstCommittedBaseline(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 	}
-	if regs := Compare(baseline, current, 0.01); len(regs) != 0 {
+	if regs := Compare(baseline, current, 0.01, !testing.Short()); len(regs) != 0 {
 		for _, r := range regs {
 			t.Errorf("REGRESSION: %s", r)
 		}

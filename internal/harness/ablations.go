@@ -69,12 +69,13 @@ func MeasureConcurrency(model core.Model, consumers, events, cost int) (Concurre
 		}
 	}
 
-	start := time.Now() //mk:allow determinism wall-clock microbenchmark, reports real elapsed time
+	host := vclock.Real()
+	start := host.Now()
 	for i := 0; i < events; i++ {
 		_ = src.Emit(&event.Event{Type: event.HelloIn})
 	}
 	mgr.WaitIdle()
-	elapsed := time.Since(start) //mk:allow determinism wall-clock microbenchmark, reports real elapsed time
+	elapsed := host.Since(start)
 	return ConcurrencyResult{
 		Model:     model,
 		Events:    events,

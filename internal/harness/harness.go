@@ -2,8 +2,8 @@
 // MANETKit protocol compositions and their monolithic comparators on the
 // emulated testbed, plus the measurement procedures behind Table 1 (time
 // to process a message, route establishment delay), Table 2 (memory
-// footprint) and the variant/concurrency ablations. cmd/mkbench and the
-// top-level benchmarks drive it.
+// footprint) and the variant/concurrency ablations. cmd/mkbench drives it.
+// Host time is read through vclock.Real, the one wall clock.
 package harness
 
 import (

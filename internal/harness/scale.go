@@ -16,6 +16,7 @@ import (
 
 	"manetkit/internal/emunet"
 	"manetkit/internal/testbed"
+	"manetkit/internal/vclock"
 )
 
 // ScaleSpec configures one cell of the scale ablation.
@@ -148,12 +149,13 @@ func MeasureScale(spec ScaleSpec) (ScaleResult, error) {
 		}
 	}
 
+	host := vclock.Real()
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	start := time.Now() //mk:allow determinism wall-clock throughput measurement, reports real elapsed time
+	start := host.Now()
 	c.Run(spec.Window)
-	elapsed := time.Since(start) //mk:allow determinism wall-clock throughput measurement, reports real elapsed time
+	elapsed := host.Since(start)
 	runtime.ReadMemStats(&m1)
 
 	res := ScaleResult{

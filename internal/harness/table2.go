@@ -4,16 +4,8 @@ import (
 	"fmt"
 	"runtime"
 
-	"manetkit/internal/core"
-	"manetkit/internal/dymo"
 	"manetkit/internal/emunet"
-	"manetkit/internal/mnet"
 	"manetkit/internal/mono"
-	"manetkit/internal/mpr"
-	"manetkit/internal/neighbor"
-	"manetkit/internal/olsr"
-	"manetkit/internal/route"
-	"manetkit/internal/system"
 	"manetkit/internal/testbed"
 	"manetkit/internal/vclock"
 )
@@ -59,142 +51,57 @@ func heapDelta(build func() any) float64 {
 	return float64(delta) / 1024
 }
 
-// kitDeployment is the retained object graph for footprint measurement.
-type kitDeployment struct {
-	mgr   *core.Manager
-	sys   *system.System
-	extra []any
-}
-
-// buildKitBase constructs a single-node MANETKit deployment (manager +
-// System CF) on its own emulated medium.
-func buildKitBase() (*kitDeployment, *testbed.Cluster, error) {
-	c, err := testbed.New(1, testbed.Options{})
-	if err != nil {
-		return nil, nil, err
-	}
-	n := c.Nodes[0]
-	return &kitDeployment{mgr: n.Mgr, sys: n.Sys}, c, nil
-}
-
-// MeasureTable2 builds each deployment and records its heap footprint.
+// MeasureTable2 builds each deployment and records its heap footprint. A
+// MANETKit column is one node of FamilyCluster, composed and started the
+// way every experiment and a library user deploy it; a monolithic column
+// is the twin on its own NIC.
 func MeasureTable2() (Table2, error) {
 	var t Table2
 	var buildErr error
 
 	clk := vclock.NewVirtual(testbed.Epoch)
-
-	t.MonoOLSR = heapDelta(func() any {
-		net := emunet.New(clk, 1)
-		nic, err := net.Attach(mnet.AddrFrom(0x0a000001))
-		if err != nil {
-			buildErr = err
-			return nil
-		}
-		return mono.NewOLSR(nic, clk, mono.OLSRConfig{})
-	})
-	t.MonoDYMO = heapDelta(func() any {
-		net := emunet.New(clk, 1)
-		nic, err := net.Attach(mnet.AddrFrom(0x0a000001))
-		if err != nil {
-			buildErr = err
-			return nil
-		}
-		return mono.NewDYMO(nic, clk, mono.DYMOConfig{})
-	})
-	t.MonoBoth = heapDelta(func() any {
-		net := emunet.New(clk, 1)
-		nicA, err := net.Attach(mnet.AddrFrom(0x0a000001))
-		if err != nil {
-			buildErr = err
-			return nil
-		}
-		nicB, err := net.Attach(mnet.AddrFrom(0x0a000002))
-		if err != nil {
-			buildErr = err
-			return nil
-		}
-		return []any{
-			mono.NewOLSR(nicA, clk, mono.OLSRConfig{}),
-			mono.NewDYMO(nicB, clk, mono.DYMOConfig{}),
-		}
-	})
-
-	t.KitOLSR = heapDelta(func() any {
-		dep, c, err := buildKitBase()
-		if err != nil {
-			buildErr = err
-			return nil
-		}
-		relay := mpr.New("", mpr.Config{HelloInterval: HelloInterval})
-		o := olsr.New("", relay, olsr.Config{Clock: c.Clock, FIB: route.NewFIB()})
-		if err := dep.mgr.Deploy(relay.Protocol()); err != nil {
-			buildErr = err
-		}
-		if err := dep.mgr.Deploy(o.Protocol()); err != nil {
-			buildErr = err
-		}
-		dep.extra = append(dep.extra, relay, o, c)
-		return dep
-	})
-	t.KitDYMO = heapDelta(func() any {
-		dep, c, err := buildKitBase()
-		if err != nil {
-			buildErr = err
-			return nil
-		}
-		nd := neighbor.New("", neighbor.Config{HelloInterval: HelloInterval})
-		d := dymo.New("", dymo.Config{Clock: c.Clock, FIB: route.NewFIB()})
-		if err := dep.mgr.Deploy(nd.Protocol()); err != nil {
-			buildErr = err
-		}
-		if err := dep.mgr.Deploy(d.Protocol()); err != nil {
-			buildErr = err
-		}
-		dep.extra = append(dep.extra, nd, d, c)
-		return dep
-	})
-
-	buildBoth := func() (*kitDeployment, error) {
-		// The co-deployment shares the manager, the System CF and the MPR
-		// CF: DYMO uses MPR as its optimised-flooding / neighbour sensing
-		// substrate instead of a private Neighbour Detection CF — the
-		// paper's "leaner deployment" (§5.2).
-		dep, c, err := buildKitBase()
-		if err != nil {
-			return nil, err
-		}
-		relay := mpr.New("", mpr.Config{HelloInterval: HelloInterval})
-		o := olsr.New("", relay, olsr.Config{Clock: c.Clock, FIB: route.NewFIB()})
-		d := dymo.New("", dymo.Config{Clock: c.Clock, FIB: route.NewFIB()})
-		d.SetFlooder(relay.Flooder())
-		for _, u := range []*core.Protocol{relay.Protocol(), o.Protocol(), d.Protocol()} {
-			if err := dep.mgr.Deploy(u); err != nil {
-				return nil, err
+	monoOn := func(n int, build func(nics []*emunet.NIC) any) float64 {
+		return heapDelta(func() any {
+			net := emunet.New(clk, 1)
+			nics := make([]*emunet.NIC, n)
+			for i, addr := range emunet.Addrs(n) {
+				nic, err := net.Attach(addr)
+				if err != nil {
+					buildErr = err
+					return nil
+				}
+				nics[i] = nic
 			}
-		}
-		dep.extra = append(dep.extra, relay, o, d, c)
-		return dep, nil
+			return build(nics)
+		})
 	}
+	t.MonoOLSR = monoOn(1, func(nics []*emunet.NIC) any { return mono.NewOLSR(nics[0], clk, mono.OLSRConfig{}) })
+	t.MonoDYMO = monoOn(1, func(nics []*emunet.NIC) any { return mono.NewDYMO(nics[0], clk, mono.DYMOConfig{}) })
+	t.MonoBoth = monoOn(2, func(nics []*emunet.NIC) any {
+		return []any{mono.NewOLSR(nics[0], clk, mono.OLSRConfig{}), mono.NewDYMO(nics[1], clk, mono.DYMOConfig{})}
+	})
 
-	t.KitBoth = heapDelta(func() any {
-		dep, err := buildBoth()
-		if err != nil {
-			buildErr = err
-		}
-		return dep
-	})
-	t.KitBothSealed = heapDelta(func() any {
-		dep, err := buildBoth()
-		if err != nil {
-			buildErr = err
-			return nil
-		}
-		// "Once a desired configuration has been achieved it is possible
-		// to unload the OpenCom kernel to free up memory" — Seal drops the
-		// kernel metadata and the integrity rules.
-		dep.mgr.Seal()
-		return dep
-	})
+	kit := func(family string, seal bool) float64 {
+		return heapDelta(func() any {
+			c, nodes, err := FamilyCluster(1, family)
+			if err != nil {
+				buildErr = err
+				return nil
+			}
+			if seal {
+				// "Once a desired configuration has been achieved it is
+				// possible to unload the OpenCom kernel to free up memory":
+				// Seal drops the kernel metadata and the integrity rules.
+				c.Nodes[0].Mgr.Seal()
+			}
+			return []any{c, nodes}
+		})
+	}
+	t.KitOLSR = kit("olsr", false)
+	t.KitDYMO = kit("dymo", false)
+	// The co-deployment shares the manager, the System CF and the MPR CF,
+	// which DYMO floods through: the paper's "leaner deployment" (§5.2).
+	t.KitBoth = kit("olsr+dymo", false)
+	t.KitBothSealed = kit("olsr+dymo", true)
 	return t, buildErr
 }
