@@ -1,6 +1,6 @@
 package harness
 
-// Golden-trace tests: one small scripted run per protocol family, traced
+// Golden tests: one small scripted run per protocol family, traced
 // through the observability layer, with the trace fingerprint committed to
 // testdata/golden_fingerprints.json. The virtual clock and seeded medium
 // make the span stream a pure function of (composition, seed), so any
@@ -8,8 +8,14 @@ package harness
 // pipeline shows up as a fingerprint drift — the strongest whole-stack
 // determinism regression we have.
 //
+// The same file pins what the metrics registry reports for one storm seed
+// per family: the end-of-run counter map, and the fingerprint of a
+// bus-attached storm's flight recorder, which carries every sampled
+// metrics delta. The counter map is pinned itself, not through
+// ChaosReport.Fingerprint, which also hashes the medium's Stats struct.
+//
 // When a change legitimately alters protocol behaviour (or the span
-// schema), regenerate the committed fingerprints with
+// schema), regenerate the committed goldens with
 //
 //	MANETKIT_UPDATE_GOLDEN=1 go test ./internal/harness -run TestGoldenTraces -update
 //
@@ -20,6 +26,7 @@ package harness
 import (
 	"encoding/json"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,6 +34,7 @@ import (
 	"time"
 
 	"manetkit/internal/metrics"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/testbed"
 	"manetkit/internal/trace"
 )
@@ -35,6 +43,20 @@ var updateGolden = flag.Bool("update", false,
 	"rewrite testdata/golden_fingerprints.json from this run (requires MANETKIT_UPDATE_GOLDEN=1)")
 
 const goldenPath = "testdata/golden_fingerprints.json"
+
+// goldenSeed is the storm seed the metric pins run.
+const goldenSeed = 7
+
+// goldenFile is the committed testdata, keyed by protocol family.
+type goldenFile struct {
+	// Traces is the span fingerprint of the scripted goldenTrace run.
+	Traces map[string]string `json:"traces"`
+	// StormMetrics is ChaosReport.Metrics at the end of the storm.
+	StormMetrics map[string]map[string]uint64 `json:"storm_metrics"`
+	// Recorders is the flight-recorder fingerprint of the same storm run
+	// with a tracer and a telemetry bus (and so a Sampler) attached.
+	Recorders map[string]string `json:"recorders"`
+}
 
 // goldenTrace drives the canonical scripted run for one protocol family:
 // a 3-node line, 13s of convergence, one end-to-end data packet, then 10s
@@ -65,41 +87,68 @@ func goldenTrace(t *testing.T, proto string) *trace.Tracer {
 	return tr
 }
 
-// loadGoldenFingerprints reads the committed per-protocol fingerprints.
-func loadGoldenFingerprints(t *testing.T) map[string]string {
+// goldenStorm runs the storm for one family with a tracer and, when bus is
+// non-nil, the telemetry bus.
+func goldenStorm(t *testing.T, proto string, bus *telemetry.Bus) *ChaosReport {
+	t.Helper()
+	rep, err := RunChaos(ChaosConfig{
+		Proto: proto, Scenario: ScenarioStorm, Seed: goldenSeed,
+		Tracer: trace.New(testbed.Epoch, 1<<15), Telemetry: bus,
+	})
+	if err != nil {
+		t.Fatalf("RunChaos %s: %v", proto, err)
+	}
+	return rep
+}
+
+// goldenRecorder is the flight-recorder fingerprint of one bus-attached
+// storm.
+func goldenRecorder(t *testing.T, proto string) string {
+	t.Helper()
+	bus := telemetry.New(telemetry.Config{Epoch: testbed.Epoch})
+	defer bus.Close()
+	goldenStorm(t, proto, bus)
+	if n := bus.Evicted(); n != 0 {
+		t.Fatalf("recorder evicted %d events; the golden must cover the whole run", n)
+	}
+	return bus.Fingerprint()
+}
+
+// loadGoldens reads the committed goldens.
+func loadGoldens(t *testing.T) goldenFile {
 	t.Helper()
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("read %s: %v (regenerate with MANETKIT_UPDATE_GOLDEN=1 go test -run TestGoldenTraces -update)", goldenPath, err)
 	}
-	var out map[string]string
+	var out goldenFile
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatalf("parse %s: %v", goldenPath, err)
 	}
 	return out
 }
 
-// writeGoldenFingerprints rewrites the testdata file deterministically.
-func writeGoldenFingerprints(t *testing.T, fps map[string]string) {
+// writeGoldens rewrites the testdata file deterministically.
+func writeGoldens(t *testing.T, g goldenFile) {
 	t.Helper()
 	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 		t.Fatalf("mkdir testdata: %v", err)
 	}
-	data, err := json.MarshalIndent(fps, "", "  ")
+	data, err := json.MarshalIndent(g, "", "  ")
 	if err != nil {
-		t.Fatalf("marshal fingerprints: %v", err)
+		t.Fatalf("marshal goldens: %v", err)
 	}
 	if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
 		t.Fatalf("write %s: %v", goldenPath, err)
 	}
-	t.Logf("rewrote %s with %d fingerprints", goldenPath, len(fps))
+	t.Logf("rewrote %s for %d families", goldenPath, len(g.Traces))
 }
 
 // goldenProtos lists the protocol families under golden coverage, in
 // stable order.
-func goldenProtos(fps map[string]string) []string {
-	protos := make([]string, 0, len(fps))
-	for p := range fps {
+func goldenProtos[V any](m map[string]V) []string {
+	protos := make([]string, 0, len(m))
+	for p := range m {
 		protos = append(protos, p)
 	}
 	sort.Strings(protos)
@@ -111,15 +160,20 @@ func TestGoldenTraces(t *testing.T) {
 		if os.Getenv("MANETKIT_UPDATE_GOLDEN") == "" {
 			t.Fatal("-update passed without MANETKIT_UPDATE_GOLDEN=1; refusing to rewrite the goldens")
 		}
-		fresh := map[string]string{}
-		for _, proto := range ChaosProtos() {
-			tr := goldenTrace(t, proto)
-			fresh[proto] = tr.Fingerprint()
+		fresh := goldenFile{
+			Traces:       map[string]string{},
+			StormMetrics: map[string]map[string]uint64{},
+			Recorders:    map[string]string{},
 		}
-		writeGoldenFingerprints(t, fresh)
+		for _, proto := range ChaosProtos() {
+			fresh.Traces[proto] = goldenTrace(t, proto).Fingerprint()
+			fresh.StormMetrics[proto] = goldenStorm(t, proto, nil).Metrics
+			fresh.Recorders[proto] = goldenRecorder(t, proto)
+		}
+		writeGoldens(t, fresh)
 		return
 	}
-	golden := loadGoldenFingerprints(t)
+	golden := loadGoldens(t).Traces
 	for _, proto := range goldenProtos(golden) {
 		proto, want := proto, golden[proto]
 		t.Run(proto, func(t *testing.T) {
@@ -148,5 +202,41 @@ func TestGoldenTraceReproducible(t *testing.T) {
 	b := goldenTrace(t, "dymo")
 	if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
 		t.Fatalf("same-seed traces diverged: %s vs %s", fa, fb)
+	}
+}
+
+// TestGoldenStormMetrics pins every counter name and value the registry
+// reports at the end of one storm per family.
+func TestGoldenStormMetrics(t *testing.T) {
+	golden := loadGoldens(t).StormMetrics
+	if len(golden) == 0 {
+		t.Fatal("no storm metrics pinned")
+	}
+	for _, proto := range goldenProtos(golden) {
+		proto, want := proto, golden[proto]
+		t.Run(proto, func(t *testing.T) {
+			got := goldenStorm(t, proto, nil).Metrics
+			if !maps.Equal(got, want) {
+				t.Errorf("%s storm metrics drifted:\n got %v\nwant %v", proto, got, want)
+			}
+		})
+	}
+}
+
+// TestGoldenFlightRecorder pins the flight-recorder dump of one
+// bus-attached storm per family: spans, engine epochs, journal, health and
+// every sampled metrics delta.
+func TestGoldenFlightRecorder(t *testing.T) {
+	golden := loadGoldens(t).Recorders
+	if len(golden) == 0 {
+		t.Fatal("no recorder fingerprints pinned")
+	}
+	for _, proto := range goldenProtos(golden) {
+		proto, want := proto, golden[proto]
+		t.Run(proto, func(t *testing.T) {
+			if got := goldenRecorder(t, proto); got != want {
+				t.Errorf("%s flight-recorder fingerprint = %s, want %s", proto, got, want)
+			}
+		})
 	}
 }
