@@ -124,7 +124,7 @@ func main() {
 
 	var err error
 	if *chaos != "" {
-		err = runChaos(*proto, *chaos, *nodes, *seed, *traffic, *showMetrics, tracer, bus, insp)
+		err = runChaos(*proto, *chaos, *nodes, *seed, *traffic, tracer, bus, insp)
 	} else {
 		err = run(*nodes, *topology, *proto, *duration, *traffic,
 			*fisheye, *multipath, *mobility, *seed, *loss, *showMetrics, *httpAddr != "",
@@ -227,7 +227,7 @@ func replayDump(path string) error {
 // runChaos executes one scripted fault scenario and reports whether the
 // protocol invariants held. Violations exit non-zero.
 func runChaos(proto, scenario string, nodes int, seed int64, traffic int,
-	showMetrics bool, tracer *manetkit.Tracer, bus *telemetry.Bus, insp introspection) error {
+	tracer *manetkit.Tracer, bus *telemetry.Bus, insp introspection) error {
 	report, err := harness.RunChaos(harness.ChaosConfig{
 		Proto:     proto,
 		Scenario:  scenario,
@@ -240,8 +240,7 @@ func runChaos(proto, scenario string, nodes int, seed int64, traffic int,
 	if err != nil {
 		return err
 	}
-	fmt.Print(report.Summary())
-	_ = showMetrics // chaos summaries always include the metric snapshot
+	fmt.Print(report.Summary()) // chaos summaries always include the metric snapshot
 	if n := len(report.Journal); n > 0 {
 		fmt.Printf("journal: %d reconfigurations recorded\n", n)
 	}
@@ -283,9 +282,7 @@ func run(nodes int, topology, proto string, duration time.Duration, traffic int,
 	}
 	if tracer != nil {
 		net.SetTracer(tracer)
-		if reg != nil {
-			tracer.SetDropHook(reg.Counter("trace_dropped_total").Inc)
-		}
+		reg.Attach(tracer.ReadMetrics)
 	}
 	if bus != nil {
 		telemetry.AttachEngine(bus, net)

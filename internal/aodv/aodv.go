@@ -154,6 +154,16 @@ func (s *State) Stats() Stats {
 	return s.stats
 }
 
+// readMetrics reports the counters behind aodv_* to a metrics registry.
+// Every discovery attempt, first or retried, broadcasts one RREQ.
+func (s *State) readMetrics(emit func(name string, v uint64)) {
+	st := s.Stats()
+	emit("aodv_discoveries", st.Discoveries)
+	emit("aodv_retries", st.Retries)
+	emit("aodv_giveups", st.GiveUps)
+	emit("aodv_rreq_tx", st.Discoveries+st.Retries)
+}
+
 func (s *State) bump(fn func(*Stats)) {
 	s.mu.Lock()
 	fn(&s.stats)
@@ -199,12 +209,8 @@ type AODV struct {
 	state *State
 	cfg   Config
 
-	// Instruments, resolved from the deployment's registry on Start; nil
-	// (no-op) when the deployment carries no metrics.
-	mDiscoveries  *metrics.Counter
-	mRetries      *metrics.Counter
-	mGiveUps      *metrics.Counter
-	mRREQTx       *metrics.Counter
+	// Resolved from the deployment's registry on Start; nil (no-op) when
+	// the deployment carries no metrics.
 	mDiscoveryLat *metrics.Histogram // virtual time: NoRoute -> RouteFound
 }
 
@@ -255,13 +261,9 @@ func New(name string, detector *neighbor.Detector, cfg Config) *AODV {
 	if err := a.proto.AddSource(core.NewSource("route-sweep", cfg.RouteLifetime/2, 0, a.sweep)); err != nil {
 		panic(err)
 	}
+	a.proto.SetCounters(a.state.readMetrics)
 	a.proto.OnStart(func(ctx *core.Context) error {
-		reg := ctx.Env().Metrics()
-		a.mDiscoveries = reg.Counter("aodv_discoveries")
-		a.mRetries = reg.Counter("aodv_retries")
-		a.mGiveUps = reg.Counter("aodv_giveups")
-		a.mRREQTx = reg.Counter("aodv_rreq_tx")
-		a.mDiscoveryLat = reg.Histogram("aodv_discovery_latency")
+		a.mDiscoveryLat = ctx.Env().Metrics().Histogram("aodv_discovery_latency")
 		return nil
 	})
 	a.proto.OnStop(func(ctx *core.Context) error {
@@ -356,7 +358,6 @@ func (a *AODV) onNoRoute(ctx *core.Context, ev *event.Event) error {
 	if !started {
 		return nil
 	}
-	a.mDiscoveries.Inc()
 	a.sendRREQ(ctx, dst, 1, a.cfg.TTLStart)
 	return nil
 }
@@ -384,7 +385,6 @@ func (a *AODV) sendRREQ(ctx *core.Context, dst mnet.Addr, attempt int, ttl uint8
 		msg.TLVs = append(msg.TLVs, packetbb.TLV{Type: tlvDestOnly})
 	}
 	a.state.duplicate(ctx.Node(), seq, ctx.Clock().Now())
-	a.mRREQTx.Inc()
 	ctx.Emit(&event.Event{Type: event.REOut, Msg: msg, Dst: mnet.Broadcast})
 
 	timer := ctx.Clock().AfterFunc(a.cfg.RREQWait, func() {
@@ -413,11 +413,9 @@ func (a *AODV) retry(ctx *core.Context, dst mnet.Addr, attempt int) {
 		a.state.pending.GiveUp(dst)
 		a.state.stats.GiveUps++
 		a.state.mu.Unlock()
-		a.mGiveUps.Inc()
 		return
 	}
 	a.state.stats.Retries++
-	a.mRetries.Inc()
 	if expanding {
 		a.state.stats.RingExpansions++
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"manetkit/internal/event"
+	"manetkit/internal/metrics"
 	"manetkit/internal/queue"
 )
 
@@ -20,9 +21,15 @@ type dedicatedRunner struct {
 	idle sync.Cond
 	busy int // queued + executing
 	done chan struct{}
+
+	// detach takes the queue's depth and overflow count off the
+	// deployment's metrics registry.
+	detach []func()
 }
 
-func newDedicatedRunner(m *Manager, u Unit, bound int) *dedicatedRunner {
+// newDedicatedRunner starts the unit's runner; reg, when non-nil, reads
+// its queue's depth and overflow count while it runs.
+func newDedicatedRunner(m *Manager, u Unit, bound int, reg *metrics.Registry) *dedicatedRunner {
 	d := &dedicatedRunner{
 		m:    m,
 		unit: u,
@@ -30,6 +37,13 @@ func newDedicatedRunner(m *Manager, u Unit, bound int) *dedicatedRunner {
 		done: make(chan struct{}),
 	}
 	d.idle.L = &d.mu
+	name := u.Name()
+	d.detach = []func(){
+		reg.AttachGauge("core_dedicated_depth:"+name, func() int64 { return int64(d.q.Len()) }),
+		reg.Attach(func(emit func(string, uint64)) {
+			emit("core_dedicated_dropped:"+name, d.q.Stats().Dropped)
+		}),
+	}
 	go d.run()
 	return d
 }
@@ -81,4 +95,7 @@ func (d *dedicatedRunner) waitIdle() {
 func (d *dedicatedRunner) stop() {
 	d.q.Close()
 	<-d.done
+	for _, detach := range d.detach {
+		detach()
+	}
 }

@@ -66,9 +66,9 @@ type Config struct {
 	PoolSize int
 	// QueueBound bounds each dedicated per-protocol queue (default 1024).
 	QueueBound int
-	// Metrics, when non-nil, collects framework counters and latency
-	// histograms (shared across a whole cluster). Nil disables metrics at
-	// the cost of one nil check per dispatch.
+	// Metrics, when non-nil, reads the framework counters (ManagerStats)
+	// and collects latency histograms (shared across a whole cluster). Nil
+	// disables metrics at the cost of one nil check per dispatch.
 	Metrics *metrics.Registry
 	// Tracer, when non-nil, records structured dispatch spans stamped with
 	// the deployment clock. Nil disables tracing.
@@ -81,6 +81,7 @@ type ManagerStats struct {
 	Delivered uint64 // unit deliveries
 	Dropped   uint64 // deliveries dropped (queue overflow, no chain)
 	Rewires   uint64 // topology re-derivations
+	Tickets   uint64 // tickets drawn by the asynchronous models
 }
 
 // managerCounters is the hot-path representation of ManagerStats: plain
@@ -91,6 +92,7 @@ type managerCounters struct {
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
 	rewires   atomic.Uint64
+	tickets   atomic.Uint64
 }
 
 // unitRec tracks one deployed unit. Records are created once per deployment
@@ -171,8 +173,9 @@ type Manager struct {
 
 	// obs is the instrument bundle; nil when both metrics and tracing are
 	// disabled. Set once at construction, never mutated: hot paths read it
-	// without m.mu.
-	obs *managerObs
+	// without m.mu. metrics is the registry it came from.
+	obs     *managerObs
+	metrics *metrics.Registry
 
 	// Single-threaded delivery queue: inline deliveries are drained in
 	// FIFO order by whichever goroutine first enters the framework, so a
@@ -226,10 +229,22 @@ func NewManager(cfg Config) (*Manager, error) {
 		poolSize: cfg.PoolSize,
 		qBound:   cfg.QueueBound,
 		obs:      newManagerObs(cfg.Node, cfg.Metrics, cfg.Tracer),
+		metrics:  cfg.Metrics,
 	}
 	m.model.Store(uint32(cfg.Model))
 	m.plan.Store(emptyPlan)
+	cfg.Metrics.Attach(m.readMetrics)
 	return m, nil
+}
+
+// readMetrics reports ManagerStats to the deployment's metrics registry.
+func (m *Manager) readMetrics(emit func(name string, v uint64)) {
+	s := m.Stats()
+	emit("core_emitted", s.Emitted)
+	emit("core_delivered", s.Delivered)
+	emit("core_dropped", s.Dropped)
+	emit("core_rewires", s.Rewires)
+	emit("core_tickets", s.Tickets)
 }
 
 // Node returns the local node address.
@@ -317,9 +332,9 @@ func (m *Manager) Deploy(u Unit) error {
 		emit:     m.emit,
 		unit:     m.Unit,
 		retuple:  func(string) { m.Rewire() },
+		metrics:  m.metrics,
 	}
 	if m.obs != nil {
-		env.metrics = m.obs.reg
 		env.tracer = m.obs.tracer
 	}
 	u.Attach(env)
@@ -404,14 +419,7 @@ func (m *Manager) EnableDedicatedThread(name string) error {
 	if rec.dedicated.Load() != nil {
 		return nil
 	}
-	d := newDedicatedRunner(m, rec.unit, m.qBound)
-	if m.obs != nil && m.obs.reg != nil {
-		d.q.Instrument(
-			m.obs.reg.Gauge("core_dedicated_depth:"+name),
-			m.obs.reg.Counter("core_dedicated_dropped:"+name),
-		)
-	}
-	rec.dedicated.Store(d)
+	rec.dedicated.Store(newDedicatedRunner(m, rec.unit, m.qBound, m.metrics))
 	return nil
 }
 
@@ -470,11 +478,8 @@ func (m *Manager) DedicatedThread(name string) bool {
 func (m *Manager) rewireLocked() {
 	m.stats.rewires.Add(1)
 	var rewireStart time.Time
-	if m.obs != nil {
-		m.obs.rewires.Inc()
-		if m.obs.rewireLat != nil {
-			rewireStart = m.clk.Now()
-		}
+	if m.obs != nil && m.obs.rewireLat != nil {
+		rewireStart = m.clk.Now()
 	}
 	m.resolveLocked()
 	replan := false
@@ -551,14 +556,11 @@ func (m *Manager) retireLocked(rec *unitRec) {
 // only the published plan — no manager lock, no allocation: target lists
 // were compiled at the last rewire.
 func (m *Manager) emit(from string, ev *event.Event) {
-	if m.obs != nil {
-		m.obs.emitted.Inc()
-		if m.obs.tracer != nil {
-			m.obs.tracer.Record(m.clk.Now(), trace.Span{
-				Node: m.obs.nodeStr, Kind: trace.KindEmit,
-				Event: string(ev.Type), From: from, Corr: ev.Corr,
-			})
-		}
+	if m.obs != nil && m.obs.tracer != nil {
+		m.obs.tracer.Record(m.clk.Now(), trace.Span{
+			Node: m.obs.nodeStr, Kind: trace.KindEmit,
+			Event: string(ev.Type), From: from, Corr: ev.Corr,
+		})
 	}
 	m.stats.emitted.Add(1)
 	var targets []*unitRec
@@ -583,14 +585,11 @@ func (m *Manager) emit(from string, ev *event.Event) {
 // dropEvent accounts one undeliverable event.
 func (m *Manager) dropEvent(from string, ev *event.Event) {
 	m.stats.dropped.Add(1)
-	if m.obs != nil {
-		m.obs.dropped.Inc()
-		if m.obs.tracer != nil {
-			m.obs.tracer.Record(m.clk.Now(), trace.Span{
-				Node: m.obs.nodeStr, Kind: trace.KindDrop,
-				Event: string(ev.Type), From: from, Corr: ev.Corr,
-			})
-		}
+	if m.obs != nil && m.obs.tracer != nil {
+		m.obs.tracer.Record(m.clk.Now(), trace.Span{
+			Node: m.obs.nodeStr, Kind: trace.KindDrop,
+			Event: string(ev.Type), From: from, Corr: ev.Corr,
+		})
 	}
 }
 
@@ -615,14 +614,11 @@ func (m *Manager) accountAcceptErr(u Unit, ev *event.Event, err error) {
 		return
 	}
 	m.stats.dropped.Add(1)
-	if m.obs != nil {
-		m.obs.dropped.Inc()
-		if m.obs.tracer != nil {
-			m.obs.tracer.Record(m.clk.Now(), trace.Span{
-				Node: m.obs.nodeStr, Kind: trace.KindDrop,
-				Event: string(ev.Type), To: u.Name(), Corr: ev.Corr,
-			})
-		}
+	if m.obs != nil && m.obs.tracer != nil {
+		m.obs.tracer.Record(m.clk.Now(), trace.Span{
+			Node: m.obs.nodeStr, Kind: trace.KindDrop,
+			Event: string(ev.Type), To: u.Name(), Corr: ev.Corr,
+		})
 	}
 }
 
@@ -647,17 +643,11 @@ func (m *Manager) deliverSingleThreaded(from string, targets []*unitRec, ev *eve
 	m.dmu.Lock()
 	for _, rec := range targets {
 		m.stats.delivered.Add(1)
-		if m.obs != nil {
-			m.obs.delivered.Inc()
-		}
 		if d := rec.dedicated.Load(); d != nil {
 			// enqueue never blocks (bounded TryPush), so the hand-off is
 			// safe under dmu.
 			if !d.enqueue(ev) {
 				m.stats.dropped.Add(1)
-				if m.obs != nil {
-					m.obs.dropped.Inc()
-				}
 			} else if m.obs != nil && m.obs.tracer != nil {
 				m.obs.tracer.Record(m.clk.Now(), trace.Span{
 					Node: m.obs.nodeStr, Kind: trace.KindDispatch,
@@ -703,27 +693,21 @@ func (m *Manager) deliverSingleThreaded(from string, targets []*unitRec, ev *eve
 func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Model) {
 	m.stats.delivered.Add(1)
 	dedicated := rec.dedicated.Load()
-	if m.obs != nil {
-		m.obs.delivered.Inc()
-		if m.obs.tracer != nil {
-			qdepth := 0
-			if dedicated != nil {
-				qdepth = dedicated.q.Len()
-			}
-			m.obs.tracer.Record(m.clk.Now(), trace.Span{
-				Node: m.obs.nodeStr, Kind: trace.KindDispatch,
-				Event: string(ev.Type), From: from, To: rec.unit.Name(),
-				Corr: ev.Corr, QDepth: qdepth,
-			})
+	if m.obs != nil && m.obs.tracer != nil {
+		qdepth := 0
+		if dedicated != nil {
+			qdepth = dedicated.q.Len()
 		}
+		m.obs.tracer.Record(m.clk.Now(), trace.Span{
+			Node: m.obs.nodeStr, Kind: trace.KindDispatch,
+			Event: string(ev.Type), From: from, To: rec.unit.Name(),
+			Corr: ev.Corr, QDepth: qdepth,
+		})
 	}
 
 	if dedicated != nil {
 		if !dedicated.enqueue(ev) {
 			m.stats.dropped.Add(1)
-			if m.obs != nil {
-				m.obs.dropped.Inc()
-			}
 		}
 		return
 	}
@@ -731,9 +715,7 @@ func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Mode
 	switch model {
 	case PerMessage:
 		ticket := sec.Ticket()
-		if m.obs != nil {
-			m.obs.tickets.Inc()
-		}
+		m.stats.tickets.Add(1)
 		m.inflight.Add(1)
 		go func() {
 			defer m.inflight.Done()
@@ -749,9 +731,7 @@ func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Mode
 			workers = m.workers.Load()
 		}
 		ticket := sec.Ticket()
-		if m.obs != nil {
-			m.obs.tickets.Inc()
-		}
+		m.stats.tickets.Add(1)
 		m.inflight.Add(1)
 		err := workers.Submit(func() {
 			defer m.inflight.Done()
@@ -766,12 +746,6 @@ func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Mode
 			sec.Unlock()
 			m.inflight.Done()
 		}
-	default:
-		// Unreachable for SingleThreaded (deliverBatch owns that path);
-		// defensively route through the drain queue rather than risking a
-		// re-entrant section acquisition.
-		m.stats.delivered.Add(^uint64(0)) // deliverBatch will re-count
-		m.deliverBatch(from, []*unitRec{rec}, ev, SingleThreaded)
 	}
 }
 
@@ -812,6 +786,7 @@ func (m *Manager) Stats() ManagerStats {
 		Delivered: m.stats.delivered.Load(),
 		Dropped:   m.stats.dropped.Load(),
 		Rewires:   m.stats.rewires.Load(),
+		Tickets:   m.stats.tickets.Load(),
 	}
 }
 

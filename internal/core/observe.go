@@ -1,11 +1,12 @@
 package core
 
-// Observability bundles: instruments are resolved once, when a Manager or
+// Observability bundles: histograms are resolved once, when a Manager or
 // Protocol is constructed/attached, and kept as plain pointers so the hot
-// paths (emit, deliver, Accept) never touch the registry. When both the
-// metrics registry and the tracer are disabled the bundle itself is nil,
-// making the entire instrumented path a single nil check — the property
-// the overhead guard test pins down.
+// paths (emit, deliver, Accept) never touch the registry. Counts are not
+// instruments: the registry reads them from ManagerStats and the units'
+// own Stats. When both the metrics registry and the tracer are disabled
+// the bundle itself is nil, making the entire instrumented path a single
+// nil check — the property the overhead guard test pins down.
 
 import (
 	"manetkit/internal/metrics"
@@ -15,15 +16,8 @@ import (
 
 // managerObs is the Framework Manager's instrument bundle.
 type managerObs struct {
-	reg     *metrics.Registry
 	tracer  *trace.Tracer
 	nodeStr string
-
-	emitted   *metrics.Counter
-	delivered *metrics.Counter
-	dropped   *metrics.Counter
-	rewires   *metrics.Counter
-	tickets   *metrics.Counter // tickets drawn by asynchronous models
 
 	rewireLat  *metrics.Histogram // wall time to re-derive the topology
 	ticketWait *metrics.Histogram // wall time a shepherd waited on its ticket
@@ -35,14 +29,8 @@ func newManagerObs(node mnet.Addr, reg *metrics.Registry, tr *trace.Tracer) *man
 		return nil
 	}
 	return &managerObs{
-		reg:        reg,
 		tracer:     tr,
 		nodeStr:    node.String(),
-		emitted:    reg.Counter("core_emitted"),
-		delivered:  reg.Counter("core_delivered"),
-		dropped:    reg.Counter("core_dropped"),
-		rewires:    reg.Counter("core_rewires"),
-		tickets:    reg.Counter("core_tickets"),
 		rewireLat:  reg.Histogram("core_rewire_latency"),
 		ticketWait: reg.Histogram("core_ticket_wait"),
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -184,8 +185,8 @@ func TestObservabilityOverheadGuard(t *testing.T) {
 	// RCU dispatch plans the disabled steady-state path never calls an
 	// instrument method: every site is one nil-bundle pointer load plus a
 	// branch (one in emit, two per target delivery, two per handler demux —
-	// five on the direct path; the nil-safe queue instruments only exist on
-	// the dedicated-thread hand-off, which direct dispatch never takes).
+	// five on the direct path; counts are the layers' own Stats, read by
+	// the registry only when it is asked).
 	// Model it as 8 such guarded branches, loaded through a real manager so
 	// the compiler cannot fold them — a strict over-count of the real path.
 	unobs, err := NewManager(Config{
@@ -284,5 +285,135 @@ func TestLatencyHistogramsUseDeploymentClock(t *testing.T) {
 		if sum := snap.Histograms[name].Sum; sum != 0 {
 			t.Fatalf("%s accumulated %v of wall time under a virtual clock", name, sum)
 		}
+	}
+}
+
+// TestDedicatedQueueCountersSurviveToggle: a dedicated queue's overflow
+// count is its own queue.Stats, read while the runner runs. Disabling the
+// runner keeps what it counted; the fresh queue of a re-enabled runner
+// starts from zero without taking the counter down or counting twice.
+func TestDedicatedQueueCountersSurviveToggle(t *testing.T) {
+	reg := metrics.NewRegistry()
+	m, err := NewManager(Config{
+		Node: mnet.MustParseAddr("10.0.0.1"), Clock: vclock.NewVirtual(epoch),
+		QueueBound: 1, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	prov := newRecorder(t, "provider", event.Tuple{Provided: []event.Type{event.TCOut}})
+	entered, release := make(chan struct{}, 8), make(chan struct{})
+	slow := NewProtocol("requirer")
+	slow.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}})
+	if err := slow.AddHandler(NewHandler("slow-h", event.Any, func(*Context, *event.Event) error {
+		entered <- struct{}{}
+		<-release
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Protocol{prov.p, slow} {
+		if err := m.Deploy(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const dropped = "core_dedicated_dropped:requirer"
+	// overflow emits three events into the bound-1 queue with the runner
+	// held inside the first: the second waits, the third is dropped.
+	overflow := func() {
+		t.Helper()
+		if err := m.EnableDedicatedThread("requirer"); err != nil {
+			t.Fatal(err)
+		}
+		m.emit("provider", &event.Event{Type: event.TCOut})
+		<-entered
+		m.emit("provider", &event.Event{Type: event.TCOut})
+		m.emit("provider", &event.Event{Type: event.TCOut})
+		if got := reg.Snapshot().Gauges["core_dedicated_depth:requirer"]; got != 1 {
+			t.Fatalf("depth gauge = %d with one event waiting, want 1", got)
+		}
+		release <- struct{}{}
+		<-entered
+		release <- struct{}{}
+		m.WaitIdle()
+	}
+
+	overflow()
+	if got := reg.Snapshot().Counters[dropped]; got != 1 {
+		t.Fatalf("%s = %d after one overflow, want 1", dropped, got)
+	}
+	if err := m.DisableDedicatedThread("requirer"); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters[dropped]; got != 1 {
+		t.Fatalf("%s = %d after disable, want 1", dropped, got)
+	}
+	if got, ok := snap.Gauges["core_dedicated_depth:requirer"]; !ok || got != 0 {
+		t.Fatalf("depth gauge after disable = %d (present %v), want 0", got, ok)
+	}
+	overflow()
+	snap = reg.Snapshot()
+	if got := snap.Counters[dropped]; got != 2 {
+		t.Fatalf("%s = %d after re-enable and a second overflow, want 2", dropped, got)
+	}
+	if got, want := snap.Counters["core_dropped"], m.Stats().Dropped; got != want || got != 2 {
+		t.Fatalf("core_dropped = %d, ManagerStats.Dropped = %d, want 2", got, want)
+	}
+}
+
+// TestCountersFollowCarriedState is the paper's state carry-over (§4.5)
+// as examples/protocolswitch would do it: the S element of one protocol
+// instance moves into its replacement, and the counts it keeps move with
+// it. The registry reads them once — not again from zero, and not twice.
+func TestCountersFollowCarriedState(t *testing.T) {
+	m, reg, _ := newObservedMgr(t, SingleThreaded)
+	type counts struct{ handled atomic.Uint64 }
+	instance := func(name string, st *StateComponent) *Protocol {
+		p := NewProtocol(name)
+		p.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}})
+		if err := p.SetState(st); err != nil {
+			t.Fatal(err)
+		}
+		c := st.Value().(*counts)
+		p.SetCounters(func(emit func(string, uint64)) { emit("carried_handled", c.handled.Load()) })
+		if err := p.AddHandler(NewHandler("h", event.TCOut, func(*Context, *event.Event) error {
+			c.handled.Add(1)
+			return nil
+		})); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	prov := newRecorder(t, "provider", event.Tuple{Provided: []event.Type{event.TCOut}})
+	old := instance("old", NewStateComponent("state", &counts{}))
+	for _, p := range []*Protocol{prov.p, old} {
+		if err := m.Deploy(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		emitFrom(t, m, "provider", &event.Event{Type: event.TCOut})
+	}
+	st, err := old.DetachState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Undeploy("old"); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counters["carried_handled"]; got != 3 {
+		t.Fatalf("carried_handled after undeploy = %d, want 3", got)
+	}
+	if err := m.Deploy(instance("new", st.(*StateComponent))); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counters["carried_handled"]; got != 3 {
+		t.Fatalf("carried_handled after the carried state redeployed = %d, want 3", got)
+	}
+	emitFrom(t, m, "provider", &event.Event{Type: event.TCOut})
+	if got := reg.Snapshot().Counters["carried_handled"]; got != 4 {
+		t.Fatalf("carried_handled = %d, want 4", got)
 	}
 }

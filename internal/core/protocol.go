@@ -216,6 +216,12 @@ type Protocol struct {
 	dedic    bool // prefer the thread-per-ManetProtocol model
 	stats    protoStats
 
+	// counters reads the concrete protocol's own Stats for the
+	// deployment's metrics registry; uncount, set by Attach and used by
+	// Detach (which the Manager serialises), takes it off again.
+	counters func(emit func(name string, v uint64))
+	uncount  func()
+
 	// plan is the compiled demux state (pooled context, matched-handler
 	// tables), rebuilt whenever the handler set or deployment changes and
 	// read lock-free by Accept. Nil exactly when the protocol is unattached.
@@ -312,6 +318,15 @@ func (p *Protocol) Tuple() event.Tuple {
 func (p *Protocol) OnInit(fn func(*Context) error)  { p.mu.Lock(); p.onInit = fn; p.mu.Unlock() }
 func (p *Protocol) OnStart(fn func(*Context) error) { p.mu.Lock(); p.onStart = fn; p.mu.Unlock() }
 func (p *Protocol) OnStop(fn func(*Context) error)  { p.mu.Lock(); p.onStop = fn; p.mu.Unlock() }
+
+// SetCounters installs read as the source of the protocol's counters in
+// the deployment's metrics registry (see metrics.Registry.Attach), which
+// reads them from Attach to Detach. Call it before deployment.
+func (p *Protocol) SetCounters(read func(emit func(name string, v uint64))) {
+	p.mu.Lock()
+	p.counters = read
+	p.mu.Unlock()
+}
 
 // PreferDedicatedThread opts this protocol into the
 // thread-per-ManetProtocol concurrency model, independent of the global
@@ -514,7 +529,11 @@ func (p *Protocol) Attach(env *Env) {
 	p.env = env
 	p.obs = newProtoObs(env)
 	p.rebuildAcceptPlanLocked()
+	read := p.counters
 	p.mu.Unlock()
+	if read != nil { // outside p.mu: read takes the State's own lock
+		p.uncount = env.metrics.Attach(read)
+	}
 }
 
 // Detach implements Unit.
@@ -525,6 +544,10 @@ func (p *Protocol) Detach() {
 	p.obs = nil
 	p.rebuildAcceptPlanLocked()
 	p.mu.Unlock()
+	if p.uncount != nil {
+		p.uncount()
+		p.uncount = nil
+	}
 }
 
 // Deployed reports whether the protocol is attached to a Manager.

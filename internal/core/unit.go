@@ -71,11 +71,8 @@ type Env struct {
 }
 
 // Metrics returns the deployment's metrics registry (nil when disabled; a
-// nil registry hands out nil no-op instruments).
+// nil registry hands out nil histograms).
 func (e *Env) Metrics() *metrics.Registry { return e.metrics }
-
-// Tracer returns the deployment's span tracer (nil when disabled).
-func (e *Env) Tracer() *trace.Tracer { return e.tracer }
 
 // Emit routes ev from the unit named from through the Framework Manager's
 // binding topology. When tracing is enabled and the event carries a

@@ -132,6 +132,16 @@ func (s *State) Stats() Stats {
 	return s.stats
 }
 
+// readMetrics reports the counters behind dymo_* to a metrics registry.
+// Every discovery attempt, first or retried, broadcasts one RREQ.
+func (s *State) readMetrics(emit func(name string, v uint64)) {
+	st := s.Stats()
+	emit("dymo_discoveries", st.Discoveries)
+	emit("dymo_retries", st.Retries)
+	emit("dymo_giveups", st.GiveUps)
+	emit("dymo_rreq_tx", st.Discoveries+st.Retries)
+}
+
 func (s *State) bump(fn func(*Stats)) {
 	s.mu.Lock()
 	fn(&s.stats)
@@ -171,12 +181,8 @@ type DYMO struct {
 	mu      sync.Mutex
 	flooder Flooder // nil = blind flooding
 
-	// Instruments, resolved from the deployment's registry on Start; nil
-	// (no-op) when the deployment carries no metrics.
-	mDiscoveries  *metrics.Counter
-	mRetries      *metrics.Counter
-	mGiveUps      *metrics.Counter
-	mRREQTx       *metrics.Counter
+	// Resolved from the deployment's registry on Start; nil (no-op) when
+	// the deployment carries no metrics.
 	mDiscoveryLat *metrics.Histogram // virtual time: NoRoute -> RouteFound
 }
 
@@ -237,13 +243,9 @@ func New(name string, cfg Config) *DYMO {
 	if err := d.proto.AddSource(core.NewSource("route-sweep", cfg.RouteLifetime/2, 0, d.sweep)); err != nil {
 		panic(err)
 	}
+	d.proto.SetCounters(d.state.readMetrics)
 	d.proto.OnStart(func(ctx *core.Context) error {
-		reg := ctx.Env().Metrics()
-		d.mDiscoveries = reg.Counter("dymo_discoveries")
-		d.mRetries = reg.Counter("dymo_retries")
-		d.mGiveUps = reg.Counter("dymo_giveups")
-		d.mRREQTx = reg.Counter("dymo_rreq_tx")
-		d.mDiscoveryLat = reg.Histogram("dymo_discovery_latency")
+		d.mDiscoveryLat = ctx.Env().Metrics().Histogram("dymo_discovery_latency")
 		return nil
 	})
 	d.proto.OnStop(func(ctx *core.Context) error {
@@ -295,7 +297,6 @@ func (d *DYMO) onNoRoute(ctx *core.Context, ev *event.Event) error {
 	if !started {
 		return nil
 	}
-	d.mDiscoveries.Inc()
 	d.sendRREQ(ctx, dst, 1)
 	return nil
 }
@@ -320,7 +321,6 @@ func (d *DYMO) sendRREQ(ctx *core.Context, dst mnet.Addr, attempt int) {
 	if f := d.currentFlooder(); f != nil {
 		f.Seen(ctx.Node(), seq, now)
 	}
-	d.mRREQTx.Inc()
 	ctx.Emit(&event.Event{Type: event.REOut, Msg: msg, Dst: mnet.Broadcast})
 
 	wait := d.cfg.RREQWait << (attempt - 1) // binary exponential backoff
@@ -342,11 +342,9 @@ func (d *DYMO) retry(ctx *core.Context, dst mnet.Addr, attempt int) {
 		d.state.pending.GiveUp(dst)
 		d.state.stats.GiveUps++
 		d.state.mu.Unlock()
-		d.mGiveUps.Inc()
 		return
 	}
 	d.state.stats.Retries++
-	d.mRetries.Inc()
 	d.state.mu.Unlock()
 	d.sendRREQ(ctx, dst, attempt+1)
 }

@@ -109,6 +109,10 @@ type Stats struct {
 	Corrupted  uint64 // deliveries whose payload was mangled
 	Duplicated uint64 // extra deliveries injected by duplication
 	Reordered  uint64 // deliveries delayed by reorder jitter
+	// RxCorrupted counts completed deliveries of a mangled frame. It is
+	// not Corrupted: a duplicate of a mangled frame arrives mangled too,
+	// and a mangled frame whose receiver detached in flight never arrives.
+	RxCorrupted uint64
 }
 
 // Errors reported by the emulated medium.
@@ -441,14 +445,11 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 	txTap := n.txTap
 	n.stats.TxFrames++
 	n.stats.TxBytes += uint64(len(payload))
-	if n.obs != nil {
-		n.obs.txFrames.Inc()
-		if n.obs.tracer != nil {
-			n.obs.tracer.Record(now, trace.Span{
-				Node: src.String(), Kind: trace.KindFrameTx,
-				To: traceTo(dst), Corr: corr, Bytes: len(payload),
-			})
-		}
+	if n.obs != nil && n.obs.tracer != nil {
+		n.obs.tracer.Record(now, trace.Span{
+			Node: src.String(), Kind: trace.KindFrameTx,
+			To: traceTo(dst), Corr: corr, Bytes: len(payload),
+		})
 	}
 
 	// targets are the receivers that survive the loss process, in adjacency
@@ -462,14 +463,11 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 			return false
 		}
 		n.stats.DroppedLoss++
-		if n.obs != nil {
-			n.obs.droppedLoss.Inc()
-			if n.obs.tracer != nil {
-				n.obs.tracer.Record(now, trace.Span{
-					Node: src.String(), Kind: trace.KindFrameDrop,
-					Event: "loss", To: nl.to.String(), Corr: corr, Bytes: len(payload),
-				})
-			}
+		if n.obs != nil && n.obs.tracer != nil {
+			n.obs.tracer.Record(now, trace.Span{
+				Node: src.String(), Kind: trace.KindFrameDrop,
+				Event: "loss", To: nl.to.String(), Corr: corr, Bytes: len(payload),
+			})
 		}
 		return true
 	}
@@ -484,14 +482,11 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		nic, attached := n.nodes[dst]
 		if !ok || !attached {
 			n.stats.DroppedNoLink++
-			if n.obs != nil {
-				n.obs.droppedNoLink.Inc()
-				if n.obs.tracer != nil {
-					n.obs.tracer.Record(now, trace.Span{
-						Node: src.String(), Kind: trace.KindFrameDrop,
-						Event: "no-link", To: dst.String(), Corr: corr, Bytes: len(payload),
-					})
-				}
+			if n.obs != nil && n.obs.tracer != nil {
+				n.obs.tracer.Record(now, trace.Span{
+					Node: src.String(), Kind: trace.KindFrameDrop,
+					Event: "no-link", To: dst.String(), Corr: corr, Bytes: len(payload),
+				})
 			}
 			n.mu.Unlock()
 			if txTap != nil {
@@ -569,7 +564,6 @@ type NIC struct {
 	mu       sync.Mutex
 	recv     func(Frame)
 	detached bool
-	rx, tx   uint64
 }
 
 // Addr returns the NIC's node address.
@@ -601,7 +595,6 @@ func (c *NIC) SendTagged(dst mnet.Addr, payload []byte, corr string) error {
 		c.mu.Unlock()
 		return ErrDetached
 	}
-	c.tx++
 	c.mu.Unlock()
 	c.net.send(c.addr, dst, payload, c.device, corr)
 	return nil
@@ -625,7 +618,6 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 		c.mu.Unlock()
 		return ErrDetached
 	}
-	c.tx++
 	c.mu.Unlock()
 
 	n := c.net
@@ -634,28 +626,19 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	txTap := n.txTap
 	n.stats.TxFrames++
 	n.stats.TxBytes += uint64(len(payload))
-	if n.obs != nil {
-		n.obs.txFrames.Inc()
-		if n.obs.tracer != nil {
-			n.obs.tracer.Record(now, trace.Span{
-				Node: c.addr.String(), Kind: trace.KindFrameTx,
-				To: dst.String(), Corr: corr, Bytes: len(payload),
-			})
-		}
+	if n.obs != nil && n.obs.tracer != nil {
+		n.obs.tracer.Record(now, trace.Span{
+			Node: c.addr.String(), Kind: trace.KindFrameTx,
+			To: dst.String(), Corr: corr, Bytes: len(payload),
+		})
 	}
 	q, linked := n.links[linkKey{c.addr, dst}]
 	nic, attached := n.nodes[dst]
 	lost := false
 	if !linked || !attached {
 		n.stats.DroppedNoLink++
-		if n.obs != nil {
-			n.obs.droppedNoLink.Inc()
-		}
 	} else if q.Loss > 0 && n.rng.Float64() < q.Loss {
 		n.stats.DroppedLoss++
-		if n.obs != nil {
-			n.obs.droppedLoss.Inc()
-		}
 		lost = true
 	}
 	if n.obs != nil && n.obs.tracer != nil && (!linked || !attached || lost) {
@@ -730,24 +713,20 @@ func (c *NIC) deliver(f Frame, now time.Time) {
 		return
 	}
 	recv := c.recv
-	c.rx++
 	c.mu.Unlock()
 
 	n := c.net
 	n.mu.Lock()
 	n.stats.RxFrames++
 	n.stats.RxBytes += uint64(len(f.Payload))
-	if n.obs != nil {
-		n.obs.rxFrames.Inc()
-		if f.Corrupted {
-			n.obs.corrupted.Inc()
-		}
-		if n.obs.tracer != nil {
-			n.obs.tracer.Record(now, trace.Span{
-				Node: c.addr.String(), Kind: trace.KindFrameRx,
-				From: f.Src.String(), Corr: f.Corr, Bytes: len(f.Payload),
-			})
-		}
+	if f.Corrupted {
+		n.stats.RxCorrupted++
+	}
+	if n.obs != nil && n.obs.tracer != nil {
+		n.obs.tracer.Record(now, trace.Span{
+			Node: c.addr.String(), Kind: trace.KindFrameRx,
+			From: f.Src.String(), Corr: f.Corr, Bytes: len(f.Payload),
+		})
 	}
 	tap := n.tap
 	n.mu.Unlock()
@@ -758,11 +737,4 @@ func (c *NIC) deliver(f Frame, now time.Time) {
 	if recv != nil {
 		recv(f)
 	}
-}
-
-// Counters returns the NIC's transmit/receive frame counts.
-func (c *NIC) Counters() (tx, rx uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tx, c.rx
 }

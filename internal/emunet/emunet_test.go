@@ -406,10 +406,6 @@ func TestStatsAccounting(t *testing.T) {
 	if st.TxFrames != 1 || st.RxFrames != 2 || st.TxBytes != 4 || st.RxBytes != 8 {
 		t.Fatalf("Stats = %+v", st)
 	}
-	tx, rx := na.Counters()
-	if tx != 1 || rx != 0 {
-		t.Fatalf("NIC counters = %d/%d", tx, rx)
-	}
 	n.ResetStats()
 	if st := n.Stats(); st != (Stats{}) {
 		t.Fatalf("ResetStats left %+v", st)

@@ -200,7 +200,6 @@ func (e *engine) run() {
 		return
 	}
 	e.running = true
-	obs := n.obs
 	epochObs := n.epochObs
 	n.mu.Unlock()
 
@@ -228,10 +227,6 @@ func (e *engine) run() {
 	e.stats.MaxEpochEvents = max(e.stats.MaxEpochEvents, es.Events)
 	n.mu.Unlock()
 
-	if obs != nil {
-		obs.engEpochs.Inc()
-		obs.engEpochEvents.Add(uint64(es.Events))
-	}
 	// The epoch observer runs outside every lock, after the deliveries, on
 	// the clock goroutine — so bus events interleave deterministically with
 	// the spans the epoch just recorded.

@@ -6,55 +6,50 @@ import (
 	"manetkit/internal/trace"
 )
 
-// netObs bundles the medium's instruments, resolved once in SetMetrics /
-// SetTracer so the per-frame paths never consult the registry. A nil
-// bundle (observability disabled) costs one nil check per frame.
+// netObs bundles the medium's tracer and histogram, resolved once in
+// SetMetrics / SetTracer so the per-frame paths never consult the
+// registry. A nil bundle (observability disabled) costs one nil check per
+// frame. The medium's counts are not instruments: the registry reads them
+// from Stats and EngineStats (readMetrics).
 type netObs struct {
 	reg    *metrics.Registry
 	tracer *trace.Tracer
 
-	txFrames      *metrics.Counter
-	rxFrames      *metrics.Counter
-	droppedLoss   *metrics.Counter
-	droppedNoLink *metrics.Counter
-	corrupted     *metrics.Counter
-
 	linkDelay *metrics.Histogram // per-delivery scheduled link delay
-
-	// Event-core epoch counters.
-	engEpochs      *metrics.Counter
-	engEpochEvents *metrics.Counter
 }
 
 func newNetObs(reg *metrics.Registry, tr *trace.Tracer) *netObs {
 	if reg == nil && tr == nil {
 		return nil
 	}
-	return &netObs{
-		reg:           reg,
-		tracer:        tr,
-		txFrames:      reg.Counter("net_tx_frames"),
-		rxFrames:      reg.Counter("net_rx_frames"),
-		droppedLoss:   reg.Counter("net_dropped_loss"),
-		droppedNoLink: reg.Counter("net_dropped_nolink"),
-		corrupted:     reg.Counter("net_rx_corrupted"),
-		linkDelay:     reg.Histogram("net_link_delay"),
-
-		engEpochs:      reg.Counter("net_engine_epochs"),
-		engEpochEvents: reg.Counter("net_engine_epoch_events"),
-	}
+	return &netObs{reg: reg, tracer: tr, linkDelay: reg.Histogram("net_link_delay")}
 }
 
-// SetMetrics attaches a metrics registry to the medium (nil detaches,
-// unless a tracer is still installed). Call before traffic starts.
+// SetMetrics attaches a metrics registry to the medium. Call it once,
+// before traffic starts.
 func (n *Network) SetMetrics(reg *metrics.Registry) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	var tr *trace.Tracer
 	if n.obs != nil {
 		tr = n.obs.tracer
 	}
 	n.obs = newNetObs(reg, tr)
+	n.mu.Unlock()
+	reg.Attach(n.readMetrics) // the registry reads the medium under n.mu
+}
+
+// readMetrics reports the medium's Stats and the event core's EngineStats
+// to a metrics registry.
+func (n *Network) readMetrics(emit func(name string, v uint64)) {
+	s := n.Stats()
+	emit("net_tx_frames", s.TxFrames)
+	emit("net_rx_frames", s.RxFrames)
+	emit("net_dropped_loss", s.DroppedLoss)
+	emit("net_dropped_nolink", s.DroppedNoLink)
+	emit("net_rx_corrupted", s.RxCorrupted)
+	eng, _ := n.EngineStats()
+	emit("net_engine_epochs", eng.Epochs)
+	emit("net_engine_epoch_events", eng.Events)
 }
 
 // SetTracer attaches a span tracer to the medium (nil detaches, unless a

@@ -10,7 +10,6 @@ import (
 	"manetkit/internal/harness"
 	"manetkit/internal/inspect"
 	"manetkit/internal/invariant"
-	"manetkit/internal/metrics"
 	"manetkit/internal/system"
 	"manetkit/internal/testbed"
 	"manetkit/internal/trace"
@@ -221,10 +220,9 @@ func CaptureControlCorpus(proto string, density Density, load Load, seed int64, 
 // runCell is RunCell plus an optional transmission observer chained onto
 // the campaign's own accounting tap.
 func runCell(proto string, density Density, load Load, seed int64, warmup, cooldown time.Duration, txObs func(emunet.Frame)) (SeedResult, error) {
-	reg := metrics.NewRegistry()
 	tr := trace.New(testbed.Epoch, campaignTraceCap)
 	c, err := testbed.New(density.Nodes, testbed.Options{
-		Seed: seed, Metrics: reg, Tracer: tr, LinkQuality: linkQuality(),
+		Seed: seed, Tracer: tr, LinkQuality: linkQuality(),
 	})
 	if err != nil {
 		return SeedResult{}, err

@@ -126,11 +126,13 @@ func TestMonitorDropRate(t *testing.T) {
 }
 
 // TestMonitorQueueMetrics: dedicated-queue watermark and overflow
-// watchdogs read the core's instrument names from the shared registry.
+// watchdogs read the core's metric names from the shared registry.
 func TestMonitorQueueMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.Gauge("core_dedicated_depth:aodv").Set(600)
-	reg.Counter("core_dedicated_dropped:aodv").Add(5)
+	depth, dropped := int64(600), uint64(0)
+	reg.AttachGauge("core_dedicated_depth:aodv", func() int64 { return depth })
+	reg.Attach(func(emit func(string, uint64)) { emit("core_dedicated_dropped:aodv", dropped) })
+	dropped = 5
 	mon := inspect.NewMonitor(testbed.Epoch, reg, inspect.MonitorConfig{})
 
 	r := mon.Check(testbed.Epoch)
@@ -144,7 +146,7 @@ func TestMonitorQueueMetrics(t *testing.T) {
 	if got["queue-watermark"] != 1 || got["queue-overflow"] != 0 {
 		t.Errorf("second window want only queue-watermark, got:\n%s", r)
 	}
-	reg.Gauge("core_dedicated_depth:aodv").Set(3)
+	depth = 3
 	if r := mon.Check(testbed.Epoch.Add(2 * time.Second)); !r.Healthy() {
 		t.Errorf("drained queue still flagged:\n%s", r)
 	}

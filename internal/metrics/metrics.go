@@ -1,86 +1,30 @@
-// Package metrics is MANETKit's hot-path instrumentation layer: lock-cheap
-// counters, gauges and fixed-bucket latency histograms, aggregated in a
-// Registry shared by a whole deployment (typically one per testbed
-// cluster).
+// Package metrics is MANETKit's observability registry, aggregated per
+// deployment (typically one per testbed cluster).
+//
+// A Registry keeps no counts of its own. Every layer already counts what it
+// does in its Stats (the Framework Manager, the medium, each protocol's
+// State, the dedicated queues, the tracer), and a Registry reads those
+// counts when asked: a layer attaches a reader, and Snapshot sums the
+// readers by name. Histograms, which no layer keeps, are the one
+// instrument the registry owns.
 //
 // The design constraint is that observability must cost nothing when it is
-// off. A nil *Registry hands out nil instruments, and every instrument
-// method is nil-safe, so an uninstrumented call site compiles down to a
-// single nil check — no map lookups, no locks, no allocations (see the
-// overhead guard in internal/core). Call sites resolve their instruments
-// once at construction time and keep the pointers; only Snapshot and
-// instrument creation take the registry lock.
+// off. A nil *Registry hands out nil histograms and no-op attachments, and
+// every Histogram method is nil-safe, so an uninstrumented call site
+// compiles down to a single nil check — no map lookups, no locks, no
+// allocations (see the overhead guard in internal/core).
 package metrics
 
 import (
 	"expvar"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing event count. The zero value is
-// usable; a nil Counter is a no-op.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v.Add(1)
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an instantaneous level (queue depth, route count). The zero
-// value is usable; a nil Gauge is a no-op.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the level by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current level (0 on nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
 
 // DefaultLatencyBuckets spans 1µs–10s exponentially — wide enough for both
 // per-message handler costs (µs) and route-discovery latencies (ms–s).
@@ -122,31 +66,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(int64(d))
 }
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the total of all observations (0 on nil).
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
-// Mean returns the average observation (0 when empty or nil).
-func (h *Histogram) Mean() time.Duration {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / time.Duration(n)
-}
-
 // HistogramSnapshot is a histogram's state at one instant.
 type HistogramSnapshot struct {
 	Count   uint64        `json:"count"`
@@ -177,55 +96,87 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Registry creates and owns instruments by name. A nil Registry hands out
-// nil instruments, making every downstream call site a no-op; this is the
-// "disabled" configuration and the default everywhere.
+// Registry reads the counters and gauges its producers attach and owns
+// the histograms they create. A nil Registry hands out nil histograms and
+// no-op attachments; this is the "disabled" configuration and the default
+// everywhere.
+//
+// Snapshot calls the readers under the registry's lock, so a producer
+// must not hold a lock its reader takes while it calls into the registry.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
+	readers    map[*func()]struct{} // each adds its increments to counters
+	counters   map[string]uint64
+	gauges     map[string][]*func() int64
 	histograms map[string]*Histogram
 }
 
 // NewRegistry returns an empty, enabled registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
+		readers:    make(map[*func()]struct{}),
+		counters:   make(map[string]uint64),
+		gauges:     make(map[string][]*func() int64),
 		histograms: make(map[string]*Histogram),
 	}
 }
 
-// Counter returns the named counter, creating it on first use. Nil
-// registries return nil.
-func (r *Registry) Counter(name string) *Counter {
+// Attach makes read a source of counters: each Snapshot calls read, which
+// emits every count its producer keeps, by name. A counter is the sum over
+// its readers of what each counted since it was attached, so counts that
+// outlive an attachment (a redeployed unit, a State carried into a new
+// protocol instance) are never counted twice. A value below the reader's
+// previous one is a reset: the counter continues from it, never falling.
+// The returned func detaches read after one last read, keeping what it
+// counted. On a nil registry Attach is a no-op.
+func (r *Registry) Attach(read func(emit func(name string, v uint64))) (detach func()) {
 	if r == nil {
-		return nil
+		return func() {}
+	}
+	prev := make(map[string]uint64) // what read emitted last
+	collect := func() {
+		read(func(name string, v uint64) {
+			if v < prev[name] {
+				prev[name] = 0
+			}
+			r.counters[name] += v - prev[name]
+			prev[name] = v
+		})
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	read(func(name string, v uint64) {
+		prev[name] = v
+		r.counters[name] += 0 // the name is reported from attach on
+	})
+	r.readers[&collect] = struct{}{}
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if _, ok := r.readers[&collect]; ok {
+			collect()
+			delete(r.readers, &collect)
+		}
 	}
-	return c
 }
 
-// Gauge returns the named gauge, creating it on first use. Nil registries
-// return nil.
-func (r *Registry) Gauge(name string) *Gauge {
+// AttachGauge makes level a source of the named gauge, read on each
+// Snapshot and summed with the other levels attached under the name. The
+// returned func detaches it; the name stays, reading 0 once nothing is
+// attached under it. On a nil registry AttachGauge is a no-op.
+func (r *Registry) AttachGauge(name string, level func() int64) (detach func()) {
 	if r == nil {
-		return nil
+		return func() {}
 	}
+	fn := &level
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+	r.gauges[name] = append(r.gauges[name], fn)
+	r.mu.Unlock()
+	return func() {
+		r.mu.Lock()
+		r.gauges[name] = slices.DeleteFunc(r.gauges[name], func(g *func() int64) bool { return g == fn })
+		r.mu.Unlock()
 	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the given bucket
@@ -246,7 +197,7 @@ func (r *Registry) Histogram(name string, bounds ...time.Duration) *Histogram {
 	return h
 }
 
-// Snapshot is a deterministic copy of every instrument's state.
+// Snapshot is a deterministic copy of every counter, gauge and histogram.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
@@ -265,11 +216,18 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
+	for collect := range r.readers {
+		(*collect)()
 	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
+	for name, v := range r.counters {
+		s.Counters[name] = v
+	}
+	for name, levels := range r.gauges {
+		var v int64
+		for _, level := range levels {
+			v += (*level)()
+		}
+		s.Gauges[name] = v
 	}
 	for name, h := range r.histograms {
 		s.Histograms[name] = h.Snapshot()
@@ -293,14 +251,15 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	for _, name := range sortedKeys(s.Histograms) {
 		h := s.Histograms[name]
 		if _, err := fmt.Fprintf(w, "%s count=%d sum=%v mean=%v\n",
-			name, h.Count, h.Sum, h.mean()); err != nil {
+			name, h.Count, h.Sum, h.Mean()); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (h HistogramSnapshot) mean() time.Duration {
+// Mean returns the average observation (0 when empty).
+func (h HistogramSnapshot) Mean() time.Duration {
 	if h.Count == 0 {
 		return 0
 	}
@@ -316,16 +275,23 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
+// published maps an expvar name to the Registry most recently published
+// under it.
+var published sync.Map
+
 // PublishExpvar exposes the registry under the named expvar variable (for
 // mkemu's -http debug endpoint). expvar panics on duplicate names, so the
-// name is published at most once per process; later calls with the same
-// name are ignored.
+// name is published once per process; a later call with the same name
+// points it at the new registry.
 func (r *Registry) PublishExpvar(name string) {
 	if r == nil {
 		return
 	}
-	if expvar.Get(name) != nil {
+	if _, seen := published.Swap(name, r); seen || expvar.Get(name) != nil {
 		return
 	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
+	expvar.Publish(name, expvar.Func(func() any {
+		reg, _ := published.Load(name)
+		return reg.(*Registry).Snapshot()
+	}))
 }

@@ -13,12 +13,12 @@ package mpr
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"manetkit/internal/core"
 	"manetkit/internal/event"
 	"manetkit/internal/kernel"
-	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
 	"manetkit/internal/neighbor"
 	"manetkit/internal/packetbb"
@@ -75,6 +75,25 @@ type State struct {
 	selectors   map[mnet.Addr]bool // neighbours that chose us
 	willingness uint8
 	dupes       reactive.DupSet
+
+	helloTx, helloRx atomic.Uint64
+}
+
+// Stats counts the MPR CF's HELLO traffic.
+type Stats struct {
+	HelloTx uint64 // HELLOs emitted
+	HelloRx uint64 // HELLOs handled
+}
+
+// Stats returns a snapshot of the HELLO counters.
+func (s *State) Stats() Stats {
+	return Stats{HelloTx: s.helloTx.Load(), HelloRx: s.helloRx.Load()}
+}
+
+// readMetrics reports the counters behind mpr_* to a metrics registry.
+func (s *State) readMetrics(emit func(name string, v uint64)) {
+	emit("mpr_hello_tx", s.helloTx.Load())
+	emit("mpr_hello_rx", s.helloRx.Load())
 }
 
 // NewState returns an empty MPR state.
@@ -127,11 +146,6 @@ type MPR struct {
 	mu       sync.Mutex
 	calc     Calculator
 	helloSeq uint16
-
-	// Instruments, resolved from the deployment's registry on Start; nil
-	// (no-op) when the deployment carries no metrics.
-	mHelloTx *metrics.Counter
-	mHelloRx *metrics.Counter
 }
 
 // New builds an MPR CF (name defaults to UnitName).
@@ -183,12 +197,7 @@ func New(name string, cfg Config) *MPR {
 	if err := m.proto.AddSource(core.NewSource("expiry-sweep", cfg.HelloInterval/2, 0, m.sweep)); err != nil {
 		panic(err)
 	}
-	m.proto.OnStart(func(ctx *core.Context) error {
-		reg := ctx.Env().Metrics()
-		m.mHelloTx = reg.Counter("mpr_hello_tx")
-		m.mHelloRx = reg.Counter("mpr_hello_rx")
-		return nil
-	})
+	m.proto.SetCounters(m.state.readMetrics)
 	return m
 }
 
@@ -226,7 +235,7 @@ func (m *MPR) CalculatorName() string {
 }
 
 func (m *MPR) emitHello(ctx *core.Context) {
-	m.mHelloTx.Inc()
+	m.state.helloTx.Add(1)
 	ctx.Emit(&event.Event{
 		Type: event.HelloOut,
 		Msg:  m.BuildHello(ctx.Node()),
@@ -293,7 +302,7 @@ func (m *MPR) onHello(ctx *core.Context, ev *event.Event) error {
 	if ev.Msg == nil {
 		return nil
 	}
-	m.mHelloRx.Inc()
+	m.state.helloRx.Add(1)
 	src := ev.Msg.Originator
 	if src.IsUnspecified() {
 		src = ev.Src

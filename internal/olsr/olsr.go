@@ -5,7 +5,6 @@ import (
 
 	"manetkit/internal/core"
 	"manetkit/internal/event"
-	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
 	"manetkit/internal/mpr"
 	"manetkit/internal/neighbor"
@@ -65,13 +64,6 @@ type OLSR struct {
 	// section (handlers, sources and RunLocked callbacks all hold it).
 	dirty      bool         // route set may be stale
 	drainTimer vclock.Timer // armed quantized drain, nil when idle
-
-	// Instruments, resolved from the deployment's registry on Start; nil
-	// (no-op) when the deployment carries no metrics.
-	mTCTx      *metrics.Counter // TC emissions (periodic + triggered)
-	mTCRx      *metrics.Counter // TCs accepted from symmetric neighbours
-	mTCFwd     *metrics.Counter // MPR-optimised flood forwards
-	mMPRChange *metrics.Counter // triggered advertised-set changes
 }
 
 // New builds an OLSR CF using the given MPR CF for link sensing, relay
@@ -122,14 +114,7 @@ func New(name string, relay *mpr.MPR, cfg Config) *OLSR {
 	if err := o.proto.AddSource(core.NewSource("topo-sweep", cfg.TCInterval/5, 0, o.sweep)); err != nil {
 		panic(err)
 	}
-	o.proto.OnStart(func(ctx *core.Context) error {
-		reg := ctx.Env().Metrics()
-		o.mTCTx = reg.Counter("olsr_tc_tx")
-		o.mTCRx = reg.Counter("olsr_tc_rx")
-		o.mTCFwd = reg.Counter("olsr_tc_fwd")
-		o.mMPRChange = reg.Counter("olsr_mpr_changes")
-		return nil
-	})
+	o.proto.SetCounters(o.state.readMetrics)
 	o.proto.OnStop(func(ctx *core.Context) error {
 		if o.drainTimer != nil {
 			o.drainTimer.Stop()
@@ -180,7 +165,7 @@ func (o *OLSR) emitTC(ctx *core.Context) {
 	}
 	msg := o.BuildTC(ctx.Node())
 	o.m.Flooder().Seen(ctx.Node(), msg.SeqNum, ctx.Clock().Now())
-	o.mTCTx.Inc()
+	o.state.tcTx.Add(1)
 	ctx.Emit(&event.Event{Type: event.TCOut, Msg: msg, Dst: mnet.Broadcast})
 }
 
@@ -200,7 +185,7 @@ func (o *OLSR) onTC(ctx *core.Context, ev *event.Event) error {
 	if st, ok := o.m.State().Links.StatusOf(ev.Src); !ok || st != neighbor.StatusSymmetric {
 		return nil
 	}
-	o.mTCRx.Inc()
+	o.state.tcRx.Add(1)
 	ansn := uint16(0)
 	if tlv, ok := msg.FindTLV(packetbb.TLVANSN); ok {
 		if v, err := packetbb.ParseU16(tlv.Value); err == nil {
@@ -232,7 +217,7 @@ func (o *OLSR) onTC(ctx *core.Context, ev *event.Event) error {
 	}
 	// MPR-optimised flood forwarding.
 	if msg.HopLimit > 1 && o.m.Flooder().ShouldForward(msg.Originator, msg.SeqNum, ev.Src, now) {
-		o.mTCFwd.Inc()
+		o.state.tcFwd.Add(1)
 		ctx.Emit(event.Relay(event.TCOut, msg, mnet.Broadcast))
 	}
 	return nil
@@ -247,11 +232,11 @@ func (o *OLSR) onMPRChange(ctx *core.Context, ev *event.Event) error {
 	// The advertised (selector) set changed: bump ANSN and send a
 	// triggered TC so topology propagates ahead of the periodic timer.
 	o.state.BumpANSN()
-	o.mMPRChange.Inc()
+	o.state.mprChanges.Add(1)
 	if len(o.m.State().Selectors()) > 0 {
 		msg := o.BuildTC(ctx.Node())
 		o.m.Flooder().Seen(ctx.Node(), msg.SeqNum, ctx.Clock().Now())
-		o.mTCTx.Inc()
+		o.state.tcTx.Add(1)
 		ctx.Emit(&event.Event{Type: event.TCOut, Msg: msg, Dst: mnet.Broadcast})
 	}
 	o.markDirty(ctx)

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"manetkit/internal/mnet"
@@ -146,6 +147,29 @@ type State struct {
 	// HNA (gateway) state.
 	attached map[mnet.Prefix]bool     // prefixes this node announces
 	hna      map[mnet.Prefix]hnaEntry // learned gateway associations
+
+	tcTx, tcRx, tcFwd, mprChanges atomic.Uint64
+}
+
+// Stats counts OLSR activity.
+type Stats struct {
+	TCTx       uint64 // TC emissions, periodic and triggered
+	TCRx       uint64 // TCs accepted from symmetric neighbours
+	TCFwd      uint64 // MPR-optimised flood forwards
+	MPRChanges uint64 // triggered advertised-set changes
+}
+
+// Stats returns a snapshot of the protocol counters.
+func (s *State) Stats() Stats {
+	return Stats{TCTx: s.tcTx.Load(), TCRx: s.tcRx.Load(), TCFwd: s.tcFwd.Load(), MPRChanges: s.mprChanges.Load()}
+}
+
+// readMetrics reports the counters behind olsr_* to a metrics registry.
+func (s *State) readMetrics(emit func(name string, v uint64)) {
+	emit("olsr_tc_tx", s.tcTx.Load())
+	emit("olsr_tc_rx", s.tcRx.Load())
+	emit("olsr_tc_fwd", s.tcFwd.Load())
+	emit("olsr_mpr_changes", s.mprChanges.Load())
 }
 
 // NewState returns an empty OLSR state whose routing table lives on clock

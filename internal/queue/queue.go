@@ -11,8 +11,6 @@ package queue
 import (
 	"errors"
 	"sync"
-
-	"manetkit/internal/metrics"
 )
 
 // Ring is a growable circular buffer. It is not safe for concurrent use;
@@ -94,10 +92,6 @@ type FIFO[T any] struct {
 	bound    int
 	closed   bool
 	stats    Stats
-
-	// Optional instruments (see Instrument); nil instruments are no-ops.
-	mDepth   *metrics.Gauge
-	mDropped *metrics.Counter
 }
 
 // NewFIFO returns an empty FIFO. bound <= 0 means unbounded.
@@ -105,17 +99,6 @@ func NewFIFO[T any](bound int) *FIFO[T] {
 	q := &FIFO[T]{bound: bound}
 	q.nonEmpty.L = &q.mu
 	return q
-}
-
-// Instrument attaches metric instruments to the queue: depth tracks the
-// live queue length and dropped counts TryPush rejections. Either may be
-// nil (a nil instrument is a no-op). Call before the queue is shared.
-func (q *FIFO[T]) Instrument(depth *metrics.Gauge, dropped *metrics.Counter) {
-	q.mu.Lock()
-	q.mDepth = depth
-	q.mDropped = dropped
-	q.mDepth.Set(int64(q.ring.Len()))
-	q.mu.Unlock()
 }
 
 // Push enqueues v. On a bounded queue at capacity it behaves like TryPush
@@ -133,12 +116,10 @@ func (q *FIFO[T]) TryPush(v T) error {
 	}
 	if q.bound > 0 && q.ring.Len() >= q.bound {
 		q.stats.Dropped++
-		q.mDropped.Inc()
 		return ErrFull
 	}
 	q.ring.Push(v)
 	q.stats.Pushed++
-	q.mDepth.Set(int64(q.ring.Len()))
 	if n := q.ring.Len(); n > q.stats.HighWater {
 		q.stats.HighWater = n
 	}
@@ -160,7 +141,6 @@ func (q *FIFO[T]) Pop() (T, error) {
 		return zero, ErrClosed
 	}
 	q.stats.Popped++
-	q.mDepth.Set(int64(q.ring.Len()))
 	return v, nil
 }
 
@@ -171,7 +151,6 @@ func (q *FIFO[T]) TryPop() (v T, ok bool) {
 	v, ok = q.ring.Pop()
 	if ok {
 		q.stats.Popped++
-		q.mDepth.Set(int64(q.ring.Len()))
 	}
 	return v, ok
 }

@@ -117,7 +117,7 @@ func TestControlMessageEndToEnd(t *testing.T) {
 // address block of 256 addresses) fails back to the dispatcher, reaches no
 // NIC, and is not counted as sent.
 func TestFailedEncodeIsNotCounted(t *testing.T) {
-	_, _, nodes := newTestNet(t, 1)
+	net, _, nodes := newTestNet(t, 1)
 	msg := &packetbb.Message{Type: packetbb.MsgTC, AddrBlocks: []packetbb.AddrBlock{{Addrs: make([]mnet.Addr, 256)}}}
 	err := nodes[0].sys.Protocol().Accept(&event.Event{Type: event.MsgOut, Msg: msg, Dst: mnet.Broadcast})
 	if !errors.Is(err, packetbb.ErrTooLarge) {
@@ -126,8 +126,8 @@ func TestFailedEncodeIsNotCounted(t *testing.T) {
 	if st := nodes[0].sys.Stats(); st.CtrlSent != 0 {
 		t.Fatalf("CtrlSent = %d after a failed encode, want 0", st.CtrlSent)
 	}
-	if tx, _ := nodes[0].sys.NIC().Counters(); tx != 0 {
-		t.Fatalf("NIC sent %d frames after a failed encode, want 0", tx)
+	if tx := net.Stats().TxFrames; tx != 0 {
+		t.Fatalf("medium carried %d frames after a failed encode, want 0", tx)
 	}
 }
 

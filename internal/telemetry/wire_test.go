@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -57,21 +58,58 @@ func TestAttachTracerStreamsSpans(t *testing.T) {
 	}
 }
 
-// TestTracerDropHookCountsEvictions is the ring-overflow accounting
-// satellite: every span the trace ring evicts fires the drop hook exactly
-// once, so a wired trace_dropped_total counter equals Tracer.Dropped.
-func TestTracerDropHookCountsEvictions(t *testing.T) {
+// TestTraceDroppedTotalCountsEvictions is the ring-overflow accounting:
+// a registry reading the tracer reports every span the ring evicted as
+// trace_dropped_total. Tracer.Reset restarts Dropped, but the counter
+// neither falls nor counts an eviction twice, and a Sampler's delta never
+// underflows.
+func TestTraceDroppedTotalCountsEvictions(t *testing.T) {
+	clk := vclock.NewVirtual(testEpoch)
 	reg := metrics.NewRegistry()
+	b := New(Config{Epoch: testEpoch})
+	sub := b.Subscribe(8, StreamMetrics)
+	s := NewSampler(b, reg, clk, time.Second)
 	tr := trace.New(testEpoch, 4)
-	tr.SetDropHook(reg.Counter("trace_dropped_total").Inc)
-	for i := 0; i < 10; i++ {
-		tr.Record(testEpoch, trace.Span{Kind: trace.KindEmit})
+	reg.Attach(tr.ReadMetrics)
+	s.Start()
+	defer s.Stop()
+	record := func(n int) {
+		for i := 0; i < n; i++ {
+			tr.Record(testEpoch, trace.Span{Kind: trace.KindEmit})
+		}
 	}
+
+	record(10)
 	if tr.Dropped() != 6 {
 		t.Fatalf("tracer dropped %d, want 6 (10 records, capacity 4)", tr.Dropped())
 	}
-	if got := reg.Snapshot().Counters["trace_dropped_total"]; got != tr.Dropped() {
-		t.Fatalf("trace_dropped_total = %d, want %d", got, tr.Dropped())
+	if got := reg.Snapshot().Counters["trace_dropped_total"]; got != 6 {
+		t.Fatalf("trace_dropped_total = %d, want 6", got)
+	}
+	clk.Advance(time.Second)
+	record(2) // two more evictions, then a Reset before anyone reads
+	tr.Reset()
+	record(5) // one eviction after the Reset
+	if tr.Dropped() != 1 {
+		t.Fatalf("tracer dropped %d since Reset, want 1", tr.Dropped())
+	}
+	if got := reg.Snapshot().Counters["trace_dropped_total"]; got != 9 {
+		t.Fatalf("trace_dropped_total = %d after Reset, want 9 (6+2+1)", got)
+	}
+	clk.Advance(time.Second)
+	s.Stop()
+	b.Close()
+
+	var deltas []uint64
+	for _, ev := range drain(sub) {
+		var d MetricsDelta
+		if err := json.Unmarshal(ev.Data, &d); err != nil {
+			t.Fatal(err)
+		}
+		deltas = append(deltas, d.Counters["trace_dropped_total"])
+	}
+	if !slices.Equal(deltas, []uint64{6, 3}) {
+		t.Fatalf("sampled trace_dropped_total deltas %v, want [6 3]", deltas)
 	}
 }
 
@@ -110,9 +148,10 @@ func TestAttachHealthStreamsTransitions(t *testing.T) {
 	AttachHealth(b, mon)
 	sub := b.Subscribe(8, StreamHealth)
 
-	reg.Gauge("core_dedicated_depth:aodv").Set(600) // past the watermark
+	depth := int64(600) // past the watermark
+	reg.AttachGauge("core_dedicated_depth:aodv", func() int64 { return depth })
 	r1 := mon.Check(testEpoch.Add(time.Second))
-	reg.Gauge("core_dedicated_depth:aodv").Set(3)
+	depth = 3
 	r2 := mon.Check(testEpoch.Add(4 * time.Second))
 	b.Close()
 
@@ -154,17 +193,18 @@ func TestSamplerDeltas(t *testing.T) {
 	b := New(Config{Epoch: testEpoch})
 	sub := b.Subscribe(8, StreamMetrics)
 	s := NewSampler(b, reg, clk, time.Second)
+	frames, depth := uint64(0), int64(0)
+	reg.Attach(func(emit func(string, uint64)) { emit("frames", frames) })
+	reg.AttachGauge("depth", func() int64 { return depth })
 
-	reg.Counter("frames").Add(5) // pre-Start activity is baseline, not delta
-	reg.Gauge("depth").Set(7)
+	frames, depth = 5, 7 // pre-Start activity is baseline, not delta
 	s.Start()
 	defer s.Stop()
 
-	reg.Counter("frames").Add(3)
-	reg.Gauge("depth").Set(9)
+	frames, depth = 8, 9
 	clk.Advance(time.Second) // first sample: the changes since Start
 	clk.Advance(time.Second) // second sample: nothing changed, no event
-	reg.Counter("frames").Add(2)
+	frames += 2
 	clk.Advance(time.Second) // third sample: counter delta only
 	s.Stop()
 	b.Close()
@@ -199,13 +239,15 @@ func TestSamplerInactiveAdvancesBaseline(t *testing.T) {
 	reg := metrics.NewRegistry()
 	b := New(Config{Epoch: testEpoch, RecorderCapacity: -1}) // inactive until subscribed
 	s := NewSampler(b, reg, clk, time.Second)
+	frames := uint64(0)
+	reg.Attach(func(emit func(string, uint64)) { emit("frames", frames) })
 	s.Start()
 	defer s.Stop()
 
-	reg.Counter("frames").Add(5)
+	frames = 5
 	s.SampleNow() // inactive: publishes nothing, advances baseline
 	sub := b.Subscribe(8, StreamMetrics)
-	reg.Counter("frames").Add(2)
+	frames += 2
 	s.SampleNow()
 	b.Close()
 

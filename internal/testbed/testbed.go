@@ -85,12 +85,9 @@ func New(n int, opts Options) (*Cluster, error) {
 	}
 	if opts.Tracer != nil {
 		net.SetTracer(opts.Tracer)
-		if opts.Metrics != nil {
-			// Ring overflow used to discard spans silently; with both
-			// instruments installed, every eviction now shows up as a
-			// cluster-wide counter.
-			opts.Tracer.SetDropHook(opts.Metrics.Counter("trace_dropped_total").Inc)
-		}
+		// With both installed, every span the ring evicts shows up as a
+		// cluster-wide counter.
+		opts.Metrics.Attach(opts.Tracer.ReadMetrics)
 	}
 	c := &Cluster{Clock: clk, Net: net, opts: opts}
 	for _, addr := range emunet.Addrs(n) {
@@ -151,15 +148,6 @@ func (c *Cluster) Addrs() []mnet.Addr {
 
 // Node returns the node at index i.
 func (c *Cluster) Node(i int) *Node { return c.Nodes[i] }
-
-// Metrics returns the cluster's shared registry (nil when not configured).
-func (c *Cluster) Metrics() *metrics.Registry { return c.opts.Metrics }
-
-// Tracer returns the cluster's shared tracer (nil when not configured).
-func (c *Cluster) Tracer() *trace.Tracer { return c.opts.Tracer }
-
-// Journal returns the cluster's rewire journal (nil when not configured).
-func (c *Cluster) Journal() *inspect.Journal { return c.opts.Journal }
 
 // Snapshot captures the live architecture meta-model of every node.
 func (c *Cluster) Snapshot() inspect.Snapshot {

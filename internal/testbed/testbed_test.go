@@ -75,8 +75,8 @@ func TestSharedVirtualClock(t *testing.T) {
 	}
 	// Both nodes beaconed off the one clock, and heard each other.
 	for i, n := range c.Nodes {
-		tx, rx := n.Sys.NIC().Counters()
-		if tx == 0 || rx == 0 {
+		st := n.Sys.Stats()
+		if tx, rx := st.CtrlSent, st.CtrlReceived; tx == 0 || rx == 0 {
 			t.Fatalf("node %d tx=%d rx=%d: not driven by the cluster clock", i, tx, rx)
 		}
 		peer := c.Nodes[1-i].Addr
@@ -194,13 +194,13 @@ func TestNodeReattachAfterCrash(t *testing.T) {
 		t.Fatalf("Detach: %v", err)
 	}
 	rxAtDetach := c.Net.Stats().RxFrames
-	_, rxNICAtDetach := nic.Counters()
+	ctrlRxAtDetach := victim.Sys.Stats().CtrlReceived
 	c.Run(4 * time.Second)
 	if c.Net.Linked(c.Nodes[0].Addr, victim.Addr) {
 		t.Fatalf("victim still linked after detach")
 	}
-	if _, rx := nic.Counters(); rx != rxNICAtDetach {
-		t.Fatalf("detached NIC still receiving: %d -> %d", rxNICAtDetach, rx)
+	if rx := victim.Sys.Stats().CtrlReceived; rx != ctrlRxAtDetach {
+		t.Fatalf("detached node still receiving: %d -> %d", ctrlRxAtDetach, rx)
 	}
 
 	if err := c.Net.Reattach(nic); err != nil {

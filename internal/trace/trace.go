@@ -71,14 +71,14 @@ type Span struct {
 type Tracer struct {
 	epoch time.Time
 
-	mu       sync.Mutex
-	buf      []Span
-	head     int // index of the oldest span
-	count    int
-	seq      uint64
-	dropped  uint64
-	obs      func(Span)
-	dropHook func()
+	mu      sync.Mutex
+	buf     []Span
+	head    int // index of the oldest span
+	count   int
+	seq     uint64
+	evicted uint64 // spans lost to ring overflow since New
+	resetAt uint64 // evicted at the last Reset
+	obs     func(Span)
 }
 
 // DefaultCapacity bounds a tracer when New is given a non-positive
@@ -94,9 +94,6 @@ func New(epoch time.Time, capacity int) *Tracer {
 	return &Tracer{epoch: epoch, buf: make([]Span, capacity)}
 }
 
-// Enabled reports whether t records spans (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // SetObserver installs fn to be called for every recorded span, after the
 // tracer has stamped its sequence number and timestamp, in record order.
 // fn runs under the tracer's lock and must not call back into the tracer;
@@ -107,19 +104,6 @@ func (t *Tracer) SetObserver(fn func(Span)) {
 	}
 	t.mu.Lock()
 	t.obs = fn
-	t.mu.Unlock()
-}
-
-// SetDropHook installs fn to be called once per span evicted by ring
-// overflow — the wiring point for the trace_dropped_total counter, which
-// closes the silent gap where a full ring discarded history unnoticed.
-// fn runs under the tracer's lock; nil detaches.
-func (t *Tracer) SetDropHook(fn func()) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.dropHook = fn
 	t.mu.Unlock()
 }
 
@@ -137,10 +121,7 @@ func (t *Tracer) Record(now time.Time, s Span) {
 	if t.count == len(t.buf) {
 		t.buf[t.head] = s
 		t.head = (t.head + 1) % len(t.buf)
-		t.dropped++
-		if t.dropHook != nil {
-			t.dropHook()
-		}
+		t.evicted++
 	} else {
 		t.buf[(t.head+t.count)%len(t.buf)] = s
 		t.count++
@@ -161,14 +142,26 @@ func (t *Tracer) Len() int {
 	return t.count
 }
 
-// Dropped returns how many spans were evicted by ring overflow.
+// Dropped returns how many spans were evicted by ring overflow since the
+// last Reset.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.evicted - t.resetAt
+}
+
+// ReadMetrics reports every span evicted by ring overflow, Resets
+// included, as trace_dropped_total — a reader for metrics.Registry.Attach,
+// which closes the silent gap where a full ring discarded history
+// unnoticed.
+func (t *Tracer) ReadMetrics(emit func(name string, v uint64)) {
+	t.mu.Lock()
+	evicted := t.evicted
+	t.mu.Unlock()
+	emit("trace_dropped_total", evicted)
 }
 
 // Spans copies out the buffered spans, oldest first.
@@ -191,7 +184,7 @@ func (t *Tracer) Reset() {
 		return
 	}
 	t.mu.Lock()
-	t.head, t.count, t.seq, t.dropped = 0, 0, 0, 0
+	t.head, t.count, t.seq, t.resetAt = 0, 0, 0, t.evicted
 	t.mu.Unlock()
 }
 
@@ -221,10 +214,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 func (t *Tracer) Fingerprint() string {
 	h := fnv.New64a()
 	if t != nil {
-		t.mu.Lock()
-		dropped := t.dropped
-		t.mu.Unlock()
-		fmt.Fprintf(h, "dropped=%d\n", dropped)
+		fmt.Fprintf(h, "dropped=%d\n", t.Dropped())
 	}
 	_ = t.WriteJSONL(h)
 	return fmt.Sprintf("%016x", h.Sum64())

@@ -23,7 +23,6 @@ import (
 
 	"manetkit/internal/core"
 	"manetkit/internal/event"
-	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
 	"manetkit/internal/mpr"
 	"manetkit/internal/neighbor"
@@ -127,6 +126,15 @@ func (s *State) Stats() Stats {
 	return s.stats
 }
 
+// readMetrics reports the counters behind zrp_* to a metrics registry.
+func (s *State) readMetrics(emit func(name string, v uint64)) {
+	st := s.Stats()
+	emit("zrp_intrazone_hits", st.IntrazoneHits)
+	emit("zrp_discoveries", st.Discoveries)
+	emit("zrp_zone_answers", st.ZoneAnswers)
+	emit("zrp_terminal_answers", st.TerminalAnswers)
+}
+
 func (s *State) bump(fn func(*Stats)) {
 	s.mu.Lock()
 	fn(&s.stats)
@@ -152,13 +160,6 @@ type ZRP struct {
 	// section like the rest of the refresh path.
 	zoneScratch []route.ProtoRoute
 	zoneKeys    []mnet.Addr
-
-	// Instruments, resolved from the deployment's registry on Start; nil
-	// (no-op) when the deployment carries no metrics.
-	mIntrazone   *metrics.Counter // NO_ROUTE satisfied from the zone
-	mDiscoveries *metrics.Counter // interzone (IERP) discoveries started
-	mZoneAnswers *metrics.Counter // RREPs sent on an in-zone target's behalf
-	mTerminal    *metrics.Counter // RREPs sent by the target itself
 }
 
 // New builds a ZRP CF stacked on the given MPR CF (which supplies the
@@ -208,14 +209,7 @@ func New(name string, relay *mpr.MPR, cfg Config) *ZRP {
 	if err := z.proto.AddSource(core.NewSource("route-sweep", cfg.RouteLifetime/2, 0, z.sweep)); err != nil {
 		panic(err)
 	}
-	z.proto.OnStart(func(ctx *core.Context) error {
-		reg := ctx.Env().Metrics()
-		z.mIntrazone = reg.Counter("zrp_intrazone_hits")
-		z.mDiscoveries = reg.Counter("zrp_discoveries")
-		z.mZoneAnswers = reg.Counter("zrp_zone_answers")
-		z.mTerminal = reg.Counter("zrp_terminal_answers")
-		return nil
-	})
+	z.proto.SetCounters(z.state.readMetrics)
 	z.proto.OnStop(func(ctx *core.Context) error {
 		z.state.mu.Lock()
 		z.state.pending.StopAll()
@@ -311,7 +305,6 @@ func (z *ZRP) onNoRoute(ctx *core.Context, ev *event.Event) error {
 			Proto: z.proto.Name(),
 		})
 		z.state.bump(func(st *Stats) { st.IntrazoneHits++ })
-		z.mIntrazone.Inc()
 		ctx.Emit(&event.Event{Type: event.RouteFound, Route: &event.RoutePayload{Dst: dst}})
 		return nil
 	}
@@ -322,7 +315,6 @@ func (z *ZRP) onNoRoute(ctx *core.Context, ev *event.Event) error {
 	}
 	z.state.mu.Unlock()
 	if started {
-		z.mDiscoveries.Inc()
 		z.sendRREQ(ctx, dst, 1)
 	}
 	return nil
@@ -427,13 +419,11 @@ func (z *ZRP) onRREQ(ctx *core.Context, ev *event.Event) error {
 	// the target, replies — the discovery terminates a zone radius early.
 	if target == ctx.Node() {
 		z.state.bump(func(st *Stats) { st.TerminalAnswers++ })
-		z.mTerminal.Inc()
 		z.sendRREP(ctx, msg.Originator, target, 0, ev.Src)
 		return nil
 	}
 	if dist, _ := z.zoneDistance(ctx.Node(), target); dist > 0 {
 		z.state.bump(func(st *Stats) { st.ZoneAnswers++ })
-		z.mZoneAnswers.Inc()
 		z.sendRREP(ctx, msg.Originator, target, uint8(dist), ev.Src)
 		return nil
 	}

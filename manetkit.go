@@ -112,10 +112,12 @@ type (
 	InvariantSuite = invariant.Suite
 	// SeqWatcher is the live monotonic-sequence-number invariant.
 	SeqWatcher = invariant.SeqWatcher
-	// MetricsRegistry is the hot-path counter/gauge/histogram registry;
-	// a nil registry is a valid no-op (zero-overhead disabled path).
+	// MetricsRegistry reads the layers' counters and owns the latency
+	// histograms; a nil registry is a valid no-op (zero-overhead disabled
+	// path).
 	MetricsRegistry = metrics.Registry
-	// MetricsSnapshot is a point-in-time copy of every instrument.
+	// MetricsSnapshot is a point-in-time copy of every counter, gauge and
+	// histogram.
 	MetricsSnapshot = metrics.Snapshot
 	// Tracer is the per-cluster structured-event ring buffer.
 	Tracer = trace.Tracer
@@ -173,7 +175,7 @@ func NewSeqWatcher() *SeqWatcher { return invariant.NewSeqWatcher() }
 // loops, route liveness, neighbour-table symmetry.
 func DefaultInvariants() *InvariantSuite { return invariant.DefaultSuite() }
 
-// NewMetricsRegistry builds an instrument registry; share one per cluster
+// NewMetricsRegistry builds a metrics registry; share one per cluster
 // and pass it via StackOptions.Metrics and Network.SetMetrics.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
@@ -281,9 +283,10 @@ type StackOptions struct {
 	Battery *Battery
 	// SensorInterval is the context sensor period (default 1s).
 	SensorInterval time.Duration
-	// Metrics, when non-nil, receives the node's hot-path counters; share
-	// one registry across a cluster (and Network.SetMetrics) for a global
-	// view. Nil disables metrics at zero cost.
+	// Metrics, when non-nil, reads the node's counters and collects its
+	// latency histograms; share one registry across a cluster (and
+	// Network.SetMetrics) for a global view. Nil disables metrics at zero
+	// cost.
 	Metrics *MetricsRegistry
 	// Tracer, when non-nil, records structured spans from the node's
 	// dispatch path. Nil disables tracing at zero cost.
