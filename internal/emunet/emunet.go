@@ -403,13 +403,6 @@ func (n *Network) EngineStats() (EngineStats, bool) {
 	return n.eng.stats, true
 }
 
-// ResetStats zeroes the medium counters (between experiment phases).
-func (n *Network) ResetStats() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.stats = Stats{}
-}
-
 // SetTap installs a packet-capture hook (the libpcap analogue): fn observes
 // every delivered frame together with its receiver. Pass nil to remove.
 func (n *Network) SetTap(fn func(f Frame, receiver mnet.Addr)) {

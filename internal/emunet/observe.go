@@ -28,14 +28,31 @@ func newNetObs(reg *metrics.Registry, tr *trace.Tracer) *netObs {
 // SetMetrics attaches a metrics registry to the medium. Call it once,
 // before traffic starts.
 func (n *Network) SetMetrics(reg *metrics.Registry) {
+	n.setObs(reg, n.observer().tracer)
+	reg.Attach(n.readMetrics)
+}
+
+// SetTracer attaches a span tracer to the medium (nil detaches, unless a
+// metrics registry is still installed). Call before traffic starts.
+func (n *Network) SetTracer(tr *trace.Tracer) { n.setObs(n.observer().reg, tr) }
+
+// observer returns a copy of the current bundle (empty when there is none).
+func (n *Network) observer() netObs {
 	n.mu.Lock()
-	var tr *trace.Tracer
-	if n.obs != nil {
-		tr = n.obs.tracer
+	defer n.mu.Unlock()
+	if n.obs == nil {
+		return netObs{}
 	}
-	n.obs = newNetObs(reg, tr)
+	return *n.obs
+}
+
+// setObs installs the bundle for reg and tr. The registry reads the medium
+// under n.mu, so the bundle's histogram is resolved outside it.
+func (n *Network) setObs(reg *metrics.Registry, tr *trace.Tracer) {
+	obs := newNetObs(reg, tr)
+	n.mu.Lock()
+	n.obs = obs
 	n.mu.Unlock()
-	reg.Attach(n.readMetrics) // the registry reads the medium under n.mu
 }
 
 // readMetrics reports the medium's Stats and the event core's EngineStats
@@ -50,18 +67,6 @@ func (n *Network) readMetrics(emit func(name string, v uint64)) {
 	eng, _ := n.EngineStats()
 	emit("net_engine_epochs", eng.Epochs)
 	emit("net_engine_epoch_events", eng.Events)
-}
-
-// SetTracer attaches a span tracer to the medium (nil detaches, unless a
-// metrics registry is still installed). Call before traffic starts.
-func (n *Network) SetTracer(tr *trace.Tracer) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var reg *metrics.Registry
-	if n.obs != nil {
-		reg = n.obs.reg
-	}
-	n.obs = newNetObs(reg, tr)
 }
 
 // traceTo renders a frame destination for spans.

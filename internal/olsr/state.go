@@ -161,7 +161,10 @@ type Stats struct {
 
 // Stats returns a snapshot of the protocol counters.
 func (s *State) Stats() Stats {
-	return Stats{TCTx: s.tcTx.Load(), TCRx: s.tcRx.Load(), TCFwd: s.tcFwd.Load(), MPRChanges: s.mprChanges.Load()}
+	return Stats{
+		TCTx: s.tcTx.Load(), TCRx: s.tcRx.Load(),
+		TCFwd: s.tcFwd.Load(), MPRChanges: s.mprChanges.Load(),
+	}
 }
 
 // readMetrics reports the counters behind olsr_* to a metrics registry.
