@@ -92,8 +92,9 @@ func (s *State) Stats() Stats {
 
 // readMetrics reports the counters behind mpr_* to a metrics registry.
 func (s *State) readMetrics(emit func(name string, v uint64)) {
-	emit("mpr_hello_tx", s.helloTx.Load())
-	emit("mpr_hello_rx", s.helloRx.Load())
+	st := s.Stats()
+	emit("mpr_hello_tx", st.HelloTx)
+	emit("mpr_hello_rx", st.HelloRx)
 }
 
 // NewState returns an empty MPR state.

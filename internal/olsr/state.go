@@ -169,10 +169,11 @@ func (s *State) Stats() Stats {
 
 // readMetrics reports the counters behind olsr_* to a metrics registry.
 func (s *State) readMetrics(emit func(name string, v uint64)) {
-	emit("olsr_tc_tx", s.tcTx.Load())
-	emit("olsr_tc_rx", s.tcRx.Load())
-	emit("olsr_tc_fwd", s.tcFwd.Load())
-	emit("olsr_mpr_changes", s.mprChanges.Load())
+	st := s.Stats()
+	emit("olsr_tc_tx", st.TCTx)
+	emit("olsr_tc_rx", st.TCRx)
+	emit("olsr_tc_fwd", st.TCFwd)
+	emit("olsr_mpr_changes", st.MPRChanges)
 }
 
 // NewState returns an empty OLSR state whose routing table lives on clock
