@@ -862,10 +862,10 @@ func (m *Manager) AddRule(r kernel.IntegrityRule) error { return m.cf.AddRule(r)
 
 // Seal unloads the deployment's reconfiguration machinery once the desired
 // configuration is reached (§6.2 footnote: "it is possible to unload the
-// OpenCom kernel to free up memory"): the MANETKit CF's kernel metadata,
-// integrity rules, and every deployed protocol's inner CF metadata. Event
-// routing and the bindings Arch derives keep working; further Deploy/Rewire
-// calls become no-ops or fail.
+// OpenCom kernel to free up memory"): the integrity rules of the MANETKit
+// CF and of every deployed protocol's CF, which also refuse further
+// insertions. Event routing and the bindings Arch derives keep working;
+// further Deploy/Rewire calls become no-ops or fail.
 func (m *Manager) Seal() {
 	m.mu.Lock()
 	recs := make([]*unitRec, 0, len(m.units))

@@ -45,9 +45,6 @@ func NewHandler(name string, pattern event.Type, fn func(*Context, *event.Event)
 
 func (h *handlerComp) Name() string                            { return h.base.Name() }
 func (h *handlerComp) Provided() map[string]any                { return h.base.Provided() }
-func (h *handlerComp) ReceptacleNames() []string               { return h.base.ReceptacleNames() }
-func (h *handlerComp) Connect(r string, i any) error           { return h.base.Connect(r, i) }
-func (h *handlerComp) Disconnect(r string, i any) error        { return h.base.Disconnect(r, i) }
 func (h *handlerComp) Pattern() event.Type                     { return h.pattern }
 func (h *handlerComp) Handle(c *Context, e *event.Event) error { return h.fn(c, e) }
 
@@ -112,11 +109,8 @@ func (s *Source) Immediate() *Source {
 	return s
 }
 
-func (s *Source) Name() string                     { return s.base.Name() }
-func (s *Source) Provided() map[string]any         { return s.base.Provided() }
-func (s *Source) ReceptacleNames() []string        { return s.base.ReceptacleNames() }
-func (s *Source) Connect(r string, i any) error    { return s.base.Connect(r, i) }
-func (s *Source) Disconnect(r string, i any) error { return s.base.Disconnect(r, i) }
+func (s *Source) Name() string             { return s.base.Name() }
+func (s *Source) Provided() map[string]any { return s.base.Provided() }
 
 // SetInterval retunes the firing cadence (used by e.g. fisheye variants).
 func (s *Source) SetInterval(d time.Duration) {
@@ -265,15 +259,6 @@ func (p *Protocol) Name() string { return p.cf.Name() }
 
 // Provided implements kernel.Component.
 func (p *Protocol) Provided() map[string]any { return p.cf.Provided() }
-
-// ReceptacleNames implements kernel.Component.
-func (p *Protocol) ReceptacleNames() []string { return p.cf.ReceptacleNames() }
-
-// Connect implements kernel.Component.
-func (p *Protocol) Connect(r string, impl any) error { return p.cf.Connect(r, impl) }
-
-// Disconnect implements kernel.Component.
-func (p *Protocol) Disconnect(r string, impl any) error { return p.cf.Disconnect(r, impl) }
 
 // Provide exports an additional interface on the protocol boundary (e.g. a
 // typed IState facade for direct calls from other protocols).

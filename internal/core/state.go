@@ -28,11 +28,8 @@ func NewStateComponent(name string, value any) *StateComponent {
 	return s
 }
 
-func (s *StateComponent) Name() string                     { return s.base.Name() }
-func (s *StateComponent) Provided() map[string]any         { return s.base.Provided() }
-func (s *StateComponent) ReceptacleNames() []string        { return s.base.ReceptacleNames() }
-func (s *StateComponent) Connect(r string, i any) error    { return s.base.Connect(r, i) }
-func (s *StateComponent) Disconnect(r string, i any) error { return s.base.Disconnect(r, i) }
+func (s *StateComponent) Name() string             { return s.base.Name() }
+func (s *StateComponent) Provided() map[string]any { return s.base.Provided() }
 
 // Value returns the wrapped state.
 func (s *StateComponent) Value() any {

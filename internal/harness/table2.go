@@ -54,14 +54,17 @@ func heapDelta(build func() any) float64 {
 // MeasureTable2 builds each deployment and records its heap footprint. A
 // MANETKit column is one node of FamilyCluster, composed and started the
 // way every experiment and a library user deploy it; a monolithic column
-// is the twin on its own NIC.
+// is the twin, started, on its own NIC and clock.
 func MeasureTable2() (Table2, error) {
 	var t Table2
 	var buildErr error
 
-	clk := vclock.NewVirtual(testbed.Epoch)
-	monoOn := func(n int, build func(nics []*emunet.NIC) any) float64 {
+	// Each twin is started, as the kit columns are, on its own clock so
+	// its timers are counted with it.
+	type twin interface{ Start() }
+	monoOn := func(n int, build func(nics []*emunet.NIC, clk vclock.Clock) []twin) float64 {
 		return heapDelta(func() any {
+			clk := vclock.NewVirtual(testbed.Epoch)
 			net := emunet.New(clk, 1)
 			nics := make([]*emunet.NIC, n)
 			for i, addr := range emunet.Addrs(n) {
@@ -72,13 +75,21 @@ func MeasureTable2() (Table2, error) {
 				}
 				nics[i] = nic
 			}
-			return build(nics)
+			twins := build(nics, clk)
+			for _, tw := range twins {
+				tw.Start()
+			}
+			return twins
 		})
 	}
-	t.MonoOLSR = monoOn(1, func(nics []*emunet.NIC) any { return mono.NewOLSR(nics[0], clk, mono.OLSRConfig{}) })
-	t.MonoDYMO = monoOn(1, func(nics []*emunet.NIC) any { return mono.NewDYMO(nics[0], clk, mono.DYMOConfig{}) })
-	t.MonoBoth = monoOn(2, func(nics []*emunet.NIC) any {
-		return []any{mono.NewOLSR(nics[0], clk, mono.OLSRConfig{}), mono.NewDYMO(nics[1], clk, mono.DYMOConfig{})}
+	t.MonoOLSR = monoOn(1, func(nics []*emunet.NIC, clk vclock.Clock) []twin {
+		return []twin{mono.NewOLSR(nics[0], clk, mono.OLSRConfig{})}
+	})
+	t.MonoDYMO = monoOn(1, func(nics []*emunet.NIC, clk vclock.Clock) []twin {
+		return []twin{mono.NewDYMO(nics[0], clk, mono.DYMOConfig{})}
+	})
+	t.MonoBoth = monoOn(2, func(nics []*emunet.NIC, clk vclock.Clock) []twin {
+		return []twin{mono.NewOLSR(nics[0], clk, mono.OLSRConfig{}), mono.NewDYMO(nics[1], clk, mono.DYMOConfig{})}
 	})
 
 	kit := func(family string, seal bool) float64 {
@@ -91,7 +102,7 @@ func MeasureTable2() (Table2, error) {
 			if seal {
 				// "Once a desired configuration has been achieved it is
 				// possible to unload the OpenCom kernel to free up memory":
-				// Seal drops the kernel metadata and the integrity rules.
+				// Seal drops the CFs' integrity rules.
 				c.Nodes[0].Mgr.Seal()
 			}
 			return []any{c, nodes}

@@ -5,24 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkBindUnbind(b *testing.B) {
-	k := New()
-	a := newTestComp("a", "")
-	c := newTestComp("b", "hello")
-	k.Register(a)
-	k.Register(c)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bd, err := k.Bind("a", "RGreet", "b", "IGreet")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := k.Unbind(bd); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkQuery(b *testing.B) {
 	c := newTestComp("a", "hi")
 	b.ReportAllocs()
@@ -49,13 +31,8 @@ func BenchmarkCFInsertRemove(b *testing.B) {
 
 func BenchmarkCFReplace(b *testing.B) {
 	cf := NewCF("bench")
-	user := newTestComp("user", "")
-	cf.Insert(user)
-	cur := newTestComp("handler-0", "v")
-	cf.Insert(cur)
-	if _, err := cf.Bind("user", "RGreet", "handler-0", "IGreet"); err != nil {
-		b.Fatal(err)
-	}
+	cf.Insert(newTestComp("user", ""))
+	cf.Insert(newTestComp("handler-0", "v"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

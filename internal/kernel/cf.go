@@ -2,14 +2,32 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
+	"reflect"
+	"sort"
 	"sync"
 )
 
 // Arch is a snapshot of a CF's internal architecture, exposed through the
-// architecture reflective meta-model (the paper's ICFMeta interface).
+// architecture reflective meta-model (the paper's ICFMeta interface). A CF
+// fills only Components; core.Manager.Arch adds the Bindings it derives
+// from the deployed units' event tuples.
 type Arch struct {
 	Components []string
 	Bindings   []BindingInfo
+}
+
+// BindingInfo is the reflective description of one receptacle-to-interface
+// link.
+type BindingInfo struct {
+	From, Receptacle, To, Interface string
+}
+
+// InterfaceInfo describes one provided interface for the interface
+// meta-model.
+type InterfaceInfo struct {
+	Name string
+	Type reflect.Type
 }
 
 // IntegrityRule is a structural invariant a CF enforces. Check inspects a
@@ -20,15 +38,16 @@ type IntegrityRule struct {
 	Check func(a Arch) error
 }
 
-// CF is a component framework: a composite component hosting plug-in
-// components on an inner kernel, policed by integrity rules (§3). A CF is
-// itself a Component, so CFs nest to arbitrary depth.
+// CF is a component framework: a composite component hosting named plug-in
+// components, policed by integrity rules (§3). A CF is itself a Component,
+// so CFs nest to arbitrary depth.
 type CF struct {
-	base  *Base
-	inner *Kernel
+	base *Base
 
-	mu    sync.Mutex
-	rules []IntegrityRule
+	mu      sync.Mutex
+	plugins map[string]Component
+	rules   []IntegrityRule
+	sealed  bool
 }
 
 var _ Component = (*CF)(nil)
@@ -36,11 +55,7 @@ var _ Component = (*CF)(nil)
 // NewCF returns an empty component framework with the given integrity
 // rules.
 func NewCF(name string, rules ...IntegrityRule) *CF {
-	return &CF{
-		base:  NewBase(name),
-		inner: New(),
-		rules: rules,
-	}
+	return &CF{base: NewBase(name), plugins: make(map[string]Component), rules: rules}
 }
 
 // Name implements Component.
@@ -54,32 +69,9 @@ func (cf *CF) Provided() map[string]any {
 	return p
 }
 
-// ReceptacleNames implements Component.
-func (cf *CF) ReceptacleNames() []string { return cf.base.ReceptacleNames() }
-
-// Connect implements Component.
-func (cf *CF) Connect(receptacle string, impl any) error {
-	return cf.base.Connect(receptacle, impl)
-}
-
-// Disconnect implements Component.
-func (cf *CF) Disconnect(receptacle string, impl any) error {
-	return cf.base.Disconnect(receptacle, impl)
-}
-
 // Provide exports a named interface on the CF's outer boundary, typically a
 // facade over an inner component.
 func (cf *CF) Provide(name string, impl any) { cf.base.Provide(name, impl) }
-
-// DefineReceptacle exports a dependency slot on the CF's outer boundary.
-func (cf *CF) DefineReceptacle(name string, bind func(any) error, unbind func(any) error) {
-	cf.base.DefineReceptacle(name, bind, unbind)
-}
-
-// DefineMultiReceptacle exports a fan-out dependency slot.
-func (cf *CF) DefineMultiReceptacle(name string, bind func(any) error, unbind func(any) error) {
-	cf.base.DefineMultiReceptacle(name, bind, unbind)
-}
 
 // AddRule registers a further integrity rule. The rule is checked against
 // the current architecture first; an already-violated rule is rejected.
@@ -93,15 +85,23 @@ func (cf *CF) AddRule(r IntegrityRule) error {
 	return nil
 }
 
-// Arch returns the reflective snapshot of the CF's internal architecture.
+// Arch returns the reflective snapshot of the CF's plug-ins.
 func (cf *CF) Arch() Arch {
 	cf.mu.Lock()
 	defer cf.mu.Unlock()
 	return cf.archLocked()
 }
 
-func (cf *CF) archLocked() Arch {
-	return Arch{Components: cf.inner.Components(), Bindings: cf.inner.Bindings()}
+func (cf *CF) archLocked() Arch { return Arch{Components: cf.namesLocked()} }
+
+// namesLocked lists the plug-in names in sorted order.
+func (cf *CF) namesLocked() []string {
+	names := make([]string, 0, len(cf.plugins))
+	for n := range cf.plugins {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // checkLocked validates the current architecture against all rules; op
@@ -119,175 +119,149 @@ func (cf *CF) checkLocked(op func() string) error {
 	return nil
 }
 
+// addLocked plugs c in without checking rules.
+func (cf *CF) addLocked(c Component) error {
+	if cf.sealed {
+		return ErrSealed
+	}
+	if _, ok := cf.plugins[c.Name()]; ok {
+		return fmt.Errorf("%w: component %q", ErrDuplicate, c.Name())
+	}
+	cf.plugins[c.Name()] = c
+	return nil
+}
+
+// removeLocked unplugs the named component without checking rules.
+func (cf *CF) removeLocked(name string) (Component, error) {
+	c, ok := cf.plugins[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoComponent, name)
+	}
+	delete(cf.plugins, name)
+	return c, nil
+}
+
 // Insert plugs a component into the CF. The insertion is rolled back if it
 // violates an integrity rule.
 func (cf *CF) Insert(c Component) error {
 	cf.mu.Lock()
 	defer cf.mu.Unlock()
-	if err := cf.inner.Register(c); err != nil {
+	if err := cf.addLocked(c); err != nil {
 		return err
 	}
 	if err := cf.checkLocked(func() string { return fmt.Sprintf("insert %q", c.Name()) }); err != nil {
-		// Roll back; Unload of a just-registered unbound component
-		// cannot fail.
-		if uerr := cf.inner.Unload(c.Name()); uerr != nil {
-			return fmt.Errorf("%v (rollback failed: %w)", err, uerr)
-		}
+		delete(cf.plugins, c.Name())
 		return err
 	}
 	return nil
 }
 
-// Remove unplugs a component; it must be unbound. Rolled back on integrity
-// violation.
+// Remove unplugs a component. Rolled back on integrity violation.
 func (cf *CF) Remove(name string) error {
 	cf.mu.Lock()
 	defer cf.mu.Unlock()
-	c, ok := cf.inner.Component(name)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoComponent, name)
-	}
-	if err := cf.inner.Unload(name); err != nil {
+	c, err := cf.removeLocked(name)
+	if err != nil {
 		return err
 	}
 	if err := cf.checkLocked(func() string { return fmt.Sprintf("remove %q", name) }); err != nil {
-		if rerr := cf.inner.Register(c); rerr != nil {
-			return fmt.Errorf("%v (rollback failed: %w)", err, rerr)
-		}
-		return err
-	}
-	return nil
-}
-
-// Bind connects a receptacle to an interface between two plug-ins, subject
-// to integrity rules.
-func (cf *CF) Bind(from, receptacle, to, iface string) (*Binding, error) {
-	cf.mu.Lock()
-	defer cf.mu.Unlock()
-	b, err := cf.inner.Bind(from, receptacle, to, iface)
-	if err != nil {
-		return nil, err
-	}
-	if err := cf.checkLocked(func() string { return fmt.Sprintf("bind %s.%s -> %s.%s", from, receptacle, to, iface) }); err != nil {
-		if uerr := cf.inner.Unbind(b); uerr != nil {
-			return nil, fmt.Errorf("%v (rollback failed: %w)", err, uerr)
-		}
-		return nil, err
-	}
-	return b, nil
-}
-
-// Unbind disconnects a binding, subject to integrity rules.
-func (cf *CF) Unbind(b *Binding) error {
-	cf.mu.Lock()
-	defer cf.mu.Unlock()
-	if err := cf.inner.Unbind(b); err != nil {
-		return err
-	}
-	if err := cf.checkLocked(func() string { return fmt.Sprintf("unbind %v", b.Info()) }); err != nil {
-		if _, rerr := cf.inner.Bind(b.From, b.Receptacle, b.To, b.Interface); rerr != nil {
-			return fmt.Errorf("%v (rollback failed: %w)", err, rerr)
-		}
+		cf.plugins[name] = c
 		return err
 	}
 	return nil
 }
 
 // Plug looks up a plug-in by name.
-func (cf *CF) Plug(name string) (Component, bool) { return cf.inner.Component(name) }
-
-// Seal unloads the CF's reconfiguration machinery — inner kernel metadata
-// and integrity rules — keeping the live composition functional (§6.2
-// footnote).
-func (cf *CF) Seal() {
-	cf.inner.Seal()
+func (cf *CF) Plug(name string) (Component, bool) {
 	cf.mu.Lock()
+	defer cf.mu.Unlock()
+	c, ok := cf.plugins[name]
+	return c, ok
+}
+
+// InterfacesOf implements the interface meta-model: the runtime list of
+// interfaces provided by the named plug-in, with their Go types.
+func (cf *CF) InterfacesOf(name string) ([]InterfaceInfo, error) {
+	c, ok := cf.Plug(name)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoComponent, name)
+	}
+	provided := c.Provided()
+	out := make([]InterfaceInfo, 0, len(provided))
+	for n, impl := range provided {
+		out = append(out, InterfaceInfo{Name: n, Type: reflect.TypeOf(impl)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
+}
+
+// Seal unloads the CF's reconfiguration machinery — its integrity rules —
+// once a deployment has reached its desired configuration: the
+// optimisation the paper's §6.2 footnote describes as "unloading the
+// OpenCom kernel". The live plug-ins keep functioning; further insertions
+// fail with ErrSealed.
+func (cf *CF) Seal() {
+	cf.mu.Lock()
+	defer cf.mu.Unlock()
+	cf.sealed = true
 	cf.rules = nil
-	cf.mu.Unlock()
 }
 
 // Replace atomically swaps the named plug-in for replacement: it quiesces
-// the CF's Quiescable plug-ins, transfers every binding that involved the
-// old component onto the replacement (matching receptacle/interface names),
-// and validates integrity once at the end — the standard OpenCom
-// reconfiguration enactment of §4.5.
+// the CF's Quiescable plug-ins and validates integrity once the swap is
+// made — the standard OpenCom reconfiguration enactment of §4.5. If the
+// replacement cannot be plugged in or a rule vetoes the result, the old
+// plug-in is restored and nothing changes.
 func (cf *CF) Replace(name string, replacement Component) error {
 	cf.mu.Lock()
 	defer cf.mu.Unlock()
-
-	old, ok := cf.inner.Component(name)
+	old, ok := cf.plugins[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoComponent, name)
 	}
 	resume := cf.quiesceLocked()
 	defer resume()
-
-	// Capture and tear down bindings touching the old component.
-	var touching []*Binding
-	for _, b := range cf.inner.bindingsSnapshot() {
-		if b.From == name || b.To == name {
-			touching = append(touching, b)
-		}
-	}
-	for _, b := range touching {
-		if err := cf.inner.Unbind(b); err != nil {
-			return fmt.Errorf("replace %q: unbind %v: %w", name, b.Info(), err)
-		}
-	}
-	if err := cf.inner.Unload(name); err != nil {
+	delete(cf.plugins, name)
+	if err := cf.addLocked(replacement); err != nil {
+		cf.plugins[name] = old
 		return fmt.Errorf("replace %q: %w", name, err)
 	}
-	if err := cf.inner.Register(replacement); err != nil {
-		return fmt.Errorf("replace %q: %w", name, err)
-	}
-	newName := replacement.Name()
-	for _, b := range touching {
-		from, to := b.From, b.To
-		if from == name {
-			from = newName
-		}
-		if to == name {
-			to = newName
-		}
-		if _, err := cf.inner.Bind(from, b.Receptacle, to, b.Interface); err != nil {
-			return fmt.Errorf("replace %q: rebind %v: %w", name, b.Info(), err)
-		}
-	}
-	if err := cf.checkLocked(func() string { return fmt.Sprintf("replace %q with %q", name, newName) }); err != nil {
+	if err := cf.checkLocked(func() string { return fmt.Sprintf("replace %q with %q", name, replacement.Name()) }); err != nil {
+		delete(cf.plugins, replacement.Name())
+		cf.plugins[name] = old
 		return err
 	}
-	// Restore the old component's suitability for reuse: nothing to do —
-	// callers own its lifecycle (e.g. state transfer per §4.5).
-	_ = old
 	return nil
 }
 
 // Reconfigure quiesces all Quiescable plug-ins, runs fn against the CF, and
-// validates integrity afterwards. fn may call Insert/Remove/Bind/Unbind
-// through the passed Tx, which skips per-operation rule checks so that
-// transient illegal intermediate states are permitted inside the
-// transaction (integrity is checked once at the end).
+// validates integrity afterwards. fn may call Insert/Remove through the
+// passed Tx, which skips per-operation rule checks so that transient
+// illegal intermediate states are permitted inside the transaction
+// (integrity is checked once at the end). If fn fails or a rule vetoes the
+// end state, the plug-in set is restored to what it was before fn ran.
 func (cf *CF) Reconfigure(fn func(tx *Tx) error) error {
 	cf.mu.Lock()
 	defer cf.mu.Unlock()
 	resume := cf.quiesceLocked()
 	defer resume()
-	if err := fn(&Tx{cf: cf}); err != nil {
-		return err
+	prior := maps.Clone(cf.plugins)
+	err := fn(&Tx{cf: cf})
+	if err == nil {
+		err = cf.checkLocked(func() string { return "reconfigure transaction" })
 	}
-	return cf.checkLocked(func() string { return "reconfigure transaction" })
+	if err != nil {
+		cf.plugins = prior
+	}
+	return err
 }
 
-// quiesceLocked drives every Quiescable plug-in to a safe state; the
-// returned func resumes them in reverse order.
+// quiesceLocked drives every Quiescable plug-in to a safe state, in name
+// order; the returned func resumes them in reverse order.
 func (cf *CF) quiesceLocked() func() {
 	var resumes []func()
-	for _, name := range cf.inner.Components() {
-		c, ok := cf.inner.Component(name)
-		if !ok {
-			continue
-		}
-		if q, ok := c.(Quiescable); ok {
+	for _, name := range cf.namesLocked() {
+		if q, ok := cf.plugins[name].(Quiescable); ok {
 			resumes = append(resumes, q.Quiesce())
 		}
 	}
@@ -299,37 +273,25 @@ func (cf *CF) quiesceLocked() func() {
 }
 
 // Tx is the handle passed to a Reconfigure transaction; its operations
-// mutate the CF without intermediate integrity checks.
+// mutate the CF, under the lock Reconfigure holds, without intermediate
+// integrity checks.
 type Tx struct {
 	cf *CF
 }
 
-// Insert registers a plug-in within the transaction.
-func (tx *Tx) Insert(c Component) error { return tx.cf.inner.Register(c) }
+// Insert plugs in a component within the transaction.
+func (tx *Tx) Insert(c Component) error { return tx.cf.addLocked(c) }
 
-// Remove unregisters a plug-in within the transaction.
-func (tx *Tx) Remove(name string) error { return tx.cf.inner.Unload(name) }
-
-// Bind connects components within the transaction.
-func (tx *Tx) Bind(from, receptacle, to, iface string) (*Binding, error) {
-	return tx.cf.inner.Bind(from, receptacle, to, iface)
+// Remove unplugs a component within the transaction.
+func (tx *Tx) Remove(name string) error {
+	_, err := tx.cf.removeLocked(name)
+	return err
 }
 
-// Unbind disconnects components within the transaction.
-func (tx *Tx) Unbind(b *Binding) error { return tx.cf.inner.Unbind(b) }
-
 // Plug looks up a plug-in within the transaction.
-func (tx *Tx) Plug(name string) (Component, bool) { return tx.cf.inner.Component(name) }
-
-// Bindings lists live bindings within the transaction.
-func (tx *Tx) Bindings() []*Binding { return tx.cf.inner.bindingsSnapshot() }
-
-// bindingsSnapshot returns the live *Binding handles (not just the info),
-// used internally by CF.Replace and Tx.
-func (k *Kernel) bindingsSnapshot() []*Binding {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return append([]*Binding(nil), k.bindings...)
+func (tx *Tx) Plug(name string) (Component, bool) {
+	c, ok := tx.cf.plugins[name]
+	return c, ok
 }
 
 // RuleSingleton returns an integrity rule enforcing that at most one

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -77,27 +78,6 @@ func TestCFAddRuleRejectsViolatedRule(t *testing.T) {
 	}
 }
 
-func TestCFBindUnbindWithRules(t *testing.T) {
-	noBindings := IntegrityRule{
-		Name: "no-bindings",
-		Check: func(a Arch) error {
-			if len(a.Bindings) > 0 {
-				return errors.New("bindings forbidden")
-			}
-			return nil
-		},
-	}
-	cf := NewCF("mp", noBindings)
-	cf.Insert(newTestComp("a", ""))
-	cf.Insert(newTestComp("b", ""))
-	if _, err := cf.Bind("a", "RGreet", "b", "IGreet"); !errors.Is(err, ErrIntegrity) {
-		t.Fatalf("Bind under no-bindings rule = %v", err)
-	}
-	if got := cf.Arch(); len(got.Bindings) != 0 {
-		t.Fatal("violating bind not rolled back")
-	}
-}
-
 func TestCFIsComponentAndNests(t *testing.T) {
 	inner := NewCF("inner")
 	inner.Provide("IGreet", &greetImpl{"nested"})
@@ -105,48 +85,16 @@ func TestCFIsComponentAndNests(t *testing.T) {
 	if err := outer.Insert(inner); err != nil {
 		t.Fatal(err)
 	}
-	outer.Insert(newTestComp("user", ""))
-	if _, err := outer.Bind("user", "RGreet", "inner", "IGreet"); err != nil {
-		t.Fatalf("bind to nested CF: %v", err)
+	p, ok := outer.Plug("inner")
+	if !ok {
+		t.Fatal("nested CF not plugged in")
 	}
-	u, _ := outer.Plug("user")
-	if u.(*testComp).peer.Greet() != "nested" {
-		t.Fatal("nested CF interface not delivered")
+	if g, ok := Query[greeter](p); !ok || g.Greet() != "nested" {
+		t.Fatal("nested CF interface not found")
 	}
 	// ICFMeta is implicitly provided.
-	if _, ok := inner.Provided()["ICFMeta"]; !ok {
+	if meta, ok := Query[interface{ Arch() Arch }](outer); !ok || meta.Arch().Components[0] != "inner" {
 		t.Fatal("CF does not export ICFMeta")
-	}
-}
-
-func TestCFReplaceTransfersBindings(t *testing.T) {
-	cf := NewCF("mp")
-	a := newTestComp("a", "")
-	b := newTestComp("handler", "v1")
-	cf.Insert(a)
-	cf.Insert(b)
-	if _, err := cf.Bind("a", "RGreet", "handler", "IGreet"); err != nil {
-		t.Fatal(err)
-	}
-	if a.peer.Greet() != "v1" {
-		t.Fatal("initial wiring broken")
-	}
-	v2 := newTestComp("handler-v2", "v2")
-	if err := cf.Replace("handler", v2); err != nil {
-		t.Fatalf("Replace: %v", err)
-	}
-	if a.peer == nil || a.peer.Greet() != "v2" {
-		t.Fatalf("binding not transferred, peer = %v", a.peer)
-	}
-	if _, ok := cf.Plug("handler"); ok {
-		t.Fatal("old component still plugged")
-	}
-	if _, ok := cf.Plug("handler-v2"); !ok {
-		t.Fatal("replacement not plugged")
-	}
-	arch := cf.Arch()
-	if len(arch.Bindings) != 1 || arch.Bindings[0].To != "handler-v2" {
-		t.Fatalf("bindings after replace = %v", arch.Bindings)
 	}
 }
 
@@ -205,8 +153,6 @@ func TestCFReconfigureQuiescesPlugins(t *testing.T) {
 func TestCFReconfigureAllowsTransientIllegalStates(t *testing.T) {
 	cf := NewCF("mp", RuleRequired("control", func(c string) bool { return strings.HasPrefix(c, "control") }))
 	// Seed a valid architecture first (rule checked on Insert).
-	cfNoRule := NewCF("mp2")
-	_ = cfNoRule
 	if err := cf.Reconfigure(func(tx *Tx) error {
 		return tx.Insert(newTestComp("control-a", ""))
 	}); err != nil {
@@ -227,6 +173,52 @@ func TestCFReconfigureAllowsTransientIllegalStates(t *testing.T) {
 	err = cf.Reconfigure(func(tx *Tx) error { return tx.Remove("control-b") })
 	if !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("violating transaction = %v", err)
+	}
+}
+
+// A Replace or Reconfigure that a rule vetoes, or that fails part-way,
+// leaves the plug-in set exactly as it was.
+func TestCFVetoedReplaceOrReconfigureChangesNothing(t *testing.T) {
+	cf := NewCF("mp", controlSingleton())
+	a := newTestComp("a", "")
+	for _, c := range []Component{newTestComp("control-1", ""), a, newTestComp("b", "")} {
+		if err := cf.Insert(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cf.AddRule(RuleRequired("a", func(c string) bool { return c == "a" })); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a", "b", "control-1"}
+	for _, tc := range []struct {
+		op   string
+		run  func() error
+		kind error
+	}{
+		{"replace vetoed by the singleton rule", func() error { return cf.Replace("a", newTestComp("control-2", "")) }, ErrIntegrity},
+		{"replace colliding with another plug-in", func() error { return cf.Replace("a", newTestComp("b", "")) }, ErrDuplicate},
+		{"reconfigure vetoed by the required rule", func() error {
+			return cf.Reconfigure(func(tx *Tx) error { return tx.Remove("a") })
+		}, ErrIntegrity},
+		{"reconfigure failing part-way", func() error {
+			return cf.Reconfigure(func(tx *Tx) error {
+				if err := tx.Remove("b"); err != nil {
+					return err
+				}
+				return tx.Insert(newTestComp("control-1", ""))
+			})
+		}, ErrDuplicate},
+	} {
+		if err := tc.run(); !errors.Is(err, tc.kind) {
+			t.Errorf("%s = %v, want %v", tc.op, err, tc.kind)
+		}
+		if got := cf.Arch().Components; !slices.Equal(got, want) {
+			t.Errorf("%s left %v, want %v", tc.op, got, want)
+			return
+		}
+	}
+	if p, _ := cf.Plug("a"); p != Component(a) {
+		t.Fatalf("plug-in a = %v, want the original", p)
 	}
 }
 
@@ -255,46 +247,28 @@ func TestRulesAddedLaterStillVetoWithTheSameText(t *testing.T) {
 		}
 	}
 	reactive := RuleSingleton("reactive routing protocol", func(c string) bool { return c == "aodv" || c == "dymo" })
-	noBA := IntegrityRule{Name: "no b->a", Check: func(a Arch) error {
-		for _, l := range a.Bindings {
-			if l.From == "b" && l.To == "a" {
-				return errors.New("b must not call a")
-			}
-		}
-		return nil
-	}}
-	keepAB := IntegrityRule{Name: "keep a->b", Check: func(a Arch) error {
-		if len(a.Bindings) == 0 {
-			return errors.New("a->b is gone")
-		}
-		return nil
-	}}
-	ab, err := cf.Bind("a", "RGreet", "b", "IGreet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []IntegrityRule{reactive, noBA, keepAB} {
+	keepA := RuleRequired("a", func(c string) bool { return c == "a" })
+	for _, r := range []IntegrityRule{reactive, keepA} {
 		if err := cf.AddRule(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, bindErr := cf.Bind("b", "RGreet", "a", "IGreet")
 	for _, tc := range []struct {
 		got  error
 		want string
 	}{
 		{cf.Insert(newTestComp("dymo", "")),
 			`kernel: integrity rule violated: insert "dymo" rejected by rule "reactive routing protocol": more than one reactive routing protocol component`},
-		{bindErr,
-			`kernel: integrity rule violated: bind b.RGreet -> a.IGreet rejected by rule "no b->a": b must not call a`},
-		{cf.Unbind(ab),
-			`kernel: integrity rule violated: unbind {a RGreet b IGreet} rejected by rule "keep a->b": a->b is gone`},
+		{cf.Remove("a"),
+			`kernel: integrity rule violated: remove "a" rejected by rule "a": no a component present`},
+		{cf.Replace("b", newTestComp("dymo", "")),
+			`kernel: integrity rule violated: replace "b" with "dymo" rejected by rule "reactive routing protocol": more than one reactive routing protocol component`},
 	} {
 		if !errors.Is(tc.got, ErrIntegrity) || tc.got.Error() != tc.want {
 			t.Errorf("got  %v\nwant %s", tc.got, tc.want)
 		}
 	}
-	if a := cf.Arch(); len(a.Components) != 3 || len(a.Bindings) != 1 {
+	if a := cf.Arch(); !slices.Equal(a.Components, []string{"a", "aodv", "b"}) {
 		t.Fatalf("vetoed mutations were not rolled back: %+v", a)
 	}
 	// Without a rule, a successful mutation builds neither the snapshot nor

@@ -1,60 +1,38 @@
 // Package kernel is MANETKit's runtime component model — a Go rendition of
-// OpenCom (§3 of the paper). It supports dynamic loading/unloading and
-// instantiation of lightweight components, composition through interfaces
-// and receptacles, and two reflective meta-models:
+// OpenCom (§3 of the paper), reduced to what the framework uses: named
+// components exposing interfaces, component frameworks (CFs) that host them
+// as plug-ins, and two reflective meta-models:
 //
-//   - an *interface meta-model* exposing, at runtime, the interfaces and
-//     receptacles a component supports (InterfacesOf, Query), and
-//   - an *architecture meta-model* through which the interconnections of a
-//     composite can be inspected and reconfigured (CF.Arch, CF.Reconfigure).
+//   - an *interface meta-model* exposing, at runtime, the interfaces a
+//     component provides (Query, CF.InterfacesOf), and
+//   - an *architecture meta-model* through which the composition of a CF
+//     can be inspected and reconfigured (CF.Arch, CF.Reconfigure).
 //
-// Component frameworks (CFs) are domain-tailored composite components that
-// accept plug-ins and actively police their own integrity: every structural
-// mutation is validated against registered integrity rules and rolled back
-// if a rule is violated. CFs are themselves components, so they nest.
+// MANETKit's bindings are not made by hand: the Framework Manager derives
+// the binding topology from each unit's event tuple (core.Manager.Arch), so
+// the kernel stores no bindings and offers no receptacles to connect.
+//
+// CFs are domain-tailored composite components that accept plug-ins and
+// actively police their own integrity: every structural mutation is
+// validated against registered integrity rules, and a vetoed or failed
+// mutation leaves the plug-in set as it was. CFs are themselves components,
+// so they nest.
 package kernel
 
 import (
 	"errors"
-	"fmt"
-	"reflect"
 	"sort"
 	"sync"
 )
 
-// identical reports whether two provided-interface values are the same
-// implementation. It tolerates uncomparable implementations (funcs, slices)
-// by falling back to pointer identity.
-func identical(a, b any) bool {
-	ta, tb := reflect.TypeOf(a), reflect.TypeOf(b)
-	if ta != tb {
-		return false
-	}
-	if ta != nil && !ta.Comparable() {
-		switch ta.Kind() {
-		case reflect.Func, reflect.Slice, reflect.Map, reflect.Chan, reflect.UnsafePointer:
-			return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
-		default:
-			return false
-		}
-	}
-	return a == b
-}
-
-// Component is the unit of composition: it exposes named provided
-// interfaces and named receptacles (dependency slots).
+// Component is the unit of composition: a named holder of provided
+// interfaces.
 type Component interface {
 	// Name returns the component's instance name, unique within its host.
 	Name() string
 	// Provided returns the named interfaces the component exposes. The map
 	// must be stable for the lifetime of the component.
 	Provided() map[string]any
-	// ReceptacleNames lists the component's dependency slots.
-	ReceptacleNames() []string
-	// Connect installs impl into the named receptacle.
-	Connect(receptacle string, impl any) error
-	// Disconnect removes impl from the named receptacle.
-	Disconnect(receptacle string, impl any) error
 }
 
 // Quiescable is implemented by components that must be driven to a safe
@@ -66,48 +44,28 @@ type Quiescable interface {
 
 // Errors reported by the component model.
 var (
-	ErrNoReceptacle   = errors.New("kernel: no such receptacle")
-	ErrNoInterface    = errors.New("kernel: no such interface")
-	ErrNoComponent    = errors.New("kernel: no such component")
-	ErrDuplicate      = errors.New("kernel: duplicate name")
-	ErrTypeMismatch   = errors.New("kernel: implementation does not satisfy receptacle type")
-	ErrAlreadyBound   = errors.New("kernel: receptacle already bound")
-	ErrNotBound       = errors.New("kernel: receptacle not bound to that implementation")
-	ErrStillBound     = errors.New("kernel: component still has bindings")
-	ErrIntegrity      = errors.New("kernel: integrity rule violated")
-	ErrSealed         = errors.New("kernel: kernel sealed")
-	ErrUnknownFactory = errors.New("kernel: unknown component type")
+	ErrNoComponent = errors.New("kernel: no such component")
+	ErrDuplicate   = errors.New("kernel: duplicate name")
+	ErrIntegrity   = errors.New("kernel: integrity rule violated")
+	ErrSealed      = errors.New("kernel: kernel sealed")
 )
 
-// slot is one receptacle: a typed dependency slot, single- or multi-valued.
-type slot struct {
-	bind   func(any) error
-	unbind func(any) error
-	multi  bool
-	bound  []any
-}
-
 // Base is a reusable Component implementation. Concrete components create a
-// Base, register their interfaces and receptacles on it, and delegate the
-// Component methods to it (composition, not embedding, keeps the public
-// structs free of foreign methods).
+// Base, register their interfaces on it, and delegate the Component methods
+// to it (composition, not embedding, keeps the public structs free of
+// foreign methods).
 type Base struct {
 	name string
 
-	mu          sync.Mutex
-	provided    map[string]any
-	receptacles map[string]*slot
+	mu       sync.Mutex
+	provided map[string]any
 }
 
 var _ Component = (*Base)(nil)
 
 // NewBase returns a Base for a component with the given instance name.
 func NewBase(name string) *Base {
-	return &Base{
-		name:        name,
-		provided:    make(map[string]any),
-		receptacles: make(map[string]*slot),
-	}
+	return &Base{name: name, provided: make(map[string]any)}
 }
 
 // Name implements Component.
@@ -129,149 +87,6 @@ func (b *Base) Provided() map[string]any {
 		out[k] = v
 	}
 	return out
-}
-
-// DefineReceptacle registers a single-valued receptacle whose connection is
-// delivered through bind and removed through unbind. Either func may be nil.
-func (b *Base) DefineReceptacle(name string, bind func(any) error, unbind func(any) error) {
-	b.defineSlot(name, bind, unbind, false)
-}
-
-// DefineMultiReceptacle registers a receptacle accepting multiple
-// simultaneous connections (e.g. an event fan-out).
-func (b *Base) DefineMultiReceptacle(name string, bind func(any) error, unbind func(any) error) {
-	b.defineSlot(name, bind, unbind, true)
-}
-
-func (b *Base) defineSlot(name string, bind, unbind func(any) error, multi bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.receptacles[name] = &slot{bind: bind, unbind: unbind, multi: multi}
-}
-
-// ReceptacleNames implements Component.
-func (b *Base) ReceptacleNames() []string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	names := make([]string, 0, len(b.receptacles))
-	for n := range b.receptacles {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Connect implements Component.
-func (b *Base) Connect(receptacle string, impl any) error {
-	b.mu.Lock()
-	s, ok := b.receptacles[receptacle]
-	if !ok {
-		b.mu.Unlock()
-		return fmt.Errorf("%w: %q on %q", ErrNoReceptacle, receptacle, b.name)
-	}
-	if !s.multi && len(s.bound) > 0 {
-		b.mu.Unlock()
-		return fmt.Errorf("%w: %q on %q", ErrAlreadyBound, receptacle, b.name)
-	}
-	b.mu.Unlock()
-
-	if s.bind != nil {
-		if err := s.bind(impl); err != nil {
-			return fmt.Errorf("connect %q on %q: %w", receptacle, b.name, err)
-		}
-	}
-	b.mu.Lock()
-	s.bound = append(s.bound, impl)
-	b.mu.Unlock()
-	return nil
-}
-
-// Disconnect implements Component.
-func (b *Base) Disconnect(receptacle string, impl any) error {
-	b.mu.Lock()
-	s, ok := b.receptacles[receptacle]
-	if !ok {
-		b.mu.Unlock()
-		return fmt.Errorf("%w: %q on %q", ErrNoReceptacle, receptacle, b.name)
-	}
-	idx := -1
-	for i, bound := range s.bound {
-		if identical(bound, impl) {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		b.mu.Unlock()
-		return fmt.Errorf("%w: %q on %q", ErrNotBound, receptacle, b.name)
-	}
-	s.bound = append(s.bound[:idx], s.bound[idx+1:]...)
-	b.mu.Unlock()
-
-	if s.unbind != nil {
-		if err := s.unbind(impl); err != nil {
-			return fmt.Errorf("disconnect %q on %q: %w", receptacle, b.name, err)
-		}
-	}
-	return nil
-}
-
-// BoundTo reports how many implementations are connected to the receptacle.
-func (b *Base) BoundTo(receptacle string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if s, ok := b.receptacles[receptacle]; ok {
-		return len(s.bound)
-	}
-	return 0
-}
-
-// Single builds a (bind, unbind) pair for a single-valued receptacle of
-// type T stored at target. Bind fails with ErrTypeMismatch for foreign
-// implementations; unbind zeroes the target.
-func Single[T any](target *T) (bind func(any) error, unbind func(any) error) {
-	bind = func(impl any) error {
-		t, ok := impl.(T)
-		if !ok {
-			return fmt.Errorf("%w: %T", ErrTypeMismatch, impl)
-		}
-		*target = t
-		return nil
-	}
-	unbind = func(any) error {
-		var zero T
-		*target = zero
-		return nil
-	}
-	return bind, unbind
-}
-
-// Multi builds a (bind, unbind) pair for a multi-valued receptacle of type
-// T appended to the slice at target.
-func Multi[T comparable](target *[]T) (bind func(any) error, unbind func(any) error) {
-	bind = func(impl any) error {
-		t, ok := impl.(T)
-		if !ok {
-			return fmt.Errorf("%w: %T", ErrTypeMismatch, impl)
-		}
-		*target = append(*target, t)
-		return nil
-	}
-	unbind = func(impl any) error {
-		t, ok := impl.(T)
-		if !ok {
-			return fmt.Errorf("%w: %T", ErrTypeMismatch, impl)
-		}
-		s := *target
-		for i, v := range s {
-			if v == t {
-				*target = append(s[:i], s[i+1:]...)
-				return nil
-			}
-		}
-		return ErrNotBound
-	}
-	return bind, unbind
 }
 
 // Query is the interface meta-model's typed lookup: it returns the first

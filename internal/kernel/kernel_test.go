@@ -3,233 +3,90 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// greeter is a tiny provided-interface type for wiring tests.
+// greeter is a tiny provided-interface type for meta-model tests.
 type greeter interface{ Greet() string }
 
 type greetImpl struct{ msg string }
 
 func (g *greetImpl) Greet() string { return g.msg }
 
-// testComp is a component with one provided greeter and one greeter
-// receptacle.
+// testComp is a component with one provided greeter.
 type testComp struct {
 	base *Base
-	peer greeter
 }
 
 func newTestComp(name, msg string) *testComp {
 	c := &testComp{base: NewBase(name)}
 	c.base.Provide("IGreet", &greetImpl{msg: msg})
-	bind, unbind := Single(&c.peer)
-	c.base.DefineReceptacle("RGreet", bind, unbind)
 	return c
 }
 
-func (c *testComp) Name() string                        { return c.base.Name() }
-func (c *testComp) Provided() map[string]any            { return c.base.Provided() }
-func (c *testComp) ReceptacleNames() []string           { return c.base.ReceptacleNames() }
-func (c *testComp) Connect(r string, impl any) error    { return c.base.Connect(r, impl) }
-func (c *testComp) Disconnect(r string, impl any) error { return c.base.Disconnect(r, impl) }
+func (c *testComp) Name() string             { return c.base.Name() }
+func (c *testComp) Provided() map[string]any { return c.base.Provided() }
 
 func TestBaseProvideAndReceptacles(t *testing.T) {
 	c := newTestComp("a", "hello")
-	if got := c.ReceptacleNames(); len(got) != 1 || got[0] != "RGreet" {
-		t.Fatalf("ReceptacleNames = %v", got)
-	}
 	p := c.Provided()
-	if _, ok := p["IGreet"]; !ok {
+	if len(p) != 1 {
 		t.Fatalf("Provided = %v", p)
 	}
-}
-
-func TestKernelBindDeliversImplementation(t *testing.T) {
-	k := New()
-	a := newTestComp("a", "from-a")
-	b := newTestComp("b", "from-b")
-	if err := k.Register(a); err != nil {
-		t.Fatal(err)
+	g, ok := p["IGreet"].(greeter)
+	if !ok || g.Greet() != "hello" {
+		t.Fatalf("Provided = %v", p)
 	}
-	if err := k.Register(b); err != nil {
-		t.Fatal(err)
-	}
-	bind, err := k.Bind("a", "RGreet", "b", "IGreet")
-	if err != nil {
-		t.Fatalf("Bind: %v", err)
-	}
-	if a.peer == nil || a.peer.Greet() != "from-b" {
-		t.Fatalf("receptacle not wired: %v", a.peer)
-	}
-	if err := k.Unbind(bind); err != nil {
-		t.Fatalf("Unbind: %v", err)
-	}
-	if a.peer != nil {
-		t.Fatal("receptacle not cleared on Unbind")
-	}
-	if err := k.Unbind(bind); !errors.Is(err, ErrNotBound) {
-		t.Fatalf("double Unbind = %v", err)
-	}
-}
-
-func TestKernelBindErrors(t *testing.T) {
-	k := New()
-	a := newTestComp("a", "")
-	k.Register(a)
-	if _, err := k.Bind("missing", "RGreet", "a", "IGreet"); !errors.Is(err, ErrNoComponent) {
-		t.Fatalf("bind from missing = %v", err)
-	}
-	if _, err := k.Bind("a", "RGreet", "missing", "IGreet"); !errors.Is(err, ErrNoComponent) {
-		t.Fatalf("bind to missing = %v", err)
-	}
-	if _, err := k.Bind("a", "RGreet", "a", "nope"); !errors.Is(err, ErrNoInterface) {
-		t.Fatalf("bind to missing iface = %v", err)
-	}
-	if _, err := k.Bind("a", "nope", "a", "IGreet"); !errors.Is(err, ErrNoReceptacle) {
-		t.Fatalf("bind to missing receptacle = %v", err)
-	}
-}
-
-func TestSingleReceptacleRejectsSecondBinding(t *testing.T) {
-	k := New()
-	a := newTestComp("a", "")
-	b := newTestComp("b", "")
-	c := newTestComp("c", "")
-	for _, comp := range []Component{a, b, c} {
-		k.Register(comp)
-	}
-	if _, err := k.Bind("a", "RGreet", "b", "IGreet"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Bind("a", "RGreet", "c", "IGreet"); !errors.Is(err, ErrAlreadyBound) {
-		t.Fatalf("second bind = %v", err)
-	}
-}
-
-func TestSingleTypeMismatch(t *testing.T) {
-	var g greeter
-	bind, _ := Single(&g)
-	if err := bind(42); !errors.Is(err, ErrTypeMismatch) {
-		t.Fatalf("bind(42) = %v", err)
-	}
-}
-
-func TestMultiReceptacle(t *testing.T) {
-	var sinks []greeter
-	bind, unbind := Multi(&sinks)
-	g1, g2 := &greetImpl{"1"}, &greetImpl{"2"}
-	if err := bind(g1); err != nil {
-		t.Fatal(err)
-	}
-	if err := bind(g2); err != nil {
-		t.Fatal(err)
-	}
-	if len(sinks) != 2 {
-		t.Fatalf("sinks = %v", sinks)
-	}
-	if err := unbind(g1); err != nil {
-		t.Fatal(err)
-	}
-	if len(sinks) != 1 || sinks[0].Greet() != "2" {
-		t.Fatalf("after unbind sinks = %v", sinks)
-	}
-	if err := unbind(g1); !errors.Is(err, ErrNotBound) {
-		t.Fatalf("unbind absent = %v", err)
-	}
-	if err := bind("not a greeter"); !errors.Is(err, ErrTypeMismatch) {
-		t.Fatalf("bind wrong type = %v", err)
-	}
-}
-
-func TestKernelUnloadRefusesWhileBound(t *testing.T) {
-	k := New()
-	a := newTestComp("a", "")
-	b := newTestComp("b", "")
-	k.Register(a)
-	k.Register(b)
-	bd, _ := k.Bind("a", "RGreet", "b", "IGreet")
-	if err := k.Unload("b"); !errors.Is(err, ErrStillBound) {
-		t.Fatalf("Unload bound component = %v", err)
-	}
-	k.Unbind(bd)
-	if err := k.Unload("b"); err != nil {
-		t.Fatalf("Unload after Unbind: %v", err)
-	}
-	if err := k.Unload("b"); !errors.Is(err, ErrNoComponent) {
-		t.Fatalf("double Unload = %v", err)
-	}
-}
-
-func TestKernelFactories(t *testing.T) {
-	k := New()
-	err := k.RegisterFactory("greeter", func(name string, args any) (Component, error) {
-		msg, _ := args.(string)
-		return newTestComp(name, msg), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.RegisterFactory("greeter", nil); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("duplicate factory = %v", err)
-	}
-	c, err := k.Load("greeter", "g1", "hi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Name() != "g1" {
-		t.Fatalf("Name = %q", c.Name())
-	}
-	if _, err := k.Load("nope", "x", nil); !errors.Is(err, ErrUnknownFactory) {
-		t.Fatalf("unknown factory = %v", err)
-	}
-	if _, err := k.Load("greeter", "g1", nil); !errors.Is(err, ErrDuplicate) {
-		t.Fatalf("duplicate instance = %v", err)
+	// Provided hands out a copy: editing it changes nothing.
+	delete(p, "IGreet")
+	if _, ok := c.Provided()["IGreet"]; !ok {
+		t.Fatal("editing the Provided copy removed the interface")
 	}
 }
 
 func TestKernelSeal(t *testing.T) {
-	k := New()
-	k.RegisterFactory("greeter", func(name string, args any) (Component, error) {
-		return newTestComp(name, ""), nil
-	})
-	a, _ := k.Load("greeter", "a", nil)
-	b, _ := k.Load("greeter", "b", nil)
-	bd, err := k.Bind("a", "RGreet", "b", "IGreet")
-	if err != nil {
-		t.Fatal(err)
+	cf := NewCF("mp", controlSingleton())
+	a := newTestComp("a", "from-a")
+	for _, c := range []Component{a, newTestComp("control", "")} {
+		if err := cf.Insert(c); err != nil {
+			t.Fatal(err)
+		}
 	}
-	k.Seal()
-	if !k.Sealed() {
-		t.Fatal("Sealed() = false")
+	cf.Seal()
+	if err := cf.Insert(newTestComp("c", "")); !errors.Is(err, ErrSealed) {
+		t.Fatalf("Insert after Seal = %v", err)
 	}
-	if _, err := k.Load("greeter", "c", nil); !errors.Is(err, ErrSealed) {
-		t.Fatalf("Load after Seal = %v", err)
+	if err := cf.Replace("a", newTestComp("a2", "")); !errors.Is(err, ErrSealed) {
+		t.Fatalf("Replace after Seal = %v", err)
 	}
-	if err := k.Register(newTestComp("c", "")); !errors.Is(err, ErrSealed) {
-		t.Fatalf("Register after Seal = %v", err)
+	if err := cf.Reconfigure(func(tx *Tx) error { return tx.Insert(newTestComp("c", "")) }); !errors.Is(err, ErrSealed) {
+		t.Fatalf("transactional Insert after Seal = %v", err)
 	}
-	// Live composition keeps working.
-	if a.(*testComp).peer.Greet() != "" {
-		t.Fatal("live binding broken by Seal")
+	// The live composition keeps working, unchanged by the refusals.
+	if got := cf.Arch().Components; !slices.Equal(got, []string{"a", "control"}) {
+		t.Fatalf("Arch after Seal = %v", got)
 	}
-	// Binding records were unloaded: the connection persists but can no
-	// longer be undone.
-	if err := k.Unbind(bd); !errors.Is(err, ErrNotBound) {
-		t.Fatalf("Unbind after Seal = %v, want ErrNotBound", err)
+	p, ok := cf.Plug("a")
+	if !ok {
+		t.Fatal("plug-in lost by Seal")
 	}
-	if len(k.Bindings()) != 0 {
-		t.Fatal("binding records survived Seal")
+	if g, ok := Query[greeter](p); !ok || g.Greet() != "from-a" {
+		t.Fatal("plug-in interface lost by Seal")
 	}
-	_ = b
+	// The rules were unloaded with the rest of the machinery.
+	if err := cf.Remove("control"); err != nil {
+		t.Fatalf("Remove after Seal = %v", err)
+	}
 }
 
 func TestInterfaceMetaModel(t *testing.T) {
-	k := New()
-	a := newTestComp("a", "")
-	k.Register(a)
-	infos, err := k.InterfacesOf("a")
+	cf := NewCF("mp")
+	if err := cf.Insert(newTestComp("a", "")); err != nil {
+		t.Fatal(err)
+	}
+	infos, err := cf.InterfacesOf("a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +96,7 @@ func TestInterfaceMetaModel(t *testing.T) {
 	if infos[0].Type == nil || !strings.Contains(infos[0].Type.String(), "greetImpl") {
 		t.Fatalf("interface type = %v", infos[0].Type)
 	}
-	if _, err := k.InterfacesOf("missing"); !errors.Is(err, ErrNoComponent) {
+	if _, err := cf.InterfacesOf("missing"); !errors.Is(err, ErrNoComponent) {
 		t.Fatalf("missing component = %v", err)
 	}
 }
@@ -256,47 +113,18 @@ func TestQuery(t *testing.T) {
 }
 
 func TestKernelComponentsSorted(t *testing.T) {
-	k := New()
+	cf := NewCF("mp")
 	for _, n := range []string{"zeta", "alpha", "mid"} {
-		k.Register(newTestComp(n, ""))
-	}
-	got := k.Components()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Components = %v", got)
+		if err := cf.Insert(newTestComp(n, "")); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-func TestBindingInfo(t *testing.T) {
-	k := New()
-	k.Register(newTestComp("a", ""))
-	k.Register(newTestComp("b", ""))
-	k.Bind("a", "RGreet", "b", "IGreet")
-	infos := k.Bindings()
-	if len(infos) != 1 {
-		t.Fatalf("Bindings = %v", infos)
+	a := cf.Arch()
+	if want := []string{"alpha", "mid", "zeta"}; !slices.Equal(a.Components, want) {
+		t.Fatalf("Components = %v", a.Components)
 	}
-	want := BindingInfo{From: "a", Receptacle: "RGreet", To: "b", Interface: "IGreet"}
-	if infos[0] != want {
-		t.Fatalf("Bindings[0] = %+v", infos[0])
-	}
-}
-
-func TestConnectErrorSurfacesFromBind(t *testing.T) {
-	k := New()
-	a := newTestComp("a", "")
-	k.Register(a)
-	// Component providing a non-greeter under IGreet.
-	bad := NewBase("bad")
-	bad.Provide("IGreet", 42)
-	k.Register(bad)
-	if _, err := k.Bind("a", "RGreet", "bad", "IGreet"); !errors.Is(err, ErrTypeMismatch) {
-		t.Fatalf("Bind with wrong impl type = %v", err)
-	}
-	if len(k.Bindings()) != 0 {
-		t.Fatal("failed Bind left a binding behind")
+	if a.Bindings != nil {
+		t.Fatalf("a CF reported bindings: %v", a.Bindings)
 	}
 }
 

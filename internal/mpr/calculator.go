@@ -24,11 +24,8 @@ func NewGreedyCalculator() *GreedyCalculator {
 	return &GreedyCalculator{base: kernel.NewBase("mpr-calculator")}
 }
 
-func (g *GreedyCalculator) Name() string                     { return g.base.Name() }
-func (g *GreedyCalculator) Provided() map[string]any         { return g.base.Provided() }
-func (g *GreedyCalculator) ReceptacleNames() []string        { return g.base.ReceptacleNames() }
-func (g *GreedyCalculator) Connect(r string, i any) error    { return g.base.Connect(r, i) }
-func (g *GreedyCalculator) Disconnect(r string, i any) error { return g.base.Disconnect(r, i) }
+func (g *GreedyCalculator) Name() string             { return g.base.Name() }
+func (g *GreedyCalculator) Provided() map[string]any { return g.base.Provided() }
 
 // Select implements Calculator.
 func (g *GreedyCalculator) Select(self mnet.Addr, links *neighbor.Table) []mnet.Addr {
@@ -52,11 +49,8 @@ func NewPowerAwareCalculator() *PowerAwareCalculator {
 	return &PowerAwareCalculator{base: kernel.NewBase("mpr-calculator-power")}
 }
 
-func (p *PowerAwareCalculator) Name() string                     { return p.base.Name() }
-func (p *PowerAwareCalculator) Provided() map[string]any         { return p.base.Provided() }
-func (p *PowerAwareCalculator) ReceptacleNames() []string        { return p.base.ReceptacleNames() }
-func (p *PowerAwareCalculator) Connect(r string, i any) error    { return p.base.Connect(r, i) }
-func (p *PowerAwareCalculator) Disconnect(r string, i any) error { return p.base.Disconnect(r, i) }
+func (p *PowerAwareCalculator) Name() string             { return p.base.Name() }
+func (p *PowerAwareCalculator) Provided() map[string]any { return p.base.Provided() }
 
 // Select implements Calculator: willingness (battery) dominates coverage.
 func (p *PowerAwareCalculator) Select(self mnet.Addr, links *neighbor.Table) []mnet.Addr {
