@@ -450,10 +450,10 @@ func TestMultipathReplyStateSweptWithDupes(t *testing.T) {
 	k := reactive.Key{Orig: orig, Seq: 5}
 	held := func() (dup, replied, seq bool) {
 		st := d.State()
-		st.mu.Lock()
-		defer st.mu.Unlock()
+		st.Lock()
+		defer st.Unlock()
 		_, seq = st.replySeq[k]
-		return st.dupes.Has(k), len(st.repliedVia[k]) == 2, seq
+		return st.Dupes.Has(k), len(st.repliedVia[k]) == 2, seq
 	}
 	if dup, replied, seq := held(); !dup || !replied || !seq {
 		t.Fatalf("after two copies: dup %v, replied to both %v, reply seq %v", dup, replied, seq)
@@ -464,11 +464,11 @@ func TestMultipathReplyStateSweptWithDupes(t *testing.T) {
 	}
 	c.Run(sweepPeriod() + time.Millisecond)
 	st := d.State()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.dupes.Len() != 0 || len(st.repliedVia) != 0 || len(st.replySeq) != 0 {
+	st.Lock()
+	defer st.Unlock()
+	if st.Dupes.Len() != 0 || len(st.repliedVia) != 0 || len(st.replySeq) != 0 {
 		t.Fatalf("after the sweep: %d dupes, %d repliedVia, %d replySeq",
-			st.dupes.Len(), len(st.repliedVia), len(st.replySeq))
+			st.Dupes.Len(), len(st.repliedVia), len(st.replySeq))
 	}
 }
 
@@ -492,9 +492,9 @@ func TestForgedRREQStormDupSetPlateaus(t *testing.T) {
 		injectRREQ(t, d, orig, target, orig, 1, 1)
 		c.Run(tick)
 		st := d.State()
-		st.mu.Lock()
-		last = st.dupes.Len()
-		st.mu.Unlock()
+		st.Lock()
+		last = st.Dupes.Len()
+		st.Unlock()
 		peak = max(peak, last)
 	}
 	t.Logf("duplicate set: peak %d, final %d, bound %d", peak, last, bound)

@@ -98,10 +98,10 @@ func (d *DYMO) EnableMultipath(maxPaths int) error {
 		core.NewHandler("rerr-handler-multipath", event.RerrIn, d.onRERR)); err != nil {
 		return err
 	}
-	d.state.mu.Lock()
+	d.state.Lock()
 	d.state.multipath = true
 	d.state.maxPaths = maxPaths
-	d.state.mu.Unlock()
+	d.state.Unlock()
 	return nil
 }
 
@@ -115,8 +115,8 @@ func (d *DYMO) DisableMultipath() error {
 		core.NewHandler("rerr-handler", event.RerrIn, d.onRERR)); err != nil {
 		return err
 	}
-	d.state.mu.Lock()
+	d.state.Lock()
 	d.state.multipath = false
-	d.state.mu.Unlock()
+	d.state.Unlock()
 	return nil
 }

@@ -1,9 +1,12 @@
 package reactive
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"manetkit/internal/core"
+	"manetkit/internal/event"
 	"manetkit/internal/mnet"
 	"manetkit/internal/packetbb"
 	"manetkit/internal/vclock"
@@ -18,11 +21,158 @@ type modelDiscovery struct {
 	timer   int
 }
 
+// rreq is one request a fakeRules sent: its attempt, hop limit and virtual
+// send time.
+type rreq struct {
+	attempt int
+	ttl     uint8
+	at      time.Duration
+}
+
+// fakeRules widens a ring by two hops per attempt, gives up after tries
+// attempts and waits base << (attempt-1) for a reply, recording every
+// request it is asked to send.
+type fakeRules struct {
+	base  time.Duration
+	tries int
+	sent  map[mnet.Addr][]rreq
+}
+
+func (r *fakeRules) SendRREQ(ctx *core.Context, dst mnet.Addr, attempt int, ttl uint8) time.Duration {
+	r.sent[dst] = append(r.sent[dst], rreq{attempt, ttl, ctx.Clock().Now().Sub(epoch)})
+	return r.base << (attempt - 1)
+}
+
+func (r *fakeRules) NextAttempt(attempt int, ttl uint8) (uint8, bool) {
+	return ttl + 2, attempt < r.tries
+}
+
+func (r *fakeRules) LinkLost(*core.Context, mnet.Addr) {}
+
+// lifecycle is a Discovery deployed on its own virtual clock beside a naive
+// per-destination model of it: the pending attempt, its hop limit and when
+// its retry is due, the requests that should have gone out, and the counts.
+type lifecycle struct {
+	clk   *vclock.Virtual
+	proto *core.Protocol
+	state State
+	rules fakeRules
+	disc  Discovery
+
+	pending map[mnet.Addr]*rreq // at is when the retry is due
+	want    map[mnet.Addr][]rreq
+	counts  Counts
+}
+
+func newLifecycle(t *testing.T, tries int, base time.Duration) *lifecycle {
+	l := &lifecycle{
+		clk:     vclock.NewVirtual(epoch),
+		proto:   core.NewProtocol("discovery"),
+		rules:   fakeRules{base: base, tries: tries, sent: make(map[mnet.Addr][]rreq)},
+		pending: make(map[mnet.Addr]*rreq),
+		want:    make(map[mnet.Addr][]rreq),
+	}
+	l.state.Init(l.clk, nil, "")
+	l.disc = NewDiscovery(l.proto, &l.state, &l.rules, time.Second)
+	l.proto.SetTuple(event.Tuple{Provided: []event.Type{event.RouteFound}})
+	mgr, err := core.NewManager(core.Config{Node: mnet.AddrFrom(0x0a000001), Clock: l.clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Deploy(l.proto); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.proto.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func (l *lifecycle) locked(t *testing.T, fn func(*core.Context)) {
+	if err := l.proto.RunLocked(fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// step runs one operation — Start, advance to the next retry, Found or
+// Stop — on both the Discovery and the model, then compares them.
+func (l *lifecycle) step(t *testing.T, op, arg byte) {
+	dst := mnet.AddrFrom(0x0a000100 + uint32(arg&3))
+	now := l.clk.Now().Sub(epoch)
+	switch op >> 4 & 3 {
+	case 0:
+		ttl := arg >> 2
+		l.locked(t, func(ctx *core.Context) { l.disc.Start(ctx, dst, ttl) })
+		if _, busy := l.pending[dst]; !busy {
+			l.counts.Discoveries++
+			l.pending[dst] = &rreq{attempt: 1, ttl: ttl, at: now + l.rules.base}
+			l.want[dst] = append(l.want[dst], rreq{1, ttl, now})
+		}
+	case 1:
+		next := time.Duration(-1)
+		for _, p := range l.pending {
+			if next < 0 || p.at < next {
+				next = p.at
+			}
+		}
+		if next < 0 {
+			next = now + l.rules.base
+		}
+		l.clk.Advance(next - now)
+		for dst, p := range l.pending {
+			if p.at != next {
+				continue
+			}
+			if p.attempt >= l.rules.tries {
+				l.counts.GiveUps++
+				delete(l.pending, dst)
+				continue
+			}
+			l.counts.Retries++
+			p.attempt++
+			p.ttl += 2
+			p.at = next + l.rules.base<<(p.attempt-1)
+			l.want[dst] = append(l.want[dst], rreq{p.attempt, p.ttl, next})
+		}
+	case 2:
+		l.locked(t, func(ctx *core.Context) { l.disc.Found(ctx, dst) })
+		delete(l.pending, dst)
+	case 3:
+		if err := l.disc.Stop(nil); err != nil {
+			t.Fatal(err)
+		}
+		clear(l.pending)
+		if n := l.clk.Pending(); n != 0 {
+			t.Fatalf("%d timers armed after Stop", n)
+		}
+	}
+	l.state.Lock()
+	counts := l.state.Counts
+	l.state.Unlock()
+	if counts != l.counts {
+		t.Fatalf("counts %+v, model %+v", counts, l.counts)
+	}
+	for dst, want := range l.want {
+		if got := l.rules.sent[dst]; !slices.Equal(got, want) {
+			t.Fatalf("requests to %v: %v, model %v", dst, got, want)
+		}
+	}
+	if len(l.rules.sent) != len(l.want) {
+		t.Fatalf("requests to %d destinations, model %d", len(l.rules.sent), len(l.want))
+	}
+	if n := l.clk.Pending(); n != len(l.pending) {
+		t.Fatalf("%d retry timers armed, model expects %d", n, len(l.pending))
+	}
+}
+
 // FuzzReactiveState drives random Seen / Sweep / Start / Arm / Due /
 // Complete / GiveUp / StopAll sequences against naive models — a map of
 // sighting times (the representation DupSet packs), a map of discoveries
 // and a list of the timers that should still be armed — and checks SeqNewer
-// and Seq.Next on random numbers.
+// and Seq.Next on random numbers. An op byte with its top bit set drives a
+// Discovery instead: Start, advance to the next retry, Found or Stop, each
+// checked against a naive per-destination model of attempts, hop limits,
+// send times and Counts.
 func FuzzReactiveState(f *testing.F) {
 	f.Add([]byte{0, 0x11, 0, 0x11, 2, 50, 1, 40, 0, 0x11}, uint16(0), uint16(0x8000))
 	f.Add([]byte{3, 1, 4, 0x12, 5, 0x11, 5, 0x12, 4, 0x23, 6, 1, 4, 0x31}, uint16(0xffff), uint16(0))
@@ -33,6 +183,11 @@ func FuzzReactiveState(f *testing.F) {
 	f.Add([]byte{0, 0x11, 2, 10, 1, 4, 10, 1, 1, 4, 0, 0x11}, uint16(2), uint16(3))
 	// A sweep before any Seen, then a set whose base the first Seen fixes.
 	f.Add([]byte{1, 0, 1, 4, 0, 0x11, 2, 5, 1, 1, 0, 0x11, 0, 0x21}, uint16(5), uint16(4))
+	// A discovery retried to give-up; one found after a retry; two pending
+	// when Stop abandons them, and a restart after.
+	f.Add([]byte{0x80, 0x09, 0x90, 0, 0x90, 0, 0x90, 0, 0x90, 0}, uint16(2), uint16(0))
+	f.Add([]byte{0x80, 0x01, 0x80, 0x06, 0x90, 0, 0xa0, 0x01, 0x90, 0, 0x90, 0}, uint16(3), uint16(1))
+	f.Add([]byte{0x80, 0x01, 0x80, 0x02, 0x90, 0, 0xb0, 0, 0x90, 0, 0x80, 0x01, 0x90, 0}, uint16(1), uint16(2))
 
 	f.Fuzz(func(t *testing.T, ops []byte, a, b uint16) {
 		naive := a != b && ((a > b && a-b < 0x8000) || (a < b && b-a > 0x8000))
@@ -59,10 +214,18 @@ func FuzzReactiveState(f *testing.F) {
 			clk     = vclock.NewVirtual(epoch)
 			live    []bool // per timer created: should it still be armed?
 			now     = epoch
+			lc      *lifecycle
 		)
 		for len(ops) >= 2 {
 			op, arg := ops[0], ops[1]
 			ops = ops[2:]
+			if op&0x80 != 0 {
+				if lc == nil {
+					lc = newLifecycle(t, 1+int(a%4), time.Duration(1+b%3)*100*time.Millisecond)
+				}
+				lc.step(t, op, arg)
+				continue
+			}
 			// Small key spaces, so operations collide.
 			k := Key{Orig: mnet.AddrFrom(uint32(arg >> 4 & 3)), Seq: uint16(arg & 3)}
 			dst := mnet.AddrFrom(uint32(arg & 3))

@@ -1,9 +1,13 @@
-// Package reactive is the discovery state the reactive protocols (AODV,
-// DYMO, ZRP) and the MPR and gossip flooders share: a hold-time duplicate
-// set, a pending-discovery table and a 16-bit sequence counter. Like
-// route.Table it is a plain library inside a protocol's State, not a CF: it
-// holds no lock, goroutine or timer of its own, so callers keep their
-// State's mutex, arm their retry timers themselves and keep the retry policy.
+// Package reactive is what the reactive protocols (AODV, DYMO, ZRP) share
+// of route discovery, and the duplicate set the MPR and gossip flooders
+// share with them. The data — a hold-time duplicate set, a pending-discovery
+// table and a 16-bit sequence counter — are plain values. State bundles them
+// with the route table under the one lock a protocol's S element embeds, and
+// Discovery owns the lifecycle: it starts a discovery, arms and runs the
+// retry timer, gives up or completes, refreshes routes in use, hands link
+// loss to the protocol, sweeps and stops. A protocol keeps only its message
+// rules (Rules): the request it sends, its retry policy and what a lost
+// link invalidates.
 package reactive
 
 import (

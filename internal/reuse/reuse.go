@@ -30,10 +30,11 @@ type Component struct {
 // NetLink packet filter, queue/threadpool/timer utilities, the PacketBB
 // generator/parser, the routing-table template, the ManetControl CF
 // machinery, the Neighbour Detection CF, the MPR calculator and state, and
-// the configurator (CF/integrity machinery). The reactive discovery state —
-// duplicate set, pending-discovery table, sequence counter — has no row in
-// the paper; here DYMO and AODV (and ZRP) share it instead of each carrying
-// a copy.
+// the configurator (CF/integrity machinery). The reactive discovery state
+// and lifecycle — duplicate set, pending-discovery table, sequence counter,
+// and the start, retry, give-up, completion, route refresh, link loss,
+// sweep and stop around them — have no row in the paper; here DYMO and AODV
+// (and ZRP) share them instead of each carrying a copy.
 func Manifest() []Component {
 	return []Component{
 		{Name: "System CF (C/F/S)", Files: []string{"internal/system/system.go", "internal/system/battery.go"}, Generic: true, OLSR: true, DYMO: true, AODV: true},
@@ -48,7 +49,7 @@ func Manifest() []Component {
 		{Name: "NeighbourDetection CF", Files: []string{"internal/neighbor/detector.go", "internal/neighbor/table.go"}, Generic: true, DYMO: true, AODV: true},
 		{Name: "MPRCalculator", Files: []string{"internal/mpr/calculator.go"}, Generic: true, OLSR: true},
 		{Name: "MPRState", Files: []string{"internal/mpr/mpr.go"}, Generic: true, OLSR: true},
-		{Name: "Reactive discovery state", Files: []string{"internal/reactive/reactive.go"}, Generic: true, DYMO: true, AODV: true},
+		{Name: "Reactive discovery state", Files: []string{"internal/reactive/reactive.go", "internal/reactive/discovery.go"}, Generic: true, DYMO: true, AODV: true},
 		{Name: "Configurator", Files: []string{"internal/kernel/cf.go"}, Generic: true, OLSR: true, DYMO: true, AODV: true},
 
 		{Name: "OLSR protocol logic", Files: []string{"internal/olsr/olsr.go"}, OLSR: true},

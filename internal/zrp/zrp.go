@@ -18,7 +18,6 @@ package zrp
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"manetkit/internal/core"
@@ -84,10 +83,8 @@ func (c *Config) fill() {
 
 // Stats counts ZRP activity.
 type Stats struct {
+	reactive.Counts        // interzone discoveries
 	IntrazoneHits   uint64 // NO_ROUTE satisfied proactively
-	Discoveries     uint64 // interzone discoveries started
-	Retries         uint64
-	GiveUps         uint64
 	RREQForwards    uint64
 	ZoneAnswers     uint64 // RREPs sent because the target was in our zone
 	TerminalAnswers uint64 // RREPs sent by the target itself
@@ -95,35 +92,18 @@ type Stats struct {
 
 // State is the ZRP CF's S element.
 type State struct {
-	Routes *route.Table
+	reactive.State
 
-	mu      sync.Mutex
-	seq     reactive.Seq
-	pending reactive.Discoveries
-	dupes   reactive.DupSet
-	stats   Stats
-}
-
-// NewState returns an empty ZRP state.
-func NewState(routes *route.Table) *State {
-	return &State{
-		Routes:  routes,
-		pending: make(reactive.Discoveries),
-	}
-}
-
-// NextSeq increments and returns the node's sequence number.
-func (s *State) NextSeq() uint16 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq.Next()
+	stats Stats
 }
 
 // Stats returns a snapshot of the protocol counters.
 func (s *State) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	s.Lock()
+	defer s.Unlock()
+	st := s.stats
+	st.Counts = s.Counts
+	return st
 }
 
 // readMetrics reports the counters behind zrp_* to a metrics registry.
@@ -136,16 +116,9 @@ func (s *State) readMetrics(emit func(name string, v uint64)) {
 }
 
 func (s *State) bump(fn func(*Stats)) {
-	s.mu.Lock()
+	s.Lock()
 	fn(&s.stats)
-	s.mu.Unlock()
-}
-
-// duplicate records (orig, seq) and reports whether it was already known.
-func (s *State) duplicate(orig mnet.Addr, seq uint16, now time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dupes.Seen(reactive.Key{Orig: orig, Seq: seq}, now)
+	s.Unlock()
 }
 
 // ZRP is the hybrid zone-routing CF.
@@ -153,6 +126,7 @@ type ZRP struct {
 	proto *core.Protocol
 	relay *mpr.MPR
 	state *State
+	disc  reactive.Discovery
 	cfg   Config
 
 	// Zone-refresh scratch, reused across refreshes so a steady-state IARP
@@ -169,12 +143,9 @@ func New(name string, relay *mpr.MPR, cfg Config) *ZRP {
 		name = UnitName
 	}
 	cfg.fill()
-	z := &ZRP{proto: core.NewProtocol(name), relay: relay, cfg: cfg}
-	rt := route.NewTable(cfg.Clock)
-	if cfg.FIB != nil {
-		rt.SyncFIB(cfg.FIB, cfg.Device)
-	}
-	z.state = NewState(rt)
+	z := &ZRP{proto: core.NewProtocol(name), relay: relay, cfg: cfg, state: &State{}}
+	z.state.Init(cfg.Clock, cfg.FIB, cfg.Device)
+	z.disc = reactive.NewDiscovery(z.proto, &z.state.State, z, cfg.RouteLifetime)
 
 	z.proto.SetTuple(event.Tuple{
 		Required: []event.Requirement{
@@ -195,8 +166,8 @@ func New(name string, relay *mpr.MPR, cfg Config) *ZRP {
 		core.NewHandler("re-handler", event.REIn, z.onRE),
 		core.NewHandler("nhood-handler", event.NhoodChange, z.onNhood),
 		core.NewHandler("noroute-handler", event.NoRoute, z.onNoRoute),
-		core.NewHandler("routeupdate-handler", event.RouteUpdate, z.onRouteUpdate),
-		core.NewHandler("linkbreak-handler", event.LinkBreak, z.onLinkBreak),
+		core.NewHandler("routeupdate-handler", event.RouteUpdate, z.disc.OnRouteUpdate),
+		core.NewHandler("linkbreak-handler", event.LinkBreak, z.disc.OnLinkBreak),
 	} {
 		if err := z.proto.AddHandler(h); err != nil {
 			panic(err)
@@ -206,17 +177,11 @@ func New(name string, relay *mpr.MPR, cfg Config) *ZRP {
 	if err := z.proto.AddSource(core.NewSource("iarp-refresh", cfg.ZoneHold/3, 0, z.refreshZone)); err != nil {
 		panic(err)
 	}
-	if err := z.proto.AddSource(core.NewSource("route-sweep", cfg.RouteLifetime/2, 0, z.sweep)); err != nil {
+	if err := z.proto.AddSource(core.NewSource("route-sweep", cfg.RouteLifetime/2, 0, z.disc.Sweep)); err != nil {
 		panic(err)
 	}
 	z.proto.SetCounters(z.state.readMetrics)
-	z.proto.OnStop(func(ctx *core.Context) error {
-		z.state.mu.Lock()
-		z.state.pending.StopAll()
-		z.state.mu.Unlock()
-		z.state.Routes.Clear()
-		return nil
-	})
+	z.proto.OnStop(z.disc.Stop)
 	return z
 }
 
@@ -283,7 +248,7 @@ func (z *ZRP) refreshZone(ctx *core.Context) {
 // through lost neighbours.
 func (z *ZRP) onNhood(ctx *core.Context, ev *event.Event) error {
 	if ev.Nhood != nil && ev.Nhood.Kind == event.NeighborLost {
-		z.state.Routes.InvalidateVia(ev.Nhood.Neighbor)
+		z.LinkLost(ctx, ev.Nhood.Neighbor)
 	}
 	z.refreshZone(ctx)
 	return nil
@@ -308,54 +273,34 @@ func (z *ZRP) onNoRoute(ctx *core.Context, ev *event.Event) error {
 		ctx.Emit(&event.Event{Type: event.RouteFound, Route: &event.RoutePayload{Dst: dst}})
 		return nil
 	}
-	z.state.mu.Lock()
-	started := z.state.pending.Start(dst, ctx.Clock().Now())
-	if started {
-		z.state.stats.Discoveries++
-	}
-	z.state.mu.Unlock()
-	if started {
-		z.sendRREQ(ctx, dst, 1)
-	}
+	z.disc.Start(ctx, dst, z.cfg.HopLimit)
 	return nil
 }
 
-func (z *ZRP) sendRREQ(ctx *core.Context, dst mnet.Addr, attempt int) {
+// SendRREQ implements reactive.Rules: it broadcasts one interzone
+// discovery attempt and backs off binary-exponentially.
+func (z *ZRP) SendRREQ(ctx *core.Context, dst mnet.Addr, attempt int, ttl uint8) time.Duration {
 	seq := z.state.NextSeq()
 	msg := &packetbb.Message{
 		Type:       packetbb.MsgRREQ,
 		Originator: ctx.Node(),
 		SeqNum:     seq,
-		HopLimit:   z.cfg.HopLimit,
+		HopLimit:   ttl,
 		AddrBlocks: []packetbb.AddrBlock{{Addrs: []mnet.Addr{dst}}},
 	}
-	z.state.duplicate(ctx.Node(), seq, ctx.Clock().Now())
+	z.state.Duplicate(reactive.Key{Orig: ctx.Node(), Seq: seq}, ctx.Clock().Now())
 	ctx.Emit(&event.Event{Type: event.REOut, Msg: msg, Dst: mnet.Broadcast})
-
-	timer := ctx.Clock().AfterFunc(z.cfg.RREQWait<<(attempt-1), func() {
-		_ = z.proto.RunLocked(func(ctx *core.Context) { z.retry(ctx, dst, attempt) })
-	})
-	z.state.mu.Lock()
-	z.state.pending.Arm(dst, attempt, z.cfg.HopLimit, timer)
-	z.state.mu.Unlock()
+	return z.cfg.RREQWait << (attempt - 1)
 }
 
-func (z *ZRP) retry(ctx *core.Context, dst mnet.Addr, attempt int) {
-	z.state.mu.Lock()
-	if _, ok := z.state.pending.Due(dst, attempt); !ok {
-		z.state.mu.Unlock()
-		return
-	}
-	if attempt >= z.cfg.RREQTries {
-		z.state.pending.GiveUp(dst)
-		z.state.stats.GiveUps++
-		z.state.mu.Unlock()
-		return
-	}
-	z.state.stats.Retries++
-	z.state.mu.Unlock()
-	z.sendRREQ(ctx, dst, attempt+1)
+// NextAttempt implements reactive.Rules: every attempt floods at the same
+// hop limit, up to RREQTries attempts.
+func (z *ZRP) NextAttempt(attempt int, ttl uint8) (uint8, bool) {
+	return ttl, attempt < z.cfg.RREQTries
 }
+
+// LinkLost implements reactive.Rules: it drops the routes through hop.
+func (z *ZRP) LinkLost(_ *core.Context, hop mnet.Addr) { z.state.Routes.InvalidateVia(hop) }
 
 // learn installs/refreshes a reactive route.
 func (z *ZRP) learn(ctx *core.Context, node, via mnet.Addr, metric int) {
@@ -369,7 +314,7 @@ func (z *ZRP) learn(ctx *core.Context, node, via mnet.Addr, metric int) {
 	if e, ok := z.state.Routes.Get(mnet.HostPrefix(node)); ok && e.Valid {
 		if best, has := e.Best(now); has && best.Metric <= metric {
 			z.state.Routes.ExtendLifetime(mnet.HostPrefix(node), mnet.Addr{}, z.cfg.RouteLifetime)
-			z.completeDiscovery(ctx, node)
+			z.disc.Found(ctx, node)
 			return
 		}
 	}
@@ -379,16 +324,7 @@ func (z *ZRP) learn(ctx *core.Context, node, via mnet.Addr, metric int) {
 		Valid: true,
 		Proto: z.proto.Name(),
 	})
-	z.completeDiscovery(ctx, node)
-}
-
-func (z *ZRP) completeDiscovery(ctx *core.Context, dst mnet.Addr) {
-	z.state.mu.Lock()
-	_, ok := z.state.pending.Complete(dst)
-	z.state.mu.Unlock()
-	if ok {
-		ctx.Emit(&event.Event{Type: event.RouteFound, Route: &event.RoutePayload{Dst: dst}})
-	}
+	z.disc.Found(ctx, node)
 }
 
 func (z *ZRP) onRE(ctx *core.Context, ev *event.Event) error {
@@ -412,7 +348,7 @@ func (z *ZRP) onRREQ(ctx *core.Context, ev *event.Event) error {
 	now := ctx.Clock().Now()
 	z.learn(ctx, msg.Originator, ev.Src, int(msg.HopCount)+1)
 
-	if z.state.duplicate(msg.Originator, msg.SeqNum, now) {
+	if z.state.Duplicate(reactive.Key{Orig: msg.Originator, Seq: msg.SeqNum}, now) {
 		return nil
 	}
 	// The hybrid answer: the target itself, or any node whose zone covers
@@ -470,27 +406,4 @@ func (z *ZRP) onRREP(ctx *core.Context, ev *event.Event) error {
 	}
 	ctx.Emit(event.Relay(event.REOut, msg, p.NextHop))
 	return nil
-}
-
-func (z *ZRP) onRouteUpdate(ctx *core.Context, ev *event.Event) error {
-	if ev.Route == nil {
-		return nil
-	}
-	z.state.Routes.ExtendLifetime(mnet.HostPrefix(ev.Route.Dst), mnet.Addr{}, z.cfg.RouteLifetime)
-	return nil
-}
-
-func (z *ZRP) onLinkBreak(ctx *core.Context, ev *event.Event) error {
-	if ev.Route == nil || ev.Route.NextHop.IsUnspecified() {
-		return nil
-	}
-	z.state.Routes.InvalidateVia(ev.Route.NextHop)
-	return nil
-}
-
-func (z *ZRP) sweep(ctx *core.Context) {
-	z.state.Routes.PurgeExpired()
-	z.state.mu.Lock()
-	z.state.dupes.Sweep(ctx.Clock().Now(), reactive.DupHold, nil)
-	z.state.mu.Unlock()
 }
