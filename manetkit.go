@@ -486,10 +486,10 @@ func (s *Stack) UndeployZRP() error { return s.comp.Decompose(zrp.UnitName) }
 func (s *Stack) ZRPUnit() *ZRP { return s.comp.ZRP() }
 
 // RestrictToOneReactive installs the paper's example integrity rule: at
-// most one reactive routing protocol (AODV or DYMO) in this deployment
-// (§4.2).
+// most one reactive routing protocol (AODV, DYMO, or ZRP, whose interzone
+// half is reactive) in this deployment (§4.2).
 func (s *Stack) RestrictToOneReactive() error {
-	return s.mgr.AddRule(aodv.RuleSingleReactive(aodv.UnitName, dymo.UnitName))
+	return s.mgr.AddRule(aodv.RuleSingleReactive(aodv.UnitName, dymo.UnitName, zrp.UnitName))
 }
 
 // Policy returns the stack's ECA decision-making engine, creating it on

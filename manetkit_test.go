@@ -190,24 +190,34 @@ func TestAODVDeploymentAndDiscovery(t *testing.T) {
 	}
 }
 
+// TestRestrictToOneReactive: under the rule, DYMO keeps out every other
+// protocol that claims NO_ROUTE — AODV and ZRP, whose IERP is reactive —
+// until it is undeployed.
 func TestRestrictToOneReactive(t *testing.T) {
-	clk, _, stacks := lineStacks(t, 1)
-	_ = clk
-	s := stacks[0]
-	if err := s.RestrictToOneReactive(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.DeployDYMO(DYMOConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.DeployAODV(AODVConfig{}); err == nil {
-		t.Fatal("second reactive protocol accepted despite integrity rule")
-	}
-	if err := s.UndeployDYMO(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.DeployAODV(AODVConfig{}); err != nil {
-		t.Fatalf("AODV rejected after DYMO removal: %v", err)
+	for _, tc := range []struct {
+		name   string
+		deploy func(*Stack) error
+	}{
+		{"aodv", func(s *Stack) error { _, err := s.DeployAODV(AODVConfig{}); return err }},
+		{"zrp", func(s *Stack) error { _, err := s.DeployZRP(ZRPConfig{}); return err }},
+	} {
+		_, _, stacks := lineStacks(t, 1)
+		s := stacks[0]
+		if err := s.RestrictToOneReactive(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.DeployDYMO(DYMOConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.deploy(s); err == nil {
+			t.Fatalf("%s accepted beside DYMO despite the integrity rule", tc.name)
+		}
+		if err := s.UndeployDYMO(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.deploy(s); err != nil {
+			t.Fatalf("%s rejected after DYMO removal: %v", tc.name, err)
+		}
 	}
 }
 
