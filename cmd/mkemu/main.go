@@ -337,7 +337,7 @@ func run(nodes int, topology, proto string, duration time.Duration, traffic int,
 	}
 	fmt.Printf("deployed %s on %d nodes (%s topology)\n", proto, nodes, topology)
 
-	monitor := manetkit.NewHealthMonitor(epoch, reg, manetkit.HealthConfig{})
+	monitor := manetkit.NewHealthMonitor(epoch, reg)
 	for _, s := range stacks {
 		monitor.Watch(manetkit.HealthTarget{Mgr: s.Manager(), Tables: s.RouteTables()})
 	}

@@ -34,7 +34,7 @@ func emulation(t *testing.T, proto string, tracer *manetkit.Tracer) *http.ServeM
 	if err := manetkit.BuildLine(net, addrs, manetkit.DefaultQuality()); err != nil {
 		t.Fatal(err)
 	}
-	monitor := manetkit.NewHealthMonitor(epoch, nil, manetkit.HealthConfig{})
+	monitor := manetkit.NewHealthMonitor(epoch, nil)
 	for _, s := range stacks {
 		if err := s.Compose(composition(proto, false, len(addrs))...); err != nil {
 			t.Fatal(err)

@@ -134,7 +134,7 @@ func FuzzComposition(f *testing.F) {
 				_, err = s.DeployAODV(AODVConfig{})
 			case zrpUp:
 				boom = deploy("zrp", "mpr")
-				_, err = s.DeployZRP(ZRPConfig{})
+				_, err = s.DeployZRP()
 			case olsrDown:
 				m.up["olsr"], m.up["fisheye"] = false, false
 				err = s.UndeployOLSR()
@@ -213,7 +213,7 @@ func TestFacadeAndHarnessComposeTheSameArchitecture(t *testing.T) {
 		"olsr": func(s *Stack) error { _, err := s.DeployOLSR(OLSRConfig{}); return err },
 		"dymo": func(s *Stack) error { _, err := s.DeployDYMO(DYMOConfig{}); return err },
 		"aodv": func(s *Stack) error { _, err := s.DeployAODV(AODVConfig{}); return err },
-		"zrp":  func(s *Stack) error { _, err := s.DeployZRP(ZRPConfig{}); return err },
+		"zrp":  func(s *Stack) error { _, err := s.DeployZRP(); return err },
 	}
 	for _, family := range append(harness.Families(), "olsr+dymo") {
 		t.Run(family, func(t *testing.T) {

@@ -44,64 +44,44 @@ const (
 	tlvDestOnly uint8 = 65 // flag: only the destination may answer
 )
 
+// AODV timing and search parameters, against RFC 3561 §10.
+const (
+	// routeLifetime is the active-route validity. It deviates from
+	// ACTIVE_ROUTE_TIMEOUT, 3 s.
+	routeLifetime = 5 * time.Second
+	// rreqWait is every attempt's reply wait, an implementation choice in
+	// place of RING_TRAVERSAL_TIME and NET_TRAVERSAL_TIME.
+	rreqWait = time.Second
+	// rreqTries is the number of full-diameter attempts after the ring
+	// search: the first and RREQ_RETRIES (2) more.
+	rreqTries = 3
+	// ttlStart, ttlIncrement and ttlThreshold drive the expanding ring
+	// search. ttlStart deviates from TTL_START, 1; the other two are
+	// TTL_INCREMENT and TTL_THRESHOLD.
+	ttlStart     = 2
+	ttlIncrement = 2
+	ttlThreshold = 7
+	// netDiameter caps full-network floods. It deviates from NET_DIAMETER,
+	// 35.
+	netDiameter = 16
+	// piggybackMax bounds the routing entries one HELLO carries (§4.3), an
+	// implementation choice.
+	piggybackMax = 4
+)
+
 // Config parameterises the AODV CF.
 type Config struct {
-	// RouteLifetime is the active-route validity (default 5s).
-	RouteLifetime time.Duration
-	// RREQWait is the per-attempt reply wait (default 1s).
-	RREQWait time.Duration
-	// RREQTries bounds the full-diameter attempts that follow the ring
-	// search (default 3).
-	RREQTries int
-	// TTLStart, TTLIncrement and TTLThreshold drive the expanding ring
-	// search (defaults 2, 2, 7); beyond the threshold NetDiameter is used.
-	TTLStart     uint8
-	TTLIncrement uint8
-	TTLThreshold uint8
-	// NetDiameter caps full-network floods (default 16).
-	NetDiameter uint8
 	// DestinationOnly disables intermediate RREPs (default false).
 	DestinationOnly bool
-	// PiggybackRoutes shares up to PiggybackMax routing entries on the
+	// PiggybackRoutes shares up to piggybackMax routing entries on the
 	// neighbour detector's HELLO beacons (§4.3).
 	PiggybackRoutes bool
-	PiggybackMax    int
 	// FIB, when non-nil, receives the protocol's routes.
 	FIB *route.FIB
 	// Device names the FIB device for installed routes.
 	Device string
 	// Clock drives route lifetimes before deployment (defaults to real).
 	Clock vclock.Clock
-}
-
-func (c *Config) fill() {
-	if c.RouteLifetime <= 0 {
-		c.RouteLifetime = 5 * time.Second
-	}
-	if c.RREQWait <= 0 {
-		c.RREQWait = time.Second
-	}
-	if c.RREQTries <= 0 {
-		c.RREQTries = 3
-	}
-	if c.TTLStart == 0 {
-		c.TTLStart = 2
-	}
-	if c.TTLIncrement == 0 {
-		c.TTLIncrement = 2
-	}
-	if c.TTLThreshold == 0 {
-		c.TTLThreshold = 7
-	}
-	if c.NetDiameter == 0 {
-		c.NetDiameter = 16
-	}
-	if c.PiggybackMax <= 0 {
-		c.PiggybackMax = 4
-	}
-	if c.Clock == nil {
-		c.Clock = vclock.Real()
-	}
 }
 
 // Stats counts AODV activity.
@@ -189,11 +169,13 @@ func New(name string, detector *neighbor.Detector, cfg Config) *AODV {
 	if name == "" {
 		name = UnitName
 	}
-	cfg.fill()
+	if cfg.Clock == nil {
+		cfg.Clock = vclock.Real()
+	}
 	a := &AODV{proto: core.NewProtocol(name), cfg: cfg,
 		state: &State{precursors: make(map[mnet.Addr]map[mnet.Addr]bool)}}
 	a.state.Init(cfg.Clock, cfg.FIB, cfg.Device)
-	a.disc = reactive.NewDiscovery(a.proto, &a.state.State, a, cfg.RouteLifetime)
+	a.disc = reactive.NewDiscovery(a.proto, &a.state.State, a, routeLifetime)
 
 	a.proto.SetTuple(event.Tuple{
 		Required: []event.Requirement{
@@ -225,7 +207,7 @@ func New(name string, detector *neighbor.Detector, cfg Config) *AODV {
 			panic(err)
 		}
 	}
-	if err := a.proto.AddSource(core.NewSource("route-sweep", cfg.RouteLifetime/2, 0, a.disc.Sweep)); err != nil {
+	if err := a.proto.AddSource(core.NewSource("route-sweep", routeLifetime/2, 0, a.disc.Sweep)); err != nil {
 		panic(err)
 	}
 	a.proto.SetCounters(a.state.readMetrics)
@@ -271,11 +253,11 @@ func (a *AODV) wirePiggyback(detector *neighbor.Detector) {
 		var buf []byte
 		n := 0
 		for _, e := range entries {
-			if !e.Valid || n >= a.cfg.PiggybackMax {
+			if !e.Valid || n >= piggybackMax {
 				continue
 			}
 			p, ok := e.Best(a.cfg.Clock.Now())
-			if !ok || p.Metric >= int(a.cfg.NetDiameter) {
+			if !ok || p.Metric >= netDiameter {
 				continue
 			}
 			buf = append(buf, e.Dst.Addr[:]...)
@@ -307,13 +289,13 @@ func (a *AODV) wirePiggyback(detector *neighbor.Detector) {
 // onNoRoute starts an expanding-ring route discovery.
 func (a *AODV) onNoRoute(ctx *core.Context, ev *event.Event) error {
 	if ev.Route != nil {
-		a.disc.Start(ctx, ev.Route.Dst, a.cfg.TTLStart)
+		a.disc.Start(ctx, ev.Route.Dst, ttlStart)
 	}
 	return nil
 }
 
 // SendRREQ implements reactive.Rules: it floods one ring of the search and
-// waits RREQWait for a reply.
+// waits rreqWait for a reply.
 func (a *AODV) SendRREQ(ctx *core.Context, dst mnet.Addr, attempt int, ttl uint8) time.Duration {
 	seq := a.state.NextSeq()
 	lastSeq := uint16(0)
@@ -338,24 +320,23 @@ func (a *AODV) SendRREQ(ctx *core.Context, dst mnet.Addr, attempt int, ttl uint8
 	}
 	a.state.Duplicate(reactive.Key{Orig: ctx.Node(), Seq: seq}, ctx.Clock().Now())
 	ctx.Emit(&event.Event{Type: event.REOut, Msg: msg, Dst: mnet.Broadcast})
-	return a.cfg.RREQWait
+	return rreqWait
 }
 
 // NextAttempt implements reactive.Rules: it widens the ring (RFC 3561
-// §6.4) while the hop limit stays within TTLThreshold, then floods at
-// NetDiameter, up to RREQTries full-diameter attempts after the rings.
+// §6.4) while the hop limit stays within ttlThreshold, then floods at
+// netDiameter, up to rreqTries full-diameter attempts after the rings.
 func (a *AODV) NextAttempt(attempt int, ttl uint8) (uint8, bool) {
-	if ttl < a.cfg.TTLThreshold {
+	if ttl < ttlThreshold {
 		a.state.stats.RingExpansions++
-		if next := int(ttl) + int(a.cfg.TTLIncrement); next <= int(a.cfg.TTLThreshold) {
-			return uint8(next), true
+		if next := ttl + ttlIncrement; next <= ttlThreshold {
+			return next, true
 		}
-		return a.cfg.NetDiameter, true
+		return netDiameter, true
 	}
-	// The ring attempts: TTLStart, TTLStart+TTLIncrement, ... up to TTLThreshold.
-	inc := int(a.cfg.TTLIncrement)
-	rings := max(0, (int(a.cfg.TTLThreshold)-int(a.cfg.TTLStart)+inc)/inc)
-	return a.cfg.NetDiameter, attempt < rings+a.cfg.RREQTries
+	// The ring attempts: ttlStart, ttlStart+ttlIncrement, ... up to ttlThreshold.
+	const rings = (ttlThreshold - ttlStart + ttlIncrement) / ttlIncrement
+	return netDiameter, attempt < rings+rreqTries
 }
 
 // learnRoute applies the AODV route-update rule; it reports whether the
@@ -379,7 +360,7 @@ func (a *AODV) learnRoute(ctx *core.Context, node, prevHop mnet.Addr, metric int
 	}
 	a.state.Routes.Upsert(route.Entry{
 		Dst:    dst,
-		Paths:  []route.Path{{NextHop: prevHop, Metric: metric, Expires: now.Add(a.cfg.RouteLifetime)}},
+		Paths:  []route.Path{{NextHop: prevHop, Metric: metric, Expires: now.Add(routeLifetime)}},
 		SeqNum: seq,
 		Valid:  true,
 		Proto:  a.proto.Name(),
@@ -462,7 +443,7 @@ func (a *AODV) sendRREP(ctx *core.Context, reqOrig, target mnet.Addr, targetSeq 
 		Type:       packetbb.MsgRREP,
 		Originator: target,
 		SeqNum:     targetSeq,
-		HopLimit:   a.cfg.NetDiameter,
+		HopLimit:   netDiameter,
 		HopCount:   hopsToTarget,
 		AddrBlocks: []packetbb.AddrBlock{{Addrs: []mnet.Addr{reqOrig}}},
 	}
@@ -527,7 +508,7 @@ func (a *AODV) buildRERR(ctx *core.Context, unreachable []mnet.Addr) *packetbb.M
 		Type:       packetbb.MsgRERR,
 		Originator: ctx.Node(),
 		SeqNum:     a.state.NextSeq(),
-		HopLimit:   a.cfg.NetDiameter,
+		HopLimit:   netDiameter,
 		AddrBlocks: []packetbb.AddrBlock{{Addrs: unreachable}},
 	}
 }

@@ -33,7 +33,7 @@ func deployAODV(t *testing.T, n int, cfg Config) (*testbed.Cluster, []*aodvNode)
 	t.Cleanup(c.Close)
 	nodes := make([]*aodvNode, n)
 	for i, node := range c.Nodes {
-		nd := neighbor.New("", neighbor.Config{HelloInterval: time.Second, LinkLayerFeedback: true})
+		nd := neighbor.New("")
 		cfg := cfg
 		cfg.Clock = c.Clock
 		cfg.FIB = node.FIB()
@@ -108,7 +108,7 @@ func TestExpandingRingStopsEarlyForNearTargets(t *testing.T) {
 }
 
 func TestGratuitousRREPFromIntermediate(t *testing.T) {
-	c, nodes := deployAODV(t, 4, Config{RouteLifetime: time.Minute})
+	c, nodes := deployAODV(t, 4, Config{})
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestGratuitousRREPFromIntermediate(t *testing.T) {
 }
 
 func TestDestinationOnlyDisablesGratuitousRREP(t *testing.T) {
-	c, nodes := deployAODV(t, 4, Config{RouteLifetime: time.Minute, DestinationOnly: true})
+	c, nodes := deployAODV(t, 4, Config{DestinationOnly: true})
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestDestinationOnlyDisablesGratuitousRREP(t *testing.T) {
 }
 
 func TestPiggybackTeachesNeighbors(t *testing.T) {
-	c, nodes := deployAODV(t, 4, Config{RouteLifetime: time.Minute, PiggybackRoutes: true})
+	c, nodes := deployAODV(t, 4, Config{PiggybackRoutes: true})
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestPiggybackTeachesNeighbors(t *testing.T) {
 }
 
 func TestPrecursorRERRPropagates(t *testing.T) {
-	c, nodes := deployAODV(t, 4, Config{RouteLifetime: time.Minute})
+	c, nodes := deployAODV(t, 4, Config{})
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,18 +235,6 @@ func TestSingleReactiveIntegrityRule(t *testing.T) {
 	}
 }
 
-func TestGiveUpUnreachable(t *testing.T) {
-	c, nodes := deployAODV(t, 2, Config{RREQWait: 100 * time.Millisecond, RREQTries: 2,
-		TTLStart: 2, TTLIncrement: 2, TTLThreshold: 4, NetDiameter: 8})
-	// No links.
-	nodes[0].node.Sys.Filter().SendData(c.Addrs()[1], []byte("x"))
-	c.Run(5 * time.Second)
-	st := nodes[0].aodv.State().Stats()
-	if st.GiveUps != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 // TestRERRRelayRespectsHopLimit: node 1 reaches an off-cluster destination
 // through an off-cluster next hop and has node 0 as that route's precursor.
 // A RERR from the next hop always invalidates the route; node 1 relays it to
@@ -267,7 +255,7 @@ func TestRERRRelayRespectsHopLimit(t *testing.T) {
 		{in: 1, relay: nil},
 		{in: 2, relay: []uint8{1}},
 	} {
-		c, nodes := deployAODV(t, 2, Config{RouteLifetime: time.Minute})
+		c, nodes := deployAODV(t, 2, Config{})
 		up, b := c.Addrs()[0], nodes[1].aodv
 		next, dst := mnet.MustParseAddr("10.9.0.1"), mnet.MustParseAddr("10.9.0.2")
 		b.Routes().Upsert(route.Entry{
@@ -316,7 +304,7 @@ func TestRERRRelayRespectsHopLimit(t *testing.T) {
 }
 
 func TestRoutesExpireWithoutUse(t *testing.T) {
-	c, nodes := deployAODV(t, 2, Config{RouteLifetime: 2 * time.Second})
+	c, nodes := deployAODV(t, 2, Config{})
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +314,7 @@ func TestRoutesExpireWithoutUse(t *testing.T) {
 	if _, _, err := nodes[0].aodv.Routes().Lookup(c.Addrs()[1]); err != nil {
 		t.Fatal("no route after discovery")
 	}
-	c.Run(5 * time.Second)
+	c.Run(routeLifetime + time.Second)
 	if _, _, err := nodes[0].aodv.Routes().Lookup(c.Addrs()[1]); err == nil {
 		t.Fatal("idle route never expired")
 	}
@@ -362,8 +350,8 @@ func TestAODVWorksUnderLoss(t *testing.T) {
 	t.Cleanup(c.Close)
 	nodes := make([]*aodvNode, 3)
 	for i, node := range c.Nodes {
-		nd := neighbor.New("", neighbor.Config{HelloInterval: time.Second})
-		a := New("", nd, Config{Clock: c.Clock, FIB: node.FIB(), RREQWait: 300 * time.Millisecond})
+		nd := neighbor.New("")
+		a := New("", nd, Config{Clock: c.Clock, FIB: node.FIB()})
 		for _, u := range []*core.Protocol{nd.Protocol(), a.Protocol()} {
 			if err := node.Mgr.Deploy(u); err != nil {
 				t.Fatal(err)

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"manetkit/internal/aodv"
 	"manetkit/internal/core"
@@ -37,17 +36,15 @@ import (
 // Fisheye names OLSR's fisheye TC_OUT interposer (§5.1), a variant.
 const Fisheye = "fisheye"
 
-// Spec names one family or variant and its parameters. A zero field takes
-// the protocol's own default, so Spec{Family: "olsr"} is the composition the
-// evaluation harness measures.
+// Spec names one family or variant and the parameters its callers set. A
+// zero field takes the protocol's own default, so Spec{Family: "olsr"} is
+// the composition the evaluation harness measures. Timing is not among
+// them: every protocol runs on its own constants.
 type Spec struct {
-	Family          string        // olsr, dymo, aodv, zrp or fisheye
-	HelloInterval   time.Duration // the helper CF's beacon period, if this spec deploys it
-	TCInterval      time.Duration // olsr
-	RouteLifetime   time.Duration // dymo, aodv, zrp
-	HopLimit        uint8         // dymo
-	PiggybackRoutes bool          // aodv
-	Pattern         []uint8       // fisheye TTL pattern
+	Family          string  // olsr, dymo, aodv, zrp or fisheye
+	HopLimit        uint8   // dymo
+	PiggybackRoutes bool    // aodv
+	Pattern         []uint8 // fisheye TTL pattern
 }
 
 // A decl is what a family or a variant declares. A family holds the first
@@ -59,13 +56,12 @@ type decl struct {
 }
 
 var decls = map[string]decl{
-	olsr.UnitName: {helpers: []string{mpr.UnitName}, build: func(s *Set, h any, sp Spec) (*core.Protocol, any) {
-		o := olsr.New("", h.(*mpr.MPR), olsr.Config{TCInterval: sp.TCInterval,
-			Clock: s.mgr.Clock(), FIB: s.sys.FIB(), Device: s.sys.NIC().Device()})
+	olsr.UnitName: {helpers: []string{mpr.UnitName}, build: func(s *Set, h any, _ Spec) (*core.Protocol, any) {
+		o := olsr.New("", h.(*mpr.MPR), olsr.Config{Clock: s.mgr.Clock(), FIB: s.sys.FIB(), Device: s.sys.NIC().Device()})
 		return o.Protocol(), o
 	}},
 	dymo.UnitName: {helpers: []string{mpr.UnitName, neighbor.UnitName}, build: func(s *Set, h any, sp Spec) (*core.Protocol, any) {
-		d := dymo.New("", dymo.Config{RouteLifetime: sp.RouteLifetime, HopLimit: sp.HopLimit,
+		d := dymo.New("", dymo.Config{HopLimit: sp.HopLimit,
 			Clock: s.mgr.Clock(), FIB: s.sys.FIB(), Device: s.sys.NIC().Device()})
 		if relay, ok := h.(*mpr.MPR); ok {
 			d.SetFlooder(relay.Flooder())
@@ -73,13 +69,12 @@ var decls = map[string]decl{
 		return d.Protocol(), d
 	}},
 	aodv.UnitName: {helpers: []string{neighbor.UnitName}, build: func(s *Set, h any, sp Spec) (*core.Protocol, any) {
-		a := aodv.New("", h.(*neighbor.Detector), aodv.Config{RouteLifetime: sp.RouteLifetime,
-			PiggybackRoutes: sp.PiggybackRoutes, Clock: s.mgr.Clock(), FIB: s.sys.FIB(), Device: s.sys.NIC().Device()})
+		a := aodv.New("", h.(*neighbor.Detector), aodv.Config{PiggybackRoutes: sp.PiggybackRoutes,
+			Clock: s.mgr.Clock(), FIB: s.sys.FIB(), Device: s.sys.NIC().Device()})
 		return a.Protocol(), a
 	}},
-	zrp.UnitName: {helpers: []string{mpr.UnitName}, build: func(s *Set, h any, sp Spec) (*core.Protocol, any) {
-		z := zrp.New("", h.(*mpr.MPR), zrp.Config{RouteLifetime: sp.RouteLifetime,
-			Clock: s.mgr.Clock(), FIB: s.sys.FIB(), Device: s.sys.NIC().Device()})
+	zrp.UnitName: {helpers: []string{mpr.UnitName}, build: func(s *Set, h any, _ Spec) (*core.Protocol, any) {
+		z := zrp.New("", h.(*mpr.MPR), zrp.Config{Clock: s.mgr.Clock(), FIB: s.sys.FIB(), Device: s.sys.NIC().Device()})
 		return z.Protocol(), z
 	}},
 	Fisheye: {rides: olsr.UnitName, build: func(_ *Set, _ any, sp Spec) (*core.Protocol, any) {
@@ -89,13 +84,13 @@ var decls = map[string]decl{
 }
 
 // helpers builds the shared helper CFs a family can hold.
-var helpers = map[string]func(sp Spec) (*core.Protocol, any){
-	mpr.UnitName: func(sp Spec) (*core.Protocol, any) {
-		m := mpr.New("", mpr.Config{HelloInterval: sp.HelloInterval})
+var helpers = map[string]func() (*core.Protocol, any){
+	mpr.UnitName: func() (*core.Protocol, any) {
+		m := mpr.New("")
 		return m.Protocol(), m
 	},
-	neighbor.UnitName: func(sp Spec) (*core.Protocol, any) {
-		d := neighbor.New("", neighbor.Config{HelloInterval: sp.HelloInterval, LinkLayerFeedback: true})
+	neighbor.UnitName: func() (*core.Protocol, any) {
+		d := neighbor.New("")
 		return d.Protocol(), d
 	},
 }
@@ -168,7 +163,7 @@ func (s *Set) compose(sp Spec) error {
 		}
 		if h == nil {
 			h = &unit{name: d.helpers[len(d.helpers)-1]}
-			h.proto, h.handle = helpers[h.name](sp)
+			h.proto, h.handle = helpers[h.name]()
 			if err := Deploy(s.mgr, h.proto); err != nil {
 				return err
 			}

@@ -14,8 +14,8 @@ import (
 
 // TestUnansweredDiscoverySchedule pins, for each reactive family with its
 // default configuration, when an isolated node's route requests go out and
-// with which hop limit, and the counters the discovery ends with once it
-// gives up. DYMO and ZRP back off binary-exponentially at one hop limit;
+// with which hop limit, the counters the discovery ends with once it gives
+// up, and that no route to the target is left behind. DYMO and ZRP back off binary-exponentially at one hop limit;
 // AODV widens its ring.
 func TestUnansweredDiscoverySchedule(t *testing.T) {
 	type rreq struct {
@@ -87,7 +87,8 @@ func TestUnansweredDiscoverySchedule(t *testing.T) {
 					}
 				}
 			})
-			if err := node.Sys.Filter().SendData(mnet.MustParseAddr("10.9.0.9"), []byte("x")); err != nil {
+			dst := mnet.MustParseAddr("10.9.0.9")
+			if err := node.Sys.Filter().SendData(dst, []byte("x")); err != nil {
 				t.Fatal(err)
 			}
 			c.Run(30 * time.Second)
@@ -96,6 +97,9 @@ func TestUnansweredDiscoverySchedule(t *testing.T) {
 			}
 			if n := tc.read(s); n != tc.counts {
 				t.Errorf("discoveries, retries, give-ups, ring expansions = %v, want %v", n, tc.counts)
+			}
+			if _, _, err := s.RIBs()[tc.family].Lookup(dst); err == nil {
+				t.Error("route materialised out of nothing")
 			}
 		})
 	}

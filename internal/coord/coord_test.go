@@ -142,7 +142,7 @@ func TestDistributedProtocolSwitch(t *testing.T) {
 	relays := make(map[string]*mpr.MPR)
 	olsrs := make(map[string]*olsr.OLSR)
 	for _, m := range ms {
-		relay := mpr.New("", mpr.Config{HelloInterval: 2 * time.Second})
+		relay := mpr.New("")
 		o := olsr.New("", relay, olsr.Config{Clock: c.Clock})
 		for _, u := range []*core.Protocol{relay.Protocol(), o.Protocol()} {
 			if err := m.Mgr.Deploy(u); err != nil {
@@ -182,7 +182,7 @@ func TestDistributedProtocolSwitch(t *testing.T) {
 				if err := m.Mgr.Undeploy("dymo"); err != nil {
 					return err
 				}
-				relay := mpr.New("", mpr.Config{HelloInterval: 2 * time.Second})
+				relay := mpr.New("")
 				o := olsr.New("", relay, olsr.Config{Clock: c.Clock})
 				for _, u := range []*core.Protocol{relay.Protocol(), o.Protocol()} {
 					if err := m.Mgr.Deploy(u); err != nil {

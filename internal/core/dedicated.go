@@ -8,6 +8,10 @@ import (
 	"manetkit/internal/queue"
 )
 
+// DedicatedQueueBound is how many events a dedicated per-protocol queue
+// holds before it drops the newest, an implementation choice.
+const DedicatedQueueBound = 1024
+
 // dedicatedRunner implements the thread-per-ManetProtocol model (§4.4): a
 // goroutine owned by one unit drains a FIFO of waiting events, so a thread
 // passing an event from a lower layer returns immediately after the
@@ -29,11 +33,11 @@ type dedicatedRunner struct {
 
 // newDedicatedRunner starts the unit's runner; reg, when non-nil, reads
 // its queue's depth and overflow count while it runs.
-func newDedicatedRunner(m *Manager, u Unit, bound int, reg *metrics.Registry) *dedicatedRunner {
+func newDedicatedRunner(m *Manager, u Unit, reg *metrics.Registry) *dedicatedRunner {
 	d := &dedicatedRunner{
 		m:    m,
 		unit: u,
-		q:    queue.NewFIFO[*event.Event](bound),
+		q:    queue.NewFIFO[*event.Event](DedicatedQueueBound),
 		done: make(chan struct{}),
 	}
 	d.idle.L = &d.mu

@@ -58,14 +58,10 @@ type Config struct {
 	Node mnet.Addr
 	// Clock is the deployment's time source; defaults to vclock.Real().
 	Clock vclock.Clock
-	// Ontology defaults to event.NewOntology().
-	Ontology *event.Ontology
 	// Model defaults to SingleThreaded.
 	Model Model
 	// PoolSize sizes the PerN worker pool (default 2).
 	PoolSize int
-	// QueueBound bounds each dedicated per-protocol queue (default 1024).
-	QueueBound int
 	// Metrics, when non-nil, reads the framework counters (ManagerStats)
 	// and collects latency histograms (shared across a whole cluster). Nil
 	// disables metrics at the cost of one nil check per dispatch.
@@ -168,7 +164,6 @@ type Manager struct {
 	// delivery path.
 	workers  atomic.Pointer[pool.Pool]
 	poolSize int
-	qBound   int
 	inflight sync.WaitGroup
 
 	// obs is the instrument bundle; nil when both metrics and tracing are
@@ -207,27 +202,20 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = vclock.Real()
 	}
-	if cfg.Ontology == nil {
-		cfg.Ontology = event.NewOntology()
-	}
 	if cfg.Model == 0 {
 		cfg.Model = SingleThreaded
 	}
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 2
 	}
-	if cfg.QueueBound <= 0 {
-		cfg.QueueBound = 1024
-	}
 	m := &Manager{
 		cf:       kernel.NewCF("manetkit"),
 		node:     cfg.Node,
 		clk:      cfg.Clock,
-		ont:      cfg.Ontology,
+		ont:      event.NewOntology(),
 		units:    make(map[string]*unitRec),
 		typeIdx:  make(map[event.Type]int),
 		poolSize: cfg.PoolSize,
-		qBound:   cfg.QueueBound,
 		obs:      newManagerObs(cfg.Node, cfg.Metrics, cfg.Tracer),
 		metrics:  cfg.Metrics,
 	}
@@ -419,7 +407,7 @@ func (m *Manager) EnableDedicatedThread(name string) error {
 	if rec.dedicated.Load() != nil {
 		return nil
 	}
-	rec.dedicated.Store(newDedicatedRunner(m, rec.unit, m.qBound, m.metrics))
+	rec.dedicated.Store(newDedicatedRunner(m, rec.unit, m.metrics))
 	return nil
 }
 

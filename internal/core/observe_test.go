@@ -296,7 +296,7 @@ func TestDedicatedQueueCountersSurviveToggle(t *testing.T) {
 	reg := metrics.NewRegistry()
 	m, err := NewManager(Config{
 		Node: mnet.MustParseAddr("10.0.0.1"), Clock: vclock.NewVirtual(epoch),
-		QueueBound: 1, Metrics: reg,
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,8 +319,9 @@ func TestDedicatedQueueCountersSurviveToggle(t *testing.T) {
 		}
 	}
 	const dropped = "core_dedicated_dropped:requirer"
-	// overflow emits three events into the bound-1 queue with the runner
-	// held inside the first: the second waits, the third is dropped.
+	// overflow emits DedicatedQueueBound+2 events with the runner held
+	// inside the first: the next DedicatedQueueBound wait, the last is
+	// dropped.
 	overflow := func() {
 		t.Helper()
 		if err := m.EnableDedicatedThread("requirer"); err != nil {
@@ -328,13 +329,16 @@ func TestDedicatedQueueCountersSurviveToggle(t *testing.T) {
 		}
 		m.emit("provider", &event.Event{Type: event.TCOut})
 		<-entered
-		m.emit("provider", &event.Event{Type: event.TCOut})
-		m.emit("provider", &event.Event{Type: event.TCOut})
-		if got := reg.Snapshot().Gauges["core_dedicated_depth:requirer"]; got != 1 {
-			t.Fatalf("depth gauge = %d with one event waiting, want 1", got)
+		for range DedicatedQueueBound + 1 {
+			m.emit("provider", &event.Event{Type: event.TCOut})
 		}
-		release <- struct{}{}
-		<-entered
+		if got := reg.Snapshot().Gauges["core_dedicated_depth:requirer"]; got != DedicatedQueueBound {
+			t.Fatalf("depth gauge = %d with a full queue waiting, want %d", got, DedicatedQueueBound)
+		}
+		for range DedicatedQueueBound {
+			release <- struct{}{}
+			<-entered
+		}
 		release <- struct{}{}
 		m.WaitIdle()
 	}

@@ -27,21 +27,27 @@ import (
 // UnitName is the DYMO CF's default unit name.
 const UnitName = "dymo"
 
+// DYMO timing, from the DYMO draft's suggested parameter values.
+const (
+	// RouteLifetime is the validity given to learned routes and restored to
+	// routes in use: the draft's ROUTE_TIMEOUT.
+	RouteLifetime = 5 * time.Second
+	// rreqWait is the first discovery attempt's reply wait, doubled per
+	// retry. It deviates from the draft's ROUTE_RREQ_WAIT_TIME of 2 s.
+	rreqWait = time.Second
+	// rreqTries bounds discovery attempts: the draft's RREQ_TRIES.
+	rreqTries = 3
+)
+
 // Config parameterises the DYMO CF.
 type Config struct {
-	// RouteLifetime is the validity added to used/learned routes
-	// (default 5s).
-	RouteLifetime time.Duration
-	// RREQWait is the reply wait before a discovery retry (default 1s;
-	// doubled per retry).
-	RREQWait time.Duration
-	// RREQTries bounds discovery attempts (default 3).
-	RREQTries int
-	// HopLimit caps control-message propagation (default 10).
+	// HopLimit caps control-message propagation (default 10, the draft's
+	// MSG_HOPLIMIT).
 	HopLimit uint8
 	// AccumulatePaths enables DYMO path accumulation: RE messages gather
 	// intermediate addresses so every node on the path learns routes to
-	// all of them (default on, as in the DYMO draft).
+	// all of them. Off by default (the zero value); nothing outside tests
+	// turns it on.
 	AccumulatePaths bool
 	// FIB, when non-nil, receives the protocol's routes.
 	FIB *route.FIB
@@ -52,15 +58,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.RouteLifetime <= 0 {
-		c.RouteLifetime = 5 * time.Second
-	}
-	if c.RREQWait <= 0 {
-		c.RREQWait = time.Second
-	}
-	if c.RREQTries <= 0 {
-		c.RREQTries = 3
-	}
 	if c.HopLimit == 0 {
 		c.HopLimit = 10
 	}
@@ -166,7 +163,7 @@ func New(name string, cfg Config) *DYMO {
 		maxPaths:   2,
 	}}
 	d.state.Init(cfg.Clock, cfg.FIB, cfg.Device)
-	d.disc = reactive.NewDiscovery(d.proto, &d.state.State, d, cfg.RouteLifetime)
+	d.disc = reactive.NewDiscovery(d.proto, &d.state.State, d, RouteLifetime)
 
 	d.proto.SetTuple(event.Tuple{
 		Required: []event.Requirement{
@@ -201,7 +198,7 @@ func New(name string, cfg Config) *DYMO {
 		}
 	}
 	// Periodic purge of expired routes and stale duplicate-cache entries.
-	if err := d.proto.AddSource(core.NewSource("route-sweep", cfg.RouteLifetime/2, 0, d.sweep)); err != nil {
+	if err := d.proto.AddSource(core.NewSource("route-sweep", RouteLifetime/2, 0, d.sweep)); err != nil {
 		panic(err)
 	}
 	d.proto.SetCounters(d.state.readMetrics)
@@ -267,13 +264,13 @@ func (d *DYMO) SendRREQ(ctx *core.Context, dst mnet.Addr, attempt int, ttl uint8
 		f.Seen(ctx.Node(), seq, now)
 	}
 	ctx.Emit(&event.Event{Type: event.REOut, Msg: msg, Dst: mnet.Broadcast})
-	return d.cfg.RREQWait << (attempt - 1)
+	return rreqWait << (attempt - 1)
 }
 
 // NextAttempt implements reactive.Rules: every attempt floods at the same
-// hop limit, up to RREQTries attempts.
+// hop limit, up to rreqTries attempts.
 func (d *DYMO) NextAttempt(attempt int, ttl uint8) (uint8, bool) {
-	return ttl, attempt < d.cfg.RREQTries
+	return ttl, attempt < rreqTries
 }
 
 func (d *DYMO) lastKnownSeq(dst mnet.Addr) uint16 {
@@ -295,7 +292,7 @@ func (d *DYMO) learnRoute(ctx *core.Context, node, prevHop mnet.Addr, metric int
 	}
 	dst := mnet.HostPrefix(node)
 	now := ctx.Clock().Now()
-	expiry := now.Add(d.cfg.RouteLifetime)
+	expiry := now.Add(RouteLifetime)
 	cur, ok := d.state.Routes.Get(dst)
 	if ok && cur.Valid {
 		best, hasPath := cur.Best(now)

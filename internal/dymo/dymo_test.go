@@ -59,7 +59,7 @@ func deployDYMO(t *testing.T, n int, cfg Config) (*testbed.Cluster, []*dymoNode)
 
 func deployDYMOOn(t *testing.T, c *testbed.Cluster, node *testbed.Node, cfg Config) *dymoNode {
 	t.Helper()
-	nd := neighbor.New("", neighbor.Config{HelloInterval: time.Second, LinkLayerFeedback: true})
+	nd := neighbor.New("")
 	cfg.Clock = c.Clock
 	cfg.FIB = node.FIB()
 	cfg.Device = node.Sys.NIC().Device()
@@ -150,22 +150,8 @@ func TestPathAccumulationLearnsIntermediates(t *testing.T) {
 	}
 }
 
-func TestDiscoveryRetriesAndGivesUp(t *testing.T) {
-	c, nodes := deployDYMO(t, 2, Config{RREQWait: 100 * time.Millisecond, RREQTries: 3})
-	// No links at all: the target is unreachable.
-	nodes[0].node.Sys.Filter().SendData(c.Addrs()[1], []byte("x"))
-	c.Run(2 * time.Second)
-	st := nodes[0].dymo.State().Stats()
-	if st.Discoveries != 1 || st.Retries != 2 || st.GiveUps != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if _, _, err := nodes[0].dymo.Routes().Lookup(c.Addrs()[1]); err == nil {
-		t.Fatal("route materialised out of nothing")
-	}
-}
-
 func TestLinkBreakTriggersRERRAndInvalidation(t *testing.T) {
-	c, nodes := deployDYMO(t, 4, Config{RouteLifetime: time.Minute})
+	c, nodes := deployDYMO(t, 4, Config{})
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +195,7 @@ func diamond(t *testing.T, c *testbed.Cluster) {
 }
 
 func TestMultipathFindsDisjointPaths(t *testing.T) {
-	c, nodes := deployDYMO(t, 4, Config{RouteLifetime: time.Minute})
+	c, nodes := deployDYMO(t, 4, Config{})
 	diamond(t, c)
 	for _, n := range nodes {
 		if err := n.dymo.EnableMultipath(2); err != nil {
@@ -234,7 +220,7 @@ func TestMultipathFindsDisjointPaths(t *testing.T) {
 }
 
 func TestMultipathSurvivesSingleLinkBreakWithoutRediscovery(t *testing.T) {
-	c, nodes := deployDYMO(t, 4, Config{RouteLifetime: time.Minute})
+	c, nodes := deployDYMO(t, 4, Config{})
 	diamond(t, c)
 	for _, n := range nodes {
 		if err := n.dymo.EnableMultipath(2); err != nil {
@@ -314,7 +300,7 @@ func TestOptimizedFloodingReducesRREQForwards(t *testing.T) {
 		for i, node := range c.Nodes {
 			nodes[i] = deployDYMOOn(t, c, node, Config{})
 			if useMPR {
-				relays[i] = mpr.New("", mpr.Config{HelloInterval: time.Second})
+				relays[i] = mpr.New("")
 				if err := node.Mgr.Deploy(relays[i].Protocol()); err != nil {
 					t.Fatal(err)
 				}
@@ -348,7 +334,7 @@ func TestOptimizedFloodingReducesRREQForwards(t *testing.T) {
 }
 
 func TestRouteUpdateExtendsLifetime(t *testing.T) {
-	c, nodes := deployDYMO(t, 2, Config{RouteLifetime: 2 * time.Second})
+	c, nodes := deployDYMO(t, 2, Config{})
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -358,8 +344,9 @@ func TestRouteUpdateExtendsLifetime(t *testing.T) {
 	if _, _, err := nodes[0].dymo.Routes().Lookup(c.Addrs()[1]); err != nil {
 		t.Fatal("setup: no route")
 	}
-	// Keep using the route: lifetime extends past the base expiry.
-	for i := 0; i < 6; i++ {
+	// Keep using the route for twice its lifetime: it extends past the
+	// base expiry.
+	for range 2 * RouteLifetime / time.Second {
 		nodes[0].node.Sys.Filter().SendData(c.Addrs()[1], []byte("keepalive"))
 		c.Run(time.Second)
 	}
@@ -367,7 +354,7 @@ func TestRouteUpdateExtendsLifetime(t *testing.T) {
 		t.Fatal("actively used route expired")
 	}
 	// Stop using it: it ages out.
-	c.Run(5 * time.Second)
+	c.Run(RouteLifetime + time.Second)
 	if _, _, err := nodes[0].dymo.Routes().Lookup(c.Addrs()[1]); err == nil {
 		t.Fatal("idle route never expired")
 	}
@@ -413,13 +400,9 @@ func TestSeqNewer(t *testing.T) {
 	}
 }
 
-// sweepPeriod is the default route-sweep period, which also sweeps the
-// duplicate set.
-func sweepPeriod() time.Duration {
-	var cfg Config
-	cfg.fill()
-	return cfg.RouteLifetime / 2
-}
+// sweepPeriod is the route-sweep period, which also sweeps the duplicate
+// set.
+const sweepPeriod = RouteLifetime / 2
 
 // injectRREQ hands d an RREQ for target from orig, as received from prev.
 func injectRREQ(t *testing.T, d *DYMO, orig, target, prev mnet.Addr, seq uint16, hopLimit uint8) {
@@ -462,7 +445,7 @@ func TestMultipathReplyStateSweptWithDupes(t *testing.T) {
 	if dup, replied, seq := held(); !dup || !replied || !seq {
 		t.Fatalf("at the hold time: dup %v, replied to both %v, reply seq %v", dup, replied, seq)
 	}
-	c.Run(sweepPeriod() + time.Millisecond)
+	c.Run(sweepPeriod + time.Millisecond)
 	st := d.State()
 	st.Lock()
 	defer st.Unlock()
@@ -481,7 +464,7 @@ func TestForgedRREQStormDupSetPlateaus(t *testing.T) {
 	c, nodes := deployDYMO(t, 1, Config{})
 	d := nodes[0].dymo
 	const tick = 50 * time.Millisecond
-	period := sweepPeriod()
+	period := sweepPeriod
 	bound := int((reactive.DupHold + period) / tick)
 	// Stay off the sweep grid so no entry sits exactly on a boundary.
 	c.Run(tick / 2)

@@ -185,7 +185,7 @@ func MeasureDYMOFlooding(nodes int) (FloodingResult, error) {
 		switch mode {
 		case floodMPR:
 			for i, node := range c.Nodes {
-				relay := mpr.New("", mpr.Config{HelloInterval: HelloInterval})
+				relay := mpr.New("")
 				if err := node.Mgr.Deploy(relay.Protocol()); err != nil {
 					return 0, err
 				}

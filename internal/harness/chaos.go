@@ -245,7 +245,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, err
 	}
 
-	monitor := inspect.NewMonitor(testbed.Epoch, reg, inspect.MonitorConfig{})
+	monitor := inspect.NewMonitor(testbed.Epoch, reg)
 
 	// Streaming telemetry: every source feeds the bus, and two virtual-time
 	// loops (metric sampling, health checks) pace the continuous streams.

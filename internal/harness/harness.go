@@ -7,11 +7,12 @@
 package harness
 
 import (
-	"time"
-
+	"manetkit/internal/dymo"
 	"manetkit/internal/emunet"
 	"manetkit/internal/mnet"
 	"manetkit/internal/mono"
+	"manetkit/internal/neighbor"
+	"manetkit/internal/olsr"
 	"manetkit/internal/testbed"
 	"manetkit/internal/vclock"
 )
@@ -19,12 +20,12 @@ import (
 // Protocol intervals used across all experiments — identical for the
 // MANETKit and monolithic implementations, as the paper requires
 // ("identical HELLO and Topology Change intervals, and route hold times").
-// They equal the MANETKit protocols' own defaults, which is what
+// They are the MANETKit protocols' own constants, which is what
 // DeployFamily composes; the monolithic twins are handed them explicitly.
 const (
-	HelloInterval = 2 * time.Second
-	TCInterval    = 5 * time.Second
-	RouteLifetime = 5 * time.Second
+	HelloInterval = neighbor.HelloInterval
+	TCInterval    = olsr.TCInterval
+	RouteLifetime = dymo.RouteLifetime
 )
 
 // MonoCluster is an emulated network of monolithic protocol instances.

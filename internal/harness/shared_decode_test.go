@@ -70,7 +70,7 @@ func TestSharedPacketsAreNeverMutated(t *testing.T) {
 		// that clones rather than relays.
 		{name: "dymo+accumulate", wantForward: packetbb.MsgRREQ,
 			extra: func(t *testing.T, c *testbed.Cluster, node *testbed.Node) {
-				nd := neighbor.New("", neighbor.Config{HelloInterval: HelloInterval, LinkLayerFeedback: true})
+				nd := neighbor.New("")
 				d := dymo.New("", dymo.Config{AccumulatePaths: true, Clock: c.Clock, FIB: node.FIB(), Device: node.Sys.NIC().Device()})
 				for _, u := range []*core.Protocol{nd.Protocol(), d.Protocol()} {
 					if err := node.Mgr.Deploy(u); err != nil {

@@ -118,30 +118,18 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// MonitorConfig tunes the watchdog thresholds.
-type MonitorConfig struct {
-	// QueueWatermark flags dedicated-queue depths at or above it
-	// (default 512 — half the default queue bound).
-	QueueWatermark int
-	// DropRatio flags a node whose dropped/emitted ratio over the check
-	// window exceeds it (default 0.5).
-	DropRatio float64
-	// ChurnThreshold flags a node observing more neighbourhood changes
-	// than it within one check window (default 16).
-	ChurnThreshold int
-}
-
-func (c *MonitorConfig) fill() {
-	if c.QueueWatermark <= 0 {
-		c.QueueWatermark = 512
-	}
-	if c.DropRatio <= 0 {
-		c.DropRatio = 0.5
-	}
-	if c.ChurnThreshold <= 0 {
-		c.ChurnThreshold = 16
-	}
-}
+// Watchdog thresholds, implementation choices.
+const (
+	// queueWatermark flags dedicated-queue depths at or above half the
+	// queue's bound.
+	queueWatermark = core.DedicatedQueueBound / 2
+	// dropRatio flags a node whose dropped/emitted ratio over the check
+	// window exceeds it.
+	dropRatio = 0.5
+	// churnThreshold flags a node observing more neighbourhood changes
+	// than it within one check window.
+	churnThreshold = 16
+)
 
 // Target is one node under health watch: its manager and, optionally, the
 // protocol route tables to check for staleness.
@@ -171,7 +159,6 @@ type watched struct {
 type Monitor struct {
 	epoch time.Time
 	reg   *metrics.Registry
-	cfg   MonitorConfig
 
 	mu          sync.Mutex
 	targets     []*watched
@@ -192,12 +179,10 @@ func (m *Monitor) SetObserver(fn func(Transition)) {
 // NewMonitor creates a monitor reading cluster-wide instruments from reg
 // (nil disables the metrics-based checks). Report timestamps are offsets
 // from epoch.
-func NewMonitor(epoch time.Time, reg *metrics.Registry, cfg MonitorConfig) *Monitor {
-	cfg.fill()
+func NewMonitor(epoch time.Time, reg *metrics.Registry) *Monitor {
 	return &Monitor{
 		epoch:       epoch,
 		reg:         reg,
-		cfg:         cfg,
 		lastDropped: make(map[string]uint64),
 		states:      make(map[string]*UnitState),
 	}
@@ -237,10 +222,10 @@ func (m *Monitor) Check(now time.Time) Report {
 			if !ok {
 				continue
 			}
-			if depth >= int64(m.cfg.QueueWatermark) {
+			if depth >= queueWatermark {
 				r.Findings = append(r.Findings, Finding{
 					Unit: unit, Check: "queue-watermark", Level: LevelWarn,
-					Detail: fmt.Sprintf("dedicated queue depth %d >= watermark %d", depth, m.cfg.QueueWatermark),
+					Detail: fmt.Sprintf("dedicated queue depth %d >= watermark %d", depth, queueWatermark),
 				})
 			}
 		}
@@ -350,10 +335,10 @@ func (m *Monitor) checkTarget(w *watched, now time.Time, r *Report) {
 	churn := w.churn
 	w.churn = 0
 	m.mu.Unlock()
-	if churn > m.cfg.ChurnThreshold {
+	if churn > churnThreshold {
 		r.Findings = append(r.Findings, Finding{
 			Node: w.Node, Check: "neighbor-churn", Level: LevelWarn,
-			Detail: fmt.Sprintf("%d neighbourhood changes this window (threshold %d)", churn, m.cfg.ChurnThreshold),
+			Detail: fmt.Sprintf("%d neighbourhood changes this window (threshold %d)", churn, churnThreshold),
 		})
 	}
 
@@ -375,7 +360,7 @@ func (m *Monitor) checkTarget(w *watched, now time.Time, r *Report) {
 				})
 			}
 			if dEmit > 0 {
-				if ratio := float64(dDrop) / float64(dEmit); ratio > m.cfg.DropRatio {
+				if ratio := float64(dDrop) / float64(dEmit); ratio > dropRatio {
 					r.Findings = append(r.Findings, Finding{
 						Node: w.Node, Check: "drop-rate", Level: LevelWarn,
 						Detail: fmt.Sprintf("%.0f%% of %d emitted events dropped this window", 100*ratio, dEmit),

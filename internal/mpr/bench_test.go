@@ -51,7 +51,7 @@ func BenchmarkPowerAwareSelect(b *testing.B) {
 }
 
 func BenchmarkFlooderShouldForward(b *testing.B) {
-	m := New("", Config{})
+	m := New("")
 	f := m.Flooder()
 	prev := mnet.AddrFrom(0x0a000002)
 	m.State().mu.Lock()

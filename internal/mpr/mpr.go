@@ -35,36 +35,6 @@ type Calculator interface {
 	Select(self mnet.Addr, links *neighbor.Table) []mnet.Addr
 }
 
-// Config parameterises the MPR CF.
-type Config struct {
-	// HelloInterval is the beacon period (default 2s).
-	HelloInterval time.Duration
-	// Jitter is the fractional beacon jitter (default 0.1).
-	Jitter float64
-	// HoldFactor multiplies HelloInterval into the neighbour hold time
-	// (default 3.5).
-	HoldFactor float64
-	// Willingness is the initial advertised relay willingness (default 3);
-	// it is updated dynamically from POWER_STATUS context events, the
-	// paper's battery-driven willingness metric (§5.1).
-	Willingness uint8
-}
-
-func (c *Config) fill() {
-	if c.HelloInterval <= 0 {
-		c.HelloInterval = 2 * time.Second
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.1
-	}
-	if c.HoldFactor <= 0 {
-		c.HoldFactor = 3.5
-	}
-	if c.Willingness == 0 {
-		c.Willingness = 3
-	}
-}
-
 // State is the MPR CF's S element: link set, 2-hop set, relay selections in
 // both directions, and the flooding duplicate set.
 type State struct {
@@ -103,7 +73,7 @@ func NewState() *State {
 		Links:       neighbor.NewTable(),
 		selected:    make(map[mnet.Addr]bool),
 		selectors:   make(map[mnet.Addr]bool),
-		willingness: 3,
+		willingness: neighbor.WillDefault,
 	}
 }
 
@@ -142,26 +112,25 @@ func (s *State) Willingness() uint8 {
 type MPR struct {
 	proto *core.Protocol
 	state *State
-	cfg   Config
 
 	mu       sync.Mutex
 	calc     Calculator
 	helloSeq uint16
 }
 
-// New builds an MPR CF (name defaults to UnitName).
-func New(name string, cfg Config) *MPR {
+// New builds an MPR CF (name defaults to UnitName). It beacons on the
+// Neighbour Detection CF's HELLO timing and starts at WILL_DEFAULT, which
+// POWER_STATUS context events then adjust: the paper's battery-driven
+// willingness metric (§5.1).
+func New(name string) *MPR {
 	if name == "" {
 		name = UnitName
 	}
-	cfg.fill()
 	m := &MPR{
 		proto: core.NewProtocol(name),
 		state: NewState(),
-		cfg:   cfg,
 		calc:  NewGreedyCalculator(),
 	}
-	m.state.willingness = cfg.Willingness
 
 	m.proto.SetTuple(event.Tuple{
 		Required: []event.Requirement{
@@ -192,10 +161,10 @@ func New(name string, cfg Config) *MPR {
 	if err := m.proto.AddHandler(core.NewHandler("power-handler", event.PowerStatus, m.onPower)); err != nil {
 		panic(err)
 	}
-	if err := m.proto.AddSource(core.NewSource("hello-gen", cfg.HelloInterval, cfg.Jitter, m.emitHello).Immediate()); err != nil {
+	if err := m.proto.AddSource(core.NewSource("hello-gen", neighbor.HelloInterval, neighbor.HelloJitter, m.emitHello).Immediate()); err != nil {
 		panic(err)
 	}
-	if err := m.proto.AddSource(core.NewSource("expiry-sweep", cfg.HelloInterval/2, 0, m.sweep)); err != nil {
+	if err := m.proto.AddSource(core.NewSource("expiry-sweep", neighbor.HelloInterval/2, 0, m.sweep)); err != nil {
 		panic(err)
 	}
 	m.proto.SetCounters(m.state.readMetrics)
@@ -368,8 +337,7 @@ func (m *MPR) onPower(ctx *core.Context, ev *event.Event) error {
 
 func (m *MPR) sweep(ctx *core.Context) {
 	now := ctx.Clock().Now()
-	hold := time.Duration(float64(m.cfg.HelloInterval) * m.cfg.HoldFactor)
-	lost := m.state.Links.Expire(now.Add(-hold))
+	lost := m.state.Links.Expire(now.Add(-neighbor.HoldTime))
 	for _, nb := range lost {
 		m.state.mu.Lock()
 		delete(m.state.selectors, nb)
@@ -379,7 +347,7 @@ func (m *MPR) sweep(ctx *core.Context) {
 			Nhood: &event.NhoodPayload{Kind: event.NeighborLost, Neighbor: nb},
 		})
 	}
-	m.state.Links.Drop(now.Add(-3 * hold))
+	m.state.Links.Drop(now.Add(-3 * neighbor.HoldTime))
 	m.state.mu.Lock()
 	m.state.dupes.Sweep(now, reactive.DupHold, nil)
 	m.state.mu.Unlock()

@@ -179,7 +179,7 @@ func deployMPRs(t *testing.T, n int) (*testbed.Cluster, []*MPR) {
 	t.Cleanup(c.Close)
 	ms := make([]*MPR, n)
 	for i, node := range c.Nodes {
-		ms[i] = New("", Config{HelloInterval: time.Second})
+		ms[i] = New("")
 		if err := node.Mgr.Deploy(ms[i].Protocol()); err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestMPRConvergenceOnLine(t *testing.T) {
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(8 * time.Second)
+	c.Run(16 * time.Second)
 
 	// Ends select the middle node as their (only possible) relay.
 	for _, i := range []int{0, 2} {
@@ -227,7 +227,7 @@ func TestMPRChangeEventEmitted(t *testing.T) {
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(8 * time.Second)
+	c.Run(16 * time.Second)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(payloads) == 0 {
@@ -240,7 +240,7 @@ func TestMPRChangeEventEmitted(t *testing.T) {
 }
 
 func TestFlooderDedupAndSelectorGate(t *testing.T) {
-	m := New("", Config{})
+	m := New("")
 	f := m.Flooder()
 	orig := addr("10.0.0.9")
 	prev := addr("10.0.0.2")
@@ -283,7 +283,7 @@ func TestFloodDupSetPlateaus(t *testing.T) {
 	m := ms[0]
 	f := m.Flooder()
 	const tick, holds = 50 * time.Millisecond, 16
-	period := m.cfg.HelloInterval / 2
+	period := neighbor.HelloInterval / 2
 	bound := int((reactive.DupHold + period) / tick)
 	liveHeap := func() int64 {
 		runtime.GC()

@@ -95,7 +95,7 @@ func TestTableTwoHopSet(t *testing.T) {
 }
 
 func TestHelloRoundTripThroughCodec(t *testing.T) {
-	d := New("", Config{})
+	d := New("")
 	d.Table().Observe(addr("10.0.0.2"), true, 3, nil, testbed.Epoch)
 	d.Table().Observe(addr("10.0.0.3"), false, 3, nil, testbed.Epoch)
 	self := addr("10.0.0.1")
@@ -124,7 +124,7 @@ func TestHelloRoundTripThroughCodec(t *testing.T) {
 }
 
 // deployDetectors builds a cluster with a detector on each node.
-func deployDetectors(t *testing.T, n int, cfg Config) (*testbed.Cluster, []*Detector) {
+func deployDetectors(t *testing.T, n int) (*testbed.Cluster, []*Detector) {
 	t.Helper()
 	c, err := testbed.New(n, testbed.Options{})
 	if err != nil {
@@ -133,7 +133,7 @@ func deployDetectors(t *testing.T, n int, cfg Config) (*testbed.Cluster, []*Dete
 	t.Cleanup(c.Close)
 	ds := make([]*Detector, n)
 	for i, node := range c.Nodes {
-		ds[i] = New("", cfg)
+		ds[i] = New("")
 		if err := node.Mgr.Deploy(ds[i].Protocol()); err != nil {
 			t.Fatal(err)
 		}
@@ -145,11 +145,11 @@ func deployDetectors(t *testing.T, n int, cfg Config) (*testbed.Cluster, []*Dete
 }
 
 func TestDetectorsConvergeToSymmetric(t *testing.T) {
-	c, ds := deployDetectors(t, 3, Config{HelloInterval: time.Second})
+	c, ds := deployDetectors(t, 3)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(5 * time.Second)
+	c.Run(10 * time.Second)
 
 	// Middle node sees both ends as symmetric.
 	syms := ds[1].Table().SymmetricAddrs()
@@ -167,7 +167,7 @@ func TestDetectorsConvergeToSymmetric(t *testing.T) {
 }
 
 func TestDetectorEmitsNhoodChanges(t *testing.T) {
-	c, _ := deployDetectors(t, 2, Config{HelloInterval: time.Second})
+	c, _ := deployDetectors(t, 2)
 	var mu sync.Mutex
 	changes := map[event.ChangeKind]int{}
 	c.Nodes[0].Mgr.SubscribeContext(event.NhoodChange, func(ev *event.Event) {
@@ -178,16 +178,16 @@ func TestDetectorEmitsNhoodChanges(t *testing.T) {
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
-	c.Run(4 * time.Second)
+	c.Run(8 * time.Second)
 	mu.Lock()
 	appeared, sym := changes[event.NeighborAppeared], changes[event.NeighborSymmetric]
 	mu.Unlock()
 	if appeared != 1 || sym != 1 {
 		t.Fatalf("changes = %v", changes)
 	}
-	// Cut the link; hold time (3.5s) later the neighbour is reported lost.
+	// Cut the link; HoldTime later the neighbour is reported lost.
 	c.Net.CutLink(c.Nodes[0].Addr, c.Nodes[1].Addr)
-	c.Run(5 * time.Second)
+	c.Run(HoldTime + HelloInterval)
 	mu.Lock()
 	lost := changes[event.NeighborLost]
 	mu.Unlock()
@@ -196,42 +196,57 @@ func TestDetectorEmitsNhoodChanges(t *testing.T) {
 	}
 }
 
+// TestLinkLayerFeedbackMarksLostImmediately: the linkfb-handler turns a
+// LINK_BREAK into an immediate loss; with it removed at run time the
+// detector senses by HELLOs alone and the loss waits for HoldTime.
 func TestLinkLayerFeedbackMarksLostImmediately(t *testing.T) {
-	c, ds := deployDetectors(t, 2, Config{HelloInterval: time.Second, LinkLayerFeedback: true})
-	if err := c.Line(); err != nil {
-		t.Fatal(err)
-	}
-	c.Run(3 * time.Second)
-	if len(ds[0].Table().SymmetricAddrs()) != 1 {
-		t.Fatal("setup: not symmetric")
-	}
-	var mu sync.Mutex
-	lost := 0
-	c.Nodes[0].Mgr.SubscribeContext(event.NhoodChange, func(ev *event.Event) {
-		if ev.Nhood.Kind == event.NeighborLost {
-			mu.Lock()
-			lost++
-			mu.Unlock()
+	for _, feedback := range []bool{true, false} {
+		c, ds := deployDetectors(t, 2)
+		if !feedback {
+			if err := ds[0].Protocol().RemoveHandler("linkfb-handler"); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	// Cut the link and send a data packet: MAC feedback raises LINK_BREAK,
-	// which the plug-in converts to an immediate loss (no hold-time wait).
-	c.Net.CutLink(c.Nodes[0].Addr, c.Nodes[1].Addr)
-	c.Nodes[0].FIB().Set(fibRouteTo(c.Nodes[1].Addr))
-	c.Nodes[0].Sys.Filter().SendData(c.Nodes[1].Addr, []byte("x"))
-	c.Run(10 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if lost != 1 {
-		t.Fatalf("lost = %d", lost)
-	}
-	if nb, ok := ds[0].Table().Get(c.Nodes[1].Addr); !ok || nb.Status != StatusLost {
-		t.Fatalf("neighbour state = %+v", nb)
+		if err := c.Line(); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(6 * time.Second)
+		if len(ds[0].Table().SymmetricAddrs()) != 1 {
+			t.Fatal("setup: not symmetric")
+		}
+		var mu sync.Mutex
+		lost := 0
+		c.Nodes[0].Mgr.SubscribeContext(event.NhoodChange, func(ev *event.Event) {
+			if ev.Nhood.Kind == event.NeighborLost {
+				mu.Lock()
+				lost++
+				mu.Unlock()
+			}
+		})
+		// Cut the link and send a data packet: MAC feedback raises
+		// LINK_BREAK, which the plug-in converts to an immediate loss (no
+		// hold-time wait).
+		c.Net.CutLink(c.Nodes[0].Addr, c.Nodes[1].Addr)
+		c.Nodes[0].FIB().Set(fibRouteTo(c.Nodes[1].Addr))
+		c.Nodes[0].Sys.Filter().SendData(c.Nodes[1].Addr, []byte("x"))
+		c.Run(10 * time.Millisecond)
+		mu.Lock()
+		want := 0
+		if feedback {
+			want = 1
+		}
+		if lost != want {
+			t.Fatalf("feedback %v: lost = %d, want %d", feedback, lost, want)
+		}
+		mu.Unlock()
+		if nb, ok := ds[0].Table().Get(c.Nodes[1].Addr); !ok || (nb.Status == StatusLost) != feedback {
+			t.Fatalf("feedback %v: neighbour state = %+v", feedback, nb)
+		}
 	}
 }
 
 func TestPiggybacking(t *testing.T) {
-	c, ds := deployDetectors(t, 2, Config{HelloInterval: time.Second})
+	c, ds := deployDetectors(t, 2)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +259,7 @@ func TestPiggybacking(t *testing.T) {
 		got = append(got, src.String()+"="+string(v))
 		mu.Unlock()
 	})
-	c.Run(2500 * time.Millisecond)
+	c.Run(HelloInterval + HelloInterval/2)
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) == 0 {

@@ -60,12 +60,12 @@ func (o *OLSR) AttachedNetworks() []mnet.Prefix {
 // types on the tuple. interval defaults to the TC interval.
 func (o *OLSR) EnableHNA(interval time.Duration) error {
 	if interval <= 0 {
-		interval = o.cfg.TCInterval
+		interval = TCInterval
 	}
 	if err := o.proto.AddHandler(core.NewHandler("hna-handler", event.HNAIn, o.onHNA)); err != nil {
 		return err
 	}
-	if err := o.proto.AddSource(core.NewSource("hna-generator", interval, o.cfg.Jitter, o.emitHNA)); err != nil {
+	if err := o.proto.AddSource(core.NewSource("hna-generator", interval, tcJitter, o.emitHNA)); err != nil {
 		return err
 	}
 	t := o.proto.Tuple()
@@ -153,7 +153,7 @@ func (o *OLSR) onHNA(ctx *core.Context, ev *event.Event) error {
 			bits = int(blk.PrefixLens[i])
 		}
 		p := mnet.Prefix{Addr: a, Bits: bits}
-		o.state.hna[p] = hnaEntry{gateway: msg.Originator, expires: now.Add(3 * o.cfg.TCInterval)}
+		o.state.hna[p] = hnaEntry{gateway: msg.Originator, expires: now.Add(3 * TCInterval)}
 	}
 	o.state.mu.Unlock()
 	o.markDirty(ctx)

@@ -9,7 +9,7 @@ import (
 )
 
 func TestHNAAdvertiseWithdraw(t *testing.T) {
-	c, nodes := deployOLSR(t, 1, Config{})
+	c, nodes := deployOLSR(t, 1)
 	_ = c
 	o := nodes[0].olsr
 	p1 := mnet.Prefix{Addr: addr("192.168.0.0"), Bits: 16}
@@ -27,7 +27,7 @@ func TestHNAAdvertiseWithdraw(t *testing.T) {
 }
 
 func TestBuildHNARoundTrip(t *testing.T) {
-	c, nodes := deployOLSR(t, 1, Config{})
+	c, nodes := deployOLSR(t, 1)
 	_ = c
 	o := nodes[0].olsr
 	if o.BuildHNA(addr("10.0.0.1")) != nil {
@@ -56,7 +56,7 @@ func TestBuildHNARoundTrip(t *testing.T) {
 }
 
 func TestHNAGatewayRoutingEndToEnd(t *testing.T) {
-	c, nodes := deployOLSR(t, 4, Config{TCInterval: 5 * time.Second})
+	c, nodes := deployOLSR(t, 4)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestHNAGatewayRoutingEndToEnd(t *testing.T) {
 }
 
 func TestHNARoutesAgeOutAfterWithdraw(t *testing.T) {
-	c, nodes := deployOLSR(t, 2, Config{TCInterval: 2 * time.Second})
+	c, nodes := deployOLSR(t, 2)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,19 +107,21 @@ func TestHNARoutesAgeOutAfterWithdraw(t *testing.T) {
 	}
 	ext := mnet.Prefix{Addr: addr("192.168.0.0"), Bits: 16}
 	nodes[1].olsr.AdvertiseNetwork(ext)
-	c.Run(15 * time.Second)
+	c.Run(3 * TCInterval)
 	if _, _, err := nodes[0].olsr.Routes().Lookup(addr("192.168.1.1")); err != nil {
 		t.Fatal("setup: no external route")
 	}
 	nodes[1].olsr.WithdrawNetwork(ext)
-	c.Run(15 * time.Second) // hold time = 3 * TC interval
+	// The hold time is 3 × TC interval from the last HNA, which may have
+	// left just before the withdrawal.
+	c.Run(4 * TCInterval)
 	if _, _, err := nodes[0].olsr.Routes().Lookup(addr("192.168.1.1")); err == nil {
 		t.Fatal("withdrawn prefix still routed")
 	}
 }
 
 func TestDisableHNA(t *testing.T) {
-	c, nodes := deployOLSR(t, 1, Config{})
+	c, nodes := deployOLSR(t, 1)
 	_ = c
 	o := nodes[0].olsr
 	if err := o.EnableHNA(0); err != nil {

@@ -136,7 +136,7 @@ type olsrNode struct {
 
 // deployOLSR sets up a cluster with MPR+OLSR on every node (the Fig 5
 // composition).
-func deployOLSR(t *testing.T, n int, cfg Config) (*testbed.Cluster, []*olsrNode) {
+func deployOLSR(t *testing.T, n int) (*testbed.Cluster, []*olsrNode) {
 	t.Helper()
 	c, err := testbed.New(n, testbed.Options{})
 	if err != nil {
@@ -145,18 +145,15 @@ func deployOLSR(t *testing.T, n int, cfg Config) (*testbed.Cluster, []*olsrNode)
 	t.Cleanup(c.Close)
 	nodes := make([]*olsrNode, n)
 	for i, node := range c.Nodes {
-		nodes[i] = deployOLSROn(t, c, node, cfg)
+		nodes[i] = deployOLSROn(t, c, node)
 	}
 	return c, nodes
 }
 
-func deployOLSROn(t *testing.T, c *testbed.Cluster, node *testbed.Node, cfg Config) *olsrNode {
+func deployOLSROn(t *testing.T, c *testbed.Cluster, node *testbed.Node) *olsrNode {
 	t.Helper()
-	relay := mpr.New("", mpr.Config{HelloInterval: 2 * time.Second})
-	cfg.Clock = c.Clock
-	cfg.FIB = node.FIB()
-	cfg.Device = node.Sys.NIC().Device()
-	o := New("", relay, cfg)
+	relay := mpr.New("")
+	o := New("", relay, Config{Clock: c.Clock, FIB: node.FIB(), Device: node.Sys.NIC().Device()})
 	for _, u := range []*core.Protocol{relay.Protocol(), o.Protocol()} {
 		if err := node.Mgr.Deploy(u); err != nil {
 			t.Fatal(err)
@@ -169,7 +166,7 @@ func deployOLSROn(t *testing.T, c *testbed.Cluster, node *testbed.Node, cfg Conf
 }
 
 func TestOLSRConvergesOnLine(t *testing.T) {
-	c, nodes := deployOLSR(t, 5, Config{TCInterval: 5 * time.Second})
+	c, nodes := deployOLSR(t, 5)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +211,7 @@ func TestOLSRConvergesOnLine(t *testing.T) {
 }
 
 func TestOLSRRepairsAfterLinkBreak(t *testing.T) {
-	c, nodes := deployOLSR(t, 4, Config{TCInterval: 5 * time.Second})
+	c, nodes := deployOLSR(t, 4)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +236,7 @@ func TestOLSRRepairsAfterLinkBreak(t *testing.T) {
 }
 
 func TestOLSRCompositionMatchesFig5(t *testing.T) {
-	c, nodes := deployOLSR(t, 1, Config{})
+	c, nodes := deployOLSR(t, 1)
 	_ = c
 	on := nodes[0]
 	// OLSR CF plug-ins.
@@ -268,7 +265,7 @@ func TestOLSRCompositionMatchesFig5(t *testing.T) {
 }
 
 func TestFisheyeInterposesAndCapsTTL(t *testing.T) {
-	c, _ := deployOLSR(t, 5, Config{TCInterval: 5 * time.Second})
+	c, _ := deployOLSR(t, 5)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +316,7 @@ func TestFisheyeInterposesAndCapsTTL(t *testing.T) {
 }
 
 func TestPowerAwareEnableDisable(t *testing.T) {
-	c, nodes := deployOLSR(t, 1, Config{})
+	c, nodes := deployOLSR(t, 1)
 	_ = c
 	on := nodes[0]
 	if err := on.olsr.EnablePowerAware(); err != nil {
@@ -403,7 +400,7 @@ func TestHysteresisDampsFlapping(t *testing.T) {
 // TC_OUTs, so the relay's transmission (pinned in the system package) stays
 // out of the count.
 func TestProcessTCRelayAllocs(t *testing.T) {
-	c, nodes := deployOLSR(t, 3, Config{TCInterval: 5 * time.Second})
+	c, nodes := deployOLSR(t, 3)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +453,7 @@ func TestProcessTCRelayAllocs(t *testing.T) {
 // in place, several concatenated), and the topo-sweep source is what lets a
 // restarted originator's ANSN 0 through once TopologyHold has passed.
 func TestRestartedOriginatorIsHeardAfterHoldTime(t *testing.T) {
-	c, nodes := deployOLSR(t, 2, Config{TCInterval: 5 * time.Second})
+	c, nodes := deployOLSR(t, 2)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -494,12 +491,12 @@ func TestRestartedOriginatorIsHeardAfterHoldTime(t *testing.T) {
 	if got := advertised(); len(got) != 2 || got[0] != d1 || got[1] != d2 {
 		t.Fatalf("after a two-block TC the originator advertises %v, want [%v %v]", got, d1, d2)
 	}
-	c.Run(o.cfg.TopologyHold - time.Second)
+	c.Run(topologyHold - time.Second)
 	processTC(0, []mnet.Addr{d3})
 	if got := advertised(); len(got) != 2 {
 		t.Fatalf("ANSN 0 inside the hold time changed the advertised set to %v", got)
 	}
-	c.Run(2 * time.Second) // past TopologyHold; the sweep runs every second
+	c.Run(2 * time.Second) // past topologyHold; the sweep runs every second
 	processTC(0, []mnet.Addr{d3})
 	if got := advertised(); len(got) != 1 || got[0] != d3 {
 		t.Fatalf("after the hold time the restarted originator advertises %v, want [%v]", got, d3)

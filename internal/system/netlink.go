@@ -60,12 +60,22 @@ func decodeData(b []byte) (dataPacket, error) {
 // drop" packets (§5.2).
 type Netlink netlink
 
+// Packet-filter parameters, implementation choices.
+const (
+	// dataTTL is the hop limit stamped on originated data packets. No
+	// route longer than 16 hops delivers, though a reactive protocol's
+	// control hop limit may find one (mkemu gives DYMO nodes+2).
+	dataTTL = 16
+	// bufferCap bounds the per-destination packet buffer.
+	bufferCap = 16
+	// bufferTimeout drops buffered packets whose route discovery never
+	// completes.
+	bufferTimeout = 5 * time.Second
+)
+
 // netlink is the implementation.
 type netlink struct {
-	s       *System
-	ttl     uint8
-	cap     int
-	timeout time.Duration
+	s *System
 
 	mu        sync.Mutex
 	nextID    uint64
@@ -73,14 +83,8 @@ type netlink struct {
 	onDeliver func(src mnet.Addr, payload []byte)
 }
 
-func newNetlink(s *System, ttl uint8, bufCap int, timeout time.Duration) *netlink {
-	return &netlink{
-		s:        s,
-		ttl:      ttl,
-		cap:      bufCap,
-		timeout:  timeout,
-		buffered: make(map[mnet.Addr][]dataPacket),
-	}
+func newNetlink(s *System) *netlink {
+	return &netlink{s: s, buffered: make(map[mnet.Addr][]dataPacket)}
 }
 
 // OnDeliver installs the local-delivery upcall for data packets addressed
@@ -102,7 +106,7 @@ func (n *Netlink) SendData(dst mnet.Addr, payload []byte) error {
 	nl := (*netlink)(n)
 	nl.mu.Lock()
 	nl.nextID++
-	pkt := dataPacket{Src: nl.s.nic.Addr(), Dst: dst, TTL: nl.ttl, ID: nl.nextID, Payload: payload}
+	pkt := dataPacket{Src: nl.s.nic.Addr(), Dst: dst, TTL: dataTTL, ID: nl.nextID, Payload: payload}
 	nl.mu.Unlock()
 	if dst == pkt.Src {
 		pkt.Payload = append([]byte(nil), payload...) // OnDeliver may keep what it is given
@@ -200,7 +204,7 @@ func (nl *netlink) hold(pkt dataPacket) error {
 	s := nl.s
 	nl.mu.Lock()
 	q := nl.buffered[pkt.Dst]
-	if len(q) >= nl.cap {
+	if len(q) >= bufferCap {
 		nl.mu.Unlock()
 		s.bump(&s.stats.DataDropped)
 		return nil
@@ -213,7 +217,7 @@ func (nl *netlink) hold(pkt dataPacket) error {
 	// Expire the held packet if discovery never completes.
 	if clk := s.proto.Clock(); clk != nil {
 		id, dst := pkt.ID, pkt.Dst
-		clk.AfterFunc(nl.timeout, func() { nl.expire(dst, id) })
+		clk.AfterFunc(bufferTimeout, func() { nl.expire(dst, id) })
 	}
 	return nl.raise(event.NoRoute, event.RoutePayload{Dst: pkt.Dst, Src: pkt.Src, PacketID: pkt.ID}, nl.corr(pkt))
 }

@@ -48,20 +48,13 @@ type Config struct {
 	NIC *emunet.NIC
 	// FIB is the simulated kernel forwarding table; defaults to a fresh one.
 	FIB *route.FIB
-	// DataTTL is the hop limit stamped on originated data packets
-	// (default 16).
-	DataTTL uint8
-	// BufferCap bounds the per-destination packet buffer in the packet
-	// filter (default 16).
-	BufferCap int
-	// BufferTimeout drops buffered packets whose route discovery never
-	// completes (default 5s).
-	BufferTimeout time.Duration
 	// Battery, when non-nil, powers the POWER_STATUS sensor.
 	Battery *Battery
-	// SensorInterval is the context-sensor emission period (default 1s).
-	SensorInterval time.Duration
 }
+
+// sensorInterval is the context sensors' emission period, an implementation
+// choice.
+const sensorInterval = time.Second
 
 // DeviceInfo describes one network device (the State element's
 // query/list-devices operation).
@@ -116,18 +109,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.FIB == nil {
 		cfg.FIB = route.NewFIB()
 	}
-	if cfg.DataTTL == 0 {
-		cfg.DataTTL = 16
-	}
-	if cfg.BufferCap <= 0 {
-		cfg.BufferCap = 16
-	}
-	if cfg.BufferTimeout <= 0 {
-		cfg.BufferTimeout = 5 * time.Second
-	}
-	if cfg.SensorInterval <= 0 {
-		cfg.SensorInterval = time.Second
-	}
 
 	s := &System{
 		proto:    core.NewProtocol(UnitName),
@@ -136,7 +117,7 @@ func New(cfg Config) (*System, error) {
 		battery:  cfg.Battery,
 		lastRSSI: make(map[mnet.Addr]float64),
 	}
-	s.filter = newNetlink(s, cfg.DataTTL, cfg.BufferCap, cfg.BufferTimeout)
+	s.filter = newNetlink(s)
 
 	s.proto.SetTuple(event.Tuple{
 		Required: []event.Requirement{
@@ -193,7 +174,7 @@ func New(cfg Config) (*System, error) {
 
 	// Context sensors (§4.5): battery and host status, emitted periodically.
 	if s.battery != nil {
-		err = s.proto.AddSource(core.NewSource("power-sensor", cfg.SensorInterval, 0,
+		err = s.proto.AddSource(core.NewSource("power-sensor", sensorInterval, 0,
 			func(ctx *core.Context) {
 				frac := s.battery.Level(ctx.Clock().Now())
 				ctx.Emit(&event.Event{
@@ -205,7 +186,7 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 	}
-	err = s.proto.AddSource(core.NewSource("link-sensor", cfg.SensorInterval, 0,
+	err = s.proto.AddSource(core.NewSource("link-sensor", sensorInterval, 0,
 		func(ctx *core.Context) {
 			for _, r := range s.rssiSnapshot() {
 				ctx.Emit(&event.Event{

@@ -384,7 +384,7 @@ func TestPowerSensorEmitsBatteryLevel(t *testing.T) {
 	mgr, _ := core.NewManager(core.Config{Node: addr, Clock: clk})
 	defer mgr.Close()
 	bat := NewBattery(1.0, 0.01, 0, epoch) // 1%/s idle drain
-	sys, err := New(Config{NIC: nic, Battery: bat, SensorInterval: time.Second})
+	sys, err := New(Config{NIC: nic, Battery: bat})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestAttachJournalStreamsEntries(t *testing.T) {
 func TestAttachHealthStreamsTransitions(t *testing.T) {
 	b := New(Config{Epoch: testEpoch})
 	reg := metrics.NewRegistry()
-	mon := inspect.NewMonitor(testEpoch, reg, inspect.MonitorConfig{})
+	mon := inspect.NewMonitor(testEpoch, reg)
 	AttachHealth(b, mon)
 	sub := b.Subscribe(8, StreamHealth)
 

@@ -43,8 +43,6 @@ type Options struct {
 	LinkQuality emunet.Quality
 	// Battery, when non-nil, is cloned per node (same parameters).
 	BatteryTemplate *system.Battery
-	// SystemConfig tweaks each node's System CF; NIC is filled in.
-	SystemConfig func(addr mnet.Addr, cfg *system.Config)
 	// Metrics, when non-nil, is shared by the medium and every node's
 	// Framework Manager (one registry per cluster).
 	Metrics *metrics.Registry
@@ -115,11 +113,7 @@ func (c *Cluster) AddNode(addr mnet.Addr) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
-	sysCfg := system.Config{NIC: nic}
-	if c.opts.SystemConfig != nil {
-		c.opts.SystemConfig(addr, &sysCfg)
-	}
-	sys, err := system.New(sysCfg)
+	sys, err := system.New(system.Config{NIC: nic})
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}

@@ -13,7 +13,7 @@ import (
 // the cluster has periodic traffic to observe.
 func deployDetector(t *testing.T, n *Node) *neighbor.Detector {
 	t.Helper()
-	d := neighbor.New("", neighbor.Config{HelloInterval: 2 * time.Second})
+	d := neighbor.New("")
 	if err := n.Mgr.Deploy(d.Protocol()); err != nil {
 		t.Fatalf("deploy detector: %v", err)
 	}

@@ -38,47 +38,32 @@ const UnitName = "zrp"
 // target (u8) so reply forwarders can compute full path metrics.
 const tlvZoneDist uint8 = 66
 
+// ZRP timing and search parameters. The ZRP drafts leave these open; the
+// values are implementation choices, the reactive ones DYMO's.
+const (
+	// routeLifetime is the reactive (interzone) route validity.
+	routeLifetime = 5 * time.Second
+	// zoneHold is the proactive in-zone route validity, refreshed
+	// continuously from link state.
+	zoneHold = 7 * time.Second
+	// rreqWait is the first discovery attempt's reply wait, doubled per
+	// retry.
+	rreqWait = time.Second
+	// rreqTries bounds discovery attempts.
+	rreqTries = 3
+	// hopLimit caps interzone control propagation.
+	hopLimit = 10
+)
+
 // Config parameterises the ZRP CF. The zone radius is fixed at 2 — the
 // radius the MPR CF's link state provides for free.
 type Config struct {
-	// RouteLifetime is the reactive-route validity (default 5s).
-	RouteLifetime time.Duration
-	// ZoneHold is the proactive in-zone route validity (default 7s,
-	// refreshed continuously from link state).
-	ZoneHold time.Duration
-	// RREQWait is the per-attempt reply wait (default 1s).
-	RREQWait time.Duration
-	// RREQTries bounds discovery attempts (default 3).
-	RREQTries int
-	// HopLimit caps interzone control propagation (default 10).
-	HopLimit uint8
 	// FIB, when non-nil, receives the protocol's routes.
 	FIB *route.FIB
 	// Device names the FIB device for installed routes.
 	Device string
 	// Clock drives route lifetimes before deployment (defaults to real).
 	Clock vclock.Clock
-}
-
-func (c *Config) fill() {
-	if c.RouteLifetime <= 0 {
-		c.RouteLifetime = 5 * time.Second
-	}
-	if c.ZoneHold <= 0 {
-		c.ZoneHold = 7 * time.Second
-	}
-	if c.RREQWait <= 0 {
-		c.RREQWait = time.Second
-	}
-	if c.RREQTries <= 0 {
-		c.RREQTries = 3
-	}
-	if c.HopLimit == 0 {
-		c.HopLimit = 10
-	}
-	if c.Clock == nil {
-		c.Clock = vclock.Real()
-	}
 }
 
 // Stats counts ZRP activity.
@@ -127,7 +112,6 @@ type ZRP struct {
 	relay *mpr.MPR
 	state *State
 	disc  reactive.Discovery
-	cfg   Config
 
 	// Zone-refresh scratch, reused across refreshes so a steady-state IARP
 	// pass stays allocation-free. Guarded by the protocol's critical
@@ -142,10 +126,12 @@ func New(name string, relay *mpr.MPR, cfg Config) *ZRP {
 	if name == "" {
 		name = UnitName
 	}
-	cfg.fill()
-	z := &ZRP{proto: core.NewProtocol(name), relay: relay, cfg: cfg, state: &State{}}
+	if cfg.Clock == nil {
+		cfg.Clock = vclock.Real()
+	}
+	z := &ZRP{proto: core.NewProtocol(name), relay: relay, state: &State{}}
 	z.state.Init(cfg.Clock, cfg.FIB, cfg.Device)
-	z.disc = reactive.NewDiscovery(z.proto, &z.state.State, z, cfg.RouteLifetime)
+	z.disc = reactive.NewDiscovery(z.proto, &z.state.State, z, routeLifetime)
 
 	z.proto.SetTuple(event.Tuple{
 		Required: []event.Requirement{
@@ -174,10 +160,10 @@ func New(name string, relay *mpr.MPR, cfg Config) *ZRP {
 		}
 	}
 	// IARP refresh: fold the zone's link state into the table continuously.
-	if err := z.proto.AddSource(core.NewSource("iarp-refresh", cfg.ZoneHold/3, 0, z.refreshZone)); err != nil {
+	if err := z.proto.AddSource(core.NewSource("iarp-refresh", zoneHold/3, 0, z.refreshZone)); err != nil {
 		panic(err)
 	}
-	if err := z.proto.AddSource(core.NewSource("route-sweep", cfg.RouteLifetime/2, 0, z.disc.Sweep)); err != nil {
+	if err := z.proto.AddSource(core.NewSource("route-sweep", routeLifetime/2, 0, z.disc.Sweep)); err != nil {
 		panic(err)
 	}
 	z.proto.SetCounters(z.state.readMetrics)
@@ -218,7 +204,7 @@ func (z *ZRP) zoneDistance(self, dst mnet.Addr) (dist int, via mnet.Addr) {
 func (z *ZRP) refreshZone(ctx *core.Context) {
 	now := ctx.Clock().Now()
 	links := z.relay.State().Links
-	expiry := now.Add(z.cfg.ZoneHold)
+	expiry := now.Add(zoneHold)
 	desired := z.zoneScratch[:0]
 	for _, nb := range links.Symmetric() {
 		desired = append(desired, route.ProtoRoute{
@@ -265,7 +251,7 @@ func (z *ZRP) onNoRoute(ctx *core.Context, ev *event.Event) error {
 		// The zone already covers it: install and release the packet.
 		z.state.Routes.Upsert(route.Entry{
 			Dst:   mnet.HostPrefix(dst),
-			Paths: []route.Path{{NextHop: via, Metric: dist, Expires: ctx.Clock().Now().Add(z.cfg.ZoneHold)}},
+			Paths: []route.Path{{NextHop: via, Metric: dist, Expires: ctx.Clock().Now().Add(zoneHold)}},
 			Valid: true,
 			Proto: z.proto.Name(),
 		})
@@ -273,7 +259,7 @@ func (z *ZRP) onNoRoute(ctx *core.Context, ev *event.Event) error {
 		ctx.Emit(&event.Event{Type: event.RouteFound, Route: &event.RoutePayload{Dst: dst}})
 		return nil
 	}
-	z.disc.Start(ctx, dst, z.cfg.HopLimit)
+	z.disc.Start(ctx, dst, hopLimit)
 	return nil
 }
 
@@ -290,13 +276,13 @@ func (z *ZRP) SendRREQ(ctx *core.Context, dst mnet.Addr, attempt int, ttl uint8)
 	}
 	z.state.Duplicate(reactive.Key{Orig: ctx.Node(), Seq: seq}, ctx.Clock().Now())
 	ctx.Emit(&event.Event{Type: event.REOut, Msg: msg, Dst: mnet.Broadcast})
-	return z.cfg.RREQWait << (attempt - 1)
+	return rreqWait << (attempt - 1)
 }
 
 // NextAttempt implements reactive.Rules: every attempt floods at the same
-// hop limit, up to RREQTries attempts.
+// hop limit, up to rreqTries attempts.
 func (z *ZRP) NextAttempt(attempt int, ttl uint8) (uint8, bool) {
-	return ttl, attempt < z.cfg.RREQTries
+	return ttl, attempt < rreqTries
 }
 
 // LinkLost implements reactive.Rules: it drops the routes through hop.
@@ -313,14 +299,14 @@ func (z *ZRP) learn(ctx *core.Context, node, via mnet.Addr, metric int) {
 	now := ctx.Clock().Now()
 	if e, ok := z.state.Routes.Get(mnet.HostPrefix(node)); ok && e.Valid {
 		if best, has := e.Best(now); has && best.Metric <= metric {
-			z.state.Routes.ExtendLifetime(mnet.HostPrefix(node), mnet.Addr{}, z.cfg.RouteLifetime)
+			z.state.Routes.ExtendLifetime(mnet.HostPrefix(node), mnet.Addr{}, routeLifetime)
 			z.disc.Found(ctx, node)
 			return
 		}
 	}
 	z.state.Routes.Upsert(route.Entry{
 		Dst:   mnet.HostPrefix(node),
-		Paths: []route.Path{{NextHop: via, Metric: metric, Expires: now.Add(z.cfg.RouteLifetime)}},
+		Paths: []route.Path{{NextHop: via, Metric: metric, Expires: now.Add(routeLifetime)}},
 		Valid: true,
 		Proto: z.proto.Name(),
 	})
@@ -377,7 +363,7 @@ func (z *ZRP) sendRREP(ctx *core.Context, reqOrig, target mnet.Addr, zoneDist ui
 		Type:       packetbb.MsgRREP,
 		Originator: target,
 		SeqNum:     z.state.NextSeq(),
-		HopLimit:   z.cfg.HopLimit,
+		HopLimit:   hopLimit,
 		TLVs:       []packetbb.TLV{{Type: tlvZoneDist, Value: packetbb.U8(zoneDist)}},
 		AddrBlocks: []packetbb.AddrBlock{{Addrs: []mnet.Addr{reqOrig}}},
 	}

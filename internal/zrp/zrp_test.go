@@ -19,7 +19,7 @@ type zrpNode struct {
 	zrp   *ZRP
 }
 
-func deployZRP(t *testing.T, n int, cfg Config) (*testbed.Cluster, []*zrpNode) {
+func deployZRP(t *testing.T, n int) (*testbed.Cluster, []*zrpNode) {
 	t.Helper()
 	c, err := testbed.New(n, testbed.Options{})
 	if err != nil {
@@ -28,12 +28,8 @@ func deployZRP(t *testing.T, n int, cfg Config) (*testbed.Cluster, []*zrpNode) {
 	t.Cleanup(c.Close)
 	nodes := make([]*zrpNode, n)
 	for i, node := range c.Nodes {
-		relay := mpr.New("", mpr.Config{HelloInterval: time.Second})
-		cfg := cfg
-		cfg.Clock = c.Clock
-		cfg.FIB = node.FIB()
-		cfg.Device = node.Sys.NIC().Device()
-		z := New("", relay, cfg)
+		relay := mpr.New("")
+		z := New("", relay, Config{Clock: c.Clock, FIB: node.FIB(), Device: node.Sys.NIC().Device()})
 		for _, u := range []*core.Protocol{relay.Protocol(), z.Protocol()} {
 			if err := node.Mgr.Deploy(u); err != nil {
 				t.Fatal(err)
@@ -50,7 +46,7 @@ func deployZRP(t *testing.T, n int, cfg Config) (*testbed.Cluster, []*zrpNode) {
 func TestIntrazoneRoutesAreProactive(t *testing.T) {
 	// Line of 3: everything is within each node's radius-2 zone; no
 	// discovery ever happens.
-	c, nodes := deployZRP(t, 3, Config{})
+	c, nodes := deployZRP(t, 3)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +79,7 @@ func TestIntrazoneRoutesAreProactive(t *testing.T) {
 func TestInterzoneDiscoveryAnsweredByZone(t *testing.T) {
 	// Line of 6: node 1 -> node 6 is out of zone; some node whose zone
 	// covers node 6 (node 4 or 5) answers before the RREQ reaches node 6.
-	c, nodes := deployZRP(t, 6, Config{})
+	c, nodes := deployZRP(t, 6)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +126,7 @@ func TestHybridFloodShallowerThanReactive(t *testing.T) {
 	// On the 6-line, ZRP's RREQ stops at the first node whose zone covers
 	// the target. Pure reactive flooding would forward at nodes 2,3,4,5;
 	// ZRP must forward strictly fewer times.
-	c, nodes := deployZRP(t, 6, Config{})
+	c, nodes := deployZRP(t, 6)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +143,7 @@ func TestHybridFloodShallowerThanReactive(t *testing.T) {
 }
 
 func TestZoneRepairAfterLinkBreak(t *testing.T) {
-	c, nodes := deployZRP(t, 3, Config{})
+	c, nodes := deployZRP(t, 3)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}
@@ -171,16 +167,6 @@ func TestZoneRepairAfterLinkBreak(t *testing.T) {
 	}
 }
 
-func TestGiveUpUnreachable(t *testing.T) {
-	c, nodes := deployZRP(t, 2, Config{RREQWait: 100 * time.Millisecond, RREQTries: 2})
-	// No links.
-	nodes[0].node.Sys.Filter().SendData(c.Addrs()[1], []byte("x"))
-	c.Run(2 * time.Second)
-	if st := nodes[0].zrp.State().Stats(); st.GiveUps != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func qualityOf(c *testbed.Cluster) emunet.Quality {
 	_ = c
 	return emunet.DefaultQuality()
@@ -192,7 +178,7 @@ func qualityOf(c *testbed.Cluster) emunet.Quality {
 // cleanly — never an intrazone hit, never a route.
 func TestZeroRadiusZone(t *testing.T) {
 	// Two nodes, deliberately never linked.
-	c, nodes := deployZRP(t, 2, Config{RREQWait: 500 * time.Millisecond, RREQTries: 2})
+	c, nodes := deployZRP(t, 2)
 	c.Run(6 * time.Second)
 
 	if got := nodes[0].zrp.Routes().ValidCount(); got != 0 {
@@ -201,8 +187,8 @@ func TestZeroRadiusZone(t *testing.T) {
 	if err := nodes[0].node.Sys.Filter().SendData(c.Addrs()[1], []byte("void")); err != nil {
 		t.Fatal(err)
 	}
-	// Past both attempts (500ms + 1s backoff).
-	c.Run(3 * time.Second)
+	// Past all three attempts (1 s, 2 s and 4 s waits).
+	c.Run(8 * time.Second)
 
 	st := nodes[0].zrp.State().Stats()
 	if st.IntrazoneHits != 0 {
@@ -211,8 +197,8 @@ func TestZeroRadiusZone(t *testing.T) {
 	if st.Discoveries != 1 || st.GiveUps != 1 {
 		t.Fatalf("discovery did not run to give-up: %+v", st)
 	}
-	if st.Retries != 1 {
-		t.Fatalf("retries = %d, want 1 (RREQTries=2)", st.Retries)
+	if st.Retries != rreqTries-1 {
+		t.Fatalf("retries = %d, want %d", st.Retries, rreqTries-1)
 	}
 	if got := nodes[0].zrp.Routes().ValidCount(); got != 0 {
 		t.Fatalf("give-up left %d routes", got)
@@ -223,7 +209,7 @@ func TestZeroRadiusZone(t *testing.T) {
 // node is inside every other node's zone, so the network has no zone
 // border at all — routing is purely proactive and IERP never fires.
 func TestBorderlessZone(t *testing.T) {
-	c, nodes := deployZRP(t, 4, Config{})
+	c, nodes := deployZRP(t, 4)
 	if err := c.Clique(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +253,7 @@ func TestBorderlessZone(t *testing.T) {
 func TestZoneRefreshIsChurnFree(t *testing.T) {
 	// Once the zone has converged, periodic IARP refreshes must be pure
 	// lifetime extensions: no route-change callbacks, no FIB writes.
-	c, nodes := deployZRP(t, 3, Config{})
+	c, nodes := deployZRP(t, 3)
 	if err := c.Line(); err != nil {
 		t.Fatal(err)
 	}

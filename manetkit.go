@@ -214,13 +214,10 @@ func RenderPacketPaths(paths []PacketPath, limit int) string {
 }
 
 // NewHealthMonitor builds a watchdog monitor over the shared registry
-// (reg may be nil); zero-valued config fields take defaults.
-func NewHealthMonitor(epoch time.Time, reg *MetricsRegistry, cfg inspect.MonitorConfig) *HealthMonitor {
-	return inspect.NewMonitor(epoch, reg, cfg)
+// (reg may be nil).
+func NewHealthMonitor(epoch time.Time, reg *MetricsRegistry) *HealthMonitor {
+	return inspect.NewMonitor(epoch, reg)
 }
-
-// HealthConfig tunes the HealthMonitor thresholds.
-type HealthConfig = inspect.MonitorConfig
 
 // NewTelemetryBus builds a streaming telemetry bus anchored at epoch with
 // the default flight-recorder capacity. Wire producers with
@@ -281,8 +278,6 @@ type StackOptions struct {
 	Model Model
 	// Battery, when non-nil, powers the POWER_STATUS context sensor.
 	Battery *Battery
-	// SensorInterval is the context sensor period (default 1s).
-	SensorInterval time.Duration
 	// Metrics, when non-nil, reads the node's counters and collects its
 	// latency histograms; share one registry across a cluster (and
 	// Network.SetMetrics) for a global view. Nil disables metrics at zero
@@ -297,17 +292,13 @@ type StackOptions struct {
 	Journal *RewireJournal
 }
 
-// OLSRConfig parameterises an OLSR deployment.
-type OLSRConfig struct {
-	HelloInterval time.Duration // default 2s
-	TCInterval    time.Duration // default 5s
-}
+// OLSRConfig parameterises an OLSR deployment. OLSR runs on its RFC 3626
+// constants, so it has no fields yet.
+type OLSRConfig struct{}
 
 // DYMOConfig parameterises a DYMO deployment.
 type DYMOConfig struct {
-	HelloInterval time.Duration // neighbour sensing beacons, default 2s
-	RouteLifetime time.Duration // default 5s
-	HopLimit      uint8         // control-message propagation cap, default 10
+	HopLimit uint8 // control-message propagation cap, default 10
 }
 
 // FamilySpec names one protocol family (olsr, dymo, aodv, zrp) or variant
@@ -341,11 +332,7 @@ func NewStack(net *Network, addr Addr, opts StackOptions) (*Stack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("manetkit: %w", err)
 	}
-	sys, err := system.New(system.Config{
-		NIC:            nic,
-		Battery:        opts.Battery,
-		SensorInterval: opts.SensorInterval,
-	})
+	sys, err := system.New(system.Config{NIC: nic, Battery: opts.Battery})
 	if err != nil {
 		return nil, fmt.Errorf("manetkit: %w", err)
 	}
@@ -408,9 +395,8 @@ func (s *Stack) RouteTables() map[string]*RouteTable { return s.comp.RIBs() }
 
 // DeployOLSR installs the proactive composition (MPR CF + OLSR CF). The
 // deployment is idempotent per stack.
-func (s *Stack) DeployOLSR(cfg OLSRConfig) (*OLSR, error) {
-	err := s.comp.Compose(compose.Spec{Family: olsr.UnitName,
-		HelloInterval: cfg.HelloInterval, TCInterval: cfg.TCInterval})
+func (s *Stack) DeployOLSR(OLSRConfig) (*OLSR, error) {
+	err := s.comp.Compose(compose.Spec{Family: olsr.UnitName})
 	return s.comp.OLSR(), err
 }
 
@@ -431,8 +417,7 @@ func (s *Stack) MPRUnit() *MPR { return s.comp.MPR() }
 // DYMO shares it for optimised flooding instead of a private detector —
 // the paper's leaner co-deployment (§5.2).
 func (s *Stack) DeployDYMO(cfg DYMOConfig) (*DYMO, error) {
-	err := s.comp.Compose(compose.Spec{Family: dymo.UnitName, HelloInterval: cfg.HelloInterval,
-		RouteLifetime: cfg.RouteLifetime, HopLimit: cfg.HopLimit})
+	err := s.comp.Compose(compose.Spec{Family: dymo.UnitName, HopLimit: cfg.HopLimit})
 	return s.comp.DYMO(), err
 }
 
@@ -442,17 +427,14 @@ func (s *Stack) UndeployDYMO() error { return s.comp.Decompose(dymo.UnitName) }
 
 // AODVConfig parameterises an AODV deployment.
 type AODVConfig struct {
-	HelloInterval   time.Duration // neighbour sensing beacons, default 2s
-	RouteLifetime   time.Duration // default 5s
-	PiggybackRoutes bool          // share routes on HELLO beacons (§4.3)
+	PiggybackRoutes bool // share routes on HELLO beacons (§4.3)
 }
 
 // DeployAODV installs the on-demand composition (Neighbour Detection CF +
 // AODV CF). AODV and DYMO are alternatives; install the single-reactive
 // integrity rule (RestrictToOneReactive) to have the framework police it.
 func (s *Stack) DeployAODV(cfg AODVConfig) (*AODV, error) {
-	err := s.comp.Compose(compose.Spec{Family: aodv.UnitName, HelloInterval: cfg.HelloInterval,
-		RouteLifetime: cfg.RouteLifetime, PiggybackRoutes: cfg.PiggybackRoutes})
+	err := s.comp.Compose(compose.Spec{Family: aodv.UnitName, PiggybackRoutes: cfg.PiggybackRoutes})
 	return s.comp.AODV(), err
 }
 
@@ -463,18 +445,11 @@ func (s *Stack) UndeployAODV() error { return s.comp.Decompose(aodv.UnitName) }
 // AODVUnit returns the deployed AODV CF, if any.
 func (s *Stack) AODVUnit() *AODV { return s.comp.AODV() }
 
-// ZRPConfig parameterises a ZRP deployment.
-type ZRPConfig struct {
-	HelloInterval time.Duration // zone sensing beacons, default 2s
-	RouteLifetime time.Duration // interzone route validity, default 5s
-}
-
 // DeployZRP installs the hybrid zone-routing composition (MPR CF + ZRP
 // CF): proactive routing within the radius-2 zone, reactive discovery
 // beyond it, with in-zone nodes answering on out-of-zone targets' behalf.
-func (s *Stack) DeployZRP(cfg ZRPConfig) (*ZRP, error) {
-	err := s.comp.Compose(compose.Spec{Family: zrp.UnitName,
-		HelloInterval: cfg.HelloInterval, RouteLifetime: cfg.RouteLifetime})
+func (s *Stack) DeployZRP() (*ZRP, error) {
+	err := s.comp.Compose(compose.Spec{Family: zrp.UnitName})
 	return s.comp.ZRP(), err
 }
 

@@ -199,7 +199,7 @@ func TestRestrictToOneReactive(t *testing.T) {
 		deploy func(*Stack) error
 	}{
 		{"aodv", func(s *Stack) error { _, err := s.DeployAODV(AODVConfig{}); return err }},
-		{"zrp", func(s *Stack) error { _, err := s.DeployZRP(ZRPConfig{}); return err }},
+		{"zrp", func(s *Stack) error { _, err := s.DeployZRP(); return err }},
 	} {
 		_, _, stacks := lineStacks(t, 1)
 		s := stacks[0]
@@ -224,7 +224,7 @@ func TestRestrictToOneReactive(t *testing.T) {
 func TestZRPDeployment(t *testing.T) {
 	clk, _, stacks := lineStacks(t, 6)
 	for _, s := range stacks {
-		if _, err := s.DeployZRP(ZRPConfig{}); err != nil {
+		if _, err := s.DeployZRP(); err != nil {
 			t.Fatal(err)
 		}
 	}

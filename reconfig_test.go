@@ -62,7 +62,7 @@ func TestUndeployMPRRefusedWhileDYMOFloodsThroughIt(t *testing.T) {
 func TestUndeployMPRRefusedWhileZRPStacksOnIt(t *testing.T) {
 	clk, _, stacks := lineStacks(t, 4)
 	for _, s := range stacks {
-		if _, err := s.DeployZRP(ZRPConfig{}); err != nil {
+		if _, err := s.DeployZRP(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,12 +131,12 @@ func TestFailedStartLeavesNothingDeployed(t *testing.T) {
 			undo:   (*Stack).UndeployAODV,
 			left:   []string{"system"}},
 		{name: "zrp", fails: "zrp",
-			deploy: func(s *Stack) error { _, err := s.DeployZRP(ZRPConfig{}); return err },
+			deploy: func(s *Stack) error { _, err := s.DeployZRP(); return err },
 			undo:   func(s *Stack) error { return errors.Join(s.UndeployZRP(), s.UndeployMPR()) },
 			left:   []string{"system"}},
 		{name: "zrp beside olsr keeps the shared mpr", fails: "zrp",
 			before: func(s *Stack) error { _, err := s.DeployOLSR(OLSRConfig{}); return err },
-			deploy: func(s *Stack) error { _, err := s.DeployZRP(ZRPConfig{}); return err },
+			deploy: func(s *Stack) error { _, err := s.DeployZRP(); return err },
 			undo:   (*Stack).UndeployZRP,
 			left:   []string{"system", "mpr", "olsr"}},
 	}
