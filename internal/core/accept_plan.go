@@ -6,10 +6,11 @@ import (
 
 // acceptPlan is the Protocol-side half of the RCU dispatch design: everything
 // Accept needs per event — the environment, the instrument bundle, a pooled
-// Context, the handler list and per-event-type matched-handler tables — is
-// compiled whenever the handler set or deployment changes and published via
+// Context, the handler list and the matched-handler table — is compiled
+// whenever the handler set or deployment changes and published via
 // atomic.Pointer. The demux then runs without p.mu, without copying the
-// handler slice, and without re-matching patterns against the ontology.
+// handler slice, and, for a type some handler matches, without hashing a
+// string or re-matching patterns against the ontology.
 type acceptPlan struct {
 	env *Env
 	obs *protoObs
@@ -17,15 +18,33 @@ type acceptPlan struct {
 	// so one value serves every delivery under this plan.
 	ctx *Context
 	ont *event.Ontology
-	// ontVersion pins the ontology revision byType was computed against;
+	// ontVersion pins the ontology revision matched was computed against;
 	// Accept rebuilds lazily when RegisterType has re-shaped the hierarchy.
 	ontVersion uint64
-	// handlers is the registration-order handler list, for events whose type
-	// the ontology has never seen (matched by identity/Any on the fly).
+	// handlers is the registration-order handler list, matched on the fly
+	// against a type matched has no row for: one no handler's pattern
+	// matches, or one the ontology had not seen at compilation.
 	handlers []Handler
-	// byType maps every ontology-known event type to the handlers whose
-	// pattern it matches, in registration order.
-	byType map[event.Type][]Handler
+	// matched has a row for each ontology-known type some handler's pattern
+	// matches, in ontology order, with those handlers in registration order.
+	matched []handlerRow
+}
+
+// handlerRow is one row of an accept plan's matched-handler table.
+type handlerRow struct {
+	t        event.Type
+	handlers []Handler
+}
+
+// matchedFor returns the handlers compiled for t; ok is false when matched
+// has no row for it.
+func (plan *acceptPlan) matchedFor(t event.Type) (handlers []Handler, ok bool) {
+	for i := range plan.matched {
+		if plan.matched[i].t == t {
+			return plan.matched[i].handlers, true
+		}
+	}
+	return nil, false
 }
 
 // rebuildAcceptPlan recompiles and publishes the accept plan; it returns the
@@ -50,16 +69,16 @@ func (p *Protocol) rebuildAcceptPlanLocked() *acceptPlan {
 		ontVersion: ont.Version(),
 		handlers:   append([]Handler(nil), p.handlers...),
 	}
-	types := ont.Types()
-	plan.byType = make(map[event.Type][]Handler, len(types))
-	for _, t := range types {
+	for _, t := range ont.Types() {
 		var matched []Handler
 		for _, h := range plan.handlers {
 			if ont.Matches(t, h.Pattern()) {
 				matched = append(matched, h)
 			}
 		}
-		plan.byType[t] = matched
+		if matched != nil {
+			plan.matched = append(plan.matched, handlerRow{t: t, handlers: matched})
+		}
 	}
 	p.plan.Store(plan)
 	return plan

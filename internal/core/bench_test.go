@@ -60,7 +60,10 @@ func deployInterposer(b testing.TB, m *Manager) {
 // event on every route through the manager: a direct delivery, one through
 // an interposer, a type no unit requires (dropped), a delivery a stale plan
 // makes to a detached unit (dropped through ErrNotDeployed), a delivery the
-// context concentrator also hands a subscriber, and a timer source's tick.
+// context concentrator also hands a subscriber, a timer source's tick, a
+// type outside the emitter's tuple (the chain's default route), a type the
+// receiver has no handler for (matched on the fly), and the first emit
+// under a freshly compiled plan (route tables are compiled, not filled).
 // The TicketMutex every delivery takes, with the ticket wait the PerMessage
 // and PerN shepherds go through, is pinned on its own, uncontended.
 func TestDispatchAllocs(t *testing.T) {
@@ -133,6 +136,63 @@ func TestDispatchAllocs(t *testing.T) {
 				clk.Advance(time.Millisecond)
 				if m.Stats().Delivered != before+1 {
 					t.Fatal("the source did not fire")
+				}
+			}
+		}},
+		{"outside tuple", false, func(t *testing.T, m *Manager, _ *vclock.Virtual) func() {
+			deployPair(t, m)
+			stranger := NewProtocol("stranger")
+			stranger.SetTuple(event.Tuple{Provided: []event.Type{event.TCOut}})
+			if err := m.Deploy(stranger); err != nil {
+				t.Fatal(err)
+			}
+			ev := &event.Event{Type: event.HelloIn}
+			return func() {
+				before := m.Stats().Delivered
+				_ = stranger.Emit(ev)
+				if m.Stats().Delivered != before+1 {
+					t.Fatal("the default route did not deliver")
+				}
+			}
+		}},
+		{"no handler", false, func(t *testing.T, m *Manager, _ *vclock.Virtual) func() {
+			src := NewProtocol("src")
+			src.SetTuple(event.Tuple{Provided: []event.Type{event.HelloIn}})
+			sink := NewProtocol("sink")
+			sink.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.MsgIn}}})
+			sink.AddHandler(NewHandler("h", event.TCIn, func(*Context, *event.Event) error { return nil }))
+			for _, p := range []*Protocol{src, sink} {
+				if err := m.Deploy(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ev := &event.Event{Type: event.HelloIn}
+			return func() {
+				before := sink.Stats()
+				_ = src.Emit(ev)
+				if after := sink.Stats(); after.Delivered != before.Delivered+1 || after.Handled != before.Handled {
+					t.Fatalf("sink stats %+v -> %+v: want one delivery and no handler", before, after)
+				}
+			}
+		}},
+		{"fresh plan", false, func(t *testing.T, m *Manager, _ *vclock.Virtual) func() {
+			src := deployPair(t, m)
+			sink, _ := m.Unit("sink")
+			plans := [2]*dispatchPlan{m.plan.Load()}
+			sink.(*Protocol).SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.HelloIn, Exclusive: true}}})
+			plans[1] = m.plan.Load()
+			if before, after := routesOf(m, plans[0], "src"), routesOf(m, plans[1], "src"); after == nil || sameRoutes(before, after) {
+				t.Fatal("the retuple did not recompile the emitter's route table")
+			}
+			ev := &event.Event{Type: event.HelloIn}
+			i := 0
+			return func() {
+				m.plan.Store(plans[i%2])
+				i++
+				before := m.Stats().Delivered
+				_ = src.Emit(ev)
+				if m.Stats().Delivered != before+1 {
+					t.Fatal("the fresh plan did not deliver")
 				}
 			}
 		}},

@@ -110,7 +110,7 @@ func runModelOrderTest(t *testing.T, model Model, setup func(m *Manager)) {
 	labels := make([]string, n)
 	for i := 0; i < n; i++ {
 		labels[i] = string(rune('a'+i%26)) + string(rune('0'+i%10))
-		m.emit("src", &event.Event{Type: event.HelloIn, Device: labels[i]})
+		emitAs(m, "src", &event.Event{Type: event.HelloIn, Device: labels[i]})
 	}
 	m.WaitIdle()
 	for _, s := range []*orderSink{s1, s2} {
@@ -185,8 +185,8 @@ func TestDedicatedThreadHandoffDoesNotBlockEmitter(t *testing.T) {
 	// handler blocks.
 	done := make(chan struct{})
 	go func() {
-		m.emit("src", &event.Event{Type: event.HelloIn})
-		m.emit("src", &event.Event{Type: event.HelloIn})
+		emitAs(m, "src", &event.Event{Type: event.HelloIn})
+		emitAs(m, "src", &event.Event{Type: event.HelloIn})
 		close(done)
 	}()
 	select {
@@ -221,7 +221,7 @@ func TestPreferDedicatedThreadAtDeploy(t *testing.T) {
 	if err := m.Deploy(p); err != nil {
 		t.Fatal(err)
 	}
-	m.emit("src", &event.Event{Type: event.HelloIn})
+	emitAs(m, "src", &event.Event{Type: event.HelloIn})
 	m.WaitIdle()
 	mu.Lock()
 	defer mu.Unlock()
@@ -259,7 +259,7 @@ func TestHandlersAtomicUnderPerMessage(t *testing.T) {
 	m.Deploy(src.p)
 	m.Deploy(p)
 	for i := 0; i < 50; i++ {
-		m.emit("src", &event.Event{Type: event.HelloIn})
+		emitAs(m, "src", &event.Event{Type: event.HelloIn})
 	}
 	m.WaitIdle()
 	if maxInside != 1 {

@@ -118,20 +118,17 @@ func sortedLinks(set map[kernel.BindingInfo]bool) []kernel.BindingInfo {
 	return out
 }
 
-// publishedRoute reads the published plan the way emit does.
+// publishedRoute reads the published plan the way emit does for the unit
+// named from (a name no deployed unit holds emits from outside every chain).
 func publishedRoute(m *Manager, t event.Type, from string) (names []string, chained bool) {
-	tp := m.plan.Load().byType[t]
-	if tp == nil {
-		return nil, false
-	}
-	targets, ok := tp.perFrom[from]
-	if !ok {
-		targets = tp.def
-	}
-	for _, rec := range targets {
+	m.mu.Lock()
+	rec := m.units[from]
+	m.mu.Unlock()
+	plan := m.plan.Load()
+	for _, rec := range plan.targets(rec, t) {
 		names = append(names, rec.unit.Name())
 	}
-	return names, true
+	return names, plan.byType[t] != nil
 }
 
 func TestManagerMatchesBindingSpec(t *testing.T) {
@@ -164,6 +161,19 @@ func TestManagerMatchesBindingSpec(t *testing.T) {
 
 		var deployed []specUnit
 		protos := map[string]*Protocol{}
+		// Every unit records what it is handed, so real emissions can be
+		// held to the spec's routes.
+		var received []string
+		newUnit := func(name string) *Protocol {
+			p := NewProtocol(name)
+			if err := p.AddHandler(NewHandler("rec", event.Any, func(*Context, *event.Event) error {
+				received = append(received, name)
+				return nil
+			})); err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
 		want := specDerive(ont, deployed)
 		for step := 0; step < 150; step++ {
 			var desc string
@@ -174,7 +184,7 @@ func TestManagerMatchesBindingSpec(t *testing.T) {
 				if protos[name] != nil {
 					continue
 				}
-				p := NewProtocol(name)
+				p := newUnit(name)
 				tp := randomTuple()
 				p.SetTuple(tp)
 				if err := m.Deploy(p); err != nil {
@@ -250,6 +260,27 @@ func TestManagerMatchesBindingSpec(t *testing.T) {
 					if chained != (want[typ] != nil) || !slices.Equal(got, ch.route(from)) {
 						t.Fatalf("%s: route(%s from %s) = %v (chain %v), spec %v (chain %v)",
 							where, typ, from, got, chained, ch.route(from), want[typ] != nil)
+					}
+				}
+			}
+			// Each deployed unit emits every type through its own Env:
+			// route tables a rewire kept, units redeployed under a name an
+			// earlier unit held, and types outside the emitter's tuple.
+			for _, u := range deployed {
+				for _, typ := range patterns {
+					received = received[:0]
+					if err := protos[u.name].Emit(&event.Event{Type: typ}); err != nil {
+						t.Fatal(err)
+					}
+					var route []string
+					if ch := want[typ]; ch != nil {
+						route = ch.route(u.name)
+					}
+					route = slices.Clone(route)
+					slices.Sort(route)
+					slices.Sort(received)
+					if !slices.Equal(received, route) {
+						t.Fatalf("%s: %s emitting %s reached %v, spec %v", where, u.name, typ, received, route)
 					}
 				}
 			}
