@@ -10,6 +10,7 @@ import (
 	"manetkit/internal/emunet"
 	"manetkit/internal/mnet"
 	"manetkit/internal/neighbor"
+	"manetkit/internal/olsr"
 	"manetkit/internal/packetbb"
 	"manetkit/internal/system"
 	"manetkit/internal/testbed"
@@ -36,13 +37,16 @@ func TestSharedPacketsAreNeverMutated(t *testing.T) {
 		name, family string
 		extra        func(t *testing.T, c *testbed.Cluster, node *testbed.Node)
 		wantForward  packetbb.MsgType // a type that must be seen with HopCount > 0
+		// wantDrained: some TC must carry a residual-power TLV below 100 %,
+		// read from the node's battery.
+		wantDrained bool
 	}{
 		{name: "olsr", family: "olsr", wantForward: packetbb.MsgTC},
 		{name: "dymo", family: "dymo", wantForward: packetbb.MsgRREQ},
 		{name: "aodv", family: "aodv", wantForward: packetbb.MsgRREQ},
 		{name: "zrp", family: "zrp", wantForward: packetbb.MsgRREQ},
 		{name: "olsr+fisheye", family: "olsr+fisheye", wantForward: packetbb.MsgTC},
-		{name: "olsr+poweraware", wantForward: packetbb.MsgTC,
+		{name: "olsr+poweraware", wantForward: packetbb.MsgTC, wantDrained: true,
 			extra: func(t *testing.T, c *testbed.Cluster, node *testbed.Node) {
 				d, err := DeployFamily(c, node, "olsr")
 				if err != nil {
@@ -106,7 +110,7 @@ func TestSharedPacketsAreNeverMutated(t *testing.T) {
 			// The tap runs before the receiver upcall, so the packet it is
 			// handed is the one the System CFs raise their events from.
 			sent := map[*packetbb.Packet][]byte{}
-			deliveries, forwarded := 0, 0
+			deliveries, forwarded, drained := 0, 0, 0
 			type view struct{ live, seen []byte }
 			var dataFrames, payloads []view
 			c.Net.SetTap(func(f emunet.Frame, _ mnet.Addr) {
@@ -123,8 +127,14 @@ func TestSharedPacketsAreNeverMutated(t *testing.T) {
 				}
 				sent[pkt] = append([]byte(nil), f.Payload[1:]...)
 				for i := range pkt.Messages {
-					if m := &pkt.Messages[i]; m.Type == v.wantForward && m.HopCount > 0 {
+					m := &pkt.Messages[i]
+					if m.Type == v.wantForward && m.HopCount > 0 {
 						forwarded++
+					}
+					if tlv, ok := m.FindTLV(olsr.TLVResidualPower); ok && m.Type == packetbb.MsgTC {
+						if pct, err := packetbb.ParseU8(tlv.Value); err == nil && pct < 100 {
+							drained++
+						}
 					}
 				}
 			})
@@ -156,6 +166,9 @@ func TestSharedPacketsAreNeverMutated(t *testing.T) {
 			}
 			if forwarded == 0 {
 				t.Fatalf("no forwarded %v seen: the run never exercised a forwarding handler", v.wantForward)
+			}
+			if v.wantDrained && drained == 0 {
+				t.Fatal("no TC carried a drained residual-power TLV: the nodes run without their batteries")
 			}
 			for pkt, wire := range sent {
 				got, err := packetbb.EncodePacket(pkt)

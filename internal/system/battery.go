@@ -29,6 +29,14 @@ func NewBattery(initial, perSecond, perFrame float64, start time.Time) *Battery 
 	return &Battery{level: initial, perSecond: perSecond, perFrame: perFrame, lastUpdated: start}
 }
 
+// Clone returns a battery with b's drain rates and its current level, which
+// from then on drains on its own.
+func (b *Battery) Clone() *Battery {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return &Battery{level: b.level, perSecond: b.perSecond, perFrame: b.perFrame, lastUpdated: b.lastUpdated}
+}
+
 // Level returns the remaining fraction at time now.
 func (b *Battery) Level(now time.Time) float64 {
 	b.mu.Lock()

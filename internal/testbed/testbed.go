@@ -41,7 +41,9 @@ type Options struct {
 	// LinkQuality is applied by the topology helpers (default
 	// emunet.DefaultQuality()).
 	LinkQuality emunet.Quality
-	// Battery, when non-nil, is cloned per node (same parameters).
+	// BatteryTemplate, when non-nil, is cloned per node: every System CF
+	// powers its POWER_STATUS sensor from its own battery with the
+	// template's level and drain rates.
 	BatteryTemplate *system.Battery
 	// Metrics, when non-nil, is shared by the medium and every node's
 	// Framework Manager (one registry per cluster).
@@ -113,7 +115,11 @@ func (c *Cluster) AddNode(addr mnet.Addr) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
-	sys, err := system.New(system.Config{NIC: nic})
+	var battery *system.Battery
+	if c.opts.BatteryTemplate != nil {
+		battery = c.opts.BatteryTemplate.Clone()
+	}
+	sys, err := system.New(system.Config{NIC: nic, Battery: battery})
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
