@@ -54,7 +54,7 @@ func (p *Protocol) RunLocked(fn func(ctx *Context)) error { fn(&Context{}); retu
 // Env mirrors the deployment environment.
 type Env struct{}
 
-func (e *Env) Emit(from string, ev *Event) {}
+func (e *Env) Emit(ev *Event) {}
 
 // Context mirrors the pooled handler context.
 type Context struct{}

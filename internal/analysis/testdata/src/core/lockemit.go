@@ -13,24 +13,24 @@ func (m *Manager) deployLocked(u any) {
 func (m *Manager) emitDeferred(e *Env, ev *Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e.Emit("x", ev) // want "Env.Emit called while holding m.mu"
+	e.Emit(ev) // want "Env.Emit called while holding m.mu"
 }
 
 func (m *Manager) emitAfterUnlock(e *Env, ev *Event) {
 	m.mu.Lock()
 	m.mu.Unlock()
-	e.Emit("x", ev) // unlocked: ok
+	e.Emit(ev) // unlocked: ok
 }
 
 func (m *Manager) emitBranches(e *Env, ev *Event, cond bool) {
 	m.mu.Lock()
 	if cond {
 		m.mu.Unlock()
-		e.Emit("x", ev) // unlocked on this path: ok
+		e.Emit(ev) // unlocked on this path: ok
 		return
 	}
 	m.mu.Unlock()
-	e.Emit("x", ev) // unlocked: ok
+	e.Emit(ev) // unlocked: ok
 }
 
 func (m *Manager) emitOneArm(e *Env, ev *Event, cond bool) {
@@ -38,7 +38,7 @@ func (m *Manager) emitOneArm(e *Env, ev *Event, cond bool) {
 	if cond {
 		m.mu.Unlock()
 	}
-	e.Emit("x", ev) // want "Env.Emit called while holding m.mu"
+	e.Emit(ev) // want "Env.Emit called while holding m.mu"
 }
 
 func (p *Protocol) setTupleLocked(t any) {
@@ -79,7 +79,7 @@ func (p *Protocol) emitInClosureUnderOwnLock(c *Context, ev *Event) {
 
 // notifyHelper re-emits through the Env; locked callers inherit the fact.
 func (m *Manager) notifyHelper(e *Env, ev *Event) {
-	e.Emit("notify", ev)
+	e.Emit(ev)
 }
 
 func (m *Manager) notifyWhileLocked(e *Env, ev *Event) {
@@ -98,11 +98,11 @@ func (m *Manager) notifyAfterUnlock(e *Env, ev *Event) {
 func (m *Manager) allowedByDocComment(e *Env, ev *Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e.Emit("x", ev) // suppressed by the doc-comment directive
+	e.Emit(ev) // suppressed by the doc-comment directive
 }
 
 func (m *Manager) allowedInline(e *Env, ev *Event) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e.Emit("x", ev) //mk:allow lockemit fixture exercises the same-line allow
+	e.Emit(ev) //mk:allow lockemit fixture exercises the same-line allow
 }

@@ -12,7 +12,7 @@ import (
 // Notify re-emits through the deployment Env; its summary records the
 // reachable emit entry point.
 func Notify(e *core.Env, ev *core.Event) {
-	e.Emit("notify", ev)
+	e.Emit(ev)
 }
 
 // Write forwards into the writer; importers inherit the Sink fact.
