@@ -12,7 +12,8 @@
 //     vclock facade (they break golden traces and chaos fingerprints);
 //   - lockemit: emitting or reconfiguring while holding a framework lock
 //     (the deadlock/stall class the RCU dispatch plan exists to avoid);
-//   - ctxleak: pooled handler Contexts escaping the delivery that owns them;
+//   - ctxleak: pooled handler Contexts and borrowed events escaping the
+//     delivery that lends them;
 //   - atomicstats: mixed atomic/plain access to the same struct field;
 //   - maporder: map iteration order reaching deterministic outputs
 //     (telemetry events, trace spans, NDJSON, fingerprints) unsorted.

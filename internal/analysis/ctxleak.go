@@ -5,13 +5,16 @@ import (
 	"go/types"
 )
 
-// Ctxleak polices the pooled handler Context of the accept plan
-// (core/accept_plan.go). One *core.Context value is compiled per protocol
-// and reused for every delivery under the current plan; retaining it beyond
-// the handler invocation aliases later deliveries' context (and, if a future
-// plan swaps the environment, a stale one). The analyzer tracks every
-// function parameter of type *core.Context (and its direct local aliases)
-// and reports when the value can outlive the call:
+// Ctxleak polices the two values the framework lends a callback for one
+// delivery only. The pooled handler Context of the accept plan
+// (core/accept_plan.go) is compiled per protocol and reused for every
+// delivery under the current plan; a borrowed event (event/carrier.go) is
+// recycled when its last delivery returns, and its Route with it. Retaining
+// either beyond the call aliases a later delivery's value. The analyzer
+// tracks every *core.Context parameter, the *event.Event parameter of a
+// handler (a function that also binds a *core.Context) or of a callback
+// handed to SubscribeContext, NewSniffer or Sniff, the event's Route, and
+// their direct local aliases, and reports when one can outlive the call:
 //
 //   - stored into a struct field, map/slice element, or package-level var
 //   - appended to a slice or placed in a composite literal
@@ -19,13 +22,15 @@ import (
 //   - captured by a closure handed to a deferred executor (go statements,
 //     Clock.AfterFunc, vclock.NewPeriodic, pool Submit, ScheduleAt)
 //
-// The sanctioned idiom for timers is re-entry: schedule a closure that calls
+// Using either within the call stays legal, a re-emission through Emit
+// included, and so does keeping a copy (*ev, *ev.Route). The sanctioned
+// idiom for timers is re-entry: schedule a closure that calls
 // Protocol.RunLocked and receives a fresh context (see aodv/dymo retries).
 var Ctxleak = &Analyzer{
 	Name: "ctxleak",
-	Doc: "forbid retaining the pooled *core.Context beyond the handler call: " +
-		"no stores to fields/globals/containers, no returns or channel sends, " +
-		"no capture by deferred closures; re-enter via Protocol.RunLocked instead",
+	Doc: "forbid retaining the pooled *core.Context or a borrowed *event.Event beyond the " +
+		"callback: no stores to fields/globals/containers, no returns or channel sends, " +
+		"no capture by deferred closures; re-enter via Protocol.RunLocked, copy an event to keep it",
 	Run: runCtxleak,
 }
 
@@ -35,17 +40,35 @@ var deferredExecutors = map[string]bool{
 	"AfterFunc": true, "NewPeriodic": true, "Submit": true, "ScheduleAt": true,
 }
 
+// eventCallbackSinks name the calls whose callback argument receives a
+// borrowed event: the context concentrator and the sniffers.
+var eventCallbackSinks = map[string]bool{
+	"SubscribeContext": true, "NewSniffer": true, "Sniff": true,
+}
+
+// lent describes one kind of value lent for a call, for diagnostics.
+type lent struct {
+	noun, remedy string
+}
+
+var (
+	lentCtx   = &lent{"pooled *core.Context", "re-enter via Protocol.RunLocked instead"}
+	lentEv    = &lent{"borrowed *event.Event", "copy it (*ev) to keep it"}
+	lentRoute = &lent{"borrowed event's Route", "copy it (*ev.Route) to keep it"}
+)
+
 func runCtxleak(pass *Pass) error {
+	lits, decls := eventCallbacks(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				checkCtxFunc(pass, fd.Type, fd.Body)
+				checkCtxFunc(pass, fd.Type, fd.Body, decls[pass.Info.Defs[fd.Name]])
 			}
 		}
 		// Function literals at any depth get the same treatment.
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				checkCtxFunc(pass, lit.Type, lit.Body)
+				checkCtxFunc(pass, lit.Type, lit.Body, lits[lit])
 			}
 			return true
 		})
@@ -53,30 +76,94 @@ func runCtxleak(pass *Pass) error {
 	return nil
 }
 
-func isCoreContextPtr(t types.Type) bool {
-	p, ok := t.(*types.Pointer)
-	if !ok {
-		return false
+// eventCallbacks finds the callbacks handed to an eventCallbackSinks call:
+// function literals, and functions or methods of this package passed by
+// name.
+func eventCallbacks(pass *Pass) (map[*ast.FuncLit]bool, map[types.Object]bool) {
+	lits := map[*ast.FuncLit]bool{}
+	decls := map[types.Object]bool{}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !eventCallbackSinks[calleeName(call)] {
+				return true
+			}
+			for _, a := range call.Args {
+				switch a := ast.Unparen(a).(type) {
+				case *ast.FuncLit:
+					lits[a] = true
+				case *ast.Ident:
+					decls[pass.Info.Uses[a]] = true
+				case *ast.SelectorExpr:
+					decls[pass.Info.Uses[a.Sel]] = true
+				}
+			}
+			return true
+		})
 	}
-	return namedIn(p.Elem(), "core", "Context")
+	return lits, decls
 }
 
-// checkCtxFunc analyses one function whose signature binds *core.Context
-// parameters.
-func checkCtxFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt) {
-	tracked := map[types.Object]bool{}
+// calleeName is the bare name a call targets: a function or a method.
+func calleeName(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	case *ast.Ident:
+		return fun.Name
+	}
+	return ""
+}
+
+func isCoreContextPtr(t types.Type) bool {
+	p, ok := t.(*types.Pointer)
+	return ok && namedIn(p.Elem(), "core", "Context")
+}
+
+func isEventPtr(t types.Type) bool {
+	p, ok := t.(*types.Pointer)
+	return ok && namedIn(p.Elem(), "event", "Event")
+}
+
+// checkCtxFunc analyses one function whose signature binds lent values: its
+// *core.Context parameters, and its *event.Event parameters when it binds a
+// context too or is an event callback.
+func checkCtxFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, callback bool) {
+	tracked := map[types.Object]*lent{}
+	var events []types.Object
 	if ftype.Params != nil {
 		for _, field := range ftype.Params.List {
 			for _, name := range field.Names {
 				obj := pass.Info.Defs[name]
-				if obj != nil && isCoreContextPtr(obj.Type()) {
-					tracked[obj] = true
+				switch {
+				case obj == nil:
+				case isCoreContextPtr(obj.Type()):
+					tracked[obj] = lentCtx
+				case isEventPtr(obj.Type()):
+					events = append(events, obj)
 				}
 			}
 		}
 	}
+	if len(tracked) > 0 || callback {
+		for _, obj := range events {
+			tracked[obj] = lentEv
+		}
+	}
 	if len(tracked) == 0 {
 		return
+	}
+	// lentBy reports what e is lent as: a tracked identifier, or the Route
+	// of a tracked event (its carrier owns that too).
+	lentBy := func(e ast.Expr) *lent {
+		e = ast.Unparen(e)
+		if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == "Route" {
+			if lentIdent(pass, tracked, sel.X) == lentEv {
+				return lentRoute
+			}
+			return nil
+		}
+		return lentIdent(pass, tracked, e)
 	}
 	// One aliasing pass: `c := ctx` makes c tracked too.
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -85,52 +172,53 @@ func checkCtxFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt) {
 			return true
 		}
 		for i, rhs := range as.Rhs {
-			if id, ok := ast.Unparen(rhs).(*ast.Ident); ok && tracked[pass.Info.Uses[id]] {
-				if lid, ok := as.Lhs[i].(*ast.Ident); ok {
-					if def := pass.Info.Defs[lid]; def != nil {
-						tracked[def] = true
-					} else if use := pass.Info.Uses[lid]; use != nil && use.Parent() != nil && use.Parent() != pass.Pkg.Scope() {
-						tracked[use] = true
-					}
+			l := lentBy(rhs)
+			if l == nil {
+				continue
+			}
+			if lid, ok := as.Lhs[i].(*ast.Ident); ok {
+				if def := pass.Info.Defs[lid]; def != nil {
+					tracked[def] = l
+				} else if use := pass.Info.Uses[lid]; use != nil && use.Parent() != nil && use.Parent() != pass.Pkg.Scope() {
+					tracked[use] = l
 				}
 			}
 		}
 		return true
 	})
 
-	isTracked := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && tracked[pass.Info.Uses[id]]
-	}
-
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch s := n.(type) {
 		case *ast.AssignStmt:
 			for i, rhs := range s.Rhs {
-				if i >= len(s.Lhs) || !isTracked(rhs) {
+				if i >= len(s.Lhs) {
+					continue
+				}
+				l := lentBy(rhs)
+				if l == nil {
 					continue
 				}
 				switch lhs := s.Lhs[i].(type) {
 				case *ast.SelectorExpr:
-					pass.Reportf(s.Pos(), "pooled *core.Context stored into field %s: it is recycled after the handler returns; re-enter via Protocol.RunLocked instead", lhs.Sel.Name)
+					pass.Reportf(s.Pos(), "%s stored into field %s: it is recycled after the call returns; %s", l.noun, lhs.Sel.Name, l.remedy)
 				case *ast.IndexExpr:
-					pass.Reportf(s.Pos(), "pooled *core.Context stored into a map/slice element outlives the handler; re-enter via Protocol.RunLocked instead")
+					pass.Reportf(s.Pos(), "%s stored into a map/slice element outlives the call; %s", l.noun, l.remedy)
 				case *ast.Ident:
 					if obj := pass.Info.Uses[lhs]; obj != nil && obj.Parent() == pass.Pkg.Scope() {
-						pass.Reportf(s.Pos(), "pooled *core.Context stored into package-level var %s outlives the handler", lhs.Name)
+						pass.Reportf(s.Pos(), "%s stored into package-level var %s outlives the call", l.noun, lhs.Name)
 					}
 				case *ast.StarExpr:
-					pass.Reportf(s.Pos(), "pooled *core.Context stored through a pointer may outlive the handler")
+					pass.Reportf(s.Pos(), "%s stored through a pointer may outlive the call", l.noun)
 				}
 			}
 		case *ast.SendStmt:
-			if isTracked(s.Value) {
-				pass.Reportf(s.Pos(), "pooled *core.Context sent on a channel outlives the handler")
+			if l := lentBy(s.Value); l != nil {
+				pass.Reportf(s.Pos(), "%s sent on a channel outlives the call", l.noun)
 			}
 		case *ast.ReturnStmt:
 			for _, r := range s.Results {
-				if isTracked(r) {
-					pass.Reportf(s.Pos(), "pooled *core.Context returned from the handler escapes its delivery")
+				if l := lentBy(r); l != nil {
+					pass.Reportf(s.Pos(), "%s returned from the handler escapes its delivery", l.noun)
 				}
 			}
 		case *ast.CompositeLit:
@@ -139,22 +227,24 @@ func checkCtxFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt) {
 				if kv, ok := el.(*ast.KeyValueExpr); ok {
 					v = kv.Value
 				}
-				if isTracked(v) {
-					pass.Reportf(v.Pos(), "pooled *core.Context placed in a composite literal may outlive the handler")
+				if l := lentBy(v); l != nil {
+					pass.Reportf(v.Pos(), "%s placed in a composite literal may outlive the call", l.noun)
 				}
 			}
 		case *ast.CallExpr:
 			if fun, ok := ast.Unparen(s.Fun).(*ast.Ident); ok {
 				if b, ok := pass.Info.Uses[fun].(*types.Builtin); ok && b.Name() == "append" {
 					for _, a := range s.Args[1:] {
-						if isTracked(a) {
-							pass.Reportf(a.Pos(), "pooled *core.Context appended to a slice outlives the handler")
+						if l := lentBy(a); l != nil {
+							pass.Reportf(a.Pos(), "%s appended to a slice outlives the call", l.noun)
 						}
 					}
 					return true
 				}
 			}
-			checkDeferredCapture(pass, s, tracked)
+			if name := calleeName(s); deferredExecutors[name] {
+				reportCtxCapture(pass, s, tracked, name)
+			}
 		case *ast.GoStmt:
 			reportCtxCapture(pass, s.Call, tracked, "a goroutine")
 		}
@@ -162,23 +252,19 @@ func checkCtxFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt) {
 	})
 }
 
-// checkDeferredCapture flags closures capturing a tracked context when they
-// are handed to a deferred executor (timers, periodics, worker pools).
-func checkDeferredCapture(pass *Pass, call *ast.CallExpr, tracked map[types.Object]bool) {
-	var calleeName string
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		calleeName = fun.Sel.Name
-	case *ast.Ident:
-		calleeName = fun.Name
+// lentIdent reports what e is lent as when it is a tracked identifier, or
+// nil.
+func lentIdent(pass *Pass, tracked map[types.Object]*lent, e ast.Expr) *lent {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		return tracked[pass.Info.Uses[id]]
 	}
-	if !deferredExecutors[calleeName] {
-		return
-	}
-	reportCtxCapture(pass, call, tracked, calleeName)
+	return nil
 }
 
-func reportCtxCapture(pass *Pass, call *ast.CallExpr, tracked map[types.Object]bool, where string) {
+// reportCtxCapture flags closures capturing a tracked value when they are
+// handed to a deferred executor (timers, periodics, worker pools,
+// goroutines), and a tracked value passed to one directly.
+func reportCtxCapture(pass *Pass, call *ast.CallExpr, tracked map[types.Object]*lent, where string) {
 	exprs := append([]ast.Expr{call.Fun}, call.Args...)
 	for _, a := range exprs {
 		lit, ok := ast.Unparen(a).(*ast.FuncLit)
@@ -186,17 +272,18 @@ func reportCtxCapture(pass *Pass, call *ast.CallExpr, tracked map[types.Object]b
 			continue
 		}
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && tracked[pass.Info.Uses[id]] {
-				pass.Reportf(id.Pos(), "pooled *core.Context captured by a closure passed to %s runs after the handler returns; re-enter via Protocol.RunLocked instead", where)
-				return false
+			if id, ok := n.(*ast.Ident); ok {
+				if l := tracked[pass.Info.Uses[id]]; l != nil {
+					pass.Reportf(id.Pos(), "%s captured by a closure passed to %s runs after the call returns; %s", l.noun, where, l.remedy)
+					return false
+				}
 			}
 			return true
 		})
 	}
-	// The context passed directly as an argument to a deferred executor.
 	for _, a := range call.Args {
-		if id, ok := ast.Unparen(a).(*ast.Ident); ok && tracked[pass.Info.Uses[id]] {
-			pass.Reportf(id.Pos(), "pooled *core.Context passed to %s outlives the handler", where)
+		if l := lentIdent(pass, tracked, a); l != nil {
+			pass.Reportf(a.Pos(), "%s passed to %s outlives the call", l.noun, where)
 		}
 	}
 }

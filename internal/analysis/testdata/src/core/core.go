@@ -5,10 +5,14 @@
 // code paths as the real module path.
 package core
 
-import "sync"
+import (
+	"sync"
 
-// Event mirrors event.Event for fixture purposes.
-type Event struct{ Type string }
+	"event"
+)
+
+// Event is the fixture event, so handlers and emitters share one type.
+type Event = event.Event
 
 // TicketMutex mirrors the FIFO ticket lock guarding a unit's section.
 type TicketMutex struct {
@@ -61,3 +65,9 @@ type Context struct{}
 
 func (c *Context) Emit(ev *Event) {}
 func (c *Context) Clock() Clock   { return nil }
+
+// Manager's context concentrator and the sniffer constructor take event
+// callbacks, whose *event.Event parameter ctxleak tracks.
+func (m *Manager) SubscribeContext(pattern string, fn func(*event.Event)) {}
+
+func NewSniffer(name string, fn func(ev *event.Event)) (*Protocol, error) { return nil, nil }

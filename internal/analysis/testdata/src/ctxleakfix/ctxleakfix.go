@@ -1,9 +1,13 @@
 // Package ctxleakfix exercises the ctxleak analyzer: every way the pooled
-// *core.Context can escape its handler invocation, and the sanctioned
-// RunLocked re-entry idiom that must stay silent.
+// *core.Context or a borrowed *event.Event can escape the call it is lent
+// for, and the sanctioned idioms — RunLocked re-entry, re-emission, a value
+// copy — that must stay silent.
 package ctxleakfix
 
-import "core"
+import (
+	"core"
+	"event"
+)
 
 type keeper struct {
 	ctx *core.Context
@@ -86,4 +90,98 @@ func reentry(p *core.Protocol, ctx *core.Context, dst string) {
 
 func allowedStore(k *keeper, ctx *core.Context) {
 	k.ctx = ctx //mk:allow ctxleak test shim retains the context deliberately
+}
+
+// --- borrowed events ------------------------------------------------------
+
+type evKeeper struct {
+	last  *event.Event
+	route *event.RoutePayload
+	copy  event.Event
+	kept  []event.Event
+}
+
+var lastEvent *event.Event
+
+func handlerStoresEvent(k *evKeeper, ctx *core.Context, ev *event.Event) error {
+	k.last = ev // want "borrowed \\*event.Event stored into field last"
+	return nil
+}
+
+func handlerStoresAlias(k *evKeeper, ctx *core.Context, ev *event.Event) error {
+	e := ev
+	k.last = e // want "borrowed \\*event.Event stored into field last"
+	return nil
+}
+
+func handlerStoresRoute(k *evKeeper, ctx *core.Context, ev *event.Event) error {
+	k.route = ev.Route // want "borrowed event's Route stored into field route"
+	return nil
+}
+
+func handlerStoresGlobal(ctx *core.Context, ev *event.Event) error {
+	lastEvent = ev // want "package-level var lastEvent"
+	return nil
+}
+
+func handlerReturnsEvent(ctx *core.Context, ev *event.Event) *event.Event {
+	return ev // want "borrowed \\*event.Event returned from the handler"
+}
+
+func handlerSendsEvent(ch chan *event.Event, ctx *core.Context, ev *event.Event) {
+	ch <- ev // want "borrowed \\*event.Event sent on a channel"
+}
+
+func handlerDefersEvent(ctx *core.Context, ev *event.Event, clk core.Clock) {
+	clk.AfterFunc(10, func() {
+		_ = ev.Type // want "borrowed \\*event.Event captured by a closure passed to AfterFunc"
+	})
+}
+
+func subscriberAppends(m *core.Manager) {
+	var got []*event.Event
+	m.SubscribeContext("CONTEXT", func(ev *event.Event) {
+		got = append(got, ev) // want "borrowed \\*event.Event appended to a slice"
+	})
+	_ = got
+}
+
+func snifferCaptures(m *core.Manager) {
+	_, _ = core.NewSniffer("tap", func(ev *event.Event) {
+		go func() {
+			_ = ev.Type // want "borrowed \\*event.Event captured by a closure passed to a goroutine"
+		}()
+	})
+}
+
+// observe is a subscriber passed by method value.
+func (k *evKeeper) observe(ev *event.Event) {
+	k.last = ev // want "borrowed \\*event.Event stored into field last"
+}
+
+func subscribeMethod(m *core.Manager, k *evKeeper) {
+	m.SubscribeContext("CONTEXT", k.observe)
+}
+
+// --- borrowed events: negative space --------------------------------------
+
+func handlerCopies(k *evKeeper, ctx *core.Context, ev *event.Event) error {
+	k.copy = *ev // a value copy is the sanctioned way to keep an event
+	rp := *ev.Route
+	k.route = &rp
+	k.kept = append(k.kept, *ev)
+	ctx.Emit(ev) // re-emission is covered by the delivery's hold
+	return nil
+}
+
+func subscriberCopies(m *core.Manager, k *evKeeper) {
+	m.SubscribeContext("CONTEXT", func(ev *event.Event) {
+		k.kept = append(k.kept, *ev)
+	})
+}
+
+// plainHelper binds an event but no context and is no callback: the events
+// it stores are its caller's, not lent by a delivery.
+func plainHelper(k *evKeeper, ev *event.Event) {
+	k.last = ev
 }

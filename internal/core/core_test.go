@@ -190,9 +190,9 @@ func TestInterposition(t *testing.T) {
 		t.Fatalf("terminals = %v", terms)
 	}
 
-	var sysGot []*event.Event
+	var sysGot []event.Event
 	sysH := NewHandler("sys-capture", event.TCOut, func(ctx *Context, ev *event.Event) error {
-		sysGot = append(sysGot, ev)
+		sysGot = append(sysGot, *ev) // the delivery lends ev: keep a copy
 		return nil
 	})
 	if err := sys.p.AddHandler(sysH); err != nil {
@@ -500,8 +500,8 @@ func TestContextConcentrator(t *testing.T) {
 	m, clk := newMgr(t, SingleThreaded)
 	src := newRecorder(t, "sensor", event.Tuple{Provided: []event.Type{event.PowerStatus}})
 	m.Deploy(src.p)
-	var got []*event.Event
-	m.SubscribeContext(event.Context, func(ev *event.Event) { got = append(got, ev) })
+	var got []event.Event
+	m.SubscribeContext(event.Context, func(ev *event.Event) { got = append(got, *ev) })
 	emitFrom(t, m, "sensor", &event.Event{Type: event.PowerStatus, Power: &event.PowerPayload{Fraction: 0.5}})
 	if len(got) != 1 || got[0].Power.Fraction != 0.5 {
 		t.Fatalf("concentrator got %v", got)

@@ -86,13 +86,16 @@ func (d *dedicatedRunner) enqueue(ev *event.Event) bool {
 	return true
 }
 
-// waitIdle blocks until the queue is drained and no event is executing.
-func (d *dedicatedRunner) waitIdle() {
+// waitIdle blocks until the queue is drained and no event is executing; it
+// reports whether there was anything to wait for.
+func (d *dedicatedRunner) waitIdle() bool {
 	d.mu.Lock()
+	waited := d.busy > 0
 	for d.busy > 0 {
 		d.idle.Wait()
 	}
 	d.mu.Unlock()
+	return waited
 }
 
 // stop closes the queue and waits for the runner goroutine to exit.

@@ -281,13 +281,11 @@ func (m *Manager) SetModel(mod Model) error {
 		return fmt.Errorf("core: unknown concurrency model %d", mod)
 	}
 	m.mu.Lock()
-	if mod == PerN && m.workers.Load() == nil {
-		p, err := pool.New(m.poolSize, 0)
-		if err != nil {
+	if mod == PerN {
+		if _, err := m.workersLocked(); err != nil {
 			m.mu.Unlock()
 			return err
 		}
-		m.workers.Store(p)
 	}
 	m.model.Store(uint32(mod))
 	hook := m.rewireHook
@@ -297,6 +295,26 @@ func (m *Manager) SetModel(mod Model) error {
 	}
 	return nil
 }
+
+// workersLocked returns the PerN pool, building it on first use. A closed
+// manager has none and builds none: Close closes the pool it swaps out, and
+// nothing would close a later one.
+func (m *Manager) workersLocked() (*pool.Pool, error) {
+	if m.closed {
+		return nil, errManagerClosed
+	}
+	if p := m.workers.Load(); p != nil {
+		return p, nil
+	}
+	p, err := pool.New(m.poolSize, 0)
+	if err != nil {
+		return nil, err
+	}
+	m.workers.Store(p)
+	return p, nil
+}
+
+var errManagerClosed = errors.New("core: manager closed")
 
 // Model returns the current global concurrency model.
 func (m *Manager) Model() Model {
@@ -310,7 +328,7 @@ func (m *Manager) Deploy(u Unit) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return errors.New("core: manager closed")
+		return errManagerClosed
 	}
 	if _, ok := m.units[u.Name()]; ok {
 		m.mu.Unlock()
@@ -559,8 +577,11 @@ func (m *Manager) retireLocked(rec *unitRec) {
 // deployed unit): through the remaining interposers for its type, then to
 // the terminals (broadcast or exclusive). Routing reads only the published
 // plan — no manager lock, no allocation: target lists were compiled at the
-// last rewire.
+// last rewire. Every delivery scheduled takes a hold on a borrowed event
+// (event.Borrow); the first emission also owns the creator's, which it
+// releases once every delivery and context subscriber has had the event.
 func (m *Manager) emit(rec *unitRec, ev *event.Event) {
+	own := ev.Claim()
 	from := "context-poller"
 	if rec != nil {
 		from = rec.name
@@ -578,11 +599,13 @@ func (m *Manager) emit(rec *unitRec, ev *event.Event) {
 		// (no terminals beyond the emitter, or a vanished interposer): every
 		// such loss is counted and traced.
 		m.dropEvent(from, ev)
-		m.dispatchContextEvent(ev)
-		return
+	} else {
+		m.deliverBatch(from, targets, ev, Model(m.model.Load()))
 	}
-	m.deliverBatch(from, targets, ev, Model(m.model.Load()))
 	m.dispatchContextEvent(ev)
+	if own {
+		ev.Release()
+	}
 }
 
 // dropEvent accounts one undeliverable event.
@@ -596,17 +619,32 @@ func (m *Manager) dropEvent(from string, ev *event.Event) {
 	}
 }
 
-// runAccept enters the unit's critical section and hands it the event. A
-// unit detached while a stale plan (or an already-queued delivery) still
-// referenced it reports ErrNotDeployed; that loss is accounted as a drop
-// (with a drop span naming the vanished target) rather than vanishing
-// silently.
+// refuse accounts a scheduled delivery that will never reach Accept — the
+// worker pool is closed, or the manager is — as a counted, traced drop, and
+// releases its hold.
+func (m *Manager) refuse(from string, rec *unitRec, ev *event.Event) {
+	m.stats.dropped.Add(1)
+	if m.obs != nil && m.obs.tracer != nil {
+		m.obs.tracer.Record(m.clk.Now(), trace.Span{
+			Node: m.obs.nodeStr, Kind: trace.KindDrop,
+			Event: string(ev.Type), From: from, To: rec.name, Corr: ev.Corr,
+		})
+	}
+	ev.Release()
+}
+
+// runAccept enters the unit's critical section, hands it the event and
+// releases the delivery's hold. A unit detached while a stale plan (or an
+// already-queued delivery) still referenced it reports ErrNotDeployed; that
+// loss is accounted as a drop (with a drop span naming the vanished target)
+// rather than vanishing silently.
 func (m *Manager) runAccept(u Unit, ev *event.Event) {
 	sec := u.Section()
 	sec.Lock()
 	err := u.Accept(ev)
 	sec.Unlock()
 	m.accountAcceptErr(u, ev, err)
+	ev.Release()
 }
 
 // accountAcceptErr records the delivery-to-detached-unit loss; any other
@@ -646,11 +684,13 @@ func (m *Manager) deliverSingleThreaded(from string, targets []*unitRec, ev *eve
 	m.dmu.Lock()
 	for _, rec := range targets {
 		m.stats.delivered.Add(1)
+		ev.Hold()
 		if d := rec.dedicated.Load(); d != nil {
 			// enqueue never blocks (bounded TryPush), so the hand-off is
 			// safe under dmu.
 			if !d.enqueue(ev) {
 				m.stats.dropped.Add(1)
+				ev.Release()
 			} else if m.obs != nil && m.obs.tracer != nil {
 				m.obs.tracer.Record(m.clk.Now(), trace.Span{
 					Node: m.obs.nodeStr, Kind: trace.KindDispatch,
@@ -695,6 +735,7 @@ func (m *Manager) deliverSingleThreaded(from string, targets []*unitRec, ev *eve
 // deliverSingleThreaded's drain queue instead.
 func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Model) {
 	m.stats.delivered.Add(1)
+	ev.Hold()
 	dedicated := rec.dedicated.Load()
 	if m.obs != nil && m.obs.tracer != nil {
 		qdepth := 0
@@ -711,6 +752,7 @@ func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Mode
 	if dedicated != nil {
 		if !dedicated.enqueue(ev) {
 			m.stats.dropped.Add(1)
+			ev.Release()
 		}
 		return
 	}
@@ -726,12 +768,18 @@ func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Mode
 			err := rec.unit.Accept(ev)
 			sec.Unlock()
 			m.accountAcceptErr(rec.unit, ev, err)
+			ev.Release()
 		}()
 	case PerN:
 		workers := m.workers.Load()
 		if workers == nil {
-			_ = m.SetModel(PerN)
-			workers = m.workers.Load()
+			m.mu.Lock()
+			workers, _ = m.workersLocked()
+			m.mu.Unlock()
+			if workers == nil {
+				m.refuse(from, rec, ev)
+				return
+			}
 		}
 		ticket := sec.Ticket()
 		m.stats.tickets.Add(1)
@@ -742,12 +790,14 @@ func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Mode
 			aerr := rec.unit.Accept(ev)
 			sec.Unlock()
 			m.accountAcceptErr(rec.unit, ev, aerr)
+			ev.Release()
 		})
 		if err != nil {
 			// Pool closed: account the ticket to keep the lock serviceable.
 			sec.Wait(ticket)
 			sec.Unlock()
 			m.inflight.Done()
+			m.refuse(from, rec, ev)
 		}
 	}
 }
@@ -766,19 +816,27 @@ func (m *Manager) waitTicket(sec *TicketMutex, ticket uint64) {
 
 // WaitIdle blocks until all in-flight asynchronous deliveries (PerMessage,
 // PerN and dedicated queues) have drained. Synchronous deliveries are by
-// definition complete when emit returns.
+// definition complete when emit returns. A drained runner's handlers may
+// have emitted to a runner already waited for, so the wait repeats until a
+// pass finds every runner idle.
 func (m *Manager) WaitIdle() {
-	m.inflight.Wait()
-	m.mu.Lock()
-	runners := make([]*dedicatedRunner, 0, len(m.units))
-	for _, rec := range m.units {
-		if d := rec.dedicated.Load(); d != nil {
-			runners = append(runners, d)
+	for {
+		m.inflight.Wait()
+		m.mu.Lock()
+		runners := make([]*dedicatedRunner, 0, len(m.units))
+		for _, rec := range m.units {
+			if d := rec.dedicated.Load(); d != nil {
+				runners = append(runners, d)
+			}
 		}
-	}
-	m.mu.Unlock()
-	for _, d := range runners {
-		d.waitIdle()
+		m.mu.Unlock()
+		waited := false
+		for _, d := range runners {
+			waited = d.waitIdle() || waited
+		}
+		if !waited {
+			return
+		}
 	}
 }
 
@@ -814,7 +872,9 @@ func (m *Manager) Chain(t event.Type) (interposers, terminals []string) {
 // SubscribeContext registers a callback with the Framework Manager's
 // context concentrator (§4.5): fn observes every event matching pattern
 // (typically event.Context or a concrete context type). Callbacks run
-// synchronously on the emitting goroutine; keep them light.
+// synchronously on the emitting goroutine; keep them light. The event is
+// lent for the call: one the framework borrowed is recycled once its
+// deliveries return, so fn copies whatever it keeps (*ev, *ev.Route).
 func (m *Manager) SubscribeContext(pattern event.Type, fn func(*event.Event)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

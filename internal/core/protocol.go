@@ -24,7 +24,8 @@ type Handler interface {
 	// Pattern returns the event type (possibly abstract) this handler
 	// consumes; the protocol's demux matches delivered events against it.
 	Pattern() event.Type
-	// Handle processes one event.
+	// Handle processes one event. ev and what it carries are lent for the
+	// call (event.Borrow): a handler that keeps any of it copies it.
 	Handle(ctx *Context, ev *event.Event) error
 }
 
@@ -647,10 +648,14 @@ func (p *Protocol) Clock() vclock.Clock {
 // handler — the ManetControl push operation (IPush). Used by components that
 // receive stimuli from below the framework, such as the System CF's network
 // driver upcall. Lock-free: the deployment environment rides the published
-// accept plan.
+// accept plan. An undeployed protocol emits nothing, and a borrowed event's
+// first emission is over when it returns, so its carrier is released then.
 func (p *Protocol) Emit(ev *event.Event) error {
 	plan := p.plan.Load()
 	if plan == nil {
+		if ev.Claim() {
+			ev.Release()
+		}
 		return ErrNotDeployed
 	}
 	plan.env.Emit(ev)

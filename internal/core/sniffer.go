@@ -15,7 +15,8 @@ import (
 // fn runs inside the sniffer's own critical section (not the observed
 // protocols'), so a slow observer cannot distort protocol atomicity —
 // though under the single-threaded model it still shares the one delivery
-// thread.
+// thread. Like a handler, fn may use ev only until it returns, and copies
+// what it keeps.
 func NewSniffer(name string, fn func(ev *event.Event)) (*Protocol, error) {
 	if name == "" {
 		name = "sniffer"

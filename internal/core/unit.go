@@ -38,6 +38,8 @@ type Unit interface {
 	Tuple() event.Tuple
 	// Accept processes one event. The Framework Manager calls it with the
 	// unit's critical section held, so implementations are single-threaded.
+	// ev is lent for the call: a borrowed event is recycled once its last
+	// delivery returns.
 	Accept(ev *event.Event) error
 	// Section returns the unit's critical-section mutex.
 	Section() *TicketMutex

@@ -597,12 +597,22 @@ func (c *NIC) SendTagged(dst mnet.Addr, payload []byte, corr string) error {
 // feedback (the 802.11 ACK analogue) through cb once the frame is delivered
 // or known lost. Broadcast destinations receive no feedback (as in 802.11).
 func (c *NIC) SendWithFeedback(dst mnet.Addr, payload []byte, cb func(delivered bool)) error {
-	return c.SendWithFeedbackTagged(dst, payload, "", cb)
+	return c.sendWithFeedback(dst, payload, "", cb, nil)
 }
 
 // SendWithFeedbackTagged is SendWithFeedback with a message correlation ID
-// attached to the frame and its trace spans.
-func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string, cb func(delivered bool)) error {
+// attached to the frame and its trace spans, and a verdict that carries
+// its frame: fn is handed, by value, the frame as the medium carried it —
+// the medium's copy of the payload, read-only like every Frame.Payload,
+// even when the frame was lost — and whether it arrived. Because the
+// verdict names its frame, a sender needs no closure per frame: one fn
+// serves all of them.
+func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string, fn func(f Frame, delivered bool)) error {
+	return c.sendWithFeedback(dst, payload, corr, nil, fn)
+}
+
+// sendWithFeedback sends one frame whose verdict goes to cb or to fn.
+func (c *NIC) sendWithFeedback(dst mnet.Addr, payload []byte, corr string, cb func(bool), fn func(Frame, bool)) error {
 	if dst.IsBroadcast() {
 		return c.SendTagged(dst, payload, corr)
 	}
@@ -648,7 +658,7 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	// buffer, and neither may the tap, so payload never outlives this call.
 	delivered := linked && attached && !lost
 	var buf []byte
-	if delivered || txTap != nil {
+	if delivered || txTap != nil || fn != nil {
 		buf = append([]byte(nil), payload...) // the medium's one copy: the frame outlives the send
 	}
 	frame := Frame{Src: c.addr, Dst: dst, Payload: buf, Device: c.device, RSSI: q.SignalDBm, Corr: corr}
@@ -667,11 +677,9 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	}
 	if n.eng != nil {
 		dl := n.eng.newDeliveryLocked()
-		dl.cb = cb
+		dl.cb, dl.fn, dl.frame = cb, fn, frame
 		if delivered {
 			dl.nic = nic
-			dl.frame = frame
-			dl.ok = true
 		}
 		n.eng.scheduleLocked(dl, n.eng.key(now)+int64(delay))
 	}
@@ -686,7 +694,11 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 			if delivered {
 				nic.deliver(fr, n.clock.Now())
 			}
-			cb(delivered)
+			if fn != nil {
+				fn(fr, delivered)
+			} else {
+				cb(delivered)
+			}
 		})
 	}
 	return nil

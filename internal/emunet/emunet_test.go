@@ -2,6 +2,7 @@ package emunet
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -221,6 +222,41 @@ func TestSendWithFeedback(t *testing.T) {
 	}
 	if len(fb) != 2 || fb[0] != true || fb[1] != false {
 		t.Fatalf("feedback = %v", fb)
+	}
+}
+
+// TestSendWithFeedbackTaggedNamesItsFrame: the tagged verdict hands one
+// callback the frame it concerns — destination, correlation ID and the
+// medium's copy of the bytes, a lost frame's included — so a sender needs
+// no closure per frame.
+func TestSendWithFeedbackTaggedNamesItsFrame(t *testing.T) {
+	n, clk := newNet(t)
+	addrs := Addrs(2)
+	na := attach(t, n, addrs[0])
+	attach(t, n, addrs[1])
+	n.SetLink(addrs[0], addrs[1], DefaultQuality())
+	type verdict struct {
+		dst       mnet.Addr
+		corr, pay string
+		delivered bool
+	}
+	var got []verdict
+	fn := func(f Frame, delivered bool) { got = append(got, verdict{f.Dst, f.Corr, string(f.Payload), delivered}) }
+	buf := []byte("ok")
+	if err := na.SendWithFeedbackTagged(addrs[1], buf, "c1", fn); err != nil {
+		t.Fatal(err)
+	}
+	clk.RunUntilIdle(-1)
+	n.CutLink(addrs[0], addrs[1])
+	buf = []byte("lost")
+	if err := na.SendWithFeedbackTagged(addrs[1], buf, "c2", fn); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "XXXX") // the sender's buffer is its own again
+	clk.RunUntilIdle(-1)
+	want := []verdict{{addrs[1], "c1", "ok", true}, {addrs[1], "c2", "lost", false}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdicts = %+v, want %+v", got, want)
 	}
 }
 

@@ -63,16 +63,17 @@ type EngineStats struct {
 	MaxEpochEvents int `json:"max_epoch_events"`
 }
 
-// delivery is one scheduled event: a frame arriving at a NIC, or a MAC
-// feedback verdict falling due (nic == nil).
+// delivery is one scheduled event: a frame arriving at a NIC, with or
+// without a MAC feedback verdict falling due with it, or a verdict alone
+// (nic == nil: the frame was lost, and frame is what fn is handed).
 type delivery struct {
 	at  int64 // deadline key: nanoseconds past engine.base
 	seq uint64
 
 	nic   *NIC
 	frame Frame
-	cb    func(delivered bool) // MAC feedback; nil unless SendWithFeedback
-	ok    bool                 // verdict passed to cb
+	cb    func(delivered bool)          // MAC feedback; nil unless SendWithFeedback
+	fn    func(f Frame, delivered bool) // MAC feedback; nil unless SendWithFeedbackTagged
 }
 
 // engine is the event core installed on every Network but the reference
@@ -208,7 +209,10 @@ func (e *engine) run() {
 			d.nic.deliver(d.frame, now)
 		}
 		if d.cb != nil {
-			d.cb(d.ok)
+			d.cb(d.nic != nil)
+		}
+		if d.fn != nil {
+			d.fn(d.frame, d.nic != nil)
 		}
 	}
 

@@ -1,0 +1,135 @@
+package event
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"manetkit/internal/mnet"
+	"manetkit/internal/packetbb"
+)
+
+// Borrowed events. The events the framework raises on every reception, relay
+// and forwarded data packet (System.receive's *_IN events, the packet
+// filter's routing triggers, Relay) live in recyclable carriers instead of
+// one heap object each. A carrier counts holds: the creator's, which the
+// first emission takes over, and one per delivery the Framework Manager
+// schedules, dropped when that delivery's Accept returns. The last release
+// poisons the carrier and returns it to the pool, so an event, its Route
+// and a relayed Msg header are valid only until the handler, interposer,
+// sniffer or context subscriber reading them returns; whoever keeps one
+// copies it (*ev, *ev.Route, ev.Msg.Clone()). An event built with &Event{}
+// has no carrier: Hold, Release and Claim leave it alone.
+
+// carrier is the recyclable home of a borrowed event: the event, room for
+// its routing payload and for a relayed message header, and its holds.
+type carrier struct {
+	ev    Event
+	route RoutePayload
+	msg   packetbb.Message
+	holds atomic.Int32
+	// fresh marks a carrier not yet emitted, whose creator's hold the first
+	// Claim hands to the emitter. Written only before the event is shared
+	// and by that first Claim, which happens before any delivery starts.
+	fresh bool
+}
+
+var carriers = sync.Pool{New: func() any { return new(carrier) }}
+
+// Borrow returns an empty event of type t owned by the framework: the first
+// Emit takes it over, and it is valid only until its last delivery returns.
+func Borrow(t Type) *Event {
+	c := carriers.Get().(*carrier)
+	c.holds.Store(1)
+	c.fresh = true
+	c.ev = Event{Type: t, c: c}
+	return &c.ev
+}
+
+// WithRoute borrows an event of type t carrying rp in its carrier.
+func WithRoute(t Type, rp RoutePayload) *Event {
+	ev := Borrow(t)
+	ev.c.route = rp
+	ev.Route = &ev.c.route
+	return ev
+}
+
+// Relay borrows the event forwarding msg to dst with only its hop fields
+// changed (packetbb.Message.Relay): the relayed header lives in the carrier,
+// the body stays the received packet's.
+func Relay(t Type, msg *packetbb.Message, dst mnet.Addr) *Event {
+	ev := Borrow(t)
+	ev.Dst = dst
+	ev.c.msg = msg.Relay()
+	ev.Msg = &ev.c.msg
+	return ev
+}
+
+// carrier returns the carrier ev lives in, or nil for an event built with
+// &Event{} or a copy of a borrowed one.
+func (ev *Event) carrier() *carrier {
+	if c := ev.c; c != nil && &c.ev == ev {
+		return c
+	}
+	return nil
+}
+
+// Claim is called by each emission of ev. It reports whether this was the
+// first emission of a borrowed event, whose caller now owns the creator's
+// hold and must Release it once every delivery has been scheduled. A
+// re-emission (an interposer passing on the event it was handed) claims
+// nothing: the hold of the delivery it runs in covers it.
+func (ev *Event) Claim() bool {
+	c := ev.carrier()
+	if c == nil || !c.fresh {
+		return false
+	}
+	c.fresh = false
+	return true
+}
+
+// Hold adds one hold on a borrowed event: a delivery that will read it.
+func (ev *Event) Hold() {
+	if c := ev.carrier(); c != nil {
+		c.holds.Add(1)
+	}
+}
+
+// Release drops one hold on a borrowed event. The last poisons the carrier
+// and returns it to the pool; releasing an event with no hold left panics.
+func (ev *Event) Release() {
+	c := ev.carrier()
+	if c == nil {
+		return
+	}
+	switch n := c.holds.Add(-1); {
+	case n > 0:
+		return
+	case n < 0:
+		panic("event: Release of an event with no hold left")
+	}
+	c.ev = poisonEvent
+	c.ev.c = c
+	c.ev.Msg = &c.msg
+	c.ev.Route = &c.route
+	c.route = poisonRoute
+	c.msg = poisonMsg
+	carriers.Put(c)
+}
+
+// Poisoned reports whether ev is a released borrowed event: whoever still
+// reads it kept a pointer the ownership rule says to copy.
+func (ev *Event) Poisoned() bool { return ev.Type == poisonType }
+
+// The poison a released carrier holds until it is borrowed again: no field
+// reads as a plausible event, route or message.
+const poisonType Type = "\x00released-event"
+
+var (
+	poisonAddr  = mnet.Addr{0xde, 0xad, 0xde, 0xad}
+	poisonEvent = Event{
+		Type: poisonType, Src: poisonAddr, Dst: poisonAddr,
+		Device: string(poisonType), Corr: string(poisonType),
+	}
+	poisonRoute = RoutePayload{Dst: poisonAddr, Src: poisonAddr, NextHop: poisonAddr, PacketID: 0xdeaddeaddeaddead}
+	poisonMsg   = packetbb.Message{Type: 0xde, Originator: poisonAddr, HopLimit: 0xde, HopCount: 0xde, SeqNum: 0xdead}
+)

@@ -65,7 +65,9 @@ const (
 
 // Event is the unit of communication between CFS units. Exactly one of Msg
 // (protocol traffic) or a typed payload field is normally set, depending on
-// the event type.
+// the event type. An event handed to a handler, interposer, sniffer or
+// context subscriber is valid only until that callback returns: it may be
+// borrowed (carrier.go), so whoever keeps it copies it.
 type Event struct {
 	Type Type
 
@@ -73,7 +75,9 @@ type Event struct {
 	// for every handler and interposer: a received message points into a
 	// packet decoded once per transmission and shared by all the nodes that
 	// heard it (and by every handler on each of them), and a relayed one
-	// (Relay) shares that packet's body. Nobody may write through it. A
+	// (Relay) shares that packet's body under a header the event's carrier
+	// owns. Nobody may write through it. A received message may be kept; a
+	// relayed header is recycled with its event, so it is cloned to keep. A
 	// forward that changes only the hop fields uses Relay; one that rewrites
 	// anything else works on a Clone.
 	Msg *packetbb.Message
@@ -99,18 +103,10 @@ type Event struct {
 	Link  *LinkPayload
 	Route *RoutePayload
 	Sys   *SysPayload
-}
 
-// Relay builds the event forwarding msg to dst with only its hop fields
-// changed (packetbb.Message.Relay), in one allocation with the relayed
-// header; the body stays the received packet's.
-func Relay(t Type, msg *packetbb.Message, dst mnet.Addr) *Event {
-	ev := &struct {
-		Event
-		msg packetbb.Message
-	}{Event: Event{Type: t, Dst: dst}, msg: msg.Relay()}
-	ev.Msg = &ev.msg
-	return &ev.Event
+	// c is the carrier a borrowed event lives in (carrier.go); a copy keeps
+	// the pointer but is no borrowed event, since it does not live there.
+	c *carrier
 }
 
 // ChangeKind classifies a neighbourhood change.

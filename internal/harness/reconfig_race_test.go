@@ -75,7 +75,9 @@ func TestShardWorkersVsReconfigure(t *testing.T) {
 				})
 				if err := p.AddHandler(core.NewHandler("fwd", event.TCOut,
 					func(ctx *core.Context, ev *event.Event) error {
-						ctx.Emit(&event.Event{Type: event.TCOut, Msg: ev.Msg})
+						// Pass ev itself on: a relayed TC's header ends with
+						// this delivery, so a new event must not point at it.
+						ctx.Emit(ev)
 						return nil
 					})); err != nil {
 					t.Error(err)

@@ -77,6 +77,10 @@ const (
 type netlink struct {
 	s *System
 
+	// onFeedback is feedback as a func value, made once: every transmit
+	// registers it, so a hop costs no closure.
+	onFeedback func(f emunet.Frame, delivered bool)
+
 	mu        sync.Mutex
 	nextID    uint64
 	buffered  map[mnet.Addr][]dataPacket
@@ -84,7 +88,9 @@ type netlink struct {
 }
 
 func newNetlink(s *System) *netlink {
-	return &netlink{s: s, buffered: make(map[mnet.Addr][]dataPacket)}
+	nl := &netlink{s: s, buffered: make(map[mnet.Addr][]dataPacket)}
+	nl.onFeedback = nl.feedback
+	return nl
 }
 
 // OnDeliver installs the local-delivery upcall for data packets addressed
@@ -132,15 +138,12 @@ func (nl *netlink) corr(pkt dataPacket) string {
 	return fmt.Sprintf("DATA:%s:%d", pkt.Src, pkt.ID)
 }
 
-// raise emits one of the filter's routing triggers. Event and payload are
-// one object: handlers may keep either, so it cannot live on the stack.
+// raise emits one of the filter's routing triggers as a borrowed event:
+// event and payload end with its last delivery.
 func (nl *netlink) raise(t event.Type, rp event.RoutePayload, corr string) error {
-	ev := &struct {
-		event.Event
-		rp event.RoutePayload
-	}{Event: event.Event{Type: t, Corr: corr}, rp: rp}
-	ev.Route = &ev.rp
-	return nl.s.proto.Emit(&ev.Event)
+	ev := event.WithRoute(t, rp)
+	ev.Corr = corr
+	return nl.s.proto.Emit(ev)
 }
 
 // route forwards or buffers one packet. originated marks locally-created
@@ -187,15 +190,25 @@ func (nl *netlink) transmit(pkt dataPacket, nextHop mnet.Addr, originated bool) 
 	rp := event.RoutePayload{Dst: pkt.Dst, Src: pkt.Src, NextHop: nextHop}
 	corr := nl.corr(pkt)
 	var wire [wireStackLen]byte
-	feedback := func(delivered bool) {
-		if !delivered {
-			_ = nl.raise(event.LinkBreak, rp, corr)
-		}
-	}
-	if err := s.nic.SendWithFeedbackTagged(nextHop, appendData(wire[:0], pkt), corr, feedback); err != nil {
+	if err := s.nic.SendWithFeedbackTagged(nextHop, appendData(wire[:0], pkt), corr, nl.onFeedback); err != nil {
 		return err
 	}
 	return nl.raise(event.RouteUpdate, rp, corr)
+}
+
+// feedback takes the MAC verdict on a transmitted data frame. One that did
+// not arrive raises LINK_BREAK, its payload rebuilt from the frame: the
+// data header's source and destination, the next hop it was sent to and
+// its correlation ID.
+func (nl *netlink) feedback(f emunet.Frame, delivered bool) {
+	if delivered {
+		return
+	}
+	pkt, err := decodeData(f.Payload)
+	if err != nil {
+		return // transmit sends only well-formed data frames
+	}
+	_ = nl.raise(event.LinkBreak, event.RoutePayload{Dst: pkt.Dst, Src: pkt.Src, NextHop: f.Dst}, f.Corr)
 }
 
 // hold buffers a route-less packet, which from here on owns its payload,

@@ -284,15 +284,13 @@ func (s *System) receive(f emunet.Frame) {
 		s.mu.Lock()
 		s.stats.CtrlReceived++
 		s.mu.Unlock()
+		// Each event is borrowed: it ends with its last delivery, and the
+		// packet it points into stays for whoever keeps the message.
 		for i := range pkt.Messages {
 			msg := &pkt.Messages[i]
-			_ = s.proto.Emit(&event.Event{
-				Type:   inEventType(msg.Type),
-				Msg:    msg,
-				Src:    f.Src,
-				Dst:    f.Dst,
-				Device: f.Device,
-			})
+			ev := event.Borrow(inEventType(msg.Type))
+			ev.Msg, ev.Src, ev.Dst, ev.Device = msg, f.Src, f.Dst, f.Device
+			_ = s.proto.Emit(ev)
 		}
 	case wireData:
 		s.filter.receiveData(f)

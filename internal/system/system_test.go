@@ -72,14 +72,15 @@ func TestControlMessageEndToEnd(t *testing.T) {
 	net, clk, nodes := newTestNet(t, 2)
 	net.SetLink(nodes[0].addr, nodes[1].addr, emunet.DefaultQuality())
 
-	// A HELLO consumer on node 1.
+	// A HELLO consumer on node 1. The event ends with its delivery, so the
+	// consumer keeps a copy; the received message it points to may be kept.
 	var mu sync.Mutex
-	var got []*event.Event
+	var got []event.Event
 	consumer := core.NewProtocol("nbr")
 	consumer.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.HelloIn}}})
 	consumer.AddHandler(core.NewHandler("h", event.HelloIn, func(ctx *core.Context, ev *event.Event) error {
 		mu.Lock()
-		got = append(got, ev)
+		got = append(got, *ev)
 		mu.Unlock()
 		return nil
 	}))
@@ -224,11 +225,14 @@ func TestNoRouteBuffersAndRaisesEvent(t *testing.T) {
 	_, clk, nodes := newTestNet(t, 2)
 	n := nodes[0]
 
+	// The trigger and its payload end with the emission: keep copies.
 	var mu sync.Mutex
-	var events []*event.Event
+	var events []event.Event
+	var routes []event.RoutePayload
 	n.mgr.SubscribeContext(event.Routing, func(ev *event.Event) {
 		mu.Lock()
-		events = append(events, ev)
+		events = append(events, *ev)
+		routes = append(routes, *ev.Route)
 		mu.Unlock()
 	})
 	if err := n.sys.Filter().SendData(nodes[1].addr, []byte("x")); err != nil {
@@ -236,8 +240,8 @@ func TestNoRouteBuffersAndRaisesEvent(t *testing.T) {
 	}
 	clk.RunUntilIdle(0) // no timers needed; emission is synchronous
 	mu.Lock()
-	if len(events) != 1 || events[0].Type != event.NoRoute || events[0].Route.Dst != nodes[1].addr {
-		t.Fatalf("events = %+v", events)
+	if len(events) != 1 || events[0].Type != event.NoRoute || routes[0].Dst != nodes[1].addr {
+		t.Fatalf("events = %+v, routes = %+v", events, routes)
 	}
 	mu.Unlock()
 	if n.sys.Filter().BufferedCount(nodes[1].addr) != 1 {
@@ -299,10 +303,10 @@ func TestLinkBreakFeedback(t *testing.T) {
 	n.sys.FIB().Set(route.FIBRoute{Dst: mnet.HostPrefix(nodes[1].addr), NextHop: nodes[1].addr})
 
 	var mu sync.Mutex
-	var breaks []*event.Event
+	var breaks []event.RoutePayload
 	n.mgr.SubscribeContext(event.LinkBreak, func(ev *event.Event) {
 		mu.Lock()
-		breaks = append(breaks, ev)
+		breaks = append(breaks, *ev.Route)
 		mu.Unlock()
 	})
 	// Cut the link, then send: MAC feedback reports failure -> LINK_BREAK.
@@ -312,7 +316,8 @@ func TestLinkBreakFeedback(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(breaks) != 1 || breaks[0].Route.NextHop != nodes[1].addr {
+	want := event.RoutePayload{Dst: nodes[1].addr, Src: n.addr, NextHop: nodes[1].addr}
+	if len(breaks) != 1 || breaks[0] != want {
 		t.Fatalf("breaks = %+v", breaks)
 	}
 }
@@ -548,5 +553,61 @@ func TestDecodeErrorsCounted(t *testing.T) {
 	clk.Advance(50 * time.Millisecond)
 	if st := nodes[1].sys.Stats(); st.DecodeErrors != 3 {
 		t.Fatalf("DecodeErrors = %d", st.DecodeErrors)
+	}
+}
+
+// retain keeps ev past the delivery it was lent for — the retention the
+// ownership rule forbids, reached through a helper ctxleak does not police
+// so that the test can watch the poison.
+func retain(dst **event.Event, ev *event.Event) { *dst = ev }
+
+// TestBorrowedEventRetentionSeesPoison: the System CF's received events and
+// routing triggers are borrowed, so a pointer kept past its delivery reads
+// the poison, Route included, while the received message it pointed to
+// stays what was sent.
+func TestBorrowedEventRetentionSeesPoison(t *testing.T) {
+	net, clk, nodes := newTestNet(t, 2)
+	net.SetLink(nodes[0].addr, nodes[1].addr, emunet.DefaultQuality())
+
+	var hello *event.Event
+	var helloMsg *packetbb.Message
+	consumer := core.NewProtocol("nbr")
+	consumer.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.HelloIn}}})
+	if err := consumer.AddHandler(core.NewHandler("h", event.HelloIn, func(ctx *core.Context, ev *event.Event) error {
+		retain(&hello, ev)
+		helloMsg = ev.Msg // a received message is never recycled
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodes[1].mgr.Deploy(consumer); err != nil {
+		t.Fatal(err)
+	}
+	var update *event.Event
+	nodes[0].mgr.SubscribeContext(event.RouteUpdate, func(ev *event.Event) { retain(&update, ev) })
+
+	beacon := core.NewProtocol("beacon")
+	beacon.SetTuple(event.Tuple{Provided: []event.Type{event.HelloOut}})
+	if err := nodes[0].mgr.Deploy(beacon); err != nil {
+		t.Fatal(err)
+	}
+	msg := &packetbb.Message{Type: packetbb.MsgHello, Originator: nodes[0].addr, SeqNum: 3}
+	if err := beacon.Emit(&event.Event{Type: event.HelloOut, Msg: msg, Dst: mnet.Broadcast}); err != nil {
+		t.Fatal(err)
+	}
+	nodes[0].sys.FIB().Set(route.FIBRoute{Dst: mnet.HostPrefix(nodes[1].addr), NextHop: nodes[1].addr})
+	if err := nodes[0].sys.Filter().SendData(nodes[1].addr, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(50 * time.Millisecond)
+
+	if hello == nil || !hello.Poisoned() || hello.Src == nodes[0].addr {
+		t.Fatalf("kept HELLO_IN = %+v, want the poison", hello)
+	}
+	if helloMsg.Originator != nodes[0].addr || helloMsg.SeqNum != 3 {
+		t.Fatalf("kept received message = %+v, want the HELLO that was sent", helloMsg)
+	}
+	if update == nil || !update.Poisoned() || update.Route.Dst == nodes[1].addr {
+		t.Fatalf("kept ROUTE_UPDATE = %+v, want the poison", update)
 	}
 }
