@@ -11,7 +11,8 @@ package event
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -235,52 +236,31 @@ type SinkFunc func(ev *Event) error
 // Deliver implements Sink.
 func (f SinkFunc) Deliver(ev *Event) error { return f(ev) }
 
-// TypeID is a dense small-integer identifier for a Type interned in an
-// Ontology. IDs are assigned at snapshot-rebuild time and are stable only
-// within one ontology instance; they index the precomputed ancestor bitsets
-// that make Matches lock-free.
-type TypeID int32
-
-// ontSnapshot is the immutable, RCU-published view of an Ontology: every
-// known type gets a dense ID and a bitset of its ancestor IDs (including
-// itself), so a subtype test is two map lookups and one bit probe — no lock,
-// no parent-chain walk. Mutations (RegisterType, interning) rebuild the
-// whole snapshot and publish it atomically; reads never block.
-type ontSnapshot struct {
-	ids   map[Type]TypeID
-	names []Type     // names[id] == type, sorted for deterministic IDs
-	anc   [][]uint64 // anc[id]: bitset over TypeIDs of ancestors + self
-}
-
-// matches reports the subtype relation using the precomputed bitsets.
-func (s *ontSnapshot) matches(t, pattern TypeID) bool {
-	row := s.anc[t]
-	return row[pattern>>6]&(1<<(uint(pattern)&63)) != 0
-}
-
 // Ontology is the extensible polymorphic event-type hierarchy: a forest of
 // is-a relations rooted at Any. A requirer declaring an abstract type
 // receives all of its descendants.
 //
-// The hierarchy is read-mostly: protocols register types at deployment time
-// and the dispatch path tests subtype relations per handler per event. The
-// parent map is therefore compiled into an immutable snapshot with dense
-// type IDs and ancestor bitsets (published via atomic.Pointer); Matches on
-// known types touches no lock.
+// The hierarchy is read-mostly: protocols register types at deployment
+// time, and the dispatch plans test subtype relations when they compile.
+// The parent map is therefore immutable once published (atomic.Pointer),
+// together with its sorted type list; RegisterType publishes a new copy,
+// and readers never lock.
 type Ontology struct {
-	mu     sync.Mutex // serialises writers: parent-map mutation + snapshot rebuild
-	parent map[Type]Type
-	// extra holds types interned via ID without a parent relation, so they
-	// survive snapshot rebuilds.
-	extra   map[Type]bool
+	mu      sync.Mutex // serialises writers
 	version atomic.Uint64
 	snap    atomic.Pointer[ontSnapshot]
 }
 
+// ontSnapshot is one published version of the hierarchy.
+type ontSnapshot struct {
+	parent map[Type]Type
+	types  []Type // every type the parent map names, sorted
+}
+
 // NewOntology returns the standard ontology used by the bundled protocols.
 func NewOntology() *Ontology {
-	o := &Ontology{parent: make(map[Type]Type), extra: make(map[Type]bool)}
-	relations := map[Type]Type{
+	o := &Ontology{}
+	o.publish(map[Type]Type{
 		MsgIn:   Any,
 		MsgOut:  Any,
 		Context: Any,
@@ -309,130 +289,71 @@ func NewOntology() *Ontology {
 		SendRouteErr: Routing,
 		RouteFound:   Routing,
 		LinkBreak:    Routing,
-	}
-	for child, par := range relations {
-		o.parent[child] = par
-	}
-	o.rebuildLocked()
+	})
 	return o
 }
 
-// rebuildLocked recomputes the interned snapshot from the parent map and the
-// standalone interned set, and publishes it. Callers hold o.mu.
-func (o *Ontology) rebuildLocked() {
-	// Collect the closure of every type mentioned: parent-map keys, every
-	// ancestor appearing only as a value (e.g. Any), and standalone interns.
-	seen := make(map[Type]bool, 2*len(o.parent)+len(o.extra))
-	for child, par := range o.parent {
-		seen[child] = true
-		for p := par; p != ""; p = o.parent[p] {
-			if seen[p] {
-				break
-			}
-			seen[p] = true
-		}
+// publish makes parent, which nobody writes afterwards, the current hierarchy.
+func (o *Ontology) publish(parent map[Type]Type) {
+	seen := make(map[Type]bool, 2*len(parent))
+	for child, par := range parent {
+		seen[child], seen[par] = true, true
 	}
-	for t := range o.extra {
-		seen[t] = true
-	}
-	names := make([]Type, 0, len(seen))
+	delete(seen, "") // the parent of a root
+	types := make([]Type, 0, len(seen))
 	for t := range seen {
-		names = append(names, t)
+		types = append(types, t)
 	}
-	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
-	ids := make(map[Type]TypeID, len(names))
-	for i, t := range names {
-		ids[t] = TypeID(i)
-	}
-	words := (len(names) + 63) / 64
-	anc := make([][]uint64, len(names))
-	backing := make([]uint64, words*len(names))
-	for i, t := range names {
-		row := backing[i*words : (i+1)*words]
-		set := func(id TypeID) { row[id>>6] |= 1 << (uint(id) & 63) }
-		set(TypeID(i))
-		for p := o.parent[t]; p != ""; p = o.parent[p] {
-			set(ids[p])
-		}
-		anc[i] = row
-	}
-	o.snap.Store(&ontSnapshot{ids: ids, names: names, anc: anc})
+	slices.Sort(types)
+	o.snap.Store(&ontSnapshot{parent: parent, types: types})
 }
 
 // RegisterType adds a new event type below parent. Registering an existing
-// type re-parents it; cycles are rejected.
+// type re-parents it; cycles, and moving the root Any, are rejected.
 func (o *Ontology) RegisterType(t, parent Type) error {
+	if t == Any {
+		return fmt.Errorf("event: %q is the root", Any)
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	// Reject cycles: walk up from parent; meeting t means t would become
-	// its own ancestor.
-	for p := parent; p != ""; {
+	cur := o.snap.Load().parent
+	// Reject cycles: t must not be parent or one of its ancestors.
+	for p := parent; p != ""; p = cur[p] {
 		if p == t {
 			return fmt.Errorf("event: registering %q under %q creates a cycle", t, parent)
 		}
-		p = o.parent[p]
 	}
-	o.parent[t] = parent
+	next := maps.Clone(cur)
+	next[t] = parent
+	o.publish(next)
 	o.version.Add(1)
-	o.rebuildLocked()
 	return nil
 }
 
 // Version counts hierarchy mutations (RegisterType). Compiled dispatch
-// tables capture the version they were built against and rebuild lazily when
-// it moves; plain interning does not bump it, because adding a standalone
-// type cannot change any existing subtype relation.
+// tables capture the version they were built against and rebuild lazily
+// when it moves.
 func (o *Ontology) Version() uint64 { return o.version.Load() }
 
-// ID interns t, assigning it a dense TypeID if it has none yet. Interning a
-// type unknown to the hierarchy gives it no ancestors (it matches only
-// itself and Any).
-func (o *Ontology) ID(t Type) TypeID {
-	if id, ok := o.snap.Load().ids[t]; ok {
-		return id
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if id, ok := o.snap.Load().ids[t]; ok {
-		return id
-	}
-	o.extra[t] = true
-	o.rebuildLocked()
-	return o.snap.Load().ids[t]
-}
-
-// Types lists every known type (registered or interned) in ID order. The
-// returned slice is shared with the immutable snapshot; callers must not
-// mutate it.
-func (o *Ontology) Types() []Type {
-	return o.snap.Load().names
-}
+// Types lists every known type, sorted. The returned slice is shared with
+// the published hierarchy; callers must not mutate it.
+func (o *Ontology) Types() []Type { return o.snap.Load().types }
 
 // Matches reports whether concrete type t satisfies a requirement for
-// pattern: t == pattern, or pattern is an ancestor of t. The test is
-// lock-free: one snapshot load, two map probes, one bitset probe.
+// pattern: t == pattern, or pattern is an ancestor of t. The walk up t's
+// parents is lock-free and stops at Any, which stays the root.
 func (o *Ontology) Matches(t, pattern Type) bool {
 	if t == pattern || pattern == Any {
 		return true
 	}
-	s := o.snap.Load()
-	ti, ok := s.ids[t]
-	if !ok {
-		// Unknown concrete type: it has no registered ancestors, so only
-		// the identity/Any cases above could have matched.
-		return false
+	parent := o.snap.Load().parent
+	for p := parent[t]; p != "" && p != Any; p = parent[p] {
+		if p == pattern {
+			return true
+		}
 	}
-	pi, ok := s.ids[pattern]
-	if !ok {
-		// A pattern the hierarchy has never seen cannot be an ancestor.
-		return false
-	}
-	return s.matches(ti, pi)
+	return false
 }
 
 // Parent returns the immediate supertype of t ("" at a root).
-func (o *Ontology) Parent(t Type) Type {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.parent[t]
-}
+func (o *Ontology) Parent(t Type) Type { return o.snap.Load().parent[t] }

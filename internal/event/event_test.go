@@ -2,6 +2,7 @@ package event
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -53,6 +54,30 @@ func TestOntologyRegisterType(t *testing.T) {
 	}
 }
 
+// TestOntologyReparentMovesDescendants: re-parenting a type re-publishes
+// the ancestors of every type below it, and Types lists the new types in
+// order.
+func TestOntologyReparentMovesDescendants(t *testing.T) {
+	o := NewOntology()
+	for _, r := range [][2]Type{{"A_IN", MsgIn}, {"B_IN", "A_IN"}, {"A_IN", Context}, {"ROOT", ""}, {"C_IN", "ROOT"}} {
+		if err := o.RegisterType(r[0], r[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !o.Matches("B_IN", Context) || o.Matches("B_IN", MsgIn) || o.Parent("A_IN") != Context {
+		t.Fatal("re-parenting A_IN did not move B_IN below CONTEXT")
+	}
+	if !o.Matches("C_IN", "ROOT") || o.Matches("C_IN", MsgIn) {
+		t.Fatal("a second root's child matched wrongly")
+	}
+	if types := o.Types(); !slices.IsSorted(types) || !slices.Contains(types, "B_IN") || !slices.Contains(types, Any) {
+		t.Fatalf("Types = %v", types)
+	}
+	if o.Version() != 5 {
+		t.Fatalf("Version = %d after five registrations", o.Version())
+	}
+}
+
 func TestOntologyRejectsCycles(t *testing.T) {
 	o := NewOntology()
 	if err := o.RegisterType("A", "B"); err != nil {
@@ -66,6 +91,9 @@ func TestOntologyRejectsCycles(t *testing.T) {
 	}
 	if err := o.RegisterType("A", "A"); err == nil {
 		t.Fatal("self-parent accepted")
+	}
+	if err := o.RegisterType(Any, "A"); err == nil || o.Parent(Any) != "" {
+		t.Fatal("re-parenting the root accepted")
 	}
 }
 
