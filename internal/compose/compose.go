@@ -282,15 +282,14 @@ func (s *Set) RIBs() map[string]*route.Table {
 	return out
 }
 
-// Links returns the neighbour table the node senses with: the MPR CF's link
-// set when one is deployed, else the Neighbour Detection CF's; nil with
-// neither.
+// Links returns the link set the node senses with: that of the MPR CF's
+// link-sensing core when one is deployed, else the Neighbour Detection
+// CF's; nil with neither.
 func (s *Set) Links() *neighbor.Table {
-	if m := s.MPR(); m != nil {
-		return m.State().Links
-	}
-	if d := handle[*neighbor.Detector](s, neighbor.UnitName); d != nil {
-		return d.Table()
+	for _, name := range []string{mpr.UnitName, neighbor.UnitName} {
+		if h := handle[interface{ Sensor() *neighbor.Sensor }](s, name); h != nil {
+			return h.Sensor().Table()
+		}
 	}
 	return nil
 }

@@ -3,11 +3,12 @@
 // forwarding service other protocols (OLSR's topology flooding, DYMO's
 // optimised-flooding variant) use to curb broadcast overhead.
 //
-// The MPR set is computed by a pluggable Calculator component — the default
-// is the greedy 2-hop-coverage heuristic of RFC 3626; the power-aware
-// variant (Mahfoudh & Minet) swaps in a calculator that weighs residual
-// battery, together with a hello handler that derives link costs from
-// transmission power.
+// Link sensing is the Neighbour Detection CF's: the MPR CF builds, reads
+// and expires its HELLOs with a neighbor.Sensor and adds its willingness,
+// its relay flags and its selector set. The MPR set is computed by a
+// pluggable Calculator component — the default is the greedy
+// 2-hop-coverage heuristic of RFC 3626; the power-aware variant (Mahfoudh &
+// Minet) swaps in a calculator that weighs residual battery.
 package mpr
 
 import (
@@ -112,10 +113,10 @@ func (s *State) Willingness() uint8 {
 type MPR struct {
 	proto *core.Protocol
 	state *State
+	links *neighbor.Sensor
 
-	mu       sync.Mutex
-	calc     Calculator
-	helloSeq uint16
+	mu   sync.Mutex
+	calc Calculator
 }
 
 // New builds an MPR CF (name defaults to UnitName). It beacons on the
@@ -126,9 +127,11 @@ func New(name string) *MPR {
 	if name == "" {
 		name = UnitName
 	}
+	st := NewState()
 	m := &MPR{
 		proto: core.NewProtocol(name),
-		state: NewState(),
+		state: st,
+		links: neighbor.NewSensor(st.Links),
 		calc:  NewGreedyCalculator(),
 	}
 
@@ -177,6 +180,9 @@ func (m *MPR) Protocol() *core.Protocol { return m.proto }
 // State returns the S element value.
 func (m *MPR) State() *State { return m.state }
 
+// Sensor returns the link-sensing core the MPR CF runs on.
+func (m *MPR) Sensor() *neighbor.Sensor { return m.links }
+
 // Flooder returns the F element's flooding service.
 func (m *MPR) Flooder() *Flooder { return &Flooder{m: m} }
 
@@ -213,106 +219,35 @@ func (m *MPR) emitHello(ctx *core.Context) {
 	})
 }
 
-// BuildHello assembles the MPR beacon: the neighbour list with link-status
-// TLVs plus the ATLVMPR flag on selected relays and the node's willingness.
+// BuildHello assembles the MPR beacon: the node's willingness, then the
+// sensed neighbours with the ATLVMPR flag on selected relays.
 func (m *MPR) BuildHello(self mnet.Addr) *packetbb.Message {
 	st := m.state
-	m.mu.Lock()
-	m.helloSeq++
-	seq := m.helloSeq
-	m.mu.Unlock()
-	msg := &packetbb.Message{
-		Type:       packetbb.MsgHello,
-		Originator: self,
-		HopLimit:   1,
-		SeqNum:     seq,
-		TLVs: []packetbb.TLV{
-			{Type: packetbb.TLVWillingness, Value: packetbb.U8(st.Willingness())},
-		},
-	}
-	nbs := st.Links.Neighbors()
-	if len(nbs) == 0 {
-		return msg
-	}
 	st.mu.Lock()
-	selected := make(map[mnet.Addr]bool, len(st.selected))
-	for a := range st.selected {
-		selected[a] = true
-	}
-	st.mu.Unlock()
-
-	blk := packetbb.AddrBlock{}
-	for _, nb := range nbs {
-		blk.Addrs = append(blk.Addrs, nb.Addr)
-	}
-	for i, nb := range nbs {
-		status := packetbb.LinkStatusHeard
-		if nb.Status == neighbor.StatusSymmetric {
-			status = packetbb.LinkStatusSymmetric
-		}
-		blk.TLVs = append(blk.TLVs, packetbb.AddrTLV{
-			Type:       packetbb.ATLVLinkStatus,
-			IndexStart: uint8(i),
-			IndexStop:  uint8(i),
-			Value:      packetbb.U8(status),
-		})
-		if selected[nb.Addr] {
-			blk.TLVs = append(blk.TLVs, packetbb.AddrTLV{
-				Type:       packetbb.ATLVMPR,
-				IndexStart: uint8(i),
-				IndexStop:  uint8(i),
-			})
-		}
-	}
-	msg.AddrBlocks = append(msg.AddrBlocks, blk)
-	return msg
+	defer st.mu.Unlock()
+	tlvs := []packetbb.TLV{{Type: packetbb.TLVWillingness, Value: packetbb.U8(st.willingness)}}
+	return m.links.Hello(self, tlvs, func(a mnet.Addr) bool { return st.selected[a] })
 }
 
 func (m *MPR) onHello(ctx *core.Context, ev *event.Event) error {
-	if ev.Msg == nil {
+	h, ok := m.links.Receive(ctx, ev)
+	if !ok {
 		return nil
 	}
 	m.state.helloRx.Add(1)
-	src := ev.Msg.Originator
-	if src.IsUnspecified() {
-		src = ev.Src
-	}
-	listsUs, will, syms := neighbor.ParseHello(ev.Msg, ctx.Node())
-	prev := m.state.Links.Observe(src, listsUs, will, syms, ctx.Clock().Now())
-
-	// Did the sender select us as a relay?
-	selectedUs := false
-	for bi := range ev.Msg.AddrBlocks {
-		blk := &ev.Msg.AddrBlocks[bi]
-		for i, a := range blk.Addrs {
-			if a != ctx.Node() {
-				continue
-			}
-			if _, ok := blk.AddrTLVFor(packetbb.ATLVMPR, i); ok {
-				selectedUs = true
-			}
-		}
-	}
 	m.state.mu.Lock()
-	changedSel := m.state.selectors[src] != selectedUs
-	if selectedUs {
-		m.state.selectors[src] = true
+	changedSel := m.state.selectors[h.Addr] != h.RelaysUs
+	if h.RelaysUs {
+		m.state.selectors[h.Addr] = true
 	} else {
-		delete(m.state.selectors, src)
+		delete(m.state.selectors, h.Addr)
 	}
 	m.state.mu.Unlock()
 
-	cur, _ := m.state.Links.Get(src)
-	if prev == 0 || prev == neighbor.StatusLost {
-		ctx.Emit(&event.Event{
-			Type:  event.NhoodChange,
-			Nhood: &event.NhoodPayload{Kind: event.NeighborAppeared, Neighbor: src, TwoHopVia: cur.TwoHop},
-		})
-	} else if prev == neighbor.StatusHeard && cur.Status == neighbor.StatusSymmetric {
-		ctx.Emit(&event.Event{
-			Type:  event.NhoodChange,
-			Nhood: &event.NhoodPayload{Kind: event.NeighborSymmetric, Neighbor: src, TwoHopVia: cur.TwoHop},
-		})
+	if h.Prev == 0 || h.Prev == neighbor.StatusLost {
+		neighbor.Notify(ctx, event.NeighborAppeared, h.Addr, h.TwoHop)
+	} else if h.Prev == neighbor.StatusHeard && h.Status == neighbor.StatusSymmetric {
+		neighbor.Notify(ctx, event.NeighborSymmetric, h.Addr, h.TwoHop)
 	}
 	m.recompute(ctx, changedSel)
 	return nil
@@ -336,22 +271,15 @@ func (m *MPR) onPower(ctx *core.Context, ev *event.Event) error {
 }
 
 func (m *MPR) sweep(ctx *core.Context) {
-	now := ctx.Clock().Now()
-	lost := m.state.Links.Expire(now.Add(-neighbor.HoldTime))
-	for _, nb := range lost {
+	lost := m.links.Sweep(ctx, func(nb mnet.Addr) {
 		m.state.mu.Lock()
 		delete(m.state.selectors, nb)
 		m.state.mu.Unlock()
-		ctx.Emit(&event.Event{
-			Type:  event.NhoodChange,
-			Nhood: &event.NhoodPayload{Kind: event.NeighborLost, Neighbor: nb},
-		})
-	}
-	m.state.Links.Drop(now.Add(-3 * neighbor.HoldTime))
+	})
 	m.state.mu.Lock()
-	m.state.dupes.Sweep(now, reactive.DupHold, nil)
+	m.state.dupes.Sweep(ctx.Clock().Now(), reactive.DupHold, nil)
 	m.state.mu.Unlock()
-	if len(lost) > 0 {
+	if lost > 0 {
 		m.recompute(ctx, false)
 	}
 }

@@ -36,10 +36,9 @@ const (
 // from the generic machinery, maintaining 1- and 2-hop neighbour state.
 type Detector struct {
 	proto *core.Protocol
-	table *Table
+	links *Sensor
 
 	mu       sync.Mutex
-	helloSeq uint16
 	piggyOut map[uint8]func() []byte
 	piggyIn  map[uint8]func(src mnet.Addr, value []byte)
 }
@@ -54,7 +53,7 @@ func New(name string) *Detector {
 	}
 	d := &Detector{
 		proto:    core.NewProtocol(name),
-		table:    NewTable(),
+		links:    NewSensor(NewTable()),
 		piggyOut: make(map[uint8]func() []byte),
 		piggyIn:  make(map[uint8]func(mnet.Addr, []byte)),
 	}
@@ -62,7 +61,7 @@ func New(name string) *Detector {
 		Required: []event.Requirement{{Type: event.HelloIn}, {Type: event.LinkBreak}},
 		Provided: []event.Type{event.HelloOut, event.NhoodChange},
 	})
-	if err := d.proto.SetState(core.NewStateComponent("state", d.table)); err != nil {
+	if err := d.proto.SetState(core.NewStateComponent("state", d.links.Table())); err != nil {
 		panic(err) // fresh protocol: cannot conflict
 	}
 	d.proto.Provide("INeighbourState", d)
@@ -87,7 +86,10 @@ func New(name string) *Detector {
 func (d *Detector) Protocol() *core.Protocol { return d.proto }
 
 // Table returns the neighbour-state S element value.
-func (d *Detector) Table() *Table { return d.table }
+func (d *Detector) Table() *Table { return d.links.Table() }
+
+// Sensor returns the link-sensing core the detector runs on.
+func (d *Detector) Sensor() *Sensor { return d.links }
 
 // Piggyback registers a producer whose bytes ride along every outgoing
 // HELLO as a message TLV of the given type (§4.3's dissemination service,
@@ -106,24 +108,12 @@ func (d *Detector) OnPiggyback(tlvType uint8, consume func(src mnet.Addr, value 
 	d.piggyIn[tlvType] = consume
 }
 
-// BuildHello assembles this node's HELLO message: the neighbour list with
-// per-address link-status TLVs, willingness, and piggybacked TLVs. Exported
-// for reuse by the MPR CF, which extends the same beacon with relay
-// selection.
+// BuildHello assembles this node's HELLO message: willingness, validity
+// time and the piggybacked TLVs, then the sensed neighbours.
 func (d *Detector) BuildHello(self mnet.Addr) *packetbb.Message {
-	d.mu.Lock()
-	d.helloSeq++
-	seq := d.helloSeq
-	d.mu.Unlock()
-	msg := &packetbb.Message{
-		Type:       packetbb.MsgHello,
-		Originator: self,
-		HopLimit:   1,
-		SeqNum:     seq,
-		TLVs: []packetbb.TLV{
-			{Type: packetbb.TLVWillingness, Value: packetbb.U8(WillDefault)},
-			{Type: packetbb.TLVValidityTime, Value: packetbb.U32(uint32(HoldTime / time.Millisecond))},
-		},
+	tlvs := []packetbb.TLV{
+		{Type: packetbb.TLVWillingness, Value: packetbb.U8(WillDefault)},
+		{Type: packetbb.TLVValidityTime, Value: packetbb.U32(uint32(HoldTime / time.Millisecond))},
 	}
 	d.mu.Lock()
 	types := make([]int, 0, len(d.piggyOut))
@@ -133,32 +123,11 @@ func (d *Detector) BuildHello(self mnet.Addr) *packetbb.Message {
 	sort.Ints(types)
 	for _, tp := range types {
 		if v := d.piggyOut[uint8(tp)](); v != nil {
-			msg.TLVs = append(msg.TLVs, packetbb.TLV{Type: uint8(tp), Value: v})
+			tlvs = append(tlvs, packetbb.TLV{Type: uint8(tp), Value: v})
 		}
 	}
 	d.mu.Unlock()
-
-	nbs := d.table.Neighbors()
-	if len(nbs) > 0 {
-		blk := packetbb.AddrBlock{}
-		for _, nb := range nbs {
-			blk.Addrs = append(blk.Addrs, nb.Addr)
-		}
-		for i, nb := range nbs {
-			status := packetbb.LinkStatusHeard
-			if nb.Status == StatusSymmetric {
-				status = packetbb.LinkStatusSymmetric
-			}
-			blk.TLVs = append(blk.TLVs, packetbb.AddrTLV{
-				Type:       packetbb.ATLVLinkStatus,
-				IndexStart: uint8(i),
-				IndexStop:  uint8(i),
-				Value:      packetbb.U8(status),
-			})
-		}
-		msg.AddrBlocks = append(msg.AddrBlocks, blk)
-	}
-	return msg
+	return d.links.Hello(self, tlvs, nil)
 }
 
 func (d *Detector) emitHello(ctx *core.Context) {
@@ -169,73 +138,21 @@ func (d *Detector) emitHello(ctx *core.Context) {
 	})
 }
 
-// ParseHello extracts the sender's view from a HELLO: whether it lists us
-// as heard/symmetric, its willingness, and its symmetric neighbour set.
-// Exported for reuse by the MPR CF's power-aware hello handler.
-func ParseHello(msg *packetbb.Message, self mnet.Addr) (listsUs bool, willingness uint8, symNeighbors []mnet.Addr) {
-	willingness = WillDefault
-	if tlv, ok := msg.FindTLV(packetbb.TLVWillingness); ok {
-		if w, err := packetbb.ParseU8(tlv.Value); err == nil {
-			willingness = w
-		}
-	}
-	for bi := range msg.AddrBlocks {
-		blk := &msg.AddrBlocks[bi]
-		for i, a := range blk.Addrs {
-			st := packetbb.LinkStatusHeard
-			if tlv, ok := blk.AddrTLVFor(packetbb.ATLVLinkStatus, i); ok {
-				if v, err := packetbb.ParseU8(tlv.Value); err == nil {
-					st = v
-				}
-			}
-			if a == self {
-				if st == packetbb.LinkStatusSymmetric || st == packetbb.LinkStatusHeard {
-					listsUs = true
-				}
-				continue
-			}
-			if st == packetbb.LinkStatusSymmetric {
-				symNeighbors = append(symNeighbors, a)
-			}
-		}
-	}
-	return listsUs, willingness, symNeighbors
-}
-
 func (d *Detector) onHello(ctx *core.Context, ev *event.Event) error {
-	if ev.Msg == nil {
+	h, ok := d.links.Receive(ctx, ev)
+	if !ok {
 		return nil
 	}
-	src := ev.Msg.Originator
-	if src.IsUnspecified() {
-		src = ev.Src
-	}
-	listsUs, will, syms := ParseHello(ev.Msg, ctx.Node())
-	prev := d.table.Observe(src, listsUs, will, syms, ctx.Clock().Now())
-	cur, _ := d.table.Get(src)
-
 	switch {
-	case prev == 0 || prev == StatusLost:
-		ctx.Emit(&event.Event{
-			Type:  event.NhoodChange,
-			Nhood: &event.NhoodPayload{Kind: event.NeighborAppeared, Neighbor: src, TwoHopVia: cur.TwoHop},
-		})
-		if cur.Status == StatusSymmetric {
-			ctx.Emit(&event.Event{
-				Type:  event.NhoodChange,
-				Nhood: &event.NhoodPayload{Kind: event.NeighborSymmetric, Neighbor: src, TwoHopVia: cur.TwoHop},
-			})
+	case h.Prev == 0 || h.Prev == StatusLost:
+		Notify(ctx, event.NeighborAppeared, h.Addr, h.TwoHop)
+		if h.Status == StatusSymmetric {
+			Notify(ctx, event.NeighborSymmetric, h.Addr, h.TwoHop)
 		}
-	case prev == StatusHeard && cur.Status == StatusSymmetric:
-		ctx.Emit(&event.Event{
-			Type:  event.NhoodChange,
-			Nhood: &event.NhoodPayload{Kind: event.NeighborSymmetric, Neighbor: src, TwoHopVia: cur.TwoHop},
-		})
+	case h.Prev == StatusHeard && h.Status == StatusSymmetric:
+		Notify(ctx, event.NeighborSymmetric, h.Addr, h.TwoHop)
 	default:
-		ctx.Emit(&event.Event{
-			Type:  event.NhoodChange,
-			Nhood: &event.NhoodPayload{Kind: event.TwoHopChanged, Neighbor: src, TwoHopVia: cur.TwoHop},
-		})
+		Notify(ctx, event.TwoHopChanged, h.Addr, h.TwoHop)
 	}
 
 	// Piggyback consumers.
@@ -247,7 +164,7 @@ func (d *Detector) onHello(ctx *core.Context, ev *event.Event) error {
 	d.mu.Unlock()
 	for _, tlv := range ev.Msg.TLVs {
 		if fn, ok := consumers[tlv.Type]; ok {
-			fn(src, tlv.Value)
+			fn(h.Addr, tlv.Value)
 		}
 	}
 	return nil
@@ -257,23 +174,10 @@ func (d *Detector) onLinkBreak(ctx *core.Context, ev *event.Event) error {
 	if ev.Route == nil || ev.Route.NextHop.IsUnspecified() {
 		return nil
 	}
-	if d.table.MarkLost(ev.Route.NextHop) {
-		ctx.Emit(&event.Event{
-			Type:  event.NhoodChange,
-			Nhood: &event.NhoodPayload{Kind: event.NeighborLost, Neighbor: ev.Route.NextHop},
-		})
+	if d.links.Table().MarkLost(ev.Route.NextHop) {
+		Notify(ctx, event.NeighborLost, ev.Route.NextHop, nil)
 	}
 	return nil
 }
 
-func (d *Detector) sweep(ctx *core.Context) {
-	now := ctx.Clock().Now()
-	lost := d.table.Expire(now.Add(-HoldTime))
-	for _, nb := range lost {
-		ctx.Emit(&event.Event{
-			Type:  event.NhoodChange,
-			Nhood: &event.NhoodPayload{Kind: event.NeighborLost, Neighbor: nb},
-		})
-	}
-	d.table.Drop(now.Add(-3 * HoldTime))
-}
+func (d *Detector) sweep(ctx *core.Context) { d.links.Sweep(ctx, nil) }

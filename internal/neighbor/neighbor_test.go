@@ -109,15 +109,15 @@ func TestHelloRoundTripThroughCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	// From 10.0.0.2's perspective: it is listed -> link is at least heard.
-	listsUs, will, syms := ParseHello(back, addr("10.0.0.2"))
-	if !listsUs || will != 3 {
-		t.Fatalf("listsUs=%v will=%d", listsUs, will)
+	listsUs, relaysUs, will, syms := ParseHello(back, addr("10.0.0.2"))
+	if !listsUs || relaysUs || will != 3 {
+		t.Fatalf("listsUs=%v relaysUs=%v will=%d", listsUs, relaysUs, will)
 	}
 	if len(syms) != 0 { // only 10.0.0.2 itself is symmetric in the hello
 		t.Fatalf("syms = %v", syms)
 	}
 	// A third party sees 10.0.0.2 as the sender's symmetric neighbour.
-	_, _, syms = ParseHello(back, addr("10.0.0.9"))
+	_, _, _, syms = ParseHello(back, addr("10.0.0.9"))
 	if len(syms) != 1 || syms[0] != addr("10.0.0.2") {
 		t.Fatalf("third-party syms = %v", syms)
 	}

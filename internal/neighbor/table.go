@@ -3,7 +3,8 @@
 // nodes one and two hops away, notifies co-deployed protocols of link
 // breaks via NHOOD_CHANGE events, supports pluggable sensing mechanisms
 // (HELLO-based or link-layer feedback), and offers a piggybacking service
-// for disseminating information on its periodic beacons.
+// for disseminating information on its periodic beacons. Its link-sensing
+// core (Sensor) is also the MPR CF's.
 package neighbor
 
 import (
