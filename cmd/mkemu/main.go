@@ -51,6 +51,7 @@ import (
 	_ "expvar"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -98,19 +99,11 @@ func main() {
 		return
 	}
 
-	var tracer *manetkit.Tracer
-	if *traceOut != "" || *showPaths {
-		tracer = manetkit.NewTracer(epoch, 0)
-	}
-	// The telemetry bus carries the live /stream/* endpoints and the
-	// flight recorder. Spans can only stream if a tracer exists, so a bus
-	// implies one.
+	// The telemetry bus is the one recorder: the spans behind -trace and
+	// -paths, the -record dump and the live /stream/* endpoints.
 	var bus *telemetry.Bus
-	if *recordOut != "" || *httpAddr != "" {
-		bus = telemetry.New(telemetry.Config{Epoch: epoch})
-		if tracer == nil {
-			tracer = manetkit.NewTracer(epoch, 0)
-		}
+	if *traceOut != "" || *showPaths || *recordOut != "" || *httpAddr != "" {
+		bus = manetkit.NewTelemetryBus(epoch)
 	}
 	insp := introspection{graphOut: *graphOut, healthOut: *healthOut, showPaths: *showPaths}
 	if *httpAddr != "" {
@@ -124,11 +117,11 @@ func main() {
 
 	var err error
 	if *chaos != "" {
-		err = runChaos(*proto, *chaos, *nodes, *seed, *traffic, tracer, bus, insp)
+		err = runChaos(*proto, *chaos, *nodes, *seed, *traffic, bus, insp)
 	} else {
 		err = run(*nodes, *topology, *proto, *duration, *traffic,
 			*fisheye, *multipath, *mobility, *seed, *loss, *showMetrics, *httpAddr != "",
-			tracer, bus, *sample, insp)
+			bus, *sample, insp)
 	}
 	// Close the bus first so every /stream/* consumer sees a clean end of
 	// stream, then snapshot the recorder.
@@ -136,8 +129,8 @@ func main() {
 	if err == nil && bus != nil && *recordOut != "" {
 		err = writeDump(bus, *recordOut)
 	}
-	if err == nil && tracer != nil && *traceOut != "" {
-		err = writeTrace(tracer, *traceOut)
+	if err == nil && *traceOut != "" {
+		err = writeTrace(bus, *traceOut)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mkemu: %v\n", err)
@@ -161,29 +154,35 @@ func writeFile(path, kind, content string) error {
 	return nil
 }
 
-// printPaths renders the reconstructed causal packet paths from the trace.
-func printPaths(tracer *manetkit.Tracer) {
-	paths := manetkit.CorrelatePaths(tracer.Spans())
+// printPaths renders the reconstructed causal packet paths from the
+// recorded spans.
+func printPaths(bus *telemetry.Bus) {
+	paths := manetkit.CorrelatePaths(bus.Spans())
 	fmt.Printf("paths:   %d correlated messages\n", len(paths))
 	fmt.Print(manetkit.RenderPacketPaths(paths, 20))
 }
 
-// writeTrace dumps the recorded spans as JSONL and prints the trace
-// fingerprint (stable across runs with the same seed).
-func writeTrace(tracer *manetkit.Tracer, path string) error {
+// create writes the file at path with write.
+func create(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tracer.WriteJSONL(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
+	return f.Close()
+}
+
+// writeTrace dumps the recorded spans as JSONL and prints the trace
+// fingerprint (stable across runs with the same seed).
+func writeTrace(bus *telemetry.Bus, path string) error {
+	if err := create(path, bus.WriteSpans); err != nil {
 		return err
 	}
 	fmt.Printf("trace:   %d spans -> %s (fingerprint %s, %d evicted)\n",
-		tracer.Len(), path, tracer.Fingerprint(), tracer.Dropped())
+		len(bus.Spans()), path, bus.SpanFingerprint(), bus.SpansDropped())
 	return nil
 }
 
@@ -191,15 +190,7 @@ func writeTrace(tracer *manetkit.Tracer, path string) error {
 // fingerprint — byte-identical for the same seed at any GOMAXPROCS.
 func writeDump(bus *telemetry.Bus, path string) error {
 	events := bus.Events()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteEvents(f, events); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := create(path, func(w io.Writer) error { return telemetry.WriteEvents(w, events) }); err != nil {
 		return err
 	}
 	fmt.Printf("record:  %d events -> %s (fingerprint %s, %d evicted)\n",
@@ -227,14 +218,13 @@ func replayDump(path string) error {
 // runChaos executes one scripted fault scenario and reports whether the
 // protocol invariants held. Violations exit non-zero.
 func runChaos(proto, scenario string, nodes int, seed int64, traffic int,
-	tracer *manetkit.Tracer, bus *telemetry.Bus, insp introspection) error {
+	bus *telemetry.Bus, insp introspection) error {
 	report, err := harness.RunChaos(harness.ChaosConfig{
 		Proto:     proto,
 		Scenario:  scenario,
 		Nodes:     nodes,
 		Seed:      seed,
 		Traffic:   traffic,
-		Tracer:    tracer,
 		Telemetry: bus,
 	})
 	if err != nil {
@@ -254,8 +244,8 @@ func runChaos(proto, scenario string, nodes int, seed int64, traffic int,
 			return err
 		}
 	}
-	if insp.showPaths && tracer != nil {
-		printPaths(tracer)
+	if insp.showPaths {
+		printPaths(bus)
 	}
 	if !report.OK() {
 		return fmt.Errorf("%d invariant violations", len(report.Violations)+len(report.SeqViolations))
@@ -265,7 +255,7 @@ func runChaos(proto, scenario string, nodes int, seed int64, traffic int,
 
 func run(nodes int, topology, proto string, duration time.Duration, traffic int,
 	fisheye, multipath, mobility bool, seed int64, loss float64,
-	showMetrics, serveHTTP bool, tracer *manetkit.Tracer, bus *telemetry.Bus,
+	showMetrics, serveHTTP bool, bus *telemetry.Bus,
 	sample time.Duration, insp introspection) error {
 	if nodes < 2 {
 		return fmt.Errorf("need at least 2 nodes")
@@ -280,18 +270,14 @@ func run(nodes int, topology, proto string, duration time.Duration, traffic int,
 			reg.PublishExpvar("manetkit")
 		}
 	}
-	if tracer != nil {
-		net.SetTracer(tracer)
-		reg.Attach(tracer.ReadMetrics)
-	}
 	if bus != nil {
-		telemetry.AttachEngine(bus, net)
-		telemetry.AttachTracer(bus, tracer)
+		net.SetTelemetry(bus)
+		reg.Attach(bus.ReadMetrics)
 	}
 	addrs := manetkit.Addrs(nodes)
-	journal := manetkit.NewRewireJournal(epoch)
+	journal := manetkit.NewRewireJournal(epoch, bus)
 	stacks, err := manetkit.NewStacks(net, addrs, manetkit.StackOptions{
-		Metrics: reg, Tracer: tracer, Journal: journal,
+		Metrics: reg, Telemetry: bus, Journal: journal,
 	})
 	if err != nil {
 		return err
@@ -337,13 +323,11 @@ func run(nodes int, topology, proto string, duration time.Duration, traffic int,
 	}
 	fmt.Printf("deployed %s on %d nodes (%s topology)\n", proto, nodes, topology)
 
-	monitor := manetkit.NewHealthMonitor(epoch, reg)
+	monitor := manetkit.NewHealthMonitor(epoch, reg, bus)
 	for _, s := range stacks {
 		monitor.Watch(manetkit.HealthTarget{Mgr: s.Manager(), Tables: s.RouteTables()})
 	}
 	if bus != nil {
-		telemetry.AttachJournal(bus, journal)
-		telemetry.AttachHealth(bus, monitor)
 		sampler := telemetry.NewSampler(bus, reg, clk, sample)
 		sampler.Start()
 		defer func() {
@@ -360,7 +344,7 @@ func run(nodes int, topology, proto string, duration time.Duration, traffic int,
 		clk.AfterFunc(5*time.Second, healthTick)
 	}
 	if serveHTTP {
-		serveIntrospection(http.DefaultServeMux, stacks, monitor, clk, tracer)
+		serveIntrospection(http.DefaultServeMux, stacks, monitor, clk, bus)
 	}
 
 	if mobility {
@@ -454,8 +438,8 @@ func run(nodes int, topology, proto string, duration time.Duration, traffic int,
 			return err
 		}
 	}
-	if insp.showPaths && tracer != nil {
-		printPaths(tracer)
+	if insp.showPaths {
+		printPaths(bus)
 	}
 	return nil
 }
@@ -488,7 +472,7 @@ func composition(proto string, fisheye bool, nodes int) []manetkit.FamilySpec {
 // endpoints on mux. Every accessor behind them is mutex-guarded, so they
 // serve while the emulation advances.
 func serveIntrospection(mux *http.ServeMux, stacks []*manetkit.Stack, monitor *manetkit.HealthMonitor,
-	clk *manetkit.VirtualClock, tracer *manetkit.Tracer) {
+	clk *manetkit.VirtualClock, bus *telemetry.Bus) {
 	mux.HandleFunc("/graph", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, manetkit.CaptureArch(stacks...).DOT())
 	})
@@ -496,11 +480,11 @@ func serveIntrospection(mux *http.ServeMux, stacks []*manetkit.Stack, monitor *m
 		fmt.Fprint(w, monitor.Check(clk.Now()).String())
 	})
 	mux.HandleFunc("/paths", func(w http.ResponseWriter, r *http.Request) {
-		if tracer == nil {
+		if bus == nil {
 			http.Error(w, "tracing disabled: run mkemu with -trace or -paths", http.StatusNotFound)
 			return
 		}
-		fmt.Fprint(w, manetkit.RenderPacketPaths(manetkit.CorrelatePaths(tracer.Spans()), 50))
+		fmt.Fprint(w, manetkit.RenderPacketPaths(manetkit.CorrelatePaths(bus.Spans()), 50))
 	})
 }
 

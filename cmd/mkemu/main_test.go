@@ -10,19 +10,20 @@ import (
 	"time"
 
 	"manetkit"
+	"manetkit/internal/telemetry"
 )
 
 // emulation stands up a converged 3-node line composed as -proto asks and
 // serves its introspection endpoints on a fresh mux.
-func emulation(t *testing.T, proto string, tracer *manetkit.Tracer) *http.ServeMux {
+func emulation(t *testing.T, proto string, bus *telemetry.Bus) *http.ServeMux {
 	t.Helper()
 	clk := manetkit.NewVirtualClock(epoch)
 	net := manetkit.NewNetwork(clk, 1)
-	if tracer != nil {
-		net.SetTracer(tracer)
+	if bus != nil {
+		net.SetTelemetry(bus)
 	}
 	addrs := manetkit.Addrs(3)
-	stacks, err := manetkit.NewStacks(net, addrs, manetkit.StackOptions{Tracer: tracer})
+	stacks, err := manetkit.NewStacks(net, addrs, manetkit.StackOptions{Telemetry: bus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func emulation(t *testing.T, proto string, tracer *manetkit.Tracer) *http.ServeM
 	if err := manetkit.BuildLine(net, addrs, manetkit.DefaultQuality()); err != nil {
 		t.Fatal(err)
 	}
-	monitor := manetkit.NewHealthMonitor(epoch, nil)
+	monitor := manetkit.NewHealthMonitor(epoch, nil, bus)
 	for _, s := range stacks {
 		if err := s.Compose(composition(proto, false, len(addrs))...); err != nil {
 			t.Fatal(err)
@@ -43,7 +44,7 @@ func emulation(t *testing.T, proto string, tracer *manetkit.Tracer) *http.ServeM
 	}
 	clk.Advance(5 * time.Second)
 	mux := http.NewServeMux()
-	serveIntrospection(mux, stacks, monitor, clk, tracer)
+	serveIntrospection(mux, stacks, monitor, clk, bus)
 	return mux
 }
 
@@ -87,11 +88,11 @@ func TestHealthReturnsAReport(t *testing.T) {
 
 func TestPathsNeedTracing(t *testing.T) {
 	if rec := get(emulation(t, "dymo", nil), "/paths"); rec.Code != http.StatusNotFound {
-		t.Fatalf("/paths without a tracer = %d %q, want 404", rec.Code, rec.Body.String())
+		t.Fatalf("/paths without a bus = %d %q, want 404", rec.Code, rec.Body.String())
 	}
-	rec := get(emulation(t, "dymo", manetkit.NewTracer(epoch, 0)), "/paths")
+	rec := get(emulation(t, "dymo", manetkit.NewTelemetryBus(epoch)), "/paths")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "10.0.0.1 -> 10.0.0.2") {
-		t.Fatalf("/paths with a tracer = %d %q", rec.Code, rec.Body.String())
+		t.Fatalf("/paths with a bus = %d %q", rec.Code, rec.Body.String())
 	}
 }
 
@@ -100,7 +101,7 @@ func TestPathsNeedTracing(t *testing.T) {
 func TestBothWithFisheyeRunComposesOnce(t *testing.T) {
 	dot := filepath.Join(t.TempDir(), "arch.dot")
 	if err := run(4, "line", "both", 30*time.Second, 2, true, false, false, 1, 0,
-		false, false, nil, nil, time.Second, introspection{graphOut: dot}); err != nil {
+		false, false, nil, time.Second, introspection{graphOut: dot}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(dot)
@@ -117,5 +118,30 @@ func TestBothWithFisheyeRunComposesOnce(t *testing.T) {
 	}
 	if strings.Contains(got, "neighbor-detection") {
 		t.Error("DYMO deployed a private Neighbour Detection CF beside the shared MPR CF")
+	}
+}
+
+// TestRecordCoversDeployment: the recorder of a plain run holds every
+// node's first System-CF rebind span (span seq 0 on) and the journal
+// entries of the protocol deploys, because every producer publishes to
+// the bus from its construction on.
+func TestRecordCoversDeployment(t *testing.T) {
+	bus := manetkit.NewTelemetryBus(epoch)
+	if err := run(3, "line", "dymo", 6*time.Second, 1, false, false, false, 1, 0,
+		false, false, bus, time.Second, introspection{}); err != nil {
+		t.Fatal(err)
+	}
+	bus.Close()
+	if spans := bus.Spans(); len(spans) == 0 || spans[0].Seq != 0 || spans[0].Kind != telemetry.KindRebind {
+		t.Fatalf("first recorded span %+v, want seq 0, the first node's rebind", spans[:min(len(spans), 1)])
+	}
+	deploys := 0
+	for _, ev := range bus.Events() {
+		if ev.Stream == telemetry.StreamJournal && strings.HasPrefix(ev.Kind, "deploy:") {
+			deploys++
+		}
+	}
+	if deploys < 3 {
+		t.Fatalf("recorder holds %d deploy journal entries, want one per node at least", deploys)
 	}
 }

@@ -472,7 +472,7 @@ func emitEntry(fn *types.Func) (string, bool) {
 }
 
 // sinkCall reports callees that feed order-sensitive deterministic outputs:
-// telemetry publishes, trace records, NDJSON/stream encoders, hashes and
+// telemetry publishes and span records, NDJSON/stream encoders, hashes and
 // writer-directed formatting.
 func sinkCall(fn *types.Func) (string, bool) {
 	pkg := fn.Pkg()
@@ -483,10 +483,8 @@ func sinkCall(fn *types.Func) (string, bool) {
 	if recv != nil {
 		switch {
 		case pkgIs(recv.Obj().Pkg(), "telemetry") && recv.Obj().Name() == "Bus" &&
-			(fn.Name() == "Publish" || fn.Name() == "PublishAt"):
+			(fn.Name() == "Publish" || fn.Name() == "PublishAt" || fn.Name() == "Record"):
 			return "(telemetry.Bus)." + fn.Name(), true
-		case pkgIs(recv.Obj().Pkg(), "trace") && recv.Obj().Name() == "Tracer" && fn.Name() == "Record":
-			return "(trace.Tracer).Record", true
 		case recv.Obj().Pkg() != nil && recv.Obj().Pkg().Path() == "encoding/json" &&
 			recv.Obj().Name() == "Encoder" && fn.Name() == "Encode":
 			return "(json.Encoder).Encode", true

@@ -18,10 +18,10 @@ import (
 //     it returns map-order-tainted data — unless a sort.* / slices.* call
 //     cleared the taint first.
 //
-// Sinks are matched directly (telemetry.Bus.Publish/PublishAt,
-// trace.Tracer.Record, json.Encoder.Encode, io.Writer.Write — which covers
-// hash.Hash — bufio writers, io.WriteString, fmt.Fprint*) and transitively
-// through fact summaries, so a helper that forwards into a sink counts.
+// Sinks are matched directly (telemetry.Bus.Publish/PublishAt/Record,
+// json.Encoder.Encode, io.Writer.Write — which covers hash.Hash — bufio
+// writers, io.WriteString, fmt.Fprint*) and transitively through fact
+// summaries, so a helper that forwards into a sink counts.
 // Sorted iteration (collect keys, sort, then emit) passes by construction
 // because the sink sits outside the map-range body and the sorted slice's
 // taint is cleared.

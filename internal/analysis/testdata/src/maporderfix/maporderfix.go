@@ -10,11 +10,20 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
+
+	"telemetry"
 )
 
 func emitEachUnsorted(w io.Writer, m map[string]int) {
 	for k, v := range m {
 		fmt.Fprintf(w, "%s=%d\n", k, v) // want "fmt.Fprintf inside range over map: per-iteration output order is the random map order"
+	}
+}
+
+func recordEachUnsorted(b *telemetry.Bus, now time.Time, nodes map[string]bool) {
+	for n := range nodes {
+		b.Record(now, telemetry.Span{Node: n}) // want "\\(telemetry.Bus\\).Record inside range over map: per-iteration output order is the random map order"
 	}
 }
 

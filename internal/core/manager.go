@@ -15,7 +15,7 @@ import (
 	"manetkit/internal/mnet"
 	"manetkit/internal/pool"
 	"manetkit/internal/queue"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
@@ -66,9 +66,9 @@ type Config struct {
 	// and collects latency histograms (shared across a whole cluster). Nil
 	// disables metrics at the cost of one nil check per dispatch.
 	Metrics *metrics.Registry
-	// Tracer, when non-nil, records structured dispatch spans stamped with
-	// the deployment clock. Nil disables tracing.
-	Tracer *trace.Tracer
+	// Telemetry, when non-nil, receives structured dispatch spans stamped
+	// with the deployment clock. Nil, or a dormant bus, records nothing.
+	Telemetry *telemetry.Bus
 }
 
 // ManagerStats counts framework activity.
@@ -224,7 +224,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		units:    make(map[string]*unitRec),
 		typeIdx:  make(map[event.Type]int),
 		poolSize: cfg.PoolSize,
-		obs:      newManagerObs(cfg.Node, cfg.Metrics, cfg.Tracer),
+		obs:      newManagerObs(cfg.Node, cfg.Metrics, cfg.Telemetry),
 		metrics:  cfg.Metrics,
 	}
 	m.model.Store(uint32(cfg.Model))
@@ -351,7 +351,7 @@ func (m *Manager) Deploy(u Unit) error {
 		metrics:  m.metrics,
 	}
 	if m.obs != nil {
-		env.tracer = m.obs.tracer
+		env.bus = m.obs.bus
 	}
 	u.Attach(env)
 
@@ -524,9 +524,9 @@ func (m *Manager) rewireLocked() {
 		if m.obs.rewireLat != nil {
 			m.obs.rewireLat.Observe(m.clk.Now().Sub(rewireStart))
 		}
-		if m.obs.tracer != nil {
-			m.obs.tracer.Record(m.clk.Now(), trace.Span{
-				Node: m.obs.nodeStr, Kind: trace.KindRebind, QDepth: len(m.plan.Load().byType),
+		if m.obs.bus.Active() {
+			m.obs.bus.Record(m.clk.Now(), telemetry.Span{
+				Node: m.obs.nodeStr, Kind: telemetry.KindRebind, QDepth: len(m.plan.Load().byType),
 			})
 		}
 	}
@@ -586,11 +586,8 @@ func (m *Manager) emit(rec *unitRec, ev *event.Event) {
 	if rec != nil {
 		from = rec.name
 	}
-	if m.obs != nil && m.obs.tracer != nil {
-		m.obs.tracer.Record(m.clk.Now(), trace.Span{
-			Node: m.obs.nodeStr, Kind: trace.KindEmit,
-			Event: string(ev.Type), From: from, Corr: ev.Corr,
-		})
+	if m.tracing() {
+		m.span(telemetry.KindEmit, from, "", ev, 0)
 	}
 	m.stats.emitted.Add(1)
 	targets := m.plan.Load().targets(rec, ev.Type)
@@ -608,14 +605,24 @@ func (m *Manager) emit(rec *unitRec, ev *event.Event) {
 	}
 }
 
+// tracing reports whether a span recorded now would be kept: one nil
+// check and, with a bus, one atomic load. Span sites test it before they
+// read the clock or build the span.
+func (m *Manager) tracing() bool { return m.obs != nil && m.obs.bus.Active() }
+
+// span records one dispatch-path span about ev; call it behind tracing.
+func (m *Manager) span(kind, from, to string, ev *event.Event, qdepth int) {
+	m.obs.bus.Record(m.clk.Now(), telemetry.Span{
+		Node: m.obs.nodeStr, Kind: kind, Event: string(ev.Type),
+		From: from, To: to, Corr: ev.Corr, QDepth: qdepth,
+	})
+}
+
 // dropEvent accounts one undeliverable event.
 func (m *Manager) dropEvent(from string, ev *event.Event) {
 	m.stats.dropped.Add(1)
-	if m.obs != nil && m.obs.tracer != nil {
-		m.obs.tracer.Record(m.clk.Now(), trace.Span{
-			Node: m.obs.nodeStr, Kind: trace.KindDrop,
-			Event: string(ev.Type), From: from, Corr: ev.Corr,
-		})
+	if m.tracing() {
+		m.span(telemetry.KindDrop, from, "", ev, 0)
 	}
 }
 
@@ -624,11 +631,8 @@ func (m *Manager) dropEvent(from string, ev *event.Event) {
 // releases its hold.
 func (m *Manager) refuse(from string, rec *unitRec, ev *event.Event) {
 	m.stats.dropped.Add(1)
-	if m.obs != nil && m.obs.tracer != nil {
-		m.obs.tracer.Record(m.clk.Now(), trace.Span{
-			Node: m.obs.nodeStr, Kind: trace.KindDrop,
-			Event: string(ev.Type), From: from, To: rec.name, Corr: ev.Corr,
-		})
+	if m.tracing() {
+		m.span(telemetry.KindDrop, from, rec.name, ev, 0)
 	}
 	ev.Release()
 }
@@ -655,11 +659,8 @@ func (m *Manager) accountAcceptErr(u Unit, ev *event.Event, err error) {
 		return
 	}
 	m.stats.dropped.Add(1)
-	if m.obs != nil && m.obs.tracer != nil {
-		m.obs.tracer.Record(m.clk.Now(), trace.Span{
-			Node: m.obs.nodeStr, Kind: trace.KindDrop,
-			Event: string(ev.Type), To: u.Name(), Corr: ev.Corr,
-		})
+	if m.tracing() {
+		m.span(telemetry.KindDrop, "", u.Name(), ev, 0)
 	}
 }
 
@@ -691,22 +692,14 @@ func (m *Manager) deliverSingleThreaded(from string, targets []*unitRec, ev *eve
 			if !d.enqueue(ev) {
 				m.stats.dropped.Add(1)
 				ev.Release()
-			} else if m.obs != nil && m.obs.tracer != nil {
-				m.obs.tracer.Record(m.clk.Now(), trace.Span{
-					Node: m.obs.nodeStr, Kind: trace.KindDispatch,
-					Event: string(ev.Type), From: from, To: rec.unit.Name(),
-					Corr: ev.Corr, QDepth: d.q.Len(),
-				})
+			} else if m.tracing() {
+				m.span(telemetry.KindDispatch, from, rec.unit.Name(), ev, d.q.Len())
 			}
 			continue
 		}
 		m.inlineQ.Push(inlineDelivery{rec: rec, ev: ev})
-		if m.obs != nil && m.obs.tracer != nil {
-			m.obs.tracer.Record(m.clk.Now(), trace.Span{
-				Node: m.obs.nodeStr, Kind: trace.KindDispatch,
-				Event: string(ev.Type), From: from, To: rec.unit.Name(),
-				Corr: ev.Corr, QDepth: m.inlineQ.Len(),
-			})
+		if m.tracing() {
+			m.span(telemetry.KindDispatch, from, rec.unit.Name(), ev, m.inlineQ.Len())
 		}
 	}
 	if m.draining {
@@ -737,16 +730,12 @@ func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Mode
 	m.stats.delivered.Add(1)
 	ev.Hold()
 	dedicated := rec.dedicated.Load()
-	if m.obs != nil && m.obs.tracer != nil {
+	if m.tracing() {
 		qdepth := 0
 		if dedicated != nil {
 			qdepth = dedicated.q.Len()
 		}
-		m.obs.tracer.Record(m.clk.Now(), trace.Span{
-			Node: m.obs.nodeStr, Kind: trace.KindDispatch,
-			Event: string(ev.Type), From: from, To: rec.unit.Name(),
-			Corr: ev.Corr, QDepth: qdepth,
-		})
+		m.span(telemetry.KindDispatch, from, rec.unit.Name(), ev, qdepth)
 	}
 
 	if dedicated != nil {

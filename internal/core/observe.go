@@ -4,19 +4,21 @@ package core
 // Protocol is constructed/attached, and kept as plain pointers so the hot
 // paths (emit, deliver, Accept) never touch the registry. Counts are not
 // instruments: the registry reads them from ManagerStats and the units'
-// own Stats. When both the metrics registry and the tracer are disabled
-// the bundle itself is nil, making the entire instrumented path a single
-// nil check — the property the overhead guard test pins down.
+// own Stats. When both the metrics registry and the telemetry bus are
+// absent the bundle itself is nil, making the entire instrumented path a
+// single nil check — the property the overhead guard test pins down. A
+// span site tests the bus's Active (one atomic load) before it reads the
+// clock or builds the span.
 
 import (
 	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 )
 
 // managerObs is the Framework Manager's instrument bundle.
 type managerObs struct {
-	tracer  *trace.Tracer
+	bus     *telemetry.Bus
 	nodeStr string
 
 	rewireLat  *metrics.Histogram // wall time to re-derive the topology
@@ -24,12 +26,12 @@ type managerObs struct {
 }
 
 // newManagerObs returns nil when observability is fully disabled.
-func newManagerObs(node mnet.Addr, reg *metrics.Registry, tr *trace.Tracer) *managerObs {
-	if reg == nil && tr == nil {
+func newManagerObs(node mnet.Addr, reg *metrics.Registry, bus *telemetry.Bus) *managerObs {
+	if reg == nil && bus == nil {
 		return nil
 	}
 	return &managerObs{
-		tracer:     tr,
+		bus:        bus,
 		nodeStr:    node.String(),
 		rewireLat:  reg.Histogram("core_rewire_latency"),
 		ticketWait: reg.Histogram("core_ticket_wait"),
@@ -38,18 +40,18 @@ func newManagerObs(node mnet.Addr, reg *metrics.Registry, tr *trace.Tracer) *man
 
 // protoObs is a Protocol's instrument bundle, rebuilt on every Attach.
 type protoObs struct {
-	tracer     *trace.Tracer
+	bus        *telemetry.Bus
 	nodeStr    string
 	handlerLat *metrics.Histogram // wall time per handler invocation
 }
 
 // newProtoObs returns nil when the deployment carries no observability.
 func newProtoObs(env *Env) *protoObs {
-	if env == nil || (env.metrics == nil && env.tracer == nil) {
+	if env == nil || (env.metrics == nil && env.bus == nil) {
 		return nil
 	}
 	return &protoObs{
-		tracer:     env.tracer,
+		bus:        env.bus,
 		nodeStr:    env.Node.String(),
 		handlerLat: env.metrics.Histogram("core_handler_latency"),
 	}

@@ -9,31 +9,31 @@ import (
 	"manetkit/internal/event"
 	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
 // newObservedMgr builds a manager with metrics and tracing enabled.
-func newObservedMgr(t *testing.T, model Model) (*Manager, *metrics.Registry, *trace.Tracer) {
+func newObservedMgr(t *testing.T, model Model) (*Manager, *metrics.Registry, *telemetry.Bus) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	tr := trace.New(epoch, 1<<12)
+	bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: 1 << 12})
 	m, err := NewManager(Config{
-		Node:    mnet.MustParseAddr("10.0.0.1"),
-		Clock:   vclock.NewVirtual(epoch),
-		Model:   model,
-		Metrics: reg,
-		Tracer:  tr,
+		Node:      mnet.MustParseAddr("10.0.0.1"),
+		Clock:     vclock.NewVirtual(epoch),
+		Model:     model,
+		Metrics:   reg,
+		Telemetry: bus,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(m.Close)
-	return m, reg, tr
+	return m, reg, bus
 }
 
 func TestObservedDispatchCountsAndTraces(t *testing.T) {
-	m, reg, tr := newObservedMgr(t, SingleThreaded)
+	m, reg, bus := newObservedMgr(t, SingleThreaded)
 	prov := newRecorder(t, "provider", event.Tuple{Provided: []event.Type{event.TCOut}})
 	req := newRecorder(t, "requirer", event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}})
 	for _, p := range []*Protocol{prov.p, req.p} {
@@ -57,19 +57,19 @@ func TestObservedDispatchCountsAndTraces(t *testing.T) {
 	}
 
 	var emits, dispatches, handles int
-	for _, s := range tr.Spans() {
+	for _, s := range bus.Spans() {
 		switch s.Kind {
-		case trace.KindEmit:
+		case telemetry.KindEmit:
 			emits++
 			if s.Node != "10.0.0.1" || s.Event != string(event.TCOut) {
 				t.Fatalf("bad emit span: %+v", s)
 			}
-		case trace.KindDispatch:
+		case telemetry.KindDispatch:
 			dispatches++
 			if s.From != "provider" || s.To != "requirer" {
 				t.Fatalf("bad dispatch span: %+v", s)
 			}
-		case trace.KindHandle:
+		case telemetry.KindHandle:
 			handles++
 			if s.To != "requirer" {
 				t.Fatalf("bad handle span: %+v", s)
@@ -82,7 +82,7 @@ func TestObservedDispatchCountsAndTraces(t *testing.T) {
 }
 
 func TestObservedDropOnUnroutedEvent(t *testing.T) {
-	m, reg, tr := newObservedMgr(t, SingleThreaded)
+	m, reg, bus := newObservedMgr(t, SingleThreaded)
 	prov := newRecorder(t, "provider", event.Tuple{Provided: []event.Type{event.TCOut}})
 	if err := m.Deploy(prov.p); err != nil {
 		t.Fatal(err)
@@ -92,8 +92,8 @@ func TestObservedDropOnUnroutedEvent(t *testing.T) {
 		t.Fatalf("core_dropped = %d, want 1", got)
 	}
 	var drops int
-	for _, s := range tr.Spans() {
-		if s.Kind == trace.KindDrop {
+	for _, s := range bus.Spans() {
+		if s.Kind == telemetry.KindDrop {
 			drops++
 		}
 	}
@@ -148,7 +148,7 @@ func TestObservedDedicatedQueueGauge(t *testing.T) {
 func TestDisabledObservabilityIsNil(t *testing.T) {
 	m, _ := newMgr(t, SingleThreaded)
 	if m.obs != nil {
-		t.Fatal("manager without metrics/tracer carries a non-nil obs bundle")
+		t.Fatal("manager without metrics/telemetry carries a non-nil obs bundle")
 	}
 	p := NewProtocol("p")
 	p.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}})
@@ -229,13 +229,13 @@ func TestObservabilityOverheadGuard(t *testing.T) {
 // tracing enabled — the CI-tracked companion number.
 func BenchmarkEmitDirectInstrumented(b *testing.B) {
 	reg := metrics.NewRegistry()
-	tr := trace.New(epoch, 1<<12)
+	bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: 1 << 12})
 	m, err := NewManager(Config{
-		Node:    mnet.MustParseAddr("10.0.0.1"),
-		Clock:   vclock.NewVirtual(epoch),
-		Model:   SingleThreaded,
-		Metrics: reg,
-		Tracer:  tr,
+		Node:      mnet.MustParseAddr("10.0.0.1"),
+		Clock:     vclock.NewVirtual(epoch),
+		Model:     SingleThreaded,
+		Metrics:   reg,
+		Telemetry: bus,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -9,7 +9,7 @@ import (
 	"manetkit/internal/event"
 	"manetkit/internal/mnet"
 	"manetkit/internal/pool"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
@@ -199,18 +199,18 @@ func TestBorrowedEventFailurePaths(t *testing.T) {
 // like one a closed pool refuses, is a counted, traced drop — so every
 // delivery is either handled or dropped.
 func TestCloseUnderPerNLeaksNothing(t *testing.T) {
-	newPerN := func(t *testing.T) (*Manager, *trace.Tracer) {
+	newPerN := func(t *testing.T) (*Manager, *telemetry.Bus) {
 		t.Helper()
-		tr := trace.New(epoch, 64)
-		m, err := NewManager(Config{Node: mnet.MustParseAddr("10.0.0.1"), Clock: vclock.NewVirtual(epoch), Model: PerN, Tracer: tr})
+		bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: 64})
+		m, err := NewManager(Config{Node: mnet.MustParseAddr("10.0.0.1"), Clock: vclock.NewVirtual(epoch), Model: PerN, Telemetry: bus})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m, tr
+		return m, bus
 	}
-	drops := func(tr *trace.Tracer) (n int) {
-		for _, s := range tr.Spans() {
-			if s.Kind == trace.KindDrop && s.To == "sink" {
+	drops := func(bus *telemetry.Bus) (n int) {
+		for _, s := range bus.Spans() {
+			if s.Kind == telemetry.KindDrop && s.To == "sink" {
 				n++
 			}
 		}
@@ -220,7 +220,7 @@ func TestCloseUnderPerNLeaksNothing(t *testing.T) {
 
 	t.Run("emit during close", func(t *testing.T) {
 		before := runtime.NumGoroutine()
-		m, tr := newPerN(t)
+		m, bus := newPerN(t)
 		started, release := make(chan struct{}), make(chan struct{})
 		relay := newCountingUnit(t, "relay", event.Tuple{
 			Provided: []event.Type{event.NoRoute},
@@ -249,9 +249,9 @@ func TestCloseUnderPerNLeaksNothing(t *testing.T) {
 
 		st := m.Stats()
 		handled := uint64(relay.accepted.Load() + sink.accepted.Load())
-		if st.Delivered != handled+st.Dropped || st.Dropped != 1 || drops(tr) != 1 {
+		if st.Delivered != handled+st.Dropped || st.Dropped != 1 || drops(bus) != 1 {
 			t.Errorf("delivered %d, handled %d, dropped %d (%d traced); want every delivery handled or dropped, the late one dropped",
-				st.Delivered, handled, st.Dropped, drops(tr))
+				st.Delivered, handled, st.Dropped, drops(bus))
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -263,7 +263,7 @@ func TestCloseUnderPerNLeaksNothing(t *testing.T) {
 	})
 
 	t.Run("closed pool refuses", func(t *testing.T) {
-		m, tr := newPerN(t)
+		m, bus := newPerN(t)
 		defer m.Close()
 		sink := newCountingUnit(t, "sink", sinkTuple, event.NoRoute, nil)
 		src := newRecorder(t, "src", event.Tuple{Provided: []event.Type{event.NoRoute}})
@@ -283,9 +283,9 @@ func TestCloseUnderPerNLeaksNothing(t *testing.T) {
 		ev := event.WithRoute(event.NoRoute, event.RoutePayload{PacketID: 2})
 		emitAs(m, "src", ev)
 		st := m.Stats()
-		if st.Delivered != uint64(sink.accepted.Load())+st.Dropped || st.Dropped != 1 || drops(tr) != 1 {
+		if st.Delivered != uint64(sink.accepted.Load())+st.Dropped || st.Dropped != 1 || drops(bus) != 1 {
 			t.Errorf("delivered %d, handled %d, dropped %d (%d traced); want the refused delivery dropped",
-				st.Delivered, sink.accepted.Load(), st.Dropped, drops(tr))
+				st.Delivered, sink.accepted.Load(), st.Dropped, drops(bus))
 		}
 		if !ev.Poisoned() {
 			t.Error("the refused delivery kept its hold")

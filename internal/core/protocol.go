@@ -11,7 +11,7 @@ import (
 	"manetkit/internal/event"
 	"manetkit/internal/kernel"
 	"manetkit/internal/mnet"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
@@ -627,12 +627,12 @@ func (p *Protocol) Stop() {
 func (p *Protocol) Started() bool { return p.running() }
 
 // Tracing reports whether the deployment this protocol is attached to
-// records trace spans — the gate for optional per-message work (such as
-// correlation-ID derivation) that only pays off when a tracer will see it.
-// Lock-free: hot paths consult it per message.
+// records trace spans right now — the gate for optional per-message work
+// (such as correlation-ID derivation) that only pays off when the bus will
+// see it. Lock-free: hot paths consult it per message.
 func (p *Protocol) Tracing() bool {
 	plan := p.plan.Load()
-	return plan != nil && plan.env.tracer != nil
+	return plan != nil && plan.env.bus.Active()
 }
 
 // Clock returns the deployment clock, or nil before the protocol is
@@ -720,9 +720,9 @@ func (p *Protocol) Accept(ev *event.Event) error {
 // returns, immediately followed by Errors on failure.
 func (p *Protocol) runHandler(plan *acceptPlan, h Handler, ev *event.Event, errs []error) []error {
 	obs := plan.obs
-	if obs != nil && obs.tracer != nil {
-		obs.tracer.Record(plan.env.Clock.Now(), trace.Span{
-			Node: obs.nodeStr, Kind: trace.KindHandle,
+	if obs != nil && obs.bus.Active() {
+		obs.bus.Record(plan.env.Clock.Now(), telemetry.Span{
+			Node: obs.nodeStr, Kind: telemetry.KindHandle,
 			Event: string(ev.Type), To: p.Name(), Handler: h.Name(),
 			Corr: ev.Corr,
 		})

@@ -9,7 +9,7 @@ import (
 
 	"manetkit/internal/event"
 	"manetkit/internal/mnet"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
@@ -139,11 +139,11 @@ func TestEmitReconfigureStress(t *testing.T) {
 // traced, not lost without a ledger entry. The plan is built white-box
 // because every public mutation immediately replans.
 func TestVanishedInterposerCountsDrop(t *testing.T) {
-	tr := trace.New(epoch, 1<<8)
+	bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: 1 << 8})
 	m, err := NewManager(Config{
-		Node:   mnet.MustParseAddr("10.0.0.1"),
-		Clock:  vclock.NewVirtual(epoch),
-		Tracer: tr,
+		Node:      mnet.MustParseAddr("10.0.0.1"),
+		Clock:     vclock.NewVirtual(epoch),
+		Telemetry: bus,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,8 +162,8 @@ func TestVanishedInterposerCountsDrop(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 1", st.Dropped)
 	}
 	var drops int
-	for _, s := range tr.Spans() {
-		if s.Kind == trace.KindDrop {
+	for _, s := range bus.Spans() {
+		if s.Kind == telemetry.KindDrop {
 			drops++
 			if s.From != "provider" || s.Event != string(event.TCOut) {
 				t.Fatalf("drop span misattributed: %+v", s)
@@ -180,11 +180,11 @@ func TestVanishedInterposerCountsDrop(t *testing.T) {
 // detached unit for a moment. Accept then reports ErrNotDeployed and the
 // manager must account the loss as a drop naming the vanished target.
 func TestStalePlanDeliveryToDetachedUnit(t *testing.T) {
-	tr := trace.New(epoch, 1<<8)
+	bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: 1 << 8})
 	m, err := NewManager(Config{
-		Node:   mnet.MustParseAddr("10.0.0.1"),
-		Clock:  vclock.NewVirtual(epoch),
-		Tracer: tr,
+		Node:      mnet.MustParseAddr("10.0.0.1"),
+		Clock:     vclock.NewVirtual(epoch),
+		Telemetry: bus,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,13 +213,13 @@ func TestStalePlanDeliveryToDetachedUnit(t *testing.T) {
 		t.Fatalf("Dropped = %d, want 1", st.Dropped)
 	}
 	found := false
-	for _, s := range tr.Spans() {
-		if s.Kind == trace.KindDrop && s.To == "requirer" {
+	for _, s := range bus.Spans() {
+		if s.Kind == telemetry.KindDrop && s.To == "requirer" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no drop span naming the detached target; spans: %+v", tr.Spans())
+		t.Fatalf("no drop span naming the detached target; spans: %+v", bus.Spans())
 	}
 	if got := req.events(); len(got) != 0 {
 		t.Fatalf("detached requirer still handled events: %v", got)

@@ -1,10 +1,8 @@
 package core_test
 
-// Telemetry overhead guard. This lives in an external test package on
-// purpose: core cannot import telemetry (telemetry -> inspect -> core),
-// so the proof that an attached-but-dormant bus costs nothing on the
-// dispatch path has to be made from outside the package boundary —
-// exactly where real callers stand.
+// Telemetry overhead guard, in the external test package so the proof
+// that an attached-but-dormant bus costs nothing on the dispatch path is
+// made where real callers stand.
 
 import (
 	"testing"
@@ -15,28 +13,22 @@ import (
 	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
 	"manetkit/internal/telemetry"
-	"manetkit/internal/trace"
 	"manetkit/internal/vclock"
 )
 
 var guardEpoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// instrumentedEmit benchmarks the provider->requirer dispatch of a fully
-// instrumented manager (metrics + tracing). When bus is non-nil it is
-// attached to the tracer first, modelling a deployment that carries the
-// streaming layer but has no live consumers.
+// instrumentedEmit benchmarks the provider->requirer dispatch of a
+// manager with metrics and the given bus (nil for none) — a non-nil bus
+// models a deployment that carries the streaming layer but has no live
+// consumers.
 func instrumentedEmit(b *testing.B, bus *telemetry.Bus) {
-	reg := metrics.NewRegistry()
-	tr := trace.New(guardEpoch, 1<<12)
-	if bus != nil {
-		telemetry.AttachTracer(bus, tr)
-	}
 	m, err := core.NewManager(core.Config{
-		Node:    mnet.MustParseAddr("10.0.0.1"),
-		Clock:   vclock.NewVirtual(guardEpoch),
-		Model:   core.SingleThreaded,
-		Metrics: reg,
-		Tracer:  tr,
+		Node:      mnet.MustParseAddr("10.0.0.1"),
+		Clock:     vclock.NewVirtual(guardEpoch),
+		Model:     core.SingleThreaded,
+		Metrics:   metrics.NewRegistry(),
+		Telemetry: bus,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -60,10 +52,10 @@ func instrumentedEmit(b *testing.B, bus *telemetry.Bus) {
 	}
 }
 
-// TestTelemetryOverheadGuard: attaching a telemetry bus with no recorder
-// and no subscribers to an instrumented node must not change the dispatch
-// cost — same allocations, and ns/op within noise (the dormant path is
-// one atomic load behind the tracer's observer hook).
+// TestTelemetryOverheadGuard: handing an instrumented node a telemetry bus
+// with no recorder and no subscribers must not change the dispatch cost
+// against no bus at all — same allocations, and ns/op within noise (each
+// span site is one atomic load on the dormant bus).
 func TestTelemetryOverheadGuard(t *testing.T) {
 	bus := telemetry.New(telemetry.Config{Epoch: guardEpoch, RecorderCapacity: -1})
 	defer bus.Close()

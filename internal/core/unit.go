@@ -22,7 +22,7 @@ import (
 	"manetkit/internal/kernel"
 	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
@@ -64,10 +64,10 @@ type Env struct {
 	// re-derives the topology when the unit's tuple changes.
 	mgr *Manager
 	rec *unitRec
-	// metrics and tracer carry the Manager's observability sinks into the
+	// metrics and bus carry the Manager's observability sinks into the
 	// deployed units; both are nil when observability is disabled.
 	metrics *metrics.Registry
-	tracer  *trace.Tracer
+	bus     *telemetry.Bus
 }
 
 // Metrics returns the deployment's metrics registry (nil when disabled; a
@@ -79,12 +79,12 @@ func (e *Env) Metrics() *metrics.Registry { return e.metrics }
 // tracing is enabled and the event carries a PacketBB message without an
 // explicit correlation ID (forwarded or received messages), the ID is
 // derived here from the message identity so every span downstream carries
-// it; the tracer gate keeps the disabled path allocation-free.
+// it; the bus's Active gate keeps the dormant path allocation-free.
 func (e *Env) Emit(ev *event.Event) {
 	if ev.Time.IsZero() {
 		ev.Time = e.Clock.Now()
 	}
-	if e.tracer != nil && ev.Corr == "" && ev.Msg != nil {
+	if ev.Corr == "" && ev.Msg != nil && e.bus.Active() {
 		ev.Corr = ev.Msg.CorrID()
 	}
 	e.mgr.emit(e.rec, ev)

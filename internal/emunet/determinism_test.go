@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"manetkit/internal/mnet"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
@@ -100,15 +100,15 @@ func TestDeterministicReplay(t *testing.T) {
 // alters medium behaviour.
 const goldenFrameFingerprint = "75004474acac8156"
 
-// frameTraceRun repeats the seed-7 chaos run with the structured tracer on
-// the medium and returns the tracer.
-func frameTraceRun(t *testing.T, seed int64) *trace.Tracer {
+// frameTraceRun repeats the seed-7 chaos run with a recording bus on
+// the medium and returns the bus.
+func frameTraceRun(t *testing.T, seed int64) *telemetry.Bus {
 	t.Helper()
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
 	net := New(clk, seed)
-	tr := trace.New(epoch, 0)
-	net.SetTracer(tr)
+	bus := telemetry.New(telemetry.Config{Epoch: epoch})
+	net.SetTelemetry(bus)
 	addrs := Addrs(4)
 	q := DefaultQuality()
 	q.Loss = 0.2
@@ -138,26 +138,26 @@ func frameTraceRun(t *testing.T, seed int64) *trace.Tracer {
 		}
 	}
 	clk.Advance(1200 * time.Millisecond)
-	return tr
+	return bus
 }
 
 // TestGoldenFrameTrace pins the frame-level span stream of the faulty
 // seed-7 run to a committed fingerprint: the structured-trace analogue of
 // TestDeterministicReplay, sensitive to delivery *order* as well as counts.
 func TestGoldenFrameTrace(t *testing.T) {
-	tr := frameTraceRun(t, 7)
-	if tr.Len() == 0 {
+	bus := frameTraceRun(t, 7)
+	if len(bus.Spans()) == 0 {
 		t.Fatal("empty frame trace")
 	}
-	if tr.Dropped() != 0 {
-		t.Fatalf("trace evicted %d spans", tr.Dropped())
+	if bus.SpansDropped() != 0 {
+		t.Fatalf("trace evicted %d spans", bus.SpansDropped())
 	}
-	if got := tr.Fingerprint(); got != goldenFrameFingerprint {
+	if got := bus.SpanFingerprint(); got != goldenFrameFingerprint {
 		t.Errorf("frame trace fingerprint = %s, want %s (%d spans)\n"+
 			"If this change intentionally alters medium behaviour, update goldenFrameFingerprint.",
-			got, goldenFrameFingerprint, tr.Len())
+			got, goldenFrameFingerprint, len(bus.Spans()))
 	}
-	if got2 := frameTraceRun(t, 7).Fingerprint(); got2 != tr.Fingerprint() {
-		t.Fatalf("same-seed frame traces diverged: %s vs %s", tr.Fingerprint(), got2)
+	if got2 := frameTraceRun(t, 7).SpanFingerprint(); got2 != bus.SpanFingerprint() {
+		t.Fatalf("same-seed frame traces diverged: %s vs %s", bus.SpanFingerprint(), got2)
 	}
 }

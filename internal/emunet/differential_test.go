@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"manetkit/internal/mnet"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
@@ -25,13 +25,13 @@ type medium func(vclock.Clock, int64) *Network
 // workload: lossy line, partition+crash+corrupt+duplicate+reorder plan,
 // scripted beacons and unicasts) on the given medium and returns everything
 // a protocol or test could observe.
-func chaosObservables(t *testing.T, seed int64, mk medium) (Stats, []string, []string, []trace.Span, string) {
+func chaosObservables(t *testing.T, seed int64, mk medium) (Stats, []string, []string, []telemetry.Span, string) {
 	t.Helper()
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
 	net := mk(clk, seed)
-	tr := trace.New(epoch, 0)
-	net.SetTracer(tr)
+	bus := telemetry.New(telemetry.Config{Epoch: epoch})
+	net.SetTelemetry(bus)
 	addrs := Addrs(4)
 	q := DefaultQuality()
 	q.Loss = 0.2
@@ -73,7 +73,7 @@ func chaosObservables(t *testing.T, seed int64, mk medium) (Stats, []string, []s
 		}
 	}
 	clk.Advance(1200 * time.Millisecond)
-	return net.Stats(), inj.Log(), rxLog, tr.Spans(), tr.Fingerprint()
+	return net.Stats(), inj.Log(), rxLog, bus.Spans(), bus.SpanFingerprint()
 }
 
 // diffSeq reports the first position where two logs (or span streams)

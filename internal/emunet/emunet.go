@@ -23,7 +23,7 @@ import (
 	"time"
 
 	"manetkit/internal/mnet"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
@@ -156,11 +156,6 @@ type Network struct {
 	// is only touched under mu, and nothing send calls while holding mu
 	// sends again.
 	targets []neighborLink
-
-	// epochObs, when set, receives one EpochStats per committed engine
-	// epoch, on the clock goroutine, outside the network mutex. Unused on
-	// the reference path (which has no epochs).
-	epochObs func(EpochStats)
 }
 
 // New creates an empty medium on the given clock, running the discrete-
@@ -382,16 +377,6 @@ func (n *Network) Stats() Stats {
 	return n.stats
 }
 
-// SetEpochObserver installs fn to receive one EpochStats per committed
-// engine epoch — the streaming bus's engine feed. fn runs on the clock
-// goroutine, after the epoch's deliveries, outside the network mutex; it
-// never fires on the reference path. Pass nil to remove.
-func (n *Network) SetEpochObserver(fn func(EpochStats)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.epochObs = fn
-}
-
 // EngineStats returns the event core's cumulative epoch telemetry. ok is
 // false on the reference path, which has no epochs.
 func (n *Network) EngineStats() (EngineStats, bool) {
@@ -438,9 +423,9 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 	txTap := n.txTap
 	n.stats.TxFrames++
 	n.stats.TxBytes += uint64(len(payload))
-	if n.obs != nil && n.obs.tracer != nil {
-		n.obs.tracer.Record(now, trace.Span{
-			Node: src.String(), Kind: trace.KindFrameTx,
+	if n.obs != nil && n.obs.bus.Active() {
+		n.obs.bus.Record(now, telemetry.Span{
+			Node: src.String(), Kind: telemetry.KindFrameTx,
 			To: traceTo(dst), Corr: corr, Bytes: len(payload),
 		})
 	}
@@ -456,9 +441,9 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 			return false
 		}
 		n.stats.DroppedLoss++
-		if n.obs != nil && n.obs.tracer != nil {
-			n.obs.tracer.Record(now, trace.Span{
-				Node: src.String(), Kind: trace.KindFrameDrop,
+		if n.obs != nil && n.obs.bus.Active() {
+			n.obs.bus.Record(now, telemetry.Span{
+				Node: src.String(), Kind: telemetry.KindFrameDrop,
 				Event: "loss", To: nl.to.String(), Corr: corr, Bytes: len(payload),
 			})
 		}
@@ -475,9 +460,9 @@ func (n *Network) send(src mnet.Addr, dst mnet.Addr, payload []byte, device, cor
 		nic, attached := n.nodes[dst]
 		if !ok || !attached {
 			n.stats.DroppedNoLink++
-			if n.obs != nil && n.obs.tracer != nil {
-				n.obs.tracer.Record(now, trace.Span{
-					Node: src.String(), Kind: trace.KindFrameDrop,
+			if n.obs != nil && n.obs.bus.Active() {
+				n.obs.bus.Record(now, telemetry.Span{
+					Node: src.String(), Kind: telemetry.KindFrameDrop,
 					Event: "no-link", To: dst.String(), Corr: corr, Bytes: len(payload),
 				})
 			}
@@ -629,9 +614,9 @@ func (c *NIC) sendWithFeedback(dst mnet.Addr, payload []byte, corr string, cb fu
 	txTap := n.txTap
 	n.stats.TxFrames++
 	n.stats.TxBytes += uint64(len(payload))
-	if n.obs != nil && n.obs.tracer != nil {
-		n.obs.tracer.Record(now, trace.Span{
-			Node: c.addr.String(), Kind: trace.KindFrameTx,
+	if n.obs != nil && n.obs.bus.Active() {
+		n.obs.bus.Record(now, telemetry.Span{
+			Node: c.addr.String(), Kind: telemetry.KindFrameTx,
 			To: dst.String(), Corr: corr, Bytes: len(payload),
 		})
 	}
@@ -644,13 +629,13 @@ func (c *NIC) sendWithFeedback(dst mnet.Addr, payload []byte, corr string, cb fu
 		n.stats.DroppedLoss++
 		lost = true
 	}
-	if n.obs != nil && n.obs.tracer != nil && (!linked || !attached || lost) {
+	if n.obs != nil && n.obs.bus.Active() && (!linked || !attached || lost) {
 		reason := "no-link"
 		if lost {
 			reason = "loss"
 		}
-		n.obs.tracer.Record(now, trace.Span{
-			Node: c.addr.String(), Kind: trace.KindFrameDrop,
+		n.obs.bus.Record(now, telemetry.Span{
+			Node: c.addr.String(), Kind: telemetry.KindFrameDrop,
 			Event: reason, To: dst.String(), Corr: corr, Bytes: len(payload),
 		})
 	}
@@ -727,9 +712,9 @@ func (c *NIC) deliver(f Frame, now time.Time) {
 	if f.Corrupted {
 		n.stats.RxCorrupted++
 	}
-	if n.obs != nil && n.obs.tracer != nil {
-		n.obs.tracer.Record(now, trace.Span{
-			Node: c.addr.String(), Kind: trace.KindFrameRx,
+	if n.obs != nil && n.obs.bus.Active() {
+		n.obs.bus.Record(now, telemetry.Span{
+			Node: c.addr.String(), Kind: telemetry.KindFrameRx,
 			From: f.Src.String(), Corr: f.Corr, Bytes: len(f.Payload),
 		})
 	}

@@ -24,6 +24,7 @@ package emunet
 import (
 	"time"
 
+	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
@@ -33,9 +34,6 @@ import (
 // dependent may appear here, because epoch events land in the flight
 // recorder, whose fingerprint must be byte-identical across hosts.
 type EpochStats struct {
-	// Now is the virtual instant the epoch committed at (excluded from the
-	// JSON encoding; the bus stamps its own epoch-relative offset).
-	Now time.Time `json:"-"`
 	// Epoch is the 1-based epoch ordinal.
 	Epoch uint64 `json:"epoch"`
 	// Events is the batch size: frame deliveries plus MAC feedback events
@@ -201,7 +199,7 @@ func (e *engine) run() {
 		return
 	}
 	e.running = true
-	epochObs := n.epochObs
+	obs := n.obs // replaced whole by setObs, never mutated
 	n.mu.Unlock()
 
 	for _, d := range batch {
@@ -216,7 +214,7 @@ func (e *engine) run() {
 		}
 	}
 
-	es := EpochStats{Now: now, Events: len(batch), CommitLag: time.Duration(nowAt - batch[0].at)}
+	es := EpochStats{Events: len(batch), CommitLag: time.Duration(nowAt - batch[0].at)}
 	n.mu.Lock()
 	for i, d := range batch {
 		e.free = append(e.free, d)
@@ -231,11 +229,11 @@ func (e *engine) run() {
 	e.stats.MaxEpochEvents = max(e.stats.MaxEpochEvents, es.Events)
 	n.mu.Unlock()
 
-	// The epoch observer runs outside every lock, after the deliveries, on
+	// The epoch is published outside every lock, after the deliveries, on
 	// the clock goroutine — so bus events interleave deterministically with
 	// the spans the epoch just recorded.
-	if epochObs != nil {
-		epochObs(es)
+	if obs != nil && obs.bus.Active() {
+		obs.bus.Publish(now, telemetry.StreamEngine, "epoch", "", es)
 	}
 }
 

@@ -14,14 +14,13 @@ import (
 	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
 	"manetkit/internal/telemetry"
-	"manetkit/internal/trace"
 	"manetkit/internal/vclock"
 )
 
 // cliqueStorm drives a 12-node clique through one broadcast storm — every
 // node broadcasts at the same instant, so all 132 deliveries fall due
-// together and land in one epoch — with the engine feeding a bus, and
-// returns the bus's NDJSON dump, the network and its registry.
+// together and land in one epoch — with the medium publishing to a bus,
+// and returns the bus's NDJSON dump, the network and its registry.
 func cliqueStorm(t *testing.T) ([]byte, *emunet.Network, *metrics.Registry) {
 	t.Helper()
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -30,7 +29,7 @@ func cliqueStorm(t *testing.T) ([]byte, *emunet.Network, *metrics.Registry) {
 	reg := metrics.NewRegistry()
 	net.SetMetrics(reg)
 	bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: 1 << 10})
-	telemetry.AttachEngine(bus, net)
+	net.SetTelemetry(bus)
 
 	nodes := emunet.Addrs(12)
 	if err := emunet.BuildClique(net, nodes, emunet.DefaultQuality()); err != nil {
@@ -44,22 +43,37 @@ func cliqueStorm(t *testing.T) ([]byte, *emunet.Network, *metrics.Registry) {
 	}
 	clk.Advance(50 * time.Millisecond)
 	var dump bytes.Buffer
-	if err := bus.WriteNDJSON(&dump); err != nil {
-		t.Fatalf("WriteNDJSON: %v", err)
+	if err := telemetry.WriteEvents(&dump, bus.Events()); err != nil {
+		t.Fatalf("WriteEvents: %v", err)
 	}
 	bus.Close()
 	return dump.Bytes(), net, reg
 }
 
-// TestEpochObserverAndEngineCounters checks the per-epoch telemetry against
-// the engine's own cumulative counters and the metrics registry, and pins
-// the engine stream's schema: an epoch event carries exactly epoch, events,
-// commit_lag_ns and queue_depth.
+// TestEpochObserverAndEngineCounters checks the per-epoch events the
+// medium publishes against the engine's own cumulative counters and the
+// metrics registry, and pins the engine stream's schema: an epoch event
+// carries exactly epoch, events, commit_lag_ns and queue_depth, and
+// follows the frame-rx spans of its deliveries.
 func TestEpochObserverAndEngineCounters(t *testing.T) {
 	dump, net, reg := cliqueStorm(t)
-	events, err := telemetry.ReadEvents(bytes.NewReader(dump))
+	recorded, err := telemetry.ReadEvents(bytes.NewReader(dump))
 	if err != nil {
 		t.Fatalf("ReadEvents: %v", err)
+	}
+	var events []telemetry.Event
+	rxSpans := 0
+	for _, ev := range recorded {
+		if ev.Stream == telemetry.StreamSpans {
+			if ev.Kind == telemetry.KindFrameRx {
+				rxSpans++
+			}
+			continue
+		}
+		if len(events) == 0 && rxSpans != 132 {
+			t.Fatalf("first epoch event after %d frame-rx spans, want the storm's 132", rxSpans)
+		}
+		events = append(events, ev)
 	}
 	if len(events) == 0 {
 		t.Fatal("no epochs observed")
@@ -126,14 +140,15 @@ func TestEpochObserverAndEngineCounters(t *testing.T) {
 	}
 }
 
-// TestEpochObserverLegacyEngine: the reference path has no epochs; the
-// observer must simply never fire and EngineStats must say so.
+// TestEpochObserverLegacyEngine: the reference path has no epochs; it
+// must publish no engine event and EngineStats must say so.
 func TestEpochObserverLegacyEngine(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
 	net := emunet.NewReference(clk, 7)
-	fired := false
-	net.SetEpochObserver(func(emunet.EpochStats) { fired = true })
+	bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: -1})
+	sub := bus.Subscribe(8, telemetry.StreamEngine)
+	net.SetTelemetry(bus)
 	nodes := emunet.Addrs(2)
 	if err := emunet.BuildLine(net, nodes, emunet.DefaultQuality()); err != nil {
 		t.Fatal(err)
@@ -141,8 +156,9 @@ func TestEpochObserverLegacyEngine(t *testing.T) {
 	nic, _ := net.NIC(nodes[0])
 	_ = nic.Send(nodes[1], []byte("x"))
 	clk.Advance(10 * time.Millisecond)
-	if fired {
-		t.Fatal("epoch observer fired on the reference path")
+	bus.Close()
+	if st := sub.Stats(); st.Published != 0 {
+		t.Fatalf("%d engine events published on the reference path", st.Published)
 	}
 	if _, ok := net.EngineStats(); ok {
 		t.Fatal("EngineStats ok on the reference path")
@@ -174,12 +190,8 @@ func thousandNodeBusRun(t *testing.T) (string, emunet.EngineStats) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
 	net := emunet.New(clk, 1701)
-	tr := trace.New(epoch, 0)
-	net.SetTracer(tr)
-
 	bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: 1 << 17})
-	telemetry.AttachTracer(bus, tr)
-	telemetry.AttachEngine(bus, net)
+	net.SetTelemetry(bus)
 	engineSub := bus.Subscribe(1<<16, telemetry.StreamEngine) // ample: loses nothing
 	spansSub := bus.Subscribe(64, telemetry.StreamSpans)      // tiny: must drop, not stall
 	idleSub := bus.Subscribe(8, telemetry.StreamHealth)       // nothing flows here
@@ -227,7 +239,7 @@ func thousandNodeBusRun(t *testing.T) (string, emunet.EngineStats) {
 	bus.Close()
 
 	// Exact accounting, stream by stream.
-	spanTotal := uint64(tr.Len()) + tr.Dropped()
+	spanTotal := uint64(len(bus.Spans())) + bus.SpansDropped()
 	if st := spansSub.Stats(); st.Published != spanTotal {
 		t.Errorf("spans published %d, want every recorded span (%d)", st.Published, spanTotal)
 	} else if st.Published != st.Delivered+st.Dropped {

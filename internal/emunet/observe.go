@@ -3,38 +3,41 @@ package emunet
 import (
 	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 )
 
-// netObs bundles the medium's tracer and histogram, resolved once in
-// SetMetrics / SetTracer so the per-frame paths never consult the
+// netObs bundles the medium's telemetry bus and histogram, resolved once
+// in SetMetrics / SetTelemetry so the per-frame paths never consult the
 // registry. A nil bundle (observability disabled) costs one nil check per
-// frame. The medium's counts are not instruments: the registry reads them
-// from Stats and EngineStats (readMetrics).
+// frame, a dormant bus one atomic load more. The medium's counts are not
+// instruments: the registry reads them from Stats and EngineStats
+// (readMetrics).
 type netObs struct {
-	reg    *metrics.Registry
-	tracer *trace.Tracer
+	reg *metrics.Registry
+	bus *telemetry.Bus
 
 	linkDelay *metrics.Histogram // per-delivery scheduled link delay
 }
 
-func newNetObs(reg *metrics.Registry, tr *trace.Tracer) *netObs {
-	if reg == nil && tr == nil {
+func newNetObs(reg *metrics.Registry, bus *telemetry.Bus) *netObs {
+	if reg == nil && bus == nil {
 		return nil
 	}
-	return &netObs{reg: reg, tracer: tr, linkDelay: reg.Histogram("net_link_delay")}
+	return &netObs{reg: reg, bus: bus, linkDelay: reg.Histogram("net_link_delay")}
 }
 
 // SetMetrics attaches a metrics registry to the medium. Call it once,
 // before traffic starts.
 func (n *Network) SetMetrics(reg *metrics.Registry) {
-	n.setObs(reg, n.observer().tracer)
+	n.setObs(reg, n.observer().bus)
 	reg.Attach(n.readMetrics)
 }
 
-// SetTracer attaches a span tracer to the medium (nil detaches, unless a
-// metrics registry is still installed). Call before traffic starts.
-func (n *Network) SetTracer(tr *trace.Tracer) { n.setObs(n.observer().reg, tr) }
+// SetTelemetry hands the medium a telemetry bus (nil detaches, unless a
+// metrics registry is still installed): it records a span per frame sent,
+// dropped and delivered, and publishes one StreamEngine event per
+// committed engine epoch. Call before traffic starts.
+func (n *Network) SetTelemetry(b *telemetry.Bus) { n.setObs(n.observer().reg, b) }
 
 // observer returns a copy of the current bundle (empty when there is none).
 func (n *Network) observer() netObs {
@@ -46,10 +49,10 @@ func (n *Network) observer() netObs {
 	return *n.obs
 }
 
-// setObs installs the bundle for reg and tr. The registry reads the medium
+// setObs installs the bundle for reg and b. The registry reads the medium
 // under n.mu, so the bundle's histogram is resolved outside it.
-func (n *Network) setObs(reg *metrics.Registry, tr *trace.Tracer) {
-	obs := newNetObs(reg, tr)
+func (n *Network) setObs(reg *metrics.Registry, b *telemetry.Bus) {
+	obs := newNetObs(reg, b)
 	n.mu.Lock()
 	n.obs = obs
 	n.mu.Unlock()

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"manetkit/internal/mnet"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
@@ -30,8 +30,8 @@ func thousandNodeTrace(t *testing.T) (string, int, Stats) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
 	net := New(clk, 1701)
-	tr := trace.New(epoch, 0)
-	net.SetTracer(tr)
+	bus := telemetry.New(telemetry.Config{Epoch: epoch})
+	net.SetTelemetry(bus)
 	nodes := Addrs(n)
 	q := DefaultQuality()
 	q.Loss = 0.05
@@ -71,7 +71,7 @@ func thousandNodeTrace(t *testing.T) (string, int, Stats) {
 		}
 	}
 	clk.Advance(400 * time.Millisecond)
-	return tr.Fingerprint(), len(tr.Spans()), net.Stats()
+	return bus.SpanFingerprint(), len(bus.Spans()), net.Stats()
 }
 
 // TestThousandNodeReplayAcrossGOMAXPROCS: GOMAXPROCS=1 versus all CPUs, same

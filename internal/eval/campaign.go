@@ -11,8 +11,8 @@ import (
 	"manetkit/internal/inspect"
 	"manetkit/internal/invariant"
 	"manetkit/internal/system"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/testbed"
-	"manetkit/internal/trace"
 )
 
 // Campaign phase defaults. Warmup gives the proactive protocols time to
@@ -23,7 +23,7 @@ const (
 	DefaultWarmup   = 15 * time.Second
 	DefaultCooldown = 12 * time.Second
 
-	// campaignTraceCap sizes the per-cell span ring: large enough that no
+	// campaignTraceCap sizes the per-cell recorder: large enough that no
 	// span of a cell run is evicted, so path reconstruction sees every hop.
 	campaignTraceCap = 1 << 17
 
@@ -220,9 +220,9 @@ func CaptureControlCorpus(proto string, density Density, load Load, seed int64, 
 // runCell is RunCell plus an optional transmission observer chained onto
 // the campaign's own accounting tap.
 func runCell(proto string, density Density, load Load, seed int64, warmup, cooldown time.Duration, txObs func(emunet.Frame)) (SeedResult, error) {
-	tr := trace.New(testbed.Epoch, campaignTraceCap)
+	bus := telemetry.New(telemetry.Config{Epoch: testbed.Epoch, RecorderCapacity: campaignTraceCap})
 	c, err := testbed.New(density.Nodes, testbed.Options{
-		Seed: seed, Tracer: tr, LinkQuality: linkQuality(),
+		Seed: seed, Telemetry: bus, LinkQuality: linkQuality(),
 	})
 	if err != nil {
 		return SeedResult{}, err
@@ -292,7 +292,7 @@ func runCell(proto string, density Density, load Load, seed int64, warmup, coold
 	if total := res.CtrlTxBytes + res.DataTxBytes; total > 0 {
 		res.CtrlShare = float64(res.CtrlTxBytes) / float64(total)
 	}
-	res.HopMean, res.PathDrops = pathStats(tr, gen)
+	res.HopMean, res.PathDrops = pathStats(bus, gen)
 	res.TapFrames = watch.Frames()
 
 	violations := invariant.DefaultSuite().Run(harness.SnapshotFamilies(c, fams))
@@ -309,8 +309,8 @@ func runCell(proto string, density Density, load Load, seed int64, warmup, coold
 // of delivered data packets plus the frame drops their paths absorbed.
 // Reconstruction is cross-checked against the generator's own bookkeeping:
 // only packets the generator saw delivered contribute.
-func pathStats(tr *trace.Tracer, gen *generator) (hopMean float64, drops int) {
-	paths := inspect.Correlate(tr.Spans())
+func pathStats(bus *telemetry.Bus, gen *generator) (hopMean float64, drops int) {
+	paths := inspect.Correlate(bus.Spans())
 	var hops, matched int
 	for _, p := range paths {
 		if !strings.HasPrefix(p.Corr, "DATA:") {

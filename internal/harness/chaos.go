@@ -30,7 +30,6 @@ import (
 	"manetkit/internal/mnet"
 	"manetkit/internal/telemetry"
 	"manetkit/internal/testbed"
-	"manetkit/internal/trace"
 )
 
 // Chaos scenario names accepted by RunChaos.
@@ -64,17 +63,14 @@ type ChaosConfig struct {
 	// Traffic is the number of end-to-end data packets sent from the
 	// first node to the last across the fault window (default 7).
 	Traffic int
-	// Tracer, when non-nil, records structured spans from the whole run
-	// (mkemu -trace). It does not perturb the report: span recording is
-	// passive and the fingerprint covers only counters.
-	Tracer *trace.Tracer
-	// Telemetry, when non-nil, streams the run live: engine epochs, rewire
-	// journal entries, health transitions (checked every 5s of virtual
-	// time), metric deltas (sampled every 2s) and — when Tracer is also
-	// set — spans. The bus's epoch must be testbed.Epoch. Attaching a bus
-	// adds periodic health checks, so the report's final Health covers the
-	// last window rather than the whole run; everything fingerprinted
-	// stays untouched.
+	// Telemetry, when non-nil, records and streams the whole run: spans,
+	// engine epochs, rewire journal entries, health transitions (checked
+	// every 5s of virtual time) and metric deltas (sampled every 2s). The
+	// bus's epoch must be testbed.Epoch. Attaching a bus adds periodic
+	// health checks, so the report's final Health covers the last window
+	// rather than the whole run, and adds the recorder's evictions
+	// (trace_dropped_total) to the report's metrics; nothing else
+	// fingerprinted changes.
 	Telemetry *telemetry.Bus
 }
 
@@ -233,9 +229,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, err
 	}
 	reg := metrics.NewRegistry()
-	journal := inspect.NewJournal(testbed.Epoch)
+	journal := inspect.NewJournal(testbed.Epoch, cfg.Telemetry)
 	c, err := testbed.New(cfg.Nodes, testbed.Options{
-		Seed: cfg.Seed, Metrics: reg, Tracer: cfg.Tracer, Journal: journal,
+		Seed: cfg.Seed, Metrics: reg, Telemetry: cfg.Telemetry, Journal: journal,
 	})
 	if err != nil {
 		return nil, err
@@ -245,23 +241,16 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, err
 	}
 
-	monitor := inspect.NewMonitor(testbed.Epoch, reg)
+	monitor := inspect.NewMonitor(testbed.Epoch, reg, cfg.Telemetry)
 
-	// Streaming telemetry: every source feeds the bus, and two virtual-time
-	// loops (metric sampling, health checks) pace the continuous streams.
-	// All of it runs on the clock goroutine, so the recorded streams are as
-	// deterministic as the run itself. Attached before the deploys so the
-	// journal and span streams cover the deployment churn too.
+	// Streaming telemetry: every source publishes to the bus from its
+	// construction on, and two virtual-time loops (metric sampling, health
+	// checks) pace the continuous streams. All of it runs on the clock
+	// goroutine, so the recorded streams are as deterministic as the run
+	// itself.
 	var sampler *telemetry.Sampler
 	if cfg.Telemetry != nil {
-		b := cfg.Telemetry
-		telemetry.AttachEngine(b, c.Net)
-		telemetry.AttachJournal(b, journal)
-		telemetry.AttachHealth(b, monitor)
-		if cfg.Tracer != nil {
-			telemetry.AttachTracer(b, cfg.Tracer)
-		}
-		sampler = telemetry.NewSampler(b, reg, c.Clock, 2*time.Second)
+		sampler = telemetry.NewSampler(cfg.Telemetry, reg, c.Clock, 2*time.Second)
 		sampler.Start()
 		defer sampler.Stop()
 		var healthTick func()

@@ -36,7 +36,6 @@ import (
 	"manetkit/internal/metrics"
 	"manetkit/internal/telemetry"
 	"manetkit/internal/testbed"
-	"manetkit/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false,
@@ -53,19 +52,19 @@ type goldenFile struct {
 	Traces map[string]string `json:"traces"`
 	// StormMetrics is ChaosReport.Metrics at the end of the storm.
 	StormMetrics map[string]map[string]uint64 `json:"storm_metrics"`
-	// Recorders is the flight-recorder fingerprint of the same storm run
-	// with a tracer and a telemetry bus (and so a Sampler) attached.
+	// Recorders is the flight-recorder fingerprint of the same storm run,
+	// which has a telemetry bus (and so a Sampler) attached.
 	Recorders map[string]string `json:"recorders"`
 }
 
 // goldenTrace drives the canonical scripted run for one protocol family:
 // a 3-node line, 13s of convergence, one end-to-end data packet, then 10s
 // of settling — all traced.
-func goldenTrace(t *testing.T, proto string) *trace.Tracer {
+func goldenTrace(t *testing.T, proto string) *telemetry.Bus {
 	t.Helper()
-	tr := trace.New(testbed.Epoch, 0)
+	bus := telemetry.New(telemetry.Config{Epoch: testbed.Epoch})
 	c, err := testbed.New(3, testbed.Options{
-		Seed: 1, Tracer: tr, Metrics: metrics.NewRegistry(),
+		Seed: 1, Telemetry: bus, Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatalf("testbed.New: %v", err)
@@ -84,33 +83,31 @@ func goldenTrace(t *testing.T, proto string) *trace.Tracer {
 		t.Fatalf("SendData: %v", err)
 	}
 	c.Run(10 * time.Second)
-	return tr
+	return bus
 }
 
-// goldenStorm runs the storm for one family with a tracer and, when bus is
-// non-nil, the telemetry bus.
-func goldenStorm(t *testing.T, proto string, bus *telemetry.Bus) *ChaosReport {
+// goldenStorm runs the storm for one family with a telemetry bus, and
+// fails when the bus's recorder could not hold the whole run.
+func goldenStorm(t *testing.T, proto string) (*ChaosReport, *telemetry.Bus) {
 	t.Helper()
+	bus := telemetry.New(telemetry.Config{Epoch: testbed.Epoch})
+	defer bus.Close()
 	rep, err := RunChaos(ChaosConfig{
-		Proto: proto, Scenario: ScenarioStorm, Seed: goldenSeed,
-		Tracer: trace.New(testbed.Epoch, 1<<15), Telemetry: bus,
+		Proto: proto, Scenario: ScenarioStorm, Seed: goldenSeed, Telemetry: bus,
 	})
 	if err != nil {
 		t.Fatalf("RunChaos %s: %v", proto, err)
 	}
-	return rep
-}
-
-// goldenRecorder is the flight-recorder fingerprint of one bus-attached
-// storm.
-func goldenRecorder(t *testing.T, proto string) string {
-	t.Helper()
-	bus := telemetry.New(telemetry.Config{Epoch: testbed.Epoch})
-	defer bus.Close()
-	goldenStorm(t, proto, bus)
 	if n := bus.Evicted(); n != 0 {
 		t.Fatalf("recorder evicted %d events; the golden must cover the whole run", n)
 	}
+	return rep, bus
+}
+
+// goldenRecorder is the flight-recorder fingerprint of one storm.
+func goldenRecorder(t *testing.T, proto string) string {
+	t.Helper()
+	_, bus := goldenStorm(t, proto)
 	return bus.Fingerprint()
 }
 
@@ -166,9 +163,10 @@ func TestGoldenTraces(t *testing.T) {
 			Recorders:    map[string]string{},
 		}
 		for _, proto := range ChaosProtos() {
-			fresh.Traces[proto] = goldenTrace(t, proto).Fingerprint()
-			fresh.StormMetrics[proto] = goldenStorm(t, proto, nil).Metrics
-			fresh.Recorders[proto] = goldenRecorder(t, proto)
+			rep, bus := goldenStorm(t, proto)
+			fresh.Traces[proto] = goldenTrace(t, proto).SpanFingerprint()
+			fresh.StormMetrics[proto] = rep.Metrics
+			fresh.Recorders[proto] = bus.Fingerprint()
 		}
 		writeGoldens(t, fresh)
 		return
@@ -177,18 +175,19 @@ func TestGoldenTraces(t *testing.T) {
 	for _, proto := range goldenProtos(golden) {
 		proto, want := proto, golden[proto]
 		t.Run(proto, func(t *testing.T) {
-			tr := goldenTrace(t, proto)
-			if tr.Len() == 0 {
+			bus := goldenTrace(t, proto)
+			n := len(bus.Spans())
+			if n == 0 {
 				t.Fatal("empty trace")
 			}
-			if tr.Dropped() != 0 {
-				t.Fatalf("trace evicted %d spans; raise the capacity so the golden covers the whole run", tr.Dropped())
+			if bus.SpansDropped() != 0 {
+				t.Fatalf("trace evicted %d spans; raise the capacity so the golden covers the whole run", bus.SpansDropped())
 			}
-			if got := tr.Fingerprint(); got != want {
+			if got := bus.SpanFingerprint(); got != want {
 				t.Errorf("%s golden trace fingerprint = %s, want %s (%d spans)\n"+
 					"If this change intentionally alters protocol behaviour, regenerate with\n"+
 					"MANETKIT_UPDATE_GOLDEN=1 go test ./internal/harness -run TestGoldenTraces -update",
-					proto, got, want, tr.Len())
+					proto, got, want, n)
 			}
 		})
 	}
@@ -200,7 +199,7 @@ func TestGoldenTraces(t *testing.T) {
 func TestGoldenTraceReproducible(t *testing.T) {
 	a := goldenTrace(t, "dymo")
 	b := goldenTrace(t, "dymo")
-	if fa, fb := a.Fingerprint(), b.Fingerprint(); fa != fb {
+	if fa, fb := a.SpanFingerprint(), b.SpanFingerprint(); fa != fb {
 		t.Fatalf("same-seed traces diverged: %s vs %s", fa, fb)
 	}
 }
@@ -215,7 +214,8 @@ func TestGoldenStormMetrics(t *testing.T) {
 	for _, proto := range goldenProtos(golden) {
 		proto, want := proto, golden[proto]
 		t.Run(proto, func(t *testing.T) {
-			got := goldenStorm(t, proto, nil).Metrics
+			rep, _ := goldenStorm(t, proto)
+			got := rep.Metrics
 			if !maps.Equal(got, want) {
 				t.Errorf("%s storm metrics drifted:\n got %v\nwant %v", proto, got, want)
 			}

@@ -9,12 +9,12 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"runtime"
 	"testing"
 
 	"manetkit/internal/telemetry"
 	"manetkit/internal/testbed"
-	"manetkit/internal/trace"
 )
 
 // chaosWithBus runs one storm with a bus and one subscriber per stream,
@@ -30,16 +30,15 @@ func chaosWithBus(t *testing.T, spanBuffer int) (*ChaosReport, []byte, map[strin
 		}
 		subs[name] = bus.Subscribe(buf, name)
 	}
-	tr := trace.New(testbed.Epoch, 1<<15)
 	rep, err := RunChaos(ChaosConfig{
-		Proto: "olsr", Scenario: ScenarioStorm, Seed: 7, Tracer: tr, Telemetry: bus,
+		Proto: "olsr", Scenario: ScenarioStorm, Seed: 7, Telemetry: bus,
 	})
 	if err != nil {
 		t.Fatalf("RunChaos: %v", err)
 	}
 	var dump bytes.Buffer
-	if err := bus.WriteNDJSON(&dump); err != nil {
-		t.Fatalf("WriteNDJSON: %v", err)
+	if err := telemetry.WriteEvents(&dump, bus.Events()); err != nil {
+		t.Fatalf("WriteEvents: %v", err)
 	}
 	bus.Close()
 
@@ -84,14 +83,19 @@ func TestChaosTelemetryStreaming(t *testing.T) {
 	}
 
 	// The bus is passive: the fingerprinted report of a bus-attached run
-	// equals the tracer-only run's.
-	plain, err := RunChaos(ChaosConfig{
-		Proto: "olsr", Scenario: ScenarioStorm, Seed: 7,
-		Tracer: trace.New(testbed.Epoch, 1<<15),
-	})
+	// equals the run without one, but for the recorder's own eviction
+	// counter, which only a bus reports.
+	plain, err := RunChaos(ChaosConfig{Proto: "olsr", Scenario: ScenarioStorm, Seed: 7})
 	if err != nil {
 		t.Fatalf("RunChaos (plain): %v", err)
 	}
+	if dropped, ok := rep.Metrics["trace_dropped_total"]; !ok || dropped != 0 {
+		t.Errorf("bus run reports trace_dropped_total %d (present %v), want 0", dropped, ok)
+	}
+	if _, ok := plain.Metrics["trace_dropped_total"]; ok {
+		t.Error("run without a bus reports trace_dropped_total")
+	}
+	delete(rep.Metrics, "trace_dropped_total")
 	if f1, f2 := rep.Fingerprint(), plain.Fingerprint(); f1 != f2 {
 		t.Errorf("attaching telemetry perturbed the report: %s vs %s\nbus:\n%splain:\n%s",
 			f1, f2, rep.Summary(), plain.Summary())
@@ -133,5 +137,39 @@ func TestChaosFlightRecorderAcrossGOMAXPROCS(t *testing.T) {
 	}
 	if len(events) == 0 {
 		t.Fatal("empty dump")
+	}
+}
+
+// TestChaosRecorderSpansFromZero: a storm's recorder holds its spans from
+// the very first — each node's System-CF rebind while the cluster is
+// built — so, with nothing evicted, they are numbered 0, 1, 2, ... with no
+// gap, in every family.
+func TestChaosRecorderSpansFromZero(t *testing.T) {
+	for _, proto := range ChaosProtos() {
+		bus := telemetry.New(telemetry.Config{Epoch: testbed.Epoch})
+		if _, err := RunChaos(ChaosConfig{Proto: proto, Scenario: ScenarioStorm, Seed: 7, Telemetry: bus}); err != nil {
+			t.Fatalf("RunChaos %s: %v", proto, err)
+		}
+		bus.Close()
+		if n := bus.Evicted(); n != 0 {
+			t.Fatalf("%s: recorder evicted %d events", proto, n)
+		}
+		next := uint64(0)
+		for _, ev := range bus.Events() {
+			if ev.Stream != telemetry.StreamSpans {
+				continue
+			}
+			var s telemetry.Span
+			if err := json.Unmarshal(ev.Data, &s); err != nil {
+				t.Fatal(err)
+			}
+			if s.Seq != next {
+				t.Fatalf("%s: recorded span %d has seq %d: the recorder missed spans", proto, next, s.Seq)
+			}
+			next++
+		}
+		if next == 0 {
+			t.Fatalf("%s: no spans recorded", proto)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"manetkit/internal/event"
 	"manetkit/internal/metrics"
 	"manetkit/internal/route"
+	"manetkit/internal/telemetry"
 )
 
 // Level grades a health finding.
@@ -61,8 +62,8 @@ type UnitState struct {
 	Flaps int `json:"flaps"`
 }
 
-// Transition is one health level change, emitted to the observer (and the
-// telemetry health stream) the moment a Check detects it.
+// Transition is one health level change, published on the telemetry
+// health stream the moment a Check detects it.
 type Transition struct {
 	// T is the virtual-clock offset of the check that saw the change.
 	T time.Duration `json:"t_ns"`
@@ -159,30 +160,24 @@ type watched struct {
 type Monitor struct {
 	epoch time.Time
 	reg   *metrics.Registry
+	bus   *telemetry.Bus
 
 	mu          sync.Mutex
 	targets     []*watched
 	lastDropped map[string]uint64
 	states      map[string]*UnitState
-	obs         func(Transition)
-}
-
-// SetObserver installs fn to receive every health level transition, in
-// deterministic (sorted key) order per check. fn runs outside the
-// monitor's lock, on the goroutine that called Check. nil detaches.
-func (m *Monitor) SetObserver(fn func(Transition)) {
-	m.mu.Lock()
-	m.obs = fn
-	m.mu.Unlock()
 }
 
 // NewMonitor creates a monitor reading cluster-wide instruments from reg
 // (nil disables the metrics-based checks). Report timestamps are offsets
-// from epoch.
-func NewMonitor(epoch time.Time, reg *metrics.Registry) *Monitor {
+// from epoch. Every level transition is published on bus (StreamHealth,
+// kind = the level reached, node = the location key) in sorted key order
+// per check, outside the monitor's lock; a nil bus publishes nothing.
+func NewMonitor(epoch time.Time, reg *metrics.Registry, bus *telemetry.Bus) *Monitor {
 	return &Monitor{
 		epoch:       epoch,
 		reg:         reg,
+		bus:         bus,
 		lastDropped: make(map[string]uint64),
 		states:      make(map[string]*UnitState),
 	}
@@ -282,8 +277,8 @@ func findingKey(f Finding) string {
 // advanceStates folds one check's findings into the per-location state
 // machine: a location's level is the worst of its findings this pass
 // (LevelOK when clean), every level change bumps its flap counter and
-// resets its Since timestamp, and each change is emitted to the observer
-// in sorted key order. Locations are tracked from their first finding on,
+// resets its Since timestamp, and each change is published on the bus in
+// sorted key order. Locations are tracked from their first finding on,
 // so recoveries are visible as explicit ok states.
 func (m *Monitor) advanceStates(r *Report) ([]UnitState, []Transition) {
 	worst := make(map[string]Level, len(r.Findings))
@@ -320,11 +315,10 @@ func (m *Monitor) advanceStates(r *Report) ([]UnitState, []Transition) {
 		}
 		states = append(states, *st)
 	}
-	obs := m.obs
 	m.mu.Unlock()
-	if obs != nil {
+	if m.bus.Active() {
 		for _, t := range trans {
-			obs(t)
+			m.bus.PublishAt(t.T, telemetry.StreamHealth, string(t.To), t.Key, t)
 		}
 	}
 	return states, trans

@@ -35,7 +35,7 @@ func TestMonitorHealthyCluster(t *testing.T) {
 	if err := c.Line(); err != nil {
 		t.Fatalf("Line: %v", err)
 	}
-	mon := inspect.NewMonitor(testbed.Epoch, reg)
+	mon := inspect.NewMonitor(testbed.Epoch, reg, nil)
 	for _, node := range c.Nodes {
 		d, err := harness.DeployFamily(c, node, "aodv")
 		if err != nil {
@@ -71,7 +71,7 @@ func TestMonitorRouteStaleness(t *testing.T) {
 		Metric:  1,
 		Expires: testbed.Epoch.Add(1 * time.Second),
 	})
-	mon := inspect.NewMonitor(testbed.Epoch, nil)
+	mon := inspect.NewMonitor(testbed.Epoch, nil, nil)
 	mon.Watch(inspect.Target{Node: "n1", Tables: map[string]*route.Table{"aodv": tbl}})
 
 	if r := mon.Check(testbed.Epoch); !r.Healthy() {
@@ -105,7 +105,7 @@ func TestMonitorDropRate(t *testing.T) {
 	if err := m.Deploy(src); err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
-	mon := inspect.NewMonitor(testbed.Epoch, nil)
+	mon := inspect.NewMonitor(testbed.Epoch, nil, nil)
 	mon.Watch(inspect.Target{Mgr: m})
 
 	// First check establishes the baseline window.
@@ -133,7 +133,7 @@ func TestMonitorQueueMetrics(t *testing.T) {
 	reg.AttachGauge("core_dedicated_depth:aodv", func() int64 { return depth })
 	reg.Attach(func(emit func(string, uint64)) { emit("core_dedicated_dropped:aodv", dropped) })
 	dropped = 5
-	mon := inspect.NewMonitor(testbed.Epoch, reg)
+	mon := inspect.NewMonitor(testbed.Epoch, reg, nil)
 
 	r := mon.Check(testbed.Epoch)
 	got := findingChecks(r)
@@ -168,7 +168,7 @@ func TestMonitorNeighborChurn(t *testing.T) {
 	if err := m.Deploy(nd); err != nil {
 		t.Fatalf("Deploy: %v", err)
 	}
-	mon := inspect.NewMonitor(testbed.Epoch, nil)
+	mon := inspect.NewMonitor(testbed.Epoch, nil, nil)
 	mon.Watch(inspect.Target{Mgr: m})
 
 	for i := 0; i < 17; i++ { // one past the threshold of 16

@@ -41,7 +41,7 @@ func serialSwitch(t *testing.T) switchRun {
 	if err := c.Line(); err != nil {
 		t.Fatalf("Line: %v", err)
 	}
-	journal := inspect.NewJournal(testbed.Epoch)
+	journal := inspect.NewJournal(testbed.Epoch, nil)
 	mgrs := make([]*core.Manager, len(c.Nodes))
 	for i, node := range c.Nodes {
 		mgrs[i] = node.Mgr

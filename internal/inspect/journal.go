@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"manetkit/internal/core"
+	"manetkit/internal/telemetry"
 )
 
 // Entry is one journalled reconfiguration: the virtual-clock offset at
@@ -39,27 +40,19 @@ type Entry struct {
 // managers.
 type Journal struct {
 	epoch time.Time
+	bus   *telemetry.Bus
 
 	mu      sync.Mutex
 	prev    map[string]NodeSnapshot
 	entries []Entry
-	obs     func(Entry)
-}
-
-// SetObserver installs fn to be called for every appended entry, in
-// append order, under the journal's lock (fn must not call back into the
-// journal). The telemetry bus uses it to stream reconfigurations live.
-// nil detaches.
-func (j *Journal) SetObserver(fn func(Entry)) {
-	j.mu.Lock()
-	j.obs = fn
-	j.mu.Unlock()
 }
 
 // NewJournal creates a journal whose entry timestamps are offsets from
-// epoch (use the deployment's clock epoch, e.g. testbed.Epoch).
-func NewJournal(epoch time.Time) *Journal {
-	return &Journal{epoch: epoch, prev: make(map[string]NodeSnapshot)}
+// epoch (use the deployment's clock epoch, e.g. testbed.Epoch). Every
+// entry is also published on bus (StreamJournal, kind = the reason) in
+// append order; a nil bus publishes nothing. The bus must share epoch.
+func NewJournal(epoch time.Time, bus *telemetry.Bus) *Journal {
+	return &Journal{epoch: epoch, bus: bus, prev: make(map[string]NodeSnapshot)}
 }
 
 // Watch hooks the manager's rewire notification: the current architecture
@@ -92,8 +85,8 @@ func (j *Journal) record(m *core.Manager) {
 		Delta:  d,
 	}
 	j.entries = append(j.entries, e)
-	if j.obs != nil {
-		j.obs(e)
+	if j.bus.Active() {
+		j.bus.PublishAt(e.T, telemetry.StreamJournal, e.Reason, e.Node, e)
 	}
 }
 

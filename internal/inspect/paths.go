@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 )
 
 // Hop is one link traversal of a correlated message: the frame-tx on the
@@ -44,15 +44,15 @@ type Path struct {
 	Spans int `json:"spans"`
 }
 
-// Correlate stitches the spans of a whole cluster (one shared tracer) into
-// per-message causal paths. Spans with an empty correlation ID are ignored.
+// Correlate stitches the spans of a whole cluster (one shared bus's
+// Bus.Spans) into per-message causal paths. Spans with an empty correlation ID are ignored.
 // Each frame-rx is matched to the latest preceding frame-tx with the same
 // correlation ID on the sending node, which handles both unicast chains and
 // broadcast fan-out (one tx, many rx). The result is ordered by first
 // appearance in the trace, so it is deterministic for a deterministic
 // trace.
-func Correlate(spans []trace.Span) []Path {
-	groups := make(map[string][]trace.Span)
+func Correlate(spans []telemetry.Span) []Path {
+	groups := make(map[string][]telemetry.Span)
 	var order []string
 	for _, s := range spans {
 		if s.Corr == "" {
@@ -70,7 +70,7 @@ func Correlate(spans []trace.Span) []Path {
 	return out
 }
 
-func correlateOne(corr string, spans []trace.Span) Path {
+func correlateOne(corr string, spans []telemetry.Span) Path {
 	sort.SliceStable(spans, func(i, j int) bool {
 		if spans[i].T != spans[j].T {
 			return spans[i].T < spans[j].T
@@ -84,14 +84,14 @@ func correlateOne(corr string, spans []trace.Span) Path {
 		End:    spans[len(spans)-1].T,
 		Spans:  len(spans),
 	}
-	txByNode := make(map[string][]trace.Span)
+	txByNode := make(map[string][]telemetry.Span)
 	for _, s := range spans {
 		switch s.Kind {
-		case trace.KindFrameTx:
+		case telemetry.KindFrameTx:
 			txByNode[s.Node] = append(txByNode[s.Node], s)
-		case trace.KindFrameDrop:
+		case telemetry.KindFrameDrop:
 			p.Drops++
-		case trace.KindFrameRx:
+		case telemetry.KindFrameRx:
 			txs := txByNode[s.From]
 			// Latest tx on the sending node at or before the rx.
 			best := -1

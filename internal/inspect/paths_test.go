@@ -8,8 +8,8 @@ import (
 	"manetkit/internal/harness"
 	"manetkit/internal/inspect"
 	"manetkit/internal/metrics"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/testbed"
-	"manetkit/internal/trace"
 )
 
 // hop is the pinned shape of one reconstructed link traversal.
@@ -26,8 +26,8 @@ type hop struct {
 // test — if it drifts, either the discovery logic or the correlation-ID
 // propagation changed.
 func TestGoldenAODVPathReconstruction(t *testing.T) {
-	tr := trace.New(testbed.Epoch, 0)
-	c, err := testbed.New(3, testbed.Options{Seed: 1, Tracer: tr, Metrics: metrics.NewRegistry()})
+	bus := telemetry.New(telemetry.Config{Epoch: testbed.Epoch})
+	c, err := testbed.New(3, testbed.Options{Seed: 1, Telemetry: bus, Metrics: metrics.NewRegistry()})
 	if err != nil {
 		t.Fatalf("testbed.New: %v", err)
 	}
@@ -41,14 +41,18 @@ func TestGoldenAODVPathReconstruction(t *testing.T) {
 		}
 	}
 	c.Run(13 * time.Second)
-	tr.Reset() // isolate the discovery from the convergence traffic
+	converged := len(bus.Spans()) // isolate the discovery from the convergence traffic
 	if err := c.Nodes[0].Sys.Filter().SendData(c.Nodes[2].Addr, []byte("golden")); err != nil {
 		t.Fatalf("SendData: %v", err)
 	}
 	c.Run(5 * time.Second)
+	if bus.SpansDropped() != 0 {
+		t.Fatalf("recorder evicted %d spans", bus.SpansDropped())
+	}
+	discovery := bus.Spans()[converged:]
 
 	byCorr := make(map[string]inspect.Path)
-	for _, p := range inspect.Correlate(tr.Spans()) {
+	for _, p := range inspect.Correlate(discovery) {
 		byCorr[p.Corr] = p
 	}
 
@@ -125,7 +129,7 @@ func TestGoldenAODVPathReconstruction(t *testing.T) {
 	}
 
 	// Rendering caps honour the limit and report the elision.
-	all := inspect.Correlate(tr.Spans())
+	all := inspect.Correlate(discovery)
 	if len(all) < 3 {
 		t.Fatalf("expected at least 3 correlated paths, got %d", len(all))
 	}
@@ -147,8 +151,8 @@ func corrs(m map[string]inspect.Path) []string {
 // identical renderings (path order, hops, latencies).
 func TestCorrelateDeterministic(t *testing.T) {
 	render := func() string {
-		tr := trace.New(testbed.Epoch, 0)
-		c, err := testbed.New(3, testbed.Options{Seed: 1, Tracer: tr})
+		bus := telemetry.New(telemetry.Config{Epoch: testbed.Epoch})
+		c, err := testbed.New(3, testbed.Options{Seed: 1, Telemetry: bus})
 		if err != nil {
 			t.Fatalf("testbed.New: %v", err)
 		}
@@ -166,7 +170,7 @@ func TestCorrelateDeterministic(t *testing.T) {
 			t.Fatalf("SendData: %v", err)
 		}
 		c.Run(5 * time.Second)
-		return inspect.RenderPaths(inspect.Correlate(tr.Spans()), 0)
+		return inspect.RenderPaths(inspect.Correlate(bus.Spans()), 0)
 	}
 	if a, b := render(), render(); a != b {
 		t.Errorf("path reconstructions of identical runs differ:\n%s\nvs\n%s", a, b)

@@ -6,7 +6,9 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 )
 
@@ -29,7 +31,8 @@ func RegisterStreamHandlers(mux *http.ServeMux, b *Bus) {
 //
 //	?backlog=1   prepend the flight recorder's matching history
 //	?format=sse  force SSE framing (also chosen by Accept: text/event-stream)
-//	?buffer=N    subscriber channel depth (default 1024)
+//	?buffer=N    subscriber channel depth, 1 to the recorder capacity
+//	             (default 1024); anything else is answered 400
 func StreamHandler(b *Bus, streams ...string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if b == nil {
@@ -40,17 +43,16 @@ func StreamHandler(b *Bus, streams ...string) http.Handler {
 			strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 		buffer := 1024
 		if q := r.URL.Query().Get("buffer"); q != "" {
-			var n int
-			for _, c := range q {
-				if c < '0' || c > '9' {
-					n = 0
-					break
-				}
-				n = n*10 + int(c-'0')
+			limit := DefaultRecorderCapacity // the server allocates the channel: bound it
+			if b.ring != nil {
+				limit = len(b.ring)
 			}
-			if n > 0 {
-				buffer = n
+			n, err := strconv.Atoi(q)
+			if err != nil || n <= 0 || n > limit {
+				http.Error(w, fmt.Sprintf("buffer must be an integer in 1..%d", limit), http.StatusBadRequest)
+				return
 			}
+			buffer = n
 		}
 		var sub *Subscription
 		if r.URL.Query().Get("backlog") != "" {

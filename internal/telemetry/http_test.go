@@ -155,3 +155,27 @@ func TestStreamHandlerNilBus(t *testing.T) {
 		t.Fatalf("status %d, want 404 when telemetry is disabled", resp.StatusCode)
 	}
 }
+
+// TestStreamBufferBounds: ?buffer= sizes a channel the server allocates,
+// so a value outside 1..capacity is refused with 400 before any
+// subscription exists — an 11-digit value used to exhaust memory, and a
+// 20-digit one wrapped around silently.
+func TestStreamBufferBounds(t *testing.T) {
+	b := New(Config{Epoch: testEpoch, RecorderCapacity: 64})
+	b.Close() // a valid request then ends at once
+	h := StreamHandler(b)
+	for _, q := range []string{"99999999999", "99999999999999999999", "abc", "0", "-1", "65"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stream?buffer="+q, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("buffer=%s: status %d, want 400", q, rec.Code)
+		}
+	}
+	for _, q := range []string{"1", "64"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stream?buffer="+q, nil))
+		if rec.Code != http.StatusOK {
+			t.Errorf("buffer=%s: status %d, want 200", q, rec.Code)
+		}
+	}
+}

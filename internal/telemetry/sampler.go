@@ -1,69 +1,12 @@
-// Wiring between the bus and the runtime's event sources. telemetry is
-// the integration layer: trace, inspect and emunet know nothing about the
-// bus — they each expose a narrow observer hook, and the Attach functions
-// here adapt those hooks into published events. That keeps the dependency
-// arrows pointing one way (no import cycles) and keeps the sources free
-// of any bus cost when nothing is attached.
 package telemetry
 
 import (
 	"sync"
 	"time"
 
-	"manetkit/internal/emunet"
-	"manetkit/internal/inspect"
 	"manetkit/internal/metrics"
-	"manetkit/internal/trace"
 	"manetkit/internal/vclock"
 )
-
-// AttachTracer streams every recorded span onto the bus (StreamSpans).
-// The span's own epoch offset becomes the event timestamp, so the tracer
-// and the bus must share an epoch. The observer runs under the tracer's
-// lock: keep the bus the only consumer work done there.
-func AttachTracer(b *Bus, tr *trace.Tracer) {
-	tr.SetObserver(func(s trace.Span) {
-		if !b.Active() {
-			return
-		}
-		b.PublishAt(s.T, StreamSpans, s.Kind, s.Node, s)
-	})
-}
-
-// AttachJournal streams every rewire-journal entry onto the bus
-// (StreamJournal), timestamped with the entry's own offset.
-func AttachJournal(b *Bus, j *inspect.Journal) {
-	j.SetObserver(func(e inspect.Entry) {
-		if !b.Active() {
-			return
-		}
-		b.PublishAt(e.T, StreamJournal, e.Reason, e.Node, e)
-	})
-}
-
-// AttachHealth streams every health level transition onto the bus
-// (StreamHealth); the event kind is the level transitioned to.
-func AttachHealth(b *Bus, m *inspect.Monitor) {
-	m.SetObserver(func(t inspect.Transition) {
-		if !b.Active() {
-			return
-		}
-		b.PublishAt(t.T, StreamHealth, string(t.To), t.Key, t)
-	})
-}
-
-// AttachEngine streams one event per committed engine epoch onto the bus
-// (StreamEngine): its ordinal, how many deliveries it made, commit lag and
-// residual queue depth (emunet.EpochStats; the shard and parallel-
-// eligibility fields went with the sharded engine).
-func AttachEngine(b *Bus, n *emunet.Network) {
-	n.SetEpochObserver(func(es emunet.EpochStats) {
-		if !b.Active() {
-			return
-		}
-		b.Publish(es.Now, StreamEngine, "epoch", "", es)
-	})
-}
 
 // MetricsDelta is one Sampler observation: the counter increments since
 // the previous sample and the current value of every gauge that changed.

@@ -1,26 +1,31 @@
-// Package telemetry is MANETKit's streaming observability bus: the sensor
-// plane the closed-loop policy engine and the multi-tenant mkemu server
-// stand on. Five event streams — metrics deltas, trace spans, health state
-// transitions, rewire-journal entries and engine epochs — flow
-// through one Bus, which fans them out to subscribers and (optionally)
-// into a bounded ring-buffer flight recorder for post-mortem replay.
+// Package telemetry is MANETKit's observability bus and its one recorder:
+// the sensor plane the closed-loop policy engine and the multi-tenant
+// mkemu server stand on. Five event streams — metrics deltas, trace spans,
+// health state transitions, rewire-journal entries and engine epochs —
+// flow through one Bus, which fans them out to subscribers and
+// (optionally) into a bounded ring-buffer flight recorder for post-mortem
+// replay. Producers (the Framework Manager, the medium, the journal and
+// the health monitor) publish to the *Bus they are handed; the package
+// itself imports no producer, only metrics and vclock.
 //
 // The contract with the hot path:
 //
 //   - Zero subscribers and no recorder cost one atomic load per potential
-//     publish (Active is false, so no payload is ever encoded). The PR-2
-//     <5% overhead guard and the PR-4 zero-alloc dispatch gate both hold
-//     with a bus attached, pinned by TestTelemetryOverheadGuard.
+//     publish (Active is false, so no span is built and no payload is
+//     ever encoded). A nil *Bus costs one nil check. The dispatch path's
+//     allocation and time budgets hold with a dormant bus attached, pinned
+//     by TestTelemetryOverheadGuard.
 //   - Publishing never blocks. A subscriber whose channel is full loses
 //     the event and its drop counter advances; the accounting is exact:
 //     published == delivered + dropped, per subscriber, always.
 //   - Recorded streams are deterministic: every event is stamped with a
 //     virtual-clock offset and a bus sequence number assigned in publish
-//     order. Under vclock.Virtual all publishers run on the clock
-//     goroutine (timer callbacks, epoch commits, rewire hooks), so the
-//     recorder's contents — and hence Fingerprint — are byte-identical
-//     for the same seed at any GOMAXPROCS. Nothing GOMAXPROCS-dependent
-//     (worker counts, wall time) is allowed into an Event.
+//     order, and every span with its own span sequence number. Under
+//     vclock.Virtual all publishers run on the clock goroutine (timer
+//     callbacks, epoch commits, rewire hooks), so the recorder's contents
+//     — and hence Fingerprint — are byte-identical for the same seed at
+//     any GOMAXPROCS. Nothing GOMAXPROCS-dependent (worker counts, wall
+//     time) is allowed into an Event.
 package telemetry
 
 import (
@@ -67,11 +72,13 @@ type Event struct {
 	Node string `json:"node,omitempty"`
 	// Data is the stream-specific payload, pre-encoded at publish time.
 	Data json.RawMessage `json:"data"`
+
+	span *Span // the decoded Data of a span Record put on this bus
 }
 
 // DefaultRecorderCapacity bounds the flight recorder when Config leaves
 // RecorderCapacity zero.
-const DefaultRecorderCapacity = 1 << 15
+const DefaultRecorderCapacity = 1 << 16
 
 // DefaultSubscriberBuffer is the channel depth Subscribe applies when
 // given a non-positive buffer.
@@ -80,7 +87,7 @@ const DefaultSubscriberBuffer = 256
 // Config tunes a Bus.
 type Config struct {
 	// Epoch anchors event timestamps; use the deployment's virtual-clock
-	// epoch so bus offsets line up with trace and journal offsets.
+	// epoch so bus offsets line up with journal and health offsets.
 	Epoch time.Time
 	// RecorderCapacity sizes the flight-recorder ring: 0 means
 	// DefaultRecorderCapacity, negative disables recording entirely (the
@@ -100,6 +107,7 @@ type Bus struct {
 
 	mu      sync.Mutex
 	seq     uint64
+	spanSeq uint64  // spans recorded, numbered apart from seq
 	ring    []Event // flight recorder; nil when disabled
 	head    int     // index of the oldest recorded event
 	count   int
@@ -122,9 +130,6 @@ func New(cfg Config) *Bus {
 	return b
 }
 
-// Epoch returns the timestamp origin of the bus.
-func (b *Bus) Epoch() time.Time { return b.epoch }
-
 // Active reports whether a publish could currently have any effect. The
 // instrumentation hooks call this before encoding a payload, so an idle
 // bus costs one atomic load per event source.
@@ -143,8 +148,8 @@ func (b *Bus) Publish(now time.Time, stream, kind, node string, payload any) {
 }
 
 // PublishAt is Publish for sources that already carry an epoch offset
-// (trace spans, journal entries, health transitions), avoiding a second
-// clock read and guaranteeing the bus timestamp equals the source's.
+// (journal entries, health transitions), avoiding a second clock read and
+// guaranteeing the bus timestamp equals the source's.
 func (b *Bus) PublishAt(t time.Duration, stream, kind, node string, payload any) {
 	if !b.Active() {
 		return
@@ -157,11 +162,17 @@ func (b *Bus) PublishAt(t time.Duration, stream, kind, node string, payload any)
 		data, _ = json.Marshal(map[string]string{"encode_error": err.Error()})
 	}
 	b.mu.Lock()
+	b.publishLocked(Event{T: t, Stream: stream, Kind: kind, Node: node, Data: data})
+	b.mu.Unlock()
+}
+
+// publishLocked stamps ev with the next bus sequence number, records it
+// and fans it out. The caller holds b.mu.
+func (b *Bus) publishLocked(ev Event) {
 	if b.closed {
-		b.mu.Unlock()
 		return
 	}
-	ev := Event{Seq: b.seq, T: t, Stream: stream, Kind: kind, Node: node, Data: data}
+	ev.Seq = b.seq
 	b.seq++
 	if b.ring != nil {
 		if b.count == len(b.ring) {
@@ -174,7 +185,7 @@ func (b *Bus) PublishAt(t time.Duration, stream, kind, node string, payload any)
 		}
 	}
 	for s := range b.subs {
-		if !s.wants(stream) {
+		if !s.wants(ev.Stream) {
 			continue
 		}
 		s.published.Add(1)
@@ -185,7 +196,6 @@ func (b *Bus) PublishAt(t time.Duration, stream, kind, node string, payload any)
 			s.dropped.Add(1)
 		}
 	}
-	b.mu.Unlock()
 }
 
 // Subscribe attaches a consumer for the named streams (none = all) with
@@ -304,6 +314,13 @@ func (b *Bus) Evicted() uint64 {
 	return b.evicted
 }
 
+// ReadMetrics reports every event the recorder evicted as
+// trace_dropped_total — a reader for metrics.Registry.Attach, so a full
+// ring never discards history unnoticed.
+func (b *Bus) ReadMetrics(emit func(name string, v uint64)) {
+	emit("trace_dropped_total", b.Evicted())
+}
+
 // Events copies out the flight recorder, oldest first (nil when recording
 // is disabled).
 func (b *Bus) Events() []Event {
@@ -370,14 +387,9 @@ func (s *Subscription) Close() {
 	s.bus.unsubscribe(s)
 }
 
-// WriteNDJSON streams the flight recorder as one JSON event per line,
-// oldest first — the `mkemu -record` dump format.
-func (b *Bus) WriteNDJSON(w io.Writer) error {
-	return WriteEvents(w, b.Events())
-}
-
-// WriteEvents writes events as NDJSON. The encoding is deterministic:
-// fixed field order, integer timestamps, pre-encoded payloads.
+// WriteEvents writes events as NDJSON, one per line — the `mkemu -record`
+// dump format of Bus.Events. The encoding is deterministic: fixed field
+// order, integer timestamps, pre-encoded payloads.
 func WriteEvents(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	for _, ev := range events {

@@ -3,7 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"go/build"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -225,7 +227,7 @@ func TestDumpRoundtripAndFingerprint(t *testing.T) {
 	b.PublishAt(2*time.Second, StreamHealth, "warn", "n1/aodv", nil)
 
 	var buf bytes.Buffer
-	if err := b.WriteNDJSON(&buf); err != nil {
+	if err := WriteEvents(&buf, b.Events()); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadEvents(bytes.NewReader(buf.Bytes()))
@@ -248,8 +250,9 @@ func TestDumpRoundtripAndFingerprint(t *testing.T) {
 }
 
 // TestConcurrentPublishSubscribeClose exercises the lock discipline under
-// the race detector: publishers, churning subscribers and a bus close must
-// never panic (send on closed channel) and accounting must stay exact.
+// the race detector: publishers, span recorders, a span reader, churning
+// subscribers and a bus close must never panic (send on closed channel),
+// accounting must stay exact and spans stay numbered in record order.
 func TestConcurrentPublishSubscribeClose(t *testing.T) {
 	b := New(Config{Epoch: testEpoch, RecorderCapacity: 128})
 	var wg sync.WaitGroup
@@ -258,10 +261,22 @@ func TestConcurrentPublishSubscribeClose(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				b.PublishAt(time.Duration(i), StreamEngine, "k", "", payload{N: p})
+				if p%2 == 0 {
+					b.PublishAt(time.Duration(i), StreamEngine, "k", "", payload{N: p})
+				} else {
+					b.Record(testEpoch.Add(time.Duration(i)), Span{Kind: KindEmit})
+				}
 			}
 		}(p)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			_ = b.Spans()
+			_ = b.SpanFingerprint()
+		}
+	}()
 	var subs []*Subscription
 	var smu sync.Mutex
 	for c := 0; c < 4; c++ {
@@ -287,11 +302,37 @@ func TestConcurrentPublishSubscribeClose(t *testing.T) {
 	}
 	wg.Wait()
 	b.Close()
+	b.Record(testEpoch, Span{Kind: KindEmit}) // after Close: discarded
 	for _, s := range subs {
 		for range s.C() {
 		}
 		if st := s.Stats(); st.Published != st.Delivered+st.Dropped {
 			t.Fatalf("accounting broken under concurrency: %+v", st)
+		}
+	}
+	spans := b.Spans()
+	if got := uint64(len(spans)) + b.SpansDropped(); got != 1000 {
+		t.Fatalf("%d spans held + %d dropped, want the 1000 recorded", len(spans), b.SpansDropped())
+	}
+	for i := 1; i < len(spans); i++ {
+		if spans[i].Seq != spans[i-1].Seq+1 {
+			t.Fatalf("span seq %d follows %d: not numbered in record order", spans[i].Seq, spans[i-1].Seq)
+		}
+	}
+}
+
+// TestImportsNoProducer pins the one-way dependency arrow: producers
+// (core, emunet, inspect, ...) import the bus and publish to it, so the
+// bus may import nothing of the module beyond metrics and vclock.
+func TestImportsNoProducer(t *testing.T) {
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowed := map[string]bool{"manetkit/internal/metrics": true, "manetkit/internal/vclock": true}
+	for _, path := range pkg.Imports {
+		if strings.HasPrefix(path, "manetkit/") && !allowed[path] {
+			t.Errorf("telemetry imports %s; producers must import the bus, not the other way round", path)
 		}
 	}
 }

@@ -5,17 +5,17 @@ import (
 	"time"
 
 	"manetkit/internal/metrics"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/testbed"
-	"manetkit/internal/trace"
 )
 
 // TestTraceDropCounterWired: when a cluster has both instruments, every
-// span the trace ring evicts is visible as the cluster-wide
+// event the recorder evicts is visible as the cluster-wide
 // trace_dropped_total counter — silent span loss is over.
 func TestTraceDropCounterWired(t *testing.T) {
 	reg := metrics.NewRegistry()
-	tr := trace.New(testbed.Epoch, 8) // tiny ring: eviction guaranteed
-	c, err := testbed.New(3, testbed.Options{Seed: 1, Metrics: reg, Tracer: tr})
+	bus := telemetry.New(telemetry.Config{Epoch: testbed.Epoch, RecorderCapacity: 8}) // tiny ring: eviction guaranteed
+	c, err := testbed.New(3, testbed.Options{Seed: 1, Metrics: reg, Telemetry: bus})
 	if err != nil {
 		t.Fatalf("testbed.New: %v", err)
 	}
@@ -32,11 +32,11 @@ func TestTraceDropCounterWired(t *testing.T) {
 		c.Run(time.Millisecond)
 	}
 
-	dropped := tr.Dropped()
-	if dropped == 0 {
-		t.Fatal("expected ring evictions with capacity 8 over 10s of beaconing")
+	dropped := bus.Evicted()
+	if bus.SpansDropped() == 0 || dropped < bus.SpansDropped() {
+		t.Fatalf("recorder of 8 evicted %d events, %d of them spans; want span evictions over 20 frames", dropped, bus.SpansDropped())
 	}
 	if got := reg.Snapshot().Counters["trace_dropped_total"]; got != dropped {
-		t.Fatalf("trace_dropped_total = %d, want %d (Tracer.Dropped)", got, dropped)
+		t.Fatalf("trace_dropped_total = %d, want %d (Bus.Evicted)", got, dropped)
 	}
 }

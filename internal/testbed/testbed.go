@@ -15,7 +15,7 @@ import (
 	"manetkit/internal/mnet"
 	"manetkit/internal/route"
 	"manetkit/internal/system"
-	"manetkit/internal/trace"
+	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
@@ -48,10 +48,12 @@ type Options struct {
 	// Metrics, when non-nil, is shared by the medium and every node's
 	// Framework Manager (one registry per cluster).
 	Metrics *metrics.Registry
-	// Tracer, when non-nil, records structured spans from the medium and
-	// every node; under the cluster's virtual clock the trace is
-	// byte-identical run to run for the same seed.
-	Tracer *trace.Tracer
+	// Telemetry, when non-nil, receives structured spans from the medium
+	// and every node, from the first node's deployment on, and the
+	// medium's engine epochs; under the cluster's virtual clock the record
+	// is byte-identical run to run for the same seed. Its epoch must be
+	// Epoch.
+	Telemetry *telemetry.Bus
 	// Journal, when non-nil, watches every node's manager so each topology
 	// re-derivation (deploy, undeploy, model switch, retuple) is recorded
 	// as a timestamped snapshot diff.
@@ -83,11 +85,11 @@ func New(n int, opts Options) (*Cluster, error) {
 	if opts.Metrics != nil {
 		net.SetMetrics(opts.Metrics)
 	}
-	if opts.Tracer != nil {
-		net.SetTracer(opts.Tracer)
-		// With both installed, every span the ring evicts shows up as a
-		// cluster-wide counter.
-		opts.Metrics.Attach(opts.Tracer.ReadMetrics)
+	if opts.Telemetry != nil {
+		net.SetTelemetry(opts.Telemetry)
+		// With both installed, every event the recorder evicts shows up
+		// as a cluster-wide counter.
+		opts.Metrics.Attach(opts.Telemetry.ReadMetrics)
 	}
 	c := &Cluster{Clock: clk, Net: net, opts: opts}
 	for _, addr := range emunet.Addrs(n) {
@@ -110,7 +112,7 @@ func (c *Cluster) AddNode(addr mnet.Addr) (*Node, error) {
 	}
 	mgr, err := core.NewManager(core.Config{
 		Node: addr, Clock: c.Clock, Model: c.opts.Model,
-		Metrics: c.opts.Metrics, Tracer: c.opts.Tracer,
+		Metrics: c.opts.Metrics, Telemetry: c.opts.Telemetry,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)

@@ -45,7 +45,6 @@ import (
 	"manetkit/internal/route"
 	"manetkit/internal/system"
 	"manetkit/internal/telemetry"
-	"manetkit/internal/trace"
 	"manetkit/internal/vclock"
 	"manetkit/internal/zrp"
 )
@@ -119,10 +118,9 @@ type (
 	// MetricsSnapshot is a point-in-time copy of every counter, gauge and
 	// histogram.
 	MetricsSnapshot = metrics.Snapshot
-	// Tracer is the per-cluster structured-event ring buffer.
-	Tracer = trace.Tracer
-	// Span is one traced event (emit, dispatch, handle, frame-tx, ...).
-	Span = trace.Span
+	// Span is one traced event (emit, dispatch, handle, frame-tx, ...),
+	// recorded on a TelemetryBus and read back with TelemetryBus.Spans.
+	Span = telemetry.Span
 	// RouteTable is the protocol-facing RIB template.
 	RouteTable = route.Table
 	// ArchSnapshot is a point-in-time serialization of the live
@@ -179,11 +177,6 @@ func DefaultInvariants() *InvariantSuite { return invariant.DefaultSuite() }
 // and pass it via StackOptions.Metrics and Network.SetMetrics.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
-// NewTracer builds a structured-event tracer with a bounded ring buffer
-// (capacity 0 = default). Epoch anchors relative timestamps; use the
-// virtual clock's start time for deterministic traces.
-func NewTracer(epoch time.Time, capacity int) *Tracer { return trace.New(epoch, capacity) }
-
 // CaptureArch snapshots the live architecture meta-model of the given
 // stacks; the result serializes deterministically to JSON and Graphviz DOT.
 func CaptureArch(stacks ...*Stack) ArchSnapshot {
@@ -200,9 +193,12 @@ func DiffArch(a, b ArchSnapshot) []ArchDelta { return inspect.Diff(a, b) }
 // ParseArchSnapshot inverts ArchSnapshot.JSON.
 func ParseArchSnapshot(data []byte) (ArchSnapshot, error) { return inspect.ParseSnapshot(data) }
 
-// NewRewireJournal creates a journal of topology re-derivations; install it
-// via StackOptions.Journal (or Journal.Watch on individual managers).
-func NewRewireJournal(epoch time.Time) *RewireJournal { return inspect.NewJournal(epoch) }
+// NewRewireJournal creates a journal of topology re-derivations that also
+// publishes each entry on bus (nil for none); install it via
+// StackOptions.Journal (or Journal.Watch on individual managers).
+func NewRewireJournal(epoch time.Time, bus *TelemetryBus) *RewireJournal {
+	return inspect.NewJournal(epoch, bus)
+}
 
 // CorrelatePaths stitches a cluster trace into per-message causal paths.
 func CorrelatePaths(spans []Span) []PacketPath { return inspect.Correlate(spans) }
@@ -214,15 +210,16 @@ func RenderPacketPaths(paths []PacketPath, limit int) string {
 }
 
 // NewHealthMonitor builds a watchdog monitor over the shared registry
-// (reg may be nil).
-func NewHealthMonitor(epoch time.Time, reg *MetricsRegistry) *HealthMonitor {
-	return inspect.NewMonitor(epoch, reg)
+// (reg may be nil) that publishes its level transitions on bus (nil for
+// none).
+func NewHealthMonitor(epoch time.Time, reg *MetricsRegistry, bus *TelemetryBus) *HealthMonitor {
+	return inspect.NewMonitor(epoch, reg, bus)
 }
 
 // NewTelemetryBus builds a streaming telemetry bus anchored at epoch with
-// the default flight-recorder capacity. Wire producers with
-// telemetry.AttachTracer / AttachJournal / AttachHealth / AttachEngine,
-// or pass the bus to harness.ChaosConfig.Telemetry.
+// the default flight-recorder capacity. Hand it to the producers:
+// StackOptions.Telemetry, Network.SetTelemetry, NewRewireJournal,
+// NewHealthMonitor or harness.ChaosConfig.Telemetry.
 func NewTelemetryBus(epoch time.Time) *TelemetryBus {
 	return telemetry.New(telemetry.Config{Epoch: epoch})
 }
@@ -283,9 +280,10 @@ type StackOptions struct {
 	// Network.SetMetrics) for a global view. Nil disables metrics at zero
 	// cost.
 	Metrics *MetricsRegistry
-	// Tracer, when non-nil, records structured spans from the node's
-	// dispatch path. Nil disables tracing at zero cost.
-	Tracer *Tracer
+	// Telemetry, when non-nil, records structured spans from the node's
+	// dispatch path. Nil disables tracing at zero cost; a dormant bus costs
+	// one atomic load per span site.
+	Telemetry *TelemetryBus
 	// Journal, when non-nil, records every topology re-derivation of the
 	// stack (deploys, undeploys, model switches, retuples) as a timestamped
 	// snapshot diff; share one journal across a cluster.
@@ -327,7 +325,7 @@ func NewStack(net *Network, addr Addr, opts StackOptions) (*Stack, error) {
 	}
 	mgr, err := core.NewManager(core.Config{
 		Node: addr, Clock: net.Clock(), Model: opts.Model,
-		Metrics: opts.Metrics, Tracer: opts.Tracer,
+		Metrics: opts.Metrics, Telemetry: opts.Telemetry,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("manetkit: %w", err)
