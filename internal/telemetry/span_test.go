@@ -150,22 +150,39 @@ func TestSpanRoundTripQDepthZero(t *testing.T) {
 	}
 }
 
-// TestRecordNilAndDormantAllocs: recording to a nil or a dormant bus is a
-// no-op that allocates nothing and leaves nothing to read — the same
-// contract as a nil metrics registry.
-func TestRecordNilAndDormantAllocs(t *testing.T) {
-	s := Span{Kind: KindDispatch, Node: "n", Event: "E"}
-	for _, tc := range []struct {
+// nilAndDormantBuses are the two buses a producer may record to without
+// paying for it: no bus at all, and a bus built with recording disabled.
+func nilAndDormantBuses() []struct {
+	name string
+	b    *Bus
+} {
+	return []struct {
 		name string
 		b    *Bus
 	}{
 		{"nil", nil},
 		{"dormant", New(Config{Epoch: testEpoch, RecorderCapacity: -1})},
-	} {
+	}
+}
+
+// TestRecordNilAndDormantAllocs: recording to a nil or a dormant bus
+// allocates nothing — the same contract as a nil metrics registry.
+func TestRecordNilAndDormantAllocs(t *testing.T) {
+	s := Span{Kind: KindDispatch, Node: "n", Event: "E"}
+	for _, tc := range nilAndDormantBuses() {
 		name, b := tc.name, tc.b
 		if n := testing.AllocsPerRun(1000, func() { b.Record(testEpoch, s) }); n != 0 {
 			t.Errorf("%s bus: Record allocated %.1f per run, want 0", name, n)
 		}
+	}
+}
+
+// TestNilAndDormantBusIsNoOp: a nil or dormant bus keeps nothing that was
+// recorded to it and writes no span output.
+func TestNilAndDormantBusIsNoOp(t *testing.T) {
+	for _, tc := range nilAndDormantBuses() {
+		name, b := tc.name, tc.b
+		b.Record(testEpoch, Span{Kind: KindEmit})
 		if len(b.Spans()) != 0 || b.SpansDropped() != 0 || b.Seq() != 0 {
 			t.Errorf("%s bus retained spans", name)
 		}
