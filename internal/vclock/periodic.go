@@ -39,7 +39,7 @@ func NewPeriodic(c Clock, interval time.Duration, jitter float64, seed int64, fn
 		fn:       fn,
 	}
 	if jitter > 0 {
-		p.rng = rand.New(rand.NewSource(seed))
+		p.rng = rand.New(newJitterSource(seed))
 	}
 	p.mu.Lock()
 	p.timer = c.AfterFunc(p.nextDelayLocked(), p.fire)
