@@ -217,15 +217,24 @@ func table2(rep *BenchReport) error {
 }
 
 func concurrency(rep *BenchReport) error {
-	fmt.Printf("%-26s %14s %12s\n", "model", "events/sec", "elapsed")
+	fmt.Printf("%-26s %14s %12s %10s\n", "model", "events/sec", "elapsed", "dropped")
 	values := map[string]BenchValue{}
-	for _, m := range []core.Model{core.SingleThreaded, core.PerMessage, core.PerN} {
-		r, err := harness.MeasureConcurrency(m, 4, 20000, 3000)
+	for _, run := range []struct {
+		model     core.Model
+		dedicated bool
+	}{
+		{core.SingleThreaded, false},
+		{core.PerMessage, false},
+		{core.PerN, false},
+		{core.SingleThreaded, true}, // thread-per-ManetProtocol
+	} {
+		r, err := harness.MeasureConcurrency(run.model, run.dedicated, 4, 20000, 3000)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-26s %14.0f %12s\n", r.Model, r.PerSecond, r.Elapsed.Round(time.Millisecond))
-		values["events_per_sec_"+r.Model.String()] = wall(r.PerSecond, "events/s")
+		fmt.Printf("%-26s %14.0f %12s %10d\n", r.Name(), r.PerSecond, r.Elapsed.Round(time.Millisecond), r.Dropped)
+		values["events_per_sec_"+r.Name()] = wall(r.PerSecond, "events/s")
+		values["dropped_"+r.Name()] = wall(float64(r.Dropped), "deliveries")
 	}
 	rep.add("concurrency", values)
 	return nil

@@ -90,7 +90,7 @@ func (s *orderSink) labels() []string {
 func runModelOrderTest(t *testing.T, model Model, setup func(m *Manager)) {
 	t.Helper()
 	clk := vclock.NewVirtual(epoch)
-	m, err := NewManager(Config{Node: mnet.MustParseAddr("10.0.0.1"), Clock: clk, Model: model, PoolSize: 3})
+	m, err := NewManager(Config{Node: mnet.MustParseAddr("10.0.0.1"), Clock: clk, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,19 @@ const (
 	// PerMessage shepherds each delivery with its own goroutine; FIFO
 	// order per unit is preserved by ticket locks drawn at emission time.
 	PerMessage
-	// PerN drains deliveries through a fixed worker pool —
-	// the thread-per-n-messages midpoint.
+	// PerN drains deliveries through a pool of PerNWorkers workers — the
+	// thread-per-n-messages midpoint.
 	PerN
+)
+
+// The pools behind the two models that drain a queue (§4.4); both sizes are
+// implementation choices.
+const (
+	// PerNWorkers is the n of thread-per-n-messages: the PerN pool's size.
+	PerNWorkers = 4
+	// DedicatedQueueBound is how many events a unit's
+	// thread-per-ManetProtocol queue holds before it drops the newest.
+	DedicatedQueueBound = 1024
 )
 
 // String implements fmt.Stringer.
@@ -60,8 +70,6 @@ type Config struct {
 	Clock vclock.Clock
 	// Model defaults to SingleThreaded.
 	Model Model
-	// PoolSize sizes the PerN worker pool (default 2).
-	PoolSize int
 	// Metrics, when non-nil, reads the framework counters (ManagerStats)
 	// and collects latency histograms (shared across a whole cluster). Nil
 	// disables metrics at the cost of one nil check per dispatch.
@@ -99,9 +107,12 @@ type unitRec struct {
 	name string
 	unit Unit
 	// dedicated is non-nil when the unit runs the thread-per-ManetProtocol
-	// model: its own goroutine draining a FIFO queue. Atomic because the
+	// model: a pool of one worker with a bounded queue. Atomic because the
 	// lock-free delivery path reads it concurrently with Enable/Disable.
-	dedicated atomic.Pointer[dedicatedRunner]
+	// unwatch, guarded by Manager.mu, takes that queue off the metrics
+	// registry.
+	dedicated atomic.Pointer[pool.Pool]
+	unwatch   func()
 
 	// slot is the unit's index in every dispatch plan's emitters, fixed
 	// for this deployment; Undeploy frees it for reuse.
@@ -168,10 +179,10 @@ type Manager struct {
 	// inspect package's rewire journal.
 	rewireHook func()
 
-	// workers is the PerN pool: built under m.mu, read atomically on the
-	// delivery path.
+	// workers is the PerN pool: built under m.mu where PerN is chosen,
+	// read atomically on the delivery path. inflight counts the PerMessage
+	// shepherds still running.
 	workers  atomic.Pointer[pool.Pool]
-	poolSize int
 	inflight sync.WaitGroup
 
 	// obs is the instrument bundle; nil when both metrics and tracing are
@@ -213,19 +224,20 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Model == 0 {
 		cfg.Model = SingleThreaded
 	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 2
-	}
 	m := &Manager{
-		cf:       kernel.NewCF("manetkit"),
-		node:     cfg.Node,
-		clk:      cfg.Clock,
-		ont:      event.NewOntology(),
-		units:    make(map[string]*unitRec),
-		typeIdx:  make(map[event.Type]int),
-		poolSize: cfg.PoolSize,
-		obs:      newManagerObs(cfg.Node, cfg.Metrics, cfg.Telemetry),
-		metrics:  cfg.Metrics,
+		cf:      kernel.NewCF("manetkit"),
+		node:    cfg.Node,
+		clk:     cfg.Clock,
+		ont:     event.NewOntology(),
+		units:   make(map[string]*unitRec),
+		typeIdx: make(map[event.Type]int),
+		obs:     newManagerObs(cfg.Node, cfg.Metrics, cfg.Telemetry),
+		metrics: cfg.Metrics,
+	}
+	if cfg.Model == PerN {
+		if _, err := m.startLocked(&m.workers, PerNWorkers, 0); err != nil {
+			return nil, err
+		}
 	}
 	m.model.Store(uint32(cfg.Model))
 	m.plan.Store(emptyPlan)
@@ -282,7 +294,7 @@ func (m *Manager) SetModel(mod Model) error {
 	}
 	m.mu.Lock()
 	if mod == PerN {
-		if _, err := m.workersLocked(); err != nil {
+		if _, err := m.startLocked(&m.workers, PerNWorkers, 0); err != nil {
 			m.mu.Unlock()
 			return err
 		}
@@ -296,22 +308,23 @@ func (m *Manager) SetModel(mod Model) error {
 	return nil
 }
 
-// workersLocked returns the PerN pool, building it on first use. A closed
-// manager has none and builds none: Close closes the pool it swaps out, and
-// nothing would close a later one.
-func (m *Manager) workersLocked() (*pool.Pool, error) {
+// startLocked starts a pool of size workers in slot unless one runs there,
+// and reports whether it did. Pools are built only where a model is chosen,
+// never on the delivery path. A closed manager builds none: Close closes
+// the pools it swaps out, and nothing would close a later one.
+func (m *Manager) startLocked(slot *atomic.Pointer[pool.Pool], size, bound int) (bool, error) {
 	if m.closed {
-		return nil, errManagerClosed
+		return false, errManagerClosed
 	}
-	if p := m.workers.Load(); p != nil {
-		return p, nil
+	if slot.Load() != nil {
+		return false, nil
 	}
-	p, err := pool.New(m.poolSize, 0)
+	p, err := pool.New(size, bound)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	m.workers.Store(p)
-	return p, nil
+	slot.Store(p)
+	return true, nil
 }
 
 var errManagerClosed = errors.New("core: manager closed")
@@ -358,15 +371,13 @@ func (m *Manager) Deploy(u Unit) error {
 	m.mu.Lock()
 	m.units[rec.name] = rec
 	m.order = append(m.order, rec)
-	dedic := false
+	var err error
 	if p, ok := u.(*Protocol); ok && p.wantsDedicated() {
-		dedic = true
+		err = m.dedicateLocked(rec)
 	}
 	m.mu.Unlock()
-	if dedic {
-		if err := m.EnableDedicatedThread(u.Name()); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 	m.Rewire()
 	return nil
@@ -390,11 +401,10 @@ func (m *Manager) Undeploy(name string) error {
 	m.order = slices.DeleteFunc(m.order, func(r *unitRec) bool { return r == rec })
 	m.slots[rec.slot] = false
 	m.retireLocked(rec)
+	stop := rec.undedicateLocked()
 	m.mu.Unlock()
 
-	if d := rec.dedicated.Swap(nil); d != nil {
-		d.stop()
-	}
+	stop()
 	rec.unit.Detach()
 	m.Rewire()
 	return nil
@@ -434,8 +444,8 @@ func (m *Manager) Units() []string {
 }
 
 // EnableDedicatedThread switches the named unit to the
-// thread-per-ManetProtocol model: a dedicated goroutine drains a FIFO of
-// its events, and emitters hand off without blocking (§4.4).
+// thread-per-ManetProtocol model: a pool of one worker drains a bounded
+// queue of its events, and emitters hand off without blocking (§4.4).
 func (m *Manager) EnableDedicatedThread(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -443,28 +453,45 @@ func (m *Manager) EnableDedicatedThread(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: unit %q", kernel.ErrNoComponent, name)
 	}
-	if rec.dedicated.Load() != nil {
-		return nil
+	return m.dedicateLocked(rec)
+}
+
+// dedicateLocked starts rec's dedicated pool unless it has one, and
+// reports the pool's queue depth and overflow count while it runs.
+func (m *Manager) dedicateLocked(rec *unitRec) error {
+	started, err := m.startLocked(&rec.dedicated, 1, DedicatedQueueBound)
+	if started {
+		rec.unwatch = watchQueue(m.metrics, rec.name, rec.dedicated.Load())
 	}
-	rec.dedicated.Store(newDedicatedRunner(m, rec.unit, m.metrics))
-	return nil
+	return err
+}
+
+// undedicateLocked reverts rec to the global model and returns what retires
+// its pool, for the caller to run outside Manager.mu: the pool drains its
+// queue, then its counts leave the metrics registry.
+func (rec *unitRec) undedicateLocked() (stop func()) {
+	p, unwatch := rec.dedicated.Swap(nil), rec.unwatch
+	if p == nil {
+		return func() {}
+	}
+	rec.unwatch = nil
+	return func() {
+		p.Close()
+		unwatch()
+	}
 }
 
 // DisableDedicatedThread reverts the unit to the global model.
 func (m *Manager) DisableDedicatedThread(name string) error {
 	m.mu.Lock()
 	rec, ok := m.units[name]
-	var d *dedicatedRunner
-	if ok {
-		d = rec.dedicated.Swap(nil)
-	}
-	m.mu.Unlock()
 	if !ok {
+		m.mu.Unlock()
 		return fmt.Errorf("%w: unit %q", kernel.ErrNoComponent, name)
 	}
-	if d != nil {
-		d.stop()
-	}
+	stop := rec.undedicateLocked()
+	m.mu.Unlock()
+	stop()
 	return nil
 }
 
@@ -626,9 +653,9 @@ func (m *Manager) dropEvent(from string, ev *event.Event) {
 	}
 }
 
-// refuse accounts a scheduled delivery that will never reach Accept — the
-// worker pool is closed, or the manager is — as a counted, traced drop, and
-// releases its hold.
+// refuse accounts a scheduled delivery that will never reach Accept — its
+// pool is full or closed, or the manager is closed — as a counted drop
+// traced with the unit's name, and releases its hold.
 func (m *Manager) refuse(from string, rec *unitRec, ev *event.Event) {
 	m.stats.dropped.Add(1)
 	if m.tracing() {
@@ -637,16 +664,21 @@ func (m *Manager) refuse(from string, rec *unitRec, ev *event.Event) {
 	ev.Release()
 }
 
-// runAccept enters the unit's critical section, hands it the event and
-// releases the delivery's hold. A unit detached while a stale plan (or an
-// already-queued delivery) still referenced it reports ErrNotDeployed; that
-// loss is accounted as a drop (with a drop span naming the vanished target)
-// rather than vanishing silently.
+// runAccept enters the unit's critical section and hands it the event.
 func (m *Manager) runAccept(u Unit, ev *event.Event) {
-	sec := u.Section()
-	sec.Lock()
+	u.Section().Lock()
+	m.accept(u, ev)
+}
+
+// accept hands the unit, whose critical section the caller entered, the
+// event, leaves the section and releases the delivery's hold. A unit
+// detached while a stale plan (or an already-queued delivery) still
+// referenced it reports ErrNotDeployed; that loss is accounted as a drop
+// (with a drop span naming the vanished target) rather than vanishing
+// silently.
+func (m *Manager) accept(u Unit, ev *event.Event) {
 	err := u.Accept(ev)
-	sec.Unlock()
+	u.Section().Unlock()
 	m.accountAcceptErr(u, ev, err)
 	ev.Release()
 }
@@ -664,44 +696,88 @@ func (m *Manager) accountAcceptErr(u Unit, ev *event.Event, err error) {
 	}
 }
 
-// deliverBatch hands ev to each target under the active concurrency model.
-// All targets are enqueued/ticketed before any processing starts, so the
-// per-unit FIFO order is the emission order even when handlers emit
-// further events mid-delivery.
+// deliverBatch hands ev to each target, always inside the unit's critical
+// section and in FIFO emission order: a unit on its own thread through its
+// dedicated pool, any other under the global model. All targets are
+// enqueued/ticketed before any processing starts, so the per-unit FIFO
+// order is the emission order even when handlers emit further events
+// mid-delivery.
 func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event, model Model) {
 	if model == SingleThreaded {
-		m.deliverSingleThreaded(from, targets, ev)
-		return
+		m.dmu.Lock()
 	}
-	for _, rec := range targets {
-		m.deliver(from, rec, ev, model)
-	}
-}
-
-// deliverSingleThreaded enqueues every target on the drain queue, then (as
-// the outermost frame) drains it with m.dmu dropped around each Accept, so
-// handler re-emits nest onto the same queue instead of recursing.
-func (m *Manager) deliverSingleThreaded(from string, targets []*unitRec, ev *event.Event) {
-	m.dmu.Lock()
 	for _, rec := range targets {
 		m.stats.delivered.Add(1)
 		ev.Hold()
-		if d := rec.dedicated.Load(); d != nil {
-			// enqueue never blocks (bounded TryPush), so the hand-off is
-			// safe under dmu.
-			if !d.enqueue(ev) {
-				m.stats.dropped.Add(1)
-				ev.Release()
-			} else if m.tracing() {
-				m.span(telemetry.KindDispatch, from, rec.unit.Name(), ev, d.q.Len())
-			}
+		if p := rec.dedicated.Load(); p != nil {
+			m.handOff(from, rec, ev, p, func() { m.runAccept(rec.unit, ev) })
 			continue
 		}
-		m.inlineQ.Push(inlineDelivery{rec: rec, ev: ev})
-		if m.tracing() {
-			m.span(telemetry.KindDispatch, from, rec.unit.Name(), ev, m.inlineQ.Len())
+		switch model {
+		case SingleThreaded:
+			m.inlineQ.Push(inlineDelivery{rec: rec, ev: ev})
+			if m.tracing() {
+				m.span(telemetry.KindDispatch, from, rec.name, ev, m.inlineQ.Len())
+			}
+		case PerMessage:
+			sec, ticket := m.ticket(rec)
+			if m.tracing() {
+				m.span(telemetry.KindDispatch, from, rec.name, ev, 0)
+			}
+			m.inflight.Add(1)
+			go func() {
+				defer m.inflight.Done()
+				m.waitTicket(sec, ticket)
+				m.accept(rec.unit, ev)
+			}()
+		case PerN:
+			p := m.workers.Load()
+			if p == nil { // Close swapped it out
+				m.refuse(from, rec, ev)
+				continue
+			}
+			sec, ticket := m.ticket(rec)
+			if !m.handOff(from, rec, ev, p, func() {
+				m.waitTicket(sec, ticket)
+				m.accept(rec.unit, ev)
+			}) {
+				// Serve the ticket to keep the lock serviceable.
+				sec.Wait(ticket)
+				sec.Unlock()
+			}
 		}
 	}
+	if model == SingleThreaded {
+		m.drainLocked()
+	}
+}
+
+// handOff submits one delivery to a pool and reports whether the pool took
+// it; a delivery it does not take is refused.
+func (m *Manager) handOff(from string, rec *unitRec, ev *event.Event, p *pool.Pool, task func()) bool {
+	if p.Submit(task) != nil {
+		m.refuse(from, rec, ev)
+		return false
+	}
+	if m.tracing() {
+		m.span(telemetry.KindDispatch, from, rec.name, ev, p.Stats().Queued)
+	}
+	return true
+}
+
+// ticket draws rec's place in line at emission time, for a delivery an
+// asynchronous model runs later.
+func (m *Manager) ticket(rec *unitRec) (*TicketMutex, uint64) {
+	sec := rec.unit.Section()
+	m.stats.tickets.Add(1)
+	return sec, sec.Ticket()
+}
+
+// drainLocked runs the single-threaded drain queue with m.dmu held on
+// entry. As the outermost frame it drains the queue, dropping m.dmu around
+// each Accept, so handler re-emits nest onto the same queue instead of
+// recursing; any inner frame returns at once.
+func (m *Manager) drainLocked() {
 	if m.draining {
 		// An outer frame on this (or another) goroutine is already
 		// draining; it will pick these up in order.
@@ -722,75 +798,6 @@ func (m *Manager) deliverSingleThreaded(from string, targets []*unitRec, ev *eve
 	}
 }
 
-// deliver hands ev to one unit under an asynchronous concurrency model
-// (PerMessage/PerN), always inside the unit's critical section and in FIFO
-// emission order. SingleThreaded delivery goes through
-// deliverSingleThreaded's drain queue instead.
-func (m *Manager) deliver(from string, rec *unitRec, ev *event.Event, model Model) {
-	m.stats.delivered.Add(1)
-	ev.Hold()
-	dedicated := rec.dedicated.Load()
-	if m.tracing() {
-		qdepth := 0
-		if dedicated != nil {
-			qdepth = dedicated.q.Len()
-		}
-		m.span(telemetry.KindDispatch, from, rec.unit.Name(), ev, qdepth)
-	}
-
-	if dedicated != nil {
-		if !dedicated.enqueue(ev) {
-			m.stats.dropped.Add(1)
-			ev.Release()
-		}
-		return
-	}
-	sec := rec.unit.Section()
-	switch model {
-	case PerMessage:
-		ticket := sec.Ticket()
-		m.stats.tickets.Add(1)
-		m.inflight.Add(1)
-		go func() {
-			defer m.inflight.Done()
-			m.waitTicket(sec, ticket)
-			err := rec.unit.Accept(ev)
-			sec.Unlock()
-			m.accountAcceptErr(rec.unit, ev, err)
-			ev.Release()
-		}()
-	case PerN:
-		workers := m.workers.Load()
-		if workers == nil {
-			m.mu.Lock()
-			workers, _ = m.workersLocked()
-			m.mu.Unlock()
-			if workers == nil {
-				m.refuse(from, rec, ev)
-				return
-			}
-		}
-		ticket := sec.Ticket()
-		m.stats.tickets.Add(1)
-		m.inflight.Add(1)
-		err := workers.Submit(func() {
-			defer m.inflight.Done()
-			m.waitTicket(sec, ticket)
-			aerr := rec.unit.Accept(ev)
-			sec.Unlock()
-			m.accountAcceptErr(rec.unit, ev, aerr)
-			ev.Release()
-		})
-		if err != nil {
-			// Pool closed: account the ticket to keep the lock serviceable.
-			sec.Wait(ticket)
-			sec.Unlock()
-			m.inflight.Done()
-			m.refuse(from, rec, ev)
-		}
-	}
-}
-
 // waitTicket blocks until the shepherd's ticket is served, recording the
 // wait in the ticket-acquisition histogram when metrics are enabled.
 func (m *Manager) waitTicket(sec *TicketMutex, ticket uint64) {
@@ -803,27 +810,26 @@ func (m *Manager) waitTicket(sec *TicketMutex, ticket uint64) {
 	sec.Wait(ticket)
 }
 
-// WaitIdle blocks until all in-flight asynchronous deliveries (PerMessage,
-// PerN and dedicated queues) have drained. Synchronous deliveries are by
-// definition complete when emit returns. A drained runner's handlers may
-// have emitted to a runner already waited for, so the wait repeats until a
-// pass finds every runner idle.
+// WaitIdle blocks until all in-flight asynchronous deliveries (PerMessage
+// shepherds and the pools' queues) have run. Synchronous deliveries are by
+// definition complete when emit returns. A delivery's handler may schedule
+// more, so the wait repeats until a pass schedules none.
 func (m *Manager) WaitIdle() {
 	for {
+		scheduled := m.stats.delivered.Load()
 		m.inflight.Wait()
 		m.mu.Lock()
-		runners := make([]*dedicatedRunner, 0, len(m.units))
-		for _, rec := range m.units {
-			if d := rec.dedicated.Load(); d != nil {
-				runners = append(runners, d)
-			}
+		pools := []*pool.Pool{m.workers.Load()}
+		for _, rec := range m.order {
+			pools = append(pools, rec.dedicated.Load())
 		}
 		m.mu.Unlock()
-		waited := false
-		for _, d := range runners {
-			waited = d.waitIdle() || waited
+		for _, p := range pools {
+			if p != nil {
+				p.WaitIdle()
+			}
 		}
-		if !waited {
+		if m.stats.delivered.Load() == scheduled {
 			return
 		}
 	}
@@ -953,10 +959,11 @@ func (m *Manager) Quiesce() func() {
 	}
 }
 
-// Close stops every deployed protocol's sources, then pollers, dedicated
-// runners and the worker pool, and waits for in-flight deliveries. The
-// manager is unusable afterwards: a closed deployment schedules no further
-// timers and emits no further frames.
+// Close stops every deployed protocol's sources, then pollers, waits for
+// the PerMessage shepherds, and closes the PerN pool and then the dedicated
+// ones, each once its queue has run. The manager is unusable afterwards: a
+// closed deployment schedules no further timers and emits no further
+// frames.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -966,17 +973,17 @@ func (m *Manager) Close() {
 	m.closed = true
 	pollers := m.pollers
 	m.pollers = nil
-	var dedicated []*dedicatedRunner
+	var stops []func()
+	if p := m.workers.Swap(nil); p != nil {
+		stops = append(stops, p.Close)
+	}
 	var protos []*Protocol
 	for _, rec := range m.units {
-		if d := rec.dedicated.Swap(nil); d != nil {
-			dedicated = append(dedicated, d)
-		}
+		stops = append(stops, rec.undedicateLocked())
 		if p, ok := rec.unit.(*Protocol); ok {
 			protos = append(protos, p)
 		}
 	}
-	workers := m.workers.Swap(nil)
 	m.mu.Unlock()
 
 	for _, p := range protos {
@@ -986,10 +993,7 @@ func (m *Manager) Close() {
 		p.Stop()
 	}
 	m.inflight.Wait()
-	for _, d := range dedicated {
-		d.stop()
-	}
-	if workers != nil {
-		workers.Close()
+	for _, stop := range stops {
+		stop()
 	}
 }

@@ -13,6 +13,7 @@ package core
 import (
 	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
+	"manetkit/internal/pool"
 	"manetkit/internal/telemetry"
 )
 
@@ -54,5 +55,19 @@ func newProtoObs(env *Env) *protoObs {
 		bus:        env.bus,
 		nodeStr:    env.Node.String(),
 		handlerLat: env.metrics.Histogram("core_handler_latency"),
+	}
+}
+
+// watchQueue reports a dedicated pool's queue depth and overflow count to
+// reg under the unit's name until the returned func is called; the count
+// stays with the registry after that.
+func watchQueue(reg *metrics.Registry, name string, p *pool.Pool) (unwatch func()) {
+	depth := reg.AttachGauge("core_dedicated_depth:"+name, func() int64 { return int64(p.Stats().Queued) })
+	dropped := reg.Attach(func(emit func(string, uint64)) {
+		emit("core_dedicated_dropped:"+name, p.Stats().Dropped)
+	})
+	return func() {
+		depth()
+		dropped()
 	}
 }

@@ -290,8 +290,8 @@ func TestLatencyHistogramsUseDeploymentClock(t *testing.T) {
 }
 
 // TestDedicatedQueueCountersSurviveToggle: a dedicated queue's overflow
-// count is its own queue.Stats, read while the runner runs. Disabling the
-// runner keeps what it counted; the fresh queue of a re-enabled runner
+// count is its pool's own Stats, read while the pool runs. Disabling the
+// thread keeps what it counted; the fresh pool of a re-enabled thread
 // starts from zero without taking the counter down or counting twice.
 func TestDedicatedQueueCountersSurviveToggle(t *testing.T) {
 	reg := metrics.NewRegistry()
@@ -320,7 +320,7 @@ func TestDedicatedQueueCountersSurviveToggle(t *testing.T) {
 		}
 	}
 	const dropped = "core_dedicated_dropped:requirer"
-	// overflow emits DedicatedQueueBound+2 events with the runner held
+	// overflow emits DedicatedQueueBound+2 events with the worker held
 	// inside the first: the next DedicatedQueueBound wait, the last is
 	// dropped.
 	overflow := func() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -8,7 +9,6 @@ import (
 
 	"manetkit/internal/event"
 	"manetkit/internal/mnet"
-	"manetkit/internal/pool"
 	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
@@ -147,48 +147,67 @@ func TestBorrowedEventFailurePaths(t *testing.T) {
 			t.Fatal("an event no framework took was not released")
 		}
 	})
+	// A full dedicated queue refuses the newest event as a drop traced with
+	// the unit's name, under either model that emits to it, and records no
+	// dispatch span for it.
 	t.Run("dedicated queue full", func(t *testing.T) {
-		m, _ := newMgr(t, SingleThreaded)
-		gate := make(chan struct{})
-		var entered atomic.Bool
-		slow := newCountingUnit(t, "slow", event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}}, event.TCOut,
-			func(*Context, *event.Event) {
-				if entered.CompareAndSwap(false, true) {
-					<-gate
+		for _, model := range []Model{SingleThreaded, PerMessage} {
+			t.Run(model.String(), func(t *testing.T) {
+				m, _, bus := newObservedMgr(t, model)
+				gate := make(chan struct{})
+				var entered atomic.Bool
+				slow := newCountingUnit(t, "slow", event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}}, event.TCOut,
+					func(*Context, *event.Event) {
+						if entered.CompareAndSwap(false, true) {
+							<-gate
+						}
+					})
+				src := newRecorder(t, "src", event.Tuple{Provided: []event.Type{event.TCOut}})
+				for _, u := range []*Protocol{src.p, slow.p} {
+					if err := m.Deploy(u); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := m.EnableDedicatedThread("slow"); err != nil {
+					t.Fatal(err)
+				}
+				evs := make([]*event.Event, DedicatedQueueBound+2)
+				for i := range evs {
+					evs[i] = event.Borrow(event.TCOut)
+				}
+				emitAs(m, "src", evs[0])
+				for !entered.Load() { // the worker holds evs[0]; the queue is empty
+					runtime.Gosched()
+				}
+				for _, ev := range evs[1:] {
+					emitAs(m, "src", ev)
+				}
+				if last := evs[len(evs)-1]; !last.Poisoned() || m.Stats().Dropped != 1 {
+					t.Errorf("overflowing event poisoned %v, dropped %d", last.Poisoned(), m.Stats().Dropped)
+				}
+				close(gate) // before any Fatal: Close waits for the worker
+				m.WaitIdle()
+				for i, ev := range evs {
+					if !ev.Poisoned() {
+						t.Fatalf("event %d still held at quiescence", i)
+					}
+				}
+				if got := slow.accepted.Load(); got != DedicatedQueueBound+1 || slow.bad.Load() != 0 {
+					t.Fatalf("accepted %d (want %d), %d released", got, DedicatedQueueBound+1, slow.bad.Load())
+				}
+				var drops, dispatches int
+				for _, s := range bus.Spans() {
+					switch {
+					case s.Kind == telemetry.KindDrop && s.To == "slow":
+						drops++
+					case s.Kind == telemetry.KindDispatch && s.To == "slow":
+						dispatches++
+					}
+				}
+				if st := m.Stats(); uint64(drops) != st.Dropped || dispatches != DedicatedQueueBound+1 {
+					t.Fatalf("%d drop spans for %d dropped, %d dispatch spans for %d accepted", drops, st.Dropped, dispatches, DedicatedQueueBound+1)
 				}
 			})
-		src := newRecorder(t, "src", event.Tuple{Provided: []event.Type{event.TCOut}})
-		for _, u := range []*Protocol{src.p, slow.p} {
-			if err := m.Deploy(u); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := m.EnableDedicatedThread("slow"); err != nil {
-			t.Fatal(err)
-		}
-		evs := make([]*event.Event, DedicatedQueueBound+2)
-		for i := range evs {
-			evs[i] = event.Borrow(event.TCOut)
-		}
-		emitAs(m, "src", evs[0])
-		for !entered.Load() { // the runner holds evs[0]; the queue is empty
-			runtime.Gosched()
-		}
-		for _, ev := range evs[1:] {
-			emitAs(m, "src", ev)
-		}
-		if last := evs[len(evs)-1]; !last.Poisoned() || m.Stats().Dropped != 1 {
-			t.Errorf("overflowing event poisoned %v, dropped %d", last.Poisoned(), m.Stats().Dropped)
-		}
-		close(gate) // before any Fatal: Close waits for the runner
-		m.WaitIdle()
-		for i, ev := range evs {
-			if !ev.Poisoned() {
-				t.Fatalf("event %d still held at quiescence", i)
-			}
-		}
-		if got := slow.accepted.Load(); got != DedicatedQueueBound+1 || slow.bad.Load() != 0 {
-			t.Fatalf("accepted %d (want %d), %d released", got, DedicatedQueueBound+1, slow.bad.Load())
 		}
 	})
 }
@@ -274,12 +293,7 @@ func TestCloseUnderPerNLeaksNothing(t *testing.T) {
 		}
 		// The window Close leaves: a delivery loaded the pool before the
 		// swap and submits after the pool closed.
-		p, err := pool.New(1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Close()
-		m.workers.Store(p)
+		m.workers.Load().Close()
 		ev := event.WithRoute(event.NoRoute, event.RoutePayload{PacketID: 2})
 		emitAs(m, "src", ev)
 		st := m.Stats()
@@ -291,4 +305,21 @@ func TestCloseUnderPerNLeaksNothing(t *testing.T) {
 			t.Error("the refused delivery kept its hold")
 		}
 	})
+}
+
+// TestDedicatedThreadAfterCloseStartsNothing: a closed manager refuses a
+// dedicated thread instead of starting a pool nothing would close.
+func TestDedicatedThreadAfterCloseStartsNothing(t *testing.T) {
+	m, _ := newMgr(t, SingleThreaded)
+	if err := m.Deploy(NewProtocol("p")); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	before := runtime.NumGoroutine()
+	if err := m.EnableDedicatedThread("p"); !errors.Is(err, errManagerClosed) {
+		t.Errorf("EnableDedicatedThread after Close = %v, want %v", err, errManagerClosed)
+	}
+	if after := runtime.NumGoroutine(); after > before || m.DedicatedThread("p") {
+		t.Errorf("%d goroutines before, %d after; dedicated %v: a pool outlived Close", before, after, m.DedicatedThread("p"))
+	}
 }

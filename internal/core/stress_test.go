@@ -82,7 +82,7 @@ func TestEmitReconfigureStress(t *testing.T) {
 	}()
 
 	// Churn 2: the requirer's dedicated thread flips on and off and its
-	// tuple is rewritten, forcing both runner swaps and full replans.
+	// tuple is rewritten, forcing both pool swaps and full replans.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -22,21 +22,33 @@ import (
 // ablation).
 type ConcurrencyResult struct {
 	Model     core.Model
+	Dedicated bool // every consumer ran on its own thread
 	Events    int
 	Elapsed   time.Duration
 	PerSecond float64
+	// Dropped counts deliveries a full dedicated queue refused: a flood
+	// faster than its consumer overflows DedicatedQueueBound by design.
+	Dropped uint64
+}
+
+// Name is the §4.4 model the run measured.
+func (r ConcurrencyResult) Name() string {
+	if r.Dedicated {
+		return "thread-per-ManetProtocol"
+	}
+	return r.Model.String()
 }
 
 // MeasureConcurrency floods events through a stack of consumer protocols
-// under the given model and reports wall-clock throughput, exposing the
+// under the given model, with every consumer on its own thread when
+// dedicated is set, and reports wall-clock throughput, exposing the
 // resource/throughput trade-off of §4.4. Handlers carry a small CPU cost
 // (cost iterations of work) so parallelism can pay off.
-func MeasureConcurrency(model core.Model, consumers, events, cost int) (ConcurrencyResult, error) {
+func MeasureConcurrency(model core.Model, dedicated bool, consumers, events, cost int) (ConcurrencyResult, error) {
 	mgr, err := core.NewManager(core.Config{
-		Node:     mnet.AddrFrom(0x0a000001),
-		Clock:    vclock.NewVirtual(testbed.Epoch),
-		Model:    model,
-		PoolSize: 4,
+		Node:  mnet.AddrFrom(0x0a000001),
+		Clock: vclock.NewVirtual(testbed.Epoch),
+		Model: model,
 	})
 	if err != nil {
 		return ConcurrencyResult{}, err
@@ -53,6 +65,7 @@ func MeasureConcurrency(model core.Model, consumers, events, cost int) (Concurre
 	for i := 0; i < consumers; i++ {
 		p := core.NewProtocol(fmt.Sprintf("consumer-%d", i))
 		p.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.HelloIn}}})
+		p.PreferDedicatedThread(dedicated)
 		p.AddHandler(core.NewHandler("work", event.HelloIn, func(*core.Context, *event.Event) error {
 			// Busy work standing in for protocol processing.
 			acc := 0
@@ -78,9 +91,11 @@ func MeasureConcurrency(model core.Model, consumers, events, cost int) (Concurre
 	elapsed := host.Since(start)
 	return ConcurrencyResult{
 		Model:     model,
+		Dedicated: dedicated,
 		Events:    events,
 		Elapsed:   elapsed,
 		PerSecond: float64(events) / elapsed.Seconds(),
+		Dropped:   mgr.Stats().Dropped,
 	}, nil
 }
 

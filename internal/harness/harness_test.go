@@ -106,12 +106,14 @@ func TestFootprintShape(t *testing.T) {
 
 func TestConcurrencyModels(t *testing.T) {
 	for _, model := range []core.Model{core.SingleThreaded, core.PerMessage, core.PerN} {
-		r, err := MeasureConcurrency(model, 3, 300, 2000)
-		if err != nil {
-			t.Fatalf("%v: %v", model, err)
-		}
-		if r.Events != 300 || r.PerSecond <= 0 {
-			t.Fatalf("%v: result %+v", model, r)
+		for _, dedicated := range []bool{false, true} {
+			r, err := MeasureConcurrency(model, dedicated, 3, 300, 2000)
+			if err != nil {
+				t.Fatalf("%v: %v", model, err)
+			}
+			if r.Events != 300 || r.PerSecond <= 0 {
+				t.Fatalf("%v: result %+v", r.Name(), r)
+			}
 		}
 	}
 }

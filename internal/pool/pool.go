@@ -1,10 +1,13 @@
 // Package pool implements the worker-pool ("threadpool") utility component
 // that the paper lists among MANETKit's reusable building blocks (Table 3).
 //
-// The thread-per-n-messages concurrency model (§4.4) is realised by feeding
-// shepherded events through a Pool of fixed size: n workers drain a shared
-// FIFO, giving a midpoint between the single-threaded and thread-per-message
-// models.
+// It is the framework's only executor for the asynchronous concurrency
+// models of §4.4. Thread-per-n-messages runs every unit's deliveries on one
+// unbounded Pool of n workers, a midpoint between the single-threaded and
+// thread-per-message models. Thread-per-ManetProtocol gives a unit a Pool of
+// one worker whose backlog is bounded: a full backlog refuses the newest
+// task and counts it, so a slow protocol never stalls the thread handing it
+// events.
 package pool
 
 import (
@@ -15,41 +18,46 @@ import (
 	"manetkit/internal/queue"
 )
 
-// ErrClosed is returned by Submit after Close.
-var ErrClosed = errors.New("pool: closed")
+var (
+	// ErrClosed is returned by Submit after Close.
+	ErrClosed = errors.New("pool: closed")
+	// ErrFull is returned by Submit when a bounded backlog is at its bound.
+	ErrFull = errors.New("pool: full")
+)
 
 // Stats describes pool activity.
 type Stats struct {
-	Submitted uint64
-	Completed uint64
+	Submitted uint64 // tasks accepted
+	Completed uint64 // accepted tasks that have run
+	Dropped   uint64 // tasks refused by the backlog bound
+	Queued    int    // accepted tasks no worker has started
 	Workers   int
 }
 
 // Pool runs submitted tasks on a fixed set of worker goroutines, in FIFO
 // submission order. Construct with New; the zero value is unusable.
 type Pool struct {
-	tasks *queue.FIFO[func()]
-
-	mu        sync.Mutex
-	submitted uint64
-	completed uint64
-	workers   int
-	closed    bool
-	wg        sync.WaitGroup
+	mu     sync.Mutex
+	ready  sync.Cond // a task is queued, or the pool closed
+	idle   sync.Cond // every accepted task has run
+	tasks  queue.Ring[func()]
+	bound  int
+	stats  Stats
+	closed bool
+	wg     sync.WaitGroup
 }
 
-// New starts a pool of size workers. queueBound bounds the backlog
-// (<= 0 means unbounded).
-func New(size, queueBound int) (*Pool, error) {
+// New starts a pool of size workers. bound caps the backlog of tasks no
+// worker has started (<= 0 means unbounded).
+func New(size, bound int) (*Pool, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("pool: invalid size %d", size)
 	}
-	p := &Pool{
-		tasks:   queue.NewFIFO[func()](queueBound),
-		workers: size,
-	}
+	p := &Pool{bound: bound, stats: Stats{Workers: size}}
+	p.ready.L = &p.mu
+	p.idle.L = &p.mu
 	p.wg.Add(size)
-	for i := 0; i < size; i++ {
+	for range size {
 		go p.worker()
 	}
 	return p, nil
@@ -57,51 +65,62 @@ func New(size, queueBound int) (*Pool, error) {
 
 func (p *Pool) worker() {
 	defer p.wg.Done()
+	p.mu.Lock()
 	for {
-		task, err := p.tasks.Pop()
-		if err != nil {
-			return
+		task, ok := p.tasks.Pop()
+		if !ok {
+			if p.closed {
+				p.mu.Unlock()
+				return
+			}
+			p.ready.Wait()
+			continue
 		}
+		p.mu.Unlock()
 		task()
 		p.mu.Lock()
-		p.completed++
-		p.mu.Unlock()
+		p.stats.Completed++
+		if p.stats.Completed == p.stats.Submitted {
+			p.idle.Broadcast()
+		}
 	}
 }
 
-// Submit enqueues f for execution. It returns ErrClosed after Close, or
-// queue.ErrFull if the backlog bound is reached.
+// Submit enqueues f for execution without blocking. It returns ErrClosed
+// after Close, or ErrFull (counted in Stats.Dropped) when a bounded backlog
+// is at its bound.
 func (p *Pool) Submit(f func()) error {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return ErrClosed
 	}
-	p.mu.Unlock()
-	if err := p.tasks.Push(f); err != nil {
-		if errors.Is(err, queue.ErrClosed) {
-			return ErrClosed
-		}
-		return err
+	if p.bound > 0 && p.tasks.Len() >= p.bound {
+		p.stats.Dropped++
+		return ErrFull
 	}
-	p.mu.Lock()
-	p.submitted++
-	p.mu.Unlock()
+	p.tasks.Push(f)
+	p.stats.Submitted++
+	p.ready.Signal()
 	return nil
 }
 
-// Close stops accepting tasks, waits for queued tasks to finish, then
-// returns. Close is idempotent.
+// WaitIdle blocks until every accepted task has run.
+func (p *Pool) WaitIdle() {
+	p.mu.Lock()
+	for p.stats.Completed != p.stats.Submitted {
+		p.idle.Wait()
+	}
+	p.mu.Unlock()
+}
+
+// Close stops accepting tasks, waits for the queued ones to run and the
+// workers to exit, then returns. Close is idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
-	}
 	p.closed = true
+	p.ready.Broadcast()
 	p.mu.Unlock()
-	p.tasks.Close()
 	p.wg.Wait()
 }
 
@@ -109,5 +128,7 @@ func (p *Pool) Close() {
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return Stats{Submitted: p.submitted, Completed: p.completed, Workers: p.workers}
+	s := p.stats
+	s.Queued = p.tasks.Len()
+	return s
 }

@@ -1,8 +1,6 @@
 package queue
 
 import (
-	"errors"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -55,21 +53,6 @@ func TestRingInterleaved(t *testing.T) {
 	}
 }
 
-func TestRingPeek(t *testing.T) {
-	var r Ring[string]
-	if _, ok := r.Peek(); ok {
-		t.Fatal("Peek on empty ring succeeded")
-	}
-	r.Push("a")
-	r.Push("b")
-	if v, ok := r.Peek(); !ok || v != "a" {
-		t.Fatalf("Peek = %q,%v", v, ok)
-	}
-	if r.Len() != 2 {
-		t.Fatal("Peek consumed an item")
-	}
-}
-
 func TestRingFIFOProperty(t *testing.T) {
 	// Any push sequence pops back in identical order.
 	f := func(items []int16) bool {
@@ -88,164 +71,5 @@ func TestRingFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFIFOBasics(t *testing.T) {
-	q := NewFIFO[int](0)
-	for i := 0; i < 10; i++ {
-		if err := q.Push(i); err != nil {
-			t.Fatalf("Push: %v", err)
-		}
-	}
-	if q.Len() != 10 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	for i := 0; i < 10; i++ {
-		v, err := q.Pop()
-		if err != nil || v != i {
-			t.Fatalf("Pop = %d,%v want %d", v, err, i)
-		}
-	}
-	if v, ok := q.TryPop(); ok {
-		t.Fatalf("TryPop on empty = %d,true", v)
-	}
-}
-
-func TestFIFOBounded(t *testing.T) {
-	q := NewFIFO[int](2)
-	if err := q.TryPush(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.TryPush(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.TryPush(3); !errors.Is(err, ErrFull) {
-		t.Fatalf("TryPush over bound = %v, want ErrFull", err)
-	}
-	st := q.Stats()
-	if st.Dropped != 1 || st.Pushed != 2 || st.HighWater != 2 {
-		t.Fatalf("Stats = %+v", st)
-	}
-	q.TryPop()
-	if err := q.TryPush(3); err != nil {
-		t.Fatalf("TryPush after drain: %v", err)
-	}
-}
-
-func TestFIFOClose(t *testing.T) {
-	q := NewFIFO[int](0)
-	q.Push(7)
-	q.Close()
-	if err := q.Push(8); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Push after Close = %v", err)
-	}
-	if v, err := q.Pop(); err != nil || v != 7 {
-		t.Fatalf("queued item lost on Close: %d, %v", v, err)
-	}
-	if _, err := q.Pop(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Pop on drained closed queue = %v", err)
-	}
-	q.Close() // idempotent
-}
-
-func TestFIFOCloseWakesBlockedPop(t *testing.T) {
-	q := NewFIFO[int](0)
-	done := make(chan error, 1)
-	go func() {
-		_, err := q.Pop()
-		done <- err
-	}()
-	q.Close()
-	if err := <-done; !errors.Is(err, ErrClosed) {
-		t.Fatalf("blocked Pop returned %v", err)
-	}
-}
-
-func TestFIFOConcurrentProducersConsumers(t *testing.T) {
-	const (
-		producers = 8
-		perProd   = 500
-	)
-	q := NewFIFO[int](0)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProd; i++ {
-				if err := q.Push(p*perProd + i); err != nil {
-					t.Errorf("Push: %v", err)
-					return
-				}
-			}
-		}(p)
-	}
-	go func() {
-		wg.Wait()
-		q.Close()
-	}()
-
-	var cwg sync.WaitGroup
-	var mu sync.Mutex
-	seen := make(map[int]bool, producers*perProd)
-	for c := 0; c < 4; c++ {
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			for {
-				v, err := q.Pop()
-				if err != nil {
-					return
-				}
-				mu.Lock()
-				if seen[v] {
-					t.Errorf("duplicate item %d", v)
-				}
-				seen[v] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	cwg.Wait()
-	if len(seen) != producers*perProd {
-		t.Fatalf("received %d items, want %d", len(seen), producers*perProd)
-	}
-	st := q.Stats()
-	if st.Pushed != producers*perProd || st.Popped != producers*perProd {
-		t.Fatalf("Stats = %+v", st)
-	}
-}
-
-func TestFIFOPerProducerOrderPreserved(t *testing.T) {
-	q := NewFIFO[[2]int](0)
-	const perProd = 300
-	var wg sync.WaitGroup
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProd; i++ {
-				q.Push([2]int{p, i})
-			}
-		}(p)
-	}
-	wg.Wait()
-	q.Close()
-	last := map[int]int{0: -1, 1: -1, 2: -1, 3: -1}
-	for {
-		v, err := q.Pop()
-		if err != nil {
-			break
-		}
-		if v[1] != last[v[0]]+1 {
-			t.Fatalf("producer %d: got seq %d after %d", v[0], v[1], last[v[0]])
-		}
-		last[v[0]] = v[1]
-	}
-	for p, l := range last {
-		if l != perProd-1 {
-			t.Fatalf("producer %d: drained to %d", p, l)
-		}
 	}
 }
