@@ -28,7 +28,7 @@ import (
 	"manetkit/internal/packetbb"
 	"manetkit/internal/reactive"
 	"manetkit/internal/route"
-	"manetkit/internal/vclock"
+	"manetkit/internal/system"
 )
 
 // UnitName is the AODV CF's default unit name.
@@ -76,12 +76,6 @@ type Config struct {
 	// PiggybackRoutes shares up to piggybackMax routing entries on the
 	// neighbour detector's HELLO beacons (§4.3).
 	PiggybackRoutes bool
-	// FIB, when non-nil, receives the protocol's routes.
-	FIB *route.FIB
-	// Device names the FIB device for installed routes.
-	Device string
-	// Clock drives route lifetimes before deployment (defaults to real).
-	Clock vclock.Clock
 }
 
 // Stats counts AODV activity.
@@ -164,17 +158,15 @@ type AODV struct {
 }
 
 // New builds an AODV CF. detector (optional) is the Neighbour Detection CF
-// whose beacons carry the piggybacked routing entries.
+// whose beacons carry the piggybacked routing entries. The route table
+// binds to the deployment on first start (system.BindRoutes).
 func New(name string, detector *neighbor.Detector, cfg Config) *AODV {
 	if name == "" {
 		name = UnitName
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.Real()
-	}
 	a := &AODV{proto: core.NewProtocol(name), cfg: cfg,
 		state: &State{precursors: make(map[mnet.Addr]map[mnet.Addr]bool)}}
-	a.state.Init(cfg.Clock, cfg.FIB, cfg.Device)
+	a.state.Init()
 	a.disc = reactive.NewDiscovery(a.proto, &a.state.State, a, routeLifetime)
 
 	a.proto.SetTuple(event.Tuple{
@@ -212,6 +204,7 @@ func New(name string, detector *neighbor.Detector, cfg Config) *AODV {
 	}
 	a.proto.SetCounters(a.state.readMetrics)
 	a.proto.OnStart(func(ctx *core.Context) error {
+		system.BindRoutes(ctx, a.state.Routes)
 		a.disc.Latency = ctx.Env().Metrics().Histogram("aodv_discovery_latency")
 		return nil
 	})
@@ -256,7 +249,7 @@ func (a *AODV) wirePiggyback(detector *neighbor.Detector) {
 			if !e.Valid || n >= piggybackMax {
 				continue
 			}
-			p, ok := e.Best(a.cfg.Clock.Now())
+			p, ok := e.Best(a.proto.Clock().Now())
 			if !ok || p.Metric >= netDiameter {
 				continue
 			}

@@ -34,10 +34,6 @@ func deployAODV(t *testing.T, n int, cfg Config) (*testbed.Cluster, []*aodvNode)
 	nodes := make([]*aodvNode, n)
 	for i, node := range c.Nodes {
 		nd := neighbor.New("")
-		cfg := cfg
-		cfg.Clock = c.Clock
-		cfg.FIB = node.FIB()
-		cfg.Device = node.Sys.NIC().Device()
 		a := New("", nd, cfg)
 		for _, u := range []*core.Protocol{nd.Protocol(), a.Protocol()} {
 			if err := node.Mgr.Deploy(u); err != nil {
@@ -210,12 +206,12 @@ func TestSingleReactiveIntegrityRule(t *testing.T) {
 	if err := node.Mgr.AddRule(RuleSingleReactive("aodv", "dymo")); err != nil {
 		t.Fatal(err)
 	}
-	a := New("aodv", nil, Config{Clock: c.Clock})
+	a := New("aodv", nil, Config{})
 	if err := node.Mgr.Deploy(a.Protocol()); err != nil {
 		t.Fatal(err)
 	}
 	// A second reactive protocol is rejected by the integrity rule.
-	b := New("dymo", nil, Config{Clock: c.Clock})
+	b := New("dymo", nil, Config{})
 	if err := node.Mgr.Deploy(b.Protocol()); err == nil {
 		t.Fatal("second reactive protocol accepted")
 	}
@@ -351,7 +347,7 @@ func TestAODVWorksUnderLoss(t *testing.T) {
 	nodes := make([]*aodvNode, 3)
 	for i, node := range c.Nodes {
 		nd := neighbor.New("")
-		a := New("", nd, Config{Clock: c.Clock, FIB: node.FIB()})
+		a := New("", nd, Config{})
 		for _, u := range []*core.Protocol{nd.Protocol(), a.Protocol()} {
 			if err := node.Mgr.Deploy(u); err != nil {
 				t.Fatal(err)

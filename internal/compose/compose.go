@@ -52,32 +52,30 @@ type Spec struct {
 type decl struct {
 	helpers []string // a family: the helper CFs it can hold
 	rides   string   // a variant: the family it rides on
-	build   func(s *Set, helper any, sp Spec) (*core.Protocol, any)
+	build   func(helper any, sp Spec) (*core.Protocol, any)
 }
 
 var decls = map[string]decl{
-	olsr.UnitName: {helpers: []string{mpr.UnitName}, build: func(s *Set, h any, _ Spec) (*core.Protocol, any) {
-		o := olsr.New("", h.(*mpr.MPR), olsr.Config{Clock: s.mgr.Clock(), FIB: s.sys.FIB(), Device: s.sys.NIC().Device()})
+	olsr.UnitName: {helpers: []string{mpr.UnitName}, build: func(h any, _ Spec) (*core.Protocol, any) {
+		o := olsr.New("", h.(*mpr.MPR))
 		return o.Protocol(), o
 	}},
-	dymo.UnitName: {helpers: []string{mpr.UnitName, neighbor.UnitName}, build: func(s *Set, h any, sp Spec) (*core.Protocol, any) {
-		d := dymo.New("", dymo.Config{HopLimit: sp.HopLimit,
-			Clock: s.mgr.Clock(), FIB: s.sys.FIB(), Device: s.sys.NIC().Device()})
+	dymo.UnitName: {helpers: []string{mpr.UnitName, neighbor.UnitName}, build: func(h any, sp Spec) (*core.Protocol, any) {
+		d := dymo.New("", dymo.Config{HopLimit: sp.HopLimit})
 		if relay, ok := h.(*mpr.MPR); ok {
 			d.SetFlooder(relay.Flooder())
 		}
 		return d.Protocol(), d
 	}},
-	aodv.UnitName: {helpers: []string{neighbor.UnitName}, build: func(s *Set, h any, sp Spec) (*core.Protocol, any) {
-		a := aodv.New("", h.(*neighbor.Detector), aodv.Config{PiggybackRoutes: sp.PiggybackRoutes,
-			Clock: s.mgr.Clock(), FIB: s.sys.FIB(), Device: s.sys.NIC().Device()})
+	aodv.UnitName: {helpers: []string{neighbor.UnitName}, build: func(h any, sp Spec) (*core.Protocol, any) {
+		a := aodv.New("", h.(*neighbor.Detector), aodv.Config{PiggybackRoutes: sp.PiggybackRoutes})
 		return a.Protocol(), a
 	}},
-	zrp.UnitName: {helpers: []string{mpr.UnitName}, build: func(s *Set, h any, _ Spec) (*core.Protocol, any) {
-		z := zrp.New("", h.(*mpr.MPR), zrp.Config{Clock: s.mgr.Clock(), FIB: s.sys.FIB(), Device: s.sys.NIC().Device()})
+	zrp.UnitName: {helpers: []string{mpr.UnitName}, build: func(h any, _ Spec) (*core.Protocol, any) {
+		z := zrp.New("", h.(*mpr.MPR))
 		return z.Protocol(), z
 	}},
-	Fisheye: {rides: olsr.UnitName, build: func(_ *Set, _ any, sp Spec) (*core.Protocol, any) {
+	Fisheye: {rides: olsr.UnitName, build: func(_ any, sp Spec) (*core.Protocol, any) {
 		p := olsr.NewFisheye(Fisheye, sp.Pattern)
 		return p, p
 	}},
@@ -171,7 +169,7 @@ func (s *Set) compose(sp Spec) error {
 		}
 		u.holds, helper = h.name, h.handle
 	}
-	u.proto, u.handle = d.build(s, helper, sp)
+	u.proto, u.handle = d.build(helper, sp)
 	if err := Deploy(s.mgr, u.proto); err != nil {
 		return errors.Join(err, s.release(u.holds))
 	}

@@ -143,7 +143,7 @@ func TestDistributedProtocolSwitch(t *testing.T) {
 	olsrs := make(map[string]*olsr.OLSR)
 	for _, m := range ms {
 		relay := mpr.New("")
-		o := olsr.New("", relay, olsr.Config{Clock: c.Clock})
+		o := olsr.New("", relay)
 		for _, u := range []*core.Protocol{relay.Protocol(), o.Protocol()} {
 			if err := m.Mgr.Deploy(u); err != nil {
 				t.Fatal(err)
@@ -172,7 +172,7 @@ func TestDistributedProtocolSwitch(t *testing.T) {
 				if err := m.Mgr.Undeploy("mpr"); err != nil {
 					return err
 				}
-				d := dymo.New("", dymo.Config{Clock: c.Clock})
+				d := dymo.New("", dymo.Config{})
 				if err := m.Mgr.Deploy(d.Protocol()); err != nil {
 					return err
 				}
@@ -183,7 +183,7 @@ func TestDistributedProtocolSwitch(t *testing.T) {
 					return err
 				}
 				relay := mpr.New("")
-				o := olsr.New("", relay, olsr.Config{Clock: c.Clock})
+				o := olsr.New("", relay)
 				for _, u := range []*core.Protocol{relay.Protocol(), o.Protocol()} {
 					if err := m.Mgr.Deploy(u); err != nil {
 						return err
@@ -223,20 +223,20 @@ func TestDistributedProtocolSwitch(t *testing.T) {
 // on the last node (its integrity rule rejects a second reactive protocol)
 // and checks the first nodes roll back.
 func TestDistributedSwitchRollbackViaIntegrityRule(t *testing.T) {
-	c, ms := members(t, 3)
+	_, ms := members(t, 3)
 	// Node 3 already runs AODV and enforces single-reactive.
 	last := ms[2]
 	if err := last.Mgr.AddRule(aodv.RuleSingleReactive("aodv", "dymo")); err != nil {
 		t.Fatal(err)
 	}
-	a := aodv.New("aodv", nil, aodv.Config{Clock: c.Clock})
+	a := aodv.New("aodv", nil, aodv.Config{})
 	if err := last.Mgr.Deploy(a.Protocol()); err != nil {
 		t.Fatal(err)
 	}
 	act := Action{
 		Name: "deploy-dymo",
 		Apply: func(m *Member) error {
-			d := dymo.New("dymo", dymo.Config{Clock: c.Clock})
+			d := dymo.New("dymo", dymo.Config{})
 			return m.Mgr.Deploy(d.Protocol())
 		},
 		Undo: func(m *Member) error { return m.Mgr.Undeploy("dymo") },

@@ -409,6 +409,29 @@ func TestProtocolLifecycleAndSources(t *testing.T) {
 	}
 }
 
+// TestLifecycleHookAllocs: Init, Start and Stop hand a deployed protocol's
+// hooks its pooled Context (ctxFor), so a lifecycle round trip through
+// hooks allocates nothing — a routing CF's start hook is free.
+func TestLifecycleHookAllocs(t *testing.T) {
+	m, _ := newMgr(t, SingleThreaded)
+	p := NewProtocol("p")
+	hook := func(*Context) error { return nil }
+	p.OnInit(hook)
+	p.OnStart(hook)
+	p.OnStop(hook)
+	if err := m.Deploy(p); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		_ = p.Init()
+		_ = p.Start()
+		p.Stop()
+	})
+	if allocs != 0 {
+		t.Errorf("Init, Start and Stop with hooks allocate %.0f objects", allocs)
+	}
+}
+
 func TestSourceAddedWhileRunningStarts(t *testing.T) {
 	m, clk := newMgr(t, SingleThreaded)
 	p := NewProtocol("p")

@@ -22,8 +22,8 @@ type managerObs struct {
 	bus     *telemetry.Bus
 	nodeStr string
 
-	rewireLat  *metrics.Histogram // wall time to re-derive the topology
-	ticketWait *metrics.Histogram // wall time a shepherd waited on its ticket
+	rewireLat  *metrics.Histogram // deployment-clock time to re-derive the topology
+	ticketWait *metrics.Histogram // deployment-clock time a shepherd waited on its ticket
 }
 
 // newManagerObs returns nil when observability is fully disabled.
@@ -43,7 +43,7 @@ func newManagerObs(node mnet.Addr, reg *metrics.Registry, bus *telemetry.Bus) *m
 type protoObs struct {
 	bus        *telemetry.Bus
 	nodeStr    string
-	handlerLat *metrics.Histogram // wall time per handler invocation
+	handlerLat *metrics.Histogram // deployment-clock time per handler invocation
 }
 
 // newProtoObs returns nil when the deployment carries no observability.

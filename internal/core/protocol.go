@@ -562,7 +562,7 @@ func (p *Protocol) Init() error {
 	}
 	p.section.Lock()
 	defer p.section.Unlock()
-	return fn(&Context{proto: p, env: env})
+	return fn(p.ctxFor(env))
 }
 
 // Start begins protocol execution: the start hook runs and the event
@@ -585,7 +585,7 @@ func (p *Protocol) Start() error {
 
 	if fn != nil {
 		p.section.Lock()
-		err := fn(&Context{proto: p, env: env})
+		err := fn(p.ctxFor(env))
 		p.section.Unlock()
 		if err != nil {
 			p.mu.Lock()
@@ -619,7 +619,7 @@ func (p *Protocol) Stop() {
 	if fn != nil && env != nil {
 		p.section.Lock()
 		defer p.section.Unlock()
-		_ = fn(&Context{proto: p, env: env})
+		_ = fn(p.ctxFor(env))
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 	"manetkit/internal/packetbb"
 	"manetkit/internal/reactive"
 	"manetkit/internal/route"
-	"manetkit/internal/vclock"
+	"manetkit/internal/system"
 )
 
 // UnitName is the DYMO CF's default unit name.
@@ -49,20 +49,11 @@ type Config struct {
 	// all of them. Off by default (the zero value); nothing outside tests
 	// turns it on.
 	AccumulatePaths bool
-	// FIB, when non-nil, receives the protocol's routes.
-	FIB *route.FIB
-	// Device names the FIB device for installed routes.
-	Device string
-	// Clock drives route lifetimes before deployment (defaults to real).
-	Clock vclock.Clock
 }
 
 func (c *Config) fill() {
 	if c.HopLimit == 0 {
 		c.HopLimit = 10
-	}
-	if c.Clock == nil {
-		c.Clock = vclock.Real()
 	}
 }
 
@@ -151,7 +142,8 @@ type Flooder interface {
 	Seen(orig mnet.Addr, seq uint16, now time.Time)
 }
 
-// New builds a DYMO CF.
+// New builds a DYMO CF. The route table binds to the deployment on first
+// start (system.BindRoutes).
 func New(name string, cfg Config) *DYMO {
 	if name == "" {
 		name = UnitName
@@ -162,7 +154,7 @@ func New(name string, cfg Config) *DYMO {
 		replySeq:   make(map[reactive.Key]uint16),
 		maxPaths:   2,
 	}}
-	d.state.Init(cfg.Clock, cfg.FIB, cfg.Device)
+	d.state.Init()
 	d.disc = reactive.NewDiscovery(d.proto, &d.state.State, d, RouteLifetime)
 
 	d.proto.SetTuple(event.Tuple{
@@ -203,6 +195,7 @@ func New(name string, cfg Config) *DYMO {
 	}
 	d.proto.SetCounters(d.state.readMetrics)
 	d.proto.OnStart(func(ctx *core.Context) error {
+		system.BindRoutes(ctx, d.state.Routes)
 		d.disc.Latency = ctx.Env().Metrics().Histogram("dymo_discovery_latency")
 		return nil
 	})

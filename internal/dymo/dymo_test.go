@@ -60,9 +60,6 @@ func deployDYMO(t *testing.T, n int, cfg Config) (*testbed.Cluster, []*dymoNode)
 func deployDYMOOn(t *testing.T, c *testbed.Cluster, node *testbed.Node, cfg Config) *dymoNode {
 	t.Helper()
 	nd := neighbor.New("")
-	cfg.Clock = c.Clock
-	cfg.FIB = node.FIB()
-	cfg.Device = node.Sys.NIC().Device()
 	d := New("", cfg)
 	for _, u := range []*core.Protocol{nd.Protocol(), d.Protocol()} {
 		if err := node.Mgr.Deploy(u); err != nil {

@@ -75,7 +75,7 @@ func TestSharedPacketsAreNeverMutated(t *testing.T) {
 		{name: "dymo+accumulate", wantForward: packetbb.MsgRREQ,
 			extra: func(t *testing.T, c *testbed.Cluster, node *testbed.Node) {
 				nd := neighbor.New("")
-				d := dymo.New("", dymo.Config{AccumulatePaths: true, Clock: c.Clock, FIB: node.FIB(), Device: node.Sys.NIC().Device()})
+				d := dymo.New("", dymo.Config{AccumulatePaths: true})
 				for _, u := range []*core.Protocol{nd.Protocol(), d.Protocol()} {
 					if err := node.Mgr.Deploy(u); err != nil {
 						t.Fatal(err)

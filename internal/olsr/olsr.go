@@ -10,6 +10,7 @@ import (
 	"manetkit/internal/neighbor"
 	"manetkit/internal/packetbb"
 	"manetkit/internal/route"
+	"manetkit/internal/system"
 	"manetkit/internal/vclock"
 )
 
@@ -33,18 +34,6 @@ const (
 	topologyHold = 3 * TCInterval
 )
 
-// Config parameterises the OLSR CF.
-type Config struct {
-	// FIB, when non-nil, receives the protocol's routes (the kernel table).
-	FIB *route.FIB
-	// Device names the FIB device for installed routes.
-	Device string
-	// Clock drives the routing table's lifetimes; defaults to the
-	// deployment clock at attach time — set it explicitly only in tests
-	// that use the state before deployment.
-	Clock vclock.Clock
-}
-
 // OLSR is the OLSR ManetProtocol CF, stacked on an MPR CF instance.
 type OLSR struct {
 	proto *core.Protocol
@@ -59,23 +48,17 @@ type OLSR struct {
 
 // New builds an OLSR CF using the given MPR CF for link sensing, relay
 // selection and optimised flooding. Deploy both units into the same
-// Manager; their event tuples wire them together automatically.
-func New(name string, relay *mpr.MPR, cfg Config) *OLSR {
+// Manager; their event tuples wire them together automatically. The route
+// table binds to the deployment on first start (system.BindRoutes).
+func New(name string, relay *mpr.MPR) *OLSR {
 	if name == "" {
 		name = UnitName
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.Real()
 	}
 	o := &OLSR{
 		proto: core.NewProtocol(name),
 		m:     relay,
+		state: NewState(route.NewTable(nil)),
 	}
-	rt := route.NewTable(cfg.Clock)
-	if cfg.FIB != nil {
-		rt.SyncFIB(cfg.FIB, cfg.Device)
-	}
-	o.state = NewState(rt)
 
 	o.proto.SetTuple(event.Tuple{
 		Required: []event.Requirement{
@@ -107,6 +90,10 @@ func New(name string, relay *mpr.MPR, cfg Config) *OLSR {
 		panic(err)
 	}
 	o.proto.SetCounters(o.state.readMetrics)
+	o.proto.OnStart(func(ctx *core.Context) error {
+		system.BindRoutes(ctx, o.state.Routes)
+		return nil
+	})
 	o.proto.OnStop(func(ctx *core.Context) error {
 		if o.drainTimer != nil {
 			o.drainTimer.Stop()

@@ -153,7 +153,7 @@ func deployOLSR(t *testing.T, n int) (*testbed.Cluster, []*olsrNode) {
 func deployOLSROn(t *testing.T, c *testbed.Cluster, node *testbed.Node) *olsrNode {
 	t.Helper()
 	relay := mpr.New("")
-	o := New("", relay, Config{Clock: c.Clock, FIB: node.FIB(), Device: node.Sys.NIC().Device()})
+	o := New("", relay)
 	for _, u := range []*core.Protocol{relay.Protocol(), o.Protocol()} {
 		if err := node.Mgr.Deploy(u); err != nil {
 			t.Fatal(err)

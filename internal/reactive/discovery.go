@@ -9,7 +9,6 @@ import (
 	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
 	"manetkit/internal/route"
-	"manetkit/internal/vclock"
 )
 
 // Counts are the discovery counters every reactive protocol keeps. Each
@@ -33,13 +32,10 @@ type State struct {
 	Counts  Counts
 }
 
-// Init gives s an empty route table on clock, mirrored into fib under
-// device when fib is non-nil, and an empty pending-discovery table.
-func (s *State) Init(clock vclock.Clock, fib *route.FIB, device string) {
-	s.Routes = route.NewTable(clock)
-	if fib != nil {
-		s.Routes.SyncFIB(fib, device)
-	}
+// Init gives s an empty route table, still to be bound to a deployment
+// (route.Table.Bind), and an empty pending-discovery table.
+func (s *State) Init() {
+	s.Routes = route.NewTable(nil)
 	s.Pending = make(Discoveries)
 }
 

@@ -72,7 +72,8 @@ func newLifecycle(t *testing.T, tries int, base time.Duration) *lifecycle {
 		pending: make(map[mnet.Addr]*rreq),
 		want:    make(map[mnet.Addr][]rreq),
 	}
-	l.state.Init(l.clk, nil, "")
+	l.state.Init()
+	l.state.Routes.Bind(l.clk, nil, "")
 	l.disc = NewDiscovery(l.proto, &l.state, &l.rules, time.Second)
 	l.proto.SetTuple(event.Tuple{Provided: []event.Type{event.RouteFound}})
 	mgr, err := core.NewManager(core.Config{Node: mnet.AddrFrom(0x0a000001), Clock: l.clk})

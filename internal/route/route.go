@@ -93,9 +93,23 @@ type Table struct {
 	removed []mnet.Prefix
 }
 
-// NewTable returns an empty RIB on the given clock.
+// NewTable returns an empty RIB on the given clock. A routing CF passes nil
+// and binds the table to its deployment with Bind.
 func NewTable(clock vclock.Clock) *Table {
 	return &Table{clock: clock, entries: make(map[mnet.Prefix]*Entry)}
+}
+
+// Bind gives a table built without a clock its clock and mirrors it into f
+// under device, as SyncFIB does; a nil f mirrors nothing. Only the first
+// Bind takes effect: a table that has a clock keeps its clock and mirror.
+func (t *Table) Bind(clock vclock.Clock, f *FIB, device string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.clock != nil {
+		return
+	}
+	t.clock = clock
+	t.syncFIBLocked(f, device)
 }
 
 // SyncFIB mirrors every valid best path into the simulated kernel FIB under
@@ -104,6 +118,10 @@ func NewTable(clock vclock.Clock) *Table {
 func (t *Table) SyncFIB(f *FIB, device string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.syncFIBLocked(f, device)
+}
+
+func (t *Table) syncFIBLocked(f *FIB, device string) {
 	t.fib = f
 	t.fibDev = device
 	if f == nil {

@@ -247,6 +247,26 @@ func TestFIBMirroring(t *testing.T) {
 	}
 }
 
+// TestBindOnce: the first Bind gives an unbound table its clock and mirror;
+// a later one, as a restarted CF's start hook makes, changes neither.
+func TestBindOnce(t *testing.T) {
+	tb := NewTable(nil)
+	clk := vclock.NewVirtual(epoch)
+	fib, other := NewFIB(), NewFIB()
+	tb.Bind(clk, fib, "emu0")
+	tb.Bind(vclock.NewVirtual(epoch.Add(time.Hour)), other, "emu1")
+	tb.Upsert(Entry{Dst: host("10.0.0.5"), Paths: []Path{{NextHop: addr("10.0.0.2"), Metric: 1, Expires: epoch.Add(time.Second)}}, Valid: true, Proto: "dymo"})
+	if r, ok := fib.Lookup(addr("10.0.0.5")); !ok || r.Device != "emu0" {
+		t.Fatalf("first binding's FIB route = %+v, %v", r, ok)
+	}
+	if other.Len() != 0 {
+		t.Fatal("a second Bind re-pointed the mirror")
+	}
+	if _, _, err := tb.Lookup(addr("10.0.0.5")); err != nil {
+		t.Fatalf("a second Bind replaced the clock: %v", err)
+	}
+}
+
 func TestFIBBasics(t *testing.T) {
 	fib := NewFIB()
 	fib.Set(FIBRoute{Dst: mnet.Prefix{Addr: addr("10.0.0.0"), Bits: 8}, NextHop: addr("10.0.0.1"), Proto: "olsr"})

@@ -46,8 +46,6 @@ const (
 type Config struct {
 	// NIC is the node's attachment to the emulated medium (required).
 	NIC *emunet.NIC
-	// FIB is the simulated kernel forwarding table; defaults to a fresh one.
-	FIB *route.FIB
 	// Battery, when non-nil, powers the POWER_STATUS sensor.
 	Battery *Battery
 }
@@ -106,14 +104,11 @@ func New(cfg Config) (*System, error) {
 	if cfg.NIC == nil {
 		return nil, errors.New("system: NIC required")
 	}
-	if cfg.FIB == nil {
-		cfg.FIB = route.NewFIB()
-	}
 
 	s := &System{
 		proto:    core.NewProtocol(UnitName),
 		nic:      cfg.NIC,
-		fib:      cfg.FIB,
+		fib:      route.NewFIB(),
 		battery:  cfg.Battery,
 		lastRSSI: make(map[mnet.Addr]float64),
 	}
@@ -374,6 +369,24 @@ func (st *SysState) Routes() []route.FIBRoute { return st.s.fib.List() }
 // Devices lists the host's network devices.
 func (st *SysState) Devices() []DeviceInfo {
 	return []DeviceInfo{{Name: st.s.nic.Device(), Addr: st.s.nic.Addr(), Up: true}}
+}
+
+// BindRoutes binds a routing CF's table to the deployment ctx belongs to:
+// its clock, and the FIB and device of the System CF deployed beside it,
+// read through that CF's S element. With no System CF deployed the table
+// mirrors nothing. Routing CFs call it from their start hooks; only the
+// first call binds (route.Table.Bind).
+func BindRoutes(ctx *core.Context, rt *route.Table) {
+	var fib *route.FIB
+	var device string
+	if u, ok := ctx.Env().Unit(UnitName); ok {
+		if p, ok := u.(*core.Protocol); ok {
+			if st, ok := core.StateValue[*SysState](p); ok {
+				fib, device = st.s.fib, st.s.nic.Device()
+			}
+		}
+	}
+	rt.Bind(ctx.Clock(), fib, device)
 }
 
 // SysControl is the Control element facade (ISysControl): OS-independent

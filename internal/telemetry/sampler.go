@@ -10,9 +10,11 @@ import (
 
 // MetricsDelta is one Sampler observation: the counter increments since
 // the previous sample and the current value of every gauge that changed.
-// Histograms are deliberately not sampled — some record wall-clock
-// handler latencies, which would poison the recorded streams'
-// determinism.
+// Histograms are not sampled; read them from the registry's Snapshot.
+// Every histogram records durations on the deployment clock (under
+// vclock.Virtual the handler, rewire and ticket-wait latencies sum to
+// zero), so leaving them out decides what the stream carries, not whether
+// it replays deterministically.
 type MetricsDelta struct {
 	Counters map[string]uint64 `json:"counters,omitempty"`
 	Gauges   map[string]int64  `json:"gauges,omitempty"`

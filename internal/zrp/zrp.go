@@ -28,7 +28,7 @@ import (
 	"manetkit/internal/packetbb"
 	"manetkit/internal/reactive"
 	"manetkit/internal/route"
-	"manetkit/internal/vclock"
+	"manetkit/internal/system"
 )
 
 // UnitName is the ZRP CF's default unit name.
@@ -54,17 +54,6 @@ const (
 	// hopLimit caps interzone control propagation.
 	hopLimit = 10
 )
-
-// Config parameterises the ZRP CF. The zone radius is fixed at 2 — the
-// radius the MPR CF's link state provides for free.
-type Config struct {
-	// FIB, when non-nil, receives the protocol's routes.
-	FIB *route.FIB
-	// Device names the FIB device for installed routes.
-	Device string
-	// Clock drives route lifetimes before deployment (defaults to real).
-	Clock vclock.Clock
-}
 
 // Stats counts ZRP activity.
 type Stats struct {
@@ -121,16 +110,15 @@ type ZRP struct {
 }
 
 // New builds a ZRP CF stacked on the given MPR CF (which supplies the
-// zone's link state).
-func New(name string, relay *mpr.MPR, cfg Config) *ZRP {
+// zone's link state). The zone radius is fixed at 2 — the radius the MPR
+// CF's link state provides for free. The route table binds to the
+// deployment on first start (system.BindRoutes).
+func New(name string, relay *mpr.MPR) *ZRP {
 	if name == "" {
 		name = UnitName
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.Real()
-	}
 	z := &ZRP{proto: core.NewProtocol(name), relay: relay, state: &State{}}
-	z.state.Init(cfg.Clock, cfg.FIB, cfg.Device)
+	z.state.Init()
 	z.disc = reactive.NewDiscovery(z.proto, &z.state.State, z, routeLifetime)
 
 	z.proto.SetTuple(event.Tuple{
@@ -167,6 +155,10 @@ func New(name string, relay *mpr.MPR, cfg Config) *ZRP {
 		panic(err)
 	}
 	z.proto.SetCounters(z.state.readMetrics)
+	z.proto.OnStart(func(ctx *core.Context) error {
+		system.BindRoutes(ctx, z.state.Routes)
+		return nil
+	})
 	z.proto.OnStop(z.disc.Stop)
 	return z
 }

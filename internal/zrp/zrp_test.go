@@ -29,7 +29,7 @@ func deployZRP(t *testing.T, n int) (*testbed.Cluster, []*zrpNode) {
 	nodes := make([]*zrpNode, n)
 	for i, node := range c.Nodes {
 		relay := mpr.New("")
-		z := New("", relay, Config{Clock: c.Clock, FIB: node.FIB(), Device: node.Sys.NIC().Device()})
+		z := New("", relay)
 		for _, u := range []*core.Protocol{relay.Protocol(), z.Protocol()} {
 			if err := node.Mgr.Deploy(u); err != nil {
 				t.Fatal(err)
