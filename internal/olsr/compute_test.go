@@ -661,3 +661,84 @@ func TestANSNMemoryExpiresWithRecord(t *testing.T) {
 		t.Fatalf("edges = %v, want the restarted originator's tuple", e)
 	}
 }
+
+// TestRecordValidityBeforeBase: a record's validity is its own TC's expiry
+// even when that falls before the time base another originator's TC fixed,
+// so the record, ANSN memory included, dies with its tuples.
+func TestRecordValidityBeforeBase(t *testing.T) {
+	s, clk := newState()
+	early, late, d := addr("10.0.0.2"), addr("10.0.0.3"), addr("10.0.0.4")
+	s.RecordTC(late, 1, []mnet.Addr{d}, clk.Now().Add(10*time.Second))
+	s.RecordTC(early, 17, []mnet.Addr{d}, clk.Now().Add(5*time.Second))
+	clk.Advance(7 * time.Second)
+	if !s.PurgeTopo(clk.Now()) {
+		t.Fatal("the early originator's tuple was not purged")
+	}
+	if !s.RecordTC(early, 0, []mnet.Addr{d}, clk.Now().Add(5*time.Second)) {
+		t.Fatal("ANSN 0 rejected after the early ANSN-17 record timed out")
+	}
+}
+
+// gridNeighbours returns node i's 4-neighbourhood on a side×side grid.
+func gridNeighbours(i, side int) []mnet.Addr {
+	var out []mnet.Addr
+	r, c := i/side, i%side
+	for _, d := range [][2]int{{-1, 0}, {0, -1}, {0, 1}, {1, 0}} {
+		if rr, cc := r+d[0], c+d[1]; rr >= 0 && rr < side && cc >= 0 && cc < side {
+			out = append(out, nodeAddr(rr*side+cc))
+		}
+	}
+	return out
+}
+
+// TestStateBytesPerDestination pins what one node of a 12×12 OLSR grid
+// holds for its topology and routes: every node's TC recorded, then one
+// shortest-path pass installed. Four states are built so the heap's
+// background noise is spread thin.
+func TestStateBytesPerDestination(t *testing.T) {
+	const side, limit = 12, 360
+	n := side * side
+	clk := vclock.NewVirtual(testbed.Epoch)
+	self := nodeAddr(0)
+	oneHop := gridNeighbours(0, side)
+	twoHop := map[mnet.Addr][]mnet.Addr{}
+	for _, nb := range oneHop {
+		for _, th := range gridNeighbours(int(nb.Uint32()-nodeAddr(0).Uint32()), side) {
+			if th != self && !slices.Contains(oneHop, th) {
+				twoHop[th] = append(twoHop[th], nb)
+			}
+		}
+	}
+	advertised := make([][]mnet.Addr, n)
+	for i := range advertised {
+		advertised[i] = gridNeighbours(i, side)
+	}
+	expiry := clk.Now().Add(time.Minute)
+	before := liveHeap()
+	var states [4]*State
+	for j := range states {
+		states[j] = NewState(route.NewTable(clk))
+		for i := 0; i < n; i++ {
+			states[j].RecordTC(nodeAddr(i), 1, advertised[i], expiry)
+		}
+		if got := states[j].ComputeRoutes(self, oneHop, twoHop, clk.Now(), time.Minute, "olsr"); got != n-1 {
+			t.Fatalf("the pass reached %d destinations, want %d", got, n-1)
+		}
+	}
+	per := float64(liveHeap()-before) / float64((n-1)*len(states))
+	runtime.KeepAlive(&states)
+	t.Logf("%d destinations: %.1f B each", n-1, per)
+	if per > limit {
+		t.Fatalf("%d destinations cost %.1f B each, want at most %d", n-1, per, limit)
+	}
+}
+
+// liveHeap returns the bytes in use on the heap after two full collections;
+// the second frees what the first only moved to sync.Pool victim caches.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}

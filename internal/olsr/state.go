@@ -35,9 +35,9 @@ type topoEdge struct {
 // and with it the ANSN memory — dies when its validity passes, like the
 // tuples it stands for.
 type origTopo struct {
-	known bool      // a TC from this originator is on record
-	ansn  uint16    // freshest ANSN seen; meaningful while known
-	until time.Time // validity: the latest expiry any accepted TC carried
+	known bool   // a TC from this originator is on record
+	ansn  uint16 // freshest ANSN seen; meaningful while known
+	until int64  // validity: the latest expiry any accepted TC carried, past State.base
 	edges []topoEdge
 }
 
@@ -70,9 +70,10 @@ type spSlot struct {
 const reinstall = -1
 
 // spScratch is the reusable shortest-path working set, indexed by the
-// State's address slots. The per-slot records grow only in slotOf and the
-// buffers only in ensure, so the BFS and the install diff run
-// allocation-free once the network has been seen.
+// State's address slots. The per-slot records grow only in slotOf, the
+// frontier buffers only in ensure, and the install buffers by append with
+// what a pass changes, so the BFS and the install diff run allocation-free
+// once the network has been seen.
 type spScratch struct {
 	slots []spSlot // slot → pass and installed-route state
 	cur   uint32   // current generation
@@ -89,22 +90,16 @@ type spScratch struct {
 	live    []bool // compactIndex's liveness marks
 }
 
-// ensure grows the frontier and install buffers to hold at most bound
-// visited nodes plus hnaN gateway prefixes. bound counts distinct addresses
-// (every visited node owns a slot), and growth is geometric, so a cold
-// start that learns the network one tuple at a time reallocates O(log n)
-// times rather than once per recompute.
-func (sc *spScratch) ensure(bound, hnaN int) {
+// ensure grows the frontier buffers to hold at most bound visited nodes.
+// bound counts distinct addresses (every visited node owns a slot), and
+// growth is geometric, so a cold start that learns the network one tuple at
+// a time reallocates O(log n) times rather than once per recompute.
+func (sc *spScratch) ensure(bound int) {
 	if len(sc.order) < bound {
 		n := max(bound, 2*len(sc.order))
 		sc.order = make([]int32, n)
 		sc.front = make([]int32, n)
 		sc.next = make([]int32, n)
-	}
-	if len(sc.set) < bound+hnaN {
-		n := max(bound+hnaN, 2*len(sc.set))
-		sc.set = make([]route.ProtoRoute, n)
-		sc.del = make([]mnet.Prefix, n)
 	}
 }
 
@@ -134,9 +129,9 @@ type State struct {
 	msgSeq  uint16
 	scratch spScratch
 
-	// base anchors topoEdge.exp, which is the expiry minus base (taken with
-	// Sub, so a clock's monotonic reading is kept). The first RecordTC
-	// fixes it.
+	// base anchors topoEdge.exp and origTopo.until, which are the expiry
+	// minus base (taken with Sub, so a clock's monotonic reading is kept).
+	// The first RecordTC fixes it.
 	base    time.Time
 	baseSet bool
 
@@ -203,7 +198,8 @@ func (s *State) slotOf(a mnet.Addr) int32 {
 	return sl
 }
 
-// since converts t to the int64 form topoEdge.exp is kept in.
+// since converts t to the int64 form topoEdge.exp and origTopo.until are
+// kept in.
 func (s *State) since(t time.Time) int64 { return int64(t.Sub(s.base)) }
 
 // SetOwnPower records the node's own residual battery fraction.
@@ -259,10 +255,10 @@ func (s *State) RecordTC(orig mnet.Addr, ansn uint16, advertised []mnet.Addr, ex
 		rec.edges = rec.edges[:0]
 		changed = true
 	}
-	rec.known, rec.ansn = true, ansn
-	if expiry.After(rec.until) {
-		rec.until = expiry
+	if !rec.known || exp > rec.until {
+		rec.until = exp
 	}
+	rec.known, rec.ansn = true, ansn
 	if cap(rec.edges) == 0 {
 		// A first TC's edges in one allocation, not append's doublings.
 		rec.edges = make([]topoEdge, 0, len(advertised))
@@ -296,7 +292,7 @@ func (s *State) PurgeTopo(now time.Time) bool {
 		if !rec.known {
 			continue
 		}
-		if !rec.until.After(now) {
+		if rec.until <= nowK {
 			// No tuple outlives the record's validity: all are expired.
 			changed = changed || len(rec.edges) > 0
 			*rec = origTopo{}
@@ -425,8 +421,7 @@ func (s *State) Power(n mnet.Addr) float64 {
 // associations are dropped in passing. A gateway route for a host prefix
 // overwrites that host's route in the table, so a reached host's record
 // becomes reinstall and the next pass sets it again, as a full install
-// would. Called with s.mu held, after the host diff; set and del have room
-// for every live association and every prefix of the previous pass.
+// would. Called with s.mu held, after the host diff.
 func (s *State) hnaRoutes(now time.Time, set []route.ProtoRoute, del []mnet.Prefix) ([]route.ProtoRoute, []mnet.Prefix) {
 	sc := &s.scratch
 	if len(s.hna) == 0 && len(sc.hnaInst) == 0 {
@@ -550,7 +545,7 @@ func (s *State) routeDelta(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mnet.A
 	defer s.mu.Unlock()
 	sc := &s.scratch
 	// Every visited node owns a slot, and only the seeds can add slots.
-	sc.ensure(len(s.addrs)+len(oneHop)+len(twoHop), len(s.hna)+len(sc.hnaInst))
+	sc.ensure(len(s.addrs) + len(oneHop) + len(twoHop))
 	sc.cur++
 	if sc.cur == 0 {
 		sc.resetGen()
@@ -625,28 +620,26 @@ func (s *State) routeDelta(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mnet.A
 		nfront, nnext = nnext, 0
 	}
 
-	nset := 0
+	set, del = sc.set[:0], sc.del[:0]
 	for _, slot := range sc.order[:norder] {
 		sl := &slots[slot]
 		if sl.instDist == sl.dist && sl.instNhop == sl.nhop {
 			continue
 		}
 		sl.instDist, sl.instNhop = sl.dist, sl.nhop
-		sc.set[nset] = route.ProtoRoute{Dst: mnet.HostPrefix(s.addrs[slot]), NextHop: sl.nhop, Metric: int(sl.dist)}
-		nset++
+		set = append(set, route.ProtoRoute{Dst: mnet.HostPrefix(s.addrs[slot]), NextHop: sl.nhop, Metric: int(sl.dist)})
 	}
 	// Only the last pass's slots have a route installed; those this pass
 	// did not reach lose it.
-	ndel := 0
 	for slot := range slots {
 		sl := &slots[slot]
 		if sl.instDist == 0 || sl.gen == cur {
 			continue
 		}
 		sl.instDist = 0
-		sc.del[ndel] = mnet.HostPrefix(s.addrs[slot])
-		ndel++
+		del = append(del, mnet.HostPrefix(s.addrs[slot]))
 	}
-	set, del = s.hnaRoutes(now, sc.set[:nset], sc.del[:ndel])
+	set, del = s.hnaRoutes(now, set, del)
+	sc.set, sc.del = set, del
 	return set, del, norder
 }

@@ -1,0 +1,517 @@
+package route
+
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"manetkit/internal/mnet"
+	"manetkit/internal/vclock"
+)
+
+// refTable is the RIB the packed table replaced: a map of *Entry, one
+// heap-allocated path slice per route, time.Time lifetimes. It carries the
+// packed table's deterministic orders (Lookup's lowest-base tie-break,
+// (address, length) order in InvalidateVia and PurgeExpired) and is the
+// reference FuzzTable holds the packed table to.
+type refTable struct {
+	clock    vclock.Clock
+	entries  map[mnet.Prefix]*refEntry
+	onChange func(ChangeKind, Entry)
+	fib      *FIB
+	fibDev   string
+	markGen  uint64
+}
+
+type refEntry struct {
+	Entry
+	mark uint64
+}
+
+func newRefTable(clock vclock.Clock) *refTable {
+	return &refTable{clock: clock, entries: make(map[mnet.Prefix]*refEntry)}
+}
+
+func (e *refEntry) snapshot() Entry {
+	snap := e.Entry
+	snap.Paths = append([]Path(nil), e.Paths...)
+	return snap
+}
+
+func (t *refTable) SyncFIB(f *FIB, device string) {
+	t.fib, t.fibDev = f, device
+	for _, e := range t.entries {
+		t.mirror(e)
+	}
+}
+
+func (t *refTable) mirror(e *refEntry) {
+	if t.fib == nil {
+		return
+	}
+	if !e.Valid {
+		t.fib.Del(e.Dst)
+		return
+	}
+	p, ok := e.Best(t.clock.Now())
+	if !ok {
+		t.fib.Del(e.Dst)
+		return
+	}
+	t.fib.Set(FIBRoute{Dst: e.Dst, NextHop: p.NextHop, Metric: p.Metric, Device: t.fibDev, Proto: e.Proto})
+}
+
+func (t *refTable) notify(kind ChangeKind, e Entry) {
+	if t.onChange != nil {
+		t.onChange(kind, e)
+	}
+}
+
+func (t *refTable) Upsert(e Entry) ChangeKind {
+	if len(e.Paths) == 0 {
+		e.Valid = false
+	}
+	_, existed := t.entries[e.Dst]
+	stored := &refEntry{Entry: e}
+	stored.Paths = append([]Path(nil), e.Paths...)
+	t.entries[e.Dst] = stored
+	t.mirror(stored)
+	kind := Added
+	if existed {
+		kind = Updated
+	}
+	t.notify(kind, stored.snapshot())
+	return kind
+}
+
+func (t *refTable) AddPath(dst mnet.Prefix, proto string, seq uint16, p Path) {
+	e, ok := t.entries[dst]
+	if !ok {
+		e = &refEntry{Entry: Entry{Dst: dst, Proto: proto, SeqNum: seq, Valid: true}}
+		t.entries[dst] = e
+	}
+	e.SeqNum = seq
+	e.Valid = true
+	replaced := false
+	for i := range e.Paths {
+		if e.Paths[i].NextHop == p.NextHop {
+			e.Paths[i] = p
+			replaced = true
+			break
+		}
+	}
+	if !replaced {
+		e.Paths = append(e.Paths, p)
+	}
+	t.mirror(e)
+	t.notify(Updated, e.snapshot())
+}
+
+func (t *refTable) Lookup(dst mnet.Addr) (Entry, Path, error) {
+	now := t.clock.Now()
+	var bestEntry *refEntry
+	bestBits := -1
+	for _, e := range t.entries {
+		if !e.Valid || !e.Dst.Contains(dst) || e.Dst.Bits < bestBits {
+			continue
+		}
+		if e.Dst.Bits == bestBits && (bestEntry == nil || !e.Dst.Addr.Less(bestEntry.Dst.Addr)) {
+			continue
+		}
+		if _, ok := e.Best(now); !ok {
+			continue
+		}
+		bestEntry = e
+		bestBits = e.Dst.Bits
+	}
+	if bestEntry == nil {
+		return Entry{}, Path{}, fmt.Errorf("%w: %v", ErrNoRoute, dst)
+	}
+	p, _ := bestEntry.Best(now)
+	return bestEntry.snapshot(), p, nil
+}
+
+func (t *refTable) Get(dst mnet.Prefix) (Entry, bool) {
+	e, ok := t.entries[dst]
+	if !ok {
+		return Entry{}, false
+	}
+	return e.snapshot(), true
+}
+
+func (t *refTable) Invalidate(dst mnet.Prefix) bool {
+	e, ok := t.entries[dst]
+	if !ok || !e.Valid {
+		return false
+	}
+	e.Valid = false
+	t.mirror(e)
+	t.notify(Invalidated, e.snapshot())
+	return true
+}
+
+func (t *refTable) InvalidatePath(dst mnet.Prefix, nextHop mnet.Addr) bool {
+	e, ok := t.entries[dst]
+	if !ok {
+		return false
+	}
+	e.Paths = slices.DeleteFunc(e.Paths, func(p Path) bool { return p.NextHop == nextHop })
+	if len(e.Paths) == 0 {
+		e.Valid = false
+	}
+	t.mirror(e)
+	kind := Updated
+	if !e.Valid {
+		kind = Invalidated
+	}
+	t.notify(kind, e.snapshot())
+	return e.Valid
+}
+
+func (t *refTable) InvalidateVia(nextHop mnet.Addr) []mnet.Prefix {
+	var affected []mnet.Prefix
+	for dst, e := range t.entries {
+		if e.Valid && slices.ContainsFunc(e.Paths, func(p Path) bool { return p.NextHop == nextHop }) {
+			affected = append(affected, dst)
+		}
+	}
+	sortPrefixes(affected)
+	for _, dst := range affected {
+		t.InvalidatePath(dst, nextHop)
+	}
+	return affected
+}
+
+func (t *refTable) Remove(dst mnet.Prefix) bool {
+	e, ok := t.entries[dst]
+	if !ok {
+		return false
+	}
+	delete(t.entries, dst)
+	if t.fib != nil {
+		t.fib.Del(dst)
+	}
+	t.notify(Removed, e.snapshot())
+	return true
+}
+
+func (t *refTable) ExtendLifetime(dst mnet.Prefix, nextHop mnet.Addr, d time.Duration) bool {
+	deadline := t.clock.Now().Add(d)
+	e, ok := t.entries[dst]
+	if !ok || !e.Valid {
+		return false
+	}
+	touched := false
+	for i := range e.Paths {
+		if !nextHop.IsUnspecified() && e.Paths[i].NextHop != nextHop {
+			continue
+		}
+		if e.Paths[i].Expires.IsZero() || e.Paths[i].Expires.Before(deadline) {
+			e.Paths[i].Expires = deadline
+		}
+		touched = true
+	}
+	return touched
+}
+
+func (t *refTable) PurgeExpired() int {
+	now := t.clock.Now()
+	var dead []mnet.Prefix
+	for dst, e := range t.entries {
+		if !e.Valid {
+			continue
+		}
+		e.Paths = slices.DeleteFunc(e.Paths, func(p Path) bool { return !p.Expires.IsZero() && !p.Expires.After(now) })
+		if len(e.Paths) == 0 {
+			dead = append(dead, dst)
+		}
+	}
+	sortPrefixes(dead)
+	for _, dst := range dead {
+		t.Invalidate(dst)
+	}
+	return len(dead)
+}
+
+func (t *refTable) Entries() []Entry {
+	out := make([]Entry, 0, len(t.entries))
+	for _, e := range t.entries {
+		out = append(out, e.snapshot())
+	}
+	sort.Slice(out, func(i, j int) bool { return prefixLess(out[i].Dst, out[j].Dst) })
+	return out
+}
+
+func (t *refTable) ValidCount() int {
+	n := 0
+	for _, e := range t.entries {
+		if e.Valid {
+			n++
+		}
+	}
+	return n
+}
+
+func (t *refTable) Clear() {
+	for dst := range t.entries {
+		if t.fib != nil {
+			t.fib.Del(dst)
+		}
+		delete(t.entries, dst)
+	}
+}
+
+func (t *refTable) installBatch(proto string, desired []ProtoRoute, del []mnet.Prefix, mode installMode) ReplaceStats {
+	var stats ReplaceStats
+	replace := mode != installRefresh
+	now := t.clock.Now()
+	t.markGen++
+	gen := t.markGen
+	for i := range desired {
+		d := &desired[i]
+		e, ok := t.entries[d.Dst]
+		if !ok {
+			e = &refEntry{Entry: Entry{Dst: d.Dst, Paths: []Path{{NextHop: d.NextHop, Metric: d.Metric, Expires: d.Expires}}, Valid: true, Proto: proto}, mark: gen}
+			t.entries[d.Dst] = e
+			t.mirror(e)
+			stats.Added++
+			t.notify(Added, e.snapshot())
+			continue
+		}
+		e.mark = gen
+		if !replace && e.Valid {
+			if best, has := e.Best(now); has && best.Metric <= d.Metric {
+				for pi := range e.Paths {
+					if e.Paths[pi].Expires.IsZero() || e.Paths[pi].Expires.Before(d.Expires) {
+						e.Paths[pi].Expires = d.Expires
+					}
+				}
+				stats.Kept++
+				continue
+			}
+		}
+		if e.Valid && e.Proto == proto && len(e.Paths) == 1 &&
+			e.Paths[0].NextHop == d.NextHop && e.Paths[0].Metric == d.Metric {
+			if replace || d.Expires.After(e.Paths[0].Expires) {
+				e.Paths[0].Expires = d.Expires
+			}
+			stats.Refreshed++
+			continue
+		}
+		kind := Updated
+		if !e.Valid {
+			kind = Added
+		}
+		e.Proto, e.Valid, e.SeqNum = proto, true, 0
+		e.Paths = []Path{{NextHop: d.NextHop, Metric: d.Metric, Expires: d.Expires}}
+		t.mirror(e)
+		stats.Updated++
+		t.notify(kind, e.snapshot())
+	}
+	removed := del
+	if mode == installReplace {
+		removed = nil
+		for dst, e := range t.entries {
+			if e.Proto == proto && e.mark != gen {
+				removed = append(removed, dst)
+			}
+		}
+	}
+	sortPrefixes(removed)
+	for _, dst := range removed {
+		e, ok := t.entries[dst]
+		if !ok || e.Proto != proto || e.mark == gen {
+			continue
+		}
+		delete(t.entries, dst)
+		if t.fib != nil {
+			t.fib.Del(dst)
+		}
+		stats.Removed++
+		t.notify(Removed, e.snapshot())
+	}
+	return stats
+}
+
+// entryString renders an entry with its lifetimes as offsets from epoch,
+// so two tables' entries compare by what they say, not by how a time.Time
+// happens to be held.
+func entryString(e Entry) string {
+	s := fmt.Sprintf("%v seq=%d valid=%v proto=%q", e.Dst, e.SeqNum, e.Valid, e.Proto)
+	if e.Paths == nil {
+		return s + " paths=nil"
+	}
+	for _, p := range e.Paths {
+		s += " " + pathString(p)
+	}
+	return s
+}
+
+func pathString(p Path) string {
+	exp := "never"
+	if !p.Expires.IsZero() {
+		exp = p.Expires.Sub(epoch).String()
+	}
+	return fmt.Sprintf("[%v m%d %s]", p.NextHop, p.Metric, exp)
+}
+
+// FuzzTable drives random sequences of every RIB mutation, over a few host
+// and wide prefixes and with the clock advancing, against refTable, and
+// compares after every step: each call's result, Entries, ValidCount,
+// Lookup over the address set, the mirrored FIB's List and Ops, and the
+// change notifications in order. Each step is three bytes: an operation, a
+// destination byte and an argument byte.
+func FuzzTable(f *testing.F) {
+	f.Add([]byte{0, 1, 0x05, 0, 2, 0x16, 5, 0, 0, 3, 1, 0, 8, 0, 0})
+	f.Add([]byte{2, 1, 0x05, 2, 1, 0x16, 2, 1, 0x27, 4, 1, 0x16, 7, 1, 0x31, 13, 0, 40, 8, 0, 0})
+	f.Add([]byte{9, 0x3f, 0x12, 9, 0x3e, 0x12, 10, 0x1d, 0x25, 11, 0xff, 0x31, 12, 0, 0, 9, 0x3f, 0x40})
+	f.Add([]byte{0, 8, 0x11, 0, 9, 0x12, 0, 10, 0x23, 0, 11, 0x05, 5, 0, 1, 6, 9, 0, 15, 10, 0})
+	f.Add([]byte{1, 3, 0x35, 1, 4, 0x00, 2, 3, 0x26, 13, 0, 25, 8, 0, 0, 13, 0, 90, 8, 0, 0, 14, 0, 1})
+	// Four /24s over one address range tie for 10.0.0.9, and /8, /16 and
+	// /24 on one base expire together through one next hop.
+	f.Add([]byte{0, 9, 0x11, 0, 10, 0x02, 0, 11, 0x11, 0, 12, 0x11, 0, 13, 0x11, 0, 8, 0x11, 5, 0, 2, 13, 0, 200, 8, 0, 0})
+
+	hosts := []mnet.Addr{}
+	for i := uint32(0); i < 8; i++ {
+		hosts = append(hosts, mnet.AddrFrom(0x0a000000+i))
+	}
+	wide := []mnet.Prefix{
+		{Addr: mnet.AddrFrom(0x0a000005), Bits: 24},
+		{Addr: mnet.AddrFrom(0x0a000007), Bits: 24},
+		{Addr: mnet.AddrFrom(0x0a000006), Bits: 24},
+		{Addr: mnet.AddrFrom(0x0a000000), Bits: 8},
+		{Addr: mnet.AddrFrom(0x0a000000), Bits: 16},
+		{Addr: mnet.AddrFrom(0x0a000000), Bits: 24},
+		{Addr: mnet.AddrFrom(0x0a000004), Bits: 30},
+		{Addr: mnet.AddrFrom(0x00000000), Bits: 0},
+	}
+	dstOf := func(a byte) mnet.Prefix {
+		if a&8 != 0 {
+			return wide[a&7]
+		}
+		return mnet.HostPrefix(hosts[a&7])
+	}
+	hopOf := func(b byte) mnet.Addr { return mnet.AddrFrom(0x0a000100 + uint32(b&3)) }
+	probes := append(slices.Clone(hosts), mnet.AddrFrom(0x0a000009), mnet.AddrFrom(0x0a0000ff), mnet.AddrFrom(0x0a010001), mnet.AddrFrom(0x0b000001))
+	protos := []string{"olsr", "dymo"}
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		clk := vclock.NewVirtual(epoch)
+		pathOf := func(b byte) Path {
+			var exp time.Time
+			if k := b >> 4 & 3; k > 0 {
+				exp = clk.Now().Add(time.Duration(k*k) * 10 * time.Millisecond)
+			}
+			return Path{NextHop: hopOf(b), Metric: 1 + int(b>>2&3), Expires: exp}
+		}
+		desiredOf := func(mask, b byte) []ProtoRoute {
+			var ds []ProtoRoute
+			for i := 0; i < 8; i++ {
+				if mask&(1<<i) != 0 {
+					p := pathOf(b + byte(i))
+					ds = append(ds, ProtoRoute{Dst: dstOf(byte(i) + b&8), NextHop: p.NextHop, Metric: p.Metric, Expires: p.Expires})
+				}
+			}
+			return ds
+		}
+		tb, ref := NewTable(clk), newRefTable(clk)
+		fib, refFIB := NewFIB(), NewFIB()
+		tb.SyncFIB(fib, "emu0")
+		ref.SyncFIB(refFIB, "emu0")
+		var log, refLog []string
+		tb.OnChange(func(k ChangeKind, e Entry) { log = append(log, fmt.Sprint(k, " ", entryString(e))) })
+		ref.onChange = func(k ChangeKind, e Entry) { refLog = append(refLog, fmt.Sprint(k, " ", entryString(e))) }
+
+		for step := 0; len(ops) >= 3; step++ {
+			op, a, b := ops[0]%16, ops[1], ops[2]
+			ops = ops[3:]
+			dst, hop, proto := dstOf(a), hopOf(b), protos[b>>6&1]
+			var got, want any
+			switch op {
+			case 0:
+				e := Entry{Dst: dst, Paths: []Path{pathOf(b)}, SeqNum: uint16(b), Valid: true, Proto: proto}
+				got, want = tb.Upsert(e), ref.Upsert(e)
+			case 1: // no path, or two
+				e := Entry{Dst: dst, SeqNum: uint16(a), Valid: b&1 == 0, Proto: proto}
+				if b&2 != 0 {
+					e.Paths = []Path{pathOf(b), pathOf(b + 0x15)}
+				}
+				got, want = tb.Upsert(e), ref.Upsert(e)
+			case 2:
+				tb.AddPath(dst, proto, uint16(b), pathOf(b))
+				ref.AddPath(dst, proto, uint16(b), pathOf(b))
+			case 3:
+				got, want = tb.Invalidate(dst), ref.Invalidate(dst)
+			case 4:
+				got, want = tb.InvalidatePath(dst, hop), ref.InvalidatePath(dst, hop)
+			case 5:
+				got, want = fmt.Sprint(tb.InvalidateVia(hop)), fmt.Sprint(ref.InvalidateVia(hop))
+			case 6:
+				got, want = tb.Remove(dst), ref.Remove(dst)
+			case 7:
+				if b&0x80 != 0 {
+					hop = mnet.Addr{}
+				}
+				d := time.Duration(b&0x3c) * time.Millisecond
+				got, want = tb.ExtendLifetime(dst, hop, d), ref.ExtendLifetime(dst, hop, d)
+			case 8:
+				got, want = tb.PurgeExpired(), ref.PurgeExpired()
+			case 9:
+				ds := desiredOf(a, b)
+				got, want = tb.ReplaceProto(proto, ds), ref.installBatch(proto, ds, nil, installReplace)
+			case 10:
+				ds := desiredOf(a&0x0f, b)
+				del := func() []mnet.Prefix {
+					var del []mnet.Prefix
+					for i := 0; i < 4; i++ {
+						if a&(0x10<<i) != 0 {
+							del = append(del, dstOf(byte(i*3)+b))
+						}
+					}
+					return del
+				}
+				got, want = tb.ApplyProto(proto, ds, del()), ref.installBatch(proto, ds, del(), installApply)
+			case 11:
+				ds := desiredOf(a, b)
+				got, want = tb.RefreshProto(proto, ds), ref.installBatch(proto, ds, nil, installRefresh)
+			case 12:
+				tb.Clear()
+				ref.Clear()
+			case 13:
+				clk.Advance(time.Duration(b) * time.Millisecond)
+			case 14:
+				tb.SyncFIB(fib, "emu0")
+				ref.SyncFIB(refFIB, "emu0")
+			case 15:
+				e, ok := tb.Get(dst)
+				re, rok := ref.Get(dst)
+				got, want = fmt.Sprint(entryString(e), ok), fmt.Sprint(entryString(re), rok)
+			}
+			if got != want {
+				t.Fatalf("step %d: op %d on %v returned %v, reference %v", step, op, dst, got, want)
+			}
+			if !slices.Equal(log, refLog) {
+				t.Fatalf("step %d: op %d: notifications\n%q\nreference\n%q", step, op, log, refLog)
+			}
+			es, res := tb.Entries(), ref.Entries()
+			if !slices.EqualFunc(es, res, func(x, y Entry) bool { return entryString(x) == entryString(y) }) {
+				t.Fatalf("step %d: op %d: Entries\n%v\nreference\n%v", step, op, es, res)
+			}
+			if tb.ValidCount() != ref.ValidCount() {
+				t.Fatalf("step %d: ValidCount %d, reference %d", step, tb.ValidCount(), ref.ValidCount())
+			}
+			if !slices.Equal(fib.List(), refFIB.List()) || fib.Ops() != refFIB.Ops() {
+				t.Fatalf("step %d: op %d: FIB %v (%d ops)\nreference %v (%d ops)", step, op, fib.List(), fib.Ops(), refFIB.List(), refFIB.Ops())
+			}
+			for _, d := range probes {
+				e, p, err := tb.Lookup(d)
+				re, rp, rerr := ref.Lookup(d)
+				if entryString(e) != entryString(re) || pathString(p) != pathString(rp) || fmt.Sprint(err) != fmt.Sprint(rerr) {
+					t.Fatalf("step %d: Lookup(%v) = %s %s %v\nreference %s %s %v", step, d, entryString(e), pathString(p), err, entryString(re), pathString(rp), rerr)
+				}
+			}
+		}
+	})
+}

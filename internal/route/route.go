@@ -8,6 +8,8 @@ package route
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -36,11 +38,6 @@ type Entry struct {
 	Valid bool
 	// Proto names the owning protocol ("olsr", "dymo", …).
 	Proto string
-
-	// mark is the ReplaceProto sweep generation that last confirmed this
-	// entry as desired; entries owned by the sweeping protocol whose mark is
-	// stale at the end of a sweep have vanished and are removed.
-	mark uint64
 }
 
 // Best returns the lowest-metric unexpired path at time now.
@@ -74,20 +71,66 @@ const (
 	Removed
 )
 
+// never is the stored expiry of a path that does not expire: a zero
+// Path.Expires at the API edge.
+const never = math.MaxInt64
+
+// ribPath is a Path as the table stores it: 16 bytes, no pointer. exp is
+// the expiry in nanoseconds past the table's base, or never. Metrics are
+// hop counts and are held as int32.
+type ribPath struct {
+	nextHop mnet.Addr
+	metric  int32
+	exp     int64
+}
+
+// ribEntry is an Entry as the table stores it: 40 bytes, no pointer. The
+// first path is inline; an entry with more than one (multipath DYMO) keeps
+// the rest in Table.more. proto indexes Table.names. Prefix lengths, like
+// metrics, are held as int32.
+type ribEntry struct {
+	ribPath        // the first path, while npaths > 0
+	mark    uint64 // ReplaceProto sweep generation that last confirmed it
+	dst     mnet.Addr
+	bits    int32
+	seq     uint16
+	proto   uint16
+	npaths  uint8 // paths held, counted up to 2; the rest are in Table.more
+	valid   bool
+}
+
+func (r *ribEntry) prefix() mnet.Prefix { return mnet.Prefix{Addr: r.dst, Bits: int(r.bits)} }
+
 // Table is the RIB template: thread-safe, lifetime-aware, with
 // longest-prefix-match lookup and change notification. Construct with
 // NewTable.
+//
+// Routes are stored at their working size, as the FIB stores its own: one
+// pointer-free record per destination in a dense slice, host routes
+// indexed by address, and the few wide (HNA) prefixes in a second slice
+// that look-ups scan. Lifetimes are int64 nanoseconds past a per-table
+// base; time.Time appears only at the API edge.
 type Table struct {
 	clock vclock.Clock
 
 	mu       sync.Mutex
-	entries  map[mnet.Prefix]*Entry
+	recs     []ribEntry          // host routes
+	index    map[mnet.Addr]int32 // host destination → its record in recs
+	wide     []ribEntry          // every other prefix length, scanned
+	more     map[mnet.Prefix][]ribPath
+	names    []string // interned Proto strings
 	onChange func(ChangeKind, Entry)
 	fib      *FIB
 	fibDev   string
 
+	// base anchors every stored expiry, which is the expiry minus base
+	// (taken with Sub, so a clock's monotonic reading is kept). The first
+	// time the table converts fixes it.
+	base    time.Time
+	baseSet bool
+
 	// Batch diff-install state: the mark generation distinguishes entries
-	// touched by the current ReplaceProto sweep, and the scratch slices are
+	// touched by the current ReplaceProto sweep, and the scratch slice is
 	// reused across sweeps so a no-op recompute stays allocation-free.
 	markGen uint64
 	removed []mnet.Prefix
@@ -96,7 +139,210 @@ type Table struct {
 // NewTable returns an empty RIB on the given clock. A routing CF passes nil
 // and binds the table to its deployment with Bind.
 func NewTable(clock vclock.Clock) *Table {
-	return &Table{clock: clock, entries: make(map[mnet.Prefix]*Entry)}
+	return &Table{clock: clock, index: make(map[mnet.Addr]int32)}
+}
+
+// since converts x to the stored expiry form. Called with t.mu held.
+func (t *Table) since(x time.Time) int64 {
+	if x.IsZero() {
+		return never
+	}
+	if !t.baseSet {
+		t.base, t.baseSet = x, true
+	}
+	d := int64(x.Sub(t.base))
+	if d == never { // saturated: still an expiry, not "none"
+		d--
+	}
+	return d
+}
+
+// at converts a stored expiry back to the time it stands for.
+func (t *Table) at(k int64) time.Time {
+	if k == never {
+		return time.Time{}
+	}
+	return t.base.Add(time.Duration(k))
+}
+
+// before is time.Time's a.IsZero() || a.Before(b) on stored expiries: a
+// path without expiry always counts as earlier, a zero b as the earliest.
+func before(a, b int64) bool { return a == never || b != never && a < b }
+
+// after is time.Time's a.After(b) on stored expiries, where the zero time
+// (never) comes first.
+func after(a, b int64) bool { return a != never && (b == never || a > b) }
+
+// path converts a path to its stored form. Called with t.mu held.
+func (t *Table) path(nextHop mnet.Addr, metric int, expires time.Time) ribPath {
+	return ribPath{nextHop: nextHop, metric: int32(metric), exp: t.since(expires)}
+}
+
+// intern returns proto's index in t.names, adding it on first sight.
+// Called with t.mu held.
+func (t *Table) intern(proto string) uint16 {
+	if i := slices.Index(t.names, proto); i >= 0 {
+		return uint16(i)
+	}
+	if len(t.names) > math.MaxUint16 {
+		panic("route: table holds more than 65536 distinct protocol names")
+	}
+	t.names = append(t.names, proto)
+	return uint16(len(t.names) - 1)
+}
+
+// find returns dst's record, or nil. The pointer is valid until the next
+// insert or remove. Called with t.mu held.
+func (t *Table) find(dst mnet.Prefix) *ribEntry {
+	if dst.Bits == hostBits {
+		if i, ok := t.index[dst.Addr]; ok {
+			return &t.recs[i]
+		}
+		return nil
+	}
+	for i := range t.wide {
+		if w := &t.wide[i]; w.dst == dst.Addr && int(w.bits) == dst.Bits {
+			return w
+		}
+	}
+	return nil
+}
+
+// insert adds an empty record for dst, which must be absent, and returns
+// it. Called with t.mu held.
+func (t *Table) insert(dst mnet.Prefix) *ribEntry {
+	r := ribEntry{dst: dst.Addr, bits: int32(dst.Bits)}
+	if dst.Bits == hostBits {
+		t.index[dst.Addr] = int32(len(t.recs))
+		t.recs = append(t.recs, r)
+		return &t.recs[len(t.recs)-1]
+	}
+	t.wide = append(t.wide, r)
+	return &t.wide[len(t.wide)-1]
+}
+
+// remove deletes dst's record: the last record moves into its place.
+// Called with t.mu held.
+func (t *Table) remove(dst mnet.Prefix) {
+	delete(t.more, dst)
+	if dst.Bits == hostBits {
+		i, ok := t.index[dst.Addr]
+		if !ok {
+			return
+		}
+		last := int32(len(t.recs) - 1)
+		if i != last {
+			t.recs[i] = t.recs[last]
+			t.index[t.recs[i].dst] = i
+		}
+		t.recs = t.recs[:last]
+		delete(t.index, dst.Addr)
+		return
+	}
+	for i := range t.wide {
+		if w := &t.wide[i]; w.dst == dst.Addr && int(w.bits) == dst.Bits {
+			last := len(t.wide) - 1
+			t.wide[i] = t.wide[last]
+			t.wide = t.wide[:last]
+			return
+		}
+	}
+}
+
+// all calls fn on every record, host routes first. Called with t.mu held.
+func (t *Table) all(fn func(r *ribEntry)) {
+	for i := range t.recs {
+		fn(&t.recs[i])
+	}
+	for i := range t.wide {
+		fn(&t.wide[i])
+	}
+}
+
+// rest returns r's paths past the first. Called with t.mu held.
+func (t *Table) rest(r *ribEntry) []ribPath {
+	if r.npaths < 2 {
+		return nil
+	}
+	return t.more[r.prefix()]
+}
+
+// setPaths stores ps as r's paths; ps[1:] is kept, not copied. Called with
+// t.mu held.
+func (t *Table) setPaths(r *ribEntry, ps []ribPath) {
+	if r.npaths > 1 && len(ps) < 2 {
+		delete(t.more, r.prefix())
+	}
+	r.npaths = uint8(min(len(ps), 2))
+	r.ribPath = ribPath{}
+	if len(ps) > 0 {
+		r.ribPath = ps[0]
+	}
+	if len(ps) > 1 {
+		if t.more == nil {
+			t.more = make(map[mnet.Prefix][]ribPath)
+		}
+		t.more[r.prefix()] = ps[1:]
+	}
+}
+
+// setOne stores p as r's only path. Called with t.mu held.
+func (t *Table) setOne(r *ribEntry, p ribPath) {
+	if r.npaths > 1 {
+		delete(t.more, r.prefix())
+	}
+	r.ribPath, r.npaths = p, 1
+}
+
+// dropPaths removes r's paths for which drop reports true, keeping the rest
+// in order. Called with t.mu held.
+func (t *Table) dropPaths(r *ribEntry, drop func(ribPath) bool) {
+	if r.npaths > 1 {
+		ps := append([]ribPath{r.ribPath}, t.rest(r)...)
+		t.setPaths(r, slices.DeleteFunc(ps, drop))
+	} else if r.npaths == 1 && drop(r.ribPath) {
+		t.setPaths(r, nil)
+	}
+}
+
+// best is Entry.Best on a record. Called with t.mu held.
+func (t *Table) best(r *ribEntry, nowK int64) (ribPath, bool) {
+	var best ribPath
+	found := false
+	consider := func(p ribPath) {
+		if p.exp != never && p.exp <= nowK {
+			return
+		}
+		if !found || p.metric < best.metric {
+			best, found = p, true
+		}
+	}
+	if r.npaths > 0 {
+		consider(r.ribPath)
+	}
+	for _, p := range t.rest(r) {
+		consider(p)
+	}
+	return best, found
+}
+
+// apiPath converts a stored path back to a Path. Called with t.mu held.
+func (t *Table) apiPath(p ribPath) Path {
+	return Path{NextHop: p.nextHop, Metric: int(p.metric), Expires: t.at(p.exp)}
+}
+
+// snapshot rebuilds the Entry r stores. Called with t.mu held.
+func (t *Table) snapshot(r *ribEntry) Entry {
+	e := Entry{Dst: r.prefix(), SeqNum: r.seq, Valid: r.valid, Proto: t.names[r.proto]}
+	if r.npaths > 0 {
+		rest := t.rest(r)
+		e.Paths = make([]Path, 0, 1+len(rest))
+		e.Paths = append(e.Paths, t.apiPath(r.ribPath))
+		for _, p := range rest {
+			e.Paths = append(e.Paths, t.apiPath(p))
+		}
+	}
+	return e
 }
 
 // Bind gives a table built without a clock its clock and mirrors it into f
@@ -127,9 +373,7 @@ func (t *Table) syncFIBLocked(f *FIB, device string) {
 	if f == nil {
 		return
 	}
-	for _, e := range t.entries {
-		t.mirrorLocked(e)
-	}
+	t.all(t.mirrorLocked)
 }
 
 // OnChange installs a change listener invoked (without the table lock held
@@ -147,20 +391,32 @@ func (t *Table) Upsert(e Entry) ChangeKind {
 		e.Valid = false
 	}
 	t.mu.Lock()
-	_, existed := t.entries[e.Dst]
-	stored := e
-	stored.Paths = append([]Path(nil), e.Paths...)
-	t.entries[e.Dst] = &stored
-	t.mirrorLocked(&stored)
+	r := t.find(e.Dst)
+	kind := Updated
+	if r == nil {
+		r = t.insert(e.Dst)
+		kind = Added
+	}
+	if len(e.Paths) == 1 {
+		t.setOne(r, t.path(e.Paths[0].NextHop, e.Paths[0].Metric, e.Paths[0].Expires))
+	} else {
+		ps := make([]ribPath, len(e.Paths))
+		for i, p := range e.Paths {
+			ps[i] = t.path(p.NextHop, p.Metric, p.Expires)
+		}
+		t.setPaths(r, ps)
+	}
+	r.seq, r.valid, r.proto, r.mark = e.SeqNum, e.Valid, t.intern(e.Proto), 0
+	t.mirrorLocked(r)
 	fn := t.onChange
+	var snap Entry
+	if fn != nil {
+		snap = t.snapshot(r)
+	}
 	t.mu.Unlock()
 
-	kind := Added
-	if existed {
-		kind = Updated
-	}
 	if fn != nil {
-		fn(kind, stored)
+		fn(kind, snap)
 	}
 	return kind
 }
@@ -169,72 +425,83 @@ func (t *Table) Upsert(e Entry) ChangeKind {
 // entry if needed — the multipath accumulation primitive.
 func (t *Table) AddPath(dst mnet.Prefix, proto string, seq uint16, p Path) {
 	t.mu.Lock()
-	e, ok := t.entries[dst]
-	if !ok {
-		e = &Entry{Dst: dst, Proto: proto, SeqNum: seq, Valid: true}
-		t.entries[dst] = e
+	r := t.find(dst)
+	if r == nil {
+		r = t.insert(dst)
+		r.proto = t.intern(proto)
 	}
-	e.SeqNum = seq
-	e.Valid = true
-	replaced := false
-	for i := range e.Paths {
-		if e.Paths[i].NextHop == p.NextHop {
-			e.Paths[i] = p
-			replaced = true
-			break
-		}
+	r.seq = seq
+	r.valid = true
+	rp := t.path(p.NextHop, p.Metric, p.Expires)
+	rest := t.rest(r)
+	switch i := slices.IndexFunc(rest, func(q ribPath) bool { return q.nextHop == p.NextHop }); {
+	case r.npaths > 0 && r.nextHop == p.NextHop:
+		r.ribPath = rp
+	case i >= 0:
+		rest[i] = rp
+	case r.npaths == 0:
+		t.setOne(r, rp)
+	default:
+		t.setPaths(r, append(append([]ribPath{r.ribPath}, rest...), rp))
 	}
-	if !replaced {
-		e.Paths = append(e.Paths, p)
-	}
-	t.mirrorLocked(e)
+	t.mirrorLocked(r)
 	fn := t.onChange
-	snapshot := *e
-	snapshot.Paths = append([]Path(nil), e.Paths...)
+	var snap Entry
+	if fn != nil {
+		snap = t.snapshot(r)
+	}
 	t.mu.Unlock()
 	if fn != nil {
-		fn(Updated, snapshot)
+		fn(Updated, snap)
 	}
 }
 
 // Lookup performs longest-prefix-match over valid entries and returns the
-// matched entry's best path.
+// matched entry's best path. A host route is the longest match there can
+// be, so it is tried first; only without a usable one are the wide prefixes
+// scanned. Among equally long matches the lowest base address wins, as in
+// FIB.Lookup.
 func (t *Table) Lookup(dst mnet.Addr) (Entry, Path, error) {
 	now := t.clock.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var bestEntry *Entry
-	bestBits := -1
-	for _, e := range t.entries {
-		if !e.Valid || !e.Dst.Contains(dst) || e.Dst.Bits <= bestBits {
-			continue
+	nowK := t.since(now)
+	if i, ok := t.index[dst]; ok && t.recs[i].valid {
+		r := &t.recs[i]
+		if p, ok := t.best(r, nowK); ok {
+			return t.snapshot(r), t.apiPath(p), nil
 		}
-		if _, ok := e.Best(now); !ok {
-			continue
-		}
-		bestEntry = e
-		bestBits = e.Dst.Bits
 	}
-	if bestEntry == nil {
+	var best *ribEntry
+	var bestPath ribPath
+	bestBits := int32(-1)
+	for i := range t.wide {
+		w := &t.wide[i]
+		if !w.valid || w.bits < bestBits || !w.prefix().Contains(dst) {
+			continue
+		}
+		if w.bits == bestBits && (best == nil || !w.dst.Less(best.dst)) {
+			continue
+		}
+		if p, ok := t.best(w, nowK); ok {
+			best, bestPath, bestBits = w, p, w.bits
+		}
+	}
+	if best == nil {
 		return Entry{}, Path{}, fmt.Errorf("%w: %v", ErrNoRoute, dst)
 	}
-	p, _ := bestEntry.Best(now)
-	out := *bestEntry
-	out.Paths = append([]Path(nil), bestEntry.Paths...)
-	return out, p, nil
+	return t.snapshot(best), t.apiPath(bestPath), nil
 }
 
 // Get returns the entry for an exact destination prefix.
 func (t *Table) Get(dst mnet.Prefix) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.entries[dst]
-	if !ok {
+	r := t.find(dst)
+	if r == nil {
 		return Entry{}, false
 	}
-	out := *e
-	out.Paths = append([]Path(nil), e.Paths...)
-	return out, true
+	return t.snapshot(r), true
 }
 
 // Invalidate marks the route unusable but keeps it (with its sequence
@@ -242,18 +509,21 @@ func (t *Table) Get(dst mnet.Prefix) (Entry, bool) {
 // present.
 func (t *Table) Invalidate(dst mnet.Prefix) bool {
 	t.mu.Lock()
-	e, ok := t.entries[dst]
-	if !ok || !e.Valid {
+	r := t.find(dst)
+	if r == nil || !r.valid {
 		t.mu.Unlock()
 		return false
 	}
-	e.Valid = false
-	t.mirrorLocked(e)
+	r.valid = false
+	t.mirrorLocked(r)
 	fn := t.onChange
-	snapshot := *e
+	var snap Entry
+	if fn != nil {
+		snap = t.snapshot(r)
+	}
 	t.mu.Unlock()
 	if fn != nil {
-		fn(Invalidated, snapshot)
+		fn(Invalidated, snap)
 	}
 	return true
 }
@@ -263,60 +533,51 @@ func (t *Table) Invalidate(dst mnet.Prefix) bool {
 // entry remains valid.
 func (t *Table) InvalidatePath(dst mnet.Prefix, nextHop mnet.Addr) (remains bool) {
 	t.mu.Lock()
-	e, ok := t.entries[dst]
-	if !ok {
+	r := t.find(dst)
+	if r == nil {
 		t.mu.Unlock()
 		return false
 	}
-	kept := e.Paths[:0]
-	for _, p := range e.Paths {
-		if p.NextHop != nextHop {
-			kept = append(kept, p)
-		}
+	t.dropPaths(r, func(p ribPath) bool { return p.nextHop == nextHop })
+	if r.npaths == 0 {
+		r.valid = false
 	}
-	e.Paths = kept
-	if len(e.Paths) == 0 {
-		e.Valid = false
-	}
-	remains = e.Valid
-	t.mirrorLocked(e)
+	remains = r.valid
+	t.mirrorLocked(r)
 	fn := t.onChange
-	snapshot := *e
-	snapshot.Paths = append([]Path(nil), e.Paths...)
+	var snap Entry
+	if fn != nil {
+		snap = t.snapshot(r)
+	}
 	t.mu.Unlock()
 	if fn != nil {
 		kind := Updated
 		if !remains {
 			kind = Invalidated
 		}
-		fn(kind, snapshot)
+		fn(kind, snap)
 	}
 	return remains
 }
 
-// InvalidateVia invalidates every route whose best path uses nextHop —
-// the route-invalidation sweep run on link-break events. It returns the
-// affected destinations.
+// InvalidateVia drops the path through nextHop from every valid route that
+// has one, invalidating a route left with none — the route-invalidation
+// sweep run on link-break events. It returns the affected destinations, in
+// (address, length) order, the order it changes them in.
 func (t *Table) InvalidateVia(nextHop mnet.Addr) []mnet.Prefix {
 	t.mu.Lock()
 	var affected []mnet.Prefix
-	for dst, e := range t.entries {
-		if !e.Valid {
-			continue
+	t.all(func(r *ribEntry) {
+		if !r.valid {
+			return
 		}
-		uses := false
-		for _, p := range e.Paths {
-			if p.NextHop == nextHop {
-				uses = true
-				break
-			}
+		if r.npaths > 0 && r.nextHop == nextHop ||
+			slices.ContainsFunc(t.rest(r), func(p ribPath) bool { return p.nextHop == nextHop }) {
+			affected = append(affected, r.prefix())
 		}
-		if uses {
-			affected = append(affected, dst)
-		}
-	}
+	})
 	t.mu.Unlock()
-	sort.Slice(affected, func(i, j int) bool { return affected[i].Addr.Less(affected[j].Addr) })
+	sortPrefixes(affected)
 	for _, dst := range affected {
 		t.InvalidatePath(dst, nextHop)
 	}
@@ -326,71 +587,80 @@ func (t *Table) InvalidateVia(nextHop mnet.Addr) []mnet.Prefix {
 // Remove deletes the entry entirely.
 func (t *Table) Remove(dst mnet.Prefix) bool {
 	t.mu.Lock()
-	e, ok := t.entries[dst]
-	if !ok {
+	r := t.find(dst)
+	if r == nil {
 		t.mu.Unlock()
 		return false
 	}
-	delete(t.entries, dst)
+	fn := t.onChange
+	var snap Entry
+	if fn != nil {
+		snap = t.snapshot(r)
+	}
+	t.remove(dst)
 	if t.fib != nil {
 		t.fib.Del(dst)
 	}
-	fn := t.onChange
-	snapshot := *e
 	t.mu.Unlock()
 	if fn != nil {
-		fn(Removed, snapshot)
+		fn(Removed, snap)
 	}
 	return true
 }
 
 // ExtendLifetime pushes the expiry of every path through nextHop (or all
 // paths when nextHop is the zero Addr) on the entry for dst out to at least
-// now+d. Reactive protocols call this on ROUTE_UPDATE events.
+// now+d. Reactive protocols call this on ROUTE_UPDATE events: for a host
+// route it is one index probe and an in-place write.
 func (t *Table) ExtendLifetime(dst mnet.Prefix, nextHop mnet.Addr, d time.Duration) bool {
 	deadline := t.clock.Now().Add(d)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.entries[dst]
-	if !ok || !e.Valid {
+	r := t.find(dst)
+	if r == nil || !r.valid || r.npaths == 0 {
 		return false
 	}
+	dk := t.since(deadline)
+	everyHop := nextHop.IsUnspecified()
 	touched := false
-	for i := range e.Paths {
-		if !nextHop.IsUnspecified() && e.Paths[i].NextHop != nextHop {
-			continue
-		}
-		if e.Paths[i].Expires.IsZero() || e.Paths[i].Expires.Before(deadline) {
-			e.Paths[i].Expires = deadline
+	if everyHop || r.nextHop == nextHop {
+		if before(r.exp, dk) {
+			r.exp = dk
 		}
 		touched = true
+	}
+	rest := t.rest(r)
+	for i := range rest {
+		if p := &rest[i]; everyHop || p.nextHop == nextHop {
+			if before(p.exp, dk) {
+				p.exp = dk
+			}
+			touched = true
+		}
 	}
 	return touched
 }
 
 // PurgeExpired drops expired paths and invalidates entries left with none.
-// It returns the number of entries invalidated.
+// It returns the number of entries invalidated, which it invalidates in
+// (address, length) order.
 func (t *Table) PurgeExpired() int {
 	now := t.clock.Now()
 	t.mu.Lock()
+	nowK := t.since(now)
+	expired := func(p ribPath) bool { return p.exp != never && p.exp <= nowK }
 	var dead []mnet.Prefix
-	for dst, e := range t.entries {
-		if !e.Valid {
-			continue
+	t.all(func(r *ribEntry) {
+		if !r.valid {
+			return
 		}
-		kept := e.Paths[:0]
-		for _, p := range e.Paths {
-			if p.Expires.IsZero() || p.Expires.After(now) {
-				kept = append(kept, p)
-			}
+		t.dropPaths(r, expired)
+		if r.npaths == 0 {
+			dead = append(dead, r.prefix())
 		}
-		e.Paths = kept
-		if len(e.Paths) == 0 {
-			dead = append(dead, dst)
-		}
-	}
+	})
 	t.mu.Unlock()
-	sort.Slice(dead, func(i, j int) bool { return dead[i].Addr.Less(dead[j].Addr) })
+	sortPrefixes(dead)
 	for _, dst := range dead {
 		t.Invalidate(dst)
 	}
@@ -401,18 +671,9 @@ func (t *Table) PurgeExpired() int {
 func (t *Table) Entries() []Entry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		c := *e
-		c.Paths = append([]Path(nil), e.Paths...)
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dst.Addr != out[j].Dst.Addr {
-			return out[i].Dst.Addr.Less(out[j].Dst.Addr)
-		}
-		return out[i].Dst.Bits < out[j].Dst.Bits
-	})
+	out := make([]Entry, 0, len(t.recs)+len(t.wide))
+	t.all(func(r *ribEntry) { out = append(out, t.snapshot(r)) })
+	sort.Slice(out, func(i, j int) bool { return prefixLess(out[i].Dst, out[j].Dst) })
 	return out
 }
 
@@ -421,11 +682,11 @@ func (t *Table) ValidCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for _, e := range t.entries {
-		if e.Valid {
+	t.all(func(r *ribEntry) {
+		if r.valid {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -433,12 +694,13 @@ func (t *Table) ValidCount() int {
 func (t *Table) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for dst := range t.entries {
-		if t.fib != nil {
-			t.fib.Del(dst)
-		}
-		delete(t.entries, dst)
+	if t.fib != nil {
+		t.all(func(r *ribEntry) { t.fib.Del(r.prefix()) })
 	}
+	t.recs = t.recs[:0]
+	t.wide = t.wide[:0]
+	clear(t.index)
+	clear(t.more)
 }
 
 // ProtoRoute is one desired route in the batch diff-install API
@@ -521,99 +783,95 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 	replace := mode != installRefresh
 	now := t.clock.Now()
 	t.mu.Lock()
+	nowK := t.since(now)
 	t.markGen++
 	gen := t.markGen
+	owner := t.intern(proto)
 	fn := t.onChange
 	var changes []changeRec
 	for i := range desired {
 		d := &desired[i]
-		e, ok := t.entries[d.Dst]
-		if !ok {
-			e = &Entry{
-				Dst:   d.Dst,
-				Paths: []Path{{NextHop: d.NextHop, Metric: d.Metric, Expires: d.Expires}},
-				Valid: true,
-				Proto: proto,
-				mark:  gen,
-			}
-			t.entries[d.Dst] = e
-			t.mirrorLocked(e)
+		p := t.path(d.NextHop, d.Metric, d.Expires)
+		r := t.find(d.Dst)
+		if r == nil {
+			r = t.insert(d.Dst)
+			r.ribPath, r.npaths, r.valid, r.proto, r.mark = p, 1, true, owner, gen
+			t.mirrorLocked(r)
 			stats.Added++
 			if fn != nil {
-				changes = append(changes, changeRec{Added, snapshotEntry(e)})
+				changes = append(changes, changeRec{Added, t.snapshot(r)})
 			}
 			continue
 		}
-		e.mark = gen
-		if !replace && e.Valid {
+		r.mark = gen
+		if !replace && r.valid {
 			// Keep-better: an existing route at least as short stays; only
 			// its lifetimes stretch to cover the refresh horizon.
-			if best, has := e.Best(now); has && best.Metric <= d.Metric {
-				for pi := range e.Paths {
-					if e.Paths[pi].Expires.IsZero() || e.Paths[pi].Expires.Before(d.Expires) {
-						e.Paths[pi].Expires = d.Expires
+			if best, has := t.best(r, nowK); has && best.metric <= p.metric {
+				stretch := func(q *ribPath) {
+					if before(q.exp, p.exp) {
+						q.exp = p.exp
 					}
+				}
+				if r.npaths > 0 {
+					stretch(&r.ribPath)
+				}
+				rest := t.rest(r)
+				for pi := range rest {
+					stretch(&rest[pi])
 				}
 				stats.Kept++
 				continue
 			}
 		}
-		if e.Valid && e.Proto == proto && len(e.Paths) == 1 &&
-			e.Paths[0].NextHop == d.NextHop && e.Paths[0].Metric == d.Metric {
+		if r.valid && r.proto == owner && r.npaths == 1 &&
+			r.nextHop == p.nextHop && r.metric == p.metric {
 			// Same route: advance the lifetime in place. The FIB carries no
 			// expiry and listeners see no routing change, so both stay quiet.
-			if replace || d.Expires.After(e.Paths[0].Expires) {
-				e.Paths[0].Expires = d.Expires
+			if replace || after(p.exp, r.exp) {
+				r.exp = p.exp
 			}
 			stats.Refreshed++
 			continue
 		}
-		// The route genuinely changed: rewrite the entry in place, reusing
-		// its path slice when possible.
+		// The route genuinely changed: rewrite the record in place.
 		kind := Updated
-		if !e.Valid {
+		if !r.valid {
 			kind = Added
 		}
-		e.Proto = proto
-		e.Valid = true
-		e.SeqNum = 0
-		if cap(e.Paths) > 0 {
-			e.Paths = e.Paths[:1]
-			e.Paths[0] = Path{NextHop: d.NextHop, Metric: d.Metric, Expires: d.Expires}
-		} else {
-			e.Paths = []Path{{NextHop: d.NextHop, Metric: d.Metric, Expires: d.Expires}}
-		}
-		t.mirrorLocked(e)
+		r.proto, r.valid, r.seq = owner, true, 0
+		t.setOne(r, p)
+		t.mirrorLocked(r)
 		stats.Updated++
 		if fn != nil {
-			changes = append(changes, changeRec{kind, snapshotEntry(e)})
+			changes = append(changes, changeRec{kind, t.snapshot(r)})
 		}
 	}
 	removed := del
 	if mode == installReplace {
 		removed = t.removed[:0]
-		for dst, e := range t.entries {
-			if e.Proto == proto && e.mark != gen {
-				removed = append(removed, dst)
+		t.all(func(r *ribEntry) {
+			if r.proto == owner && r.mark != gen {
+				removed = append(removed, r.prefix())
 			}
-		}
+		})
 		t.removed = removed[:0]
 	}
 	if len(removed) > 0 {
 		sortPrefixes(removed)
 		for _, dst := range removed {
-			e, ok := t.entries[dst]
-			if !ok || e.Proto != proto || e.mark == gen {
+			r := t.find(dst)
+			if r == nil || r.proto != owner || r.mark == gen {
 				continue
 			}
-			delete(t.entries, dst)
+			if fn != nil {
+				changes = append(changes, changeRec{Removed, t.snapshot(r)})
+			}
+			t.remove(dst)
 			if t.fib != nil {
 				t.fib.Del(dst)
 			}
 			stats.Removed++
-			if fn != nil {
-				changes = append(changes, changeRec{Removed, snapshotEntry(e)})
-			}
 		}
 	}
 	t.mu.Unlock()
@@ -623,39 +881,35 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 	return stats
 }
 
-// snapshotEntry deep-copies an entry for a change notification. Caller
-// holds t.mu.
-func snapshotEntry(e *Entry) Entry {
-	snap := *e
-	snap.Paths = append([]Path(nil), e.Paths...)
-	return snap
+// prefixLess orders prefixes by (address, length) — the table's canonical
+// order.
+func prefixLess(a, b mnet.Prefix) bool {
+	if a.Addr != b.Addr {
+		return a.Addr.Less(b.Addr)
+	}
+	return a.Bits < b.Bits
 }
 
-// sortPrefixes orders prefixes by (address, length) — the table's canonical
-// order, keeping removal notifications deterministic.
+// sortPrefixes sorts prefixes into the table's canonical order, keeping
+// removal and invalidation notifications deterministic.
 func sortPrefixes(ps []mnet.Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Addr != ps[j].Addr {
-			return ps[i].Addr.Less(ps[j].Addr)
-		}
-		return ps[i].Bits < ps[j].Bits
-	})
+	sort.Slice(ps, func(i, j int) bool { return prefixLess(ps[i], ps[j]) })
 }
 
-// mirrorLocked pushes the entry's current best path into the FIB (or
+// mirrorLocked pushes the record's current best path into the FIB (or
 // removes it). Caller holds t.mu.
-func (t *Table) mirrorLocked(e *Entry) {
+func (t *Table) mirrorLocked(r *ribEntry) {
 	if t.fib == nil {
 		return
 	}
-	if !e.Valid {
-		t.fib.Del(e.Dst)
+	if !r.valid {
+		t.fib.Del(r.prefix())
 		return
 	}
-	p, ok := e.Best(t.clock.Now())
+	p, ok := t.best(r, t.since(t.clock.Now()))
 	if !ok {
-		t.fib.Del(e.Dst)
+		t.fib.Del(r.prefix())
 		return
 	}
-	t.fib.Set(FIBRoute{Dst: e.Dst, NextHop: p.NextHop, Metric: p.Metric, Device: t.fibDev, Proto: e.Proto})
+	t.fib.Set(FIBRoute{Dst: r.prefix(), NextHop: p.nextHop, Metric: int(p.metric), Device: t.fibDev, Proto: t.names[r.proto]})
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -632,5 +634,133 @@ func TestFIBLookupMatchesScan(t *testing.T) {
 		if f.Len() != 0 || len(f.wide) != 0 {
 			t.Fatalf("seed %d: empty table holds %d wide prefixes (len %d)", seed, len(f.wide), f.Len())
 		}
+	}
+}
+
+// TestLookupTieBreakIsLowestBase: among equally long matching prefixes,
+// Lookup picks the lowest base address, as FIB.Lookup does, whatever order
+// the table holds them in.
+func TestLookupTieBreakIsLowestBase(t *testing.T) {
+	for run := 0; run < 200; run++ {
+		tb, _ := newTable()
+		for i, base := range []string{"10.0.0.5", "10.0.0.7", "10.0.0.6"} {
+			tb.Upsert(Entry{
+				Dst:   mnet.Prefix{Addr: addr(base), Bits: 24},
+				Paths: []Path{{NextHop: mnet.AddrFrom(0x0a000101 + uint32(i)), Metric: 1}},
+				Valid: true,
+			})
+		}
+		e, _, err := tb.Lookup(addr("10.0.0.9"))
+		if err != nil || e.Dst.Addr != addr("10.0.0.5") {
+			t.Fatalf("run %d: Lookup(10.0.0.9) matched %v (%v), want 10.0.0.5/24", run, e.Dst, err)
+		}
+	}
+}
+
+// checkSweepOrder holds 10.0.0.0/8, /16 and /24 through one next hop, each
+// expiring in a millisecond, runs sweep on 200 fresh tables, and requires
+// the changes to be notified in (address, length) order every time.
+func checkSweepOrder(t *testing.T, sweep func(tb *Table, clk *vclock.Virtual)) {
+	t.Helper()
+	want := "[10.0.0.0/8 10.0.0.0/16 10.0.0.0/24]"
+	for run := 0; run < 200; run++ {
+		tb, clk := newTable()
+		for _, bits := range []int{24, 8, 16} {
+			tb.Upsert(Entry{
+				Dst:   mnet.Prefix{Addr: addr("10.0.0.0"), Bits: bits},
+				Paths: []Path{{NextHop: addr("10.0.0.2"), Metric: 1, Expires: epoch.Add(time.Millisecond)}},
+				Valid: true,
+			})
+		}
+		var order []mnet.Prefix
+		tb.OnChange(func(_ ChangeKind, e Entry) { order = append(order, e.Dst) })
+		sweep(tb, clk)
+		if got := fmt.Sprint(order); got != want {
+			t.Fatalf("run %d: notified %s, want %s", run, got, want)
+		}
+	}
+}
+
+func TestInvalidateViaNotifiesInPrefixOrder(t *testing.T) {
+	checkSweepOrder(t, func(tb *Table, _ *vclock.Virtual) { tb.InvalidateVia(addr("10.0.0.2")) })
+}
+
+func TestPurgeExpiredNotifiesInPrefixOrder(t *testing.T) {
+	checkSweepOrder(t, func(tb *Table, clk *vclock.Virtual) {
+		clk.Advance(time.Second)
+		tb.PurgeExpired()
+	})
+}
+
+func TestTableHoldsNoPointers(t *testing.T) {
+	tb := NewTable(nil)
+	for _, typ := range []reflect.Type{reflect.TypeOf(tb.recs).Elem(), reflect.TypeOf(tb.index).Key(), reflect.TypeOf(tb.index).Elem()} {
+		if holdsPointers(typ) {
+			t.Fatalf("the RIB's %v holds pointers the collector scans", typ)
+		}
+	}
+	if size := reflect.TypeOf(ribEntry{}).Size(); size > 40 {
+		t.Fatalf("a RIB record takes %d B, want at most 40", size)
+	}
+}
+
+// TestTableBytesPerRoute pins the footprint of the RIB one node of a
+// 144-node OLSR flood holds: a host route to every other node, as OLSR's
+// pass installs them. Eight tables are built so the heap's background noise
+// is spread thin.
+func TestTableBytesPerRoute(t *testing.T) {
+	const n, limit = 143, 100
+	clk := vclock.NewVirtual(epoch)
+	desired := make([]ProtoRoute, n)
+	for i := range desired {
+		desired[i] = ProtoRoute{
+			Dst:     mnet.HostPrefix(mnet.AddrFrom(0x0a000100 + uint32(i))),
+			NextHop: mnet.AddrFrom(0x0a000001 + uint32(i%4)),
+			Metric:  1 + i%11,
+		}
+	}
+	before := liveHeap()
+	var tables [8]*Table
+	for j := range tables {
+		tables[j] = NewTable(clk)
+		for i := range desired {
+			tables[j].ApplyProto("olsr", desired[i:i+1], nil)
+		}
+	}
+	per := float64(liveHeap()-before) / float64(n*len(tables))
+	runtime.KeepAlive(&tables)
+	t.Logf("%d host routes: %.1f B each", n, per)
+	if per > limit {
+		t.Fatalf("%d host routes cost %.1f B each, want at most %d", n, per, limit)
+	}
+}
+
+// TestTableAllocs: the per-hop lifetime extension, a steady diff install
+// and a missed Get allocate nothing.
+func TestTableAllocs(t *testing.T) {
+	tb, clk := newTable()
+	tb.SyncFIB(NewFIB(), "emu0")
+	desired := make([]ProtoRoute, 64)
+	for i := range desired {
+		desired[i] = ProtoRoute{Dst: mnet.HostPrefix(mnet.AddrFrom(0x0a000100 + uint32(i))), NextHop: mnet.AddrFrom(0x0a000001), Metric: 2, Expires: clk.Now().Add(time.Minute)}
+	}
+	tb.ReplaceProto("olsr", desired)
+	tb.ReplaceProto("olsr", desired)
+	held, hop, absent := desired[5].Dst, desired[5].NextHop, host("10.9.9.9")
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"ExtendLifetime on a held route", func() { tb.ExtendLifetime(held, hop, time.Second) }},
+		{"steady ApplyProto", func() { tb.ApplyProto("olsr", desired, nil) }},
+		{"steady ReplaceProto", func() { tb.ReplaceProto("olsr", desired) }},
+		{"Get miss", func() { tb.Get(absent) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.run); n != 0 {
+			t.Errorf("%s allocates %.1f times", tc.name, n)
+		}
+	}
+	if !tb.ExtendLifetime(held, hop, time.Hour) {
+		t.Fatal("ExtendLifetime missed a held route")
 	}
 }
