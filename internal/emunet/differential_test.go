@@ -117,56 +117,60 @@ func TestDifferentialChaos(t *testing.T) {
 // path: delivery verdicts and their order must match across engines, for
 // linked, lossy, missing-link and mid-flight-crash cases.
 func TestDifferentialFeedback(t *testing.T) {
-	run := func(mk medium, seed int64) []string {
-		epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-		clk := vclock.NewVirtual(epoch)
-		net := mk(clk, seed)
-		addrs := Addrs(3)
-		for _, a := range addrs {
-			if _, err := net.Attach(a); err != nil {
-				t.Fatalf("Attach: %v", err)
-			}
-		}
-		lossy := DefaultQuality()
-		lossy.Loss = 0.5
-		if err := net.SetLink(addrs[0], addrs[1], lossy); err != nil {
-			t.Fatalf("SetLink: %v", err)
-		}
-		if err := net.SetLink(addrs[1], addrs[2], DefaultQuality()); err != nil {
-			t.Fatalf("SetLink: %v", err)
-		}
-
-		var verdicts []string
-		nic0, _ := net.NIC(addrs[0])
-		nic1, _ := net.NIC(addrs[1])
-		for k := 0; k < 20; k++ {
-			k := k
-			clk.AfterFunc(time.Duration(k)*10*time.Millisecond, func() {
-				_ = nic0.SendWithFeedback(addrs[1], []byte(fmt.Sprintf("ack me %d", k)), func(ok bool) {
-					verdicts = append(verdicts, fmt.Sprintf("t=%v 0->1 #%d ok=%v", clk.Now().Sub(epoch), k, ok))
-				})
-				_ = nic1.SendWithFeedback(addrs[2], []byte(fmt.Sprintf("fwd %d", k)), func(ok bool) {
-					verdicts = append(verdicts, fmt.Sprintf("t=%v 1->2 #%d ok=%v", clk.Now().Sub(epoch), k, ok))
-				})
-				// No link 0->2: the frame is lost and the MAC reports failure.
-				_ = nic0.SendWithFeedback(addrs[2], []byte("void"), func(ok bool) {
-					verdicts = append(verdicts, fmt.Sprintf("t=%v 0->2 #%d ok=%v", clk.Now().Sub(epoch), k, ok))
-				})
-			})
-		}
-		// Crash the middle node mid-run so in-flight frames to it are dropped.
-		clk.AfterFunc(95*time.Millisecond, func() { _ = net.Detach(addrs[1]) })
-		clk.Advance(400 * time.Millisecond)
-		return verdicts
-	}
-
 	for _, seed := range []int64{5, 6, 43} {
-		ref := run(NewReference, seed)
+		ref := feedbackVerdicts(t, NewReference, seed)
 		if len(ref) == 0 {
 			t.Fatal("no feedback verdicts")
 		}
-		diffSeq(t, fmt.Sprintf("seed %d", seed), "verdict", ref, run(New, seed))
+		diffSeq(t, fmt.Sprintf("seed %d", seed), "verdict", ref, feedbackVerdicts(t, New, seed))
 	}
+}
+
+// feedbackVerdicts runs the MAC-feedback workload — a lossy link, a clean
+// one, a missing one, and a crash of the middle node with frames in flight
+// to it — and returns the verdict log.
+func feedbackVerdicts(t *testing.T, mk medium, seed int64) []string {
+	t.Helper()
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	clk := vclock.NewVirtual(epoch)
+	net := mk(clk, seed)
+	addrs := Addrs(3)
+	for _, a := range addrs {
+		if _, err := net.Attach(a); err != nil {
+			t.Fatalf("Attach: %v", err)
+		}
+	}
+	lossy := DefaultQuality()
+	lossy.Loss = 0.5
+	if err := net.SetLink(addrs[0], addrs[1], lossy); err != nil {
+		t.Fatalf("SetLink: %v", err)
+	}
+	if err := net.SetLink(addrs[1], addrs[2], DefaultQuality()); err != nil {
+		t.Fatalf("SetLink: %v", err)
+	}
+
+	var verdicts []string
+	nic0, _ := net.NIC(addrs[0])
+	nic1, _ := net.NIC(addrs[1])
+	for k := 0; k < 20; k++ {
+		k := k
+		clk.AfterFunc(time.Duration(k)*10*time.Millisecond, func() {
+			_ = nic0.SendWithFeedback(addrs[1], []byte(fmt.Sprintf("ack me %d", k)), func(ok bool) {
+				verdicts = append(verdicts, fmt.Sprintf("t=%v 0->1 #%d ok=%v", clk.Now().Sub(epoch), k, ok))
+			})
+			_ = nic1.SendWithFeedback(addrs[2], []byte(fmt.Sprintf("fwd %d", k)), func(ok bool) {
+				verdicts = append(verdicts, fmt.Sprintf("t=%v 1->2 #%d ok=%v", clk.Now().Sub(epoch), k, ok))
+			})
+			// No link 0->2: the frame is lost and the MAC reports failure.
+			_ = nic0.SendWithFeedback(addrs[2], []byte("void"), func(ok bool) {
+				verdicts = append(verdicts, fmt.Sprintf("t=%v 0->2 #%d ok=%v", clk.Now().Sub(epoch), k, ok))
+			})
+		})
+	}
+	// Crash the middle node mid-run so in-flight frames to it are dropped.
+	clk.AfterFunc(95*time.Millisecond, func() { _ = net.Detach(addrs[1]) })
+	clk.Advance(400 * time.Millisecond)
+	return verdicts
 }
 
 // TestDifferentialTopologyEdges walks the topology mutation surface —
