@@ -11,52 +11,91 @@ import (
 	"manetkit/internal/vclock"
 )
 
-// Property test for the adjacency index. Broadcast fan-out reads
-// the per-sender adjacency lists; the link map remains the O(n²) ground
-// truth that SetLink/CutLink/Detach mutate. After any randomized mutation
-// sequence the two must describe the same graph, or delivery would silently
-// diverge from the declared topology.
+// Property tests for the link set: the per-sender adjacency lists that
+// SetLink/CutLink/Detach mutate, partitions cut and heal, and fan-out reads.
+// The oracle is a directed-link model the tests maintain from their own
+// mutation scripts; after any randomized mutation sequence the medium must
+// describe the same graph, or delivery would silently diverge from the
+// declared topology.
 
-// referenceNeighbors derives a node's out-neighbours the slow way: probe
-// every attached address pair through Linked (the link-map matrix).
-func referenceNeighbors(net *Network, from mnet.Addr, nodes []mnet.Addr) []mnet.Addr {
+// linkModel is the oracle: the directed links the script has declared, and
+// which nodes are attached.
+type linkModel struct {
+	links    map[[2]mnet.Addr]Quality
+	attached map[mnet.Addr]bool
+}
+
+// newLinkModel models nodes attached with no links.
+func newLinkModel(nodes []mnet.Addr) *linkModel {
+	m := &linkModel{links: map[[2]mnet.Addr]Quality{}, attached: map[mnet.Addr]bool{}}
+	for _, a := range nodes {
+		m.attached[a] = true
+	}
+	return m
+}
+
+// set mirrors SetLink.
+func (m *linkModel) set(a, b mnet.Addr, q Quality) {
+	m.setDirected(a, b, q)
+	m.setDirected(b, a, q)
+}
+
+// setDirected mirrors SetDirectedLink: both ends must be attached.
+func (m *linkModel) setDirected(a, b mnet.Addr, q Quality) {
+	if a != b && m.attached[a] && m.attached[b] {
+		m.links[[2]mnet.Addr{a, b}] = q
+	}
+}
+
+func (m *linkModel) cut(a, b mnet.Addr) {
+	delete(m.links, [2]mnet.Addr{a, b})
+	delete(m.links, [2]mnet.Addr{b, a})
+}
+
+func (m *linkModel) detach(a mnet.Addr) {
+	delete(m.attached, a)
+	for k := range m.links {
+		if k[0] == a || k[1] == a {
+			delete(m.links, k)
+		}
+	}
+}
+
+// neighbors is a node's sorted out-neighbours in the model.
+func (m *linkModel) neighbors(from mnet.Addr) []mnet.Addr {
 	var out []mnet.Addr
-	for _, to := range nodes {
-		if to != from && net.Linked(from, to) {
-			out = append(out, to)
+	for k := range m.links {
+		if k[0] == from {
+			out = append(out, k[1])
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Uint32() < out[j].Uint32() })
 	return out
 }
 
-func sortedAddrs(in []mnet.Addr) []mnet.Addr {
-	out := append([]mnet.Addr(nil), in...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Uint32() < out[j].Uint32() })
-	return out
-}
-
-// checkAdjacency asserts Neighbors == reference for every node, and that
-// delivery actually follows it: a broadcast from each node must reach
-// exactly its reference neighbour set.
-func checkAdjacency(t *testing.T, net *Network, clk *vclock.Virtual, nodes []mnet.Addr, step int) {
+// checkAdjacency asserts that every node's Neighbors, and every pair's
+// Linked and LinkQuality, agree with the model.
+func checkAdjacency(t *testing.T, net *Network, m *linkModel, nodes []mnet.Addr, step int) {
 	t.Helper()
 	for _, from := range nodes {
-		want := referenceNeighbors(net, from, nodes)
-		got := sortedAddrs(net.Neighbors(from))
-		if len(want) == 0 && len(got) == 0 {
-			continue
-		}
+		want, got := m.neighbors(from), net.Neighbors(from)
 		if fmt.Sprint(want) != fmt.Sprint(got) {
-			t.Fatalf("step %d: Neighbors(%v) = %v, reference matrix says %v", step, from, got, want)
+			t.Fatalf("step %d: Neighbors(%v) = %v, model says %v", step, from, got, want)
+		}
+		for _, to := range nodes {
+			wq, wok := m.links[[2]mnet.Addr{from, to}]
+			q, ok := net.LinkQuality(from, to)
+			if ok != wok || q != wq || net.Linked(from, to) != wok {
+				t.Fatalf("step %d: link %v->%v is %v %+v, model says %v %+v", step, from, to, ok, q, wok, wq)
+			}
 		}
 	}
 }
 
 // TestAdjacencyMatchesLinkMatrix runs randomized mutation storms — directed
 // and undirected links, cuts, detach/reattach, partitions cut and healed by
-// a fault plan — over several seeds and sizes, checking the adjacency index
-// against the O(n²) matrix after every batch.
+// a fault plan — over several seeds and sizes, checking the link set
+// against the model after every batch.
 func TestAdjacencyMatchesLinkMatrix(t *testing.T) {
 	for _, tc := range []struct {
 		seed int64
@@ -74,6 +113,23 @@ func TestAdjacencyMatchesLinkMatrix(t *testing.T) {
 			if err := BuildRandom(net, nodes, 0.3, tc.seed, DefaultQuality()); err != nil {
 				t.Fatalf("BuildRandom: %v", err)
 			}
+			// BuildRandom's graph: a chain, plus each farther pair with
+			// probability 0.3 drawn from the seed.
+			model := newLinkModel(nodes)
+			build := rand.New(rand.NewSource(tc.seed))
+			for i := range nodes {
+				if i+1 < tc.n {
+					model.set(nodes[i], nodes[i+1], DefaultQuality())
+				}
+			}
+			for i := range nodes {
+				for j := i + 2; j < tc.n; j++ {
+					if build.Float64() < 0.3 {
+						model.set(nodes[i], nodes[j], DefaultQuality())
+					}
+				}
+			}
+			checkAdjacency(t, net, model, nodes, -1)
 			rng := rand.New(rand.NewSource(tc.seed * 1000))
 			parked := map[mnet.Addr]*NIC{}
 			for step := 0; step < 40; step++ {
@@ -84,19 +140,23 @@ func TestAdjacencyMatchesLinkMatrix(t *testing.T) {
 					case 0:
 						if a != b {
 							_ = net.SetLink(a, b, DefaultQuality())
+							model.set(a, b, DefaultQuality())
 						}
 					case 1:
 						if a != b {
 							q := DefaultQuality()
 							q.Loss = rng.Float64() * 0.5
 							_ = net.SetDirectedLink(a, b, q)
+							model.setDirected(a, b, q)
 						}
 					case 2:
 						net.CutLink(a, b)
+						model.cut(a, b)
 					case 3:
 						if nic, ok := net.NIC(a); ok && len(parked) < tc.n-2 {
 							if err := net.Detach(a); err == nil {
 								parked[a] = nic
+								model.detach(a)
 							}
 						}
 					case 4:
@@ -105,13 +165,14 @@ func TestAdjacencyMatchesLinkMatrix(t *testing.T) {
 								t.Fatalf("Reattach(%v): %v", addr, err)
 							}
 							delete(parked, addr)
+							model.attached[addr] = true
 							break
 						}
 					case 5:
 						// A short partition applied and healed entirely in
-						// virtual time: cutAcross + restoreLinks must keep
-						// the index in sync (the regression that once broke
-						// the golden trace).
+						// virtual time leaves the link set as it was (a
+						// partition path that once forgot to keep the index
+						// in sync broke the golden trace).
 						mid := 1 + rng.Intn(tc.n-1)
 						NewFaultPlan(int64(step*100+mut)).
 							Partition(time.Millisecond, 2*time.Millisecond, nodes[:mid], nodes[mid:]).
@@ -119,15 +180,15 @@ func TestAdjacencyMatchesLinkMatrix(t *testing.T) {
 						clk.Advance(5 * time.Millisecond)
 					}
 				}
-				checkAdjacency(t, net, clk, nodes, step)
+				checkAdjacency(t, net, model, nodes, step)
 			}
 		})
 	}
 }
 
-// TestAdjacencyMidPartition pins the index during the partition window
-// itself (not just after healing): while cutAcross has the groups split,
-// Neighbors must agree with the matrix — i.e. no cross-group edges.
+// TestAdjacencyMidPartition pins the link set during the partition window
+// itself (not just after healing): while the groups are split, it must be
+// the clique minus every cross-group link.
 func TestAdjacencyMidPartition(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
@@ -136,12 +197,21 @@ func TestAdjacencyMidPartition(t *testing.T) {
 	if err := BuildClique(net, nodes, DefaultQuality()); err != nil {
 		t.Fatalf("BuildClique: %v", err)
 	}
+	clique, split := newLinkModel(nodes), newLinkModel(nodes)
+	for _, a := range nodes {
+		for _, b := range nodes {
+			clique.setDirected(a, b, DefaultQuality())
+			if (a.Less(nodes[5])) == (b.Less(nodes[5])) {
+				split.setDirected(a, b, DefaultQuality())
+			}
+		}
+	}
 	NewFaultPlan(1).
 		Partition(10*time.Millisecond, 30*time.Millisecond, nodes[:5], nodes[5:]).
 		Apply(net)
 
 	clk.Advance(20 * time.Millisecond) // inside the partition window
-	checkAdjacency(t, net, clk, nodes, 0)
+	checkAdjacency(t, net, split, nodes, 0)
 	for _, from := range nodes[:5] {
 		for _, to := range net.Neighbors(from) {
 			for _, other := range nodes[5:] {
@@ -152,7 +222,7 @@ func TestAdjacencyMidPartition(t *testing.T) {
 		}
 	}
 	clk.Advance(20 * time.Millisecond) // healed
-	checkAdjacency(t, net, clk, nodes, 1)
+	checkAdjacency(t, net, clique, nodes, 1)
 	if got := len(net.Neighbors(nodes[0])); got != len(nodes)-1 {
 		t.Fatalf("after heal, clique node has %d neighbours, want %d", got, len(nodes)-1)
 	}

@@ -2,6 +2,7 @@ package emunet
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -331,4 +332,223 @@ func TestDecodeSlotFollowsByteIdentity(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHealWhileEndpointCrashed overlaps a partition with a crash of one of
+// the nodes on its cut: the heal must leave the crashed node's links down,
+// and the restart must then restore all of them, including the one the
+// partition had cut.
+func TestHealWhileEndpointCrashed(t *testing.T) {
+	clk, net, addrs := faultFixture(t, 4)
+	inj := NewFaultPlan(1).
+		Partition(time.Second, 3*time.Second, addrs[:2], addrs[2:]).
+		Crash(2*time.Second, 4*time.Second, addrs[1]).
+		Apply(net)
+
+	clk.Advance(3500 * time.Millisecond) // healed, addrs[1] still down
+	if net.Linked(addrs[2], addrs[1]) {
+		t.Fatalf("heal re-linked %v to the crashed %v", addrs[2], addrs[1])
+	}
+	clk.Advance(time.Second)
+	want := []mnet.Addr{addrs[0], addrs[2]}
+	if got := net.Neighbors(addrs[1]); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after heal and restart Neighbors(%v) = %v, want %v\nlog: %q", addrs[1], got, want, inj.Log())
+	}
+	if !net.Linked(addrs[2], addrs[1]) {
+		t.Fatalf("restart left %v->%v down", addrs[2], addrs[1])
+	}
+}
+
+// TestRestartInsideOpenPartition restarts a crashed node while a partition
+// that separates it from a former neighbour is still open: the restart must
+// not re-link across the partition, and the heal must.
+func TestRestartInsideOpenPartition(t *testing.T) {
+	clk, net, addrs := faultFixture(t, 4)
+	inj := NewFaultPlan(1).
+		Crash(time.Second, 3*time.Second, addrs[1]).
+		Partition(2*time.Second, 4*time.Second, addrs[:2], addrs[2:]).
+		Apply(net)
+
+	clk.Advance(3500 * time.Millisecond) // restarted, partition open
+	if got := net.Neighbors(addrs[1]); !reflect.DeepEqual(got, []mnet.Addr{addrs[0]}) {
+		t.Fatalf("inside the partition Neighbors(%v) = %v, want [%v]\nlog: %q", addrs[1], got, addrs[0], inj.Log())
+	}
+	if net.Linked(addrs[2], addrs[1]) {
+		t.Fatalf("restart re-linked %v->%v across the open partition", addrs[2], addrs[1])
+	}
+	clk.Advance(time.Second)
+	if got, want := net.Neighbors(addrs[1]), []mnet.Addr{addrs[0], addrs[2]}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after heal Neighbors(%v) = %v, want %v\nlog: %q", addrs[1], got, want, inj.Log())
+	}
+}
+
+// FuzzFaultPlan schedules overlapping Partition and Crash faults on a random
+// topology, interleaved with the test's own CutLink and SetLink moves, and
+// holds the medium to a link-set model: the declared links (the starting
+// topology as the moves leave it) minus those an open fault holds down. The
+// moves touch only pairs no fault holds, since a move across an open fault
+// would be undone by its heal or restart. After every 100 ms tick:
+//   - no link crosses an open partition between attached nodes;
+//   - a crashed node has no links, in either direction;
+//   - the link set and its qualities equal the model's, so once every
+//     window has closed and every crash has restarted they equal the
+//     starting ones as the moves left them.
+func FuzzFaultPlan(f *testing.F) {
+	// The two compositions on a 4-node line that the plan once got wrong:
+	// a heal while an endpoint is crashed, and a restart inside an open
+	// partition. Each op is {kind, at, duration, x, y}.
+	f.Add([]byte{0, 0, 0, 0, 9, 19, 12, 0, 1, 19, 19, 1, 0})
+	f.Add([]byte{0, 0, 0, 1, 9, 19, 1, 0, 0, 19, 19, 12, 0})
+	f.Add([]byte{3, 2, 7, 0, 4, 30, 5, 8, 1, 2, 8, 3, 0, 2, 6, 0, 1, 2, 3, 9, 4, 1, 0, 1, 12, 12, 6, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 4 + int(data[0]%5)
+		clk := vclock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+		net := New(clk, 1)
+		addrs := Addrs(n)
+		switch data[1] % 3 {
+		case 0:
+			_ = BuildLine(net, addrs, DefaultQuality())
+		case 1:
+			_ = BuildClique(net, addrs, DefaultQuality())
+		default:
+			_ = BuildRandom(net, addrs, 0.4, int64(data[2]), DefaultQuality())
+		}
+		// Give every directed link its own quality, so a restore that mixes
+		// two links up shows.
+		rng := rand.New(rand.NewSource(int64(data[2])))
+		declared := map[[2]mnet.Addr]Quality{}
+		for _, from := range addrs {
+			for _, to := range net.Neighbors(from) {
+				q := Quality{Delay: time.Duration(1+rng.Intn(5)) * time.Millisecond, Loss: float64(rng.Intn(5)) / 10, SignalDBm: -float64(40 + rng.Intn(50))}
+				_ = net.SetDirectedLink(from, to, q)
+				declared[[2]mnet.Addr{from, to}] = q
+			}
+		}
+
+		tick := func(b byte) time.Duration { return time.Duration(b%20+1) * 100 * time.Millisecond }
+		type window struct {
+			at, end time.Duration
+			group   map[mnet.Addr]int // partition: node → group; nil for a crash
+			node    mnet.Addr         // crash
+		}
+		type move struct {
+			at   time.Duration
+			a, b mnet.Addr
+			q    *Quality // nil: CutLink
+		}
+		var windows []window
+		var moves []move
+		plan := NewFaultPlan(1)
+		for ops := data[3:]; len(ops) >= 5; ops = ops[5:] {
+			at, end := tick(ops[1]), tick(ops[1])+tick(ops[2])
+			switch ops[0] % 4 {
+			case 0:
+				var groups [2][]mnet.Addr
+				group := map[mnet.Addr]int{}
+				for i, a := range addrs {
+					if ops[4]>>i&1 == 0 {
+						g := int(ops[3] >> i & 1)
+						groups[g] = append(groups[g], a)
+						group[a] = g
+					}
+				}
+				plan.Partition(at, end, groups[0], groups[1])
+				windows = append(windows, window{at: at, end: end, group: group})
+			case 1:
+				node := addrs[int(ops[3])%n]
+				overlaps := false
+				for _, w := range windows {
+					overlaps = overlaps || w.group == nil && w.node == node && at <= w.end && w.at <= end
+				}
+				if !overlaps { // a crash of a node already down is skipped, which the model leaves out
+					plan.Crash(at, end, node)
+					windows = append(windows, window{at: at, end: end, node: node})
+				}
+			case 2:
+				moves = append(moves, move{at: at, a: addrs[int(ops[3])%n], b: addrs[int(ops[4])%n]})
+			default:
+				q := Quality{Delay: time.Duration(1+ops[2]%4) * time.Millisecond, Loss: float64(ops[2]%3) / 10, SignalDBm: -float64(30 + ops[2]%40)}
+				moves = append(moves, move{at: at, a: addrs[int(ops[3])%n], b: addrs[int(ops[4])%n], q: &q})
+			}
+		}
+		inj := plan.Apply(net)
+
+		for now := time.Duration(0); now <= 4200*time.Millisecond; now += 100 * time.Millisecond {
+			if now > 0 {
+				clk.Advance(100 * time.Millisecond)
+			}
+			// held reports whether an open fault holds the pair a, b down.
+			held := func(a, b mnet.Addr) bool {
+				for _, w := range windows {
+					if now < w.at || now >= w.end {
+						continue
+					}
+					if w.group == nil && (w.node == a || w.node == b) {
+						return true
+					}
+					ga, aok := w.group[a]
+					gb, bok := w.group[b]
+					if aok && bok && ga != gb {
+						return true
+					}
+				}
+				return false
+			}
+			for _, m := range moves {
+				if m.at != now || m.a == m.b || held(m.a, m.b) {
+					continue
+				}
+				if m.q == nil {
+					net.CutLink(m.a, m.b)
+					delete(declared, [2]mnet.Addr{m.a, m.b})
+					delete(declared, [2]mnet.Addr{m.b, m.a})
+					continue
+				}
+				if err := net.SetLink(m.a, m.b, *m.q); err != nil {
+					t.Fatalf("t=%v SetLink(%v, %v): %v", now, m.a, m.b, err)
+				}
+				declared[[2]mnet.Addr{m.a, m.b}] = *m.q
+				declared[[2]mnet.Addr{m.b, m.a}] = *m.q
+			}
+
+			for _, w := range windows {
+				if now < w.at || now >= w.end {
+					continue
+				}
+				if w.group == nil {
+					if _, ok := net.NIC(w.node); ok {
+						t.Fatalf("t=%v: crashed %v is attached", now, w.node)
+					}
+					if nb := net.Neighbors(w.node); len(nb) > 0 {
+						t.Fatalf("t=%v: crashed %v has links to %v", now, w.node, nb)
+					}
+				}
+				for _, a := range addrs {
+					for _, b := range net.Neighbors(a) {
+						if w.group == nil && b == w.node {
+							t.Fatalf("t=%v: %v links to the crashed %v", now, a, b)
+						}
+						ga, aok := w.group[a]
+						gb, bok := w.group[b]
+						if aok && bok && ga != gb {
+							t.Fatalf("t=%v: link %v->%v crosses an open partition\nlog: %q", now, a, b, inj.Log())
+						}
+					}
+				}
+			}
+			for _, a := range addrs {
+				for _, b := range addrs {
+					q, ok := net.LinkQuality(a, b)
+					wq, declaredOK := declared[[2]mnet.Addr{a, b}]
+					want := declaredOK && !held(a, b)
+					if ok != want || ok && q != wq {
+						t.Fatalf("t=%v: link %v->%v is %v %+v, model says %v %+v\nlog: %q", now, a, b, ok, q, want, wq, inj.Log())
+					}
+				}
+			}
+		}
+	})
 }
