@@ -275,12 +275,15 @@ func run(nodes int, topology, proto string, duration time.Duration, traffic int,
 		reg.Attach(bus.ReadMetrics)
 	}
 	addrs := manetkit.Addrs(nodes)
-	journal := manetkit.NewRewireJournal(epoch, bus)
 	stacks, err := manetkit.NewStacks(net, addrs, manetkit.StackOptions{
-		Metrics: reg, Telemetry: bus, Journal: journal,
+		Metrics: reg, Telemetry: bus,
 	})
 	if err != nil {
 		return err
+	}
+	journal := manetkit.NewRewireJournal(epoch, bus)
+	for _, s := range stacks {
+		journal.Watch(s.Manager())
 	}
 	defer func() {
 		for _, s := range stacks {

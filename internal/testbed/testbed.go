@@ -54,10 +54,6 @@ type Options struct {
 	// is byte-identical run to run for the same seed. Its epoch must be
 	// Epoch.
 	Telemetry *telemetry.Bus
-	// Journal, when non-nil, watches every node's manager so each topology
-	// re-derivation (deploy, undeploy, model switch, retuple) is recorded
-	// as a timestamped snapshot diff.
-	Journal *inspect.Journal
 }
 
 // Cluster is a set of co-emulated MANETKit nodes on one virtual clock.
@@ -130,9 +126,6 @@ func (c *Cluster) AddNode(addr mnet.Addr) (*Node, error) {
 	}
 	if err := sys.Protocol().Start(); err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
-	}
-	if c.opts.Journal != nil {
-		c.opts.Journal.Watch(mgr)
 	}
 	node := &Node{Addr: addr, Mgr: mgr, Sys: sys}
 	c.Nodes = append(c.Nodes, node)

@@ -194,8 +194,8 @@ func DiffArch(a, b ArchSnapshot) []ArchDelta { return inspect.Diff(a, b) }
 func ParseArchSnapshot(data []byte) (ArchSnapshot, error) { return inspect.ParseSnapshot(data) }
 
 // NewRewireJournal creates a journal of topology re-derivations that also
-// publishes each entry on bus (nil for none); install it via
-// StackOptions.Journal (or Journal.Watch on individual managers).
+// publishes each entry on bus (nil for none); install it with Watch on each
+// stack's Manager.
 func NewRewireJournal(epoch time.Time, bus *TelemetryBus) *RewireJournal {
 	return inspect.NewJournal(epoch, bus)
 }
@@ -284,10 +284,6 @@ type StackOptions struct {
 	// dispatch path. Nil disables tracing at zero cost; a dormant bus costs
 	// one atomic load per span site.
 	Telemetry *TelemetryBus
-	// Journal, when non-nil, records every topology re-derivation of the
-	// stack (deploys, undeploys, model switches, retuples) as a timestamped
-	// snapshot diff; share one journal across a cluster.
-	Journal *RewireJournal
 }
 
 // OLSRConfig parameterises an OLSR deployment. OLSR runs on its RFC 3626
@@ -339,9 +335,6 @@ func NewStack(net *Network, addr Addr, opts StackOptions) (*Stack, error) {
 	}
 	if err := sys.Protocol().Start(); err != nil {
 		return nil, fmt.Errorf("manetkit: %w", err)
-	}
-	if opts.Journal != nil {
-		opts.Journal.Watch(mgr)
 	}
 	return &Stack{mgr: mgr, sys: sys, comp: compose.New(mgr, sys)}, nil
 }
