@@ -1,7 +1,6 @@
 package olsr
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -17,8 +16,7 @@ import (
 // deltaRig runs one program against two route tables: the State's own,
 // which ComputeRoutes diff-installs through ApplyProto, and a reference
 // that receives every pass's full desired set through ReplaceProto — the
-// install rule the diff replaces. Both mirror into a FIB and log their
-// change notifications.
+// install rule the diff replaces. Both mirror into a FIB.
 type deltaRig struct {
 	t      *testing.T
 	clk    *vclock.Virtual
@@ -26,8 +24,6 @@ type deltaRig struct {
 	ref    *route.Table
 	fib    *route.FIB
 	refFIB *route.FIB
-	log    []string
-	refLog []string
 	n      int    // node addresses nodeAddr(0..n-1); node 0 is self
 	forged uint32 // next never-returning originator of a storm
 	hold   time.Duration
@@ -48,27 +44,7 @@ func newDeltaRig(t *testing.T) *deltaRig {
 	}
 	r.s.Routes.SyncFIB(r.fib, "wlan0")
 	r.ref.SyncFIB(r.refFIB, "wlan0")
-	logTo := func(log *[]string) func(route.ChangeKind, route.Entry) {
-		return func(k route.ChangeKind, e route.Entry) {
-			*log = append(*log, fmt.Sprintf("%d %v %v", k, e.Dst, e.Paths))
-		}
-	}
-	// Paths carry lifetimes, which the two rules set differently; log
-	// only what routes.
-	r.s.Routes.OnChange(func(k route.ChangeKind, e route.Entry) {
-		logTo(&r.log)(k, stripLifetimes(e))
-	})
-	r.ref.OnChange(func(k route.ChangeKind, e route.Entry) {
-		logTo(&r.refLog)(k, stripLifetimes(e))
-	})
 	return r
-}
-
-func stripLifetimes(e route.Entry) route.Entry {
-	for i := range e.Paths {
-		e.Paths[i].Expires = time.Time{}
-	}
-	return e
 }
 
 // fullDesired is the desired set a full install hands ReplaceProto after
@@ -131,9 +107,6 @@ func (r *deltaRig) check(step int) {
 	}
 	if g, w := r.fib.Ops(), r.refFIB.Ops(); g != w {
 		t.Fatalf("step %d: %d FIB ops, reference %d", step, g, w)
-	}
-	if !slices.Equal(r.log, r.refLog) {
-		t.Fatalf("step %d: change notifications differ\ngot  %v\nwant %v", step, r.log, r.refLog)
 	}
 }
 
@@ -253,9 +226,9 @@ func deltaSeeds() [][]byte {
 }
 
 // FuzzComputeRoutesDelta requires ComputeRoutes' diff install to leave the
-// routing table, the FIB (contents and cumulative operation count) and the
-// change notifications exactly where installing each pass's full desired
-// set through ReplaceProto leaves them.
+// routing table and the FIB (contents and cumulative operation count)
+// exactly where installing each pass's full desired set through
+// ReplaceProto leaves them.
 func FuzzComputeRoutesDelta(f *testing.F) {
 	for _, prog := range deltaSeeds() {
 		f.Add(prog)

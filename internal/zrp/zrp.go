@@ -190,8 +190,7 @@ func (z *ZRP) zoneDistance(self, dst mnet.Addr) (dist int, via mnet.Addr) {
 // desired set goes through the table's keep-better diff install
 // (RefreshProto) in one batch: shorter reactive (IERP) routes survive with
 // their lifetimes extended, unchanged zone routes refresh in place without
-// firing change callbacks or touching the FIB, and nothing outside the
-// zone is removed. Calls run inside the protocol's critical section, which
+// touching the FIB, and nothing outside the zone is removed. Calls run inside the protocol's critical section, which
 // serialises use of the scratch buffers.
 func (z *ZRP) refreshZone(ctx *core.Context) {
 	now := ctx.Clock().Now()
