@@ -13,23 +13,20 @@ import (
 // DYMOConfig parameterises the monolithic DYMO.
 type DYMOConfig struct {
 	RouteLifetime time.Duration // default 5s
-	RREQWait      time.Duration // default 1s
-	RREQTries     int           // default 3
-	HopLimit      uint8         // default 10
 }
+
+// The monolithic DYMO's discovery: an RREQ floods at most dymoHopLimit
+// hops, and a discovery sends up to dymoRREQTries of them, waiting
+// dymoRREQWait after the first and twice as long after each later one.
+const (
+	dymoHopLimit  = 10
+	dymoRREQTries = 3
+	dymoRREQWait  = time.Second
+)
 
 func (c *DYMOConfig) fill() {
 	if c.RouteLifetime <= 0 {
 		c.RouteLifetime = 5 * time.Second
-	}
-	if c.RREQWait <= 0 {
-		c.RREQWait = time.Second
-	}
-	if c.RREQTries <= 0 {
-		c.RREQTries = 3
-	}
-	if c.HopLimit == 0 {
-		c.HopLimit = 10
 	}
 }
 
@@ -151,12 +148,12 @@ func (d *DYMO) sendRREQ(dst mnet.Addr, attempt int) {
 		Type:       packetbb.MsgRREQ,
 		Originator: d.nic.Addr(),
 		SeqNum:     seq,
-		HopLimit:   d.cfg.HopLimit,
+		HopLimit:   dymoHopLimit,
 		AddrBlocks: []packetbb.AddrBlock{{Addrs: []mnet.Addr{dst}}},
 	}
 	d.send(msg, mnet.Broadcast)
 
-	wait := d.cfg.RREQWait << (attempt - 1)
+	wait := dymoRREQWait << (attempt - 1)
 	timer := d.clock.AfterFunc(wait, func() { d.retry(dst, attempt) })
 	d.mu.Lock()
 	if p, ok := d.pending[dst]; ok {
@@ -175,7 +172,7 @@ func (d *DYMO) retry(dst mnet.Addr, attempt int) {
 		d.mu.Unlock()
 		return
 	}
-	if attempt >= d.cfg.RREQTries {
+	if attempt >= dymoRREQTries {
 		delete(d.pending, dst)
 		callbacks := p.done
 		d.mu.Unlock()
@@ -283,7 +280,7 @@ func (d *DYMO) HandleRREQ(msg *packetbb.Message, from mnet.Addr) {
 			Type:       packetbb.MsgRREP,
 			Originator: self,
 			SeqNum:     seq,
-			HopLimit:   d.cfg.HopLimit,
+			HopLimit:   dymoHopLimit,
 			AddrBlocks: []packetbb.AddrBlock{{Addrs: []mnet.Addr{msg.Originator}}},
 		}
 		d.send(rrep, from)

@@ -123,12 +123,17 @@ func TestMonoDYMOGivesUpUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No link between them.
-	d := NewDYMO(nicA, clk, DYMOConfig{RREQWait: 50 * time.Millisecond})
+	d := NewDYMO(nicA, clk, DYMOConfig{})
 	d.Start()
 	defer d.Stop()
 	var outcome []bool
 	d.Discover(addrs[1], func(ok bool) { outcome = append(outcome, ok) })
-	clk.Advance(2 * time.Second)
+	// Three RREQs wait 1, 2 and 4 s: the discovery fails at 7 s, not before.
+	clk.Advance(7*time.Second - time.Millisecond)
+	if len(outcome) != 0 {
+		t.Fatalf("outcome before the schedule ran out = %v", outcome)
+	}
+	clk.Advance(2 * time.Millisecond)
 	if len(outcome) != 1 || outcome[0] {
 		t.Fatalf("outcome = %v", outcome)
 	}

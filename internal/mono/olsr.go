@@ -29,8 +29,11 @@ type Hop struct {
 type OLSRConfig struct {
 	HelloInterval time.Duration // default 2s
 	TCInterval    time.Duration // default 5s
-	Jitter        float64       // default 0.1
 }
+
+// olsrJitter is the fraction of an interval by which HELLO and TC
+// emissions are jittered.
+const olsrJitter = 0.1
 
 func (c *OLSRConfig) fill() {
 	if c.HelloInterval <= 0 {
@@ -38,9 +41,6 @@ func (c *OLSRConfig) fill() {
 	}
 	if c.TCInterval <= 0 {
 		c.TCInterval = 5 * time.Second
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 0.1
 	}
 }
 
@@ -120,8 +120,8 @@ func (o *OLSR) Start() {
 			o.sendHello()
 		}
 	})
-	o.helloTimer = vclock.NewPeriodic(o.clock, o.cfg.HelloInterval, o.cfg.Jitter, seed, o.sendHello)
-	o.tcTimer = vclock.NewPeriodic(o.clock, o.cfg.TCInterval, o.cfg.Jitter, seed+1, o.sendTC)
+	o.helloTimer = vclock.NewPeriodic(o.clock, o.cfg.HelloInterval, olsrJitter, seed, o.sendHello)
+	o.tcTimer = vclock.NewPeriodic(o.clock, o.cfg.TCInterval, olsrJitter, seed+1, o.sendTC)
 	o.sweepTimer = vclock.NewPeriodic(o.clock, o.cfg.HelloInterval/2, 0, seed+2, o.sweep)
 }
 
