@@ -531,7 +531,7 @@ func TestContextConcentrator(t *testing.T) {
 	}
 	// Poll-based source hidden behind the facade.
 	m.AddContextPoller(20*time.Millisecond, func() *event.Event {
-		return &event.Event{Type: event.SysStatus, Sys: &event.SysPayload{CPUFraction: 0.9}}
+		return &event.Event{Type: event.SysStatus}
 	})
 	clk.Advance(45 * time.Millisecond)
 	if len(got) != 3 {

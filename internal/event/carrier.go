@@ -10,21 +10,27 @@ import (
 
 // Borrowed events. The events the framework raises on every reception, relay
 // and forwarded data packet (System.receive's *_IN events, the packet
-// filter's routing triggers, Relay) live in recyclable carriers instead of
-// one heap object each. A carrier counts holds: the creator's, which the
+// filter's routing triggers, Relay), and the link sensor's LINK_INFO and the
+// link-sensing CFs' NHOOD_CHANGE, live in recyclable carriers instead of one
+// heap object each. A carrier counts holds: the creator's, which the
 // first emission takes over, and one per delivery the Framework Manager
 // schedules, dropped when that delivery's Accept returns. The last release
 // poisons the carrier and returns it to the pool, so an event, its Route
 // and a relayed Msg header are valid only until the handler, interposer,
 // sniffer or context subscriber reading them returns; whoever keeps one
-// copies it (*ev, *ev.Route, ev.Msg.Clone()). An event built with &Event{}
-// has no carrier: Hold, Release and Claim leave it alone.
+// copies it (*ev, *ev.Route, ev.Msg.Clone(), *ev.Link, *ev.Nhood with
+// slices.Clone(ev.Nhood.TwoHopVia)). An event built with &Event{} has no
+// carrier: Hold, Release and Claim leave it alone.
 
 // carrier is the recyclable home of a borrowed event: the event, room for
-// its routing payload and for a relayed message header, and its holds.
+// its routing, link or neighbourhood payload (with a reused buffer for the
+// 2-hop list) and for a relayed message header, and its holds.
 type carrier struct {
 	ev    Event
 	route RoutePayload
+	link  LinkPayload
+	nhood NhoodPayload
+	via   []mnet.Addr
 	msg   packetbb.Message
 	holds atomic.Int32
 	// fresh marks a carrier not yet emitted, whose creator's hold the first
@@ -50,6 +56,24 @@ func WithRoute(t Type, rp RoutePayload) *Event {
 	ev := Borrow(t)
 	ev.c.route = rp
 	ev.Route = &ev.c.route
+	return ev
+}
+
+// WithLink borrows a LINK_INFO carrying lp in its carrier.
+func WithLink(lp LinkPayload) *Event {
+	ev := Borrow(LinkInfo)
+	ev.c.link = lp
+	ev.Link = &ev.c.link
+	return ev
+}
+
+// WithNhood borrows a NHOOD_CHANGE carrying np in its carrier, its
+// TwoHopVia copied into the carrier's buffer.
+func WithNhood(np NhoodPayload) *Event {
+	ev := Borrow(NhoodChange)
+	ev.c.via = append(ev.c.via[:0], np.TwoHopVia...)
+	ev.c.nhood, ev.c.nhood.TwoHopVia = np, ev.c.via
+	ev.Nhood = &ev.c.nhood
 	return ev
 }
 
@@ -108,11 +132,12 @@ func (ev *Event) Release() {
 		panic("event: Release of an event with no hold left")
 	}
 	c.ev = poisonEvent
-	c.ev.c = c
-	c.ev.Msg = &c.msg
-	c.ev.Route = &c.route
-	c.route = poisonRoute
-	c.msg = poisonMsg
+	c.ev.c, c.ev.Msg, c.ev.Route, c.ev.Link, c.ev.Nhood = c, &c.msg, &c.route, &c.link, &c.nhood
+	c.route, c.link, c.msg = poisonRoute, poisonLink, poisonMsg
+	c.nhood = NhoodPayload{Neighbor: poisonAddr, TwoHopVia: c.via}
+	for i := range c.via {
+		c.via[i] = poisonAddr
+	}
 	carriers.Put(c)
 }
 
@@ -131,5 +156,6 @@ var (
 		Device: string(poisonType), Corr: string(poisonType),
 	}
 	poisonRoute = RoutePayload{Dst: poisonAddr, Src: poisonAddr, NextHop: poisonAddr, PacketID: 0xdeaddeaddeaddead}
+	poisonLink  = LinkPayload{Neighbor: poisonAddr, Quality: -1, SignalDBm: -0xdead}
 	poisonMsg   = packetbb.Message{Type: 0xde, Originator: poisonAddr, HopLimit: 0xde, HopCount: 0xde, SeqNum: 0xdead}
 )

@@ -103,7 +103,6 @@ type Event struct {
 	Power *PowerPayload
 	Link  *LinkPayload
 	Route *RoutePayload
-	Sys   *SysPayload
 
 	// c is the carrier a borrowed event lives in (carrier.go); a copy keeps
 	// the pointer but is no borrowed event, since it does not live there.
@@ -183,12 +182,6 @@ type RoutePayload struct {
 	PacketID uint64
 }
 
-// SysPayload reports host resource state (SYS_STATUS).
-type SysPayload struct {
-	CPUFraction float64
-	MemBytes    uint64
-}
-
 // Requirement is one entry in a CFS unit's required-events set. Exclusive
 // requirements consume the event: no other requirer sees it (§4.2,
 // footnote 2).
@@ -223,18 +216,6 @@ func (tp Tuple) Provides(t Type) bool {
 	}
 	return false
 }
-
-// Sink consumes events; it is the interface through which the Framework
-// Manager delivers events to CFS units.
-type Sink interface {
-	Deliver(ev *Event) error
-}
-
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(ev *Event) error
-
-// Deliver implements Sink.
-func (f SinkFunc) Deliver(ev *Event) error { return f(ev) }
 
 // Ontology is the extensible polymorphic event-type hierarchy: a forest of
 // is-a relations rooted at Any. A requirer declaring an abstract type

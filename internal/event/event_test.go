@@ -1,7 +1,6 @@
 package event
 
 import (
-	"errors"
 	"slices"
 	"testing"
 )
@@ -114,22 +113,6 @@ func TestTupleRequiresWithOntology(t *testing.T) {
 	}
 	if !tp.Provides(TCOut) || tp.Provides(TCIn) {
 		t.Fatal("Provides broken")
-	}
-}
-
-func TestSinkFunc(t *testing.T) {
-	sentinel := errors.New("sentinel")
-	var got *Event
-	s := SinkFunc(func(ev *Event) error {
-		got = ev
-		return sentinel
-	})
-	ev := &Event{Type: HelloIn}
-	if err := s.Deliver(ev); !errors.Is(err, sentinel) {
-		t.Fatalf("Deliver = %v", err)
-	}
-	if got != ev {
-		t.Fatal("event not passed through")
 	}
 }
 

@@ -115,7 +115,7 @@ func (fn *FamilyNode) State() invariant.NodeState {
 		st.RIBs = append(st.RIBs, invariant.RIB{Proto: name, Entries: fn.RIBs[name].Entries()})
 	}
 	if fn.Links != nil {
-		st.Neighbors = fn.Links.Neighbors()
+		st.Neighbors = fn.Links.AppendNeighbors(nil, false)
 	}
 	return st
 }

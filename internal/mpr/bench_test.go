@@ -55,7 +55,7 @@ func BenchmarkFlooderShouldForward(b *testing.B) {
 	f := m.Flooder()
 	prev := mnet.AddrFrom(0x0a000002)
 	m.State().mu.Lock()
-	m.State().selectors[prev] = true
+	m.State().selectors = []mnet.Addr{prev}
 	m.State().mu.Unlock()
 	b.ReportAllocs()
 	b.ResetTimer()

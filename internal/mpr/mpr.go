@@ -32,7 +32,8 @@ const UnitName = "mpr"
 // Calculator is the pluggable relay-selection component.
 type Calculator interface {
 	kernel.Component
-	// Select computes the MPR set for self given the current link state.
+	// Select computes the MPR set for self given the current link state,
+	// sorted; the slice is valid until the calculator's next Select.
 	Select(self mnet.Addr, links *neighbor.Table) []mnet.Addr
 }
 
@@ -42,8 +43,8 @@ type State struct {
 	Links *neighbor.Table
 
 	mu          sync.Mutex
-	selected    map[mnet.Addr]bool // neighbours we chose as relays
-	selectors   map[mnet.Addr]bool // neighbours that chose us
+	selected    []mnet.Addr // neighbours we chose as relays, sorted
+	selectors   []mnet.Addr // neighbours that chose us, sorted
 	willingness uint8
 	dupes       reactive.DupSet
 
@@ -72,34 +73,45 @@ func (s *State) readMetrics(emit func(name string, v uint64)) {
 func NewState() *State {
 	return &State{
 		Links:       neighbor.NewTable(),
-		selected:    make(map[mnet.Addr]bool),
-		selectors:   make(map[mnet.Addr]bool),
 		willingness: neighbor.WillDefault,
 	}
 }
 
 // Selected returns the current MPR set, sorted.
-func (s *State) Selected() []mnet.Addr { return s.sortedSet(&s.selected) }
+func (s *State) Selected() []mnet.Addr { return s.copyOf(&s.selected) }
 
 // Selectors returns the neighbours that selected us, sorted.
-func (s *State) Selectors() []mnet.Addr { return s.sortedSet(&s.selectors) }
+func (s *State) Selectors() []mnet.Addr { return s.copyOf(&s.selectors) }
 
-func (s *State) sortedSet(m *map[mnet.Addr]bool) []mnet.Addr {
+func (s *State) copyOf(set *[]mnet.Addr) []mnet.Addr {
 	s.mu.Lock()
-	out := make([]mnet.Addr, 0, len(*m))
-	for a := range *m {
-		out = append(out, a)
+	defer s.mu.Unlock()
+	return append(make([]mnet.Addr, 0, len(*set)), *set...)
+}
+
+// member reports whether a is in the sorted set.
+func member(set []mnet.Addr, a mnet.Addr) bool {
+	_, ok := slices.BinarySearchFunc(set, a, mnet.Addr.Compare)
+	return ok
+}
+
+// mark puts a in the sorted set, or takes it out when in is false, and
+// reports whether the set changed.
+func mark(set []mnet.Addr, a mnet.Addr, in bool) ([]mnet.Addr, bool) {
+	switch i, ok := slices.BinarySearchFunc(set, a, mnet.Addr.Compare); {
+	case in && !ok:
+		return slices.Insert(set, i, a), true
+	case !in && ok:
+		return slices.Delete(set, i, i+1), true
 	}
-	s.mu.Unlock()
-	slices.SortFunc(out, mnet.Addr.Compare)
-	return out
+	return set, false
 }
 
 // IsSelector reports whether nb selected us as its relay.
 func (s *State) IsSelector(nb mnet.Addr) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.selectors[nb]
+	return member(s.selectors, nb)
 }
 
 // Willingness returns the node's current advertised willingness.
@@ -226,7 +238,7 @@ func (m *MPR) BuildHello(self mnet.Addr) *packetbb.Message {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	tlvs := []packetbb.TLV{{Type: packetbb.TLVWillingness, Value: packetbb.U8(st.willingness)}}
-	return m.links.Hello(self, tlvs, func(a mnet.Addr) bool { return st.selected[a] })
+	return m.links.Hello(self, tlvs, func(a mnet.Addr) bool { return member(st.selected, a) })
 }
 
 func (m *MPR) onHello(ctx *core.Context, ev *event.Event) error {
@@ -236,12 +248,8 @@ func (m *MPR) onHello(ctx *core.Context, ev *event.Event) error {
 	}
 	m.state.helloRx.Add(1)
 	m.state.mu.Lock()
-	changedSel := m.state.selectors[h.Addr] != h.RelaysUs
-	if h.RelaysUs {
-		m.state.selectors[h.Addr] = true
-	} else {
-		delete(m.state.selectors, h.Addr)
-	}
+	var changedSel bool
+	m.state.selectors, changedSel = mark(m.state.selectors, h.Addr, h.RelaysUs)
 	m.state.mu.Unlock()
 
 	if h.Prev == 0 || h.Prev == neighbor.StatusLost {
@@ -273,7 +281,7 @@ func (m *MPR) onPower(ctx *core.Context, ev *event.Event) error {
 func (m *MPR) sweep(ctx *core.Context) {
 	lost := m.links.Sweep(ctx, func(nb mnet.Addr) {
 		m.state.mu.Lock()
-		delete(m.state.selectors, nb)
+		m.state.selectors, _ = mark(m.state.selectors, nb, false)
 		m.state.mu.Unlock()
 	})
 	m.state.mu.Lock()
@@ -293,20 +301,9 @@ func (m *MPR) recompute(ctx *core.Context, selectorsChanged bool) {
 	newSet := calc.Select(ctx.Node(), m.state.Links)
 
 	m.state.mu.Lock()
-	changed := len(newSet) != len(m.state.selected)
-	if !changed {
-		for _, a := range newSet {
-			if !m.state.selected[a] {
-				changed = true
-				break
-			}
-		}
-	}
+	changed := !slices.Equal(newSet, m.state.selected)
 	if changed {
-		m.state.selected = make(map[mnet.Addr]bool, len(newSet))
-		for _, a := range newSet {
-			m.state.selected[a] = true
-		}
+		m.state.selected = append(m.state.selected[:0], newSet...)
 	}
 	m.state.mu.Unlock()
 
@@ -329,7 +326,7 @@ func (f *Flooder) ShouldForward(orig mnet.Addr, seq uint16, prevHop mnet.Addr, n
 	st := f.m.state
 	st.mu.Lock()
 	dup := st.dupes.Seen(reactive.Key{Orig: orig, Seq: seq}, now)
-	isSelector := st.selectors[prevHop]
+	isSelector := member(st.selectors, prevHop)
 	st.mu.Unlock()
 	return !dup && isSelector
 }

@@ -12,6 +12,7 @@ import (
 	"manetkit/internal/event"
 	"manetkit/internal/mnet"
 	"manetkit/internal/neighbor"
+	"manetkit/internal/packetbb"
 	"manetkit/internal/reactive"
 	"manetkit/internal/testbed"
 )
@@ -252,7 +253,7 @@ func TestFlooderDedupAndSelectorGate(t *testing.T) {
 	}
 	// Mark prev as a selector.
 	m.State().mu.Lock()
-	m.State().selectors[prev] = true
+	m.State().selectors = []mnet.Addr{prev}
 	m.State().mu.Unlock()
 	if !f.ShouldForward(orig, 2, prev, now) {
 		t.Fatal("selector's flood not forwarded")
@@ -473,5 +474,48 @@ func TestGreedySelectionTable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAcceptedHelloAllocs pins an accepted HELLO at no allocation once the
+// neighbourhood has been seen: the sensor parses it into its scratch, the
+// link set keeps its record's storage, and the relay selection it triggers
+// borrows a warm working set and changes nothing.
+func TestAcceptedHelloAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the relay selection's pooled working set is dropped at random under the race detector")
+	}
+	c, m, rx := deployWithReceiver(t)
+	self := c.Nodes[0].Addr
+	sym := packetbb.LinkStatusSymmetric
+	var hellos []*event.Event
+	for i := uint32(0); i < 6; i++ {
+		nb := mnet.AddrFrom(0x0a010001 + i)
+		listed := []listing{{self, sym, i%2 == 0}}
+		for j := uint32(0); j < 4; j++ {
+			listed = append(listed, listing{mnet.AddrFrom(0x0a020000 + (i*2+j)%10), sym, false})
+		}
+		hellos = append(hellos, &event.Event{Type: event.HelloIn, Msg: helloFrom(nb, listed...), Src: nb})
+	}
+	for range 3 {
+		for _, ev := range hellos {
+			if err := rx.Emit(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rx0 := m.State().Stats().HelloRx
+	i := 0
+	if got := testing.AllocsPerRun(100, func() {
+		_ = rx.Emit(hellos[i%len(hellos)])
+		i++
+	}); got != 0 {
+		t.Fatalf("an accepted HELLO = %.1f allocs, want 0", got)
+	}
+	if n := m.State().Stats().HelloRx - rx0; n != 101 {
+		t.Fatalf("%d of 101 HELLOs accepted", n)
+	}
+	if sel := m.State().Selected(); len(sel) == 0 {
+		t.Fatal("no relay selected: the recompute did no work")
 	}
 }

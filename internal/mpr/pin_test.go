@@ -24,7 +24,7 @@ func TestHelloBytesPinned(t *testing.T) {
 	st.Links.Observe(addr("10.0.0.3"), false, 3, nil, testbed.Epoch)
 	st.Links.Observe(addr("10.0.0.4"), true, 3, nil, testbed.Epoch)
 	st.mu.Lock()
-	st.selected = map[mnet.Addr]bool{addr("10.0.0.4"): true}
+	st.selected = []mnet.Addr{addr("10.0.0.4")}
 	st.willingness = 6
 	st.mu.Unlock()
 	wire, err := packetbb.EncodeMessage(m.BuildHello(addr("10.0.0.1")))

@@ -155,15 +155,12 @@ func (d *Detector) onHello(ctx *core.Context, ev *event.Event) error {
 		Notify(ctx, event.TwoHopChanged, h.Addr, h.TwoHop)
 	}
 
-	// Piggyback consumers.
-	d.mu.Lock()
-	consumers := make(map[uint8]func(mnet.Addr, []byte), len(d.piggyIn))
-	for k, v := range d.piggyIn {
-		consumers[k] = v
-	}
-	d.mu.Unlock()
+	// Piggyback consumers, called without d.mu held.
 	for _, tlv := range ev.Msg.TLVs {
-		if fn, ok := consumers[tlv.Type]; ok {
+		d.mu.Lock()
+		fn := d.piggyIn[tlv.Type]
+		d.mu.Unlock()
+		if fn != nil {
 			fn(h.Addr, tlv.Value)
 		}
 	}

@@ -25,9 +25,8 @@ func TestTableObserveTransitions(t *testing.T) {
 	if prev := tb.Observe(nb, false, 3, nil, now); prev != 0 {
 		t.Fatalf("first Observe prev = %v", prev)
 	}
-	info, ok := tb.Get(nb)
-	if !ok || info.Status != StatusHeard {
-		t.Fatalf("after asym hello: %+v", info)
+	if links := tb.AppendNeighbors(nil, false); len(links) != 1 || links[0].Status != StatusHeard {
+		t.Fatalf("after asym hello: %+v", links)
 	}
 	if st, ok := tb.StatusOf(nb); !ok || st != StatusHeard {
 		t.Fatalf("StatusOf after asym hello = %v, %v", st, ok)
@@ -35,18 +34,17 @@ func TestTableObserveTransitions(t *testing.T) {
 	if prev := tb.Observe(nb, true, 5, []mnet.Addr{addr("10.0.0.3")}, now); prev != StatusHeard {
 		t.Fatalf("second Observe prev = %v", prev)
 	}
-	info, _ = tb.Get(nb)
-	if info.Status != StatusSymmetric || info.Willingness != 5 || len(info.TwoHop) != 1 {
-		t.Fatalf("after sym hello: %+v", info)
+	links := tb.AppendNeighbors(nil, true)
+	if len(links) != 1 || links[0].Willingness != 5 || len(tb.AppendTwoHop(nil, addr("10.0.0.1"))) != 1 {
+		t.Fatalf("after sym hello: %+v", links)
 	}
 	if st, _ := tb.StatusOf(nb); st != StatusSymmetric {
 		t.Fatalf("StatusOf after sym hello = %v", st)
 	}
 	// A hello no longer listing us demotes to heard.
 	tb.Observe(nb, false, 5, nil, now)
-	info, _ = tb.Get(nb)
-	if info.Status != StatusHeard {
-		t.Fatalf("after demotion: %+v", info)
+	if st, _ := tb.StatusOf(nb); st != StatusHeard {
+		t.Fatalf("after demotion: %v", st)
 	}
 }
 
@@ -60,8 +58,8 @@ func TestTableExpiryAndDrop(t *testing.T) {
 	if len(lost) != 1 || lost[0] != addr("10.0.0.2") {
 		t.Fatalf("lost = %v", lost)
 	}
-	if len(tb.Symmetric()) != 1 {
-		t.Fatalf("Symmetric = %v", tb.Symmetric())
+	if syms := tb.AppendSymmetricAddrs(nil); len(syms) != 1 {
+		t.Fatalf("symmetric neighbours = %v", syms)
 	}
 	if got := tb.Expire(now.Add(2 * time.Second)); len(got) != 0 {
 		t.Fatal("expire reported same neighbour twice")
@@ -109,7 +107,7 @@ func TestHelloRoundTripThroughCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	// From 10.0.0.2's perspective: it is listed -> link is at least heard.
-	listsUs, relaysUs, will, syms := ParseHello(back, addr("10.0.0.2"))
+	listsUs, relaysUs, will, syms := ParseHello(back, addr("10.0.0.2"), nil)
 	if !listsUs || relaysUs || will != 3 {
 		t.Fatalf("listsUs=%v relaysUs=%v will=%d", listsUs, relaysUs, will)
 	}
@@ -117,7 +115,7 @@ func TestHelloRoundTripThroughCodec(t *testing.T) {
 		t.Fatalf("syms = %v", syms)
 	}
 	// A third party sees 10.0.0.2 as the sender's symmetric neighbour.
-	_, _, _, syms = ParseHello(back, addr("10.0.0.9"))
+	_, _, _, syms = ParseHello(back, addr("10.0.0.9"), nil)
 	if len(syms) != 1 || syms[0] != addr("10.0.0.2") {
 		t.Fatalf("third-party syms = %v", syms)
 	}
@@ -239,8 +237,8 @@ func TestLinkLayerFeedbackMarksLostImmediately(t *testing.T) {
 			t.Fatalf("feedback %v: lost = %d, want %d", feedback, lost, want)
 		}
 		mu.Unlock()
-		if nb, ok := ds[0].Table().Get(c.Nodes[1].Addr); !ok || (nb.Status == StatusLost) != feedback {
-			t.Fatalf("feedback %v: neighbour state = %+v", feedback, nb)
+		if st, ok := ds[0].Table().StatusOf(c.Nodes[1].Addr); !ok || (st == StatusLost) != feedback {
+			t.Fatalf("feedback %v: neighbour state = %v", feedback, st)
 		}
 	}
 }
@@ -280,4 +278,37 @@ func TestStatusString(t *testing.T) {
 
 func fibRouteTo(a mnet.Addr) route.FIBRoute {
 	return route.FIBRoute{Dst: mnet.HostPrefix(a), NextHop: a}
+}
+
+// TestTwoHopWalkAllocs pins the link set's hot queries at no allocation
+// once the caller's storage has room: the 2-hop walk, the links a HELLO
+// lists and the symmetric addresses.
+func TestTwoHopWalkAllocs(t *testing.T) {
+	tb := NewTable()
+	self := addr("10.0.0.1")
+	for i := uint32(0); i < 8; i++ {
+		var two []mnet.Addr
+		for j := uint32(0); j < 6; j++ {
+			two = append(two, mnet.AddrFrom(0x0a010000+(i*3+j)%20), self)
+		}
+		tb.Observe(mnet.AddrFrom(0x0a000002+i), i%4 != 0, 3, two, testbed.Epoch)
+	}
+	walk := tb.AppendTwoHop(nil, self)
+	links := tb.AppendNeighbors(nil, false)
+	syms := tb.AppendSymmetricAddrs(nil)
+	if len(walk) != 36 || len(links) != 8 || len(syms) != 6 {
+		t.Fatalf("walk %d steps, %d links, %d symmetric; want 36, 8, 6", len(walk), len(links), len(syms))
+	}
+	for _, q := range []struct {
+		name  string
+		query func()
+	}{
+		{"AppendTwoHop", func() { walk = tb.AppendTwoHop(walk[:0], self) }},
+		{"AppendNeighbors", func() { links = tb.AppendNeighbors(links[:0], false) }},
+		{"AppendSymmetricAddrs", func() { syms = tb.AppendSymmetricAddrs(syms[:0]) }},
+	} {
+		if got := testing.AllocsPerRun(100, q.query); got != 0 {
+			t.Errorf("%s into warm storage = %.1f allocs, want 0", q.name, got)
+		}
+	}
 }

@@ -15,10 +15,12 @@ const maxBlockAddrs = 255
 // Sensor is the link-sensing core both HELLO CFs run on, the Neighbour
 // Detection CF and the MPR CF: the link set and the HELLO sequence number,
 // with the HELLO builder, the reception step and the expiry sweep. Each CF
-// adds its own message TLVs and its own NHOOD_CHANGE policy.
+// adds its own message TLVs and its own NHOOD_CHANGE policy. Receive runs
+// in the owning CF's critical section, which serialises its scratch.
 type Sensor struct {
 	table *Table
 	seq   atomic.Uint32 // low 16 bits: the last HELLO's sequence number
+	syms  []mnet.Addr   // the last received HELLO's symmetric neighbours
 }
 
 // NewSensor returns a sensor over the link set t.
@@ -39,7 +41,8 @@ func (s *Sensor) Hello(self mnet.Addr, tlvs []packetbb.TLV, relay func(mnet.Addr
 		SeqNum:     uint16(s.seq.Add(1)),
 		TLVs:       tlvs,
 	}
-	nbs := s.table.Neighbors()
+	var buf [32]Info // the neighbour list stays on the stack up to 32
+	nbs := s.table.AppendNeighbors(buf[:0], false)
 	for len(nbs) > 0 {
 		n := min(len(nbs), maxBlockAddrs)
 		blk := packetbb.AddrBlock{Addrs: make([]mnet.Addr, n)}
@@ -64,8 +67,9 @@ func (s *Sensor) Hello(self mnet.Addr, tlvs []packetbb.TLV, relay func(mnet.Addr
 // ParseHello extracts the sender's view from a HELLO in one pass over its
 // address blocks: whether it lists us as heard or symmetric, whether it
 // flags us as its relay (ATLVMPR), its willingness, and its symmetric
-// neighbour set.
-func ParseHello(msg *packetbb.Message, self mnet.Addr) (listsUs, relaysUs bool, willingness uint8, symNeighbors []mnet.Addr) {
+// neighbour set, appended to syms.
+func ParseHello(msg *packetbb.Message, self mnet.Addr, syms []mnet.Addr) (listsUs, relaysUs bool, willingness uint8, symNeighbors []mnet.Addr) {
+	symNeighbors = syms
 	willingness = WillDefault
 	if tlv, ok := msg.FindTLV(packetbb.TLVWillingness); ok {
 		if w, err := packetbb.ParseU8(tlv.Value); err == nil {
@@ -99,8 +103,9 @@ func ParseHello(msg *packetbb.Message, self mnet.Addr) (listsUs, relaysUs bool, 
 }
 
 // Heard is what one received HELLO changed in the link set: the sender's
-// record after it (Addr is the originator, else the link-level source),
-// its status before it, and whether it flags us as its relay.
+// record after it (Addr is the originator, else the link-level source; its
+// TwoHop is the sensor's scratch, valid until the next Receive), its status
+// before it, and whether it flags us as its relay.
 type Heard struct {
 	Info
 	Prev     Status // 0 when the sender is new
@@ -117,9 +122,14 @@ func (s *Sensor) Receive(ctx *core.Context, ev *event.Event) (h Heard, ok bool) 
 	if src.IsUnspecified() {
 		src = ev.Src
 	}
-	listsUs, relaysUs, will, syms := ParseHello(ev.Msg, ctx.Node())
-	h.Prev = s.table.Observe(src, listsUs, will, syms, ctx.Clock().Now())
-	h.Info, _ = s.table.Get(src)
+	listsUs, relaysUs, will, syms := ParseHello(ev.Msg, ctx.Node(), s.syms[:0])
+	s.syms = syms
+	now := ctx.Clock().Now()
+	h.Prev = s.table.Observe(src, listsUs, will, syms, now)
+	h.Info = Info{Addr: src, Status: StatusHeard, LastHeard: now, Willingness: will, TwoHop: syms}
+	if listsUs {
+		h.Status = StatusSymmetric
+	}
 	h.RelaysUs = relaysUs
 	return h, true
 }
@@ -140,8 +150,8 @@ func (s *Sensor) Sweep(ctx *core.Context, lost func(mnet.Addr)) int {
 	return len(gone)
 }
 
-// Notify emits a NHOOD_CHANGE of the given kind about nb, whose 2-hop
-// neighbours are via.
+// Notify emits a borrowed NHOOD_CHANGE of the given kind about nb, whose
+// 2-hop neighbours are via (copied into the carrier).
 func Notify(ctx *core.Context, kind event.ChangeKind, nb mnet.Addr, via []mnet.Addr) {
-	ctx.Emit(&event.Event{Type: event.NhoodChange, Nhood: &event.NhoodPayload{Kind: kind, Neighbor: nb, TwoHopVia: via}})
+	ctx.Emit(event.WithNhood(event.NhoodPayload{Kind: kind, Neighbor: nb, TwoHopVia: via}))
 }

@@ -47,12 +47,12 @@ func TestHelloOver255Neighbours(t *testing.T) {
 	}
 	for i := range 300 {
 		a := mnet.AddrFrom(0x0a000100 + uint32(i))
-		listsUs, relaysUs, _, _ := ParseHello(back, a)
+		listsUs, relaysUs, _, _ := ParseHello(back, a, nil)
 		if !listsUs || relaysUs != relay[a] {
 			t.Fatalf("%v reads listsUs=%v relaysUs=%v, want true, %v", a, listsUs, relaysUs, relay[a])
 		}
 	}
-	if _, _, _, got := ParseHello(back, mnet.AddrFrom(0x0c000001)); !slices.Equal(got, sym) {
+	if _, _, _, got := ParseHello(back, mnet.AddrFrom(0x0c000001), nil); !slices.Equal(got, sym) {
 		t.Fatalf("a third party reads %d symmetric neighbours, want %d", len(got), len(sym))
 	}
 }
@@ -104,11 +104,11 @@ func FuzzHello(f *testing.F) {
 			t.Fatalf("HELLO lists %d addresses, model %d", len(got), len(listed))
 		}
 		for _, a := range listed {
-			if listsUs, relaysUs, _, _ := ParseHello(back, a); !listsUs || relaysUs != relay[a] {
+			if listsUs, relaysUs, _, _ := ParseHello(back, a, nil); !listsUs || relaysUs != relay[a] {
 				t.Fatalf("%v reads listsUs=%v relaysUs=%v, model true, %v", a, listsUs, relaysUs, relay[a])
 			}
 		}
-		listsUs, relaysUs, will, got := ParseHello(back, mnet.AddrFrom(0x0c000001))
+		listsUs, relaysUs, will, got := ParseHello(back, mnet.AddrFrom(0x0c000001), nil)
 		if listsUs || relaysUs || will != 5 || !slices.Equal(got, sym) {
 			t.Fatalf("third party reads listsUs=%v relaysUs=%v will=%d and %d symmetric, model false, false, 5, %d",
 				listsUs, relaysUs, will, len(got), len(sym))

@@ -8,6 +8,7 @@
 package neighbor
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"time"
@@ -50,6 +51,10 @@ type Info struct {
 	TwoHop []mnet.Addr
 }
 
+// TwoHop is one step of the 2-hop walk: a strict 2-hop destination and a
+// symmetric neighbour that reaches it.
+type TwoHop struct{ Dst, Via mnet.Addr }
+
 // Table is the neighbour-state store: the S element of the Neighbour
 // Detection CF (and, reused, the link-set/2-hop state of the MPR CF —
 // Table 3's cross-protocol reuse).
@@ -80,13 +85,10 @@ func (t *Table) Observe(nb mnet.Addr, symmetric bool, willingness uint8, twoHop 
 	e.LastHeard = now
 	e.Willingness = willingness
 	e.TwoHop = append(e.TwoHop[:0], twoHop...)
+	// A HELLO that does not list us demotes a symmetric link.
+	e.Status = StatusHeard
 	if symmetric {
 		e.Status = StatusSymmetric
-	} else if e.Status != StatusSymmetric || prev == StatusLost {
-		e.Status = StatusHeard
-	} else {
-		// Was symmetric but this HELLO does not list us: demote.
-		e.Status = StatusHeard
 	}
 	return prev
 }
@@ -136,20 +138,9 @@ func (t *Table) Drop(deadline time.Time) int {
 	return n
 }
 
-// Get returns the record for nb.
-func (t *Table) Get(nb mnet.Addr) (Info, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.entries[nb]
-	if !ok {
-		return Info{}, false
-	}
-	return t.snapshotLocked(e), true
-}
-
-// StatusOf returns just nb's link status — the per-message check ("is the
-// previous hop a symmetric neighbour?") that has no use for the copy of the
-// 2-hop list Get makes. ok is false when nb is not tracked.
+// StatusOf returns nb's link status — the per-message check ("is the
+// previous hop a symmetric neighbour?"). ok is false when nb is not
+// tracked.
 func (t *Table) StatusOf(nb mnet.Addr) (Status, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -160,38 +151,60 @@ func (t *Table) StatusOf(nb mnet.Addr) (Status, bool) {
 	return e.Status, true
 }
 
-// Neighbors returns all non-lost neighbours, sorted by address.
-func (t *Table) Neighbors() []Info {
-	return t.filter(func(e *Info) bool { return e.Status != StatusLost })
-}
-
-// Symmetric returns the symmetric neighbours, sorted by address.
-func (t *Table) Symmetric() []Info {
-	return t.filter(func(e *Info) bool { return e.Status == StatusSymmetric })
-}
-
-// SymmetricAddrs returns just the addresses of symmetric neighbours,
-// sorted — without the copy of each neighbour's 2-hop list Symmetric makes.
-func (t *Table) SymmetricAddrs() []mnet.Addr {
+// AppendNeighbors appends the records of the non-lost neighbours to dst, or
+// of the symmetric ones when symmetric is set, sorted by address and with
+// TwoHop nil (AppendTwoHop is the 2-hop view). The caller owns dst: a warm
+// one takes no allocation.
+func (t *Table) AppendNeighbors(dst []Info, symmetric bool) []Info {
+	n := len(dst)
 	t.mu.Lock()
-	out := make([]mnet.Addr, 0, len(t.entries))
-	for a, e := range t.entries {
-		if e.Status == StatusSymmetric {
-			out = append(out, a)
+	for _, e := range t.entries {
+		if e.Status == StatusSymmetric || !symmetric && e.Status == StatusHeard {
+			dst = append(dst, *e)
+			dst[len(dst)-1].TwoHop = nil
 		}
 	}
 	t.mu.Unlock()
-	slices.SortFunc(out, mnet.Addr.Compare)
+	slices.SortFunc(dst[n:], func(a, b Info) int { return a.Addr.Compare(b.Addr) })
+	return dst
+}
+
+// SymmetricAddrs returns just the addresses of symmetric neighbours, sorted.
+func (t *Table) SymmetricAddrs() []mnet.Addr { return t.AppendSymmetricAddrs(nil) }
+
+// AppendSymmetricAddrs appends the symmetric neighbours' addresses to dst,
+// sorted. The caller owns dst.
+func (t *Table) AppendSymmetricAddrs(dst []mnet.Addr) []mnet.Addr {
+	n := len(dst)
+	t.mu.Lock()
+	for a, e := range t.entries {
+		if e.Status == StatusSymmetric {
+			dst = append(dst, a)
+		}
+	}
+	t.mu.Unlock()
+	slices.SortFunc(dst[n:], mnet.Addr.Compare)
+	return dst
+}
+
+// TwoHopSet returns the strict 2-hop neighbourhood as a map from each
+// destination to its vias, sorted: AppendTwoHop's walk, grouped.
+func (t *Table) TwoHopSet(self mnet.Addr) map[mnet.Addr][]mnet.Addr {
+	out := make(map[mnet.Addr][]mnet.Addr)
+	for _, p := range t.AppendTwoHop(nil, self) {
+		out[p.Dst] = append(out[p.Dst], p.Via)
+	}
 	return out
 }
 
-// TwoHopSet returns the strict 2-hop neighbourhood: nodes reachable via a
-// symmetric neighbour that are not ourselves and not 1-hop neighbours.
-func (t *Table) TwoHopSet(self mnet.Addr) map[mnet.Addr][]mnet.Addr {
+// AppendTwoHop appends the strict 2-hop neighbourhood to dst as a walk
+// sorted by (Dst, Via): one pair for each report, by a symmetric neighbour,
+// of a node that is neither self nor a non-lost neighbour (a neighbour
+// reporting a node twice gives two pairs). The caller owns dst: a warm one
+// takes no allocation.
+func (t *Table) AppendTwoHop(dst []TwoHop, self mnet.Addr) []TwoHop {
+	n := len(dst)
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	// two-hop destination -> the symmetric neighbours that reach it.
-	out := make(map[mnet.Addr][]mnet.Addr)
 	for a, e := range t.entries {
 		if e.Status != StatusSymmetric {
 			continue
@@ -203,32 +216,12 @@ func (t *Table) TwoHopSet(self mnet.Addr) map[mnet.Addr][]mnet.Addr {
 			if nb, ok := t.entries[th]; ok && nb.Status != StatusLost {
 				continue // a 1-hop neighbour already
 			}
-			out[th] = append(out[th], a)
-		}
-	}
-	for _, vias := range out {
-		slices.SortFunc(vias, mnet.Addr.Compare)
-	}
-	return out
-}
-
-func (t *Table) filter(keep func(*Info) bool) []Info {
-	t.mu.Lock()
-	var out []Info
-	for _, e := range t.entries {
-		if keep(e) {
-			out = append(out, t.snapshotLocked(e))
+			dst = append(dst, TwoHop{Dst: th, Via: a})
 		}
 	}
 	t.mu.Unlock()
-	slices.SortFunc(out, func(a, b Info) int { return a.Addr.Compare(b.Addr) })
-	return out
-}
-
-func (t *Table) snapshotLocked(e *Info) Info {
-	c := *e
-	c.TwoHop = append([]mnet.Addr(nil), e.TwoHop...)
-	return c
+	slices.SortFunc(dst[n:], func(a, b TwoHop) int { return cmp.Or(a.Dst.Compare(b.Dst), a.Via.Compare(b.Via)) })
+	return dst
 }
 
 // Len returns the number of tracked entries (including lost).

@@ -398,7 +398,7 @@ func TestComputeRoutesSteadyStateAllocs(t *testing.T) {
 	if got := fib.Ops(); got != ops {
 		t.Fatalf("21 steady-state recomputes made %d FIB ops, want 0", got-ops)
 	}
-	set, del, reached := s.routeDelta(self, oneHop, twoHop, now)
+	set, del, reached := s.routeDelta(self, oneHop, s.scratch.walk, now) // the walk ComputeRoutes laid out
 	if len(set) != 0 || len(del) != 0 || reached != n-1 {
 		t.Fatalf("steady-state pass: %d routes to set, %d to delete, %d reached; want 0, 0, %d", len(set), len(del), reached, n-1)
 	}

@@ -1,6 +1,7 @@
 package olsr
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -84,19 +85,8 @@ func (o *OLSR) DisableHNA() error {
 		return err
 	}
 	t := o.proto.Tuple()
-	req := t.Required[:0:0]
-	for _, r := range t.Required {
-		if r.Type != event.HNAIn {
-			req = append(req, r)
-		}
-	}
-	prov := t.Provided[:0:0]
-	for _, p := range t.Provided {
-		if p != event.HNAOut {
-			prov = append(prov, p)
-		}
-	}
-	t.Required, t.Provided = req, prov
+	t.Required = slices.DeleteFunc(slices.Clone(t.Required), func(r event.Requirement) bool { return r.Type == event.HNAIn })
+	t.Provided = slices.DeleteFunc(slices.Clone(t.Provided), func(p event.Type) bool { return p == event.HNAOut })
 	o.proto.SetTuple(t)
 	return nil
 }

@@ -42,8 +42,19 @@ type OLSR struct {
 
 	// Recompute coalescing state, guarded by the protocol's critical
 	// section (handlers, sources and RunLocked callbacks all hold it).
-	dirty      bool         // route set may be stale
-	drainTimer vclock.Timer // armed quantized drain, nil when idle
+	dirty      bool        // route set may be stale
+	drainTimer *drainArm   // armed quantized drain, nil when idle
+	spare      []*drainArm // arms whose timer has fired, for reuse
+}
+
+// drainArm is one drain timer with its callbacks, bound once so that
+// re-arming it allocates nothing. An arm fires once per arming and returns
+// to the spares from inside the critical section when it does.
+type drainArm struct {
+	o     *OLSR
+	clk   vclock.Clock
+	t     vclock.Timer
+	drain func(*core.Context)
 }
 
 // New builds an OLSR CF using the given MPR CF for link sensing, relay
@@ -96,7 +107,7 @@ func New(name string, relay *mpr.MPR) *OLSR {
 	})
 	o.proto.OnStop(func(ctx *core.Context) error {
 		if o.drainTimer != nil {
-			o.drainTimer.Stop()
+			o.drainTimer.t.Stop()
 			o.drainTimer = nil
 		}
 		o.dirty = false
@@ -137,8 +148,9 @@ func (o *OLSR) BuildTC(self mnet.Addr) *packetbb.Message {
 	return msg
 }
 
+// emitTC sends this node's TC, periodic or triggered. Only nodes selected
+// as relays advertise (RFC 3626 §9.3).
 func (o *OLSR) emitTC(ctx *core.Context) {
-	// Only nodes selected as relays advertise (RFC 3626 §9.3).
 	if len(o.m.State().Selectors()) == 0 {
 		return
 	}
@@ -185,12 +197,6 @@ func (o *OLSR) onTC(ctx *core.Context, ev *event.Event) error {
 	now := ctx.Clock().Now()
 	changed := o.state.RecordTC(msg.Originator, ansn, advertised, now.Add(topologyHold))
 
-	// Power-aware: learn the originator's residual battery.
-	if tlv, ok := msg.FindTLV(TLVResidualPower); ok {
-		if v, err := packetbb.ParseU8(tlv.Value); err == nil {
-			o.state.SetPower(msg.Originator, float64(v)/100)
-		}
-	}
 	if changed {
 		o.markDirty(ctx)
 	}
@@ -212,12 +218,7 @@ func (o *OLSR) onMPRChange(ctx *core.Context, ev *event.Event) error {
 	// triggered TC so topology propagates ahead of the periodic timer.
 	o.state.BumpANSN()
 	o.state.mprChanges.Add(1)
-	if len(o.m.State().Selectors()) > 0 {
-		msg := o.BuildTC(ctx.Node())
-		o.m.Flooder().Seen(ctx.Node(), msg.SeqNum, ctx.Clock().Now())
-		o.state.tcTx.Add(1)
-		ctx.Emit(&event.Event{Type: event.TCOut, Msg: msg, Dst: mnet.Broadcast})
-	}
+	o.emitTC(ctx)
 	o.markDirty(ctx)
 	return nil
 }
@@ -241,9 +242,11 @@ func (o *OLSR) sweep(ctx *core.Context) {
 // instead of one per message, with staleness bounded by the quantum.
 // Quantizing the deadline (rather than "now + interval") makes the drain
 // instant a deterministic function of virtual time, so replays are
-// byte-identical regardless of which trigger fired first. Called only
-// inside the protocol's critical section, which is what makes the flag and
-// timer handle safe without a lock of their own.
+// byte-identical regardless of which trigger fired first. An arm whose
+// timer has fired on this clock is re-armed with Reset, which stamps it as
+// a fresh AfterFunc would; a burst allocates only when every arm is still
+// pending. Called only inside the protocol's critical section, which is
+// what makes the flag and the arms safe without a lock of their own.
 func (o *OLSR) markDirty(ctx *core.Context) {
 	o.dirty = true
 	if o.drainTimer != nil {
@@ -252,17 +255,28 @@ func (o *OLSR) markDirty(ctx *core.Context) {
 	clk := ctx.Clock()
 	now := clk.Now()
 	q := TCInterval / 50
-	fire := now.Truncate(q).Add(q)
-	o.drainTimer = clk.AfterFunc(fire.Sub(now), func() {
-		// The timer callback runs outside the critical section; re-enter it
-		// to drain. A stopped deployment reports ErrNotDeployed — the
-		// pending recompute is moot then.
-		_ = o.proto.RunLocked(o.drainLocked)
-	})
+	d := now.Truncate(q).Add(q).Sub(now)
+	if n := len(o.spare); n > 0 && o.spare[n-1].clk == clk {
+		o.drainTimer, o.spare = o.spare[n-1], o.spare[:n-1]
+		o.drainTimer.t.Reset(d)
+		return
+	}
+	a := &drainArm{o: o, clk: clk}
+	a.drain = func(ctx *core.Context) {
+		a.o.spare = append(a.o.spare, a)
+		a.o.drainLocked(ctx)
+	}
+	// The callback runs outside the critical section and re-enters it. A
+	// stopped deployment reports ErrNotDeployed: the recompute is moot then,
+	// and the arm is dropped.
+	a.t = clk.AfterFunc(d, func() { _ = a.o.proto.RunLocked(a.drain) })
+	o.drainTimer = a
 }
 
 // drainLocked runs the coalesced recompute if one is pending. Critical
-// section held by the caller.
+// section held by the caller. The sweep calls it inline with an arm still
+// pending: that arm fires later all the same, and drains nothing unless a
+// change marked the set dirty since.
 func (o *OLSR) drainLocked(ctx *core.Context) {
 	o.drainTimer = nil
 	if !o.dirty {
@@ -272,16 +286,12 @@ func (o *OLSR) drainLocked(ctx *core.Context) {
 	o.recompute(ctx)
 }
 
+// recompute runs the shortest-path pass on the symmetric neighbours and the
+// 2-hop walk, read into its scratch, and diff-installs what changed.
 func (o *OLSR) recompute(ctx *core.Context) {
-	links := o.m.State().Links
-	// ComputeRoutes resolves learned HNA prefixes against the fresh
-	// shortest-path pass and diff-installs hosts and gateways in one batch.
-	o.state.ComputeRoutes(
-		ctx.Node(),
-		links.SymmetricAddrs(),
-		links.TwoHopSet(ctx.Node()),
-		ctx.Clock().Now(),
-		0,
-		o.proto.Name(),
-	)
+	links, sc := o.m.State().Links, &o.state.scratch
+	sc.oneHop = links.AppendSymmetricAddrs(sc.oneHop[:0])
+	sc.walk = links.AppendTwoHop(sc.walk[:0], ctx.Node())
+	set, del, _ := o.state.routeDelta(ctx.Node(), sc.oneHop, sc.walk, ctx.Clock().Now())
+	o.state.Routes.ApplyProto(o.proto.Name(), set, del)
 }

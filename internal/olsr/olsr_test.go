@@ -503,3 +503,33 @@ func TestRestartedOriginatorIsHeardAfterHoldTime(t *testing.T) {
 		t.Fatalf("after the hold time the restarted originator advertises %v, want [%v]", got, d3)
 	}
 }
+
+// TestSteadyRecomputeAllocs pins the CF's recompute at no allocation once
+// the network has been seen: the symmetric neighbours and the 2-hop walk go
+// into the pass's scratch, and a pass that changes nothing hands the table
+// two empty lists.
+func TestSteadyRecomputeAllocs(t *testing.T) {
+	c, nodes := deployOLSR(t, 5)
+	if err := c.Line(); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(30 * time.Second)
+	o := nodes[2].olsr
+	if got := o.Routes().ValidCount(); got != 4 {
+		t.Fatalf("the middle node has %d routes, want 4", got)
+	}
+	recompute := o.recompute
+	run := func() {
+		if err := o.Protocol().RunLocked(recompute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	ops := nodes[2].node.FIB().Ops()
+	if got := testing.AllocsPerRun(100, run); got != 0 {
+		t.Fatalf("a steady recompute = %.1f allocs, want 0", got)
+	}
+	if got := nodes[2].node.FIB().Ops(); got != ops {
+		t.Fatalf("101 steady recomputes made %d FIB ops, want 0", got-ops)
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"manetkit/internal/mnet"
+	"manetkit/internal/neighbor"
 	"manetkit/internal/packetbb"
 	"manetkit/internal/route"
 )
@@ -73,7 +74,8 @@ const reinstall = -1
 // State's address slots. The per-slot records grow only in slotOf, the
 // frontier buffers only in ensure, and the install buffers by append with
 // what a pass changes, so the BFS and the install diff run allocation-free
-// once the network has been seen.
+// once the network has been seen. oneHop and walk hold a pass's inputs;
+// they are filled outside s.mu, in the protocol's critical section.
 type spScratch struct {
 	slots []spSlot // slot → pass and installed-route state
 	cur   uint32   // current generation
@@ -81,7 +83,8 @@ type spScratch struct {
 	order   []int32 // slots in visit order (frontier by frontier)
 	front   []int32
 	next    []int32
-	twoKeys []mnet.Addr
+	oneHop  []mnet.Addr        // the symmetric neighbours
+	walk    []neighbor.TwoHop  // the 2-hop walk, sorted by destination
 	set     []route.ProtoRoute // new or changed routes, in visit order
 	del     []mnet.Prefix      // installed destinations this pass lost
 	hnaLive []hnaAssoc
@@ -113,7 +116,7 @@ func (sc *spScratch) resetGen() {
 }
 
 // State is the OLSR CF's S element: the topology set learned from TC
-// messages, learned residual power, and the protocol's routing table. One
+// messages and the protocol's routing table. One
 // dense address index (slot ↔ addrs) serves both the topology set, whose
 // per-originator records hang off it, and the shortest-path pass, whose
 // per-node arrays are indexed by it.
@@ -124,7 +127,6 @@ type State struct {
 	slot    map[mnet.Addr]int32 // addr → dense slot
 	addrs   []mnet.Addr         // slot → addr
 	topo    []origTopo          // slot → that originator's record
-	power   map[mnet.Addr]float64
 	ourANSN uint16
 	msgSeq  uint16
 	scratch spScratch
@@ -177,7 +179,6 @@ func NewState(routes *route.Table) *State {
 	return &State{
 		Routes:   routes,
 		slot:     make(map[mnet.Addr]int32),
-		power:    make(map[mnet.Addr]float64),
 		ownPower: 1.0,
 	}
 }
@@ -395,25 +396,6 @@ func (s *State) Edges(now time.Time) [][2]mnet.Addr {
 	return out
 }
 
-// SetPower records a node's advertised residual power (power-aware
-// variant).
-func (s *State) SetPower(n mnet.Addr, frac float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.power[n] = frac
-}
-
-// Power returns a node's last advertised residual power (1.0 when
-// unknown).
-func (s *State) Power(n mnet.Addr) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.power[n]; ok {
-		return f
-	}
-	return 1.0
-}
-
 // hnaRoutes appends to set the gateway routes this pass installs — every
 // live association whose gateway the pass reached, one hop beyond it, in
 // sorted prefix order and with the association's expiry — and to del the
@@ -486,25 +468,6 @@ func (s *State) ClearRoutes() {
 	s.Routes.Clear()
 }
 
-// sortedTwoHopKeys materialises the 2-hop destination set in sorted order
-// into the reusable scratch key buffer. Called with s.mu held. Insertion
-// sort rather than sort.Slice: the set is degree-bounded and this runs on
-// every recompute, where sort.Slice's closure would allocate.
-func (s *State) sortedTwoHopKeys(twoHop map[mnet.Addr][]mnet.Addr) []mnet.Addr {
-	keys := s.scratch.twoKeys[:0]
-	for dst := range twoHop {
-		//mk:allow maporder keys are insertion-sorted below before they are returned
-		keys = append(keys, dst)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j].Less(keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	s.scratch.twoKeys = keys
-	return keys
-}
-
 // ComputeRoutes rebuilds the routing table from the symmetric
 // neighbourhood, the 2-hop set and the topology tuples — the RFC 3626 §10
 // shortest-path calculation. With unit metrics BFS is exact Dijkstra, so
@@ -530,22 +493,43 @@ func (s *State) sortedTwoHopKeys(twoHop map[mnet.Addr][]mnet.Addr) []mnet.Addr {
 // critical section; the method is not reentrant. holdTime is unused and
 // kept for the signature's callers. Returns the number of reachable
 // destinations.
+//
+// twoHop maps each strict 2-hop destination to its vias, of which only the
+// first is read: ComputeRoutes lays it out in the State's scratch as the
+// 2-hop walk the OLSR CF hands routeDelta, the one pass, directly.
 func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mnet.Addr][]mnet.Addr, now time.Time, holdTime time.Duration, proto string) int {
-	set, del, n := s.routeDelta(self, oneHop, twoHop, now)
+	w := s.scratch.walk[:0]
+	for dst, vias := range twoHop {
+		for _, v := range vias {
+			w = append(w, neighbor.TwoHop{Dst: dst, Via: v})
+		}
+	}
+	// Stable: each destination's vias keep their order, so its first is first.
+	slices.SortStableFunc(w, func(a, b neighbor.TwoHop) int { return a.Dst.Compare(b.Dst) })
+	s.scratch.walk = w
+	set, del, n := s.routeDelta(self, oneHop, w, now)
 	s.Routes.ApplyProto(proto, set, del)
 	return n
 }
 
-// routeDelta is ComputeRoutes' shortest-path pass: it records the pass's
-// routes as installed and returns what the table must change to hold them
-// (scratch slices, valid until the next pass) and the number of reachable
+// routeDelta is ComputeRoutes' shortest-path pass on a 2-hop walk sorted by
+// destination (neighbor.Table.AppendTwoHop's), of which it reads each
+// destination's first via, the lowest. It records the pass's routes as
+// installed and returns what the table must change to hold them (scratch
+// slices, valid until the next pass) and the number of reachable
 // destinations.
-func (s *State) routeDelta(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mnet.Addr][]mnet.Addr, now time.Time) (set []route.ProtoRoute, del []mnet.Prefix, reached int) {
+func (s *State) routeDelta(self mnet.Addr, oneHop []mnet.Addr, walk []neighbor.TwoHop, now time.Time) (set []route.ProtoRoute, del []mnet.Prefix, reached int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sc := &s.scratch
+	keys := 0
+	for i := range walk {
+		if i == 0 || walk[i].Dst != walk[i-1].Dst {
+			keys++
+		}
+	}
 	// Every visited node owns a slot, and only the seeds can add slots.
-	sc.ensure(len(s.addrs) + len(oneHop) + len(twoHop))
+	sc.ensure(len(s.addrs) + len(oneHop) + keys)
 	sc.cur++
 	if sc.cur == 0 {
 		sc.resetGen()
@@ -565,17 +549,16 @@ func (s *State) routeDelta(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mnet.A
 		sc.front[nfront] = ns
 		nfront++
 	}
-	for _, dst := range s.sortedTwoHopKeys(twoHop) {
-		vias := twoHop[dst]
-		if len(vias) == 0 {
-			continue
+	for i, p := range walk {
+		if i > 0 && p.Dst == walk[i-1].Dst {
+			continue // a later via of the same destination
 		}
-		ds := s.slotOf(dst)
+		ds := s.slotOf(p.Dst)
 		sl := &sc.slots[ds]
 		if sl.gen == cur {
 			continue // already a 1-hop neighbour
 		}
-		sl.gen, sl.dist, sl.nhop = cur, 2, vias[0]
+		sl.gen, sl.dist, sl.nhop = cur, 2, p.Via
 		sc.order[norder] = ds
 		norder++
 		sc.next[nnext] = ds

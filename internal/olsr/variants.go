@@ -1,6 +1,7 @@
 package olsr
 
 import (
+	"slices"
 	"sync"
 
 	"manetkit/internal/core"
@@ -103,13 +104,7 @@ func (o *OLSR) DisablePowerAware() error {
 		return err
 	}
 	t := o.proto.Tuple()
-	kept := t.Required[:0:0]
-	for _, r := range t.Required {
-		if r.Type != event.PowerStatus {
-			kept = append(kept, r)
-		}
-	}
-	t.Required = kept
+	t.Required = slices.DeleteFunc(slices.Clone(t.Required), func(r event.Requirement) bool { return r.Type == event.PowerStatus })
 	o.proto.SetTuple(t)
 	o.setPowerAware(false)
 	return nil

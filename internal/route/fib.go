@@ -63,13 +63,23 @@ func (f *FIB) route(dst mnet.Prefix, e fibEntry) FIBRoute {
 }
 
 // Set installs or replaces the route for r.Dst.
-func (f *FIB) Set(r FIBRoute) {
+func (f *FIB) Set(r FIBRoute) { f.set(r, false) }
+
+// set is Set. With ifChanged it leaves a route equal to r alone and counts
+// no op.
+func (f *FIB) set(r FIBRoute, ifChanged bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	e := fibEntry{nextHop: r.NextHop, dev: f.intern(r.Device), proto: f.intern(r.Proto), metric: r.Metric}
 	if r.Dst.Bits == hostBits {
+		if old, ok := f.host[r.Dst.Addr]; ifChanged && ok && old == e {
+			return
+		}
 		f.host[r.Dst.Addr] = e
 	} else {
+		if old, ok := f.wide[r.Dst]; ifChanged && ok && old == e {
+			return
+		}
 		f.wide[r.Dst] = e
 	}
 	f.ops++

@@ -180,17 +180,38 @@ func (t *refTable) ExtendLifetime(dst mnet.Prefix, nextHop mnet.Addr, d time.Dur
 	if !ok || !e.Valid {
 		return false
 	}
-	touched := false
+	touched, revived := false, false
 	for i := range e.Paths {
 		if !nextHop.IsUnspecified() && e.Paths[i].NextHop != nextHop {
 			continue
 		}
+		was := refExpired(e.Paths[i], t.clock.Now())
 		if e.Paths[i].Expires.IsZero() || e.Paths[i].Expires.Before(deadline) {
 			e.Paths[i].Expires = deadline
 		}
+		revived = revived || was && !refExpired(e.Paths[i], t.clock.Now())
 		touched = true
 	}
+	if revived {
+		t.revive(e)
+	}
 	return touched
+}
+
+func refExpired(p Path, now time.Time) bool { return !p.Expires.IsZero() && !p.Expires.After(now) }
+
+// revive mirrors e after a lifetime extension brought one of its expired
+// paths back, writing the FIB only when the route it holds is not e's best
+// path.
+func (t *refTable) revive(e *refEntry) {
+	p, ok := e.Best(t.clock.Now())
+	if t.fib == nil || !e.Valid || !ok {
+		return
+	}
+	want := FIBRoute{Dst: e.Dst, NextHop: p.NextHop, Metric: p.Metric, Device: t.fibDev, Proto: e.Proto}
+	if !slices.Contains(t.fib.List(), want) {
+		t.fib.Set(want)
+	}
 }
 
 func (t *refTable) PurgeExpired() int {
@@ -261,10 +282,16 @@ func (t *refTable) installBatch(proto string, desired []ProtoRoute, del []mnet.P
 		e.mark = gen
 		if !replace && e.Valid {
 			if best, has := e.Best(now); has && best.Metric <= d.Metric {
+				revived := false
 				for pi := range e.Paths {
+					was := refExpired(e.Paths[pi], now)
 					if e.Paths[pi].Expires.IsZero() || e.Paths[pi].Expires.Before(d.Expires) {
 						e.Paths[pi].Expires = d.Expires
 					}
+					revived = revived || was && !refExpired(e.Paths[pi], now)
+				}
+				if revived {
+					t.revive(e)
 				}
 				stats.Kept++
 				continue
@@ -272,8 +299,12 @@ func (t *refTable) installBatch(proto string, desired []ProtoRoute, del []mnet.P
 		}
 		if e.Valid && e.Proto == proto && len(e.Paths) == 1 &&
 			e.Paths[0].NextHop == d.NextHop && e.Paths[0].Metric == d.Metric {
+			was := refExpired(e.Paths[0], now)
 			if replace || d.Expires.After(e.Paths[0].Expires) {
 				e.Paths[0].Expires = d.Expires
+			}
+			if was && !refExpired(e.Paths[0], now) {
+				t.revive(e)
 			}
 			stats.Refreshed++
 			continue
@@ -349,6 +380,12 @@ func FuzzTable(f *testing.F) {
 	// Two paths to one host, the better one expiring first: the purge
 	// leaves the entry valid on the other.
 	f.Add([]byte{2, 1, 0x11, 2, 1, 0x3a, 13, 0, 20, 8, 0, 0})
+	// An extension revives an expired better path after a third path made
+	// the entry mirror a worse one (TestExtendRevivalRemirrorsBest).
+	f.Add([]byte{2, 1, 0x11, 2, 1, 0x3a, 13, 0, 20, 2, 1, 0x3b, 7, 1, 0x3d, 8, 0, 0})
+	// An extension revives a single path that a SyncFIB had mirrored away
+	// while it was expired (TestExtendRevivalRestoresFIBRoute).
+	f.Add([]byte{0, 1, 0x10, 13, 0, 20, 14, 0, 0, 7, 1, 0x3c, 8, 0, 0})
 
 	hosts := []mnet.Addr{}
 	for i := uint32(0); i < 8; i++ {

@@ -305,7 +305,7 @@ func (t *Table) best(r *ribEntry, nowK int64) (ribPath, bool) {
 	var best ribPath
 	found := false
 	consider := func(p ribPath) {
-		if p.exp != never && p.exp <= nowK {
+		if expired(p.exp, nowK) {
 			return
 		}
 		if !found || p.metric < best.metric {
@@ -542,34 +542,58 @@ func (t *Table) Remove(dst mnet.Prefix) bool {
 // ExtendLifetime pushes the expiry of every path through nextHop (or all
 // paths when nextHop is the zero Addr) on the entry for dst out to at least
 // now+d. Reactive protocols call this on ROUTE_UPDATE events: for a host
-// route it is one index probe and an in-place write.
+// route it is one index probe and an in-place write, and a FIB write only
+// when it revives an expired path the FIB does not hold as the best.
 func (t *Table) ExtendLifetime(dst mnet.Prefix, nextHop mnet.Addr, d time.Duration) bool {
-	deadline := t.clock.Now().Add(d)
+	now := t.clock.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.find(dst)
 	if r == nil || !r.valid || r.npaths == 0 {
 		return false
 	}
-	dk := t.since(deadline)
+	nowK, dk := t.since(now), t.since(now.Add(d))
 	everyHop := nextHop.IsUnspecified()
-	touched := false
+	touched, revived := false, false
 	if everyHop || r.nextHop == nextHop {
-		if before(r.exp, dk) {
-			r.exp = dk
-		}
+		revived = extend(&r.ribPath, dk, nowK)
 		touched = true
 	}
 	rest := t.rest(r)
 	for i := range rest {
 		if p := &rest[i]; everyHop || p.nextHop == nextHop {
-			if before(p.exp, dk) {
-				p.exp = dk
-			}
+			revived = extend(p, dk, nowK) || revived
 			touched = true
 		}
 	}
+	if revived {
+		t.reviveLocked(r, nowK)
+	}
 	return touched
+}
+
+// extend pushes p's expiry out to at least exp and reports whether that
+// revived it: expired at nowK before, live after.
+func extend(p *ribPath, exp, nowK int64) bool {
+	was := expired(p.exp, nowK)
+	if before(p.exp, exp) {
+		p.exp = exp
+	}
+	return was && !expired(p.exp, nowK)
+}
+
+// expired reports whether a path expiring at exp is dead at nowK.
+func expired(exp, nowK int64) bool { return exp != never && exp <= nowK }
+
+// reviveLocked mirrors r after an extension revived one of its paths. A
+// path that expired without a purge dropping it may have been mirrored
+// away meanwhile (a later mutation mirrored a worse best, or none), so the
+// FIB can disagree with the best path now; it is written only where it
+// does. Called with t.mu held.
+func (t *Table) reviveLocked(r *ribEntry, nowK int64) {
+	if p, ok := t.best(r, nowK); ok && t.fib != nil && r.valid {
+		t.fib.set(t.fibRoute(r, p), true)
+	}
 }
 
 // PurgeExpired drops expired paths from valid entries, invalidates an entry
@@ -580,10 +604,10 @@ func (t *Table) PurgeExpired() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	nowK := t.since(now)
-	expired := func(p ribPath) bool { return p.exp != never && p.exp <= nowK }
+	gone := func(p ribPath) bool { return expired(p.exp, nowK) }
 	dead := 0
 	t.all(func(r *ribEntry) {
-		if r.valid && t.dropPaths(r, expired) {
+		if r.valid && t.dropPaths(r, gone) {
 			t.settle(r)
 			if !r.valid {
 				dead++
@@ -723,17 +747,16 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 			// Keep-better: an existing route at least as short stays; only
 			// its lifetimes stretch to cover the refresh horizon.
 			if best, has := t.best(r, nowK); has && best.metric <= p.metric {
-				stretch := func(q *ribPath) {
-					if before(q.exp, p.exp) {
-						q.exp = p.exp
-					}
-				}
+				revived := false
 				if r.npaths > 0 {
-					stretch(&r.ribPath)
+					revived = extend(&r.ribPath, p.exp, nowK)
 				}
 				rest := t.rest(r)
 				for pi := range rest {
-					stretch(&rest[pi])
+					revived = extend(&rest[pi], p.exp, nowK) || revived
+				}
+				if revived {
+					t.reviveLocked(r, nowK)
 				}
 				stats.Kept++
 				continue
@@ -742,9 +765,13 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 		if r.valid && r.proto == owner && r.npaths == 1 &&
 			r.nextHop == p.nextHop && r.metric == p.metric {
 			// Same route: advance the lifetime in place. The FIB carries no
-			// expiry, so it is not written.
+			// expiry, so it is written only if this revives an expired path.
+			was := expired(r.exp, nowK)
 			if replace || after(p.exp, r.exp) {
 				r.exp = p.exp
+			}
+			if was && !expired(r.exp, nowK) {
+				t.reviveLocked(r, nowK)
 			}
 			stats.Refreshed++
 			continue
@@ -809,5 +836,10 @@ func (t *Table) mirrorLocked(r *ribEntry) {
 		t.fib.Del(r.prefix())
 		return
 	}
-	t.fib.Set(FIBRoute{Dst: r.prefix(), NextHop: p.nextHop, Metric: int(p.metric), Device: t.fibDev, Proto: t.names[r.proto]})
+	t.fib.Set(t.fibRoute(r, p))
+}
+
+// fibRoute is the FIB route for r's path p. Called with t.mu held.
+func (t *Table) fibRoute(r *ribEntry, p ribPath) FIBRoute {
+	return FIBRoute{Dst: r.prefix(), NextHop: p.nextHop, Metric: int(p.metric), Device: t.fibDev, Proto: t.names[r.proto]}
 }

@@ -767,3 +767,62 @@ func TestPurgeExpiredRemirrorsSurvivor(t *testing.T) {
 		t.Fatalf("FIB route = %+v, %v; RIB's best is %+v", r, ok, p)
 	}
 }
+
+// TestExtendRevivalRemirrorsBest: an extension that revives an expired,
+// unpurged best path moves the FIB back to it once another mutation had
+// mirrored a worse one, so a later purge leaves the FIB on Lookup's path.
+func TestExtendRevivalRemirrorsBest(t *testing.T) {
+	tb, clk := newTable()
+	fib := NewFIB()
+	tb.SyncFIB(fib, "emu0")
+	dst, a, b := host("10.0.0.1"), addr("10.0.1.1"), addr("10.0.1.2")
+	tb.AddPath(dst, "dymo", 1, Path{NextHop: a, Metric: 1, Expires: clk.Now().Add(10 * time.Millisecond)})
+	tb.AddPath(dst, "dymo", 1, Path{NextHop: b, Metric: 3, Expires: clk.Now().Add(90 * time.Millisecond)})
+	clk.Advance(20 * time.Millisecond)
+	// A third path: the entry mirrors its best live path, b.
+	tb.AddPath(dst, "dymo", 1, Path{NextHop: addr("10.0.1.3"), Metric: 3, Expires: clk.Now().Add(90 * time.Millisecond)})
+	if r, _ := fib.Lookup(addr("10.0.0.1")); r.NextHop != b {
+		t.Fatalf("FIB route %+v, want via %v while a is expired", r, b)
+	}
+	tb.ExtendLifetime(dst, a, 60*time.Millisecond) // revives a
+	tb.PurgeExpired()
+	_, p, err := tb.Lookup(addr("10.0.0.1"))
+	if err != nil || p.NextHop != a {
+		t.Fatalf("Lookup = %+v, %v; want via %v", p, err, a)
+	}
+	if r, ok := fib.Lookup(addr("10.0.0.1")); !ok || r.NextHop != a || r.Metric != 1 {
+		t.Fatalf("FIB route %+v, %v; Lookup's best is %+v", r, ok, p)
+	}
+	ops := fib.Ops()
+	tb.ExtendLifetime(dst, a, 60*time.Millisecond) // revives nothing
+	clk.Advance(100 * time.Millisecond)
+	tb.ExtendLifetime(dst, a, 60*time.Millisecond) // revives a, which the FIB still holds
+	if got := fib.Ops(); got != ops {
+		t.Fatalf("extensions that leave the FIB right made %d FIB ops, want 0", got-ops)
+	}
+}
+
+// TestExtendRevivalRestoresFIBRoute: an extension that revives the single
+// path of a valid entry restores the FIB route a SyncFIB removed while the
+// path was expired.
+func TestExtendRevivalRestoresFIBRoute(t *testing.T) {
+	tb, clk := newTable()
+	fib := NewFIB()
+	tb.SyncFIB(fib, "emu0")
+	dst, a := host("10.0.0.1"), addr("10.0.1.1")
+	tb.Upsert(Entry{Dst: dst, Paths: []Path{{NextHop: a, Metric: 1, Expires: clk.Now().Add(10 * time.Millisecond)}}, Valid: true, Proto: "dymo"})
+	clk.Advance(20 * time.Millisecond)
+	tb.SyncFIB(fib, "emu0") // mirrors the expired path away
+	if _, ok := fib.Lookup(addr("10.0.0.1")); ok {
+		t.Fatal("SyncFIB kept an expired path in the FIB")
+	}
+	tb.ExtendLifetime(dst, a, 60*time.Millisecond)
+	tb.PurgeExpired()
+	_, p, err := tb.Lookup(addr("10.0.0.1"))
+	if err != nil || p.NextHop != a {
+		t.Fatalf("Lookup = %+v, %v; want via %v", p, err, a)
+	}
+	if r, ok := fib.Lookup(addr("10.0.0.1")); !ok || r.NextHop != a {
+		t.Fatalf("FIB route %+v, %v; Lookup's best is %+v", r, ok, p)
+	}
+}

@@ -92,7 +92,8 @@ type System struct {
 	mu       sync.Mutex
 	envFlags EnvFlags
 	battery  *Battery
-	lastRSSI map[mnet.Addr]float64
+	lastRSSI []rssiReading // each neighbour's latest reading, sorted by address
+	readings []rssiReading // the link sensor's copy, reused every tick
 	stats    Stats
 	seq      uint16
 
@@ -106,11 +107,10 @@ func New(cfg Config) (*System, error) {
 	}
 
 	s := &System{
-		proto:    core.NewProtocol(UnitName),
-		nic:      cfg.NIC,
-		fib:      route.NewFIB(),
-		battery:  cfg.Battery,
-		lastRSSI: make(map[mnet.Addr]float64),
+		proto:   core.NewProtocol(UnitName),
+		nic:     cfg.NIC,
+		fib:     route.NewFIB(),
+		battery: cfg.Battery,
 	}
 	s.filter = newNetlink(s)
 
@@ -184,10 +184,7 @@ func New(cfg Config) (*System, error) {
 	err = s.proto.AddSource(core.NewSource("link-sensor", sensorInterval, 0,
 		func(ctx *core.Context) {
 			for _, r := range s.rssiSnapshot() {
-				ctx.Emit(&event.Event{
-					Type: event.LinkInfo,
-					Link: &event.LinkPayload{Neighbor: r.nb, SignalDBm: r.rssi, Quality: qualityFromRSSI(r.rssi)},
-				})
+				ctx.Emit(event.WithLink(event.LinkPayload{Neighbor: r.nb, SignalDBm: r.rssi, Quality: qualityFromRSSI(r.rssi)}))
 			}
 		}))
 	if err != nil {
@@ -260,7 +257,11 @@ func (s *System) sendControl(ev *event.Event) error {
 // capture).
 func (s *System) receive(f emunet.Frame) {
 	s.mu.Lock()
-	s.lastRSSI[f.Src] = f.RSSI
+	if i, ok := slices.BinarySearchFunc(s.lastRSSI, f.Src, func(r rssiReading, a mnet.Addr) int { return r.nb.Compare(a) }); ok {
+		s.lastRSSI[i].rssi = f.RSSI
+	} else {
+		s.lastRSSI = slices.Insert(s.lastRSSI, i, rssiReading{f.Src, f.RSSI})
+	}
 	s.mu.Unlock()
 
 	if len(f.Payload) == 0 {
@@ -301,16 +302,13 @@ type rssiReading struct {
 }
 
 // rssiSnapshot returns every neighbour's latest reading sorted by address,
-// so the link sensor reports them in the same order on every run.
+// so the link sensor reports them in the same order on every run. The slice
+// is the sensor's copy, valid until its next tick.
 func (s *System) rssiSnapshot() []rssiReading {
 	s.mu.Lock()
-	out := make([]rssiReading, 0, len(s.lastRSSI))
-	for nb, rssi := range s.lastRSSI {
-		out = append(out, rssiReading{nb, rssi})
-	}
-	s.mu.Unlock()
-	slices.SortFunc(out, func(a, b rssiReading) int { return a.nb.Compare(b.nb) })
-	return out
+	defer s.mu.Unlock()
+	s.readings = append(s.readings[:0], s.lastRSSI...)
+	return s.readings
 }
 
 // inEventType maps an incoming message type to its event type.
@@ -331,18 +329,9 @@ func inEventType(mt packetbb.MsgType) event.Type {
 	}
 }
 
-// qualityFromRSSI maps signal strength to a normalised [0,1] link quality.
-func qualityFromRSSI(rssi float64) float64 {
-	// -90 dBm or worse -> 0; -40 dBm or better -> 1.
-	q := (rssi + 90) / 50
-	if q < 0 {
-		return 0
-	}
-	if q > 1 {
-		return 1
-	}
-	return q
-}
+// qualityFromRSSI maps signal strength to a normalised [0,1] link quality:
+// -90 dBm or worse is 0, -40 dBm or better is 1.
+func qualityFromRSSI(rssi float64) float64 { return min(max((rssi+90)/50, 0), 1) }
 
 // forwardFacade is the Forward element's IForward interface: direct-call
 // send primitives for protocols that bypass the event path (rare).

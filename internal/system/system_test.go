@@ -435,10 +435,10 @@ func TestLinkSensorReportsRSSI(t *testing.T) {
 	net, clk, nodes := newTestNet(t, 2)
 	net.SetLink(nodes[0].addr, nodes[1].addr, emunet.Quality{Delay: time.Millisecond, SignalDBm: -65})
 	var mu sync.Mutex
-	var infos []*event.LinkPayload
+	var infos []event.LinkPayload // copies: a LINK_INFO is borrowed
 	nodes[1].mgr.SubscribeContext(event.LinkInfo, func(ev *event.Event) {
 		mu.Lock()
-		infos = append(infos, ev.Link)
+		infos = append(infos, *ev.Link)
 		mu.Unlock()
 	})
 	// Node 0 sends a control frame so node 1 learns its RSSI.
@@ -609,5 +609,39 @@ func TestBorrowedEventRetentionSeesPoison(t *testing.T) {
 	}
 	if update == nil || !update.Poisoned() || update.Route.Dst == nodes[1].addr {
 		t.Fatalf("kept ROUTE_UPDATE = %+v, want the poison", update)
+	}
+}
+
+// TestLinkSensorTickAllocs pins a link-sensor tick at no allocation once
+// the neighbours have been heard: the readings are copied into the
+// sensor's storage and each LINK_INFO is borrowed.
+func TestLinkSensorTickAllocs(t *testing.T) {
+	const neighbours = 4
+	net, clk, nodes := newTestNet(t, 1+neighbours)
+	hub := nodes[0]
+	reports := 0
+	hub.mgr.SubscribeContext(event.LinkInfo, func(*event.Event) { reports++ })
+	for _, nb := range nodes[1:] {
+		net.SetLink(hub.addr, nb.addr, emunet.Quality{Delay: time.Millisecond, SignalDBm: -60})
+		beacon := core.NewProtocol("beacon")
+		beacon.SetTuple(event.Tuple{Provided: []event.Type{event.HelloOut}})
+		if err := nb.mgr.Deploy(beacon); err != nil {
+			t.Fatal(err)
+		}
+		if err := beacon.Emit(&event.Event{
+			Type: event.HelloOut,
+			Msg:  &packetbb.Message{Type: packetbb.MsgHello, Originator: nb.addr},
+			Dst:  mnet.Broadcast,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(2 * time.Second) // sensor interval is 1s
+	reports = 0
+	if got := testing.AllocsPerRun(20, func() { clk.Advance(time.Second) }); got != 0 {
+		t.Fatalf("a link-sensor tick = %.1f allocs, want 0", got)
+	}
+	if reports != 21*neighbours {
+		t.Fatalf("%d LINK_INFOs over 21 ticks, want %d", reports, 21*neighbours)
 	}
 }

@@ -80,7 +80,7 @@ func TestSharedVirtualClock(t *testing.T) {
 			t.Fatalf("node %d tx=%d rx=%d: not driven by the cluster clock", i, tx, rx)
 		}
 		peer := c.Nodes[1-i].Addr
-		if got, ok := dets[i].Table().Get(peer); !ok || got.Status != neighbor.StatusSymmetric {
+		if st, ok := dets[i].Table().StatusOf(peer); !ok || st != neighbor.StatusSymmetric {
 			t.Fatalf("node %d never sensed %v", i, peer)
 		}
 	}

@@ -177,7 +177,7 @@ func (z *ZRP) Routes() *route.Table { return z.state.Routes }
 // the first hop towards it.
 func (z *ZRP) zoneDistance(self, dst mnet.Addr) (dist int, via mnet.Addr) {
 	links := z.relay.State().Links
-	if nb, ok := links.Get(dst); ok && nb.Status == neighbor.StatusSymmetric {
+	if st, ok := links.StatusOf(dst); ok && st == neighbor.StatusSymmetric {
 		return 1, dst
 	}
 	if vias, ok := links.TwoHopSet(self)[dst]; ok && len(vias) > 0 {
@@ -197,7 +197,7 @@ func (z *ZRP) refreshZone(ctx *core.Context) {
 	links := z.relay.State().Links
 	expiry := now.Add(zoneHold)
 	desired := z.zoneScratch[:0]
-	for _, nb := range links.Symmetric() {
+	for _, nb := range links.AppendNeighbors(nil, true) {
 		desired = append(desired, route.ProtoRoute{
 			Dst: mnet.HostPrefix(nb.Addr), NextHop: nb.Addr, Metric: 1, Expires: expiry,
 		})

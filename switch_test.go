@@ -53,8 +53,8 @@ func switchRoundTrip(tb testing.TB, s *Stack) {
 }
 
 // switchAllocBudget bounds the heap objects of one round trip: the measured
-// 622 plus 10 %. Before the rewire derived only what changed it was 1 728.
-const switchAllocBudget = 684
+// 620 plus 10 %. Before the rewire derived only what changed it was 1 728.
+const switchAllocBudget = 682
 
 func TestSwitchAllocBudget(t *testing.T) {
 	s := convergedGrid(t)[5]
