@@ -14,11 +14,12 @@
 //	mkemu -proto olsr -chaos storm
 //	mkemu -proto aodv -chaos crash -seed 42
 //
-// Observability: -metrics prints the cluster-wide counter/histogram
-// snapshot after the run, -trace writes the structured event trace as
-// JSONL (byte-identical for the same seed), and -http serves /debug/vars
-// (expvar, including the live metric registry) plus /debug/pprof while the
-// emulation runs:
+// Observability: -metrics prints the cluster-wide snapshot after the run
+// (every layer's counters, then the one kind of histogram there is: AODV's
+// and DYMO's route-discovery latency on the virtual clock), -trace writes the
+// structured event trace as JSONL (byte-identical for the same seed), and
+// -http serves /debug/vars (expvar, including the live metric registry)
+// plus /debug/pprof while the emulation runs:
 //
 //	mkemu -proto dymo -metrics -trace trace.jsonl
 //	mkemu -proto olsr -duration 5m -http localhost:6060

@@ -13,7 +13,7 @@ import (
 // string or re-matching patterns against the ontology.
 type acceptPlan struct {
 	env *Env
-	obs *protoObs
+	obs *observer // the deployment's bundle, read here on every delivery
 	// ctx is the pooled handler context; it is immutable (protocol + env),
 	// so one value serves every delivery under this plan.
 	ctx *Context
@@ -63,7 +63,7 @@ func (p *Protocol) rebuildAcceptPlanLocked() *acceptPlan {
 	ont := p.env.Ontology
 	plan := &acceptPlan{
 		env:        p.env,
-		obs:        p.obs,
+		obs:        p.env.obs,
 		ctx:        &Context{proto: p, env: p.env},
 		ont:        ont,
 		ontVersion: ont.Version(),

@@ -196,10 +196,10 @@ func TestDispatchAllocs(t *testing.T) {
 				}
 			}
 		}},
-		{"ticket mutex", false, func(_ *testing.T, m *Manager, _ *vclock.Virtual) func() {
+		{"ticket mutex", false, func(*testing.T, *Manager, *vclock.Virtual) func() {
 			var tm TicketMutex
 			return func() {
-				m.waitTicket(&tm, tm.Ticket())
+				tm.Wait(tm.Ticket())
 				tm.Unlock()
 				tm.Lock()
 				tm.Unlock()

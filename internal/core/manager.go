@@ -185,10 +185,10 @@ type Manager struct {
 	workers  atomic.Pointer[pool.Pool]
 	inflight sync.WaitGroup
 
-	// obs is the instrument bundle; nil when both metrics and tracing are
-	// disabled. Set once at construction, never mutated: hot paths read it
-	// without m.mu. metrics is the registry it came from.
-	obs     *managerObs
+	// obs is the instrument bundle; nil when the deployment has no bus.
+	// Set once at construction, never mutated: hot paths read it without
+	// m.mu. metrics is the deployment's registry (nil when disabled).
+	obs     *observer
 	metrics *metrics.Registry
 
 	// Single-threaded delivery queue: inline deliveries are drained in
@@ -231,7 +231,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		ont:     event.NewOntology(),
 		units:   make(map[string]*unitRec),
 		typeIdx: make(map[event.Type]int),
-		obs:     newManagerObs(cfg.Node, cfg.Metrics, cfg.Telemetry),
+		obs:     newObserver(cfg.Node, cfg.Telemetry),
 		metrics: cfg.Metrics,
 	}
 	if cfg.Model == PerN {
@@ -362,9 +362,7 @@ func (m *Manager) Deploy(u Unit) error {
 		mgr:      m,
 		rec:      rec,
 		metrics:  m.metrics,
-	}
-	if m.obs != nil {
-		env.bus = m.obs.bus
+		obs:      m.obs,
 	}
 	u.Attach(env)
 
@@ -531,10 +529,6 @@ func (m *Manager) DedicatedThread(name string) bool {
 
 func (m *Manager) rewireLocked() {
 	m.stats.rewires.Add(1)
-	var rewireStart time.Time
-	if m.obs != nil && m.obs.rewireLat != nil {
-		rewireStart = m.clk.Now()
-	}
 	m.resolveLocked()
 	replan := false
 	for i, d := range m.dirty {
@@ -547,15 +541,10 @@ func (m *Manager) rewireLocked() {
 		m.plan.Store(m.compileLocked())
 		clear(m.dirty)
 	}
-	if m.obs != nil {
-		if m.obs.rewireLat != nil {
-			m.obs.rewireLat.Observe(m.clk.Now().Sub(rewireStart))
-		}
-		if m.obs.bus.Active() {
-			m.obs.bus.Record(m.clk.Now(), telemetry.Span{
-				Node: m.obs.nodeStr, Kind: telemetry.KindRebind, QDepth: len(m.plan.Load().byType),
-			})
-		}
+	if m.tracing() {
+		m.obs.bus.Record(m.clk.Now(), telemetry.Span{
+			Node: m.obs.nodeStr, Kind: telemetry.KindRebind, QDepth: len(m.plan.Load().byType),
+		})
 	}
 }
 
@@ -632,10 +621,8 @@ func (m *Manager) emit(rec *unitRec, ev *event.Event) {
 	}
 }
 
-// tracing reports whether a span recorded now would be kept: one nil
-// check and, with a bus, one atomic load. Span sites test it before they
-// read the clock or build the span.
-func (m *Manager) tracing() bool { return m.obs != nil && m.obs.bus.Active() }
+// tracing reports whether a span recorded now would be kept (observer.active).
+func (m *Manager) tracing() bool { return m.obs.active() }
 
 // span records one dispatch-path span about ev; call it behind tracing.
 func (m *Manager) span(kind, from, to string, ev *event.Event, qdepth int) {
@@ -727,7 +714,7 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 			m.inflight.Add(1)
 			go func() {
 				defer m.inflight.Done()
-				m.waitTicket(sec, ticket)
+				sec.Wait(ticket)
 				m.accept(rec.unit, ev)
 			}()
 		case PerN:
@@ -738,7 +725,7 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 			}
 			sec, ticket := m.ticket(rec)
 			if !m.handOff(from, rec, ev, p, func() {
-				m.waitTicket(sec, ticket)
+				sec.Wait(ticket)
 				m.accept(rec.unit, ev)
 			}) {
 				// Serve the ticket to keep the lock serviceable.
@@ -796,18 +783,6 @@ func (m *Manager) drainLocked() {
 		m.runAccept(d.rec.unit, d.ev)
 		m.dmu.Lock()
 	}
-}
-
-// waitTicket blocks until the shepherd's ticket is served, recording the
-// wait in the ticket-acquisition histogram when metrics are enabled.
-func (m *Manager) waitTicket(sec *TicketMutex, ticket uint64) {
-	if m.obs != nil && m.obs.ticketWait != nil {
-		start := m.clk.Now()
-		sec.Wait(ticket)
-		m.obs.ticketWait.Observe(m.clk.Now().Sub(start))
-		return
-	}
-	sec.Wait(ticket)
 }
 
 // WaitIdle blocks until all in-flight asynchronous deliveries (PerMessage

@@ -1,14 +1,14 @@
 package core
 
-// Observability bundles: histograms are resolved once, when a Manager or
-// Protocol is constructed/attached, and kept as plain pointers so the hot
-// paths (emit, deliver, Accept) never touch the registry. Counts are not
-// instruments: the registry reads them from ManagerStats and the units'
-// own Stats. When both the metrics registry and the telemetry bus are
-// absent the bundle itself is nil, making the entire instrumented path a
+// The observability bundle: the telemetry bus and the node's name, resolved
+// once, when the Manager is constructed, and kept as plain pointers so the
+// hot paths (emit, deliver, Accept) never look them up. The Manager hands
+// its bundle to every unit it deploys. Counts are not instruments: the
+// registry reads them from ManagerStats and the units' own Stats. Without
+// a bus the bundle itself is nil, making the entire instrumented path a
 // single nil check — the property the overhead guard test pins down. A
-// span site tests the bus's Active (one atomic load) before it reads the
-// clock or builds the span.
+// span site tests active (one atomic load) before it reads the clock or
+// builds the span.
 
 import (
 	"manetkit/internal/metrics"
@@ -17,46 +17,24 @@ import (
 	"manetkit/internal/telemetry"
 )
 
-// managerObs is the Framework Manager's instrument bundle.
-type managerObs struct {
+// observer is a deployment's instrument bundle.
+type observer struct {
 	bus     *telemetry.Bus
 	nodeStr string
-
-	rewireLat  *metrics.Histogram // deployment-clock time to re-derive the topology
-	ticketWait *metrics.Histogram // deployment-clock time a shepherd waited on its ticket
 }
 
-// newManagerObs returns nil when observability is fully disabled.
-func newManagerObs(node mnet.Addr, reg *metrics.Registry, bus *telemetry.Bus) *managerObs {
-	if reg == nil && bus == nil {
+// newObserver returns nil when the deployment has no bus.
+func newObserver(node mnet.Addr, bus *telemetry.Bus) *observer {
+	if bus == nil {
 		return nil
 	}
-	return &managerObs{
-		bus:        bus,
-		nodeStr:    node.String(),
-		rewireLat:  reg.Histogram("core_rewire_latency"),
-		ticketWait: reg.Histogram("core_ticket_wait"),
-	}
+	return &observer{bus: bus, nodeStr: node.String()}
 }
 
-// protoObs is a Protocol's instrument bundle, rebuilt on every Attach.
-type protoObs struct {
-	bus        *telemetry.Bus
-	nodeStr    string
-	handlerLat *metrics.Histogram // deployment-clock time per handler invocation
-}
-
-// newProtoObs returns nil when the deployment carries no observability.
-func newProtoObs(env *Env) *protoObs {
-	if env == nil || (env.metrics == nil && env.bus == nil) {
-		return nil
-	}
-	return &protoObs{
-		bus:        env.bus,
-		nodeStr:    env.Node.String(),
-		handlerLat: env.metrics.Histogram("core_handler_latency"),
-	}
-}
+// active reports whether a span recorded now would be kept: one nil check
+// and, with a bus, one atomic load. Span sites test it before they read
+// the clock or build the span.
+func (o *observer) active() bool { return o != nil && o.bus.Active() }
 
 // watchQueue reports a dedicated pool's queue depth and overflow count to
 // reg under the unit's name until the returned func is called; the count

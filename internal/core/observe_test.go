@@ -116,9 +116,6 @@ func TestObservedAsyncModelCountsTickets(t *testing.T) {
 	if got := snap.Counters["core_tickets"]; got != 1 {
 		t.Fatalf("core_tickets = %d, want 1", got)
 	}
-	if got := snap.Histograms["core_ticket_wait"].Count; got != 1 {
-		t.Fatalf("core_ticket_wait count = %d, want 1", got)
-	}
 }
 
 func TestObservedDedicatedQueueGauge(t *testing.T) {
@@ -143,23 +140,31 @@ func TestObservedDedicatedQueueGauge(t *testing.T) {
 	}
 }
 
-// A manager built without observability must carry a nil bundle: the whole
-// instrumented path is then a single nil check per site.
+// A manager built without a telemetry bus must carry a nil bundle, with or
+// without a metrics registry: the registry reads counts from the layers'
+// Stats, so the whole instrumented path is then a single nil check per site.
 func TestDisabledObservabilityIsNil(t *testing.T) {
-	m, _ := newMgr(t, SingleThreaded)
-	if m.obs != nil {
-		t.Fatal("manager without metrics/telemetry carries a non-nil obs bundle")
-	}
-	p := NewProtocol("p")
-	p.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}})
-	if err := m.Deploy(p); err != nil {
-		t.Fatal(err)
-	}
-	p.mu.Lock()
-	obs := p.obs
-	p.mu.Unlock()
-	if obs != nil {
-		t.Fatal("protocol in unobserved deployment carries a non-nil obs bundle")
+	for _, reg := range []*metrics.Registry{nil, metrics.NewRegistry()} {
+		m, err := NewManager(Config{
+			Node:    mnet.MustParseAddr("10.0.0.1"),
+			Clock:   vclock.NewVirtual(epoch),
+			Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		if m.obs != nil {
+			t.Fatalf("manager without telemetry (registry %v) carries a non-nil obs bundle", reg != nil)
+		}
+		p := NewProtocol("p")
+		p.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}})
+		if err := m.Deploy(p); err != nil {
+			t.Fatal(err)
+		}
+		if obs := p.plan.Load().obs; obs != nil {
+			t.Fatalf("protocol in a deployment without telemetry (registry %v) carries a non-nil obs bundle", reg != nil)
+		}
 	}
 }
 
@@ -168,8 +173,8 @@ func TestDisabledObservabilityIsNil(t *testing.T) {
 // dispatch it guards. That cost is one load and branch on a nil bundle at
 // every instrument site, so it is measured where it stands: a direct
 // dispatch runs in turn against a nil bundle and against an empty one, whose
-// sites each take the outer branch and then load and test a nil instrument —
-// one more guarded branch per site, on the same machine code and the same
+// sites each take the outer branch and then load and test a nil bus — one
+// more guarded branch per site, on the same machine code and the same
 // objects (the bundles are swapped in place). Each side keeps its fastest of
 // many interleaved batches, which filters out scheduling and parallel-test
 // noise; the median over freshly deployed pairs filters out the heap layout
@@ -188,13 +193,13 @@ func TestObservabilityOverheadGuard(t *testing.T) {
 		src := deployPair(t, m)
 		u, _ := m.Unit("sink")
 		plan := u.(*Protocol).plan.Load() // the delivery reads its bundle from here
-		mgrBundle, protoBundle := &managerObs{}, &protoObs{}
+		busless := &observer{}
 		ev := &event.Event{Type: event.HelloIn}
 		perBatch := 100
 		batch := func(bundle bool) float64 {
 			m.obs, plan.obs = nil, nil
 			if bundle {
-				m.obs, plan.obs = mgrBundle, protoBundle
+				m.obs, plan.obs = busless, busless
 			}
 			start := time.Now()
 			for range perBatch {
@@ -247,45 +252,6 @@ func BenchmarkEmitDirectInstrumented(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = src.Emit(ev)
-	}
-}
-
-// TestLatencyHistogramsUseDeploymentClock pins the fix for latency
-// histograms that previously sampled time.Now directly (mkvet: determinism):
-// under a virtual clock, real wall time spent in handlers, rewires and
-// ticket waits must not leak into core_handler_latency, core_rewire_latency
-// or core_ticket_wait — the virtual clock stands still, so their sums stay
-// exactly zero no matter how slow the handler really is.
-func TestLatencyHistogramsUseDeploymentClock(t *testing.T) {
-	m, reg, _ := newObservedMgr(t, PerMessage)
-	prov := newRecorder(t, "provider", event.Tuple{Provided: []event.Type{event.TCOut}})
-	slow := NewProtocol("requirer")
-	slow.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}})
-	h := NewHandler("slow-h", event.Any, func(ctx *Context, ev *event.Event) error {
-		time.Sleep(2 * time.Millisecond) // real wall time; the deployment clock is virtual
-		return nil
-	})
-	if err := slow.AddHandler(h); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []*Protocol{prov.p, slow} {
-		if err := m.Deploy(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		emitFrom(t, m, "provider", &event.Event{Type: event.TCOut})
-	}
-	snap := reg.Snapshot()
-	for _, name := range []string{"core_handler_latency", "core_rewire_latency"} {
-		if snap.Histograms[name].Count == 0 {
-			t.Fatalf("%s recorded no samples", name)
-		}
-	}
-	for _, name := range []string{"core_handler_latency", "core_rewire_latency", "core_ticket_wait"} {
-		if sum := snap.Histograms[name].Sum; sum != 0 {
-			t.Fatalf("%s accumulated %v of wall time under a virtual clock", name, sum)
-		}
 	}
 }
 

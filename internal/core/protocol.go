@@ -206,7 +206,6 @@ type Protocol struct {
 	forward  kernel.Component
 	state    kernel.Component
 	env      *Env
-	obs      *protoObs // rebuilt on Attach, nil when observability is off
 	started  bool
 	dedic    bool // prefer the thread-per-ManetProtocol model
 	stats    protoStats
@@ -513,7 +512,6 @@ func (p *Protocol) ForwardElement() kernel.Component {
 func (p *Protocol) Attach(env *Env) {
 	p.mu.Lock()
 	p.env = env
-	p.obs = newProtoObs(env)
 	p.rebuildAcceptPlanLocked()
 	read := p.counters
 	p.mu.Unlock()
@@ -527,7 +525,6 @@ func (p *Protocol) Detach() {
 	p.Stop()
 	p.mu.Lock()
 	p.env = nil
-	p.obs = nil
 	p.rebuildAcceptPlanLocked()
 	p.mu.Unlock()
 	if p.uncount != nil {
@@ -632,7 +629,7 @@ func (p *Protocol) Started() bool { return p.running() }
 // see it. Lock-free: hot paths consult it per message.
 func (p *Protocol) Tracing() bool {
 	plan := p.plan.Load()
-	return plan != nil && plan.env.bus.Active()
+	return plan != nil && plan.obs.active()
 }
 
 // Clock returns the deployment clock, or nil before the protocol is
@@ -719,23 +716,14 @@ func (p *Protocol) Accept(ev *event.Event) error {
 // settles the per-event counters: Handled is counted when the handler
 // returns, immediately followed by Errors on failure.
 func (p *Protocol) runHandler(plan *acceptPlan, h Handler, ev *event.Event, errs []error) []error {
-	obs := plan.obs
-	if obs != nil && obs.bus.Active() {
+	if obs := plan.obs; obs.active() {
 		obs.bus.Record(plan.env.Clock.Now(), telemetry.Span{
 			Node: obs.nodeStr, Kind: telemetry.KindHandle,
 			Event: string(ev.Type), To: p.Name(), Handler: h.Name(),
 			Corr: ev.Corr,
 		})
 	}
-	var err error
-	if obs != nil && obs.handlerLat != nil {
-		clk := plan.env.Clock
-		start := clk.Now()
-		err = h.Handle(plan.ctx, ev)
-		obs.handlerLat.Observe(clk.Now().Sub(start))
-	} else {
-		err = h.Handle(plan.ctx, ev)
-	}
+	err := h.Handle(plan.ctx, ev)
 	p.stats.handled.Add(1)
 	if err != nil {
 		p.stats.errors.Add(1)

@@ -22,7 +22,6 @@ import (
 	"manetkit/internal/kernel"
 	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
-	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
 
@@ -64,10 +63,11 @@ type Env struct {
 	// re-derives the topology when the unit's tuple changes.
 	mgr *Manager
 	rec *unitRec
-	// metrics and bus carry the Manager's observability sinks into the
-	// deployed units; both are nil when observability is disabled.
+	// metrics and obs carry the Manager's registry and instrument bundle
+	// into the deployed units; obs is nil without a telemetry bus, metrics
+	// without a registry.
 	metrics *metrics.Registry
-	bus     *telemetry.Bus
+	obs     *observer
 }
 
 // Metrics returns the deployment's metrics registry (nil when disabled; a
@@ -84,7 +84,7 @@ func (e *Env) Emit(ev *event.Event) {
 	if ev.Time.IsZero() {
 		ev.Time = e.Clock.Now()
 	}
-	if ev.Corr == "" && ev.Msg != nil && e.bus.Active() {
+	if ev.Corr == "" && ev.Msg != nil && e.obs.active() {
 		ev.Corr = ev.Msg.CorrID()
 	}
 	e.mgr.emit(e.rec, ev)

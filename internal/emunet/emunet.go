@@ -150,7 +150,7 @@ type Network struct {
 	tap   func(Frame, mnet.Addr) // (frame, receiver); nil when unset
 	txTap func(Frame)            // transmission-side tap; nil when unset
 	inj   *Injector              // nil until a FaultPlan is applied
-	obs   *netObs                // nil when observability is disabled
+	bus   *telemetry.Bus         // nil when no telemetry bus is attached
 
 	// targets is send's scratch list of a broadcast's receivers, reused
 	// across sends: it is only touched under mu, and nothing send calls
@@ -459,8 +459,8 @@ func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb fu
 	txTap := n.txTap
 	n.stats.TxFrames++
 	n.stats.TxBytes += uint64(len(payload))
-	if n.obs != nil && n.obs.bus.Active() {
-		n.obs.bus.Record(now, telemetry.Span{
+	if n.bus.Active() {
+		n.bus.Record(now, telemetry.Span{
 			Node: src.String(), Kind: telemetry.KindFrameTx,
 			To: traceTo(dst), Corr: corr, Bytes: len(payload),
 		})
@@ -538,8 +538,8 @@ func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb fu
 // reason event, on counter. Caller holds n.mu.
 func (n *Network) dropLocked(now time.Time, counter *uint64, event string, src, to mnet.Addr, corr string, bytes int) {
 	*counter++
-	if n.obs != nil && n.obs.bus.Active() {
-		n.obs.bus.Record(now, telemetry.Span{
+	if n.bus.Active() {
+		n.bus.Record(now, telemetry.Span{
 			Node: src.String(), Kind: telemetry.KindFrameDrop,
 			Event: event, To: to.String(), Corr: corr, Bytes: bytes,
 		})
@@ -577,9 +577,6 @@ func (n *Network) newDeliveryLocked(nic *NIC, f *Frame, cb func(bool), fn func(F
 // waits in a clock timer of its own instead of the engine's queue. Caller
 // holds n.mu (vclock runs callbacks with its own lock released).
 func (n *Network) waitLocked(d *delivery, nowAt int64, delay time.Duration) {
-	if d.nic != nil && n.obs != nil && n.obs.linkDelay != nil {
-		n.obs.linkDelay.Observe(delay)
-	}
 	if n.eng == nil {
 		n.clock.AfterFunc(delay, func() { d.fire(n.clock.Now()) })
 		return
@@ -669,8 +666,8 @@ func (c *NIC) deliver(f *Frame, now time.Time) {
 	if f.Corrupted {
 		n.stats.RxCorrupted++
 	}
-	if n.obs != nil && n.obs.bus.Active() {
-		n.obs.bus.Record(now, telemetry.Span{
+	if n.bus.Active() {
+		n.bus.Record(now, telemetry.Span{
 			Node: c.addr.String(), Kind: telemetry.KindFrameRx,
 			From: f.Src.String(), Corr: f.Corr, Bytes: len(f.Payload),
 		})

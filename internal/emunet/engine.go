@@ -196,7 +196,7 @@ func (e *engine) run() {
 		return
 	}
 	e.running = true
-	obs := n.obs // replaced whole by setObs, never mutated
+	bus := n.bus
 	n.mu.Unlock()
 
 	for _, d := range batch {
@@ -221,8 +221,8 @@ func (e *engine) run() {
 	// The epoch is published outside every lock, after the deliveries, on
 	// the clock goroutine — so bus events interleave deterministically with
 	// the spans the epoch just recorded.
-	if obs != nil && obs.bus.Active() {
-		obs.bus.Publish(now, telemetry.StreamEngine, "epoch", "", es)
+	if bus.Active() {
+		bus.Publish(now, telemetry.StreamEngine, "epoch", "", es)
 	}
 }
 

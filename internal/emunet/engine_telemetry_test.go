@@ -168,6 +168,55 @@ func TestEpochObserverLegacyEngine(t *testing.T) {
 	}
 }
 
+// TestMetricsAndTelemetryInEitherOrder: the registry and the bus are
+// independent attachments. Whichever comes first, the medium's counters
+// reach the registry and its spans reach the bus; detaching the bus stops
+// the spans and leaves the counters counting.
+func TestMetricsAndTelemetryInEitherOrder(t *testing.T) {
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, metricsFirst := range []bool{true, false} {
+		clk := vclock.NewVirtual(epoch)
+		net := emunet.New(clk, 7)
+		reg := metrics.NewRegistry()
+		bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: 1 << 10})
+		if metricsFirst {
+			net.SetMetrics(reg)
+			net.SetTelemetry(bus)
+		} else {
+			net.SetTelemetry(bus)
+			net.SetMetrics(reg)
+		}
+		nodes := emunet.Addrs(2)
+		if err := emunet.BuildLine(net, nodes, emunet.DefaultQuality()); err != nil {
+			t.Fatal(err)
+		}
+		nic, _ := net.NIC(nodes[0])
+		send := func() {
+			_ = nic.Send(nodes[1], []byte("x"))
+			clk.Advance(10 * time.Millisecond)
+		}
+
+		send()
+		if got := reg.Snapshot().Counters["net_rx_frames"]; got != 1 {
+			t.Errorf("metrics first %v: net_rx_frames = %d, want 1", metricsFirst, got)
+		}
+		spans := len(bus.Spans())
+		if spans != 2 { // frame-tx and frame-rx
+			t.Errorf("metrics first %v: %d spans, want 2", metricsFirst, spans)
+		}
+
+		net.SetTelemetry(nil)
+		send()
+		if got := reg.Snapshot().Counters["net_rx_frames"]; got != 2 {
+			t.Errorf("metrics first %v: net_rx_frames = %d after the bus left, want 2", metricsFirst, got)
+		}
+		if got := len(bus.Spans()); got != spans {
+			t.Errorf("metrics first %v: %d spans after the bus left, want %d", metricsFirst, got, spans)
+		}
+		bus.Close()
+	}
+}
+
 // The telemetry bus under real load: a thousand-node emulation (the same
 // scenario shape as the replay-scale gate, rebuilt over the exported API
 // because this external package is what may import telemetry) streams

@@ -6,55 +6,19 @@ import (
 	"manetkit/internal/telemetry"
 )
 
-// netObs bundles the medium's telemetry bus and histogram, resolved once
-// in SetMetrics / SetTelemetry so the per-frame paths never consult the
-// registry. A nil bundle (observability disabled) costs one nil check per
-// frame, a dormant bus one atomic load more. The medium's counts are not
-// instruments: the registry reads them from Stats and EngineStats
-// (readMetrics).
-type netObs struct {
-	reg *metrics.Registry
-	bus *telemetry.Bus
+// SetMetrics attaches a metrics registry to the medium. The medium's
+// counts are not instruments: the registry reads them from Stats and
+// EngineStats (readMetrics). Call it once, before traffic starts.
+func (n *Network) SetMetrics(reg *metrics.Registry) { reg.Attach(n.readMetrics) }
 
-	linkDelay *metrics.Histogram // per-delivery scheduled link delay
-}
-
-func newNetObs(reg *metrics.Registry, bus *telemetry.Bus) *netObs {
-	if reg == nil && bus == nil {
-		return nil
-	}
-	return &netObs{reg: reg, bus: bus, linkDelay: reg.Histogram("net_link_delay")}
-}
-
-// SetMetrics attaches a metrics registry to the medium. Call it once,
+// SetTelemetry hands the medium a telemetry bus (nil detaches): it records
+// a span per frame sent, dropped and delivered, and publishes one
+// StreamEngine event per committed engine epoch. Without a bus each span
+// site costs one nil check, with a dormant one an atomic load more. Call
 // before traffic starts.
-func (n *Network) SetMetrics(reg *metrics.Registry) {
-	n.setObs(reg, n.observer().bus)
-	reg.Attach(n.readMetrics)
-}
-
-// SetTelemetry hands the medium a telemetry bus (nil detaches, unless a
-// metrics registry is still installed): it records a span per frame sent,
-// dropped and delivered, and publishes one StreamEngine event per
-// committed engine epoch. Call before traffic starts.
-func (n *Network) SetTelemetry(b *telemetry.Bus) { n.setObs(n.observer().reg, b) }
-
-// observer returns a copy of the current bundle (empty when there is none).
-func (n *Network) observer() netObs {
+func (n *Network) SetTelemetry(b *telemetry.Bus) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.obs == nil {
-		return netObs{}
-	}
-	return *n.obs
-}
-
-// setObs installs the bundle for reg and b. The registry reads the medium
-// under n.mu, so the bundle's histogram is resolved outside it.
-func (n *Network) setObs(reg *metrics.Registry, b *telemetry.Bus) {
-	obs := newNetObs(reg, b)
-	n.mu.Lock()
-	n.obs = obs
+	n.bus = b
 	n.mu.Unlock()
 }
 

@@ -3,16 +3,19 @@
 //
 // A Registry keeps no counts of its own. Every layer already counts what it
 // does in its Stats (the Framework Manager, the medium, each protocol's
-// State, the dedicated queues, the tracer), and a Registry reads those
-// counts when asked: a layer attaches a reader, and Snapshot sums the
-// readers by name. Histograms, which no layer keeps, are the one
-// instrument the registry owns.
+// State, the dedicated queues), and a Registry reads those counts when
+// asked: a layer attaches a reader, and Snapshot sums the readers by name.
+// Histograms, which no layer keeps, are the one instrument the registry
+// owns. Their only producers are AODV's and DYMO's route discoveries,
+// which observe the deployment-clock time from NO_ROUTE to ROUTE_FOUND: a
+// handler, a rewire or a ticket wait takes no time on the virtual clock
+// every deployment runs on, so timing one would restate a counter.
 //
 // The design constraint is that observability must cost nothing when it is
 // off. A nil *Registry hands out nil histograms and no-op attachments, and
 // every Histogram method is nil-safe, so an uninstrumented call site
 // compiles down to a single nil check — no map lookups, no locks, no
-// allocations (see the overhead guard in internal/core).
+// allocations.
 package metrics
 
 import (
@@ -26,30 +29,22 @@ import (
 	"time"
 )
 
-// DefaultLatencyBuckets spans 1µs–10s exponentially — wide enough for both
-// per-message handler costs (µs) and route-discovery latencies (ms–s).
-var DefaultLatencyBuckets = []time.Duration{
+// latencyBuckets are every histogram's bucket upper bounds: 1µs–10s,
+// exponentially — wide enough for the route-discovery latencies (ms–s)
+// the protocols observe on the deployment clock.
+var latencyBuckets = [...]time.Duration{
 	time.Microsecond, 10 * time.Microsecond, 100 * time.Microsecond,
 	time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond,
 	time.Second, 10 * time.Second,
 }
 
-// Histogram accumulates durations into fixed buckets chosen at creation.
-// Observations use only atomics; a nil Histogram is a no-op.
+// Histogram accumulates durations into the latencyBuckets, plus one
+// overflow bucket. Observations use only atomics; a nil Histogram is a
+// no-op.
 type Histogram struct {
-	bounds  []time.Duration // sorted upper bounds; len(buckets) == len(bounds)+1
-	buckets []atomic.Uint64
+	buckets [len(latencyBuckets) + 1]atomic.Uint64
 	count   atomic.Uint64
 	sum     atomic.Int64 // nanoseconds
-}
-
-func newHistogram(bounds []time.Duration) *Histogram {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBuckets
-	}
-	bounds = append([]time.Duration(nil), bounds...)
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	return &Histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
 }
 
 // Observe records one duration.
@@ -58,7 +53,7 @@ func (h *Histogram) Observe(d time.Duration) {
 		return
 	}
 	i := 0
-	for i < len(h.bounds) && d > h.bounds[i] {
+	for i < len(latencyBuckets) && d > latencyBuckets[i] {
 		i++
 	}
 	h.buckets[i].Add(1)
@@ -88,8 +83,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{Count: h.count.Load(), Sum: time.Duration(h.sum.Load())}
 	for i := range h.buckets {
 		var le time.Duration
-		if i < len(h.bounds) {
-			le = h.bounds[i]
+		if i < len(latencyBuckets) {
+			le = latencyBuckets[i]
 		}
 		s.Buckets = append(s.Buckets, BucketCount{UpperBound: le, Count: h.buckets[i].Load()})
 	}
@@ -179,11 +174,9 @@ func (r *Registry) AttachGauge(name string, level func() int64) (detach func()) 
 	}
 }
 
-// Histogram returns the named histogram, creating it with the given bucket
-// upper bounds on first use (DefaultLatencyBuckets when none are given;
-// later calls reuse the first creation's buckets). Nil registries return
-// nil.
-func (r *Registry) Histogram(name string, bounds ...time.Duration) *Histogram {
+// Histogram returns the named histogram, creating it on first use. Nil
+// registries return nil.
+func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -191,7 +184,7 @@ func (r *Registry) Histogram(name string, bounds ...time.Duration) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		h = newHistogram(bounds)
+		h = new(Histogram)
 		r.histograms[name] = h
 	}
 	return h

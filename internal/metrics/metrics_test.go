@@ -37,7 +37,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatalf("gauge = %d, want 5", got)
 	}
 
-	h := r.Histogram("lat", time.Millisecond, 10*time.Millisecond)
+	h := r.Histogram("lat")
 	if r.Histogram("lat") != h {
 		t.Fatalf("histogram not interned by name")
 	}
@@ -48,17 +48,17 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if snap.Count != 3 {
 		t.Fatalf("histogram count = %d, want 3", snap.Count)
 	}
-	if len(snap.Buckets) != 3 {
-		t.Fatalf("bucket count = %d, want 3", len(snap.Buckets))
+	if len(snap.Buckets) != len(latencyBuckets)+1 {
+		t.Fatalf("bucket count = %d, want %d", len(snap.Buckets), len(latencyBuckets)+1)
 	}
-	wantCounts := []uint64{1, 1, 1}
+	want := map[time.Duration]uint64{time.Millisecond: 1, 10 * time.Millisecond: 1, 0: 1}
 	for i, b := range snap.Buckets {
-		if b.Count != wantCounts[i] {
-			t.Fatalf("bucket %d count = %d, want %d", i, b.Count, wantCounts[i])
+		if b.Count != want[b.UpperBound] {
+			t.Fatalf("bucket %d (≤%v) count = %d, want %d", i, b.UpperBound, b.Count, want[b.UpperBound])
 		}
 	}
-	if snap.Buckets[2].UpperBound != 0 {
-		t.Fatalf("overflow bucket bound = %v, want 0 (+inf)", snap.Buckets[2].UpperBound)
+	if last := snap.Buckets[len(snap.Buckets)-1].UpperBound; last != 0 {
+		t.Fatalf("overflow bucket bound = %v, want 0 (+inf)", last)
 	}
 	if got, want := snap.Mean(), (500*time.Microsecond+2*time.Millisecond+time.Minute)/3; got != want {
 		t.Fatalf("mean = %v, want %v", got, want)
@@ -203,8 +203,16 @@ func TestHistogramDefaultBuckets(t *testing.T) {
 	h := r.Histogram("default")
 	h.Observe(50 * time.Microsecond)
 	snap := h.Snapshot()
-	if len(snap.Buckets) != len(DefaultLatencyBuckets)+1 {
-		t.Fatalf("bucket count = %d, want %d", len(snap.Buckets), len(DefaultLatencyBuckets)+1)
+	if len(snap.Buckets) != len(latencyBuckets)+1 {
+		t.Fatalf("bucket count = %d, want %d", len(snap.Buckets), len(latencyBuckets)+1)
+	}
+	for i, le := range latencyBuckets {
+		if snap.Buckets[i].UpperBound != le {
+			t.Fatalf("bucket %d bound = %v, want %v", i, snap.Buckets[i].UpperBound, le)
+		}
+	}
+	if snap.Buckets[2].Count != 1 { // ≤100µs
+		t.Fatalf("50µs landed in %+v, want the ≤100µs bucket", snap.Buckets)
 	}
 }
 

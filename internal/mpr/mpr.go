@@ -83,6 +83,14 @@ func (s *State) Selected() []mnet.Addr { return s.copyOf(&s.selected) }
 // Selectors returns the neighbours that selected us, sorted.
 func (s *State) Selectors() []mnet.Addr { return s.copyOf(&s.selectors) }
 
+// SelectorCount returns how many neighbours selected us, without copying
+// the set.
+func (s *State) SelectorCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.selectors)
+}
+
 func (s *State) copyOf(set *[]mnet.Addr) []mnet.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()

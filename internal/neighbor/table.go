@@ -188,7 +188,10 @@ func (t *Table) AppendSymmetricAddrs(dst []mnet.Addr) []mnet.Addr {
 }
 
 // TwoHopSet returns the strict 2-hop neighbourhood as a map from each
-// destination to its vias, sorted: AppendTwoHop's walk, grouped.
+// destination to its vias, sorted: AppendTwoHop's walk, grouped, in a
+// fresh map per call. Its only non-test caller is the benchmark's OLSR
+// isolate (benchmark/isolate.go); the protocols read AppendTwoHop into
+// scratch of their own.
 func (t *Table) TwoHopSet(self mnet.Addr) map[mnet.Addr][]mnet.Addr {
 	out := make(map[mnet.Addr][]mnet.Addr)
 	for _, p := range t.AppendTwoHop(nil, self) {

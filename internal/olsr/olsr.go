@@ -126,8 +126,8 @@ func (o *OLSR) State() *State { return o.state }
 // Routes returns the protocol's routing table.
 func (o *OLSR) Routes() *route.Table { return o.state.Routes }
 
-// BuildTC assembles this node's topology-control message, advertising the
-// MPR selector set. Exported for the micro-benchmarks.
+// BuildTC assembles this node's topology-control message, advertising a
+// copy of the MPR selector set the message owns. Exported for benchmarks.
 func (o *OLSR) BuildTC(self mnet.Addr) *packetbb.Message {
 	msg := &packetbb.Message{
 		Type:       packetbb.MsgTC,
@@ -151,7 +151,7 @@ func (o *OLSR) BuildTC(self mnet.Addr) *packetbb.Message {
 // emitTC sends this node's TC, periodic or triggered. Only nodes selected
 // as relays advertise (RFC 3626 §9.3).
 func (o *OLSR) emitTC(ctx *core.Context) {
-	if len(o.m.State().Selectors()) == 0 {
+	if o.m.State().SelectorCount() == 0 {
 		return
 	}
 	msg := o.BuildTC(ctx.Node())

@@ -1,6 +1,7 @@
 package olsr
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -531,5 +532,73 @@ func TestSteadyRecomputeAllocs(t *testing.T) {
 	}
 	if got := nodes[2].node.FIB().Ops(); got != ops {
 		t.Fatalf("101 steady recomputes made %d FIB ops, want 0", got-ops)
+	}
+}
+
+// periodicTCNode runs a five-node line until the middle node is its
+// neighbours' MPR and swaps its System CF for a sink that keeps the TC_OUT
+// messages it is handed, so a TC stays on this side of the medium. emit
+// runs the CF's periodic TC step once.
+func periodicTCNode(t *testing.T) (emit func(), sent *[]*packetbb.Message) {
+	t.Helper()
+	c, nodes := deployOLSR(t, 5)
+	if err := c.Line(); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(30 * time.Second)
+	mid := nodes[2]
+	if err := mid.node.Mgr.Undeploy(system.UnitName); err != nil {
+		t.Fatal(err)
+	}
+	var msgs []*packetbb.Message
+	sink := core.NewProtocol("sink")
+	sink.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}})
+	if err := sink.AddHandler(core.NewHandler("keep", event.TCOut, func(_ *core.Context, ev *event.Event) error {
+		msgs = append(msgs, ev.Msg)
+		return nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if err := mid.node.Mgr.Deploy(sink); err != nil {
+		t.Fatal(err)
+	}
+	o := mid.olsr
+	return func() {
+		if err := o.Protocol().RunLocked(o.emitTC); err != nil {
+			t.Fatal(err)
+		}
+	}, &msgs
+}
+
+// TestPeriodicTCBytes pins the bytes of a periodic TC: the middle of a
+// five-node line advertises its two MPR selectors, sorted, under its ANSN.
+func TestPeriodicTCBytes(t *testing.T) {
+	emit, sent := periodicTCNode(t)
+	emit()
+	if len(*sent) != 1 {
+		t.Fatalf("%d TCs sent, want 1", len(*sent))
+	}
+	b, err := packetbb.EncodeMessage((*sent)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", b), "020b001c0a000003ff0008000504010200040201030a000002040000"; got != want {
+		t.Fatalf("TC bytes %s, want %s", got, want)
+	}
+}
+
+// TestPeriodicTCAllocs pins what a periodic TC allocates: the message, its
+// TLV list, the ANSN value, its address-block list, the event, and one copy
+// of the selector set. The message owns that copy because a TC is a heap
+// event whose body an interposer may keep; the size test copies nothing.
+func TestPeriodicTCAllocs(t *testing.T) {
+	emit, sent := periodicTCNode(t)
+	emit()
+	got := testing.AllocsPerRun(100, func() {
+		*sent = (*sent)[:0]
+		emit()
+	})
+	if got != 6 {
+		t.Fatalf("a periodic TC = %.1f allocs, want 6", got)
 	}
 }

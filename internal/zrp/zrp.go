@@ -17,7 +17,6 @@
 package zrp
 
 import (
-	"sort"
 	"time"
 
 	"manetkit/internal/core"
@@ -102,11 +101,12 @@ type ZRP struct {
 	state *State
 	disc  reactive.Discovery
 
-	// Zone-refresh scratch, reused across refreshes so a steady-state IARP
-	// pass stays allocation-free. Guarded by the protocol's critical
-	// section like the rest of the refresh path.
+	// Zone scratch, reused across calls so a steady-state IARP pass and a
+	// zone lookup stay allocation-free. Guarded by the protocol's critical
+	// section, inside which every reader runs.
 	zoneScratch []route.ProtoRoute
-	zoneKeys    []mnet.Addr
+	zoneSyms    []mnet.Addr
+	zoneWalk    []neighbor.TwoHop
 }
 
 // New builds a ZRP CF stacked on the given MPR CF (which supplies the
@@ -180,44 +180,43 @@ func (z *ZRP) zoneDistance(self, dst mnet.Addr) (dist int, via mnet.Addr) {
 	if st, ok := links.StatusOf(dst); ok && st == neighbor.StatusSymmetric {
 		return 1, dst
 	}
-	if vias, ok := links.TwoHopSet(self)[dst]; ok && len(vias) > 0 {
-		return 2, vias[0]
+	z.zoneWalk = links.AppendTwoHop(z.zoneWalk[:0], self)
+	for _, p := range z.zoneWalk {
+		if p.Dst == dst { // the walk is sorted by (Dst, Via): the smallest via
+			return 2, p.Via
+		}
 	}
 	return 0, mnet.Addr{}
 }
 
-// refreshZone is IARP: install proactive routes for the whole zone. The
-// desired set goes through the table's keep-better diff install
-// (RefreshProto) in one batch: shorter reactive (IERP) routes survive with
-// their lifetimes extended, unchanged zone routes refresh in place without
-// touching the FIB, and nothing outside the zone is removed. Calls run inside the protocol's critical section, which
-// serialises use of the scratch buffers.
+// refreshZone is IARP: install proactive routes for the whole zone, the
+// symmetric neighbours and then the 2-hop destinations, each in address
+// order and each 2-hop destination through its smallest via. The desired
+// set goes through the table's keep-better diff install (RefreshProto) in
+// one batch: shorter reactive (IERP) routes survive with their lifetimes
+// extended, unchanged zone routes refresh in place without touching the
+// FIB, and nothing outside the zone is removed. Calls run inside the
+// protocol's critical section, which serialises use of the scratch.
 func (z *ZRP) refreshZone(ctx *core.Context) {
-	now := ctx.Clock().Now()
 	links := z.relay.State().Links
-	expiry := now.Add(zoneHold)
+	expiry := ctx.Clock().Now().Add(zoneHold)
 	desired := z.zoneScratch[:0]
-	for _, nb := range links.AppendNeighbors(nil, true) {
+	z.zoneSyms = links.AppendSymmetricAddrs(z.zoneSyms[:0])
+	for _, nb := range z.zoneSyms {
 		desired = append(desired, route.ProtoRoute{
-			Dst: mnet.HostPrefix(nb.Addr), NextHop: nb.Addr, Metric: 1, Expires: expiry,
+			Dst: mnet.HostPrefix(nb), NextHop: nb, Metric: 1, Expires: expiry,
 		})
 	}
-	twoHop := links.TwoHopSet(ctx.Node())
-	keys := z.zoneKeys[:0]
-	for dst := range twoHop {
-		keys = append(keys, dst)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
-	for _, dst := range keys {
-		vias := twoHop[dst]
-		if len(vias) == 0 {
-			continue
+	z.zoneWalk = links.AppendTwoHop(z.zoneWalk[:0], ctx.Node())
+	for i, p := range z.zoneWalk {
+		if i > 0 && z.zoneWalk[i-1].Dst == p.Dst {
+			continue // a further via to a destination already routed
 		}
 		desired = append(desired, route.ProtoRoute{
-			Dst: mnet.HostPrefix(dst), NextHop: vias[0], Metric: 2, Expires: expiry,
+			Dst: mnet.HostPrefix(p.Dst), NextHop: p.Via, Metric: 2, Expires: expiry,
 		})
 	}
-	z.zoneScratch, z.zoneKeys = desired[:0], keys[:0]
+	z.zoneScratch = desired[:0]
 	z.state.Routes.RefreshProto(z.proto.Name(), desired)
 }
 

@@ -270,3 +270,45 @@ func TestZoneRefreshIsChurnFree(t *testing.T) {
 		t.Fatalf("zone routes decayed during refresh-only window: %d", got)
 	}
 }
+
+// TestSteadyZoneRefreshAllocs pins IARP's periodic zone refresh at no
+// allocation once the zone has been seen: the symmetric neighbours and the
+// 2-hop walk go into the CF's scratch, and a refresh that changes nothing
+// touches neither the table's FIB mirror nor the heap.
+func TestSteadyZoneRefreshAllocs(t *testing.T) {
+	c, nodes := deployZRP(t, 5)
+	if err := c.Line(); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(6 * time.Second)
+	z := nodes[2].zrp
+	if got := z.Routes().ValidCount(); got != 4 {
+		t.Fatalf("the middle node has %d zone routes, want 4", got)
+	}
+	refresh := z.refreshZone
+	run := func() {
+		if err := z.Protocol().RunLocked(refresh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	ops := nodes[2].node.FIB().Ops()
+	if got := testing.AllocsPerRun(100, run); got != 0 {
+		t.Fatalf("a steady zone refresh = %.1f allocs, want 0", got)
+	}
+	if got := nodes[2].node.FIB().Ops(); got != ops {
+		t.Fatalf("101 steady zone refreshes made %d FIB ops, want 0", got-ops)
+	}
+	addrs := c.Addrs()
+	for i, want := range []struct {
+		via    mnet.Addr
+		metric int
+	}{{addrs[1], 2}, {addrs[1], 1}, {}, {addrs[3], 1}, {addrs[3], 2}} {
+		if i == 2 {
+			continue
+		}
+		if _, p, err := z.Routes().Lookup(addrs[i]); err != nil || p.NextHop != want.via || p.Metric != want.metric {
+			t.Fatalf("zone route to %v = %+v (%v), want via %v metric %d", addrs[i], p, err, want.via, want.metric)
+		}
+	}
+}

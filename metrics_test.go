@@ -145,3 +145,55 @@ func TestSnapshotWhileRealClockClusterRuns(t *testing.T) {
 		t.Fatalf("the cluster did not run: %v", snap.Counters)
 	}
 }
+
+// TestEveryHistogramTimesSomething: on the virtual clock every deployment
+// runs on, a histogram that counts samples but sums to zero restates a
+// counter. Each family runs on a short line and routes one data packet
+// with a registry attached; every histogram the snapshot holds must have
+// measured time, and the reactive families' discovery latency must be
+// among them.
+func TestEveryHistogramTimesSomething(t *testing.T) {
+	for _, family := range []string{"olsr", "dymo", "aodv", "zrp"} {
+		t.Run(family, func(t *testing.T) {
+			clk := NewVirtualClock(epoch)
+			net := NewNetwork(clk, 1)
+			reg := NewMetricsRegistry()
+			net.SetMetrics(reg)
+			addrs := Addrs(4)
+			stacks, err := NewStacks(net, addrs, StackOptions{Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				for _, s := range stacks {
+					s.Close()
+				}
+			})
+			if err := BuildLine(net, addrs, DefaultQuality()); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range stacks {
+				if err := s.Compose(FamilySpec{Family: family}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clk.Advance(10 * time.Second)
+			if err := stacks[0].SendData(addrs[3], []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(5 * time.Second)
+
+			snap := reg.Snapshot()
+			for name, h := range snap.Histograms {
+				if h.Count > 0 && h.Sum == 0 {
+					t.Errorf("%s: count=%d with sum 0 on the virtual clock", name, h.Count)
+				}
+			}
+			if family == "dymo" || family == "aodv" {
+				if name := family + "_discovery_latency"; snap.Histograms[name].Count == 0 {
+					t.Errorf("%s recorded no discovery", name)
+				}
+			}
+		})
+	}
+}
