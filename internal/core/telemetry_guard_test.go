@@ -53,9 +53,10 @@ func instrumentedEmit(b *testing.B, bus *telemetry.Bus) {
 }
 
 // TestTelemetryOverheadGuard: handing an instrumented node a telemetry bus
-// with no recorder and no subscribers must not change the dispatch cost
-// against no bus at all — same allocations, and ns/op within noise (each
-// span site is one atomic load on the dormant bus).
+// with no recorder and no subscribers must not change what a dispatch
+// allocates against no bus at all, and must record nothing. Its time is
+// core's TestObservabilityOverheadGuard, which compares the two bundles
+// batch by batch on one deployment.
 func TestTelemetryOverheadGuard(t *testing.T) {
 	bus := telemetry.New(telemetry.Config{Epoch: guardEpoch, RecorderCapacity: -1})
 	defer bus.Close()
@@ -65,19 +66,9 @@ func TestTelemetryOverheadGuard(t *testing.T) {
 
 	base := testing.Benchmark(func(b *testing.B) { instrumentedEmit(b, nil) })
 	withBus := testing.Benchmark(func(b *testing.B) { instrumentedEmit(b, bus) })
-	if base.NsPerOp() <= 0 {
-		t.Skip("benchmark resolution too coarse on this platform")
-	}
-
 	if d := withBus.AllocsPerOp() - base.AllocsPerOp(); d != 0 {
 		t.Fatalf("dormant bus added %d allocs per dispatch (base %d, with bus %d)",
 			d, base.AllocsPerOp(), withBus.AllocsPerOp())
-	}
-	ratio := float64(withBus.NsPerOp()) / float64(base.NsPerOp())
-	t.Logf("instrumented dispatch %dns/op, with dormant bus %dns/op (ratio %.3f)",
-		base.NsPerOp(), withBus.NsPerOp(), ratio)
-	if ratio > 1.5 {
-		t.Fatalf("dormant telemetry bus costs %.2fx on the dispatch path (budget 1.5x)", ratio)
 	}
 	// And nothing leaked into the bus itself.
 	if bus.Seq() != 0 {

@@ -57,15 +57,29 @@ type TwoHop struct{ Dst, Via mnet.Addr }
 
 // Table is the neighbour-state store: the S element of the Neighbour
 // Detection CF (and, reused, the link-set/2-hop state of the MPR CF —
-// Table 3's cross-protocol reuse).
+// Table 3's cross-protocol reuse). Its records are one slice sorted by
+// address: the per-message status check is a binary search, and the walks
+// come out in address order without a sort.
 type Table struct {
 	mu      sync.Mutex
-	entries map[mnet.Addr]*Info
+	entries []Info // sorted by Addr
 }
 
 // NewTable returns an empty neighbour table.
-func NewTable() *Table {
-	return &Table{entries: make(map[mnet.Addr]*Info)}
+func NewTable() *Table { return &Table{} }
+
+// find returns nb's record, or nil. The pointer is valid until the next
+// insertion or removal. Called with t.mu held.
+func (t *Table) find(nb mnet.Addr) *Info {
+	if i, ok := t.search(nb); ok {
+		return &t.entries[i]
+	}
+	return nil
+}
+
+// search returns where nb's record is or would be. Called with t.mu held.
+func (t *Table) search(nb mnet.Addr) (int, bool) {
+	return slices.BinarySearchFunc(t.entries, nb, func(e Info, nb mnet.Addr) int { return e.Addr.Compare(nb) })
 }
 
 // Observe records a HELLO heard from nb: its link status towards us
@@ -74,14 +88,12 @@ func NewTable() *Table {
 func (t *Table) Observe(nb mnet.Addr, symmetric bool, willingness uint8, twoHop []mnet.Addr, now time.Time) Status {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.entries[nb]
-	prev := Status(0)
-	if ok {
-		prev = e.Status
-	} else {
-		e = &Info{Addr: nb}
-		t.entries[nb] = e
+	i, ok := t.search(nb)
+	if !ok {
+		t.entries = slices.Insert(t.entries, i, Info{Addr: nb})
 	}
+	e := &t.entries[i]
+	prev := e.Status
 	e.LastHeard = now
 	e.Willingness = willingness
 	e.TwoHop = append(e.TwoHop[:0], twoHop...)
@@ -98,8 +110,8 @@ func (t *Table) Observe(nb mnet.Addr, symmetric bool, willingness uint8, twoHop 
 func (t *Table) MarkLost(nb mnet.Addr) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.entries[nb]
-	if !ok || e.Status == StatusLost {
+	e := t.find(nb)
+	if e == nil || e.Status == StatusLost {
 		return false
 	}
 	e.Status = StatusLost
@@ -108,19 +120,18 @@ func (t *Table) MarkLost(nb mnet.Addr) bool {
 }
 
 // Expire marks every neighbour not heard since the deadline as lost and
-// returns them.
+// returns them, sorted.
 func (t *Table) Expire(deadline time.Time) []mnet.Addr {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	var lost []mnet.Addr
-	for a, e := range t.entries {
-		if e.Status != StatusLost && e.LastHeard.Before(deadline) {
+	for i := range t.entries {
+		if e := &t.entries[i]; e.Status != StatusLost && e.LastHeard.Before(deadline) {
 			e.Status = StatusLost
 			e.TwoHop = nil
-			lost = append(lost, a)
+			lost = append(lost, e.Addr)
 		}
 	}
-	t.mu.Unlock()
-	slices.SortFunc(lost, mnet.Addr.Compare)
 	return lost
 }
 
@@ -128,14 +139,11 @@ func (t *Table) Expire(deadline time.Time) []mnet.Addr {
 func (t *Table) Drop(deadline time.Time) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for a, e := range t.entries {
-		if e.Status == StatusLost && e.LastHeard.Before(deadline) {
-			delete(t.entries, a)
-			n++
-		}
-	}
-	return n
+	n := len(t.entries)
+	t.entries = slices.DeleteFunc(t.entries, func(e Info) bool {
+		return e.Status == StatusLost && e.LastHeard.Before(deadline)
+	})
+	return n - len(t.entries)
 }
 
 // StatusOf returns nb's link status — the per-message check ("is the
@@ -144,11 +152,10 @@ func (t *Table) Drop(deadline time.Time) int {
 func (t *Table) StatusOf(nb mnet.Addr) (Status, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.entries[nb]
-	if !ok {
-		return 0, false
+	if e := t.find(nb); e != nil {
+		return e.Status, true
 	}
-	return e.Status, true
+	return 0, false
 }
 
 // AppendNeighbors appends the records of the non-lost neighbours to dst, or
@@ -156,16 +163,14 @@ func (t *Table) StatusOf(nb mnet.Addr) (Status, bool) {
 // TwoHop nil (AppendTwoHop is the 2-hop view). The caller owns dst: a warm
 // one takes no allocation.
 func (t *Table) AppendNeighbors(dst []Info, symmetric bool) []Info {
-	n := len(dst)
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, e := range t.entries {
 		if e.Status == StatusSymmetric || !symmetric && e.Status == StatusHeard {
-			dst = append(dst, *e)
-			dst[len(dst)-1].TwoHop = nil
+			e.TwoHop = nil
+			dst = append(dst, e)
 		}
 	}
-	t.mu.Unlock()
-	slices.SortFunc(dst[n:], func(a, b Info) int { return a.Addr.Compare(b.Addr) })
 	return dst
 }
 
@@ -175,15 +180,13 @@ func (t *Table) SymmetricAddrs() []mnet.Addr { return t.AppendSymmetricAddrs(nil
 // AppendSymmetricAddrs appends the symmetric neighbours' addresses to dst,
 // sorted. The caller owns dst.
 func (t *Table) AppendSymmetricAddrs(dst []mnet.Addr) []mnet.Addr {
-	n := len(dst)
 	t.mu.Lock()
-	for a, e := range t.entries {
-		if e.Status == StatusSymmetric {
-			dst = append(dst, a)
+	defer t.mu.Unlock()
+	for i := range t.entries {
+		if e := &t.entries[i]; e.Status == StatusSymmetric {
+			dst = append(dst, e.Addr)
 		}
 	}
-	t.mu.Unlock()
-	slices.SortFunc(dst[n:], mnet.Addr.Compare)
 	return dst
 }
 
@@ -208,7 +211,8 @@ func (t *Table) TwoHopSet(self mnet.Addr) map[mnet.Addr][]mnet.Addr {
 func (t *Table) AppendTwoHop(dst []TwoHop, self mnet.Addr) []TwoHop {
 	n := len(dst)
 	t.mu.Lock()
-	for a, e := range t.entries {
+	for i := range t.entries {
+		e := &t.entries[i]
 		if e.Status != StatusSymmetric {
 			continue
 		}
@@ -216,10 +220,10 @@ func (t *Table) AppendTwoHop(dst []TwoHop, self mnet.Addr) []TwoHop {
 			if th == self {
 				continue
 			}
-			if nb, ok := t.entries[th]; ok && nb.Status != StatusLost {
+			if nb := t.find(th); nb != nil && nb.Status != StatusLost {
 				continue // a 1-hop neighbour already
 			}
-			dst = append(dst, TwoHop{Dst: th, Via: a})
+			dst = append(dst, TwoHop{Dst: th, Via: e.Addr})
 		}
 	}
 	t.mu.Unlock()

@@ -17,6 +17,8 @@ import (
 	"manetkit/internal/vclock"
 )
 
+func sortAddrs(a []mnet.Addr) { slices.SortFunc(a, mnet.Addr.Compare) }
+
 type hopRef struct {
 	nextHop mnet.Addr
 	metric  int
@@ -741,4 +743,34 @@ func liveHeap() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
+}
+
+// TestForgedAddressesKeepProbeChainsShort: 4 096 forged addresses of each
+// shape an attacker might pick against the address index (a shared low 20
+// bits, multiples of 2^16, sequential) keep every look-up in it to a short
+// probe chain. The table is half full; the three shapes read 16 to 21
+// slots, about what random keys give.
+func TestForgedAddressesKeepProbeChainsShort(t *testing.T) {
+	const n, limit = 4096, 24
+	shapes := map[string]func(i uint32) uint32{
+		"shared low 20 bits": func(i uint32) uint32 { return i<<20 | 0x0abcd },
+		"multiples of 2^16":  func(i uint32) uint32 { return i << 16 },
+		"sequential":         func(i uint32) uint32 { return 0x0a000000 + i },
+	}
+	for shape, forge := range shapes {
+		s, _ := newState()
+		s.mu.Lock()
+		for i := uint32(0); i < n; i++ {
+			s.slotOf(mnet.AddrFrom(forge(i)))
+		}
+		got := s.slot.LongestChain()
+		s.mu.Unlock()
+		if len(s.addrs) != n {
+			t.Fatalf("%s: %d slots, want %d", shape, len(s.addrs), n)
+		}
+		t.Logf("%s: longest probe chain %d", shape, got)
+		if got > limit {
+			t.Errorf("%s: a look-up probes up to %d slots, want at most %d", shape, got, limit)
+		}
+	}
 }

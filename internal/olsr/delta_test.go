@@ -67,7 +67,7 @@ func (r *deltaRig) fullDesired(now time.Time, reached int) []route.ProtoRoute {
 	sort.Slice(prefixes, func(i, j int) bool { return prefixLess(prefixes[i], prefixes[j]) })
 	for _, p := range prefixes {
 		a := s.hna[p]
-		gs, ok := s.slot[a.gateway]
+		gs, ok := s.slot.Get(a.gateway.Uint32())
 		if !ok || sc.slots[gs].gen != sc.cur || !a.expires.After(now) {
 			continue
 		}

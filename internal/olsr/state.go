@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"manetkit/internal/flat"
 	"manetkit/internal/mnet"
 	"manetkit/internal/neighbor"
 	"manetkit/internal/packetbb"
@@ -41,8 +42,6 @@ type origTopo struct {
 	until int64  // validity: the latest expiry any accepted TC carried, past State.base
 	edges []topoEdge
 }
-
-func sortAddrs(a []mnet.Addr) { slices.SortFunc(a, mnet.Addr.Compare) }
 
 // hnaAssoc pairs a learned gateway prefix with its association entry for
 // the sorted install pass.
@@ -124,9 +123,9 @@ type State struct {
 	Routes *route.Table
 
 	mu      sync.Mutex
-	slot    map[mnet.Addr]int32 // addr → dense slot
-	addrs   []mnet.Addr         // slot → addr
-	topo    []origTopo          // slot → that originator's record
+	slot    flat.Table[uint32, int32] // addr → dense slot
+	addrs   []mnet.Addr               // slot → addr
+	topo    []origTopo                // slot → that originator's record
 	ourANSN uint16
 	msgSeq  uint16
 	scratch spScratch
@@ -178,7 +177,6 @@ func (s *State) readMetrics(emit func(name string, v uint64)) {
 func NewState(routes *route.Table) *State {
 	return &State{
 		Routes:   routes,
-		slot:     make(map[mnet.Addr]int32),
 		ownPower: 1.0,
 	}
 }
@@ -188,15 +186,15 @@ func NewState(routes *route.Table) *State {
 // them, ComputeRoutes a neighbour's. compactIndex reclaims slots nothing
 // refers to any more. Called with s.mu held.
 func (s *State) slotOf(a mnet.Addr) int32 {
-	if sl, ok := s.slot[a]; ok {
-		return sl
+	sl, ok := s.slot.Upsert(a.Uint32())
+	if ok {
+		return *sl
 	}
-	sl := int32(len(s.addrs))
-	s.slot[a] = sl
+	*sl = int32(len(s.addrs))
 	s.addrs = append(s.addrs, a)
 	s.topo = append(s.topo, origTopo{})
 	s.scratch.slots = append(s.scratch.slots, spSlot{})
-	return sl
+	return *sl
 }
 
 // since converts t to the int64 form topoEdge.exp and origTopo.until are
@@ -351,9 +349,9 @@ func (s *State) compactIndex() {
 	s.addrs = keepLive(s.addrs, live, n)
 	s.topo = keepLive(s.topo, live, n)
 	sc.slots = keepLive(sc.slots, live, n)
-	s.slot = make(map[mnet.Addr]int32, n)
+	s.slot = flat.Table[uint32, int32]{} // releases the storm's slots
 	for us, a := range s.addrs {
-		s.slot[a] = int32(us)
+		s.slot.Set(a.Uint32(), int32(us))
 		edges := s.topo[us].edges
 		for i := range edges {
 			edges[i].slot = remap[edges[i].slot]
@@ -377,19 +375,19 @@ func keepLive[T any](xs []T, live []bool, n int) []T {
 func (s *State) Edges(now time.Time) [][2]mnet.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	origins := make([]mnet.Addr, 0, len(s.topo))
+	origins := make([]int32, 0, len(s.topo))
 	for us := range s.topo {
 		if len(s.topo[us].edges) > 0 {
-			origins = append(origins, s.addrs[us])
+			origins = append(origins, int32(us))
 		}
 	}
-	sortAddrs(origins)
+	slices.SortFunc(origins, func(a, b int32) int { return s.addrs[a].Compare(s.addrs[b]) })
 	nowK := s.since(now)
 	var out [][2]mnet.Addr
-	for _, o := range origins {
-		for _, e := range s.topo[s.slot[o]].edges {
+	for _, us := range origins {
+		for _, e := range s.topo[us].edges {
 			if e.exp > nowK {
-				out = append(out, [2]mnet.Addr{o, e.dst})
+				out = append(out, [2]mnet.Addr{s.addrs[us], e.dst})
 			}
 		}
 	}
@@ -421,14 +419,14 @@ func (s *State) hnaRoutes(now time.Time, set []route.ProtoRoute, del []mnet.Pref
 	sc.hnaLive = live
 	inst := sc.hnaNext[:0]
 	for _, a := range live {
-		gs, ok := s.slot[a.e.gateway]
+		gs, ok := s.slot.Get(a.e.gateway.Uint32())
 		if !ok || sc.slots[gs].gen != sc.cur {
 			continue // gateway unreachable this round
 		}
 		g := &sc.slots[gs]
 		set = append(set, route.ProtoRoute{Dst: a.p, NextHop: g.nhop, Metric: int(g.dist) + 1, Expires: a.e.expires})
 		inst = append(inst, a.p)
-		if hs, ok := s.slot[a.p.Addr]; ok && a.p.Bits == 8*mnet.AddrLen && sc.slots[hs].gen == sc.cur {
+		if hs, ok := s.slot.Get(a.p.Addr.Uint32()); ok && a.p.Bits == 8*mnet.AddrLen && sc.slots[hs].gen == sc.cur {
 			sc.slots[hs].instDist = reinstall
 		}
 	}

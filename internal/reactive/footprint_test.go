@@ -40,9 +40,9 @@ func liveHeap() int64 {
 }
 
 func TestDupSetHoldsNoPointers(t *testing.T) {
-	m := reflect.TypeOf(DupSet{}.seen)
-	if holdsPointers(m.Key()) || holdsPointers(m.Elem()) {
-		t.Fatalf("the duplicate set's %v holds pointers the collector scans", m)
+	slots, _ := reflect.TypeOf(DupSet{}.seen).FieldByName("slots")
+	if slot := slots.Type.Elem(); holdsPointers(slot) {
+		t.Fatalf("the duplicate set's slot %v holds pointers the collector scans", slot)
 	}
 }
 
@@ -82,5 +82,40 @@ func TestDupSetAllocs(t *testing.T) {
 	}
 	if s.Len() != 65 {
 		t.Fatalf("Len = %d after the runs, want 65", s.Len())
+	}
+}
+
+// forgedOrigins returns n originator addresses of each shape an attacker
+// picking them against the duplicate set might send: addresses that share
+// their low 20 bits, multiples of 2^16, and sequential addresses.
+func forgedOrigins(n int) map[string][]mnet.Addr {
+	out := make(map[string][]mnet.Addr)
+	for i := uint32(0); i < uint32(n); i++ {
+		out["shared low 20 bits"] = append(out["shared low 20 bits"], mnet.AddrFrom(i<<20|0x0abcd))
+		out["multiples of 2^16"] = append(out["multiples of 2^16"], mnet.AddrFrom(i<<16))
+		out["sequential"] = append(out["sequential"], mnet.AddrFrom(0x0a000000+i))
+	}
+	return out
+}
+
+// TestForgedKeysKeepProbeChainsShort: 4 096 forged originators of each
+// shape keep every look-up in the duplicate set to a short probe chain.
+// The table is half full; the three shapes read 15 to 19 slots, about what
+// random keys give.
+func TestForgedKeysKeepProbeChainsShort(t *testing.T) {
+	const n, limit = 4096, 24
+	for shape, origins := range forgedOrigins(n) {
+		var s DupSet
+		for _, o := range origins {
+			s.Seen(Key{Orig: o, Seq: 1}, epoch)
+		}
+		if s.Len() != n {
+			t.Fatalf("%s: %d entries held, want %d", shape, s.Len(), n)
+		}
+		got := s.seen.LongestChain()
+		t.Logf("%s: longest probe chain %d", shape, got)
+		if got > limit {
+			t.Errorf("%s: a look-up probes up to %d slots, want at most %d", shape, got, limit)
+		}
 	}
 }

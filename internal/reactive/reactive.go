@@ -13,6 +13,7 @@ package reactive
 import (
 	"time"
 
+	"manetkit/internal/flat"
 	"manetkit/internal/mnet"
 	"manetkit/internal/vclock"
 )
@@ -28,57 +29,57 @@ type Key struct {
 	Seq  uint16
 }
 
-// pack folds k into the set's 8-byte map key: Orig above Seq.
+// pack folds k into the set's 8-byte table key: Orig above Seq.
 func (k Key) pack() uint64 { return uint64(k.Orig.Uint32())<<16 | uint64(k.Seq) }
 
 func unpack(p uint64) Key { return Key{Orig: mnet.AddrFrom(uint32(p >> 16)), Seq: uint16(p)} }
 
 // DupSet holds each recently seen message's latest sighting. The zero value
-// is an empty set. A sighting is kept as nanoseconds past base, the first
-// Seen's time, taken with Sub so a clock's monotonic reading is kept; each
-// map slot is 16 bytes and holds no pointer, so the collector skips the
-// table's contents.
+// is an empty set. A sighting is kept as nanoseconds past base, the time of
+// the Seen that found the set empty, taken with Sub so a clock's monotonic
+// reading is kept. The set is one flat table of 16-byte {key, sighting}
+// slots that hold no pointer, so the collector skips its contents.
 type DupSet struct {
-	seen map[uint64]int64
+	seen flat.Table[uint64, int64]
 	base time.Time
 }
 
 // Seen records k as seen at now and reports whether it was already present.
+// It is one probe sequence, whether or not k is held.
 func (s *DupSet) Seen(k Key, now time.Time) bool {
-	if s.seen == nil {
-		s.seen = make(map[uint64]int64)
+	if s.seen.Len() == 0 {
 		s.base = now
 	}
-	p := k.pack()
-	_, dup := s.seen[p]
-	s.seen[p] = int64(now.Sub(s.base))
+	at, dup := s.seen.Upsert(k.pack())
+	*at = int64(now.Sub(s.base))
 	return dup
 }
 
 // Has reports whether k is held, without recording a sighting.
 func (s *DupSet) Has(k Key) bool {
-	_, ok := s.seen[k.pack()]
+	_, ok := s.seen.Get(k.pack())
 	return ok
 }
 
 // Len returns the number of entries held.
-func (s *DupSet) Len() int { return len(s.seen) }
+func (s *DupSet) Len() int { return s.seen.Len() }
 
 // Sweep drops every entry last seen more than hold before now, passing each
-// dropped key to dropped when it is non-nil.
+// dropped key to dropped when it is non-nil. It works in place.
 func (s *DupSet) Sweep(now time.Time, hold time.Duration, dropped func(Key)) {
-	if len(s.seen) == 0 {
+	if s.seen.Len() == 0 {
 		return
 	}
 	at := int64(now.Sub(s.base))
-	for p, t := range s.seen {
-		if at-t > int64(hold) {
-			delete(s.seen, p)
-			if dropped != nil {
-				dropped(unpack(p))
-			}
+	s.seen.DeleteFunc(func(p uint64, t int64) bool {
+		if at-t <= int64(hold) {
+			return false
 		}
-	}
+		if dropped != nil {
+			dropped(unpack(p))
+		}
+		return true
+	})
 }
 
 // discovery is one pending route discovery.

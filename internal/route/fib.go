@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"manetkit/internal/flat"
 	"manetkit/internal/mnet"
 )
 
@@ -21,7 +22,8 @@ type FIBRoute struct {
 }
 
 // fibEntry is a FIBRoute as the table stores it: 16 bytes, no pointer. The
-// destination is the map key, and dev and proto index the FIB's names.
+// destination is the key it is stored under, and dev and proto index the
+// FIB's names.
 type fibEntry struct {
 	nextHop    mnet.Addr
 	dev, proto uint16
@@ -33,15 +35,15 @@ type fibEntry struct {
 // table", §4.3), and the packet filter consults it to forward data packets.
 type FIB struct {
 	mu    sync.Mutex
-	host  map[mnet.Addr]fibEntry   // host routes, keyed by destination
-	wide  map[mnet.Prefix]fibEntry // every other prefix length (HNA prefixes)
-	names []string                 // interned Device and Proto strings
-	ops   uint64                   // mutations applied (Set + successful Del)
+	host  flat.Table[uint32, fibEntry] // host routes, keyed by destination
+	wide  map[mnet.Prefix]fibEntry     // every other prefix length (HNA prefixes)
+	names []string                     // interned Device and Proto strings
+	ops   uint64                       // mutations applied (Set + successful Del)
 }
 
 // NewFIB returns an empty forwarding table.
 func NewFIB() *FIB {
-	return &FIB{host: make(map[mnet.Addr]fibEntry), wide: make(map[mnet.Prefix]fibEntry)}
+	return &FIB{wide: make(map[mnet.Prefix]fibEntry)}
 }
 
 // intern returns name's index in f.names, adding it on first sight. Called
@@ -72,10 +74,11 @@ func (f *FIB) set(r FIBRoute, ifChanged bool) {
 	defer f.mu.Unlock()
 	e := fibEntry{nextHop: r.NextHop, dev: f.intern(r.Device), proto: f.intern(r.Proto), metric: r.Metric}
 	if r.Dst.Bits == hostBits {
-		if old, ok := f.host[r.Dst.Addr]; ifChanged && ok && old == e {
+		old, ok := f.host.Upsert(r.Dst.Addr.Uint32())
+		if ifChanged && ok && *old == e {
 			return
 		}
-		f.host[r.Dst.Addr] = e
+		*old = e
 	} else {
 		if old, ok := f.wide[r.Dst]; ifChanged && ok && old == e {
 			return
@@ -91,8 +94,7 @@ func (f *FIB) Del(dst mnet.Prefix) bool {
 	defer f.mu.Unlock()
 	var ok bool
 	if dst.Bits == hostBits {
-		_, ok = f.host[dst.Addr]
-		delete(f.host, dst.Addr)
+		ok = f.host.Delete(dst.Addr.Uint32())
 	} else {
 		_, ok = f.wide[dst]
 		delete(f.wide, dst)
@@ -119,7 +121,7 @@ func (f *FIB) Ops() uint64 {
 func (f *FIB) Lookup(dst mnet.Addr) (FIBRoute, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if e, ok := f.host[dst]; ok {
+	if e, ok := f.host.Get(dst.Uint32()); ok {
 		return f.route(mnet.HostPrefix(dst), e), true
 	}
 	best := mnet.Prefix{Bits: -1}
@@ -139,10 +141,10 @@ func (f *FIB) Lookup(dst mnet.Addr) (FIBRoute, bool) {
 func (f *FIB) List() []FIBRoute {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FIBRoute, 0, len(f.host)+len(f.wide))
-	for a, e := range f.host {
-		out = append(out, f.route(mnet.HostPrefix(a), e))
-	}
+	out := make([]FIBRoute, 0, f.host.Len()+len(f.wide))
+	f.host.Range(func(a uint32, e fibEntry) {
+		out = append(out, f.route(mnet.HostPrefix(mnet.AddrFrom(a)), e))
+	})
 	for p, e := range f.wide {
 		out = append(out, f.route(p, e))
 	}
@@ -159,7 +161,7 @@ func (f *FIB) List() []FIBRoute {
 func (f *FIB) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.host) + len(f.wide)
+	return f.host.Len() + len(f.wide)
 }
 
 // FlushProto removes every route owned by the named protocol — used when a
@@ -171,13 +173,7 @@ func (f *FIB) FlushProto(proto string) int {
 	if idx < 0 {
 		return 0
 	}
-	n := 0
-	for a, e := range f.host {
-		if int(e.proto) == idx {
-			delete(f.host, a)
-			n++
-		}
-	}
+	n := f.host.DeleteFunc(func(_ uint32, e fibEntry) bool { return int(e.proto) == idx })
 	for p, e := range f.wide {
 		if int(e.proto) == idx {
 			delete(f.wide, p)

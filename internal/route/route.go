@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"manetkit/internal/flat"
 	"manetkit/internal/mnet"
 	"manetkit/internal/vclock"
 )
@@ -103,9 +104,9 @@ type Table struct {
 	clock vclock.Clock
 
 	mu     sync.Mutex
-	recs   []ribEntry          // host routes
-	index  map[mnet.Addr]int32 // host destination → its record in recs
-	wide   []ribEntry          // every other prefix length, scanned
+	recs   []ribEntry                // host routes
+	index  flat.Table[uint32, int32] // host destination → its record in recs
+	wide   []ribEntry                // every other prefix length, scanned
 	more   map[mnet.Prefix][]ribPath
 	names  []string // interned Proto strings
 	fib    *FIB
@@ -127,7 +128,7 @@ type Table struct {
 // NewTable returns an empty RIB on the given clock. A routing CF passes nil
 // and binds the table to its deployment with Bind.
 func NewTable(clock vclock.Clock) *Table {
-	return &Table{clock: clock, index: make(map[mnet.Addr]int32)}
+	return &Table{clock: clock}
 }
 
 // since converts x to the stored expiry form. Called with t.mu held.
@@ -183,7 +184,7 @@ func (t *Table) intern(proto string) uint16 {
 // insert or remove. Called with t.mu held.
 func (t *Table) find(dst mnet.Prefix) *ribEntry {
 	if dst.Bits == hostBits {
-		if i, ok := t.index[dst.Addr]; ok {
+		if i, ok := t.index.Get(dst.Addr.Uint32()); ok {
 			return &t.recs[i]
 		}
 		return nil
@@ -201,7 +202,7 @@ func (t *Table) find(dst mnet.Prefix) *ribEntry {
 func (t *Table) insert(dst mnet.Prefix) *ribEntry {
 	r := ribEntry{dst: dst.Addr, bits: int32(dst.Bits)}
 	if dst.Bits == hostBits {
-		t.index[dst.Addr] = int32(len(t.recs))
+		t.index.Set(dst.Addr.Uint32(), int32(len(t.recs)))
 		t.recs = append(t.recs, r)
 		return &t.recs[len(t.recs)-1]
 	}
@@ -217,17 +218,17 @@ func (t *Table) remove(dst mnet.Prefix) {
 	}
 	delete(t.more, dst)
 	if dst.Bits == hostBits {
-		i, ok := t.index[dst.Addr]
+		i, ok := t.index.Get(dst.Addr.Uint32())
 		if !ok {
 			return
 		}
 		last := int32(len(t.recs) - 1)
 		if i != last {
 			t.recs[i] = t.recs[last]
-			t.index[t.recs[i].dst] = i
+			t.index.Set(t.recs[i].dst.Uint32(), i)
 		}
 		t.recs = t.recs[:last]
-		delete(t.index, dst.Addr)
+		t.index.Delete(dst.Addr.Uint32())
 		return
 	}
 	for i := range t.wide {
@@ -432,7 +433,7 @@ func (t *Table) Lookup(dst mnet.Addr) (Entry, Path, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	nowK := t.since(now)
-	if i, ok := t.index[dst]; ok && t.recs[i].valid {
+	if i, ok := t.index.Get(dst.Uint32()); ok && t.recs[i].valid {
 		r := &t.recs[i]
 		if p, ok := t.best(r, nowK); ok {
 			return t.snapshot(r), t.apiPath(p), nil
@@ -649,7 +650,7 @@ func (t *Table) Clear() {
 	}
 	t.recs = t.recs[:0]
 	t.wide = t.wide[:0]
-	clear(t.index)
+	t.index.Clear()
 	clear(t.more)
 }
 

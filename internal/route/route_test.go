@@ -674,7 +674,7 @@ func TestInvalidateViaReturnsPrefixOrder(t *testing.T) {
 
 func TestTableHoldsNoPointers(t *testing.T) {
 	tb := NewTable(nil)
-	for _, typ := range []reflect.Type{reflect.TypeOf(tb.recs).Elem(), reflect.TypeOf(tb.index).Key(), reflect.TypeOf(tb.index).Elem()} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(tb.recs).Elem(), slotType(tb.index)} {
 		if holdsPointers(typ) {
 			t.Fatalf("the RIB's %v holds pointers the collector scans", typ)
 		}
