@@ -602,7 +602,8 @@ func (m *Manager) emit(rec *unitRec, ev *event.Event) {
 	if rec != nil {
 		from = rec.name
 	}
-	if m.tracing() {
+	tracing := m.tracing()
+	if tracing {
 		m.span(telemetry.KindEmit, from, "", ev, 0)
 	}
 	m.stats.emitted.Add(1)
@@ -613,7 +614,7 @@ func (m *Manager) emit(rec *unitRec, ev *event.Event) {
 		// such loss is counted and traced.
 		m.dropEvent(from, ev)
 	} else {
-		m.deliverBatch(from, targets, ev, Model(m.model.Load()))
+		m.deliverBatch(from, targets, ev, Model(m.model.Load()), tracing)
 	}
 	m.dispatchContextEvent(ev)
 	if own {
@@ -688,8 +689,9 @@ func (m *Manager) accountAcceptErr(u Unit, ev *event.Event, err error) {
 // dedicated pool, any other under the global model. All targets are
 // enqueued/ticketed before any processing starts, so the per-unit FIFO
 // order is the emission order even when handlers emit further events
-// mid-delivery.
-func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event, model Model) {
+// mid-delivery. tracing is emit's one reading of the bus gate: an
+// emission's dispatch spans are kept exactly when its emit span is.
+func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event, model Model, tracing bool) {
 	if model == SingleThreaded {
 		m.dmu.Lock()
 	}
@@ -697,18 +699,18 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 		m.stats.delivered.Add(1)
 		ev.Hold()
 		if p := rec.dedicated.Load(); p != nil {
-			m.handOff(from, rec, ev, p, func() { m.runAccept(rec.unit, ev) })
+			m.handOff(from, rec, ev, p, tracing, func() { m.runAccept(rec.unit, ev) })
 			continue
 		}
 		switch model {
 		case SingleThreaded:
 			m.inlineQ.Push(inlineDelivery{rec: rec, ev: ev})
-			if m.tracing() {
+			if tracing {
 				m.span(telemetry.KindDispatch, from, rec.name, ev, m.inlineQ.Len())
 			}
 		case PerMessage:
 			sec, ticket := m.ticket(rec)
-			if m.tracing() {
+			if tracing {
 				m.span(telemetry.KindDispatch, from, rec.name, ev, 0)
 			}
 			m.inflight.Add(1)
@@ -724,7 +726,7 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 				continue
 			}
 			sec, ticket := m.ticket(rec)
-			if !m.handOff(from, rec, ev, p, func() {
+			if !m.handOff(from, rec, ev, p, tracing, func() {
 				sec.Wait(ticket)
 				m.accept(rec.unit, ev)
 			}) {
@@ -741,12 +743,12 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 
 // handOff submits one delivery to a pool and reports whether the pool took
 // it; a delivery it does not take is refused.
-func (m *Manager) handOff(from string, rec *unitRec, ev *event.Event, p *pool.Pool, task func()) bool {
+func (m *Manager) handOff(from string, rec *unitRec, ev *event.Event, p *pool.Pool, tracing bool, task func()) bool {
 	if p.Submit(task) != nil {
 		m.refuse(from, rec, ev)
 		return false
 	}
-	if m.tracing() {
+	if tracing {
 		m.span(telemetry.KindDispatch, from, rec.name, ev, p.Stats().Queued)
 	}
 	return true
