@@ -212,6 +212,7 @@ func table2(rep *BenchReport) error {
 		"mono_both":       wall(t.MonoBoth, "KB"),
 		"kit_both":        wall(t.KitBoth, "KB"),
 		"kit_both_sealed": wall(t.KitBothSealed, "KB"),
+		"medium":          wall(t.Medium, "KB"),
 	})
 	return nil
 }

@@ -26,22 +26,24 @@ type acceptPlan struct {
 	// matches, or one the ontology had not seen at compilation.
 	handlers []Handler
 	// matched has a row for each ontology-known type some handler's pattern
-	// matches, in ontology order, with those handlers in registration order.
+	// matches, in ontology order: rows[lo:hi], in registration order.
 	matched []handlerRow
+	rows    []Handler
+	traced  bool // the bus's gate when published; a flip republishes
 }
 
 // handlerRow is one row of an accept plan's matched-handler table.
 type handlerRow struct {
-	t        event.Type
-	handlers []Handler
+	t      event.Type
+	lo, hi int32
 }
 
 // matchedFor returns the handlers compiled for t; ok is false when matched
 // has no row for it.
 func (plan *acceptPlan) matchedFor(t event.Type) (handlers []Handler, ok bool) {
 	for i := range plan.matched {
-		if plan.matched[i].t == t {
-			return plan.matched[i].handlers, true
+		if r := &plan.matched[i]; r.t == t {
+			return plan.rows[r.lo:r.hi], true
 		}
 	}
 	return nil, false
@@ -67,21 +69,39 @@ func (p *Protocol) rebuildAcceptPlanLocked() *acceptPlan {
 		ctx:        &Context{proto: p, env: p.env},
 		ont:        ont,
 		ontVersion: ont.Version(),
-		handlers:   append([]Handler(nil), p.handlers...),
+		handlers:   p.handlers,
+		traced:     p.env.obs.active(),
 	}
+	// Collect on the stack, then copy into tables sized to fit.
+	var matchedBuf [32]handlerRow
+	var rowsBuf [128]Handler
+	matched, rows := matchedBuf[:0], rowsBuf[:0]
 	for _, t := range ont.Types() {
-		var matched []Handler
+		lo := int32(len(rows))
 		for _, h := range plan.handlers {
 			if ont.Matches(t, h.Pattern()) {
-				matched = append(matched, h)
+				rows = append(rows, h)
 			}
 		}
-		if matched != nil {
-			plan.matched = append(plan.matched, handlerRow{t: t, handlers: matched})
+		if hi := int32(len(rows)); hi > lo {
+			matched = append(matched, handlerRow{t: t, lo: lo, hi: hi})
 		}
 	}
+	plan.matched = append(make([]handlerRow, 0, len(matched)), matched...)
+	plan.rows = append(make([]Handler, 0, len(rows)), rows...)
 	p.plan.Store(plan)
 	return plan
+}
+
+// retrace republishes a shallow copy of the accept plan with the bus's gate.
+func (p *Protocol) retrace() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if plan := p.plan.Load(); plan != nil && plan.traced != plan.obs.active() {
+		next := *plan
+		next.traced = !plan.traced
+		p.plan.Store(&next)
+	}
 }
 
 // ctxFor returns the plan's pooled Context when it belongs to env, avoiding a

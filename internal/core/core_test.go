@@ -113,7 +113,7 @@ func emitFrom(t *testing.T, m *Manager, from string, ev *event.Event) {
 // holds emits from outside every chain, as the context poller.
 func emitAs(m *Manager, from string, ev *event.Event) {
 	m.mu.Lock()
-	rec := m.units[from]
+	rec := m.unitLocked(from)
 	m.mu.Unlock()
 	m.emit(rec, ev)
 }
@@ -556,5 +556,29 @@ func TestQuiesceBlocksDelivery(t *testing.T) {
 	m.WaitIdle()
 	if len(sink.events()) != 1 {
 		t.Fatalf("delivery lost after resume: %v", sink.events())
+	}
+}
+
+// Every manager starts from the one standard hierarchy; a type registered
+// on one manager's ontology stays there: the others neither see it nor
+// move their Version.
+func TestRegisterTypeStaysWithItsManager(t *testing.T) {
+	a, _ := newMgr(t, SingleThreaded)
+	b, _ := newMgr(t, SingleThreaded)
+	c, _ := newMgr(t, SingleThreaded)
+	if err := a.Ontology().RegisterType("X_LOCAL", event.MsgIn); err != nil {
+		t.Fatal(err)
+	}
+	if !a.Ontology().Matches("X_LOCAL", event.MsgIn) || a.Ontology().Version() != 1 {
+		t.Fatal("the registering ontology lost its type")
+	}
+	for _, m := range []*Manager{b, c} {
+		o := m.Ontology()
+		if o.Version() != 0 || o.Parent("X_LOCAL") != "" || o.Matches("X_LOCAL", event.MsgIn) {
+			t.Fatalf("another manager's ontology saw the type: version %d", o.Version())
+		}
+		if got, want := o.Types(), event.NewOntology().Types(); len(got) != len(want) || &got[0] != &want[0] {
+			t.Fatal("another manager's ontology no longer shares the standard hierarchy")
+		}
 	}
 }

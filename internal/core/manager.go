@@ -119,7 +119,7 @@ type unitRec struct {
 	slot int
 
 	// tuple is the manager's own copy of the declaration last read from the
-	// unit; roles[i] is the unit's part in the chain of Manager.types[i],
+	// unit; roles[i] is the unit's part in the chain of Manager.chains[i],
 	// resolved from it; reresolved marks roles resolved afresh since the
 	// unit's route table was last compiled. All three are guarded by
 	// Manager.mu.
@@ -144,19 +144,14 @@ type Manager struct {
 	// chains, pollers and lifecycle flags. The steady-state emit path never
 	// takes it — it routes via the published plan below.
 	mu    sync.Mutex
-	units map[string]*unitRec
-	order []*unitRec // deployment order: interposer chains follow it
+	order []*unitRec // the deployed units in deployment order: interposer chains follow it
 	slots []bool     // slots[i]: some deployed unit holds slot i
 
-	// types lists every event type a unit has provided here; its index is
-	// shared by unitRec.roles, chains (nil while nobody provides the type) and
-	// dirty (some unit's role in the type changed since its chain was
-	// derived). ontVer is the ontology revision the roles are resolved against.
-	types   []event.Type
-	typeIdx map[event.Type]int
-	chains  []*chain
-	dirty   []bool
-	ontVer  uint64
+	// chains has an entry per event type a unit has provided here, in the
+	// order first provided, indexed like unitRec.roles. ontVer is the
+	// ontology revision the roles are resolved against.
+	chains []chain
+	ontVer uint64
 
 	pollers []*vclock.Periodic
 	closed  bool
@@ -185,11 +180,12 @@ type Manager struct {
 	workers  atomic.Pointer[pool.Pool]
 	inflight sync.WaitGroup
 
-	// obs is the instrument bundle; nil when the deployment has no bus.
-	// Set once at construction, never mutated: hot paths read it without
-	// m.mu. metrics is the deployment's registry (nil when disabled).
+	// obs is the instrument bundle, nil without a bus, set once at
+	// construction; delivery reads the plans' copy of its gate. metrics is
+	// the deployment's registry (nil when disabled). unwatch ends retrace.
 	obs     *observer
 	metrics *metrics.Registry
+	unwatch func()
 
 	// Single-threaded delivery queue: inline deliveries are drained in
 	// FIFO order by whichever goroutine first enters the framework, so a
@@ -229,8 +225,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		node:    cfg.Node,
 		clk:     cfg.Clock,
 		ont:     event.NewOntology(),
-		units:   make(map[string]*unitRec),
-		typeIdx: make(map[event.Type]int),
 		obs:     newObserver(cfg.Node, cfg.Telemetry),
 		metrics: cfg.Metrics,
 	}
@@ -240,9 +234,28 @@ func NewManager(cfg Config) (*Manager, error) {
 		}
 	}
 	m.model.Store(uint32(cfg.Model))
-	m.plan.Store(emptyPlan)
+	m.plan.Store(&dispatchPlan{}) // routes nothing, so emit never sees a nil plan
+	m.unwatch = cfg.Telemetry.Watch(m.retrace)
+	m.retrace() // the bus may have flipped before the watch
 	cfg.Metrics.Attach(m.readMetrics)
 	return m, nil
+}
+
+// retrace watches the bus: a flip republishes the dispatch plan and every
+// protocol's accept plan with the gate, so delivery never reads the bus's.
+func (m *Manager) retrace() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if plan := m.plan.Load(); plan.traced != m.obs.active() {
+		next := *plan
+		next.traced = !plan.traced
+		m.plan.Store(&next)
+	}
+	for _, rec := range m.order {
+		if p, ok := rec.unit.(*Protocol); ok {
+			p.retrace()
+		}
+	}
 }
 
 // readMetrics reports ManagerStats to the deployment's metrics registry.
@@ -272,8 +285,8 @@ func (m *Manager) Ontology() *event.Ontology { return m.ont }
 func (m *Manager) Arch() kernel.Arch {
 	a := m.cf.Arch()
 	m.mu.Lock()
-	for _, ch := range m.chains {
-		if ch != nil {
+	for i := range m.chains {
+		if ch := &m.chains[i]; ch.members != nil {
 			a.Bindings = ch.linkSet(a.Bindings)
 		}
 	}
@@ -343,7 +356,7 @@ func (m *Manager) Deploy(u Unit) error {
 		m.mu.Unlock()
 		return errManagerClosed
 	}
-	if _, ok := m.units[u.Name()]; ok {
+	if m.unitLocked(u.Name()) != nil {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: unit %q", kernel.ErrDuplicate, u.Name())
 	}
@@ -367,11 +380,13 @@ func (m *Manager) Deploy(u Unit) error {
 	u.Attach(env)
 
 	m.mu.Lock()
-	m.units[rec.name] = rec
 	m.order = append(m.order, rec)
 	var err error
-	if p, ok := u.(*Protocol); ok && p.wantsDedicated() {
-		err = m.dedicateLocked(rec)
+	if p, ok := u.(*Protocol); ok {
+		p.retrace() // a flip since Attach missed it
+		if p.wantsDedicated() {
+			err = m.dedicateLocked(rec)
+		}
 	}
 	m.mu.Unlock()
 	if err != nil {
@@ -394,8 +409,7 @@ func (m *Manager) Undeploy(name string) error {
 	// The record is still here: only an Undeploy whose Remove succeeded
 	// deletes it, and Deploy refuses the name while it is recorded.
 	m.mu.Lock()
-	rec := m.units[name]
-	delete(m.units, name)
+	rec := m.unitLocked(name)
 	m.order = slices.DeleteFunc(m.order, func(r *unitRec) bool { return r == rec })
 	m.slots[rec.slot] = false
 	m.retireLocked(rec)
@@ -423,11 +437,18 @@ func (m *Manager) claimSlotLocked() int {
 func (m *Manager) Unit(name string) (Unit, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rec, ok := m.units[name]
-	if !ok {
-		return nil, false
+	if rec := m.unitLocked(name); rec != nil {
+		return rec.unit, true
 	}
-	return rec.unit, true
+	return nil, false
+}
+
+// unitLocked returns the deployed unit of that name, or nil.
+func (m *Manager) unitLocked(name string) *unitRec {
+	if i := slices.IndexFunc(m.order, func(rec *unitRec) bool { return rec.name == name }); i >= 0 {
+		return m.order[i]
+	}
+	return nil
 }
 
 // Units lists deployed unit names in deployment order.
@@ -447,8 +468,8 @@ func (m *Manager) Units() []string {
 func (m *Manager) EnableDedicatedThread(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rec, ok := m.units[name]
-	if !ok {
+	rec := m.unitLocked(name)
+	if rec == nil {
 		return fmt.Errorf("%w: unit %q", kernel.ErrNoComponent, name)
 	}
 	return m.dedicateLocked(rec)
@@ -482,8 +503,8 @@ func (rec *unitRec) undedicateLocked() (stop func()) {
 // DisableDedicatedThread reverts the unit to the global model.
 func (m *Manager) DisableDedicatedThread(name string) error {
 	m.mu.Lock()
-	rec, ok := m.units[name]
-	if !ok {
+	rec := m.unitLocked(name)
+	if rec == nil {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: unit %q", kernel.ErrNoComponent, name)
 	}
@@ -523,27 +544,29 @@ func (m *Manager) SetRewireHook(fn func()) {
 func (m *Manager) DedicatedThread(name string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rec, ok := m.units[name]
-	return ok && rec.dedicated.Load() != nil
+	rec := m.unitLocked(name)
+	return rec != nil && rec.dedicated.Load() != nil
 }
 
 func (m *Manager) rewireLocked() {
 	m.stats.rewires.Add(1)
 	m.resolveLocked()
 	replan := false
-	for i, d := range m.dirty {
-		if d {
+	for i := range m.chains {
+		if ch := &m.chains[i]; ch.dirty {
 			replan = true
-			m.chains[i] = m.deriveLocked(i, m.chains[i])
+			m.deriveLocked(i, ch)
 		}
 	}
 	if replan {
 		m.plan.Store(m.compileLocked())
-		clear(m.dirty)
+		for i := range m.chains {
+			m.chains[i].dirty = false
+		}
 	}
-	if m.tracing() {
+	if m.obs.active() {
 		m.obs.bus.Record(m.clk.Now(), telemetry.Span{
-			Node: m.obs.nodeStr, Kind: telemetry.KindRebind, QDepth: len(m.plan.Load().byType),
+			Node: m.obs.nodeStr, Kind: telemetry.KindRebind, QDepth: len(m.plan.Load().chained),
 		})
 	}
 }
@@ -553,37 +576,42 @@ func (m *Manager) rewireLocked() {
 // otherwise only for the types provided for the first time since. Every type
 // a role was lost or gained in ends up dirty.
 func (m *Manager) resolveLocked() {
-	ver := m.ont.Version()
+	ver, n := m.ont.Version(), len(m.chains)
 	for _, rec := range m.order {
 		tp := rec.unit.Tuple()
 		if ver != m.ontVer || !slices.Equal(tp.Required, rec.tuple.Required) || !slices.Equal(tp.Provided, rec.tuple.Provided) {
 			rec.tuple = event.Tuple{Required: slices.Clone(tp.Required), Provided: slices.Clone(tp.Provided)}
 			m.retireLocked(rec)
 			for _, t := range tp.Provided {
-				if _, ok := m.typeIdx[t]; !ok {
-					m.typeIdx[t] = len(m.types)
-					m.types = append(m.types, t)
-					m.chains = append(m.chains, nil)
-					m.dirty = append(m.dirty, false)
+				if m.chainIndex(t) < 0 {
+					m.chains = append(m.chains, chain{t: t})
 				}
 			}
 		}
 	}
+	if len(m.chains) > n {
+		m.chains = slices.Clone(m.chains) // sized to fit
+	}
 	m.ontVer = ver
 	for _, rec := range m.order {
-		for i := len(rec.roles); i < len(m.types); i++ {
-			r := roleIn(m.ont, rec.tuple, m.types[i])
+		for i := len(rec.roles); i < len(m.chains); i++ {
+			r := roleIn(m.ont, rec.tuple, m.chains[i].t)
 			rec.roles = append(rec.roles, r)
-			m.dirty[i] = m.dirty[i] || r != 0
+			m.chains[i].dirty = m.chains[i].dirty || r != 0
 		}
 	}
+}
+
+// chainIndex returns the index of t's entry in m.chains, or -1.
+func (m *Manager) chainIndex(t event.Type) int {
+	return slices.IndexFunc(m.chains, func(ch chain) bool { return ch.t == t })
 }
 
 // retireLocked forgets rec's resolved roles — it left the deployment, or its
 // declaration changed — and marks every type it had a part in dirty.
 func (m *Manager) retireLocked(rec *unitRec) {
 	for i, r := range rec.roles {
-		m.dirty[i] = m.dirty[i] || r != 0
+		m.chains[i].dirty = m.chains[i].dirty || r != 0
 	}
 	rec.roles = rec.roles[:0]
 	rec.reresolved = true
@@ -602,17 +630,21 @@ func (m *Manager) emit(rec *unitRec, ev *event.Event) {
 	if rec != nil {
 		from = rec.name
 	}
-	tracing := m.tracing()
+	plan := m.plan.Load()
+	tracing := plan.traced
 	if tracing {
+		if ev.Corr == "" && ev.Msg != nil {
+			ev.Corr = ev.Msg.CorrID()
+		}
 		m.span(telemetry.KindEmit, from, "", ev, 0)
 	}
 	m.stats.emitted.Add(1)
-	targets := m.plan.Load().targets(rec, ev.Type)
+	targets := plan.targets(rec, ev.Type)
 	if len(targets) == 0 {
 		// No chain for the type, or a chain whose compiled route is empty
 		// (no terminals beyond the emitter, or a vanished interposer): every
 		// such loss is counted and traced.
-		m.dropEvent(from, ev)
+		m.dropEvent(from, ev, tracing)
 	} else {
 		m.deliverBatch(from, targets, ev, Model(m.model.Load()), tracing)
 	}
@@ -621,9 +653,6 @@ func (m *Manager) emit(rec *unitRec, ev *event.Event) {
 		ev.Release()
 	}
 }
-
-// tracing reports whether a span recorded now would be kept (observer.active).
-func (m *Manager) tracing() bool { return m.obs.active() }
 
 // span records one dispatch-path span about ev; call it behind tracing.
 func (m *Manager) span(kind, from, to string, ev *event.Event, qdepth int) {
@@ -634,9 +663,9 @@ func (m *Manager) span(kind, from, to string, ev *event.Event, qdepth int) {
 }
 
 // dropEvent accounts one undeliverable event.
-func (m *Manager) dropEvent(from string, ev *event.Event) {
+func (m *Manager) dropEvent(from string, ev *event.Event, tracing bool) {
 	m.stats.dropped.Add(1)
-	if m.tracing() {
+	if tracing {
 		m.span(telemetry.KindDrop, from, "", ev, 0)
 	}
 }
@@ -644,9 +673,9 @@ func (m *Manager) dropEvent(from string, ev *event.Event) {
 // refuse accounts a scheduled delivery that will never reach Accept — its
 // pool is full or closed, or the manager is closed — as a counted drop
 // traced with the unit's name, and releases its hold.
-func (m *Manager) refuse(from string, rec *unitRec, ev *event.Event) {
+func (m *Manager) refuse(from string, rec *unitRec, ev *event.Event, tracing bool) {
 	m.stats.dropped.Add(1)
-	if m.tracing() {
+	if tracing {
 		m.span(telemetry.KindDrop, from, rec.name, ev, 0)
 	}
 	ev.Release()
@@ -679,7 +708,7 @@ func (m *Manager) accountAcceptErr(u Unit, ev *event.Event, err error) {
 		return
 	}
 	m.stats.dropped.Add(1)
-	if m.tracing() {
+	if m.obs.active() {
 		m.span(telemetry.KindDrop, "", u.Name(), ev, 0)
 	}
 }
@@ -689,7 +718,7 @@ func (m *Manager) accountAcceptErr(u Unit, ev *event.Event, err error) {
 // dedicated pool, any other under the global model. All targets are
 // enqueued/ticketed before any processing starts, so the per-unit FIFO
 // order is the emission order even when handlers emit further events
-// mid-delivery. tracing is emit's one reading of the bus gate: an
+// mid-delivery. tracing is the gate of the plan emit routed by: an
 // emission's dispatch spans are kept exactly when its emit span is.
 func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event, model Model, tracing bool) {
 	if model == SingleThreaded {
@@ -722,7 +751,7 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 		case PerN:
 			p := m.workers.Load()
 			if p == nil { // Close swapped it out
-				m.refuse(from, rec, ev)
+				m.refuse(from, rec, ev, tracing)
 				continue
 			}
 			sec, ticket := m.ticket(rec)
@@ -745,7 +774,7 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 // it; a delivery it does not take is refused.
 func (m *Manager) handOff(from string, rec *unitRec, ev *event.Event, p *pool.Pool, tracing bool, task func()) bool {
 	if p.Submit(task) != nil {
-		m.refuse(from, rec, ev)
+		m.refuse(from, rec, ev, tracing)
 		return false
 	}
 	if tracing {
@@ -828,14 +857,14 @@ func (m *Manager) Stats() ManagerStats {
 func (m *Manager) Chain(t event.Type) (interposers, terminals []string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	i, ok := m.typeIdx[t]
-	if !ok || m.chains[i] == nil {
+	i := m.chainIndex(t)
+	if i < 0 || m.chains[i].members == nil {
 		return nil, nil
 	}
-	for _, rec := range m.chains[i].interposers {
+	for _, rec := range m.chains[i].interposers() {
 		interposers = append(interposers, rec.name)
 	}
-	for _, rec := range m.chains[i].terminals {
+	for _, rec := range m.chains[i].terminals() {
 		terminals = append(terminals, rec.name)
 	}
 	return interposers, terminals
@@ -903,10 +932,7 @@ func (m *Manager) AddRule(r kernel.IntegrityRule) error { return m.cf.AddRule(r)
 // further Deploy/Rewire calls become no-ops or fail.
 func (m *Manager) Seal() {
 	m.mu.Lock()
-	recs := make([]*unitRec, 0, len(m.units))
-	for _, rec := range m.units {
-		recs = append(recs, rec)
-	}
+	recs := slices.Clone(m.order)
 	m.mu.Unlock()
 	m.cf.Seal()
 	for _, rec := range recs {
@@ -948,6 +974,7 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
+	m.unwatch()
 	pollers := m.pollers
 	m.pollers = nil
 	var stops []func()
@@ -955,7 +982,7 @@ func (m *Manager) Close() {
 		stops = append(stops, p.Close)
 	}
 	var protos []*Protocol
-	for _, rec := range m.units {
+	for _, rec := range m.order {
 		stops = append(stops, rec.undedicateLocked())
 		if p, ok := rec.unit.(*Protocol); ok {
 			protos = append(protos, p)

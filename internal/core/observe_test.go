@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"manetkit/internal/event"
 	"manetkit/internal/metrics"
 	"manetkit/internal/mnet"
+	"manetkit/internal/packetbb"
 	"manetkit/internal/telemetry"
 	"manetkit/internal/vclock"
 )
@@ -233,6 +236,137 @@ func TestObservabilityOverheadGuard(t *testing.T) {
 	}
 	if median >= 5 {
 		t.Fatalf("dormant-bus overhead %.2f%% >= 5%% budget (per pair: %.2f)", median, pct)
+	}
+}
+
+// A direct dispatch reads the telemetry gate from the plans it loads, never
+// from the bus. The plans are compiled against a dormant bus; then, without
+// the bus flipping, the manager's and the handler's bundles are swapped for
+// one whose bus records. A dispatch that called Bus.Active anywhere — the
+// emission, the handler, the correlation-ID derivation — would see that bus
+// active and record a span or stamp a correlation ID.
+func TestDormantDispatchReadsNoBusGate(t *testing.T) {
+	dormant := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: -1})
+	m, err := NewManager(Config{Node: mnet.MustParseAddr("10.0.0.9"), Clock: vclock.NewVirtual(epoch), Telemetry: dormant})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	src := deployPair(t, m)
+	u, _ := m.Unit("sink")
+	sink := u.(*Protocol)
+	plan := sink.plan.Load()
+	if m.plan.Load().traced || plan.traced || sink.Tracing() {
+		t.Fatal("plans compiled against a dormant bus are traced")
+	}
+	live := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: 64})
+	m.obs, plan.obs = newObserver(m.node, live), newObserver(m.node, live)
+	ev := &event.Event{Type: event.HelloIn, Msg: &packetbb.Message{Type: 1, SeqNum: 7}}
+	if err := src.Emit(ev); err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.Stats().Handled; got != 1 {
+		t.Fatalf("sink handled %d events, want 1", got)
+	}
+	if live.Seq() != 0 || ev.Corr != "" {
+		t.Fatalf("the dispatch read the bus: %d events recorded, correlation ID %q", live.Seq(), ev.Corr)
+	}
+}
+
+// Spans start with the first emission after Subscribe returns and stop
+// once the last subscriber has gone: the bus's flips republish the plans
+// before the call that flipped it returns.
+func TestSpansFollowSubscriptions(t *testing.T) {
+	bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: -1})
+	m, err := NewManager(Config{Node: mnet.MustParseAddr("10.0.0.9"), Clock: vclock.NewVirtual(epoch), Telemetry: bus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	src := deployPair(t, m)
+	emit := func() uint64 {
+		before := bus.Seq()
+		if err := src.Emit(&event.Event{Type: event.HelloIn}); err != nil {
+			t.Fatal(err)
+		}
+		return bus.Seq() - before
+	}
+	if n := emit(); n != 0 {
+		t.Fatalf("a dormant bus got %d events", n)
+	}
+	first := bus.Subscribe(64, telemetry.StreamSpans)
+	if n := emit(); n != 3 {
+		t.Fatalf("the first emission after Subscribe recorded %d spans, want emit, dispatch and handle", n)
+	}
+	second := bus.Subscribe(64, telemetry.StreamSpans)
+	first.Close()
+	if n := emit(); n != 3 {
+		t.Fatalf("with one subscriber left an emission recorded %d spans, want 3", n)
+	}
+	second.Close()
+	if n := emit(); n != 0 {
+		t.Fatalf("after the last unsubscribe an emission recorded %d spans", n)
+	}
+	if m.plan.Load().traced {
+		t.Fatal("the dispatch plan is still traced")
+	}
+	if a, b := len(first.C()), len(second.C()); a != 3 || b != 3 {
+		t.Fatalf("subscribers received %d and %d spans, want 3 each", a, b)
+	}
+}
+
+// Subscriptions come and go while units emit and a unit is deployed and
+// undeployed: under -race this pins that republishing the gate races with
+// nothing, and once the last subscriber has gone every plan is untraced.
+func TestGateFlipsRaceWithDispatchAndDeploy(t *testing.T) {
+	bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: -1})
+	m, err := NewManager(Config{Node: mnet.MustParseAddr("10.0.0.9"), Clock: vclock.NewVirtual(epoch), Telemetry: bus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	src := deployPair(t, m)
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for !done.Load() {
+			_ = src.Emit(&event.Event{Type: event.HelloIn})
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; !done.Load(); i++ {
+			p := NewProtocol(fmt.Sprintf("late-%d", i))
+			p.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.HelloIn}}})
+			if err := m.Deploy(p); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := m.Undeploy(p.Name()); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for range 200 {
+			sub := bus.Subscribe(1)
+			sub.Close()
+		}
+	}()
+	wg.Wait()
+	if m.plan.Load().traced {
+		t.Fatal("the dispatch plan is traced with no subscriber left")
+	}
+	for _, name := range m.Units() {
+		u, _ := m.Unit(name)
+		if u.(*Protocol).Tracing() {
+			t.Fatalf("%s's accept plan is traced with no subscriber left", name)
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 )
 
 // A Rewire that finds every tuple as it left it derives nothing: the
-// published plan and its typePlans stay, no kernel operation is issued, and
-// nothing is allocated.
+// published plan and its chains' routes stay, no kernel operation is
+// issued, and nothing is allocated.
 func TestRewireWithoutChangeAllocs(t *testing.T) {
 	m, _ := newMgr(t, SingleThreaded)
 	for _, r := range []*recorder{
@@ -59,19 +59,24 @@ func TestRewireWithoutChangeAllocs(t *testing.T) {
 		t.Errorf("11 Rewire calls counted as %d", got)
 	}
 
-	// A change to one chain leaves the other chains' typePlans in the new plan.
+	// A change to one chain leaves the other chains' default routes in the
+	// new plan.
 	if err := m.Undeploy("olsr"); err != nil {
 		t.Fatal(err)
 	}
 	next := m.plan.Load()
-	if next == plan || next.byType[event.TCOut] != nil {
+	if _, chained := lookup(next.chained, event.TCOut); next == plan || chained {
 		t.Fatal("Undeploy did not republish")
 	}
-	if next.byType[event.HelloIn] != plan.byType[event.HelloIn] {
-		t.Error("HELLO_IN's chain did not change, its typePlan did")
+	defaultRoute := func(p *dispatchPlan, typ event.Type) []*unitRec {
+		targets, _ := lookup(p.chained, typ)
+		return targets
 	}
-	if next.byType[event.TCIn] == plan.byType[event.TCIn] {
-		t.Error("TC_IN lost its terminal and kept its typePlan")
+	if a, b := defaultRoute(next, event.HelloIn), defaultRoute(plan, event.HelloIn); len(a) == 0 || len(a) != len(b) || &a[0] != &b[0] {
+		t.Error("HELLO_IN's chain did not change, its default route did")
+	}
+	if len(defaultRoute(next, event.TCIn)) != 0 {
+		t.Error("TC_IN lost its terminal and kept its default route")
 	}
 
 	// A unit joining one chain recompiles the route tables of that chain's
@@ -113,7 +118,7 @@ func TestReusedSlotMissesStaleTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.mu.Lock()
-	slot := m.units["late"].slot
+	slot := m.unitLocked("late").slot
 	m.mu.Unlock()
 	if slot != 0 || stale.emitters[0].rec.name != "inter" {
 		t.Fatalf("late holds slot %d, the stale plan's slot 0 is %q's", slot, stale.emitters[0].rec.name)
@@ -134,7 +139,7 @@ func TestReusedSlotMissesStaleTable(t *testing.T) {
 // routesOf returns the route table plan holds for the named deployed unit.
 func routesOf(m *Manager, plan *dispatchPlan, name string) []route {
 	m.mu.Lock()
-	rec := m.units[name]
+	rec := m.unitLocked(name)
 	m.mu.Unlock()
 	if e := plan.emitters[rec.slot]; e.rec == rec {
 		return e.routes
@@ -148,7 +153,7 @@ func sameRoutes(a, b []route) bool {
 }
 
 // Four goroutines emit while units are deployed, re-tupled and undeployed.
-// Successive plans share the typePlans of untouched chains, and a reader may
+// Successive plans share the routes of untouched chains, and a reader may
 // hold any of them while the next is compiled; under -race this pins that
 // nothing reachable from a published plan is written, and the ledger below
 // that every delivery went to a unit some published plan named for that type.
@@ -176,9 +181,9 @@ func TestEmitAgainstSharedTypePlans(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		plan := m.plan.Load()
-		for typ, tp := range plan.byType {
-			for _, rec := range tp.def {
-				mark(legal, rec.unit.Name(), typ)
+		for _, r := range plan.chained {
+			for _, rec := range r.targets {
+				mark(legal, rec.unit.Name(), r.t)
 			}
 		}
 		rows := map[string]map[event.Type]bool{}    // unit -> types its route table has a row for
@@ -187,7 +192,7 @@ func TestEmitAgainstSharedTypePlans(t *testing.T) {
 		for _, e := range plan.emitters {
 			for _, r := range e.routes {
 				mark(rows, e.rec.unit.Name(), r.t)
-				if e.rec.roles[m.typeIdx[r.t]]&requires != 0 {
+				if e.rec.roles[m.chainIndex(r.t)]&requires != 0 {
 					mark(members, e.rec.unit.Name(), r.t)
 				}
 				for _, rec := range r.targets {

@@ -122,13 +122,14 @@ func sortedLinks(set map[kernel.BindingInfo]bool) []kernel.BindingInfo {
 // named from (a name no deployed unit holds emits from outside every chain).
 func publishedRoute(m *Manager, t event.Type, from string) (names []string, chained bool) {
 	m.mu.Lock()
-	rec := m.units[from]
+	rec := m.unitLocked(from)
 	m.mu.Unlock()
 	plan := m.plan.Load()
 	for _, rec := range plan.targets(rec, t) {
 		names = append(names, rec.unit.Name())
 	}
-	return names, plan.byType[t] != nil
+	_, chained = lookup(plan.chained, t)
+	return names, chained
 }
 
 func TestManagerMatchesBindingSpec(t *testing.T) {
@@ -284,7 +285,7 @@ func TestManagerMatchesBindingSpec(t *testing.T) {
 					}
 				}
 			}
-			if n := len(m.plan.Load().byType); n != len(want) {
+			if n := len(m.plan.Load().chained); n != len(want) {
 				t.Fatalf("%s: plan routes %d types, spec %d", where, n, len(want))
 			}
 			got := map[kernel.BindingInfo]bool{}

@@ -1,20 +1,15 @@
 package core
 
-import (
-	"sync"
-
-	"manetkit/internal/kernel"
-)
+import "manetkit/internal/kernel"
 
 // StateComponent is a generic S element: a named component wrapping an
 // arbitrary protocol-state value. Reifying state into a distinct component
 // (the CFS pattern's S) is what makes the paper's state carry-over work:
 // replacing a protocol while keeping its state is just moving this
-// component to the new instance (§4.5).
+// component to the new instance (§4.5). The value is fixed at
+// construction.
 type StateComponent struct {
-	base *kernel.Base
-
-	mu    sync.Mutex
+	base  *kernel.Base
 	value any
 }
 
@@ -28,22 +23,11 @@ func NewStateComponent(name string, value any) *StateComponent {
 	return s
 }
 
-func (s *StateComponent) Name() string             { return s.base.Name() }
-func (s *StateComponent) Provided() map[string]any { return s.base.Provided() }
+func (s *StateComponent) Name() string                 { return s.base.Name() }
+func (s *StateComponent) Provided() []kernel.Interface { return s.base.Provided() }
 
 // Value returns the wrapped state.
-func (s *StateComponent) Value() any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.value
-}
-
-// SetValue replaces the wrapped state.
-func (s *StateComponent) SetValue(v any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.value = v
-}
+func (s *StateComponent) Value() any { return s.value }
 
 // StateValue retrieves a protocol's S-element value with its concrete type.
 // ok is false when the protocol has no S element, the S element is not a

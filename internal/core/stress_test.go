@@ -153,7 +153,7 @@ func TestVanishedInterposerCountsDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m.plan.Store(&dispatchPlan{byType: map[event.Type]*typePlan{event.TCOut: {}}})
+	m.plan.Store(&dispatchPlan{chained: []route{{t: event.TCOut}}, traced: true})
 
 	emitAs(m, "provider", &event.Event{Type: event.TCOut})
 

@@ -77,15 +77,13 @@ func (e *Env) Metrics() *metrics.Registry { return e.metrics }
 // Emit routes ev from the unit this environment was built for through the
 // Framework Manager's binding topology; trace spans name that unit. When
 // tracing is enabled and the event carries a PacketBB message without an
-// explicit correlation ID (forwarded or received messages), the ID is
-// derived here from the message identity so every span downstream carries
-// it; the bus's Active gate keeps the dormant path allocation-free.
+// explicit correlation ID (forwarded or received messages), the Manager
+// derives the ID from the message identity so every span downstream
+// carries it; the plan's telemetry gate keeps the dormant path
+// allocation-free.
 func (e *Env) Emit(ev *event.Event) {
 	if ev.Time.IsZero() {
 		ev.Time = e.Clock.Now()
-	}
-	if ev.Corr == "" && ev.Msg != nil && e.obs.active() {
-		ev.Corr = ev.Msg.CorrID()
 	}
 	e.mgr.emit(e.rec, ev)
 }

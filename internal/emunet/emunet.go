@@ -139,7 +139,11 @@ type Network struct {
 	// base is the instant deadline keys count from (see key).
 	base time.Time
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// rng draws the loss process. It is built from seed when the first
+	// lossy link is set, before any draw, so a medium whose links never
+	// lose holds no generator.
+	seed  int64
 	rng   *rand.Rand
 	nodes map[mnet.Addr]*NIC
 	// adj is the link set: every sender's outgoing links, sorted by
@@ -182,7 +186,7 @@ func newNetwork(clock vclock.Clock, seed int64) *Network {
 	return &Network{
 		clock: clock,
 		base:  clock.Now(),
-		rng:   rand.New(rand.NewSource(seed)),
+		seed:  seed,
 		nodes: make(map[mnet.Addr]*NIC),
 		adj:   make(map[mnet.Addr][]neighborLink),
 	}
@@ -307,6 +311,9 @@ func (n *Network) linkLocked(from, to mnet.Addr) *neighborLink {
 // setAdjLocked inserts or updates the from→to link, keeping the sender's
 // list sorted. Caller holds n.mu.
 func (n *Network) setAdjLocked(from, to mnet.Addr, nic *NIC, q Quality) {
+	if q.Loss > 0 && n.rng == nil {
+		n.rng = rand.New(rand.NewSource(n.seed))
+	}
 	if l := n.linkLocked(from, to); l != nil {
 		l.nic, l.q = nic, q
 		return

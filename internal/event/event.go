@@ -225,7 +225,8 @@ func (tp Tuple) Provides(t Type) bool {
 // time, and the dispatch plans test subtype relations when they compile.
 // The parent map is therefore immutable once published (atomic.Pointer),
 // together with its sorted type list; RegisterType publishes a new copy,
-// and readers never lock.
+// and readers never lock. Until then an ontology points at the standard
+// hierarchy, which every ontology shares.
 type Ontology struct {
 	mu      sync.Mutex // serialises writers
 	version atomic.Uint64
@@ -238,44 +239,50 @@ type ontSnapshot struct {
 	types  []Type // every type the parent map names, sorted
 }
 
+// standard is the hierarchy of the bundled protocols' vocabulary. It is
+// immutable, so every ontology starts from it, and one that registers a
+// type publishes a copy of its own.
+var standard = newSnapshot(map[Type]Type{
+	MsgIn:   Any,
+	MsgOut:  Any,
+	Context: Any,
+	Routing: Any,
+
+	HelloIn: MsgIn,
+	TCIn:    MsgIn,
+	HNAIn:   MsgIn,
+	REIn:    MsgIn,
+	RerrIn:  MsgIn,
+
+	HelloOut: MsgOut,
+	TCOut:    MsgOut,
+	HNAOut:   MsgOut,
+	REOut:    MsgOut,
+	RerrOut:  MsgOut,
+
+	NhoodChange: Context,
+	MPRChange:   Context,
+	PowerStatus: Context,
+	LinkInfo:    Context,
+	SysStatus:   Context,
+
+	NoRoute:      Routing,
+	RouteUpdate:  Routing,
+	SendRouteErr: Routing,
+	RouteFound:   Routing,
+	LinkBreak:    Routing,
+})
+
 // NewOntology returns the standard ontology used by the bundled protocols.
 func NewOntology() *Ontology {
 	o := &Ontology{}
-	o.publish(map[Type]Type{
-		MsgIn:   Any,
-		MsgOut:  Any,
-		Context: Any,
-		Routing: Any,
-
-		HelloIn: MsgIn,
-		TCIn:    MsgIn,
-		HNAIn:   MsgIn,
-		REIn:    MsgIn,
-		RerrIn:  MsgIn,
-
-		HelloOut: MsgOut,
-		TCOut:    MsgOut,
-		HNAOut:   MsgOut,
-		REOut:    MsgOut,
-		RerrOut:  MsgOut,
-
-		NhoodChange: Context,
-		MPRChange:   Context,
-		PowerStatus: Context,
-		LinkInfo:    Context,
-		SysStatus:   Context,
-
-		NoRoute:      Routing,
-		RouteUpdate:  Routing,
-		SendRouteErr: Routing,
-		RouteFound:   Routing,
-		LinkBreak:    Routing,
-	})
+	o.snap.Store(standard)
 	return o
 }
 
-// publish makes parent, which nobody writes afterwards, the current hierarchy.
-func (o *Ontology) publish(parent map[Type]Type) {
+// newSnapshot wraps parent, which nobody writes afterwards, with its sorted
+// type list.
+func newSnapshot(parent map[Type]Type) *ontSnapshot {
 	seen := make(map[Type]bool, 2*len(parent))
 	for child, par := range parent {
 		seen[child], seen[par] = true, true
@@ -286,7 +293,7 @@ func (o *Ontology) publish(parent map[Type]Type) {
 		types = append(types, t)
 	}
 	slices.Sort(types)
-	o.snap.Store(&ontSnapshot{parent: parent, types: types})
+	return &ontSnapshot{parent: parent, types: types}
 }
 
 // RegisterType adds a new event type below parent. Registering an existing
@@ -306,7 +313,7 @@ func (o *Ontology) RegisterType(t, parent Type) error {
 	}
 	next := maps.Clone(cur)
 	next[t] = parent
-	o.publish(next)
+	o.snap.Store(newSnapshot(next))
 	o.version.Add(1)
 	return nil
 }

@@ -102,6 +102,13 @@ func TestFootprintShape(t *testing.T) {
 	if tab.KitBothSealed > tab.KitBoth {
 		t.Errorf("sealed deployment (%0.1fKB) larger than unsealed (%0.1fKB)", tab.KitBothSealed, tab.KitBoth)
 	}
+	// The framework's own bytes stay where compact registries and plans put
+	// them: the measured 14.5 and 15.4 KB plus 1 KB (the columns repeat to
+	// 0.1 KB).
+	if tab.KitOLSR > 15.5 || tab.KitDYMO > 16.4 {
+		t.Errorf("MKit-OLSR %0.1fKB (bound 15.5), MKit-DYMO %0.1fKB (bound 16.4)", tab.KitOLSR, tab.KitDYMO)
+	}
+	t.Logf("%+v", tab)
 }
 
 func TestConcurrencyModels(t *testing.T) {

@@ -21,16 +21,19 @@ type Table2 struct {
 	MonoBoth      float64 // Unik-olsrd + DYMOUM analogues side by side
 	KitBoth       float64 // both protocols in one MANETKit deployment
 	KitBothSealed float64 // same, after unloading the kernel machinery (§6.2 fn.3)
+	// Medium is the emulated medium with one NIC attached, which every
+	// column above includes: a column less Medium is the deployment alone.
+	Medium float64
 }
 
 // Print renders the table in the paper's layout.
 func (t Table2) Print() {
 	fmt.Println("Table 2. Comparative Resource Overhead of MANETKit Protocols")
-	fmt.Printf("%-24s %10s %10s %10s %10s %16s %16s %18s\n", "",
-		"Mono-olsr", "MKit-OLSR", "Mono-dymo", "MKit-DYMO", "Mono olsr+dymo", "MKit OLSR+DYMO", "MKit sealed")
-	fmt.Printf("%-24s %10.1f %10.1f %10.1f %10.1f %16.1f %16.1f %18.1f\n",
+	fmt.Printf("%-24s %10s %10s %10s %10s %16s %16s %18s %8s\n", "",
+		"Mono-olsr", "MKit-OLSR", "Mono-dymo", "MKit-DYMO", "Mono olsr+dymo", "MKit OLSR+DYMO", "MKit sealed", "Medium")
+	fmt.Printf("%-24s %10.1f %10.1f %10.1f %10.1f %16.1f %16.1f %18.1f %8.1f\n",
 		"Memory Footprint (KB)",
-		t.MonoOLSR, t.KitOLSR, t.MonoDYMO, t.KitDYMO, t.MonoBoth, t.KitBoth, t.KitBothSealed)
+		t.MonoOLSR, t.KitOLSR, t.MonoDYMO, t.KitDYMO, t.MonoBoth, t.KitBoth, t.KitBothSealed, t.Medium)
 }
 
 // heapDelta measures the live-heap growth caused by build, keeping the
@@ -129,5 +132,12 @@ func MeasureTable2() (Table2, error) {
 	// which DYMO floods through: the paper's "leaner deployment" (§5.2).
 	t.KitBoth = kit("olsr+dymo", false)
 	t.KitBothSealed = kit("olsr+dymo", true)
+	t.Medium = heapDelta(func() any {
+		nic, err := emunet.New(vclock.NewVirtual(testbed.Epoch), 1).Attach(emunet.Addrs(1)[0])
+		if err != nil {
+			buildErr = err
+		}
+		return nic
+	})
 	return t, buildErr
 }

@@ -2,9 +2,8 @@ package kernel
 
 import (
 	"fmt"
-	"maps"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -31,8 +30,8 @@ type InterfaceInfo struct {
 }
 
 // IntegrityRule is a structural invariant a CF enforces. Check inspects a
-// tentative architecture; returning an error vetoes (and rolls back) the
-// mutation that produced it.
+// tentative architecture, which it must not keep; returning an error vetoes
+// (and rolls back) the mutation that produced it.
 type IntegrityRule struct {
 	Name  string
 	Check func(a Arch) error
@@ -44,8 +43,11 @@ type IntegrityRule struct {
 type CF struct {
 	base *Base
 
-	mu      sync.Mutex
-	plugins map[string]Component
+	mu sync.Mutex
+	// names and plugins are parallel and sorted by name: names is the
+	// architecture the integrity rules read, without a copy or a sort.
+	names   []string
+	plugins []Component
 	rules   []IntegrityRule
 	sealed  bool
 }
@@ -53,21 +55,19 @@ type CF struct {
 var _ Component = (*CF)(nil)
 
 // NewCF returns an empty component framework with the given integrity
-// rules.
+// rules. The CF never writes into rules, which callers may share.
 func NewCF(name string, rules ...IntegrityRule) *CF {
-	return &CF{base: NewBase(name), plugins: make(map[string]Component), rules: rules}
+	cf := &CF{base: NewBase(name), rules: slices.Clip(rules)}
+	cf.base.Provide("ICFMeta", cf)
+	return cf
 }
 
 // Name implements Component.
 func (cf *CF) Name() string { return cf.base.Name() }
 
 // Provided implements Component; a CF exposes its own interfaces (exported
-// with Provide) plus the ICFMeta architecture meta-model implicitly.
-func (cf *CF) Provided() map[string]any {
-	p := cf.base.Provided()
-	p["ICFMeta"] = cf
-	return p
-}
+// with Provide) and the ICFMeta architecture meta-model.
+func (cf *CF) Provided() []Interface { return cf.base.Provided() }
 
 // Provide exports a named interface on the CF's outer boundary, typically a
 // facade over an inner component.
@@ -89,20 +89,11 @@ func (cf *CF) AddRule(r IntegrityRule) error {
 func (cf *CF) Arch() Arch {
 	cf.mu.Lock()
 	defer cf.mu.Unlock()
-	return cf.archLocked()
+	return Arch{Components: slices.Clone(cf.names)}
 }
 
-func (cf *CF) archLocked() Arch { return Arch{Components: cf.namesLocked()} }
-
-// namesLocked lists the plug-in names in sorted order.
-func (cf *CF) namesLocked() []string {
-	names := make([]string, 0, len(cf.plugins))
-	for n := range cf.plugins {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// archLocked is the current architecture as a view, for the rules to read.
+func (cf *CF) archLocked() Arch { return Arch{Components: cf.names} }
 
 // checkLocked validates the current architecture against all rules; op
 // describes the mutation, for the error of the rule that rejects it.
@@ -124,21 +115,34 @@ func (cf *CF) addLocked(c Component) error {
 	if cf.sealed {
 		return ErrSealed
 	}
-	if _, ok := cf.plugins[c.Name()]; ok {
-		return fmt.Errorf("%w: component %q", ErrDuplicate, c.Name())
+	name := c.Name()
+	i, found := slices.BinarySearch(cf.names, name)
+	if found {
+		return fmt.Errorf("%w: component %q", ErrDuplicate, name)
 	}
-	cf.plugins[c.Name()] = c
+	cf.names = insertExact(cf.names, i, name)
+	cf.plugins = insertExact(cf.plugins, i, c)
 	return nil
 }
 
 // removeLocked unplugs the named component without checking rules.
 func (cf *CF) removeLocked(name string) (Component, error) {
-	c, ok := cf.plugins[name]
-	if !ok {
+	i, found := slices.BinarySearch(cf.names, name)
+	if !found {
 		return nil, fmt.Errorf("%w: %q", ErrNoComponent, name)
 	}
-	delete(cf.plugins, name)
+	c := cf.plugins[i]
+	cf.names = slices.Delete(cf.names, i, i+1)
+	cf.plugins = slices.Delete(cf.plugins, i, i+1)
 	return c, nil
+}
+
+// plugLocked looks up a plug-in by name.
+func (cf *CF) plugLocked(name string) (Component, bool) {
+	if i, found := slices.BinarySearch(cf.names, name); found {
+		return cf.plugins[i], true
+	}
+	return nil, false
 }
 
 // Insert plugs a component into the CF. The insertion is rolled back if it
@@ -150,7 +154,7 @@ func (cf *CF) Insert(c Component) error {
 		return err
 	}
 	if err := cf.checkLocked(func() string { return fmt.Sprintf("insert %q", c.Name()) }); err != nil {
-		delete(cf.plugins, c.Name())
+		_, _ = cf.removeLocked(c.Name()) // just added
 		return err
 	}
 	return nil
@@ -165,7 +169,7 @@ func (cf *CF) Remove(name string) error {
 		return err
 	}
 	if err := cf.checkLocked(func() string { return fmt.Sprintf("remove %q", name) }); err != nil {
-		cf.plugins[name] = c
+		_ = cf.addLocked(c) // vetoed, so not sealed, and the name is free
 		return err
 	}
 	return nil
@@ -175,8 +179,7 @@ func (cf *CF) Remove(name string) error {
 func (cf *CF) Plug(name string) (Component, bool) {
 	cf.mu.Lock()
 	defer cf.mu.Unlock()
-	c, ok := cf.plugins[name]
-	return c, ok
+	return cf.plugLocked(name)
 }
 
 // InterfacesOf implements the interface meta-model: the runtime list of
@@ -187,11 +190,10 @@ func (cf *CF) InterfacesOf(name string) ([]InterfaceInfo, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoComponent, name)
 	}
 	provided := c.Provided()
-	out := make([]InterfaceInfo, 0, len(provided))
-	for n, impl := range provided {
-		out = append(out, InterfaceInfo{Name: n, Type: reflect.TypeOf(impl)})
+	out := make([]InterfaceInfo, len(provided))
+	for i, p := range provided {
+		out[i] = InterfaceInfo{Name: p.Name, Type: reflect.TypeOf(p.Impl)}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 
@@ -215,20 +217,22 @@ func (cf *CF) Seal() {
 func (cf *CF) Replace(name string, replacement Component) error {
 	cf.mu.Lock()
 	defer cf.mu.Unlock()
-	old, ok := cf.plugins[name]
-	if !ok {
+	if _, ok := cf.plugLocked(name); !ok {
 		return fmt.Errorf("%w: %q", ErrNoComponent, name)
+	}
+	if cf.sealed {
+		return fmt.Errorf("replace %q: %w", name, ErrSealed)
 	}
 	resume := cf.quiesceLocked()
 	defer resume()
-	delete(cf.plugins, name)
+	old, _ := cf.removeLocked(name)
 	if err := cf.addLocked(replacement); err != nil {
-		cf.plugins[name] = old
+		_ = cf.addLocked(old) // its name is free again
 		return fmt.Errorf("replace %q: %w", name, err)
 	}
 	if err := cf.checkLocked(func() string { return fmt.Sprintf("replace %q with %q", name, replacement.Name()) }); err != nil {
-		delete(cf.plugins, replacement.Name())
-		cf.plugins[name] = old
+		_, _ = cf.removeLocked(replacement.Name()) // just added
+		_ = cf.addLocked(old)
 		return err
 	}
 	return nil
@@ -245,13 +249,13 @@ func (cf *CF) Reconfigure(fn func(tx *Tx) error) error {
 	defer cf.mu.Unlock()
 	resume := cf.quiesceLocked()
 	defer resume()
-	prior := maps.Clone(cf.plugins)
+	names, plugins := slices.Clone(cf.names), slices.Clone(cf.plugins)
 	err := fn(&Tx{cf: cf})
 	if err == nil {
 		err = cf.checkLocked(func() string { return "reconfigure transaction" })
 	}
 	if err != nil {
-		cf.plugins = prior
+		cf.names, cf.plugins = names, plugins
 	}
 	return err
 }
@@ -260,8 +264,8 @@ func (cf *CF) Reconfigure(fn func(tx *Tx) error) error {
 // order; the returned func resumes them in reverse order.
 func (cf *CF) quiesceLocked() func() {
 	var resumes []func()
-	for _, name := range cf.namesLocked() {
-		if q, ok := cf.plugins[name].(Quiescable); ok {
+	for _, c := range cf.plugins {
+		if q, ok := c.(Quiescable); ok {
 			resumes = append(resumes, q.Quiesce())
 		}
 	}
@@ -286,12 +290,6 @@ func (tx *Tx) Insert(c Component) error { return tx.cf.addLocked(c) }
 func (tx *Tx) Remove(name string) error {
 	_, err := tx.cf.removeLocked(name)
 	return err
-}
-
-// Plug looks up a plug-in within the transaction.
-func (tx *Tx) Plug(name string) (Component, bool) {
-	c, ok := tx.cf.plugins[name]
-	return c, ok
 }
 
 // RuleSingleton returns an integrity rule enforcing that at most one

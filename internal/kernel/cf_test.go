@@ -286,3 +286,46 @@ func TestRulesAddedLaterStillVetoWithTheSameText(t *testing.T) {
 		t.Errorf("Insert+Remove on a CF without rules allocate %.0f objects", allocs)
 	}
 }
+
+// Every mutation keeps the plug-ins in name order, the two parallel slices
+// in step, and a rolled-back one leaves them as they were.
+func TestPluginsStaySorted(t *testing.T) {
+	cf := NewCF("mp", RuleSingleton("one b", func(c string) bool { return strings.HasPrefix(c, "b") }))
+	check := func(want ...string) {
+		t.Helper()
+		if got := cf.Arch().Components; !slices.Equal(got, want) {
+			t.Fatalf("Components = %v, want %v", got, want)
+		}
+		for i, c := range cf.plugins {
+			if c.Name() != cf.names[i] {
+				t.Fatalf("plug-in %d is %q, its name slot says %q", i, c.Name(), cf.names[i])
+			}
+		}
+	}
+	for _, n := range []string{"m", "z", "a", "c"} {
+		if err := cf.Insert(newTestComp(n, "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("a", "c", "m", "z")
+	if err := cf.Remove("c"); err != nil {
+		t.Fatal(err)
+	}
+	check("a", "m", "z")
+	if err := cf.Replace("m", newTestComp("b1", "")); err != nil {
+		t.Fatal(err)
+	}
+	check("a", "b1", "z")
+	if err := cf.Replace("z", newTestComp("b2", "")); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("vetoed Replace = %v", err)
+	}
+	check("a", "b1", "z")
+	if err := cf.Insert(newTestComp("b0", "")); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("vetoed Insert = %v", err)
+	}
+	check("a", "b1", "z")
+	if err := cf.Replace("a", newTestComp("y", "")); err != nil {
+		t.Fatal(err)
+	}
+	check("b1", "y", "z")
+}

@@ -21,7 +21,8 @@ package kernel
 
 import (
 	"errors"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -30,9 +31,15 @@ import (
 type Component interface {
 	// Name returns the component's instance name, unique within its host.
 	Name() string
-	// Provided returns the named interfaces the component exposes. The map
-	// must be stable for the lifetime of the component.
-	Provided() map[string]any
+	// Provided returns the named interfaces the component exposes, sorted
+	// by name. The slice is the caller's: editing it changes nothing.
+	Provided() []Interface
+}
+
+// Interface is one named interface a component provides.
+type Interface struct {
+	Name string
+	Impl any
 }
 
 // Quiescable is implemented by components that must be driven to a safe
@@ -53,55 +60,60 @@ var (
 // Base is a reusable Component implementation. Concrete components create a
 // Base, register their interfaces on it, and delegate the Component methods
 // to it (composition, not embedding, keeps the public structs free of
-// foreign methods).
+// foreign methods). A component provides one or two interfaces, so they are
+// a slice sorted by name, sized to fit.
 type Base struct {
-	name string
-
+	name     string
 	mu       sync.Mutex
-	provided map[string]any
+	provided []Interface
 }
 
 var _ Component = (*Base)(nil)
 
 // NewBase returns a Base for a component with the given instance name.
-func NewBase(name string) *Base {
-	return &Base{name: name, provided: make(map[string]any)}
-}
+func NewBase(name string) *Base { return &Base{name: name} }
 
 // Name implements Component.
 func (b *Base) Name() string { return b.name }
 
-// Provide registers a named provided interface.
+// Provide registers a named provided interface, replacing the one of the
+// same name in place.
 func (b *Base) Provide(name string, impl any) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.provided[name] = impl
+	i, found := slices.BinarySearchFunc(b.provided, name, func(p Interface, n string) int { return strings.Compare(p.Name, n) })
+	if found {
+		b.provided[i].Impl = impl
+		return
+	}
+	b.provided = insertExact(b.provided, i, Interface{Name: name, Impl: impl})
 }
 
-// Provided implements Component. The returned map is a copy.
-func (b *Base) Provided() map[string]any {
+// insertExact is slices.Insert, except that a full s grows by exactly one:
+// the kernel's registries hold a handful of entries and change at
+// deployment, so they keep no spare capacity.
+func insertExact[S ~[]E, E any](s S, i int, v E) S {
+	if len(s) == cap(s) {
+		s = append(make(S, 0, len(s)+1), s...)
+	}
+	return slices.Insert(s, i, v)
+}
+
+// Provided implements Component.
+func (b *Base) Provided() []Interface {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make(map[string]any, len(b.provided))
-	for k, v := range b.provided {
-		out[k] = v
-	}
-	return out
+	return slices.Clone(b.provided)
 }
 
 // Query is the interface meta-model's typed lookup: it returns the first
 // provided interface of c that satisfies Go type T. Used for the paper's
 // "direct calls … typically benefit from OpenCom's interface meta-model to
-// dynamically discover interfaces at runtime" (§4.2).
+// dynamically discover interfaces at runtime" (§4.2). The lowest-named
+// match wins.
 func Query[T any](c Component) (T, bool) {
-	provided := c.Provided()
-	names := make([]string, 0, len(provided))
-	for n := range provided {
-		names = append(names, n)
-	}
-	sort.Strings(names) // deterministic choice
-	for _, n := range names {
-		if t, ok := provided[n].(T); ok {
+	for _, p := range c.Provided() {
+		if t, ok := p.Impl.(T); ok {
 			return t, true
 		}
 	}

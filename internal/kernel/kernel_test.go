@@ -26,22 +26,22 @@ func newTestComp(name, msg string) *testComp {
 	return c
 }
 
-func (c *testComp) Name() string             { return c.base.Name() }
-func (c *testComp) Provided() map[string]any { return c.base.Provided() }
+func (c *testComp) Name() string          { return c.base.Name() }
+func (c *testComp) Provided() []Interface { return c.base.Provided() }
 
 func TestBaseProvideAndReceptacles(t *testing.T) {
 	c := newTestComp("a", "hello")
 	p := c.Provided()
-	if len(p) != 1 {
+	if len(p) != 1 || p[0].Name != "IGreet" {
 		t.Fatalf("Provided = %v", p)
 	}
-	g, ok := p["IGreet"].(greeter)
+	g, ok := p[0].Impl.(greeter)
 	if !ok || g.Greet() != "hello" {
 		t.Fatalf("Provided = %v", p)
 	}
 	// Provided hands out a copy: editing it changes nothing.
-	delete(p, "IGreet")
-	if _, ok := c.Provided()["IGreet"]; !ok {
+	p[0] = Interface{}
+	if got := c.Provided(); len(got) != 1 || got[0].Name != "IGreet" {
 		t.Fatal("editing the Provided copy removed the interface")
 	}
 }
@@ -134,4 +134,34 @@ func ExampleQuery() {
 		fmt.Println(g.Greet())
 	}
 	// Output: hello from the interface meta-model
+}
+
+// Provide on a name already provided replaces its implementation where it
+// stands: the set keeps its size and its name order.
+func TestProvideReplacesInPlace(t *testing.T) {
+	b := NewBase("c")
+	for _, n := range []string{"IZeta", "IAlpha", "IMid"} {
+		b.Provide(n, n)
+	}
+	b.Provide("IMid", "again")
+	got := b.Provided()
+	if want := []Interface{{"IAlpha", "IAlpha"}, {"IMid", "again"}, {"IZeta", "IZeta"}}; !slices.Equal(got, want) {
+		t.Fatalf("Provided = %v, want %v", got, want)
+	}
+}
+
+type otherGreet struct{}
+
+func (otherGreet) Greet() string { return "other" }
+
+// Query picks the lowest-named of several matching interfaces, whatever
+// order they were provided in.
+func TestQueryReturnsLowestNamedMatch(t *testing.T) {
+	b := NewBase("c")
+	b.Provide("IZ", otherGreet{})
+	b.Provide("IB", &greetImpl{msg: "b"})
+	b.Provide("IA", 42) // not a greeter
+	if g, ok := Query[greeter](b); !ok || g.Greet() != "b" {
+		t.Fatalf("Query[greeter] = %v, %v; want the one provided as IB", g, ok)
+	}
 }

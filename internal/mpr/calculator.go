@@ -16,8 +16,8 @@ type calculator struct {
 	out  []mnet.Addr
 }
 
-func (c *calculator) Name() string             { return c.base.Name() }
-func (c *calculator) Provided() map[string]any { return c.base.Provided() }
+func (c *calculator) Name() string                 { return c.base.Name() }
+func (c *calculator) Provided() []kernel.Interface { return c.base.Provided() }
 
 // GreedyCalculator is the default relay-selection component: the RFC 3626
 // heuristic. It first picks neighbours that are the sole path to some

@@ -10,6 +10,7 @@ import (
 	"manetkit/internal/core"
 	"manetkit/internal/emunet"
 	"manetkit/internal/event"
+	"manetkit/internal/kernel"
 	"manetkit/internal/mnet"
 	"manetkit/internal/packetbb"
 	"manetkit/internal/route"
@@ -356,18 +357,12 @@ func TestSysStateFacade(t *testing.T) {
 }
 
 func kernelQuerySysState(n *node) (*SysState, bool) {
-	impl, ok := n.sys.Protocol().Provided()["ISysState"]
-	if !ok {
-		return nil, false
-	}
-	st, ok := impl.(*SysState)
-	return st, ok
+	return kernel.Query[*SysState](n.sys.Protocol())
 }
 
 func TestSysControlInitRoutingEnv(t *testing.T) {
 	_, _, nodes := newTestNet(t, 1)
-	impl := nodes[0].sys.Protocol().Provided()["ISysControl"]
-	sc, ok := impl.(*SysControl)
+	sc, ok := kernel.Query[*SysControl](nodes[0].sys.Protocol())
 	if !ok {
 		t.Fatal("ISysControl not provided")
 	}

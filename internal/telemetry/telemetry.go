@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -114,6 +115,8 @@ type Bus struct {
 	evicted uint64 // recorder ring overwrites
 	subs    map[*Subscription]struct{}
 	closed  bool
+	// watchers run after every flip of active (Watch).
+	watchers []*func()
 }
 
 // New creates a bus. See Config for the recorder policy.
@@ -227,6 +230,8 @@ func (b *Bus) subscribe(buffer int, streams []string, backlog bool) *Subscriptio
 			s.streams[name] = true
 		}
 	}
+	notify := func() {}
+	defer func() { notify() }() // after the unlock below
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var hist []Event
@@ -253,12 +258,14 @@ func (b *Bus) subscribe(buffer int, streams []string, backlog bool) *Subscriptio
 		return s
 	}
 	b.subs[s] = struct{}{}
-	b.active.Store(true)
+	notify = b.setActiveLocked(true)
 	return s
 }
 
 // unsubscribe detaches s and closes its channel exactly once.
 func (b *Bus) unsubscribe(s *Subscription) {
+	notify := func() {}
+	defer func() { notify() }() // after the unlock below
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if s.closed {
@@ -268,7 +275,44 @@ func (b *Bus) unsubscribe(s *Subscription) {
 	s.closed = true
 	close(s.ch)
 	if len(b.subs) == 0 && b.ring == nil {
-		b.active.Store(false)
+		notify = b.setActiveLocked(false)
+	}
+}
+
+// setActiveLocked sets the gate and returns what runs the watchers if it
+// flipped. The caller runs that once it has released mu, before the call
+// that flipped the gate returns.
+func (b *Bus) setActiveLocked(v bool) (notify func()) {
+	if b.active.Swap(v) == v || len(b.watchers) == 0 {
+		return func() {}
+	}
+	watchers := slices.Clone(b.watchers)
+	return func() {
+		for _, fn := range watchers {
+			(*fn)()
+		}
+	}
+}
+
+// Watch registers fn to run after every flip of Active: the first
+// subscriber, the last unsubscribe and Close. A reader that compiles the
+// gate into its own published state (the Framework Manager's plans)
+// republishes it there, so a publish that follows the flipping call sees
+// the new gate. fn runs outside the bus's lock and must not subscribe or
+// unsubscribe; it reads Active itself, since flips may race. The returned
+// func unregisters fn.
+func (b *Bus) Watch(fn func()) (unwatch func()) {
+	if b == nil {
+		return func() {}
+	}
+	w := &fn
+	b.mu.Lock()
+	b.watchers = append(b.watchers, w)
+	b.mu.Unlock()
+	return func() {
+		b.mu.Lock()
+		b.watchers = slices.DeleteFunc(b.watchers, func(x *func()) bool { return x == w })
+		b.mu.Unlock()
 	}
 }
 
@@ -279,13 +323,15 @@ func (b *Bus) Close() {
 	if b == nil {
 		return
 	}
+	notify := func() {}
+	defer func() { notify() }() // after the unlock below
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return
 	}
 	b.closed = true
-	b.active.Store(false)
+	notify = b.setActiveLocked(false)
 	for s := range b.subs {
 		s.closed = true
 		close(s.ch)

@@ -336,3 +336,32 @@ func TestImportsNoProducer(t *testing.T) {
 		}
 	}
 }
+
+// A watcher runs once per flip of Active — the first subscriber, the last
+// unsubscribe, Close — outside the bus's lock, and never after unwatch.
+func TestWatchFiresOnEveryFlip(t *testing.T) {
+	b := New(Config{Epoch: testEpoch, RecorderCapacity: -1})
+	var seen []bool
+	unwatch := b.Watch(func() { seen = append(seen, b.Active()); _ = b.Seq() }) // Seq takes the lock
+	s1 := b.Subscribe(1)
+	s2 := b.Subscribe(1)
+	s1.Close()
+	s2.Close()
+	s3 := b.Subscribe(1)
+	b.Close()
+	s3.Close()
+	if want := []bool{true, false, true, false}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("watcher saw %v, want %v", seen, want)
+	}
+
+	rec := New(Config{Epoch: testEpoch})
+	calls := 0
+	unwatchRec := rec.Watch(func() { calls++ })
+	rec.Subscribe(1).Close() // a recorder keeps the bus active: no flip
+	unwatchRec()
+	rec.Close()
+	if calls != 0 {
+		t.Fatalf("watcher ran %d times on a bus that never flipped while watched", calls)
+	}
+	unwatch()
+}
