@@ -193,10 +193,11 @@ type Manager struct {
 	// is processed after the current delivery instead of deadlocking on
 	// the unit's critical section ("the same thread is used to call each
 	// ManetProtocol instance in turn", §4.4). dmu guards only this queue,
-	// so inline delivery never contends with reconfiguration.
+	// so inline delivery never contends with reconfiguration. draining marks
+	// the drain owned; it is cleared only under dmu with the queue empty.
 	dmu      sync.Mutex
 	inlineQ  queue.Ring[inlineDelivery]
-	draining bool
+	draining atomic.Bool
 }
 
 type inlineDelivery struct {
@@ -644,7 +645,10 @@ func (m *Manager) emit(rec *unitRec, ev *event.Event) {
 		// No chain for the type, or a chain whose compiled route is empty
 		// (no terminals beyond the emitter, or a vanished interposer): every
 		// such loss is counted and traced.
-		m.dropEvent(from, ev, tracing)
+		m.stats.dropped.Add(1)
+		if tracing {
+			m.span(telemetry.KindDrop, from, "", ev, 0)
+		}
 	} else {
 		m.deliverBatch(from, targets, ev, Model(m.model.Load()), tracing)
 	}
@@ -660,14 +664,6 @@ func (m *Manager) span(kind, from, to string, ev *event.Event, qdepth int) {
 		Node: m.obs.nodeStr, Kind: kind, Event: string(ev.Type),
 		From: from, To: to, Corr: ev.Corr, QDepth: qdepth,
 	})
-}
-
-// dropEvent accounts one undeliverable event.
-func (m *Manager) dropEvent(from string, ev *event.Event, tracing bool) {
-	m.stats.dropped.Add(1)
-	if tracing {
-		m.span(telemetry.KindDrop, from, "", ev, 0)
-	}
 }
 
 // refuse accounts a scheduled delivery that will never reach Accept — its
@@ -692,25 +688,18 @@ func (m *Manager) runAccept(u Unit, ev *event.Event) {
 // detached while a stale plan (or an already-queued delivery) still
 // referenced it reports ErrNotDeployed; that loss is accounted as a drop
 // (with a drop span naming the vanished target) rather than vanishing
-// silently.
+// silently. Any other Accept error is the unit's own business (protocols
+// count handler errors themselves).
 func (m *Manager) accept(u Unit, ev *event.Event) {
 	err := u.Accept(ev)
 	u.Section().Unlock()
-	m.accountAcceptErr(u, ev, err)
+	if err != nil && errors.Is(err, ErrNotDeployed) {
+		m.stats.dropped.Add(1)
+		if m.obs.active() {
+			m.span(telemetry.KindDrop, "", u.Name(), ev, 0)
+		}
+	}
 	ev.Release()
-}
-
-// accountAcceptErr records the delivery-to-detached-unit loss; any other
-// Accept error is the unit's own business (protocols count handler errors
-// themselves).
-func (m *Manager) accountAcceptErr(u Unit, ev *event.Event, err error) {
-	if err == nil || !errors.Is(err, ErrNotDeployed) {
-		return
-	}
-	m.stats.dropped.Add(1)
-	if m.obs.active() {
-		m.span(telemetry.KindDrop, "", u.Name(), ev, 0)
-	}
 }
 
 // deliverBatch hands ev to each target, always inside the unit's critical
@@ -722,6 +711,19 @@ func (m *Manager) accountAcceptErr(u Unit, ev *event.Event, err error) {
 // emission's dispatch spans are kept exactly when its emit span is.
 func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event, model Model, tracing bool) {
 	if model == SingleThreaded {
+		if rec := targets[0]; len(targets) == 1 && rec.dedicated.Load() == nil && m.draining.CompareAndSwap(false, true) {
+			// No drain runs, so nothing is queued: deliver at once, with the
+			// queue's span, then drain what the handlers queued behind it.
+			m.stats.delivered.Add(1)
+			ev.Hold()
+			if tracing {
+				m.span(telemetry.KindDispatch, from, rec.name, ev, 1)
+			}
+			m.runAccept(rec.unit, ev)
+			m.dmu.Lock()
+			m.drainLocked(true)
+			return
+		}
 		m.dmu.Lock()
 	}
 	for _, rec := range targets {
@@ -766,7 +768,7 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 		}
 	}
 	if model == SingleThreaded {
-		m.drainLocked()
+		m.drainLocked(false)
 	}
 }
 
@@ -792,21 +794,20 @@ func (m *Manager) ticket(rec *unitRec) (*TicketMutex, uint64) {
 }
 
 // drainLocked runs the single-threaded drain queue with m.dmu held on
-// entry. As the outermost frame it drains the queue, dropping m.dmu around
-// each Accept, so handler re-emits nest onto the same queue instead of
-// recursing; any inner frame returns at once.
-func (m *Manager) drainLocked() {
-	if m.draining {
+// entry. As the outermost frame, or for a caller that owns the drain, it
+// drains the queue, dropping m.dmu around each Accept, so handler re-emits
+// nest onto the same queue instead of recursing; an inner frame returns.
+func (m *Manager) drainLocked(owned bool) {
+	if !owned && !m.draining.CompareAndSwap(false, true) {
 		// An outer frame on this (or another) goroutine is already
 		// draining; it will pick these up in order.
 		m.dmu.Unlock()
 		return
 	}
-	m.draining = true
 	for {
 		d, ok := m.inlineQ.Pop()
 		if !ok {
-			m.draining = false
+			m.draining.Store(false)
 			m.dmu.Unlock()
 			return
 		}

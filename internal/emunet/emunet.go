@@ -136,9 +136,10 @@ type neighborLink struct {
 type Network struct {
 	clock vclock.Clock
 
-	// base is the instant deadline keys count from (see key).
-	base time.Time
+	// base is the clock reading deadline keys count from (see nowKey).
+	base int64
 
+	// mu guards the medium and every NIC's receiver and detach flag.
 	mu sync.Mutex
 	// rng draws the loss process. It is built from seed when the first
 	// lossy link is set, before any draw, so a medium whose links never
@@ -185,7 +186,7 @@ func NewReference(clock vclock.Clock, seed int64) *Network {
 func newNetwork(clock vclock.Clock, seed int64) *Network {
 	return &Network{
 		clock: clock,
-		base:  clock.Now(),
+		base:  clock.Nanos(),
 		seed:  seed,
 		nodes: make(map[mnet.Addr]*NIC),
 		adj:   make(map[mnet.Addr][]neighborLink),
@@ -225,9 +226,7 @@ func (n *Network) Reattach(nic *NIC) error {
 	if _, ok := n.nodes[nic.addr]; ok {
 		return fmt.Errorf("%w: %v", ErrAttached, nic.addr)
 	}
-	nic.mu.Lock()
 	nic.detached = false
-	nic.mu.Unlock()
 	n.nodes[nic.addr] = nic
 	return nil
 }
@@ -240,9 +239,7 @@ func (n *Network) Detach(addr mnet.Addr) error {
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNotFound, addr)
 	}
-	nic.mu.Lock()
 	nic.detached = true
-	nic.mu.Unlock()
 	delete(n.nodes, addr)
 	n.cutLocked(func(from, to mnet.Addr) bool { return from == addr || to == addr }, nil)
 	delete(n.adj, addr)
@@ -451,23 +448,21 @@ const macRetry = 2 * time.Millisecond
 // and a unicast whose MAC verdict goes to cb or fn (at most one is set). A
 // broadcast gets no verdict, as in 802.11.
 func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb func(bool), fn func(Frame, bool)) error {
-	c.mu.Lock()
-	detached := c.detached
-	c.mu.Unlock()
-	if detached {
-		return ErrDetached
-	}
 	if dst.IsBroadcast() {
 		cb, fn = nil, nil
 	}
 	src, device := c.addr, c.device
 	n.mu.Lock()
-	now := n.clock.Now()
+	if c.detached {
+		n.mu.Unlock()
+		return ErrDetached
+	}
+	nowAt := n.nowKey()
 	txTap := n.txTap
 	n.stats.TxFrames++
 	n.stats.TxBytes += uint64(len(payload))
 	if n.bus.Active() {
-		n.bus.Record(now, telemetry.Span{
+		n.bus.Record(n.clock.Now(), telemetry.Span{
 			Node: src.String(), Kind: telemetry.KindFrameTx,
 			To: traceTo(dst), Corr: corr, Bytes: len(payload),
 		})
@@ -485,16 +480,16 @@ func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb fu
 		targets = n.targets[:0]
 		for _, l := range n.adj[src] {
 			if l.q.Loss > 0 && n.rng.Float64() < l.q.Loss {
-				n.dropLocked(now, &n.stats.DroppedLoss, "loss", src, l.to, corr, len(payload))
+				n.dropLocked(&n.stats.DroppedLoss, "loss", src, l.to, corr, len(payload))
 				continue
 			}
 			targets = append(targets, l)
 		}
 		rx = len(targets)
 	} else if link = n.linkLocked(src, dst); link == nil {
-		n.dropLocked(now, &n.stats.DroppedNoLink, "no-link", src, dst, corr, len(payload))
+		n.dropLocked(&n.stats.DroppedNoLink, "no-link", src, dst, corr, len(payload))
 	} else if link.q.Loss > 0 && n.rng.Float64() < link.q.Loss {
-		n.dropLocked(now, &n.stats.DroppedLoss, "loss", src, dst, corr, len(payload))
+		n.dropLocked(&n.stats.DroppedLoss, "loss", src, dst, corr, len(payload))
 	} else {
 		rx = 1
 	}
@@ -512,7 +507,6 @@ func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb fu
 	if rx >= 2 {
 		shared = &decodeSlot{}
 	}
-	nowAt := n.key(now)
 	f := Frame{Src: src, Dst: dst, Payload: buf, Device: device, Corr: corr, shared: shared}
 	switch {
 	case dst.IsBroadcast():
@@ -543,10 +537,10 @@ func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb fu
 
 // dropLocked accounts one receiver's copy of a transmission as lost, for
 // reason event, on counter. Caller holds n.mu.
-func (n *Network) dropLocked(now time.Time, counter *uint64, event string, src, to mnet.Addr, corr string, bytes int) {
+func (n *Network) dropLocked(counter *uint64, event string, src, to mnet.Addr, corr string, bytes int) {
 	*counter++
 	if n.bus.Active() {
-		n.bus.Record(now, telemetry.Span{
+		n.bus.Record(n.clock.Now(), telemetry.Span{
 			Node: src.String(), Kind: telemetry.KindFrameDrop,
 			Event: event, To: to.String(), Corr: corr, Bytes: bytes,
 		})
@@ -585,16 +579,16 @@ func (n *Network) newDeliveryLocked(nic *NIC, f *Frame, cb func(bool), fn func(F
 // holds n.mu (vclock runs callbacks with its own lock released).
 func (n *Network) waitLocked(d *delivery, nowAt int64, delay time.Duration) {
 	if n.eng == nil {
-		n.clock.AfterFunc(delay, func() { d.fire(n.clock.Now()) })
+		n.clock.AfterFunc(delay, d.fire)
 		return
 	}
 	n.eng.scheduleLocked(d, nowAt+int64(delay))
 }
 
-// key maps an absolute instant to a deadline key: nanoseconds past base.
-// Keys are taken with Sub, which reads the monotonic clock under
-// vclock.Real, so they order exactly as the deadlines do.
-func (n *Network) key(t time.Time) int64 { return int64(t.Sub(n.base)) }
+// nowKey is the deadline key of the current instant: nanoseconds past
+// base, from one integer reading of the clock, which vclock.Real takes
+// from its monotonic clock, so keys order exactly as the deadlines do.
+func (n *Network) nowKey() int64 { return n.clock.Nanos() - n.base }
 
 // NIC is one node's attachment to the medium.
 type NIC struct {
@@ -602,8 +596,7 @@ type NIC struct {
 	addr   mnet.Addr
 	device string
 
-	mu       sync.Mutex
-	recv     func(Frame)
+	recv     func(Frame) // guarded by net.mu, as is detached
 	detached bool
 }
 
@@ -617,8 +610,8 @@ func (c *NIC) Device() string { return c.device }
 // Deliveries run on the clock's timer context; under a virtual clock that
 // is the goroutine driving the simulation.
 func (c *NIC) SetReceiver(fn func(Frame)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.net.mu.Lock()
+	defer c.net.mu.Unlock()
 	c.recv = fn
 }
 
@@ -653,28 +646,25 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 }
 
 // deliver is one frame's arrival, start to finish: account for the frame,
-// record its span at now, show it to the capture tap and hand it to the
-// receiver. A frame whose receiver detached in flight is dropped silently
-// (its MAC verdict, which delivery.fire reports next, is still success:
-// the ACK left the receiver before it crashed).
-func (c *NIC) deliver(f *Frame, now time.Time) {
-	c.mu.Lock()
+// record its span, show it to the capture tap and hand it to the receiver.
+// A frame whose receiver detached in flight is dropped silently (its MAC
+// verdict, which delivery.fire reports next, is still success: the ACK
+// left the receiver before it crashed).
+func (c *NIC) deliver(f *Frame) {
+	n := c.net
+	n.mu.Lock()
 	if c.detached {
-		c.mu.Unlock()
+		n.mu.Unlock()
 		return
 	}
 	recv := c.recv
-	c.mu.Unlock()
-
-	n := c.net
-	n.mu.Lock()
 	n.stats.RxFrames++
 	n.stats.RxBytes += uint64(len(f.Payload))
 	if f.Corrupted {
 		n.stats.RxCorrupted++
 	}
 	if n.bus.Active() {
-		n.bus.Record(now, telemetry.Span{
+		n.bus.Record(n.clock.Now(), telemetry.Span{
 			Node: c.addr.String(), Kind: telemetry.KindFrameRx,
 			From: f.Src.String(), Corr: f.Corr, Bytes: len(f.Payload),
 		})

@@ -65,7 +65,7 @@ type EngineStats struct {
 // without a MAC feedback verdict falling due with it, or a verdict alone
 // (nic == nil: the frame was lost, and frame is what fn is handed).
 type delivery struct {
-	at  int64 // deadline key (Network.key)
+	at  int64 // deadline key (Network.nowKey)
 	seq uint64
 
 	nic   *NIC
@@ -74,14 +74,13 @@ type delivery struct {
 	fn    func(f Frame, delivered bool) // MAC feedback; nil unless SendWithFeedbackTagged
 }
 
-// fire ends a delivery at now: the frame reaches its receiver, then the
-// verdict its sender. Both paths end every delivery here — an epoch for
-// each delivery of its batch, the reference path from the delivery's own
-// timer.
-func (d *delivery) fire(now time.Time) {
+// fire ends a delivery: the frame reaches its receiver, then the verdict
+// its sender. Both paths end every delivery here — an epoch for each
+// delivery of its batch, the reference path from the delivery's own timer.
+func (d *delivery) fire() {
 	nic, cb, fn := d.nic, d.cb, d.fn
 	if nic != nil {
-		nic.deliver(&d.frame, now)
+		nic.deliver(&d.frame)
 	}
 	if cb != nil {
 		cb(nic != nil)
@@ -139,7 +138,7 @@ func (e *engine) scheduleLocked(d *delivery, at int64) {
 // because vclock invokes callbacks with its own lock released.
 func (e *engine) armLocked(at int64) {
 	e.anchorAt, e.anchored = at, true
-	d := time.Duration(at - e.net.key(e.net.clock.Now()))
+	d := time.Duration(at - e.net.nowKey())
 	if d < 0 {
 		d = 0
 	}
@@ -183,8 +182,7 @@ func (e *engine) run() {
 		n.mu.Unlock()
 		return
 	}
-	now := n.clock.Now()
-	nowAt := n.key(now)
+	nowAt := n.nowKey()
 	batch := e.batch[:0]
 	for e.q.len() > 0 && e.q.min().at <= nowAt {
 		batch = append(batch, e.q.pop())
@@ -200,7 +198,7 @@ func (e *engine) run() {
 	n.mu.Unlock()
 
 	for _, d := range batch {
-		d.fire(now)
+		d.fire()
 	}
 
 	es := EpochStats{Events: len(batch), CommitLag: time.Duration(nowAt - batch[0].at)}
@@ -222,7 +220,7 @@ func (e *engine) run() {
 	// the clock goroutine — so bus events interleave deterministically with
 	// the spans the epoch just recorded.
 	if bus.Active() {
-		bus.Publish(now, telemetry.StreamEngine, "epoch", "", es)
+		bus.Publish(n.clock.Now(), telemetry.StreamEngine, "epoch", "", es)
 	}
 }
 

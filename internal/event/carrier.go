@@ -15,7 +15,7 @@ import (
 // heap object each. A carrier counts holds: the creator's, which the
 // first emission takes over, and one per delivery the Framework Manager
 // schedules, dropped when that delivery's Accept returns. The last release
-// poisons the carrier and returns it to the pool, so an event, its Route
+// poisons the carrier and returns it to the free list, so an event, its Route
 // and a relayed Msg header are valid only until the handler, interposer,
 // sniffer or context subscriber reading them returns; whoever keeps one
 // copies it (*ev, *ev.Route, ev.Msg.Clone(), *ev.Link, *ev.Nhood with
@@ -39,12 +39,25 @@ type carrier struct {
 	fresh bool
 }
 
-var carriers = sync.Pool{New: func() any { return new(carrier) }}
+// carriers is the free list released carriers wait in, up to its capacity.
+// Unlike a sync.Pool, neither a collection nor the race detector empties
+// it, so a steady borrower never allocates.
+var carriers = struct {
+	sync.Mutex
+	free []*carrier
+}{free: make([]*carrier, 0, 64)}
 
 // Borrow returns an empty event of type t owned by the framework: the first
 // Emit takes it over, and it is valid only until its last delivery returns.
 func Borrow(t Type) *Event {
-	c := carriers.Get().(*carrier)
+	carriers.Lock()
+	var c *carrier
+	if n := len(carriers.free) - 1; n >= 0 {
+		c, carriers.free = carriers.free[n], carriers.free[:n]
+	} else { // every payload but the one an event carries holds the poison
+		c = &carrier{route: poisonRoute, link: poisonLink, msg: poisonMsg, nhood: NhoodPayload{Neighbor: poisonAddr}}
+	}
+	carriers.Unlock()
 	c.holds.Store(1)
 	c.fresh = true
 	c.ev = Event{Type: t, c: c}
@@ -118,8 +131,9 @@ func (ev *Event) Hold() {
 	}
 }
 
-// Release drops one hold on a borrowed event. The last poisons the carrier
-// and returns it to the pool; releasing an event with no hold left panics.
+// Release drops one hold on a borrowed event. The last poisons the event
+// and the one payload it carried (the others hold the poison already) and
+// frees the carrier; releasing an event with no hold left panics.
 func (ev *Event) Release() {
 	c := ev.carrier()
 	if c == nil {
@@ -131,14 +145,26 @@ func (ev *Event) Release() {
 	case n < 0:
 		panic("event: Release of an event with no hold left")
 	}
+	switch {
+	case c.ev.Route == &c.route:
+		c.route = poisonRoute
+	case c.ev.Link == &c.link:
+		c.link = poisonLink
+	case c.ev.Msg == &c.msg:
+		c.msg = poisonMsg
+	case c.ev.Nhood == &c.nhood:
+		c.nhood = NhoodPayload{Neighbor: poisonAddr, TwoHopVia: c.via}
+		for i := range c.via {
+			c.via[i] = poisonAddr
+		}
+	}
 	c.ev = poisonEvent
 	c.ev.c, c.ev.Msg, c.ev.Route, c.ev.Link, c.ev.Nhood = c, &c.msg, &c.route, &c.link, &c.nhood
-	c.route, c.link, c.msg = poisonRoute, poisonLink, poisonMsg
-	c.nhood = NhoodPayload{Neighbor: poisonAddr, TwoHopVia: c.via}
-	for i := range c.via {
-		c.via[i] = poisonAddr
+	carriers.Lock()
+	if len(carriers.free) < cap(carriers.free) {
+		carriers.free = append(carriers.free, c)
 	}
-	carriers.Put(c)
+	carriers.Unlock()
 }
 
 // Poisoned reports whether ev is a released borrowed event: whoever still

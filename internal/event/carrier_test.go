@@ -1,6 +1,8 @@
 package event
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"manetkit/internal/mnet"
@@ -53,7 +55,7 @@ func TestBorrowedEventLifecycle(t *testing.T) {
 }
 
 // TestBorrowedEventDoubleReleasePanics: a release with no hold left is an
-// accounting bug, and it must not return the carrier to the pool twice.
+// accounting bug, and it must not return the carrier to the free list twice.
 func TestBorrowedEventDoubleReleasePanics(t *testing.T) {
 	ev := Borrow(RouteUpdate)
 	ev.Claim()
@@ -94,7 +96,7 @@ func TestBorrowedEventCopiesArePlain(t *testing.T) {
 	}
 }
 
-// TestBorrowIsAllocationFree: once the pool is warm, a borrow and its
+// TestBorrowIsAllocationFree: once the free list is warm, a borrow and its
 // release cost nothing.
 func TestBorrowIsAllocationFree(t *testing.T) {
 	rp := RoutePayload{PacketID: 1}
@@ -106,5 +108,51 @@ func TestBorrowIsAllocationFree(t *testing.T) {
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("borrow + release = %.1f allocs, want 0", n)
+	}
+}
+
+// TestFreeListPlateaus: releasing more carriers than the free list's cap
+// leaves it at the cap; the rest go to the collector.
+func TestFreeListPlateaus(t *testing.T) {
+	freeCap := cap(carriers.free)
+	evs := make([]*Event, freeCap+10)
+	for i := range evs {
+		evs[i] = Borrow(RouteUpdate)
+		evs[i].Claim()
+	}
+	for _, ev := range evs {
+		ev.Release()
+	}
+	carriers.Lock()
+	n := len(carriers.free)
+	carriers.Unlock()
+	if n != freeCap || cap(carriers.free) != freeCap {
+		t.Fatalf("free list holds %d carriers after %d releases, want the cap %d", n, len(evs), freeCap)
+	}
+}
+
+// TestReleasedCarrierIsPoisonedThroughout: a release poisons only the
+// payload its event carried, yet every payload pointer of a released event
+// reads the poison, whatever the carrier carried before.
+func TestReleasedCarrierIsPoisonedThroughout(t *testing.T) {
+	nb := mnet.AddrFrom(0x0a000002)
+	msg := &packetbb.Message{Type: packetbb.MsgTC, Originator: nb, HopLimit: 3, SeqNum: 9}
+	borrow := []func() *Event{
+		func() *Event { return WithRoute(RouteUpdate, RoutePayload{Dst: nb, PacketID: 7}) },
+		func() *Event { return WithLink(LinkPayload{Neighbor: nb, Quality: 0.5}) },
+		func() *Event { return WithNhood(NhoodPayload{Neighbor: nb, TwoHopVia: []mnet.Addr{nb, nb}}) },
+		func() *Event { return Relay(TCOut, msg, nb) },
+		func() *Event { return Borrow(HelloIn) },
+	}
+	for round := 0; round < 3; round++ {
+		for i, b := range borrow {
+			ev := b()
+			ev.Claim()
+			ev.Release()
+			if !ev.Poisoned() || *ev.Route != poisonRoute || *ev.Link != poisonLink || !reflect.DeepEqual(*ev.Msg, poisonMsg) ||
+				ev.Nhood.Neighbor != poisonAddr || slices.ContainsFunc(ev.Nhood.TwoHopVia, func(a mnet.Addr) bool { return a != poisonAddr }) {
+				t.Fatalf("round %d, borrow %d: released event reads %+v", round, i, *ev)
+			}
+		}
 	}
 }

@@ -114,9 +114,12 @@ type Table struct {
 
 	// base anchors every stored expiry, which is the expiry minus base
 	// (taken with Sub, so a clock's monotonic reading is kept). The first
-	// time the table converts fixes it.
+	// time the table converts fixes it. baseN is base as a reading of the
+	// clock (vclock.Clock.Nanos), fixed by the first nowKey (keyed).
 	base    time.Time
 	baseSet bool
+	baseN   int64
+	keyed   bool
 
 	// Batch diff-install state: the mark generation distinguishes entries
 	// touched by the current ReplaceProto sweep, and the scratch slice is
@@ -139,11 +142,22 @@ func (t *Table) since(x time.Time) int64 {
 	if !t.baseSet {
 		t.base, t.baseSet = x, true
 	}
-	d := int64(x.Sub(t.base))
-	if d == never { // saturated: still an expiry, not "none"
-		d--
+	return expiry(int64(x.Sub(t.base)))
+}
+
+// expiry stores an offset from base: saturated, it is still not "none".
+func expiry(d int64) int64 { return min(d, never-1) }
+
+// nowKey is since(t.clock.Now()) from one integer reading of the clock,
+// without time.Time arithmetic: exact while the clock is within the
+// Duration range of base. Called with t.mu held.
+func (t *Table) nowKey() int64 {
+	n := t.clock.Nanos()
+	if !t.keyed {
+		t.since(t.clock.Origin().Add(time.Duration(n))) // fixes base on a first conversion
+		t.baseN, t.keyed = int64(t.base.Sub(t.clock.Origin())), true
 	}
-	return d
+	return expiry(vclock.AddSat(n, time.Duration(-t.baseN)))
 }
 
 // at converts a stored expiry back to the time it stands for.
@@ -429,10 +443,9 @@ func (t *Table) AddPath(dst mnet.Prefix, proto string, seq uint16, p Path) {
 // scanned. Among equally long matches the lowest base address wins, as in
 // FIB.Lookup.
 func (t *Table) Lookup(dst mnet.Addr) (Entry, Path, error) {
-	now := t.clock.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	nowK := t.since(now)
+	nowK := t.nowKey()
 	if i, ok := t.index.Get(dst.Uint32()); ok && t.recs[i].valid {
 		r := &t.recs[i]
 		if p, ok := t.best(r, nowK); ok {
@@ -546,14 +559,14 @@ func (t *Table) Remove(dst mnet.Prefix) bool {
 // route it is one index probe and an in-place write, and a FIB write only
 // when it revives an expired path the FIB does not hold as the best.
 func (t *Table) ExtendLifetime(dst mnet.Prefix, nextHop mnet.Addr, d time.Duration) bool {
-	now := t.clock.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.find(dst)
 	if r == nil || !r.valid || r.npaths == 0 {
 		return false
 	}
-	nowK, dk := t.since(now), t.since(now.Add(d))
+	nowK := t.nowKey()
+	dk := expiry(vclock.AddSat(nowK, d))
 	everyHop := nextHop.IsUnspecified()
 	touched, revived := false, false
 	if everyHop || r.nextHop == nextHop {
@@ -601,10 +614,9 @@ func (t *Table) reviveLocked(r *ribEntry, nowK int64) {
 // left with none and mirrors every entry that lost a path, and no other
 // entry, into the FIB. It returns the number of entries invalidated.
 func (t *Table) PurgeExpired() int {
-	now := t.clock.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	nowK := t.since(now)
+	nowK := t.nowKey()
 	gone := func(p ribPath) bool { return expired(p.exp, nowK) }
 	dead := 0
 	t.all(func(r *ribEntry) {
@@ -725,10 +737,9 @@ const (
 func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Prefix, mode installMode) ReplaceStats {
 	var stats ReplaceStats
 	replace := mode != installRefresh
-	now := t.clock.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	nowK := t.since(now)
+	nowK := t.nowKey()
 	t.markGen++
 	gen := t.markGen
 	owner := t.intern(proto)
@@ -832,7 +843,7 @@ func (t *Table) mirrorLocked(r *ribEntry) {
 		t.fib.Del(r.prefix())
 		return
 	}
-	p, ok := t.best(r, t.since(t.clock.Now()))
+	p, ok := t.best(r, t.nowKey())
 	if !ok {
 		t.fib.Del(r.prefix())
 		return

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"manetkit/internal/core"
 	"manetkit/internal/emunet"
+	"manetkit/internal/event"
 	"manetkit/internal/mnet"
 	"manetkit/internal/route"
 )
@@ -57,6 +59,53 @@ func TestForwardedHopAllocs(t *testing.T) {
 	t.Logf("allocs: via relay %.1f, direct %.1f, one forwarded hop %.1f", viaRelay, direct, hop)
 	if viaRelay != 2 || direct != 1 {
 		t.Fatalf("allocs: via relay %.1f, direct %.1f (one forwarded hop %.1f); want 2, 1 and 1", viaRelay, direct, hop)
+	}
+}
+
+// BenchmarkForwardedHop times one data packet across a 3-node static line
+// per op: originated at the first node, forwarded one hop by the relay,
+// delivered at the last. Every node runs a routing stand-in that, like a
+// reactive protocol, is the one receiver of ROUTE_UPDATE and extends the
+// route's lifetime in its RIB, so each transmission pays for the filter,
+// the event's dispatch and handler, the RIB's expiry keys, the medium's
+// send, epoch and anchor re-arm, and the MAC verdict.
+func BenchmarkForwardedHop(b *testing.B) {
+	net, clk, nodes := newTestNet(b, 3)
+	staticLine(net, nodes)
+	delivered, extended := 0, 0
+	for _, n := range nodes {
+		rib := route.NewTable(clk)
+		rib.Upsert(route.Entry{Dst: mnet.HostPrefix(nodes[2].addr), Valid: true, Proto: "stand-in",
+			Paths: []route.Path{{NextHop: nodes[2].addr, Metric: 1, Expires: clk.Now().Add(time.Second)}}})
+		p := core.NewProtocol("stand-in")
+		p.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.RouteUpdate}}})
+		p.AddHandler(core.NewHandler("route-update", event.RouteUpdate, func(_ *core.Context, ev *event.Event) error {
+			if rib.ExtendLifetime(mnet.HostPrefix(ev.Route.Dst), mnet.Addr{}, time.Second) {
+				extended++
+			}
+			return nil
+		}))
+		if err := n.mgr.Deploy(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	nodes[2].sys.Filter().OnDeliver(func(mnet.Addr, []byte) { delivered++ })
+	payload := make([]byte, 64)
+	send := func() {
+		if err := nodes[0].sys.Filter().SendData(nodes[2].addr, payload); err != nil {
+			b.Fatal(err)
+		}
+		clk.Advance(10 * time.Millisecond)
+	}
+	send() // warm the engine's scratch, the timer heap and the carriers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		send()
+	}
+	b.StopTimer()
+	if delivered != 1+b.N || extended != 2*(1+b.N) {
+		b.Fatalf("delivered %d packets and extended %d lifetimes, want %d and %d", delivered, extended, 1+b.N, 2*(1+b.N))
 	}
 }
 

@@ -171,17 +171,17 @@ func (nl *netlink) route(pkt dataPacket, originated bool) error {
 // LINK_BREAK.
 func (nl *netlink) transmit(pkt dataPacket, nextHop mnet.Addr, originated bool) error {
 	s := nl.s
-	if originated {
-		s.bump(&s.stats.DataSent)
-	} else {
+	counter := &s.stats.DataSent
+	if !originated {
 		if pkt.TTL <= 1 {
 			s.bump(&s.stats.DataDropped)
 			return nil
 		}
 		pkt.TTL--
-		s.bump(&s.stats.DataForwarded)
+		counter = &s.stats.DataForwarded
 	}
 	s.mu.Lock()
+	*counter++
 	battery := s.battery
 	s.mu.Unlock()
 	if battery != nil {

@@ -26,7 +26,7 @@ type node struct {
 	sys  *System
 }
 
-func newTestNet(t *testing.T, n int) (*emunet.Network, *vclock.Virtual, []*node) {
+func newTestNet(t testing.TB, n int) (*emunet.Network, *vclock.Virtual, []*node) {
 	t.Helper()
 	clk := vclock.NewVirtual(epoch)
 	net := emunet.New(clk, 1)
@@ -34,7 +34,7 @@ func newTestNet(t *testing.T, n int) (*emunet.Network, *vclock.Virtual, []*node)
 }
 
 // attachNodes attaches n nodes to net, each with a started System CF.
-func attachNodes(t *testing.T, net *emunet.Network, clk vclock.Clock, n int) []*node {
+func attachNodes(t testing.TB, net *emunet.Network, clk vclock.Clock, n int) []*node {
 	t.Helper()
 	addrs := emunet.Addrs(n)
 	nodes := make([]*node, n)

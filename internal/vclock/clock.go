@@ -33,6 +33,11 @@ type Clock interface {
 	AfterFunc(d time.Duration, f func()) Timer
 	// Since returns the time elapsed on this clock since t.
 	Since(t time.Time) time.Duration
+	// Nanos returns Now as integer nanoseconds past the instant Origin:
+	// deadline keys without time.Time arithmetic. Real reads its monotonic
+	// clock, so its readings order as its instants do.
+	Nanos() int64
+	Origin() time.Time
 }
 
 // realClock grounds Clock in the time package.
@@ -43,8 +48,13 @@ var _ Clock = realClock{}
 // Real returns the wall clock.
 func Real() Clock { return realClock{} }
 
+// realOrigin is the Real clock's Origin, with a monotonic reading.
+var realOrigin = time.Now()
+
 func (realClock) Now() time.Time                  { return time.Now() }
 func (realClock) Since(t time.Time) time.Duration { return time.Since(t) }
+func (realClock) Nanos() int64                    { return int64(time.Since(realOrigin)) }
+func (realClock) Origin() time.Time               { return realOrigin }
 func (realClock) AfterFunc(d time.Duration, f func()) Timer {
 	return realTimer{time.AfterFunc(d, f)}
 }
@@ -91,12 +101,16 @@ func (v *Virtual) Now() time.Time {
 // Since returns the virtual time elapsed since t.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
+// Nanos returns the virtual time elapsed since the start, Origin.
+func (v *Virtual) Nanos() int64      { return v.now.Load() }
+func (v *Virtual) Origin() time.Time { return v.start }
+
 // AfterFunc schedules f to run when the clock has advanced by d.
 // Non-positive d fires at the current instant on the next Advance/Step.
 func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	vt := &vtimer{clock: v, fn: f, when: addSat(v.now.Load(), d), seq: v.seq}
+	vt := &vtimer{clock: v, fn: f, when: AddSat(v.now.Load(), d), seq: v.seq}
 	v.seq++
 	v.timers.push(vt)
 	return vt
@@ -125,7 +139,7 @@ func (v *Virtual) NextDeadline() (time.Time, bool) {
 func (v *Virtual) Advance(d time.Duration) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	target := addSat(v.now.Load(), d)
+	target := AddSat(v.now.Load(), d)
 	fired := v.runLocked(target, -1)
 	if target > v.now.Load() {
 		v.now.Store(target)
@@ -188,8 +202,8 @@ func (v *Virtual) runLocked(until int64, max int) int {
 	return fired
 }
 
-// addSat returns now+d, saturating at the int64 range instead of wrapping.
-func addSat(now int64, d time.Duration) int64 {
+// AddSat returns now+d, saturating at the int64 range as time.Time.Sub does.
+func AddSat(now int64, d time.Duration) int64 {
 	sum := now + int64(d)
 	if (sum > now) != (d > 0) { // only an overflow breaks the agreement
 		if d > 0 {
@@ -228,7 +242,7 @@ func (t *vtimer) Reset(d time.Duration) bool {
 	v := t.clock
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	t.when = addSat(v.now.Load(), d)
+	t.when = AddSat(v.now.Load(), d)
 	t.seq = v.seq
 	v.seq++
 	if t.index >= 0 {
