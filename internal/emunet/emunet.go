@@ -15,11 +15,13 @@
 package emunet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"manetkit/internal/mnet"
@@ -31,11 +33,11 @@ import (
 type Frame struct {
 	Src mnet.Addr
 	Dst mnet.Addr // mnet.Broadcast for broadcast frames
-	// Payload is the medium's private copy of the transmitted bytes, made
-	// once per transmission and aliased by every receiver of a broadcast
-	// (and by whatever Decoded returns). It is read-only for everybody —
-	// receivers, taps, decoders; whoever needs different bytes copies first,
-	// as fault injection does.
+	// Payload is the medium's copy of the transmitted bytes, lent to the
+	// call that was handed the frame (a receiver upcall, a verdict): after
+	// it the buffer is poisoned and reused, so whoever keeps bytes copies
+	// them, except what Decoded returns and what a capture tap is handed.
+	// It is read-only for everybody; fault injection copies first.
 	Payload []byte
 	Device  string
 	// RSSI is the emulated received signal strength in dBm.
@@ -51,35 +53,39 @@ type Frame struct {
 	// receiving node can be stitched to the frame-tx span on the sender.
 	Corr string
 
-	// shared is the per-transmission decode slot (see Decoded): set on the
-	// byte-identical frames of one broadcast fan-out, nil everywhere else.
-	shared *decodeSlot
+	// shared is the transmission's record (see Decoded); nil on a frame with
+	// bytes of its own, built by hand or by fault injection.
+	shared *txRecord
 }
 
-// decodeSlot memoises one decode of a transmission's payload for all the
-// receivers that were handed the very same bytes. It is payload-agnostic:
-// the medium never looks inside.
-type decodeSlot struct {
-	once sync.Once
-	val  any
-	err  error
+// txRecord is what the medium lends one transmission's deliveries: the
+// payload buffer, one hold per scheduled delivery, and the decode slot the
+// receivers share. The last release recycles it; kept marks a buffer
+// something may hold on to, which goes to the collector instead.
+type txRecord struct {
+	buf   []byte
+	holds int         // guarded by Network.mu
+	kept  atomic.Bool // Decoded sets it outside Network.mu
+	once  sync.Once
+	val   any
+	err   error
 }
 
 // Decoded returns decode(f.Payload), computed once per transmission: the
-// receivers of one broadcast share the buffer, so the first of them to ask
-// runs decode and the rest — possibly on other goroutines, in which case
-// they wait for it — get the same value and the same error. All callers
-// must pass the same pure function, and the result is as read-only as the
-// payload it may alias. Frames that are not byte-identical to their
-// siblings — unicast, corrupted or duplicated by fault injection, built by
-// hand — carry no slot and decode privately.
+// receivers of one transmission share the buffer, so the first of them to
+// ask runs decode and the rest get the same value and the same error. All
+// callers must pass the same pure function. The result is read-only and
+// may be kept (a decoded buffer is never reused); Decoded itself is for
+// the call that was handed the frame. Frames with bytes of their own —
+// corrupted or duplicated by fault injection, built by hand — decode
+// privately.
 func (f Frame) Decoded(decode func(payload []byte) (any, error)) (any, error) {
-	s := f.shared
-	if s == nil {
+	r := f.shared
+	if r == nil {
 		return decode(f.Payload)
 	}
-	s.once.Do(func() { s.val, s.err = decode(f.Payload) })
-	return s.val, s.err
+	r.once.Do(func() { r.val, r.err = decode(f.Payload); r.kept.Store(true) })
+	return r.val, r.err
 }
 
 // Quality describes one directed link.
@@ -161,10 +167,13 @@ type Network struct {
 	// across sends: it is only touched under mu, and nothing send calls
 	// while holding mu sends again.
 	targets []neighborLink
-	// free holds fired deliveries awaiting reuse; the engine returns its
-	// batches here, the reference path nothing.
-	free []*delivery
+	// free and records hold fired deliveries and released transmission
+	// records (up to recordCap); the reference path returns none.
+	free    []*delivery
+	records []*txRecord
 }
+
+const recordCap = 128
 
 // New creates an empty medium on the given clock, running the discrete-
 // event engine. seed drives the loss process, making lossy runs
@@ -413,7 +422,8 @@ func (n *Network) EngineStats() (EngineStats, bool) {
 }
 
 // SetTap installs a packet-capture hook (the libpcap analogue): fn observes
-// every delivered frame together with its receiver. Pass nil to remove.
+// every delivered frame together with its receiver, and may keep the
+// payload: no later send reuses it. Pass nil to remove.
 func (n *Network) SetTap(fn func(f Frame, receiver mnet.Addr)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -496,18 +506,25 @@ func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb fu
 
 	// One copy of the payload, made only when something reads it: the
 	// receivers, the tx tap and the verdict must not alias the sender's
-	// buffer, which is the sender's again when this call returns. Two or
-	// more receivers of the same bytes also share one decode of them.
+	// buffer, which is the sender's again when this call returns. The copy
+	// lives in a recycled record every delivery of it holds, whose receivers
+	// share one decode of it; one the taps or the injector see is kept.
 	verdict := cb != nil || fn != nil
+	var rec *txRecord
 	var buf []byte
 	if rx > 0 || txTap != nil || verdict {
-		buf = append([]byte(nil), payload...)
+		if k := len(n.records) - 1; k >= 0 {
+			rec, n.records[k], n.records = n.records[k], nil, n.records[:k]
+		} else {
+			rec = new(txRecord)
+		}
+		rec.buf, rec.holds = append(rec.buf[:0], payload...), 1 // this call's hold
+		if txTap != nil || n.inj != nil {
+			rec.kept.Store(true)
+		}
+		buf = rec.buf
 	}
-	var shared *decodeSlot
-	if rx >= 2 {
-		shared = &decodeSlot{}
-	}
-	f := Frame{Src: src, Dst: dst, Payload: buf, Device: device, Corr: corr, shared: shared}
+	f := Frame{Src: src, Dst: dst, Payload: buf, Device: device, Corr: corr, shared: rec}
 	switch {
 	case dst.IsBroadcast():
 		for i := range targets {
@@ -527,6 +544,9 @@ func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb fu
 		}
 		n.waitLocked(d, nowAt, delay)
 	}
+	if rec != nil {
+		n.releaseLocked(rec)
+	}
 	n.mu.Unlock()
 
 	if txTap != nil {
@@ -534,6 +554,27 @@ func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb fu
 	}
 	return nil
 }
+
+// releaseLocked drops a hold on r. The last recycles r with its slot zeroed
+// and its buffer poisoned, like a released event carrier, unless the buffer
+// is kept, which goes to the collector. Caller holds n.mu.
+func (n *Network) releaseLocked(r *txRecord) {
+	if r.holds--; r.holds > 0 {
+		return
+	}
+	buf := r.buf
+	if r.kept.Load() {
+		buf = nil
+	}
+	for i := 0; i < len(buf); i += copy(buf[i:], poison) {
+	}
+	*r = txRecord{buf: buf}
+	if len(n.records) < recordCap {
+		n.records = append(n.records, r)
+	}
+}
+
+var poison = bytes.Repeat([]byte{0xde}, 64) // no frame class starts with 0xde
 
 // dropLocked accounts one receiver's copy of a transmission as lost, for
 // reason event, on counter. Caller holds n.mu.
@@ -573,11 +614,15 @@ func (n *Network) newDeliveryLocked(nic *NIC, f *Frame, cb func(bool), fn func(F
 	return d
 }
 
-// waitLocked books d to fire delay after the send at deadline key nowAt:
-// the one place the reference path differs from the engine, since there d
-// waits in a clock timer of its own instead of the engine's queue. Caller
-// holds n.mu (vclock runs callbacks with its own lock released).
+// waitLocked books d, holding its record, to fire delay after the send at
+// deadline key nowAt: the one place the reference path differs from the
+// engine, since there d waits in a clock timer of its own instead of the
+// engine's queue, and keeps its hold. Caller holds n.mu (vclock runs
+// callbacks with its own lock released).
 func (n *Network) waitLocked(d *delivery, nowAt int64, delay time.Duration) {
+	if r := d.frame.shared; r != nil {
+		r.holds++
+	}
 	if n.eng == nil {
 		n.clock.AfterFunc(delay, d.fire)
 		return
@@ -608,7 +653,8 @@ func (c *NIC) Device() string { return c.device }
 
 // SetReceiver installs the upcall invoked for each delivered frame.
 // Deliveries run on the clock's timer context; under a virtual clock that
-// is the goroutine driving the simulation.
+// is the goroutine driving the simulation. The payload is lent for the call
+// (see Frame.Payload).
 func (c *NIC) SetReceiver(fn func(Frame)) {
 	c.net.mu.Lock()
 	defer c.net.mu.Unlock()
@@ -637,10 +683,10 @@ func (c *NIC) SendWithFeedback(dst mnet.Addr, payload []byte, cb func(delivered 
 // SendWithFeedbackTagged is SendWithFeedback with a message correlation ID
 // attached to the frame and its trace spans, and a verdict that carries
 // its frame: fn is handed, by value, the frame as the medium carried it —
-// the medium's copy of the payload, read-only like every Frame.Payload,
-// even when the frame was lost — and whether it arrived. Because the
-// verdict names its frame, a sender needs no closure per frame: one fn
-// serves all of them.
+// the medium's copy of the payload, lent for the call like every
+// Frame.Payload, even when the frame was lost — and whether it arrived.
+// Because the verdict names its frame, a sender needs no closure per
+// frame: one fn serves all of them.
 func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string, fn func(f Frame, delivered bool)) error {
 	return c.net.send(c, dst, payload, corr, nil, fn)
 }
@@ -670,6 +716,9 @@ func (c *NIC) deliver(f *Frame) {
 		})
 	}
 	tap := n.tap
+	if tap != nil && f.shared != nil {
+		f.shared.kept.Store(true) // the tap may keep the bytes
+	}
 	n.mu.Unlock()
 
 	if tap != nil {

@@ -1,6 +1,7 @@
 package emunet
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -64,7 +65,10 @@ func TestUnicastDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Frame
-	nb.SetReceiver(func(f Frame) { got = append(got, f) })
+	nb.SetReceiver(func(f Frame) {
+		f.Payload = bytes.Clone(f.Payload) // lent for the call only
+		got = append(got, f)
+	})
 	if err := na.Send(addrs[1], []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +271,7 @@ func TestPayloadIsCopied(t *testing.T) {
 	nb := attach(t, n, addrs[1])
 	n.SetLink(addrs[0], addrs[1], DefaultQuality())
 	var got []byte
-	nb.SetReceiver(func(f Frame) { got = f.Payload })
+	nb.SetReceiver(func(f Frame) { got = bytes.Clone(f.Payload) })
 	buf := []byte("original")
 	na.Send(addrs[1], buf)
 	buf[0] = 'X' // sender mutates its buffer after Send

@@ -204,6 +204,10 @@ func (e *engine) run() {
 	es := EpochStats{Events: len(batch), CommitLag: time.Duration(nowAt - batch[0].at)}
 	n.mu.Lock()
 	for i, d := range batch {
+		if r := d.frame.shared; r != nil {
+			n.releaseLocked(r)
+		}
+		d.frame = Frame{} // a free delivery pins no record or buffer
 		n.free = append(n.free, d)
 		batch[i] = nil
 	}

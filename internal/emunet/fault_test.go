@@ -239,12 +239,13 @@ func TestReattachRejectsOccupiedAddress(t *testing.T) {
 }
 
 // TestDecodeSlotFollowsByteIdentity pins where one transmission's receivers
-// share a decode and where they must not: the slot goes with the medium's
-// one buffer, so every frame holding a slot aliases the same bytes, while a
-// corrupted copy and a duplicate — each a buffer of its own — hold none.
-// Decoded then runs the decode function once per slot plus once per
-// slot-less delivery, on both paths, and hands its result (and error) to
-// every holder.
+// share a decode and where they must not: the slot lives in the record that
+// lends the medium's one buffer, so every frame holding a record aliases the
+// same bytes, while a corrupted copy and a duplicate — each a buffer of its
+// own — hold none. Decoded then runs the decode function once per
+// transmission plus once per record-less delivery, on both paths, and hands
+// its result (and error) to every holder. Each send's deliveries end before
+// the next send, whose record may be the recycled one.
 func TestDecodeSlotFollowsByteIdentity(t *testing.T) {
 	for _, tc := range []struct {
 		legacy bool
@@ -265,8 +266,13 @@ func TestDecodeSlotFollowsByteIdentity(t *testing.T) {
 				}
 				return &p[0], nil
 			}
-			bufOf := map[*decodeSlot]*byte{}
-			slotless, deliveries := 0, 0
+			bufOf := map[*txRecord]*byte{} // this send's records
+			slots, slotless, deliveries := 0, 0, 0
+			settle := func() {
+				clk.Advance(20 * time.Millisecond)
+				slots += len(bufOf)
+				clear(bufOf)
+			}
 			for _, a := range addrs {
 				nic, _ := net.NIC(a)
 				nic.SetReceiver(func(f Frame) {
@@ -295,14 +301,14 @@ func TestDecodeSlotFollowsByteIdentity(t *testing.T) {
 				})
 			}
 			src, _ := net.NIC(addrs[0])
-			for i := 0; i < 20; i++ { // unicast: one receiver, never a slot
+			for i := 0; i < 20; i++ { // unicast: one receiver, its own record
 				if err := src.Send(addrs[1], []byte{byte(i), 9}); err != nil {
 					t.Fatal(err)
 				}
+				settle()
 			}
-			clk.Advance(20 * time.Millisecond)
-			if slotless != 20 || decodes != 20 {
-				t.Fatalf("20 unicasts: %d slot-less deliveries, %d decodes", slotless, decodes)
+			if slots != 20 || slotless != 0 || decodes != 20 {
+				t.Fatalf("20 unicasts: %d records, %d slot-less deliveries, %d decodes", slots, slotless, decodes)
 			}
 
 			NewFaultPlan(5).
@@ -314,20 +320,20 @@ func TestDecodeSlotFollowsByteIdentity(t *testing.T) {
 				if err := src.Send(mnet.Broadcast, []byte{byte(i), 1, 2, 3}); err != nil {
 					t.Fatal(err)
 				}
-				clk.Advance(20 * time.Millisecond)
+				settle()
 			}
 			st := net.Stats()
-			if st.Corrupted == 0 || st.Duplicated == 0 || len(bufOf) == 0 {
-				t.Fatalf("fixture too tame: %+v, %d slots", st, len(bufOf))
+			if st.Corrupted == 0 || st.Duplicated == 0 || slots <= 20 {
+				t.Fatalf("fixture too tame: %+v, %d records", st, slots)
 			}
-			// Every broadcast here has five surviving receivers, so the only
-			// slot-less deliveries are the mangled and the duplicated ones.
-			if want := 20 + int(st.Corrupted+st.Duplicated); slotless != want {
-				t.Fatalf("%d slot-less deliveries, want %d (20 unicasts + %d corrupted + %d duplicated)",
+			// The only slot-less deliveries are the mangled and the
+			// duplicated ones.
+			if want := int(st.Corrupted + st.Duplicated); slotless != want {
+				t.Fatalf("%d slot-less deliveries, want %d (%d corrupted + %d duplicated)",
 					slotless, want, st.Corrupted, st.Duplicated)
 			}
-			if want := len(bufOf) + slotless; decodes != want {
-				t.Fatalf("%d decodes for %d deliveries, want %d (one per slot + one per slot-less delivery)",
+			if want := slots + slotless; decodes != want {
+				t.Fatalf("%d decodes for %d deliveries, want %d (one per record + one per slot-less delivery)",
 					decodes, deliveries, want)
 			}
 		})

@@ -1,0 +1,242 @@
+package emunet
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"manetkit/internal/mnet"
+	"manetkit/internal/vclock"
+)
+
+// The medium lends a transmission's bytes: a payload is a view valid for the
+// call it was handed to, and the record holding it is recycled, its buffer
+// poisoned, once the transmission's last delivery has fired. These tests
+// pin both halves of that rule: what breaks it reads the poison, and what
+// may keep a frame (a decode, a tap, fault injection) keeps it intact.
+
+// poisoned reports whether b holds nothing but the recycled-buffer poison.
+func poisoned(b []byte) bool {
+	return len(b) > 0 && len(bytes.Trim(b, "\xde")) == 0
+}
+
+// TestLentViewReadsPoisonAfterItsCall keeps payload views past their calls,
+// against the rule: the receivers of a broadcast and of a unicast, and a
+// MAC verdict. Once the epoch is over every view reads the poison, and once
+// the next send has taken the recycled record, its bytes.
+func TestLentViewReadsPoisonAfterItsCall(t *testing.T) {
+	n, clk := newNet(t)
+	addrs := Addrs(3)
+	nics := []*NIC{attach(t, n, addrs[0]), attach(t, n, addrs[1]), attach(t, n, addrs[2])}
+	n.SetLink(addrs[0], addrs[1], DefaultQuality())
+	n.SetLink(addrs[0], addrs[2], DefaultQuality())
+	var views [][]byte
+	for _, nic := range nics[1:] {
+		nic.SetReceiver(func(f Frame) { views = append(views, f.Payload) })
+	}
+	verdict := func(f Frame, delivered bool) { views = append(views, f.Payload) }
+	if err := nics[0].Send(mnet.Broadcast, []byte("broadcast frame")); err != nil {
+		t.Fatal(err)
+	}
+	if err := nics[0].SendWithFeedbackTagged(addrs[1], []byte("unicast frame!!"), "", verdict); err != nil {
+		t.Fatal(err)
+	}
+	clk.RunUntilIdle(-1)
+	if len(views) != 4 {
+		t.Fatalf("%d views kept, want 4 (two broadcast receivers, a unicast and its verdict)", len(views))
+	}
+	for i, v := range views {
+		if !poisoned(v) {
+			t.Fatalf("view %d reads %q after its call, want the poison", i, v)
+		}
+	}
+	for _, nic := range nics[1:] {
+		nic.SetReceiver(nil)
+	}
+	if err := nics[0].Send(addrs[2], []byte("the next frame!")); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(views[3]); got != "the next frame!" {
+		t.Fatalf("kept view reads %q after the next send, want that send's bytes", got)
+	}
+}
+
+// TestLentFramesKeptUnderTapsAndFaults: while a capture tap, a transmission
+// tap or a fault plan is installed, no buffer is lent twice, so payload
+// views kept by the receivers stay byte-identical over many later sends.
+func TestLentFramesKeptUnderTapsAndFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		install func(*Network)
+	}{
+		{"tap", func(n *Network) { n.SetTap(func(Frame, mnet.Addr) {}) }},
+		{"txtap", func(n *Network) { n.SetTxTap(func(Frame) {}) }},
+		{"faultplan", func(n *Network) { NewFaultPlan(1).DuplicateFrames(0, time.Hour, 0.2).Apply(n) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, clk := newNet(t)
+			addrs := Addrs(3)
+			if err := BuildClique(n, addrs, DefaultQuality()); err != nil {
+				t.Fatal(err)
+			}
+			tc.install(n)
+			type view struct{ live, seen []byte }
+			var views []view
+			for _, a := range addrs {
+				nic, _ := n.NIC(a)
+				nic.SetReceiver(func(f Frame) { views = append(views, view{f.Payload, bytes.Clone(f.Payload)}) })
+			}
+			src, _ := n.NIC(addrs[0])
+			for i := 0; i < 100; i++ {
+				dst := mnet.Broadcast
+				if i%2 == 1 {
+					dst = addrs[1+i%len(addrs[1:])]
+				}
+				if err := src.Send(dst, []byte(fmt.Sprintf("frame %03d", i))); err != nil {
+					t.Fatal(err)
+				}
+				clk.Advance(10 * time.Millisecond)
+			}
+			if len(views) < 150 {
+				t.Fatalf("%d frames kept, want at least 150", len(views))
+			}
+			for _, v := range views {
+				if !bytes.Equal(v.live, v.seen) {
+					t.Fatalf("kept frame %q now reads %q", v.seen, v.live)
+				}
+			}
+		})
+	}
+}
+
+// TestLentDecodeSurvivesRecordReuse: a decoded value aliasing the payload
+// stays intact after its transmission's record has been recycled and
+// reused by later sends, because a decode keeps the buffer.
+func TestLentDecodeSurvivesRecordReuse(t *testing.T) {
+	n, clk := newNet(t)
+	addrs := Addrs(3)
+	if err := BuildClique(n, addrs, DefaultQuality()); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(p []byte) (any, error) { return p[1:], nil } // aliases the bytes, as packetbb does
+	type kept struct{ live, seen []byte }
+	var decoded []kept
+	records := map[*txRecord]int{}
+	for _, a := range addrs[1:] {
+		nic, _ := n.NIC(a)
+		nic.SetReceiver(func(f Frame) {
+			v, _ := f.Decoded(decode)
+			b := v.([]byte)
+			decoded = append(decoded, kept{b, bytes.Clone(b)})
+			records[f.shared]++
+		})
+	}
+	src, _ := n.NIC(addrs[0])
+	for i := 0; i < 50; i++ {
+		if err := src.Send(mnet.Broadcast, []byte(fmt.Sprintf("#packet %02d", i))); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(10 * time.Millisecond)
+	}
+	if len(decoded) != 100 || len(records) >= 50 {
+		t.Fatalf("%d decodes over %d records: the records were not reused", len(decoded), len(records))
+	}
+	for _, d := range decoded {
+		if !bytes.Equal(d.live, d.seen) {
+			t.Fatalf("decoded packet %q now reads %q", d.seen, d.live)
+		}
+	}
+}
+
+// TestLentRecordFreeListPlateaus: a burst of more transmissions in flight
+// than the record free list holds leaves it at its cap once they have all
+// been delivered; the rest go to the collector.
+func TestLentRecordFreeListPlateaus(t *testing.T) {
+	n, clk := newNet(t)
+	addrs := Addrs(2)
+	na := attach(t, n, addrs[0])
+	attach(t, n, addrs[1])
+	n.SetLink(addrs[0], addrs[1], DefaultQuality())
+	for i := 0; i < recordCap+50; i++ {
+		if err := na.Send(addrs[1], []byte{byte(i), 1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.mu.Lock()
+	inFlight := len(n.records)
+	n.mu.Unlock()
+	clk.RunUntilIdle(-1)
+	n.mu.Lock()
+	free := len(n.records)
+	n.mu.Unlock()
+	if inFlight != 0 || free != recordCap {
+		t.Fatalf("free list holds %d records with the burst in flight and %d after it, want 0 and %d", inFlight, free, recordCap)
+	}
+}
+
+// TestLentRealClockRace lends buffers under the real clock, where epochs run
+// on timer goroutines while two others send: every receiver and verdict
+// checks its view inside the call, and each receiver of a broadcast
+// answers with a unicast from inside its upcall. Run under -race it proves
+// the records' holds and free list are only touched under the network's
+// lock; a view reused under a running call reads the wrong bytes.
+func TestLentRealClockRace(t *testing.T) {
+	const nodes, perSender = 4, 60
+	net := New(vclock.Real(), 1)
+	addrs := Addrs(nodes)
+	q := DefaultQuality()
+	q.Delay = 50 * time.Microsecond
+	if err := BuildClique(net, addrs, q); err != nil {
+		t.Fatal(err)
+	}
+	var bad, rx, verdicts atomic.Int64
+	// uniform is a frame's integrity check: every byte the same, and not
+	// the poison.
+	uniform := func(p []byte) bool {
+		return len(p) > 0 && p[0] != 0xde && len(bytes.Trim(p, string(p[:1]))) == 0
+	}
+	verdict := func(f Frame, delivered bool) {
+		if !uniform(f.Payload) {
+			bad.Add(1)
+		}
+		verdicts.Add(1)
+	}
+	for _, a := range addrs {
+		nic, _ := net.NIC(a)
+		nic.SetReceiver(func(f Frame) {
+			if !uniform(f.Payload) {
+				bad.Add(1)
+			}
+			rx.Add(1)
+			if len(f.Payload)%2 == 0 { // a broadcast: answer it once
+				_ = nic.SendWithFeedbackTagged(f.Src, f.Payload[1:], "", verdict)
+			}
+		})
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		nic, _ := net.NIC(addrs[s])
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				_ = nic.Send(mnet.Broadcast, bytes.Repeat([]byte{byte(1 + i%200)}, 32))
+				time.Sleep(20 * time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	want := int64(2 * perSender * 2 * (nodes - 1)) // each broadcast: n-1 receivers, n-1 answers
+	for deadline := time.Now().Add(30 * time.Second); rx.Load() < want || verdicts.Load() < want/2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d deliveries and %d of %d verdicts after 30s", rx.Load(), want, verdicts.Load(), want/2)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if bad.Load() != 0 {
+		t.Fatalf("%d deliveries read bytes that were not their frame's", bad.Load())
+	}
+}

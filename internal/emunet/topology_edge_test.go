@@ -5,6 +5,7 @@ package emunet
 // and degenerate grids, and random-topology parameter validation.
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -91,8 +92,14 @@ func TestAsymmetricLinkAccounting(t *testing.T) {
 	}
 
 	var atA, atB []Frame
-	na.SetReceiver(func(f Frame) { atA = append(atA, f) })
-	nb.SetReceiver(func(f Frame) { atB = append(atB, f) })
+	keep := func(to *[]Frame) func(Frame) {
+		return func(f Frame) {
+			f.Payload = bytes.Clone(f.Payload) // lent for the call only
+			*to = append(*to, f)
+		}
+	}
+	na.SetReceiver(keep(&atA))
+	nb.SetReceiver(keep(&atB))
 
 	// With the link: delivered.
 	if err := na.Send(addrs[1], []byte("with")); err != nil {

@@ -39,10 +39,13 @@ type carrier struct {
 	fresh bool
 }
 
-// carriers is the free list released carriers wait in, up to its capacity.
-// Unlike a sync.Pool, neither a collection nor the race detector empties
-// it, so a steady borrower never allocates.
+// carriers is the free list released carriers wait in, up to its capacity,
+// behind a spare slot taken and filled without the lock, so the common
+// borrow-then-release cycle never takes the mutex (the slot links to
+// nothing, so no ABA). Unlike a sync.Pool, neither a collection nor the
+// race detector empties them, so a steady borrower never allocates.
 var carriers = struct {
+	spare atomic.Pointer[carrier]
 	sync.Mutex
 	free []*carrier
 }{free: make([]*carrier, 0, 64)}
@@ -50,14 +53,16 @@ var carriers = struct {
 // Borrow returns an empty event of type t owned by the framework: the first
 // Emit takes it over, and it is valid only until its last delivery returns.
 func Borrow(t Type) *Event {
-	carriers.Lock()
-	var c *carrier
-	if n := len(carriers.free) - 1; n >= 0 {
-		c, carriers.free = carriers.free[n], carriers.free[:n]
-	} else { // every payload but the one an event carries holds the poison
-		c = &carrier{route: poisonRoute, link: poisonLink, msg: poisonMsg, nhood: NhoodPayload{Neighbor: poisonAddr}}
+	c := carriers.spare.Swap(nil)
+	if c == nil {
+		carriers.Lock()
+		if n := len(carriers.free) - 1; n >= 0 {
+			c, carriers.free = carriers.free[n], carriers.free[:n]
+		} else { // every payload but the one an event carries holds the poison
+			c = &carrier{route: poisonRoute, link: poisonLink, msg: poisonMsg, nhood: NhoodPayload{Neighbor: poisonAddr}}
+		}
+		carriers.Unlock()
 	}
-	carriers.Unlock()
 	c.holds.Store(1)
 	c.fresh = true
 	c.ev = Event{Type: t, c: c}
@@ -160,6 +165,9 @@ func (ev *Event) Release() {
 	}
 	c.ev = poisonEvent
 	c.ev.c, c.ev.Msg, c.ev.Route, c.ev.Link, c.ev.Nhood = c, &c.msg, &c.route, &c.link, &c.nhood
+	if carriers.spare.CompareAndSwap(nil, c) {
+		return
+	}
 	carriers.Lock()
 	if len(carriers.free) < cap(carriers.free) {
 		carriers.free = append(carriers.free, c)

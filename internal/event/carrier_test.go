@@ -156,3 +156,15 @@ func TestReleasedCarrierIsPoisonedThroughout(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBorrowRelease times the framework's most common carrier cycle:
+// one routing trigger borrowed, emitted and released before the next.
+func BenchmarkBorrowRelease(b *testing.B) {
+	rp := RoutePayload{PacketID: 1}
+	b.ReportAllocs()
+	for range b.N {
+		ev := WithRoute(RouteUpdate, rp)
+		ev.Claim()
+		ev.Release()
+	}
+}

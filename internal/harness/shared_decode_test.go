@@ -30,7 +30,11 @@ import (
 // received frame and OnDeliver is handed a view of it, so the tap keeps
 // every data frame, the sinks keep every payload, and all of them must
 // still read as they did when first seen — a TTL rewritten in place, or a
-// sink's append running into the frame, would show here.
+// sink's append running into the frame, would show here. The sinks' views
+// are kept past OnDeliver, which the lending rule allows only because the
+// tap is installed for the whole run: the medium then reuses no buffer, so
+// this test checks mutation, not lending (emunet's and system's TestLent*
+// tests do).
 func TestSharedPacketsAreNeverMutated(t *testing.T) {
 	const cols, rows = 4, 3
 	variants := []struct {

@@ -94,8 +94,9 @@ func newNetlink(s *System) *netlink {
 }
 
 // OnDeliver installs the local-delivery upcall for data packets addressed
-// to this node. payload is a view of the received frame: fn may keep it and
-// must not write to it.
+// to this node. payload is a view of the received frame (or of SendData's
+// argument, for a packet a node sends itself), valid until fn returns: fn
+// must not write to it, and copies what it keeps.
 func (n *Netlink) OnDeliver(fn func(src mnet.Addr, payload []byte)) {
 	nl := (*netlink)(n)
 	nl.mu.Lock()
@@ -114,9 +115,6 @@ func (n *Netlink) SendData(dst mnet.Addr, payload []byte) error {
 	nl.nextID++
 	pkt := dataPacket{Src: nl.s.nic.Addr(), Dst: dst, TTL: dataTTL, ID: nl.nextID, Payload: payload}
 	nl.mu.Unlock()
-	if dst == pkt.Src {
-		pkt.Payload = append([]byte(nil), payload...) // OnDeliver may keep what it is given
-	}
 	return nl.route(pkt, true)
 }
 

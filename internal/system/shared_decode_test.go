@@ -279,3 +279,45 @@ func TestSharedDecodeConcurrentReceivers(t *testing.T) {
 		}
 	}
 }
+
+// TestLentDecodedControlSurvivesReuse: a HELLO consumer keeps every message
+// it is handed past its handler. The message points into the packet
+// decoded from the medium's lent buffer, which the decode keeps: once the
+// records of those transmissions have been reused by many later sends,
+// every kept message still re-encodes to what was sent.
+func TestLentDecodedControlSurvivesReuse(t *testing.T) {
+	net, clk, nodes := newTestNet(t, 4)
+	star(t, net, nodes)
+	var kept []*packetbb.Message
+	for _, n := range nodes[1:] {
+		helloConsumer(t, n, func(ev *event.Event) { kept = append(kept, ev.Msg) })
+	}
+	const sends = 100
+	for seq := uint16(1); seq <= sends; seq++ {
+		if err := nodes[0].sys.NIC().Send(mnet.Broadcast, helloWire(t, nodes[0].addr, seq)); err != nil {
+			t.Fatal(err)
+		}
+		// Data frames between the broadcasts take the recycled records.
+		if err := nodes[1].sys.NIC().Send(nodes[0].addr, bytes.Repeat([]byte{wireData}, 40)); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(10 * time.Millisecond)
+	}
+	if len(kept) != sends*(len(nodes)-1) {
+		t.Fatalf("%d messages kept, want %d", len(kept), sends*(len(nodes)-1))
+	}
+	for i, m := range kept {
+		seq := uint16(1 + i/(len(nodes)-1))
+		want, err := packetbb.DecodePacket(helloWire(t, nodes[0].addr, seq)[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := packetbb.EncodeMessage(m)
+		if err != nil {
+			t.Fatalf("kept message %d no longer encodes: %v", i, err)
+		}
+		if w, _ := packetbb.EncodeMessage(&want.Messages[0]); !bytes.Equal(got, w) {
+			t.Fatalf("kept message %d re-encodes as % x, want % x", i, got, w)
+		}
+	}
+}

@@ -493,6 +493,8 @@ func (s *Stack) SendData(dst Addr, payload []byte) error {
 }
 
 // OnDeliver installs the upcall for data packets addressed to this node.
+// payload is lent for the call, as a kernel hook sees a packet buffer only
+// while it runs: fn must not write to it, and copies what it keeps.
 func (s *Stack) OnDeliver(fn func(src Addr, payload []byte)) {
 	s.sys.Filter().OnDeliver(fn)
 }
