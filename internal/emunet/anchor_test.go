@@ -22,10 +22,10 @@ import (
 // "b"; the cascade's re-arm happens inside the epoch, when "b" is already
 // queued at that instant, so the second delivery comes after "b". Rounds
 // two and three re-arm an anchor that has fired before — the Reset path.
-func anchorOrder(t *testing.T, mk medium) []string {
+func anchorOrder(t *testing.T) []string {
 	t.Helper()
 	clk := vclock.NewVirtual(epoch)
-	n := mk(clk, 1)
+	n := New(clk, 1)
 	addrs := Addrs(3)
 	nics := []*NIC{attach(t, n, addrs[0]), attach(t, n, addrs[1]), attach(t, n, addrs[2])}
 	const d = 2 * time.Millisecond
@@ -59,12 +59,8 @@ func TestRearmedAnchorFiresAfterQueuedTimers(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		want = append(want, round...)
 	}
-	// The reference path first: one timer per delivery, registered where the
-	// anchor's fresh sequence must put it.
-	for i, mk := range []medium{NewReference, New} {
-		if got := anchorOrder(t, mk); !reflect.DeepEqual(got, want) {
-			t.Errorf("medium %d: fired %v, want %v", i, got, want)
-		}
+	if got := anchorOrder(t); !reflect.DeepEqual(got, want) {
+		t.Errorf("fired %v, want %v", got, want)
 	}
 }
 

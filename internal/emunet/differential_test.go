@@ -10,26 +10,33 @@ import (
 	"manetkit/internal/vclock"
 )
 
-// The differential suite pits the reference timer-per-delivery path
-// (NewReference) against the discrete-event core (New) on identical seeds
-// and asserts the two are observably indistinguishable: same frame-level
-// span stream, same receive upcall sequence, same Stats, same fault firing
-// log, same MAC feedback verdicts. This is the contract that lets every
-// golden gate in the repo keep its committed values whatever is done to the
-// engine.
+// The differential suite holds the medium to its oracle: the observable
+// outputs of a timer-per-delivery medium, one clock timer per frame in
+// flight, recorded in testdata/medium_fingerprints.json. The engine
+// reproduced them bit for bit when they were recorded, and must go on
+// doing so: same frame-level span stream, same receive upcall sequence,
+// same Stats, same fault firing log, same MAC feedback verdicts. This is
+// the contract that lets every golden gate in the repo keep its committed
+// values whatever is done to the engine. Each workload checks its own
+// section of the file; TestMediumFingerprints rewrites it.
 
-// medium is one of the two constructors under comparison.
-type medium func(vclock.Clock, int64) *Network
+// The seeds each workload runs, and so the keys of its section.
+var (
+	chaosSeeds    = []int64{7, 8, 41}
+	feedbackSeeds = []int64{5, 6, 43}
+	topologySeeds = []int64{11}
+)
 
 // chaosObservables runs the seed-7 chaos scenario (the TestGoldenFrameTrace
 // workload: lossy line, partition+crash+corrupt+duplicate+reorder plan,
-// scripted beacons and unicasts) on the given medium and returns everything
-// a protocol or test could observe.
-func chaosObservables(t *testing.T, seed int64, mk medium) (Stats, []string, []string, []telemetry.Span, string) {
+// scripted beacons and unicasts) and returns everything a protocol or test
+// could observe: Stats, the fault log, the receive log and the span
+// fingerprint.
+func chaosObservables(t *testing.T, seed int64) (Stats, []string, []string, string) {
 	t.Helper()
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := mk(clk, seed)
+	net := New(clk, seed)
 	bus := telemetry.New(telemetry.Config{Epoch: epoch})
 	net.SetTelemetry(bus)
 	addrs := Addrs(4)
@@ -73,67 +80,77 @@ func chaosObservables(t *testing.T, seed int64, mk medium) (Stats, []string, []s
 		}
 	}
 	clk.Advance(1200 * time.Millisecond)
-	return net.Stats(), inj.Log(), rxLog, bus.Spans(), bus.SpanFingerprint()
+	return net.Stats(), inj.Log(), rxLog, bus.SpanFingerprint()
 }
 
-// diffSeq reports the first position where two logs (or span streams)
-// diverge.
-func diffSeq[T comparable](t *testing.T, name, what string, want, got []T) {
+// chaosDigest is chaosObservables as its section of the oracle records it.
+func chaosDigest(t *testing.T, seed int64) chaosGolden {
 	t.Helper()
-	for i := 0; i < min(len(want), len(got)); i++ {
-		if want[i] != got[i] {
-			t.Errorf("%s: %s %d diverged:\n reference %+v\n core      %+v", name, what, i, want[i], got[i])
-			return
-		}
+	stats, faults, rx, spans := chaosObservables(t, seed)
+	if len(faults) == 0 || len(rx) == 0 {
+		t.Fatalf("seed %d: chaos run is empty (%d receives, %d faults)", seed, len(rx), len(faults))
 	}
-	if len(want) != len(got) {
-		t.Errorf("%s: %d %ss, reference %d", name, len(got), what, len(want))
+	return chaosGolden{
+		Stats:    fmt.Sprintf("%+v", stats),
+		Faults:   digestLines(faults),
+		Receives: digestLines(rx),
+		Spans:    spans,
 	}
 }
 
 // TestDifferentialChaos asserts that the event core reproduces the
-// reference path's observable behaviour bit-for-bit on the chaos workload,
-// across several seeds.
+// oracle's observable behaviour bit-for-bit on the chaos workload, across
+// several seeds.
 func TestDifferentialChaos(t *testing.T) {
-	for _, seed := range []int64{7, 8, 41} {
-		name := fmt.Sprintf("seed %d", seed)
-		refStats, refLog, refRx, refSpans, refFP := chaosObservables(t, seed, NewReference)
-		stats, log, rx, spans, fp := chaosObservables(t, seed, New)
-		if len(refRx) == 0 || len(refLog) == 0 {
-			t.Fatalf("%s: reference run is empty (%d receives, %d faults)", name, len(refRx), len(refLog))
+	want := loadMediumGolden(t).Chaos
+	for _, seed := range chaosSeeds {
+		got, w := chaosDigest(t, seed), want[fmt.Sprint(seed)]
+		if got.Stats != w.Stats {
+			t.Errorf("seed %d: Stats diverged:\n oracle %s\n engine %s", seed, w.Stats, got.Stats)
 		}
-		if stats != refStats {
-			t.Errorf("%s: Stats diverged:\n reference %+v\n core      %+v", name, refStats, stats)
-		}
-		diffSeq(t, name, "fault", refLog, log)
-		diffSeq(t, name, "receive", refRx, rx)
-		if fp != refFP {
-			diffSeq(t, name, "span", refSpans, spans)
+		for _, o := range []struct{ what, got, want string }{
+			{"fault log", got.Faults, w.Faults},
+			{"receive log", got.Receives, w.Receives},
+			{"span stream", got.Spans, w.Spans},
+		} {
+			if o.got != o.want {
+				t.Errorf("seed %d: %s digest %s, oracle %s\n%s", seed, o.what, o.got, o.want, regenerateHint)
+			}
 		}
 	}
 }
 
 // TestDifferentialFeedback covers the MAC-feedback (802.11 ACK analogue)
-// path: delivery verdicts and their order must match across engines, for
+// path: delivery verdicts and their order must match the oracle's, for
 // linked, lossy, missing-link and mid-flight-crash cases.
 func TestDifferentialFeedback(t *testing.T) {
-	for _, seed := range []int64{5, 6, 43} {
-		ref := feedbackVerdicts(t, NewReference, seed)
-		if len(ref) == 0 {
-			t.Fatal("no feedback verdicts")
+	want := loadMediumGolden(t).Feedback
+	for _, seed := range feedbackSeeds {
+		if got, w := feedbackDigest(t, seed), want[fmt.Sprint(seed)]; got != w {
+			t.Errorf("seed %d: verdict digest %s, oracle %s\n%s", seed, got, w, regenerateHint)
 		}
-		diffSeq(t, fmt.Sprintf("seed %d", seed), "verdict", ref, feedbackVerdicts(t, New, seed))
 	}
+}
+
+// feedbackDigest is feedbackVerdicts as its section of the oracle records
+// it.
+func feedbackDigest(t *testing.T, seed int64) string {
+	t.Helper()
+	verdicts := feedbackVerdicts(t, seed)
+	if len(verdicts) == 0 {
+		t.Fatal("no feedback verdicts")
+	}
+	return digestLines(verdicts)
 }
 
 // feedbackVerdicts runs the MAC-feedback workload — a lossy link, a clean
 // one, a missing one, and a crash of the middle node with frames in flight
 // to it — and returns the verdict log.
-func feedbackVerdicts(t *testing.T, mk medium, seed int64) []string {
+func feedbackVerdicts(t *testing.T, seed int64) []string {
 	t.Helper()
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := mk(clk, seed)
+	net := New(clk, seed)
 	addrs := Addrs(3)
 	for _, a := range addrs {
 		if _, err := net.Attach(a); err != nil {
@@ -175,60 +192,68 @@ func feedbackVerdicts(t *testing.T, mk medium, seed int64) []string {
 
 // TestDifferentialTopologyEdges walks the topology mutation surface —
 // detach with in-flight frames, reattach, asymmetric links, link cuts under
-// traffic, scenario playback — and compares receive sequences.
+// traffic, scenario playback — and compares the receive sequence and Stats
+// to the oracle's.
 func TestDifferentialTopologyEdges(t *testing.T) {
-	run := func(mk medium) ([]string, Stats) {
-		epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-		clk := vclock.NewVirtual(epoch)
-		net := mk(clk, 11)
-		addrs := Addrs(5)
-		if err := BuildGrid(net, addrs, 5, DefaultQuality()); err != nil {
-			t.Fatalf("BuildGrid: %v", err)
+	want := loadMediumGolden(t).Topology
+	for _, seed := range topologySeeds {
+		got, w := topologyDigest(t, seed), want[fmt.Sprint(seed)]
+		if got.Stats != w.Stats {
+			t.Errorf("seed %d: Stats diverged:\n oracle %s\n engine %s", seed, w.Stats, got.Stats)
 		}
-		var rxLog []string
-		for _, a := range addrs {
-			a := a
-			nic, _ := net.NIC(a)
-			nic.SetReceiver(func(f Frame) {
-				rxLog = append(rxLog, fmt.Sprintf("t=%v %v->%v %x", clk.Now().Sub(epoch), f.Src, a, f.Payload))
+		if got.Receives != w.Receives {
+			t.Errorf("seed %d: receive log digest %s, oracle %s\n%s", seed, got.Receives, w.Receives, regenerateHint)
+		}
+	}
+}
+
+// topologyDigest runs the topology-edges workload on a five-node line and
+// returns its section of the oracle.
+func topologyDigest(t *testing.T, seed int64) topologyGolden {
+	t.Helper()
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	clk := vclock.NewVirtual(epoch)
+	net := New(clk, seed)
+	addrs := Addrs(5)
+	if err := BuildGrid(net, addrs, 5, DefaultQuality()); err != nil {
+		t.Fatalf("BuildGrid: %v", err)
+	}
+	var rxLog []string
+	for _, a := range addrs {
+		a := a
+		nic, _ := net.NIC(a)
+		nic.SetReceiver(func(f Frame) {
+			rxLog = append(rxLog, fmt.Sprintf("t=%v %v->%v %x", clk.Now().Sub(epoch), f.Src, a, f.Payload))
+		})
+	}
+	var detached *NIC
+	clk.AfterFunc(20*time.Millisecond, func() {
+		detached, _ = net.NIC(addrs[2])
+		_ = net.Detach(addrs[2])
+	})
+	clk.AfterFunc(60*time.Millisecond, func() {
+		_ = net.Reattach(detached)
+		_ = net.SetDirectedLink(addrs[1], addrs[2], DefaultQuality())
+	})
+	clk.AfterFunc(80*time.Millisecond, func() { net.CutLink(addrs[0], addrs[1]) })
+	for i, a := range addrs {
+		a := a
+		peer := addrs[(i+2)%len(addrs)]
+		for k := 0; k < 12; k++ {
+			k := k
+			clk.AfterFunc(time.Duration(k)*9*time.Millisecond, func() {
+				nic, ok := net.NIC(a)
+				if !ok {
+					return
+				}
+				_ = nic.Send(mnet.Broadcast, []byte(fmt.Sprintf("b %v %d", a, k)))
+				_ = nic.Send(peer, []byte(fmt.Sprintf("u %v %d", a, k)))
 			})
 		}
-		var detached *NIC
-		clk.AfterFunc(20*time.Millisecond, func() {
-			detached, _ = net.NIC(addrs[2])
-			_ = net.Detach(addrs[2])
-		})
-		clk.AfterFunc(60*time.Millisecond, func() {
-			_ = net.Reattach(detached)
-			_ = net.SetDirectedLink(addrs[1], addrs[2], DefaultQuality())
-		})
-		clk.AfterFunc(80*time.Millisecond, func() { net.CutLink(addrs[0], addrs[1]) })
-		for i, a := range addrs {
-			a := a
-			peer := addrs[(i+2)%len(addrs)]
-			for k := 0; k < 12; k++ {
-				k := k
-				clk.AfterFunc(time.Duration(k)*9*time.Millisecond, func() {
-					nic, ok := net.NIC(a)
-					if !ok {
-						return
-					}
-					_ = nic.Send(mnet.Broadcast, []byte(fmt.Sprintf("b %v %d", a, k)))
-					_ = nic.Send(peer, []byte(fmt.Sprintf("u %v %d", a, k)))
-				})
-			}
-		}
-		clk.Advance(300 * time.Millisecond)
-		return rxLog, net.Stats()
 	}
-
-	refRx, refStats := run(NewReference)
-	if len(refRx) == 0 {
-		t.Fatal("no deliveries in reference run")
+	clk.Advance(300 * time.Millisecond)
+	if len(rxLog) == 0 {
+		t.Fatal("no deliveries in the topology run")
 	}
-	rx, stats := run(New)
-	if stats != refStats {
-		t.Errorf("Stats diverged:\n reference %+v\n core      %+v", refStats, stats)
-	}
-	diffSeq(t, "grid", "receive", refRx, rx)
+	return topologyGolden{Stats: fmt.Sprintf("%+v", net.Stats()), Receives: digestLines(rxLog)}
 }

@@ -157,7 +157,7 @@ type Network struct {
 	// destination. A node absent from it, or with an empty list, has none.
 	adj   map[mnet.Addr][]neighborLink
 	stats Stats
-	eng   *engine                // nil on the reference path (NewReference)
+	eng   engine                 // the event core every delivery goes through
 	tap   func(Frame, mnet.Addr) // (frame, receiver); nil when unset
 	txTap func(Frame)            // transmission-side tap; nil when unset
 	inj   *Injector              // nil until a FaultPlan is applied
@@ -168,7 +168,7 @@ type Network struct {
 	// while holding mu sends again.
 	targets []neighborLink
 	// free and records hold fired deliveries and released transmission
-	// records (up to recordCap); the reference path returns none.
+	// records (up to recordCap).
 	free    []*delivery
 	records []*txRecord
 }
@@ -179,27 +179,15 @@ const recordCap = 128
 // event engine. seed drives the loss process, making lossy runs
 // reproducible.
 func New(clock vclock.Clock, seed int64) *Network {
-	n := newNetwork(clock, seed)
-	n.eng = &engine{net: n}
-	return n
-}
-
-// NewReference creates a medium on the original timer-per-delivery path: one
-// vclock timer and one closure per frame in flight, no engine. It is the
-// oracle the differential tests hold the event core to on identical seeds,
-// and is for tests only — it is quadratic where New is not.
-func NewReference(clock vclock.Clock, seed int64) *Network {
-	return newNetwork(clock, seed)
-}
-
-func newNetwork(clock vclock.Clock, seed int64) *Network {
-	return &Network{
+	n := &Network{
 		clock: clock,
 		base:  clock.Nanos(),
 		seed:  seed,
 		nodes: make(map[mnet.Addr]*NIC),
 		adj:   make(map[mnet.Addr][]neighborLink),
 	}
+	n.eng.net = n
+	return n
 }
 
 // Clock returns the clock the medium schedules deliveries on.
@@ -411,13 +399,10 @@ func (n *Network) Stats() Stats {
 }
 
 // EngineStats returns the event core's cumulative epoch telemetry. ok is
-// false on the reference path, which has no epochs.
+// always true: every medium runs the engine.
 func (n *Network) EngineStats() (EngineStats, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.eng == nil {
-		return EngineStats{}, false
-	}
 	return n.eng.stats, true
 }
 
@@ -614,18 +599,12 @@ func (n *Network) newDeliveryLocked(nic *NIC, f *Frame, cb func(bool), fn func(F
 	return d
 }
 
-// waitLocked books d, holding its record, to fire delay after the send at
-// deadline key nowAt: the one place the reference path differs from the
-// engine, since there d waits in a clock timer of its own instead of the
-// engine's queue, and keeps its hold. Caller holds n.mu (vclock runs
-// callbacks with its own lock released).
+// waitLocked books d, holding its record until the epoch that fires it
+// hands it back, to fire delay after the send at deadline key nowAt.
+// Caller holds n.mu.
 func (n *Network) waitLocked(d *delivery, nowAt int64, delay time.Duration) {
 	if r := d.frame.shared; r != nil {
 		r.holds++
-	}
-	if n.eng == nil {
-		n.clock.AfterFunc(delay, d.fire)
-		return
 	}
 	n.eng.scheduleLocked(d, nowAt+int64(delay))
 }
@@ -694,8 +673,8 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 // deliver is one frame's arrival, start to finish: account for the frame,
 // record its span, show it to the capture tap and hand it to the receiver.
 // A frame whose receiver detached in flight is dropped silently (its MAC
-// verdict, which delivery.fire reports next, is still success: the ACK
-// left the receiver before it crashed).
+// verdict, which the epoch reports next, is still success: the ACK left
+// the receiver before it crashed).
 func (c *NIC) deliver(f *Frame) {
 	n := c.net
 	n.mu.Lock()

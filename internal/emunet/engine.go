@@ -1,13 +1,12 @@
 // The discrete-event core of the emulated medium.
 //
-// The reference medium (NewReference) schedules one vclock timer per
-// in-flight frame — fine for the paper's five nodes, quadratic misery for a
-// thousand. The engine is a classic discrete-event simulator instead:
-// deliveries live in an engine-owned priority queue ordered by (deadline,
-// sequence), and exactly one "anchor" timer sits in the clock at the
-// queue's earliest deadline. When the anchor fires, every delivery due at
-// that instant — an *epoch* — is popped as one batch and delivered, one
-// after the other, in (deadline, seq) order on the clock goroutine.
+// Every frame the medium delivers goes through the engine, a classic
+// discrete-event simulator: deliveries live in an engine-owned priority
+// queue ordered by (deadline, sequence), and exactly one "anchor" timer
+// sits in the clock at the queue's earliest deadline, however many frames
+// are in flight. When the anchor fires, every delivery due at that instant
+// — an *epoch* — is popped as one batch and delivered, one after the
+// other, in (deadline, seq) order on the clock goroutine.
 //
 // That order is the whole determinism argument. Everything a protocol can
 // observe — the rng draws for loss and faults (made inside Send, which the
@@ -15,10 +14,11 @@
 // upcall order — happens in the one total order (when, seq), which is a
 // pure function of the seed. There is nothing concurrent to reason about.
 //
-// Same-instant cascades (an upcall sending over a zero-delay link) re-arm
-// the anchor at the same instant with a fresh registration sequence, which
-// the virtual clock orders after every timer already queued there — exactly
-// where the reference path's per-delivery timers would have landed.
+// Against the clock's other timers the engine keeps one rule: a
+// same-instant re-arm (an upcall sending over a zero-delay link) fires
+// behind the timers already queued at that instant, because the anchor
+// takes a fresh registration sequence each time it is armed. The medium's
+// recorded outputs (testdata/medium_fingerprints.json) pin the order.
 package emunet
 
 import (
@@ -74,25 +74,9 @@ type delivery struct {
 	fn    func(f Frame, delivered bool) // MAC feedback; nil unless SendWithFeedbackTagged
 }
 
-// fire ends a delivery: the frame reaches its receiver, then the verdict
-// its sender. Both paths end every delivery here — an epoch for each
-// delivery of its batch, the reference path from the delivery's own timer.
-func (d *delivery) fire() {
-	nic, cb, fn := d.nic, d.cb, d.fn
-	if nic != nil {
-		nic.deliver(&d.frame)
-	}
-	if cb != nil {
-		cb(nic != nil)
-	}
-	if fn != nil {
-		fn(d.frame, nic != nil)
-	}
-}
-
-// engine is the event core installed on every Network but the reference
-// one. All of its state is guarded by the owning Network's mutex; epochs
-// execute on the clock goroutine, one at a time.
+// engine is a Network's event core. All of its state is guarded by the
+// owning Network's mutex; epochs execute on the clock goroutine, one at a
+// time.
 type engine struct {
 	net *Network
 
@@ -129,11 +113,11 @@ func (e *engine) scheduleLocked(d *delivery, at int64) {
 
 // armLocked (re)arms the anchor at deadline key at. The engine
 // keeps one timer for its lifetime, bound to e.run once, and resets it:
-// Reset takes a fresh registration sequence, so the virtual clock orders
-// the anchor among equal-deadline protocol timers exactly where a newly
-// scheduled per-delivery timer would have landed. The delay is clamped at
-// zero because a deadline behind the clock must fire at the current
-// instant, after the timers already queued there, not ahead of them.
+// Reset takes a fresh registration sequence, so the virtual clock fires
+// the anchor behind every timer already queued at its deadline. The delay
+// is clamped at zero because a deadline behind the clock must fire at the
+// current instant, after the timers already queued there, not ahead of
+// them.
 // Caller holds the network mutex; the lock order network→clock is safe
 // because vclock invokes callbacks with its own lock released.
 func (e *engine) armLocked(at int64) {
@@ -151,9 +135,8 @@ func (e *engine) armLocked(at int64) {
 
 // rearmLocked re-establishes the anchor invariant after an epoch. A
 // same-instant follow-on (zero-delay link) re-arms at the current instant,
-// which the clock fires after every timer already queued there — matching
-// the reference path, where such a delivery's timer was also registered
-// behind them.
+// and so fires behind every timer already queued there: the engine's rule
+// for the order of one instant.
 func (e *engine) rearmLocked() {
 	if e.q.len() == 0 {
 		if e.anchor != nil {
@@ -197,8 +180,18 @@ func (e *engine) run() {
 	bus := n.bus
 	n.mu.Unlock()
 
+	// Each delivery hands its frame to the receiver, then its verdict to
+	// the sender.
 	for _, d := range batch {
-		d.fire()
+		if d.nic != nil {
+			d.nic.deliver(&d.frame)
+		}
+		if d.cb != nil {
+			d.cb(d.nic != nil)
+		}
+		if d.fn != nil {
+			d.fn(d.frame, d.nic != nil)
+		}
 	}
 
 	es := EpochStats{Events: len(batch), CommitLag: time.Duration(nowAt - batch[0].at)}

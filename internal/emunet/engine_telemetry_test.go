@@ -140,31 +140,26 @@ func TestEpochObserverAndEngineCounters(t *testing.T) {
 	}
 }
 
-// TestEpochObserverLegacyEngine: the reference path has no epochs; it
-// must publish no engine event and EngineStats must say so.
+// TestEpochObserverLegacyEngine: an idle medium has no epochs. With nodes
+// and links in place but nothing sent, it must publish no engine event,
+// and EngineStats must report ok with zero epochs.
 func TestEpochObserverLegacyEngine(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := vclock.NewVirtual(epoch)
-	net := emunet.NewReference(clk, 7)
+	net := emunet.New(clk, 7)
 	bus := telemetry.New(telemetry.Config{Epoch: epoch, RecorderCapacity: -1})
 	sub := bus.Subscribe(8, telemetry.StreamEngine)
 	net.SetTelemetry(bus)
-	nodes := emunet.Addrs(2)
-	if err := emunet.BuildLine(net, nodes, emunet.DefaultQuality()); err != nil {
+	if err := emunet.BuildLine(net, emunet.Addrs(2), emunet.DefaultQuality()); err != nil {
 		t.Fatal(err)
 	}
-	nic, _ := net.NIC(nodes[0])
-	_ = nic.Send(nodes[1], []byte("x"))
 	clk.Advance(10 * time.Millisecond)
 	bus.Close()
 	if st := sub.Stats(); st.Published != 0 {
-		t.Fatalf("%d engine events published on the reference path", st.Published)
+		t.Fatalf("%d engine events published by an idle medium", st.Published)
 	}
-	if _, ok := net.EngineStats(); ok {
-		t.Fatal("EngineStats ok on the reference path")
-	}
-	if net.Stats().RxFrames != 1 {
-		t.Fatalf("reference delivery broken: %+v", net.Stats())
+	if eng, ok := net.EngineStats(); !ok || eng != (emunet.EngineStats{}) {
+		t.Fatalf("EngineStats = %+v, %v on an idle medium; want zero, true", eng, ok)
 	}
 }
 

@@ -243,20 +243,35 @@ func TestReattachRejectsOccupiedAddress(t *testing.T) {
 // lends the medium's one buffer, so every frame holding a record aliases the
 // same bytes, while a corrupted copy and a duplicate — each a buffer of its
 // own — hold none. Decoded then runs the decode function once per
-// transmission plus once per record-less delivery, on both paths, and hands
-// its result (and error) to every holder. Each send's deliveries end before
-// the next send, whose record may be the recycled one.
+// transmission plus once per record-less delivery, and hands its result
+// (and error) to every holder. Each send's deliveries end before the next
+// send, whose record may be the recycled one. With legacy=true a capture
+// tap keeps every buffer before any receiver decodes it, so no send's bytes
+// are lent again, as on a medium that never recycles; the tap checks both.
 func TestDecodeSlotFollowsByteIdentity(t *testing.T) {
-	for _, tc := range []struct {
-		legacy bool
-		mk     medium
-	}{{false, New}, {true, NewReference}} {
-		t.Run(fmt.Sprintf("legacy=%v", tc.legacy), func(t *testing.T) {
+	for _, legacy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {
 			clk := vclock.NewVirtual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-			net := tc.mk(clk, 1)
+			net := New(clk, 1)
 			addrs := Addrs(6)
 			if err := BuildClique(net, addrs, DefaultQuality()); err != nil {
 				t.Fatal(err)
+			}
+			sends := 0
+			if legacy {
+				lentBy := map[*byte]int{} // a kept buffer → the send that lent it
+				net.SetTap(func(f Frame, _ mnet.Addr) {
+					if f.shared == nil {
+						return
+					}
+					if !f.shared.kept.Load() { // before any receiver has decoded it
+						t.Fatalf("send %d: the tap is handed a buffer the medium may lend again", sends)
+					}
+					if s, ok := lentBy[&f.Payload[0]]; ok && s != sends {
+						t.Fatalf("send %d reuses the buffer of send %d, which the tap kept", sends, s)
+					}
+					lentBy[&f.Payload[0]] = sends
+				})
 			}
 			decodes := 0
 			decode := func(p []byte) (any, error) {
@@ -272,6 +287,7 @@ func TestDecodeSlotFollowsByteIdentity(t *testing.T) {
 				clk.Advance(20 * time.Millisecond)
 				slots += len(bufOf)
 				clear(bufOf)
+				sends++
 			}
 			for _, a := range addrs {
 				nic, _ := net.NIC(a)

@@ -151,6 +151,68 @@ func TestLentDecodeSurvivesRecordReuse(t *testing.T) {
 	}
 }
 
+// TestDecodedOnceAcrossGoroutines races the decode slot's sync.Once: the
+// capture tap keeps every copy of one broadcast's frame and, in the call
+// that hands it the last, has several goroutines call Decoded on those
+// copies at once. The decode runs once, and every caller gets its value
+// and its error.
+func TestDecodedOnceAcrossGoroutines(t *testing.T) {
+	const receivers, callers = 4, 16
+	n, clk := newNet(t)
+	if err := BuildClique(n, Addrs(receivers+1), DefaultQuality()); err != nil {
+		t.Fatal(err)
+	}
+	var decodes atomic.Int32
+	decode := func(p []byte) (any, error) {
+		decodes.Add(1)
+		return new(byte), fmt.Errorf("decoded %q", p) // fresh each run: identity names the run
+	}
+	var frames []Frame
+	type result struct {
+		v   any
+		err error
+	}
+	var results [callers]result
+	n.SetTap(func(f Frame, _ mnet.Addr) {
+		if frames = append(frames, f); len(frames) < receivers {
+			return
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := range results {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				results[i].v, results[i].err = frames[i%receivers].Decoded(decode)
+			}()
+		}
+		close(start)
+		wg.Wait()
+	})
+	src, _ := n.NIC(Addrs(1)[0])
+	if err := src.Send(mnet.Broadcast, []byte("one frame")); err != nil {
+		t.Fatal(err)
+	}
+	clk.RunUntilIdle(-1)
+	if len(frames) != receivers {
+		t.Fatalf("tap kept %d frames, want %d", len(frames), receivers)
+	}
+	for _, f := range frames {
+		if f.shared == nil || f.shared != frames[0].shared {
+			t.Fatal("the receivers of one broadcast do not share its record")
+		}
+	}
+	if got := decodes.Load(); got != 1 {
+		t.Fatalf("decode ran %d times for one transmission, want once", got)
+	}
+	for i, r := range results {
+		if r.v == nil || r.v != results[0].v || r.err != results[0].err {
+			t.Fatalf("caller %d got (%p, %v), caller 0 (%p, %v)", i, r.v, r.err, results[0].v, results[0].err)
+		}
+	}
+}
+
 // TestLentRecordFreeListPlateaus: a burst of more transmissions in flight
 // than the record free list holds leaves it at its cap once they have all
 // been delivered; the rest go to the collector.

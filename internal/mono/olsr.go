@@ -438,7 +438,11 @@ func (o *OLSR) selectMPRsLocked() {
 	}
 }
 
-// computeRoutesLocked rebuilds the routing table.
+// computeRoutesLocked rebuilds the routing table. Among equal-cost next
+// hops it takes the smallest, as the kit does, so the table is a function
+// of the topology and not of map order: a 2-hop destination goes through
+// its smallest via, and relaxation replaces a route of equal metric whose
+// next hop is larger.
 func (o *OLSR) computeRoutesLocked() {
 	routes := make(map[mnet.Addr]Hop, len(o.routes))
 	for a, nb := range o.neighbors {
@@ -454,7 +458,7 @@ func (o *OLSR) computeRoutesLocked() {
 			if th == o.nic.Addr() {
 				continue
 			}
-			if _, ok := routes[th]; !ok {
+			if cur, ok := routes[th]; !ok || cur.Metric == 2 && a.Less(cur.NextHop) {
 				routes[th] = Hop{NextHop: a, Metric: 2}
 			}
 		}
@@ -470,7 +474,8 @@ func (o *OLSR) computeRoutesLocked() {
 			if !ok {
 				continue
 			}
-			if cur, ok := routes[dest]; !ok || le.Metric+1 < cur.Metric {
+			if cur, ok := routes[dest]; !ok || le.Metric+1 < cur.Metric ||
+				le.Metric+1 == cur.Metric && le.NextHop.Less(cur.NextHop) {
 				routes[dest] = Hop{NextHop: le.NextHop, Metric: le.Metric + 1}
 				changed = true
 			}

@@ -216,14 +216,15 @@ func TestFaultInjectionDetachesSharedDecode(t *testing.T) {
 }
 
 // TestSharedDecodeConcurrentReceivers runs the arrangement in which the
-// receivers of one broadcast really are concurrent — the reference medium on a
-// real clock fires one timer goroutine per delivery, and each node's
-// consumer runs on its own dedicated-queue goroutine — so that under -race
-// the slot's locking and the read-only rule are both exercised: every
-// handler reads all of the shared message while its siblings do the same.
+// handlers of one broadcast's receivers really are concurrent: the medium
+// on a real clock delivers the broadcast to each receiver in turn, and each
+// node's consumer runs on its own dedicated-queue goroutine, so under -race
+// the read-only rule is exercised: every handler reads all of the shared
+// message while its siblings do the same. (emunet's
+// TestDecodedOnceAcrossGoroutines races the decode itself.)
 func TestSharedDecodeConcurrentReceivers(t *testing.T) {
 	const receivers, broadcasts = 24, 40
-	net := emunet.NewReference(vclock.Real(), 1)
+	net := emunet.New(vclock.Real(), 1)
 	nodes := attachNodes(t, net, vclock.Real(), receivers+1)
 	addrs := emunet.Addrs(receivers + 1)
 	q := emunet.DefaultQuality()
