@@ -201,14 +201,113 @@ func TestWarmEngineAllocs(t *testing.T) {
 	}
 }
 
+// TestFiredAnchorResetUnderRealClock drives the one way a second epoch can
+// be asked for under the wall clock now that nothing arms the anchor while
+// an epoch runs: the anchor fires while the test holds the network mutex,
+// so its run waits for it, and a delivery due before the anchor's deadline
+// — behind the clock, over a negative link delay — is booked in that
+// window, as a send from another goroutine would book it, resetting the
+// fired anchor. Both firings then race for the mutex; one delivers both
+// frames, earlier deadline first, and the other must not start a second
+// epoch beside it. Meaningful under -race.
+func TestFiredAnchorResetUnderRealClock(t *testing.T) {
+	n := New(vclock.Real(), 1)
+	addrs := Addrs(3)
+	src, slow, behind := attach(t, n, addrs[0]), attach(t, n, addrs[1]), attach(t, n, addrs[2])
+	if err := n.SetDirectedLink(addrs[0], addrs[1], Quality{Delay: 2 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu       sync.Mutex
+		inUpcall int
+		got      []string
+		done     = make(chan struct{}, 2) // one per frame
+	)
+	upcall := func(who string, d time.Duration) func(Frame) {
+		return func(Frame) {
+			mu.Lock()
+			if inUpcall++; inUpcall > 1 {
+				t.Errorf("%s delivered while another upcall was running: two epochs in flight", who)
+			}
+			got = append(got, who)
+			mu.Unlock()
+			time.Sleep(d) // long enough for the other firing to find the epoch running
+			mu.Lock()
+			inUpcall--
+			mu.Unlock()
+			done <- struct{}{}
+		}
+	}
+	slow.SetReceiver(upcall("slow", 20*time.Millisecond))
+	behind.SetReceiver(upcall("behind", 0))
+	if err := src.Send(addrs[1], []byte("s")); err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	time.Sleep(10 * time.Millisecond) // the anchor fires; its run waits for the mutex
+	d := n.newDeliveryLocked(behind, &Frame{Src: addrs[0], Dst: addrs[2]}, nil, nil)
+	n.waitLocked(d, n.nowKey(), -time.Second)
+	n.mu.Unlock()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("a frame was never delivered")
+		}
+	}
+	time.Sleep(5 * time.Millisecond) // a duplicate delivery would land here
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"behind", "slow"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+	if st, _ := n.EngineStats(); st.Epochs != 1 || st.Events != 2 {
+		t.Fatalf("engine %+v, want one epoch of two events", st)
+	}
+}
+
+// TestFiringDuringEpochIsAbsorbed pins the guard the firing above reaches:
+// a firing of the anchor while an epoch is delivering starts no second
+// epoch, and what fell due meanwhile waits for the running epoch's re-arm.
+// The second firing is made by hand from inside an upcall.
+func TestFiringDuringEpochIsAbsorbed(t *testing.T) {
+	n, clk := newNet(t)
+	addrs := Addrs(2)
+	src, dst := attach(t, n, addrs[0]), attach(t, n, addrs[1])
+	if err := n.SetDirectedLink(addrs[0], addrs[1], Quality{}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	dst.SetReceiver(func(f Frame) {
+		if got = append(got, string(f.Payload)); len(got) > 1 {
+			return
+		}
+		if err := src.Send(addrs[1], []byte("second")); err != nil { // due now
+			t.Fatal(err)
+		}
+		n.eng.run()
+		if len(got) != 1 {
+			t.Fatalf("a firing during the epoch delivered %q", got[1:])
+		}
+	})
+	if err := src.Send(addrs[1], []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(0)
+	if st, _ := n.EngineStats(); !reflect.DeepEqual(got, []string{"first", "second"}) || st.Epochs != 2 {
+		t.Fatalf("delivered %q in %d epochs, want [first second] in 2", got, st.Epochs)
+	}
+}
+
 // TestOneEpochInFlightUnderRealClock: under the wall clock a receiver upcall
 // that outlasts the next deadline must not let a second epoch start beside
 // the first — the two would share the batch and the free list. The slow
 // receiver forwards each frame over a link whose delay is a fraction of the
-// time the upcall then sleeps, so the anchor it arms fires on another
-// goroutine while the epoch is still delivering; further frames fall due
-// meanwhile. Every frame must be delivered exactly once, in (when, seq)
-// order, and never while another upcall is running. Meaningful under -race.
+// time the upcall then sleeps, so the forwarded frame falls due while the
+// epoch is still delivering, as do further frames; the running epoch's
+// re-arm must take them all. Every frame must be delivered exactly once, in
+// (when, seq) order, and never while another upcall is running. Meaningful
+// under -race.
 func TestOneEpochInFlightUnderRealClock(t *testing.T) {
 	n := New(vclock.Real(), 1)
 	addrs := Addrs(3)
@@ -251,7 +350,7 @@ func TestOneEpochInFlightUnderRealClock(t *testing.T) {
 	slow.SetReceiver(func(f Frame) {
 		enter("slow", f)
 		defer leave()
-		if err := slow.Send(addrs[2], f.Payload); err != nil { // arms the anchor 200µs out…
+		if err := slow.Send(addrs[2], f.Payload); err != nil { // due 200µs out…
 			t.Error(err)
 		}
 		time.Sleep(time.Millisecond) // …and outlasts it
@@ -292,5 +391,66 @@ func TestOneEpochInFlightUnderRealClock(t *testing.T) {
 	}
 	if st := n.Stats(); st.RxFrames != 2*frames || st.TxFrames != 2*frames {
 		t.Fatalf("stats %+v, want %d tx and rx", st, 2*frames)
+	}
+}
+
+// armCounter is a virtual clock that counts the anchor's arms: AfterFunc
+// calls and Resets of the timers it returned.
+type armCounter struct {
+	*vclock.Virtual
+	arms int
+}
+
+func (c *armCounter) AfterFunc(d time.Duration, f func()) vclock.Timer {
+	c.arms++
+	return countedTimer{c.Virtual.AfterFunc(d, f), c}
+}
+
+type countedTimer struct {
+	vclock.Timer
+	c *armCounter
+}
+
+func (t countedTimer) Reset(d time.Duration) bool {
+	t.c.arms++
+	return t.Timer.Reset(d)
+}
+
+// TestAnchorArmedOncePerEpoch: down a unicast chain, every epoch's upcall
+// forwards the frame one hop, and the engine arms its anchor once per
+// epoch — the send's first arm, then each epoch's re-arm — and never from
+// inside a running epoch, whose re-arm would overwrite that arm unfired.
+// The epochs and the timers fired are the hops, one each.
+func TestAnchorArmedOncePerEpoch(t *testing.T) {
+	const nodes = 6
+	clk := &armCounter{Virtual: vclock.NewVirtual(epoch)}
+	n := New(clk, 1)
+	addrs := Addrs(nodes)
+	nics := make([]*NIC, nodes)
+	for i, a := range addrs {
+		nics[i] = attach(t, n, a)
+	}
+	for i := 0; i+1 < nodes; i++ {
+		if err := n.SetDirectedLink(addrs[i], addrs[i+1], DefaultQuality()); err != nil {
+			t.Fatal(err)
+		}
+		next := i + 1
+		nics[next].SetReceiver(func(f Frame) {
+			if next+1 < nodes {
+				_ = nics[next].Send(addrs[next+1], f.Payload)
+			}
+		})
+	}
+	if err := nics[0].Send(addrs[1], []byte("hop")); err != nil {
+		t.Fatal(err)
+	}
+	fired := clk.RunUntilIdle(-1)
+	const hops = nodes - 1
+	st, _ := n.EngineStats()
+	if want := (EngineStats{Epochs: hops, Events: hops, MaxEpochEvents: 1}); st != want || fired != hops {
+		t.Fatalf("engine %+v and %d timers fired, want %+v and %d", st, fired, want, hops)
+	}
+	if clk.arms != hops {
+		t.Fatalf("anchor armed %d times over %d epochs, want once per epoch", clk.arms, hops)
 	}
 }

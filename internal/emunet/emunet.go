@@ -61,14 +61,17 @@ type Frame struct {
 // txRecord is what the medium lends one transmission's deliveries: the
 // payload buffer, one hold per scheduled delivery, and the decode slot the
 // receivers share. The last release recycles it; kept marks a buffer
-// something may hold on to, which goes to the collector instead.
+// something may hold on to, which goes to the collector instead, and tapped
+// a record a capture tap was handed, which goes there whole: a Decoded on a
+// frame the tap kept would otherwise fill the slot of the next send.
 type txRecord struct {
-	buf   []byte
-	holds int         // guarded by Network.mu
-	kept  atomic.Bool // Decoded sets it outside Network.mu
-	once  sync.Once
-	val   any
-	err   error
+	buf    []byte
+	holds  int32 // guarded by Network.mu, as is tapped
+	tapped bool
+	kept   atomic.Bool // Decoded sets it outside Network.mu
+	once   sync.Once
+	val    any
+	err    error
 }
 
 // Decoded returns decode(f.Payload), computed once per transmission: the
@@ -541,10 +544,10 @@ func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb fu
 }
 
 // releaseLocked drops a hold on r. The last recycles r with its slot zeroed
-// and its buffer poisoned, like a released event carrier, unless the buffer
-// is kept, which goes to the collector. Caller holds n.mu.
+// and its buffer poisoned, like a released event carrier, unless r is
+// tapped or its buffer kept, which go to the collector. Caller holds n.mu.
 func (n *Network) releaseLocked(r *txRecord) {
-	if r.holds--; r.holds > 0 {
+	if r.holds--; r.holds > 0 || r.tapped {
 		return
 	}
 	buf := r.buf
@@ -670,19 +673,17 @@ func (c *NIC) SendWithFeedbackTagged(dst mnet.Addr, payload []byte, corr string,
 	return c.net.send(c, dst, payload, corr, nil, fn)
 }
 
-// deliver is one frame's arrival, start to finish: account for the frame,
-// record its span, show it to the capture tap and hand it to the receiver.
-// A frame whose receiver detached in flight is dropped silently (its MAC
-// verdict, which the epoch reports next, is still success: the ACK left
-// the receiver before it crashed).
-func (c *NIC) deliver(f *Frame) {
-	n := c.net
-	n.mu.Lock()
-	if c.detached {
-		n.mu.Unlock()
-		return
+// admitLocked is the medium's side of one frame's arrival: account for the
+// frame, record its span, and return the receiver and the capture tap to
+// hand it to. A verdict alone (c is nil) goes to neither, nor, silently,
+// does a frame whose receiver detached in flight (its MAC verdict, which
+// the epoch reports next, is still success: the ACK left the receiver
+// before it crashed). Caller holds n.mu.
+func (c *NIC) admitLocked(f *Frame) (recv func(Frame), tap func(Frame, mnet.Addr)) {
+	if c == nil || c.detached {
+		return nil, nil
 	}
-	recv := c.recv
+	n := c.net
 	n.stats.RxFrames++
 	n.stats.RxBytes += uint64(len(f.Payload))
 	if f.Corrupted {
@@ -694,16 +695,8 @@ func (c *NIC) deliver(f *Frame) {
 			From: f.Src.String(), Corr: f.Corr, Bytes: len(f.Payload),
 		})
 	}
-	tap := n.tap
-	if tap != nil && f.shared != nil {
-		f.shared.kept.Store(true) // the tap may keep the bytes
+	if n.tap != nil && f.shared != nil {
+		f.shared.tapped = true // the tap may keep the frame: bytes, record and slot
 	}
-	n.mu.Unlock()
-
-	if tap != nil {
-		tap(*f, c.addr)
-	}
-	if recv != nil {
-		recv(*f)
-	}
+	return c.recv, n.tap
 }

@@ -99,14 +99,15 @@ type engine struct {
 
 // scheduleLocked enqueues a delivery at deadline key at, assigning its
 // sequence, and keeps the anchor invariant: whenever the queue is
-// non-empty, one vclock timer is armed at its earliest deadline. Caller
-// holds the network mutex.
+// non-empty, one vclock timer is armed at its earliest deadline — by the
+// running epoch's re-arm while one runs, since an arm inside it could never
+// fire. Caller holds the network mutex.
 func (e *engine) scheduleLocked(d *delivery, at int64) {
 	d.at = at
 	d.seq = e.seq
 	e.seq++
 	e.q.push(d)
-	if !e.anchored || at < e.anchorAt {
+	if !e.running && (!e.anchored || at < e.anchorAt) {
 		e.armLocked(at)
 	}
 }
@@ -156,7 +157,9 @@ func (e *engine) rearmLocked() {
 // At most one epoch is in flight. A firing that finds one running (real
 // clock only: the virtual clock fires timers one at a time) is absorbed;
 // whatever fell due meanwhile sits in the queue behind the running batch in
-// (when, seq) order, and the running epoch's re-arm takes it.
+// (when, seq) order, and the running epoch's re-arm takes it. Such a firing
+// comes from a send on another goroutine, due before the fired anchor,
+// resetting it before its run takes the mutex.
 func (e *engine) run() {
 	n := e.net
 	n.mu.Lock()
@@ -178,13 +181,25 @@ func (e *engine) run() {
 	}
 	e.running = true
 	bus := n.bus
+	recv, tap := batch[0].nic.admitLocked(&batch[0].frame)
 	n.mu.Unlock()
 
-	// Each delivery hands its frame to the receiver, then its verdict to
-	// the sender.
-	for _, d := range batch {
-		if d.nic != nil {
-			d.nic.deliver(&d.frame)
+	// Each delivery shows its frame to the tap and hands it to the
+	// receiver, then its verdict to the sender. The first was admitted with
+	// the pop; an earlier upcall may detach a later one's receiver.
+	for i, d := range batch {
+		if c := d.nic; c != nil {
+			if i > 0 {
+				n.mu.Lock()
+				recv, tap = c.admitLocked(&d.frame)
+				n.mu.Unlock()
+			}
+			if tap != nil {
+				tap(d.frame, c.addr)
+			}
+			if recv != nil {
+				recv(d.frame)
+			}
 		}
 		if d.cb != nil {
 			d.cb(d.nic != nil)

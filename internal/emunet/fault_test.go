@@ -246,8 +246,9 @@ func TestReattachRejectsOccupiedAddress(t *testing.T) {
 // transmission plus once per record-less delivery, and hands its result
 // (and error) to every holder. Each send's deliveries end before the next
 // send, whose record may be the recycled one. With legacy=true a capture
-// tap keeps every buffer before any receiver decodes it, so no send's bytes
-// are lent again, as on a medium that never recycles; the tap checks both.
+// tap keeps every record before any receiver decodes it, so no send's
+// bytes are lent again, as on a medium that never recycles; the tap checks
+// both.
 func TestDecodeSlotFollowsByteIdentity(t *testing.T) {
 	for _, legacy := range []bool{false, true} {
 		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {
@@ -264,8 +265,8 @@ func TestDecodeSlotFollowsByteIdentity(t *testing.T) {
 					if f.shared == nil {
 						return
 					}
-					if !f.shared.kept.Load() { // before any receiver has decoded it
-						t.Fatalf("send %d: the tap is handed a buffer the medium may lend again", sends)
+					if !f.shared.tapped { // whatever the receivers do with it
+						t.Fatalf("send %d: the tap is handed a record the medium may lend again", sends)
 					}
 					if s, ok := lentBy[&f.Payload[0]]; ok && s != sends {
 						t.Fatalf("send %d reuses the buffer of send %d, which the tap kept", sends, s)

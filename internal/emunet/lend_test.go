@@ -213,6 +213,43 @@ func TestDecodedOnceAcrossGoroutines(t *testing.T) {
 	}
 }
 
+// TestTapKeptFrameDecodesItsOwnBytes: a frame a capture tap keeps outlives
+// its transmission's record, which the next send takes. Decoding the kept
+// frame after the epoch decodes its own bytes and leaves the next send's
+// receivers to decode theirs.
+func TestTapKeptFrameDecodesItsOwnBytes(t *testing.T) {
+	n, clk := newNet(t)
+	addrs := Addrs(2)
+	if err := BuildClique(n, addrs, DefaultQuality()); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(p []byte) (any, error) { return string(p), nil }
+	var kept []Frame
+	n.SetTap(func(f Frame, _ mnet.Addr) { kept = append(kept, f) })
+	var got []any
+	dst, _ := n.NIC(addrs[1])
+	dst.SetReceiver(func(f Frame) {
+		v, _ := f.Decoded(decode)
+		got = append(got, v)
+	})
+	src, _ := n.NIC(addrs[0])
+	if err := src.Send(addrs[1], []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10 * time.Millisecond)
+	n.SetTap(nil)
+	if v, _ := kept[0].Decoded(decode); v != "first" {
+		t.Fatalf("the kept frame decodes to %q, want \"first\"", v)
+	}
+	if err := src.Send(addrs[1], []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10 * time.Millisecond)
+	if len(got) != 2 || got[1] != "second" {
+		t.Fatalf("the receiver decoded %q, want [first second]", got)
+	}
+}
+
 // TestLentRecordFreeListPlateaus: a burst of more transmissions in flight
 // than the record free list holds leaves it at its cap once they have all
 // been delivered; the rest go to the collector.

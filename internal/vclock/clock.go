@@ -4,7 +4,12 @@
 // deployments use Real(); tests and the experiment harness use a Virtual
 // clock, which makes protocol runs — HELLO beacons, TC floods, route
 // timeouts, emulated link delays — fully deterministic and lets a multi-
-// second scenario execute in microseconds of wall time.
+// second scenario execute in microseconds of wall time. A Virtual timer
+// whose callback runs keeps its heap slot, so a Reset from the callback (a
+// timer re-arming itself, as the medium's anchor does) is one sift; unless
+// re-armed it leaves the heap when the callback returns or panics.
+// Meanwhile it counts as fired: Pending and NextDeadline skip it, and Stop
+// and Reset report false on it.
 package vclock
 
 import (
@@ -84,6 +89,7 @@ type Virtual struct {
 	timers    timerHeap
 	seq       uint64
 	advancing bool
+	firing    *vtimer // the fired timer still in its slot; nil once re-armed or stopped
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -120,6 +126,9 @@ func (v *Virtual) AfterFunc(d time.Duration, f func()) Timer {
 func (v *Virtual) Pending() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	if v.firing != nil {
+		return len(v.timers) - 1
+	}
 	return len(v.timers)
 }
 
@@ -127,10 +136,16 @@ func (v *Virtual) Pending() int {
 func (v *Virtual) NextDeadline() (time.Time, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if len(v.timers) == 0 {
+	h := v.timers
+	if v.firing != nil && v.firing.index == 0 { // the next is the root's earlier child
+		if h = h[1:min(len(h), 3)]; len(h) == 2 && h.less(1, 0) {
+			h = h[1:]
+		}
+	}
+	if len(h) == 0 {
 		return time.Time{}, false
 	}
-	return v.start.Add(time.Duration(v.timers[0].when)), true
+	return v.start.Add(time.Duration(h[0].when)), true
 }
 
 // Advance moves the clock forward by d, firing every timer whose deadline
@@ -173,9 +188,8 @@ func (v *Virtual) RunUntil(t time.Time) int {
 	return v.Advance(d)
 }
 
-// runLocked pops and fires timers due at or before until, up to max
-// callbacks (max < 0 is unbounded). Caller holds v.mu; callbacks run
-// unlocked.
+// runLocked fires timers due at or before until, up to max callbacks (max
+// < 0 is unbounded). Caller holds v.mu; callbacks run unlocked.
 func (v *Virtual) runLocked(until int64, max int) int {
 	if v.advancing {
 		panic("vclock: re-entrant Advance/Step from timer callback")
@@ -185,16 +199,23 @@ func (v *Virtual) runLocked(until int64, max int) int {
 
 	fired := 0
 	for len(v.timers) > 0 && v.timers[0].when <= until && (max < 0 || fired < max) {
-		vt := v.timers.remove(0)
+		vt := v.timers[0]
 		if vt.when > v.now.Load() {
 			v.now.Store(vt.when)
 		}
+		v.firing = vt
 		fn := vt.fn
 		v.mu.Unlock()
 		func() {
-			// Reacquire even if the callback panics, so the deferred
-			// unlock in the public entry point stays balanced.
-			defer v.mu.Lock()
+			// Reacquire and settle even if the callback panics, so the
+			// deferred unlock in the public entry point stays balanced.
+			defer func() {
+				v.mu.Lock()
+				if v.firing == vt { // neither re-armed nor stopped
+					v.firing = nil
+					v.timers.remove(vt.index)
+				}
+			}()
 			fn()
 		}()
 		fired++
@@ -232,7 +253,7 @@ func (t *vtimer) Stop() bool {
 		return false
 	}
 	t.clock.timers.remove(t.index)
-	return true
+	return t.clock.armed(t)
 }
 
 // Reset re-stamps the deadline and the registration sequence exactly as a
@@ -247,9 +268,19 @@ func (t *vtimer) Reset(d time.Duration) bool {
 	v.seq++
 	if t.index >= 0 {
 		v.timers.fix(t.index)
-		return true
+		return v.armed(t)
 	}
 	v.timers.push(t)
+	return false
+}
+
+// armed reports whether t, in the heap, was pending rather than firing,
+// and ends its firing state. Caller holds v.mu.
+func (v *Virtual) armed(t *vtimer) bool {
+	if v.firing != t {
+		return true
+	}
+	v.firing = nil
 	return false
 }
 

@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -121,6 +122,93 @@ func TestVirtualReset(t *testing.T) {
 	if firedAt.IsZero() {
 		t.Fatal("re-armed timer did not fire")
 	}
+}
+
+// TestVirtualFiringTimerState: inside its own callback a timer has fired.
+// Pending does not count it, NextDeadline reports the timer after it (or
+// one queued ahead of it meanwhile), Stop and Reset report false on it, a
+// Stop keeps it from firing again and a Reset makes it fire once more at
+// its new deadline. A callback that panics leaves the heap consistent.
+func TestVirtualFiringTimerState(t *testing.T) {
+	ms := func(n int) time.Time { return epoch.Add(time.Duration(n) * time.Millisecond) }
+	observe := func(t *testing.T, v *Virtual, pending int, next time.Time) {
+		t.Helper()
+		d, ok := v.NextDeadline()
+		if got := v.Pending(); got != pending || !ok || !d.Equal(next) {
+			t.Fatalf("Pending %d, NextDeadline %v %v; want %d and %v", got, d, ok, pending, next)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		act   func(t *testing.T, tm Timer)
+		fires []time.Time // the self-handling timer's firings
+	}{
+		{"none", func(*testing.T, Timer) {}, []time.Time{ms(10)}},
+		{"stop", func(t *testing.T, tm Timer) {
+			if tm.Stop() {
+				t.Error("Stop on the firing timer = true")
+			}
+		}, []time.Time{ms(10)}},
+		{"reset", func(t *testing.T, tm Timer) {
+			if tm.Reset(15 * time.Millisecond) {
+				t.Error("Reset on the firing timer = true")
+			}
+		}, []time.Time{ms(10), ms(25)}},
+		{"reset then stop", func(t *testing.T, tm Timer) {
+			tm.Reset(15 * time.Millisecond)
+			if !tm.Stop() {
+				t.Error("Stop after the firing timer's Reset = false")
+			}
+		}, []time.Time{ms(10)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			v := NewVirtual(epoch)
+			var fires []time.Time
+			var tm Timer
+			tm = v.AfterFunc(10*time.Millisecond, func() {
+				if fires = append(fires, v.Now()); len(fires) > 1 {
+					return
+				}
+				observe(t, v, 2, ms(20))
+				c.act(t, tm)
+				v.AfterFunc(-5*time.Millisecond, func() {}) // ahead of the firing timer
+				observe(t, v, len(c.fires)+2, ms(5))
+			})
+			v.AfterFunc(30*time.Millisecond, func() {})
+			v.AfterFunc(20*time.Millisecond, func() {})
+			if got, want := v.Advance(time.Second), len(c.fires)+3; got != want {
+				t.Fatalf("Advance fired %d timers, want %d", got, want)
+			}
+			if !slices.Equal(fires, c.fires) {
+				t.Fatalf("fired at %v, want %v", fires, c.fires)
+			}
+			if v.Pending() != 0 || tm.Stop() || tm.Reset(time.Millisecond) {
+				t.Fatal("a fired timer is still pending")
+			}
+		})
+	}
+
+	t.Run("panic", func(t *testing.T) {
+		v := NewVirtual(epoch)
+		var order []int
+		v.AfterFunc(10*time.Millisecond, func() { panic("boom") })
+		for _, i := range []int{3, 1, 2} {
+			v.AfterFunc(time.Duration(10*i)*time.Millisecond, func() { order = append(order, i) })
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("the callback's panic was swallowed")
+				}
+			}()
+			v.Advance(time.Second)
+		}()
+		observe(t, v, 3, ms(10))
+		v.Advance(time.Second)
+		if !slices.Equal(order, []int{1, 2, 3}) || v.Pending() != 0 {
+			t.Fatalf("after the panic fired %v, %d pending; want [1 2 3], 0", order, v.Pending())
+		}
+	})
 }
 
 func TestVirtualStepAndRunUntilIdle(t *testing.T) {
@@ -487,5 +575,23 @@ func BenchmarkVirtualReset(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tm.Reset(delays[i&1023])
+	}
+}
+
+// BenchmarkVirtualRearmFromCallback fires one timer among 448 pending ones
+// whose callback re-arms it to a near-front deadline, the way the medium's
+// anchor re-arms itself after every epoch.
+func BenchmarkVirtualRearmFromCallback(b *testing.B) {
+	v := NewVirtual(epoch)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 447; i++ {
+		v.AfterFunc(time.Hour+time.Duration(rng.Int63n(int64(time.Second))), func() {})
+	}
+	var tm Timer
+	tm = v.AfterFunc(time.Microsecond, func() { tm.Reset(time.Microsecond) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.Step()
 	}
 }

@@ -234,15 +234,19 @@ func (p *program) schedule() {
 	p.logf("after %d %v", id, d)
 }
 
-// callbackOp is one operation made from inside a firing callback.
+// callbackOp is one operation made from inside a firing callback. A stop
+// or reset there may name the firing timer itself, so what the clock
+// reports right after it is logged too.
 func (p *program) callbackOp() {
 	switch p.next() % 5 {
 	case 1:
 		p.schedule()
 	case 2:
 		p.stopOne()
+		p.observe()
 	case 3:
 		p.resetOne()
+		p.observe()
 	case 4:
 		p.observe()
 	}
@@ -305,6 +309,14 @@ func FuzzVirtualClock(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 5, 10, 6, 6, 6})                     // ties on one deadline
 	f.Add([]byte{0, 255, 0, 254, 0, 253, 7, 5, 255, 0, 0, 8, 0})        // saturating delays
 	f.Add([]byte{0, 40, 0, 8, 0, 16, 4, 0, 1, 4, 1, 230, 3, 2, 5, 100}) // resets, one negative
+	// A callback stops or resets its own timer (the only one, or the
+	// first of two) and observes; the re-arms land behind the clock, at
+	// its instant and on the other timer's deadline.
+	f.Add([]byte{0, 5, 5, 10, 2, 0})
+	f.Add([]byte{0, 5, 5, 10, 3, 0, 3})
+	f.Add([]byte{0, 5, 0, 7, 5, 10, 3, 0, 226, 3, 0, 2})
+	f.Add([]byte{0, 5, 0, 7, 5, 10, 3, 0, 0, 3, 2, 0, 2, 0})
+	f.Add([]byte{0, 1, 5, 20, 3, 0, 2, 3, 0, 2, 3, 0, 2, 2, 0}) // re-arms itself, as the medium's anchor does
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 48; i++ {
 		b := make([]byte, 64+rng.Intn(448))
