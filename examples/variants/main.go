@@ -105,7 +105,7 @@ func main() {
 		log.Fatal(err)
 	}
 	clk.Advance(2 * time.Second)
-	if e, ok := d.Routes().Get(manetkit.Prefix{Addr: addrs[3], Bits: 32}); ok {
+	if e, ok := d.Routes().Get(addrs[3]); ok {
 		fmt.Printf("    one discovery yielded %d link-disjoint paths to %v:\n", len(e.Paths), addrs[3])
 		for _, p := range e.Paths {
 			fmt.Printf("      via %v (%d hops)\n", p.NextHop, p.Metric)

@@ -292,7 +292,7 @@ func (a *AODV) onNoRoute(ctx *core.Context, ev *event.Event) error {
 func (a *AODV) SendRREQ(ctx *core.Context, dst mnet.Addr, attempt int, ttl uint8) time.Duration {
 	seq := a.state.NextSeq()
 	lastSeq := uint16(0)
-	if e, ok := a.state.Routes.Get(mnet.HostPrefix(dst)); ok {
+	if e, ok := a.state.Routes.Get(dst); ok {
 		lastSeq = e.SeqNum
 	}
 	msg := &packetbb.Message{
@@ -341,9 +341,8 @@ func (a *AODV) learnRoute(ctx *core.Context, node, prevHop mnet.Addr, metric int
 	if metric < 1 {
 		metric = 1
 	}
-	dst := mnet.HostPrefix(node)
 	now := ctx.Clock().Now()
-	if cur, ok := a.state.Routes.Get(dst); ok && cur.Valid {
+	if cur, ok := a.state.Routes.Get(node); ok && cur.Valid {
 		if best, has := cur.Best(now); has {
 			newer := packetbb.SeqNewer(seq, cur.SeqNum)
 			if !newer && !(seq == cur.SeqNum && metric < best.Metric) {
@@ -352,7 +351,7 @@ func (a *AODV) learnRoute(ctx *core.Context, node, prevHop mnet.Addr, metric int
 		}
 	}
 	a.state.Routes.Upsert(route.Entry{
-		Dst:    dst,
+		Dst:    mnet.HostPrefix(node),
 		Paths:  []route.Path{{NextHop: prevHop, Metric: metric, Expires: now.Add(routeLifetime)}},
 		SeqNum: seq,
 		Valid:  true,
@@ -411,7 +410,7 @@ func (a *AODV) onRREQ(ctx *core.Context, ev *event.Event) error {
 	// Intermediate (gratuitous) RREP: answer if we hold a route to the
 	// target at least as fresh as the originator demands (RFC 3561 §6.6).
 	if !destOnly {
-		if e, ok := a.state.Routes.Get(mnet.HostPrefix(target)); ok && e.Valid {
+		if e, ok := a.state.Routes.Get(target); ok && e.Valid {
 			if best, has := e.Best(now); has && (targetSeq == 0 || !packetbb.SeqNewer(targetSeq, e.SeqNum)) {
 				a.state.addPrecursor(target, ev.Src)
 				a.state.bump(func(st *Stats) { st.GratuitousRREPs++ })
@@ -472,12 +471,12 @@ func (a *AODV) onRREP(ctx *core.Context, ev *event.Event) error {
 // hop and notifies each destination's precursors with unicast RERRs.
 func (a *AODV) LinkLost(ctx *core.Context, nextHop mnet.Addr) {
 	affected := a.state.Routes.InvalidateVia(nextHop)
-	for _, pfx := range affected {
-		precursors := a.state.takePrecursors(pfx.Addr)
+	for _, dst := range affected {
+		precursors := a.state.takePrecursors(dst)
 		if len(precursors) == 0 {
 			continue
 		}
-		msg := a.buildRERR(ctx, []mnet.Addr{pfx.Addr})
+		msg := a.buildRERR(ctx, []mnet.Addr{dst})
 		for _, up := range precursors {
 			out := *msg
 			ctx.Emit(&event.Event{Type: event.RerrOut, Msg: &out, Dst: up})
@@ -515,8 +514,7 @@ func (a *AODV) onRERR(ctx *core.Context, ev *event.Event) error {
 		return nil
 	}
 	for _, dead := range msg.AddrBlocks[0].Addrs {
-		p := mnet.HostPrefix(dead)
-		e, ok := a.state.Routes.Get(p)
+		e, ok := a.state.Routes.Get(dead)
 		if !ok || !e.Valid {
 			continue
 		}
@@ -530,7 +528,7 @@ func (a *AODV) onRERR(ctx *core.Context, ev *event.Event) error {
 		if !uses {
 			continue
 		}
-		a.state.Routes.Invalidate(p)
+		a.state.Routes.Invalidate(dead)
 		// Propagate to our own precursors for this destination while the
 		// hop limit allows another hop.
 		precursors := a.state.takePrecursors(dead)

@@ -265,7 +265,7 @@ var (
 	systemTuple = event.Tuple{
 		Required: []event.Requirement{{Type: event.MsgOut}, {Type: event.RouteFound}},
 		Provided: []event.Type{
-			event.HelloIn, event.TCIn, event.HNAIn, event.REIn, event.RerrIn,
+			event.HelloIn, event.TCIn, event.MsgIn, event.REIn, event.RerrIn,
 			event.NoRoute, event.RouteUpdate, event.SendRouteErr, event.LinkBreak,
 			event.PowerStatus, event.LinkInfo, event.SysStatus,
 		},

@@ -267,7 +267,7 @@ func (d *DYMO) NextAttempt(attempt int, ttl uint8) (uint8, bool) {
 }
 
 func (d *DYMO) lastKnownSeq(dst mnet.Addr) uint16 {
-	if e, ok := d.state.Routes.Get(mnet.HostPrefix(dst)); ok {
+	if e, ok := d.state.Routes.Get(dst); ok {
 		return e.SeqNum
 	}
 	return 0
@@ -283,17 +283,16 @@ func (d *DYMO) learnRoute(ctx *core.Context, node, prevHop mnet.Addr, metric int
 	if metric < 1 {
 		metric = 1
 	}
-	dst := mnet.HostPrefix(node)
 	now := ctx.Clock().Now()
 	expiry := now.Add(RouteLifetime)
-	cur, ok := d.state.Routes.Get(dst)
+	cur, ok := d.state.Routes.Get(node)
 	if ok && cur.Valid {
 		best, hasPath := cur.Best(now)
 		if hasPath && !freshEnough(cur.SeqNum, best.Metric, seq, metric) {
 			if d.state.Multipath() && seq == cur.SeqNum {
 				// The variant keeps extra link-disjoint paths of equal
 				// freshness.
-				d.state.Routes.AddPath(dst, d.proto.Name(), cur.SeqNum,
+				d.state.Routes.AddPath(node, d.proto.Name(), cur.SeqNum,
 					route.Path{NextHop: prevHop, Metric: metric, Expires: expiry})
 				return true
 			}
@@ -301,7 +300,7 @@ func (d *DYMO) learnRoute(ctx *core.Context, node, prevHop mnet.Addr, metric int
 		}
 	}
 	d.state.Routes.Upsert(route.Entry{
-		Dst:    dst,
+		Dst:    mnet.HostPrefix(node),
 		Paths:  []route.Path{{NextHop: prevHop, Metric: metric, Expires: expiry}},
 		SeqNum: seq,
 		Valid:  true,
@@ -489,9 +488,9 @@ func (d *DYMO) learnAccumulated(ctx *core.Context, msg *packetbb.Message, prevHo
 func (d *DYMO) LinkLost(ctx *core.Context, nextHop mnet.Addr) {
 	affected := d.state.Routes.InvalidateVia(nextHop)
 	var dead []mnet.Addr
-	for _, p := range affected {
-		if e, ok := d.state.Routes.Get(p); !ok || !e.Valid {
-			dead = append(dead, p.Addr)
+	for _, dst := range affected {
+		if e, ok := d.state.Routes.Get(dst); !ok || !e.Valid {
+			dead = append(dead, dst)
 		}
 	}
 	if len(dead) > 0 {
@@ -534,8 +533,7 @@ func (d *DYMO) onRERR(ctx *core.Context, ev *event.Event) error {
 	}
 	var stillDead []mnet.Addr
 	for _, dead := range msg.AddrBlocks[0].Addrs {
-		p := mnet.HostPrefix(dead)
-		e, ok := d.state.Routes.Get(p)
+		e, ok := d.state.Routes.Get(dead)
 		if !ok || !e.Valid {
 			continue
 		}
@@ -549,7 +547,7 @@ func (d *DYMO) onRERR(ctx *core.Context, ev *event.Event) error {
 		if !usesSender {
 			continue
 		}
-		if remains := d.state.Routes.InvalidatePath(p, ev.Src); !remains {
+		if remains := d.state.Routes.InvalidatePath(dead, ev.Src); !remains {
 			stillDead = append(stillDead, dead)
 		}
 	}

@@ -203,7 +203,7 @@ func TestMultipathFindsDisjointPaths(t *testing.T) {
 	nodes[0].node.Sys.Filter().SendData(c.Addrs()[3], []byte("x"))
 	c.Run(time.Second)
 
-	e, ok := nodes[0].dymo.Routes().Get(mnet.HostPrefix(c.Addrs()[3]))
+	e, ok := nodes[0].dymo.Routes().Get(c.Addrs()[3])
 	if !ok || !e.Valid {
 		t.Fatalf("no route: %+v", e)
 	}

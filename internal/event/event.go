@@ -41,8 +41,6 @@ const (
 	HelloOut Type = "HELLO_OUT"
 	TCIn     Type = "TC_IN"
 	TCOut    Type = "TC_OUT"
-	HNAIn    Type = "HNA_IN" // OLSR host-and-network association inbound
-	HNAOut   Type = "HNA_OUT"
 	REIn     Type = "RE_IN"   // DYMO routing element (RREQ/RREP) inbound
 	REOut    Type = "RE_OUT"  // DYMO routing element outbound
 	RerrIn   Type = "RERR_IN" // DYMO route error inbound
@@ -250,13 +248,11 @@ var standard = newSnapshot(map[Type]Type{
 
 	HelloIn: MsgIn,
 	TCIn:    MsgIn,
-	HNAIn:   MsgIn,
 	REIn:    MsgIn,
 	RerrIn:  MsgIn,
 
 	HelloOut: MsgOut,
 	TCOut:    MsgOut,
-	HNAOut:   MsgOut,
 	REOut:    MsgOut,
 	RerrOut:  MsgOut,
 

@@ -60,20 +60,6 @@ func TestSharedPacketsAreNeverMutated(t *testing.T) {
 					t.Fatal(err)
 				}
 			}},
-		// Every node relays HNA floods; the last one is a gateway.
-		{name: "olsr+hna", wantForward: packetbb.MsgHNA,
-			extra: func(t *testing.T, c *testbed.Cluster, node *testbed.Node) {
-				d, err := DeployFamily(c, node, "olsr")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := d.Set.OLSR().EnableHNA(0); err != nil {
-					t.Fatal(err)
-				}
-				if node == c.Nodes[len(c.Nodes)-1] {
-					d.Set.OLSR().AdvertiseNetwork(mnet.Prefix{Addr: mnet.MustParseAddr("192.168.0.0"), Bits: 16})
-				}
-			}},
 		// Path accumulation rewrites what it forwards: the one DYMO forward
 		// that clones rather than relays.
 		{name: "dymo+accumulate", wantForward: packetbb.MsgRREQ,

@@ -66,7 +66,7 @@ func TestMonitorHealthyCluster(t *testing.T) {
 func TestMonitorRouteStaleness(t *testing.T) {
 	clk := vclock.NewVirtual(testbed.Epoch)
 	tbl := route.NewTable(clk)
-	tbl.AddPath(mnet.HostPrefix(mnet.MustParseAddr("10.0.0.9")), "aodv", 1, route.Path{
+	tbl.AddPath(mnet.MustParseAddr("10.0.0.9"), "aodv", 1, route.Path{
 		NextHop: mnet.MustParseAddr("10.0.0.2"),
 		Metric:  1,
 		Expires: testbed.Epoch.Add(1 * time.Second),

@@ -23,9 +23,6 @@ func (NoLoops) Check(s *Snapshot) []Violation {
 	var out []Violation
 	for _, n := range s.Nodes {
 		for _, r := range n.FIB {
-			if r.Dst.Bits != 8*mnet.AddrLen {
-				continue // gateway/HNA prefixes route off-cluster
-			}
 			dst := r.Dst.Addr
 			if dst == n.Addr {
 				continue
@@ -88,7 +85,7 @@ func (RouteLiveness) Check(s *Snapshot) []Violation {
 	for _, n := range s.Nodes {
 		for _, rib := range n.RIBs {
 			for _, e := range rib.Entries {
-				if !e.Valid || e.Dst.Bits != 8*mnet.AddrLen {
+				if !e.Valid {
 					continue
 				}
 				best, ok := e.Best(s.Now)

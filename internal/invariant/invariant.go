@@ -152,17 +152,14 @@ func (s *Snapshot) nodeIndex() map[mnet.Addr]*NodeState {
 	return idx
 }
 
-// lookupFIB performs longest-prefix-match over a snapshot FIB.
+// lookupFIB finds dst's host route in a snapshot FIB.
 func lookupFIB(fib []route.FIBRoute, dst mnet.Addr) (route.FIBRoute, bool) {
-	var best route.FIBRoute
-	bits := -1
 	for _, r := range fib {
-		if r.Dst.Contains(dst) && r.Dst.Bits > bits {
-			best = r
-			bits = r.Dst.Bits
+		if r.Dst.Addr == dst {
+			return r, true
 		}
 	}
-	return best, bits >= 0
+	return route.FIBRoute{}, false
 }
 
 // reachable reports whether to can be reached from from over live links,

@@ -95,7 +95,7 @@ func (a Addr) Less(b Addr) bool { return a.Uint32() < b.Uint32() }
 func (a Addr) Compare(b Addr) int { return cmp.Compare(a.Uint32(), b.Uint32()) }
 
 // Prefix is an address prefix: a base address plus a prefix length in bits.
-// A host route has Bits == 32.
+// A host route has Bits == 32, and the routing tables hold nothing else.
 type Prefix struct {
 	Addr Addr
 	Bits int
@@ -103,21 +103,6 @@ type Prefix struct {
 
 // HostPrefix returns the /32 prefix covering exactly addr.
 func HostPrefix(addr Addr) Prefix { return Prefix{Addr: addr, Bits: 8 * AddrLen} }
-
-// Contains reports whether the prefix covers addr.
-func (p Prefix) Contains(addr Addr) bool {
-	if p.Bits <= 0 {
-		return true
-	}
-	if p.Bits > 8*AddrLen {
-		return false
-	}
-	mask := ^uint32(0) << (32 - uint(p.Bits))
-	return p.Addr.Uint32()&mask == addr.Uint32()&mask
-}
-
-// IsValid reports whether the prefix length is within range.
-func (p Prefix) IsValid() bool { return p.Bits >= 0 && p.Bits <= 8*AddrLen }
 
 // String renders the prefix in CIDR notation.
 func (p Prefix) String() string {

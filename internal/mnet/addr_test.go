@@ -106,64 +106,13 @@ func TestAddrLess(t *testing.T) {
 	}
 }
 
-func TestPrefixContains(t *testing.T) {
-	tests := []struct {
-		prefix string
-		bits   int
-		addr   string
-		want   bool
-	}{
-		{"10.0.0.0", 8, "10.1.2.3", true},
-		{"10.0.0.0", 8, "11.0.0.0", false},
-		{"10.0.0.1", 32, "10.0.0.1", true},
-		{"10.0.0.1", 32, "10.0.0.2", false},
-		{"0.0.0.0", 0, "255.1.2.3", true},
-		{"192.168.4.0", 24, "192.168.4.200", true},
-		{"192.168.4.0", 24, "192.168.5.1", false},
-	}
-	for _, tt := range tests {
-		p := Prefix{Addr: MustParseAddr(tt.prefix), Bits: tt.bits}
-		if got := p.Contains(MustParseAddr(tt.addr)); got != tt.want {
-			t.Errorf("%v.Contains(%s) = %v, want %v", p, tt.addr, got, tt.want)
-		}
-	}
-}
-
-func TestPrefixValidity(t *testing.T) {
-	if (Prefix{Bits: -1}).IsValid() || (Prefix{Bits: 33}).IsValid() {
-		t.Error("out-of-range prefix reported valid")
-	}
-	if !(Prefix{Bits: 0}).IsValid() || !(Prefix{Bits: 32}).IsValid() {
-		t.Error("in-range prefix reported invalid")
-	}
-	if (Prefix{Addr: Addr{1, 2, 3, 4}, Bits: 33}).Contains(Addr{1, 2, 3, 4}) {
-		t.Error("invalid prefix must contain nothing")
-	}
-}
-
 func TestHostPrefix(t *testing.T) {
 	a := MustParseAddr("10.0.0.9")
 	p := HostPrefix(a)
-	if p.Bits != 32 || !p.Contains(a) || p.Contains(MustParseAddr("10.0.0.8")) {
+	if p.Bits != 32 || p.Addr != a {
 		t.Errorf("HostPrefix(%v) = %v behaves wrongly", a, p)
 	}
 	if got, want := p.String(), "10.0.0.9/32"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-func TestPrefixContainsProperty(t *testing.T) {
-	// Every prefix derived from an address by masking contains that address.
-	f := func(u uint32, bits uint8) bool {
-		b := int(bits % 33)
-		var masked uint32
-		if b > 0 {
-			masked = u & (^uint32(0) << (32 - uint(b)))
-		}
-		p := Prefix{Addr: AddrFrom(masked), Bits: b}
-		return p.Contains(AddrFrom(u))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

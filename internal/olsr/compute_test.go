@@ -319,37 +319,9 @@ func TestComputeRoutesCanonicalTieBreak(t *testing.T) {
 	s.RecordTC(b, 1, []mnet.Addr{d}, exp) // deliberately record the larger hop first
 	s.RecordTC(a, 1, []mnet.Addr{d}, exp)
 	s.ComputeRoutes(self, []mnet.Addr{a, b}, nil, clk.Now(), time.Minute, "olsr")
-	e, ok := s.Routes.Get(mnet.HostPrefix(d))
+	e, ok := s.Routes.Get(d)
 	if !ok || e.Paths[0].NextHop != a || e.Paths[0].Metric != 2 {
 		t.Fatalf("diamond route = %+v, want via %v metric 2", e, a)
-	}
-}
-
-// TestComputeRoutesInstallsHNA pins the folded gateway install: learned
-// prefixes route like their gateway one hop beyond it, expire with the
-// association, and vanish while the gateway is unreachable.
-func TestComputeRoutesInstallsHNA(t *testing.T) {
-	s, clk := newState()
-	self := addr("10.0.0.1")
-	nb, gw := addr("10.0.0.2"), addr("10.0.0.5")
-	p := mnet.Prefix{Addr: addr("192.168.7.0"), Bits: 24}
-	exp := clk.Now().Add(time.Minute)
-	s.RecordTC(nb, 1, []mnet.Addr{gw}, exp)
-	s.hna = map[mnet.Prefix]hnaEntry{p: {gateway: gw, expires: exp}}
-
-	s.ComputeRoutes(self, []mnet.Addr{nb}, nil, clk.Now(), time.Minute, "olsr")
-	e, ok := s.Routes.Get(p)
-	if !ok || e.Paths[0].NextHop != nb || e.Paths[0].Metric != 3 {
-		t.Fatalf("HNA route = %+v (ok=%v), want via %v metric 3", e, ok, nb)
-	}
-	if !e.Paths[0].Expires.Equal(exp) {
-		t.Fatalf("HNA route expires %v, want association expiry %v", e.Paths[0].Expires, exp)
-	}
-
-	// Gateway unreachable: the prefix route must drop out of the next pass.
-	s.ComputeRoutes(self, nil, nil, clk.Now(), time.Minute, "olsr")
-	if _, ok := s.Routes.Get(p); ok {
-		t.Fatal("HNA route survived an unreachable gateway")
 	}
 }
 
@@ -415,7 +387,7 @@ func TestOLSRRouteHasNoLifetime(t *testing.T) {
 	s.RecordTC(nb, 1, []mnet.Addr{far}, clk.Now().Add(15*time.Second))
 	s.ComputeRoutes(self, []mnet.Addr{nb}, nil, clk.Now(), 15*time.Second, "olsr")
 	for _, dst := range []mnet.Addr{nb, far} {
-		e, ok := s.Routes.Get(mnet.HostPrefix(dst))
+		e, ok := s.Routes.Get(dst)
 		if !ok || len(e.Paths) != 1 || !e.Paths[0].Expires.IsZero() {
 			t.Fatalf("route to %v = %+v (ok=%v), want one path with a zero Expires", dst, e, ok)
 		}

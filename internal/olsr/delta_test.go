@@ -3,7 +3,6 @@ package olsr
 import (
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -49,8 +48,7 @@ func newDeltaRig(t *testing.T) *deltaRig {
 
 // fullDesired is the desired set a full install hands ReplaceProto after
 // the pass ComputeRoutes just ran, which reached reached destinations:
-// every visited host in visit order with a hold-time lifetime, then every
-// live gateway association whose gateway was reached, in prefix order.
+// every visited host in visit order with a hold-time lifetime.
 func (r *deltaRig) fullDesired(now time.Time, reached int) []route.ProtoRoute {
 	s, sc := r.s, &r.s.scratch
 	var out []route.ProtoRoute
@@ -59,20 +57,6 @@ func (r *deltaRig) fullDesired(now time.Time, reached int) []route.ProtoRoute {
 		out = append(out, route.ProtoRoute{
 			Dst: mnet.HostPrefix(s.addrs[slot]), NextHop: sl.nhop, Metric: int(sl.dist), Expires: now.Add(r.hold),
 		})
-	}
-	prefixes := make([]mnet.Prefix, 0, len(s.hna))
-	for p := range s.hna {
-		prefixes = append(prefixes, p)
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixLess(prefixes[i], prefixes[j]) })
-	for _, p := range prefixes {
-		a := s.hna[p]
-		gs, ok := s.slot.Get(a.gateway.Uint32())
-		if !ok || sc.slots[gs].gen != sc.cur || !a.expires.After(now) {
-			continue
-		}
-		g := sc.slots[gs]
-		out = append(out, route.ProtoRoute{Dst: p, NextHop: g.nhop, Metric: int(g.dist) + 1, Expires: a.expires})
 	}
 	return out
 }
@@ -127,10 +111,9 @@ func (p *progReader) next() byte {
 // runDeltaProgram interprets prog as a sequence of operations on one node's
 // OLSR state: TCs with fresh, stale and equal ANSNs over growing and
 // shrinking sets, storms of originators that never return, clock steps,
-// purges followed by index compaction, gateway associations that appear
-// and expire (some for a host prefix the shortest-path pass also routes),
-// stops, and recomputes over changing 1- and 2-hop seeds. After every
-// recompute and every stop both tables must agree.
+// purges followed by index compaction, TCs that list their own originator
+// and this node, stops, and recomputes over changing 1- and 2-hop seeds.
+// After every recompute and every stop both tables must agree.
 func runDeltaProgram(t *testing.T, prog []byte) {
 	r := newDeltaRig(t)
 	p := &progReader{b: prog}
@@ -173,19 +156,12 @@ func runDeltaProgram(t *testing.T, prog []byte) {
 			r.s.PurgeTopo(now)
 			r.s.compactIndex()
 		case 6:
-			// A gateway association: a /24, or a host prefix one of the
-			// nodes also has a host route for.
-			gw, x := node(p.next()), p.next()
-			pfx := mnet.Prefix{Addr: mnet.AddrFrom(0xc0a80000 | uint32(x%4)<<8), Bits: 24}
-			if x&4 != 0 {
-				pfx = mnet.HostPrefix(node(x >> 3))
-			}
-			r.s.mu.Lock()
-			if r.s.hna == nil {
-				r.s.hna = make(map[mnet.Prefix]hnaEntry)
-			}
-			r.s.hna[pfx] = hnaEntry{gateway: gw, expires: now.Add(time.Duration(1+p.next()%4) * time.Second)}
-			r.s.mu.Unlock()
+			// A TC at the originator's current ANSN that lists the
+			// originator itself and this node beside one other node: the
+			// first is dropped on record, the second by the pass.
+			orig, x := node(p.next()), node(p.next())
+			adv := []mnet.Addr{orig, nodeAddr(0), x}
+			r.s.RecordTC(orig, ansn[orig], adv, now.Add(time.Duration(1+p.next()%4)*time.Second))
 		case 7:
 			// The protocol stops and is started again.
 			r.s.ClearRoutes()

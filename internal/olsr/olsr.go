@@ -229,9 +229,7 @@ func (o *OLSR) sweep(ctx *core.Context) {
 	// Recompute unconditionally: some neighbourhood changes reach the
 	// routes only through this pass, not through an event that marks the
 	// set dirty. The sweep already runs on a periodic source, so it drains
-	// inline rather than going through the quantized timer. The pass also
-	// drops expired gateway associations, so no installed route is past
-	// its lifetime afterwards.
+	// inline rather than going through the quantized timer.
 	o.dirty = true
 	o.drainLocked(ctx)
 }

@@ -9,7 +9,6 @@ package olsr
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,20 +42,12 @@ type origTopo struct {
 	edges []topoEdge
 }
 
-// hnaAssoc pairs a learned gateway prefix with its association entry for
-// the sorted install pass.
-type hnaAssoc struct {
-	p mnet.Prefix
-	e hnaEntry
-}
-
 // spSlot is one address slot's shortest-path state. dist, nhop and gen are
 // the current pass's, generation-stamped so "visited this round" is one
 // compare instead of a clear. instDist and instNhop record the host route
 // the routing table holds for the slot, which is what lets a pass hand the
-// table only what it changed. instDist is 0 when there is none and
-// reinstall when a gateway route overwrote it; only slots the last pass
-// reached have one.
+// table only what it changed. instDist is 0 when there is none; only slots
+// the last pass reached have one.
 type spSlot struct {
 	dist     int32     // hop count this generation
 	gen      uint32    // generation stamp
@@ -64,10 +55,6 @@ type spSlot struct {
 	instDist int32     // metric of the installed host route
 	instNhop mnet.Addr // next hop of the installed host route
 }
-
-// reinstall marks a slot's host route as overwritten in the table: the next
-// pass that reaches the slot sets it again, one that does not removes it.
-const reinstall = -1
 
 // spScratch is the reusable shortest-path working set, indexed by the
 // State's address slots. The per-slot records grow only in slotOf, the
@@ -79,17 +66,14 @@ type spScratch struct {
 	slots []spSlot // slot → pass and installed-route state
 	cur   uint32   // current generation
 
-	order   []int32 // slots in visit order (frontier by frontier)
-	front   []int32
-	next    []int32
-	oneHop  []mnet.Addr        // the symmetric neighbours
-	walk    []neighbor.TwoHop  // the 2-hop walk, sorted by destination
-	set     []route.ProtoRoute // new or changed routes, in visit order
-	del     []mnet.Prefix      // installed destinations this pass lost
-	hnaLive []hnaAssoc
-	hnaInst []mnet.Prefix // gateway prefixes the previous pass installed, sorted
-	hnaNext []mnet.Prefix
-	live    []bool // compactIndex's liveness marks
+	order  []int32 // slots in visit order (frontier by frontier)
+	front  []int32
+	next   []int32
+	oneHop []mnet.Addr        // the symmetric neighbours
+	walk   []neighbor.TwoHop  // the 2-hop walk, sorted by destination
+	set    []route.ProtoRoute // new or changed routes, in visit order
+	del    []mnet.Addr        // installed destinations this pass lost
+	live   []bool             // compactIndex's liveness marks
 }
 
 // ensure grows the frontier buffers to hold at most bound visited nodes.
@@ -139,10 +123,6 @@ type State struct {
 	// Power-aware variant state.
 	powerAware bool
 	ownPower   float64
-
-	// HNA (gateway) state.
-	attached map[mnet.Prefix]bool     // prefixes this node announces
-	hna      map[mnet.Prefix]hnaEntry // learned gateway associations
 
 	tcTx, tcRx, tcFwd, mprChanges atomic.Uint64
 }
@@ -394,64 +374,6 @@ func (s *State) Edges(now time.Time) [][2]mnet.Addr {
 	return out
 }
 
-// hnaRoutes appends to set the gateway routes this pass installs — every
-// live association whose gateway the pass reached, one hop beyond it, in
-// sorted prefix order and with the association's expiry — and to del the
-// prefixes the previous pass installed that are not among them. Expired
-// associations are dropped in passing. A gateway route for a host prefix
-// overwrites that host's route in the table, so a reached host's record
-// becomes reinstall and the next pass sets it again, as a full install
-// would. Called with s.mu held, after the host diff.
-func (s *State) hnaRoutes(now time.Time, set []route.ProtoRoute, del []mnet.Prefix) ([]route.ProtoRoute, []mnet.Prefix) {
-	sc := &s.scratch
-	if len(s.hna) == 0 && len(sc.hnaInst) == 0 {
-		return set, del
-	}
-	live := sc.hnaLive[:0]
-	for p, e := range s.hna {
-		if e.expires.After(now) {
-			live = append(live, hnaAssoc{p, e})
-		} else {
-			delete(s.hna, p)
-		}
-	}
-	sort.Slice(live, func(i, j int) bool { return prefixLess(live[i].p, live[j].p) })
-	sc.hnaLive = live
-	inst := sc.hnaNext[:0]
-	for _, a := range live {
-		gs, ok := s.slot.Get(a.e.gateway.Uint32())
-		if !ok || sc.slots[gs].gen != sc.cur {
-			continue // gateway unreachable this round
-		}
-		g := &sc.slots[gs]
-		set = append(set, route.ProtoRoute{Dst: a.p, NextHop: g.nhop, Metric: int(g.dist) + 1, Expires: a.e.expires})
-		inst = append(inst, a.p)
-		if hs, ok := s.slot.Get(a.p.Addr.Uint32()); ok && a.p.Bits == 8*mnet.AddrLen && sc.slots[hs].gen == sc.cur {
-			sc.slots[hs].instDist = reinstall
-		}
-	}
-	// Both lists are sorted: one merge finds the vanished prefixes.
-	j := 0
-	for _, p := range sc.hnaInst {
-		for j < len(inst) && prefixLess(inst[j], p) {
-			j++
-		}
-		if j == len(inst) || inst[j] != p {
-			del = append(del, p)
-		}
-	}
-	sc.hnaInst, sc.hnaNext = inst, sc.hnaInst[:0]
-	return set, del
-}
-
-// prefixLess orders prefixes by (address, length), the routing table's order.
-func prefixLess(a, b mnet.Prefix) bool {
-	if a.Addr != b.Addr {
-		return a.Addr.Less(b.Addr)
-	}
-	return a.Bits < b.Bits
-}
-
 // ClearRoutes empties the routing table and forgets what the shortest-path
 // passes installed, so the next pass installs every route afresh (protocol
 // stop).
@@ -461,7 +383,6 @@ func (s *State) ClearRoutes() {
 	for i := range sc.slots {
 		sc.slots[i].instDist = 0
 	}
-	sc.hnaInst = sc.hnaInst[:0]
 	s.mu.Unlock()
 	s.Routes.Clear()
 }
@@ -477,14 +398,12 @@ func (s *State) ClearRoutes() {
 // level, equal-cost discoveries min-merge the next hop, so every
 // destination ends at the canonical (lexicographically smallest) next hop
 // over all shortest paths — a deterministic function of the topology alone,
-// independent of arrival order. Learned HNA prefixes resolve against the
-// freshly visited gateway and install in the same batch.
+// independent of arrival order.
 //
 // The install is a diff against what the previous pass installed: the
 // table's ApplyProto gets the host routes whose (metric, next hop) is new
-// or changed, in visit order, then the live gateway routes, and as
-// removals the installed hosts this pass did not reach and the vanished
-// gateway prefixes. Host routes carry no lifetime (RFC 3626 §10): they stay
+// or changed, in visit order, and as removals the installed hosts this
+// pass did not reach. Host routes carry no lifetime (RFC 3626 §10): they stay
 // until a pass removes them. A pass that changes nothing hands the table
 // two empty lists. Scratch buffers make the whole pass allocation-free once
 // the network has been seen. Calls are serialized by the protocol's
@@ -516,7 +435,7 @@ func (s *State) ComputeRoutes(self mnet.Addr, oneHop []mnet.Addr, twoHop map[mne
 // installed and returns what the table must change to hold them (scratch
 // slices, valid until the next pass) and the number of reachable
 // destinations.
-func (s *State) routeDelta(self mnet.Addr, oneHop []mnet.Addr, walk []neighbor.TwoHop, now time.Time) (set []route.ProtoRoute, del []mnet.Prefix, reached int) {
+func (s *State) routeDelta(self mnet.Addr, oneHop []mnet.Addr, walk []neighbor.TwoHop, now time.Time) (set []route.ProtoRoute, del []mnet.Addr, reached int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sc := &s.scratch
@@ -618,9 +537,8 @@ func (s *State) routeDelta(self mnet.Addr, oneHop []mnet.Addr, walk []neighbor.T
 			continue
 		}
 		sl.instDist = 0
-		del = append(del, mnet.HostPrefix(s.addrs[slot]))
+		del = append(del, s.addrs[slot])
 	}
-	set, del = s.hnaRoutes(now, set, del)
 	sc.set, sc.del = set, del
 	return set, del, norder
 }

@@ -29,7 +29,7 @@ type MsgType uint8
 const (
 	MsgHello MsgType = 1  // neighbour sensing beacon (OLSR/NHDP style)
 	MsgTC    MsgType = 2  // OLSR topology control
-	MsgHNA   MsgType = 3  // OLSR host-and-network association (gateways)
+	MsgHNA   MsgType = 3  // OLSR host-and-network association: no protocol here sends or handles it
 	MsgRREQ  MsgType = 10 // DYMO route request (routing element)
 	MsgRREP  MsgType = 11 // DYMO route reply (routing element)
 	MsgRERR  MsgType = 12 // DYMO route error
@@ -71,7 +71,6 @@ const (
 	ATLVOrigSeq    uint8 = 3 // originator sequence number (u16), DYMO
 	ATLVHopCount   uint8 = 4 // accumulated hop count (u8), DYMO path accumulation
 	ATLVTargetSeq  uint8 = 5 // target sequence number (u16), DYMO
-	ATLVGateway    uint8 = 6 // flag: address is an attached-network gateway
 )
 
 // Link status values carried in ATLVLinkStatus.

@@ -147,7 +147,7 @@ func (d *Discovery) Found(ctx *core.Context, dst mnet.Addr) {
 // route in active use.
 func (d *Discovery) OnRouteUpdate(_ *core.Context, ev *event.Event) error {
 	if ev.Route != nil {
-		d.s.Routes.ExtendLifetime(mnet.HostPrefix(ev.Route.Dst), mnet.Addr{}, d.lifetime)
+		d.s.Routes.ExtendLifetime(ev.Route.Dst, mnet.Addr{}, d.lifetime)
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 package route
 
 import (
+	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"manetkit/internal/flat"
@@ -12,9 +12,18 @@ import (
 // hostBits is the prefix length of a host route.
 const hostBits = 8 * mnet.AddrLen
 
+// hostKey returns the address a route's Dst names. The tables hold host
+// routes only, so any other prefix length panics.
+func hostKey(dst mnet.Prefix) mnet.Addr {
+	if dst.Bits != hostBits {
+		panic(fmt.Sprintf("route: %v is not a host route; the tables hold /%d destinations only", dst, hostBits))
+	}
+	return dst.Addr
+}
+
 // FIBRoute is one forwarding entry in the simulated kernel table.
 type FIBRoute struct {
-	Dst     mnet.Prefix
+	Dst     mnet.Prefix // a host prefix
 	NextHop mnet.Addr
 	Metric  int
 	Device  string
@@ -34,17 +43,14 @@ type fibEntry struct {
 // exposes it to protocols ("operations to manipulate the kernel routing
 // table", §4.3), and the packet filter consults it to forward data packets.
 type FIB struct {
-	mu    sync.Mutex
-	host  flat.Table[uint32, fibEntry] // host routes, keyed by destination
-	wide  map[mnet.Prefix]fibEntry     // every other prefix length (HNA prefixes)
-	names []string                     // interned Device and Proto strings
-	ops   uint64                       // mutations applied (Set + successful Del)
+	mu     sync.Mutex
+	routes flat.Table[uint32, fibEntry] // keyed by destination
+	names  []string                     // interned Device and Proto strings
+	ops    uint64                       // mutations applied (Set + successful Del)
 }
 
 // NewFIB returns an empty forwarding table.
-func NewFIB() *FIB {
-	return &FIB{wide: make(map[mnet.Prefix]fibEntry)}
-}
+func NewFIB() *FIB { return &FIB{} }
 
 // intern returns name's index in f.names, adding it on first sight. Called
 // with f.mu held. A replaced route finds its names already held.
@@ -60,45 +66,34 @@ func (f *FIB) intern(name string) uint16 {
 }
 
 // route rebuilds the FIBRoute e stores for dst. Called with f.mu held.
-func (f *FIB) route(dst mnet.Prefix, e fibEntry) FIBRoute {
-	return FIBRoute{Dst: dst, NextHop: e.nextHop, Metric: e.metric, Device: f.names[e.dev], Proto: f.names[e.proto]}
+func (f *FIB) route(dst mnet.Addr, e fibEntry) FIBRoute {
+	return FIBRoute{Dst: mnet.HostPrefix(dst), NextHop: e.nextHop, Metric: e.metric, Device: f.names[e.dev], Proto: f.names[e.proto]}
 }
 
-// Set installs or replaces the route for r.Dst.
+// Set installs or replaces the route for r.Dst, which must be a host
+// prefix.
 func (f *FIB) Set(r FIBRoute) { f.set(r, false) }
 
 // set is Set. With ifChanged it leaves a route equal to r alone and counts
 // no op.
 func (f *FIB) set(r FIBRoute, ifChanged bool) {
+	dst := hostKey(r.Dst)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	e := fibEntry{nextHop: r.NextHop, dev: f.intern(r.Device), proto: f.intern(r.Proto), metric: r.Metric}
-	if r.Dst.Bits == hostBits {
-		old, ok := f.host.Upsert(r.Dst.Addr.Uint32())
-		if ifChanged && ok && *old == e {
-			return
-		}
-		*old = e
-	} else {
-		if old, ok := f.wide[r.Dst]; ifChanged && ok && old == e {
-			return
-		}
-		f.wide[r.Dst] = e
+	old, ok := f.routes.Upsert(dst.Uint32())
+	if ifChanged && ok && *old == e {
+		return
 	}
+	*old = e
 	f.ops++
 }
 
 // Del removes the route for dst. It reports whether a route was present.
-func (f *FIB) Del(dst mnet.Prefix) bool {
+func (f *FIB) Del(dst mnet.Addr) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var ok bool
-	if dst.Bits == hostBits {
-		ok = f.host.Delete(dst.Addr.Uint32())
-	} else {
-		_, ok = f.wide[dst]
-		delete(f.wide, dst)
-	}
+	ok := f.routes.Delete(dst.Uint32())
 	if ok {
 		f.ops++
 	}
@@ -114,46 +109,26 @@ func (f *FIB) Ops() uint64 {
 	return f.ops
 }
 
-// Lookup performs longest-prefix-match forwarding resolution. A host route
-// is the longest match there can be, so it is tried first; only on a miss
-// are the shorter prefixes scanned. Among equally long matches the lowest
-// base address wins.
+// Lookup returns the forwarding entry for dst: one probe of the table.
 func (f *FIB) Lookup(dst mnet.Addr) (FIBRoute, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if e, ok := f.host.Get(dst.Uint32()); ok {
-		return f.route(mnet.HostPrefix(dst), e), true
-	}
-	best := mnet.Prefix{Bits: -1}
-	var bestE fibEntry
-	for p, e := range f.wide {
-		if p.Contains(dst) && (p.Bits > best.Bits || p.Bits == best.Bits && p.Addr.Less(best.Addr)) {
-			best, bestE = p, e
-		}
-	}
-	if best.Bits < 0 {
+	e, ok := f.routes.Get(dst.Uint32())
+	if !ok {
 		return FIBRoute{}, false
 	}
-	return f.route(best, bestE), true
+	return f.route(dst, e), true
 }
 
 // List returns all forwarding entries sorted by destination.
 func (f *FIB) List() []FIBRoute {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FIBRoute, 0, f.host.Len()+len(f.wide))
-	f.host.Range(func(a uint32, e fibEntry) {
-		out = append(out, f.route(mnet.HostPrefix(mnet.AddrFrom(a)), e))
+	out := make([]FIBRoute, 0, f.routes.Len())
+	f.routes.Range(func(a uint32, e fibEntry) {
+		out = append(out, f.route(mnet.AddrFrom(a), e))
 	})
-	for p, e := range f.wide {
-		out = append(out, f.route(p, e))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dst.Addr != out[j].Dst.Addr {
-			return out[i].Dst.Addr.Less(out[j].Dst.Addr)
-		}
-		return out[i].Dst.Bits < out[j].Dst.Bits
-	})
+	slices.SortFunc(out, func(a, b FIBRoute) int { return a.Dst.Addr.Compare(b.Dst.Addr) })
 	return out
 }
 
@@ -161,7 +136,7 @@ func (f *FIB) List() []FIBRoute {
 func (f *FIB) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.host.Len() + len(f.wide)
+	return f.routes.Len()
 }
 
 // FlushProto removes every route owned by the named protocol — used when a
@@ -173,12 +148,5 @@ func (f *FIB) FlushProto(proto string) int {
 	if idx < 0 {
 		return 0
 	}
-	n := f.host.DeleteFunc(func(_ uint32, e fibEntry) bool { return int(e.proto) == idx })
-	for p, e := range f.wide {
-		if int(e.proto) == idx {
-			delete(f.wide, p)
-			n++
-		}
-	}
-	return n
+	return f.routes.DeleteFunc(func(_ uint32, e fibEntry) bool { return int(e.proto) == idx })
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sort"
 	"testing"
 
 	"manetkit/internal/mnet"
@@ -47,12 +46,8 @@ func slotType(table any) reflect.Type {
 }
 
 func TestFIBHoldsNoPointers(t *testing.T) {
-	f := NewFIB()
-	wide := reflect.TypeOf(f.wide)
-	for _, typ := range []reflect.Type{slotType(f.host), wide.Key(), wide.Elem()} {
-		if holdsPointers(typ) {
-			t.Fatalf("the FIB's %v holds pointers the collector scans", typ)
-		}
+	if typ := slotType(NewFIB().routes); holdsPointers(typ) {
+		t.Fatalf("the FIB's %v holds pointers the collector scans", typ)
 	}
 }
 
@@ -88,7 +83,6 @@ func TestFIBAllocs(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		f.Set(FIBRoute{Dst: mnet.HostPrefix(mnet.AddrFrom(0x0a000100 + uint32(i))), NextHop: mnet.AddrFrom(0x0a000001), Device: "emu0", Proto: "olsr"})
 	}
-	f.Set(FIBRoute{Dst: mnet.Prefix{Addr: mnet.AddrFrom(0x0b000000), Bits: 8}, NextHop: mnet.AddrFrom(0x0a000002), Device: "emu0", Proto: "hna"})
 	hit, miss := mnet.AddrFrom(0x0a000105), mnet.AddrFrom(0x0c000001)
 	replace := FIBRoute{Dst: mnet.HostPrefix(hit), NextHop: mnet.AddrFrom(0x0a000003), Metric: 4, Device: "emu0", Proto: "olsr"}
 	for _, tc := range []struct {
@@ -108,41 +102,38 @@ func TestFIBAllocs(t *testing.T) {
 	}
 }
 
-// FuzzFIB drives random host and wide Set, Del and FlushProto sequences
-// against a map[mnet.Prefix]FIBRoute reference — the representation the
-// packed table replaced — and compares Lookup over the whole address space,
-// List, Len and Ops after every step. Each step is three bytes: an
-// operation, an address byte and an argument byte.
+// FuzzFIB drives random Set, Del and FlushProto sequences against a
+// map[mnet.Addr]FIBRoute reference — the representation the packed table
+// replaced — and compares Lookup over the whole address space, List, Len
+// and Ops after every step. Each step is three bytes: an operation, an
+// address byte and an argument byte.
 func FuzzFIB(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 3, 1, 0x10, 9, 2, 1, 0, 4, 0, 1})
 	f.Add([]byte{1, 0x11, 2, 1, 0x12, 2, 1, 0x11, 0x22, 0, 0x11, 5, 3, 0, 2, 2, 0x11, 3})
 	f.Add([]byte{1, 0, 0, 1, 0, 0x36, 0, 7, 7, 5, 0, 1, 2, 7, 0, 3, 0, 0, 3, 0, 4, 3, 0, 1})
 	f.Add([]byte{1, 0x21, 1, 1, 0x25, 1, 1, 0x2f, 0x14, 0, 0x23, 6, 2, 0x21, 1, 1, 0x25, 0x51})
-	// Four /8s on different base addresses tie for every 10.x destination:
-	// the lowest base must win whatever order the map yields.
-	f.Add([]byte{4, 0x27, 1, 4, 0x21, 0x11, 4, 0x3f, 0x21, 4, 0x05, 0x09, 3, 0, 1, 4, 0x02, 0x29})
+	// A route replaced under another device and protocol stays one entry:
+	// flushing its old protocol leaves it, flushing the new one removes it.
+	f.Add([]byte{0, 5, 0, 1, 5, 0x18, 3, 0, 0, 3, 0, 1, 0, 0x25, 0x30, 2, 0x25, 0})
 	// Deleting what is absent changes nothing and counts no op; flushing a
 	// protocol the table never held removes nothing.
 	f.Add([]byte{2, 5, 0, 6, 0x21, 1, 3, 0, 3, 0, 5, 0, 2, 5, 0, 2, 5, 0, 6, 0x21, 1, 3, 0, 3})
 
 	devs := []string{"emu0", "emu1"}
-	protos := []string{"olsr", "dymo", "hna", "zrp"}
-	// Four /16s of 16 hosts each: prefixes overlap and host routes collide.
+	protos := []string{"olsr", "dymo", "aodv", "zrp"}
+	// 64 hosts in four /16s, so keys share low bytes.
 	addrOf := func(x byte) mnet.Addr { return mnet.AddrFrom(0x0a000000 | uint32(x>>4&3)<<16 | uint32(x&15)) }
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		fib := NewFIB()
-		ref := make(map[mnet.Prefix]FIBRoute)
+		ref := make(map[mnet.Addr]FIBRoute)
 		var refOps uint64
 		for step := 0; len(ops) >= 3; step++ {
 			op, a, b := ops[0], ops[1], ops[2]
 			ops = ops[3:]
-			dst := mnet.HostPrefix(addrOf(a))
-			if op&4 != 0 { // a wide prefix, invalid lengths included
-				dst.Bits = []int{0, 8, 16, 24, 31, 33, -1, 12}[b&7]
-			}
+			dst := addrOf(a)
 			switch op % 4 {
 			case 0, 1:
-				r := FIBRoute{Dst: dst, NextHop: addrOf(b), Metric: int(b) - 100, Device: devs[b>>3&1], Proto: protos[b>>4&3]}
+				r := FIBRoute{Dst: mnet.HostPrefix(dst), NextHop: addrOf(b), Metric: int(b) - 100, Device: devs[b>>3&1], Proto: protos[b>>4&3]}
 				fib.Set(r)
 				ref[dst] = r
 				refOps++
@@ -173,12 +164,7 @@ func FuzzFIB(f *testing.F) {
 			for _, r := range ref {
 				list = append(list, r)
 			}
-			sort.Slice(list, func(i, j int) bool {
-				if list[i].Dst.Addr != list[j].Dst.Addr {
-					return list[i].Dst.Addr.Less(list[j].Dst.Addr)
-				}
-				return list[i].Dst.Bits < list[j].Dst.Bits
-			})
+			slices.SortFunc(list, func(a, b FIBRoute) int { return a.Dst.Addr.Compare(b.Dst.Addr) })
 			if got := fib.List(); !slices.Equal(got, list) {
 				t.Fatalf("step %d: List = %+v\nwant %+v", step, got, list)
 			}
@@ -188,7 +174,7 @@ func FuzzFIB(f *testing.F) {
 			for x := 0; x < 64; x++ {
 				d := addrOf(byte(x))
 				got, ok := fib.Lookup(d)
-				want, wantOK := lookupByScan(list, d)
+				want, wantOK := ref[d]
 				if ok != wantOK || got != want {
 					t.Fatalf("step %d: Lookup(%v) = %+v, %v; want %+v, %v", step, d, got, ok, want, wantOK)
 				}

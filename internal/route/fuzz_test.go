@@ -3,7 +3,6 @@ package route
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -13,12 +12,11 @@ import (
 
 // refTable is the RIB the packed table replaced: a map of *Entry, one
 // heap-allocated path slice per route, time.Time lifetimes. It carries the
-// packed table's deterministic orders (Lookup's lowest-base tie-break,
-// InvalidateVia's (address, length) order) and is the reference FuzzTable
-// holds the packed table to.
+// packed table's deterministic order (InvalidateVia's address order) and is
+// the reference FuzzTable holds the packed table to.
 type refTable struct {
 	clock   vclock.Clock
-	entries map[mnet.Prefix]*refEntry
+	entries map[mnet.Addr]*refEntry
 	fib     *FIB
 	fibDev  string
 	markGen uint64
@@ -30,7 +28,7 @@ type refEntry struct {
 }
 
 func newRefTable(clock vclock.Clock) *refTable {
-	return &refTable{clock: clock, entries: make(map[mnet.Prefix]*refEntry)}
+	return &refTable{clock: clock, entries: make(map[mnet.Addr]*refEntry)}
 }
 
 func (e *refEntry) snapshot() Entry {
@@ -51,12 +49,12 @@ func (t *refTable) mirror(e *refEntry) {
 		return
 	}
 	if !e.Valid {
-		t.fib.Del(e.Dst)
+		t.fib.Del(e.Dst.Addr)
 		return
 	}
 	p, ok := e.Best(t.clock.Now())
 	if !ok {
-		t.fib.Del(e.Dst)
+		t.fib.Del(e.Dst.Addr)
 		return
 	}
 	t.fib.Set(FIBRoute{Dst: e.Dst, NextHop: p.NextHop, Metric: p.Metric, Device: t.fibDev, Proto: e.Proto})
@@ -68,14 +66,14 @@ func (t *refTable) Upsert(e Entry) {
 	}
 	stored := &refEntry{Entry: e}
 	stored.Paths = append([]Path(nil), e.Paths...)
-	t.entries[e.Dst] = stored
+	t.entries[e.Dst.Addr] = stored
 	t.mirror(stored)
 }
 
-func (t *refTable) AddPath(dst mnet.Prefix, proto string, seq uint16, p Path) {
+func (t *refTable) AddPath(dst mnet.Addr, proto string, seq uint16, p Path) {
 	e, ok := t.entries[dst]
 	if !ok {
-		e = &refEntry{Entry: Entry{Dst: dst, Proto: proto, SeqNum: seq, Valid: true}}
+		e = &refEntry{Entry: Entry{Dst: mnet.HostPrefix(dst), Proto: proto, SeqNum: seq, Valid: true}}
 		t.entries[dst] = e
 	}
 	e.SeqNum = seq
@@ -95,30 +93,15 @@ func (t *refTable) AddPath(dst mnet.Prefix, proto string, seq uint16, p Path) {
 }
 
 func (t *refTable) Lookup(dst mnet.Addr) (Entry, Path, error) {
-	now := t.clock.Now()
-	var bestEntry *refEntry
-	bestBits := -1
-	for _, e := range t.entries {
-		if !e.Valid || !e.Dst.Contains(dst) || e.Dst.Bits < bestBits {
-			continue
+	if e, ok := t.entries[dst]; ok && e.Valid {
+		if p, ok := e.Best(t.clock.Now()); ok {
+			return e.snapshot(), p, nil
 		}
-		if e.Dst.Bits == bestBits && (bestEntry == nil || !e.Dst.Addr.Less(bestEntry.Dst.Addr)) {
-			continue
-		}
-		if _, ok := e.Best(now); !ok {
-			continue
-		}
-		bestEntry = e
-		bestBits = e.Dst.Bits
 	}
-	if bestEntry == nil {
-		return Entry{}, Path{}, fmt.Errorf("%w: %v", ErrNoRoute, dst)
-	}
-	p, _ := bestEntry.Best(now)
-	return bestEntry.snapshot(), p, nil
+	return Entry{}, Path{}, fmt.Errorf("%w: %v", ErrNoRoute, dst)
 }
 
-func (t *refTable) Get(dst mnet.Prefix) (Entry, bool) {
+func (t *refTable) Get(dst mnet.Addr) (Entry, bool) {
 	e, ok := t.entries[dst]
 	if !ok {
 		return Entry{}, false
@@ -126,7 +109,7 @@ func (t *refTable) Get(dst mnet.Prefix) (Entry, bool) {
 	return e.snapshot(), true
 }
 
-func (t *refTable) Invalidate(dst mnet.Prefix) bool {
+func (t *refTable) Invalidate(dst mnet.Addr) bool {
 	e, ok := t.entries[dst]
 	if !ok || !e.Valid {
 		return false
@@ -136,7 +119,7 @@ func (t *refTable) Invalidate(dst mnet.Prefix) bool {
 	return true
 }
 
-func (t *refTable) InvalidatePath(dst mnet.Prefix, nextHop mnet.Addr) bool {
+func (t *refTable) InvalidatePath(dst mnet.Addr, nextHop mnet.Addr) bool {
 	e, ok := t.entries[dst]
 	if !ok {
 		return false
@@ -149,32 +132,21 @@ func (t *refTable) InvalidatePath(dst mnet.Prefix, nextHop mnet.Addr) bool {
 	return e.Valid
 }
 
-func (t *refTable) InvalidateVia(nextHop mnet.Addr) []mnet.Prefix {
-	var affected []mnet.Prefix
+func (t *refTable) InvalidateVia(nextHop mnet.Addr) []mnet.Addr {
+	var affected []mnet.Addr
 	for dst, e := range t.entries {
 		if e.Valid && slices.ContainsFunc(e.Paths, func(p Path) bool { return p.NextHop == nextHop }) {
 			affected = append(affected, dst)
 		}
 	}
-	sortPrefixes(affected)
+	slices.SortFunc(affected, mnet.Addr.Compare)
 	for _, dst := range affected {
 		t.InvalidatePath(dst, nextHop)
 	}
 	return affected
 }
 
-func (t *refTable) Remove(dst mnet.Prefix) bool {
-	if _, ok := t.entries[dst]; !ok {
-		return false
-	}
-	delete(t.entries, dst)
-	if t.fib != nil {
-		t.fib.Del(dst)
-	}
-	return true
-}
-
-func (t *refTable) ExtendLifetime(dst mnet.Prefix, nextHop mnet.Addr, d time.Duration) bool {
+func (t *refTable) ExtendLifetime(dst mnet.Addr, nextHop mnet.Addr, d time.Duration) bool {
 	deadline := t.clock.Now().Add(d)
 	e, ok := t.entries[dst]
 	if !ok || !e.Valid {
@@ -240,7 +212,7 @@ func (t *refTable) Entries() []Entry {
 	for _, e := range t.entries {
 		out = append(out, e.snapshot())
 	}
-	sort.Slice(out, func(i, j int) bool { return prefixLess(out[i].Dst, out[j].Dst) })
+	slices.SortFunc(out, func(a, b Entry) int { return a.Dst.Addr.Compare(b.Dst.Addr) })
 	return out
 }
 
@@ -263,7 +235,7 @@ func (t *refTable) Clear() {
 	}
 }
 
-func (t *refTable) installBatch(proto string, desired []ProtoRoute, del []mnet.Prefix, mode installMode) ReplaceStats {
+func (t *refTable) installBatch(proto string, desired []ProtoRoute, del []mnet.Addr, mode installMode) ReplaceStats {
 	var stats ReplaceStats
 	replace := mode != installRefresh
 	now := t.clock.Now()
@@ -271,10 +243,10 @@ func (t *refTable) installBatch(proto string, desired []ProtoRoute, del []mnet.P
 	gen := t.markGen
 	for i := range desired {
 		d := &desired[i]
-		e, ok := t.entries[d.Dst]
+		e, ok := t.entries[d.Dst.Addr]
 		if !ok {
 			e = &refEntry{Entry: Entry{Dst: d.Dst, Paths: []Path{{NextHop: d.NextHop, Metric: d.Metric, Expires: d.Expires}}, Valid: true, Proto: proto}, mark: gen}
-			t.entries[d.Dst] = e
+			t.entries[d.Dst.Addr] = e
 			t.mirror(e)
 			stats.Added++
 			continue
@@ -323,7 +295,7 @@ func (t *refTable) installBatch(proto string, desired []ProtoRoute, del []mnet.P
 			}
 		}
 	}
-	sortPrefixes(removed)
+	slices.SortFunc(removed, mnet.Addr.Compare)
 	for _, dst := range removed {
 		e, ok := t.entries[dst]
 		if !ok || e.Proto != proto || e.mark == gen {
@@ -361,7 +333,7 @@ func pathString(p Path) string {
 }
 
 // FuzzTable drives random sequences of every RIB mutation, over a few host
-// and wide prefixes and with the clock advancing, against refTable, and
+// routes and with the clock advancing, against refTable, and
 // compares after every step: each call's result, Entries, ValidCount,
 // Lookup over the address set, and the mirrored FIB's List and Ops. After a
 // purge it also checks the FIB against the table itself, which a fault the
@@ -374,9 +346,9 @@ func FuzzTable(f *testing.F) {
 	f.Add([]byte{9, 0x3f, 0x12, 9, 0x3e, 0x12, 10, 0x1d, 0x25, 11, 0xff, 0x31, 12, 0, 0, 9, 0x3f, 0x40})
 	f.Add([]byte{0, 8, 0x11, 0, 9, 0x12, 0, 10, 0x23, 0, 11, 0x05, 5, 0, 1, 6, 9, 0, 15, 10, 0})
 	f.Add([]byte{1, 3, 0x35, 1, 4, 0x00, 2, 3, 0x26, 13, 0, 25, 8, 0, 0, 13, 0, 90, 8, 0, 0, 14, 0, 1})
-	// Four /24s over one address range tie for 10.0.0.9, and /8, /16 and
-	// /24 on one base expire together through one next hop.
-	f.Add([]byte{0, 9, 0x11, 0, 10, 0x02, 0, 11, 0x11, 0, 12, 0x11, 0, 13, 0x11, 0, 8, 0x11, 5, 0, 2, 13, 0, 200, 8, 0, 0})
+	// Five routes through one next hop and one through another: the link
+	// break takes the five, and the purge expires the survivor.
+	f.Add([]byte{0, 1, 0x11, 0, 2, 0x12, 0, 3, 0x11, 0, 4, 0x11, 0, 5, 0x11, 0, 0, 0x11, 5, 0, 1, 13, 0, 200, 8, 0, 0})
 	// Two paths to one host, the better one expiring first: the purge
 	// leaves the entry valid on the other.
 	f.Add([]byte{2, 1, 0x11, 2, 1, 0x3a, 13, 0, 20, 8, 0, 0})
@@ -391,22 +363,7 @@ func FuzzTable(f *testing.F) {
 	for i := uint32(0); i < 8; i++ {
 		hosts = append(hosts, mnet.AddrFrom(0x0a000000+i))
 	}
-	wide := []mnet.Prefix{
-		{Addr: mnet.AddrFrom(0x0a000005), Bits: 24},
-		{Addr: mnet.AddrFrom(0x0a000007), Bits: 24},
-		{Addr: mnet.AddrFrom(0x0a000006), Bits: 24},
-		{Addr: mnet.AddrFrom(0x0a000000), Bits: 8},
-		{Addr: mnet.AddrFrom(0x0a000000), Bits: 16},
-		{Addr: mnet.AddrFrom(0x0a000000), Bits: 24},
-		{Addr: mnet.AddrFrom(0x0a000004), Bits: 30},
-		{Addr: mnet.AddrFrom(0x00000000), Bits: 0},
-	}
-	dstOf := func(a byte) mnet.Prefix {
-		if a&8 != 0 {
-			return wide[a&7]
-		}
-		return mnet.HostPrefix(hosts[a&7])
-	}
+	dstOf := func(a byte) mnet.Addr { return hosts[a&7] }
 	hopOf := func(b byte) mnet.Addr { return mnet.AddrFrom(0x0a000100 + uint32(b&3)) }
 	probes := append(slices.Clone(hosts), mnet.AddrFrom(0x0a000009), mnet.AddrFrom(0x0a0000ff), mnet.AddrFrom(0x0a010001), mnet.AddrFrom(0x0b000001))
 	protos := []string{"olsr", "dymo"}
@@ -425,7 +382,7 @@ func FuzzTable(f *testing.F) {
 			for i := 0; i < 8; i++ {
 				if mask&(1<<i) != 0 {
 					p := pathOf(b + byte(i))
-					ds = append(ds, ProtoRoute{Dst: dstOf(byte(i) + b&8), NextHop: p.NextHop, Metric: p.Metric, Expires: p.Expires})
+					ds = append(ds, ProtoRoute{Dst: mnet.HostPrefix(dstOf(byte(i))), NextHop: p.NextHop, Metric: p.Metric, Expires: p.Expires})
 				}
 			}
 			return ds
@@ -442,11 +399,11 @@ func FuzzTable(f *testing.F) {
 			var got, want any
 			switch op {
 			case 0:
-				e := Entry{Dst: dst, Paths: []Path{pathOf(b)}, SeqNum: uint16(b), Valid: true, Proto: proto}
+				e := Entry{Dst: mnet.HostPrefix(dst), Paths: []Path{pathOf(b)}, SeqNum: uint16(b), Valid: true, Proto: proto}
 				tb.Upsert(e)
 				ref.Upsert(e)
 			case 1: // no path, or two
-				e := Entry{Dst: dst, SeqNum: uint16(a), Valid: b&1 == 0, Proto: proto}
+				e := Entry{Dst: mnet.HostPrefix(dst), SeqNum: uint16(a), Valid: b&1 == 0, Proto: proto}
 				if b&2 != 0 {
 					e.Paths = []Path{pathOf(b), pathOf(b + 0x15)}
 				}
@@ -461,8 +418,9 @@ func FuzzTable(f *testing.F) {
 				got, want = tb.InvalidatePath(dst, hop), ref.InvalidatePath(dst, hop)
 			case 5:
 				got, want = fmt.Sprint(tb.InvalidateVia(hop)), fmt.Sprint(ref.InvalidateVia(hop))
-			case 6:
-				got, want = tb.Remove(dst), ref.Remove(dst)
+			case 6: // a removal alone
+				del := []mnet.Addr{dst}
+				got, want = tb.ApplyProto(proto, nil, del), ref.installBatch(proto, nil, del, installApply)
 			case 7:
 				if b&0x80 != 0 {
 					hop = mnet.Addr{}
@@ -476,8 +434,8 @@ func FuzzTable(f *testing.F) {
 				got, want = tb.ReplaceProto(proto, ds), ref.installBatch(proto, ds, nil, installReplace)
 			case 10:
 				ds := desiredOf(a&0x0f, b)
-				del := func() []mnet.Prefix {
-					var del []mnet.Prefix
+				del := func() []mnet.Addr {
+					var del []mnet.Addr
 					for i := 0; i < 4; i++ {
 						if a&(0x10<<i) != 0 {
 							del = append(del, dstOf(byte(i*3)+b))

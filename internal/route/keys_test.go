@@ -56,10 +56,10 @@ func TestExtendLifetimeKeysMatchTimeArithmetic(t *testing.T) {
 			if before(exp, dk) {
 				exp = dk
 			}
-			if !tb.ExtendLifetime(mnet.HostPrefix(dst), mnet.Addr{}, d) {
+			if !tb.ExtendLifetime(dst, mnet.Addr{}, d) {
 				t.Fatalf("clock %v, expiry %+v, lifetime %v: ExtendLifetime = false", c.clock, c.expires, d)
 			}
-			e, _ := tb.Get(mnet.HostPrefix(dst))
+			e, _ := tb.Get(dst)
 			if got, want := e.Paths[0].Expires, base.Add(time.Duration(exp)); !got.Equal(want) {
 				t.Errorf("clock %v, expiry %+v, lifetime %v: expires %v, want %v", c.clock, c.expires, d, got, want)
 			}

@@ -1,8 +1,10 @@
 // Package route provides the routing-table building blocks listed among
 // MANETKit's reusable components (Table 3 of the paper): a protocol-facing
-// RIB template with prefix matching, lifetimes and multipath entries, and a
+// RIB template of host routes with lifetimes and multipath entries, and a
 // simulated kernel FIB standing in for the OS forwarding table that the
-// System CF's State element manipulates.
+// System CF's State element manipulates. Both hold host routes only: every
+// protocol routes to node addresses, and an Entry, FIBRoute or ProtoRoute
+// whose Dst is not a /32 panics when stored.
 package route
 
 import (
@@ -10,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -30,7 +31,7 @@ type Path struct {
 
 // Entry is one RIB route.
 type Entry struct {
-	Dst   mnet.Prefix
+	Dst   mnet.Prefix // a host prefix
 	Paths []Path
 	// SeqNum is the destination sequence number (loop freedom in DYMO).
 	SeqNum uint16
@@ -76,38 +77,31 @@ type ribPath struct {
 
 // ribEntry is an Entry as the table stores it: 40 bytes, no pointer. The
 // first path is inline; an entry with more than one (multipath DYMO) keeps
-// the rest in Table.more. proto indexes Table.names. Prefix lengths, like
-// metrics, are held as int32.
+// the rest in Table.more. proto indexes Table.names.
 type ribEntry struct {
 	ribPath        // the first path, while npaths > 0
 	mark    uint64 // ReplaceProto sweep generation that last confirmed it
 	dst     mnet.Addr
-	bits    int32
 	seq     uint16
 	proto   uint16
 	npaths  uint8 // paths held, counted up to 2; the rest are in Table.more
 	valid   bool
 }
 
-func (r *ribEntry) prefix() mnet.Prefix { return mnet.Prefix{Addr: r.dst, Bits: int(r.bits)} }
-
-// Table is the RIB template: thread-safe, lifetime-aware, with
-// longest-prefix-match lookup, and mirrored into a FIB when one is bound.
-// Construct with NewTable.
+// Table is the RIB template: thread-safe, lifetime-aware, and mirrored
+// into a FIB when one is bound. Construct with NewTable.
 //
 // Routes are stored at their working size, as the FIB stores its own: one
-// pointer-free record per destination in a dense slice, host routes
-// indexed by address, and the few wide (HNA) prefixes in a second slice
-// that look-ups scan. Lifetimes are int64 nanoseconds past a per-table
-// base; time.Time appears only at the API edge.
+// pointer-free record per destination in a dense slice, indexed by
+// address. Lifetimes are int64 nanoseconds past a per-table base;
+// time.Time appears only at the API edge.
 type Table struct {
 	clock vclock.Clock
 
 	mu     sync.Mutex
-	recs   []ribEntry                // host routes
-	index  flat.Table[uint32, int32] // host destination → its record in recs
-	wide   []ribEntry                // every other prefix length, scanned
-	more   map[mnet.Prefix][]ribPath
+	recs   []ribEntry
+	index  flat.Table[uint32, int32] // destination → its record in recs
+	more   map[mnet.Addr][]ribPath
 	names  []string // interned Proto strings
 	fib    *FIB
 	fibDev string
@@ -125,7 +119,7 @@ type Table struct {
 	// touched by the current ReplaceProto sweep, and the scratch slice is
 	// reused across sweeps so a no-op recompute stays allocation-free.
 	markGen uint64
-	removed []mnet.Prefix
+	removed []mnet.Addr
 }
 
 // NewTable returns an empty RIB on the given clock. A routing CF passes nil
@@ -196,73 +190,39 @@ func (t *Table) intern(proto string) uint16 {
 
 // find returns dst's record, or nil. The pointer is valid until the next
 // insert or remove. Called with t.mu held.
-func (t *Table) find(dst mnet.Prefix) *ribEntry {
-	if dst.Bits == hostBits {
-		if i, ok := t.index.Get(dst.Addr.Uint32()); ok {
-			return &t.recs[i]
-		}
-		return nil
-	}
-	for i := range t.wide {
-		if w := &t.wide[i]; w.dst == dst.Addr && int(w.bits) == dst.Bits {
-			return w
-		}
+func (t *Table) find(dst mnet.Addr) *ribEntry {
+	if i, ok := t.index.Get(dst.Uint32()); ok {
+		return &t.recs[i]
 	}
 	return nil
 }
 
 // insert adds an empty record for dst, which must be absent, and returns
 // it. Called with t.mu held.
-func (t *Table) insert(dst mnet.Prefix) *ribEntry {
-	r := ribEntry{dst: dst.Addr, bits: int32(dst.Bits)}
-	if dst.Bits == hostBits {
-		t.index.Set(dst.Addr.Uint32(), int32(len(t.recs)))
-		t.recs = append(t.recs, r)
-		return &t.recs[len(t.recs)-1]
-	}
-	t.wide = append(t.wide, r)
-	return &t.wide[len(t.wide)-1]
+func (t *Table) insert(dst mnet.Addr) *ribEntry {
+	t.index.Set(dst.Uint32(), int32(len(t.recs)))
+	t.recs = append(t.recs, ribEntry{dst: dst})
+	return &t.recs[len(t.recs)-1]
 }
 
 // remove deletes dst's record and its FIB route: the last record moves
 // into its place. Called with t.mu held.
-func (t *Table) remove(dst mnet.Prefix) {
+func (t *Table) remove(dst mnet.Addr) {
 	if t.fib != nil {
 		t.fib.Del(dst)
 	}
 	delete(t.more, dst)
-	if dst.Bits == hostBits {
-		i, ok := t.index.Get(dst.Addr.Uint32())
-		if !ok {
-			return
-		}
-		last := int32(len(t.recs) - 1)
-		if i != last {
-			t.recs[i] = t.recs[last]
-			t.index.Set(t.recs[i].dst.Uint32(), i)
-		}
-		t.recs = t.recs[:last]
-		t.index.Delete(dst.Addr.Uint32())
+	i, ok := t.index.Get(dst.Uint32())
+	if !ok {
 		return
 	}
-	for i := range t.wide {
-		if w := &t.wide[i]; w.dst == dst.Addr && int(w.bits) == dst.Bits {
-			last := len(t.wide) - 1
-			t.wide[i] = t.wide[last]
-			t.wide = t.wide[:last]
-			return
-		}
+	last := int32(len(t.recs) - 1)
+	if i != last {
+		t.recs[i] = t.recs[last]
+		t.index.Set(t.recs[i].dst.Uint32(), i)
 	}
-}
-
-// all calls fn on every record, host routes first. Called with t.mu held.
-func (t *Table) all(fn func(r *ribEntry)) {
-	for i := range t.recs {
-		fn(&t.recs[i])
-	}
-	for i := range t.wide {
-		fn(&t.wide[i])
-	}
+	t.recs = t.recs[:last]
+	t.index.Delete(dst.Uint32())
 }
 
 // rest returns r's paths past the first. Called with t.mu held.
@@ -270,14 +230,14 @@ func (t *Table) rest(r *ribEntry) []ribPath {
 	if r.npaths < 2 {
 		return nil
 	}
-	return t.more[r.prefix()]
+	return t.more[r.dst]
 }
 
 // setPaths stores ps as r's paths; ps[1:] is kept, not copied. Called with
 // t.mu held.
 func (t *Table) setPaths(r *ribEntry, ps []ribPath) {
 	if r.npaths > 1 && len(ps) < 2 {
-		delete(t.more, r.prefix())
+		delete(t.more, r.dst)
 	}
 	r.npaths = uint8(min(len(ps), 2))
 	r.ribPath = ribPath{}
@@ -286,16 +246,16 @@ func (t *Table) setPaths(r *ribEntry, ps []ribPath) {
 	}
 	if len(ps) > 1 {
 		if t.more == nil {
-			t.more = make(map[mnet.Prefix][]ribPath)
+			t.more = make(map[mnet.Addr][]ribPath)
 		}
-		t.more[r.prefix()] = ps[1:]
+		t.more[r.dst] = ps[1:]
 	}
 }
 
 // setOne stores p as r's only path. Called with t.mu held.
 func (t *Table) setOne(r *ribEntry, p ribPath) {
 	if r.npaths > 1 {
-		delete(t.more, r.prefix())
+		delete(t.more, r.dst)
 	}
 	r.ribPath, r.npaths = p, 1
 }
@@ -343,7 +303,7 @@ func (t *Table) apiPath(p ribPath) Path {
 
 // snapshot rebuilds the Entry r stores. Called with t.mu held.
 func (t *Table) snapshot(r *ribEntry) Entry {
-	e := Entry{Dst: r.prefix(), SeqNum: r.seq, Valid: r.valid, Proto: t.names[r.proto]}
+	e := Entry{Dst: mnet.HostPrefix(r.dst), SeqNum: r.seq, Valid: r.valid, Proto: t.names[r.proto]}
 	if r.npaths > 0 {
 		rest := t.rest(r)
 		e.Paths = make([]Path, 0, 1+len(rest))
@@ -383,19 +343,23 @@ func (t *Table) syncFIBLocked(f *FIB, device string) {
 	if f == nil {
 		return
 	}
-	t.all(t.mirrorLocked)
+	for i := range t.recs {
+		t.mirrorLocked(&t.recs[i])
+	}
 }
 
-// Upsert installs or replaces the route for e.Dst.
+// Upsert installs or replaces the route for e.Dst, which must be a host
+// prefix.
 func (t *Table) Upsert(e Entry) {
 	if len(e.Paths) == 0 {
 		e.Valid = false
 	}
+	dst := hostKey(e.Dst)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r := t.find(e.Dst)
+	r := t.find(dst)
 	if r == nil {
-		r = t.insert(e.Dst)
+		r = t.insert(dst)
 	}
 	if len(e.Paths) == 1 {
 		t.setOne(r, t.path(e.Paths[0].NextHop, e.Paths[0].Metric, e.Paths[0].Expires))
@@ -412,7 +376,7 @@ func (t *Table) Upsert(e Entry) {
 
 // AddPath adds (or refreshes) one path on an existing entry, creating the
 // entry if needed — the multipath accumulation primitive.
-func (t *Table) AddPath(dst mnet.Prefix, proto string, seq uint16, p Path) {
+func (t *Table) AddPath(dst mnet.Addr, proto string, seq uint16, p Path) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.find(dst)
@@ -437,44 +401,22 @@ func (t *Table) AddPath(dst mnet.Prefix, proto string, seq uint16, p Path) {
 	t.mirrorLocked(r)
 }
 
-// Lookup performs longest-prefix-match over valid entries and returns the
-// matched entry's best path. A host route is the longest match there can
-// be, so it is tried first; only without a usable one are the wide prefixes
-// scanned. Among equally long matches the lowest base address wins, as in
-// FIB.Lookup.
+// Lookup returns dst's entry and its best path, if the entry is valid and
+// has an unexpired path.
 func (t *Table) Lookup(dst mnet.Addr) (Entry, Path, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	nowK := t.nowKey()
-	if i, ok := t.index.Get(dst.Uint32()); ok && t.recs[i].valid {
-		r := &t.recs[i]
+	if r := t.find(dst); r != nil && r.valid {
 		if p, ok := t.best(r, nowK); ok {
 			return t.snapshot(r), t.apiPath(p), nil
 		}
 	}
-	var best *ribEntry
-	var bestPath ribPath
-	bestBits := int32(-1)
-	for i := range t.wide {
-		w := &t.wide[i]
-		if !w.valid || w.bits < bestBits || !w.prefix().Contains(dst) {
-			continue
-		}
-		if w.bits == bestBits && (best == nil || !w.dst.Less(best.dst)) {
-			continue
-		}
-		if p, ok := t.best(w, nowK); ok {
-			best, bestPath, bestBits = w, p, w.bits
-		}
-	}
-	if best == nil {
-		return Entry{}, Path{}, fmt.Errorf("%w: %v", ErrNoRoute, dst)
-	}
-	return t.snapshot(best), t.apiPath(bestPath), nil
+	return Entry{}, Path{}, fmt.Errorf("%w: %v", ErrNoRoute, dst)
 }
 
-// Get returns the entry for an exact destination prefix.
-func (t *Table) Get(dst mnet.Prefix) (Entry, bool) {
+// Get returns the entry for dst.
+func (t *Table) Get(dst mnet.Addr) (Entry, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.find(dst)
@@ -487,7 +429,7 @@ func (t *Table) Get(dst mnet.Prefix) (Entry, bool) {
 // Invalidate marks the route unusable but keeps it (with its sequence
 // number) for loop-freedom checks. It reports whether a valid route was
 // present.
-func (t *Table) Invalidate(dst mnet.Prefix) bool {
+func (t *Table) Invalidate(dst mnet.Addr) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.find(dst)
@@ -502,7 +444,7 @@ func (t *Table) Invalidate(dst mnet.Prefix) bool {
 // InvalidatePath drops the path through nextHop from the entry for dst,
 // invalidating the entry when its last path goes. It reports whether the
 // entry remains valid.
-func (t *Table) InvalidatePath(dst mnet.Prefix, nextHop mnet.Addr) (remains bool) {
+func (t *Table) InvalidatePath(dst, nextHop mnet.Addr) (remains bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.find(dst)
@@ -517,19 +459,19 @@ func (t *Table) InvalidatePath(dst mnet.Prefix, nextHop mnet.Addr) (remains bool
 // InvalidateVia drops the path through nextHop from every valid route that
 // has one, invalidating a route left with none — the route-invalidation
 // sweep run on link-break events. It returns the affected destinations in
-// (address, length) order.
-func (t *Table) InvalidateVia(nextHop mnet.Addr) []mnet.Prefix {
+// address order.
+func (t *Table) InvalidateVia(nextHop mnet.Addr) []mnet.Addr {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	via := func(p ribPath) bool { return p.nextHop == nextHop }
-	var affected []mnet.Prefix
-	t.all(func(r *ribEntry) {
-		if r.valid && t.dropPaths(r, via) {
+	var affected []mnet.Addr
+	for i := range t.recs {
+		if r := &t.recs[i]; r.valid && t.dropPaths(r, via) {
 			t.settle(r)
-			affected = append(affected, r.prefix())
+			affected = append(affected, r.dst)
 		}
-	})
-	sortPrefixes(affected)
+	}
+	slices.SortFunc(affected, mnet.Addr.Compare)
 	return affected
 }
 
@@ -542,23 +484,12 @@ func (t *Table) settle(r *ribEntry) {
 	t.mirrorLocked(r)
 }
 
-// Remove deletes the entry entirely.
-func (t *Table) Remove(dst mnet.Prefix) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.find(dst) == nil {
-		return false
-	}
-	t.remove(dst)
-	return true
-}
-
 // ExtendLifetime pushes the expiry of every path through nextHop (or all
 // paths when nextHop is the zero Addr) on the entry for dst out to at least
-// now+d. Reactive protocols call this on ROUTE_UPDATE events: for a host
-// route it is one index probe and an in-place write, and a FIB write only
-// when it revives an expired path the FIB does not hold as the best.
-func (t *Table) ExtendLifetime(dst mnet.Prefix, nextHop mnet.Addr, d time.Duration) bool {
+// now+d. Reactive protocols call this on ROUTE_UPDATE events: it is one
+// index probe and an in-place write, and a FIB write only when it revives
+// an expired path the FIB does not hold as the best.
+func (t *Table) ExtendLifetime(dst, nextHop mnet.Addr, d time.Duration) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	r := t.find(dst)
@@ -619,14 +550,14 @@ func (t *Table) PurgeExpired() int {
 	nowK := t.nowKey()
 	gone := func(p ribPath) bool { return expired(p.exp, nowK) }
 	dead := 0
-	t.all(func(r *ribEntry) {
-		if r.valid && t.dropPaths(r, gone) {
+	for i := range t.recs {
+		if r := &t.recs[i]; r.valid && t.dropPaths(r, gone) {
 			t.settle(r)
 			if !r.valid {
 				dead++
 			}
 		}
-	})
+	}
 	return dead
 }
 
@@ -634,9 +565,11 @@ func (t *Table) PurgeExpired() int {
 func (t *Table) Entries() []Entry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Entry, 0, len(t.recs)+len(t.wide))
-	t.all(func(r *ribEntry) { out = append(out, t.snapshot(r)) })
-	sort.Slice(out, func(i, j int) bool { return prefixLess(out[i].Dst, out[j].Dst) })
+	out := make([]Entry, len(t.recs))
+	for i := range t.recs {
+		out[i] = t.snapshot(&t.recs[i])
+	}
+	slices.SortFunc(out, func(a, b Entry) int { return a.Dst.Addr.Compare(b.Dst.Addr) })
 	return out
 }
 
@@ -645,11 +578,11 @@ func (t *Table) ValidCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	t.all(func(r *ribEntry) {
-		if r.valid {
+	for i := range t.recs {
+		if t.recs[i].valid {
 			n++
 		}
-	})
+	}
 	return n
 }
 
@@ -658,10 +591,11 @@ func (t *Table) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.fib != nil {
-		t.all(func(r *ribEntry) { t.fib.Del(r.prefix()) })
+		for i := range t.recs {
+			t.fib.Del(t.recs[i].dst)
+		}
 	}
 	t.recs = t.recs[:0]
-	t.wide = t.wide[:0]
 	t.index.Clear()
 	clear(t.more)
 }
@@ -671,7 +605,7 @@ func (t *Table) Clear() {
 // per-entry slice — so protocols can assemble whole desired route sets in
 // reusable scratch buffers without allocating.
 type ProtoRoute struct {
-	Dst     mnet.Prefix
+	Dst     mnet.Prefix // a host prefix
 	NextHop mnet.Addr
 	Metric  int       // hop count
 	Expires time.Time // zero means no expiry
@@ -706,12 +640,12 @@ func (t *Table) ReplaceProto(proto string, desired []ProtoRoute) ReplaceStats {
 // holds only the routes that are new or differ from what proto last
 // installed, and del the destinations proto no longer wants. set runs
 // through ReplaceProto's per-entry loop; del replaces its scan for unmarked
-// entries, is sorted in place into (address, length) order, and skips any
+// entries, is sorted in place into address order, and skips any
 // destination set just wrote or proto does not own. Given the same table,
 // set and del that are the changed and vanished part of a desired set,
 // ApplyProto issues exactly the FIB operations ReplaceProto would, in the
 // same order.
-func (t *Table) ApplyProto(proto string, set []ProtoRoute, del []mnet.Prefix) ReplaceStats {
+func (t *Table) ApplyProto(proto string, set []ProtoRoute, del []mnet.Addr) ReplaceStats {
 	return t.installBatch(proto, set, del, installApply)
 }
 
@@ -734,7 +668,7 @@ const (
 	installApply                      // remove the caller's list
 )
 
-func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Prefix, mode installMode) ReplaceStats {
+func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Addr, mode installMode) ReplaceStats {
 	var stats ReplaceStats
 	replace := mode != installRefresh
 	t.mu.Lock()
@@ -746,9 +680,10 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 	for i := range desired {
 		d := &desired[i]
 		p := t.path(d.NextHop, d.Metric, d.Expires)
-		r := t.find(d.Dst)
+		dst := hostKey(d.Dst)
+		r := t.find(dst)
 		if r == nil {
-			r = t.insert(d.Dst)
+			r = t.insert(dst)
 			r.ribPath, r.npaths, r.valid, r.proto, r.mark = p, 1, true, owner, gen
 			t.mirrorLocked(r)
 			stats.Added++
@@ -797,15 +732,15 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 	removed := del
 	if mode == installReplace {
 		removed = t.removed[:0]
-		t.all(func(r *ribEntry) {
-			if r.proto == owner && r.mark != gen {
-				removed = append(removed, r.prefix())
+		for i := range t.recs {
+			if r := &t.recs[i]; r.proto == owner && r.mark != gen {
+				removed = append(removed, r.dst)
 			}
-		})
+		}
 		t.removed = removed[:0]
 	}
 	if len(removed) > 0 {
-		sortPrefixes(removed)
+		slices.SortFunc(removed, mnet.Addr.Compare)
 		for _, dst := range removed {
 			r := t.find(dst)
 			if r == nil || r.proto != owner || r.mark == gen {
@@ -818,21 +753,6 @@ func (t *Table) installBatch(proto string, desired []ProtoRoute, del []mnet.Pref
 	return stats
 }
 
-// prefixLess orders prefixes by (address, length) — the table's canonical
-// order.
-func prefixLess(a, b mnet.Prefix) bool {
-	if a.Addr != b.Addr {
-		return a.Addr.Less(b.Addr)
-	}
-	return a.Bits < b.Bits
-}
-
-// sortPrefixes sorts prefixes into the table's canonical order, the order
-// InvalidateVia returns and batch removals run in.
-func sortPrefixes(ps []mnet.Prefix) {
-	sort.Slice(ps, func(i, j int) bool { return prefixLess(ps[i], ps[j]) })
-}
-
 // mirrorLocked pushes the record's current best path into the FIB (or
 // removes it). Caller holds t.mu.
 func (t *Table) mirrorLocked(r *ribEntry) {
@@ -840,12 +760,12 @@ func (t *Table) mirrorLocked(r *ribEntry) {
 		return
 	}
 	if !r.valid {
-		t.fib.Del(r.prefix())
+		t.fib.Del(r.dst)
 		return
 	}
 	p, ok := t.best(r, t.nowKey())
 	if !ok {
-		t.fib.Del(r.prefix())
+		t.fib.Del(r.dst)
 		return
 	}
 	t.fib.Set(t.fibRoute(r, p))
@@ -853,5 +773,5 @@ func (t *Table) mirrorLocked(r *ribEntry) {
 
 // fibRoute is the FIB route for r's path p. Called with t.mu held.
 func (t *Table) fibRoute(r *ribEntry, p ribPath) FIBRoute {
-	return FIBRoute{Dst: r.prefix(), NextHop: p.nextHop, Metric: int(p.metric), Device: t.fibDev, Proto: t.names[r.proto]}
+	return FIBRoute{Dst: mnet.HostPrefix(r.dst), NextHop: p.nextHop, Metric: int(p.metric), Device: t.fibDev, Proto: t.names[r.proto]}
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -53,23 +54,34 @@ func TestLookupNoRoute(t *testing.T) {
 	}
 }
 
-func TestLongestPrefixMatch(t *testing.T) {
-	tb, _ := newTable()
-	tb.Upsert(Entry{
-		Dst:   mnet.Prefix{Addr: addr("10.0.0.0"), Bits: 8},
-		Paths: []Path{{NextHop: addr("10.0.0.1"), Metric: 5}},
-		Valid: true,
-	})
-	tb.Upsert(Entry{
-		Dst:   mnet.Prefix{Addr: addr("10.1.0.0"), Bits: 16},
-		Paths: []Path{{NextHop: addr("10.0.0.2"), Metric: 2}},
-		Valid: true,
-	})
-	if _, p, _ := tb.Lookup(addr("10.1.2.3")); p.NextHop != addr("10.0.0.2") {
-		t.Fatalf("LPM chose %v", p.NextHop)
-	}
-	if _, p, _ := tb.Lookup(addr("10.2.0.1")); p.NextHop != addr("10.0.0.1") {
-		t.Fatalf("fallback chose %v", p.NextHop)
+// TestNonHostDstPanics: the tables hold host routes only, so storing any
+// other prefix length panics with a message that names the prefix, at
+// every entry point that takes a destination prefix.
+func TestNonHostDstPanics(t *testing.T) {
+	subnet := mnet.Prefix{Addr: addr("10.1.0.0"), Bits: 16}
+	via := addr("10.0.0.2")
+	for _, tc := range []struct {
+		name  string
+		store func()
+	}{
+		{"FIB.Set", func() { NewFIB().Set(FIBRoute{Dst: subnet, NextHop: via}) }},
+		{"Upsert", func() {
+			tb, _ := newTable()
+			tb.Upsert(Entry{Dst: subnet, Paths: []Path{{NextHop: via, Metric: 1}}, Valid: true})
+		}},
+		{"ReplaceProto", func() {
+			tb, _ := newTable()
+			tb.ReplaceProto("olsr", []ProtoRoute{{Dst: subnet, NextHop: via, Metric: 1}})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "10.1.0.0/16") {
+					t.Fatalf("storing %v: recovered %q, want a panic naming the prefix", subnet, msg)
+				}
+			}()
+			tc.store()
+		})
 	}
 }
 
@@ -94,8 +106,8 @@ func TestBestPathPrefersLowerMetricAndSkipsExpired(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	tb, _ := newTable()
-	dst := host("10.0.0.7")
-	tb.Upsert(Entry{Dst: dst, Paths: []Path{{NextHop: addr("10.0.0.2")}}, Valid: true, SeqNum: 9})
+	dst := addr("10.0.0.7")
+	tb.Upsert(Entry{Dst: mnet.HostPrefix(dst), Paths: []Path{{NextHop: addr("10.0.0.2")}}, Valid: true, SeqNum: 9})
 	if !tb.Invalidate(dst) {
 		t.Fatal("Invalidate on valid route = false")
 	}
@@ -114,7 +126,7 @@ func TestInvalidate(t *testing.T) {
 
 func TestAddPathAndInvalidatePath(t *testing.T) {
 	tb, _ := newTable()
-	dst := host("10.0.0.8")
+	dst := addr("10.0.0.8")
 	tb.AddPath(dst, "dymo", 1, Path{NextHop: addr("10.0.0.2"), Metric: 3})
 	tb.AddPath(dst, "dymo", 1, Path{NextHop: addr("10.0.0.3"), Metric: 2})
 	tb.AddPath(dst, "dymo", 1, Path{NextHop: addr("10.0.0.2"), Metric: 4}) // refresh, not dup
@@ -158,8 +170,8 @@ func TestInvalidateVia(t *testing.T) {
 
 func TestExtendLifetimeAndPurge(t *testing.T) {
 	tb, clk := newTable()
-	dst := host("10.0.0.5")
-	tb.Upsert(Entry{Dst: dst, Paths: []Path{{NextHop: addr("10.0.0.2"), Expires: epoch.Add(50 * time.Millisecond)}}, Valid: true})
+	dst := addr("10.0.0.5")
+	tb.Upsert(Entry{Dst: mnet.HostPrefix(dst), Paths: []Path{{NextHop: addr("10.0.0.2"), Expires: epoch.Add(50 * time.Millisecond)}}, Valid: true})
 	if !tb.ExtendLifetime(dst, mnet.Addr{}, 200*time.Millisecond) {
 		t.Fatal("ExtendLifetime = false")
 	}
@@ -179,14 +191,17 @@ func TestExtendLifetimeAndPurge(t *testing.T) {
 	}
 }
 
+// TestRemoveAndClear: ApplyProto's removal list deletes an owned entry
+// once, and Clear deletes every entry.
 func TestRemoveAndClear(t *testing.T) {
 	tb, _ := newTable()
-	tb.Upsert(Entry{Dst: host("10.0.0.5"), Paths: []Path{{NextHop: addr("10.0.0.2")}}, Valid: true})
-	if !tb.Remove(host("10.0.0.5")) {
-		t.Fatal("Remove = false")
+	tb.Upsert(Entry{Dst: host("10.0.0.5"), Paths: []Path{{NextHop: addr("10.0.0.2")}}, Valid: true, Proto: "dymo"})
+	del := []mnet.Addr{addr("10.0.0.5")}
+	if st := tb.ApplyProto("dymo", nil, del); st.Removed != 1 {
+		t.Fatalf("removal stats = %+v, want 1 removed", st)
 	}
-	if tb.Remove(host("10.0.0.5")) {
-		t.Fatal("double Remove = true")
+	if st := tb.ApplyProto("dymo", nil, del); st.Removed != 0 {
+		t.Fatalf("second removal stats = %+v, want none removed", st)
 	}
 	tb.Upsert(Entry{Dst: host("10.0.0.6"), Paths: []Path{{NextHop: addr("10.0.0.2")}}, Valid: true})
 	tb.Clear()
@@ -201,21 +216,24 @@ func TestMutationsWriteFIBOnce(t *testing.T) {
 	tb, _ := newTable()
 	fib := NewFIB()
 	tb.SyncFIB(fib, "emu0")
-	dst := host("10.0.0.5")
+	dst := addr("10.0.0.5")
+	entry := func(via string) Entry {
+		return Entry{Dst: mnet.HostPrefix(dst), Paths: []Path{{NextHop: addr(via)}}, Valid: true, Proto: "dymo"}
+	}
 	for i, step := range []struct {
 		name string
 		run  func()
 		via  string // the FIB's next hop afterwards, "" for none
 		ops  uint64
 	}{
-		{"add", func() { tb.Upsert(Entry{Dst: dst, Paths: []Path{{NextHop: addr("10.0.0.2")}}, Valid: true}) }, "10.0.0.2", 1},
-		{"update", func() { tb.Upsert(Entry{Dst: dst, Paths: []Path{{NextHop: addr("10.0.0.3")}}, Valid: true}) }, "10.0.0.3", 2},
+		{"add", func() { tb.Upsert(entry("10.0.0.2")) }, "10.0.0.2", 1},
+		{"update", func() { tb.Upsert(entry("10.0.0.3")) }, "10.0.0.3", 2},
 		{"invalidate", func() { tb.Invalidate(dst) }, "", 3},
-		{"remove", func() { tb.Remove(dst) }, "", 3},
-		{"add again", func() { tb.Upsert(Entry{Dst: dst, Paths: []Path{{NextHop: addr("10.0.0.2")}}, Valid: true}) }, "10.0.0.2", 4},
+		{"remove", func() { tb.ApplyProto("dymo", nil, []mnet.Addr{dst}) }, "", 3},
+		{"add again", func() { tb.Upsert(entry("10.0.0.2")) }, "10.0.0.2", 4},
 	} {
 		step.run()
-		r, ok := fib.Lookup(dst.Addr)
+		r, ok := fib.Lookup(dst)
 		if ok != (step.via != "") || ok && r.NextHop != addr(step.via) || fib.Ops() != step.ops {
 			t.Fatalf("step %d (%s): FIB route %+v, %v after %d ops; want via %q after %d", i, step.name, r, ok, fib.Ops(), step.via, step.ops)
 		}
@@ -226,8 +244,8 @@ func TestFIBMirroring(t *testing.T) {
 	tb, _ := newTable()
 	fib := NewFIB()
 	tb.SyncFIB(fib, "emu0")
-	dst := host("10.0.0.5")
-	tb.Upsert(Entry{Dst: dst, Paths: []Path{{NextHop: addr("10.0.0.2"), Metric: 2}}, Valid: true, Proto: "olsr"})
+	dst := addr("10.0.0.5")
+	tb.Upsert(Entry{Dst: mnet.HostPrefix(dst), Paths: []Path{{NextHop: addr("10.0.0.2"), Metric: 2}}, Valid: true, Proto: "olsr"})
 	r, ok := fib.Lookup(addr("10.0.0.5"))
 	if !ok || r.NextHop != addr("10.0.0.2") || r.Device != "emu0" || r.Proto != "olsr" {
 		t.Fatalf("FIB route = %+v, %v", r, ok)
@@ -238,7 +256,7 @@ func TestFIBMirroring(t *testing.T) {
 	}
 	// Late sync mirrors existing entries.
 	tb2, _ := newTable()
-	tb2.Upsert(Entry{Dst: dst, Paths: []Path{{NextHop: addr("10.0.0.3")}}, Valid: true})
+	tb2.Upsert(Entry{Dst: mnet.HostPrefix(dst), Paths: []Path{{NextHop: addr("10.0.0.3")}}, Valid: true})
 	fib2 := NewFIB()
 	tb2.SyncFIB(fib2, "emu1")
 	if _, ok := fib2.Lookup(addr("10.0.0.5")); !ok {
@@ -268,10 +286,13 @@ func TestBindOnce(t *testing.T) {
 
 func TestFIBBasics(t *testing.T) {
 	fib := NewFIB()
-	fib.Set(FIBRoute{Dst: mnet.Prefix{Addr: addr("10.0.0.0"), Bits: 8}, NextHop: addr("10.0.0.1"), Proto: "olsr"})
+	fib.Set(FIBRoute{Dst: host("10.1.0.0"), NextHop: addr("10.0.0.1"), Proto: "olsr"})
 	fib.Set(FIBRoute{Dst: host("10.1.2.3"), NextHop: addr("10.0.0.2"), Proto: "dymo"})
 	if r, ok := fib.Lookup(addr("10.1.2.3")); !ok || r.NextHop != addr("10.0.0.2") {
-		t.Fatalf("LPM = %+v, %v", r, ok)
+		t.Fatalf("Lookup = %+v, %v", r, ok)
+	}
+	if _, ok := fib.Lookup(addr("10.1.2.4")); ok {
+		t.Fatal("Lookup of an address without a route matched")
 	}
 	if fib.Len() != 2 || len(fib.List()) != 2 {
 		t.Fatalf("Len = %d", fib.Len())
@@ -279,10 +300,10 @@ func TestFIBBasics(t *testing.T) {
 	if n := fib.FlushProto("dymo"); n != 1 {
 		t.Fatalf("FlushProto = %d", n)
 	}
-	if !fib.Del(mnet.Prefix{Addr: addr("10.0.0.0"), Bits: 8}) {
+	if !fib.Del(addr("10.1.0.0")) {
 		t.Fatal("Del = false")
 	}
-	if fib.Del(host("9.9.9.9")) {
+	if fib.Del(addr("9.9.9.9")) {
 		t.Fatal("Del absent = true")
 	}
 }
@@ -373,7 +394,7 @@ func TestReplaceProtoDiffInstall(t *testing.T) {
 		t.Fatalf("steady-state recompute wrote the FIB: %d ops", fib.Ops())
 	}
 	// The refresh really did advance the lifetime.
-	e, _ := tb.Get(host("10.0.0.3"))
+	e, _ := tb.Get(addr("10.0.0.3"))
 	if !e.Paths[0].Expires.Equal(exp2) {
 		t.Fatalf("expiry not refreshed: %v", e.Paths[0].Expires)
 	}
@@ -396,7 +417,7 @@ func TestReplaceProtoDiffInstall(t *testing.T) {
 	if fib.Ops() != 6 { // updated, added, removed, removed
 		t.Fatalf("FIB ops = %d, want 6", fib.Ops())
 	}
-	if _, ok := tb.Get(host("10.0.0.5")); ok {
+	if _, ok := tb.Get(addr("10.0.0.5")); ok {
 		t.Fatal("vanished route still present")
 	}
 }
@@ -406,7 +427,7 @@ func TestReplaceProtoScopedToProto(t *testing.T) {
 	exp := clk.Now().Add(time.Minute)
 	tb.Upsert(Entry{Dst: host("10.0.0.9"), Paths: []Path{{NextHop: addr("10.0.0.8"), Metric: 4}}, Valid: true, Proto: "dymo"})
 	tb.ReplaceProto("olsr", []ProtoRoute{pr("10.0.0.2", "10.0.0.2", 1, exp)})
-	if _, ok := tb.Get(host("10.0.0.9")); !ok {
+	if _, ok := tb.Get(addr("10.0.0.9")); !ok {
 		t.Fatal("ReplaceProto removed another protocol's entry")
 	}
 	// But a desired entry does take over a prefix previously owned elsewhere.
@@ -414,7 +435,7 @@ func TestReplaceProtoScopedToProto(t *testing.T) {
 		pr("10.0.0.2", "10.0.0.2", 1, exp),
 		pr("10.0.0.9", "10.0.0.2", 2, exp),
 	})
-	e, _ := tb.Get(host("10.0.0.9"))
+	e, _ := tb.Get(addr("10.0.0.9"))
 	if e.Proto != "olsr" || e.Paths[0].NextHop != addr("10.0.0.2") {
 		t.Fatalf("takeover entry = %+v", e)
 	}
@@ -424,7 +445,7 @@ func TestReplaceProtoRevalidatesInvalid(t *testing.T) {
 	tb, clk := newTable()
 	exp := clk.Now().Add(time.Minute)
 	tb.ReplaceProto("olsr", []ProtoRoute{pr("10.0.0.2", "10.0.0.2", 1, exp)})
-	tb.Invalidate(host("10.0.0.2"))
+	tb.Invalidate(addr("10.0.0.2"))
 	fib := NewFIB()
 	tb.SyncFIB(fib, "emu0")
 	st := tb.ReplaceProto("olsr", []ProtoRoute{pr("10.0.0.2", "10.0.0.2", 1, exp)})
@@ -434,7 +455,7 @@ func TestReplaceProtoRevalidatesInvalid(t *testing.T) {
 	if r, ok := fib.Lookup(addr("10.0.0.2")); !ok || r.NextHop != addr("10.0.0.2") || fib.Ops() != 1 {
 		t.Fatalf("revalidated FIB route = %+v, %v after %d ops", r, ok, fib.Ops())
 	}
-	if e, _ := tb.Get(host("10.0.0.2")); !e.Valid {
+	if e, _ := tb.Get(addr("10.0.0.2")); !e.Valid {
 		t.Fatal("entry still invalid")
 	}
 }
@@ -463,7 +484,7 @@ func TestApplyProtoMatchesReplaceProto(t *testing.T) {
 	// for removal, 10.0.0.9 belongs to dymo, 10.0.0.7 was never there.
 	second := []ProtoRoute{pr("10.0.0.2", "10.0.0.2", 1, time.Time{}), pr("10.0.0.4", "10.0.0.5", 2, time.Time{})}
 	full.tb.ReplaceProto("olsr", second)
-	st := diff.tb.ApplyProto("olsr", second[1:], []mnet.Prefix{host("10.0.0.9"), host("10.0.0.4"), host("10.0.0.7"), host("10.0.0.3"), host("10.0.0.3")})
+	st := diff.tb.ApplyProto("olsr", second[1:], []mnet.Addr{addr("10.0.0.9"), addr("10.0.0.4"), addr("10.0.0.7"), addr("10.0.0.3"), addr("10.0.0.3")})
 	if st.Removed != 1 || st.Updated != 1 {
 		t.Fatalf("ApplyProto stats = %+v, want 1 updated, 1 removed", st)
 	}
@@ -518,7 +539,7 @@ func TestRefreshProtoKeepsBetterAndNeverRemoves(t *testing.T) {
 		t.Fatalf("refresh wrote the FIB %d times, want 1", fib.Ops()-base)
 	}
 	// The reactive route survived with its lifetime extended.
-	e, _ := tb.Get(host("10.0.0.4"))
+	e, _ := tb.Get(addr("10.0.0.4"))
 	if e.Paths[0].NextHop != addr("10.0.0.4") || e.Paths[0].Metric != 1 {
 		t.Fatalf("better route displaced: %+v", e)
 	}
@@ -526,7 +547,7 @@ func TestRefreshProtoKeepsBetterAndNeverRemoves(t *testing.T) {
 		t.Fatalf("kept route lifetime not extended: %v", e.Paths[0].Expires)
 	}
 	// The out-of-zone route was not touched.
-	if _, ok := tb.Get(host("10.0.9.9")); !ok {
+	if _, ok := tb.Get(addr("10.0.9.9")); !ok {
 		t.Fatal("RefreshProto removed an out-of-set route")
 	}
 	// Steady-state refresh is silent.
@@ -568,25 +589,19 @@ func TestReplaceProtoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// lookupByScan is the longest-prefix match Lookup used to be: a scan of the
-// whole table, here with Lookup's tie-break (the lowest base address among
-// equally long matches). It is the reference the host-route fast path must
-// agree with.
+// lookupByScan finds dst's route by a scan of the whole table: the
+// reference Lookup's probe must agree with.
 func lookupByScan(routes []FIBRoute, dst mnet.Addr) (FIBRoute, bool) {
-	var best FIBRoute
-	bestBits := -1
 	for _, r := range routes {
-		if r.Dst.Contains(dst) && (r.Dst.Bits > bestBits || r.Dst.Bits == bestBits && r.Dst.Addr.Less(best.Dst.Addr)) {
-			best, bestBits = r, r.Dst.Bits
+		if r.Dst.Addr == dst {
+			return r, true
 		}
 	}
-	return best, bestBits >= 0
+	return FIBRoute{}, false
 }
 
-// TestFIBLookupMatchesScan drives random Set/Del/FlushProto sequences over
-// overlapping prefixes (host routes, /24s, /16s, a default route) and checks
-// every look-up against the scan, so the wide-prefix count can never drift
-// from the table.
+// TestFIBLookupMatchesScan drives random Set/Del/FlushProto sequences and
+// checks every look-up against a scan of List.
 func TestFIBLookupMatchesScan(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -594,21 +609,13 @@ func TestFIBLookupMatchesScan(t *testing.T) {
 		host := func() mnet.Addr { // 16 hosts in each of 4 /24s of 2 /16s
 			return mnet.AddrFrom(0x0a000000 | uint32(rng.Intn(2))<<16 | uint32(rng.Intn(2))<<8 | uint32(rng.Intn(16)))
 		}
-		prefix := func() mnet.Prefix {
-			a := host()
-			bits := []int{32, 32, 32, 24, 16, 0}[rng.Intn(6)]
-			if bits < 32 { // canonical base address, so equal prefixes are one key
-				a = mnet.AddrFrom(a.Uint32() &^ (^uint32(0) >> uint(bits)))
-			}
-			return mnet.Prefix{Addr: a, Bits: bits}
-		}
-		protos := []string{"olsr", "dymo", "hna"}
+		protos := []string{"olsr", "dymo", "aodv"}
 		for step := 0; step < 400; step++ {
 			switch op := rng.Intn(10); {
 			case op < 6:
-				f.Set(FIBRoute{Dst: prefix(), NextHop: host(), Metric: step, Proto: protos[rng.Intn(len(protos))]})
+				f.Set(FIBRoute{Dst: mnet.HostPrefix(host()), NextHop: host(), Metric: step, Proto: protos[rng.Intn(len(protos))]})
 			case op < 9:
-				f.Del(prefix())
+				f.Del(host())
 			default:
 				f.FlushProto(protos[rng.Intn(len(protos))])
 			}
@@ -622,46 +629,26 @@ func TestFIBLookupMatchesScan(t *testing.T) {
 				}
 			}
 		}
-		f.FlushProto("olsr")
-		f.FlushProto("dymo")
-		f.FlushProto("hna")
-		if f.Len() != 0 || len(f.wide) != 0 {
-			t.Fatalf("seed %d: empty table holds %d wide prefixes (len %d)", seed, len(f.wide), f.Len())
+		for _, p := range protos {
+			f.FlushProto(p)
+		}
+		if f.Len() != 0 {
+			t.Fatalf("seed %d: flushing every protocol left %d routes", seed, f.Len())
 		}
 	}
 }
 
-// TestLookupTieBreakIsLowestBase: among equally long matching prefixes,
-// Lookup picks the lowest base address, as FIB.Lookup does, whatever order
-// the table holds them in.
-func TestLookupTieBreakIsLowestBase(t *testing.T) {
-	for run := 0; run < 200; run++ {
-		tb, _ := newTable()
-		for i, base := range []string{"10.0.0.5", "10.0.0.7", "10.0.0.6"} {
-			tb.Upsert(Entry{
-				Dst:   mnet.Prefix{Addr: addr(base), Bits: 24},
-				Paths: []Path{{NextHop: mnet.AddrFrom(0x0a000101 + uint32(i)), Metric: 1}},
-				Valid: true,
-			})
-		}
-		e, _, err := tb.Lookup(addr("10.0.0.9"))
-		if err != nil || e.Dst.Addr != addr("10.0.0.5") {
-			t.Fatalf("run %d: Lookup(10.0.0.9) matched %v (%v), want 10.0.0.5/24", run, e.Dst, err)
-		}
-	}
-}
-
-// TestInvalidateViaReturnsPrefixOrder holds 10.0.0.0/8, /16 and /24
-// through one next hop on 200 fresh tables, and requires InvalidateVia to
-// return them in (address, length) order every time, as reactive
+// TestInvalidateViaReturnsPrefixOrder holds three hosts through one next
+// hop, inserted out of order, on 200 fresh tables, and requires
+// InvalidateVia to return them in address order every time, as reactive
 // protocols put them on the wire.
 func TestInvalidateViaReturnsPrefixOrder(t *testing.T) {
-	want := "[10.0.0.0/8 10.0.0.0/16 10.0.0.0/24]"
+	want := "[10.0.0.3 10.0.0.9 10.0.1.1]"
 	for run := 0; run < 200; run++ {
 		tb, _ := newTable()
-		for _, bits := range []int{24, 8, 16} {
+		for _, dst := range []string{"10.0.1.1", "10.0.0.3", "10.0.0.9"} {
 			tb.Upsert(Entry{
-				Dst:   mnet.Prefix{Addr: addr("10.0.0.0"), Bits: bits},
+				Dst:   host(dst),
 				Paths: []Path{{NextHop: addr("10.0.0.2"), Metric: 1}},
 				Valid: true,
 			})
@@ -726,7 +713,7 @@ func TestTableAllocs(t *testing.T) {
 	}
 	tb.ReplaceProto("olsr", desired)
 	tb.ReplaceProto("olsr", desired)
-	held, hop, absent := desired[5].Dst, desired[5].NextHop, host("10.9.9.9")
+	held, hop, absent := desired[5].Dst.Addr, desired[5].NextHop, addr("10.9.9.9")
 	for _, tc := range []struct {
 		name string
 		run  func()
@@ -752,7 +739,7 @@ func TestPurgeExpiredRemirrorsSurvivor(t *testing.T) {
 	tb, clk := newTable()
 	fib := NewFIB()
 	tb.SyncFIB(fib, "emu0")
-	dst := host("10.0.0.9")
+	dst := addr("10.0.0.9")
 	tb.AddPath(dst, "dymo", 1, Path{NextHop: addr("10.0.0.2"), Metric: 2, Expires: epoch.Add(time.Second)})
 	tb.AddPath(dst, "dymo", 1, Path{NextHop: addr("10.0.0.3"), Metric: 3, Expires: epoch.Add(10 * time.Second)})
 	clk.Advance(2 * time.Second)
@@ -775,7 +762,7 @@ func TestExtendRevivalRemirrorsBest(t *testing.T) {
 	tb, clk := newTable()
 	fib := NewFIB()
 	tb.SyncFIB(fib, "emu0")
-	dst, a, b := host("10.0.0.1"), addr("10.0.1.1"), addr("10.0.1.2")
+	dst, a, b := addr("10.0.0.1"), addr("10.0.1.1"), addr("10.0.1.2")
 	tb.AddPath(dst, "dymo", 1, Path{NextHop: a, Metric: 1, Expires: clk.Now().Add(10 * time.Millisecond)})
 	tb.AddPath(dst, "dymo", 1, Path{NextHop: b, Metric: 3, Expires: clk.Now().Add(90 * time.Millisecond)})
 	clk.Advance(20 * time.Millisecond)
@@ -809,8 +796,8 @@ func TestExtendRevivalRestoresFIBRoute(t *testing.T) {
 	tb, clk := newTable()
 	fib := NewFIB()
 	tb.SyncFIB(fib, "emu0")
-	dst, a := host("10.0.0.1"), addr("10.0.1.1")
-	tb.Upsert(Entry{Dst: dst, Paths: []Path{{NextHop: a, Metric: 1, Expires: clk.Now().Add(10 * time.Millisecond)}}, Valid: true, Proto: "dymo"})
+	dst, a := addr("10.0.0.1"), addr("10.0.1.1")
+	tb.Upsert(Entry{Dst: mnet.HostPrefix(dst), Paths: []Path{{NextHop: a, Metric: 1, Expires: clk.Now().Add(10 * time.Millisecond)}}, Valid: true, Proto: "dymo"})
 	clk.Advance(20 * time.Millisecond)
 	tb.SyncFIB(fib, "emu0") // mirrors the expired path away
 	if _, ok := fib.Lookup(addr("10.0.0.1")); ok {

@@ -82,7 +82,7 @@ func BenchmarkForwardedHop(b *testing.B) {
 		p := core.NewProtocol("stand-in")
 		p.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.RouteUpdate}}})
 		p.AddHandler(core.NewHandler("route-update", event.RouteUpdate, func(_ *core.Context, ev *event.Event) error {
-			if rib.ExtendLifetime(mnet.HostPrefix(ev.Route.Dst), mnet.Addr{}, time.Second) {
+			if rib.ExtendLifetime(ev.Route.Dst, mnet.Addr{}, time.Second) {
 				extended++
 			}
 			return nil

@@ -120,7 +120,8 @@ func New(cfg Config) (*System, error) {
 			{Type: event.RouteFound}, // re-inject buffered data packets
 		},
 		Provided: []event.Type{
-			event.HelloIn, event.TCIn, event.HNAIn, event.REIn, event.RerrIn,
+			// MsgIn: a message of a type no bundled protocol knows.
+			event.HelloIn, event.TCIn, event.MsgIn, event.REIn, event.RerrIn,
 			event.NoRoute, event.RouteUpdate, event.SendRouteErr, event.LinkBreak,
 			event.PowerStatus, event.LinkInfo, event.SysStatus,
 		},
@@ -318,8 +319,6 @@ func inEventType(mt packetbb.MsgType) event.Type {
 		return event.HelloIn
 	case packetbb.MsgTC:
 		return event.TCIn
-	case packetbb.MsgHNA:
-		return event.HNAIn
 	case packetbb.MsgRREQ, packetbb.MsgRREP:
 		return event.REIn
 	case packetbb.MsgRERR:
@@ -350,7 +349,7 @@ type SysState struct{ s *System }
 func (st *SysState) RouteAdd(r route.FIBRoute) { st.s.fib.Set(r) }
 
 // RouteDel removes a kernel route.
-func (st *SysState) RouteDel(dst mnet.Prefix) bool { return st.s.fib.Del(dst) }
+func (st *SysState) RouteDel(dst mnet.Addr) bool { return st.s.fib.Del(dst) }
 
 // Routes lists the kernel routing table.
 func (st *SysState) Routes() []route.FIBRoute { return st.s.fib.List() }

@@ -176,6 +176,7 @@ func TestInEventTypeMapping(t *testing.T) {
 	}{
 		{packetbb.MsgHello, event.HelloIn},
 		{packetbb.MsgTC, event.TCIn},
+		{packetbb.MsgHNA, event.MsgIn},
 		{packetbb.MsgRREQ, event.REIn},
 		{packetbb.MsgRREP, event.REIn},
 		{packetbb.MsgRERR, event.RerrIn},
@@ -352,7 +353,7 @@ func TestSysStateFacade(t *testing.T) {
 	if len(st.Routes()) != 1 {
 		t.Fatal("RouteAdd did not install")
 	}
-	if !st.RouteDel(mnet.HostPrefix(nodes[0].addr)) {
+	if !st.RouteDel(nodes[0].addr) {
 		t.Fatal("RouteDel failed")
 	}
 }

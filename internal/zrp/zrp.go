@@ -287,9 +287,9 @@ func (z *ZRP) learn(ctx *core.Context, node, via mnet.Addr, metric int) {
 		metric = 1
 	}
 	now := ctx.Clock().Now()
-	if e, ok := z.state.Routes.Get(mnet.HostPrefix(node)); ok && e.Valid {
+	if e, ok := z.state.Routes.Get(node); ok && e.Valid {
 		if best, has := e.Best(now); has && best.Metric <= metric {
-			z.state.Routes.ExtendLifetime(mnet.HostPrefix(node), mnet.Addr{}, routeLifetime)
+			z.state.Routes.ExtendLifetime(node, mnet.Addr{}, routeLifetime)
 			z.disc.Found(ctx, node)
 			return
 		}
