@@ -5,16 +5,19 @@ import (
 	"go/types"
 )
 
-// Ctxleak polices the two values the framework lends a callback for one
+// Ctxleak polices the values the framework lends a callback for one
 // delivery only. The pooled handler Context of the accept plan
 // (core/accept_plan.go) is compiled per protocol and reused for every
 // delivery under the current plan; a borrowed event (event/carrier.go) is
-// recycled when its last delivery returns, and its Route with it. Retaining
-// either beyond the call aliases a later delivery's value. The analyzer
-// tracks every *core.Context parameter, the *event.Event parameter of a
-// handler (a function that also binds a *core.Context) or of a callback
-// handed to SubscribeContext, NewSniffer or Sniff, the event's Route, and
-// their direct local aliases, and reports when one can outlive the call:
+// recycled when its last delivery returns, and its Route with it; the
+// message it carries is a relayed header its carrier owns or a received
+// one lent with its frame (emunet.Frame.Decoded), recycled once the frame's
+// last delivery returns. Retaining any of them beyond the call aliases a
+// later delivery's value. The analyzer tracks every *core.Context
+// parameter, the *event.Event parameter of a handler (a function that also
+// binds a *core.Context) or of a callback handed to SubscribeContext,
+// NewSniffer or Sniff, the event's Route and Msg, and their direct local
+// aliases, and reports when one can outlive the call:
 //
 //   - stored into a struct field, map/slice element, or package-level var
 //   - appended to a slice or placed in a composite literal
@@ -22,15 +25,16 @@ import (
 //   - captured by a closure handed to a deferred executor (go statements,
 //     Clock.AfterFunc, vclock.NewPeriodic, pool Submit, ScheduleAt)
 //
-// Using either within the call stays legal, a re-emission through Emit
-// included, and so does keeping a copy (*ev, *ev.Route). The sanctioned
-// idiom for timers is re-entry: schedule a closure that calls
-// Protocol.RunLocked and receives a fresh context (see aodv/dymo retries).
+// Using any of them within the call stays legal, a re-emission through Emit
+// included, and so does keeping a copy (*ev, *ev.Route, ev.Msg.Clone()).
+// The sanctioned idiom for timers is re-entry: schedule a closure that
+// calls Protocol.RunLocked and receives a fresh context (see aodv/dymo
+// retries).
 var Ctxleak = &Analyzer{
 	Name: "ctxleak",
-	Doc: "forbid retaining the pooled *core.Context or a borrowed *event.Event beyond the " +
-		"callback: no stores to fields/globals/containers, no returns or channel sends, " +
-		"no capture by deferred closures; re-enter via Protocol.RunLocked, copy an event to keep it",
+	Doc: "forbid retaining the pooled *core.Context, a borrowed *event.Event or its Route or Msg " +
+		"beyond the callback: no stores to fields/globals/containers, no returns or channel sends, " +
+		"no capture by deferred closures; re-enter via Protocol.RunLocked, copy an event, clone a message to keep it",
 	Run: runCtxleak,
 }
 
@@ -55,7 +59,12 @@ var (
 	lentCtx   = &lent{"pooled *core.Context", "re-enter via Protocol.RunLocked instead"}
 	lentEv    = &lent{"borrowed *event.Event", "copy it (*ev) to keep it"}
 	lentRoute = &lent{"borrowed event's Route", "copy it (*ev.Route) to keep it"}
+	lentMsg   = &lent{"lent event's Msg", "clone it (ev.Msg.Clone()) to keep it"}
 )
+
+// lentFields are the event fields lent with the event: what its carrier or
+// its frame owns.
+var lentFields = map[string]*lent{"Route": lentRoute, "Msg": lentMsg}
 
 func runCtxleak(pass *Pass) error {
 	lits, decls := eventCallbacks(pass)
@@ -154,12 +163,12 @@ func checkCtxFunc(pass *Pass, ftype *ast.FuncType, body *ast.BlockStmt, callback
 		return
 	}
 	// lentBy reports what e is lent as: a tracked identifier, or the Route
-	// of a tracked event (its carrier owns that too).
+	// or Msg of a tracked event (its carrier or its frame owns those too).
 	lentBy := func(e ast.Expr) *lent {
 		e = ast.Unparen(e)
-		if sel, ok := e.(*ast.SelectorExpr); ok && sel.Sel.Name == "Route" {
+		if sel, ok := e.(*ast.SelectorExpr); ok && lentFields[sel.Sel.Name] != nil {
 			if lentIdent(pass, tracked, sel.X) == lentEv {
-				return lentRoute
+				return lentFields[sel.Sel.Name]
 			}
 			return nil
 		}

@@ -97,6 +97,8 @@ func allowedStore(k *keeper, ctx *core.Context) {
 type evKeeper struct {
 	last  *event.Event
 	route *event.RoutePayload
+	msg   *event.Message
+	msgs  []*event.Message
 	copy  event.Event
 	kept  []event.Event
 }
@@ -117,6 +119,34 @@ func handlerStoresAlias(k *evKeeper, ctx *core.Context, ev *event.Event) error {
 func handlerStoresRoute(k *evKeeper, ctx *core.Context, ev *event.Event) error {
 	k.route = ev.Route // want "borrowed event's Route stored into field route"
 	return nil
+}
+
+func handlerStoresMsg(k *evKeeper, ctx *core.Context, ev *event.Event) error {
+	k.msg = ev.Msg // want "lent event's Msg stored into field msg: it is recycled after the call returns; clone it \\(ev.Msg.Clone\\(\\)\\) to keep it"
+	return nil
+}
+
+func handlerAppendsMsgAlias(k *evKeeper, ctx *core.Context, ev *event.Event) error {
+	m := ev.Msg
+	k.msgs = append(k.msgs, m) // want "lent event's Msg appended to a slice"
+	return nil
+}
+
+func handlerReturnsMsg(ctx *core.Context, ev *event.Event) *event.Message {
+	return ev.Msg // want "lent event's Msg returned from the handler"
+}
+
+func handlerDefersMsg(ctx *core.Context, ev *event.Event, clk core.Clock) {
+	msg := ev.Msg
+	clk.AfterFunc(10, func() {
+		_ = msg.SeqNum // want "lent event's Msg captured by a closure passed to AfterFunc"
+	})
+}
+
+func subscriberStoresMsg(m *core.Manager, k *evKeeper) {
+	m.SubscribeContext("CONTEXT", func(ev *event.Event) {
+		k.msg = ev.Msg // want "lent event's Msg stored into field msg"
+	})
 }
 
 func handlerStoresGlobal(ctx *core.Context, ev *event.Event) error {
@@ -169,6 +199,11 @@ func handlerCopies(k *evKeeper, ctx *core.Context, ev *event.Event) error {
 	k.copy = *ev // a value copy is the sanctioned way to keep an event
 	rp := *ev.Route
 	k.route = &rp
+	k.msg = ev.Msg.Clone() // a clone is the sanctioned way to keep a message
+	k.msgs = append(k.msgs, ev.Msg.Clone())
+	if ev.Msg.SeqNum > 0 { // reading it in the call is fine
+		k.copy.Type = "numbered"
+	}
 	k.kept = append(k.kept, *ev)
 	ctx.Emit(ev) // re-emission is covered by the delivery's hold
 	return nil

@@ -176,9 +176,12 @@ type Manager struct {
 
 	// workers is the PerN pool: built under m.mu where PerN is chosen,
 	// read atomically on the delivery path. inflight counts the PerMessage
-	// shepherds still running.
+	// shepherds still running, and handoffs every delivery ever left to
+	// another goroutine (a shepherd or a pool), which is how emit tells
+	// whether an emission settled.
 	workers  atomic.Pointer[pool.Pool]
 	inflight sync.WaitGroup
+	handoffs atomic.Uint64
 
 	// obs is the instrument bundle, nil without a bus, set once at
 	// construction; delivery reads the plans' copy of its gate. metrics is
@@ -625,7 +628,16 @@ func (m *Manager) retireLocked(rec *unitRec) {
 // last rewire. Every delivery scheduled takes a hold on a borrowed event
 // (event.Borrow); the first emission also owns the creator's, which it
 // releases once every delivery and context subscriber has had the event.
-func (m *Manager) emit(rec *unitRec, ev *event.Event) {
+//
+// emit reports whether the emission settled: whether every delivery it
+// scheduled, and every one those deliveries' handlers scheduled in turn,
+// had returned when it returned. That holds when each was dropped or run
+// inline by this call's own drain; a delivery left to another goroutine (a
+// PerMessage shepherd, the PerN pool, a dedicated thread) or queued behind
+// a drain that another frame owns makes it false, as does one a concurrent
+// emission left to another goroutine meanwhile.
+func (m *Manager) emit(rec *unitRec, ev *event.Event) (settled bool) {
+	handoffs := m.handoffs.Load()
 	own := ev.Claim()
 	from := "context-poller"
 	if rec != nil {
@@ -641,6 +653,7 @@ func (m *Manager) emit(rec *unitRec, ev *event.Event) {
 	}
 	m.stats.emitted.Add(1)
 	targets := plan.targets(rec, ev.Type)
+	settled = true
 	if len(targets) == 0 {
 		// No chain for the type, or a chain whose compiled route is empty
 		// (no terminals beyond the emitter, or a vanished interposer): every
@@ -650,12 +663,13 @@ func (m *Manager) emit(rec *unitRec, ev *event.Event) {
 			m.span(telemetry.KindDrop, from, "", ev, 0)
 		}
 	} else {
-		m.deliverBatch(from, targets, ev, Model(m.model.Load()), tracing)
+		settled = m.deliverBatch(from, targets, ev, Model(m.model.Load()), tracing)
 	}
 	m.dispatchContextEvent(ev)
 	if own {
 		ev.Release()
 	}
+	return settled && m.handoffs.Load() == handoffs
 }
 
 // span records one dispatch-path span about ev; call it behind tracing.
@@ -708,8 +722,10 @@ func (m *Manager) accept(u Unit, ev *event.Event) {
 // enqueued/ticketed before any processing starts, so the per-unit FIFO
 // order is the emission order even when handlers emit further events
 // mid-delivery. tracing is the gate of the plan emit routed by: an
-// emission's dispatch spans are kept exactly when its emit span is.
-func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event, model Model, tracing bool) {
+// emission's dispatch spans are kept exactly when its emit span is. It
+// reports whether it drained the deliveries it queued inline itself; the
+// ones it leaves to other goroutines count in m.handoffs.
+func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event, model Model, tracing bool) bool {
 	if model == SingleThreaded {
 		if rec := targets[0]; len(targets) == 1 && rec.dedicated.Load() == nil && m.draining.CompareAndSwap(false, true) {
 			// No drain runs, so nothing is queued: deliver at once, with the
@@ -721,8 +737,7 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 			}
 			m.runAccept(rec.unit, ev)
 			m.dmu.Lock()
-			m.drainLocked(true)
-			return
+			return m.drainLocked(true)
 		}
 		m.dmu.Lock()
 	}
@@ -730,6 +745,7 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 		m.stats.delivered.Add(1)
 		ev.Hold()
 		if p := rec.dedicated.Load(); p != nil {
+			m.handoffs.Add(1)
 			m.handOff(from, rec, ev, p, tracing, func() { m.runAccept(rec.unit, ev) })
 			continue
 		}
@@ -740,6 +756,7 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 				m.span(telemetry.KindDispatch, from, rec.name, ev, m.inlineQ.Len())
 			}
 		case PerMessage:
+			m.handoffs.Add(1)
 			sec, ticket := m.ticket(rec)
 			if tracing {
 				m.span(telemetry.KindDispatch, from, rec.name, ev, 0)
@@ -751,6 +768,7 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 				m.accept(rec.unit, ev)
 			}()
 		case PerN:
+			m.handoffs.Add(1)
 			p := m.workers.Load()
 			if p == nil { // Close swapped it out
 				m.refuse(from, rec, ev, tracing)
@@ -768,8 +786,9 @@ func (m *Manager) deliverBatch(from string, targets []*unitRec, ev *event.Event,
 		}
 	}
 	if model == SingleThreaded {
-		m.drainLocked(false)
+		return m.drainLocked(false)
 	}
+	return true
 }
 
 // handOff submits one delivery to a pool and reports whether the pool took
@@ -796,20 +815,21 @@ func (m *Manager) ticket(rec *unitRec) (*TicketMutex, uint64) {
 // drainLocked runs the single-threaded drain queue with m.dmu held on
 // entry. As the outermost frame, or for a caller that owns the drain, it
 // drains the queue, dropping m.dmu around each Accept, so handler re-emits
-// nest onto the same queue instead of recursing; an inner frame returns.
-func (m *Manager) drainLocked(owned bool) {
+// nest onto the same queue instead of recursing, and reports true; an
+// inner frame returns false.
+func (m *Manager) drainLocked(owned bool) bool {
 	if !owned && !m.draining.CompareAndSwap(false, true) {
 		// An outer frame on this (or another) goroutine is already
 		// draining; it will pick these up in order.
 		m.dmu.Unlock()
-		return
+		return false
 	}
 	for {
 		d, ok := m.inlineQ.Pop()
 		if !ok {
 			m.draining.Store(false)
 			m.dmu.Unlock()
-			return
+			return true
 		}
 		m.dmu.Unlock()
 		m.runAccept(d.rec.unit, d.ev)

@@ -323,3 +323,85 @@ func TestDedicatedThreadAfterCloseStartsNothing(t *testing.T) {
 		t.Errorf("%d goroutines before, %d after; dedicated %v: a pool outlived Close", before, after, m.DedicatedThread("p"))
 	}
 }
+
+// TestEmitSettledPerModel: an emission settles only when every delivery it
+// caused, its handlers' re-emissions included, ran inline on the emitting
+// call's own drain: under SingleThreaded with nothing on a dedicated thread.
+// A delivery on a shepherd, the PerN pool or a dedicated thread (the
+// emission's own or a re-emission's), or an emission queued behind a drain
+// another frame owns, does not settle. An emission nobody receives does.
+func TestEmitSettledPerModel(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		model     Model
+		dedicated string
+		want      bool
+	}{
+		{"single-threaded", SingleThreaded, "", true},
+		{"per-message", PerMessage, "", false},
+		{"per-n", PerN, "", false},
+		{"dedicated terminal", SingleThreaded, "a", false},
+		{"dedicated re-emission", SingleThreaded, "b", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, _ := newMgr(t, tc.model)
+			src := newRecorder(t, "src", event.Tuple{Provided: []event.Type{event.TCOut, event.PowerStatus}})
+			a := newCountingUnit(t, "a", event.Tuple{
+				Provided: []event.Type{event.RouteFound},
+				Required: []event.Requirement{{Type: event.TCOut}},
+			}, event.TCOut, func(ctx *Context, ev *event.Event) { ctx.Emit(&event.Event{Type: event.RouteFound}) })
+			b := newCountingUnit(t, "b", event.Tuple{Required: []event.Requirement{{Type: event.RouteFound}}}, event.RouteFound, nil)
+			for _, u := range []*Protocol{src.p, a.p, b.p} {
+				if err := m.Deploy(u); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.dedicated != "" {
+				if err := m.EnableDedicatedThread(tc.dedicated); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const n = 16
+			for i := 0; i < n; i++ {
+				settled, err := src.p.EmitSettled(event.Borrow(event.TCOut))
+				if err != nil || settled != tc.want {
+					t.Fatalf("emission %d: settled %v (%v), want %v", i, settled, err, tc.want)
+				}
+				if settled && (a.accepted.Load() != int64(i+1) || b.accepted.Load() != int64(i+1)) {
+					t.Fatalf("emission %d settled with %d/%d deliveries run", i, a.accepted.Load(), b.accepted.Load())
+				}
+			}
+			// Once nothing is in flight (a concurrent hand-off would make any
+			// emission report false), an emission nobody receives settles.
+			m.WaitIdle()
+			if settled, err := src.p.EmitSettled(event.Borrow(event.PowerStatus)); err != nil || !settled {
+				t.Fatalf("an emission nobody receives: settled %v (%v), want true", settled, err)
+			}
+			if a.accepted.Load() != n || b.accepted.Load() != n || a.bad.Load()+b.bad.Load() != 0 {
+				t.Fatalf("a accepted %d, b %d, %d released; want %d each", a.accepted.Load(), b.accepted.Load(), a.bad.Load()+b.bad.Load(), n)
+			}
+		})
+	}
+	t.Run("behind another drain", func(t *testing.T) {
+		m, _ := newMgr(t, SingleThreaded)
+		src := newRecorder(t, "src", event.Tuple{Provided: []event.Type{event.TCOut, event.HelloOut}})
+		var inner []bool
+		a := newCountingUnit(t, "a", event.Tuple{Required: []event.Requirement{{Type: event.TCOut}}}, event.TCOut, func(*Context, *event.Event) {
+			settled, _ := src.p.EmitSettled(event.Borrow(event.HelloOut))
+			inner = append(inner, settled)
+		})
+		b := newCountingUnit(t, "b", event.Tuple{Required: []event.Requirement{{Type: event.HelloOut}}}, event.HelloOut, nil)
+		for _, u := range []*Protocol{src.p, a.p, b.p} {
+			if err := m.Deploy(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		settled, err := src.p.EmitSettled(event.Borrow(event.TCOut))
+		if err != nil || !settled || b.accepted.Load() != 1 {
+			t.Fatalf("outer emission: settled %v (%v) with %d nested deliveries run, want true and 1", settled, err, b.accepted.Load())
+		}
+		if len(inner) != 1 || inner[0] {
+			t.Fatalf("an emission queued behind the outer drain reports settled %v, want [false]", inner)
+		}
+	})
+}

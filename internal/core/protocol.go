@@ -26,7 +26,8 @@ type Handler interface {
 	// consumes; the protocol's demux matches delivered events against it.
 	Pattern() event.Type
 	// Handle processes one event. ev and what it carries are lent for the
-	// call (event.Borrow): a handler that keeps any of it copies it.
+	// call (event.Borrow), a received message with its frame: a handler
+	// that keeps any of it copies it, a message by ev.Msg.Clone().
 	Handle(ctx *Context, ev *event.Event) error
 }
 
@@ -579,15 +580,24 @@ func (p *Protocol) Clock() vclock.Clock {
 // accept plan. An undeployed protocol emits nothing, and a borrowed event's
 // first emission is over when it returns, so its carrier is released then.
 func (p *Protocol) Emit(ev *event.Event) error {
+	_, err := p.EmitSettled(ev)
+	return err
+}
+
+// EmitSettled is Emit reporting whether the emission settled: whether every
+// delivery it caused, its handlers' emissions included, had returned when it
+// returned (Manager.emit). Only then may what ev's payload points into be
+// recycled, as the System CF recycles a received frame's decode. An
+// undeployed protocol delivers nothing, which settles.
+func (p *Protocol) EmitSettled(ev *event.Event) (bool, error) {
 	plan := p.plan.Load()
 	if plan == nil {
 		if ev.Claim() {
 			ev.Release()
 		}
-		return ErrNotDeployed
+		return true, ErrNotDeployed
 	}
-	plan.env.Emit(ev)
-	return nil
+	return plan.env.emitSettled(ev), nil
 }
 
 // RunLocked executes fn inside the protocol's critical section with a

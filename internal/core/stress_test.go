@@ -64,7 +64,7 @@ func TestEmitReconfigureStress(t *testing.T) {
 				Required: []event.Requirement{{Type: event.TCOut}},
 			})
 			if err := mid.AddHandler(NewHandler("fwd", event.TCOut, func(ctx *Context, ev *event.Event) error {
-				ctx.Emit(&event.Event{Type: event.TCOut, Msg: ev.Msg})
+				ctx.Emit(&event.Event{Type: event.TCOut})
 				return nil
 			})); err != nil {
 				t.Error(err)

@@ -81,11 +81,14 @@ func (e *Env) Metrics() *metrics.Registry { return e.metrics }
 // derives the ID from the message identity so every span downstream
 // carries it; the plan's telemetry gate keeps the dormant path
 // allocation-free.
-func (e *Env) Emit(ev *event.Event) {
+func (e *Env) Emit(ev *event.Event) { e.emitSettled(ev) }
+
+// emitSettled is Emit reporting whether the emission settled (Manager.emit).
+func (e *Env) emitSettled(ev *event.Event) bool {
 	if ev.Time.IsZero() {
 		ev.Time = e.Clock.Now()
 	}
-	e.mgr.emit(e.rec, ev)
+	return e.mgr.emit(e.rec, ev)
 }
 
 // Unit resolves a co-deployed unit by name for direct calls.

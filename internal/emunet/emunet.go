@@ -36,8 +36,9 @@ type Frame struct {
 	// Payload is the medium's copy of the transmitted bytes, lent to the
 	// call that was handed the frame (a receiver upcall, a verdict): after
 	// it the buffer is poisoned and reused, so whoever keeps bytes copies
-	// them, except what Decoded returns and what a capture tap is handed.
-	// It is read-only for everybody; fault injection copies first.
+	// them, except from a frame that is kept (Keep) or that a capture tap
+	// is handed. It is read-only for everybody; fault injection copies
+	// first.
 	Payload []byte
 	Device  string
 	// RSSI is the emulated received signal strength in dBm.
@@ -60,35 +61,72 @@ type Frame struct {
 
 // txRecord is what the medium lends one transmission's deliveries: the
 // payload buffer, one hold per scheduled delivery, and the decode slot the
-// receivers share. The last release recycles it; kept marks a buffer
-// something may hold on to, which goes to the collector instead, and tapped
-// a record a capture tap was handed, which goes there whole: a Decoded on a
-// frame the tap kept would otherwise fill the slot of the next send.
+// receivers share. The last release recycles it, buffer and decode; kept
+// marks a transmission something may hold on to, whose buffer and decode go
+// to the collector instead, and tapped a record a capture tap was handed,
+// which goes there whole: a Decoded on a frame the tap kept would otherwise
+// fill the slot of the next send.
 type txRecord struct {
+	net    *Network // whose spare rooms a decode takes (see Decoded)
 	buf    []byte
 	holds  int32 // guarded by Network.mu, as is tapped
 	tapped bool
-	kept   atomic.Bool // Decoded sets it outside Network.mu
+	kept   atomic.Bool // Keep sets it outside Network.mu
 	once   sync.Once
 	val    any
 	err    error
 }
 
-// Decoded returns decode(f.Payload), computed once per transmission: the
-// receivers of one transmission share the buffer, so the first of them to
-// ask runs decode and the rest get the same value and the same error. All
-// callers must pass the same pure function. The result is read-only and
-// may be kept (a decoded buffer is never reused); Decoded itself is for
-// the call that was handed the frame. Frames with bytes of their own —
-// corrupted or duplicated by fault injection, built by hand — decode
-// privately.
-func (f Frame) Decoded(decode func(payload []byte) (any, error)) (any, error) {
+// poisoner is a decoded value the medium may lend: Poison overwrites it
+// with what no decode produces.
+type poisoner interface{ Poison() }
+
+// Decoded returns decode(f.Payload, room), computed once per transmission:
+// the receivers of one transmission share the buffer, so the first of them
+// to ask runs decode and the rest get the same value and the same error.
+// All callers must pass the same pure function, and Decoded, like the
+// payload, is for the call that was handed the frame. Frames with bytes of
+// their own (corrupted or duplicated by fault injection, built by hand)
+// decode privately, with no room.
+//
+// A value with a Poison method is lent with the bytes it may alias: once
+// the transmission's last delivery has returned, unless the frame was kept
+// (Keep), the medium poisons it and hands it to a later decode on the same
+// network as room, to build that decode's value in; room is nil when no
+// released value is spare. So a receiver may read the value until its call
+// returns, and whoever keeps part of it copies it, or keeps the frame.
+func (f Frame) Decoded(decode func(payload []byte, room any) (any, error)) (any, error) {
 	r := f.shared
 	if r == nil {
-		return decode(f.Payload)
+		return decode(f.Payload, nil)
 	}
-	r.once.Do(func() { r.val, r.err = decode(f.Payload); r.kept.Store(true) })
+	r.once.Do(func() { r.val, r.err = decode(f.Payload, r.net.takeRoom()) })
 	return r.val, r.err
+}
+
+// Keep marks the frame's transmission kept: its buffer and its decode go to
+// the collector instead of being recycled, so the payload and the value
+// Decoded returns stay valid for as long as anyone points at them. A
+// receiver calls it when something it started may read them after its call
+// returns. A frame with bytes of its own is never recycled.
+func (f Frame) Keep() {
+	if r := f.shared; r != nil {
+		r.kept.Store(true)
+	}
+}
+
+// takeRoom returns a released decode for the next decode to build in, or
+// nil when none is spare.
+func (n *Network) takeRoom() any {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	k := len(n.rooms) - 1
+	if k < 0 {
+		return nil
+	}
+	room := n.rooms[k]
+	n.rooms[k], n.rooms = nil, n.rooms[:k]
+	return room
 }
 
 // Quality describes one directed link.
@@ -171,12 +209,18 @@ type Network struct {
 	// while holding mu sends again.
 	targets []neighborLink
 	// free and records hold fired deliveries and released transmission
-	// records (up to recordCap).
+	// records (up to recordCap), rooms released decodes (up to roomCap).
 	free    []*delivery
 	records []*txRecord
+	rooms   []any
 }
 
-const recordCap = 128
+// recordCap bounds the spare transmission records; roomCap the spare
+// decodes, which only the transmissions decoding at once need, so a few.
+const (
+	recordCap = 128
+	roomCap   = 4
+)
 
 // New creates an empty medium on the given clock, running the discrete-
 // event engine. seed drives the loss process, making lossy runs
@@ -411,7 +455,7 @@ func (n *Network) EngineStats() (EngineStats, bool) {
 
 // SetTap installs a packet-capture hook (the libpcap analogue): fn observes
 // every delivered frame together with its receiver, and may keep the
-// payload: no later send reuses it. Pass nil to remove.
+// frame, payload and decode: no later send reuses them. Pass nil to remove.
 func (n *Network) SetTap(fn func(f Frame, receiver mnet.Addr)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -496,7 +540,7 @@ func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb fu
 	// receivers, the tx tap and the verdict must not alias the sender's
 	// buffer, which is the sender's again when this call returns. The copy
 	// lives in a recycled record every delivery of it holds, whose receivers
-	// share one decode of it; one the taps or the injector see is kept.
+	// share one decode of it; one the tx tap or the injector sees is kept.
 	verdict := cb != nil || fn != nil
 	var rec *txRecord
 	var buf []byte
@@ -504,7 +548,7 @@ func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb fu
 		if k := len(n.records) - 1; k >= 0 {
 			rec, n.records[k], n.records = n.records[k], nil, n.records[:k]
 		} else {
-			rec = new(txRecord)
+			rec = &txRecord{net: n}
 		}
 		rec.buf, rec.holds = append(rec.buf[:0], payload...), 1 // this call's hold
 		if txTap != nil || n.inj != nil {
@@ -544,19 +588,27 @@ func (n *Network) send(c *NIC, dst mnet.Addr, payload []byte, corr string, cb fu
 }
 
 // releaseLocked drops a hold on r. The last recycles r with its slot zeroed
-// and its buffer poisoned, like a released event carrier, unless r is
-// tapped or its buffer kept, which go to the collector. Caller holds n.mu.
+// and its buffer and decode poisoned, like a released event carrier, the
+// decode kept as a spare room while there are fewer than roomCap, unless r
+// is tapped, which goes to the collector whole, or kept, whose buffer and
+// decode go there. Caller holds n.mu.
 func (n *Network) releaseLocked(r *txRecord) {
 	if r.holds--; r.holds > 0 || r.tapped {
 		return
 	}
-	buf := r.buf
+	buf, val := r.buf, r.val
 	if r.kept.Load() {
-		buf = nil
+		buf, val = nil, nil
 	}
 	for i := 0; i < len(buf); i += copy(buf[i:], poison) {
 	}
-	*r = txRecord{buf: buf}
+	if p, ok := val.(poisoner); ok {
+		p.Poison()
+		if len(n.rooms) < roomCap {
+			n.rooms = append(n.rooms, val)
+		}
+	}
+	*r = txRecord{net: n, buf: buf}
 	if len(n.records) < recordCap {
 		n.records = append(n.records, r)
 	}

@@ -275,7 +275,7 @@ func TestDecodeSlotFollowsByteIdentity(t *testing.T) {
 				})
 			}
 			decodes := 0
-			decode := func(p []byte) (any, error) {
+			decode := func(p []byte, _ any) (any, error) {
 				decodes++
 				if p[0]%2 == 1 {
 					return nil, ErrNotFound // any error will do: it must be shared too

@@ -112,26 +112,62 @@ func TestLentFramesKeptUnderTapsAndFaults(t *testing.T) {
 	}
 }
 
-// TestLentDecodeSurvivesRecordReuse: a decoded value aliasing the payload
-// stays intact after its transmission's record has been recycled and
-// reused by later sends, because a decode keeps the buffer.
+// lentView is a decode that aliases the payload, as packetbb's does, and
+// that the medium may lend: Poison marks it released.
+type lentView struct {
+	b        []byte
+	poisoned bool
+}
+
+func (v *lentView) Poison() { v.b, v.poisoned = poison[:4], true }
+
+// TestLentDecodeSurvivesRecordReuse: a decode is lent with the bytes it
+// aliases. What survives the reuse of its record is a copy: a receiver that
+// clones what it reads keeps it intact over many later sends, and one that
+// keeps the value itself reads the poison once the record is released, and
+// a later transmission's decode once that one has taken it as room.
+// While the transmission is live its receivers share one decode, and the
+// released values come back as the next decodes' room, so a run of
+// transmissions needs no more values than roomCap. A transmission kept
+// (Frame.Keep) keeps its decode: it stays intact and is never a room.
 func TestLentDecodeSurvivesRecordReuse(t *testing.T) {
 	n, clk := newNet(t)
 	addrs := Addrs(3)
 	if err := BuildClique(n, addrs, DefaultQuality()); err != nil {
 		t.Fatal(err)
 	}
-	decode := func(p []byte) (any, error) { return p[1:], nil } // aliases the bytes, as packetbb does
-	type kept struct{ live, seen []byte }
+	fresh, keptVals := 0, map[*lentView]bool{}
+	decode := func(p []byte, room any) (any, error) {
+		v, _ := room.(*lentView)
+		if v == nil {
+			v = new(lentView)
+			fresh++
+		} else if keptVals[v] {
+			t.Fatalf("the decode of kept transmission %q was handed out as room", v.b)
+		}
+		*v = lentView{b: p[1:]}
+		return v, nil
+	}
+	type kept struct {
+		v     *lentView
+		clone []byte
+		keep  bool
+	}
 	var decoded []kept
-	records := map[*txRecord]int{}
-	for _, a := range addrs[1:] {
+	for i, a := range addrs[1:] {
 		nic, _ := n.NIC(a)
 		nic.SetReceiver(func(f Frame) {
-			v, _ := f.Decoded(decode)
-			b := v.([]byte)
-			decoded = append(decoded, kept{b, bytes.Clone(b)})
-			records[f.shared]++
+			got, _ := f.Decoded(decode)
+			v := got.(*lentView)
+			if k := len(decoded); i == 1 && decoded[k-1].v != v {
+				t.Fatalf("the receivers of %q were handed two decodes", v.b)
+			}
+			keep := f.Payload[len(f.Payload)-1]%5 == 0
+			if keep {
+				f.Keep()
+				keptVals[v] = true
+			}
+			decoded = append(decoded, kept{v, bytes.Clone(v.b), keep})
 		})
 	}
 	src, _ := n.NIC(addrs[0])
@@ -140,13 +176,25 @@ func TestLentDecodeSurvivesRecordReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		clk.Advance(10 * time.Millisecond)
+		for _, d := range decoded[len(decoded)-2:] {
+			if !d.keep && (!d.v.poisoned || !poisoned(d.v.b)) {
+				t.Fatalf("decode of %q kept uncloned past its record reads %q, want the poison", d.clone, d.v.b)
+			}
+		}
 	}
-	if len(decoded) != 100 || len(records) >= 50 {
-		t.Fatalf("%d decodes over %d records: the records were not reused", len(decoded), len(records))
+	if len(decoded) != 100 {
+		t.Fatalf("%d decodes delivered, want 100", len(decoded))
 	}
-	for _, d := range decoded {
-		if !bytes.Equal(d.live, d.seen) {
-			t.Fatalf("decoded packet %q now reads %q", d.seen, d.live)
+	if want := 10 + roomCap; fresh > want {
+		t.Fatalf("%d values decoded for 50 transmissions, 10 of them kept: want at most %d", fresh, want)
+	}
+	for i, d := range decoded {
+		want := fmt.Sprintf("packet %02d", i/2)
+		if string(d.clone) != want {
+			t.Fatalf("the clone of decode %d reads %q, want %q", i, d.clone, want)
+		}
+		if d.keep && (d.v.poisoned || string(d.v.b) != want) {
+			t.Fatalf("the decode of kept transmission %q now reads %q", want, d.v.b)
 		}
 	}
 }
@@ -163,7 +211,7 @@ func TestDecodedOnceAcrossGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	var decodes atomic.Int32
-	decode := func(p []byte) (any, error) {
+	decode := func(p []byte, _ any) (any, error) {
 		decodes.Add(1)
 		return new(byte), fmt.Errorf("decoded %q", p) // fresh each run: identity names the run
 	}
@@ -223,7 +271,7 @@ func TestTapKeptFrameDecodesItsOwnBytes(t *testing.T) {
 	if err := BuildClique(n, addrs, DefaultQuality()); err != nil {
 		t.Fatal(err)
 	}
-	decode := func(p []byte) (any, error) { return string(p), nil }
+	decode := func(p []byte, _ any) (any, error) { return string(p), nil }
 	var kept []Frame
 	n.SetTap(func(f Frame, _ mnet.Addr) { kept = append(kept, f) })
 	var got []any

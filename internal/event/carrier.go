@@ -17,8 +17,11 @@ import (
 // schedules, dropped when that delivery's Accept returns. The last release
 // poisons the carrier and returns it to the free list, so an event, its Route
 // and a relayed Msg header are valid only until the handler, interposer,
-// sniffer or context subscriber reading them returns; whoever keeps one
-// copies it (*ev, *ev.Route, ev.Msg.Clone(), *ev.Link, *ev.Nhood with
+// sniffer or context subscriber reading them returns. A received Msg (a
+// *_IN event's) has no carrier but the same lifetime: it points into its
+// frame's decode, which the medium recycles with the frame's bytes
+// (emunet.Frame.Decoded). Nothing lent is kept: whoever keeps one copies it
+// (*ev, *ev.Route, ev.Msg.Clone(), *ev.Link, *ev.Nhood with
 // slices.Clone(ev.Nhood.TwoHopVia)). An event built with &Event{} has no
 // carrier: Hold, Release and Claim leave it alone.
 

@@ -75,10 +75,11 @@ type Event struct {
 	// packet decoded once per transmission and shared by all the nodes that
 	// heard it (and by every handler on each of them), and a relayed one
 	// (Relay) shares that packet's body under a header the event's carrier
-	// owns. Nobody may write through it. A received message may be kept; a
-	// relayed header is recycled with its event, so it is cloned to keep. A
-	// forward that changes only the hop fields uses Relay; one that rewrites
-	// anything else works on a Clone.
+	// owns. Nobody may write through it, and nobody keeps it: a received
+	// message is recycled with its frame's decode, and a relayed header with
+	// its event, so either is cloned to keep. A forward that changes only
+	// the hop fields uses Relay; one that rewrites anything else works on a
+	// Clone.
 	Msg *packetbb.Message
 	// Src is the link-level sender for *_IN events.
 	Src mnet.Addr

@@ -63,6 +63,58 @@ type decoded struct {
 	addrs  [8]mnet.Addr
 }
 
+// Room is that object for a caller that lends its decodes and takes them
+// back: DecodePacketInto builds the packet in it, over whatever an earlier
+// decode or Poison left there, instead of allocating one.
+type Room struct{ d decoded }
+
+// Packet returns the packet the room's last successful DecodePacketInto
+// built.
+func (r *Room) Packet() *Packet { return &r.d.pkt }
+
+// Poison marks a released decode: the packet, and every message, TLV,
+// address block and address it reaches, in the room or beyond it, reads
+// 0xde… (Message.Poisoned), as the released bytes its values aliased do.
+// A caller that kept a message without cloning it reads the poison.
+func (r *Room) Poison() {
+	p := &r.d.pkt
+	for i := range p.Messages {
+		m := &p.Messages[i]
+		poisonTLVs(m.TLVs)
+		for j := range m.AddrBlocks {
+			b := &m.AddrBlocks[j]
+			for k := range b.Addrs {
+				b.Addrs[k] = poisonAddr
+			}
+			for k := range b.TLVs {
+				b.TLVs[k] = AddrTLV{Type: 0xde, IndexStart: 0xde, IndexStop: 0xde}
+			}
+			*b = AddrBlock{}
+		}
+		*m = poisonMsg
+	}
+	poisonTLVs(p.TLVs)
+	*p = Packet{SeqNum: 0xdead, HasSeqNum: true}
+}
+
+func poisonTLVs(tlvs []TLV) {
+	for i := range tlvs {
+		tlvs[i] = TLV{Type: 0xde}
+	}
+}
+
+var (
+	poisonAddr = mnet.Addr{0xde, 0xad, 0xde, 0xad}
+	poisonMsg  = Message{Type: 0xde, Originator: poisonAddr, HopLimit: 0xde, HopCount: 0xde, SeqNum: 0xdead}
+)
+
+// Poisoned reports whether m is a message of a decode its Room has released
+// (Room.Poison): whoever reads it kept what the lending rule says to clone.
+func (m *Message) Poisoned() bool {
+	return m.Type == poisonMsg.Type && m.Originator == poisonAddr && m.SeqNum == poisonMsg.SeqNum &&
+		m.TLVs == nil && m.AddrBlocks == nil
+}
+
 // arena hands out one decoded object's room, in order; see carve.
 type arena struct {
 	room                          *decoded
@@ -93,7 +145,14 @@ func carve[T any](room []T, used *int, n int) []T {
 //
 // Every slice is sized exactly, from element counts read off the input
 // first. A TC is one allocation; a HELLO adds its address TLVs.
-func DecodePacket(buf []byte) (*Packet, error) {
+func DecodePacket(buf []byte) (*Packet, error) { return DecodePacketInto(buf, nil) }
+
+// DecodePacketInto is DecodePacket building the packet in room, so a TC
+// costs no allocation: the result is the one DecodePacket returns for buf,
+// errors included, and shares nothing with room's earlier decode. It lives
+// in room, valid until room's next decode or Poison. A nil room is a new
+// one.
+func DecodePacketInto(buf []byte, room *Room) (*Packet, error) {
 	d := decoder{buf: buf}
 	flags, err := d.u8()
 	if err != nil {
@@ -102,7 +161,12 @@ func DecodePacket(buf []byte) (*Packet, error) {
 	if flags&^(pktFlagHasSeq|pktFlagHasTLVs) != 0 {
 		return nil, fmt.Errorf("%w: unknown packet flags %#x", ErrMalformed, flags)
 	}
-	a := arena{room: new(decoded)}
+	if room == nil {
+		room = new(Room)
+	} else {
+		room.d = decoded{}
+	}
+	a := arena{room: &room.d}
 	p := &a.room.pkt
 	if flags&pktFlagHasSeq != 0 {
 		p.HasSeqNum = true

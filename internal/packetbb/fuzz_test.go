@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"manetkit/internal/mnet"
 )
@@ -83,13 +84,20 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 //     fields stepped;
 //   - AppendPacket onto a non-empty prefix keeps the prefix and adds
 //     exactly EncodePacket's bytes.
+//
+// Its reuse leg decodes the input into a Room an earlier decode of another
+// input used (each valid seed, the room poisoned or not), and requires the
+// fresh decode's result, errors included, with no slice of it aliasing the
+// earlier input or what its decode allocated.
 func FuzzDecodePacket(f *testing.F) {
-	for _, seed := range fuzzSeeds(f) {
+	seeds := fuzzSeeds(f)
+	for _, seed := range seeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pristine := append([]byte(nil), data...)
 		pkt, err := DecodePacket(data)
+		checkReusedRoom(t, data, pkt, err, seeds)
 		if err != nil {
 			return // rejected input: the only requirement is no panic
 		}
@@ -118,6 +126,97 @@ func FuzzDecodePacket(f *testing.F) {
 			t.Fatalf("AppendPacket onto a prefix:\ngot:  % x\nwant: % x", got, want)
 		}
 	})
+}
+
+// checkReusedRoom decodes data into a Room after each of the earlier inputs
+// that decodes, and requires what the fresh decode gave (want, wantErr):
+// reflect-equal, with the same error text, and with no slice of the result
+// overlapping the earlier input or a slice its decode allocated outside the
+// room.
+func checkReusedRoom(t *testing.T, data []byte, want *Packet, wantErr error, earlier [][]byte) {
+	t.Helper()
+	for i, e := range earlier {
+		for _, poison := range []bool{false, true} {
+			room := new(Room)
+			prev := bytes.Clone(e)
+			p, err := DecodePacketInto(prev, room)
+			if err != nil {
+				continue // a rejected earlier input leaves the room as it found it
+			}
+			inRoom := spanOf(unsafe.Pointer(room), unsafe.Sizeof(*room))
+			foreign := []span{spanOf(unsafe.Pointer(unsafe.SliceData(prev)), uintptr(len(prev)))}
+			for _, s := range packetSpans(p) {
+				if !inRoom.contains(s) {
+					foreign = append(foreign, s)
+				}
+			}
+			if poison {
+				room.Poison()
+			}
+			got, err := DecodePacketInto(data, room)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+				t.Fatalf("decode into the room of earlier input %d (poisoned %v): error %v, a fresh decode %v", i, poison, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("decode into the room of earlier input %d (poisoned %v):\n got  %+v\n want %+v", i, poison, got, want)
+			}
+			for _, s := range packetSpans(got) {
+				for _, f := range foreign {
+					if s.overlaps(f) {
+						t.Fatalf("decode into the room of earlier input %d (poisoned %v) aliases that input's decode", i, poison)
+					}
+				}
+			}
+		}
+	}
+}
+
+// span is the memory [lo, hi) a slice's elements occupy.
+type span struct{ lo, hi uintptr }
+
+func spanOf(p unsafe.Pointer, size uintptr) span { return span{uintptr(p), uintptr(p) + size} }
+
+func sliceSpan[T any](s []T) span {
+	var zero T
+	return spanOf(unsafe.Pointer(unsafe.SliceData(s)), uintptr(len(s))*unsafe.Sizeof(zero))
+}
+
+func (s span) contains(o span) bool { return s.lo <= o.lo && o.hi <= s.hi }
+func (s span) overlaps(o span) bool { return s.lo < o.hi && o.lo < s.hi }
+
+// packetSpans lists the memory of every non-empty slice p reaches.
+func packetSpans(p *Packet) []span {
+	var out []span
+	add := func(s span) {
+		if s.hi > s.lo {
+			out = append(out, s)
+		}
+	}
+	tlvs := func(ts []TLV) {
+		add(sliceSpan(ts))
+		for _, t := range ts {
+			add(sliceSpan(t.Value))
+		}
+	}
+	tlvs(p.TLVs)
+	add(sliceSpan(p.Messages))
+	for i := range p.Messages {
+		m := &p.Messages[i]
+		tlvs(m.TLVs)
+		add(sliceSpan(m.AddrBlocks))
+		for _, b := range m.AddrBlocks {
+			add(sliceSpan(b.Addrs))
+			add(sliceSpan(b.PrefixLens))
+			add(sliceSpan(b.TLVs))
+			for _, t := range b.TLVs {
+				add(sliceSpan(t.Value))
+			}
+		}
+	}
+	return out
 }
 
 // FuzzDecodeMessage is the same property at message granularity.

@@ -56,15 +56,22 @@ func helloWire(t *testing.T, from mnet.Addr, seq uint16) []byte {
 	return append([]byte{wireControl}, wire...)
 }
 
-// TestBroadcastDecodedOncePerTransmission: every receiver of one broadcast is
-// handed the same *packetbb.Message, each still counts its own CtrlReceived,
-// and a second transmission of the same bytes gets a decode of its own.
+// TestBroadcastDecodedOncePerTransmission: while a transmission is live,
+// every receiver of it is handed the same *packetbb.Message, and each still
+// counts its own CtrlReceived. A second transmission of the same bytes is
+// decoded again, into the first one's released packet: its receivers read
+// the message that was sent, not the poison.
 func TestBroadcastDecodedOncePerTransmission(t *testing.T) {
 	net, clk, nodes := newTestNet(t, 6)
 	star(t, net, nodes)
 	var got []*packetbb.Message // single-threaded model on a virtual clock: no lock needed
 	for _, n := range nodes[1:] {
-		helloConsumer(t, n, func(ev *event.Event) { got = append(got, ev.Msg) })
+		helloConsumer(t, n, func(ev *event.Event) {
+			if ev.Msg.Poisoned() || ev.Msg.SeqNum != 7 || ev.Msg.Originator != nodes[0].addr {
+				t.Errorf("%v was handed %+v, want the HELLO that was sent", n.addr, ev.Msg)
+			}
+			got = append(got, ev.Msg)
+		})
 	}
 	frame := helloWire(t, nodes[0].addr, 7)
 	for i := 0; i < 2; i++ {
@@ -82,8 +89,11 @@ func TestBroadcastDecodedOncePerTransmission(t *testing.T) {
 			t.Fatalf("receiver %d of transmission %d got its own decode (%p, first receiver %p)", i%rx, i/rx, m, first)
 		}
 	}
-	if got[0] == got[rx] {
-		t.Fatal("two transmissions shared one decode")
+	if got[0] != got[rx] {
+		t.Fatal("the second transmission did not reuse the first one's released decode")
+	}
+	if !got[0].Poisoned() {
+		t.Fatalf("a released decode reads %+v, want the poison", got[0])
 	}
 	for _, n := range nodes[1:] {
 		if st := n.sys.Stats(); st.CtrlReceived != 2 || st.DecodeErrors != 0 {
@@ -282,16 +292,21 @@ func TestSharedDecodeConcurrentReceivers(t *testing.T) {
 }
 
 // TestLentDecodedControlSurvivesReuse: a HELLO consumer keeps every message
-// it is handed past its handler. The message points into the packet
-// decoded from the medium's lent buffer, which the decode keeps: once the
-// records of those transmissions have been reused by many later sends,
-// every kept message still re-encodes to what was sent.
+// it is handed past its handler, once as a clone and once as the pointer it
+// was handed. The message points into the packet decoded from the medium's
+// lent buffer, which is lent with it: once the records of those
+// transmissions have been reused by many later sends, every clone still
+// re-encodes to what was sent, and every message kept uncloned reads the
+// poison.
 func TestLentDecodedControlSurvivesReuse(t *testing.T) {
 	net, clk, nodes := newTestNet(t, 4)
 	star(t, net, nodes)
-	var kept []*packetbb.Message
+	var clones, uncloned []*packetbb.Message
 	for _, n := range nodes[1:] {
-		helloConsumer(t, n, func(ev *event.Event) { kept = append(kept, ev.Msg) })
+		helloConsumer(t, n, func(ev *event.Event) {
+			clones = append(clones, ev.Msg.Clone())
+			uncloned = append(uncloned, ev.Msg)
+		})
 	}
 	const sends = 100
 	for seq := uint16(1); seq <= sends; seq++ {
@@ -304,21 +319,21 @@ func TestLentDecodedControlSurvivesReuse(t *testing.T) {
 		}
 		clk.Advance(10 * time.Millisecond)
 	}
-	if len(kept) != sends*(len(nodes)-1) {
-		t.Fatalf("%d messages kept, want %d", len(kept), sends*(len(nodes)-1))
+	if len(clones) != sends*(len(nodes)-1) {
+		t.Fatalf("%d messages kept, want %d", len(clones), sends*(len(nodes)-1))
 	}
-	for i, m := range kept {
-		seq := uint16(1 + i/(len(nodes)-1))
-		want, err := packetbb.DecodePacket(helloWire(t, nodes[0].addr, seq)[1:])
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, m := range clones {
 		got, err := packetbb.EncodeMessage(m)
 		if err != nil {
-			t.Fatalf("kept message %d no longer encodes: %v", i, err)
+			t.Fatalf("cloned message %d no longer encodes: %v", i, err)
 		}
-		if w, _ := packetbb.EncodeMessage(&want.Messages[0]); !bytes.Equal(got, w) {
-			t.Fatalf("kept message %d re-encodes as % x, want % x", i, got, w)
+		if w := helloBytes(t, nodes[0].addr, uint16(1+i/(len(nodes)-1))); !bytes.Equal(got, w) {
+			t.Fatalf("cloned message %d re-encodes as % x, want % x", i, got, w)
+		}
+	}
+	for i, m := range uncloned {
+		if !m.Poisoned() {
+			t.Fatalf("message %d kept uncloned reads %+v, want the poison", i, m)
 		}
 	}
 }

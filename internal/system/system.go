@@ -282,12 +282,20 @@ func (s *System) receive(f emunet.Frame) {
 		s.stats.CtrlReceived++
 		s.mu.Unlock()
 		// Each event is borrowed: it ends with its last delivery, and the
-		// packet it points into stays for whoever keeps the message.
+		// packet it points into is lent with the frame. When every delivery
+		// the events caused has returned here, the medium may recycle the
+		// packet after this call; otherwise some handler still to run reads
+		// it later, and the frame is kept.
+		settled := true
 		for i := range pkt.Messages {
 			msg := &pkt.Messages[i]
 			ev := event.Borrow(inEventType(msg.Type))
 			ev.Msg, ev.Src, ev.Dst, ev.Device = msg, f.Src, f.Dst, f.Device
-			_ = s.proto.Emit(ev)
+			ok, _ := s.proto.EmitSettled(ev)
+			settled = settled && ok
+		}
+		if !settled {
+			f.Keep()
 		}
 	case wireData:
 		s.filter.receiveData(f)

@@ -73,15 +73,18 @@ func TestControlMessageEndToEnd(t *testing.T) {
 	net, clk, nodes := newTestNet(t, 2)
 	net.SetLink(nodes[0].addr, nodes[1].addr, emunet.DefaultQuality())
 
-	// A HELLO consumer on node 1. The event ends with its delivery, so the
-	// consumer keeps a copy; the received message it points to may be kept.
+	// A HELLO consumer on node 1. The event ends with its delivery, and the
+	// received message it points to with the frame, so the consumer keeps a
+	// copy of the one and a clone of the other.
 	var mu sync.Mutex
 	var got []event.Event
 	consumer := core.NewProtocol("nbr")
 	consumer.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.HelloIn}}})
 	consumer.AddHandler(core.NewHandler("h", event.HelloIn, func(ctx *core.Context, ev *event.Event) error {
 		mu.Lock()
-		got = append(got, *ev)
+		kept := *ev
+		kept.Msg = ev.Msg.Clone()
+		got = append(got, kept)
 		mu.Unlock()
 		return nil
 	}))
@@ -136,8 +139,8 @@ func TestFailedEncodeIsNotCounted(t *testing.T) {
 // TestSendControlAllocs pins a control transmission: the TC is encoded on
 // the stack behind its discriminator and the medium copies it into a
 // recycled transmission record, so sending it to two receivers that do not
-// decode it allocates nothing. (A decode keeps the record's buffer, which
-// the next send then replaces.)
+// decode it allocates nothing. (TestReceivedControlAllocs pins the
+// receiving side.)
 func TestSendControlAllocs(t *testing.T) {
 	net, clk, nodes := newTestNet(t, 1)
 	for _, a := range []string{"10.0.9.1", "10.0.9.2"} {
@@ -558,21 +561,26 @@ func TestDecodeErrorsCounted(t *testing.T) {
 // so that the test can watch the poison.
 func retain(dst **event.Event, ev *event.Event) { *dst = ev }
 
+// retainMsg keeps a received message past its delivery without cloning it,
+// the way retain keeps an event.
+func retainMsg(dst **packetbb.Message, m *packetbb.Message) { *dst = m }
+
 // TestBorrowedEventRetentionSeesPoison: the System CF's received events and
 // routing triggers are borrowed, so a pointer kept past its delivery reads
-// the poison, Route included, while the received message it pointed to
-// stays what was sent.
+// the poison, Route included, and so does the received message it pointed
+// to, which is lent with its frame; a clone of it stays what was sent.
 func TestBorrowedEventRetentionSeesPoison(t *testing.T) {
 	net, clk, nodes := newTestNet(t, 2)
 	net.SetLink(nodes[0].addr, nodes[1].addr, emunet.DefaultQuality())
 
 	var hello *event.Event
-	var helloMsg *packetbb.Message
+	var helloMsg, helloClone *packetbb.Message
 	consumer := core.NewProtocol("nbr")
 	consumer.SetTuple(event.Tuple{Required: []event.Requirement{{Type: event.HelloIn}}})
 	if err := consumer.AddHandler(core.NewHandler("h", event.HelloIn, func(ctx *core.Context, ev *event.Event) error {
 		retain(&hello, ev)
-		helloMsg = ev.Msg // a received message is never recycled
+		retainMsg(&helloMsg, ev.Msg)
+		helloClone = ev.Msg.Clone()
 		return nil
 	})); err != nil {
 		t.Fatal(err)
@@ -601,8 +609,11 @@ func TestBorrowedEventRetentionSeesPoison(t *testing.T) {
 	if hello == nil || !hello.Poisoned() || hello.Src == nodes[0].addr {
 		t.Fatalf("kept HELLO_IN = %+v, want the poison", hello)
 	}
-	if helloMsg.Originator != nodes[0].addr || helloMsg.SeqNum != 3 {
-		t.Fatalf("kept received message = %+v, want the HELLO that was sent", helloMsg)
+	if helloMsg == nil || !helloMsg.Poisoned() {
+		t.Fatalf("kept received message = %+v, want the poison", helloMsg)
+	}
+	if helloClone.Originator != nodes[0].addr || helloClone.SeqNum != 3 {
+		t.Fatalf("cloned received message = %+v, want the HELLO that was sent", helloClone)
 	}
 	if update == nil || !update.Poisoned() || update.Route.Dst == nodes[1].addr {
 		t.Fatalf("kept ROUTE_UPDATE = %+v, want the poison", update)

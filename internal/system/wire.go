@@ -41,6 +41,12 @@ var errNotControl = errors.New("system: not a control frame")
 // the same error. The packet is therefore read-only: a forward that changes
 // only a message's hop fields relays it (event.Relay), sharing its body, and
 // one that rewrites anything else works on a Clone.
+//
+// The packet is lent like the bytes it aliases: it lives in a
+// packetbb.Room the medium poisons and reuses for a later decode once the
+// transmission's last delivery has returned, unless the frame was kept
+// (emunet.Frame.Keep) or a capture tap saw it. A receiver reads it until its
+// call returns; whoever keeps a message clones it (Message.Clone).
 func DecodeControl(f emunet.Frame) (*packetbb.Packet, error) {
 	if !IsControlFrame(f.Payload) {
 		return nil, errNotControl
@@ -49,9 +55,18 @@ func DecodeControl(f emunet.Frame) (*packetbb.Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return v.(*packetbb.Packet), nil
+	return v.(*packetbb.Room).Packet(), nil
 }
 
-func decodeControlBody(payload []byte) (any, error) {
-	return packetbb.DecodePacket(payload[1:])
+// decodeControlBody decodes a control frame's packet into room, a released
+// decode the medium hands back, or into a new one.
+func decodeControlBody(payload []byte, room any) (any, error) {
+	r, _ := room.(*packetbb.Room)
+	if r == nil {
+		r = new(packetbb.Room)
+	}
+	if _, err := packetbb.DecodePacketInto(payload[1:], r); err != nil {
+		return nil, err
+	}
+	return r, nil
 }

@@ -500,7 +500,8 @@ func (s *Stack) OnDeliver(fn func(src Addr, payload []byte)) {
 }
 
 // SubscribeContext taps the Framework Manager's context concentrator. fn
-// may use the event only until it returns; to keep it, it copies it.
+// may use the event only until it returns; to keep it, it copies it (its
+// message by Msg.Clone()).
 func (s *Stack) SubscribeContext(pattern EventType, fn func(*Event)) {
 	s.mgr.SubscribeContext(pattern, fn)
 }
@@ -508,7 +509,8 @@ func (s *Stack) SubscribeContext(pattern EventType, fn func(*Event)) {
 // Sniff deploys a passive diagnostic unit that observes every event
 // flowing through this stack (the framework-level packet capture). It
 // returns the unit so it can be undeployed by name. fn may use the event
-// only until it returns; to keep it, it copies it.
+// only until it returns; to keep it, it copies it (its message by
+// Msg.Clone()).
 func (s *Stack) Sniff(name string, fn func(*Event)) (*Protocol, error) {
 	sniffer, err := core.NewSniffer(name, fn)
 	if err != nil {
