@@ -8,8 +8,9 @@
 //	mkemu -nodes 8 -topology clique -proto both
 //
 // With -chaos it instead runs a scripted fault scenario (partitions,
-// crashes, frame corruption, coordinated reconfiguration) against the
-// chosen composition and checks the protocol invariants afterwards:
+// crashes, frame corruption, a sniffer deployed on every node at one
+// instant) against the chosen composition and checks the protocol
+// invariants afterwards:
 //
 //	mkemu -proto olsr -chaos storm
 //	mkemu -proto aodv -chaos crash -seed 42

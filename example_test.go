@@ -77,48 +77,3 @@ func ExampleStack_EnableFisheye() {
 	// TC_OUT interposers: [fisheye]
 	// after removal: 0
 }
-
-// ExampleCoordinate switches a whole running network from proactive OLSR
-// to reactive DYMO atomically.
-func ExampleCoordinate() {
-	clk := manetkit.NewVirtualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	net := manetkit.NewNetwork(clk, 1)
-	addrs := manetkit.Addrs(3)
-	stacks, err := manetkit.NewStacks(net, addrs, manetkit.StackOptions{})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	defer func() {
-		for _, s := range stacks {
-			s.Close()
-		}
-	}()
-	manetkit.BuildLine(net, addrs, manetkit.DefaultQuality())
-	for _, s := range stacks {
-		if _, err := s.DeployOLSR(manetkit.OLSRConfig{}); err != nil {
-			fmt.Println(err)
-			return
-		}
-	}
-	clk.Advance(10 * time.Second)
-
-	err = manetkit.Coordinate(stacks, manetkit.CoordinatedAction{
-		Name: "switch-to-dymo",
-		Apply: func(s *manetkit.Stack) error {
-			if err := s.UndeployOLSR(); err != nil {
-				return err
-			}
-			if err := s.UndeployMPR(); err != nil {
-				return err
-			}
-			_, err := s.DeployDYMO(manetkit.DYMOConfig{})
-			return err
-		},
-	})
-	fmt.Println("switched:", err == nil)
-	fmt.Println("units on node 1:", stacks[0].Manager().Units())
-	// Output:
-	// switched: true
-	// units on node 1: [system neighbor-detection dymo]
-}

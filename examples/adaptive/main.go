@@ -1,15 +1,16 @@
 // Adaptive: the complete closed-loop reconfigurable system the paper
 // sketches in §4.5 — MANETKit supplies context monitoring (the concentrator)
-// and reconfiguration enactment; an ECA policy engine supplies the decision
-// making. Two rules run live:
+// and reconfiguration enactment, and leaves the decision making to the
+// software above it. Here that software is this program: it subscribes to
+// the draining node's POWER_STATUS events and makes two threshold
+// decisions:
 //
 //   - low battery  -> enable power-aware OLSR (relay selection spares the
 //     draining node);
 //   - battery critical -> enable fisheye (cut long-range TC overhead).
 //
-// The node's battery drains in simulation; the rules fire on the
-// POWER_STATUS context events, and the reconfigurations land without any
-// protocol restart.
+// The node's battery drains in simulation, and the reconfigurations land
+// without any protocol restart.
 package main
 
 import (
@@ -20,8 +21,18 @@ import (
 	"manetkit"
 )
 
+// threshold is one decision: enact once the battery reads below the mark.
+type threshold struct {
+	name  string
+	below float64
+	why   string
+	enact func() error
+	fired bool
+}
+
 func main() {
-	clk := manetkit.NewVirtualClock(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	clk := manetkit.NewVirtualClock(start)
 	net := manetkit.NewNetwork(clk, 1)
 	addrs := manetkit.Addrs(4)
 
@@ -52,56 +63,45 @@ func main() {
 		}
 	}
 
-	// The decision-making layer on the draining node.
+	// The decision making, on the draining node.
 	s0 := stacks[0]
-	eng := s0.Policy()
-	if err := eng.AddRule(manetkit.PolicyRule{
-		Name: "low-battery->power-aware",
-		When: "POWER_STATUS",
-		Condition: func(ev *manetkit.Event, m manetkit.PolicyMetrics) bool {
-			return m.BatteryFraction < 0.6
-		},
-		Action: func() error {
-			fmt.Printf("[%v] rule fired: enabling power-aware OLSR (battery low)\n",
-				clk.Now().Sub(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)))
-			return s0.OLSRUnit().EnablePowerAware()
-		},
-		Once: true,
-	}); err != nil {
-		log.Fatal(err)
+	decisions := []*threshold{
+		{name: "low-battery->power-aware", below: 0.6, why: "enabling power-aware OLSR (battery low)",
+			enact: func() error { return s0.OLSRUnit().EnablePowerAware() }},
+		{name: "critical-battery->fisheye", below: 0.3, why: "enabling fisheye (battery critical)",
+			enact: func() error { return s0.EnableFisheye(nil) }},
 	}
-	if err := eng.AddRule(manetkit.PolicyRule{
-		Name: "critical-battery->fisheye",
-		When: "POWER_STATUS",
-		Condition: func(ev *manetkit.Event, m manetkit.PolicyMetrics) bool {
-			return m.BatteryFraction < 0.3
-		},
-		Action: func() error {
-			fmt.Printf("[%v] rule fired: enabling fisheye (battery critical)\n",
-				clk.Now().Sub(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)))
-			return s0.EnableFisheye(nil)
-		},
-		Once: true,
-	}); err != nil {
-		log.Fatal(err)
-	}
+	battery := 1.0
+	var firings []string
+	s0.SubscribeContext("POWER_STATUS", func(ev *manetkit.Event) {
+		if ev.Power == nil {
+			return
+		}
+		battery = ev.Power.Fraction
+		for _, d := range decisions {
+			if d.fired || battery >= d.below {
+				continue
+			}
+			d.fired = true
+			fmt.Printf("[%v] rule fired: %s\n", clk.Now().Sub(start), d.why)
+			status := "ok"
+			if err := d.enact(); err != nil {
+				status = err.Error()
+			}
+			firings = append(firings, fmt.Sprintf("%s at %v (%s)", d.name, clk.Now().Format("15:04:05"), status))
+		}
+	})
 
 	fmt.Println("running: node 1's battery drains at 2%/s; policy watches POWER_STATUS")
 	for i := 0; i < 8; i++ {
 		clk.Advance(5 * time.Second)
-		m := eng.Metrics()
 		fmt.Printf("  t+%2ds battery=%3.0f%% power-aware=%v fisheye-interposed=%v\n",
-			(i+1)*5, 100*m.BatteryFraction,
-			s0.OLSRUnit().PowerAware(), fisheyeOn(s0))
+			(i+1)*5, 100*battery, s0.OLSRUnit().PowerAware(), fisheyeOn(s0))
 	}
 
 	fmt.Println("\npolicy firing log:")
-	for _, f := range eng.Firings() {
-		status := "ok"
-		if f.Err != nil {
-			status = f.Err.Error()
-		}
-		fmt.Printf("  %s at %v (%s)\n", f.Rule, f.At.Format("15:04:05"), status)
+	for _, f := range firings {
+		fmt.Println("  " + f)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"manetkit/internal/event"
+	"manetkit/internal/kernel"
 	"manetkit/internal/mnet"
 	"manetkit/internal/vclock"
 )
@@ -452,6 +453,37 @@ func TestSourceAddedWhileRunningStarts(t *testing.T) {
 	clk.Advance(20 * time.Millisecond)
 	if n != 2 {
 		t.Fatal("removed source still firing")
+	}
+}
+
+// TestRemoveSourceVetoKeepsItFiring: a CF integrity rule that vetoes the
+// removal leaves the source plugged in and still firing.
+func TestRemoveSourceVetoKeepsItFiring(t *testing.T) {
+	m, clk := newMgr(t, SingleThreaded)
+	p := NewProtocol("p")
+	p.SetTuple(event.Tuple{})
+	if err := m.Deploy(p); err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	var n int
+	p.AddSource(NewSource("beacon", time.Second, 0, func(*Context) { n++ }))
+	if err := p.CF().AddRule(kernel.RuleRequired("beacon", func(c string) bool { return c == "beacon" })); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2500 * time.Millisecond)
+	if n != 2 {
+		t.Fatalf("beacon fired %d times in 2.5s", n)
+	}
+	if err := p.RemoveSource("beacon"); !errors.Is(err, kernel.ErrIntegrity) {
+		t.Fatalf("RemoveSource = %v, want ErrIntegrity", err)
+	}
+	if _, ok := p.CF().Plug("beacon"); !ok {
+		t.Fatal("vetoed removal unplugged the beacon")
+	}
+	clk.Advance(3 * time.Second)
+	if n != 5 {
+		t.Fatalf("beacon fired %d times by 5.5s, want 5: the vetoed removal stopped it", n)
 	}
 }
 

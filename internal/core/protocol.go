@@ -381,22 +381,23 @@ func (p *Protocol) AddSource(s *Source) error {
 	return nil
 }
 
-// RemoveSource stops and unplugs the named source.
+// RemoveSource unplugs and stops the named source. A CF integrity veto
+// leaves the source plugged in and firing.
 func (p *Protocol) RemoveSource(name string) error {
+	if err := p.cf.Remove(name); err != nil {
+		return err
+	}
 	p.mu.Lock()
 	var src *Source
-	for i, s := range p.sources {
-		if s.Name() == name {
-			src = s
-			p.sources = append(p.sources[:i], p.sources[i+1:]...)
-			break
-		}
+	if i := slices.IndexFunc(p.sources, func(s *Source) bool { return s.Name() == name }); i >= 0 {
+		src = p.sources[i]
+		p.sources = slices.Delete(p.sources, i, i+1)
 	}
 	p.mu.Unlock()
 	if src != nil {
 		src.stop()
 	}
-	return p.cf.Remove(name)
+	return nil
 }
 
 // SetForward installs the protocol's F element (component name "forward").

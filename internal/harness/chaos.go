@@ -5,8 +5,8 @@ package harness
 // invariant suite (internal/invariant) asserting that routing state stays
 // sane. This is the executable form of the paper's robustness claim: the
 // compositions keep routing — loop-free, live, symmetric — through
-// partitions, crashes, frame corruption and even mid-run coordinated
-// reconfiguration (§4.5, §7).
+// partitions, crashes, frame corruption and even a mid-run reconfiguration
+// of every node at one instant (§4.5).
 //
 // Everything runs on the shared virtual clock with seeded randomness, so a
 // scenario is a pure function of (config, seed): two runs with the same
@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"manetkit/internal/coord"
 	"manetkit/internal/core"
 	"manetkit/internal/emunet"
 	"manetkit/internal/event"
@@ -37,7 +36,7 @@ const (
 	ScenarioPartition  = "partition"  // network splits during a TC flood, then heals
 	ScenarioCrash      = "crash"      // a relay node crashes mid route discovery and restarts with state loss
 	ScenarioCorruption = "corruption" // frames are corrupted, duplicated and reordered in flight
-	ScenarioReconfig   = "reconfig"   // coordinated reconfiguration lands while the topology churns
+	ScenarioReconfig   = "reconfig"   // every node deploys a sniffer while the topology churns
 	ScenarioStorm      = "storm"      // all of the above in one run
 )
 
@@ -120,8 +119,8 @@ type ChaosReport struct {
 	FaultLog []string
 	// TapFrames is how many control frames the sequence watcher decoded.
 	TapFrames uint64
-	// Reconfigured reports whether the coordinated reconfiguration
-	// committed (reconfig/storm scenarios only).
+	// Reconfigured reports whether every node deployed the reconfiguration's
+	// sniffer (reconfig/storm scenarios only).
 	Reconfigured bool
 
 	// Metrics is the cluster-wide counter snapshot at the end of the run
@@ -144,7 +143,7 @@ type ChaosReport struct {
 	// route staleness and neighbour churn.
 	Health inspect.Report
 	// Journal is the rewire journal of the whole run: every deploy and the
-	// coordinated reconfiguration's sniffer insertion appear as timestamped
+	// reconfiguration's sniffer insertions appear as timestamped
 	// snapshot diffs.
 	Journal []inspect.Entry
 }
@@ -303,7 +302,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	//   t=14s..23s   corruption / duplication / reorder windows
 	//   t=24s..30s   crash of a middle relay; traffic at t≈22s has just
 	//                kicked off a route discovery through it
-	//   t=16s        coordinated reconfiguration (reconfig/storm)
+	//   t=16s        every node deploys a sniffer (reconfig/storm)
 	// then quiet until t=60s — well past HELLO/TC intervals and route
 	// hold times — before the snapshot is checked.
 	plan := emunet.NewFaultPlan(cfg.Seed)
@@ -342,31 +341,22 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	inj := plan.Apply(c.Net)
 
 	if withReconfig {
-		// Mid-churn (the partition is open), a coordinated two-phase
-		// reconfiguration deploys a monitoring sniffer on every node —
-		// the §7 "coordinated distributed dynamic reconfiguration".
-		members := make([]*coord.Member, cfg.Nodes)
-		for i, node := range c.Nodes {
-			members[i] = &coord.Member{Name: node.Addr.String(), Mgr: node.Mgr}
-		}
+		// Mid-churn (the partition is open), every node deploys a
+		// monitoring sniffer at the same instant.
 		c.Net.ScheduleAt(16*time.Second, func(*emunet.Network) {
-			res, err := coord.Run(members, coord.Action{
-				Name: "chaos-sniffer",
-				Apply: func(m *coord.Member) error {
-					sn, err := core.NewSniffer("chaos-sniffer", func(*event.Event) {})
-					if err != nil {
-						return err
-					}
-					if err := m.Mgr.Deploy(sn); err != nil {
-						return err
-					}
-					return sn.Start()
-				},
-			})
-			if err != nil {
-				panic(fmt.Sprintf("harness: chaos reconfig: %v", err))
+			for _, node := range c.Nodes {
+				sn, err := core.NewSniffer("chaos-sniffer", func(*event.Event) {})
+				if err == nil {
+					err = node.Mgr.Deploy(sn)
+				}
+				if err == nil {
+					err = sn.Start()
+				}
+				if err != nil {
+					panic(fmt.Sprintf("harness: chaos reconfig on %v: %v", node.Addr, err))
+				}
 			}
-			report.Reconfigured = res.Committed
+			report.Reconfigured = true
 		})
 	}
 

@@ -46,7 +46,7 @@ func stormTwice(t *testing.T, proto string) *ChaosReport {
 		t.Fatalf("sent %d data packets, want 7", r1.Sent)
 	}
 	if !r1.Reconfigured {
-		t.Fatalf("coordinated reconfiguration did not commit")
+		t.Fatalf("sniffer deployment did not land on every node")
 	}
 	return r1
 }

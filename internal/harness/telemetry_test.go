@@ -1,7 +1,7 @@
 package harness
 
 // Streaming telemetry over full chaos runs: subscribers watch a storm —
-// deploys, a coordinated reconfiguration, partitions, corruption — live
+// deploys, a sniffer deployed on every node, partitions, corruption — live
 // on every stream while the invariant layer runs. The gates: exact
 // per-subscriber drop accounting, no perturbation of the fingerprinted
 // report, and a flight-recorder dump that is byte-identical across

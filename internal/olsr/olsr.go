@@ -160,12 +160,7 @@ func (o *OLSR) emitTC(ctx *core.Context) {
 	ctx.Emit(&event.Event{Type: event.TCOut, Msg: msg, Dst: mnet.Broadcast})
 }
 
-// ProcessTC folds one received TC into the topology set and decides
-// forwarding; exported for the time-to-process benchmark (Table 1).
-func (o *OLSR) ProcessTC(ctx *core.Context, ev *event.Event) error {
-	return o.onTC(ctx, ev)
-}
-
+// onTC folds one received TC into the topology set and decides forwarding.
 func (o *OLSR) onTC(ctx *core.Context, ev *event.Event) error {
 	msg := ev.Msg
 	if msg == nil || msg.Originator == ctx.Node() {

@@ -434,8 +434,8 @@ func TestProcessTCRelayAllocs(t *testing.T) {
 	relay := func() {
 		msg.SeqNum++ // a fresh TC each time, or the flooder drops it as a duplicate
 		var err error
-		if lockErr := o.Protocol().RunLocked(func(ctx *core.Context) { err = o.ProcessTC(ctx, ev) }); lockErr != nil || err != nil {
-			t.Fatalf("ProcessTC: %v / %v", lockErr, err)
+		if lockErr := o.Protocol().RunLocked(func(ctx *core.Context) { err = o.onTC(ctx, ev) }); lockErr != nil || err != nil {
+			t.Fatalf("onTC: %v / %v", lockErr, err)
 		}
 	}
 	for i := 0; i < 500; i++ { // learn the topology, grow the duplicate set
@@ -443,7 +443,7 @@ func TestProcessTCRelayAllocs(t *testing.T) {
 	}
 	relayed = 0
 	if got := testing.AllocsPerRun(100, relay); got != 0 {
-		t.Fatalf("ProcessTC of a relayed TC = %.1f allocs, want 0 (the relay event is borrowed)", got)
+		t.Fatalf("onTC of a relayed TC = %.1f allocs, want 0 (the relay event is borrowed)", got)
 	}
 	if relayed != 101 {
 		t.Fatalf("%d of 101 TCs relayed", relayed)
@@ -475,8 +475,8 @@ func TestRestartedOriginatorIsHeardAfterHoldTime(t *testing.T) {
 		}
 		ev := &event.Event{Type: event.TCIn, Msg: msg, Src: c.Addrs()[1]}
 		var err error
-		if lockErr := o.Protocol().RunLocked(func(ctx *core.Context) { err = o.ProcessTC(ctx, ev) }); lockErr != nil || err != nil {
-			t.Fatalf("ProcessTC: %v / %v", lockErr, err)
+		if lockErr := o.Protocol().RunLocked(func(ctx *core.Context) { err = o.onTC(ctx, ev) }); lockErr != nil || err != nil {
+			t.Fatalf("onTC: %v / %v", lockErr, err)
 		}
 	}
 	advertised := func() []mnet.Addr {

@@ -467,7 +467,8 @@ func TestLinkSensorReportsRSSI(t *testing.T) {
 
 // TestLinkSensorReportsInAddressOrder: a node that hears five neighbours
 // reports them in address order on every sensor tick, so a context consumer
-// (the policy engine's float sums) sees the same sequence on every run.
+// (one that sums link qualities as they arrive) sees the same sequence on
+// every run.
 func TestLinkSensorReportsInAddressOrder(t *testing.T) {
 	const neighbours, ticks = 5, 10
 	net, clk, nodes := newTestNet(t, 1+neighbours)

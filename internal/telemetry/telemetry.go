@@ -1,12 +1,12 @@
-// Package telemetry is MANETKit's observability bus and its one recorder:
-// the sensor plane the closed-loop policy engine and the multi-tenant
-// mkemu server stand on. Five event streams — metrics deltas, trace spans,
-// health state transitions, rewire-journal entries and engine epochs —
-// flow through one Bus, which fans them out to subscribers and
-// (optionally) into a bounded ring-buffer flight recorder for post-mortem
-// replay. Producers (the Framework Manager, the medium, the journal and
-// the health monitor) publish to the *Bus they are handed; the package
-// itself imports no producer, only metrics and vclock.
+// Package telemetry is MANETKit's observability bus and its one recorder,
+// behind mkemu's -record dump and its live /stream endpoints. Five event
+// streams — metrics deltas, trace spans, health state transitions,
+// rewire-journal entries and engine epochs — flow through one Bus, which
+// fans them out to subscribers and (optionally) into a bounded ring-buffer
+// flight recorder for post-mortem replay. Producers (the Framework Manager,
+// the medium, the journal and the health monitor) publish to the *Bus they
+// are handed; the package itself imports no producer, only metrics and
+// vclock.
 //
 // The contract with the hot path:
 //

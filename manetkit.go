@@ -29,7 +29,6 @@ import (
 
 	"manetkit/internal/aodv"
 	"manetkit/internal/compose"
-	"manetkit/internal/coord"
 	"manetkit/internal/core"
 	"manetkit/internal/dymo"
 	"manetkit/internal/emunet"
@@ -41,7 +40,6 @@ import (
 	"manetkit/internal/mpr"
 	"manetkit/internal/neighbor"
 	"manetkit/internal/olsr"
-	"manetkit/internal/policy"
 	"manetkit/internal/route"
 	"manetkit/internal/system"
 	"manetkit/internal/telemetry"
@@ -94,12 +92,6 @@ type (
 	AODV = aodv.AODV
 	// ZRP is the zone-routing hybrid composition.
 	ZRP = zrp.ZRP
-	// PolicyEngine is the ECA decision-making layer (§4.5).
-	PolicyEngine = policy.Engine
-	// PolicyRule is one event-condition-action rule.
-	PolicyRule = policy.Rule
-	// PolicyMetrics are the rolling aggregates rules condition on.
-	PolicyMetrics = policy.Metrics
 	// FaultPlan is a seeded, scripted fault schedule for the emulated
 	// medium: partitions, crashes, corruption, duplication, reordering.
 	FaultPlan = emunet.FaultPlan
@@ -303,10 +295,9 @@ type FamilySpec = compose.Spec
 // Stack is one node's MANETKit deployment: Framework Manager + System CF,
 // into which routing protocols are deployed and reconfigured at runtime.
 type Stack struct {
-	mgr    *core.Manager
-	sys    *system.System
-	comp   *compose.Set
-	policy *policy.Engine
+	mgr  *core.Manager
+	sys  *system.System
+	comp *compose.Set
 }
 
 // NewStack attaches a node at addr to the network and boots its framework
@@ -458,16 +449,6 @@ func (s *Stack) RestrictToOneReactive() error {
 	return s.mgr.AddRule(aodv.RuleSingleReactive(aodv.UnitName, dymo.UnitName, zrp.UnitName))
 }
 
-// Policy returns the stack's ECA decision-making engine, creating it on
-// first use (§4.5: context monitoring + enactment from MANETKit, decisions
-// from above).
-func (s *Stack) Policy() *PolicyEngine {
-	if s.policy == nil {
-		s.policy = policy.New(s.mgr)
-	}
-	return s.policy
-}
-
 // OLSRUnit returns the deployed OLSR CF, if any.
 func (s *Stack) OLSRUnit() *OLSR { return s.comp.OLSR() }
 
@@ -499,9 +480,10 @@ func (s *Stack) OnDeliver(fn func(src Addr, payload []byte)) {
 	s.sys.Filter().OnDeliver(fn)
 }
 
-// SubscribeContext taps the Framework Manager's context concentrator. fn
-// may use the event only until it returns; to keep it, it copies it (its
-// message by Msg.Clone()).
+// SubscribeContext taps the Framework Manager's context concentrator, where
+// software above the kit makes its reconfiguration decisions (§4.5;
+// examples/adaptive). fn may use the event only until it returns; to keep
+// it, it copies it (its message by Msg.Clone()).
 func (s *Stack) SubscribeContext(pattern EventType, fn func(*Event)) {
 	s.mgr.SubscribeContext(pattern, fn)
 }
@@ -520,44 +502,6 @@ func (s *Stack) Sniff(name string, fn func(*Event)) (*Protocol, error) {
 		return nil, err
 	}
 	return sniffer, nil
-}
-
-// CoordinatedAction is a reconfiguration applied across several stacks
-// with two-phase semantics (see Coordinate).
-type CoordinatedAction struct {
-	// Name identifies the action in errors.
-	Name string
-	// Prepare (optional) checks feasibility on one stack; any veto aborts
-	// the whole action before anything changes.
-	Prepare func(s *Stack) error
-	// Apply enacts the reconfiguration on one stack.
-	Apply func(s *Stack) error
-	// Undo (optional) reverts Apply during rollback.
-	Undo func(s *Stack) error
-}
-
-// Coordinate runs a distributed reconfiguration across the stacks: all
-// prepares first (any veto aborts), then applies in order with reverse
-// rollback on failure — the paper's §7 "coordinated distributed dynamic
-// reconfiguration".
-func Coordinate(stacks []*Stack, act CoordinatedAction) error {
-	members := make([]*coord.Member, len(stacks))
-	byName := make(map[string]*Stack, len(stacks))
-	for i, s := range stacks {
-		name := s.Addr().String()
-		members[i] = &coord.Member{Name: name, Mgr: s.Manager()}
-		byName[name] = s
-	}
-	inner := coord.Action{Name: act.Name}
-	if act.Prepare != nil {
-		inner.Prepare = func(m *coord.Member) error { return act.Prepare(byName[m.Name]) }
-	}
-	inner.Apply = func(m *coord.Member) error { return act.Apply(byName[m.Name]) }
-	if act.Undo != nil {
-		inner.Undo = func(m *coord.Member) error { return act.Undo(byName[m.Name]) }
-	}
-	_, err := coord.Run(members, inner)
-	return err
 }
 
 // Close shuts the node down.

@@ -1,7 +1,6 @@
 package manetkit
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -259,15 +258,6 @@ func TestZRPDeployment(t *testing.T) {
 	}
 }
 
-func TestPolicyEngineAccessor(t *testing.T) {
-	_, _, stacks := lineStacks(t, 1)
-	e1 := stacks[0].Policy()
-	e2 := stacks[0].Policy()
-	if e1 == nil || e1 != e2 {
-		t.Fatal("Policy() should lazily create a single engine")
-	}
-}
-
 func TestSniffFacade(t *testing.T) {
 	clk, _, stacks := lineStacks(t, 2)
 	var types []EventType
@@ -286,49 +276,6 @@ func TestSniffFacade(t *testing.T) {
 		t.Fatal("sniffer saw nothing")
 	}
 }
-
-func TestCoordinateFacade(t *testing.T) {
-	clk, _, stacks := lineStacks(t, 3)
-	for _, s := range stacks {
-		if _, err := s.DeployOLSR(OLSRConfig{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	clk.Advance(10 * time.Second)
-	// Distributed switch OLSR -> DYMO across the whole network.
-	err := Coordinate(stacks, CoordinatedAction{
-		Name: "switch-to-dymo",
-		Apply: func(s *Stack) error {
-			if err := s.UndeployOLSR(); err != nil {
-				return err
-			}
-			if err := s.UndeployMPR(); err != nil {
-				return err
-			}
-			_, err := s.DeployDYMO(DYMOConfig{})
-			return err
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range stacks {
-		if s.OLSRUnit() != nil || s.DYMOUnit() == nil {
-			t.Fatalf("stack %d not switched", i)
-		}
-	}
-	// Rollback path: one node vetoes.
-	err = Coordinate(stacks, CoordinatedAction{
-		Name:    "vetoed",
-		Prepare: func(s *Stack) error { return errAlways },
-		Apply:   func(s *Stack) error { t.Fatal("apply ran despite veto"); return nil },
-	})
-	if err == nil {
-		t.Fatal("vetoed action committed")
-	}
-}
-
-var errAlways = fmt.Errorf("always vetoes")
 
 func TestStackErrors(t *testing.T) {
 	clk := NewVirtualClock(epoch)
